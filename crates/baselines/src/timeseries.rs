@@ -4,9 +4,9 @@
 //! chains is to compress every snapshot as its own standalone container at
 //! the same finest bound. [`IndependentSteps`] is exactly that: it is what
 //! the archive's `keyframe_interval = 1` degenerates to, and the reference
-//! the `bench_timeseries` acceptance criteria compare against — both for
-//! total archive size and for bytes fetched when a step range is retrieved
-//! at a coarse fidelity.
+//! `tests/archive_equivalence.rs` and `bench_e2e`'s `archive_window_remote`
+//! workload compare against — both for total archive size and for bytes
+//! fetched when a step range is retrieved at a coarse fidelity.
 
 use std::sync::Arc;
 

@@ -41,8 +41,6 @@
 //! * **Packed plane bytes** are the serialized form of plane words: byte `k`
 //!   covers coefficients `8k..8k+8`, coefficient `8k` at the byte's MSB.
 
-use crate::envswitch::EnvSwitch;
-
 /// Row index of plane `p` in the output of [`transpose_64x64`] when the input
 /// rows are coefficient words in block order.
 #[inline(always)]
@@ -80,21 +78,20 @@ pub fn transpose_64x64(a: &mut [u64; 64]) {
 /// zero padding of the final byte).
 ///
 /// The per-block 64×64 transpose dispatches to an AVX2 variant behind the
-/// same runtime-detection/`simd` conventions as the scatter kernels
-/// ([`gather_impl`] / `IPC_GATHER_IMPL` select it); output bytes are
-/// identical on every path.
+/// same runtime-detection/`simd` conventions as the scatter kernels; output
+/// bytes are identical on every path.
 pub fn slice_planes(words: &[u64], num_planes: usize) -> Vec<Vec<u8>> {
     assert!(num_planes <= 64, "a u64 word has at most 64 planes");
     let n = words.len();
     let plane_len = n.div_ceil(8);
     let mut planes = vec![vec![0u8; plane_len]; num_planes];
-    let use_avx2 = gather_avx2_selected();
+    let use_avx2 = avx2_available();
     for (b, block) in words.chunks(64).enumerate() {
         let mut m = [0u64; 64];
         m[..block.len()].copy_from_slice(block);
         #[cfg(all(feature = "simd", target_arch = "x86_64"))]
         if use_avx2 {
-            // SAFETY: AVX2 support verified by `gather_avx2_selected`.
+            // SAFETY: AVX2 support verified by `avx2_available`.
             unsafe { avx2::transpose_64x64_avx2(&mut m) };
         } else {
             transpose_64x64(&mut m);
@@ -116,44 +113,6 @@ pub fn slice_planes(words: &[u64], num_planes: usize) -> Vec<Vec<u8>> {
 
 // ---- encode-side gather kernels ---------------------------------------------
 
-/// Which gather implementation [`slice_planes`] and [`gather_plane_words`]
-/// dispatch to.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-#[repr(u8)]
-pub enum GatherImpl {
-    /// AVX2 kernels when the CPU has them, portable otherwise.
-    Auto = 0,
-    /// The portable kernels, never AVX2 (regardless of CPU).
-    Portable = 2,
-}
-
-/// Process-wide gather override, settable via [`force_gather_impl`] or the
-/// `IPC_GATHER_IMPL` environment variable (`portable` / `auto`), mirroring
-/// `IPC_SCATTER_IMPL`.
-static GATHER_IMPL: EnvSwitch = EnvSwitch::new("IPC_GATHER_IMPL");
-
-/// Force every subsequent gather onto one implementation (benchmark A/B
-/// harnesses; produced bits are identical either way).
-pub fn force_gather_impl(which: GatherImpl) {
-    GATHER_IMPL.force(which as u8);
-}
-
-/// The implementation gathers currently dispatch to.
-pub fn gather_impl() -> GatherImpl {
-    match GATHER_IMPL.get(|env| match env {
-        Some("portable") => GatherImpl::Portable as u8,
-        _ => GatherImpl::Auto as u8,
-    }) {
-        2 => GatherImpl::Portable,
-        _ => GatherImpl::Auto,
-    }
-}
-
-/// Whether the current dispatch resolves to the AVX2 gather kernels.
-fn gather_avx2_selected() -> bool {
-    gather_impl() == GatherImpl::Auto && avx2_available()
-}
-
 /// Extract planes `[plane_lo, plane_lo + count)` of packed coefficient words
 /// as per-plane packed words: `out[j][b]` holds plane `plane_lo + j` of
 /// coefficients `64b..64b+64`, coefficient `i` of the block at bit
@@ -172,8 +131,8 @@ pub fn gather_plane_words(words: &[u64], plane_lo: usize, count: usize) -> Vec<V
         return out;
     }
     #[cfg(all(feature = "simd", target_arch = "x86_64"))]
-    if gather_avx2_selected() {
-        // SAFETY: AVX2 support verified by `gather_avx2_selected`.
+    if avx2_available() {
+        // SAFETY: AVX2 support verified by `avx2_available`.
         unsafe { avx2::gather_plane_words_avx2(words, plane_lo, &mut out) };
         return out;
     }
@@ -231,47 +190,8 @@ impl PlaneBlock {
 
 // ---- plane-count-specialized scatter kernels --------------------------------
 
-/// Which scatter implementation [`scatter_planes`] dispatches to.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-#[repr(u8)]
-pub enum ScatterImpl {
-    /// Pick per call: AVX2 grouped kernel when available, otherwise the
-    /// portable specialized kernels, with the full transpose for dense plane
-    /// spans.
-    Auto = 0,
-    /// The pre-specialization path: one full 64×64 transpose per block
-    /// regardless of plane count. Kept selectable for A/B benchmarking.
-    Generic = 1,
-    /// The portable specialized kernels, never AVX2 (regardless of CPU).
-    Portable = 2,
-}
-
-/// Process-wide kernel override, settable via [`force_scatter_impl`] or the
-/// `IPC_SCATTER_IMPL` environment variable (`generic` / `portable` / `auto`),
-/// mirroring the `IPC_STORE_FORCE_FILE` escape-hatch precedent.
-static SCATTER_IMPL: EnvSwitch = EnvSwitch::new("IPC_SCATTER_IMPL");
-
-/// Force every subsequent [`scatter_planes`] call onto one implementation
-/// (benchmark A/B harnesses; decoded bits are identical either way).
-pub fn force_scatter_impl(which: ScatterImpl) {
-    SCATTER_IMPL.force(which as u8);
-}
-
-/// The implementation [`scatter_planes`] currently dispatches to.
-pub fn scatter_impl() -> ScatterImpl {
-    match SCATTER_IMPL.get(|env| match env {
-        Some("generic") => ScatterImpl::Generic as u8,
-        Some("portable") => ScatterImpl::Portable as u8,
-        _ => ScatterImpl::Auto as u8,
-    }) {
-        1 => ScatterImpl::Generic,
-        2 => ScatterImpl::Portable,
-        _ => ScatterImpl::Auto,
-    }
-}
-
-/// Whether the AVX2 grouped kernel is compiled in and supported by this CPU.
-pub fn avx2_available() -> bool {
+/// Whether the AVX2 kernels are compiled in and supported by this CPU.
+fn avx2_available() -> bool {
     #[cfg(all(feature = "simd", target_arch = "x86_64"))]
     {
         std::arch::is_x86_feature_detected!("avx2")
@@ -311,19 +231,13 @@ pub fn scatter_planes(planes: &[&[u8]], plane_lo: usize, out: &mut [u64]) {
             "plane stream shorter than coefficient span"
         );
     }
-    match scatter_impl() {
-        ScatterImpl::Generic => scatter_planes_generic(planes, plane_lo, out),
-        ScatterImpl::Portable => scatter_planes_portable(planes, plane_lo, out),
-        ScatterImpl::Auto => {
-            #[cfg(all(feature = "simd", target_arch = "x86_64"))]
-            if std::arch::is_x86_feature_detected!("avx2") {
-                // SAFETY: AVX2 support was just verified at runtime.
-                unsafe { avx2::scatter_planes_avx2(planes, plane_lo, out) };
-                return;
-            }
-            scatter_planes_portable(planes, plane_lo, out)
-        }
+    #[cfg(all(feature = "simd", target_arch = "x86_64"))]
+    if avx2_available() {
+        // SAFETY: AVX2 support verified by `avx2_available`.
+        unsafe { avx2::scatter_planes_avx2(planes, plane_lo, out) };
+        return;
     }
+    scatter_planes_portable(planes, plane_lo, out)
 }
 
 /// Portable dispatch: grouped kernel while ≤ 32 planes are live (1–8, 9–16,
@@ -337,9 +251,10 @@ fn scatter_planes_portable(planes: &[&[u8]], plane_lo: usize, out: &mut [u64]) {
     }
 }
 
-/// The pre-specialization scatter: gather every block's live planes into a
-/// 64×64 matrix and transpose, whatever the live count.
-pub fn scatter_planes_generic(planes: &[&[u8]], plane_lo: usize, out: &mut [u64]) {
+/// The dense scatter: gather every block's live planes into a 64×64 matrix
+/// and transpose, whatever the live count. Also the oracle the specialized
+/// kernels are tested against.
+fn scatter_planes_generic(planes: &[&[u8]], plane_lo: usize, out: &mut [u64]) {
     for (b, block) in out.chunks_mut(64).enumerate() {
         let base = b * 8;
         let mut rows = [0u64; 64];
@@ -739,22 +654,20 @@ mod tests {
     }
 
     #[test]
-    fn forced_scatter_impls_are_bit_identical() {
+    fn auto_scatter_matches_generic_and_portable_oracles() {
         let n = 777usize;
-        let streams = sample_planes(20, n.div_ceil(8), 7);
-        let planes: Vec<&[u8]> = streams.iter().map(Vec::as_slice).collect();
-        let run = |which: ScatterImpl| {
-            force_scatter_impl(which);
-            let mut out = vec![0u64; n];
-            scatter_planes(&planes, 5, &mut out);
-            out
-        };
-        let auto = run(ScatterImpl::Auto);
-        let generic = run(ScatterImpl::Generic);
-        let portable = run(ScatterImpl::Portable);
-        force_scatter_impl(ScatterImpl::Auto);
-        assert_eq!(auto, generic);
-        assert_eq!(auto, portable);
+        for &count in &[20usize, 40] {
+            let streams = sample_planes(count, n.div_ceil(8), 7);
+            let planes: Vec<&[u8]> = streams.iter().map(Vec::as_slice).collect();
+            let mut auto = vec![0u64; n];
+            scatter_planes(&planes, 5, &mut auto);
+            let mut generic = vec![0u64; n];
+            scatter_planes_generic(&planes, 5, &mut generic);
+            let mut portable = vec![0u64; n];
+            scatter_planes_portable(&planes, 5, &mut portable);
+            assert_eq!(auto, generic, "count={count}");
+            assert_eq!(auto, portable, "count={count}");
+        }
     }
 
     #[test]
@@ -793,20 +706,24 @@ mod tests {
     }
 
     #[test]
-    fn forced_gather_impls_are_bit_identical() {
+    fn auto_gather_matches_portable_oracles() {
         let words: Vec<u64> = (0..300)
             .map(|i| (i as u64).wrapping_mul(0xD134_2543_DE82_EF95))
             .collect();
-        let run = |which: GatherImpl| {
-            force_gather_impl(which);
-            let planes = slice_planes(&words, 48);
-            let gathered = gather_plane_words(&words, 10, 3);
-            force_gather_impl(GatherImpl::Auto);
-            (planes, gathered)
-        };
-        let auto = run(GatherImpl::Auto);
-        let portable = run(GatherImpl::Portable);
-        assert_eq!(auto, portable);
+        let n_blocks = words.len().div_ceil(64);
+        let mut portable = vec![vec![0u64; n_blocks]; 3];
+        gather_plane_words_portable(&words, 10, &mut portable);
+        assert_eq!(gather_plane_words(&words, 10, 3), portable);
+        // `slice_planes` against the scalar transpose, block by block.
+        let planes = slice_planes(&words, 48);
+        for (b, block) in words.chunks(64).enumerate() {
+            let scalar = PlaneBlock::gather(block);
+            for (p, plane) in planes.iter().enumerate() {
+                let want = scalar.plane(p).to_be_bytes();
+                let got = &plane[b * 8..(b * 8 + 8).min(plane.len())];
+                assert_eq!(got, &want[..got.len()], "block {b} plane {p}");
+            }
+        }
     }
 
     #[cfg(all(feature = "simd", target_arch = "x86_64"))]

@@ -26,7 +26,6 @@
 pub mod bitslice;
 pub mod bitstream;
 pub mod byteio;
-pub mod envswitch;
 pub mod huffman;
 pub mod lzr;
 pub mod negabinary;
@@ -36,7 +35,6 @@ pub mod varint;
 pub mod zigzag;
 
 pub use bitstream::{BitReader, BitWriter};
-pub use envswitch::EnvSwitch;
 pub use huffman::{huffman_decode, huffman_encode};
 pub use lzr::{lzr_compress, lzr_compress_with, lzr_decompress, LzrOptions};
 pub use negabinary::{from_negabinary, to_negabinary};

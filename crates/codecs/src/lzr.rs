@@ -47,8 +47,7 @@ const HASH_BITS: u32 = 16;
 /// the scan step widens by one byte for every `2^shift` consecutive misses.
 /// 5 (one step per 32 misses) skims incompressible stretches — dense
 /// low-order bitplanes are essentially random bits — roughly twice as fast
-/// as the historical 6, at a ratio cost measured in hundredths of a percent
-/// (`BENCH_entropy.json` records the A/B).
+/// as the historical 6, at a ratio cost measured in hundredths of a percent.
 const DEFAULT_SKIP_SHIFT: u32 = 5;
 
 /// The historical escalation rate, kept so [`lzr_compress_huffman`] stays
@@ -241,31 +240,12 @@ fn entropy_stage(tokens: Vec<u8>) -> (u8, Vec<u8>) {
 /// The output is self-describing and starts with the original length so that
 /// [`lzr_decompress`] can pre-allocate and validate.
 pub fn lzr_compress(input: &[u8]) -> Vec<u8> {
-    lzr_compress_accel(input, DEFAULT_SKIP_SHIFT)
-}
-
-/// [`lzr_compress`] with an explicit skip-step escalation shift (the scan
-/// step of the empty-match path widens every `2^skip_shift` misses).
-///
-/// Exposed as a tuning/benchmark hook: the throughput-vs-ratio A/B between
-/// the historical shift (6) and the current default lives in
-/// `BENCH_entropy.json`. Output at any shift decodes with the same reader —
-/// the shift only changes which matches the tokenizer finds.
-pub fn lzr_compress_accel(input: &[u8], skip_shift: u32) -> Vec<u8> {
-    lzr_compress_with(
-        input,
-        &LzrOptions {
-            skip_shift,
-            match_candidates: 1,
-        },
-    )
+    lzr_compress_with(input, &LzrOptions::default())
 }
 
 /// [`lzr_compress`] with explicit tokenizer options (skip-step escalation and
 /// hash-chain depth). Output under any options decodes with the same reader —
-/// the knobs only change which matches the tokenizer finds; the ratio/speed
-/// A/B between the single-head table and the 2-candidate chain lives in
-/// `BENCH_entropy.json`.
+/// the knobs only change which matches the tokenizer finds.
 pub fn lzr_compress_with(input: &[u8], options: &LzrOptions) -> Vec<u8> {
     let tokens = lz_tokenize(input, options.skip_shift, options.match_candidates);
     // When matching bought nothing (the token stream is no shorter than the

@@ -97,27 +97,13 @@ impl EncSymbol {
         }
     }
 
-    #[inline(always)]
-    fn encode(&self, x: u64, out: &mut Vec<u8>) -> u64 {
-        // One u32 emit always restores `x < x_max` (x < 2^63 and
-        // x_max ≥ 2^51), so renormalization is a single branch.
-        let mut x = x;
-        if x >= self.x_max {
-            out.extend_from_slice(&(x as u32).to_le_bytes());
-            x >>= 32;
-        }
-        let q = ((x as u128 * self.rcp_freq as u128) >> self.rcp_shift) as u64;
-        x + self.bias as u64 + q * self.cmpl_freq as u64
-    }
-
-    /// [`EncSymbol::encode`] pushing the renorm word onto a `u32` word list
-    /// instead of a byte buffer. The caller assembles the payload by walking
-    /// the list in reverse push order and writing each word big-endian —
-    /// which is exactly the byte stream the legacy build-forward-then-
-    /// `reverse()` path produced (reversing little-endian bytes of words in
-    /// emit order), so the output stays byte-identical while the hot loop
-    /// touches only the words actually emitted: no pre-zeroed 4·n scratch
-    /// buffer and no whole-payload reversal pass.
+    /// Encode one symbol into state `x`, pushing the renorm word (if any)
+    /// onto `words`. One `u32` emit always restores `x < x_max` (x < 2^63
+    /// and x_max ≥ 2^51), so renormalization is a single branch. The caller
+    /// assembles the payload by walking the list in reverse push order and
+    /// writing each word big-endian, so the hot loop touches only the words
+    /// actually emitted: no pre-zeroed 4·n scratch buffer and no
+    /// whole-payload reversal pass.
     #[inline(always)]
     fn encode_push(&self, x: u64, words: &mut Vec<u32>) -> u64 {
         let mut x = x;
@@ -283,8 +269,7 @@ pub fn rans_encode_bytes_under(bytes: &[u8], limit: usize) -> Option<Vec<u8>> {
     // Compressible input emits far fewer than one word per symbol, so the
     // hot loop only ever touches live words — unlike a pre-sized `4n + 32`
     // byte scratch buffer, whose zeroing memset alone costs ~4× the input
-    // size and measurably loses to the legacy grow-as-you-go path. The
-    // four states live in locals so their dependency chains stay
+    // size. The four states live in locals so their dependency chains stay
     // independent in the pipeline.
     let mut words: Vec<u32> = Vec::with_capacity(n / 2 + 8);
     let mut states = [RANS_L; 4];
@@ -318,64 +303,6 @@ pub fn rans_encode_bytes_under(bytes: &[u8], limit: usize) -> Option<Vec<u8>> {
         out.extend_from_slice(&w.to_be_bytes());
     }
     (out.len() < limit).then_some(out)
-}
-
-/// The pre-PR-9 encoder: grow-as-you-go payload built in emit order and
-/// reversed once at the end. Kept (not wired into any production path) as
-/// the baseline of the encode A/B in `bench_entropy` and the byte-identity
-/// oracle for [`rans_encode_bytes`]'s reverse-assembled word-list writer.
-#[doc(hidden)]
-pub fn rans_encode_bytes_legacy(bytes: &[u8]) -> Vec<u8> {
-    let n = bytes.len();
-    let mut out = Vec::with_capacity(n / 2 + 64);
-    write_varint(&mut out, n as u64);
-    if n == 0 {
-        return out;
-    }
-    let mut hist = [0u64; 256];
-    for &b in bytes {
-        hist[b as usize] += 1;
-    }
-    let freqs = normalize_freqs(&hist).expect("n > 0");
-    let mut syms = [EncSymbol::default(); 256];
-    let mut start = 0u32;
-    for s in 0..256 {
-        if freqs[s] > 0 {
-            syms[s] = EncSymbol::new(start, freqs[s]);
-            start += freqs[s];
-        }
-    }
-    let n_present = freqs.iter().filter(|&&f| f > 0).count();
-    write_varint(&mut out, n_present as u64);
-    for s in 0..256u32 {
-        if freqs[s as usize] > 0 {
-            out.push(s as u8);
-            write_varint(&mut out, freqs[s as usize] as u64);
-        }
-    }
-    let mut payload = Vec::with_capacity(n / 2 + 40);
-    let mut states = [RANS_L; 4];
-    let (main, tail) = bytes.split_at(n & !3);
-    for (j, &b) in tail.iter().enumerate().rev() {
-        states[j & 3] = syms[b as usize].encode(states[j & 3], &mut payload);
-    }
-    let mut x0 = states[0];
-    let mut x1 = states[1];
-    let mut x2 = states[2];
-    let mut x3 = states[3];
-    for quad in main.rchunks_exact(4) {
-        x3 = syms[quad[3] as usize].encode(x3, &mut payload);
-        x2 = syms[quad[2] as usize].encode(x2, &mut payload);
-        x1 = syms[quad[1] as usize].encode(x1, &mut payload);
-        x0 = syms[quad[0] as usize].encode(x0, &mut payload);
-    }
-    for x in [x3, x2, x1, x0] {
-        payload.extend_from_slice(&x.to_le_bytes());
-    }
-    payload.reverse();
-    write_varint(&mut out, payload.len() as u64);
-    out.extend_from_slice(&payload);
-    out
 }
 
 /// Decode a buffer produced by [`rans_encode_bytes`].
@@ -708,10 +635,12 @@ mod tests {
     }
 
     #[test]
-    fn back_to_front_writer_matches_legacy_bytes() {
-        // The optimized encoder must be a pure speedup: byte-identical
-        // streams to the build-forward-then-reverse baseline on every
-        // distribution shape (empty, tails of 1–3, skewed, uniform, runs).
+    fn encoded_streams_match_golden_digests() {
+        // Pins the serialized stream on every distribution shape (empty,
+        // tails of 1–3, single symbol, all symbols, dense, skewed). The
+        // digests were minted while the build-forward-then-reverse encoder
+        // this writer replaced was still in tree and byte-identical to it;
+        // containers written since then hold exactly these streams.
         let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(17);
         let mut cases: Vec<Vec<u8>> = vec![
             vec![],
@@ -733,13 +662,24 @@ mod tests {
                 })
                 .collect(),
         );
-        for data in &cases {
-            assert_eq!(
-                rans_encode_bytes(data),
-                rans_encode_bytes_legacy(data),
-                "len={}",
-                data.len()
-            );
+        let fnv1a = |bytes: &[u8]| {
+            bytes.iter().fold(0xcbf2_9ce4_8422_2325u64, |h, &b| {
+                (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3)
+            })
+        };
+        let golden: [(usize, u64); 8] = [
+            (1, 0xaf63_bd4c_8601_b7df),
+            (38, 0x27af_17f2_eeaa_aae7),
+            (41, 0x9eff_e09e_8071_15a6),
+            (38, 0xeebd_d337_e559_2500),
+            (39, 0xf1b5_f224_0f9e_f79c),
+            (10627, 0xc44b_4572_ee5f_e286),
+            (30649, 0xbc24_1fb0_36a5_9727),
+            (1619, 0x5969_fe34_e25a_3e62),
+        ];
+        for (data, want) in cases.iter().zip(golden) {
+            let enc = rans_encode_bytes(data);
+            assert_eq!((enc.len(), fnv1a(&enc)), want, "len={}", data.len());
         }
     }
 

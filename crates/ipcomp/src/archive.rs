@@ -351,8 +351,8 @@ fn decode_reference(bytes: &[u8], bound: f64) -> Result<ArrayD<f64>> {
 /// Because a keyframe step's embedded container is byte-identical to the
 /// standalone `compress` of the same field, and the codec is deterministic,
 /// [`ArchiveReader`] must reproduce this sequence *exactly* — the
-/// equivalence tests, the proptest suite, and `bench_timeseries` all assert
-/// against it.
+/// equivalence tests, the proptest suite, and `bench_e2e`'s archive oracle
+/// all assert against it.
 pub fn composition_reference(
     fields: &[ArrayD<f64>],
     config: &ArchiveConfig,

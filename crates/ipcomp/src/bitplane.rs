@@ -288,13 +288,12 @@ pub struct EncodeOptions {
     /// of 8 so chunks align with 64-coefficient transpose blocks.
     pub chunk_bytes: usize,
     /// Allow the rANS entropy stage. Disabling restricts the per-chunk
-    /// decision to Huffman/store, reproducing the PR 1 byte stream — kept for
-    /// the benchmark harness and A/B tests.
+    /// decision to Huffman/store, reproducing the PR 1 byte stream.
     pub rans: bool,
     /// LZ match candidates probed per position by the entropy stage's
     /// tokenizer: `1` (default) keeps the single-head hash table; `2` adds a
     /// one-deep hash chain that trades a little encode speed for ratio on
-    /// bucket-colliding data (A/B recorded in `BENCH_entropy.json`).
+    /// bucket-colliding data.
     pub match_candidates: u8,
 }
 

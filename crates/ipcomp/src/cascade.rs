@@ -37,16 +37,10 @@
 //!    portable kernels, which are always compiled and are the only path on
 //!    other architectures or under `--no-default-features`.
 //!
-//! The implementation is selectable process-wide via `IPC_CASCADE_IMPL`
-//! (`auto` / `portable` / `reference`) or [`force_cascade_impl`], mirroring
-//! `IPC_SCATTER_IMPL`: `reference` routes every pass through the historical
-//! closure-driven [`process_level`] formulation, kept as the A/B baseline and
-//! correctness oracle. All three produce bit-identical fields.
-//!
-//! Level streaming itself can be disabled (`IPC_CASCADE_STREAM=0` or
-//! [`set_cascade_streaming`]) to force the historical decode-everything-then-
-//! reconstruct schedule for benchmarks; decoded bits are identical either
-//! way, only wall-clock overlap changes.
+//! The historical closure-driven [`process_level`] formulation survives as
+//! the correctness oracle (`reference_pass`); it and the portable-only
+//! kernels are reachable through the test hook [`force_cascade_impl`] and
+//! produce bit-identical fields.
 //!
 //! **Multi-core execution.** Within one dimension sub-pass every target point
 //! sits at an *odd* multiple of the stride along the active dimension, while
@@ -59,15 +53,16 @@
 //! is bit-identical to the serial one by construction, not by tolerance.
 //! The thread count follows [`rayon::current_num_threads`] (so
 //! `RAYON_NUM_THREADS` bounds it, and passes already running inside a rayon
-//! worker stay serial instead of oversubscribing); `IPC_CASCADE_PAR=0` or
-//! [`set_cascade_parallel`] is the kill switch. To shorten the critical tail,
+//! worker stay serial instead of oversubscribing), clamped to
+//! `available_parallelism()`. To shorten the critical tail,
 //! the finest level's last sub-pass is additionally slab-split along its
 //! outermost non-singleton dimension at construction time, so its early slabs
 //! stream behind in-flight fetches instead of waiting for the level's final
 //! region.
 
+use std::sync::atomic::{AtomicU8, AtomicUsize, Ordering};
+
 use ipc_codecs::negabinary::from_negabinary;
-use ipc_codecs::EnvSwitch;
 use ipc_tensor::Shape;
 
 use crate::config::Interpolation;
@@ -76,41 +71,48 @@ use crate::interp::{
     process_level, sweep_runs, SweepRun,
 };
 
-// ---- process-wide dispatch switches ----------------------------------------
+// ---- kernel dispatch and test hooks ------------------------------------------
 
 /// Which implementation the cascade kernels dispatch to.
+#[doc(hidden)]
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 #[repr(u8)]
 pub enum CascadeImpl {
     /// Pick per pass: AVX2 interior kernels when the CPU has them, otherwise
-    /// the portable run kernels.
+    /// the portable run kernels. What every engine uses unless a test forces
+    /// an oracle.
     Auto = 0,
     /// The pre-cascade formulation: [`process_level`] with a per-point
-    /// closure pulling dequantized residuals off an iterator. Kept selectable
-    /// for A/B benchmarking and as the correctness oracle.
+    /// closure pulling dequantized residuals off an iterator — the
+    /// correctness oracle.
     Reference = 1,
     /// The portable run kernels, never AVX2 (regardless of CPU).
     Portable = 2,
 }
 
-/// Process-wide kernel override, settable via [`force_cascade_impl`] or the
-/// `IPC_CASCADE_IMPL` environment variable (`auto` / `reference` /
-/// `portable`), mirroring `IPC_SCATTER_IMPL`.
-static CASCADE_IMPL: EnvSwitch = EnvSwitch::new("IPC_CASCADE_IMPL");
+static CASCADE_IMPL: AtomicU8 = AtomicU8::new(CascadeImpl::Auto as u8);
+static CASCADE_FORCE_THREADS: AtomicUsize = AtomicUsize::new(0);
 
-/// Force every subsequent cascade pass onto one implementation (benchmark A/B
-/// harnesses; reconstructed fields are bit-identical either way).
+/// Test hook: bind engines constructed from now on to one kernel
+/// implementation, so bit-identity suites can sweep the oracles through the
+/// public decode paths. Reconstructed fields are bit-identical either way.
+#[doc(hidden)]
 pub fn force_cascade_impl(which: CascadeImpl) {
-    CASCADE_IMPL.force(which as u8);
+    CASCADE_IMPL.store(which as u8, Ordering::Relaxed);
 }
 
-/// The implementation cascade passes currently dispatch to.
-pub fn cascade_impl() -> CascadeImpl {
-    match CASCADE_IMPL.get(|env| match env {
-        Some("reference") => CascadeImpl::Reference as u8,
-        Some("portable") => CascadeImpl::Portable as u8,
-        _ => CascadeImpl::Auto as u8,
-    }) {
+/// Test hook: pin the worker-thread count engines constructed from now on
+/// split a sub-pass into, bypassing both the hardware clamp and the size
+/// gate — so bit-identity suites can drive the concurrent schedule through
+/// arbitrarily small geometries even on a 1-CPU host. `None` restores the
+/// default.
+#[doc(hidden)]
+pub fn force_cascade_threads(n: Option<usize>) {
+    CASCADE_FORCE_THREADS.store(n.unwrap_or(0), Ordering::Relaxed);
+}
+
+fn forced_impl() -> CascadeImpl {
+    match CASCADE_IMPL.load(Ordering::Relaxed) {
         1 => CascadeImpl::Reference,
         2 => CascadeImpl::Portable,
         _ => CascadeImpl::Auto,
@@ -129,74 +131,14 @@ pub fn cascade_avx2_available() -> bool {
     }
 }
 
-/// Process-wide level-streaming switch.
-static CASCADE_STREAM: EnvSwitch = EnvSwitch::new("IPC_CASCADE_STREAM");
-
-/// Enable or disable level-streamed reconstruction (benchmark A/B harnesses).
-/// When disabled, the decoder loads every level before running any
-/// interpolation pass — the historical schedule. Reconstructed bits are
-/// identical either way.
-pub fn set_cascade_streaming(enabled: bool) {
-    CASCADE_STREAM.force(enabled as u8);
-}
-
-/// Whether the decoder interleaves interpolation passes with level loading
-/// (default true; `IPC_CASCADE_STREAM=0` disables).
-pub fn cascade_streaming() -> bool {
-    CASCADE_STREAM.get(|env| (env != Some("0")) as u8) != 0
-}
-
-/// Process-wide sub-pass parallelism switch.
-static CASCADE_PAR: EnvSwitch = EnvSwitch::new("IPC_CASCADE_PAR");
-
-/// Enable or disable multi-threaded sub-pass execution (the `IPC_CASCADE_PAR`
-/// kill switch). Runs within a dimension sub-pass are independent and each
-/// run keeps its serial scalar operation order, so reconstructed bits are
-/// identical for every thread count.
-pub fn set_cascade_parallel(enabled: bool) {
-    CASCADE_PAR.force(enabled as u8);
-}
-
-/// Whether sub-passes may fan their runs out across worker threads
-/// (default true; `IPC_CASCADE_PAR=0` disables).
-pub fn cascade_parallel() -> bool {
-    CASCADE_PAR.get(|env| (env != Some("0")) as u8) != 0
-}
-
-/// Test/bench hook: pin the worker-thread count a parallel sub-pass splits
-/// into, overriding the [`rayon::current_num_threads`] default. `None`
-/// restores the default. Exists so bit-identity suites can exercise the
-/// concurrent schedule deterministically even on a 1-CPU host.
-pub fn force_cascade_threads(n: Option<usize>) {
-    CASCADE_FORCE_THREADS.store(n.unwrap_or(0), std::sync::atomic::Ordering::Relaxed);
-}
-
-static CASCADE_FORCE_THREADS: std::sync::atomic::AtomicUsize =
-    std::sync::atomic::AtomicUsize::new(0);
-
-/// Worker threads the next sub-pass would split across: 1 when parallelism is
-/// switched off or the pass is already inside a rayon worker (the `StoreServer`
-/// session fan-out), else the forced override or the rayon pool width.
-///
-/// The pool width is clamped to `available_parallelism()`: the cascade is
-/// CPU-bound, so oversubscribing a host (e.g. `RAYON_NUM_THREADS=8` on one
-/// core) only buys context-switch overhead. `force_cascade_threads` bypasses
-/// the clamp so correctness tests can exercise the parallel schedule anywhere.
-pub fn cascade_threads() -> usize {
-    if !cascade_parallel() {
-        return 1;
-    }
-    match CASCADE_FORCE_THREADS.load(std::sync::atomic::Ordering::Relaxed) {
-        0 => rayon::current_num_threads().min(hardware_threads()),
-        n => n,
-    }
-}
-
-/// Cached `available_parallelism()` (queried once; it is a syscall and
-/// `cascade_threads` runs once per sub-pass).
-fn hardware_threads() -> usize {
+/// Worker threads an unforced sub-pass splits across: the rayon pool width
+/// (1 inside a rayon worker), clamped to `available_parallelism()` — the
+/// cascade is CPU-bound, so oversubscribing a host (e.g.
+/// `RAYON_NUM_THREADS=8` on one core) only buys context-switch overhead.
+fn default_threads() -> usize {
     static HW: std::sync::OnceLock<usize> = std::sync::OnceLock::new();
-    *HW.get_or_init(|| std::thread::available_parallelism().map_or(1, |n| n.get()))
+    let hw = *HW.get_or_init(|| std::thread::available_parallelism().map_or(1, |n| n.get()));
+    rayon::current_num_threads().min(hw)
 }
 
 /// Below this many points a sub-pass runs serially: thread spawn/join costs
@@ -326,6 +268,9 @@ pub struct CascadeEngine {
     /// Kernel implementation, captured at construction.
     which: CascadeImpl,
     avx2: bool,
+    /// Pinned sub-pass thread count (0 = [`default_threads`] behind the size
+    /// gate), captured at construction.
+    forced_threads: usize,
     work: Vec<f64>,
     state: CascadeState,
     slots: Vec<LevelSlot>,
@@ -358,12 +303,11 @@ struct LevelSlot {
 }
 
 impl CascadeEngine {
-    /// Engine over `shape` with `num_levels(shape)` cascade levels, bound to
-    /// the process-wide [`cascade_impl`] at construction.
+    /// Engine over `shape` with `num_levels(shape)` cascade levels.
     pub fn new(shape: Shape, method: Interpolation, error_bound: f64) -> Self {
         let levels = num_levels(&shape);
         let work = vec![0.0f64; shape.len()];
-        let which = cascade_impl();
+        let which = forced_impl();
         let avx2 = which == CascadeImpl::Auto && cascade_avx2_available();
         let geoms = (0..levels)
             .map(|idx| {
@@ -397,11 +341,23 @@ impl CascadeEngine {
             levels,
             which,
             avx2,
+            forced_threads: CASCADE_FORCE_THREADS.load(Ordering::Relaxed),
             work,
             state: CascadeState::new(levels as usize),
             slots: (0..levels).map(|_| LevelSlot::default()).collect(),
             geoms,
         }
+    }
+
+    /// Rebind a fresh engine to an explicit kernel and pinned thread count
+    /// (0 = default) without touching the process-wide hooks, so unit tests
+    /// running on parallel threads never observe each other's choices.
+    #[cfg(test)]
+    fn with_kernel(mut self, which: CascadeImpl, threads: usize) -> Self {
+        self.which = which;
+        self.avx2 = which == CascadeImpl::Auto && cascade_avx2_available();
+        self.forced_threads = threads;
+        self
     }
 
     /// Number of cascade levels (container level `idx` maps to interpolation
@@ -653,12 +609,12 @@ impl CascadeEngine {
             inner_len: *dims.last().unwrap(),
             avx2: self.avx2,
         };
-        let threads = cascade_threads();
-        let forced = CASCADE_FORCE_THREADS.load(std::sync::atomic::Ordering::Relaxed) != 0;
-        // A pinned thread count skips the size gate so bit-identity suites
-        // can drive the concurrent schedule through arbitrarily small and
-        // ragged geometries.
-        if threads > 1 && (forced || sub.count >= PAR_MIN_POINTS) {
+        let threads = match self.forced_threads {
+            0 if sub.count < PAR_MIN_POINTS => 1,
+            0 => default_threads(),
+            n => n,
+        };
+        if threads > 1 {
             // Materialize the runs with their code offsets (the serial sweep
             // order, so offsets are a deterministic prefix sum) and hand each
             // worker a contiguous chunk to replay with the serial kernels.
@@ -700,7 +656,7 @@ impl CascadeEngine {
 
     /// The historical formulation: [`process_level`] with a closure pulling
     /// dequantized codes off an iterator (the PR 4 batch reconstruction's
-    /// inner loop). Oracle and A/B baseline for the run kernels.
+    /// inner loop). Oracle for the run kernels.
     fn reference_pass(&mut self, interp_level: u32, codes: &[i64]) {
         let mut span = ipc_telemetry::span_timed(
             "cascade",
@@ -1260,15 +1216,6 @@ mod tests {
     use crate::interp::level_count;
     use crate::quantize::dequantize;
 
-    /// Serializes tests that flip the process-wide dispatch toggles: the
-    /// default harness runs tests on parallel threads, and assertions that
-    /// depend on *which* implementation is active (rather than on the
-    /// bit-identical outputs) would race otherwise.
-    static TOGGLE_LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
-
-    fn toggle_guard() -> std::sync::MutexGuard<'static, ()> {
-        TOGGLE_LOCK.lock().unwrap_or_else(|e| e.into_inner())
-    }
     use ipc_codecs::negabinary::to_negabinary;
     use ipc_tensor::ArrayD;
 
@@ -1335,6 +1282,8 @@ mod tests {
         (anchors, per_level)
     }
 
+    /// Full handover through an engine bound to `which` with `threads`
+    /// pinned sub-pass workers (0 = the default schedule).
     fn run_engine(
         shape: &Shape,
         method: Interpolation,
@@ -1342,21 +1291,19 @@ mod tests {
         anchors: &[i64],
         level_codes: &[Vec<i64>],
         which: CascadeImpl,
+        threads: usize,
     ) -> Vec<f64> {
-        force_cascade_impl(which);
-        let mut engine = CascadeEngine::new(shape.clone(), method, eb);
+        let mut engine = CascadeEngine::new(shape.clone(), method, eb).with_kernel(which, threads);
         engine.seed_anchors(anchors);
         for (idx, codes) in level_codes.iter().enumerate() {
             engine.level_ready(idx, codes.clone());
         }
-        force_cascade_impl(CascadeImpl::Auto);
         assert!(engine.state().is_complete());
         engine.into_field()
     }
 
     #[test]
     fn all_impls_bit_identical_to_batch_reference() {
-        let _guard = toggle_guard();
         for dims in [
             vec![1usize],
             vec![2],
@@ -1378,7 +1325,7 @@ mod tests {
                     CascadeImpl::Portable,
                     CascadeImpl::Auto,
                 ] {
-                    let got = run_engine(&shape, method, eb, &anchors, &per_level, which);
+                    let got = run_engine(&shape, method, eb, &anchors, &per_level, which, 0);
                     assert_eq!(
                         got.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
                         want.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
@@ -1391,7 +1338,6 @@ mod tests {
 
     #[test]
     fn empty_code_levels_match_prediction_only_reference() {
-        let _guard = toggle_guard();
         // Zero-residual levels (coarse retrievals, refinement passes) take the
         // prediction-only path; it must agree with the closure formulation on
         // every kernel.
@@ -1403,7 +1349,7 @@ mod tests {
         for method in [Interpolation::Linear, Interpolation::Cubic] {
             let want = batch_reference(&shape, method, 1e-3, &anchors, &per_level);
             for which in [CascadeImpl::Portable, CascadeImpl::Auto] {
-                let got = run_engine(&shape, method, 1e-3, &anchors, &per_level, which);
+                let got = run_engine(&shape, method, 1e-3, &anchors, &per_level, which, 0);
                 assert_eq!(
                     got.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
                     want.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
@@ -1415,7 +1361,6 @@ mod tests {
 
     #[test]
     fn out_of_order_readiness_applies_in_cascade_order() {
-        let _guard = toggle_guard();
         let shape = Shape::d2(17, 13);
         let (anchors, per_level) = codes_for_shape(&shape, 11);
         let want = run_engine(
@@ -1425,6 +1370,7 @@ mod tests {
             &anchors,
             &per_level,
             CascadeImpl::Auto,
+            0,
         );
 
         let mut engine = CascadeEngine::new(shape.clone(), Interpolation::Cubic, 1e-4);
@@ -1451,7 +1397,6 @@ mod tests {
 
     #[test]
     fn prefix_streaming_matches_full_handover_and_applies_subpasses_early() {
-        let _guard = toggle_guard();
         let shape = Shape::d3(20, 15, 11);
         let (anchors, per_level) = codes_for_shape(&shape, 17);
         for which in [
@@ -1466,11 +1411,11 @@ mod tests {
                 &anchors,
                 &per_level,
                 which,
+                0,
             );
 
-            force_cascade_impl(which);
-            let mut engine = CascadeEngine::new(shape.clone(), Interpolation::Cubic, 1e-4);
-            force_cascade_impl(CascadeImpl::Auto);
+            let mut engine =
+                CascadeEngine::new(shape.clone(), Interpolation::Cubic, 1e-4).with_kernel(which, 0);
             engine.seed_anchors(&anchors);
             let mut done = Vec::new();
             for (idx, codes) in per_level.iter().enumerate() {
@@ -1543,29 +1488,6 @@ mod tests {
     }
 
     #[test]
-    fn toggles_roundtrip() {
-        let _guard = toggle_guard();
-        let stream = cascade_streaming();
-        set_cascade_streaming(false);
-        assert!(!cascade_streaming());
-        set_cascade_streaming(true);
-        assert!(cascade_streaming());
-        set_cascade_streaming(stream);
-
-        force_cascade_impl(CascadeImpl::Portable);
-        assert_eq!(cascade_impl(), CascadeImpl::Portable);
-        force_cascade_impl(CascadeImpl::Auto);
-        assert_eq!(cascade_impl(), CascadeImpl::Auto);
-
-        let par = cascade_parallel();
-        set_cascade_parallel(false);
-        assert!(!cascade_parallel());
-        set_cascade_parallel(true);
-        assert!(cascade_parallel());
-        set_cascade_parallel(par);
-    }
-
-    #[test]
     fn finest_level_last_subpass_is_slab_split() {
         let shape = Shape::d3(24, 18, 20);
         let engine = CascadeEngine::new(shape.clone(), Interpolation::Cubic, 1e-4);
@@ -1592,7 +1514,6 @@ mod tests {
 
     #[test]
     fn parallel_schedule_bit_identical_across_thread_counts() {
-        let _guard = toggle_guard();
         for dims in [
             vec![1usize],
             vec![2],
@@ -1605,7 +1526,6 @@ mod tests {
             let shape = Shape::new(&dims);
             let (anchors, per_level) = codes_for_shape(&shape, 23);
             for method in [Interpolation::Linear, Interpolation::Cubic] {
-                force_cascade_threads(None);
                 let want = run_engine(
                     &shape,
                     method,
@@ -1613,22 +1533,22 @@ mod tests {
                     &anchors,
                     &per_level,
                     CascadeImpl::Auto,
+                    1,
                 );
                 for threads in [2usize, 3, 8] {
-                    force_cascade_threads(Some(threads));
                     for which in [
                         CascadeImpl::Portable,
                         CascadeImpl::Auto,
                         CascadeImpl::Reference,
                     ] {
-                        let got = run_engine(&shape, method, 1e-4, &anchors, &per_level, which);
+                        let got =
+                            run_engine(&shape, method, 1e-4, &anchors, &per_level, which, threads);
                         assert_eq!(
                             got.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
                             want.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
                             "dims {dims:?} method {method:?} impl {which:?} threads {threads}"
                         );
                     }
-                    force_cascade_threads(None);
                 }
             }
         }
@@ -1650,22 +1570,19 @@ mod tests {
             eb_exp in 1i32..8,
             threads in 1usize..6,
         ) {
-            let _guard = toggle_guard();
-            let shape = Shape::new(&[d0, d1, d2]);
+                let shape = Shape::new(&[d0, d1, d2]);
             let method = if cubic { Interpolation::Cubic } else { Interpolation::Linear };
             let eb = 10f64.powi(-eb_exp);
             let (anchors, per_level) = codes_for_shape(&shape, seed);
             let want = batch_reference(&shape, method, eb, &anchors, &per_level);
-            force_cascade_threads((threads > 1).then_some(threads));
             for which in [CascadeImpl::Portable, CascadeImpl::Auto] {
-                let got = run_engine(&shape, method, eb, &anchors, &per_level, which);
+                let got = run_engine(&shape, method, eb, &anchors, &per_level, which, threads);
                 proptest::prop_assert_eq!(
                     got.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
                     want.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
                     "impl {:?} threads {}", which, threads
                 );
             }
-            force_cascade_threads(None);
         }
     }
 

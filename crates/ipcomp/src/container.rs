@@ -255,13 +255,14 @@ impl Compressed {
         out
     }
 
-    /// Serialize in the legacy **version-1** layout (monolithic planes inline
-    /// with the metadata, no chunk index).
+    /// Test support: serialize in the legacy **version-1** layout (monolithic
+    /// planes inline with the metadata, no chunk index), for tests that need
+    /// real legacy containers to pin the v1 read path — the normal writer
+    /// always emits the current version.
     ///
     /// Only containers whose planes hold a single chunk each (encoded with
-    /// `chunk_bytes: 0`) can be written this way. Kept for tests and benches
-    /// that need real legacy containers to pin the v1 read path — the normal
-    /// writer always emits the current version.
+    /// `chunk_bytes: 0`) can be written this way.
+    #[doc(hidden)]
     pub fn to_bytes_v1(&self) -> Result<Vec<u8>> {
         if self
             .levels

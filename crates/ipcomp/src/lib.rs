@@ -73,10 +73,10 @@ pub use archive::{
     VERSION_ARCHIVE,
 };
 pub use cascade::{
-    cascade_avx2_available, cascade_impl, cascade_parallel, cascade_streaming, cascade_threads,
-    force_cascade_impl, force_cascade_threads, set_cascade_parallel, set_cascade_streaming,
-    CascadeEngine, CascadeImpl, CascadeProgress, CascadeState, LevelState,
+    cascade_avx2_available, CascadeEngine, CascadeProgress, CascadeState, LevelState,
 };
+#[doc(hidden)]
+pub use cascade::{force_cascade_impl, force_cascade_threads, CascadeImpl};
 pub use compressor::{compress, compress_rel};
 pub use config::{Config, Interpolation};
 pub use container::{Compressed, ContainerMap, Header, LevelMap};

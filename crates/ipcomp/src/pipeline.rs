@@ -27,35 +27,15 @@
 //!
 //! Fetch/compute overlap grows with backend latency: against a remote store
 //! the pipeline hides up to `min(fetch, decode)` of every interior region.
-//! The overlap can be disabled process-wide (`IPC_DECODE_OVERLAP=0` or
-//! [`set_fetch_overlap`]) for deterministic A/B measurements; decoded bits
-//! are identical either way.
 
 use std::ops::Range;
 
 use ipc_codecs::bitslice;
-use ipc_codecs::EnvSwitch;
 
 use crate::bitplane::{decode_chunk_bytes, EncodedLevel, RegionScheme};
 use crate::container::LevelMap;
 use crate::error::{IpcompError, Result};
 use crate::source::{read_ranges_exact, ByteRange, Bytes, ChunkSource};
-
-/// Process-wide fetch-overlap switch.
-static FETCH_OVERLAP: EnvSwitch = EnvSwitch::new("IPC_DECODE_OVERLAP");
-
-/// Enable or disable the prefetch worker thread (benchmark A/B harnesses and
-/// environments where spawning is undesirable). Decoded output is identical
-/// either way; only the fetch/compute overlap changes.
-pub fn set_fetch_overlap(enabled: bool) {
-    FETCH_OVERLAP.force(enabled as u8);
-}
-
-/// Whether [`RegionPipeline`] overlaps region `k + 1`'s fetch with region
-/// `k`'s decode (default true; `IPC_DECODE_OVERLAP=0` disables).
-pub fn fetch_overlap() -> bool {
-    FETCH_OVERLAP.get(|env| (env != Some("0")) as u8) != 0
-}
 
 /// One stage of the decode pipeline: a pure transform from a region index
 /// plus the previous stage's output to this stage's output. Stages are
@@ -479,11 +459,7 @@ impl<'a> RegionPipeline<'a> {
         let coeffs = self.scheme.region_coeff_range(k);
         let acc_region = &mut acc[coeffs.clone()];
         let next = k + 1;
-        if next < n_regions
-            && self.prefetched.is_none()
-            && self.fetch.supports_prefetch()
-            && fetch_overlap()
-        {
+        if next < n_regions && self.prefetched.is_none() && self.fetch.supports_prefetch() {
             // Overlap: region k's entropy + scatter + consumer hook on this
             // thread, region k + 1's fetch on a scoped worker. The worker
             // only borrows the fetch stage, so a decode failure still stores
@@ -577,15 +553,5 @@ mod tests {
             ScatterStage::new(enc.grid(), enc.num_planes, 0, enc.num_planes, 2, true).name(),
             "scatter"
         );
-    }
-
-    #[test]
-    fn overlap_toggle_roundtrips() {
-        let before = fetch_overlap();
-        set_fetch_overlap(false);
-        assert!(!fetch_overlap());
-        set_fetch_overlap(true);
-        assert!(fetch_overlap());
-        set_fetch_overlap(before);
     }
 }

@@ -19,8 +19,7 @@
 //! *next* level's batched fetch on a scoped worker, and on streaming
 //! retrievals [`StreamEvent::LevelReconstructed`] reports each applied pass —
 //! instead of one monolithic dequantize + interpolate sweep after the last
-//! byte lands. The reconstructed bits are identical either way
-//! (`IPC_CASCADE_STREAM=0` forces the historical batch schedule).
+//! byte lands.
 
 use std::sync::Arc;
 
@@ -263,21 +262,16 @@ impl<'a> ProgressiveDecoder<'a> {
     /// retrievals request them).
     pub fn from_source(source: &'a dyn ChunkSource) -> Result<Self> {
         let map = Arc::new(ContainerMap::open(source)?);
-        Ok(Self::from_source_with_map(source, map))
+        Ok(Self::with_store(Store::Source {
+            map,
+            source: SourceRef::Borrowed(source),
+        }))
     }
 
     /// Like [`ProgressiveDecoder::from_source`] with an already-parsed
-    /// metadata map (e.g. shared across many client sessions).
-    pub fn from_source_with_map(source: &'a dyn ChunkSource, map: Arc<ContainerMap>) -> Self {
-        Self::with_store(Store::Source {
-            map,
-            source: SourceRef::Borrowed(source),
-        })
-    }
-
-    /// Like [`ProgressiveDecoder::from_source_with_map`] but owning a shared
-    /// handle to the source, producing a `'static` decoder that sessions can
-    /// hold without borrowing.
+    /// metadata map (e.g. shared across many client sessions) and owning a
+    /// shared handle to the source, producing a `'static` decoder that
+    /// sessions can hold without borrowing.
     pub fn from_shared_source(
         source: Arc<dyn ChunkSource>,
         map: Arc<ContainerMap>,
@@ -326,13 +320,22 @@ impl<'a> ProgressiveDecoder<'a> {
         self.layouts = Some(layouts);
     }
 
-    /// Reorder one level's cascade codes from the container's precinct-major
-    /// layout into canonical traversal order (the order the cascade engine
-    /// consumes). The identity for byte-granular containers and for empty
-    /// code vectors (nothing-loaded levels).
-    fn canonical_codes(&self, idx: usize, codes: Vec<i64>) -> Vec<i64> {
-        match &self.layouts {
-            Some(layouts) if !codes.is_empty() => layouts[idx].to_canonical_order(&codes),
+    /// Cascade codes of one level's accumulators, in the canonical traversal
+    /// order the cascade engine consumes: full values on an initial
+    /// reconstruction, deltas against the pre-load snapshot `before` on a
+    /// refinement. A version-3 level's precinct-major codes are reordered
+    /// through its `layout` (`None` for byte-granular containers).
+    fn level_codes(
+        acc: &[u64],
+        before: Option<&[i64]>,
+        layout: Option<&LevelPrecincts>,
+    ) -> Vec<i64> {
+        let codes = match before {
+            None => cascade::residual_codes(acc),
+            Some(b) => cascade::delta_codes(acc, b),
+        };
+        match layout {
+            Some(lp) if !codes.is_empty() => lp.to_canonical_order(&codes),
             _ => codes,
         }
     }
@@ -915,20 +918,21 @@ impl<'a> ProgressiveDecoder<'a> {
 
     /// Load every level in `works` and drive the cascade engine, coarsest
     /// level first, feeding each level's codes as soon as its planes are
-    /// scattered (unless level streaming is disabled, in which case all
-    /// passes run after the last load).
+    /// scattered.
     ///
     /// Every path is built from the staged decode pipeline
-    /// ([`crate::pipeline`]): with `events` set, planes stream region by
+    /// ([`crate::pipeline`]): with `streaming` set, planes stream region by
     /// region through [`PlaneStream`] (the pipeline driver, which for ranged
     /// sources overlaps region `k + 1`'s fetch with region `k`'s decode) and
     /// the callback observes every chunk region and cascade pass as it
-    /// lands. Without it, the bulk entropy stage fans out across the rayon
-    /// pool — and for ranged sources the *next level's* batched fetch is
-    /// issued on a scoped worker while the current level decodes *and runs
-    /// its interpolation pass*, so backend latency overlaps both decode and
-    /// reconstruction compute without changing the request pattern (still
-    /// one coalescible `read_ranges` per level).
+    /// lands. Without it, a level is decoded in bulk — the entropy stage
+    /// fans out across the rayon pool — from the resident container's own
+    /// level or, for ranged sources, from one batched `read_ranges`; the
+    /// *next* level's batched fetch is issued on a scoped worker while the
+    /// current level decodes *and runs its interpolation pass*, so backend
+    /// latency overlaps both decode and reconstruction compute without
+    /// changing the request pattern (still one coalescible `read_ranges` per
+    /// level).
     fn drive_levels(
         &mut self,
         works: &[(usize, u8, u8, u8)],
@@ -943,201 +947,108 @@ impl<'a> ProgressiveDecoder<'a> {
         let header = store.header();
         let prefix_bits = header.prefix_bits;
         let predictive = header.predictive_coding;
-        let n_levels = store.num_level_entries();
-        let streamed = cascade::cascade_streaming();
-        // Passes parked for the end when level streaming is disabled.
-        let mut deferred: Vec<(usize, Vec<i64>)> = Vec::new();
+        // A ranged store's next level, fetched while the current one decoded.
+        let mut prefetched: Option<Result<EncodedLevel>> = None;
         let mut w = 0usize;
+        for idx in 0..store.num_level_entries() {
+            let Some(&(_, lo, hi, want)) = works.get(w).filter(|x| x.0 == idx) else {
+                // A level this retrieval does not load: its full values on
+                // an initial reconstruction that resumes after a failed one,
+                // otherwise nothing (all residuals, or all deltas, zero).
+                let codes = if initial && self.planes_loaded[idx] > 0 {
+                    let layout = self.layouts.as_ref().map(|l| &l[idx]);
+                    Self::level_codes(&self.acc[idx], None, layout)
+                } else {
+                    Vec::new()
+                };
+                Self::feed(engine, idx, codes, events);
+                continue;
+            };
+            w += 1;
+            let before = (!initial).then(|| self.snapshot_level(idx));
 
-        if streaming {
-            for idx in 0..n_levels {
-                if works.get(w).map(|x| x.0) == Some(idx) {
-                    let (_, lo, hi, want) = works[w];
-                    w += 1;
-                    let before = if initial {
-                        None
-                    } else {
-                        Some(self.snapshot_level(idx))
-                    };
-                    // Version-3 levels stream in precinct-major order, which
-                    // is not a canonical-order prefix — their cascade feed
-                    // waits for the whole level instead of riding the region
-                    // stream.
-                    let span_feed = streamed && self.layouts.is_none();
-                    let cascade = if span_feed {
-                        Some((&mut *engine, before.as_deref()))
-                    } else {
-                        None
-                    };
-                    self.stream_level(
-                        &store,
-                        events,
-                        cascade,
-                        idx,
-                        lo,
-                        hi,
-                        prefix_bits,
-                        predictive,
-                    )?;
-                    self.planes_loaded[idx] = want;
-                    if span_feed {
-                        // Prefix feeding happened region by region inside the
-                        // stream; close the level out.
-                        for p in engine.level_complete(idx) {
-                            events(StreamEvent::LevelReconstructed(p));
-                        }
-                    } else {
-                        let codes =
-                            self.canonical_codes(idx, self.loaded_codes(idx, before.as_deref()));
-                        Self::feed(engine, &mut deferred, streamed, idx, codes, events);
+            if streaming {
+                // Version-3 levels stream in precinct-major order, which is
+                // not a canonical-order prefix — their cascade feed waits
+                // for the whole level instead of riding the region stream.
+                let span_feed = self.layouts.is_none();
+                let cascade = span_feed.then_some((&mut *engine, before.as_deref()));
+                self.stream_level(
+                    &store,
+                    events,
+                    cascade,
+                    idx,
+                    lo,
+                    hi,
+                    prefix_bits,
+                    predictive,
+                )?;
+                self.planes_loaded[idx] = want;
+                if span_feed {
+                    // Prefix feeding happened region by region inside the
+                    // stream; close the level out.
+                    for p in engine.level_complete(idx) {
+                        events(StreamEvent::LevelReconstructed(p));
                     }
                 } else {
-                    let codes = self.canonical_codes(idx, self.unchanged_codes(idx, initial));
-                    Self::feed(engine, &mut deferred, streamed, idx, codes, events);
+                    let layout = self.layouts.as_ref().map(|l| &l[idx]);
+                    let codes = Self::level_codes(&self.acc[idx], before.as_deref(), layout);
+                    Self::feed(engine, idx, codes, events);
                 }
+                continue;
             }
-        } else {
-            match &store {
-                Store::Slice(c) => {
-                    for idx in 0..n_levels {
-                        if works.get(w).map(|x| x.0) == Some(idx) {
-                            let (_, lo, hi, want) = works[w];
-                            w += 1;
-                            let before = if initial {
-                                None
-                            } else {
-                                Some(self.snapshot_level(idx))
-                            };
-                            let level = &c.levels[idx];
-                            decode_planes_into(
-                                level,
-                                lo,
-                                hi,
-                                prefix_bits,
-                                predictive,
-                                &mut self.acc[idx],
-                            )?;
-                            for p in lo..hi {
-                                self.bytes_total += level.planes[p as usize].len();
-                            }
-                            self.planes_loaded[idx] = want;
-                            let codes = self
-                                .canonical_codes(idx, self.loaded_codes(idx, before.as_deref()));
-                            Self::feed(engine, &mut deferred, streamed, idx, codes, events);
-                        } else {
-                            let codes =
-                                self.canonical_codes(idx, self.unchanged_codes(idx, initial));
-                            Self::feed(engine, &mut deferred, streamed, idx, codes, events);
-                        }
-                    }
-                }
-                Store::Source { map, source } => {
-                    // Pipelined level loop: each level is one batched,
-                    // coalescible `read_ranges` (exactly the PR 3 request
-                    // pattern); the next level's fetch runs on a scoped
-                    // worker while this one entropy-decodes, scatters, and
-                    // runs its cascade pass.
-                    let overlap = crate::pipeline::fetch_overlap();
-                    let mut pending: Option<Result<crate::bitplane::EncodedLevel>> = None;
-                    for idx in 0..n_levels {
-                        if works.get(w).map(|x| x.0) == Some(idx) {
-                            let (_, lo, hi, want) = works[w];
-                            let next = works.get(w + 1).copied();
-                            w += 1;
-                            let fetched = match pending.take() {
-                                Some(res) => res?,
-                                None => map.levels[idx].fetch_planes(source.get(), lo, hi)?,
-                            };
-                            let before = if initial {
-                                None
-                            } else {
-                                Some(self.snapshot_level(idx))
-                            };
-                            let layout = self.layouts.as_ref().map(|l| &l[idx]);
-                            let acc = &mut self.acc[idx];
-                            let mut work = || -> Result<()> {
-                                decode_planes_into(&fetched, lo, hi, prefix_bits, predictive, acc)?;
-                                let codes = match &before {
-                                    None => cascade::residual_codes(acc),
-                                    Some(b) => cascade::delta_codes(acc, b),
-                                };
-                                let codes = match layout {
-                                    Some(lp) if !codes.is_empty() => lp.to_canonical_order(&codes),
-                                    _ => codes,
-                                };
-                                Self::feed(engine, &mut deferred, streamed, idx, codes, events);
-                                Ok(())
-                            };
-                            match next {
-                                Some((nidx, nlo, nhi, _)) if overlap => {
-                                    let (decoded, prefetch) = crate::pipeline::overlap_fetch(
-                                        || map.levels[nidx].fetch_planes(source.get(), nlo, nhi),
-                                        work,
-                                    );
-                                    pending = Some(prefetch);
-                                    decoded?;
-                                }
-                                _ => work()?,
-                            }
-                            for p in lo..hi {
-                                self.bytes_total += map.levels[idx].plane_bytes(p);
-                            }
-                            self.planes_loaded[idx] = want;
-                        } else {
-                            let codes = self.unchanged_codes(idx, initial);
-                            Self::feed(engine, &mut deferred, streamed, idx, codes, events);
-                        }
-                    }
-                }
-            }
-        }
 
-        // Batch schedule (level streaming disabled): every pass after the
-        // last load, in cascade order. Bits are identical to the streamed
-        // schedule; only the fetch/compute overlap differs.
-        for (idx, codes) in deferred {
-            Self::feed(engine, &mut Vec::new(), true, idx, codes, events);
+            // Bulk: borrow the resident level, or take the ranged level's
+            // one batched, coalescible read (prefetched during the previous
+            // level's decode when there was one).
+            let fetched;
+            let level: &EncodedLevel = match &store {
+                Store::Slice(c) => &c.levels[idx],
+                Store::Source { map, source } => {
+                    fetched = match prefetched.take() {
+                        Some(res) => res?,
+                        None => map.levels[idx].fetch_planes(source.get(), lo, hi)?,
+                    };
+                    &fetched
+                }
+            };
+            let layout = self.layouts.as_ref().map(|l| &l[idx]);
+            let acc = &mut self.acc[idx];
+            let mut decode = || -> Result<()> {
+                decode_planes_into(level, lo, hi, prefix_bits, predictive, acc)?;
+                let codes = Self::level_codes(acc, before.as_deref(), layout);
+                Self::feed(engine, idx, codes, events);
+                Ok(())
+            };
+            match (&store, works.get(w)) {
+                (Store::Source { map, source }, Some(&(nidx, nlo, nhi, _))) => {
+                    let (decoded, next) = crate::pipeline::overlap_fetch(
+                        || map.levels[nidx].fetch_planes(source.get(), nlo, nhi),
+                        decode,
+                    );
+                    prefetched = Some(next);
+                    decoded?;
+                }
+                _ => decode()?,
+            }
+            self.bytes_total += (lo..hi)
+                .map(|p| level.planes[p as usize].len())
+                .sum::<usize>();
+            self.planes_loaded[idx] = want;
         }
         Ok(())
     }
 
-    /// Feed one level's codes to the engine (streamed) or park them for the
-    /// end-of-load batch schedule, reporting applied passes to `cb`.
+    /// Hand one level's complete codes to the engine, reporting applied
+    /// passes to `cb`.
     fn feed(
         engine: &mut CascadeEngine,
-        deferred: &mut Vec<(usize, Vec<i64>)>,
-        streamed: bool,
         idx: usize,
         codes: Vec<i64>,
         cb: &mut dyn FnMut(StreamEvent),
     ) {
-        if streamed {
-            for p in engine.level_ready(idx, codes) {
-                cb(StreamEvent::LevelReconstructed(p));
-            }
-        } else {
-            deferred.push((idx, codes));
-        }
-    }
-
-    /// Cascade codes of a level this retrieval did not load: its full values
-    /// on an initial reconstruction (an empty vector when nothing is loaded
-    /// — all residuals zero), zero deltas on a refinement.
-    fn unchanged_codes(&self, idx: usize, initial: bool) -> Vec<i64> {
-        if initial && self.planes_loaded[idx] > 0 {
-            cascade::residual_codes(&self.acc[idx])
-        } else {
-            Vec::new()
-        }
-    }
-
-    /// Cascade codes of a freshly loaded level: full accumulator values on
-    /// an initial reconstruction, deltas against the pre-load snapshot on a
-    /// refinement.
-    fn loaded_codes(&self, idx: usize, before: Option<&[i64]>) -> Vec<i64> {
-        match before {
-            None => cascade::residual_codes(&self.acc[idx]),
-            Some(b) => cascade::delta_codes(&self.acc[idx], b),
+        for p in engine.level_ready(idx, codes) {
+            cb(StreamEvent::LevelReconstructed(p));
         }
     }
 

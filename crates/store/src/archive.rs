@@ -21,9 +21,8 @@ use ipcomp::source::{ByteRange, ChunkSource};
 use ipcomp::{ArchiveReader, IpcompError, Result};
 
 use crate::cache::{CacheStats, CacheTag, TaggedSource};
-use crate::coalesce::CoalescingSource;
 use crate::planner::plan_request;
-use crate::session::{SharedCache, StoreOptions};
+use crate::session::{compose_stack, SharedCache, StoreOptions};
 
 /// A time-series archive opened for ranged multi-session retrieval: the
 /// parsed [`ArchiveMap`] plus the composed source stack every session reads
@@ -53,19 +52,7 @@ impl ArchiveStore {
         map: Arc<ArchiveMap>,
         options: StoreOptions,
     ) -> Arc<Self> {
-        let mut stack: Arc<dyn ChunkSource> = base;
-        let mut cache = None;
-        if let Some(gap) = options.coalesce_gap {
-            stack = Arc::new(CoalescingSource::new(stack, gap));
-        }
-        if options.cache_bytes > 0 {
-            let cached = Arc::new(match options.cache_shards {
-                0 => SharedCache::new(stack, options.cache_bytes),
-                n => SharedCache::with_shards(stack, options.cache_bytes, n),
-            });
-            cache = Some(Arc::clone(&cached));
-            stack = cached;
-        }
+        let (stack, cache) = compose_stack(base, &options);
         Arc::new(Self { map, stack, cache })
     }
 

@@ -12,8 +12,8 @@
 //! **Sharding**: the cache is split into N shards, each holding its slice of
 //! the key space in its own LRU map behind its own lock, with the chunk key
 //! hashed to pick the shard. The hot path — a batch of hits — touches only
-//! the locks of the shards its keys live in, so concurrent sessions (the
-//! `StoreServer` fan-out, a tenant fleet) contend only when they touch the
+//! the locks of the shards its keys live in, so concurrent sessions (a
+//! tenant fleet on the service's workers) contend only when they touch the
 //! *same* slice of the key space instead of serializing every read behind
 //! one global mutex. The byte budget, tag quotas, and the oversized-entry
 //! bypass stay **global**: misses admit under a single admission lock that
@@ -25,10 +25,9 @@
 //! admissions is the right trade: misses already pay backend latency, while
 //! hits (the steady state) scale with shard count.
 //! [`CachedSource::stats`] and [`CachedSource::tag_stats`] aggregate over
-//! shards, so callers observe one ledger regardless of N. `N = 1` reproduces
-//! the previous single-lock cache; the default is `available_parallelism()`,
-//! overridable with the `IPC_CACHE_SHARDS` environment variable or
-//! [`CachedSource::with_shards`].
+//! shards, so callers observe one ledger regardless of N. The shard count
+//! is `available_parallelism()`; [`CachedSource::with_shards`] with `N = 1`
+//! is the single-lock cache the sharded one is tested against.
 //!
 //! **Admission/eviction policy**: ranges registered via
 //! [`CachedSource::protect`] — in practice the top-plane chunks every client
@@ -171,18 +170,6 @@ impl CacheState {
     }
 }
 
-/// Shard count used by [`CachedSource::new`]: the `IPC_CACHE_SHARDS`
-/// environment variable when set to a positive integer, otherwise
-/// `available_parallelism()`, clamped to [`MAX_SHARDS`].
-fn default_shard_count() -> usize {
-    std::env::var("IPC_CACHE_SHARDS")
-        .ok()
-        .and_then(|v| v.trim().parse::<usize>().ok())
-        .filter(|&n| n >= 1)
-        .unwrap_or_else(|| std::thread::available_parallelism().map_or(1, |n| n.get()))
-        .min(MAX_SHARDS)
-}
-
 /// A [`ChunkSource`] wrapper holding recently requested ranges in a sharded
 /// LRU cache with a global byte budget.
 ///
@@ -209,18 +196,18 @@ pub struct CachedSource<S> {
 }
 
 impl<S: ChunkSource> CachedSource<S> {
-    /// Cache up to `budget_bytes` of range payload, sharded by the
-    /// `IPC_CACHE_SHARDS` environment variable when set, otherwise by
-    /// `available_parallelism()`.
+    /// Cache up to `budget_bytes` of range payload, with one shard per
+    /// hardware thread (`available_parallelism()`, clamped to 64).
     pub fn new(inner: S, budget_bytes: usize) -> Self {
-        let shards = default_shard_count();
+        let shards = std::thread::available_parallelism().map_or(1, |n| n.get());
         Self::with_shards(inner, budget_bytes, shards)
     }
 
     /// Cache up to `budget_bytes` of range payload with the key space
     /// partitioned over `shards` independently locked LRU maps (clamped to
     /// `1..=64`). The budget and all tag quotas are global regardless of the
-    /// shard count; `shards = 1` is the single-lock cache.
+    /// shard count; `shards = 1` is the single-lock cache, the oracle the
+    /// sharded cache is tested against.
     pub fn with_shards(inner: S, budget_bytes: usize, shards: usize) -> Self {
         let n = shards.clamp(1, MAX_SHARDS);
         Self {

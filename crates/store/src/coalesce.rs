@@ -87,19 +87,6 @@ impl<S: ChunkSource> CoalescingSource<S> {
         Self { inner, max_gap }
     }
 
-    /// Derive the gap threshold from the backend's traffic model (see
-    /// [`traffic_model_gap`]) instead of picking a fixed byte count.
-    pub fn for_traffic_model(
-        inner: S,
-        latency_per_request: Duration,
-        throughput_bytes_per_sec: f64,
-    ) -> Self {
-        Self::new(
-            inner,
-            traffic_model_gap(latency_per_request, throughput_bytes_per_sec),
-        )
-    }
-
     /// The configured gap threshold.
     pub fn max_gap(&self) -> u64 {
         self.max_gap
@@ -178,12 +165,6 @@ mod tests {
         assert_eq!(traffic_model_gap(Duration::from_micros(100), 2e9), 200_000);
         // Latency-only models merge everything.
         assert_eq!(traffic_model_gap(Duration::from_millis(5), 0.0), u64::MAX);
-        let src = CoalescingSource::for_traffic_model(
-            MemorySource::new(vec![0u8; 16]),
-            Duration::from_millis(5),
-            200e6,
-        );
-        assert_eq!(src.max_gap(), 1_000_000);
     }
 
     #[test]

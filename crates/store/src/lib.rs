@@ -18,11 +18,10 @@
 //!    threshold so a level's plane fetch becomes a single ranged read.
 //! 3. **Service** — [`ContainerStore`] composes a source stack (backend →
 //!    coalescing → shared LRU [`CachedSource`]) and hands out
-//!    [`RetrievalSession`]s; [`StoreServer`] drives N concurrent client
-//!    sessions over the shared cache on the rayon pool, and [`StoreService`]
-//!    is the long-lived multi-tenant front door: bounded admission, a
-//!    worker pool streaming [`StreamEvent`]s back per workload, per-tenant
-//!    byte budgets and cache quotas.
+//!    [`RetrievalSession`]s that share the cache; [`StoreService`] is the
+//!    long-lived multi-tenant front door: bounded admission, a worker pool
+//!    streaming [`StreamEvent`]s back per workload, per-tenant byte budgets
+//!    and cache quotas.
 //!
 //! ```
 //! use std::sync::Arc;
@@ -45,13 +44,11 @@
 //! ```
 
 pub mod archive;
-pub mod async_source;
 pub mod cache;
 pub mod coalesce;
 pub mod file;
 pub mod obs;
 pub mod planner;
-pub mod server;
 pub mod service;
 pub mod session;
 pub mod sim;
@@ -61,15 +58,14 @@ pub mod whole;
 pub use archive::{
     plan_archive_request, ArchiveRangePlan, ArchiveSession, ArchiveStepRanges, ArchiveStore,
 };
-pub use async_source::{AsyncSourceAdapter, BatchFetch, ThreadedFetch};
 pub use cache::{CacheStats, CacheTag, CachedSource, TagStats, TaggedRead, TaggedSource};
 pub use coalesce::{coalesce_ranges, traffic_model_gap, CoalescingSource};
 pub use file::FileSource;
 pub use planner::{lower_plan, lower_plan_roi, plan_request, ChunkRead, RangePlan};
-pub use server::{field_checksum, ClientOutcome, ClientStep, StoreServer};
 pub use service::{
-    ArchiveId, ContainerId, CostModel, ServiceConfig, ServiceError, ServiceEvent,
-    ServiceMetricsSnapshot, StoreService, TenantConfig, TenantId, TenantMetricsSnapshot,
+    field_checksum, ArchiveId, ClientOutcome, ClientStep, ContainerId, CostModel, ServiceConfig,
+    ServiceError, ServiceEvent, ServiceMetricsSnapshot, StoreService, TenantConfig, TenantId,
+    TenantMetricsSnapshot,
 };
 pub use session::{ContainerStore, PrefetchOutcome, RetrievalSession, SharedCache, StoreOptions};
 pub use sim::{Fault, FaultSource, SimProfile, SimStats, SimulatedObjectStore};

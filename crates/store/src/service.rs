@@ -1,9 +1,7 @@
 //! Multi-tenant store service: connection/session multiplexing over a
 //! worker pool, with per-tenant budgets and incremental event streaming.
 //!
-//! [`StoreServer`](crate::StoreServer) fans a fixed batch of workloads over
-//! the rayon pool and returns only when everything finished — fine for a
-//! bench, not a service. [`StoreService`] is the service shape: tenants
+//! [`StoreService`] is the service shape over shared stores: tenants
 //! submit workloads at any time over a **bounded admission path**, sessions
 //! run on a long-lived worker pool, and each workload's results flow back
 //! over its own **bounded event channel**, forwarding the decoder's
@@ -54,7 +52,6 @@ use ipcomp::archive::ArchiveRequest;
 use crate::archive::{ArchiveSession, ArchiveStore};
 use crate::cache::CacheTag;
 use crate::coalesce::coalesce_ranges;
-use crate::server::{field_checksum, ClientOutcome, ClientStep};
 use crate::session::{ContainerStore, RetrievalSession, SharedCache};
 
 /// Handle of a container registered with the service.
@@ -192,6 +189,40 @@ impl std::fmt::Display for ServiceError {
 }
 
 impl std::error::Error for ServiceError {}
+
+/// One completed retrieval step of a client workload.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct ClientStep {
+    /// Container bytes this step alone read.
+    pub bytes_this_request: usize,
+    /// Cumulative bytes after the step.
+    pub bytes_total: usize,
+    /// Error bound of the reconstruction after the step.
+    pub error_bound: f64,
+}
+
+/// Result of one client's full workload.
+#[derive(Debug, Clone, PartialEq)]
+pub struct ClientOutcome {
+    /// Per-request accounting, in workload order.
+    pub steps: Vec<ClientStep>,
+    /// FNV-1a hash over the final reconstruction's `f64` bit patterns, so
+    /// callers can assert cross-client (and cross-backend) bit-identity
+    /// without shipping whole fields around.
+    pub checksum: u64,
+}
+
+/// Hash a reconstruction's exact bit patterns.
+pub fn field_checksum(values: &[f64]) -> u64 {
+    let mut h: u64 = 0xcbf29ce484222325;
+    for v in values {
+        for b in v.to_bits().to_le_bytes() {
+            h ^= b as u64;
+            h = h.wrapping_mul(0x100000001b3);
+        }
+    }
+    h
+}
 
 /// One message on a workload's event channel, in delivery order.
 #[derive(Debug, Clone)]

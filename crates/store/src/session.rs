@@ -40,11 +40,6 @@ pub struct StoreOptions {
     /// Byte budget of the shared LRU chunk cache; `0` disables the cache
     /// layer entirely.
     pub cache_bytes: usize,
-    /// Number of independently locked shards the cache's key space is
-    /// partitioned over (see [`CachedSource::with_shards`]; the byte budget
-    /// and tag quotas stay global); `0` picks the default (the
-    /// `IPC_CACHE_SHARDS` env var, else `available_parallelism()`).
-    pub cache_shards: usize,
     /// Merge chunk requests whose byte gap is at most this threshold into
     /// batched reads; `None` disables the coalescing layer (every chunk is
     /// its own backend request).
@@ -73,7 +68,6 @@ impl Default for StoreOptions {
     fn default() -> Self {
         Self {
             cache_bytes: 64 << 20,
-            cache_shards: 0,
             coalesce_gap: Some(4096),
             readahead_planes: 0,
             protect_top_planes: 2,
@@ -100,6 +94,24 @@ impl StoreOptions {
             ..Self::default()
         }
     }
+}
+
+/// Compose the layers every store stacks above its backend: optional
+/// coalescing, then the optional shared LRU chunk cache (returned separately
+/// so the store can protect ranges, set quotas and hand out tagged views).
+pub(crate) fn compose_stack(
+    base: Arc<dyn ChunkSource>,
+    options: &StoreOptions,
+) -> (Arc<dyn ChunkSource>, Option<Arc<SharedCache>>) {
+    let mut stack = base;
+    if let Some(gap) = options.coalesce_gap {
+        stack = Arc::new(CoalescingSource::new(stack, gap));
+    }
+    if options.cache_bytes == 0 {
+        return (stack, None);
+    }
+    let cache = Arc::new(CachedSource::new(stack, options.cache_bytes));
+    (Arc::clone(&cache) as Arc<dyn ChunkSource>, Some(cache))
 }
 
 /// A container opened for ranged multi-session retrieval: the parsed
@@ -151,28 +163,20 @@ impl ContainerStore {
         options: StoreOptions,
         collapsed: bool,
     ) -> Arc<Self> {
-        let mut stack: Arc<dyn ChunkSource> = base;
-        let mut cache = None;
         // A collapsed container is fully resident after its one GET;
         // coalescing and caching above it would only duplicate memory.
-        if !collapsed {
-            if let Some(gap) = options.coalesce_gap {
-                stack = Arc::new(CoalescingSource::new(stack, gap));
-            }
-            if options.cache_bytes > 0 {
-                let cached = Arc::new(match options.cache_shards {
-                    0 => CachedSource::new(stack, options.cache_bytes),
-                    n => CachedSource::with_shards(stack, options.cache_bytes, n),
-                });
-                if options.protect_top_planes > 0 {
-                    cached.protect(&Self::protected_ranges(
-                        &map,
-                        options.protect_top_planes,
-                        options.cache_bytes / 2,
-                    ));
-                }
-                cache = Some(Arc::clone(&cached));
-                stack = cached;
+        let (stack, cache) = if collapsed {
+            (base, None)
+        } else {
+            compose_stack(base, &options)
+        };
+        if options.protect_top_planes > 0 {
+            if let Some(cache) = &cache {
+                cache.protect(&Self::protected_ranges(
+                    &map,
+                    options.protect_top_planes,
+                    options.cache_bytes / 2,
+                ));
             }
         }
         Arc::new(Self {

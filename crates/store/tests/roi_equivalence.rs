@@ -63,7 +63,6 @@ fn crop(data: &[f64], dims: &[usize], bounds: &RoiBox) -> Vec<f64> {
 fn store_options() -> StoreOptions {
     StoreOptions {
         cache_bytes: 1 << 20,
-        cache_shards: 0,
         coalesce_gap: Some(4096),
         readahead_planes: 0,
         protect_top_planes: 0,
@@ -215,7 +214,6 @@ fn short_read_faults_roll_back_exactly() {
     // request indices are deterministic across the sweep).
     let options = StoreOptions {
         cache_bytes: 0,
-        cache_shards: 0,
         coalesce_gap: None,
         readahead_planes: 0,
         protect_top_planes: 0,

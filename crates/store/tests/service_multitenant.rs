@@ -4,11 +4,14 @@
 use std::sync::Arc;
 
 use ipc_store::{
-    field_checksum, ChunkSource, ContainerStore, Fault, FaultSource, RetrievalRequest,
-    ServiceConfig, ServiceError, ServiceEvent, StoreOptions, StoreService, TenantConfig,
+    field_checksum, ArchiveRequest, ArchiveStore, ChunkSource, ContainerStore, CostModel, Fault,
+    FaultSource, RetrievalRequest, RoiBox, ServiceConfig, ServiceError, ServiceEvent, SimProfile,
+    SimulatedObjectStore, StoreOptions, StoreService, StreamEvent, TenantConfig,
 };
 use ipc_tensor::{ArrayD, Shape};
-use ipcomp::{compress, Config, MemorySource};
+use ipcomp::{
+    composition_reference, compress, ArchiveBuilder, ArchiveConfig, Config, MemorySource,
+};
 
 fn container_bytes() -> Vec<u8> {
     let field = ArrayD::from_fn(Shape::d3(24, 20, 16), |c| {
@@ -19,6 +22,38 @@ fn container_bytes() -> Vec<u8> {
     compress(&field, 1e-7, &Config::default())
         .unwrap()
         .to_bytes()
+}
+
+/// What draining one workload's event channel to its end saw.
+#[derive(Default)]
+struct Drained {
+    /// Checksum of `WorkloadDone`, when the workload completed.
+    checksum: Option<u64>,
+    /// Simulated backend cost reported by `WorkloadDone`.
+    sim_nanos: u64,
+    /// Error of `WorkloadFailed`, when the workload failed.
+    failure: Option<ServiceError>,
+    /// `StepReconstructed` stream events (archive workloads).
+    step_events: usize,
+}
+
+fn drain(rx: std::sync::mpsc::Receiver<ServiceEvent>) -> Drained {
+    let mut out = Drained::default();
+    while let Ok(ev) = rx.recv() {
+        match ev {
+            ServiceEvent::Stream {
+                event: StreamEvent::StepReconstructed(_),
+                ..
+            } => out.step_events += 1,
+            ServiceEvent::WorkloadDone { outcome, sim_nanos } => {
+                out.checksum = Some(outcome.checksum);
+                out.sim_nanos = sim_nanos;
+            }
+            ServiceEvent::WorkloadFailed { error, .. } => out.failure = Some(error),
+            _ => {}
+        }
+    }
+    out
 }
 
 const COARSE: RetrievalRequest = RetrievalRequest::ErrorBound(1e-2);
@@ -194,19 +229,6 @@ fn service_isolates_tenants_under_concurrent_load() {
         ..TenantConfig::default()
     });
 
-    let drain_checksum = |rx: std::sync::mpsc::Receiver<ServiceEvent>| {
-        let mut checksum = None;
-        let mut failure = None;
-        while let Ok(ev) = rx.recv() {
-            match ev {
-                ServiceEvent::WorkloadDone { outcome, .. } => checksum = Some(outcome.checksum),
-                ServiceEvent::WorkloadFailed { error, .. } => failure = Some(error),
-                _ => {}
-            }
-        }
-        (checksum, failure)
-    };
-
     std::thread::scope(|scope| {
         let service = &service;
         // Interactive tenants refine coarse→fine, twice each, concurrently.
@@ -214,9 +236,9 @@ fn service_isolates_tenants_under_concurrent_load() {
             scope.spawn(move || {
                 for _ in 0..2 {
                     let rx = service.submit(tid, cid, vec![COARSE, FINE]).unwrap();
-                    let (checksum, failure) = drain_checksum(rx);
-                    assert!(failure.is_none(), "healthy tenant failed: {failure:?}");
-                    assert_eq!(checksum, Some(reference), "tenant output diverged");
+                    let done = drain(rx);
+                    assert!(done.failure.is_none(), "healthy tenant failed");
+                    assert_eq!(done.checksum, Some(reference), "tenant output diverged");
                 }
             });
         }
@@ -226,18 +248,18 @@ fn service_isolates_tenants_under_concurrent_load() {
                 let rx = service
                     .submit(sweeper, cid, vec![RetrievalRequest::Full])
                     .unwrap();
-                let (checksum, failure) = drain_checksum(rx);
-                assert!(failure.is_none(), "sweeper failed: {failure:?}");
-                assert!(checksum.is_some());
+                let done = drain(rx);
+                assert!(done.failure.is_none(), "sweeper failed");
+                assert!(done.checksum.is_some());
             }
         });
         // The budget-capped tenant is refused before any I/O.
         scope.spawn(move || {
             let rx = service.submit(broke, cid, vec![COARSE]).unwrap();
-            let (checksum, failure) = drain_checksum(rx);
-            assert!(checksum.is_none());
+            let done = drain(rx);
+            assert!(done.checksum.is_none());
             assert!(matches!(
-                failure,
+                done.failure,
                 Some(ServiceError::BudgetExhausted { .. })
             ));
         });
@@ -257,4 +279,257 @@ fn service_isolates_tenants_under_concurrent_load() {
         let t = cache.tag_stats(tid.0);
         assert!(t.hits + t.misses > 0, "tenant {tid:?} saw no cache traffic");
     }
+}
+
+/// A deterministic fleet: `sessions` workloads (70 % coarse→mid, 25 %
+/// coarse→fine, 5 % full sweeps) drawn Zipf-like over four containers, each
+/// behind its own accounting-only object store, submitted one at a time by
+/// four tenants through a fresh [`StoreService`] with a cost model. Every
+/// completed workload is checked against a plain single-client session and
+/// the service's `metrics_snapshot()` against this function's own accounting
+/// of what it submitted and what the backends and caches counted. Returns
+/// the backend GETs of the fleet's lifetime, container opens included.
+fn run_fleet(sessions: usize) -> u64 {
+    const TENANTS: usize = 4;
+    let containers: Vec<Vec<u8>> = (0..4)
+        .map(|i| {
+            let field = ArrayD::from_fn(Shape::d3(14 + 2 * i, 14, 12), |c| {
+                (c[0] as f64 * (0.2 + 0.05 * i as f64)).sin() * 2.0
+                    + (c[1] as f64 * 0.13).cos()
+                    + c[2] as f64 * 0.01
+            });
+            compress(&field, 1e-7, &Config::default())
+                .unwrap()
+                .to_bytes()
+        })
+        .collect();
+    let workloads = [
+        vec![COARSE, RetrievalRequest::ErrorBound(1e-3)],
+        vec![COARSE, FINE],
+        vec![RetrievalRequest::Full],
+    ];
+    let reference = |container: usize, kind: usize| {
+        let store = ContainerStore::open(
+            Arc::new(MemorySource::new(containers[container].clone())),
+            StoreOptions::default(),
+        )
+        .unwrap();
+        let mut session = store.session();
+        let mut last = None;
+        for &request in &workloads[kind] {
+            last = Some(session.retrieve(request).unwrap());
+        }
+        field_checksum(last.unwrap().data.as_slice())
+    };
+
+    let profile = SimProfile::object_store();
+    let sims: Vec<_> = containers
+        .iter()
+        .map(|b| {
+            Arc::new(SimulatedObjectStore::new(
+                MemorySource::new(b.clone()),
+                profile,
+            ))
+        })
+        .collect();
+    let stores: Vec<Arc<ContainerStore>> = sims
+        .iter()
+        .zip(&containers)
+        .map(|(sim, b)| {
+            ContainerStore::open(
+                Arc::clone(sim) as Arc<dyn ChunkSource>,
+                StoreOptions {
+                    cache_bytes: b.len(),
+                    ..StoreOptions::default()
+                },
+            )
+            .unwrap()
+        })
+        .collect();
+    // GETs issued while opening the containers — everything after this
+    // belongs to tenant traffic.
+    let open_gets: u64 = sims.iter().map(|s| s.stats().requests).sum();
+    let service = StoreService::new(ServiceConfig {
+        workers: 2,
+        cost_model: Some(CostModel {
+            latency_per_request: profile.latency_per_request,
+            throughput_bytes_per_sec: profile.throughput_bytes_per_sec,
+            coalesce_gap: StoreOptions::default().coalesce_gap.unwrap(),
+        }),
+        ..ServiceConfig::default()
+    });
+    let cids: Vec<_> = stores
+        .iter()
+        .map(|s| service.register_container(Arc::clone(s)))
+        .collect();
+    let tids: Vec<_> = (0..TENANTS)
+        .map(|_| service.register_tenant(TenantConfig::default()))
+        .collect();
+
+    // Client-side ledger: sim-nanos of every workload each tenant completed.
+    let mut latencies: Vec<Vec<u64>> = vec![Vec::new(); TENANTS];
+    let mut rng = 0x2545_f491_4f6c_dd1du64;
+    for i in 0..sessions {
+        rng = rng
+            .wrapping_mul(6364136223846793005)
+            .wrapping_add(1442695040888963407);
+        // Container popularity 8 : 4 : 2 : 1; session mix 70 / 25 / 5.
+        let container = match (rng >> 33) % 15 {
+            0..=7 => 0,
+            8..=11 => 1,
+            12..=13 => 2,
+            _ => 3,
+        };
+        let kind = match (rng >> 17) % 100 {
+            0..=69 => 0,
+            70..=94 => 1,
+            _ => 2,
+        };
+        let tenant = i % TENANTS;
+        let rx = service
+            .submit(tids[tenant], cids[container], workloads[kind].clone())
+            .unwrap();
+        let done = drain(rx);
+        assert_eq!(
+            done.checksum,
+            Some(reference(container, kind)),
+            "session {i} on container {container} diverged from a single-client session \
+             (failure: {:?})",
+            done.failure
+        );
+        latencies[tenant].push(done.sim_nanos);
+    }
+
+    let snap = service.metrics_snapshot();
+    assert_eq!(snap.tenants.len(), TENANTS);
+    for (t, lat) in latencies.iter().enumerate() {
+        let s = &snap.tenants[t];
+        assert_eq!(s.workloads as usize, lat.len(), "tenant {t} workload count");
+        assert_eq!(s.failures, 0);
+        // The service histogrammed the same sim-nanos this client read off
+        // its WorkloadDone events (histograms exist only with telemetry on).
+        #[cfg(feature = "telemetry")]
+        {
+            assert_eq!(s.latency_ns.count, lat.len() as u64, "tenant {t}");
+            assert_eq!(s.latency_ns.sum, lat.iter().sum::<u64>(), "tenant {t}");
+        }
+        // Per-tenant hit/miss counts match the shared caches' own per-tag
+        // ledgers summed across containers.
+        let (hits, misses) = stores
+            .iter()
+            .filter_map(|st| st.cache())
+            .map(|c| c.tag_stats(tids[t].0))
+            .fold((0u64, 0u64), |(h, m), ts| (h + ts.hits, m + ts.misses));
+        assert_eq!((s.cache_hits, s.cache_misses), (hits, misses), "tenant {t}");
+    }
+    // Per-tenant GET attribution partitions the backend's request stream:
+    // every GET after container-open belongs to exactly one tenant.
+    let backend_gets: u64 = sims.iter().map(|s| s.stats().requests).sum();
+    let tenant_gets: u64 = snap.tenants.iter().map(|t| t.gets).sum();
+    assert_eq!(tenant_gets, backend_gets - open_gets);
+    backend_gets
+}
+
+/// The service's published telemetry equals an independent client-side
+/// ledger (asserted inside [`run_fleet`]), and the shared per-container
+/// caches absorb fleet growth: 8× the sessions cost at most 2× the backend
+/// GETs.
+#[test]
+fn metrics_match_client_accounting_and_caches_absorb_8x_fleet_growth() {
+    let base = run_fleet(12);
+    let grown = run_fleet(96);
+    assert!(base > 0);
+    assert!(
+        grown <= 2 * base,
+        "8x fleet growth cost {grown} backend GETs vs {base} at base scale"
+    );
+}
+
+/// Mixed spatial + temporal traffic over one shared archive: a sweeping
+/// tenant walks a time-series archive window by window against a cold cache,
+/// then interactive tenants replay single steps scoped to an ROI — all
+/// through `StoreService::submit_archive`. Every sweep window's checksum is
+/// the order-sensitive fold of the encode-independent composition reference,
+/// every ROI step matches crop-of-composition, each window streams one
+/// `StepReconstructed` per output step, and the ROI tenants ride the chunks
+/// the sweep already pulled into the shared cache.
+#[test]
+fn archive_sweeps_and_roi_steps_through_the_service_match_the_composition() {
+    let shape = Shape::d3(16, 16, 16);
+    let (steps, interval) = (6usize, 3usize);
+    let fields: Vec<ArrayD<f64>> = (0..steps)
+        .map(|t| {
+            ArrayD::from_fn(shape.clone(), |c| {
+                (c[0] as f64 * 0.4 + t as f64 * 0.25).sin() * 2.0
+                    + (c[1] as f64 * 0.3 - t as f64 * 0.15).cos()
+                    + c[2] as f64 * 0.05
+            })
+        })
+        .collect();
+    let mut config = ArchiveConfig::new(1e-5, 1e-3);
+    config.keyframe_interval = interval;
+    config.codec = Config::with_precincts(&[8, 8, 8]);
+    let mut builder =
+        ArchiveBuilder::new(vec!["wave".into()], shape.clone(), config.clone()).unwrap();
+    for f in &fields {
+        builder.push_step(std::slice::from_ref(f)).unwrap();
+    }
+    let archive = builder.finish().unwrap();
+    let fidelity = RetrievalRequest::ErrorBound(1e-3);
+    let reference = composition_reference(&fields, &config, fidelity).unwrap();
+    let roi = RoiBox::new(&[0, 0, 0], &[8, 8, 8]);
+    let cropped = |s: usize| ArrayD::from_fn(Shape::d3(8, 8, 8), |c| *reference[s].get(c));
+    // The service's digest of a window: rotate-and-add over its steps.
+    let fold = |digests: &[u64]| {
+        digests
+            .iter()
+            .fold(0u64, |c, &d| c.rotate_left(17).wrapping_add(d))
+    };
+
+    let store = ArchiveStore::open(
+        Arc::new(MemorySource::new(archive)) as Arc<dyn ChunkSource>,
+        StoreOptions::default(),
+    )
+    .unwrap();
+    let service = StoreService::new(ServiceConfig::default());
+    let aid = service.register_archive(Arc::clone(&store));
+    let sweeper = service.register_tenant(TenantConfig::default());
+    let roi_tenants: Vec<_> = (0..2)
+        .map(|_| service.register_tenant(TenantConfig::default()))
+        .collect();
+    for window in [0..interval, interval..steps] {
+        let request = ArchiveRequest::steps(0, window.clone(), fidelity);
+        let done = drain(service.submit_archive(sweeper, aid, request).unwrap());
+        assert_eq!(done.step_events, window.len(), "window {window:?}");
+        let digests: Vec<u64> = window
+            .clone()
+            .map(|s| field_checksum(reference[s].as_slice()))
+            .collect();
+        assert_eq!(
+            done.checksum,
+            Some(fold(&digests)),
+            "window {window:?} diverged from the composition"
+        );
+    }
+    for s in 0..steps {
+        let mut request = ArchiveRequest::steps(0, s..s + 1, fidelity);
+        request.roi = Some(roi);
+        let tenant = roi_tenants[s % roi_tenants.len()];
+        let done = drain(service.submit_archive(tenant, aid, request).unwrap());
+        assert_eq!(done.step_events, 1);
+        assert_eq!(
+            done.checksum,
+            Some(fold(&[field_checksum(cropped(s).as_slice())])),
+            "ROI step {s} diverged from crop-of-composition"
+        );
+    }
+    let cache = store.cache().expect("archive cache configured");
+    let (hits, misses) = roi_tenants
+        .iter()
+        .map(|t| cache.tag_stats(t.0))
+        .fold((0u64, 0u64), |(h, m), ts| (h + ts.hits, m + ts.misses));
+    assert!(
+        hits >= misses,
+        "ROI tenants must ride the sweep's cached chunks: {hits} hits / {misses} misses"
+    );
 }

@@ -10,12 +10,16 @@
 //! - **budget**: resident bytes never exceed the configured global budget;
 //! - **quota isolation**: a quota'd tenant's residency stays within its
 //!   quota at every observation point, and the protected coarse prefix
-//!   survives the whole hammer untouched.
+//!   survives the whole hammer untouched;
+//! - **backend parity**: replayed on one thread (so eviction order is
+//!   deterministic), the sharded cache sends at most 1.05× the single-lock
+//!   oracle's GETs to the backend — sharding must not fragment or inflate
+//!   the miss stream.
 
 use std::sync::Arc;
 use std::thread;
 
-use ipc_store::{CacheStats, CachedSource, TagStats};
+use ipc_store::{CacheStats, CachedSource, SimProfile, SimulatedObjectStore, TagStats};
 use ipcomp::source::{ByteRange, MemorySource};
 
 const CHUNK: u64 = 128;
@@ -36,6 +40,26 @@ fn chunk_range(idx: u64) -> ByteRange {
 /// Tags 4..8 are quota'd sweepers; 0..4 are unquota'd interactive tenants.
 fn quota_of(tag: u32) -> Option<usize> {
     (tag >= 4).then_some(QUOTA)
+}
+
+/// Tag `t`'s batch for `round`, advancing its LCG: quota'd sweepers walk
+/// far; interactive tenants mix a hot set with occasional deep reads.
+fn next_batch(rng: &mut u64, t: u32, round: usize) -> [ByteRange; 2] {
+    *rng = rng
+        .wrapping_mul(6364136223846793005)
+        .wrapping_add(1442695040888963407);
+    let idx = if t >= 4 || round.is_multiple_of(4) {
+        (*rng >> 33) % NCHUNKS
+    } else {
+        (*rng >> 33) % 16
+    };
+    [chunk_range(idx), chunk_range((idx + 7) % NCHUNKS)]
+}
+
+/// Tag `t`'s LCG seed: deterministic per tag so both caches see the same
+/// per-tag request sequence.
+fn seed(t: u32) -> u64 {
+    0x9e37_79b9u64.wrapping_mul(u64::from(t) + 1) | 1
 }
 
 /// Run the 8-thread workload against a cache with `shards` shards and
@@ -64,21 +88,9 @@ fn hammer(shards: usize) -> (CacheStats, Vec<TagStats>, Vec<u64>) {
             let cache = Arc::clone(&cache);
             let data = &data;
             scope.spawn(move || {
-                // Deterministic per-thread LCG so both caches see the same
-                // per-tag request sequence.
-                let mut rng = 0x9e37_79b9u64.wrapping_mul(u64::from(t) + 1) | 1;
+                let mut rng = seed(t);
                 for round in 0..ROUNDS {
-                    rng = rng
-                        .wrapping_mul(6364136223846793005)
-                        .wrapping_add(1442695040888963407);
-                    // Quota'd sweepers walk far; interactive tenants mix a
-                    // hot set with occasional deep reads.
-                    let idx = if t >= 4 || round % 4 == 0 {
-                        (rng >> 33) % NCHUNKS
-                    } else {
-                        (rng >> 33) % 16
-                    };
-                    let batch = [chunk_range(idx), chunk_range((idx + 7) % NCHUNKS)];
+                    let batch = next_batch(&mut rng, t, round);
                     let read = cache.read_ranges_tagged(Some(t), &batch).unwrap();
                     for (r, b) in batch.iter().zip(&read.bytes) {
                         assert_eq!(
@@ -193,5 +205,37 @@ fn eight_thread_hammer_matches_single_lock_oracle() {
         sharded_stats.hits + sharded_stats.misses,
         oracle_stats.hits + oracle_stats.misses,
         "sharded and oracle global ledgers count different request totals"
+    );
+}
+
+/// The hammer's per-tag request sequences replayed round-robin on one
+/// thread; returns the GETs that reached the backend.
+fn sequential_backend_gets(shards: usize) -> u64 {
+    let sim = Arc::new(SimulatedObjectStore::new(
+        MemorySource::new(backing()),
+        SimProfile::free(),
+    ));
+    let cache = CachedSource::with_shards(Arc::clone(&sim), BUDGET, shards);
+    for t in 0..THREADS as u32 {
+        cache.set_quota(t, quota_of(t));
+    }
+    let mut rngs: Vec<u64> = (0..THREADS as u32).map(seed).collect();
+    for round in 0..ROUNDS {
+        for t in 0..THREADS as u32 {
+            let batch = next_batch(&mut rngs[t as usize], t, round);
+            cache.read_ranges_tagged(Some(t), &batch).unwrap();
+        }
+    }
+    sim.stats().requests
+}
+
+#[test]
+fn sharding_does_not_inflate_backend_gets_over_the_single_lock() {
+    let sharded = sequential_backend_gets(8);
+    let single = sequential_backend_gets(1);
+    assert!(single > 0);
+    assert!(
+        sharded as f64 <= single as f64 * 1.05,
+        "8 shards sent {sharded} GETs to the backend vs {single} under the single lock"
     );
 }

@@ -9,20 +9,26 @@
 //! The property test sweeps that space; the fault sweep injects short reads
 //! at every phase of a chain-spanning retrieval and asserts exact rollback:
 //! steps emitted before the fault are valid, and a healed retry of the same
-//! reader completes bit-identically.
+//! reader completes bit-identically. Two count tests pin what the residual
+//! chains buy over independent per-step containers: total size, and bytes
+//! fetched by a cold mid-chain window.
 //!
 //! Sources come from `ipc_store::testutil::test_source`, so the
 //! `IPC_STORE_FORCE_FILE=1` CI pass runs the whole suite against the
 //! positioned-read file backend.
 
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
+use ipcomp_suite::baselines::{IndependentArchive, IndependentSteps};
 use ipcomp_suite::core::{
     composition_reference, ArchiveBuilder, ArchiveConfig, ArchiveReader, ArchiveRequest, Config,
     RetrievalRequest, RoiBox,
 };
+use ipcomp_suite::datagen::{Dataset, SequenceRecipe};
 use ipcomp_suite::store::testutil::test_source;
-use ipcomp_suite::store::{Fault, FaultSource};
+use ipcomp_suite::store::{
+    ArchiveStore, Fault, FaultSource, SimProfile, SimulatedObjectStore, StoreOptions,
+};
 use ipcomp_suite::tensor::{ArrayD, Shape};
 use proptest::prelude::*;
 
@@ -198,5 +204,75 @@ fn short_read_sweep_rolls_back_exactly_across_residual_chains() {
     assert!(
         failures > 0,
         "the sweep must actually trip mid-retrieval at least once"
+    );
+}
+
+/// Ten correlated Density steps (keyframes at 0 and 5) as a v4 archive, and
+/// the same steps as independent containers at the same finest bound. Built
+/// once for the tests that compare the two.
+fn density_archive_and_independent() -> &'static (Vec<u8>, IndependentArchive) {
+    static FIXTURE: OnceLock<(Vec<u8>, IndependentArchive)> = OnceLock::new();
+    FIXTURE.get_or_init(build_density_archive_and_independent)
+}
+
+fn build_density_archive_and_independent() -> (Vec<u8>, IndependentArchive) {
+    let shape = Shape::d3(20, 20, 20);
+    let fields = SequenceRecipe {
+        correlation: 0.98,
+        advect: [0, 0, 0],
+        decay: 0.99,
+        ..SequenceRecipe::correlated(Dataset::Density, 10)
+    }
+    .generate(&shape, 2024);
+    let mut config = ArchiveConfig::new(1e-5, 1e-3);
+    config.keyframe_interval = 5;
+    let independent = IndependentSteps::new(config.finest_bound, config.codec)
+        .compress_sequence(&fields)
+        .unwrap();
+    (build_archive(&fields, &shape, &config), independent)
+}
+
+#[test]
+fn archive_is_at_most_four_fifths_of_the_independent_containers() {
+    let (archive, independent) = density_archive_and_independent();
+    assert!(
+        archive.len() * 5 <= independent.total_bytes() * 4,
+        "archive {} B vs independent {} B",
+        archive.len(),
+        independent.total_bytes()
+    );
+}
+
+/// A cold window starting one step past a keyframe decodes one chain step
+/// more than it outputs, and still fetches fewer bytes than the same steps
+/// from independent containers. No coalescing, so the simulator counts
+/// exactly the chunk bytes the plan selects; the request fidelity equals the
+/// archive's reference bound, so chained steps decode once.
+#[test]
+fn cold_mid_chain_window_fetches_fewer_bytes_than_independent_steps() {
+    let (archive, independent) = density_archive_and_independent();
+    let request = RetrievalRequest::ErrorBound(1e-3);
+    let window = 6..10;
+    let sim = Arc::new(SimulatedObjectStore::new(
+        test_source(archive.clone()),
+        SimProfile::free(),
+    ));
+    let options = StoreOptions {
+        coalesce_gap: None,
+        ..StoreOptions::default()
+    };
+    let store = ArchiveStore::open(sim.clone(), options).unwrap();
+    sim.reset_stats(); // metadata open is accounted separately for both sides
+    let steps = store
+        .session()
+        .retrieve_steps(&ArchiveRequest::steps(0, window.clone(), request))
+        .unwrap();
+    assert_eq!(steps.len(), window.len());
+    let (_, independent_bytes) = independent.retrieve_range(window, request).unwrap();
+    assert!(
+        sim.stats().bytes < independent_bytes as u64,
+        "archive window fetched {} B vs {} B from independent containers",
+        sim.stats().bytes,
+        independent_bytes
     );
 }

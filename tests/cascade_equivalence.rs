@@ -2,26 +2,34 @@
 //!
 //! The cascade engine must be invisible to every consumer: streamed
 //! reconstruction (interpolation passes interleaved with level loading) must
-//! be bit-identical to the batch schedule (`IPC_CASCADE_STREAM=0`-style,
-//! every pass after the last load), on every kernel implementation
-//! (`reference` / `portable` / AVX2 auto), across error bounds, 1-element and
-//! ragged-final-chunk geometries, and refinement sequences — and a mid-stream
-//! short read must roll back exactly, leaving a retryable decoder with no
-//! stray bits in the field.
+//! be bit-identical on every kernel implementation (`reference` oracle /
+//! `portable` / AVX2 auto), every decode path (slice or source backed, bulk
+//! or region-streamed), serial and concurrent sub-pass schedules, across
+//! error bounds, 1-element and ragged-final-chunk geometries, and refinement
+//! sequences — and a mid-stream short read must roll back exactly, leaving a
+//! retryable decoder with no stray bits in the field.
 
+use std::sync::atomic::{AtomicIsize, Ordering};
 use std::sync::Mutex;
 
 use ipc_store::{Fault, SimProfile, SimulatedObjectStore};
 use ipc_tensor::{ArrayD, Shape};
+use ipcomp::source::{ByteRange, Bytes, ChunkSource};
 use ipcomp::{
-    compress, set_cascade_streaming, CascadeImpl, Config, IpcompError, MemorySource,
-    ProgressiveDecoder, RetrievalRequest, StreamEvent,
+    compress, CascadeImpl, Config, IpcompError, MemorySource, ProgressiveDecoder, RetrievalRequest,
+    StreamEvent,
 };
 use proptest::prelude::*;
 
-/// Serializes tests that flip the process-wide cascade toggles, so one
-/// test's batch window never interleaves with another's A/B measurement.
+/// Serializes tests that set the process-wide kernel/thread test hooks, so
+/// one test's forced oracle never leaks into another's sweep.
 static TOGGLE_LOCK: Mutex<()> = Mutex::new(());
+
+const KERNELS: [CascadeImpl; 3] = [
+    CascadeImpl::Reference,
+    CascadeImpl::Portable,
+    CascadeImpl::Auto,
+];
 
 fn field(dims: &[usize], seed: u64) -> ArrayD<f64> {
     let shape = Shape::new(dims);
@@ -36,8 +44,45 @@ fn field(dims: &[usize], seed: u64) -> ArrayD<f64> {
     })
 }
 
-/// Full + coarse retrieval under the current toggles, slice and source
-/// backed, bulk and streaming — returns the four outputs' bits.
+/// A source with a schedulable outage: `arm(n)` lets the next `n` reads
+/// through and fails every read after them, until `heal()`. Letting a
+/// few reads through means several refinement levels *complete* before
+/// the failure — exactly the state that must be rolled back.
+struct FlakySource {
+    inner: MemorySource,
+    /// Reads remaining before failure; negative counts failed reads.
+    budget: AtomicIsize,
+}
+
+impl FlakySource {
+    fn arm(&self, allow: isize) {
+        self.budget.store(allow, Ordering::Relaxed);
+    }
+
+    fn heal(&self) {
+        self.budget.store(isize::MAX, Ordering::Relaxed);
+    }
+
+    fn failed_reads(&self) -> isize {
+        (-self.budget.load(Ordering::Relaxed)).max(0)
+    }
+}
+
+impl ChunkSource for FlakySource {
+    fn len(&self) -> u64 {
+        self.inner.len()
+    }
+
+    fn read_ranges(&self, ranges: &[ByteRange]) -> ipcomp::Result<Vec<Bytes>> {
+        if self.budget.fetch_sub(1, Ordering::Relaxed) <= 0 {
+            return Err(IpcompError::Io("injected outage".into()));
+        }
+        self.inner.read_ranges(ranges)
+    }
+}
+
+/// One retrieval under the current test hooks, slice and source backed,
+/// bulk and streaming — returns the four outputs' bits.
 fn decode_all_ways(
     c: &ipcomp::Compressed,
     request: RetrievalRequest,
@@ -64,36 +109,27 @@ fn decode_all_ways(
     out
 }
 
-/// Assert that streamed and batch cascade schedules, on every kernel
-/// implementation, every decode path, and both the serial and a forced
-/// 3-thread concurrent sub-pass schedule, produce identical bits and byte
-/// accounting for each request.
-fn assert_streamed_equals_batch(data: &ArrayD<f64>, config: &Config, eb: f64) {
+/// Assert that every kernel implementation, every decode path, and both the
+/// serial and a forced 3-thread concurrent sub-pass schedule produce
+/// identical bits and byte accounting for each request.
+fn assert_all_paths_bit_identical(data: &ArrayD<f64>, config: &Config, eb: f64) {
     let _guard = TOGGLE_LOCK.lock().unwrap();
     let c = compress(data, eb, config).unwrap();
     for request in [RetrievalRequest::ErrorBound(1e-2), RetrievalRequest::Full] {
         let mut want: Option<(Vec<u64>, usize)> = None;
         for threads in [None, Some(3)] {
             ipcomp::force_cascade_threads(threads);
-            for streamed in [true, false] {
-                set_cascade_streaming(streamed);
-                for which in [
-                    CascadeImpl::Reference,
-                    CascadeImpl::Portable,
-                    CascadeImpl::Auto,
-                ] {
-                    ipcomp::force_cascade_impl(which);
-                    for (name, bits, bytes) in decode_all_ways(&c, request) {
-                        match &want {
-                            None => want = Some((bits, bytes)),
-                            Some((wb, wn)) => {
-                                assert_eq!(
-                                    &bits, wb,
-                                    "{name} diverged (streamed={streamed} {which:?} \
-                                     threads={threads:?} {request:?})"
-                                );
-                                assert_eq!(&bytes, wn, "{name} byte accounting");
-                            }
+            for which in KERNELS {
+                ipcomp::force_cascade_impl(which);
+                for (name, bits, bytes) in decode_all_ways(&c, request) {
+                    match &want {
+                        None => want = Some((bits, bytes)),
+                        Some((wb, wn)) => {
+                            assert_eq!(
+                                &bits, wb,
+                                "{name} diverged ({which:?} threads={threads:?} {request:?})"
+                            );
+                            assert_eq!(&bytes, wn, "{name} byte accounting");
                         }
                     }
                 }
@@ -101,7 +137,6 @@ fn assert_streamed_equals_batch(data: &ArrayD<f64>, config: &Config, eb: f64) {
         }
     }
     ipcomp::force_cascade_threads(None);
-    set_cascade_streaming(true);
     ipcomp::force_cascade_impl(CascadeImpl::Auto);
 }
 
@@ -109,7 +144,7 @@ fn assert_streamed_equals_batch(data: &ArrayD<f64>, config: &Config, eb: f64) {
 fn streamed_cascade_bit_identical_across_error_bounds() {
     let data = field(&[21, 14, 12], 3);
     for eb in [1e-2, 1e-4, 1e-7] {
-        assert_streamed_equals_batch(&data, &Config::default(), eb);
+        assert_all_paths_bit_identical(&data, &Config::default(), eb);
     }
 }
 
@@ -127,17 +162,17 @@ fn one_element_and_ragged_geometries_bit_identical() {
             chunk_bytes: 8,
             ..Config::default()
         };
-        assert_streamed_equals_batch(&data, &config, 1e-5);
+        assert_all_paths_bit_identical(&data, &config, 1e-5);
     }
 }
 
 #[test]
-fn refinement_sequences_bit_identical_between_schedules() {
+fn refinement_sequences_bit_identical_across_kernels() {
     let _guard = TOGGLE_LOCK.lock().unwrap();
     let data = field(&[18, 13, 9], 5);
     let c = compress(&data, 1e-7, &Config::default()).unwrap();
-    let run = |streamed: bool| -> Vec<Vec<u64>> {
-        set_cascade_streaming(streamed);
+    let run = |which: CascadeImpl| -> Vec<Vec<u64>> {
+        ipcomp::force_cascade_impl(which);
         let mut d = ProgressiveDecoder::new(&c);
         [
             RetrievalRequest::ErrorBound(1e-2),
@@ -156,10 +191,10 @@ fn refinement_sequences_bit_identical_between_schedules() {
         })
         .collect()
     };
-    let streamed = run(true);
-    let batch = run(false);
-    set_cascade_streaming(true);
-    assert_eq!(streamed, batch);
+    let [reference, portable, auto] = KERNELS.map(run);
+    ipcomp::force_cascade_impl(CascadeImpl::Auto);
+    assert_eq!(auto, reference);
+    assert_eq!(auto, portable);
 }
 
 #[test]
@@ -191,47 +226,6 @@ fn cascade_events_report_complete_reconstruction_per_retrieval() {
 
 #[test]
 fn failed_refinement_rolls_back_and_a_healed_retry_is_exact() {
-    use std::sync::atomic::{AtomicIsize, Ordering};
-
-    use ipcomp::source::{ByteRange, Bytes, ChunkSource};
-
-    /// A source with a schedulable outage: `arm(n)` lets the next `n` reads
-    /// through and fails every read after them, until `heal()`. Letting a
-    /// few reads through means several refinement levels *complete* before
-    /// the failure — exactly the state that must be rolled back.
-    struct FlakySource {
-        inner: MemorySource,
-        /// Reads remaining before failure; negative counts failed reads.
-        budget: AtomicIsize,
-    }
-
-    impl FlakySource {
-        fn arm(&self, allow: isize) {
-            self.budget.store(allow, Ordering::Relaxed);
-        }
-
-        fn heal(&self) {
-            self.budget.store(isize::MAX, Ordering::Relaxed);
-        }
-
-        fn failed_reads(&self) -> isize {
-            (-self.budget.load(Ordering::Relaxed)).max(0)
-        }
-    }
-
-    impl ChunkSource for FlakySource {
-        fn len(&self) -> u64 {
-            self.inner.len()
-        }
-
-        fn read_ranges(&self, ranges: &[ByteRange]) -> ipcomp::Result<Vec<Bytes>> {
-            if self.budget.fetch_sub(1, Ordering::Relaxed) <= 0 {
-                return Err(IpcompError::Io("injected outage".into()));
-            }
-            self.inner.read_ranges(ranges)
-        }
-    }
-
     let data = field(&[18, 13, 11], 29);
     let config = Config {
         chunk_bytes: 32,
@@ -413,11 +407,57 @@ fn short_read_faults_roll_back_cascade_exactly() {
     assert!(failures > 10, "fault sweep never hit the decode path");
 }
 
+/// A failed *initial* retrieval keeps the levels it finished loading, and
+/// the retry feeds them to the cascade without reloading. For a
+/// precinct-partitioned container those kept codes sit in precinct-major
+/// order and must be canonicalised like freshly loaded ones — on the ranged
+/// bulk path too.
+#[test]
+fn failed_initial_retrieval_of_a_precinct_container_retries_exactly() {
+    let data = field(&[18, 13, 11], 31);
+    let c = compress(&data, 1e-7, &Config::with_precincts(&[6, 5, 4])).unwrap();
+    let one_shot = ProgressiveDecoder::new(&c)
+        .retrieve(RetrievalRequest::Full)
+        .unwrap();
+    let flaky = || FlakySource {
+        inner: MemorySource::new(c.to_bytes()),
+        budget: AtomicIsize::new(isize::MAX),
+    };
+    // Reads one clean full retrieval issues (one per level holding planes).
+    let reads = {
+        let source = flaky();
+        let mut dec = ProgressiveDecoder::from_source(&source).unwrap();
+        let before = source.budget.load(Ordering::Relaxed);
+        dec.retrieve(RetrievalRequest::Full).unwrap();
+        before - source.budget.load(Ordering::Relaxed)
+    };
+    let mut resumed = 0usize;
+    for allow in 1..reads {
+        let source = flaky();
+        let mut dec = ProgressiveDecoder::from_source(&source).unwrap();
+        source.arm(allow);
+        assert!(dec.retrieve(RetrievalRequest::Full).is_err());
+        resumed += dec.planes_loaded().iter().filter(|&&p| p > 0).count();
+        source.heal();
+        let retried = dec.retrieve(RetrievalRequest::Full).unwrap();
+        assert_eq!(
+            retried.data.as_slice(),
+            one_shot.data.as_slice(),
+            "allow={allow}: retry after a partial initial load diverged"
+        );
+        assert_eq!(retried.bytes_total, one_shot.bytes_total, "allow={allow}");
+    }
+    assert!(
+        resumed > 0,
+        "the sweep must leave loaded levels to resume from"
+    );
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(8))]
 
-    /// Random geometry, chunking, and fidelity: streamed and batch cascade
-    /// schedules are bit-identical on every decode path.
+    /// Random geometry, chunking, and fidelity: every kernel and sub-pass
+    /// schedule is bit-identical on every decode path.
     #[test]
     fn prop_streamed_cascade_bit_identical(
         d0 in 1usize..16,
@@ -432,6 +472,6 @@ proptest! {
             chunk_bytes: chunk_step * 24, // 0 (monolithic) or 24..72
             ..Config::default()
         };
-        assert_streamed_equals_batch(&data, &config, 10f64.powi(-(eb_exp as i32)));
+        assert_all_paths_bit_identical(&data, &config, 10f64.powi(-(eb_exp as i32)));
     }
 }
