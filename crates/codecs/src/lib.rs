@@ -36,7 +36,7 @@ pub mod zigzag;
 
 pub use bitstream::{BitReader, BitWriter};
 pub use huffman::{huffman_decode, huffman_encode};
-pub use lzr::{lzr_compress, lzr_compress_with, lzr_decompress, LzrOptions};
+pub use lzr::{lzr_compress, lzr_decompress};
 pub use negabinary::{from_negabinary, to_negabinary};
 pub use rans::{rans_decode_bytes, rans_encode_bytes};
 pub use rle::{rle_decode, rle_encode};

@@ -4,7 +4,7 @@
 //!
 //! The IPComp paper feeds its predictively coded bitplanes (and SZ3 feeds its Huffman
 //! output) into zstd, which contributes two things: repeated-pattern elimination and
-//! entropy coding. LZR reproduces both roles with a greedy hash-chain LZ77 pass
+//! entropy coding. LZR reproduces both roles with a greedy single-head hash-table LZ77 pass
 //! (min match 4, 64 KiB window) whose token stream is then entropy coded. The exact
 //! ratios differ from zstd, but the *relative* behaviour the paper argues about —
 //! predictive bitplane coding preserving byte-level repetition better than Huffman
@@ -43,38 +43,12 @@ const MAX_MATCH: usize = 1 << 16;
 const WINDOW: usize = 1 << 16;
 const HASH_BITS: u32 = 16;
 
-/// Default skip-step escalation shift of the tokenizer's empty-match path:
-/// the scan step widens by one byte for every `2^shift` consecutive misses.
-/// 5 (one step per 32 misses) skims incompressible stretches — dense
-/// low-order bitplanes are essentially random bits — roughly twice as fast
-/// as the historical 6, at a ratio cost measured in hundredths of a percent.
-const DEFAULT_SKIP_SHIFT: u32 = 5;
-
-/// The historical escalation rate, kept so [`lzr_compress_huffman`] stays
-/// byte-identical to the version-1 writer.
-const V1_SKIP_SHIFT: u32 = 6;
-
-/// Tokenizer tuning knobs (see [`lzr_compress_with`]).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct LzrOptions {
-    /// Skip-step escalation shift of the empty-match path: the scan step
-    /// widens by one byte every `2^skip_shift` consecutive misses.
-    pub skip_shift: u32,
-    /// Match candidates probed per position: `1` keeps the single-head hash
-    /// table; `2` adds a one-deep hash chain (the previous head is retained
-    /// as a second candidate and the longer match wins). Deeper values clamp
-    /// to 2.
-    pub match_candidates: u8,
-}
-
-impl Default for LzrOptions {
-    fn default() -> Self {
-        Self {
-            skip_shift: DEFAULT_SKIP_SHIFT,
-            match_candidates: 1,
-        }
-    }
-}
+/// Skip-step escalation shift of the tokenizer's empty-match path: the scan
+/// step widens by one byte for every `2^shift` consecutive misses. 5 (one
+/// step per 32 misses) skims incompressible stretches — dense low-order
+/// bitplanes are essentially random bits — roughly twice as fast as the
+/// version-1 writer's 6, at a ratio cost measured in hundredths of a percent.
+const SKIP_SHIFT: u32 = 5;
 
 #[inline]
 fn hash4(bytes: &[u8]) -> usize {
@@ -98,22 +72,13 @@ fn match_len_at(input: &[u8], candidate: usize, i: usize) -> usize {
 }
 
 /// Produce the raw LZ77 token stream for `input` (no entropy stage).
-fn lz_tokenize(input: &[u8], skip_shift: u32, match_candidates: u8) -> Vec<u8> {
+fn lz_tokenize(input: &[u8]) -> Vec<u8> {
     let mut out = Vec::with_capacity(input.len() / 2 + 16);
     let mut head = vec![usize::MAX; 1 << HASH_BITS];
-    // One-deep hash chain: `prev[h]` holds the head displaced by the last
-    // insert, giving a second (older) candidate per bucket. Only allocated
-    // when the caller asked for it.
-    let chained = match_candidates >= 2;
-    let mut prev = if chained {
-        vec![usize::MAX; 1 << HASH_BITS]
-    } else {
-        Vec::new()
-    };
     let mut literal_start = 0usize;
     let mut i = 0usize;
 
-    // LZ4-style acceleration: every `2^skip_shift` consecutive positions
+    // LZ4-style acceleration: every `2^SKIP_SHIFT` consecutive positions
     // without a match widen the scan step by one byte, so incompressible
     // stretches (dense low-order bitplanes are essentially random bits) are
     // skimmed instead of hashed byte by byte. A hit resets the step to 1.
@@ -122,27 +87,11 @@ fn lz_tokenize(input: &[u8], skip_shift: u32, match_candidates: u8) -> Vec<u8> {
     while i + MIN_MATCH <= input.len() {
         let h = hash4(&input[i..]);
         let candidate = head[h];
-        let older = if chained { prev[h] } else { usize::MAX };
-        if chained {
-            prev[h] = head[h];
-        }
         head[h] = i;
-
-        // Probe the recent head first; the older candidate only wins with a
-        // strictly longer match (ties keep the shorter distance, which costs
-        // fewer varint bytes).
-        let mut match_len = match_len_at(input, candidate, i);
-        let mut match_src = candidate;
-        if chained && older != candidate {
-            let l2 = match_len_at(input, older, i);
-            if l2 > match_len {
-                match_len = l2;
-                match_src = older;
-            }
-        }
+        let match_len = match_len_at(input, candidate, i);
 
         if match_len >= MIN_MATCH {
-            let dist = i - match_src;
+            let dist = i - candidate;
             write_varint(&mut out, (i - literal_start) as u64);
             out.extend_from_slice(&input[literal_start..i]);
             write_varint(&mut out, match_len as u64);
@@ -152,11 +101,7 @@ fn lz_tokenize(input: &[u8], skip_shift: u32, match_candidates: u8) -> Vec<u8> {
             let end = i + match_len;
             let mut j = i + 1;
             while j + MIN_MATCH <= input.len() && j < end && j < i + 16 {
-                let hj = hash4(&input[j..]);
-                if chained {
-                    prev[hj] = head[hj];
-                }
-                head[hj] = j;
+                head[hash4(&input[j..])] = j;
                 j += 1;
             }
             i = end;
@@ -164,7 +109,7 @@ fn lz_tokenize(input: &[u8], skip_shift: u32, match_candidates: u8) -> Vec<u8> {
             misses = 0;
         } else {
             misses += 1;
-            i += 1 + (misses >> skip_shift);
+            i += 1 + (misses >> SKIP_SHIFT);
         }
     }
 
@@ -240,14 +185,7 @@ fn entropy_stage(tokens: Vec<u8>) -> (u8, Vec<u8>) {
 /// The output is self-describing and starts with the original length so that
 /// [`lzr_decompress`] can pre-allocate and validate.
 pub fn lzr_compress(input: &[u8]) -> Vec<u8> {
-    lzr_compress_with(input, &LzrOptions::default())
-}
-
-/// [`lzr_compress`] with explicit tokenizer options (skip-step escalation and
-/// hash-chain depth). Output under any options decodes with the same reader —
-/// the knobs only change which matches the tokenizer finds.
-pub fn lzr_compress_with(input: &[u8], options: &LzrOptions) -> Vec<u8> {
-    let tokens = lz_tokenize(input, options.skip_shift, options.match_candidates);
+    let tokens = lz_tokenize(input);
     // When matching bought nothing (the token stream is no shorter than the
     // input), drop the token framing: entropy-code the raw bytes if that
     // pays (mode 3), otherwise store them verbatim (mode 4). Either way
@@ -266,28 +204,6 @@ pub fn lzr_compress_with(input: &[u8], options: &LzrOptions) -> Vec<u8> {
     write_varint(&mut out, input.len() as u64);
     out.push(mode);
     out.extend_from_slice(&body);
-    out
-}
-
-/// [`lzr_compress`] restricted to the PR 1 entropy stage (Huffman or store,
-/// never rANS) and the PR 1 tokenizer escalation. Byte-identical to the
-/// historical version-1 writer; kept so the benchmark harness can measure
-/// the chunked rANS pipeline against the exact baseline it replaced.
-pub fn lzr_compress_huffman(input: &[u8]) -> Vec<u8> {
-    let tokens = lz_tokenize(input, V1_SKIP_SHIFT, 1);
-    let entropy = huffman_encode_bytes_under(&tokens, tokens.len() - tokens.len() / 8);
-    let mut out = Vec::with_capacity(tokens.len() + 10);
-    write_varint(&mut out, input.len() as u64);
-    match entropy {
-        Some(entropy) => {
-            out.push(1);
-            out.extend_from_slice(&entropy);
-        }
-        None => {
-            out.push(0);
-            out.extend_from_slice(&tokens);
-        }
-    }
     out
 }
 
@@ -440,104 +356,6 @@ mod tests {
             enc[pos]
         );
         assert_eq!(lzr_decompress(&enc).unwrap(), data);
-        // And never larger than the PR 1 Huffman encoding of the same input.
-        let huffman = lzr_compress_huffman(&data);
-        assert!(
-            enc.len() <= huffman.len(),
-            "rans {} vs huffman {}",
-            enc.len(),
-            huffman.len()
-        );
-    }
-
-    #[test]
-    fn huffman_only_writer_matches_v1_modes() {
-        let data: Vec<u8> = (0..30_000u32).map(|i| (i % 11) as u8).collect();
-        let enc = lzr_compress_huffman(&data);
-        let mut pos = 0usize;
-        read_varint(&enc, &mut pos).unwrap();
-        assert!(enc[pos] <= 1, "v1 writer only emits store/Huffman");
-        assert_eq!(lzr_decompress(&enc).unwrap(), data);
-    }
-
-    #[test]
-    fn chained_tokenizer_roundtrips_and_never_decodes_differently() {
-        // The 2-candidate chain changes which matches are found, never the
-        // format: every stream decodes back to the input.
-        let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(31);
-        let mut inputs: Vec<Vec<u8>> = Vec::new();
-        inputs.push((0..60_000u32).map(|i| (i % 251) as u8).collect());
-        inputs.push((0..50_000).map(|_| rng.gen::<u8>() & 0x1F).collect());
-        // Interleaved repeats: two periodic patterns sharing hash buckets, so
-        // the recent head is often the worse candidate and the chain pays.
-        inputs.push(
-            (0..80_000usize)
-                .map(|i| {
-                    if (i / 997) % 2 == 0 {
-                        (i % 13) as u8
-                    } else {
-                        ((i * 7) % 11) as u8 + 100
-                    }
-                })
-                .collect(),
-        );
-        for (k, data) in inputs.iter().enumerate() {
-            for candidates in [1u8, 2, 3] {
-                let opts = LzrOptions {
-                    skip_shift: DEFAULT_SKIP_SHIFT,
-                    match_candidates: candidates,
-                };
-                let enc = lzr_compress_with(data, &opts);
-                assert_eq!(
-                    &lzr_decompress(&enc).unwrap(),
-                    data,
-                    "input {k} c{candidates}"
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn chained_tokenizer_finds_longer_matches_on_colliding_patterns() {
-        // A long early run, a bucket-colliding interloper, then the run
-        // again: the single-head table only sees the interloper; the chain
-        // still reaches the full-length original.
-        let run: Vec<u8> = (0..4096u32).map(|i| (i % 200) as u8).collect();
-        let mut data = run.clone();
-        data.extend_from_slice(&run[..8]); // displaces head entries
-        data.extend(std::iter::repeat_n(0xEEu8, 64));
-        data.extend_from_slice(&run);
-        let single = lzr_compress_with(
-            &data,
-            &LzrOptions {
-                skip_shift: DEFAULT_SKIP_SHIFT,
-                match_candidates: 1,
-            },
-        );
-        let chained = lzr_compress_with(
-            &data,
-            &LzrOptions {
-                skip_shift: DEFAULT_SKIP_SHIFT,
-                match_candidates: 2,
-            },
-        );
-        assert_eq!(lzr_decompress(&single).unwrap(), data);
-        assert_eq!(lzr_decompress(&chained).unwrap(), data);
-        assert!(
-            chained.len() <= single.len(),
-            "chain must not lose ratio here: {} vs {}",
-            chained.len(),
-            single.len()
-        );
-    }
-
-    #[test]
-    fn default_options_match_plain_compress() {
-        let data: Vec<u8> = (0..30_000u32).map(|i| (i % 97) as u8).collect();
-        assert_eq!(
-            lzr_compress_with(&data, &LzrOptions::default()),
-            lzr_compress(&data)
-        );
     }
 
     #[test]

@@ -52,17 +52,14 @@ use std::sync::Arc;
 use ipc_tensor::{ArrayD, Shape};
 
 use crate::config::Config;
-use crate::container::{ContainerMap, MAGIC};
+use crate::container::{ContainerMap, MetaCursor, MAGIC};
 use crate::error::{IpcompError, Result};
 use crate::precinct::RoiBox;
 use crate::progressive::{ProgressiveDecoder, RetrievalRequest, StreamEvent};
-use crate::source::{ByteRange, ChunkSource, MemorySource, OffsetSource};
+use crate::source::{ChunkSource, MemorySource, OffsetSource};
 
 /// Container format version of the time-series archive framing.
 pub const VERSION_ARCHIVE: u32 = 4;
-
-/// Bytes fetched per metadata read while parsing an [`ArchiveMap`].
-const META_FETCH: usize = 4096;
 
 /// Hard caps mirroring the hardened single-container limits: a corrupt
 /// directory fails validation instead of driving huge allocations.
@@ -431,8 +428,8 @@ pub struct ArchiveMap {
 impl ArchiveMap {
     /// Parse an archive's metadata from ranged reads.
     pub fn open(source: &dyn ChunkSource) -> Result<Self> {
-        let total_len = source.len();
-        let mut cur = MetaReader::new(source, total_len);
+        let mut cur = MetaCursor::new(source);
+        let total_len = cur.len();
         let magic = cur.read_exact(4)?;
         if magic != MAGIC[..] {
             return Err(IpcompError::CorruptContainer("bad magic"));
@@ -502,7 +499,7 @@ impl ArchiveMap {
             let len = cur.read_u64()?;
             entries.push(ArchiveEntry { kind, offset, len });
         }
-        let meta_len = cur.consumed() as u64;
+        let meta_len = cur.pos();
         for (i, e) in entries.iter().enumerate() {
             if e.offset < meta_len
                 || e.len == 0
@@ -604,76 +601,6 @@ impl ArchiveMap {
             .rev()
             .find(|&s| self.entry(s, variable).kind == StepKind::Keyframe)
             .expect("step 0 is always a keyframe")
-    }
-}
-
-/// Incremental metadata reader: pulls `META_FETCH`-sized blocks on demand so
-/// parsing never touches payload bytes.
-struct MetaReader<'s> {
-    source: &'s dyn ChunkSource,
-    total: u64,
-    buf: Vec<u8>,
-    pos: usize,
-}
-
-impl<'s> MetaReader<'s> {
-    fn new(source: &'s dyn ChunkSource, total: u64) -> Self {
-        Self {
-            source,
-            total,
-            buf: Vec::new(),
-            pos: 0,
-        }
-    }
-
-    fn ensure(&mut self, n: usize) -> Result<()> {
-        while self.buf.len() < self.pos + n {
-            let off = self.buf.len() as u64;
-            if off >= self.total {
-                return Err(IpcompError::CorruptContainer("archive metadata truncated"));
-            }
-            let take = META_FETCH.min((self.total - off) as usize);
-            let bytes = self.source.read_range(ByteRange::new(off, take))?;
-            if bytes.len() != take {
-                return Err(IpcompError::CorruptContainer("source returned short read"));
-            }
-            self.buf.extend_from_slice(&bytes);
-        }
-        Ok(())
-    }
-
-    fn read_exact(&mut self, n: usize) -> Result<Vec<u8>> {
-        self.ensure(n)?;
-        let out = self.buf[self.pos..self.pos + n].to_vec();
-        self.pos += n;
-        Ok(out)
-    }
-
-    fn read_u8(&mut self) -> Result<u8> {
-        Ok(self.read_exact(1)?[0])
-    }
-
-    fn read_u16(&mut self) -> Result<u16> {
-        let b = self.read_exact(2)?;
-        Ok(u16::from_le_bytes(b.try_into().expect("2 bytes")))
-    }
-
-    fn read_u32(&mut self) -> Result<u32> {
-        let b = self.read_exact(4)?;
-        Ok(u32::from_le_bytes(b.try_into().expect("4 bytes")))
-    }
-
-    fn read_u64(&mut self) -> Result<u64> {
-        let b = self.read_exact(8)?;
-        Ok(u64::from_le_bytes(b.try_into().expect("8 bytes")))
-    }
-
-    fn read_f64(&mut self) -> Result<f64> {
-        Ok(f64::from_bits(self.read_u64()?))
-    }
-
-    fn consumed(&self) -> usize {
-        self.pos
     }
 }
 
@@ -963,10 +890,7 @@ impl ArchiveReader {
             let output = if plan.output {
                 let mut dec =
                     ProgressiveDecoder::from_shared_source(Arc::clone(&window), Arc::clone(&cmap));
-                let r = match request.roi {
-                    Some(bounds) => dec.retrieve_roi(bounds, request.fidelity)?,
-                    None => dec.retrieve_streaming_events(request.fidelity, &mut *on_event)?,
-                };
+                let r = dec.retrieve_scoped(request.fidelity, request.roi, Some(&mut *on_event))?;
                 bytes_step += r.bytes_total;
                 Some(r)
             } else {
@@ -983,10 +907,7 @@ impl ArchiveReader {
                         Arc::clone(&window),
                         Arc::clone(&cmap),
                     );
-                    let r = match request.roi {
-                        Some(bounds) => dec.retrieve_roi(bounds, reference)?,
-                        None => dec.retrieve(reference)?,
-                    };
+                    let r = dec.retrieve_scoped(reference, request.roi, None)?;
                     bytes_step += r.bytes_total;
                     Some(r.data)
                 }
@@ -1075,6 +996,7 @@ fn compose(kind: StepKind, prev: Option<&ArrayD<f64>>, delta: &ArrayD<f64>) -> R
 mod tests {
     use super::*;
     use crate::compressor::compress;
+    use crate::source::ByteRange;
 
     fn wave(shape: &Shape, t: f64) -> ArrayD<f64> {
         ArrayD::from_fn(shape.clone(), |c| {
@@ -1207,15 +1129,32 @@ mod tests {
             .unwrap();
         let roi = RoiBox::new(&[3, 2, 1], &[9, 8, 6]);
         let mut scoped = ArchiveReader::open(Arc::new(MemorySource::new(bytes))).unwrap();
-        let roi_steps = scoped
-            .retrieve_steps(&ArchiveRequest {
-                variable: 0,
-                start: 2,
-                end: 6,
-                fidelity: request,
-                roi: Some(roi),
-            })
+        let scoped_request = ArchiveRequest {
+            variable: 0,
+            start: 2,
+            end: 6,
+            fidelity: request,
+            roi: Some(roi),
+        };
+        // Windowed steps forward their decoders' inner events like
+        // full-domain steps do.
+        let (mut regions, mut passes) = (0usize, 0usize);
+        let mut roi_steps = Vec::new();
+        scoped
+            .retrieve_steps_streaming_events(
+                &scoped_request,
+                |e| match e {
+                    StreamEvent::Region(_) => regions += 1,
+                    StreamEvent::LevelReconstructed(_) => passes += 1,
+                    StreamEvent::StepReconstructed(_) => {}
+                },
+                |s| roi_steps.push(s),
+            )
             .unwrap();
+        assert!(
+            regions > 0 && passes > 0,
+            "{regions} regions, {passes} passes"
+        );
         for (f, r) in full_steps.iter().zip(&roi_steps) {
             let mut crop = Vec::new();
             for x in 3..9 {

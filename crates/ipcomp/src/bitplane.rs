@@ -53,7 +53,8 @@
 //! * **Streaming** — a chunk covers a contiguous coefficient range, and every
 //!   plane of a level shares the same chunk grid, so a decoder can fully
 //!   reconstruct coefficients `[k·8·CHUNK_BYTES, (k+1)·8·CHUNK_BYTES)` from
-//!   just the `k`-th chunk of each loaded plane ([`PlaneStream`]). Memory
+//!   just the `k`-th chunk of each loaded plane
+//!   ([`crate::pipeline::RegionPipeline`]). Memory
 //!   stays bounded by the region size, not the level size.
 //! * **Addressability** — the version-2 container records every chunk's size
 //!   in its metadata, so a remote reader can fetch any chunk without parsing
@@ -66,7 +67,8 @@
 //!
 //! Because the slicing/prediction identities reproduce the scalar definition bit
 //! for bit, the *packed plane bytes* are unchanged from the historical coder; the
-//! scalar reference (retained under [`scalar`] as a test oracle) shares the
+//! scalar reference (retained under `scalar` as a test oracle, compiled for
+//! tests and the `reference-scalar` feature) shares the
 //! chunked entropy stage, so payloads remain byte-identical between the two.
 //!
 //! Truncation-loss metadata is unaffected by any of this: `trunc_loss` is computed
@@ -83,10 +85,8 @@ use ipc_codecs::negabinary::{required_bitplanes_words, to_negabinary_slice, trun
 use ipc_codecs::{lzr_compress, CodecError};
 use rayon::prelude::*;
 
-use crate::container::LevelMap;
 use crate::error::{IpcompError, Result};
-use crate::pipeline::{DecodeStage, EntropyStage, FetchStage, RegionPipeline, ScatterStage};
-use crate::source::ChunkSource;
+use crate::pipeline::{DecodeStage, EntropyStage, ScatterStage};
 
 /// Minimum number of coefficients before the coder fans work out to rayon.
 const PARALLEL_THRESHOLD: usize = 4096;
@@ -280,29 +280,19 @@ impl EncodedPlane {
     }
 }
 
-/// Tuning knobs for [`encode_level_with`].
+/// Chunk layout of [`encode_level_with`] (carries [`crate::Config::chunk_bytes`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct EncodeOptions {
     /// Packed bytes per entropy chunk; `0` disables chunking and stores one
     /// monolithic block per plane (the version-1 layout). Must be a multiple
     /// of 8 so chunks align with 64-coefficient transpose blocks.
     pub chunk_bytes: usize,
-    /// Allow the rANS entropy stage. Disabling restricts the per-chunk
-    /// decision to Huffman/store, reproducing the PR 1 byte stream.
-    pub rans: bool,
-    /// LZ match candidates probed per position by the entropy stage's
-    /// tokenizer: `1` (default) keeps the single-head hash table; `2` adds a
-    /// one-deep hash chain that trades a little encode speed for ratio on
-    /// bucket-colliding data.
-    pub match_candidates: u8,
 }
 
 impl Default for EncodeOptions {
     fn default() -> Self {
         Self {
             chunk_bytes: CHUNK_BYTES,
-            rans: true,
-            match_candidates: 1,
         }
     }
 }
@@ -552,26 +542,8 @@ pub fn truncation_loss_table(nb: &[u64], num_planes: u8) -> Vec<u64> {
     trunc_loss
 }
 
-/// Entropy-code one chunk of packed plane bytes according to the options.
-#[inline]
-fn compress_chunk(bytes: &[u8], opts: &EncodeOptions) -> Vec<u8> {
-    if !opts.rans {
-        ipc_codecs::lzr::lzr_compress_huffman(bytes)
-    } else if opts.match_candidates > 1 {
-        ipc_codecs::lzr_compress_with(
-            bytes,
-            &ipc_codecs::LzrOptions {
-                match_candidates: opts.match_candidates,
-                ..ipc_codecs::LzrOptions::default()
-            },
-        )
-    } else {
-        lzr_compress(bytes)
-    }
-}
-
-/// Encode one level's quantization codes into bitplane blocks with explicit
-/// chunking/entropy options. [`encode_level`] forwards the defaults.
+/// Encode one level's quantization codes into bitplane blocks with an explicit
+/// chunk size. [`encode_level`] forwards the default.
 ///
 /// # Panics
 ///
@@ -615,15 +587,9 @@ pub fn encode_level_with(
         .flat_map(|bits| bits.chunks(span.max(1)))
         .collect();
     let compressed: Vec<Vec<u8>> = if parallel && codes.len() > PARALLEL_THRESHOLD {
-        tasks
-            .into_par_iter()
-            .map(|bytes| compress_chunk(bytes, &opts))
-            .collect()
+        tasks.into_par_iter().map(lzr_compress).collect()
     } else {
-        tasks
-            .into_iter()
-            .map(|bytes| compress_chunk(bytes, &opts))
-            .collect()
+        tasks.into_iter().map(lzr_compress).collect()
     };
 
     let chunks_per_plane = plane_len.div_ceil(span.max(1)).max(1);
@@ -647,7 +613,7 @@ pub fn encode_level_with(
 /// Encode one level's quantization codes into bitplane blocks.
 ///
 /// The packed plane bits are byte-identical to the historical bit-at-a-time
-/// coder (see [`scalar`]); only the entropy framing (chunked rANS) and the
+/// coder (the `scalar` test oracle); only the entropy framing (chunked rANS) and the
 /// implementation (word-parallel) have evolved.
 pub fn encode_level(
     codes: &[i64],
@@ -674,13 +640,14 @@ pub fn encode_level(
 /// The plane count and truncation-loss table are computed over the whole
 /// level exactly as in [`encode_level_with`] — both are order-invariant, so
 /// a version-3 level carries the same optimizer metadata as its version-2
-/// encoding of the same codes.
+/// encoding of the same codes. Chunks follow `spans`, so the byte-granular
+/// chunk size in `_opts` does not apply.
 pub fn encode_level_precincts(
     codes: &[i64],
     prefix_bits: u8,
     predictive: bool,
     parallel: bool,
-    opts: EncodeOptions,
+    _opts: EncodeOptions,
     spans: &[usize],
 ) -> EncodedLevel {
     assert_eq!(
@@ -720,7 +687,7 @@ pub fn encode_level_precincts(
         if bytes.is_empty() {
             Vec::new()
         } else {
-            compress_chunk(bytes, &opts)
+            lzr_compress(bytes)
         }
     };
     let compressed: Vec<Vec<u8>> = if parallel {
@@ -748,7 +715,7 @@ pub fn encode_level_precincts(
 /// Validate a plane range request against a level's geometry and chunk
 /// structure; `plane_chunks` reports how many chunks plane `p` actually holds
 /// (from payload vecs or the metadata index, depending on the backing).
-pub(crate) fn check_plane_range_with(
+pub(crate) fn check_plane_range(
     scheme: &RegionScheme,
     num_planes: u8,
     plane_chunks: impl Fn(u8) -> usize,
@@ -776,23 +743,6 @@ pub(crate) fn check_plane_range_with(
         }
     }
     Ok(())
-}
-
-/// Validate a plane range request against an in-memory level.
-fn check_plane_range(
-    level: &EncodedLevel,
-    plane_lo: u8,
-    plane_hi: u8,
-    acc_len: usize,
-) -> Result<()> {
-    check_plane_range_with(
-        &level.scheme(),
-        level.num_planes,
-        |p| level.planes[p as usize].chunks.len(),
-        plane_lo,
-        plane_hi,
-        acc_len,
-    )
 }
 
 /// Entropy-decode one compressed chunk, validating the decoded size against
@@ -850,11 +800,18 @@ pub fn decode_planes_into(
     predictive: bool,
     acc: &mut [u64],
 ) -> Result<()> {
-    check_plane_range(level, plane_lo, plane_hi, acc.len())?;
+    let scheme = level.scheme();
+    check_plane_range(
+        &scheme,
+        level.num_planes,
+        |p| level.planes[p as usize].chunks.len(),
+        plane_lo,
+        plane_hi,
+        acc.len(),
+    )?;
     if plane_lo == plane_hi || level.n_values == 0 {
         return Ok(());
     }
-    let scheme = level.scheme();
     let n_regions = scheme.num_regions();
     let n_planes = (plane_hi - plane_lo) as usize;
     let parallel = level.n_values > PARALLEL_THRESHOLD && rayon::current_num_threads() > 1;
@@ -921,129 +878,6 @@ pub fn decode_planes_into(
         work.into_iter().for_each(scatter);
     }
     Ok(())
-}
-
-/// Streaming region-at-a-time decoder over a level's chunk grid — the
-/// pull-based driver of the staged decode pipeline ([`crate::pipeline`]).
-///
-/// Yields the same accumulator contents as [`decode_planes_into`] but decodes
-/// one chunk region per call, so peak memory is bounded by
-/// `(plane span) × region size` (double-buffered: the region being decoded
-/// plus the one being prefetched) instead of the whole level, and callers can
-/// interleave consumption with loading (paper Fig. 2's incremental
-/// retrieval, now at sub-plane granularity).
-///
-/// A stream can be backed either by an in-memory [`EncodedLevel`]
-/// ([`PlaneStream::new`]) or by a [`ChunkSource`] plus the container's chunk
-/// index ([`PlaneStream::from_source`]); the source-backed variant fetches
-/// one region's chunk ranges per batched `read_ranges` call — which the
-/// source stack is free to coalesce — and *overlaps* region `k + 1`'s fetch
-/// with region `k`'s entropy decode and scatter on a scoped worker thread,
-/// so backend latency hides behind compute instead of adding to it.
-///
-/// Atomicity is per region: a corrupt chunk (or a failed fetch) fails that
-/// region's call before its accumulator slice is touched, but previously
-/// streamed regions remain updated.
-pub struct PlaneStream<'a> {
-    pipeline: RegionPipeline<'a>,
-}
-
-impl<'a> PlaneStream<'a> {
-    /// Start streaming planes `[plane_lo, plane_hi)` of `level`; `acc_len`
-    /// must be the caller's accumulator length (validated once here).
-    pub fn new(
-        level: &'a EncodedLevel,
-        plane_lo: u8,
-        plane_hi: u8,
-        prefix_bits: u8,
-        predictive: bool,
-        acc_len: usize,
-    ) -> Result<Self> {
-        check_plane_range(level, plane_lo, plane_hi, acc_len)?;
-        Ok(Self {
-            pipeline: RegionPipeline::new(
-                FetchStage::Resident {
-                    level,
-                    plane_lo,
-                    plane_hi,
-                },
-                level.scheme(),
-                level.num_planes,
-                plane_lo,
-                plane_hi,
-                prefix_bits,
-                predictive,
-            ),
-        })
-    }
-
-    /// Start streaming planes `[plane_lo, plane_hi)` of a level addressed by
-    /// the container chunk index `level`, fetching compressed chunks from
-    /// `source` one region at a time with one-region prefetch overlap.
-    pub fn from_source(
-        level: &'a LevelMap,
-        source: &'a dyn ChunkSource,
-        plane_lo: u8,
-        plane_hi: u8,
-        prefix_bits: u8,
-        predictive: bool,
-        acc_len: usize,
-    ) -> Result<Self> {
-        check_plane_range_with(
-            &level.scheme(),
-            level.num_planes,
-            |p| level.plane_chunk_count(p),
-            plane_lo,
-            plane_hi,
-            acc_len,
-        )?;
-        Ok(Self {
-            pipeline: RegionPipeline::new(
-                FetchStage::Ranged {
-                    level,
-                    source,
-                    plane_lo,
-                    plane_hi,
-                },
-                level.scheme(),
-                level.num_planes,
-                plane_lo,
-                plane_hi,
-                prefix_bits,
-                predictive,
-            ),
-        })
-    }
-
-    /// Total number of chunk regions this stream will produce.
-    pub fn num_regions(&self) -> usize {
-        self.pipeline.num_regions()
-    }
-
-    /// Compressed bytes the `k`-th region reads across the streamed planes.
-    pub fn region_compressed_bytes(&self, k: usize) -> usize {
-        self.pipeline.region_compressed_bytes(k)
-    }
-
-    /// Decode the next region into the matching slice of `acc` (the full
-    /// level accumulator, same as [`decode_planes_into`]'s). Returns the
-    /// coefficient range that was completed, or `None` when the stream is
-    /// exhausted.
-    pub fn decode_next(&mut self, acc: &mut [u64]) -> Result<Option<std::ops::Range<usize>>> {
-        self.pipeline.decode_next(acc)
-    }
-
-    /// [`PlaneStream::decode_next`] with a post-scatter hook that runs inside
-    /// the fetch-overlap window (see
-    /// [`crate::pipeline::RegionPipeline::decode_next_with`]): consumer work
-    /// on the completed region hides under the next region's in-flight fetch.
-    pub fn decode_next_with(
-        &mut self,
-        acc: &mut [u64],
-        after_scatter: impl FnOnce(std::ops::Range<usize>, &[u64]),
-    ) -> Result<Option<std::ops::Range<usize>>> {
-        self.pipeline.decode_next_with(acc, after_scatter)
-    }
 }
 
 /// Decode the top `planes_loaded` planes of a level into quantization codes
@@ -1141,7 +975,7 @@ pub mod scalar {
             EncodedPlane {
                 chunks: packed
                     .chunks(span.max(1))
-                    .map(|c| super::compress_chunk(c, &opts))
+                    .map(ipc_codecs::lzr_compress)
                     .collect(),
             }
         };
@@ -1236,6 +1070,7 @@ pub mod scalar {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::pipeline::{FetchStage, RegionPipeline};
     use ipc_codecs::negabinary::from_negabinary;
     use rand::{Rng, SeedableRng};
 
@@ -1258,10 +1093,18 @@ mod tests {
     /// Small chunk size that forces multi-chunk planes on unit-test-sized
     /// levels (must stay a multiple of 8).
     fn tiny_chunks() -> EncodeOptions {
-        EncodeOptions {
-            chunk_bytes: 64,
-            ..EncodeOptions::default()
-        }
+        EncodeOptions { chunk_bytes: 64 }
+    }
+
+    /// Region-at-a-time stream over planes `[lo, hi)` of a resident level
+    /// (prefix width 2, predictive — what every streaming test encodes with).
+    fn resident_stream(level: &EncodedLevel, lo: u8, hi: u8, acc_len: usize) -> RegionPipeline<'_> {
+        let fetch = FetchStage::Resident {
+            level,
+            plane_lo: lo,
+            plane_hi: hi,
+        };
+        RegionPipeline::new(fetch, 2, true, acc_len, None).unwrap()
     }
 
     #[test]
@@ -1285,16 +1128,7 @@ mod tests {
         )
         .unwrap();
         for chunk_bytes in [0usize, 8, 64, 128, 1024, CHUNK_BYTES] {
-            let enc = encode_level_with(
-                &codes,
-                2,
-                true,
-                false,
-                EncodeOptions {
-                    chunk_bytes,
-                    ..EncodeOptions::default()
-                },
-            );
+            let enc = encode_level_with(&codes, 2, true, false, EncodeOptions { chunk_bytes });
             let expected_chunks = if chunk_bytes == 0 {
                 1
             } else {
@@ -1315,16 +1149,7 @@ mod tests {
     #[test]
     fn chunked_and_monolithic_decode_identically_at_every_depth() {
         let codes = sample_codes(2000, 1 << 16, 22);
-        let mono = encode_level_with(
-            &codes,
-            2,
-            true,
-            false,
-            EncodeOptions {
-                chunk_bytes: 0,
-                ..EncodeOptions::default()
-            },
-        );
+        let mono = encode_level_with(&codes, 2, true, false, EncodeOptions { chunk_bytes: 0 });
         let chunked = encode_level_with(&codes, 2, true, false, tiny_chunks());
         assert_eq!(mono.num_planes, chunked.num_planes);
         for loaded in 0..=mono.num_planes {
@@ -1345,7 +1170,7 @@ mod tests {
         decode_planes_into(&enc, lo, hi, 2, true, &mut bulk).unwrap();
 
         let mut streamed = vec![0u64; enc.n_values];
-        let mut stream = PlaneStream::new(&enc, lo, hi, 2, true, streamed.len()).unwrap();
+        let mut stream = resident_stream(&enc, lo, hi, streamed.len());
         let mut regions = 0usize;
         let mut last_end = 0usize;
         while let Some(range) = stream.decode_next(&mut streamed).unwrap() {
@@ -1386,11 +1211,21 @@ mod tests {
 
         let hi = enc.num_planes;
         let mut mem_acc = vec![0u64; enc.n_values];
-        let mut mem_stream = PlaneStream::new(&enc, 0, hi, 2, true, mem_acc.len()).unwrap();
+        let mut mem_stream = resident_stream(&enc, 0, hi, mem_acc.len());
         let mut src_acc = vec![0u64; enc.n_values];
-        let mut src_stream =
-            PlaneStream::from_source(&map.levels[0], &source, 0, hi, 2, true, src_acc.len())
-                .unwrap();
+        let mut src_stream = RegionPipeline::new(
+            FetchStage::Ranged {
+                level: &map.levels[0],
+                source: &source,
+                plane_lo: 0,
+                plane_hi: hi,
+            },
+            2,
+            true,
+            src_acc.len(),
+            None,
+        )
+        .unwrap();
         assert_eq!(mem_stream.num_regions(), src_stream.num_regions());
         loop {
             let a = mem_stream.decode_next(&mut mem_acc).unwrap();
@@ -1411,13 +1246,7 @@ mod tests {
         // one sub-byte region and the transpose path handles a lone word.
         for codes in [vec![5i64], vec![-1i64], vec![0i64]] {
             assert_source_stream_matches(&codes, tiny_chunks());
-            assert_source_stream_matches(
-                &codes,
-                EncodeOptions {
-                    chunk_bytes: 0,
-                    ..EncodeOptions::default()
-                },
-            );
+            assert_source_stream_matches(&codes, EncodeOptions { chunk_bytes: 0 });
         }
     }
 
@@ -1442,13 +1271,7 @@ mod tests {
         // 500 coefficients with 8-byte chunks: the final chunk covers only
         // 60 of the 64 coefficient slots of a full region.
         let codes = sample_codes(500, 1 << 10, 32);
-        assert_source_stream_matches(
-            &codes,
-            EncodeOptions {
-                chunk_bytes: 8,
-                ..EncodeOptions::default()
-            },
-        );
+        assert_source_stream_matches(&codes, EncodeOptions { chunk_bytes: 8 });
     }
 
     #[test]
@@ -1460,7 +1283,7 @@ mod tests {
         let chunk = &mut enc.planes[0].chunks[last];
         chunk.truncate(chunk.len().saturating_sub(2).max(1));
         let mut acc = vec![0u64; enc.n_values];
-        let mut stream = PlaneStream::new(&enc, 0, enc.num_planes, 2, true, acc.len()).unwrap();
+        let mut stream = resident_stream(&enc, 0, enc.num_planes, acc.len());
         let mut failed = false;
         let mut completed = 0usize;
         loop {
@@ -1487,7 +1310,7 @@ mod tests {
     fn plane_stream_region_byte_accounting_covers_payload() {
         let codes = sample_codes(3000, 1 << 14, 24);
         let enc = encode_level_with(&codes, 2, true, false, tiny_chunks());
-        let stream = PlaneStream::new(&enc, 0, enc.num_planes, 2, true, codes.len()).unwrap();
+        let stream = resident_stream(&enc, 0, enc.num_planes, codes.len());
         let total: usize = (0..stream.num_regions())
             .map(|k| stream.region_compressed_bytes(k))
             .sum();
@@ -1725,10 +1548,8 @@ mod tests {
             predictive in proptest::any::<bool>(),
             chunk_step in 0usize..6,
         ) {
-            let opts = EncodeOptions {
-                chunk_bytes: chunk_step * 24, // 0, 24, 48, ... — multiples of 8
-                ..EncodeOptions::default()
-            };
+            // 0, 24, 48, ... — multiples of 8
+            let opts = EncodeOptions { chunk_bytes: chunk_step * 24 };
             let word = encode_level_with(&codes, prefix_bits, predictive, false, opts);
             let reference = scalar::encode_level_with(&codes, prefix_bits, predictive, opts);
             proptest::prop_assert_eq!(word, reference);
@@ -1786,17 +1607,14 @@ mod tests {
             chunk_step in 1usize..6,
             range_seed in proptest::any::<u64>(),
         ) {
-            let opts = EncodeOptions {
-                chunk_bytes: chunk_step * 8,
-                ..EncodeOptions::default()
-            };
+            let opts = EncodeOptions { chunk_bytes: chunk_step * 8 };
             let enc = encode_level_with(&codes, 2, true, false, opts);
             let hi = enc.num_planes;
             let lo = if hi == 0 { 0 } else { (range_seed % (hi as u64 + 1)) as u8 };
             let mut bulk = vec![0u64; enc.n_values];
             decode_planes_into(&enc, lo, hi, 2, true, &mut bulk).unwrap();
             let mut streamed = vec![0u64; enc.n_values];
-            let mut stream = PlaneStream::new(&enc, lo, hi, 2, true, streamed.len()).unwrap();
+            let mut stream = resident_stream(&enc, lo, hi, streamed.len());
             while stream.decode_next(&mut streamed).unwrap().is_some() {}
             proptest::prop_assert_eq!(streamed, bulk);
         }

@@ -28,7 +28,7 @@
 //!    no per-level residual `f64` buffer is materialized. The kernels operate
 //!    on whole innermost runs ([`crate::interp`]'s sweep geometry): each run
 //!    splits into a branchy head/tail (domain-boundary fallbacks, evaluated
-//!    point-wise exactly like [`crate::interp::predict_point`]) and a
+//!    point-wise exactly like `interp::predict_point`) and a
 //!    branchless interior. The interior has an AVX2 variant (runtime-detected
 //!    behind the `simd` feature, same conventions as
 //!    [`ipc_codecs::bitslice`]): stride-2 deinterleaved loads, the cubic or
@@ -70,6 +70,7 @@ use crate::interp::{
     for_each_level_pass, level_stride, num_levels, predict_point_read, process_anchors,
     process_level, sweep_runs, SweepRun,
 };
+use crate::precinct::{clip_ranges, pass_window, RoiBox};
 
 // ---- kernel dispatch and test hooks ------------------------------------------
 
@@ -601,6 +602,7 @@ impl CascadeEngine {
             field,
             codes,
             ci: 0,
+            by_offset: false,
             two_eb: self.two_eb,
             method: self.method,
             stride,
@@ -652,6 +654,84 @@ impl CascadeEngine {
             ctx.ci,
             codes.len()
         );
+    }
+
+    /// Windowed form of [`CascadeEngine::level_ready`], for reconstructing a
+    /// region: apply container level `idx`'s sub-passes only over the points
+    /// that later passes — and finally the crop to `window` — read. Each
+    /// sub-pass is clipped to the window's halo from the full level geometry,
+    /// so the lattice phase (and therefore the arithmetic) matches the
+    /// full-domain sweep point for point. `codes` holds the level's
+    /// quantization codes **indexed by domain offset** over the whole field
+    /// (a region decode never holds a traversal-order prefix); `None` is the
+    /// all-zero level.
+    ///
+    /// Clipped runs start mid-row and mid-lattice, which the interior and
+    /// AVX2 kernels' `run.coord == stride` and row-cap invariants exclude, so
+    /// every point goes through the position-independent evaluator the
+    /// unclipped kernels use for their head and tail points — same bits,
+    /// window-sized work.
+    ///
+    /// # Panics
+    ///
+    /// Panics unless `idx` is the next level in cascade order (windowed
+    /// levels are never parked).
+    pub fn level_windowed(
+        &mut self,
+        idx: usize,
+        window: &RoiBox,
+        codes: Option<&[i64]>,
+    ) -> CascadeProgress {
+        assert_eq!(
+            idx, self.state.applied,
+            "windowed levels apply in cascade order"
+        );
+        let interp_level = self.levels - idx as u32;
+        let field = FieldPtr {
+            ptr: self.work.as_mut_ptr(),
+            len: self.work.len(),
+        };
+        let dims = self.shape.dims();
+        let strides = self.shape.strides();
+        let mut points = 0usize;
+        for (sub_idx, sub) in self.geoms[idx].iter().enumerate() {
+            let mut span = ipc_telemetry::span_timed(
+                "cascade",
+                "cascade.pass",
+                crate::obs::metrics().cascade_pass_ns,
+            );
+            span.add_arg("level", interp_level as u64);
+            span.add_arg("dim", sub_idx as u64);
+            let mut ctx = RunCtx {
+                field,
+                codes: codes.unwrap_or(&[]),
+                ci: 0,
+                by_offset: true,
+                two_eb: self.two_eb,
+                method: self.method,
+                stride: level_stride(interp_level),
+                dim_stride: strides[sub.d],
+                dim_len: dims[sub.d],
+                inner_len: *dims.last().unwrap(),
+                avx2: false,
+            };
+            let halo = pass_window(window, dims, self.method, interp_level, sub.d);
+            sweep_runs(strides, &clip_ranges(&sub.ranges, &halo), sub.d, |run| {
+                ctx.scalar_span(&run, 0, run.count);
+                points += run.count;
+            });
+        }
+        self.slots[idx].subs_applied = self.geoms[idx].len();
+        self.slots[idx].complete = true;
+        self.state.states[idx] = LevelState::Applied;
+        self.state.applied += 1;
+        CascadeProgress {
+            level_idx: idx,
+            interp_level,
+            points,
+            levels_applied: self.state.applied,
+            levels_total: self.levels as usize,
+        }
     }
 
     /// The historical formulation: [`process_level`] with a closure pulling
@@ -799,6 +879,9 @@ struct RunCtx<'a> {
     codes: &'a [i64],
     /// Next code to consume.
     ci: usize,
+    /// Windowed passes index `codes` by the point's domain offset instead of
+    /// its traversal position (only [`RunCtx::scalar_span`] honours this).
+    by_offset: bool,
     two_eb: f64,
     method: Interpolation,
     stride: usize,
@@ -847,10 +930,12 @@ impl RunCtx<'_> {
                 self.stride,
                 self.method,
             );
+            // `ci` stays 0 under `by_offset`, so the offset is the code index.
+            let code = if self.by_offset { offset } else { t };
             self.field.set(
                 offset,
                 if with_resid {
-                    pred + self.resid(t)
+                    pred + self.resid(code)
                 } else {
                     pred
                 },

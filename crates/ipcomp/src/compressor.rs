@@ -88,7 +88,6 @@ pub fn compress(data: &ArrayD<f64>, error_bound: f64, config: &Config) -> Result
     // Entropy / bitplane stage — independent per level, so it can run in parallel.
     let opts = EncodeOptions {
         chunk_bytes: config.chunk_bytes,
-        ..EncodeOptions::default()
     };
     // `level_codes[idx]` holds interpolation level `levels - idx` (coarsest
     // first); the v3 path permutes each level to precinct-major order before

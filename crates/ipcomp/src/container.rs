@@ -20,12 +20,21 @@
 //!   rayon and stream planes region by region. Payload bytes follow the
 //!   metadata of each level, plane-major.
 //!
-//! Deserialization is hardened: every count and length field is validated
-//! against the remaining buffer and the header geometry before any
-//! proportional allocation, so corrupt or adversarial containers fail with
-//! [`IpcompError`] instead of panicking or ballooning memory.
+//! * **v3** — v2 with a precinct grid in the header: levels are stored
+//!   precinct-major with one chunk per `(plane, precinct)` pair.
+//!
+//! ## One parser
+//!
+//! [`ContainerMap::open`] is the only walker of this grammar. It reads
+//! metadata through ranged fetches and records where every chunk lives;
+//! [`Compressed::from_bytes`] is that same walk over a byte slice plus a copy
+//! of each chunk at its recorded offset. Deserialization is hardened: every
+//! count and length field is validated against the remaining source and the
+//! header geometry before any proportional allocation, so corrupt or
+//! adversarial containers fail with [`IpcompError`] instead of panicking or
+//! ballooning memory — whichever entry point they arrive through.
 
-use ipc_codecs::byteio::{read_bytes, read_f64, read_u32, write_bytes, write_f64, write_u32};
+use ipc_codecs::byteio::{write_bytes, write_f64, write_u32};
 use ipc_codecs::varint::{read_varint, varint_len, write_varint};
 use ipc_codecs::{lzr_compress, zigzag_decode, zigzag_encode};
 
@@ -35,7 +44,7 @@ use crate::bitplane::{ChunkGrid, EncodedLevel, EncodedPlane, RegionScheme};
 use crate::config::Interpolation;
 use crate::error::{IpcompError, Result};
 use crate::precinct::PrecinctGrid;
-use crate::source::{read_ranges_exact, ByteRange, ChunkSource};
+use crate::source::{read_ranges_exact, ByteRange, Bytes, ChunkSource};
 
 /// Magic bytes identifying an IPComp container.
 pub const MAGIC: &[u8; 4] = b"IPCP";
@@ -307,210 +316,70 @@ impl Compressed {
         Ok(out)
     }
 
-    /// Deserialize a container produced by [`Compressed::to_bytes`] — either
-    /// the current version-2 chunked layout or the original version-1
-    /// monolithic layout.
+    /// Deserialize a container produced by [`Compressed::to_bytes`] (or any
+    /// older readable version): the metadata walk is [`ContainerMap::open`]
+    /// over the slice, and every chunk is copied out at the offset the map
+    /// recorded for it — there is no second parser to drift.
     pub fn from_bytes(buf: &[u8]) -> Result<Self> {
-        let mut pos = 0usize;
-        let magic = buf
-            .get(0..4)
-            .ok_or(IpcompError::CorruptContainer("missing magic"))?;
-        if magic != MAGIC {
-            return Err(IpcompError::CorruptContainer("bad magic"));
-        }
-        pos += 4;
-        let version = read_u32(buf, &mut pos)?;
-        if !(MIN_VERSION..=VERSION_ROI).contains(&version) {
-            return Err(IpcompError::CorruptContainer("unsupported version"));
-        }
-        let ndim = read_varint(buf, &mut pos)? as usize;
-        if ndim == 0 || ndim > ipc_tensor::MAX_DIMS {
-            return Err(IpcompError::CorruptContainer("invalid dimension count"));
-        }
-        let mut dims = Vec::with_capacity(ndim);
-        let mut elements: u64 = 1;
-        for _ in 0..ndim {
-            let d = read_varint(buf, &mut pos)?;
-            elements = elements.saturating_mul(d.max(1));
-            dims.push(d as usize);
-        }
-        if dims.contains(&0) || elements > MAX_ELEMENTS {
-            return Err(IpcompError::CorruptContainer("implausible dimensions"));
-        }
-        let error_bound = read_f64(buf, &mut pos)?;
-        let interp_id = *buf.get(pos).ok_or(IpcompError::CorruptContainer("eof"))?;
-        pos += 1;
-        let interpolation = Interpolation::from_id(interp_id)
-            .ok_or(IpcompError::CorruptContainer("unknown interpolation id"))?;
-        let num_levels = read_u32(buf, &mut pos)?;
-        let progressive_levels = read_u32(buf, &mut pos)?;
-        let prefix_bits = *buf.get(pos).ok_or(IpcompError::CorruptContainer("eof"))?;
-        pos += 1;
-        let predictive_coding = *buf.get(pos).ok_or(IpcompError::CorruptContainer("eof"))? != 0;
-        pos += 1;
-        let value_range = read_f64(buf, &mut pos)?;
-
-        let (precincts, grid) = if version == VERSION_ROI {
-            let mut extents = Vec::with_capacity(ndim);
-            for _ in 0..ndim {
-                extents.push(read_varint(buf, &mut pos)? as usize);
-            }
-            let grid = validate_precincts(&dims, &extents)?;
-            (Some(extents), Some(grid))
-        } else {
-            (None, None)
-        };
-
-        let anchors = read_bytes(buf, &mut pos)?.to_vec();
-
-        let n_levels = read_varint(buf, &mut pos)? as usize;
-        // Each level record costs at least 3 bytes, so a count outrunning the
-        // buffer is corrupt; checking first bounds the preallocation.
-        if n_levels > buf.len() {
-            return Err(IpcompError::CorruptContainer("implausible level count"));
-        }
-        // One encoded level per interpolation level, always: the retrieval
-        // paths compute `num_levels - idx`, which must never underflow.
-        if n_levels != num_levels as usize {
-            return Err(IpcompError::CorruptContainer(
-                "level list does not match declared level count",
-            ));
-        }
-        let shape = Shape::new(&dims);
-        let mut levels = Vec::with_capacity(n_levels);
-        for idx in 0..n_levels {
-            let n_values = read_varint(buf, &mut pos)?;
-            if n_values > elements {
-                return Err(IpcompError::CorruptContainer(
-                    "level larger than the whole field",
-                ));
-            }
-            let n_values = n_values as usize;
-            let num_planes = *buf.get(pos).ok_or(IpcompError::CorruptContainer("eof"))?;
-            pos += 1;
-            if num_planes > 63 {
-                return Err(IpcompError::CorruptContainer("plane count out of range"));
-            }
-            let mut trunc_loss = Vec::with_capacity(num_planes as usize + 1);
-            for _ in 0..=num_planes {
-                trunc_loss.push(read_varint(buf, &mut pos)?);
-            }
-            let precinct_chunks = grid.as_ref().map(PrecinctGrid::num_precincts);
-            let (chunk_bytes, planes) = if version == 1 {
-                // v1: planes are single `varint length + bytes` blocks.
-                let mut planes = Vec::with_capacity(num_planes as usize);
-                for _ in 0..num_planes {
-                    planes.push(EncodedPlane::monolithic(
-                        read_bytes(buf, &mut pos)?.to_vec(),
-                    ));
-                }
-                (0usize, planes)
-            } else {
-                Self::read_v2_level_blocks(buf, &mut pos, n_values, num_planes, precinct_chunks)?
-            };
-            let precinct_spans = match &grid {
-                Some(g) => Some(level_spans_checked(
-                    g,
-                    &shape,
-                    num_levels - idx as u32,
-                    n_values,
-                )?),
-                None => None,
-            };
-            levels.push(EncodedLevel {
-                n_values,
-                num_planes,
-                planes,
-                trunc_loss,
-                chunk_bytes,
-                precinct_spans,
-            });
-        }
-
+        let map = ContainerMap::open(&SliceSource(buf))?;
+        let levels = map
+            .levels
+            .iter()
+            .map(|level| {
+                let runs = level.chunk_runs(None);
+                let ranges = level.run_ranges(0, level.num_planes, &runs);
+                // `open` verified every recorded range lies inside the source.
+                let bufs = ranges
+                    .iter()
+                    .map(|r| &buf[r.offset as usize..r.end() as usize]);
+                level.assemble(0, level.num_planes, &runs, bufs)
+            })
+            .collect();
         Ok(Self {
-            header: Header {
-                dims,
-                error_bound,
-                interpolation,
-                num_levels,
-                progressive_levels,
-                prefix_bits,
-                predictive_coding,
-                value_range,
-                precincts,
-            },
-            anchors,
+            header: map.header,
+            anchors: map.anchors,
             levels,
         })
     }
+}
 
-    /// Parse one v2/v3 level's chunk index and payload into planes.
-    fn read_v2_level_blocks(
-        buf: &[u8],
-        pos: &mut usize,
-        n_values: usize,
-        num_planes: u8,
-        precinct_chunks: Option<usize>,
-    ) -> Result<(usize, Vec<EncodedPlane>)> {
-        let (chunk_bytes, sizes, _) = {
-            let mut cur = SliceIndexCursor { buf, pos };
-            parse_v2_chunk_index(&mut cur, n_values, num_planes, precinct_chunks)?
-        };
-        let mut planes = Vec::with_capacity(num_planes as usize);
-        for plane_sizes in sizes {
-            let mut chunks = Vec::with_capacity(plane_sizes.len());
-            for len in plane_sizes {
-                let len = len as usize;
-                let chunk =
-                    buf.get(*pos..pos.saturating_add(len))
-                        .ok_or(IpcompError::CorruptContainer(
-                            "chunk payload outruns buffer",
-                        ))?;
-                *pos += len;
-                chunks.push(chunk.to_vec());
-            }
-            planes.push(EncodedPlane { chunks });
-        }
-        Ok((chunk_bytes, planes))
+/// A borrowed serialized container as a [`ChunkSource`], so
+/// [`Compressed::from_bytes`] parses through the ranged reader.
+struct SliceSource<'a>(&'a [u8]);
+
+impl ChunkSource for SliceSource<'_> {
+    fn len(&self) -> u64 {
+        self.0.len() as u64
     }
-}
 
-/// Minimal cursor the shared v2 chunk-index parser reads through, so the
-/// fully resident reader (byte slice + position) and the ranged reader
-/// ([`MetaCursor`]) validate the exact same grammar and can never drift.
-trait IndexCursor {
-    fn index_varint(&mut self) -> Result<u64>;
-    fn index_remaining(&self) -> u64;
-}
-
-struct SliceIndexCursor<'a, 'p> {
-    buf: &'a [u8],
-    pos: &'p mut usize,
-}
-
-impl IndexCursor for SliceIndexCursor<'_, '_> {
-    fn index_varint(&mut self) -> Result<u64> {
-        Ok(read_varint(self.buf, self.pos)?)
-    }
-    fn index_remaining(&self) -> u64 {
-        (self.buf.len() - (*self.pos).min(self.buf.len())) as u64
+    fn read_ranges(&self, ranges: &[ByteRange]) -> Result<Vec<Bytes>> {
+        ranges
+            .iter()
+            .map(|r| {
+                self.0
+                    .get(r.offset as usize..r.end() as usize)
+                    .map(|bytes| Bytes::from_vec(bytes.to_vec()))
+                    .ok_or(IpcompError::CorruptContainer(
+                        "byte range beyond end of source",
+                    ))
+            })
+            .collect()
     }
 }
 
 /// Parse and validate one v2 level's chunk index: chunk span, per-plane
 /// chunk counts against the derived grid, and every compressed size. Bounds
 /// every count against what remains of the stream before any proportional
-/// allocation; individual chunk sizes are capped at `u32::MAX` (far beyond
-/// any producible chunk — packed spans are 64 KiB-scale). Returns
+/// allocation. Returns
 /// `(chunk_bytes, sizes[plane][chunk], payload_total)` with the cursor
 /// positioned at the level's first payload byte.
 fn parse_v2_chunk_index(
-    cur: &mut impl IndexCursor,
+    cur: &mut MetaCursor<'_>,
     n_values: usize,
     num_planes: u8,
     precinct_chunks: Option<usize>,
 ) -> Result<(usize, Vec<Vec<u32>>, u64)> {
-    let chunk_bytes = cur.index_varint()? as usize;
+    let chunk_bytes = cur.read_varint()? as usize;
     if chunk_bytes != 0 && !chunk_bytes.is_multiple_of(8) {
         return Err(IpcompError::CorruptContainer("misaligned chunk size"));
     }
@@ -535,13 +404,13 @@ fn parse_v2_chunk_index(
     };
     // The whole index must fit in what's left of the stream (each entry is
     // ≥ 1 byte), before any allocation proportional to it.
-    if (num_planes as u64).saturating_mul(expected_chunks as u64) > cur.index_remaining() {
+    if (num_planes as u64).saturating_mul(expected_chunks as u64) > cur.remaining() {
         return Err(IpcompError::CorruptContainer("chunk index outruns buffer"));
     }
     let mut sizes: Vec<Vec<u32>> = Vec::with_capacity(num_planes as usize);
     let mut payload_total: u64 = 0;
     for _ in 0..num_planes {
-        let n_chunks = cur.index_varint()? as usize;
+        let n_chunks = cur.read_varint()? as usize;
         if n_chunks != expected_chunks {
             return Err(IpcompError::CorruptContainer(
                 "plane chunk count does not match the level's chunk grid",
@@ -549,23 +418,25 @@ fn parse_v2_chunk_index(
         }
         let mut plane_sizes = Vec::with_capacity(n_chunks);
         for _ in 0..n_chunks {
-            let len = cur.index_varint()?;
-            if len > u32::MAX as u64 {
-                return Err(IpcompError::CorruptContainer(
-                    "chunk payload outruns buffer",
-                ));
-            }
-            payload_total = payload_total.saturating_add(len);
-            plane_sizes.push(len as u32);
+            let len = chunk_len(cur.read_varint()?)?;
+            payload_total = payload_total.saturating_add(len as u64);
+            plane_sizes.push(len);
         }
         sizes.push(plane_sizes);
     }
-    if payload_total > cur.index_remaining() {
+    if payload_total > cur.remaining() {
         return Err(IpcompError::CorruptContainer(
             "chunk payload outruns buffer",
         ));
     }
     Ok((chunk_bytes, sizes, payload_total))
+}
+
+/// One recorded chunk length: capped at `u32::MAX` (far beyond any
+/// producible chunk — packed spans are 64 KiB-scale), which is what lets the
+/// index store sizes as `u32` whatever the source length claims.
+fn chunk_len(len: u64) -> Result<u32> {
+    u32::try_from(len).map_err(|_| IpcompError::CorruptContainer("chunk payload outruns buffer"))
 }
 
 /// Validate v3 precinct extents against the header geometry and build the
@@ -680,19 +551,94 @@ impl LevelMap {
         (0..self.num_planes).map(|p| self.plane_bytes(p)).sum()
     }
 
-    /// Byte ranges of every chunk of planes `[plane_lo, plane_hi)`,
-    /// plane-major (the container's own payload order, so adjacent entries
-    /// are adjacent on disk and coalesce well).
-    pub fn plane_ranges(&self, plane_lo: u8, plane_hi: u8) -> Vec<ByteRange> {
-        (plane_lo..plane_hi.min(self.num_planes))
-            .flat_map(|p| (0..self.plane_chunk_count(p)).map(move |k| self.chunk_range(p, k)))
+    /// The chunk runs a fetch reads as one byte range each, as `[k0, k1)`
+    /// chunk-id intervals: every chunk on its own, or — under a precinct
+    /// `mask` — the maximal runs of consecutive masked precincts. Chunk ids
+    /// tile a plane's payload back to back, so a run is contiguous on disk;
+    /// reading per run keeps a region's request list proportional to its
+    /// precinct rows, not its precinct count times planes.
+    fn chunk_runs(&self, mask: Option<&[bool]>) -> Vec<(usize, usize)> {
+        let n_chunks = self.chunk_sizes.first().map_or(0, Vec::len);
+        let Some(mask) = mask else {
+            return (0..n_chunks).map(|k| (k, k + 1)).collect();
+        };
+        let mut runs = Vec::new();
+        let mut k = 0;
+        while k < n_chunks {
+            if mask[k] {
+                let k0 = k;
+                while k < n_chunks && mask[k] {
+                    k += 1;
+                }
+                runs.push((k0, k));
+            } else {
+                k += 1;
+            }
+        }
+        runs
+    }
+
+    /// Byte range of every run of planes `[plane_lo, plane_hi)`, plane-major
+    /// (the container's own payload order, so adjacent entries are adjacent
+    /// on disk and coalesce well).
+    fn run_ranges(&self, plane_lo: u8, plane_hi: u8, runs: &[(usize, usize)]) -> Vec<ByteRange> {
+        (plane_lo..plane_hi)
+            .flat_map(|p| {
+                runs.iter().map(move |&(k0, k1)| {
+                    let first = self.chunk_range(p, k0);
+                    let end = self.chunk_range(p, k1 - 1).end();
+                    ByteRange::new(first.offset, (end - first.offset) as usize)
+                })
+            })
             .collect()
+    }
+
+    /// Cut `bufs` — one buffer per [`LevelMap::run_ranges`] entry, in that
+    /// order — into an in-memory [`EncodedLevel`] holding planes
+    /// `[plane_lo, plane_hi)`. Planes outside the range keep empty chunk
+    /// lists and chunks outside `runs` stay empty; the plane-range decoders
+    /// never touch either.
+    fn assemble<B: AsRef<[u8]>>(
+        &self,
+        plane_lo: u8,
+        plane_hi: u8,
+        runs: &[(usize, usize)],
+        bufs: impl IntoIterator<Item = B>,
+    ) -> EncodedLevel {
+        let mut bufs = bufs.into_iter();
+        let planes = (0..self.num_planes)
+            .map(|p| {
+                if !(plane_lo..plane_hi).contains(&p) {
+                    return EncodedPlane { chunks: Vec::new() };
+                }
+                let mut chunks = vec![Vec::new(); self.plane_chunk_count(p)];
+                for &(k0, k1) in runs {
+                    let buf = bufs.next().expect("one buffer per run");
+                    let base = self.chunk_offsets[p as usize][k0];
+                    for (k, chunk) in chunks.iter_mut().enumerate().take(k1).skip(k0) {
+                        let r = self.chunk_range(p, k);
+                        let at = (r.offset - base) as usize;
+                        *chunk = buf.as_ref()[at..at + r.len].to_vec();
+                    }
+                }
+                EncodedPlane { chunks }
+            })
+            .collect();
+        EncodedLevel {
+            n_values: self.n_values,
+            num_planes: self.num_planes,
+            planes,
+            trunc_loss: self.trunc_loss.clone(),
+            chunk_bytes: self.chunk_bytes,
+            precinct_spans: self.precinct_spans.clone(),
+        }
     }
 
     /// Fetch the compressed chunks of planes `[plane_lo, plane_hi)` from
     /// `source` and assemble an in-memory [`EncodedLevel`] holding exactly
-    /// those planes (planes outside the range keep empty chunk lists, which
-    /// the plane-range decoders never touch).
+    /// those planes. With a precinct `mask` (version-3 levels only) just the
+    /// marked precincts' chunks are fetched and the rest stay empty — the
+    /// caller must then only decode regions it asked for.
     ///
     /// The fetch is one batched `read_ranges` call in payload order, so a
     /// coalescing source turns it into few contiguous reads.
@@ -701,86 +647,21 @@ impl LevelMap {
         source: &dyn ChunkSource,
         plane_lo: u8,
         plane_hi: u8,
+        mask: Option<&[bool]>,
     ) -> Result<EncodedLevel> {
-        let hi = plane_hi.min(self.num_planes);
-        let ranges = self.plane_ranges(plane_lo, hi);
-        let obs = crate::obs::metrics();
-        let mut span = ipc_telemetry::span_timed("pipeline", "fetch", obs.fetch_ns);
-        let bytes: u64 = ranges.iter().map(|r| r.len as u64).sum();
-        obs.fetch_bytes.add(bytes);
-        span.add_arg("bytes", bytes);
-        let bufs = read_ranges_exact(source, &ranges)?;
-        drop(span);
-        let mut it = bufs.into_iter();
-        let planes: Vec<EncodedPlane> = (0..self.num_planes)
-            .map(|p| {
-                let chunks = if (plane_lo..hi).contains(&p) {
-                    (0..self.plane_chunk_count(p))
-                        .map(|_| it.next().expect("one buffer per range").to_vec())
-                        .collect()
-                } else {
-                    Vec::new()
-                };
-                EncodedPlane { chunks }
-            })
-            .collect();
-        Ok(EncodedLevel {
-            n_values: self.n_values,
-            num_planes: self.num_planes,
-            planes,
-            trunc_loss: self.trunc_loss.clone(),
-            chunk_bytes: self.chunk_bytes,
-            precinct_spans: self.precinct_spans.clone(),
-        })
-    }
-
-    /// Fetch only the chunks of planes `[plane_lo, plane_hi)` whose precinct
-    /// is marked in `mask`, assembling an [`EncodedLevel`] whose unfetched
-    /// chunks stay empty. The caller must only decode regions it asked for —
-    /// the pruned ROI decode path does exactly that. Byte-granular levels
-    /// reject the call (region pruning is a precinct-layout capability).
-    pub fn fetch_planes_precincts(
-        &self,
-        source: &dyn ChunkSource,
-        plane_lo: u8,
-        plane_hi: u8,
-        mask: &[bool],
-    ) -> Result<EncodedLevel> {
-        let spans = self.precinct_spans.as_ref().ok_or_else(|| {
-            IpcompError::InvalidInput("precinct fetch on a byte-granular level".into())
-        })?;
-        if mask.len() != spans.len() {
-            return Err(IpcompError::InvalidInput(
-                "precinct mask does not match the level's precinct count".into(),
-            ));
-        }
-        let hi = plane_hi.min(self.num_planes);
-        // Chunk ids tile a plane's payload back to back, so a run of
-        // consecutive masked precincts is one contiguous byte range. Reading
-        // per run instead of per chunk keeps the request list proportional to
-        // the region's precinct rows, not its precinct count times planes.
-        let mut runs: Vec<(usize, usize)> = Vec::new();
-        let mut k = 0;
-        while k < mask.len() {
-            if mask[k] {
-                let k0 = k;
-                while k < mask.len() && mask[k] {
-                    k += 1;
-                }
-                runs.push((k0, k));
-            } else {
-                k += 1;
+        if let Some(mask) = mask {
+            let spans = self.precinct_spans.as_ref().ok_or_else(|| {
+                IpcompError::InvalidInput("precinct fetch on a byte-granular level".into())
+            })?;
+            if mask.len() != spans.len() {
+                return Err(IpcompError::InvalidInput(
+                    "precinct mask does not match the level's precinct count".into(),
+                ));
             }
         }
-        let ranges: Vec<ByteRange> = (plane_lo..hi)
-            .flat_map(|p| {
-                runs.iter().map(move |&(k0, k1)| {
-                    let first = self.chunk_range(p, k0);
-                    let last = self.chunk_range(p, k1 - 1);
-                    ByteRange::new(first.offset, (last.end() - first.offset) as usize)
-                })
-            })
-            .collect();
+        let hi = plane_hi.min(self.num_planes);
+        let runs = self.chunk_runs(mask);
+        let ranges = self.run_ranges(plane_lo, hi, &runs);
         let obs = crate::obs::metrics();
         let mut span = ipc_telemetry::span_timed("pipeline", "fetch", obs.fetch_ns);
         let bytes: u64 = ranges.iter().map(|r| r.len as u64).sum();
@@ -788,42 +669,17 @@ impl LevelMap {
         span.add_arg("bytes", bytes);
         let bufs = read_ranges_exact(source, &ranges)?;
         drop(span);
-        let mut it = bufs.into_iter();
-        let planes: Vec<EncodedPlane> = (0..self.num_planes)
-            .map(|p| {
-                let chunks = if (plane_lo..hi).contains(&p) {
-                    let mut chunks = vec![Vec::new(); mask.len()];
-                    for &(k0, k1) in &runs {
-                        let buf = it.next().expect("one buffer per run");
-                        let base = self.chunk_offsets[p as usize][k0];
-                        for (k, chunk) in chunks.iter_mut().enumerate().take(k1).skip(k0) {
-                            let r = self.chunk_range(p, k);
-                            let at = (r.offset - base) as usize;
-                            *chunk = buf[at..at + r.len].to_vec();
-                        }
-                    }
-                    chunks
-                } else {
-                    Vec::new()
-                };
-                EncodedPlane { chunks }
-            })
-            .collect();
-        Ok(EncodedLevel {
-            n_values: self.n_values,
-            num_planes: self.num_planes,
-            planes,
-            trunc_loss: self.trunc_loss.clone(),
-            chunk_bytes: self.chunk_bytes,
-            precinct_spans: self.precinct_spans.clone(),
-        })
+        Ok(self.assemble(plane_lo, hi, &runs, bufs))
     }
 }
 
 /// Buffered forward reader over a [`ChunkSource`], used to parse container
-/// metadata with small batched fetches while *skipping* payload bytes
-/// entirely — the whole point of opening a container by ranges.
-struct MetaCursor<'s> {
+/// and archive metadata with small batched fetches while *skipping* payload
+/// bytes entirely — the whole point of opening a container by ranges. The
+/// one metadata cursor of the format: versions 1–3 ([`ContainerMap::open`])
+/// and the version-4 archive framing ([`crate::ArchiveMap::open`]) both read
+/// through it, so they share one fetch granularity and one GET pattern.
+pub(crate) struct MetaCursor<'s> {
     source: &'s dyn ChunkSource,
     len: u64,
     pos: u64,
@@ -836,7 +692,7 @@ struct MetaCursor<'s> {
 const META_FETCH: usize = 4096;
 
 impl<'s> MetaCursor<'s> {
-    fn new(source: &'s dyn ChunkSource) -> Self {
+    pub(crate) fn new(source: &'s dyn ChunkSource) -> Self {
         Self {
             source,
             len: source.len(),
@@ -844,6 +700,16 @@ impl<'s> MetaCursor<'s> {
             buf: Vec::new(),
             buf_start: 0,
         }
+    }
+
+    /// Absolute offset of the next unread byte.
+    pub(crate) fn pos(&self) -> u64 {
+        self.pos
+    }
+
+    /// Total length of the source.
+    pub(crate) fn len(&self) -> u64 {
+        self.len
     }
 
     fn remaining(&self) -> u64 {
@@ -873,29 +739,35 @@ impl<'s> MetaCursor<'s> {
         Ok(&self.buf[off.min(self.buf.len())..])
     }
 
-    fn read_u8(&mut self) -> Result<u8> {
-        let b = *self
-            .ensure(1)?
-            .first()
+    /// Read `N` raw bytes (the fixed-width little-endian scalars).
+    fn read_array<const N: usize>(&mut self) -> Result<[u8; N]> {
+        let bytes = self
+            .ensure(N)?
+            .first_chunk::<N>()
+            .copied()
             .ok_or(IpcompError::CorruptContainer("eof"))?;
-        self.pos += 1;
-        Ok(b)
+        self.pos += N as u64;
+        Ok(bytes)
     }
 
-    fn read_u32(&mut self) -> Result<u32> {
-        let buf = self.ensure(4)?;
-        let mut p = 0usize;
-        let v = read_u32(buf, &mut p)?;
-        self.pos += p as u64;
-        Ok(v)
+    pub(crate) fn read_u8(&mut self) -> Result<u8> {
+        Ok(self.read_array::<1>()?[0])
     }
 
-    fn read_f64(&mut self) -> Result<f64> {
-        let buf = self.ensure(8)?;
-        let mut p = 0usize;
-        let v = read_f64(buf, &mut p)?;
-        self.pos += p as u64;
-        Ok(v)
+    pub(crate) fn read_u16(&mut self) -> Result<u16> {
+        Ok(u16::from_le_bytes(self.read_array()?))
+    }
+
+    pub(crate) fn read_u32(&mut self) -> Result<u32> {
+        Ok(u32::from_le_bytes(self.read_array()?))
+    }
+
+    pub(crate) fn read_u64(&mut self) -> Result<u64> {
+        Ok(u64::from_le_bytes(self.read_array()?))
+    }
+
+    pub(crate) fn read_f64(&mut self) -> Result<f64> {
+        Ok(f64::from_le_bytes(self.read_array()?))
     }
 
     fn read_varint(&mut self) -> Result<u64> {
@@ -908,8 +780,8 @@ impl<'s> MetaCursor<'s> {
         Ok(v)
     }
 
-    /// Copy `n` bytes out (used for the always-loaded anchor block).
-    fn read_exact(&mut self, n: usize) -> Result<Vec<u8>> {
+    /// Copy `n` bytes out (the always-loaded anchor block, archive names).
+    pub(crate) fn read_exact(&mut self, n: usize) -> Result<Vec<u8>> {
         if (self.remaining() as usize) < n {
             return Err(IpcompError::CorruptContainer("eof"));
         }
@@ -938,15 +810,6 @@ impl<'s> MetaCursor<'s> {
     }
 }
 
-impl IndexCursor for MetaCursor<'_> {
-    fn index_varint(&mut self) -> Result<u64> {
-        self.read_varint()
-    }
-    fn index_remaining(&self) -> u64 {
-        self.remaining()
-    }
-}
-
 /// Metadata-only view of one serialized container: header, anchors, and the
 /// per-level chunk index with **absolute byte offsets** — everything needed
 /// to plan a retrieval and fetch exactly the chunk ranges the plan selects,
@@ -957,7 +820,7 @@ impl IndexCursor for MetaCursor<'_> {
 /// remote container costs a handful of small GETs.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ContainerMap {
-    /// Container header (same validation as [`Compressed::from_bytes`]).
+    /// Container header.
     pub header: Header,
     /// LZR-compressed anchor codes (always loaded — every reconstruction
     /// needs them, so the map carries them rather than re-fetching).
@@ -989,10 +852,10 @@ impl ContainerMap {
         self.total_len
     }
 
-    /// Parse the metadata of a serialized container through ranged reads.
+    /// Parse the metadata of a serialized container through ranged reads —
+    /// the one walk of the version 1–3 grammar.
     ///
-    /// Applies the same structural validation as [`Compressed::from_bytes`]
-    /// — every count is checked against the header geometry and the source
+    /// Every count is checked against the header geometry and the source
     /// length before any proportional allocation, and every recorded chunk
     /// range is verified to lie inside the source.
     pub fn open(source: &dyn ChunkSource) -> Result<Self> {
@@ -1089,16 +952,11 @@ impl ContainerMap {
                 let mut chunk_sizes = Vec::with_capacity(num_planes as usize);
                 let mut chunk_offsets = Vec::with_capacity(num_planes as usize);
                 for _ in 0..num_planes {
-                    let len = cur.read_varint()?;
-                    if len > cur.remaining() {
-                        return Err(IpcompError::CorruptContainer(
-                            "chunk payload outruns buffer",
-                        ));
-                    }
-                    chunk_sizes.push(vec![len as u32]);
+                    let len = chunk_len(cur.read_varint()?)?;
+                    chunk_sizes.push(vec![len]);
                     chunk_offsets.push(vec![cur.pos]);
-                    payload_total += len;
-                    cur.skip(len)?;
+                    payload_total += len as u64;
+                    cur.skip(len as u64)?;
                 }
                 LevelMap {
                     n_values,
@@ -1309,10 +1167,7 @@ mod tests {
         let mut c = sample_compressed();
         let codes_l1: Vec<i64> = (0..500).map(|i| ((i * i) % 97) as i64 - 48).collect();
         let codes_l2: Vec<i64> = (0..100).map(|i| (i % 31) as i64 - 15).collect();
-        let opts = EncodeOptions {
-            chunk_bytes: 16,
-            ..EncodeOptions::default()
-        };
+        let opts = EncodeOptions { chunk_bytes: 16 };
         c.levels = vec![
             crate::bitplane::encode_level_with(&codes_l2, 2, true, false, opts),
             crate::bitplane::encode_level_with(&codes_l1, 2, true, false, opts),
@@ -1412,10 +1267,7 @@ mod tests {
         // v1 requires monolithic planes; re-encode with chunking disabled.
         let codes_l1: Vec<i64> = (0..500).map(|i| ((i * i) % 97) as i64 - 48).collect();
         let codes_l2: Vec<i64> = (0..100).map(|i| (i % 31) as i64 - 15).collect();
-        let opts = EncodeOptions {
-            chunk_bytes: 0,
-            ..EncodeOptions::default()
-        };
+        let opts = EncodeOptions { chunk_bytes: 0 };
         c.levels = vec![
             crate::bitplane::encode_level_with(&codes_l2, 2, true, false, opts),
             crate::bitplane::encode_level_with(&codes_l1, 2, true, false, opts),
@@ -1443,6 +1295,63 @@ mod tests {
         }
     }
 
+    /// A v1 plane length beyond `u32::MAX` must be refused like a v2 index
+    /// entry is, not truncated into the `u32` size table. Only a source
+    /// claiming more than 4 GiB gets that far, so the source here is sparse:
+    /// it serves the real metadata prefix and nothing of the forged payload.
+    #[test]
+    fn container_map_rejects_v1_plane_longer_than_u32() {
+        struct Sparse {
+            prefix: Vec<u8>,
+            len: u64,
+        }
+        impl ChunkSource for Sparse {
+            fn len(&self) -> u64 {
+                self.len
+            }
+            fn read_ranges(&self, ranges: &[ByteRange]) -> Result<Vec<Bytes>> {
+                ranges
+                    .iter()
+                    .map(|r| {
+                        // Holes read as zeros, as in a sparse file.
+                        let mut out = vec![0u8; r.len];
+                        let have = self.prefix.len().saturating_sub(r.offset as usize);
+                        let n = have.min(r.len);
+                        out[..n].copy_from_slice(&self.prefix[r.offset as usize..][..n]);
+                        Ok(Bytes::from_vec(out))
+                    })
+                    .collect()
+            }
+        }
+
+        let mut c = sample_compressed();
+        let codes_l1: Vec<i64> = (0..500).map(|i| ((i * i) % 97) as i64 - 48).collect();
+        let codes_l2: Vec<i64> = (0..100).map(|i| (i % 31) as i64 - 15).collect();
+        let opts = EncodeOptions { chunk_bytes: 0 };
+        c.levels = vec![
+            crate::bitplane::encode_level_with(&codes_l2, 2, true, false, opts),
+            crate::bitplane::encode_level_with(&codes_l1, 2, true, false, opts),
+        ];
+        let v1 = c.to_bytes_v1().unwrap();
+        // Replace the final plane's `varint length + bytes` with a forged
+        // 5 GiB length whose payload the source's length accounts for, so
+        // the only thing wrong with the stream is the oversized plane.
+        let last = c.levels[1].planes.last().unwrap().chunks[0].len();
+        let mut prefix = v1[..v1.len() - last - varint_len(last as u64)].to_vec();
+        let forged: u64 = 5 << 30;
+        write_varint(&mut prefix, forged);
+        let source = Sparse {
+            len: prefix.len() as u64 + forged,
+            prefix,
+        };
+        assert!(matches!(
+            ContainerMap::open(&source),
+            Err(IpcompError::CorruptContainer(
+                "chunk payload outruns buffer"
+            ))
+        ));
+    }
+
     #[test]
     fn container_map_rejects_truncated_metadata() {
         let c = sample_compressed();
@@ -1466,7 +1375,7 @@ mod tests {
         let lmap = &map.levels[1];
         let hi = lmap.num_planes;
         let lo = hi / 2;
-        let fetched = lmap.fetch_planes(&source, lo, hi).unwrap();
+        let fetched = lmap.fetch_planes(&source, lo, hi, None).unwrap();
         assert_eq!(fetched.n_values, lmap.n_values);
         assert_eq!(fetched.num_planes, lmap.num_planes);
         for p in 0..hi {

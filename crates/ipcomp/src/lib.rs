@@ -83,7 +83,6 @@ pub use container::{Compressed, ContainerMap, Header, LevelMap};
 pub use error::{IpcompError, Result};
 pub use optimizer::{
     plan_for_bitrate, plan_for_bytes, plan_for_error_bound, plan_full, LoadPlan, PlanInput,
-    RoiScopedInput,
 };
 pub use precinct::{roi_precinct_masks, LevelPrecincts, PrecinctGrid, RoiBox};
 pub use progressive::{

@@ -18,6 +18,7 @@
 
 use crate::container::{Compressed, ContainerMap, Header};
 use crate::error::{IpcompError, Result};
+use crate::precinct::{roi_precinct_masks, RoiBox};
 
 /// Number of discretization buckets used by the knapsack DP.
 pub const ERROR_BINS: usize = 1024;
@@ -41,6 +42,8 @@ pub trait PlanInput {
     fn plan_trunc_loss(&self, idx: usize) -> &[u64];
     /// Compressed bytes of plane `p` of level entry `idx`.
     fn plan_plane_bytes(&self, idx: usize, p: u8) -> usize;
+    /// Compressed bytes of chunk `k` of plane `p` of level entry `idx`.
+    fn plan_chunk_bytes(&self, idx: usize, p: u8, k: usize) -> usize;
     /// Bytes every retrieval loads regardless of fidelity (header, anchors,
     /// metadata).
     fn plan_base_bytes(&self) -> usize;
@@ -87,6 +90,9 @@ impl PlanInput for Compressed {
     fn plan_plane_bytes(&self, idx: usize, p: u8) -> usize {
         self.levels[idx].planes[p as usize].len()
     }
+    fn plan_chunk_bytes(&self, idx: usize, p: u8, k: usize) -> usize {
+        self.levels[idx].planes[p as usize].chunks[k].len()
+    }
     fn plan_base_bytes(&self) -> usize {
         self.base_bytes()
     }
@@ -98,7 +104,7 @@ impl PlanInput for Compressed {
 /// their byte budget on what an ROI retrieval actually fetches. The error
 /// side is unchanged — truncation loss is a per-level property of the codes,
 /// and the optimizer's per-region accounting only re-scopes the cost axis.
-pub struct RoiScopedInput<'a> {
+struct RoiScopedInput<'a> {
     inner: &'a dyn PlanInput,
     /// `plane_bytes[idx][p]`: masked compressed bytes of plane `p` of level
     /// entry `idx`.
@@ -106,9 +112,23 @@ pub struct RoiScopedInput<'a> {
 }
 
 impl<'a> RoiScopedInput<'a> {
-    /// Wrap a plan input with region-scoped per-plane byte costs
-    /// (`plane_bytes[idx][p]`, one entry per significant plane per level).
-    pub fn new(inner: &'a dyn PlanInput, plane_bytes: Vec<Vec<usize>>) -> Self {
+    /// Scope `inner`'s plane costs to the precincts `masks` selects
+    /// (`masks[idx][k]`, see [`roi_precinct_masks`]).
+    fn new(inner: &'a dyn PlanInput, masks: &[Vec<bool>]) -> Self {
+        let plane_bytes = masks
+            .iter()
+            .enumerate()
+            .map(|(idx, mask)| {
+                (0..inner.plan_num_planes(idx))
+                    .map(|p| {
+                        (0..mask.len())
+                            .filter(|&k| mask[k])
+                            .map(|k| inner.plan_chunk_bytes(idx, p, k))
+                            .sum()
+                    })
+                    .collect()
+            })
+            .collect();
         Self { inner, plane_bytes }
     }
 }
@@ -128,6 +148,9 @@ impl PlanInput for RoiScopedInput<'_> {
     }
     fn plan_plane_bytes(&self, idx: usize, p: u8) -> usize {
         self.plane_bytes[idx][p as usize]
+    }
+    fn plan_chunk_bytes(&self, idx: usize, p: u8, k: usize) -> usize {
+        self.inner.plan_chunk_bytes(idx, p, k)
     }
     fn plan_base_bytes(&self) -> usize {
         self.inner.plan_base_bytes()
@@ -149,6 +172,9 @@ impl PlanInput for ContainerMap {
     }
     fn plan_plane_bytes(&self, idx: usize, p: u8) -> usize {
         self.levels[idx].plane_bytes(p)
+    }
+    fn plan_chunk_bytes(&self, idx: usize, p: u8, k: usize) -> usize {
+        self.levels[idx].chunk_size(p, k)
     }
     fn plan_base_bytes(&self) -> usize {
         self.base_bytes()
@@ -493,6 +519,67 @@ pub fn plan_for_request<C: PlanInput + ?Sized>(
         // full-decode-then-crop.
         RetrievalRequest::Roi { error_bound, .. } => plan_for_error_bound(compressed, error_bound),
     }
+}
+
+/// A region resolved against one container: the box and its per-level
+/// precinct fetch masks (`masks[idx][k]`, see [`roi_precinct_masks`]).
+pub type RegionMasks = (RoiBox, Vec<Vec<bool>>);
+
+/// Resolve a request plus an optional spatial scope into a loading plan and —
+/// for a region — its [`RegionMasks`]. The single place the region
+/// rules live, shared by the decoder and the range planner so the two can
+/// never serve and price a region differently:
+///
+/// * [`RetrievalRequest::Roi`] is `region` + an error bound in one value; it
+///   cannot be combined with a second box.
+/// * Fidelity-typed requests (`ErrorBound`, `RelErrorBound`, `Full`) plan
+///   against the whole container, so the plane selection — and therefore the
+///   output — is bit-identical to a full-domain retrieval cropped to the box.
+/// * Budget-typed requests (`SizeBudget`, and `Bitrate` re-read as bits per
+///   *region* scalar) budget only the bytes the region's precincts fetch.
+///
+/// [`RetrievalRequest`]: crate::progressive::RetrievalRequest
+/// [`RetrievalRequest::Roi`]: crate::progressive::RetrievalRequest::Roi
+pub fn plan_for_scope(
+    compressed: &dyn PlanInput,
+    request: crate::progressive::RetrievalRequest,
+    region: Option<RoiBox>,
+) -> Result<(LoadPlan, Option<RegionMasks>)> {
+    use crate::progressive::RetrievalRequest;
+    let (fidelity, bounds) = match (request, region) {
+        (RetrievalRequest::Roi { .. }, Some(_)) => {
+            return Err(IpcompError::InvalidInput(
+                "ROI retrieval cannot nest a second bounding box".into(),
+            ))
+        }
+        (
+            RetrievalRequest::Roi {
+                bounds,
+                error_bound,
+            },
+            None,
+        ) => (RetrievalRequest::ErrorBound(error_bound), bounds),
+        (fidelity, Some(bounds)) => (fidelity, bounds),
+        (fidelity, None) => return Ok((plan_for_request(compressed, fidelity)?, None)),
+    };
+    let masks = roi_precinct_masks(compressed.plan_header(), &bounds)?;
+    let budget = match fidelity {
+        RetrievalRequest::SizeBudget(bytes) => Some(bytes),
+        RetrievalRequest::Bitrate(b) => {
+            if !(b.is_finite() && b > 0.0) {
+                return Err(IpcompError::InvalidInput(format!(
+                    "bitrate must be positive and finite, got {b}"
+                )));
+            }
+            Some((b * bounds.len() as f64 / 8.0).floor() as usize)
+        }
+        _ => None,
+    };
+    let plan = match budget {
+        Some(bytes) => plan_for_bytes(&RoiScopedInput::new(compressed, &masks), bytes)?,
+        None => plan_for_request(compressed, fidelity)?,
+    };
+    Ok((plan, Some((bounds, masks))))
 }
 
 /// Bitrate mode: like [`plan_for_bytes`] with the budget expressed in bits per

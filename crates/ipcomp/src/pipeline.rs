@@ -1,8 +1,8 @@
 //! Staged decode pipeline: **fetch → entropy-decode → scatter**.
 //!
 //! Every read path of the decoder — fully resident slices, ranged sources,
-//! bulk retrievals, and region streaming — is built from the same three
-//! [`DecodeStage`] implementations:
+//! bulk retrievals, region streaming, and spatial region (ROI) retrievals —
+//! is built from the same three [`DecodeStage`] implementations:
 //!
 //! 1. [`FetchStage`] resolves one chunk region to its compressed chunk
 //!    payloads: a borrow for resident levels, one batched
@@ -16,9 +16,10 @@
 //!    bytes into the negabinary accumulators through the plane-count
 //!    specialized kernels of [`ipc_codecs::bitslice`].
 //!
-//! [`RegionPipeline`] drives the stages pull-style with a one-region
+//! [`RegionPipeline`] drives the stages pull-style over a level's regions —
+//! all of them, or the precincts a region mask selects — with a one-region
 //! prefetch: while region `k` is entropy-decoded and scattered on the
-//! calling thread, region `k + 1`'s chunk ranges are fetched on a scoped
+//! calling thread, the next region's chunk ranges are fetched on a scoped
 //! worker thread. The double buffer bounds memory at two regions, and
 //! because the scatter stage runs only after the whole region
 //! entropy-decodes, the per-region rollback semantics of the serial decoder
@@ -32,7 +33,7 @@ use std::ops::Range;
 
 use ipc_codecs::bitslice;
 
-use crate::bitplane::{decode_chunk_bytes, EncodedLevel, RegionScheme};
+use crate::bitplane::{check_plane_range, decode_chunk_bytes, EncodedLevel, RegionScheme};
 use crate::container::LevelMap;
 use crate::error::{IpcompError, Result};
 use crate::source::{read_ranges_exact, ByteRange, Bytes, ChunkSource};
@@ -131,6 +132,34 @@ impl<'a> FetchStage<'a> {
                 plane_hi,
                 ..
             } => (*plane_lo..*plane_hi).map(|p| level.chunk_size(p, k)).sum(),
+        }
+    }
+
+    /// The streamed plane range `[plane_lo, plane_hi)`.
+    fn planes(&self) -> (u8, u8) {
+        match self {
+            FetchStage::Resident {
+                plane_lo, plane_hi, ..
+            }
+            | FetchStage::Ranged {
+                plane_lo, plane_hi, ..
+            } => (*plane_lo, *plane_hi),
+        }
+    }
+
+    /// Region scheme and significant plane count of the backing level.
+    fn geometry(&self) -> (RegionScheme, u8) {
+        match self {
+            FetchStage::Resident { level, .. } => (level.scheme(), level.num_planes),
+            FetchStage::Ranged { level, .. } => (level.scheme(), level.num_planes),
+        }
+    }
+
+    /// Chunks the backing level actually holds for plane `p`.
+    fn plane_chunk_count(&self, p: u8) -> usize {
+        match self {
+            FetchStage::Resident { level, .. } => level.planes[p as usize].chunks.len(),
+            FetchStage::Ranged { level, .. } => level.plane_chunk_count(p),
         }
     }
 }
@@ -356,39 +385,56 @@ where
     })
 }
 
-/// Pull-based pipeline driver over one level's chunk regions.
+/// Pull-based pipeline driver over one level's chunk regions — all of them,
+/// or the precincts a region mask selects.
 ///
 /// Each [`RegionPipeline::decode_next`] call completes one region through
 /// entropy + scatter while the *next* region's chunks are fetched on a
 /// scoped worker thread (ranged backings only). Regions complete in
 /// coefficient order; a failed region leaves its accumulator slice untouched
-/// and the stream positioned to retry it.
+/// and the stream positioned to retry it. Peak memory is bounded by
+/// `(plane span) × region size`, double-buffered, instead of the whole level.
 pub struct RegionPipeline<'a> {
     fetch: FetchStage<'a>,
     entropy: EntropyStage,
     scatter: ScatterStage,
     scheme: RegionScheme,
-    plane_lo: u8,
-    plane_hi: u8,
-    next_region: usize,
+    /// Regions to decode (`None` = every region); unselected regions are
+    /// never fetched and their accumulator slices never touched.
+    mask: Option<&'a [bool]>,
+    /// The region the next call decodes (`None` once exhausted).
+    next: Option<usize>,
     prefetched: Option<(usize, Result<FetchedRegion<'a>>)>,
 }
 
 impl<'a> RegionPipeline<'a> {
-    /// Compose a pipeline from its stages. The caller has already validated
-    /// the plane range and accumulator geometry (see
-    /// `bitplane::check_plane_range`).
+    /// Compose a pipeline over `fetch`'s level and plane range, validating
+    /// the range against the level's geometry and chunk structure, `acc_len`
+    /// (the caller's accumulator length) against its size, and `mask` (one
+    /// flag per region) against its region count.
     pub fn new(
         fetch: FetchStage<'a>,
-        scheme: impl Into<RegionScheme>,
-        num_planes: u8,
-        plane_lo: u8,
-        plane_hi: u8,
         prefix_bits: u8,
         predictive: bool,
-    ) -> Self {
-        let scheme = scheme.into();
-        Self {
+        acc_len: usize,
+        mask: Option<&'a [bool]>,
+    ) -> Result<Self> {
+        let (scheme, num_planes) = fetch.geometry();
+        let (plane_lo, plane_hi) = fetch.planes();
+        check_plane_range(
+            &scheme,
+            num_planes,
+            |p| fetch.plane_chunk_count(p),
+            plane_lo,
+            plane_hi,
+            acc_len,
+        )?;
+        if mask.is_some_and(|m| m.len() != scheme.num_regions()) {
+            return Err(IpcompError::InvalidInput(
+                "region mask does not match the level's region count".into(),
+            ));
+        }
+        let mut pipeline = Self {
             fetch,
             entropy: EntropyStage::new(scheme.clone()),
             scatter: ScatterStage::new(
@@ -400,23 +446,41 @@ impl<'a> RegionPipeline<'a> {
                 predictive,
             ),
             scheme,
-            plane_lo,
-            plane_hi,
-            next_region: 0,
+            mask,
+            next: None,
             prefetched: None,
+        };
+        if plane_lo < plane_hi && pipeline.scheme.n_values() > 0 {
+            pipeline.next = pipeline.selected_from(0);
         }
+        Ok(pipeline)
+    }
+
+    /// First selected region at or after `k`.
+    fn selected_from(&self, k: usize) -> Option<usize> {
+        (k..self.scheme.num_regions()).find(|&k| self.mask.is_none_or(|m| m[k]))
     }
 
     /// Total number of chunk regions this pipeline will produce.
     pub fn num_regions(&self) -> usize {
-        if self.plane_lo == self.plane_hi || self.scheme.n_values() == 0 {
+        let (plane_lo, plane_hi) = self.fetch.planes();
+        if plane_lo == plane_hi || self.scheme.n_values() == 0 {
             0
         } else {
-            self.scheme.num_regions()
+            match self.mask {
+                Some(m) => m.iter().filter(|&&m| m).count(),
+                None => self.scheme.num_regions(),
+            }
         }
     }
 
-    /// Compressed bytes the `k`-th region reads across the streamed planes.
+    /// The region the next [`RegionPipeline::decode_next`] call decodes, or
+    /// `None` when the stream is exhausted.
+    pub fn next_region(&self) -> Option<usize> {
+        self.next
+    }
+
+    /// Compressed bytes region `k` reads across the streamed planes.
     pub fn region_compressed_bytes(&self, k: usize) -> usize {
         self.fetch.region_compressed_bytes(k)
     }
@@ -432,7 +496,7 @@ impl<'a> RegionPipeline<'a> {
     /// `after_scatter(coeffs, acc_region)` runs with the region's completed
     /// coefficient range and its final accumulator slice — *inside* the
     /// fetch-overlap window, so consumer work (progress reporting, streaming
-    /// reconstruction) hides under region `k + 1`'s in-flight fetch instead
+    /// reconstruction) hides under the next region's in-flight fetch instead
     /// of running after the join.
     pub fn decode_next_with(
         &mut self,
@@ -444,11 +508,9 @@ impl<'a> RegionPipeline<'a> {
                 "accumulator length changed mid-stream".into(),
             ));
         }
-        let n_regions = self.num_regions();
-        if self.next_region >= n_regions {
+        let Some(k) = self.next else {
             return Ok(None);
-        }
-        let k = self.next_region;
+        };
         let fetched = match self.prefetched.take() {
             Some((idx, res)) if idx == k => res?,
             other => {
@@ -458,34 +520,37 @@ impl<'a> RegionPipeline<'a> {
         };
         let coeffs = self.scheme.region_coeff_range(k);
         let acc_region = &mut acc[coeffs.clone()];
-        let next = k + 1;
-        if next < n_regions && self.prefetched.is_none() && self.fetch.supports_prefetch() {
-            // Overlap: region k's entropy + scatter + consumer hook on this
-            // thread, region k + 1's fetch on a scoped worker. The worker
-            // only borrows the fetch stage, so a decode failure still stores
-            // the prefetch result for the (possible) retry of the *next*
-            // region.
-            let fetch = &self.fetch;
-            let entropy = &self.entropy;
-            let scatter = &self.scatter;
-            let region_coeffs = coeffs.clone();
-            let (work, pre) = overlap_fetch(
-                move || fetch.process(next, ()),
-                || {
-                    entropy
-                        .process(k, fetched)
-                        .and_then(|chunks| scatter.process(k, (chunks, &mut *acc_region)))
-                        .map(|()| after_scatter(region_coeffs, acc_region))
-                },
-            );
-            self.prefetched = Some((next, pre));
-            work?;
-        } else {
-            let chunks = self.entropy.process(k, fetched)?;
-            self.scatter.process(k, (chunks, &mut *acc_region))?;
-            after_scatter(coeffs.clone(), acc_region);
+        let after = self.selected_from(k + 1);
+        match after {
+            Some(next) if self.prefetched.is_none() && self.fetch.supports_prefetch() => {
+                // Overlap: region k's entropy + scatter + consumer hook on
+                // this thread, the next region's fetch on a scoped worker.
+                // The worker only borrows the fetch stage, so a decode
+                // failure still stores the prefetch result for the (possible)
+                // retry of the *next* region.
+                let fetch = &self.fetch;
+                let entropy = &self.entropy;
+                let scatter = &self.scatter;
+                let region_coeffs = coeffs.clone();
+                let (work, pre) = overlap_fetch(
+                    move || fetch.process(next, ()),
+                    || {
+                        entropy
+                            .process(k, fetched)
+                            .and_then(|chunks| scatter.process(k, (chunks, &mut *acc_region)))
+                            .map(|()| after_scatter(region_coeffs, acc_region))
+                    },
+                );
+                self.prefetched = Some((next, pre));
+                work?;
+            }
+            _ => {
+                let chunks = self.entropy.process(k, fetched)?;
+                self.scatter.process(k, (chunks, &mut *acc_region))?;
+                after_scatter(coeffs.clone(), acc_region);
+            }
         }
-        self.next_region += 1;
+        self.next = after;
         Ok(Some(coeffs))
     }
 }
@@ -511,10 +576,7 @@ mod tests {
     #[test]
     fn stages_compose_to_the_bulk_decoder() {
         let codes = sample_codes(3000);
-        let opts = EncodeOptions {
-            chunk_bytes: 64,
-            ..EncodeOptions::default()
-        };
+        let opts = EncodeOptions { chunk_bytes: 64 };
         let enc = encode_level_with(&codes, 2, true, false, opts);
         let hi = enc.num_planes;
 

@@ -12,7 +12,7 @@
 //! The module also owns the *halo* arithmetic: reconstructing a region of
 //! interest bit-identically requires the interpolation cascade's neighbour
 //! reads to land on correct values, which grows the window by the predictor's
-//! reach at every level. See [`fetch_window`] / [`pass_window`] for the exact
+//! reach at every level. See `fetch_window` / `pass_window` for the exact
 //! recurrence.
 
 use crate::config::Interpolation;

@@ -20,22 +20,27 @@
 //! retrievals [`StreamEvent::LevelReconstructed`] reports each applied pass —
 //! instead of one monolithic dequantize + interpolate sweep after the last
 //! byte lands.
+//!
+//! There is one read core. Every `retrieve*` spelling resolves its request
+//! through [`crate::optimizer::plan_for_scope`] and runs the same level loop;
+//! a spatial region ([`ProgressiveDecoder::retrieve_roi`]) is Algorithm 1
+//! under a mask — the same plan, the same staged decode restricted to the
+//! precincts the region's halo touches, the engine's windowed pass, and a
+//! crop — into scratch state, so it never disturbs the progressive state.
 
 use std::sync::Arc;
 
 use ipc_codecs::negabinary::{from_negabinary, from_negabinary_slice};
 use ipc_tensor::{ArrayD, AxisRange, Shape};
 
-use crate::bitplane::{decode_planes_into, EncodedLevel, PlaneStream};
+use crate::bitplane::{decode_planes_into, EncodedLevel};
 use crate::cascade::{self, CascadeEngine, CascadeProgress};
 use crate::container::{decode_anchors_bounded, Compressed, ContainerMap, Header};
 use crate::error::{IpcompError, Result};
-use crate::interp::{
-    for_each_level_pass, level_stride, num_levels, predict_point, process_anchors, sweep_runs,
-};
-use crate::optimizer::{LoadPlan, PlanInput, RoiScopedInput};
-use crate::pipeline::{DecodeStage, EntropyStage, FetchStage, ScatterStage};
-use crate::precinct::{clip_ranges, pass_window, prefix_sums, LevelPrecincts, RoiBox};
+use crate::interp::{for_each_level_pass, level_stride, num_levels, sweep_runs};
+use crate::optimizer::{plan_for_scope, LoadPlan, PlanInput, RegionMasks};
+use crate::pipeline::{FetchStage, RegionPipeline};
+use crate::precinct::{clip_ranges, prefix_sums, LevelPrecincts, PrecinctGrid, RoiBox};
 use crate::source::ChunkSource;
 
 /// How much fidelity a retrieval should target (paper Sec. 5).
@@ -67,7 +72,8 @@ pub enum RetrievalRequest {
 }
 
 /// Progress report emitted once per decoded chunk region during a streaming
-/// retrieval ([`ProgressiveDecoder::retrieve_streaming`]).
+/// retrieval ([`ProgressiveDecoder::retrieve_streaming_events`]). Under a
+/// spatial region, `region` and `regions_in_level` count fetched precincts.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct StreamProgress {
     /// Index into the container's level list (coarsest level first).
@@ -199,32 +205,6 @@ impl Store<'_> {
             Store::Source { map, .. } => map.as_ref(),
         }
     }
-
-    /// Compressed bytes of every (level, plane) restricted to the masked
-    /// precincts — the byte cost an ROI retrieval actually pays.
-    fn roi_plane_bytes(&self, masks: &[Vec<bool>]) -> Vec<Vec<usize>> {
-        (0..self.num_level_entries())
-            .map(|idx| {
-                (0..self.level_num_planes(idx))
-                    .map(|p| match self {
-                        Store::Slice(c) => c.levels[idx].planes[p as usize]
-                            .chunks
-                            .iter()
-                            .zip(&masks[idx])
-                            .filter(|&(_, &m)| m)
-                            .map(|(ch, _)| ch.len())
-                            .sum(),
-                        Store::Source { map, .. } => masks[idx]
-                            .iter()
-                            .enumerate()
-                            .filter(|&(_, &m)| m)
-                            .map(|(k, _)| map.levels[idx].chunk_size(p, k))
-                            .sum(),
-                    })
-                    .collect()
-            })
-            .collect()
-    }
 }
 
 /// Stateful progressive decoder for one compressed field.
@@ -237,8 +217,6 @@ pub struct ProgressiveDecoder<'a> {
     planes_loaded: Vec<u8>,
     /// Current reconstruction, present after the first retrieval.
     recon: Option<Vec<f64>>,
-    /// Current error bound of `recon`.
-    current_error_bound: f64,
     bytes_total: usize,
     /// Whether the base read (header + anchors + metadata) has been counted.
     /// It is read once per decoder, so a retry after a failed initial
@@ -295,7 +273,6 @@ impl<'a> ProgressiveDecoder<'a> {
             acc,
             planes_loaded,
             recon: None,
-            current_error_bound: f64::INFINITY,
             bytes_total: 0,
             base_bytes_counted: false,
             layouts: None,
@@ -375,39 +352,10 @@ impl<'a> ProgressiveDecoder<'a> {
     ///
     /// Retrieval is monotone: if the request asks for less fidelity than what is
     /// already loaded, the current reconstruction is returned unchanged and no data
-    /// is read.
+    /// is read. A [`RetrievalRequest::Roi`] request is
+    /// [`ProgressiveDecoder::retrieve_roi`] at an error bound.
     pub fn retrieve(&mut self, request: RetrievalRequest) -> Result<Retrieval> {
-        if let RetrievalRequest::Roi {
-            bounds,
-            error_bound,
-        } = request
-        {
-            return self.retrieve_roi(bounds, RetrievalRequest::ErrorBound(error_bound));
-        }
-        let plan = self.plan(request)?;
-        self.retrieve_with_plan(&plan)
-    }
-
-    /// Retrieve (or refine to) the fidelity described by `request`, invoking
-    /// `progress` after every decoded chunk region.
-    ///
-    /// Chunked (version-2) containers stream at entropy-chunk granularity —
-    /// 512 Ki coefficients per report — so a caller can surface progress,
-    /// meter I/O, or overlap consumption with decoding; version-1 containers
-    /// report once per plane. The final reconstruction is identical to
-    /// [`ProgressiveDecoder::retrieve`] with the same request. To also
-    /// observe reconstruction progress, use
-    /// [`ProgressiveDecoder::retrieve_streaming_events`].
-    pub fn retrieve_streaming(
-        &mut self,
-        request: RetrievalRequest,
-        mut progress: impl FnMut(StreamProgress),
-    ) -> Result<Retrieval> {
-        self.retrieve_streaming_events(request, |event| {
-            if let StreamEvent::Region(p) = event {
-                progress(p);
-            }
-        })
+        self.retrieve_scoped(request, None, None)
     }
 
     /// Retrieve (or refine to) the fidelity described by `request`,
@@ -416,29 +364,25 @@ impl<'a> ProgressiveDecoder<'a> {
     /// [`StreamEvent::LevelReconstructed`] per cascade pass, as soon as the
     /// level's coefficients land — coarse lattices are final while the finest
     /// level is still streaming).
+    ///
+    /// Chunked (version-2) containers stream at entropy-chunk granularity —
+    /// 512 Ki coefficients per report — so a caller can surface progress,
+    /// meter I/O, or overlap consumption with decoding; version-1 containers
+    /// report once per plane. A [`RetrievalRequest::Roi`] request reports one
+    /// region per fetched precinct and one windowed cascade pass per level.
+    /// The final reconstruction is identical to
+    /// [`ProgressiveDecoder::retrieve`] with the same request.
     pub fn retrieve_streaming_events(
         &mut self,
         request: RetrievalRequest,
         mut events: impl FnMut(StreamEvent),
     ) -> Result<Retrieval> {
-        if let RetrievalRequest::Roi {
-            bounds,
-            error_bound,
-        } = request
-        {
-            return self.retrieve_roi_inner(
-                bounds,
-                RetrievalRequest::ErrorBound(error_bound),
-                Some(&mut events),
-            );
-        }
-        let plan = self.plan(request)?;
-        self.retrieve_inner(&plan, Some(&mut events))
+        self.retrieve_scoped(request, None, Some(&mut events))
     }
 
     /// Retrieve (or refine to) a specific loading plan.
     pub fn retrieve_with_plan(&mut self, plan: &LoadPlan) -> Result<Retrieval> {
-        self.retrieve_inner(plan, None)
+        self.retrieve_inner(plan, None, None)
     }
 
     /// Reconstruct only the axis-aligned region `bounds` at the fidelity of
@@ -447,13 +391,8 @@ impl<'a> ProgressiveDecoder<'a> {
     ///
     /// Requires a precinct-partitioned (version-3) container. The returned
     /// [`Retrieval::data`] has the region's shape and is bit-identical to
-    /// cropping a full-domain retrieval of the same request: fidelity-typed
-    /// requests ([`RetrievalRequest::ErrorBound`], `RelErrorBound`, `Full`)
-    /// plan against the whole container, so the per-level plane selection is
-    /// the one a full retrieval would use. Budget-typed requests
-    /// ([`RetrievalRequest::SizeBudget`], and [`RetrievalRequest::Bitrate`]
-    /// re-read as bits per *region* scalar) budget only the bytes the region
-    /// actually fetches.
+    /// cropping a full-domain retrieval of the same request; how each request
+    /// type plans under a region is [`plan_for_scope`]'s rule.
     ///
     /// ROI retrievals are stateless with respect to the decoder's
     /// progressive accumulators: they never consume or advance previously
@@ -461,303 +400,60 @@ impl<'a> ProgressiveDecoder<'a> {
     /// retrievals. Only the cumulative byte accounting is shared, and a
     /// failed ROI retrieval commits nothing.
     pub fn retrieve_roi(&mut self, bounds: RoiBox, request: RetrievalRequest) -> Result<Retrieval> {
-        self.retrieve_roi_inner(bounds, request, None)
+        self.retrieve_scoped(request, Some(bounds), None)
     }
 
-    /// Like [`ProgressiveDecoder::retrieve_roi`], reporting one
-    /// [`StreamEvent::Region`] per fetched precinct (with `region` counting
-    /// fetched precincts and `regions_in_level` their total for the level)
-    /// and one [`StreamEvent::LevelReconstructed`] per windowed cascade
-    /// pass.
-    pub fn retrieve_roi_streaming(
+    /// The one read core behind every `retrieve*` spelling: resolve the
+    /// request and optional region through [`plan_for_scope`], then run the
+    /// shared loop — with an event sink when the caller passed one.
+    pub(crate) fn retrieve_scoped(
         &mut self,
-        bounds: RoiBox,
         request: RetrievalRequest,
-        mut events: impl FnMut(StreamEvent),
-    ) -> Result<Retrieval> {
-        self.retrieve_roi_inner(bounds, request, Some(&mut events))
-    }
-
-    fn retrieve_roi_inner(
-        &mut self,
-        bounds: RoiBox,
-        request: RetrievalRequest,
+        region: Option<RoiBox>,
         events: Option<&mut dyn FnMut(StreamEvent)>,
     ) -> Result<Retrieval> {
-        let m = crate::obs::metrics();
-        let mut span = ipc_telemetry::span_timed("retrieve", "retrieve_roi", m.retrieve_ns);
-        let mut noop = |_: StreamEvent| {};
-        let events: &mut dyn FnMut(StreamEvent) = match events {
-            Some(cb) => cb,
-            None => &mut noop,
-        };
-        if matches!(request, RetrievalRequest::Roi { .. }) {
-            return Err(IpcompError::InvalidInput(
-                "ROI retrieval cannot nest a second bounding box".into(),
-            ));
-        }
-        let store = self.store.clone();
-        let header = store.header().clone();
-        let shape = self.shape.clone();
-        let dims = shape.dims().to_vec();
-        bounds.validate(&dims)?;
-        let grid = header.precinct_grid().ok_or_else(|| {
-            IpcompError::InvalidInput(
-                "ROI retrieval requires the precinct-partitioned (version-3) container layout"
-                    .into(),
-            )
-        })?;
-        let n_levels = store.num_level_entries();
-        let levels = num_levels(&shape);
-        if levels != header.num_levels || n_levels != levels as usize {
+        let (plan, region) = plan_for_scope(self.store.plan_input(), request, region)?;
+        self.retrieve_inner(&plan, region, events)
+    }
+
+    /// The cascade maps container level `idx` to interpolation level
+    /// `num_levels - idx` and indexes each level's codes by traversal
+    /// position, so the declared level count and every level's coefficient
+    /// count must match the grid's level partition exactly (the compressor
+    /// derives all of them from the shape; a mismatch is container
+    /// corruption that would underflow that mapping).
+    fn check_level_geometry(&self) -> Result<()> {
+        let n_levels = self.store.num_level_entries();
+        let levels = num_levels(&self.shape);
+        if levels != self.store.header().num_levels || n_levels != levels as usize {
             return Err(IpcompError::CorruptContainer(
                 "declared level count inconsistent with grid dimensions",
             ));
         }
         for idx in 0..n_levels {
-            let expect = crate::interp::level_count(&shape, levels - idx as u32);
-            if store.level_n_values(idx) != expect {
+            let expect = crate::interp::level_count(&self.shape, levels - idx as u32);
+            if self.store.level_n_values(idx) != expect {
                 return Err(IpcompError::CorruptContainer(
                     "level size inconsistent with grid dimensions",
                 ));
             }
         }
-        let method = header.interpolation;
-
-        // The chunks each level must fetch: every precinct intersecting the
-        // region expanded by the cascade's cross-level ancestor halo. Shared
-        // with the store planner's range lowering.
-        let masks = crate::precinct::roi_precinct_masks(&header, &bounds)?;
-
-        // Fidelity-typed requests plan against the full container so the
-        // plane selection matches a full-domain retrieval bit for bit;
-        // budget-typed requests budget only the bytes the region fetches.
-        let plan = match request {
-            RetrievalRequest::SizeBudget(bytes) => {
-                let scoped = RoiScopedInput::new(store.plan_input(), store.roi_plane_bytes(&masks));
-                crate::optimizer::plan_for_bytes(&scoped, bytes)?
-            }
-            RetrievalRequest::Bitrate(b) => {
-                if !(b.is_finite() && b > 0.0) {
-                    return Err(IpcompError::InvalidInput(format!(
-                        "bitrate must be positive and finite, got {b}"
-                    )));
-                }
-                let scoped = RoiScopedInput::new(store.plan_input(), store.roi_plane_bytes(&masks));
-                let bytes = (b * bounds.len() as f64 / 8.0).floor() as usize;
-                crate::optimizer::plan_for_bytes(&scoped, bytes)?
-            }
-            _ => crate::optimizer::plan_for_request(store.plan_input(), request)?,
-        };
-
-        let two_eb = 2.0 * header.error_bound;
-        let strides = shape.strides().to_vec();
-        let mut work = vec![0.0f64; shape.len()];
-        let mut codes = vec![0i64; shape.len()];
-        let base_add = if self.base_bytes_counted {
-            0
-        } else {
-            store.base_bytes()
-        };
-        let mut payload_bytes = 0usize;
-
-        // Anchor lattice seed — the same arithmetic the cascade engine uses.
-        let anchor_codes = decode_anchors_bounded(store.anchors(), header.num_elements())?;
-        {
-            let mut it = anchor_codes.iter();
-            process_anchors(&shape, &mut work, |_, pred| {
-                pred + it.next().map_or(0.0, |&c| c as f64 * two_eb)
-            });
-        }
-
-        for (idx, mask) in masks.iter().enumerate() {
-            let level_no = levels - idx as u32;
-            let stride = level_stride(level_no);
-            let num_planes = store.level_num_planes(idx);
-            let want = plan.planes_loaded[idx].min(num_planes);
-            let n_values = store.level_n_values(idx);
-            let mut level_has_codes = false;
-
-            if want > 0 && n_values > 0 {
-                let lo = num_planes - want;
-                // Resolve the level's chunks: resident containers borrow
-                // them, ranged stores fetch only the masked precincts in one
-                // batched (coalescible) ranged read.
-                let owned;
-                let level: &EncodedLevel = match &store {
-                    Store::Slice(c) => &c.levels[idx],
-                    Store::Source { map, source } => {
-                        owned = map.levels[idx].fetch_planes_precincts(
-                            source.get(),
-                            lo,
-                            num_planes,
-                            mask,
-                        )?;
-                        &owned
-                    }
-                };
-                let spans =
-                    level
-                        .precinct_spans
-                        .as_deref()
-                        .ok_or(IpcompError::CorruptContainer(
-                            "precinct container level lacks precinct spans",
-                        ))?;
-                if spans.len() != grid.num_precincts()
-                    || spans != grid.level_spans(&shape, level_no).as_slice()
-                {
-                    return Err(IpcompError::CorruptContainer(
-                        "precinct spans inconsistent with grid geometry",
-                    ));
-                }
-                let mut acc = vec![0u64; n_values];
-                let scheme = level.scheme();
-                let fetch = FetchStage::Resident {
-                    level,
-                    plane_lo: lo,
-                    plane_hi: num_planes,
-                };
-                let entropy = EntropyStage::new(scheme.clone());
-                let scatter = ScatterStage::new(
-                    scheme.clone(),
-                    num_planes,
-                    lo,
-                    num_planes,
-                    header.prefix_bits,
-                    header.predictive_coding,
-                );
-                let regions_in_level = mask.iter().filter(|&&m| m).count();
-                let mut fetched_regions = 0usize;
-                let mut coeffs_decoded = 0usize;
-                for (k, &m) in mask.iter().enumerate() {
-                    if !m {
-                        continue;
-                    }
-                    if spans[k] > 0 {
-                        let compressed = fetch.process(k, ())?;
-                        let chunks = entropy.process(k, compressed)?;
-                        let range = scheme.region_coeff_range(k);
-                        scatter.process(k, (chunks, &mut acc[range]))?;
-                    }
-                    payload_bytes += fetch.region_compressed_bytes(k);
-                    coeffs_decoded += spans[k];
-                    events(StreamEvent::Region(StreamProgress {
-                        level_idx: idx,
-                        region: fetched_regions,
-                        regions_in_level,
-                        coeffs_decoded,
-                        coeffs_in_level: n_values,
-                        bytes_total: self.bytes_total + base_add + payload_bytes,
-                    }));
-                    fetched_regions += 1;
-                }
-
-                // Convert each fetched precinct's accumulators to residual
-                // codes at their domain offsets: a precinct's slice of the
-                // precinct-major layout holds its points in canonical order,
-                // which is the canonical sweep clipped to the precinct box.
-                let starts = prefix_sums(spans);
-                for (k, &m) in mask.iter().enumerate() {
-                    if !m || spans[k] == 0 {
-                        continue;
-                    }
-                    let (plo, phi) = grid.precinct_box(k);
-                    let window: Vec<(usize, usize)> =
-                        plo.iter().zip(&phi).map(|(&a, &b)| (a, b)).collect();
-                    let mut i = starts[k];
-                    for_each_level_pass(&shape, stride, |d, ranges| {
-                        let clipped = clip_ranges(&ranges, &window);
-                        sweep_runs(&strides, &clipped, d, |run| {
-                            let mut offset = run.base;
-                            for _ in 0..run.count {
-                                codes[offset] = from_negabinary(acc[i]);
-                                i += 1;
-                                offset += run.step;
-                            }
-                        });
-                    });
-                    debug_assert_eq!(i, starts[k] + spans[k]);
-                }
-                level_has_codes = true;
-            }
-
-            // Windowed interpolation sub-passes: compute exactly the window
-            // later passes read, clipped from the full level geometry so the
-            // lattice phase (and therefore the arithmetic) matches the
-            // engine's full-domain sweep.
-            let mut points = 0usize;
-            for_each_level_pass(&shape, stride, |d, ranges| {
-                let w = pass_window(&bounds, &dims, method, level_no, d);
-                let clipped = clip_ranges(&ranges, &w);
-                let dim_len = dims[d];
-                let dim_stride = strides[d];
-                sweep_runs(&strides, &clipped, d, |run| {
-                    let mut offset = run.base;
-                    let mut coord = run.coord;
-                    for _ in 0..run.count {
-                        let pred = predict_point(
-                            &work, offset, coord, dim_len, dim_stride, stride, method,
-                        );
-                        let resid = if level_has_codes {
-                            codes[offset] as f64 * two_eb
-                        } else {
-                            0.0
-                        };
-                        work[offset] = pred + resid;
-                        offset += run.step;
-                        coord += run.coord_step;
-                    }
-                    points += run.count;
-                });
-            });
-            events(StreamEvent::LevelReconstructed(CascadeProgress {
-                level_idx: idx,
-                interp_level: level_no,
-                points,
-                levels_applied: idx + 1,
-                levels_total: n_levels,
-            }));
-        }
-
-        // Crop the reconstructed window to the requested box.
-        let mut out = Vec::with_capacity(bounds.len());
-        let unit: Vec<AxisRange> = (0..bounds.ndim)
-            .map(|i| AxisRange::strided(bounds.lo[i], 1, bounds.hi[i]))
-            .collect();
-        sweep_runs(&strides, &unit, 0, |run| {
-            let mut offset = run.base;
-            for _ in 0..run.count {
-                out.push(work[offset]);
-                offset += run.step;
-            }
-        });
-        let data = ArrayD::from_vec(Shape::new(&bounds.dims()), out);
-
-        // State commits only on success: an ROI retrieval touches no
-        // accumulators, so any failure above leaves the decoder exactly as
-        // it was (short-read rollback is the absence of a partial commit).
-        self.base_bytes_counted = true;
-        self.bytes_total += base_add + payload_bytes;
-        let n = header.num_elements();
-        m.retrieves.incr();
-        m.retrieve_bytes.add((base_add + payload_bytes) as u64);
-        span.add_arg("bytes", (base_add + payload_bytes) as u64);
-        Ok(Retrieval {
-            data,
-            bytes_this_request: base_add + payload_bytes,
-            bytes_total: self.bytes_total,
-            bitrate: self.bytes_total as f64 * 8.0 / n as f64,
-            error_bound: header.error_bound + plan.extra_error_bound,
-        })
+        Ok(())
     }
 
     fn retrieve_inner(
         &mut self,
         plan: &LoadPlan,
+        region: Option<RegionMasks>,
         events: Option<&mut dyn FnMut(StreamEvent)>,
     ) -> Result<Retrieval> {
         let m = crate::obs::metrics();
-        let mut span = ipc_telemetry::span_timed("retrieve", "retrieve", m.retrieve_ns);
+        let name = if region.is_some() {
+            "retrieve_roi"
+        } else {
+            "retrieve"
+        };
+        let mut span = ipc_telemetry::span_timed("retrieve", name, m.retrieve_ns);
         // Collapse the optional callback to a plain sink: `streaming` keeps
         // the region-streaming path selection the callback's presence implies.
         let mut noop = |_: StreamEvent| {};
@@ -771,41 +467,30 @@ impl<'a> ProgressiveDecoder<'a> {
                 "plan does not match the container's level count".into(),
             ));
         }
-        let bytes_before = self.bytes_total;
-        let initial = self.recon.is_none();
-        let header = self.store.header().clone();
-        let shape = self.shape.clone();
-        let levels = num_levels(&shape);
+        // A region retrieval reconstructs from scratch into scratch state,
+        // whatever the decoder already holds.
+        let initial = region.is_some() || self.recon.is_none();
         if initial {
-            // The cascade maps container level `idx` to interpolation level
-            // `num_levels - idx`; a container whose declared level count
-            // disagrees with its own grid geometry (possible only through
-            // corruption — the compressor derives both from the shape) would
-            // underflow that mapping.
-            if levels != header.num_levels || n_levels != levels as usize {
-                return Err(IpcompError::CorruptContainer(
-                    "declared level count inconsistent with grid dimensions",
-                ));
-            }
-            // The cascade kernels index each level's codes by traversal
-            // position, so every level's coefficient count must match the
-            // grid's level partition exactly (the compressor derives both
-            // from the shape; a mismatch is container corruption).
-            for idx in 0..n_levels {
-                let expect = crate::interp::level_count(&shape, levels - idx as u32);
-                if self.store.level_n_values(idx) != expect {
-                    return Err(IpcompError::CorruptContainer(
-                        "level size inconsistent with grid dimensions",
-                    ));
-                }
-            }
+            // (A refinement implies a successful initial retrieval already
+            // validated the geometry.)
+            self.check_level_geometry()?;
         }
-        // Version-3 containers store each level precinct-major; the cascade
-        // consumes canonical traversal order, so the permutations must be
-        // ready before any codes are fed. (Runs after the geometry checks —
-        // an initial retrieval validates them above, and a refinement implies
-        // a successful initial retrieval already did.)
-        self.ensure_layouts();
+        let mut region = region.map(|(bounds, masks)| RegionScope {
+            bounds,
+            masks,
+            grid: self
+                .store
+                .header()
+                .precinct_grid()
+                .expect("precinct masks imply a grid"),
+            codes: vec![0i64; self.shape.len()],
+        });
+        if region.is_none() {
+            // Version-3 containers store each level precinct-major; the
+            // cascade consumes canonical traversal order, so the permutations
+            // must be ready before any codes are fed.
+            self.ensure_layouts();
+        }
 
         // Per-level work items: (idx, lo, hi, want), coarsest level first.
         // Planes are counted from the most significant: having `have` planes
@@ -814,96 +499,82 @@ impl<'a> ProgressiveDecoder<'a> {
         for idx in 0..n_levels {
             let num_planes = self.store.level_num_planes(idx);
             let want = plan.planes_loaded[idx].min(num_planes);
-            let have = self.planes_loaded[idx];
+            let have = if region.is_some() {
+                0
+            } else {
+                self.planes_loaded[idx]
+            };
             if want > have {
                 works.push((idx, num_planes - want, num_planes - have, want));
             }
         }
-        if !initial && works.is_empty() {
-            // Nothing new requested — retrieval is monotone.
-            let data = ArrayD::from_vec(
-                shape,
-                self.recon.as_ref().expect("reconstruction present").clone(),
-            );
-            let n = header.num_elements();
-            m.retrieves.incr();
-            span.add_arg("bytes", 0);
-            return Ok(Retrieval {
-                data,
-                bytes_this_request: 0,
-                bytes_total: self.bytes_total,
-                bitrate: self.bytes_total as f64 * 8.0 / n as f64,
-                error_bound: self.current_error_bound,
-            });
-        }
 
-        // Algorithm 1 seeds the cascade with the anchor codes; Algorithm 2
-        // propagates deltas from zero anchors (the cascade is linear in the
-        // residuals) and adds the delta field onto the reconstruction.
-        let mut engine =
-            CascadeEngine::new(shape.clone(), header.interpolation, header.error_bound);
-        if initial {
-            // Base data: header + anchors + metadata are always read — but
-            // only once per decoder, even across retries of a failed initial
-            // reconstruction.
-            if !self.base_bytes_counted {
-                self.bytes_total += self.store.base_bytes();
-                self.base_bytes_counted = true;
-            }
-            let anchor_codes = decode_anchors_bounded(self.store.anchors(), header.num_elements())?;
-            engine.seed_anchors(&anchor_codes);
-        } else {
-            engine.seed_zero();
-        }
-
+        let bytes_before = self.bytes_total;
+        let base_counted_before = self.base_bytes_counted;
         let had_planes = self.planes_loaded.clone();
-        if let Err(e) = self.drive_levels(&works, initial, &mut engine, events, streaming) {
-            if !initial {
-                // Refinement must be atomic: the engine holding the applied
-                // levels' delta field dies with this error, and `recon` is
-                // only updated on success — leaving those levels marked
-                // loaded would strand their contribution forever (a retry
-                // would skip them). Undo every level this retrieval
-                // completed: the planes it added occupy bits `[lo, hi)`
-                // that were zero before the call, so clearing them (and
-                // restoring the plane counts and byte accounting) restores
-                // the pre-call state exactly. The failed level itself was
-                // already rolled back by its own decode path, and an initial
-                // reconstruction needs none of this — its partial loads are
-                // consumed from the accumulators by the retry.
-                for &(idx, lo, hi, want) in &works {
-                    if self.planes_loaded[idx] == want {
-                        let mask = (1u64 << hi) - (1u64 << lo);
-                        for w in &mut self.acc[idx] {
-                            *w &= !mask;
+        let mut cropped = None;
+        // With nothing new requested the retrieval is monotone: no load, the
+        // current reconstruction is returned as is.
+        if initial || !works.is_empty() {
+            let field = match self.drive_levels(&works, initial, region.as_mut(), events, streaming)
+            {
+                Ok(field) => field,
+                Err(e) => {
+                    if region.is_some() {
+                        // A region retrieval touched only scratch state and
+                        // the byte accounting: restoring the latter leaves
+                        // the decoder exactly as it was.
+                        self.bytes_total = bytes_before;
+                        self.base_bytes_counted = base_counted_before;
+                    } else if !initial {
+                        // Refinement must be atomic: the engine holding the
+                        // applied levels' delta field dies with this error,
+                        // and `recon` is only updated on success — leaving
+                        // those levels marked loaded would strand their
+                        // contribution forever (a retry would skip them).
+                        // Undo every level this retrieval completed: the
+                        // planes it added occupy bits `[lo, hi)` that were
+                        // zero before the call, so clearing them (and
+                        // restoring the plane counts and byte accounting)
+                        // restores the pre-call state exactly. The failed
+                        // level itself was already rolled back by its own
+                        // decode path, and an initial reconstruction needs
+                        // none of this — its partial loads are consumed
+                        // from the accumulators by the retry.
+                        for &(idx, lo, hi, want) in &works {
+                            if self.planes_loaded[idx] == want {
+                                let mask = (1u64 << hi) - (1u64 << lo);
+                                for w in &mut self.acc[idx] {
+                                    *w &= !mask;
+                                }
+                                self.planes_loaded[idx] = had_planes[idx];
+                            }
                         }
-                        self.planes_loaded[idx] = had_planes[idx];
+                        self.bytes_total = bytes_before;
+                    }
+                    return Err(e);
+                }
+            };
+            match (&region, &mut self.recon) {
+                (Some(scope), _) => cropped = Some(scope.crop(&self.shape, &field)),
+                (None, Some(recon)) if !initial => {
+                    for (r, d) in recon.iter_mut().zip(&field) {
+                        *r += d;
                     }
                 }
-                self.bytes_total = bytes_before;
+                (None, recon) => *recon = Some(field),
             }
-            return Err(e);
         }
 
-        let field = engine.into_field();
-        if initial {
-            self.recon = Some(field);
-        } else {
-            let recon = self
-                .recon
-                .as_mut()
-                .expect("refinement has a reconstruction");
-            for (r, d) in recon.iter_mut().zip(&field) {
-                *r += d;
-            }
-        }
-        self.current_error_bound = self.error_bound_for_loaded();
-        let data = ArrayD::from_vec(
-            self.shape.clone(),
-            self.recon.as_ref().expect("reconstruction present").clone(),
-        );
+        let header = self.store.header();
+        let (data, error_bound) = match cropped {
+            Some(data) => (data, header.error_bound + plan.extra_error_bound),
+            None => (
+                self.current().expect("reconstruction present"),
+                self.error_bound_for_loaded(),
+            ),
+        };
         let bytes_this = self.bytes_total - bytes_before;
-        let n = header.num_elements();
         m.retrieves.incr();
         m.retrieve_bytes.add(bytes_this as u64);
         span.add_arg("bytes", bytes_this as u64);
@@ -911,47 +582,88 @@ impl<'a> ProgressiveDecoder<'a> {
             data,
             bytes_this_request: bytes_this,
             bytes_total: self.bytes_total,
-            bitrate: self.bytes_total as f64 * 8.0 / n as f64,
-            error_bound: self.current_error_bound,
+            bitrate: self.bytes_total as f64 * 8.0 / header.num_elements() as f64,
+            error_bound,
         })
     }
 
-    /// Load every level in `works` and drive the cascade engine, coarsest
-    /// level first, feeding each level's codes as soon as its planes are
-    /// scattered.
+    /// Seed a cascade engine, load every level in `works` and drive the
+    /// engine with it, coarsest level first, feeding each level's codes as
+    /// soon as its planes are scattered. Returns the cascaded field: the
+    /// reconstruction on an initial or region retrieval, the delta field on
+    /// a refinement.
     ///
     /// Every path is built from the staged decode pipeline
     /// ([`crate::pipeline`]): with `streaming` set, planes stream region by
-    /// region through [`PlaneStream`] (the pipeline driver, which for ranged
-    /// sources overlaps region `k + 1`'s fetch with region `k`'s decode) and
-    /// the callback observes every chunk region and cascade pass as it
-    /// lands. Without it, a level is decoded in bulk — the entropy stage
-    /// fans out across the rayon pool — from the resident container's own
-    /// level or, for ranged sources, from one batched `read_ranges`; the
-    /// *next* level's batched fetch is issued on a scoped worker while the
-    /// current level decodes *and runs its interpolation pass*, so backend
-    /// latency overlaps both decode and reconstruction compute without
-    /// changing the request pattern (still one coalescible `read_ranges` per
-    /// level).
+    /// region through [`RegionPipeline`] (which for ranged sources overlaps
+    /// the next region's fetch with the current one's decode) and the
+    /// callback observes every chunk region and cascade pass as it lands.
+    /// Without it, a level is decoded in bulk — the entropy stage fans out
+    /// across the rayon pool — from the resident container's own level or,
+    /// for ranged sources, from one batched `read_ranges`; the *next* level's
+    /// batched fetch is issued on a scoped worker while the current level
+    /// decodes *and runs its interpolation pass*, so backend latency overlaps
+    /// both decode and reconstruction compute without changing the request
+    /// pattern (still one coalescible `read_ranges` per level). Both loaders
+    /// stay because each wins a benchmark workload and the choice is
+    /// observed, not configured: a sink was passed or it was not.
+    ///
+    /// Under a `region` the same loop loads each level through
+    /// [`ProgressiveDecoder::load_region_level`] and applies the engine's
+    /// windowed pass instead.
     fn drive_levels(
         &mut self,
         works: &[(usize, u8, u8, u8)],
         initial: bool,
-        engine: &mut CascadeEngine,
+        mut region: Option<&mut RegionScope>,
         events: &mut dyn FnMut(StreamEvent),
         streaming: bool,
-    ) -> Result<()> {
+    ) -> Result<Vec<f64>> {
         // Clone the store handle (a reference or a pair of `Arc`s) so level
         // borrows come from a local, leaving `self` free for field updates.
         let store = self.store.clone();
         let header = store.header();
         let prefix_bits = header.prefix_bits;
         let predictive = header.predictive_coding;
+        // Algorithm 1 seeds the cascade with the anchor codes; Algorithm 2
+        // propagates deltas from zero anchors (the cascade is linear in the
+        // residuals) and adds the delta field onto the reconstruction.
+        let mut engine =
+            CascadeEngine::new(self.shape.clone(), header.interpolation, header.error_bound);
+        if initial {
+            // Base data: header + anchors + metadata are always read — but
+            // only once per decoder, even across retries of a failed initial
+            // reconstruction.
+            if !self.base_bytes_counted {
+                self.bytes_total += store.base_bytes();
+                self.base_bytes_counted = true;
+            }
+            engine.seed_anchors(&decode_anchors_bounded(
+                store.anchors(),
+                header.num_elements(),
+            )?);
+        } else {
+            engine.seed_zero();
+        }
         // A ranged store's next level, fetched while the current one decoded.
         let mut prefetched: Option<Result<EncodedLevel>> = None;
         let mut w = 0usize;
         for idx in 0..store.num_level_entries() {
-            let Some(&(_, lo, hi, want)) = works.get(w).filter(|x| x.0 == idx) else {
+            let work = works.get(w).filter(|x| x.0 == idx).copied();
+            w += usize::from(work.is_some());
+            if let Some(scope) = region.as_deref_mut() {
+                let loaded = match work {
+                    Some((_, lo, hi, _)) => {
+                        self.load_region_level(&store, scope, events, idx, lo, hi)?;
+                        Some(&scope.codes[..])
+                    }
+                    None => None,
+                };
+                let pass = engine.level_windowed(idx, &scope.bounds, loaded);
+                events(StreamEvent::LevelReconstructed(pass));
+                continue;
+            }
+            let Some((_, lo, hi, want)) = work else {
                 // A level this retrieval does not load: its full values on
                 // an initial reconstruction that resumes after a failed one,
                 // otherwise nothing (all residuals, or all deltas, zero).
@@ -961,10 +673,9 @@ impl<'a> ProgressiveDecoder<'a> {
                 } else {
                     Vec::new()
                 };
-                Self::feed(engine, idx, codes, events);
+                Self::feed(&mut engine, idx, codes, events);
                 continue;
             };
-            w += 1;
             let before = (!initial).then(|| self.snapshot_level(idx));
 
             if streaming {
@@ -972,17 +683,25 @@ impl<'a> ProgressiveDecoder<'a> {
                 // not a canonical-order prefix — their cascade feed waits
                 // for the whole level instead of riding the region stream.
                 let span_feed = self.layouts.is_none();
-                let cascade = span_feed.then_some((&mut *engine, before.as_deref()));
-                self.stream_level(
-                    &store,
-                    events,
-                    cascade,
-                    idx,
-                    lo,
-                    hi,
-                    prefix_bits,
-                    predictive,
-                )?;
+                let cascade = span_feed.then_some((&mut engine, before.as_deref()));
+                let fetch = match &store {
+                    Store::Slice(c) => FetchStage::Resident {
+                        level: &c.levels[idx],
+                        plane_lo: lo,
+                        plane_hi: hi,
+                    },
+                    Store::Source { map, source } => FetchStage::Ranged {
+                        level: &map.levels[idx],
+                        source: source.get(),
+                        plane_lo: lo,
+                        plane_hi: hi,
+                    },
+                };
+                let acc = &mut self.acc[idx];
+                let pipeline =
+                    RegionPipeline::new(fetch, prefix_bits, predictive, acc.len(), None)?;
+                let bytes_total = &mut self.bytes_total;
+                Self::stream_level(pipeline, acc, bytes_total, events, cascade, idx, lo, hi)?;
                 self.planes_loaded[idx] = want;
                 if span_feed {
                     // Prefix feeding happened region by region inside the
@@ -993,7 +712,7 @@ impl<'a> ProgressiveDecoder<'a> {
                 } else {
                     let layout = self.layouts.as_ref().map(|l| &l[idx]);
                     let codes = Self::level_codes(&self.acc[idx], before.as_deref(), layout);
-                    Self::feed(engine, idx, codes, events);
+                    Self::feed(&mut engine, idx, codes, events);
                 }
                 continue;
             }
@@ -1007,7 +726,7 @@ impl<'a> ProgressiveDecoder<'a> {
                 Store::Source { map, source } => {
                     fetched = match prefetched.take() {
                         Some(res) => res?,
-                        None => map.levels[idx].fetch_planes(source.get(), lo, hi)?,
+                        None => map.levels[idx].fetch_planes(source.get(), lo, hi, None)?,
                     };
                     &fetched
                 }
@@ -1017,13 +736,13 @@ impl<'a> ProgressiveDecoder<'a> {
             let mut decode = || -> Result<()> {
                 decode_planes_into(level, lo, hi, prefix_bits, predictive, acc)?;
                 let codes = Self::level_codes(acc, before.as_deref(), layout);
-                Self::feed(engine, idx, codes, events);
+                Self::feed(&mut engine, idx, codes, events);
                 Ok(())
             };
             match (&store, works.get(w)) {
                 (Store::Source { map, source }, Some(&(nidx, nlo, nhi, _))) => {
                     let (decoded, next) = crate::pipeline::overlap_fetch(
-                        || map.levels[nidx].fetch_planes(source.get(), nlo, nhi),
+                        || map.levels[nidx].fetch_planes(source.get(), nlo, nhi, None),
                         decode,
                     );
                     prefetched = Some(next);
@@ -1036,7 +755,7 @@ impl<'a> ProgressiveDecoder<'a> {
                 .sum::<usize>();
             self.planes_loaded[idx] = want;
         }
-        Ok(())
+        Ok(engine.into_field())
     }
 
     /// Hand one level's complete codes to the engine, reporting applied
@@ -1062,9 +781,67 @@ impl<'a> ProgressiveDecoder<'a> {
         }
     }
 
-    /// Stream one level's planes region by region through the pipeline,
-    /// reporting progress per region and rolling the accumulators and byte
-    /// accounting back exactly on mid-stream failure.
+    /// A region's load of one level: decode planes `[lo, hi)` of only the
+    /// masked precincts into scratch accumulators — resident levels lend
+    /// their chunks, ranged stores fetch the masked precincts in one batched
+    /// (coalescible) read — and place their codes at the domain offsets the
+    /// windowed cascade pass reads.
+    fn load_region_level(
+        &mut self,
+        store: &Store<'a>,
+        scope: &mut RegionScope,
+        events: &mut dyn FnMut(StreamEvent),
+        idx: usize,
+        lo: u8,
+        hi: u8,
+    ) -> Result<()> {
+        let mask = &scope.masks[idx];
+        let fetched;
+        let level: &EncodedLevel = match store {
+            Store::Slice(c) => &c.levels[idx],
+            Store::Source { map, source } => {
+                fetched = map.levels[idx].fetch_planes(source.get(), lo, hi, Some(mask))?;
+                &fetched
+            }
+        };
+        let level_no = num_levels(&self.shape) - idx as u32;
+        let spans = level
+            .precinct_spans
+            .as_deref()
+            .ok_or(IpcompError::CorruptContainer(
+                "precinct container level lacks precinct spans",
+            ))?;
+        if spans != scope.grid.level_spans(&self.shape, level_no).as_slice() {
+            return Err(IpcompError::CorruptContainer(
+                "precinct spans inconsistent with grid geometry",
+            ));
+        }
+        // Most of a coarse level's precincts hold no lattice point: nothing
+        // to decode, so they stay out of the stream.
+        let occupied: Vec<bool> = mask.iter().zip(spans).map(|(&m, &s)| m && s > 0).collect();
+        let mut acc = vec![0u64; level.n_values];
+        let header = store.header();
+        let fetch = FetchStage::Resident {
+            level,
+            plane_lo: lo,
+            plane_hi: hi,
+        };
+        let pipeline = RegionPipeline::new(
+            fetch,
+            header.prefix_bits,
+            header.predictive_coding,
+            acc.len(),
+            Some(&occupied),
+        )?;
+        let bytes_total = &mut self.bytes_total;
+        Self::stream_level(pipeline, &mut acc, bytes_total, events, None, idx, lo, hi)?;
+        scope.place_codes(&self.shape, level_no, idx, spans, &acc);
+        Ok(())
+    }
+
+    /// Stream one level's planes `[lo, hi)` region by region through
+    /// `pipeline` into `acc`, reporting progress per region and rolling the
+    /// accumulators and byte accounting back exactly on mid-stream failure.
     ///
     /// With `cascade` set, each region's newly final coefficient prefix is
     /// decoded to codes (values, or deltas against the refinement snapshot)
@@ -1074,60 +851,39 @@ impl<'a> ProgressiveDecoder<'a> {
     /// discarded with it.
     #[allow(clippy::too_many_arguments)] // decode parameters travel together
     fn stream_level(
-        &mut self,
-        store: &Store<'a>,
+        mut pipeline: RegionPipeline<'_>,
+        acc: &mut [u64],
+        bytes_total: &mut usize,
         cb: &mut dyn FnMut(StreamEvent),
         mut cascade: Option<(&mut CascadeEngine, Option<&[i64]>)>,
         idx: usize,
         lo: u8,
         hi: u8,
-        prefix_bits: u8,
-        predictive: bool,
     ) -> Result<()> {
-        let n_values = store.level_n_values(idx);
-        let acc = &mut self.acc[idx];
-        let mut stream = match store {
-            Store::Slice(c) => {
-                PlaneStream::new(&c.levels[idx], lo, hi, prefix_bits, predictive, acc.len())?
-            }
-            Store::Source { map, source } => PlaneStream::from_source(
-                &map.levels[idx],
-                source.get(),
-                lo,
-                hi,
-                prefix_bits,
-                predictive,
-                acc.len(),
-            )?,
-        };
+        let coeffs_in_level = acc.len();
+        let regions_in_level = pipeline.num_regions();
+        let bytes_before = *bytes_total;
         let mut region = 0usize;
-        let bytes_before = self.bytes_total;
-        let mut coeffs_done = 0usize;
-        let failure = loop {
-            let k = region;
-            let n_regions = stream.num_regions();
-            let region_bytes = if k < n_regions {
-                stream.region_compressed_bytes(k)
-            } else {
-                0
-            };
+        let mut coeffs_decoded = 0usize;
+        let mut scattered_end = 0usize;
+        let mut failure = None;
+        while let Some(k) = pipeline.next_region() {
+            let region_bytes = pipeline.region_compressed_bytes(k);
             // Progress reporting and cascade feeding run in the pipeline's
             // post-scatter hook — inside the fetch-overlap window, so the
             // level's early interpolation sub-passes execute while the next
             // region's chunks are still in flight.
-            let bytes_total = &mut self.bytes_total;
-            let cascade_ref = &mut cascade;
-            let result = stream.decode_next_with(acc, |coeffs, acc_region| {
+            let result = pipeline.decode_next_with(acc, |coeffs, acc_region| {
                 *bytes_total += region_bytes;
                 cb(StreamEvent::Region(StreamProgress {
                     level_idx: idx,
-                    region: k,
-                    regions_in_level: n_regions,
-                    coeffs_decoded: coeffs.end,
-                    coeffs_in_level: n_values,
+                    region,
+                    regions_in_level,
+                    coeffs_decoded: coeffs_decoded + coeffs.len(),
+                    coeffs_in_level,
                     bytes_total: *bytes_total,
                 }));
-                if let Some((engine, before)) = cascade_ref.as_mut() {
+                if let Some((engine, before)) = cascade.as_mut() {
                     // The prefix `[0, coeffs.end)` is final across every
                     // streamed plane: append the region's codes and let
                     // covered sub-passes run now.
@@ -1139,24 +895,28 @@ impl<'a> ProgressiveDecoder<'a> {
             });
             match result {
                 Ok(Some(coeffs)) => {
-                    coeffs_done = coeffs.end;
                     region += 1;
+                    coeffs_decoded += coeffs.len();
+                    scattered_end = coeffs.end;
                 }
-                Ok(None) => break None,
-                Err(e) => break Some(e),
+                Ok(None) => break,
+                Err(e) => {
+                    failure = Some(e);
+                    break;
+                }
             }
-        };
+        }
         if let Some(e) = failure {
             // Restore the decoder's bulk-path guarantee that a failed load
             // leaves no trace: the planes being added were all zero in the
-            // accumulators before this call, so clearing their bit range in
-            // the regions already scattered (and rolling back the byte
+            // accumulators before this call, so clearing their bit range up
+            // to the last region scattered (and rolling back the byte
             // accounting) undoes the partial stream exactly.
             let mask = (1u64 << hi) - (1u64 << lo);
-            for w in &mut acc[..coeffs_done] {
+            for w in &mut acc[..scattered_end] {
                 *w &= !mask;
             }
-            self.bytes_total = bytes_before;
+            *bytes_total = bytes_before;
             return Err(e);
         }
         Ok(())
@@ -1174,6 +934,76 @@ impl<'a> ProgressiveDecoder<'a> {
     }
 }
 
+/// Spatial scope of a region retrieval — the only state a region adds to the
+/// shared read loop: which precincts each level loads, and their codes placed
+/// where the windowed cascade pass reads them.
+struct RegionScope {
+    bounds: RoiBox,
+    /// `masks[idx][k]`: level entry `idx` loads precinct `k` (the box plus
+    /// the cascade's cross-level halo; see
+    /// [`crate::precinct::roi_precinct_masks`]).
+    masks: Vec<Vec<bool>>,
+    grid: PrecinctGrid,
+    /// Quantization codes of the loaded precincts, indexed by domain offset:
+    /// one field-sized buffer serves every level, since levels own disjoint
+    /// lattice points.
+    codes: Vec<i64>,
+}
+
+impl RegionScope {
+    /// Convert level `idx`'s masked precinct accumulators to codes at their
+    /// domain offsets: a precinct's slice of the precinct-major layout holds
+    /// its points in canonical order, which is the canonical sweep clipped to
+    /// the precinct box.
+    fn place_codes(
+        &mut self,
+        shape: &Shape,
+        level_no: u32,
+        idx: usize,
+        spans: &[usize],
+        acc: &[u64],
+    ) {
+        let starts = prefix_sums(spans);
+        for (k, &span) in spans.iter().enumerate() {
+            if !self.masks[idx][k] || span == 0 {
+                continue;
+            }
+            let (plo, phi) = self.grid.precinct_box(k);
+            let window: Vec<(usize, usize)> = plo.into_iter().zip(phi).collect();
+            let mut i = starts[k];
+            for_each_level_pass(shape, level_stride(level_no), |d, ranges| {
+                let clipped = clip_ranges(&ranges, &window);
+                sweep_runs(shape.strides(), &clipped, d, |run| {
+                    let mut offset = run.base;
+                    for _ in 0..run.count {
+                        self.codes[offset] = from_negabinary(acc[i]);
+                        i += 1;
+                        offset += run.step;
+                    }
+                });
+            });
+            debug_assert_eq!(i, starts[k] + span);
+        }
+    }
+
+    /// Crop the reconstructed field to the requested box.
+    fn crop(&self, shape: &Shape, field: &[f64]) -> ArrayD<f64> {
+        let b = &self.bounds;
+        let mut out = Vec::with_capacity(b.len());
+        let unit: Vec<AxisRange> = (0..b.ndim)
+            .map(|i| AxisRange::strided(b.lo[i], 1, b.hi[i]))
+            .collect();
+        sweep_runs(shape.strides(), &unit, 0, |run| {
+            let mut offset = run.base;
+            for _ in 0..run.count {
+                out.push(field[offset]);
+                offset += run.step;
+            }
+        });
+        ArrayD::from_vec(Shape::new(&b.dims()), out)
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1181,6 +1011,19 @@ mod tests {
     use crate::config::Config;
     use ipc_metrics::linf_error;
     use ipc_tensor::{ArrayD, Shape};
+
+    /// `retrieve_streaming_events` narrowed to chunk-region progress.
+    fn retrieve_regions(
+        dec: &mut ProgressiveDecoder<'_>,
+        request: RetrievalRequest,
+        mut progress: impl FnMut(StreamProgress),
+    ) -> Result<Retrieval> {
+        dec.retrieve_streaming_events(request, |event| {
+            if let StreamEvent::Region(p) = event {
+                progress(p);
+            }
+        })
+    }
 
     fn field() -> ArrayD<f64> {
         let shape = Shape::d3(24, 18, 20);
@@ -1314,9 +1157,8 @@ mod tests {
 
         let mut stream_dec = ProgressiveDecoder::new(&c);
         let mut reports: Vec<StreamProgress> = Vec::new();
-        let streamed = stream_dec
-            .retrieve_streaming(RetrievalRequest::Full, |p| reports.push(p))
-            .unwrap();
+        let streamed =
+            retrieve_regions(&mut stream_dec, RetrievalRequest::Full, |p| reports.push(p)).unwrap();
 
         assert_eq!(streamed.data.as_slice(), bulk.data.as_slice());
         assert_eq!(streamed.bytes_total, bulk.bytes_total);
@@ -1353,13 +1195,12 @@ mod tests {
         let bulk = bulk_dec.retrieve(RetrievalRequest::Full).unwrap();
 
         let mut stream_dec = ProgressiveDecoder::new(&c);
-        stream_dec
-            .retrieve_streaming(RetrievalRequest::ErrorBound(1e-2), |_| {})
-            .unwrap();
+        retrieve_regions(&mut stream_dec, RetrievalRequest::ErrorBound(1e-2), |_| {}).unwrap();
         let mut refine_reports = 0usize;
-        let streamed = stream_dec
-            .retrieve_streaming(RetrievalRequest::Full, |_| refine_reports += 1)
-            .unwrap();
+        let streamed = retrieve_regions(&mut stream_dec, RetrievalRequest::Full, |_| {
+            refine_reports += 1
+        })
+        .unwrap();
 
         assert!(refine_reports > 0);
         assert_eq!(streamed.data.as_slice(), bulk.data.as_slice());
@@ -1399,9 +1240,12 @@ mod tests {
 
         let mut stream_dec = ProgressiveDecoder::new(&c);
         let mut regions_before_failure = 0usize;
-        assert!(stream_dec
-            .retrieve_streaming(RetrievalRequest::Full, |_| regions_before_failure += 1)
-            .is_err());
+        assert!(
+            retrieve_regions(&mut stream_dec, RetrievalRequest::Full, |_| {
+                regions_before_failure += 1
+            })
+            .is_err()
+        );
         assert!(regions_before_failure > 0, "failure must be mid-stream");
         let stream_after = stream_dec.retrieve_with_plan(&partial_plan).unwrap();
 
@@ -1480,9 +1324,8 @@ mod tests {
 
         let mut streaming = ProgressiveDecoder::from_source(&source).unwrap();
         let mut reports = 0usize;
-        let streamed = streaming
-            .retrieve_streaming(RetrievalRequest::Full, |_| reports += 1)
-            .unwrap();
+        let streamed =
+            retrieve_regions(&mut streaming, RetrievalRequest::Full, |_| reports += 1).unwrap();
         assert!(reports > 1, "tiny chunks must stream many regions");
         assert_eq!(streamed.data.as_slice(), full.data.as_slice());
         assert_eq!(streamed.bytes_total, full.bytes_total);
@@ -1517,9 +1360,8 @@ mod tests {
         assert_eq!(out.data.as_slice(), a.as_slice());
         let mut sdec = ProgressiveDecoder::from_source(&source).unwrap();
         let mut regions = 0usize;
-        let streamed = sdec
-            .retrieve_streaming(RetrievalRequest::Full, |_| regions += 1)
-            .unwrap();
+        let streamed =
+            retrieve_regions(&mut sdec, RetrievalRequest::Full, |_| regions += 1).unwrap();
         assert!(regions > 0);
         assert_eq!(streamed.data.as_slice(), a.as_slice());
     }

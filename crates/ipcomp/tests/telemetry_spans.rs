@@ -1,6 +1,6 @@
-//! One traced retrieve produces the full span tree the chrome://tracing
-//! workflow relies on: fetch/entropy/scatter stage spans and cascade passes,
-//! all nested inside the root retrieve span.
+//! One traced retrieve — full-domain or region — produces the full span tree
+//! the chrome://tracing workflow relies on: fetch/entropy/scatter stage spans
+//! and cascade passes, all nested inside the root retrieve span.
 
 #![cfg(feature = "telemetry")]
 
@@ -8,6 +8,7 @@ use ipc_tensor::{ArrayD, Shape};
 use ipcomp::compressor::compress;
 use ipcomp::config::Config;
 use ipcomp::progressive::{ProgressiveDecoder, RetrievalRequest};
+use ipcomp::RoiBox;
 
 #[test]
 fn traced_retrieve_emits_all_stage_spans() {
@@ -15,7 +16,21 @@ fn traced_retrieve_emits_all_stage_spans() {
     let data = ArrayD::from_fn(shape, |c| {
         (c[0] as f64 * 0.21).sin() * 3.0 + (c[1] as f64 * 0.13).cos() * 2.0 + c[2] as f64 * 0.05
     });
-    let c = compress(&data, 1e-6, &Config::default()).unwrap();
+    let region = RoiBox::new(&[4, 3, 6], &[15, 12, 17]);
+    for (config, region, root_name) in [
+        (Config::default(), None, "retrieve"),
+        (
+            Config::with_precincts(&[8, 6, 5]),
+            Some(region),
+            "retrieve_roi",
+        ),
+    ] {
+        traced_retrieve(&data, &config, region, root_name);
+    }
+}
+
+fn traced_retrieve(data: &ArrayD<f64>, config: &Config, region: Option<RoiBox>, root_name: &str) {
+    let c = compress(data, 1e-6, config).unwrap();
 
     let source = ipcomp::source::MemorySource::new(c.to_bytes());
 
@@ -23,11 +38,14 @@ fn traced_retrieve_emits_all_stage_spans() {
     ipc_telemetry::trace::set_tracing(true);
     let _ = ipc_telemetry::trace::take_events();
     let mut dec = ProgressiveDecoder::from_source(&source).unwrap();
-    dec.retrieve(RetrievalRequest::Full).unwrap();
+    match region {
+        Some(bounds) => dec.retrieve_roi(bounds, RetrievalRequest::Full).unwrap(),
+        None => dec.retrieve(RetrievalRequest::Full).unwrap(),
+    };
     ipc_telemetry::trace::set_tracing(false);
     let events = ipc_telemetry::trace::take_events();
 
-    for name in ["fetch", "entropy", "scatter", "cascade.pass", "retrieve"] {
+    for name in ["fetch", "entropy", "scatter", "cascade.pass", root_name] {
         assert!(
             events.iter().any(|e| e.name == name),
             "missing span {name:?} in {:?}",
@@ -37,11 +55,11 @@ fn traced_retrieve_emits_all_stage_spans() {
 
     // Every stage span nests inside the root retrieve span (one clock for
     // all threads, so interval containment holds across the rayon pool).
-    let root = events.iter().find(|e| e.name == "retrieve").unwrap();
+    let root = events.iter().find(|e| e.name == root_name).unwrap();
     for e in &events {
         assert!(
             e.ts_ns >= root.ts_ns && e.ts_ns + e.dur_ns <= root.ts_ns + root.dur_ns,
-            "span {} [{}, {}] escapes retrieve [{}, {}]",
+            "span {} [{}, {}] escapes {root_name} [{}, {}]",
             e.name,
             e.ts_ns,
             e.ts_ns + e.dur_ns,

@@ -6,7 +6,7 @@
 //! The stack mirrors [`ContainerStore`](crate::ContainerStore) — backend,
 //! optional coalescing, optional shared LRU cache with per-tag quotas — but
 //! addresses the whole archive as **one key space**: every embedded per-step
-//! container reads through an [`OffsetSource`] window whose ranges translate
+//! container reads through an [`ipcomp::OffsetSource`] window whose ranges translate
 //! to archive-absolute offsets *above* the cache, so the keyframe and
 //! coarse-prefix chunks that consecutive-step requests share deduplicate in
 //! the shared cache exactly like two sessions sharing one container do
@@ -18,7 +18,7 @@ use std::sync::Arc;
 use ipcomp::archive::{ArchiveMap, ArchiveOutcome, ArchiveRequest, StepRetrieval};
 use ipcomp::progressive::{RetrievalRequest, StreamEvent};
 use ipcomp::source::{ByteRange, ChunkSource};
-use ipcomp::{ArchiveReader, IpcompError, Result};
+use ipcomp::{ArchiveReader, Result};
 
 use crate::cache::{CacheStats, CacheTag, TaggedSource};
 use crate::planner::plan_request;
@@ -203,35 +203,36 @@ impl ArchiveRangePlan {
 /// prefix priced at the reference fidelity, the output window at the
 /// requested fidelity, and — when a step serves both — the union of the two
 /// per-step plans, each composed with the existing per-container
-/// plane/precinct lowering.
+/// plane/precinct lowering. Every step is priced through the same
+/// [`plan_request`] dispatch its decoder plans with, under the request's
+/// window when it has one — so whatever [`ArchiveReader::retrieve_steps`]
+/// serves is priced byte for byte, and whatever it refuses is refused here.
 pub fn plan_archive_request(
     reader: &ArchiveReader,
     request: &ArchiveRequest,
 ) -> Result<ArchiveRangePlan> {
     let map = reader.map();
     let schedule = reader.step_schedule(request)?;
-    let reference = step_request(RetrievalRequest::ErrorBound(map.reference_bound()), request)?;
-    let fidelity = step_request(request.fidelity, request)?;
+    let reference = RetrievalRequest::ErrorBound(map.reference_bound());
     let mut steps = Vec::with_capacity(schedule.len());
     for plan in schedule {
         let cmap = map.container(plan.step, request.variable);
-        let zeros = vec![0u8; cmap.levels.len()];
         // Fresh decoders per step: nothing is pre-loaded.
         let mut ranges: Vec<ByteRange> = Vec::new();
         let mut seen: HashSet<ByteRange> = HashSet::new();
+        let mut price = |fidelity| -> Result<()> {
+            for r in plan_request(cmap, &[], fidelity, request.roi)?.ranges() {
+                if seen.insert(r) {
+                    ranges.push(r);
+                }
+            }
+            Ok(())
+        };
         if plan.output {
-            for r in plan_request(cmap, &zeros, fidelity)?.ranges() {
-                if seen.insert(r) {
-                    ranges.push(r);
-                }
-            }
+            price(request.fidelity)?;
         }
-        if plan.chain && (!plan.output || fidelity != reference) {
-            for r in plan_request(cmap, &zeros, reference)?.ranges() {
-                if seen.insert(r) {
-                    ranges.push(r);
-                }
-            }
+        if plan.chain && (!plan.output || request.fidelity != reference) {
+            price(reference)?;
         }
         let base = map.entry(plan.step, request.variable).offset;
         for r in &mut ranges {
@@ -245,23 +246,6 @@ pub fn plan_archive_request(
     Ok(ArchiveRangePlan { steps })
 }
 
-/// The per-container request one step of `request` decodes with: the given
-/// fidelity, scoped to the request's ROI window when one is set.
-fn step_request(fidelity: RetrievalRequest, request: &ArchiveRequest) -> Result<RetrievalRequest> {
-    match request.roi {
-        None => Ok(fidelity),
-        Some(bounds) => match fidelity {
-            RetrievalRequest::ErrorBound(error_bound) => Ok(RetrievalRequest::Roi {
-                bounds,
-                error_bound,
-            }),
-            _ => Err(IpcompError::InvalidInput(
-                "ROI-scoped archive requests require an ErrorBound fidelity".into(),
-            )),
-        },
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -271,12 +255,16 @@ mod tests {
     use ipcomp::Config;
 
     fn toy_archive_bytes(steps: usize, interval: usize) -> Vec<u8> {
+        toy_archive_with(steps, interval, Config::default())
+    }
+
+    fn toy_archive_with(steps: usize, interval: usize, codec: Config) -> Vec<u8> {
         let shape = Shape::d3(14, 12, 10);
         let config = ArchiveConfig {
             keyframe_interval: interval,
             reference_bound: 1e-3,
             finest_bound: 1e-5,
-            codec: Config::default(),
+            codec,
         };
         let mut builder = ArchiveBuilder::new(vec!["f".into()], shape.clone(), config).unwrap();
         for t in 0..steps {
@@ -313,21 +301,34 @@ mod tests {
 
     #[test]
     fn plan_prices_exactly_what_retrieval_fetches() {
-        let bytes = toy_archive_bytes(8, 4);
-        let store = ArchiveStore::open(
-            Arc::new(MemorySource::new(bytes)),
-            StoreOptions {
+        use ipcomp::{PlanInput, RoiBox};
+        let open = |bytes: Vec<u8>| {
+            let options = StoreOptions {
                 cache_bytes: 0,
                 coalesce_gap: None,
                 ..StoreOptions::default()
-            },
-        )
-        .unwrap();
-        use ipcomp::PlanInput;
-        let reference = RetrievalRequest::ErrorBound(store.map().reference_bound());
-        for (start, end, eb) in [(0, 3, 1e-2), (5, 8, 1e-3), (2, 7, 1e-4)] {
-            let fidelity = RetrievalRequest::ErrorBound(eb);
-            let request = ArchiveRequest::steps(0, start..end, fidelity);
+            };
+            ArchiveStore::open(Arc::new(MemorySource::new(bytes)), options).unwrap()
+        };
+        let flat = open(toy_archive_bytes(8, 4));
+        let tiled = open(toy_archive_with(8, 4, Config::with_precincts(&[7, 6, 5])));
+        let window = Some(RoiBox::new(&[2, 3, 1], &[9, 10, 7]));
+        let eb = RetrievalRequest::ErrorBound;
+        for (store, start, end, fidelity, roi) in [
+            (&flat, 0, 3, eb(1e-2), None),
+            (&flat, 5, 8, eb(1e-3), None),
+            (&flat, 2, 7, eb(1e-4), None),
+            // A window prices exactly the fidelities retrieval serves under it.
+            (&tiled, 2, 7, eb(1e-4), window),
+            (&tiled, 0, 3, RetrievalRequest::RelErrorBound(1e-3), window),
+            (&tiled, 5, 8, RetrievalRequest::Full, window),
+            (&tiled, 1, 4, RetrievalRequest::SizeBudget(6000), window),
+        ] {
+            let reference = RetrievalRequest::ErrorBound(store.map().reference_bound());
+            let request = ArchiveRequest {
+                roi,
+                ..ArchiveRequest::steps(0, start..end, fidelity)
+            };
             let mut session = store.session();
             let plan = session.plan_ranges(&request).unwrap();
             // Expected logical bytes: each per-step decoder fetches its own
@@ -337,26 +338,25 @@ mod tests {
             let mut union = 0usize;
             for p in session.reader().step_schedule(&request).unwrap() {
                 let cmap = store.map().container(p.step, 0);
-                let zeros = vec![0u8; cmap.levels.len()];
+                let price = |fidelity| {
+                    plan_request(cmap, &[], fidelity, roi)
+                        .unwrap()
+                        .payload_bytes()
+                        + cmap.plan_base_bytes()
+                };
                 let shared = p.chain && p.output && fidelity == reference;
                 if p.output {
-                    expected += plan_request(cmap, &zeros, fidelity)
-                        .unwrap()
-                        .payload_bytes()
-                        + cmap.plan_base_bytes();
+                    expected += price(fidelity);
                 }
                 if p.chain && !shared {
-                    expected += plan_request(cmap, &zeros, reference)
-                        .unwrap()
-                        .payload_bytes()
-                        + cmap.plan_base_bytes();
+                    expected += price(reference);
                 }
                 union += cmap.plan_base_bytes();
             }
             let before = session.bytes_loaded();
             session.retrieve_steps(&request).unwrap();
             let fetched = session.bytes_loaded() - before;
-            assert_eq!(fetched, expected, "start={start} end={end} eb={eb}");
+            assert_eq!(fetched, expected, "{start}..{end} {fidelity:?} {roi:?}");
             // The plan's union never exceeds the logical bytes and covers at
             // least every step's payload once.
             assert!(plan.payload_bytes() + union <= expected);

@@ -4,7 +4,13 @@
 //! Keys are the exact requested ranges. That is effective because the
 //! decoder always addresses a given chunk by the same `(offset, len)` pair —
 //! the chunk index is immutable — so every re-request of a chunk by another
-//! session (or a refinement pass) is a guaranteed key match. The cache sits
+//! session (or a refinement pass) is a guaranteed key match. The one
+//! exception is a region retrieval, which reads each maximal run of
+//! consecutive masked precincts as a single range
+//! (`LevelMap::fetch_planes` under a mask): its keys are per run, so two
+//! regions share an entry only where their precinct runs coincide, and a
+//! region never hits the per-chunk entries a full-domain read admitted. The
+//! cache sits
 //! *above* coalescing in a source stack: hits are served per chunk without
 //! touching the backend, and the misses of one batch flow down in a single
 //! `read_ranges` call that the coalescer can still merge.

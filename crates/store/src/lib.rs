@@ -61,7 +61,7 @@ pub use archive::{
 pub use cache::{CacheStats, CacheTag, CachedSource, TagStats, TaggedRead, TaggedSource};
 pub use coalesce::{coalesce_ranges, traffic_model_gap, CoalescingSource};
 pub use file::FileSource;
-pub use planner::{lower_plan, lower_plan_roi, plan_request, ChunkRead, RangePlan};
+pub use planner::{lower_plan, plan_request, ChunkRead, RangePlan};
 pub use service::{
     field_checksum, ArchiveId, ClientOutcome, ClientStep, ContainerId, CostModel, ServiceConfig,
     ServiceError, ServiceEvent, ServiceMetricsSnapshot, StoreService, TenantConfig, TenantId,

@@ -15,10 +15,10 @@
 //! plane instead of erroring.
 
 use ipcomp::container::ContainerMap;
-use ipcomp::optimizer::{plan_for_request, LoadPlan};
+use ipcomp::optimizer::{plan_for_scope, LoadPlan};
 use ipcomp::progressive::RetrievalRequest;
 use ipcomp::source::ByteRange;
-use ipcomp::Result;
+use ipcomp::{Result, RoiBox};
 
 use crate::coalesce::coalesce_ranges;
 
@@ -71,8 +71,17 @@ impl RangePlan {
 /// Lower `plan` against `map`, skipping planes already loaded.
 ///
 /// `already_loaded[idx]` counts planes from the most significant, exactly
-/// like `LoadPlan::planes_loaded` (pass all zeros for a fresh session).
-pub fn lower_plan(map: &ContainerMap, already_loaded: &[u8], plan: &LoadPlan) -> RangePlan {
+/// like `LoadPlan::planes_loaded` (pass all zeros for a fresh session). Under
+/// region `masks` only the chunks of marked precincts are read (see
+/// [`ipcomp::roi_precinct_masks`]): in the version-3 layout a plane's chunk
+/// index *is* the precinct id, so the lowering stays a direct walk of the
+/// chunk table.
+pub fn lower_plan(
+    map: &ContainerMap,
+    already_loaded: &[u8],
+    plan: &LoadPlan,
+    masks: Option<&[Vec<bool>]>,
+) -> RangePlan {
     let mut reads = Vec::new();
     for (idx, level) in map.levels.iter().enumerate() {
         let want = plan
@@ -88,46 +97,11 @@ pub fn lower_plan(map: &ContainerMap, already_loaded: &[u8], plan: &LoadPlan) ->
         // Top `want` planes minus the top `have` already present.
         let hi = level.num_planes - have;
         let lo = level.num_planes - want;
+        let mask = masks.map(|m| &m[idx]);
         for p in lo..hi {
+            debug_assert!(mask.is_none_or(|m| m.len() == level.plane_chunk_count(p)));
             for k in 0..level.plane_chunk_count(p) {
-                reads.push(ChunkRead {
-                    level: idx,
-                    plane: p,
-                    chunk: k,
-                    range: level.chunk_range(p, k),
-                });
-            }
-        }
-    }
-    RangePlan {
-        load: plan.clone(),
-        reads,
-    }
-}
-
-/// Lower `plan` to the chunks an ROI retrieval fetches: per level, only the
-/// chunks of precincts whose mask bit is set (see
-/// [`ipcomp::roi_precinct_masks`]). In the version-3 layout a plane's chunk
-/// index *is* the precinct id, so the lowering stays a direct walk of the
-/// chunk table. ROI retrievals are stateless — they never skip
-/// already-loaded planes — so there is no `already_loaded` parameter.
-pub fn lower_plan_roi(map: &ContainerMap, plan: &LoadPlan, masks: &[Vec<bool>]) -> RangePlan {
-    let mut reads = Vec::new();
-    for (idx, level) in map.levels.iter().enumerate() {
-        let want = plan
-            .planes_loaded
-            .get(idx)
-            .copied()
-            .unwrap_or(0)
-            .min(level.num_planes);
-        if want == 0 {
-            continue;
-        }
-        let lo = level.num_planes - want;
-        for p in lo..level.num_planes {
-            debug_assert_eq!(masks[idx].len(), level.plane_chunk_count(p));
-            for (k, &fetch) in masks[idx].iter().enumerate() {
-                if fetch {
+                if mask.is_none_or(|m| m[k]) {
                     reads.push(ChunkRead {
                         level: idx,
                         plane: p,
@@ -144,21 +118,23 @@ pub fn lower_plan_roi(map: &ContainerMap, plan: &LoadPlan, masks: &[Vec<bool>]) 
     }
 }
 
-/// Resolve `request` through the optimizer (the same dispatch the decoder's
-/// `plan()` uses) and lower it in one step. A [`RetrievalRequest::Roi`]
-/// lowers region-scoped: only chunk ranges of precincts intersecting the
-/// box plus its cross-level ancestor halo.
+/// Resolve `request` — scoped to `region` when one is given — through the
+/// optimizer (the same [`plan_for_scope`] dispatch the decoder uses, so a
+/// request is priced exactly as it is served) and lower it in one step. A
+/// region, whether passed here or carried by [`RetrievalRequest::Roi`],
+/// lowers to only the chunk ranges of precincts intersecting the box plus
+/// its cross-level ancestor halo, and never skips already-loaded planes:
+/// region retrievals are stateless.
 pub fn plan_request(
     map: &ContainerMap,
     already_loaded: &[u8],
     request: RetrievalRequest,
+    region: Option<RoiBox>,
 ) -> Result<RangePlan> {
-    let plan = plan_for_request(map, request)?;
-    if let RetrievalRequest::Roi { bounds, .. } = request {
-        let masks = ipcomp::roi_precinct_masks(&map.header, &bounds)?;
-        return Ok(lower_plan_roi(map, &plan, &masks));
-    }
-    Ok(lower_plan(map, already_loaded, &plan))
+    Ok(match plan_for_scope(map, request, region)? {
+        (plan, None) => lower_plan(map, already_loaded, &plan, None),
+        (plan, Some((_, masks))) => lower_plan(map, &[], &plan, Some(&masks)),
+    })
 }
 
 #[cfg(test)]
@@ -183,7 +159,13 @@ mod tests {
     #[test]
     fn full_plan_covers_every_payload_byte() {
         let (c, map) = toy_map(64);
-        let rp = plan_request(&map, &vec![0; map.levels.len()], RetrievalRequest::Full).unwrap();
+        let rp = plan_request(
+            &map,
+            &vec![0; map.levels.len()],
+            RetrievalRequest::Full,
+            None,
+        )
+        .unwrap();
         assert_eq!(rp.payload_bytes(), c.payload_bytes());
     }
 
@@ -194,6 +176,7 @@ mod tests {
             &map,
             &vec![0; map.levels.len()],
             RetrievalRequest::ErrorBound(1e-3),
+            None,
         )
         .unwrap();
         assert!(rp.payload_bytes() > 0);
@@ -211,17 +194,29 @@ mod tests {
             &map,
             &vec![0; map.levels.len()],
             RetrievalRequest::ErrorBound(1e-2),
+            None,
         )
         .unwrap();
-        let refined =
-            plan_request(&map, &coarse.load.planes_loaded, RetrievalRequest::Full).unwrap();
+        let refined = plan_request(
+            &map,
+            &coarse.load.planes_loaded,
+            RetrievalRequest::Full,
+            None,
+        )
+        .unwrap();
         // No chunk is fetched twice across the two steps.
         let mut seen: std::collections::HashSet<(usize, u8, usize)> = Default::default();
         for r in coarse.reads.iter().chain(&refined.reads) {
             assert!(seen.insert((r.level, r.plane, r.chunk)), "duplicate {r:?}");
         }
         // Together they cover the full plan exactly.
-        let full = plan_request(&map, &vec![0; map.levels.len()], RetrievalRequest::Full).unwrap();
+        let full = plan_request(
+            &map,
+            &vec![0; map.levels.len()],
+            RetrievalRequest::Full,
+            None,
+        )
+        .unwrap();
         assert_eq!(
             coarse.payload_bytes() + refined.payload_bytes(),
             full.payload_bytes()
@@ -230,7 +225,7 @@ mod tests {
 
     #[test]
     fn roi_lowering_selects_masked_subset_and_matches_decoder_bytes() {
-        use ipcomp::{PlanInput, ProgressiveDecoder, RoiBox};
+        use ipcomp::{PlanInput, ProgressiveDecoder};
         let field = ArrayD::from_fn(Shape::d3(24, 20, 16), |c| {
             (c[0] as f64 * 0.3).sin() + (c[1] as f64 * 0.2).cos() * 2.0 + c[2] as f64 * 0.01
         });
@@ -243,8 +238,8 @@ mod tests {
             bounds,
             error_bound: 1e-3,
         };
-        let roi = plan_request(&map, &zeros, request).unwrap();
-        let full = plan_request(&map, &zeros, RetrievalRequest::ErrorBound(1e-3)).unwrap();
+        let roi = plan_request(&map, &zeros, request, None).unwrap();
+        let full = plan_request(&map, &zeros, RetrievalRequest::ErrorBound(1e-3), None).unwrap();
         // Same plane selection, strictly fewer chunks, and every ROI read is
         // one of the full lowering's reads.
         assert_eq!(roi.load.planes_loaded, full.load.planes_loaded);
@@ -276,13 +271,19 @@ mod tests {
             bounds: ipcomp::RoiBox::new(&[0, 0, 0], &[4, 4, 4]),
             error_bound: 1e-3,
         };
-        assert!(plan_request(&map, &vec![0; map.levels.len()], request).is_err());
+        assert!(plan_request(&map, &vec![0; map.levels.len()], request, None).is_err());
     }
 
     #[test]
     fn coalescing_collapses_contiguous_plane_runs() {
         let (_, map) = toy_map(64);
-        let rp = plan_request(&map, &vec![0; map.levels.len()], RetrievalRequest::Full).unwrap();
+        let rp = plan_request(
+            &map,
+            &vec![0; map.levels.len()],
+            RetrievalRequest::Full,
+            None,
+        )
+        .unwrap();
         let merged = rp.coalesced(0);
         // A full fetch of each level's payload is one contiguous run, and
         // adjacent levels are separated only by their metadata records.

@@ -20,9 +20,7 @@
 use std::sync::Arc;
 
 use ipcomp::container::ContainerMap;
-use ipcomp::progressive::{
-    ProgressiveDecoder, Retrieval, RetrievalRequest, StreamEvent, StreamProgress,
-};
+use ipcomp::progressive::{ProgressiveDecoder, Retrieval, RetrievalRequest, StreamEvent};
 use ipcomp::source::ChunkSource;
 use ipcomp::Result;
 
@@ -300,23 +298,13 @@ impl RetrievalSession {
         Ok(out)
     }
 
-    /// Streaming variant of [`RetrievalSession::retrieve`].
-    pub fn retrieve_streaming(
-        &mut self,
-        request: RetrievalRequest,
-        progress: impl FnMut(StreamProgress),
-    ) -> Result<Retrieval> {
-        let out = self.decoder.retrieve_streaming(request, progress)?;
-        self.readahead();
-        Ok(out)
-    }
-
-    /// Streamed-reconstruction variant of
-    /// [`RetrievalSession::retrieve_streaming`]: the callback observes both
-    /// decoded chunk regions ([`StreamEvent::Region`]) and completed cascade
-    /// passes ([`StreamEvent::LevelReconstructed`]) — a client can render or
-    /// forward the coarse lattices while the finest level is still streaming
-    /// out of the shared store.
+    /// Streaming variant of [`RetrievalSession::retrieve`]: the callback
+    /// observes both decoded chunk regions ([`StreamEvent::Region`]) and
+    /// completed cascade passes ([`StreamEvent::LevelReconstructed`]) — a
+    /// client can render or forward the coarse lattices while the finest
+    /// level is still streaming out of the shared store. A
+    /// [`RetrievalRequest::Roi`] request streams per-precinct regions and
+    /// per-level windowed passes.
     pub fn retrieve_streaming_events(
         &mut self,
         request: RetrievalRequest,
@@ -342,19 +330,6 @@ impl RetrievalSession {
         self.decoder.retrieve_roi(bounds, request)
     }
 
-    /// Streaming variant of [`RetrievalSession::retrieve_roi`]: the callback
-    /// observes per-precinct [`StreamEvent::Region`] decode progress and
-    /// per-level [`StreamEvent::LevelReconstructed`] cascade completions
-    /// scoped to the ROI window.
-    pub fn retrieve_roi_streaming(
-        &mut self,
-        bounds: ipcomp::RoiBox,
-        request: RetrievalRequest,
-        events: impl FnMut(StreamEvent),
-    ) -> Result<Retrieval> {
-        self.decoder.retrieve_roi_streaming(bounds, request, events)
-    }
-
     /// Warm the shared cache with every chunk `request` would add beyond
     /// what this session has loaded, without decoding anything. Returns what
     /// was fetched; a no-op (zero outcome) when the store has no cache layer
@@ -363,7 +338,7 @@ impl RetrievalSession {
         if self.store.cache.is_none() {
             return Ok(PrefetchOutcome::default());
         }
-        let plan = plan_request(&self.store.map, self.decoder.planes_loaded(), request)?;
+        let plan = self.plan_ranges(request)?;
         let ranges = plan.ranges();
         self.store.stack.read_ranges(&ranges)?;
         Ok(PrefetchOutcome {
@@ -397,7 +372,7 @@ impl RetrievalSession {
             extra_error_bound: 0.0,
             payload_bytes: 0,
         };
-        let ranges = lower_plan(&self.store.map, loaded, &plan).ranges();
+        let ranges = lower_plan(&self.store.map, loaded, &plan, None).ranges();
         if !ranges.is_empty() {
             let _ = self.store.stack.read_ranges(&ranges);
         }
@@ -408,15 +383,7 @@ impl RetrievalSession {
     /// lower region-scoped: only chunk ranges of precincts the box (plus
     /// halo) touches.
     pub fn plan_ranges(&self, request: RetrievalRequest) -> Result<crate::planner::RangePlan> {
-        if matches!(request, RetrievalRequest::Roi { .. }) {
-            return plan_request(&self.store.map, self.decoder.planes_loaded(), request);
-        }
-        let plan = self.decoder.plan(request)?;
-        Ok(lower_plan(
-            &self.store.map,
-            self.decoder.planes_loaded(),
-            &plan,
-        ))
+        plan_request(&self.store.map, self.decoder.planes_loaded(), request, None)
     }
 
     /// Planes currently loaded per level (coarsest first).

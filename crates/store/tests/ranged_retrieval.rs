@@ -189,7 +189,13 @@ fn v1_container_plans_one_whole_payload_range_per_plane() {
 
     let source = test_source(v1_bytes);
     let map = ContainerMap::open(source.as_ref()).unwrap();
-    let plan = plan_request(&map, &vec![0; map.levels.len()], RetrievalRequest::Full).unwrap();
+    let plan = plan_request(
+        &map,
+        &vec![0; map.levels.len()],
+        RetrievalRequest::Full,
+        None,
+    )
+    .unwrap();
     // One read per (level, plane), each spanning the plane's whole payload.
     let expected: usize = c.levels.iter().map(|l| l.planes.len()).sum();
     assert_eq!(plan.request_count(), expected);
@@ -283,7 +289,9 @@ fn streaming_short_read_rolls_back_and_session_can_retry() {
     let mut session = store.session();
     let mut progressed = 0usize;
     let err = session
-        .retrieve_streaming(RetrievalRequest::Full, |_| progressed += 1)
+        .retrieve_streaming_events(RetrievalRequest::Full, |event| {
+            progressed += usize::from(matches!(event, ipc_store::StreamEvent::Region(_)));
+        })
         .unwrap_err();
     assert!(progressed > 0, "fault must land mid-stream");
     assert!(matches!(

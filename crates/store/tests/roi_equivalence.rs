@@ -99,21 +99,29 @@ fn check_roi(
                 .unwrap();
             session.retrieve_roi(bounds, request).unwrap()
         }
-        // Streaming variant with progress events.
-        _ => {
-            let mut regions = 0usize;
-            let mut levels = 0usize;
-            let out = session
-                .retrieve_roi_streaming(bounds, request, |e| match e {
-                    StreamEvent::Region(_) => regions += 1,
-                    StreamEvent::LevelReconstructed(_) => levels += 1,
-                    StreamEvent::StepReconstructed(_) => unreachable!("not an archive retrieval"),
-                })
-                .unwrap();
-            assert!(levels > 0, "streaming ROI must report cascade progress");
-            let _ = regions;
-            out
-        }
+        // Events variant (the `Roi` request carries box + error bound; a
+        // `Full` region has no events spelling and retrieves plainly).
+        _ => match request {
+            RetrievalRequest::ErrorBound(error_bound) => {
+                let mut levels = 0usize;
+                let request = RetrievalRequest::Roi {
+                    bounds,
+                    error_bound,
+                };
+                let out = session
+                    .retrieve_streaming_events(request, |e| match e {
+                        StreamEvent::Region(_) => {}
+                        StreamEvent::LevelReconstructed(_) => levels += 1,
+                        StreamEvent::StepReconstructed(_) => {
+                            unreachable!("not an archive retrieval")
+                        }
+                    })
+                    .unwrap();
+                assert!(levels > 0, "streaming ROI must report cascade progress");
+                out
+            }
+            _ => session.retrieve_roi(bounds, request).unwrap(),
+        },
     };
     assert_eq!(out.data.shape().dims(), bounds.dims().as_slice());
     assert_eq!(

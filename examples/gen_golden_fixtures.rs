@@ -73,6 +73,15 @@ fn main() {
     std::fs::write(dir.join("container_v2_chunked.bin"), &chunked_bytes).unwrap();
     println!("container_v2_chunked.bin: {} bytes", chunked_bytes.len());
 
+    // Version-3 precinct layout of the same field: ragged final precincts
+    // along every axis (20 = 8+8+4, 16 = 6+6+4, 12 = 5+5+2). Pins the
+    // precinct extents in the header and the one-chunk-per-(plane, precinct)
+    // index.
+    let tiled = compress(&field, GOLDEN_EB, &Config::with_precincts(&[8, 6, 5])).unwrap();
+    let tiled_bytes = tiled.to_bytes();
+    std::fs::write(dir.join("container_v3.bin"), &tiled_bytes).unwrap();
+    println!("container_v3.bin: {} bytes", tiled_bytes.len());
+
     let decoded = c.decompress().unwrap();
     let mut value_bytes = Vec::with_capacity(decoded.len() * 8);
     for v in decoded.as_slice() {

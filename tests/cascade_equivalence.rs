@@ -17,7 +17,7 @@ use ipc_tensor::{ArrayD, Shape};
 use ipcomp::source::{ByteRange, Bytes, ChunkSource};
 use ipcomp::{
     compress, CascadeImpl, Config, IpcompError, MemorySource, ProgressiveDecoder, RetrievalRequest,
-    StreamEvent,
+    RoiBox, StreamEvent,
 };
 use proptest::prelude::*;
 
@@ -81,8 +81,32 @@ impl ChunkSource for FlakySource {
     }
 }
 
+/// Crop row-major `bits` over `dims` to `bounds`.
+fn crop(bits: &[u64], dims: &[usize], bounds: &RoiBox) -> Vec<u64> {
+    let mut out = Vec::with_capacity(bounds.len());
+    let mut coords: Vec<usize> = bounds.lo[..dims.len()].to_vec();
+    loop {
+        out.push(bits[coords.iter().zip(dims).fold(0, |off, (&c, &d)| off * d + c)]);
+        let mut d = dims.len();
+        loop {
+            if d == 0 {
+                return out;
+            }
+            d -= 1;
+            coords[d] += 1;
+            if coords[d] < bounds.hi[d] {
+                break;
+            }
+            coords[d] = bounds.lo[d];
+        }
+    }
+}
+
 /// One retrieval under the current test hooks, slice and source backed,
-/// bulk and streaming — returns the four outputs' bits.
+/// bulk and streaming — returns the four outputs' bits. On a precinct
+/// container, region retrievals (an interior box and one touching the far
+/// domain edge) must additionally equal the crop of the same hooks' full
+/// decode: the windowed cascade pass agrees with every kernel and schedule.
 fn decode_all_ways(
     c: &ipcomp::Compressed,
     request: RetrievalRequest,
@@ -95,8 +119,24 @@ fn decode_all_ways(
     let r = d.retrieve(request).unwrap();
     out.push(("slice bulk".to_string(), bits(&r), r.bytes_total));
 
+    if c.header.precincts.is_some() {
+        let dims = &c.header.dims;
+        let full: Vec<u64> = bits(&r);
+        let interior: Vec<usize> = dims.iter().map(|&d| d / 3).collect();
+        let inner_hi: Vec<usize> = dims.iter().map(|&d| (2 * d / 3).max(d / 3 + 1)).collect();
+        let edge: Vec<usize> = dims.iter().map(|&d| d - d.div_ceil(4)).collect();
+        for bounds in [RoiBox::new(&interior, &inner_hi), RoiBox::new(&edge, dims)] {
+            let want = crop(&full, dims, &bounds);
+            let roi = d.retrieve_roi(bounds, request).unwrap();
+            assert_eq!(bits(&roi), want, "slice roi {bounds:?} {request:?}");
+            let mut ranged = ProgressiveDecoder::from_source(&source).unwrap();
+            let roi = ranged.retrieve_roi(bounds, request).unwrap();
+            assert_eq!(bits(&roi), want, "source roi {bounds:?} {request:?}");
+        }
+    }
+
     let mut d = ProgressiveDecoder::new(c);
-    let r = d.retrieve_streaming(request, |_| {}).unwrap();
+    let r = d.retrieve_streaming_events(request, |_| {}).unwrap();
     out.push(("slice stream".to_string(), bits(&r), r.bytes_total));
 
     let mut d = ProgressiveDecoder::from_source(&source).unwrap();
@@ -146,6 +186,8 @@ fn streamed_cascade_bit_identical_across_error_bounds() {
     for eb in [1e-2, 1e-4, 1e-7] {
         assert_all_paths_bit_identical(&data, &Config::default(), eb);
     }
+    // The precinct layout adds region retrievals to the sweep.
+    assert_all_paths_bit_identical(&data, &Config::with_precincts(&[8, 5, 6]), 1e-6);
 }
 
 #[test]

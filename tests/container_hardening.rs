@@ -17,10 +17,17 @@
 //!   allocation (the decode paths cap every allocation by what the header
 //!   geometry admits).
 //!
-//! Everything runs on both the chunked (v2) writer output and the frozen v1
-//! fixture, so the legacy parse path stays hardened too.
+//! Everything runs on a freshly written container and on every committed
+//! fixture version (v1, v2, v2 multi-chunk, v3 precincts), through both
+//! entry points of the one parser: the resident `Compressed::from_bytes` +
+//! `decompress`, and the ranged `ContainerMap::open` + `retrieve(Full)` a
+//! remote store runs. Truncations and forged lengths additionally go through
+//! `ArchiveMap::open` on the v4 archive fixture.
 
-use ipcomp_suite::core::{compress, Compressed, Config};
+use ipcomp_suite::core::{
+    compress, ArchiveMap, Compressed, Config, IpcompError, MemorySource, ProgressiveDecoder,
+    RetrievalRequest,
+};
 use ipcomp_suite::tensor::{ArrayD, Shape};
 
 /// Small but real container: multiple levels, mixed entropy modes.
@@ -35,66 +42,153 @@ fn real_container_bytes() -> Vec<u8> {
         .to_bytes()
 }
 
-fn v1_fixture_bytes() -> Vec<u8> {
+fn fixture(name: &str) -> Vec<u8> {
     std::fs::read(
-        std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/fixtures/container_v1.bin"),
+        std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
+            .join("tests/fixtures")
+            .join(name),
     )
-    .expect("v1 fixture present")
+    .unwrap_or_else(|e| panic!("fixture {name}: {e}"))
 }
+
+/// Every container the sweeps corrupt — the writer's current output plus one
+/// fixture per readable layout — with the stride the bit-flip sweep walks its
+/// payload at. The fresh container and the v1 fixture flip every payload
+/// byte; the other fixtures repeat those layouts' payload coding (or, for
+/// v3, cost three times as much per decode), so they stride the payload to
+/// keep the suite's runtime bounded. Metadata bytes are never strided.
+fn containers() -> Vec<(&'static str, Vec<u8>, usize)> {
+    vec![
+        ("fresh v2", real_container_bytes(), 1),
+        ("container_v1.bin", fixture("container_v1.bin"), 1),
+        ("container_v2.bin", fixture("container_v2.bin"), 4),
+        (
+            "container_v2_chunked.bin",
+            fixture("container_v2_chunked.bin"),
+            4,
+        ),
+        ("container_v3.bin", fixture("container_v3.bin"), 8),
+    ]
+}
+
+type Decode = fn(&[u8]) -> Result<Vec<f64>, IpcompError>;
 
 /// Parse + full decompress; the return value only distinguishes "errored"
 /// from "decoded to something" — panicking fails the test by itself.
-fn try_decode(bytes: &[u8]) -> Result<Vec<f64>, ipcomp_suite::core::IpcompError> {
+fn try_decode(bytes: &[u8]) -> Result<Vec<f64>, IpcompError> {
     let c = Compressed::from_bytes(bytes)?;
     Ok(c.decompress()?.as_slice().to_vec())
 }
 
+/// The path production runs: metadata by ranged reads, payload fetched per
+/// plan, full-fidelity retrieve.
+fn try_decode_ranged(bytes: &[u8]) -> Result<Vec<f64>, IpcompError> {
+    let source = MemorySource::new(bytes.to_vec());
+    let mut dec = ProgressiveDecoder::from_source(&source)?;
+    Ok(dec
+        .retrieve(RetrievalRequest::Full)?
+        .data
+        .as_slice()
+        .to_vec())
+}
+
+const ENTRY_POINTS: [(&str, Decode); 2] = [("resident", try_decode), ("ranged", try_decode_ranged)];
+
+fn try_open_archive(bytes: &[u8]) -> Result<(), IpcompError> {
+    ArchiveMap::open(&MemorySource::new(bytes.to_vec())).map(|_| ())
+}
+
+/// The largest plausible forgery for any varint length/count field: a
+/// 10-byte encoding of `u64::MAX / 2`.
+fn huge_varint() -> Vec<u8> {
+    let mut v = Vec::new();
+    let mut x = u64::MAX / 2;
+    while x >= 0x80 {
+        v.push((x as u8 & 0x7F) | 0x80);
+        x >>= 7;
+    }
+    v.push(x as u8);
+    v
+}
+
+/// `bytes` with `insert` spliced in at `offset`.
+fn spliced(bytes: &[u8], offset: usize, insert: &[u8]) -> Vec<u8> {
+    [&bytes[..offset], insert, &bytes[offset..]].concat()
+}
+
+/// Sweep prefix lengths: every offset through the first 256 bytes (the
+/// metadata region), then a stride through the payload, plus always the
+/// last 32 boundaries.
+fn truncation_cuts(len: usize) -> Vec<usize> {
+    let mut cuts: Vec<usize> = (0..len.min(256)).collect();
+    cuts.extend((256..len).step_by(41));
+    cuts.extend(len.saturating_sub(32)..len);
+    cuts
+}
+
 #[test]
 fn every_truncation_is_rejected() {
-    for bytes in [real_container_bytes(), v1_fixture_bytes()] {
-        // Sweep every prefix length. Fine-grained in the metadata region
-        // (every offset for the first 256 bytes), then stride through the
-        // payload plus always the last 32 boundaries.
-        let mut cuts: Vec<usize> = (0..bytes.len().min(256)).collect();
-        cuts.extend((256..bytes.len()).step_by(41));
-        cuts.extend(bytes.len().saturating_sub(32)..bytes.len());
-        for cut in cuts {
-            assert!(
-                try_decode(&bytes[..cut]).is_err(),
-                "truncation at {cut}/{} decoded successfully",
-                bytes.len()
-            );
+    for (name, bytes, _) in containers() {
+        for cut in truncation_cuts(bytes.len()) {
+            for (entry, decode) in ENTRY_POINTS {
+                assert!(
+                    decode(&bytes[..cut]).is_err(),
+                    "{name} ({entry}): truncation at {cut}/{} decoded successfully",
+                    bytes.len()
+                );
+            }
         }
+    }
+    // Any cut of an archive strands a directory entry past the end or
+    // truncates an embedded container's metadata or payload.
+    let archive = fixture("container_v4.bin");
+    for cut in truncation_cuts(archive.len()) {
+        assert!(
+            try_open_archive(&archive[..cut]).is_err(),
+            "archive truncation at {cut}/{} opened successfully",
+            archive.len()
+        );
     }
 }
 
 #[test]
 fn bit_flips_never_panic() {
-    for bytes in [real_container_bytes(), v1_fixture_bytes()] {
+    for (name, bytes, payload_stride) in containers() {
         let original = try_decode(&bytes).expect("pristine container decodes");
+        assert_eq!(try_decode_ranged(&bytes).unwrap(), original, "{name}");
         let mut flipped_to_identical = 0usize;
         let mut attempts = 0usize;
-        for offset in 0..bytes.len() {
-            // Every pattern through the header/metadata region where the
-            // structure lives; one pattern per byte across the payload.
-            let patterns: &[u8] = if offset < 512 {
-                &[0x01, 0x80, 0xFF]
+        let offsets = (0..512).chain((512..bytes.len()).step_by(payload_stride));
+        for offset in offsets.take_while(|&o| o < bytes.len()) {
+            // Every pattern through both entry points across the
+            // header/metadata region where the structure lives; one pattern
+            // per byte across the payload, entry points alternating. A
+            // strided payload flip stands for `payload_stride` bytes, so the
+            // absorbed share below stays calibrated to the whole container.
+            let (patterns, entries, weight): (&[u8], &[(&str, Decode)], usize) = if offset < 512 {
+                (&[0x01, 0x80, 0xFF], &ENTRY_POINTS, 1)
             } else {
-                &[0xFF]
+                (
+                    &[0xFF],
+                    &ENTRY_POINTS[offset / payload_stride % 2..][..1],
+                    payload_stride,
+                )
             };
             for &pattern in patterns {
-                attempts += 1;
                 let mut bad = bytes.clone();
                 bad[offset] ^= pattern;
-                // Either outcome is acceptable; panicking or OOM is not.
-                if let Ok(values) = try_decode(&bad) {
-                    if values.len() == original.len()
-                        && values
-                            .iter()
-                            .zip(&original)
-                            .all(|(a, b)| a.to_bits() == b.to_bits())
-                    {
-                        flipped_to_identical += 1;
+                for (_, decode) in entries {
+                    attempts += weight;
+                    // Either outcome is acceptable; panicking or OOM is not.
+                    if let Ok(values) = decode(&bad) {
+                        if values.len() == original.len()
+                            && values
+                                .iter()
+                                .zip(&original)
+                                .all(|(a, b)| a.to_bits() == b.to_bits())
+                        {
+                            flipped_to_identical += weight;
+                        }
                     }
                 }
             }
@@ -106,7 +200,7 @@ fn bit_flips_never_panic() {
         // regions of the container stopped being validated or used.
         assert!(
             flipped_to_identical <= attempts / 20,
-            "{flipped_to_identical}/{attempts} flips were silently absorbed"
+            "{name}: {flipped_to_identical}/{attempts} flips were silently absorbed"
         );
     }
 }
@@ -115,34 +209,33 @@ fn bit_flips_never_panic() {
 /// make sure the decoder errors instead of allocating.
 #[test]
 fn forged_length_fields_are_rejected_without_oom() {
-    let bytes = real_container_bytes();
-    // A 10-byte varint encoding of u64::MAX / 2: the largest plausible
-    // forgery for any length/count field.
-    let huge: Vec<u8> = {
-        let mut v = Vec::new();
-        let mut x = u64::MAX / 2;
-        while x >= 0x80 {
-            v.push((x as u8 & 0x7F) | 0x80);
-            x >>= 7;
-        }
-        v.push(x as u8);
-        v
-    };
+    let huge = huge_varint();
     // Splice the forged varint over every metadata offset (the region before
     // the first level's payload certainly contains every count field:
-    // dimensions, anchors length, level count, n_values, trunc_loss, chunk
-    // index entries).
-    for offset in 8..bytes.len().min(400) {
-        let mut forged = Vec::with_capacity(bytes.len() + huge.len());
-        forged.extend_from_slice(&bytes[..offset]);
-        forged.extend_from_slice(&huge);
-        forged.extend_from_slice(&bytes[offset..]);
-        // Must error (the splice corrupts whatever field spans that offset);
-        // the real assertion is that this terminates quickly without
-        // allocating absurd amounts or panicking.
+    // dimensions, precinct extents, anchors length, level count, n_values,
+    // trunc_loss, chunk index entries or v1 plane lengths).
+    for (name, bytes, _) in containers() {
+        for offset in 8..bytes.len().min(400) {
+            let forged = spliced(&bytes, offset, &huge);
+            // Must error (the splice corrupts whatever field spans that
+            // offset); the real assertion is that this terminates quickly
+            // without allocating absurd amounts or panicking.
+            for (entry, decode) in ENTRY_POINTS {
+                assert!(
+                    decode(&forged).is_err(),
+                    "{name} ({entry}): forged varint at {offset} decoded successfully"
+                );
+            }
+        }
+    }
+    // The archive framing is fixed-width, so a splice shifts every later
+    // field: step/variable counts, directory offsets and lengths, and the
+    // embedded containers' own metadata all get forged in turn.
+    let archive = fixture("container_v4.bin");
+    for offset in 8..400 {
         assert!(
-            try_decode(&forged).is_err(),
-            "forged varint at {offset} decoded successfully"
+            try_open_archive(&spliced(&archive, offset, &huge)).is_err(),
+            "archive: forged varint at {offset} opened successfully"
         );
     }
 }

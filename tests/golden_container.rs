@@ -11,6 +11,11 @@
 //!   deterministic golden field must reproduce them byte for byte, so any
 //!   accidental format change fails here instead of corrupting archives in
 //!   the wild.
+//! * `container_v3.bin` — output of the version-3 precinct-major writer
+//!   (`Config::with_precincts(&[8, 6, 5])`, ragged final precincts on every
+//!   axis). Re-encoding must reproduce it byte for byte, it must decode to
+//!   the same values, and region retrievals from it must equal crops of
+//!   those values.
 //! * `expected_values.bin` — the bit-exact `f64` reconstruction all of the
 //!   containers above must decode to.
 //! * `container_v4.bin` — output of the version-4 time-series archive writer
@@ -20,14 +25,14 @@
 //!
 //! The golden field uses only exact dyadic arithmetic (integer products
 //! scaled by powers of two), so every byte is reproducible across platforms.
-//! Regenerate the v2 fixtures with `cargo run --example gen_golden_fixtures`
+//! Regenerate the v2–v4 fixtures with `cargo run --example gen_golden_fixtures`
 //! after an *intentional* format bump, and commit them with it.
 
 use std::sync::Arc;
 
 use ipcomp_suite::core::{
     composition_reference, compress, ArchiveBuilder, ArchiveConfig, ArchiveMap, ArchiveReader,
-    ArchiveRequest, Compressed, Config, MemorySource, ProgressiveDecoder, RetrievalRequest,
+    ArchiveRequest, Compressed, Config, MemorySource, ProgressiveDecoder, RetrievalRequest, RoiBox,
     StepKind,
 };
 use ipcomp_suite::tensor::{ArrayD, Shape};
@@ -103,11 +108,73 @@ fn v2_chunked_encode_is_byte_exact() {
     );
 }
 
-/// Both v2 fixtures re-decode losslessly to the committed reconstruction.
+/// Precinct extents of the v3 fixture. Must match
+/// `examples/gen_golden_fixtures.rs` exactly.
+const GOLDEN_PRECINCTS: [usize; 3] = [8, 6, 5];
+
+/// The precinct-major writer must reproduce the committed v3 fixture byte
+/// for byte: header extents, per-(plane, precinct) chunk index, payload.
+#[test]
+fn v3_encode_is_byte_exact() {
+    let config = Config::with_precincts(&GOLDEN_PRECINCTS);
+    let c = compress(&golden_field(), GOLDEN_EB, &config).unwrap();
+    let golden = fixture("container_v3.bin");
+    assert!(
+        c.to_bytes() == golden,
+        "precinct-layout serialization changed — container format drifted"
+    );
+    assert_eq!(&golden[4..8], &3u32.to_le_bytes());
+    assert_eq!(
+        Compressed::from_bytes(&golden).unwrap().header.precincts,
+        Some(GOLDEN_PRECINCTS.to_vec())
+    );
+}
+
+/// Region retrievals from the v3 fixture — an interior box and one on the
+/// far domain edge, resident and ranged — equal crops of the committed
+/// reconstruction (the expectation never comes from `retrieve_roi` itself).
+#[test]
+fn v3_fixture_regions_equal_crops_of_expected_values() {
+    let golden = fixture("container_v3.bin");
+    let expected = expected_values();
+    let c = Compressed::from_bytes(&golden).unwrap();
+    let source = MemorySource::new(golden);
+    for (lo, hi) in [([5, 4, 3], [13, 11, 8]), ([14, 9, 7], [20, 16, 12])] {
+        let mut crop = Vec::new();
+        for x in lo[0]..hi[0] {
+            for y in lo[1]..hi[1] {
+                for z in lo[2]..hi[2] {
+                    crop.push(expected[(x * 16 + y) * 12 + z]);
+                }
+            }
+        }
+        let bounds = RoiBox::new(&lo, &hi);
+        let resident = ProgressiveDecoder::new(&c)
+            .retrieve_roi(bounds, RetrievalRequest::Full)
+            .unwrap();
+        assert_eq!(
+            resident.data.as_slice(),
+            &crop[..],
+            "resident {lo:?}..{hi:?}"
+        );
+        let ranged = ProgressiveDecoder::from_source(&source)
+            .unwrap()
+            .retrieve_roi(bounds, RetrievalRequest::Full)
+            .unwrap();
+        assert_eq!(ranged.data.as_slice(), &crop[..], "ranged {lo:?}..{hi:?}");
+    }
+}
+
+/// The v2 and v3 fixtures re-decode losslessly to the committed
+/// reconstruction.
 #[test]
 fn v2_fixtures_decode_to_expected_values() {
     let expected = expected_values();
-    for name in ["container_v2.bin", "container_v2_chunked.bin"] {
+    for name in [
+        "container_v2.bin",
+        "container_v2_chunked.bin",
+        "container_v3.bin",
+    ] {
         let c = Compressed::from_bytes(&fixture(name)).unwrap();
         let decoded = c.decompress().unwrap();
         assert_eq!(decoded.as_slice(), &expected[..], "{name}");

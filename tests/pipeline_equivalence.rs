@@ -38,13 +38,17 @@ fn assert_all_paths_agree(data: &ArrayD<f64>, config: &Config, eb: f64, request:
     let a = slice_bulk.retrieve(request).unwrap();
 
     let mut slice_stream = ProgressiveDecoder::new(&c);
-    let b = slice_stream.retrieve_streaming(request, |_| {}).unwrap();
+    let b = slice_stream
+        .retrieve_streaming_events(request, |_| {})
+        .unwrap();
 
     let mut src_bulk = ProgressiveDecoder::from_source(&source).unwrap();
     let d = src_bulk.retrieve(request).unwrap();
 
     let mut src_stream = ProgressiveDecoder::from_source(&source).unwrap();
-    let e = src_stream.retrieve_streaming(request, |_| {}).unwrap();
+    let e = src_stream
+        .retrieve_streaming_events(request, |_| {})
+        .unwrap();
 
     for (name, out) in [
         ("slice stream", &b),
@@ -122,7 +126,7 @@ fn short_read_faults_surface_as_bounded_errors_with_exact_rollback() {
                 continue;
             };
             let result = if streaming {
-                dec.retrieve_streaming(RetrievalRequest::Full, |_| {})
+                dec.retrieve_streaming_events(RetrievalRequest::Full, |_| {})
             } else {
                 dec.retrieve(RetrievalRequest::Full)
             };
@@ -150,7 +154,7 @@ fn short_read_faults_surface_as_bounded_errors_with_exact_rollback() {
                     // and comparing with a coarse retrieval the faulty
                     // decoder *can* complete if its reads landed earlier.
                     let mut coarse =
-                        dec.retrieve_streaming(RetrievalRequest::ErrorBound(1e-2), |_| {});
+                        dec.retrieve_streaming_events(RetrievalRequest::ErrorBound(1e-2), |_| {});
                     if let Ok(out) = &mut coarse {
                         assert_eq!(
                             out.data.as_slice(),
@@ -210,10 +214,10 @@ proptest! {
 
         let mut refine_slice = ProgressiveDecoder::new(&c);
         refine_slice.retrieve(RetrievalRequest::ErrorBound(1e-2)).unwrap();
-        let via_slice = refine_slice.retrieve_streaming(RetrievalRequest::Full, |_| {}).unwrap();
+        let via_slice = refine_slice.retrieve_streaming_events(RetrievalRequest::Full, |_| {}).unwrap();
 
         let mut refine_src = ProgressiveDecoder::from_source(&source).unwrap();
-        refine_src.retrieve_streaming(RetrievalRequest::ErrorBound(1e-2), |_| {}).unwrap();
+        refine_src.retrieve_streaming_events(RetrievalRequest::ErrorBound(1e-2), |_| {}).unwrap();
         let via_src = refine_src.retrieve(RetrievalRequest::Full).unwrap();
 
         prop_assert_eq!(via_slice.data.as_slice(), via_src.data.as_slice());
