@@ -30,6 +30,19 @@ fn bench_lossless(c: &mut Criterion) {
     });
     group.bench_function("huffman_encode", |b| b.iter(|| huffman_encode(&symbols)));
     group.bench_function("rle_encode", |b| b.iter(|| rle_encode(&bytes)));
+
+    // The per-call floor: precinct-sized chunks, where a call's fixed cost
+    // (not its throughput) is what the tiled encoder pays 58 k times a field.
+    // Cut where the generator turns from zeros to dense values, so the bytes
+    // are bitplane-like sparse and not one run.
+    let dense_from = bytes.iter().position(|&b| b != 0).expect("dense stretch");
+    for len in [24usize, 96, 4096] {
+        let chunk = &bytes[dense_from.saturating_sub(len / 2)..][..len];
+        group.throughput(Throughput::Bytes(len as u64));
+        group.bench_function(format!("lzr_compress_{len}B"), |b| {
+            b.iter(|| lzr_compress(chunk))
+        });
+    }
     group.finish();
 }
 

@@ -8,6 +8,7 @@
 //! table, so the decoder can rebuild the exact same codebook.
 
 use crate::bitstream::{BitReader, BitWriter};
+use crate::rans::histogram;
 use crate::varint::{read_varint, varint_len, write_varint};
 use crate::{CodecError, Result};
 use std::cmp::Reverse;
@@ -20,17 +21,43 @@ struct Code {
     len: u8,
 }
 
-/// Build canonical code lengths for `symbols` with the given frequencies.
+/// Build canonical code lengths for a frequency table.
 ///
 /// Returns `(symbol, code_length)` pairs sorted by symbol. Handles the degenerate
 /// cases of zero or one distinct symbol (the single symbol gets a 1-bit code).
 fn code_lengths(freqs: &HashMap<u32, u64>) -> Vec<(u32, u8)> {
-    if freqs.is_empty() {
+    // Deterministic order: sort by symbol so equal-frequency ties break identically
+    // across runs.
+    let mut symbols: Vec<(u32, u64)> = freqs.iter().map(|(&s, &f)| (s, f)).collect();
+    symbols.sort_unstable();
+    code_lengths_sorted(&symbols)
+}
+
+/// [`code_lengths`] of a byte histogram, read straight off the counts: the
+/// present symbols of a `[u64; 256]` are already in ascending order, so the
+/// per-buffer hash map and sort of the generic path are skipped and the tree
+/// (hence every length, hence every encoded byte) is the same one.
+fn byte_code_lengths(hist: &[u64; 256]) -> Vec<(u32, u8)> {
+    let mut symbols: Vec<(u32, u64)> = Vec::with_capacity(hist.len());
+    symbols.extend(
+        hist.iter()
+            .enumerate()
+            .filter(|&(_, &f)| f > 0)
+            .map(|(s, &f)| (s as u32, f)),
+    );
+    code_lengths_sorted(&symbols)
+}
+
+/// The tree build behind both length functions. `symbols` holds the present
+/// `(symbol, frequency)` pairs in ascending symbol order: leaves enter the
+/// arena in that order and the heap is keyed on `(frequency, node index)`,
+/// which is what makes equal-frequency ties break identically everywhere.
+fn code_lengths_sorted(symbols: &[(u32, u64)]) -> Vec<(u32, u8)> {
+    if symbols.is_empty() {
         return Vec::new();
     }
-    if freqs.len() == 1 {
-        let &sym = freqs.keys().next().expect("one entry");
-        return vec![(sym, 1)];
+    if let [(sym, _)] = symbols {
+        return vec![(*sym, 1)];
     }
 
     // Node arena: leaves first, then internal nodes.
@@ -43,12 +70,8 @@ fn code_lengths(freqs: &HashMap<u32, u64>) -> Vec<(u32, u8)> {
     }
     const NONE: usize = usize::MAX;
 
-    let mut nodes: Vec<Node> = Vec::with_capacity(freqs.len() * 2);
-    // Deterministic order: sort by symbol so equal-frequency ties break identically
-    // across runs.
-    let mut symbols: Vec<(u32, u64)> = freqs.iter().map(|(&s, &f)| (s, f)).collect();
-    symbols.sort_unstable();
-    for &(sym, freq) in &symbols {
+    let mut nodes: Vec<Node> = Vec::with_capacity(symbols.len() * 2);
+    for &(sym, freq) in symbols {
         nodes.push(Node {
             freq,
             left: NONE,
@@ -78,7 +101,7 @@ fn code_lengths(freqs: &HashMap<u32, u64>) -> Vec<(u32, u8)> {
     let root = heap.pop().expect("single root").0 .1;
 
     // Depth-first traversal to assign lengths.
-    let mut lengths: Vec<(u32, u8)> = Vec::with_capacity(freqs.len());
+    let mut lengths: Vec<(u32, u8)> = Vec::with_capacity(symbols.len());
     let mut stack = vec![(root, 0u8)];
     while let Some((idx, depth)) = stack.pop() {
         let n = nodes[idx];
@@ -379,89 +402,103 @@ pub fn huffman_decode(buf: &[u8]) -> Result<Vec<u32>> {
     Ok(out)
 }
 
-/// Shared implementation of the byte-specialized encoder. When `size_limit` is
-/// set, returns `None` without doing any bit packing if the exact encoded size
-/// (computable from the histogram alone) would not be strictly smaller.
-fn huffman_encode_bytes_impl(bytes: &[u8], size_limit: Option<usize>) -> Option<Vec<u8>> {
-    let mut freq = [0u64; 256];
-    for &b in bytes {
-        freq[b as usize] += 1;
-    }
-    let freqs: HashMap<u32, u64> = freq
-        .iter()
-        .enumerate()
-        .filter(|&(_, &f)| f > 0)
-        .map(|(s, &f)| (s as u32, f))
-        .collect();
-    let lengths = code_lengths(&freqs);
+/// Smallest stream [`huffman_encode_bytes`] can emit for `n ≥ 1` bytes with
+/// `present` distinct symbols, which lets a caller holding a size limit at or
+/// under it skip the sizing (and, with `present = 1`, the histogram):
+/// symbol-count varint (≥ 1) + table-length varint (≥ 1) + payload-length
+/// varint (≥ 1) = 3, plus a `(symbol varint, length byte)` entry per present
+/// symbol (≥ 2 each), plus the payload at one bit or more per coded byte.
+pub(crate) const fn min_byte_stream_len(n: usize, present: usize) -> usize {
+    3 + 2 * present + n.div_ceil(8)
+}
 
-    // Exact output size, known before writing a single bit: header varints plus
-    // `Σ freq(s) · len(s)` payload bits.
-    let payload_bits: u64 = lengths
-        .iter()
-        .map(|&(sym, len)| freq[sym as usize] * len as u64)
-        .sum();
-    let payload_len = (payload_bits as usize).div_ceil(8);
-    let header_len = varint_len(bytes.len() as u64)
-        + varint_len(lengths.len() as u64)
-        + lengths
+/// A byte-Huffman code built and sized from a histogram alone: header plus
+/// `Σ freq(s) · len(s)` payload bits are known before a single bit is packed,
+/// so a caller can compare the exact size against other coders and then
+/// [`encode`](Self::encode) with the same lengths instead of rebuilding them.
+pub(crate) struct SizedByteCode {
+    lengths: Vec<(u32, u8)>,
+    header_len: usize,
+    payload_len: usize,
+}
+
+impl SizedByteCode {
+    /// Code for the `n` bytes counted in `hist`.
+    pub(crate) fn new(n: usize, hist: &[u64; 256]) -> Self {
+        let lengths = byte_code_lengths(hist);
+        let payload_bits: u64 = lengths
             .iter()
-            .map(|&(sym, _)| varint_len(sym as u64) + 1)
-            .sum::<usize>()
-        + varint_len(payload_len as u64);
-    if let Some(limit) = size_limit {
-        if header_len + payload_len >= limit {
-            return None;
+            .map(|&(sym, len)| hist[sym as usize] * len as u64)
+            .sum();
+        let payload_len = (payload_bits as usize).div_ceil(8);
+        let header_len = varint_len(n as u64)
+            + varint_len(lengths.len() as u64)
+            + lengths
+                .iter()
+                .map(|&(sym, _)| varint_len(sym as u64) + 1)
+                .sum::<usize>()
+            + varint_len(payload_len as u64);
+        Self {
+            lengths,
+            header_len,
+            payload_len,
         }
     }
 
-    let mut out = Vec::with_capacity(header_len + payload_len);
-    write_varint(&mut out, bytes.len() as u64);
-    write_varint(&mut out, lengths.len() as u64);
-    for &(sym, len) in &lengths {
-        write_varint(&mut out, sym as u64);
-        out.push(len);
+    /// Exact length of the stream [`encode`](Self::encode) writes.
+    pub(crate) fn encoded_len(&self) -> usize {
+        self.header_len + self.payload_len
     }
-    write_varint(&mut out, payload_len as u64);
 
-    // Dense code table + a local 64-bit accumulator: roughly one shift/or and an
-    // amortized byte push per symbol, instead of a BitWriter call per code.
-    let codes = canonical_codes(&lengths);
-    let mut table = [(0u64, 0u32); 256];
-    for (&sym, code) in &codes {
-        table[sym as usize] = (code.bits, code.len as u32);
-    }
-    let payload_start = out.len();
-    out.reserve(payload_len);
-    let mut acc: u64 = 0;
-    let mut fill: u32 = 0;
-    for &b in bytes {
-        let (bits, len) = table[b as usize];
-        if len <= 56 {
-            acc = (acc << len) | bits;
-            fill += len;
-        } else {
-            // Degenerate >56-bit codes: split the append in two halves.
-            let hi = len - 32;
-            acc = (acc << hi) | (bits >> 32);
-            fill += hi;
+    /// Pack `bytes` — the buffer the histogram was counted over.
+    pub(crate) fn encode(&self, bytes: &[u8]) -> Vec<u8> {
+        let mut out = Vec::with_capacity(self.encoded_len());
+        write_varint(&mut out, bytes.len() as u64);
+        write_varint(&mut out, self.lengths.len() as u64);
+        for &(sym, len) in &self.lengths {
+            write_varint(&mut out, sym as u64);
+            out.push(len);
+        }
+        write_varint(&mut out, self.payload_len as u64);
+
+        // Dense code table + a local 64-bit accumulator: roughly one shift/or and an
+        // amortized byte push per symbol, instead of a BitWriter call per code.
+        let codes = canonical_codes(&self.lengths);
+        let mut table = [(0u64, 0u32); 256];
+        for (&sym, code) in &codes {
+            table[sym as usize] = (code.bits, code.len as u32);
+        }
+        let payload_start = out.len();
+        let mut acc: u64 = 0;
+        let mut fill: u32 = 0;
+        for &b in bytes {
+            let (bits, len) = table[b as usize];
+            if len <= 56 {
+                acc = (acc << len) | bits;
+                fill += len;
+            } else {
+                // Degenerate >56-bit codes: split the append in two halves.
+                let hi = len - 32;
+                acc = (acc << hi) | (bits >> 32);
+                fill += hi;
+                while fill >= 8 {
+                    fill -= 8;
+                    out.push((acc >> fill) as u8);
+                }
+                acc = (acc << 32) | (bits & 0xFFFF_FFFF);
+                fill += 32;
+            }
             while fill >= 8 {
                 fill -= 8;
                 out.push((acc >> fill) as u8);
             }
-            acc = (acc << 32) | (bits & 0xFFFF_FFFF);
-            fill += 32;
         }
-        while fill >= 8 {
-            fill -= 8;
-            out.push((acc >> fill) as u8);
+        if fill > 0 {
+            out.push((acc << (8 - fill)) as u8);
         }
+        debug_assert_eq!(out.len() - payload_start, self.payload_len);
+        out
     }
-    if fill > 0 {
-        out.push((acc << (8 - fill)) as u8);
-    }
-    debug_assert_eq!(out.len() - payload_start, payload_len);
-    Some(out)
 }
 
 /// Encode a byte slice with Huffman (bytes promoted to `u32` symbols).
@@ -471,7 +508,7 @@ fn huffman_encode_bytes_impl(bytes: &[u8], size_limit: Option<usize>) -> Option<
 /// codes are emitted through a dense per-byte table into a local bit
 /// accumulator instead of hash lookups and per-code writer calls.
 pub fn huffman_encode_bytes(bytes: &[u8]) -> Vec<u8> {
-    huffman_encode_bytes_impl(bytes, None).expect("unbounded encode always succeeds")
+    SizedByteCode::new(bytes.len(), &histogram(bytes)).encode(bytes)
 }
 
 /// Encode `bytes` only if the exact encoded size is strictly smaller than
@@ -481,38 +518,15 @@ pub fn huffman_encode_bytes(bytes: &[u8]) -> Vec<u8> {
 /// storing raw data (like the LZR container) skip the entire entropy pass on
 /// incompressible input.
 pub fn huffman_encode_bytes_under(bytes: &[u8], limit: usize) -> Option<Vec<u8>> {
-    huffman_encode_bytes_impl(bytes, Some(limit))
+    let code = SizedByteCode::new(bytes.len(), &histogram(bytes));
+    (code.encoded_len() < limit).then(|| code.encode(bytes))
 }
 
 /// Exact size in bytes that [`huffman_encode_bytes`] would produce, computed
 /// from the histogram alone — no code table materialization and no bit
-/// packing. The entropy-stage dispatch uses this to compare Huffman against
-/// rANS before committing to either encode.
+/// packing.
 pub fn huffman_encoded_bytes_size(bytes: &[u8]) -> usize {
-    let mut freq = [0u64; 256];
-    for &b in bytes {
-        freq[b as usize] += 1;
-    }
-    let freqs: HashMap<u32, u64> = freq
-        .iter()
-        .enumerate()
-        .filter(|&(_, &f)| f > 0)
-        .map(|(s, &f)| (s as u32, f))
-        .collect();
-    let lengths = code_lengths(&freqs);
-    let payload_bits: u64 = lengths
-        .iter()
-        .map(|&(sym, len)| freq[sym as usize] * len as u64)
-        .sum();
-    let payload_len = (payload_bits as usize).div_ceil(8);
-    varint_len(bytes.len() as u64)
-        + varint_len(lengths.len() as u64)
-        + lengths
-            .iter()
-            .map(|&(sym, _)| varint_len(sym as u64) + 1)
-            .sum::<usize>()
-        + varint_len(payload_len as u64)
-        + payload_len
+    SizedByteCode::new(bytes.len(), &histogram(bytes)).encoded_len()
 }
 
 /// Decode a buffer produced by [`huffman_encode_bytes`].
@@ -638,6 +652,60 @@ mod tests {
                 huffman_encoded_bytes_size(&data),
                 huffman_encode_bytes(&data).len()
             );
+        }
+    }
+
+    #[test]
+    fn byte_code_lengths_match_the_hash_map_path() {
+        // Count vectors drawn from a handful of values, so the heap sees long
+        // runs of equal frequencies and every tie has to break the same way.
+        use rand::{Rng, SeedableRng};
+        let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(29);
+        for case in 0..400 {
+            let present = [1usize, 2, 3, 7, 40, 256][case % 6];
+            let distinct_counts = 1 + case % 5;
+            let mut hist = [0u64; 256];
+            for _ in 0..present {
+                hist[rng.gen_range(0..256usize)] = 1 + rng.gen_range(0..distinct_counts) as u64;
+            }
+            let freqs: HashMap<u32, u64> = hist
+                .iter()
+                .enumerate()
+                .filter(|&(_, &f)| f > 0)
+                .map(|(s, &f)| (s as u32, f))
+                .collect();
+            assert_eq!(
+                byte_code_lengths(&hist),
+                code_lengths(&freqs),
+                "case {case}"
+            );
+        }
+        assert!(byte_code_lengths(&[0u64; 256]).is_empty());
+    }
+
+    #[test]
+    fn smallest_byte_stream_is_the_documented_floor() {
+        // Tight where it can be: symbols under 128, one-bit codes.
+        for data in [vec![0u8], vec![7u8; 8], vec![127u8; 3]] {
+            assert_eq!(
+                huffman_encode_bytes(&data).len(),
+                min_byte_stream_len(data.len(), 1)
+            );
+        }
+        assert_eq!(
+            huffman_encode_bytes(&[1, 2, 1, 2]).len(),
+            min_byte_stream_len(4, 2)
+        );
+        // And a floor everywhere else.
+        use rand::{Rng, SeedableRng};
+        let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(31);
+        for case in 0..300usize {
+            let alphabet = 1 + case % 40;
+            let data: Vec<u8> = (0..1 + case)
+                .map(|_| rng.gen_range(0..alphabet) as u8 * 6)
+                .collect();
+            let present = histogram(&data).iter().filter(|&&c| c > 0).count();
+            assert!(huffman_encoded_bytes_size(&data) >= min_byte_stream_len(data.len(), present));
         }
     }
 

@@ -42,6 +42,22 @@ pub use rans::{rans_decode_bytes, rans_encode_bytes};
 pub use rle::{rle_decode, rle_encode};
 pub use zigzag::{zigzag_decode, zigzag_encode};
 
+/// Exclusive upper bound on the slice one entropy-coder call accepts. The byte
+/// histogram counts in `u32` lanes and the LZR match table stores `u32`
+/// position stamps, so both are exact below it and neither is allowed to wrap.
+pub(crate) const MAX_INPUT_LEN: usize = u32::MAX as usize;
+
+/// Refuse a slice of [`MAX_INPUT_LEN`] bytes or more. An `assert!`, not a
+/// `debug_assert!`: release builds are where a wrapped count would go unseen.
+#[inline]
+pub(crate) fn assert_input_len(len: usize) {
+    assert!(
+        len < MAX_INPUT_LEN,
+        "entropy coder input of {len} bytes is at or over the {MAX_INPUT_LEN}-byte (4 GiB) \
+         limit of its u32 counters; split it into chunks"
+    );
+}
+
 /// Errors produced while decoding compressed byte streams.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum CodecError {

@@ -30,13 +30,49 @@
 //! entropy coding must shrink tokens by at least 1/8 (12.5%) to be worth a
 //! decode pass — the same speed-for-marginal-ratio policy zstd applies to raw
 //! blocks.
+//!
+//! ### Dispatch floors
+//!
+//! The tiled container calls this codec on chunks of a few dozen bytes, so
+//! the dispatch proves its cheap answers instead of computing them. With
+//! `n` bytes to code and a store threshold of `n − n/8`, a coder whose
+//! *smallest possible* stream is already at or over the threshold cannot be
+//! chosen, whatever the data:
+//!
+//! * a rANS stream is at least 35 bytes of varints and state flush plus two
+//!   bytes per present symbol — 38 with one ([`crate::rans`], `min_stream_len`);
+//! * a byte-Huffman stream is at least 3 bytes of varints plus two bytes per
+//!   present symbol plus `⌈n/8⌉` payload bytes — 6 at its smallest
+//!   ([`crate::huffman`], `min_byte_stream_len`).
+//!
+//! Both floors are tested twice: with one present symbol before the data is
+//! looked at (raw input up to 43 bytes is stored, mode 4; a token stream up to
+//! 6 bytes — every all-zero chunk — is stored, mode 0; neither builds a
+//! histogram), then with the number of symbols the histogram found (a
+//! 96-byte chunk of dense low-order plane bits has ~80, and `35 + 2·80` is far
+//! over its threshold of 84). Only buffers that pass get Huffman sized and
+//! rANS estimated, from that same histogram. The floors are early returns in
+//! the one dispatch, not a second implementation: on either side of each the
+//! output is what sizing all three coders would have chosen.
+//!
+//! ## Match-table reuse
+//!
+//! The match finder's 64 K-entry hash table is per thread and is **not**
+//! cleared between calls. Each call claims the next window of `u32` stamps
+//! `[base, base + len)` and stores position `i` as `base + i`, so the
+//! invariant is *entry < `base` ⇔ absent*: whatever earlier inputs left
+//! behind reads as an empty slot, the candidates — hence the tokens — are
+//! exactly those of a freshly filled table, and one call costs O(input)
+//! rather than O(table). The table is zeroed only when a window would pass
+//! `u32::MAX`, once per ~4 GiB of input on a thread, and inputs shorter than
+//! the minimum match never touch it. That is also why one call accepts less
+//! than 4 GiB: [`lzr_compress`] refuses more by name instead of wrapping.
 
-use crate::huffman::{
-    huffman_decode_bytes_capped, huffman_encode_bytes_under, huffman_encoded_bytes_size,
-};
-use crate::rans::{rans_decode_bytes_capped, rans_encode_bytes_under};
+use crate::huffman::{huffman_decode_bytes_capped, min_byte_stream_len, SizedByteCode};
+use crate::rans::{histogram, min_stream_len, rans_decode_bytes_capped, rans_encode_counted_under};
 use crate::varint::{read_varint, write_varint};
 use crate::{CodecError, Result};
+use std::cell::RefCell;
 
 const MIN_MATCH: usize = 4;
 const MAX_MATCH: usize = 1 << 16;
@@ -57,10 +93,10 @@ fn hash4(bytes: &[u8]) -> usize {
 }
 
 /// Length of the match between `input[candidate..]` and `input[i..]`, or 0
-/// when the candidate is unusable (absent or beyond the window).
+/// when the candidate lies beyond the window.
 #[inline]
 fn match_len_at(input: &[u8], candidate: usize, i: usize) -> usize {
-    if candidate == usize::MAX || i - candidate > WINDOW {
+    if i - candidate > WINDOW {
         return 0;
     }
     let max_len = (input.len() - i).min(MAX_MATCH);
@@ -71,10 +107,71 @@ fn match_len_at(input: &[u8], candidate: usize, i: usize) -> usize {
     l
 }
 
+/// The match finder's hash table, one per thread and reused by every call on
+/// it (see the module docs, "Match-table reuse").
+struct MatchTable {
+    /// Per 4-byte hash, `base + position` of its latest occurrence in the
+    /// input whose window holds that stamp; below the current `base` = absent.
+    head: Vec<u32>,
+    /// Stamp of position 0 of the next input. Every entry is below it.
+    next_base: u32,
+}
+
+impl MatchTable {
+    fn new() -> Self {
+        Self {
+            // Zeroed entries sit below the first base, 1: a new table is empty.
+            head: vec![0; 1 << HASH_BITS],
+            next_base: 1,
+        }
+    }
+
+    /// Claim the stamps `[base, base + len)` for one input and return `base`.
+    /// Only when the window would pass `u32::MAX` — once per ~4 GiB of input
+    /// on this thread — is the table zeroed and the numbering restarted.
+    fn claim(&mut self, len: usize) -> u32 {
+        let len = u32::try_from(len).expect("lzr_compress checked the input length");
+        if len > u32::MAX - self.next_base {
+            self.head.fill(0);
+            self.next_base = 1;
+        }
+        let base = self.next_base;
+        self.next_base = base + len;
+        base
+    }
+}
+
+thread_local! {
+    static MATCH_TABLE: RefCell<MatchTable> = RefCell::new(MatchTable::new());
+}
+
 /// Produce the raw LZ77 token stream for `input` (no entropy stage).
 fn lz_tokenize(input: &[u8]) -> Vec<u8> {
     let mut out = Vec::with_capacity(input.len() / 2 + 16);
-    let mut head = vec![usize::MAX; 1 << HASH_BITS];
+    let mut literal_start = 0usize;
+    // Inputs too short to hold a match never touch the table.
+    if input.len() >= MIN_MATCH {
+        MATCH_TABLE.with(|table| {
+            let table = &mut *table.borrow_mut();
+            let base = table.claim(input.len());
+            literal_start = scan_matches(input, &mut table.head, base, &mut out);
+        });
+    }
+
+    // Trailing literals + terminator.
+    write_varint(&mut out, (input.len() - literal_start) as u64);
+    out.extend_from_slice(&input[literal_start..]);
+    write_varint(&mut out, 0); // match_len = 0 terminator
+    out
+}
+
+/// The greedy match scan: append every `[literals][match]` token group to
+/// `out` and return where the trailing literals start. `head` entries are
+/// stamps relative to `base` (entry < `base` ⇔ absent).
+fn scan_matches(input: &[u8], head: &mut [u32], base: u32, out: &mut Vec<u8>) -> usize {
+    // In-window stamps never overflow: `MatchTable::claim` reserved
+    // `[base, base + input.len())`.
+    let stamp = |i: usize| base + i as u32;
     let mut literal_start = 0usize;
     let mut i = 0usize;
 
@@ -86,22 +183,26 @@ fn lz_tokenize(input: &[u8]) -> Vec<u8> {
 
     while i + MIN_MATCH <= input.len() {
         let h = hash4(&input[i..]);
-        let candidate = head[h];
-        head[h] = i;
-        let match_len = match_len_at(input, candidate, i);
+        let seen = head[h];
+        head[h] = stamp(i);
+        let match_len = if seen < base {
+            0
+        } else {
+            match_len_at(input, (seen - base) as usize, i)
+        };
 
         if match_len >= MIN_MATCH {
-            let dist = i - candidate;
-            write_varint(&mut out, (i - literal_start) as u64);
+            let dist = i - (seen - base) as usize;
+            write_varint(out, (i - literal_start) as u64);
             out.extend_from_slice(&input[literal_start..i]);
-            write_varint(&mut out, match_len as u64);
-            write_varint(&mut out, dist as u64);
+            write_varint(out, match_len as u64);
+            write_varint(out, dist as u64);
             // Insert hash entries for a few positions inside the match so later
             // matches can refer into it, then skip ahead.
             let end = i + match_len;
             let mut j = i + 1;
             while j + MIN_MATCH <= input.len() && j < end && j < i + 16 {
-                head[hash4(&input[j..])] = j;
+                head[hash4(&input[j..])] = stamp(j);
                 j += 1;
             }
             i = end;
@@ -112,12 +213,7 @@ fn lz_tokenize(input: &[u8]) -> Vec<u8> {
             i += 1 + (misses >> SKIP_SHIFT);
         }
     }
-
-    // Trailing literals + terminator.
-    write_varint(&mut out, (input.len() - literal_start) as u64);
-    out.extend_from_slice(&input[literal_start..]);
-    write_varint(&mut out, 0); // match_len = 0 terminator
-    out
+    literal_start
 }
 
 /// Reverse of [`lz_tokenize`]. `expected_len` is the declared output size:
@@ -162,48 +258,80 @@ fn lz_detokenize(tokens: &[u8], expected_len: usize) -> Result<Vec<u8>> {
     }
 }
 
-/// Entropy-stage selection: `(mode byte, encoded bytes)` for a token stream.
+/// Entropy-stage selection for one buffer — the token stream, or the raw
+/// input when matching bought nothing: `Some((mode, stream))` when a coder
+/// gets strictly under the store threshold, `None` when the buffer is stored.
+/// `huffman_mode` is the mode byte of a Huffman stream where the container
+/// has one (token streams); for raw input Huffman only bounds rANS.
 ///
-/// All three candidates are sized before any expensive work: the store
-/// threshold keeps the historical 1/8 rule, Huffman's exact size comes from
-/// the histogram alone, and rANS runs only when its estimate can undercut the
-/// better of the two (its final size check is exact).
-fn entropy_stage(tokens: Vec<u8>) -> (u8, Vec<u8>) {
-    let threshold = tokens.len() - tokens.len() / 8;
-    let huffman_size = huffman_encoded_bytes_size(&tokens);
-    if let Some(encoded) = rans_encode_bytes_under(&tokens, threshold.min(huffman_size)) {
-        return (2, encoded);
+/// The store threshold keeps the historical 1/8 rule. A coder whose smallest
+/// possible stream is already at or over it is settled without running: for
+/// one present symbol before looking at the data, then for the number the
+/// histogram found. Past that, the one histogram serves every answer —
+/// Huffman's exact size, the rANS estimate and encode (rANS must undercut
+/// both the threshold and Huffman), and the Huffman encode if that wins.
+fn entropy_stage(data: &[u8], rans_mode: u8, huffman_mode: Option<u8>) -> Option<(u8, Vec<u8>)> {
+    let n = data.len();
+    let threshold = n - n / 8;
+    // `(rANS, Huffman)` can still get under the threshold. Empty `data` has
+    // threshold 0, under every stream's length.
+    let can_fit = |present: usize| {
+        (
+            threshold > min_stream_len(present),
+            huffman_mode.is_some() && threshold > min_byte_stream_len(n, present),
+        )
+    };
+    if can_fit(1) == (false, false) {
+        return None;
     }
-    if let Some(encoded) = huffman_encode_bytes_under(&tokens, threshold) {
-        return (1, encoded);
+    let hist = histogram(data);
+    let (rans_can_fit, huffman_can_fit) = can_fit(hist.iter().filter(|&&c| c > 0).count());
+    if !rans_can_fit && !huffman_can_fit {
+        return None;
     }
-    (0, tokens)
+    let code = SizedByteCode::new(n, &hist);
+    if rans_can_fit {
+        let limit = threshold.min(code.encoded_len());
+        if let Some(encoded) = rans_encode_counted_under(data, &hist, limit) {
+            return Some((rans_mode, encoded));
+        }
+    }
+    let mode = huffman_mode?;
+    (code.encoded_len() < threshold).then(|| (mode, code.encode(data)))
 }
 
 /// Compress a byte buffer with the LZR backend (LZ77 + rANS/Huffman).
 ///
 /// The output is self-describing and starts with the original length so that
 /// [`lzr_decompress`] can pre-allocate and validate.
+///
+/// # Panics
+///
+/// If `input` is 4 GiB (`u32::MAX` bytes) or longer: match positions and
+/// byte counts are kept in `u32` and refuse to wrap silently. Chunk the data.
 pub fn lzr_compress(input: &[u8]) -> Vec<u8> {
+    crate::assert_input_len(input.len());
     let tokens = lz_tokenize(input);
     // When matching bought nothing (the token stream is no shorter than the
     // input), drop the token framing: entropy-code the raw bytes if that
     // pays (mode 3), otherwise store them verbatim (mode 4). Either way
     // decode skips detokenization — the entropy decoder's output (or a plain
     // copy) is the final data.
-    let (mode, body) = if tokens.len() > input.len() {
-        let threshold = input.len() - input.len() / 8;
-        match rans_encode_bytes_under(input, threshold.min(huffman_encoded_bytes_size(input))) {
-            Some(encoded) => (3u8, encoded),
-            None => (4u8, input.to_vec()),
-        }
+    let raw = tokens.len() > input.len();
+    let coded = if raw {
+        entropy_stage(input, 3, None)
     } else {
-        entropy_stage(tokens)
+        entropy_stage(&tokens, 2, Some(1))
+    };
+    let (mode, body): (u8, &[u8]) = match &coded {
+        Some((mode, encoded)) => (*mode, encoded),
+        None if raw => (4, input),
+        None => (0, &tokens),
     };
     let mut out = Vec::with_capacity(body.len() + 10);
     write_varint(&mut out, input.len() as u64);
     out.push(mode);
-    out.extend_from_slice(&body);
+    out.extend_from_slice(body);
     out
 }
 
@@ -273,7 +401,383 @@ pub fn lzr_decompress_bounded(input: &[u8], max_len: usize) -> Result<Vec<u8>> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::huffman::{huffman_encode_bytes_under, huffman_encoded_bytes_size};
+    use crate::rans::rans_encode_bytes_under;
+    use proptest::Strategy;
     use rand::{Rng, SeedableRng};
+
+    /// Oracle for [`lz_tokenize`]: the straight-line tokenizer it replaced,
+    /// with a fresh `usize::MAX`-filled table per call.
+    fn lz_tokenize_fresh_table(input: &[u8]) -> Vec<u8> {
+        let mut out = Vec::with_capacity(input.len() / 2 + 16);
+        let mut head = vec![usize::MAX; 1 << HASH_BITS];
+        let mut literal_start = 0usize;
+        let mut i = 0usize;
+        let mut misses = 0usize;
+        while i + MIN_MATCH <= input.len() {
+            let h = hash4(&input[i..]);
+            let candidate = head[h];
+            head[h] = i;
+            let match_len = if candidate == usize::MAX {
+                0
+            } else {
+                match_len_at(input, candidate, i)
+            };
+            if match_len >= MIN_MATCH {
+                let dist = i - candidate;
+                write_varint(&mut out, (i - literal_start) as u64);
+                out.extend_from_slice(&input[literal_start..i]);
+                write_varint(&mut out, match_len as u64);
+                write_varint(&mut out, dist as u64);
+                let end = i + match_len;
+                let mut j = i + 1;
+                while j + MIN_MATCH <= input.len() && j < end && j < i + 16 {
+                    head[hash4(&input[j..])] = j;
+                    j += 1;
+                }
+                i = end;
+                literal_start = i;
+                misses = 0;
+            } else {
+                misses += 1;
+                i += 1 + (misses >> SKIP_SHIFT);
+            }
+        }
+        write_varint(&mut out, (input.len() - literal_start) as u64);
+        out.extend_from_slice(&input[literal_start..]);
+        write_varint(&mut out, 0);
+        out
+    }
+
+    /// Oracle for [`lzr_compress`]: the dispatch it replaced, which sizes
+    /// Huffman, attempts rANS and attempts Huffman on every buffer — each from
+    /// its own histogram — and never reasons about floors.
+    fn lzr_compress_all_three(input: &[u8]) -> Vec<u8> {
+        let tokens = lz_tokenize_fresh_table(input);
+        let (mode, body) = if tokens.len() > input.len() {
+            let threshold = input.len() - input.len() / 8;
+            let limit = threshold.min(huffman_encoded_bytes_size(input));
+            match rans_encode_bytes_under(input, limit) {
+                Some(encoded) => (3u8, encoded),
+                None => (4u8, input.to_vec()),
+            }
+        } else {
+            let threshold = tokens.len() - tokens.len() / 8;
+            let limit = threshold.min(huffman_encoded_bytes_size(&tokens));
+            if let Some(encoded) = rans_encode_bytes_under(&tokens, limit) {
+                (2, encoded)
+            } else if let Some(encoded) = huffman_encode_bytes_under(&tokens, threshold) {
+                (1, encoded)
+            } else {
+                (0, tokens)
+            }
+        };
+        let mut out = Vec::new();
+        write_varint(&mut out, input.len() as u64);
+        out.push(mode);
+        out.extend_from_slice(&body);
+        out
+    }
+
+    fn mode_of(stream: &[u8]) -> u8 {
+        let mut pos = 0usize;
+        read_varint(stream, &mut pos).unwrap();
+        stream[pos]
+    }
+
+    /// Deterministic corpus behind the golden digests: seven content kinds,
+    /// each a 1 MiB buffer whose prefixes give every tested length. Between
+    /// them they reach all five container modes.
+    fn golden_corpus() -> Vec<(&'static str, Vec<u8>)> {
+        const N: usize = 1 << 20;
+        let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(2025);
+        let skewed: Vec<u8> = (0..N)
+            .map(|_| {
+                if rng.gen_bool(0.9) {
+                    0
+                } else {
+                    rng.gen_range(1..16)
+                }
+            })
+            .collect();
+        let random: Vec<u8> = (0..N).map(|_| rng.gen()).collect();
+        // Skew without repetition: the match finder comes up empty and the
+        // raw bytes are entropy coded (mode 3).
+        let dense: Vec<u8> = (0..N)
+            .map(|_| {
+                let r: f64 = rng.gen();
+                (r * r * r * 32.0) as u8 ^ (rng.gen::<u8>() & 1)
+            })
+            .collect();
+        vec![
+            ("zero", vec![0u8; N]),
+            ("constant", vec![0xA5u8; N]),
+            (
+                "sparse",
+                (0..N)
+                    .map(|i| if i % 8 == 3 { 1u8 << ((i / 8) % 8) } else { 0 })
+                    .collect(),
+            ),
+            (
+                "period3",
+                (0..N).map(|i| [0x11u8, 0x7f, 0xc3][i % 3]).collect(),
+            ),
+            ("skewed", skewed),
+            ("random", random),
+            ("dense", dense),
+        ]
+    }
+
+    const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
+
+    fn fnv1a(h: u64, bytes: &[u8]) -> u64 {
+        bytes
+            .iter()
+            .fold(h, |h, &b| (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3))
+    }
+
+    /// `(total bytes, digest)` over the streams of lengths 0..=130, each
+    /// folded in as its `u32` length followed by its bytes.
+    type SmallDigest = (usize, u64);
+    /// `(stream length, digest)` at 4 KiB, 64 KiB and 1 MiB.
+    type LargeDigests = [(usize, u64); 3];
+
+    #[test]
+    fn compressed_streams_match_golden_digests() {
+        // Minted at the commit before the match table became per-thread and
+        // the dispatch learned its floors (fresh 512 KB table per call, all
+        // three coders sized on every buffer): containers written by either
+        // side hold exactly these streams.
+        let golden: [(&str, SmallDigest, LargeDigests); 7] = [
+            (
+                "zero",
+                (1032, 0xe1d8_d105_1dc4_44d0),
+                [
+                    (10, 0x112c_a18f_4be9_78af),
+                    (12, 0x2a52_16e7_77ef_d3ea),
+                    (63, 0x3d16_233b_9468_a4dc),
+                ],
+            ),
+            (
+                "constant",
+                (1032, 0x8a4a_6f50_2044_82a8),
+                [
+                    (10, 0xe32c_d2b2_da20_7596),
+                    (12, 0xa21d_63c1_020e_3dc9),
+                    (66, 0xdd8a_c213_5385_c718),
+                ],
+            ),
+            (
+                "sparse",
+                (4968, 0xcbc7_87b6_7d9b_ca21),
+                [
+                    (54, 0xca13_c491_77cc_e6f6),
+                    (65, 0x1f9f_3d37_80bd_2b78),
+                    (89, 0xe257_1dc7_29eb_c91e),
+                ],
+            ),
+            (
+                "period3",
+                (1277, 0x958a_4a9e_6fa2_3909),
+                [
+                    (12, 0xa6c9_36fb_91f7_68a6),
+                    (14, 0x52ef_ce9a_3b9c_79b1),
+                    (73, 0xbe13_6a18_30dc_9732),
+                ],
+            ),
+            (
+                "skewed",
+                (6026, 0xc1e5_5e35_692f_ac5d),
+                [
+                    (1404, 0xbe9d_f223_50d6_129f),
+                    (16685, 0x3768_492a_3935_00f3),
+                    (260578, 0xae78_6f99_803f_8bb8),
+                ],
+            ),
+            (
+                "random",
+                (8780, 0xd080_ba2e_f59f_e87a),
+                [
+                    (4099, 0x063e_5b6c_9d5c_a618),
+                    (65540, 0x6007_d836_8668_3e3f),
+                    (1_048_580, 0xd095_d781_ccb4_34f6),
+                ],
+            ),
+            (
+                "dense",
+                (8780, 0xbc21_7ae7_1d89_b881),
+                [
+                    (2725, 0x1f3c_fda1_d953_86f0),
+                    (34617, 0x3aa5_6b33_6bb8_5714),
+                    (552_693, 0x7e65_f328_6654_4fdf),
+                ],
+            ),
+        ];
+        let mut modes = [false; 5];
+        for ((name, buf), (want_name, want_small, want_large)) in
+            golden_corpus().into_iter().zip(golden)
+        {
+            assert_eq!(name, want_name);
+            let mut small = (0usize, FNV_OFFSET);
+            for n in 0..=130usize {
+                let enc = lzr_compress(&buf[..n]);
+                // The oracle names the first diverging length; the digest
+                // below is what ties both to the parent's bytes.
+                assert_eq!(enc, lzr_compress_all_three(&buf[..n]), "{name} len={n}");
+                modes[mode_of(&enc) as usize] = true;
+                small.0 += enc.len();
+                small.1 = fnv1a(small.1, &(enc.len() as u32).to_le_bytes());
+                small.1 = fnv1a(small.1, &enc);
+            }
+            assert_eq!(small, want_small, "{name} lengths 0..=130");
+            for (n, want) in [4096usize, 65536, 1 << 20].into_iter().zip(want_large) {
+                let enc = lzr_compress(&buf[..n]);
+                assert_eq!((enc.len(), fnv1a(FNV_OFFSET, &enc)), want, "{name} len={n}");
+                assert_eq!(lzr_decompress(&enc).unwrap(), &buf[..n]);
+                modes[mode_of(&enc) as usize] = true;
+            }
+        }
+        assert_eq!(modes, [true; 5], "corpus reaches every container mode");
+    }
+
+    #[test]
+    fn table_survives_the_stamp_wrap() {
+        let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(41);
+        let inputs: Vec<Vec<u8>> = (0..12)
+            .map(|k| (0..20 + 7 * k).map(|_| rng.gen_range(0u8..3)).collect())
+            .collect();
+        for input in &inputs {
+            assert_eq!(lz_tokenize(input), lz_tokenize_fresh_table(input));
+        }
+        // Park the numbering a few bytes under u32::MAX: the first inputs
+        // still fit their window, the next one forces the zero-and-restart,
+        // and the stale high stamps it leaves behind must read as absent.
+        MATCH_TABLE.with(|t| t.borrow_mut().next_base = u32::MAX - 60);
+        for input in &inputs {
+            assert_eq!(lz_tokenize(input), lz_tokenize_fresh_table(input));
+        }
+        let restarted = MATCH_TABLE.with(|t| t.borrow().next_base);
+        assert!(restarted < 1 << 16, "numbering restarted: {restarted}");
+        // The last window that fits ends exactly at u32::MAX.
+        MATCH_TABLE.with(|t| t.borrow_mut().next_base = u32::MAX - inputs[3].len() as u32);
+        assert_eq!(lz_tokenize(&inputs[3]), lz_tokenize_fresh_table(&inputs[3]));
+        assert_eq!(MATCH_TABLE.with(|t| t.borrow().next_base), u32::MAX);
+        assert_eq!(lz_tokenize(&inputs[4]), lz_tokenize_fresh_table(&inputs[4]));
+        assert_eq!(
+            MATCH_TABLE.with(|t| t.borrow().next_base),
+            1 + inputs[4].len() as u32
+        );
+    }
+
+    #[test]
+    fn short_inputs_never_touch_the_table() {
+        let before = MATCH_TABLE.with(|t| t.borrow().next_base);
+        for data in [&[][..], &[1u8][..], &[1, 2, 3][..]] {
+            assert_eq!(lz_tokenize(data), lz_tokenize_fresh_table(data));
+        }
+        assert_eq!(MATCH_TABLE.with(|t| t.borrow().next_base), before);
+    }
+
+    #[test]
+    #[cfg(target_pointer_width = "64")]
+    #[should_panic(expected = "4 GiB")]
+    fn input_at_the_u32_limit_is_refused_by_name() {
+        crate::assert_input_len(u32::MAX as usize);
+    }
+
+    #[test]
+    fn dispatch_floors_agree_with_sizing_all_three() {
+        // Every length on both sides of each floor, for the shapes tiny
+        // bitplane chunks take: match-free bytes over alphabets of every size
+        // (raw branch, rANS floor per present-symbol count) and a literal
+        // prefix of every length ahead of a zero run (token branch, Huffman
+        // and rANS floors; prefix 0 is the all-zero input).
+        let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(23);
+        let mut inputs: Vec<Vec<u8>> = Vec::new();
+        for len in 0..=130usize {
+            inputs.push(vec![0u8; len]);
+            for alphabet in [4usize, 8, 12, 16, 20, 24, 32, 256] {
+                inputs.push((0..len).map(|_| rng.gen_range(0..alphabet) as u8).collect());
+            }
+        }
+        for prefix in 0..=64usize {
+            for alphabet in [2u8, 16, 255] {
+                for run in [40usize, 200] {
+                    let mut v: Vec<u8> = (0..prefix).map(|_| rng.gen_range(1..=alphabet)).collect();
+                    v.resize(prefix + run, 0);
+                    inputs.push(v);
+                }
+            }
+        }
+        // (raw branch?, rANS floor?, floor taken at one present symbol?,
+        // threshold − floor) for every threshold at a floor or one over it.
+        let mut seen = std::collections::BTreeSet::new();
+        for input in &inputs {
+            let got = lzr_compress(input);
+            assert_eq!(got, lzr_compress_all_three(input), "len={}", input.len());
+            assert_eq!(lzr_decompress(&got).unwrap(), *input);
+            let tokens = lz_tokenize_fresh_table(input);
+            let raw = tokens.len() > input.len();
+            let data = if raw { input } else { &tokens };
+            let n = data.len();
+            let threshold = n - n / 8;
+            let present = histogram(data).iter().filter(|&&c| c > 0).count();
+            for (blind, present) in [(true, 1), (false, present)] {
+                for (rans, floor) in [
+                    (true, min_stream_len(present)),
+                    (false, min_byte_stream_len(n, present)),
+                ] {
+                    if threshold == floor || threshold == floor + 1 {
+                        seen.insert((raw, rans, blind, threshold - floor));
+                    }
+                }
+            }
+        }
+        for (raw, rans) in [(true, true), (false, true), (false, false)] {
+            for blind in [true, false] {
+                for over in [0, 1] {
+                    let case = (raw, rans, blind, over);
+                    assert!(seen.contains(&case), "no input at {case:?}");
+                }
+            }
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig::with_cases(48))]
+
+        /// The reused table yields the fresh-table tokens whatever unrelated
+        /// inputs dirtied it before — in either order, and on a thread whose
+        /// table is new.
+        #[test]
+        fn prop_reused_table_matches_fresh_table(
+            inputs in proptest::collection::vec(
+                // One-, two- and eight-bit alphabets: long matches, short
+                // matches and (almost) none.
+                (0usize..3, proptest::collection::vec(proptest::any::<u8>(), 0..700))
+                    .prop_map(|(kind, bytes)| -> Vec<u8> {
+                        bytes.iter().map(|b| b & [0x01, 0x03, 0xFF][kind]).collect()
+                    }),
+                1..6,
+            ),
+        ) {
+            let want: Vec<Vec<u8>> = inputs.iter().map(|x| lz_tokenize_fresh_table(x)).collect();
+            for (x, w) in inputs.iter().zip(&want) {
+                proptest::prop_assert_eq!(&lz_tokenize(x), w);
+            }
+            for (x, w) in inputs.iter().zip(&want).rev() {
+                proptest::prop_assert_eq!(&lz_tokenize(x), w);
+            }
+            let elsewhere: Vec<Vec<u8>> = std::thread::scope(|s| {
+                s.spawn(|| inputs.iter().rev().map(|x| lz_tokenize(x)).collect())
+                    .join()
+                    .expect("tokenizer thread")
+            });
+            for (got, w) in elsewhere.iter().zip(want.iter().rev()) {
+                proptest::prop_assert_eq!(got, w);
+            }
+        }
+    }
 
     #[test]
     fn roundtrip_empty_and_tiny() {

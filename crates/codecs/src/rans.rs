@@ -120,7 +120,12 @@ impl EncSymbol {
 /// one repeated symbol makes the naive `hist[b] += 1` loop a serial chain
 /// of store-forwarded increments to one slot, and heavily skewed inputs
 /// are exactly what the predictive bitplane stage feeds this coder.
-fn histogram(bytes: &[u8]) -> [u64; 256] {
+///
+/// The lanes count in `u32`, so the slice must be under `MAX_INPUT_LEN`
+/// bytes — checked here, in every build profile, because this is where
+/// bytes enter both byte coders.
+pub(crate) fn histogram(bytes: &[u8]) -> [u64; 256] {
+    crate::assert_input_len(bytes.len());
     let mut lanes = [[0u32; 256]; 4];
     let mut it = bytes.chunks_exact(4);
     for q in &mut it {
@@ -136,9 +141,6 @@ fn histogram(bytes: &[u8]) -> [u64; 256] {
     for s in 0..256 {
         hist[s] = lanes.iter().map(|l| u64::from(l[s])).sum();
     }
-    // u32 lanes cannot overflow: chunk payloads are far below 4 GiB, and
-    // the bitplane pipeline never feeds a single slice that large.
-    debug_assert!(bytes.len() < u32::MAX as usize);
     hist
 }
 
@@ -218,24 +220,49 @@ pub fn rans_encode_bytes(bytes: &[u8]) -> Vec<u8> {
     rans_encode_bytes_under(bytes, usize::MAX).expect("unbounded encode always succeeds")
 }
 
+/// Smallest stream [`rans_encode_bytes`] can emit for a non-empty input with
+/// `present` distinct symbols, which lets a caller holding a size limit at or
+/// under it skip the encode (and, with `present = 1`, the histogram):
+/// symbol-count varint (≥ 1) + table-size varint (≥ 1) + payload-length
+/// varint (≥ 1) + the 32-byte state flush = 35, plus the frequency table at a
+/// symbol byte and a frequency varint per present symbol — `2 · present`,
+/// except that a lone symbol's frequency is 4096, a two-byte varint, so 3.
+pub(crate) const fn min_stream_len(present: usize) -> usize {
+    35 + if present < 2 { 3 } else { 2 * present }
+}
+
 /// Encode `bytes` only if the encoded size ends up strictly smaller than
 /// `limit`; returns `None` otherwise. A histogram-only size estimate rejects
 /// clearly incompressible input before any encoding work, mirroring
 /// [`crate::huffman::huffman_encode_bytes_under`]; the final decision is made
 /// on the exact encoded size.
+///
+/// # Panics
+///
+/// If `bytes` is 4 GiB (`u32::MAX` bytes) or longer: the histogram counts in
+/// `u32` lanes and refuses to wrap silently.
 pub fn rans_encode_bytes_under(bytes: &[u8], limit: usize) -> Option<Vec<u8>> {
-    let n = bytes.len();
-    if n == 0 {
+    if bytes.is_empty() {
         let mut out = Vec::with_capacity(1);
         write_varint(&mut out, 0);
         return (out.len() < limit).then_some(out);
     }
-    let hist = histogram(bytes);
-    let freqs = normalize_freqs(&hist).expect("n > 0");
+    rans_encode_counted_under(bytes, &histogram(bytes), limit)
+}
+
+/// [`rans_encode_bytes_under`] for a non-empty buffer whose [`histogram`] the
+/// caller already holds (the LZR dispatch sizes Huffman from the same counts).
+pub(crate) fn rans_encode_counted_under(
+    bytes: &[u8],
+    hist: &[u64; 256],
+    limit: usize,
+) -> Option<Vec<u8>> {
+    let n = bytes.len();
+    let freqs = normalize_freqs(hist).expect("n > 0");
     if limit != usize::MAX {
         // The estimate overshoots the true size by at most ~1.1% + rounding,
         // so anything beyond that margin cannot come in under the limit.
-        let est = estimated_size(&hist, &freqs, n);
+        let est = estimated_size(hist, &freqs, n);
         if est > limit + limit / 16 + 16 {
             return None;
         }
@@ -478,6 +505,24 @@ mod tests {
         roundtrip(&[7; 1]);
         roundtrip(&[1, 2]);
         roundtrip(&[9; 3]);
+    }
+
+    #[test]
+    fn smallest_stream_is_the_documented_floor() {
+        // Tight for a lone symbol (while the count fits one varint byte).
+        for data in [vec![0u8], vec![255u8; 3], vec![42u8; 127]] {
+            assert_eq!(rans_encode_bytes(&data).len(), min_stream_len(1));
+        }
+        // And a floor everywhere else.
+        let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(13);
+        for case in 0..300usize {
+            let alphabet = 1 + case % 40;
+            let data: Vec<u8> = (0..1 + case)
+                .map(|_| rng.gen_range(0..alphabet) as u8 * 5)
+                .collect();
+            let present = histogram(&data).iter().filter(|&&c| c > 0).count();
+            assert!(rans_encode_bytes(&data).len() >= min_stream_len(present));
+        }
     }
 
     #[test]

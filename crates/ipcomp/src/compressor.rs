@@ -7,7 +7,7 @@ use crate::bitplane::{encode_level_precincts, encode_level_with, EncodeOptions, 
 use crate::config::Config;
 use crate::container::{encode_anchors, Compressed, Header, MAX_PRECINCTS};
 use crate::error::{IpcompError, Result};
-use crate::interp::{num_levels, process_anchors, process_level};
+use crate::interp::{anchor_count, level_count, num_levels, process_anchors, process_level};
 use crate::precinct::PrecinctGrid;
 use crate::progressive::{ProgressiveDecoder, RetrievalRequest};
 use crate::quantize::{dequantize, quantize};
@@ -61,7 +61,7 @@ pub fn compress(data: &ArrayD<f64>, error_bound: f64, config: &Config) -> Result
     // decompressor will see, so predictions are made from lossy data exactly as they
     // will be at decompression time (paper Sec. 4.2.2).
     let mut work = vec![0.0f64; shape.len()];
-    let mut anchor_codes: Vec<i64> = Vec::new();
+    let mut anchor_codes: Vec<i64> = Vec::with_capacity(anchor_count(&shape));
     process_anchors(&shape, &mut work, |off, pred| {
         let q = quantize(orig[off] - pred, eb);
         anchor_codes.push(q);
@@ -70,7 +70,7 @@ pub fn compress(data: &ArrayD<f64>, error_bound: f64, config: &Config) -> Result
 
     let mut level_codes: Vec<Vec<i64>> = Vec::with_capacity(levels as usize);
     for level in (1..=levels).rev() {
-        let mut codes = Vec::new();
+        let mut codes = Vec::with_capacity(level_count(&shape, level));
         process_level(
             &shape,
             level,
