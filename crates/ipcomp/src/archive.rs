@@ -785,13 +785,6 @@ impl ArchiveReader {
             .map(|b| b.step)
     }
 
-    /// Drop all cached chain bases (e.g. to force a cold re-read).
-    pub fn clear_chain_cache(&mut self) {
-        for b in &mut self.bases {
-            *b = None;
-        }
-    }
-
     /// The steps a request will decode, given the current chain cache: the
     /// keyframe-anchored chain prefix (`chain` only), then the output window
     /// (`output`, with `chain` while a later residual still needs the base).

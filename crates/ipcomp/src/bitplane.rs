@@ -51,7 +51,7 @@
 //!   so the rayon pool sees uniform ~64 KiB work items instead of one lumpy
 //!   task per plane (dense low planes cost 10× what sparse high planes do).
 //! * **Streaming** — a chunk covers a contiguous coefficient range, and every
-//!   plane of a level shares the same chunk grid, so a decoder can fully
+//!   plane of a level shares the same [`RegionScheme`], so a decoder can fully
 //!   reconstruct coefficients `[k·8·CHUNK_BYTES, (k+1)·8·CHUNK_BYTES)` from
 //!   just the `k`-th chunk of each loaded plane
 //!   ([`crate::pipeline::RegionPipeline`]). Memory
@@ -59,6 +59,19 @@
 //! * **Addressability** — the version-2 container records every chunk's size
 //!   in its metadata, so a remote reader can fetch any chunk without parsing
 //!   payload bytes.
+//!
+//! # One layout, one encoder
+//!
+//! How a level's plane bytes are cut — [`CHUNK_BYTES`]-sized byte regions
+//! (version 2), one whole-plane region (version 1) or one region per spatial
+//! precinct (version 3) — is decided in exactly one place, [`RegionScheme`]:
+//! it owns the region arithmetic and the format's chunk-alignment rule, and
+//! [`EncodedLevel::scheme`] / [`crate::container::LevelMap::scheme`] are the
+//! only way from a level to its packed geometry. There is likewise one
+//! encoder body, `encode_regions`, parameterised by the scheme;
+//! [`encode_level_with`] and [`encode_level_precincts`] only build the scheme
+//! and record what it was built from. A new layout is one scheme case, not a
+//! second coder.
 //!
 //! Prediction stays correct under chunking because it operates per
 //! coefficient *across* planes: bit `i` of plane `p` mixes only with bit `i`
@@ -68,7 +81,7 @@
 //! Because the slicing/prediction identities reproduce the scalar definition bit
 //! for bit, the *packed plane bytes* are unchanged from the historical coder; the
 //! scalar reference (retained under `scalar` as a test oracle, compiled for
-//! tests and the `reference-scalar` feature) shares the
+//! tests and the `reference-scalar` feature) shares the region scheme and the
 //! chunked entropy stage, so payloads remain byte-identical between the two.
 //!
 //! Truncation-loss metadata is unaffected by any of this: `trunc_loss` is computed
@@ -80,13 +93,15 @@
 //! `‖δy_l(b)‖∞` for every possible number of discarded planes `b`, which is what the
 //! optimizer (Sec. 5) consumes.
 
+use std::sync::Arc;
+
 use ipc_codecs::bitslice::slice_planes;
 use ipc_codecs::negabinary::{required_bitplanes_words, to_negabinary_slice, truncation_loss};
 use ipc_codecs::{lzr_compress, CodecError};
 use rayon::prelude::*;
 
 use crate::error::{IpcompError, Result};
-use crate::pipeline::{DecodeStage, EntropyStage, ScatterStage};
+use crate::pipeline::{EntropyStage, ScatterStage};
 
 /// Minimum number of coefficients before the coder fans work out to rayon.
 const PARALLEL_THRESHOLD: usize = 4096;
@@ -96,70 +111,31 @@ const PARALLEL_THRESHOLD: usize = 4096;
 /// transpose blocks.
 pub const CHUNK_BYTES: usize = 64 * 1024;
 
-/// Chunk-grid geometry of one level: how its packed plane bytes split into
-/// entropy chunks and which coefficients each chunk region covers.
-///
-/// Both the in-memory [`EncodedLevel`] and the metadata-only
-/// [`crate::container::LevelMap`] expose this, so decode paths can be written
-/// once against the geometry regardless of where the compressed bytes live.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct ChunkGrid {
-    /// Number of coefficients in the level.
-    pub n_values: usize,
-    /// Packed bytes per entropy chunk; `0` means whole-plane blocks (the
-    /// version-1 layout).
-    pub chunk_bytes: usize,
-}
-
-impl ChunkGrid {
-    /// Length of one packed (uncompressed) plane in bytes.
-    pub fn plane_len(&self) -> usize {
-        self.n_values.div_ceil(8)
-    }
-
-    /// Packed bytes per chunk region: the configured chunk size, or the whole
-    /// plane for monolithic (version-1) levels.
-    pub fn region_bytes(&self) -> usize {
-        if self.chunk_bytes == 0 {
-            self.plane_len().max(1)
-        } else {
-            self.chunk_bytes
-        }
-    }
-
-    /// Number of chunk regions every plane of this level is split into.
-    pub fn num_regions(&self) -> usize {
-        self.plane_len().div_ceil(self.region_bytes())
-    }
-
-    /// Packed byte range of region `k` within a plane.
-    pub fn region_byte_range(&self, k: usize) -> std::ops::Range<usize> {
-        let rb = self.region_bytes();
-        (k * rb)..((k + 1) * rb).min(self.plane_len())
-    }
-
-    /// Coefficient range reconstructed by region `k`.
-    pub fn region_coeff_range(&self, k: usize) -> std::ops::Range<usize> {
-        let bytes = self.region_byte_range(k);
-        (bytes.start * 8)..(bytes.end * 8).min(self.n_values)
-    }
-}
-
 /// How a level's packed plane bytes split into independently decodable chunk
-/// regions, and which coefficients each region covers.
+/// regions, and which coefficients each region covers — the one description
+/// of a level's layout. The encoder cuts by it, the container parser counts
+/// chunks by it, and every decode stage (and the `scalar` oracle) reads
+/// region geometry from it; nothing else restates the arithmetic.
 ///
-/// Version-1/2 containers use a *uniform* byte grid ([`ChunkGrid`]): every
-/// region spans `chunk_bytes` packed bytes regardless of where coefficients
-/// sit in space. Version-3 containers cut regions on spatial *precinct*
-/// boundaries instead: region `k` holds the `spans[k]` coefficients of
-/// precinct `k` (in precinct-major container order), packed independently
-/// into `spans[k].div_ceil(8)` bytes so every region starts byte-aligned.
-/// The decode pipeline is written once against this scheme.
+/// Version-1/2 containers use a *uniform* byte grid: every region spans the
+/// same number of packed bytes regardless of where coefficients sit in
+/// space. Version-3 containers cut regions on spatial *precinct* boundaries
+/// instead: region `k` holds the `spans[k]` coefficients of precinct `k` (in
+/// precinct-major container order), packed independently into
+/// `spans[k].div_ceil(8)` bytes so every region starts byte-aligned.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum RegionScheme {
-    /// Fixed-size byte regions (version-1/2 layout).
-    Uniform(ChunkGrid),
-    /// Precinct-aligned regions (version-3 layout).
+    /// Fixed-size byte regions (version-1/2 layout); build with
+    /// [`RegionScheme::uniform`].
+    Uniform {
+        /// Number of coefficients in the level.
+        n_values: usize,
+        /// Packed bytes per region (≥ 1): the chunk size, or the whole plane
+        /// for monolithic (version-1) levels.
+        region_bytes: usize,
+    },
+    /// Precinct-aligned regions (version-3 layout); build with
+    /// [`RegionScheme::precincts`].
     Precincts {
         /// Number of coefficients in the level.
         n_values: usize,
@@ -173,6 +149,33 @@ pub enum RegionScheme {
 }
 
 impl RegionScheme {
+    /// The uniform byte grid over `n_values` coefficients: regions of
+    /// `chunk_bytes` packed bytes each, or one whole-plane region when
+    /// `chunk_bytes` is `0` (the version-1 layout). `None` unless
+    /// `chunk_bytes` is a multiple of 8 — the format's rule that chunk
+    /// boundaries sit on 64-coefficient transpose blocks, stated here once;
+    /// the encoder, [`crate::compress`] and the container parser each turn a
+    /// `None` into their own error.
+    pub fn uniform(n_values: usize, chunk_bytes: usize) -> Option<Self> {
+        chunk_bytes
+            .is_multiple_of(8)
+            .then(|| Self::cut_every(n_values, chunk_bytes))
+    }
+
+    /// [`RegionScheme::uniform`] without the alignment rule: the grid a level
+    /// *claims*, whatever it claims.
+    fn cut_every(n_values: usize, chunk_bytes: usize) -> Self {
+        let region_bytes = if chunk_bytes == 0 {
+            n_values.div_ceil(8).max(1)
+        } else {
+            chunk_bytes
+        };
+        Self::Uniform {
+            n_values,
+            region_bytes,
+        }
+    }
+
     /// Build the precinct-aligned scheme from per-precinct coefficient spans.
     pub fn precincts(spans: &[usize]) -> Self {
         let mut coeff_starts = Vec::with_capacity(spans.len());
@@ -192,11 +195,21 @@ impl RegionScheme {
         }
     }
 
+    /// Per-precinct coefficient spans of a precinct scheme, `None` for the
+    /// uniform grid.
+    pub(crate) fn precinct_spans(&self) -> Option<&[usize]> {
+        match self {
+            RegionScheme::Uniform { .. } => None,
+            RegionScheme::Precincts { spans, .. } => Some(spans),
+        }
+    }
+
     /// Number of coefficients in the level.
     pub fn n_values(&self) -> usize {
         match self {
-            RegionScheme::Uniform(g) => g.n_values,
-            RegionScheme::Precincts { n_values, .. } => *n_values,
+            RegionScheme::Uniform { n_values, .. } | RegionScheme::Precincts { n_values, .. } => {
+                *n_values
+            }
         }
     }
 
@@ -205,17 +218,18 @@ impl RegionScheme {
     /// `n_values.div_ceil(8)`.
     pub fn plane_len(&self) -> usize {
         match self {
-            RegionScheme::Uniform(g) => g.plane_len(),
-            RegionScheme::Precincts {
-                spans, byte_starts, ..
-            } => byte_starts.last().map_or(0, |&b| b) + spans.last().map_or(0, |&s| s.div_ceil(8)),
+            RegionScheme::Uniform { n_values, .. } => n_values.div_ceil(8),
+            RegionScheme::Precincts { spans, .. } => match spans.len() {
+                0 => 0,
+                n => self.region_byte_range(n - 1).end,
+            },
         }
     }
 
     /// Number of chunk regions every plane of this level is split into.
     pub fn num_regions(&self) -> usize {
         match self {
-            RegionScheme::Uniform(g) => g.num_regions(),
+            RegionScheme::Uniform { region_bytes, .. } => self.plane_len().div_ceil(*region_bytes),
             RegionScheme::Precincts { spans, .. } => spans.len(),
         }
     }
@@ -223,7 +237,9 @@ impl RegionScheme {
     /// Packed byte range of region `k` within a plane.
     pub fn region_byte_range(&self, k: usize) -> std::ops::Range<usize> {
         match self {
-            RegionScheme::Uniform(g) => g.region_byte_range(k),
+            RegionScheme::Uniform { region_bytes, .. } => {
+                (k * region_bytes)..((k + 1) * region_bytes).min(self.plane_len())
+            }
             RegionScheme::Precincts {
                 spans, byte_starts, ..
             } => byte_starts[k]..byte_starts[k] + spans[k].div_ceil(8),
@@ -233,7 +249,10 @@ impl RegionScheme {
     /// Coefficient range reconstructed by region `k`.
     pub fn region_coeff_range(&self, k: usize) -> std::ops::Range<usize> {
         match self {
-            RegionScheme::Uniform(g) => g.region_coeff_range(k),
+            RegionScheme::Uniform { n_values, .. } => {
+                let bytes = self.region_byte_range(k);
+                (bytes.start * 8)..(bytes.end * 8).min(*n_values)
+            }
             RegionScheme::Precincts {
                 spans,
                 coeff_starts,
@@ -243,18 +262,12 @@ impl RegionScheme {
     }
 }
 
-impl From<ChunkGrid> for RegionScheme {
-    fn from(grid: ChunkGrid) -> Self {
-        RegionScheme::Uniform(grid)
-    }
-}
-
 /// One bitplane compressed as independently decodable entropy chunks.
 ///
-/// Chunk `k` covers packed plane bytes `[k·span, (k+1)·span)` where `span` is
-/// the owning level's [`EncodedLevel::region_bytes`]. Version-1 containers
-/// store a single chunk spanning the whole plane; version-3 containers cut
-/// one chunk per spatial precinct instead.
+/// Chunk `k` holds region `k` of the owning level's [`EncodedLevel::scheme`]:
+/// a fixed span of packed plane bytes in version-2 containers, the whole
+/// plane in version-1 containers, one spatial precinct in version-3
+/// containers.
 #[derive(Debug, Clone, PartialEq)]
 pub struct EncodedPlane {
     /// Compressed chunk payloads, in coefficient order.
@@ -322,48 +335,17 @@ pub struct EncodedLevel {
 }
 
 impl EncodedLevel {
-    /// The level's chunk-grid geometry (uniform layouts only; prefer
-    /// [`EncodedLevel::scheme`] which also covers precinct layouts).
-    pub fn grid(&self) -> ChunkGrid {
-        ChunkGrid {
-            n_values: self.n_values,
-            chunk_bytes: self.chunk_bytes,
-        }
-    }
-
     /// The level's region scheme: how plane bytes split into chunks and which
-    /// coefficients each chunk covers.
+    /// coefficients each chunk covers — the only way to the level's packed
+    /// geometry. It describes the level as it claims to be cut; a hand-built
+    /// level whose `chunk_bytes` breaks the alignment rule of
+    /// [`RegionScheme::uniform`] still gets a grid, which decode then checks
+    /// every chunk count and decoded size against.
     pub fn scheme(&self) -> RegionScheme {
         match &self.precinct_spans {
             Some(spans) => RegionScheme::precincts(spans),
-            None => RegionScheme::Uniform(self.grid()),
+            None => RegionScheme::cut_every(self.n_values, self.chunk_bytes),
         }
-    }
-
-    /// Length of one packed (uncompressed) plane in bytes.
-    pub fn plane_len(&self) -> usize {
-        self.grid().plane_len()
-    }
-
-    /// Packed bytes per chunk region: the configured chunk size, or the whole
-    /// plane for monolithic (version-1) levels.
-    pub fn region_bytes(&self) -> usize {
-        self.grid().region_bytes()
-    }
-
-    /// Number of chunk regions every plane of this level is split into.
-    pub fn num_regions(&self) -> usize {
-        self.grid().num_regions()
-    }
-
-    /// Packed byte range of region `k` within a plane.
-    pub fn region_byte_range(&self, k: usize) -> std::ops::Range<usize> {
-        self.grid().region_byte_range(k)
-    }
-
-    /// Coefficient range reconstructed by region `k`.
-    pub fn region_coeff_range(&self, k: usize) -> std::ops::Range<usize> {
-        self.grid().region_coeff_range(k)
     }
 
     /// Total compressed size of all plane blocks in bytes.
@@ -542,14 +524,89 @@ pub fn truncation_loss_table(nb: &[u64], num_planes: u8) -> Vec<u64> {
     trunc_loss
 }
 
-/// Encode one level's quantization codes into bitplane blocks with an explicit
-/// chunk size. [`encode_level`] forwards the default.
+/// The one level encoder: negabinary → plane count → truncation-loss table →
+/// whole-word prediction → per-region bit-slicing → one entropy call per
+/// `(plane, region)` → regroup plane-major. `scheme` says how the level is
+/// cut; the two public spellings below only build it. The returned level
+/// carries the neutral layout fields (`chunk_bytes: 0`, no spans), which each
+/// spelling overwrites with what its scheme was built from.
+///
+/// Every region is sliced on its own (padded to a byte boundary), so any
+/// region decodes from just its own chunks. For the uniform grid that is
+/// byte-identical to slicing the whole level and cutting the bytes: regions
+/// start on 64-coefficient boundaries, so no byte straddles two regions.
+fn encode_regions(
+    codes: &[i64],
+    prefix_bits: u8,
+    predictive: bool,
+    parallel: bool,
+    scheme: &RegionScheme,
+) -> EncodedLevel {
+    let nb = to_negabinary_slice(codes);
+    let num_planes = required_bitplanes_words(&nb).min(63) as u8;
+    let trunc_loss = truncation_loss_table(&nb, num_planes);
+    let predicted: Vec<u64> = if predictive && prefix_bits > 0 {
+        nb.iter().map(|&w| predict_word(w, prefix_bits)).collect()
+    } else {
+        nb
+    };
+
+    let n_regions = scheme.num_regions();
+    let jobs: Vec<&[u64]> = (0..n_regions)
+        .map(|k| &predicted[scheme.region_coeff_range(k)])
+        .collect();
+    let slice = |words: &[u64]| -> Vec<Vec<u8>> { slice_planes(words, num_planes as usize) };
+    let parallel = parallel && codes.len() > PARALLEL_THRESHOLD;
+    let sliced: Vec<Vec<Vec<u8>>> = if parallel {
+        jobs.into_par_iter().map(slice).collect()
+    } else {
+        jobs.into_iter().map(slice).collect()
+    };
+    // Fan every (plane, region) pair out as one task: uniform work items keep
+    // the rayon pool balanced even though low planes compress far slower
+    // than sparse high planes. Empty precincts get zero-byte chunks without
+    // touching the entropy coder.
+    let tasks: Vec<&[u8]> = (0..num_planes as usize)
+        .flat_map(|p| sliced.iter().map(move |region| region[p].as_slice()))
+        .collect();
+    let compress = |bytes: &[u8]| -> Vec<u8> {
+        if bytes.is_empty() {
+            Vec::new()
+        } else {
+            lzr_compress(bytes)
+        }
+    };
+    let compressed: Vec<Vec<u8>> = if parallel {
+        tasks.into_par_iter().map(compress).collect()
+    } else {
+        tasks.into_iter().map(compress).collect()
+    };
+
+    let mut it = compressed.into_iter();
+    let planes: Vec<EncodedPlane> = (0..num_planes)
+        .map(|_| EncodedPlane {
+            chunks: (&mut it).take(n_regions).collect(),
+        })
+        .collect();
+    EncodedLevel {
+        n_values: codes.len(),
+        num_planes,
+        planes,
+        trunc_loss,
+        chunk_bytes: 0,
+        precinct_spans: None,
+    }
+}
+
+/// Encode one level's quantization codes into bitplane blocks on the uniform
+/// byte grid of `opts.chunk_bytes` (the version-1/2 layout).
+/// [`encode_level`] forwards the default.
 ///
 /// # Panics
 ///
-/// Panics if `opts.chunk_bytes` is not a multiple of 8 (chunk boundaries
-/// must align with the 64-coefficient transpose blocks). The `Result`-based
-/// entry point [`crate::compressor::compress`] validates this up front.
+/// Panics if `opts.chunk_bytes` is not a multiple of 8 (see
+/// [`RegionScheme::uniform`]). The `Result`-based entry point
+/// [`crate::compressor::compress`] validates this up front.
 pub fn encode_level_with(
     codes: &[i64],
     prefix_bits: u8,
@@ -557,56 +614,11 @@ pub fn encode_level_with(
     parallel: bool,
     opts: EncodeOptions,
 ) -> EncodedLevel {
-    assert!(
-        opts.chunk_bytes.is_multiple_of(8),
-        "chunk_bytes must be a multiple of 8 to align with transpose blocks"
-    );
-    let nb = to_negabinary_slice(codes);
-    let num_planes = required_bitplanes_words(&nb).min(63) as u8;
-    let trunc_loss = truncation_loss_table(&nb, num_planes);
-
-    // Whole-word prediction, then one transpose pass slices every plane at once.
-    let predicted: Vec<u64> = if predictive && prefix_bits > 0 {
-        nb.iter().map(|&w| predict_word(w, prefix_bits)).collect()
-    } else {
-        nb
-    };
-    let plane_bits = slice_planes(&predicted, num_planes as usize);
-
-    let plane_len = codes.len().div_ceil(8);
-    let span = if opts.chunk_bytes == 0 {
-        plane_len.max(1)
-    } else {
-        opts.chunk_bytes
-    };
-    // Fan every (plane, chunk) pair out as one task: uniform ~chunk-sized work
-    // items keep the rayon pool balanced even though low planes compress far
-    // slower than sparse high planes.
-    let tasks: Vec<&[u8]> = plane_bits
-        .iter()
-        .flat_map(|bits| bits.chunks(span.max(1)))
-        .collect();
-    let compressed: Vec<Vec<u8>> = if parallel && codes.len() > PARALLEL_THRESHOLD {
-        tasks.into_par_iter().map(lzr_compress).collect()
-    } else {
-        tasks.into_iter().map(lzr_compress).collect()
-    };
-
-    let chunks_per_plane = plane_len.div_ceil(span.max(1)).max(1);
-    let mut it = compressed.into_iter();
-    let planes: Vec<EncodedPlane> = (0..num_planes)
-        .map(|_| EncodedPlane {
-            chunks: (&mut it).take(chunks_per_plane).collect(),
-        })
-        .collect();
-
+    let scheme = RegionScheme::uniform(codes.len(), opts.chunk_bytes)
+        .expect("chunk_bytes must be a multiple of 8 to align with transpose blocks");
     EncodedLevel {
-        n_values: codes.len(),
-        num_planes,
-        planes,
-        trunc_loss,
         chunk_bytes: opts.chunk_bytes,
-        precinct_spans: None,
+        ..encode_regions(codes, prefix_bits, predictive, parallel, &scheme)
     }
 }
 
@@ -632,10 +644,8 @@ pub fn encode_level(
 
 /// Encode one level whose `codes` are already in precinct-major container
 /// order, cutting one entropy chunk per `(plane, precinct)` pair — the
-/// version-3 layout. Each precinct's plane bits are packed *independently*
-/// (padded to a byte boundary), so any precinct decodes from just its own
-/// chunks; `spans` gives the coefficient count per precinct and must sum to
-/// `codes.len()`.
+/// version-3 layout. `spans` gives the coefficient count per precinct and
+/// must sum to `codes.len()`.
 ///
 /// The plane count and truncation-loss table are computed over the whole
 /// level exactly as in [`encode_level_with`] — both are order-invariant, so
@@ -655,60 +665,10 @@ pub fn encode_level_precincts(
         codes.len(),
         "precinct spans must partition the level"
     );
-    let nb = to_negabinary_slice(codes);
-    let num_planes = required_bitplanes_words(&nb).min(63) as u8;
-    let trunc_loss = truncation_loss_table(&nb, num_planes);
-    let predicted: Vec<u64> = if predictive && prefix_bits > 0 {
-        nb.iter().map(|&w| predict_word(w, prefix_bits)).collect()
-    } else {
-        nb
-    };
-
-    // Slice each precinct's coefficient words into its own byte-aligned
-    // plane bits, then entropy-code every (plane, precinct) chunk. Empty
-    // precincts get zero-byte chunks without touching the entropy coder.
-    let starts = crate::precinct::prefix_sums(spans);
-    let jobs: Vec<&[u64]> = starts
-        .iter()
-        .zip(spans)
-        .map(|(&start, &span)| &predicted[start..start + span])
-        .collect();
-    let slice = |words: &[u64]| -> Vec<Vec<u8>> { slice_planes(words, num_planes as usize) };
-    let parallel = parallel && codes.len() > PARALLEL_THRESHOLD;
-    let sliced: Vec<Vec<Vec<u8>>> = if parallel {
-        jobs.into_par_iter().map(slice).collect()
-    } else {
-        jobs.into_iter().map(slice).collect()
-    };
-    let tasks: Vec<&[u8]> = (0..num_planes as usize)
-        .flat_map(|p| sliced.iter().map(move |pre| pre[p].as_slice()))
-        .collect();
-    let compress = |bytes: &[u8]| -> Vec<u8> {
-        if bytes.is_empty() {
-            Vec::new()
-        } else {
-            lzr_compress(bytes)
-        }
-    };
-    let compressed: Vec<Vec<u8>> = if parallel {
-        tasks.into_par_iter().map(compress).collect()
-    } else {
-        tasks.into_iter().map(compress).collect()
-    };
-
-    let mut it = compressed.into_iter();
-    let planes: Vec<EncodedPlane> = (0..num_planes)
-        .map(|_| EncodedPlane {
-            chunks: (&mut it).take(spans.len()).collect(),
-        })
-        .collect();
+    let scheme = RegionScheme::precincts(spans);
     EncodedLevel {
-        n_values: codes.len(),
-        num_planes,
-        planes,
-        trunc_loss,
-        chunk_bytes: 0,
         precinct_spans: Some(spans.to_vec()),
+        ..encode_regions(codes, prefix_bits, predictive, parallel, &scheme)
     }
 }
 
@@ -767,17 +727,6 @@ pub(crate) fn decode_chunk_bytes(compressed: &[u8], expected: usize) -> Result<V
     Ok(packed)
 }
 
-/// Entropy-decode chunk `k` of plane `p` of an in-memory level (only the
-/// scalar reference decoder still reads whole planes this way; the
-/// word-parallel paths go through [`crate::pipeline::EntropyStage`]).
-#[cfg(any(test, feature = "reference-scalar"))]
-fn decode_chunk(level: &EncodedLevel, p: u8, k: usize) -> Result<Vec<u8>> {
-    decode_chunk_bytes(
-        &level.planes[p as usize].chunks[k],
-        level.region_byte_range(k).len(),
-    )
-}
-
 /// Decode planes `[plane_lo, plane_hi)` of `level` into the negabinary accumulators
 /// `acc` (one `u64` per coefficient).
 ///
@@ -800,7 +749,8 @@ pub fn decode_planes_into(
     predictive: bool,
     acc: &mut [u64],
 ) -> Result<()> {
-    let scheme = level.scheme();
+    // Built once per load; the entropy and scatter stages share it.
+    let scheme = Arc::new(level.scheme());
     check_plane_range(
         &scheme,
         level.num_planes,
@@ -815,9 +765,9 @@ pub fn decode_planes_into(
     let n_regions = scheme.num_regions();
     let n_planes = (plane_hi - plane_lo) as usize;
     let parallel = level.n_values > PARALLEL_THRESHOLD && rayon::current_num_threads() > 1;
-    let entropy = EntropyStage::new(scheme.clone());
+    let entropy = EntropyStage::new(Arc::clone(&scheme));
     let scatter_stage = ScatterStage::new(
-        scheme.clone(),
+        Arc::clone(&scheme),
         level.num_planes,
         plane_lo,
         plane_hi,
@@ -867,10 +817,8 @@ pub fn decode_planes_into(
         consumed = coeffs.end;
         rest = tail;
     }
-    let scatter = |(k, chunks, acc_region): (usize, Vec<Vec<u8>>, &mut [u64])| {
-        scatter_stage
-            .process(k, (chunks, acc_region))
-            .expect("scatter stage is infallible after entropy validation");
+    let scatter = |(k, chunks, acc_region): RegionTask<'_>| {
+        scatter_stage.scatter(k, chunks, acc_region);
     };
     if parallel && n_regions > 1 {
         work.into_par_iter().for_each(scatter);
@@ -908,12 +856,16 @@ pub fn decode_level(
 /// Historical bit-at-a-time implementation, kept as the reference oracle for the
 /// word-parallel coder: property tests assert byte-identical payloads and decode
 /// results, and the benchmark harness measures the speedup against it. The
-/// entropy stage (chunking + rANS dispatch) is shared with the word-parallel
-/// path, so the comparison isolates the bit-manipulation layer.
+/// region geometry ([`RegionScheme`]) and the entropy stage (rANS dispatch)
+/// are shared with the word-parallel path, so the comparison isolates the
+/// bit-manipulation layer — for uniform and precinct levels alike.
 #[cfg(any(test, feature = "reference-scalar"))]
 pub mod scalar {
-    use super::{EncodeOptions, EncodedLevel, EncodedPlane};
-    use crate::error::{IpcompError, Result};
+    use super::{
+        check_plane_range, decode_chunk_bytes, EncodeOptions, EncodedLevel, EncodedPlane,
+        RegionScheme,
+    };
+    use crate::error::Result;
     use ipc_codecs::bitstream::{BitReader, BitWriter};
     use ipc_codecs::negabinary::{required_bitplanes, to_negabinary, truncation_loss};
 
@@ -930,12 +882,13 @@ pub mod scalar {
         parity
     }
 
-    /// Bit-at-a-time [`super::encode_level_with`].
-    pub fn encode_level_with(
+    /// Bit-at-a-time `encode_regions`: one bit writer per `(plane, region)`,
+    /// with the same neutral layout fields for the spellings to overwrite.
+    fn encode_regions(
         codes: &[i64],
         prefix_bits: u8,
         predictive: bool,
-        opts: EncodeOptions,
+        scheme: &RegionScheme,
     ) -> EncodedLevel {
         let nb: Vec<u64> = codes.iter().map(|&c| to_negabinary(c)).collect();
         let num_planes = required_bitplanes(codes).min(63) as u8;
@@ -954,15 +907,13 @@ pub mod scalar {
             trunc_loss
         };
 
-        let plane_len = codes.len().div_ceil(8);
-        let span = if opts.chunk_bytes == 0 {
-            plane_len.max(1)
-        } else {
-            opts.chunk_bytes
-        };
-        let encode_plane = |p: u32| -> EncodedPlane {
-            let mut writer = BitWriter::with_capacity_bits(nb.len());
-            for &w in &nb {
+        let encode_chunk = |p: u32, k: usize| -> Vec<u8> {
+            let words = &nb[scheme.region_coeff_range(k)];
+            if words.is_empty() {
+                return Vec::new();
+            }
+            let mut writer = BitWriter::with_capacity_bits(words.len());
+            for &w in words {
                 let raw = (w >> p) & 1;
                 let bit = if predictive {
                     raw ^ prefix_parity(w, p, prefix_bits)
@@ -971,23 +922,38 @@ pub mod scalar {
                 };
                 writer.write_bit(bit == 1);
             }
-            let packed = writer.into_bytes();
-            EncodedPlane {
-                chunks: packed
-                    .chunks(span.max(1))
-                    .map(ipc_codecs::lzr_compress)
-                    .collect(),
-            }
+            ipc_codecs::lzr_compress(&writer.into_bytes())
         };
-        let planes: Vec<EncodedPlane> = (0..num_planes as u32).map(encode_plane).collect();
+        let planes: Vec<EncodedPlane> = (0..num_planes as u32)
+            .map(|p| EncodedPlane {
+                chunks: (0..scheme.num_regions())
+                    .map(|k| encode_chunk(p, k))
+                    .collect(),
+            })
+            .collect();
 
         EncodedLevel {
             n_values: codes.len(),
             num_planes,
             planes,
             trunc_loss,
-            chunk_bytes: opts.chunk_bytes,
+            chunk_bytes: 0,
             precinct_spans: None,
+        }
+    }
+
+    /// Bit-at-a-time [`super::encode_level_with`].
+    pub fn encode_level_with(
+        codes: &[i64],
+        prefix_bits: u8,
+        predictive: bool,
+        opts: EncodeOptions,
+    ) -> EncodedLevel {
+        let scheme = RegionScheme::uniform(codes.len(), opts.chunk_bytes)
+            .expect("chunk_bytes must be a multiple of 8");
+        EncodedLevel {
+            chunk_bytes: opts.chunk_bytes,
+            ..encode_regions(codes, prefix_bits, predictive, &scheme)
         }
     }
 
@@ -996,13 +962,23 @@ pub mod scalar {
         encode_level_with(codes, prefix_bits, predictive, EncodeOptions::default())
     }
 
-    /// Reassemble the full packed byte stream of one plane from its chunks.
-    fn unpack_plane(level: &EncodedLevel, p: u8) -> Result<Vec<u8>> {
-        let mut packed = Vec::with_capacity(level.plane_len());
-        for k in 0..level.planes[p as usize].chunks.len() {
-            packed.extend_from_slice(&super::decode_chunk(level, p, k)?);
+    /// Bit-at-a-time [`super::encode_level_precincts`].
+    #[cfg(test)]
+    pub(crate) fn encode_level_precincts(
+        codes: &[i64],
+        prefix_bits: u8,
+        predictive: bool,
+        spans: &[usize],
+    ) -> EncodedLevel {
+        EncodedLevel {
+            precinct_spans: Some(spans.to_vec()),
+            ..encode_regions(
+                codes,
+                prefix_bits,
+                predictive,
+                &RegionScheme::precincts(spans),
+            )
         }
-        Ok(packed)
     }
 
     /// Bit-at-a-time [`super::decode_planes_into`].
@@ -1014,30 +990,28 @@ pub mod scalar {
         predictive: bool,
         acc: &mut [u64],
     ) -> Result<()> {
-        if acc.len() != level.n_values {
-            return Err(IpcompError::InvalidInput(format!(
-                "accumulator length {} does not match level size {}",
-                acc.len(),
-                level.n_values
-            )));
-        }
-        if plane_hi > level.num_planes || plane_lo > plane_hi {
-            return Err(IpcompError::InvalidInput(format!(
-                "invalid plane range {plane_lo}..{plane_hi} for level with {} planes",
-                level.num_planes
-            )));
-        }
+        let scheme = level.scheme();
+        check_plane_range(
+            &scheme,
+            level.num_planes,
+            |p| level.planes[p as usize].chunks.len(),
+            plane_lo,
+            plane_hi,
+            acc.len(),
+        )?;
         for p in (plane_lo..plane_hi).rev() {
-            let packed = unpack_plane(level, p)?;
-            let mut reader = BitReader::new(&packed);
-            for word in acc.iter_mut() {
-                let encoded = reader.read_bit()? as u64;
-                let raw = if predictive {
-                    encoded ^ prefix_parity(*word, p as u32, prefix_bits)
-                } else {
-                    encoded
-                };
-                *word |= raw << p;
+            for (k, chunk) in level.planes[p as usize].chunks.iter().enumerate() {
+                let packed = decode_chunk_bytes(chunk, scheme.region_byte_range(k).len())?;
+                let mut reader = BitReader::new(&packed);
+                for word in &mut acc[scheme.region_coeff_range(k)] {
+                    let encoded = reader.read_bit()? as u64;
+                    let raw = if predictive {
+                        encoded ^ prefix_parity(*word, p as u32, prefix_bits)
+                    } else {
+                        encoded
+                    };
+                    *word |= raw << p;
+                }
             }
         }
         Ok(())
@@ -1094,6 +1068,16 @@ mod tests {
     /// levels (must stay a multiple of 8).
     fn tiny_chunks() -> EncodeOptions {
         EncodeOptions { chunk_bytes: 64 }
+    }
+
+    /// Precinct spans with an empty precinct, a 1-coefficient precinct and
+    /// spans that are not multiples of 8 (so regions carry padding bits and
+    /// the packed plane is longer than `n.div_ceil(8)`).
+    const ODD_SPANS: [usize; 7] = [13, 0, 1, 64, 0, 203, 7];
+
+    /// Codes for [`ODD_SPANS`], taken as already in precinct-major order.
+    fn odd_span_codes() -> Vec<i64> {
+        sample_codes(ODD_SPANS.iter().sum(), 1 << 15, 12)
     }
 
     /// Region-at-a-time stream over planes `[lo, hi)` of a resident level
@@ -1257,11 +1241,12 @@ mod tests {
         for n in [512usize, 1024] {
             let codes = sample_codes(n, 1 << 12, 31);
             let enc = encode_level_with(&codes, 2, true, false, tiny_chunks());
-            assert_eq!(enc.plane_len() % enc.region_bytes(), 0);
-            let grid = enc.grid();
-            let last = grid.num_regions() - 1;
-            assert_eq!(grid.region_byte_range(last).end, grid.plane_len());
-            assert_eq!(grid.region_coeff_range(last).end, n);
+            let scheme = enc.scheme();
+            assert_eq!(scheme.plane_len() % tiny_chunks().chunk_bytes, 0);
+            let last = scheme.num_regions() - 1;
+            assert_eq!(scheme.region_byte_range(last).len(), 64);
+            assert_eq!(scheme.region_byte_range(last).end, scheme.plane_len());
+            assert_eq!(scheme.region_coeff_range(last).end, n);
             assert_source_stream_matches(&codes, tiny_chunks());
         }
     }
@@ -1518,6 +1503,22 @@ mod tests {
                         "prefix_bits={prefix_bits} predictive={predictive} opts={opts:?}"
                     );
                 }
+                let codes = odd_span_codes();
+                let opts = EncodeOptions::default();
+                let word = encode_level_precincts(
+                    &codes,
+                    prefix_bits,
+                    predictive,
+                    false,
+                    opts,
+                    &ODD_SPANS,
+                );
+                let reference =
+                    scalar::encode_level_precincts(&codes, prefix_bits, predictive, &ODD_SPANS);
+                assert_eq!(
+                    word, reference,
+                    "precincts: prefix_bits={prefix_bits} predictive={predictive}"
+                );
             }
         }
     }
@@ -1526,14 +1527,39 @@ mod tests {
     #[test]
     fn decoder_matches_scalar_reference_at_every_depth() {
         let codes = sample_codes(2100, 1 << 15, 11);
+        let odd = odd_span_codes();
         for prefix_bits in [0u8, 2, 4] {
-            let enc = encode_level(&codes, prefix_bits, true, false);
-            for loaded in 0..=enc.num_planes {
-                let word = decode_level(&enc, loaded, prefix_bits, true).unwrap();
-                let reference = scalar::decode_level(&enc, loaded, prefix_bits, true).unwrap();
-                assert_eq!(word, reference, "prefix_bits={prefix_bits} loaded={loaded}");
+            let opts = EncodeOptions::default();
+            for enc in [
+                encode_level(&codes, prefix_bits, true, false),
+                encode_level_precincts(&odd, prefix_bits, true, false, opts, &ODD_SPANS),
+            ] {
+                for loaded in 0..=enc.num_planes {
+                    let word = decode_level(&enc, loaded, prefix_bits, true).unwrap();
+                    let reference = scalar::decode_level(&enc, loaded, prefix_bits, true).unwrap();
+                    assert_eq!(word, reference, "prefix_bits={prefix_bits} loaded={loaded}");
+                }
             }
         }
+    }
+
+    /// The oracle reads a precinct level through the same scheme the encoder
+    /// cut it by: empty precincts, a 1-coefficient precinct and padded spans
+    /// all decode to the codes.
+    #[test]
+    fn scalar_reference_decodes_precinct_levels() {
+        let codes = odd_span_codes();
+        let enc =
+            encode_level_precincts(&codes, 2, true, false, EncodeOptions::default(), &ODD_SPANS);
+        let scheme = enc.scheme();
+        assert_eq!(scheme.num_regions(), ODD_SPANS.len());
+        assert!(scheme.plane_len() > codes.len().div_ceil(8));
+        let reference = scalar::decode_level(&enc, enc.num_planes, 2, true).unwrap();
+        assert_eq!(reference, codes);
+        assert_eq!(
+            decode_level(&enc, enc.num_planes, 2, true).unwrap(),
+            reference
+        );
     }
 
     proptest::proptest! {
@@ -1597,6 +1623,52 @@ mod tests {
             }
             let decoded = ipc_codecs::negabinary::from_negabinary_slice(&word_acc);
             proptest::prop_assert_eq!(decoded, codes);
+        }
+
+        /// Every scheme — the uniform grid at each chunk size the format
+        /// allows, and precinct spans with zeros and 1-element levels — tiles
+        /// the level exactly, in coefficients and in packed bytes; the
+        /// encoder cuts every plane into exactly its regions, and every
+        /// chunk decodes at its region's packed length.
+        #[test]
+        fn prop_scheme_regions_tile_the_level(
+            codes in proptest::collection::vec(-100_000i64..100_000, 1..400),
+            layout in 0usize..5,
+            cuts in proptest::collection::vec(0usize..400, 0..9),
+        ) {
+            let n = codes.len();
+            let enc = match [0, 8, 64, CHUNK_BYTES].get(layout) {
+                Some(&chunk_bytes) => {
+                    encode_level_with(&codes, 2, true, false, EncodeOptions { chunk_bytes })
+                }
+                None => {
+                    // Random cut points (repeats give empty precincts).
+                    let mut at: Vec<usize> = cuts.iter().map(|c| c % (n + 1)).collect();
+                    at.extend([0, n]);
+                    at.sort_unstable();
+                    let spans: Vec<usize> = at.windows(2).map(|w| w[1] - w[0]).collect();
+                    let opts = EncodeOptions::default();
+                    encode_level_precincts(&codes, 2, true, false, opts, &spans)
+                }
+            };
+            let scheme = enc.scheme();
+            proptest::prop_assert_eq!(scheme.n_values(), n);
+            let (mut coeff, mut byte) = (0usize, 0usize);
+            for k in 0..scheme.num_regions() {
+                let (coeffs, bytes) = (scheme.region_coeff_range(k), scheme.region_byte_range(k));
+                proptest::prop_assert_eq!((coeffs.start, bytes.start), (coeff, byte));
+                proptest::prop_assert_eq!(bytes.len(), coeffs.len().div_ceil(8));
+                (coeff, byte) = (coeffs.end, bytes.end);
+            }
+            proptest::prop_assert_eq!((coeff, byte), (n, scheme.plane_len()));
+            for plane in &enc.planes {
+                proptest::prop_assert_eq!(plane.chunks.len(), scheme.num_regions());
+                for (k, chunk) in plane.chunks.iter().enumerate() {
+                    let packed = decode_chunk_bytes(chunk, scheme.region_byte_range(k).len());
+                    proptest::prop_assert!(packed.is_ok(), "region {}: {:?}", k, packed);
+                }
+            }
+            proptest::prop_assert_eq!(decode_level(&enc, enc.num_planes, 2, true).unwrap(), codes);
         }
 
         /// Chunked streaming decode lands on the same accumulators as bulk

@@ -15,13 +15,13 @@
 //!    level's pass only reads lattice points finalized by earlier passes. So
 //!    the engine runs level `k`'s interpolation as soon as level `k`'s
 //!    coefficients are scattered, while the finer levels (the finest holds
-//!    7/8 of the bytes in 3-D) are still fetching and entropy-decoding. A
-//!    [`CascadeState`] tracks per-level readiness, so levels may be handed
-//!    over in any order; passes are applied in cascade order as their
-//!    predecessors complete. Streaming raises the fetch/compute overlap
-//!    ceiling of the staged pipeline: against a slow backend, reconstruction
-//!    compute now hides under the next level's fetch instead of running after
-//!    the last byte lands.
+//!    7/8 of the bytes in 3-D) are still fetching and entropy-decoding.
+//!    Cascade order is the contract: every caller loads levels coarsest
+//!    first, so the engine holds codes for one level at a time and a level
+//!    handed over early is a bug, not a case. Streaming raises the
+//!    fetch/compute overlap ceiling of the staged pipeline: against a slow
+//!    backend, reconstruction compute now hides under the next level's fetch
+//!    instead of running after the last byte lands.
 //! 2. **Fused SIMD passes.** A pass consumes quantization codes directly —
 //!    dequantization (`code · 2eb`) is fused into the interpolation kernel,
 //!    so the field is touched once per level instead of once per stage, and
@@ -170,52 +170,6 @@ pub fn delta_codes(acc: &[u64], before: &[i64]) -> Vec<i64> {
         .collect()
 }
 
-// ---- per-level readiness ----------------------------------------------------
-
-/// Lifecycle of one container level inside a [`CascadeEngine`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum LevelState {
-    /// Coefficients not yet handed to the engine.
-    Pending,
-    /// Coefficients received, waiting for a coarser level's pass.
-    Ready,
-    /// Interpolation pass applied; the level's lattice is final.
-    Applied,
-}
-
-/// Per-level readiness tracker: levels may be handed over in any order, and
-/// the engine applies each level's pass exactly once, in cascade (coarsest
-/// first) order, as soon as all coarser levels are applied.
-#[derive(Debug, Clone)]
-pub struct CascadeState {
-    states: Vec<LevelState>,
-    applied: usize,
-}
-
-impl CascadeState {
-    fn new(n_levels: usize) -> Self {
-        Self {
-            states: vec![LevelState::Pending; n_levels],
-            applied: 0,
-        }
-    }
-
-    /// Per-level states, coarsest level first.
-    pub fn levels(&self) -> &[LevelState] {
-        &self.states
-    }
-
-    /// Number of levels whose pass has run.
-    pub fn applied(&self) -> usize {
-        self.applied
-    }
-
-    /// Whether every level's pass has run.
-    pub fn is_complete(&self) -> bool {
-        self.applied == self.states.len()
-    }
-}
-
 /// Progress report emitted when a level's interpolation pass completes.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct CascadeProgress {
@@ -239,7 +193,7 @@ pub struct CascadeProgress {
 /// Lifecycle: [`CascadeEngine::new`], then exactly one of
 /// [`seed_anchors`](CascadeEngine::seed_anchors) (initial reconstruction) or
 /// [`seed_zero`](CascadeEngine::seed_zero) (refinement delta cascade), then
-/// per container level either
+/// per container level, **coarsest first**, either
 ///
 /// * [`level_ready`](CascadeEngine::level_ready) with the level's complete
 ///   quantization codes (values for an initial reconstruction, deltas for a
@@ -254,10 +208,9 @@ pub struct CascadeProgress {
 /// code range and can run as soon as the arrived prefix covers it (and all
 /// coarser levels are applied). That is what lets the finest level's early
 /// sub-passes overlap the fetch of its own remaining regions, on top of the
-/// coarse levels overlapping the finer levels' fetches entirely. Levels may
-/// be handed over in any order; parked codes apply once their predecessors
-/// complete. When [`CascadeState::is_complete`],
-/// [`into_field`](CascadeEngine::into_field) yields the reconstruction.
+/// coarse levels overlapping the finer levels' fetches entirely. Once every
+/// level is applied, [`into_field`](CascadeEngine::into_field) yields the
+/// reconstruction.
 pub struct CascadeEngine {
     shape: Shape,
     method: Interpolation,
@@ -273,8 +226,12 @@ pub struct CascadeEngine {
     /// gate), captured at construction.
     forced_threads: usize,
     work: Vec<f64>,
-    state: CascadeState,
-    slots: Vec<LevelSlot>,
+    /// Levels whose pass has run — and so the one level codes may arrive for.
+    applied: usize,
+    /// Codes of level `applied` arrived so far, from traversal position 0.
+    buf: Vec<i64>,
+    /// Sub-passes of level `applied` already run.
+    subs_applied: usize,
     /// Per level, its dimension sub-passes in traversal order.
     geoms: Vec<Vec<SubPass>>,
 }
@@ -288,19 +245,6 @@ struct SubPass {
     start: usize,
     /// Codes (= points) this pass consumes.
     count: usize,
-}
-
-/// Arrival/application state of one level.
-#[derive(Default)]
-struct LevelSlot {
-    /// Codes arrived so far, from traversal position 0.
-    buf: Vec<i64>,
-    /// Sub-passes applied so far.
-    subs_applied: usize,
-    /// All codes arrived ([`CascadeEngine::level_complete`] called).
-    complete: bool,
-    /// All-zero level: prediction-only passes, no codes.
-    zero: bool,
 }
 
 impl CascadeEngine {
@@ -344,8 +288,9 @@ impl CascadeEngine {
             avx2,
             forced_threads: CASCADE_FORCE_THREADS.load(Ordering::Relaxed),
             work,
-            state: CascadeState::new(levels as usize),
-            slots: (0..levels).map(|_| LevelSlot::default()).collect(),
+            applied: 0,
+            buf: Vec::new(),
+            subs_applied: 0,
             geoms,
         }
     }
@@ -367,25 +312,27 @@ impl CascadeEngine {
         self.levels
     }
 
-    /// Per-level readiness.
-    pub fn state(&self) -> &CascadeState {
-        &self.state
+    /// Whether every level's pass has run.
+    fn is_complete(&self) -> bool {
+        self.applied == self.levels as usize
     }
 
-    /// Sub-passes applied and total for a level (observability: a level's
-    /// early sub-passes run while its remaining codes are still arriving).
-    pub fn subpasses_applied(&self, idx: usize) -> (usize, usize) {
-        (self.slots[idx].subs_applied, self.geoms[idx].len())
+    /// Sub-passes applied and total for the level codes are arriving for (a
+    /// level's early sub-passes run while its remaining codes still arrive).
+    #[cfg(test)]
+    fn subpasses_applied(&self, idx: usize) -> (usize, usize) {
+        assert_eq!(idx, self.applied);
+        (self.subs_applied, self.geoms[idx].len())
     }
 
-    /// The field under reconstruction (final once the state is complete).
+    /// The field under reconstruction (final once every level is applied).
     pub fn field(&self) -> &[f64] {
         &self.work
     }
 
     /// Consume the engine, yielding the reconstructed field.
     pub fn into_field(self) -> Vec<f64> {
-        debug_assert!(self.state.is_complete(), "cascade incomplete");
+        debug_assert!(self.is_complete(), "cascade incomplete");
         self.work
     }
 
@@ -406,45 +353,52 @@ impl CascadeEngine {
         process_anchors(&self.shape, &mut self.work, |_, _| 0.0);
     }
 
-    /// Hand container level `idx` (coarsest first) to the engine with its
-    /// complete quantization codes — values on an initial reconstruction,
-    /// deltas on a refinement, or an empty vector for an all-zero
-    /// (prediction-only) level. Runs this level's passes immediately when
-    /// every coarser level is applied (and then any finer levels that were
-    /// parked waiting), or parks the codes otherwise. Returns one progress
-    /// entry per level fully applied.
+    /// The cascade-order contract every arrival call checks: `idx` is the
+    /// next unapplied level.
+    fn expect_next(&self, idx: usize) {
+        assert!(idx < self.levels as usize, "level index out of range");
+        assert!(
+            idx >= self.applied,
+            "level {idx} handed to the cascade twice"
+        );
+        assert_eq!(
+            idx, self.applied,
+            "levels are handed to the cascade coarsest first"
+        );
+    }
+
+    /// Hand container level `idx` to the engine with its complete
+    /// quantization codes — values on an initial reconstruction, deltas on a
+    /// refinement, or an empty vector for an all-zero (prediction-only)
+    /// level — and run its passes. Returns the level's progress entry (one;
+    /// a `Vec` because the signature is pinned by the benchmark's replay).
     ///
     /// # Panics
     ///
-    /// Panics if `idx` is out of range, was already handed over, or received
-    /// streamed prefixes (use [`CascadeEngine::level_complete`] then).
+    /// Panics unless `idx` is the next level in cascade order, or if the
+    /// level already received streamed prefixes (use
+    /// [`CascadeEngine::level_complete`] then) or `codes` is neither empty
+    /// nor the level's point count.
     pub fn level_ready(&mut self, idx: usize, codes: Vec<i64>) -> Vec<CascadeProgress> {
-        assert!(idx < self.levels as usize, "level index out of range");
-        let slot = &mut self.slots[idx];
+        self.expect_next(idx);
         assert!(
-            !slot.complete && slot.buf.is_empty() && !slot.zero,
+            self.buf.is_empty(),
             "level {idx} handed to the cascade twice"
         );
-        if codes.is_empty() {
-            slot.zero = true;
-        } else {
-            slot.buf = codes;
-        }
-        self.finish_arrival(idx)
+        self.buf = codes;
+        vec![self.level_complete(idx)]
     }
 
     /// Append newly decoded codes for level `idx`, in traversal order — the
     /// streaming form, fed as chunk regions land. Any dimension sub-passes
-    /// the arrived prefix now covers run immediately (once all coarser
-    /// levels are applied); the rest wait for more codes. Returns one
-    /// progress entry per level fully applied (parked finer levels may
-    /// complete when their blocker does).
+    /// the arrived prefix now covers run immediately; the rest wait for
+    /// more codes.
     ///
     /// # Panics
     ///
-    /// Panics if `idx` is out of range, the level was already completed, or
-    /// more codes arrive than the level has points.
-    pub fn level_codes_arrived(&mut self, idx: usize, new_codes: &[i64]) -> Vec<CascadeProgress> {
+    /// Panics unless `idx` is the next level in cascade order, or if more
+    /// codes arrive than the level has points.
+    pub fn level_codes_arrived(&mut self, idx: usize, new_codes: &[i64]) {
         self.arrive(idx, |buf| buf.extend_from_slice(new_codes))
     }
 
@@ -458,7 +412,7 @@ impl CascadeEngine {
         idx: usize,
         acc_span: &[u64],
         before_span: Option<&[i64]>,
-    ) -> Vec<CascadeProgress> {
+    ) {
         self.arrive(idx, |buf| match before_span {
             None => buf.extend(acc_span.iter().map(|&w| from_negabinary(w))),
             Some(b) => buf.extend(
@@ -470,44 +424,44 @@ impl CascadeEngine {
         })
     }
 
-    fn arrive(&mut self, idx: usize, append: impl FnOnce(&mut Vec<i64>)) -> Vec<CascadeProgress> {
-        assert!(idx < self.levels as usize, "level index out of range");
-        let slot = &mut self.slots[idx];
-        assert!(
-            !slot.complete && !slot.zero,
-            "codes arrived after level {idx} completed"
-        );
-        append(&mut slot.buf);
+    fn arrive(&mut self, idx: usize, append: impl FnOnce(&mut Vec<i64>)) {
+        self.expect_next(idx);
+        append(&mut self.buf);
         let total = self.level_points(idx);
         assert!(
-            self.slots[idx].buf.len() <= total,
+            self.buf.len() <= total,
             "level {idx} received more codes than its {total} points"
         );
-        self.advance()
+        self.run_covered(false);
     }
 
-    /// Mark a streamed level's codes complete. Returns one progress entry
-    /// per level fully applied.
+    /// Mark a streamed level's codes complete and run whatever sub-passes
+    /// are left. Returns the level's progress entry.
     ///
     /// # Panics
     ///
-    /// Panics if `idx` is out of range, the level was already completed, or
-    /// the arrived codes do not cover the level (an empty arrival is the
+    /// Panics unless `idx` is the next level in cascade order, or if the
+    /// arrived codes do not cover the level (an empty arrival is the
     /// all-zero level, as in [`CascadeEngine::level_ready`]).
-    pub fn level_complete(&mut self, idx: usize) -> Vec<CascadeProgress> {
-        assert!(idx < self.levels as usize, "level index out of range");
+    pub fn level_complete(&mut self, idx: usize) -> CascadeProgress {
+        self.expect_next(idx);
         let total = self.level_points(idx);
-        let slot = &mut self.slots[idx];
-        assert!(!slot.complete, "level {idx} handed to the cascade twice");
-        if slot.buf.is_empty() && !slot.zero {
-            slot.zero = true;
-        }
         assert!(
-            slot.zero || slot.buf.len() == total,
+            self.buf.is_empty() || self.buf.len() == total,
             "level {idx} completed with {} of {total} codes",
-            slot.buf.len()
+            self.buf.len()
         );
-        self.finish_arrival(idx)
+        self.run_covered(true);
+        self.buf = Vec::new();
+        self.subs_applied = 0;
+        self.applied += 1;
+        CascadeProgress {
+            level_idx: idx,
+            interp_level: self.levels - idx as u32,
+            points: total,
+            levels_applied: self.applied,
+            levels_total: self.levels as usize,
+        }
     }
 
     /// Total points (= codes) of a level.
@@ -515,68 +469,36 @@ impl CascadeEngine {
         self.geoms[idx].iter().map(|s| s.count).sum()
     }
 
-    fn finish_arrival(&mut self, idx: usize) -> Vec<CascadeProgress> {
-        let slot = &mut self.slots[idx];
-        slot.complete = true;
-        if self.state.states[idx] == LevelState::Pending {
-            self.state.states[idx] = LevelState::Ready;
-        }
-        self.advance()
-    }
-
-    /// Apply every sub-pass whose codes are available, in cascade order,
-    /// reporting levels that became fully applied.
-    fn advance(&mut self) -> Vec<CascadeProgress> {
-        let mut out = Vec::new();
-        while (self.state.applied) < self.levels as usize {
-            let idx = self.state.applied;
-            let interp_level = self.levels - idx as u32;
-            let n_subs = self.geoms[idx].len();
-            if self.which == CascadeImpl::Reference {
-                // The closure formulation runs whole levels only; streamed
-                // prefixes buffer until completion.
-                if !self.slots[idx].complete {
-                    break;
-                }
-                let codes = std::mem::take(&mut self.slots[idx].buf);
+    /// Run every sub-pass of the next level that the arrived codes cover.
+    /// With `complete` the arrived codes are all there are (none at all is
+    /// the all-zero level, which runs prediction-only passes), so every
+    /// remaining sub-pass runs.
+    fn run_covered(&mut self, complete: bool) {
+        let idx = self.applied;
+        let interp_level = self.levels - idx as u32;
+        let zero = complete && self.buf.is_empty();
+        if self.which == CascadeImpl::Reference {
+            // The closure formulation runs whole levels only; streamed
+            // prefixes buffer until completion.
+            if complete {
+                let codes = std::mem::take(&mut self.buf);
                 self.reference_pass(interp_level, &codes);
-                self.slots[idx].subs_applied = n_subs;
-            } else {
-                loop {
-                    let slot = &self.slots[idx];
-                    if slot.subs_applied >= n_subs {
-                        break;
-                    }
-                    let sub = &self.geoms[idx][slot.subs_applied];
-                    if !slot.zero && slot.buf.len() < sub.start + sub.count {
-                        break;
-                    }
-                    self.apply_subpass(interp_level, idx, slot.subs_applied);
-                    self.slots[idx].subs_applied += 1;
-                }
-                let slot = &mut self.slots[idx];
-                if !(slot.complete && slot.subs_applied == n_subs) {
-                    break;
-                }
-                slot.buf = Vec::new();
             }
-            self.state.states[idx] = LevelState::Applied;
-            self.state.applied += 1;
-            out.push(CascadeProgress {
-                level_idx: idx,
-                interp_level,
-                points: self.level_points(idx),
-                levels_applied: self.state.applied,
-                levels_total: self.levels as usize,
-            });
+            return;
         }
-        out
+        while let Some(sub) = self.geoms[idx].get(self.subs_applied) {
+            if !zero && self.buf.len() < sub.start + sub.count {
+                break;
+            }
+            self.apply_subpass(interp_level, idx, self.subs_applied, zero);
+            self.subs_applied += 1;
+        }
     }
 
     /// Run one dimension sub-pass of a level through the run kernels,
     /// fanning independent runs out across worker threads when the pass is
     /// large enough (see the module docs for why runs never alias).
-    fn apply_subpass(&mut self, interp_level: u32, idx: usize, sub_idx: usize) {
+    fn apply_subpass(&mut self, interp_level: u32, idx: usize, sub_idx: usize, zero: bool) {
         let mut span = ipc_telemetry::span_timed(
             "cascade",
             "cascade.pass",
@@ -590,11 +512,10 @@ impl CascadeEngine {
             ptr: self.work.as_mut_ptr(),
             len: self.work.len(),
         };
-        let slot = &self.slots[idx];
-        let codes: &[i64] = if slot.zero {
+        let codes: &[i64] = if zero {
             &[]
         } else {
-            &slot.buf[sub.start..sub.start + sub.count]
+            &self.buf[sub.start..sub.start + sub.count]
         };
         let dims = self.shape.dims();
         let strides = self.shape.strides();
@@ -674,18 +595,14 @@ impl CascadeEngine {
     ///
     /// # Panics
     ///
-    /// Panics unless `idx` is the next level in cascade order (windowed
-    /// levels are never parked).
+    /// Panics unless `idx` is the next level in cascade order.
     pub fn level_windowed(
         &mut self,
         idx: usize,
         window: &RoiBox,
         codes: Option<&[i64]>,
     ) -> CascadeProgress {
-        assert_eq!(
-            idx, self.state.applied,
-            "windowed levels apply in cascade order"
-        );
+        self.expect_next(idx);
         let interp_level = self.levels - idx as u32;
         let field = FieldPtr {
             ptr: self.work.as_mut_ptr(),
@@ -721,15 +638,12 @@ impl CascadeEngine {
                 points += run.count;
             });
         }
-        self.slots[idx].subs_applied = self.geoms[idx].len();
-        self.slots[idx].complete = true;
-        self.state.states[idx] = LevelState::Applied;
-        self.state.applied += 1;
+        self.applied += 1;
         CascadeProgress {
             level_idx: idx,
             interp_level,
             points,
-            levels_applied: self.state.applied,
+            levels_applied: self.applied,
             levels_total: self.levels as usize,
         }
     }
@@ -1383,7 +1297,7 @@ mod tests {
         for (idx, codes) in level_codes.iter().enumerate() {
             engine.level_ready(idx, codes.clone());
         }
-        assert!(engine.state().is_complete());
+        assert!(engine.is_complete());
         engine.into_field()
     }
 
@@ -1444,40 +1358,17 @@ mod tests {
         }
     }
 
+    /// Cascade order is the contract, not a convenience: every caller loads
+    /// levels coarsest first, so a level handed over early is refused rather
+    /// than parked.
     #[test]
+    #[should_panic(expected = "levels are handed to the cascade coarsest first")]
     fn out_of_order_readiness_applies_in_cascade_order() {
         let shape = Shape::d2(17, 13);
         let (anchors, per_level) = codes_for_shape(&shape, 11);
-        let want = run_engine(
-            &shape,
-            Interpolation::Cubic,
-            1e-4,
-            &anchors,
-            &per_level,
-            CascadeImpl::Auto,
-            0,
-        );
-
-        let mut engine = CascadeEngine::new(shape.clone(), Interpolation::Cubic, 1e-4);
+        let mut engine = CascadeEngine::new(shape, Interpolation::Cubic, 1e-4);
         engine.seed_anchors(&anchors);
-        // Hand levels over finest-first: everything parks until level 0 lands.
-        let n = per_level.len();
-        for idx in (1..n).rev() {
-            let applied = engine.level_ready(idx, per_level[idx].clone());
-            assert!(applied.is_empty(), "level {idx} must park");
-            assert_eq!(engine.state().levels()[idx], LevelState::Ready);
-        }
-        let applied = engine.level_ready(0, per_level[0].clone());
-        assert_eq!(applied.len(), n, "level 0 must unlock the whole cascade");
-        for (i, p) in applied.iter().enumerate() {
-            assert_eq!(p.level_idx, i);
-            assert_eq!(p.interp_level, (n - i) as u32);
-            assert_eq!(p.levels_applied, i + 1);
-            assert_eq!(p.levels_total, n);
-            assert_eq!(p.points, level_count(&shape, p.interp_level));
-        }
-        assert!(engine.state().is_complete());
-        assert_eq!(engine.into_field(), want);
+        engine.level_ready(1, per_level[1].clone());
     }
 
     #[test]
@@ -1510,7 +1401,7 @@ mod tests {
                 let mut early_subs = 0usize;
                 while fed < codes.len() {
                     let end = (fed + step).min(codes.len());
-                    done.extend(engine.level_codes_arrived(idx, &codes[fed..end]));
+                    engine.level_codes_arrived(idx, &codes[fed..end]);
                     fed = end;
                     step = step * 3 + 1;
                     if fed < codes.len() {
@@ -1527,9 +1418,9 @@ mod tests {
                         "level {idx} ({which:?}): no sub-pass ran early"
                     );
                 }
-                done.extend(engine.level_complete(idx));
+                done.push(engine.level_complete(idx));
             }
-            assert!(engine.state().is_complete());
+            assert!(engine.is_complete());
             assert_eq!(done.len(), per_level.len());
             let got = engine.into_field();
             assert_eq!(

@@ -3,7 +3,9 @@
 use ipc_tensor::ArrayD;
 use rayon::prelude::*;
 
-use crate::bitplane::{encode_level_precincts, encode_level_with, EncodeOptions, EncodedLevel};
+use crate::bitplane::{
+    encode_level_precincts, encode_level_with, EncodeOptions, EncodedLevel, RegionScheme,
+};
 use crate::config::Config;
 use crate::container::{encode_anchors, Compressed, Header, MAX_PRECINCTS};
 use crate::error::{IpcompError, Result};
@@ -33,7 +35,7 @@ pub fn compress(data: &ArrayD<f64>, error_bound: f64, config: &Config) -> Result
             "input contains non-finite values".into(),
         ));
     }
-    if !config.chunk_bytes.is_multiple_of(8) {
+    if RegionScheme::uniform(data.len(), config.chunk_bytes).is_none() {
         return Err(IpcompError::InvalidInput(format!(
             "chunk_bytes must be a multiple of 8 (64-coefficient transpose alignment), got {}",
             config.chunk_bytes

@@ -23,9 +23,9 @@
 //! * **v3** — v2 with a precinct grid in the header: levels are stored
 //!   precinct-major with one chunk per `(plane, precinct)` pair.
 //!
-//! ## One parser
+//! ## One parser, one writer
 //!
-//! [`ContainerMap::open`] is the only walker of this grammar. It reads
+//! [`ContainerMap::open`] is the only reader of this grammar. It reads
 //! metadata through ranged fetches and records where every chunk lives;
 //! [`Compressed::from_bytes`] is that same walk over a byte slice plus a copy
 //! of each chunk at its recorded offset. Deserialization is hardened: every
@@ -33,14 +33,25 @@
 //! header geometry before any proportional allocation, so corrupt or
 //! adversarial containers fail with [`IpcompError`] instead of panicking or
 //! ballooning memory — whichever entry point they arrive through.
+//!
+//! `Compressed::walk` is the only writer: it emits the grammar as a sequence
+//! of `Piece`s, and everything that needs to know the layout is a view of
+//! that one walk — [`Compressed::to_bytes`] collects the bytes,
+//! [`Compressed::base_bytes`] counts the non-payload ones, and
+//! [`ContainerMap::from_compressed`] records where each chunk lands (the
+//! writer-side cross-check of the parser's offsets). A layout flag is one
+//! branch in the walk and one in `open`. How a level's plane bytes are cut
+//! into chunks is not this module's decision: both sides ask the level's
+//! [`RegionScheme`].
 
-use ipc_codecs::byteio::{write_bytes, write_f64, write_u32};
+use std::sync::Arc;
+
 use ipc_codecs::varint::{read_varint, varint_len, write_varint};
 use ipc_codecs::{lzr_compress, zigzag_decode, zigzag_encode};
 
 use ipc_tensor::Shape;
 
-use crate::bitplane::{ChunkGrid, EncodedLevel, EncodedPlane, RegionScheme};
+use crate::bitplane::{EncodedLevel, EncodedPlane, RegionScheme};
 use crate::config::Interpolation;
 use crate::error::{IpcompError, Result};
 use crate::precinct::PrecinctGrid;
@@ -146,61 +157,81 @@ impl Compressed {
         self.level_number(idx) <= self.header.progressive_levels
     }
 
-    /// Serialized size of one level's metadata record (sizes, loss table, and
-    /// the chunk index — everything except payload bytes).
-    pub(crate) fn level_metadata_bytes(level: &EncodedLevel) -> usize {
-        varint_len(level.n_values as u64)
-            + 1
-            + level
-                .trunc_loss
-                .iter()
-                .map(|&v| varint_len(v))
-                .sum::<usize>()
-            + varint_len(level.chunk_bytes as u64)
-            + level
-                .planes
-                .iter()
-                .map(|p| {
-                    varint_len(p.chunks.len() as u64)
-                        + p.chunks
-                            .iter()
-                            .map(|c| varint_len(c.len() as u64))
-                            .sum::<usize>()
-                })
-                .sum::<usize>()
+    /// The one walk of the write grammar: emit the container's serialization
+    /// in format `version`, piece by piece, in stream order. Versions 2 and 3
+    /// differ only in the header's precinct extents; version 1 (test support,
+    /// see [`Compressed::to_bytes_v1`]) shares everything up to a level's
+    /// loss table and then stores planes inline.
+    fn walk(&self, version: u32, mut emit: impl FnMut(Piece<'_>)) {
+        let h = &self.header;
+        emit(Piece::Bytes(MAGIC));
+        emit(Piece::Bytes(&version.to_le_bytes()));
+        emit(Piece::Varint(h.dims.len() as u64));
+        for &d in &h.dims {
+            emit(Piece::Varint(d as u64));
+        }
+        emit(Piece::Bytes(&h.error_bound.to_le_bytes()));
+        emit(Piece::Bytes(&[h.interpolation.id()]));
+        emit(Piece::Bytes(&h.num_levels.to_le_bytes()));
+        emit(Piece::Bytes(&h.progressive_levels.to_le_bytes()));
+        emit(Piece::Bytes(&[h.prefix_bits, h.predictive_coding as u8]));
+        emit(Piece::Bytes(&h.value_range.to_le_bytes()));
+        // v3 only: one extent per dimension, right after the fixed header.
+        for &e in h.precincts.iter().flatten() {
+            emit(Piece::Varint(e as u64));
+        }
+
+        emit(Piece::Varint(self.anchors.len() as u64));
+        emit(Piece::Bytes(&self.anchors));
+
+        emit(Piece::Varint(self.levels.len() as u64));
+        for level in &self.levels {
+            emit(Piece::Varint(level.n_values as u64));
+            emit(Piece::Bytes(&[level.num_planes]));
+            for &loss in &level.trunc_loss {
+                emit(Piece::Varint(loss));
+            }
+            let chunks = || level.planes.iter().flat_map(|plane| &plane.chunks);
+            if version == 1 {
+                // Monolithic planes inline: `varint length + bytes` each.
+                for chunk in chunks() {
+                    emit(Piece::Varint(chunk.len() as u64));
+                    emit(Piece::Chunk(chunk));
+                }
+                continue;
+            }
+            // Chunk index first (all sizes, no payload), then the payload
+            // bytes plane-major: a reader can address any chunk from the
+            // metadata alone.
+            emit(Piece::Varint(level.chunk_bytes as u64));
+            for plane in &level.planes {
+                emit(Piece::Varint(plane.chunks.len() as u64));
+                for chunk in &plane.chunks {
+                    emit(Piece::Varint(chunk.len() as u64));
+                }
+            }
+            chunks().for_each(|chunk| emit(Piece::Chunk(chunk)));
+        }
+    }
+
+    /// Collect the walk's bytes.
+    fn collect(&self, version: u32, capacity: usize) -> Vec<u8> {
+        let mut out = Vec::with_capacity(capacity);
+        self.walk(version, |piece| piece.write(&mut out));
+        out
     }
 
     /// Bytes that every retrieval must load regardless of fidelity: header, anchors,
-    /// and per-level metadata (chunk index + truncation-loss tables). Computed to
-    /// mirror [`Compressed::to_bytes`] exactly, so
+    /// and per-level metadata (chunk index + truncation-loss tables) — the
+    /// non-payload bytes of the walk [`Compressed::to_bytes`] collects, so
     /// `base_bytes() + payload_bytes() == to_bytes().len()`.
     pub fn base_bytes(&self) -> usize {
-        let header = 4 // magic
-            + 4 // version
-            + varint_len(self.header.dims.len() as u64)
-            + self
-                .header
-                .dims
-                .iter()
-                .map(|&d| varint_len(d as u64))
-                .sum::<usize>()
-            + 8 // error bound
-            + 1 // interpolation id
-            + 4 // num_levels
-            + 4 // progressive_levels
-            + 1 // prefix bits
-            + 1 // predictive flag
-            + 8 // value range
-            + self
-                .header
-                .precincts
-                .as_ref()
-                .map(|e| e.iter().map(|&x| varint_len(x as u64)).sum::<usize>())
-                .unwrap_or(0); // v3 precinct extents
-        let anchors = varint_len(self.anchors.len() as u64) + self.anchors.len();
-        let levels_header = varint_len(self.levels.len() as u64);
-        let metadata: usize = self.levels.iter().map(Self::level_metadata_bytes).sum();
-        header + anchors + levels_header + metadata
+        let mut n = 0;
+        self.walk(self.header.version(), |piece| match piece {
+            Piece::Chunk(_) => {}
+            meta => n += meta.len(),
+        });
+        n
     }
 
     /// Total compressed payload bytes (all bitplane blocks of all levels).
@@ -215,53 +246,7 @@ impl Compressed {
 
     /// Serialize the container to a byte buffer (current format version).
     pub fn to_bytes(&self) -> Vec<u8> {
-        let mut out = Vec::with_capacity(self.total_bytes() + 64);
-        out.extend_from_slice(MAGIC);
-        write_u32(&mut out, self.header.version());
-        write_varint(&mut out, self.header.dims.len() as u64);
-        for &d in &self.header.dims {
-            write_varint(&mut out, d as u64);
-        }
-        write_f64(&mut out, self.header.error_bound);
-        out.push(self.header.interpolation.id());
-        write_u32(&mut out, self.header.num_levels);
-        write_u32(&mut out, self.header.progressive_levels);
-        out.push(self.header.prefix_bits);
-        out.push(self.header.predictive_coding as u8);
-        write_f64(&mut out, self.header.value_range);
-        if let Some(extents) = &self.header.precincts {
-            // v3 only: one extent per dimension, right after the fixed header.
-            for &e in extents {
-                write_varint(&mut out, e as u64);
-            }
-        }
-
-        write_bytes(&mut out, &self.anchors);
-
-        write_varint(&mut out, self.levels.len() as u64);
-        for level in &self.levels {
-            write_varint(&mut out, level.n_values as u64);
-            out.push(level.num_planes);
-            for &loss in &level.trunc_loss {
-                write_varint(&mut out, loss);
-            }
-            // Chunk index first (all sizes, no payload), then the payload
-            // bytes plane-major: a reader can address any chunk from the
-            // metadata alone.
-            write_varint(&mut out, level.chunk_bytes as u64);
-            for plane in &level.planes {
-                write_varint(&mut out, plane.chunks.len() as u64);
-                for chunk in &plane.chunks {
-                    write_varint(&mut out, chunk.len() as u64);
-                }
-            }
-            for plane in &level.planes {
-                for chunk in &plane.chunks {
-                    out.extend_from_slice(chunk);
-                }
-            }
-        }
-        out
+        self.collect(self.header.version(), self.total_bytes())
     }
 
     /// Test support: serialize in the legacy **version-1** layout (monolithic
@@ -287,33 +272,7 @@ impl Compressed {
                 "v1 layout cannot carry a precinct grid".into(),
             ));
         }
-        let mut out = Vec::new();
-        out.extend_from_slice(MAGIC);
-        write_u32(&mut out, 1);
-        write_varint(&mut out, self.header.dims.len() as u64);
-        for &d in &self.header.dims {
-            write_varint(&mut out, d as u64);
-        }
-        write_f64(&mut out, self.header.error_bound);
-        out.push(self.header.interpolation.id());
-        write_u32(&mut out, self.header.num_levels);
-        write_u32(&mut out, self.header.progressive_levels);
-        out.push(self.header.prefix_bits);
-        out.push(self.header.predictive_coding as u8);
-        write_f64(&mut out, self.header.value_range);
-        write_bytes(&mut out, &self.anchors);
-        write_varint(&mut out, self.levels.len() as u64);
-        for level in &self.levels {
-            write_varint(&mut out, level.n_values as u64);
-            out.push(level.num_planes);
-            for &loss in &level.trunc_loss {
-                write_varint(&mut out, loss);
-            }
-            for plane in &level.planes {
-                write_bytes(&mut out, &plane.chunks[0]);
-            }
-        }
-        Ok(out)
+        Ok(self.collect(1, 0))
     }
 
     /// Deserialize a container produced by [`Compressed::to_bytes`] (or any
@@ -343,6 +302,35 @@ impl Compressed {
     }
 }
 
+/// One item of the serialized stream, as `Compressed::walk` emits it.
+enum Piece<'a> {
+    /// Metadata bytes already in wire form (magic, the little-endian
+    /// fixed-width scalars, the anchor block).
+    Bytes(&'a [u8]),
+    /// A metadata count or size, written as a varint.
+    Varint(u64),
+    /// One entropy chunk's payload.
+    Chunk(&'a [u8]),
+}
+
+impl Piece<'_> {
+    /// Serialized length of the piece.
+    fn len(&self) -> usize {
+        match self {
+            Piece::Varint(v) => varint_len(*v),
+            Piece::Bytes(b) | Piece::Chunk(b) => b.len(),
+        }
+    }
+
+    /// Append the piece's wire encoding.
+    fn write(&self, out: &mut Vec<u8>) {
+        match self {
+            Piece::Varint(v) => write_varint(out, *v),
+            Piece::Bytes(b) | Piece::Chunk(b) => out.extend_from_slice(b),
+        }
+    }
+}
+
 /// A borrowed serialized container as a [`ChunkSource`], so
 /// [`Compressed::from_bytes`] parses through the ranged reader.
 struct SliceSource<'a>(&'a [u8]);
@@ -365,71 +353,6 @@ impl ChunkSource for SliceSource<'_> {
             })
             .collect()
     }
-}
-
-/// Parse and validate one v2 level's chunk index: chunk span, per-plane
-/// chunk counts against the derived grid, and every compressed size. Bounds
-/// every count against what remains of the stream before any proportional
-/// allocation. Returns
-/// `(chunk_bytes, sizes[plane][chunk], payload_total)` with the cursor
-/// positioned at the level's first payload byte.
-fn parse_v2_chunk_index(
-    cur: &mut MetaCursor<'_>,
-    n_values: usize,
-    num_planes: u8,
-    precinct_chunks: Option<usize>,
-) -> Result<(usize, Vec<Vec<u32>>, u64)> {
-    let chunk_bytes = cur.read_varint()? as usize;
-    if chunk_bytes != 0 && !chunk_bytes.is_multiple_of(8) {
-        return Err(IpcompError::CorruptContainer("misaligned chunk size"));
-    }
-    let expected_chunks = if num_planes == 0 {
-        0
-    } else if let Some(p) = precinct_chunks {
-        // v3: one chunk per precinct; the byte-granular span is unused.
-        if chunk_bytes != 0 {
-            return Err(IpcompError::CorruptContainer(
-                "precinct level carries a byte-granular chunk size",
-            ));
-        }
-        p
-    } else if chunk_bytes == 0 {
-        1
-    } else {
-        let grid = ChunkGrid {
-            n_values,
-            chunk_bytes,
-        };
-        grid.plane_len().div_ceil(chunk_bytes).max(1)
-    };
-    // The whole index must fit in what's left of the stream (each entry is
-    // ≥ 1 byte), before any allocation proportional to it.
-    if (num_planes as u64).saturating_mul(expected_chunks as u64) > cur.remaining() {
-        return Err(IpcompError::CorruptContainer("chunk index outruns buffer"));
-    }
-    let mut sizes: Vec<Vec<u32>> = Vec::with_capacity(num_planes as usize);
-    let mut payload_total: u64 = 0;
-    for _ in 0..num_planes {
-        let n_chunks = cur.read_varint()? as usize;
-        if n_chunks != expected_chunks {
-            return Err(IpcompError::CorruptContainer(
-                "plane chunk count does not match the level's chunk grid",
-            ));
-        }
-        let mut plane_sizes = Vec::with_capacity(n_chunks);
-        for _ in 0..n_chunks {
-            let len = chunk_len(cur.read_varint()?)?;
-            payload_total = payload_total.saturating_add(len as u64);
-            plane_sizes.push(len);
-        }
-        sizes.push(plane_sizes);
-    }
-    if payload_total > cur.remaining() {
-        return Err(IpcompError::CorruptContainer(
-            "chunk payload outruns buffer",
-        ));
-    }
-    Ok((chunk_bytes, sizes, payload_total))
 }
 
 /// One recorded chunk length: capped at `u32::MAX` (far beyond any
@@ -488,9 +411,9 @@ pub struct LevelMap {
     pub trunc_loss: Vec<u64>,
     /// Packed bytes per entropy chunk; `0` for monolithic (v1) planes.
     pub chunk_bytes: usize,
-    /// Per-precinct coefficient spans of a version-3 level (chunk `k` of
-    /// every plane covers precinct `k`); `None` for byte-granular layouts.
-    precinct_spans: Option<Vec<usize>>,
+    /// How the level's plane bytes are cut into chunks, built once when the
+    /// map is and shared by every decode of the level.
+    scheme: Arc<RegionScheme>,
     /// `chunk_sizes[p][k]`: compressed size of chunk `k` of plane `p`.
     chunk_sizes: Vec<Vec<u32>>,
     /// `chunk_offsets[p][k]`: absolute container offset of that chunk.
@@ -498,26 +421,16 @@ pub struct LevelMap {
 }
 
 impl LevelMap {
-    /// The level's chunk-grid geometry.
-    pub fn grid(&self) -> ChunkGrid {
-        ChunkGrid {
-            n_values: self.n_values,
-            chunk_bytes: self.chunk_bytes,
-        }
-    }
-
     /// The level's region scheme: how plane bytes split into chunks and which
     /// coefficients each chunk covers.
-    pub fn scheme(&self) -> RegionScheme {
-        match &self.precinct_spans {
-            Some(spans) => RegionScheme::precincts(spans),
-            None => RegionScheme::Uniform(self.grid()),
-        }
+    pub fn scheme(&self) -> &Arc<RegionScheme> {
+        &self.scheme
     }
 
-    /// Per-precinct coefficient spans of a version-3 level, `None` otherwise.
+    /// Per-precinct coefficient spans of a version-3 level (chunk `k` of
+    /// every plane covers precinct `k`), `None` for byte-granular layouts.
     pub fn precinct_spans(&self) -> Option<&[usize]> {
-        self.precinct_spans.as_deref()
+        self.scheme.precinct_spans()
     }
 
     /// Number of chunks the index records for plane `p`.
@@ -630,7 +543,7 @@ impl LevelMap {
             planes,
             trunc_loss: self.trunc_loss.clone(),
             chunk_bytes: self.chunk_bytes,
-            precinct_spans: self.precinct_spans.clone(),
+            precinct_spans: self.precinct_spans().map(<[usize]>::to_vec),
         }
     }
 
@@ -650,7 +563,7 @@ impl LevelMap {
         mask: Option<&[bool]>,
     ) -> Result<EncodedLevel> {
         if let Some(mask) = mask {
-            let spans = self.precinct_spans.as_ref().ok_or_else(|| {
+            let spans = self.precinct_spans().ok_or_else(|| {
                 IpcompError::InvalidInput("precinct fetch on a byte-granular level".into())
             })?;
             if mask.len() != spans.len() {
@@ -958,12 +871,13 @@ impl ContainerMap {
                     payload_total += len as u64;
                     cur.skip(len as u64)?;
                 }
+                let scheme = RegionScheme::uniform(n_values, 0).expect("0 is aligned");
                 LevelMap {
                     n_values,
                     num_planes,
                     trunc_loss,
                     chunk_bytes: 0,
-                    precinct_spans,
+                    scheme: Arc::new(scheme),
                     chunk_sizes,
                     chunk_offsets,
                 }
@@ -973,7 +887,7 @@ impl ContainerMap {
                     n_values,
                     num_planes,
                     trunc_loss,
-                    precinct_spans,
+                    precinct_spans.as_deref(),
                     &mut payload_total,
                 )?
             };
@@ -999,21 +913,54 @@ impl ContainerMap {
         })
     }
 
-    /// Parse one v2/v3 level's chunk index and record absolute payload offsets.
+    /// Parse and validate one v2/v3 level's chunk index — the chunk span
+    /// (which, with `precinct_spans`, fixes the level's [`RegionScheme`]),
+    /// per-plane chunk counts against that scheme, every compressed size —
+    /// and record absolute payload offsets. Every count is bounded against
+    /// what remains of the stream before any proportional allocation.
     fn open_v2_level(
         cur: &mut MetaCursor<'_>,
         n_values: usize,
         num_planes: u8,
         trunc_loss: Vec<u64>,
-        precinct_spans: Option<Vec<usize>>,
+        precinct_spans: Option<&[usize]>,
         payload_total: &mut u64,
     ) -> Result<LevelMap> {
-        let (chunk_bytes, chunk_sizes, level_payload) = parse_v2_chunk_index(
-            cur,
-            n_values,
-            num_planes,
-            precinct_spans.as_ref().map(Vec::len),
-        )?;
+        let chunk_bytes = cur.read_varint()? as usize;
+        let scheme = match precinct_spans {
+            None => RegionScheme::uniform(n_values, chunk_bytes)
+                .ok_or(IpcompError::CorruptContainer("misaligned chunk size"))?,
+            // v3: one chunk per precinct; the byte-granular span is unused.
+            Some(_) if chunk_bytes != 0 => {
+                return Err(IpcompError::CorruptContainer(
+                    "precinct level carries a byte-granular chunk size",
+                ));
+            }
+            Some(spans) => RegionScheme::precincts(spans),
+        };
+        let expected_chunks = scheme.num_regions();
+        // The whole index must fit in what's left of the stream (each entry
+        // is ≥ 1 byte), before any allocation proportional to it.
+        if (num_planes as u64).saturating_mul(expected_chunks as u64) > cur.remaining() {
+            return Err(IpcompError::CorruptContainer("chunk index outruns buffer"));
+        }
+        let mut chunk_sizes: Vec<Vec<u32>> = Vec::with_capacity(num_planes as usize);
+        let mut level_payload: u64 = 0;
+        for _ in 0..num_planes {
+            let n_chunks = cur.read_varint()? as usize;
+            if n_chunks != expected_chunks {
+                return Err(IpcompError::CorruptContainer(
+                    "plane chunk count does not match the level's chunk grid",
+                ));
+            }
+            let mut plane_sizes = Vec::with_capacity(n_chunks);
+            for _ in 0..n_chunks {
+                let len = chunk_len(cur.read_varint()?)?;
+                level_payload = level_payload.saturating_add(len as u64);
+                plane_sizes.push(len);
+            }
+            chunk_sizes.push(plane_sizes);
+        }
         // Payload follows plane-major; walk the sizes to assign offsets.
         let mut offset = cur.pos;
         let chunk_offsets: Vec<Vec<u64>> = chunk_sizes
@@ -1036,62 +983,57 @@ impl ContainerMap {
             num_planes,
             trunc_loss,
             chunk_bytes,
-            precinct_spans,
+            scheme: Arc::new(scheme),
             chunk_sizes,
             chunk_offsets,
         })
     }
 
     /// Build the map of an in-memory container's **current serialization**
-    /// (the byte layout [`Compressed::to_bytes`] produces). Useful to plan
-    /// ranged retrievals against a container that is also held in memory, and
-    /// as an independent cross-check of [`ContainerMap::open`].
+    /// (the byte layout [`Compressed::to_bytes`] produces): the writer's walk
+    /// with every chunk's landing offset recorded. Useful to plan ranged
+    /// retrievals against a container that is also held in memory, and as
+    /// the writer-side cross-check of [`ContainerMap::open`].
     pub fn from_compressed(c: &Compressed) -> Self {
-        let mut pos = c.base_bytes() as u64
-            - c.levels
-                .iter()
-                .map(Compressed::level_metadata_bytes)
-                .sum::<usize>() as u64;
+        let (mut pos, mut payload) = (0u64, 0u64);
+        let mut offsets = Vec::new();
+        c.walk(c.header.version(), |piece| {
+            if let Piece::Chunk(chunk) = piece {
+                offsets.push(pos);
+                payload += chunk.len() as u64;
+            }
+            pos += piece.len() as u64;
+        });
+        // The walk visits chunks level by level, plane-major: hand the
+        // offsets back out in that order.
+        let mut offsets = offsets.into_iter();
         let levels = c
             .levels
             .iter()
-            .map(|level| {
-                pos += Compressed::level_metadata_bytes(level) as u64;
-                let chunk_sizes: Vec<Vec<u32>> = level
+            .map(|level| LevelMap {
+                n_values: level.n_values,
+                num_planes: level.num_planes,
+                trunc_loss: level.trunc_loss.clone(),
+                chunk_bytes: level.chunk_bytes,
+                scheme: Arc::new(level.scheme()),
+                chunk_sizes: level
                     .planes
                     .iter()
                     .map(|p| p.chunks.iter().map(|ch| ch.len() as u32).collect())
-                    .collect();
-                let chunk_offsets: Vec<Vec<u64>> = chunk_sizes
+                    .collect(),
+                chunk_offsets: level
+                    .planes
                     .iter()
-                    .map(|plane| {
-                        plane
-                            .iter()
-                            .map(|&len| {
-                                let at = pos;
-                                pos += len as u64;
-                                at
-                            })
-                            .collect()
-                    })
-                    .collect();
-                LevelMap {
-                    n_values: level.n_values,
-                    num_planes: level.num_planes,
-                    trunc_loss: level.trunc_loss.clone(),
-                    chunk_bytes: level.chunk_bytes,
-                    precinct_spans: level.precinct_spans.clone(),
-                    chunk_sizes,
-                    chunk_offsets,
-                }
+                    .map(|p| (&mut offsets).take(p.chunks.len()).collect())
+                    .collect(),
             })
             .collect();
         Self {
             header: c.header.clone(),
             anchors: c.anchors.clone(),
             levels,
-            base_bytes: c.base_bytes(),
-            total_len: c.total_bytes() as u64,
+            base_bytes: (pos - payload) as usize,
+            total_len: pos,
         }
     }
 }
@@ -1175,6 +1117,38 @@ mod tests {
         c
     }
 
+    /// One container per layout the writer has a branch or an edge for: the
+    /// default v2 grid, a many-chunk v2 index, a v3 container whose coarse
+    /// levels are mostly empty precincts, whole-plane (`chunk_bytes: 0`)
+    /// levels, and a 1-element field.
+    fn layout_samples() -> Vec<Compressed> {
+        use crate::config::Config;
+        use ipc_tensor::{ArrayD, Shape};
+        let field = ArrayD::from_fn(Shape::d2(37, 29), |c| {
+            (c[0] as f64 * 0.31).sin() + (c[1] as f64 * 0.17).cos()
+        });
+        let whole_planes = Config {
+            chunk_bytes: 0,
+            ..Config::default()
+        };
+        let point = ArrayD::from_vec(Shape::d1(1), vec![2.5]);
+        let tiled = crate::compress(&field, 1e-5, &Config::with_precincts(&[8, 8])).unwrap();
+        assert!(
+            tiled
+                .levels
+                .iter()
+                .any(|l| l.precinct_spans.as_ref().unwrap().contains(&0)),
+            "sample needs empty precincts"
+        );
+        vec![
+            sample_compressed(),
+            sample_compressed_chunked(),
+            tiled,
+            crate::compress(&field, 1e-5, &whole_planes).unwrap(),
+            crate::compress(&point, 1e-3, &Config::default()).unwrap(),
+        ]
+    }
+
     #[test]
     fn serialization_roundtrip() {
         for c in [sample_compressed(), sample_compressed_chunked()] {
@@ -1186,7 +1160,7 @@ mod tests {
 
     #[test]
     fn size_accounting_matches_serialized_size_exactly() {
-        for c in [sample_compressed(), sample_compressed_chunked()] {
+        for c in layout_samples() {
             assert_eq!(c.total_bytes(), c.to_bytes().len());
             assert_eq!(c.base_bytes() + c.payload_bytes(), c.to_bytes().len());
         }
@@ -1234,7 +1208,7 @@ mod tests {
 
     #[test]
     fn container_map_open_matches_from_compressed() {
-        for c in [sample_compressed(), sample_compressed_chunked()] {
+        for c in layout_samples() {
             let bytes = c.to_bytes();
             let source = crate::source::MemorySource::new(bytes.clone());
             let opened = ContainerMap::open(&source).unwrap();

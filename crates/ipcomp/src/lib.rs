@@ -72,9 +72,7 @@ pub use archive::{
     ArchiveReader, ArchiveRequest, StepKind, StepPlan, StepProgress, StepRetrieval,
     VERSION_ARCHIVE,
 };
-pub use cascade::{
-    cascade_avx2_available, CascadeEngine, CascadeProgress, CascadeState, LevelState,
-};
+pub use cascade::{cascade_avx2_available, CascadeEngine, CascadeProgress};
 #[doc(hidden)]
 pub use cascade::{force_cascade_impl, force_cascade_threads, CascadeImpl};
 pub use compressor::{compress, compress_rel};

@@ -2,7 +2,9 @@
 //!
 //! Every read path of the decoder — fully resident slices, ranged sources,
 //! bulk retrievals, region streaming, and spatial region (ROI) retrievals —
-//! is built from the same three [`DecodeStage`] implementations:
+//! is built from the same three stages, each a plain struct with one
+//! per-region method (they share no input type, so there is no trait over
+//! them):
 //!
 //! 1. [`FetchStage`] resolves one chunk region to its compressed chunk
 //!    payloads: a borrow for resident levels, one batched
@@ -15,6 +17,11 @@
 //! 3. [`ScatterStage`] undoes the predictive coding and scatters the packed
 //!    bytes into the negabinary accumulators through the plane-count
 //!    specialized kernels of [`ipc_codecs::bitslice`].
+//!
+//! Region geometry is never restated here: a level's [`RegionScheme`] is
+//! built once per load (a [`LevelMap`] keeps the one `ContainerMap::open`
+//! built) and shared by `Arc` between the entropy stage, the scatter stage
+//! and the driver.
 //!
 //! [`RegionPipeline`] drives the stages pull-style over a level's regions —
 //! all of them, or the precincts a region mask selects — with a one-region
@@ -30,6 +37,7 @@
 //! the pipeline hides up to `min(fetch, decode)` of every interior region.
 
 use std::ops::Range;
+use std::sync::Arc;
 
 use ipc_codecs::bitslice;
 
@@ -37,19 +45,6 @@ use crate::bitplane::{check_plane_range, decode_chunk_bytes, EncodedLevel, Regio
 use crate::container::LevelMap;
 use crate::error::{IpcompError, Result};
 use crate::source::{read_ranges_exact, ByteRange, Bytes, ChunkSource};
-
-/// One stage of the decode pipeline: a pure transform from a region index
-/// plus the previous stage's output to this stage's output. Stages are
-/// stateless given their configuration, so a driver may run them from
-/// multiple threads (`&self`) and in any region order.
-pub trait DecodeStage<In> {
-    /// What the stage produces for one region.
-    type Output;
-    /// Process one region.
-    fn process(&self, region: usize, input: In) -> Result<Self::Output>;
-    /// Stage name for diagnostics and per-stage benchmark reports.
-    fn name(&self) -> &'static str;
-}
 
 /// Compressed chunks of one region, one per streamed plane (ascending plane
 /// index). Resident levels lend their buffers; ranged levels hand over the
@@ -148,10 +143,10 @@ impl<'a> FetchStage<'a> {
     }
 
     /// Region scheme and significant plane count of the backing level.
-    fn geometry(&self) -> (RegionScheme, u8) {
+    fn geometry(&self) -> (Arc<RegionScheme>, u8) {
         match self {
-            FetchStage::Resident { level, .. } => (level.scheme(), level.num_planes),
-            FetchStage::Ranged { level, .. } => (level.scheme(), level.num_planes),
+            FetchStage::Resident { level, .. } => (Arc::new(level.scheme()), level.num_planes),
+            FetchStage::Ranged { level, .. } => (Arc::clone(level.scheme()), level.num_planes),
         }
     }
 
@@ -162,12 +157,9 @@ impl<'a> FetchStage<'a> {
             FetchStage::Ranged { level, .. } => level.plane_chunk_count(p),
         }
     }
-}
 
-impl<'a> DecodeStage<()> for FetchStage<'a> {
-    type Output = FetchedRegion<'a>;
-
-    fn process(&self, region: usize, _input: ()) -> Result<FetchedRegion<'a>> {
+    /// Resolve `region` to its compressed chunks, one per streamed plane.
+    pub fn fetch(&self, region: usize) -> Result<FetchedRegion<'a>> {
         let m = crate::obs::metrics();
         let mut span = ipc_telemetry::span_timed("pipeline", "fetch", m.fetch_ns);
         span.add_arg("region", region as u64);
@@ -198,25 +190,19 @@ impl<'a> DecodeStage<()> for FetchStage<'a> {
         span.add_arg("bytes", bytes);
         Ok(out)
     }
-
-    fn name(&self) -> &'static str {
-        "fetch"
-    }
 }
 
 /// Stage 2: entropy-decode one region's compressed chunks into packed plane
 /// bytes, validating each decoded length against the region geometry.
 pub struct EntropyStage {
-    scheme: RegionScheme,
+    scheme: Arc<RegionScheme>,
 }
 
 impl EntropyStage {
-    /// Entropy stage over one level's region scheme (a [`crate::bitplane::ChunkGrid`]
-    /// converts implicitly for the uniform layouts).
-    pub fn new(scheme: impl Into<RegionScheme>) -> Self {
-        Self {
-            scheme: scheme.into(),
-        }
+    /// Entropy stage over one level's region scheme (the `Arc` the driver
+    /// shares with the scatter stage).
+    pub fn new(scheme: Arc<RegionScheme>) -> Self {
+        Self { scheme }
     }
 
     /// Decode a single compressed chunk of region `k` (the unit the bulk
@@ -224,12 +210,9 @@ impl EntropyStage {
     pub fn decode_chunk(&self, region: usize, compressed: &[u8]) -> Result<Vec<u8>> {
         decode_chunk_bytes(compressed, self.scheme.region_byte_range(region).len())
     }
-}
 
-impl<'a> DecodeStage<FetchedRegion<'a>> for EntropyStage {
-    type Output = Vec<Vec<u8>>;
-
-    fn process(&self, region: usize, input: FetchedRegion<'a>) -> Result<Vec<Vec<u8>>> {
+    /// Decode every chunk of one fetched region, in plane order.
+    pub fn decode(&self, region: usize, input: FetchedRegion<'_>) -> Result<Vec<Vec<u8>>> {
         let m = crate::obs::metrics();
         let mut span = ipc_telemetry::span_timed("pipeline", "entropy", m.entropy_ns);
         span.add_arg("region", region as u64);
@@ -241,17 +224,13 @@ impl<'a> DecodeStage<FetchedRegion<'a>> for EntropyStage {
         span.add_arg("bytes", bytes);
         Ok(out)
     }
-
-    fn name(&self) -> &'static str {
-        "entropy"
-    }
 }
 
 /// Stage 3: undo the predictive coding and scatter one region's packed plane
 /// bytes into its slice of the accumulators, through the plane-count
 /// specialized kernels.
 pub struct ScatterStage {
-    scheme: RegionScheme,
+    scheme: Arc<RegionScheme>,
     num_planes: u8,
     plane_lo: u8,
     plane_hi: u8,
@@ -263,7 +242,7 @@ impl ScatterStage {
     /// Scatter stage for planes `[plane_lo, plane_hi)` of a level with
     /// `num_planes` significant planes.
     pub fn new(
-        scheme: impl Into<RegionScheme>,
+        scheme: Arc<RegionScheme>,
         num_planes: u8,
         plane_lo: u8,
         plane_hi: u8,
@@ -271,7 +250,7 @@ impl ScatterStage {
         predictive: bool,
     ) -> Self {
         Self {
-            scheme: scheme.into(),
+            scheme,
             num_planes,
             plane_lo,
             plane_hi,
@@ -321,16 +300,15 @@ impl ScatterStage {
             }
         }
     }
-}
 
-impl<'a> DecodeStage<(Vec<Vec<u8>>, &'a mut [u64])> for ScatterStage {
-    type Output = ();
-
-    fn process(&self, region: usize, input: (Vec<Vec<u8>>, &'a mut [u64])) -> Result<()> {
+    /// Scatter one region's entropy-decoded `chunks` (one per streamed
+    /// plane, each already validated to the region's packed length) into
+    /// `acc_region`, its slice of the accumulators. Infallible: everything
+    /// that can be wrong with the input was caught by the entropy stage.
+    pub fn scatter(&self, region: usize, mut chunks: Vec<Vec<u8>>, acc_region: &mut [u64]) {
         let mut span =
             ipc_telemetry::span_timed("pipeline", "scatter", crate::obs::metrics().scatter_ns);
         span.add_arg("region", region as u64);
-        let (mut chunks, acc_region) = input;
         let region_len = self.scheme.region_byte_range(region).len();
         if self.predictive && self.prefix_bits > 0 {
             self.undo_prediction(&mut chunks, region_len, acc_region);
@@ -340,11 +318,6 @@ impl<'a> DecodeStage<(Vec<Vec<u8>>, &'a mut [u64])> for ScatterStage {
         // live plane count.
         let refs: Vec<&[u8]> = chunks.iter().map(|c| &c[..region_len]).collect();
         bitslice::scatter_planes(&refs, self.plane_lo as usize, acc_region);
-        Ok(())
-    }
-
-    fn name(&self) -> &'static str {
-        "scatter"
     }
 }
 
@@ -398,7 +371,7 @@ pub struct RegionPipeline<'a> {
     fetch: FetchStage<'a>,
     entropy: EntropyStage,
     scatter: ScatterStage,
-    scheme: RegionScheme,
+    scheme: Arc<RegionScheme>,
     /// Regions to decode (`None` = every region); unselected regions are
     /// never fetched and their accumulator slices never touched.
     mask: Option<&'a [bool]>,
@@ -436,9 +409,9 @@ impl<'a> RegionPipeline<'a> {
         }
         let mut pipeline = Self {
             fetch,
-            entropy: EntropyStage::new(scheme.clone()),
+            entropy: EntropyStage::new(Arc::clone(&scheme)),
             scatter: ScatterStage::new(
-                scheme.clone(),
+                Arc::clone(&scheme),
                 num_planes,
                 plane_lo,
                 plane_hi,
@@ -515,7 +488,7 @@ impl<'a> RegionPipeline<'a> {
             Some((idx, res)) if idx == k => res?,
             other => {
                 self.prefetched = other;
-                self.fetch.process(k, ())?
+                self.fetch.fetch(k)?
             }
         };
         let coeffs = self.scheme.region_coeff_range(k);
@@ -533,20 +506,20 @@ impl<'a> RegionPipeline<'a> {
                 let scatter = &self.scatter;
                 let region_coeffs = coeffs.clone();
                 let (work, pre) = overlap_fetch(
-                    move || fetch.process(next, ()),
+                    move || fetch.fetch(next),
                     || {
-                        entropy
-                            .process(k, fetched)
-                            .and_then(|chunks| scatter.process(k, (chunks, &mut *acc_region)))
-                            .map(|()| after_scatter(region_coeffs, acc_region))
+                        entropy.decode(k, fetched).map(|chunks| {
+                            scatter.scatter(k, chunks, acc_region);
+                            after_scatter(region_coeffs, acc_region)
+                        })
                     },
                 );
                 self.prefetched = Some((next, pre));
                 work?;
             }
             _ => {
-                let chunks = self.entropy.process(k, fetched)?;
-                self.scatter.process(k, (chunks, &mut *acc_region))?;
+                let chunks = self.entropy.decode(k, fetched)?;
+                self.scatter.scatter(k, chunks, acc_region);
                 after_scatter(coeffs.clone(), acc_region);
             }
         }
@@ -588,32 +561,15 @@ mod tests {
             plane_lo: 0,
             plane_hi: hi,
         };
-        let entropy = EntropyStage::new(enc.grid());
-        let scatter = ScatterStage::new(enc.grid(), enc.num_planes, 0, hi, 2, true);
+        let scheme = Arc::new(enc.scheme());
+        let entropy = EntropyStage::new(Arc::clone(&scheme));
+        let scatter = ScatterStage::new(Arc::clone(&scheme), enc.num_planes, 0, hi, 2, true);
         let mut acc = vec![0u64; enc.n_values];
-        for k in 0..enc.grid().num_regions() {
-            let region = fetch.process(k, ()).unwrap();
-            let chunks = entropy.process(k, region).unwrap();
-            let coeffs = enc.grid().region_coeff_range(k);
-            scatter.process(k, (chunks, &mut acc[coeffs])).unwrap();
+        for k in 0..scheme.num_regions() {
+            let region = fetch.fetch(k).unwrap();
+            let chunks = entropy.decode(k, region).unwrap();
+            scatter.scatter(k, chunks, &mut acc[scheme.region_coeff_range(k)]);
         }
         assert_eq!(acc, bulk);
-    }
-
-    #[test]
-    fn stage_names_are_stable() {
-        let codes = sample_codes(100);
-        let enc = encode_level_with(&codes, 2, true, false, EncodeOptions::default());
-        let fetch = FetchStage::Resident {
-            level: &enc,
-            plane_lo: 0,
-            plane_hi: enc.num_planes,
-        };
-        assert_eq!(DecodeStage::name(&fetch), "fetch");
-        assert_eq!(EntropyStage::new(enc.grid()).name(), "entropy");
-        assert_eq!(
-            ScatterStage::new(enc.grid(), enc.num_planes, 0, enc.num_planes, 2, true).name(),
-            "scatter"
-        );
     }
 }

@@ -317,15 +317,6 @@ impl<'a> ProgressiveDecoder<'a> {
         }
     }
 
-    /// The metadata map backing a source-based decoder (`None` for the
-    /// fully resident slice path).
-    pub fn container_map(&self) -> Option<&Arc<ContainerMap>> {
-        match &self.store {
-            Store::Slice(_) => None,
-            Store::Source { map, .. } => Some(map),
-        }
-    }
-
     /// Cumulative bytes read so far.
     pub fn bytes_loaded(&self) -> usize {
         self.bytes_total
@@ -706,9 +697,7 @@ impl<'a> ProgressiveDecoder<'a> {
                 if span_feed {
                     // Prefix feeding happened region by region inside the
                     // stream; close the level out.
-                    for p in engine.level_complete(idx) {
-                        events(StreamEvent::LevelReconstructed(p));
-                    }
+                    events(StreamEvent::LevelReconstructed(engine.level_complete(idx)));
                 } else {
                     let layout = self.layouts.as_ref().map(|l| &l[idx]);
                     let codes = Self::level_codes(&self.acc[idx], before.as_deref(), layout);
@@ -888,9 +877,7 @@ impl<'a> ProgressiveDecoder<'a> {
                     // streamed plane: append the region's codes and let
                     // covered sub-passes run now.
                     let before_span = before.map(|b| &b[coeffs]);
-                    for p in engine.level_span_arrived(idx, acc_region, before_span) {
-                        cb(StreamEvent::LevelReconstructed(p));
-                    }
+                    engine.level_span_arrived(idx, acc_region, before_span);
                 }
             });
             match result {
@@ -1220,7 +1207,7 @@ mod tests {
         let mut c = compress(&data, 1e-7, &config).unwrap();
         let finest = c.levels.len() - 1;
         assert!(
-            c.levels[finest].num_regions() > 6,
+            c.levels[finest].scheme().num_regions() > 6,
             "need multi-region planes"
         );
         c.levels[finest].planes[0].chunks[5] = vec![0xFF; 3];

@@ -280,11 +280,6 @@ impl<S: ChunkSource> OffsetSource<S> {
         }
         Ok(Self { inner, offset, len })
     }
-
-    /// Absolute offset of the window within the parent source.
-    pub fn base_offset(&self) -> u64 {
-        self.offset
-    }
 }
 
 impl<S: ChunkSource> ChunkSource for OffsetSource<S> {

@@ -26,6 +26,14 @@
 //! client drains them blocks on the bounded channel instead of buffering
 //! unboundedly.
 //!
+//! **A job cannot wedge the service.** The in-flight permits and the byte
+//! reservation of the request in flight are held by guards, so every way out
+//! of a job — completion, a retrieval error, a hung-up client, a panic —
+//! returns them. Workers run each job under `catch_unwind`: a panicking job
+//! (a decoder assertion, a backend bug) ends its stream with
+//! [`ServiceEvent::WorkloadFailed`] carrying [`ServiceError::WorkerPanicked`],
+//! counts as a tenant failure, and leaves the worker serving the queue.
+//!
 //! **Tenancy**: each tenant's sessions read through the shared per-container
 //! chunk cache under the tenant's [`CacheTag`], so its cache admissions are
 //! quota-capped ([`TenantConfig::cache_quota`] — a deep sweep recycles the
@@ -35,7 +43,9 @@
 //! count for the delta the request would fetch — an over-budget tenant is
 //! refused deterministically instead of cut off mid-transfer.
 
+use std::cell::Cell;
 use std::collections::VecDeque;
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::mpsc::{sync_channel, Receiver, SyncSender};
 use std::sync::{Arc, Condvar, Mutex};
@@ -167,6 +177,10 @@ pub enum ServiceError {
     /// The retrieval itself failed (decode error, short read, ...). The
     /// session rolled back; peers are unaffected.
     Retrieval(IpcompError),
+    /// The job panicked on its worker (the message is the panic's). Its
+    /// permits and reservation were returned and the worker kept running;
+    /// the session's state is gone with the job.
+    WorkerPanicked(String),
 }
 
 impl std::fmt::Display for ServiceError {
@@ -184,6 +198,7 @@ impl std::fmt::Display for ServiceError {
                 "byte budget exhausted: request needs {requested} B, {remaining} B remaining"
             ),
             ServiceError::Retrieval(e) => write!(f, "retrieval failed: {e}"),
+            ServiceError::WorkerPanicked(msg) => write!(f, "worker panicked: {msg}"),
         }
     }
 }
@@ -390,7 +405,10 @@ impl Semaphore {
     }
 
     fn release(&self) {
-        let mut p = self.permits.lock().expect("semaphore lock");
+        // Runs from a guard's `Drop`, possibly while a job unwinds, so it
+        // must not panic; the count is valid at every step, so a poisoned
+        // lock is still good to use.
+        let mut p = self.permits.lock().unwrap_or_else(|e| e.into_inner());
         *p += 1;
         self.cv.notify_one();
     }
@@ -433,10 +451,16 @@ struct TenantState {
 
 impl TenantState {
     /// Reserve `need` bytes against the budget without overshooting under
-    /// concurrent workloads of the same tenant.
-    fn try_reserve(&self, need: u64) -> Result<(), ServiceError> {
+    /// concurrent workloads of the same tenant. The reservation is handed
+    /// back when the returned guard drops, unless the request it was made
+    /// for completed and [`Reservation::keep`] consumed it.
+    fn try_reserve(&self, need: u64) -> Result<Reservation<'_>, ServiceError> {
+        let held = |bytes| Reservation {
+            tenant: self,
+            bytes,
+        };
         let Some(budget) = self.config.byte_budget else {
-            return Ok(());
+            return Ok(held(0));
         };
         let mut cur = self.bytes_used.load(Ordering::Relaxed);
         loop {
@@ -452,14 +476,45 @@ impl TenantState {
                 Ordering::Relaxed,
                 Ordering::Relaxed,
             ) {
-                Ok(_) => return Ok(()),
+                Ok(_) => return Ok(held(need)),
                 Err(now) => cur = now,
             }
         }
     }
+}
 
-    fn release_reservation(&self, bytes: u64) {
-        self.bytes_used.fetch_sub(bytes, Ordering::Relaxed);
+/// Budget bytes reserved for the request in flight.
+struct Reservation<'t> {
+    tenant: &'t TenantState,
+    bytes: u64,
+}
+
+impl Reservation<'_> {
+    /// The request ran: its bytes stay charged to the tenant.
+    fn keep(self) {
+        std::mem::forget(self);
+    }
+}
+
+impl Drop for Reservation<'_> {
+    fn drop(&mut self) {
+        self.tenant
+            .bytes_used
+            .fetch_sub(self.bytes, Ordering::Relaxed);
+    }
+}
+
+/// One tenant slot and one global slot, held from admission until the job
+/// is over — however it ends.
+struct Permits {
+    shared: Arc<Shared>,
+    tenant: Arc<TenantState>,
+}
+
+impl Drop for Permits {
+    fn drop(&mut self) {
+        self.shared.global.release();
+        self.tenant.inflight.release();
     }
 }
 
@@ -480,7 +535,8 @@ struct Job {
     /// Service-wide workload sequence number (span/trace correlation id).
     id: u64,
     work: Work,
-    tenant: Arc<TenantState>,
+    /// The admission slots this job occupies (and, through them, its tenant).
+    permits: Permits,
     events: SyncSender<ServiceEvent>,
     /// Telemetry clock reading at enqueue; 0 when telemetry is disabled,
     /// which makes the recorded queue wait 0 rather than garbage.
@@ -727,14 +783,33 @@ impl StoreService {
         Ok((tenant, store))
     }
 
-    fn enqueue(
+    /// The one admission body: take a tenant slot and a global slot for
+    /// `tenant` — waiting for them when `block`, refusing with
+    /// [`ServiceError::Busy`] (and holding nothing) otherwise — then queue
+    /// `work` under them.
+    fn admit(
         &self,
         tenant: Arc<TenantState>,
         work: Work,
+        block: bool,
     ) -> Result<Receiver<ServiceEvent>, ServiceError> {
+        if block {
+            tenant.inflight.acquire();
+            self.shared.global.acquire();
+        } else {
+            if !tenant.inflight.try_acquire() {
+                return Err(ServiceError::Busy);
+            }
+            if !self.shared.global.try_acquire() {
+                tenant.inflight.release();
+                return Err(ServiceError::Busy);
+            }
+        }
+        let permits = Permits {
+            shared: Arc::clone(&self.shared),
+            tenant,
+        };
         if self.shared.shutdown.load(Ordering::Acquire) {
-            tenant.inflight.release();
-            self.shared.global.release();
             return Err(ServiceError::ShuttingDown);
         }
         let (tx, rx) = sync_channel(self.shared.config.event_depth.max(1));
@@ -742,7 +817,7 @@ impl StoreService {
         queue.push_back(Job {
             id: self.shared.next_workload.fetch_add(1, Ordering::Relaxed),
             work,
-            tenant,
+            permits,
             events: tx,
             enqueued_at: now_nanos(),
         });
@@ -762,15 +837,21 @@ impl StoreService {
         workload: Vec<RetrievalRequest>,
     ) -> Result<Receiver<ServiceEvent>, ServiceError> {
         let (tenant, store) = self.lookup(tenant, container)?;
-        tenant.inflight.acquire();
-        self.shared.global.acquire();
-        self.enqueue(
-            tenant,
-            Work::Container {
-                store,
-                requests: workload,
-            },
-        )
+        let requests = workload;
+        self.admit(tenant, Work::Container { store, requests }, true)
+    }
+
+    /// Non-blocking [`StoreService::submit`]: refuses with
+    /// [`ServiceError::Busy`] instead of waiting for an in-flight slot.
+    pub fn try_submit(
+        &self,
+        tenant: TenantId,
+        container: ContainerId,
+        workload: Vec<RetrievalRequest>,
+    ) -> Result<Receiver<ServiceEvent>, ServiceError> {
+        let (tenant, store) = self.lookup(tenant, container)?;
+        let requests = workload;
+        self.admit(tenant, Work::Container { store, requests }, false)
     }
 
     /// Submit a step-spanning archive workload, blocking at the same
@@ -787,53 +868,7 @@ impl StoreService {
         request: ArchiveRequest,
     ) -> Result<Receiver<ServiceEvent>, ServiceError> {
         let (tenant, store) = self.lookup_archive(tenant, archive)?;
-        tenant.inflight.acquire();
-        self.shared.global.acquire();
-        self.enqueue(tenant, Work::Archive { store, request })
-    }
-
-    /// Non-blocking [`StoreService::submit_archive`]: refuses with
-    /// [`ServiceError::Busy`] instead of waiting for an in-flight slot.
-    pub fn try_submit_archive(
-        &self,
-        tenant: TenantId,
-        archive: ArchiveId,
-        request: ArchiveRequest,
-    ) -> Result<Receiver<ServiceEvent>, ServiceError> {
-        let (tenant, store) = self.lookup_archive(tenant, archive)?;
-        if !tenant.inflight.try_acquire() {
-            return Err(ServiceError::Busy);
-        }
-        if !self.shared.global.try_acquire() {
-            tenant.inflight.release();
-            return Err(ServiceError::Busy);
-        }
-        self.enqueue(tenant, Work::Archive { store, request })
-    }
-
-    /// Non-blocking [`StoreService::submit`]: refuses with
-    /// [`ServiceError::Busy`] instead of waiting for an in-flight slot.
-    pub fn try_submit(
-        &self,
-        tenant: TenantId,
-        container: ContainerId,
-        workload: Vec<RetrievalRequest>,
-    ) -> Result<Receiver<ServiceEvent>, ServiceError> {
-        let (tenant, store) = self.lookup(tenant, container)?;
-        if !tenant.inflight.try_acquire() {
-            return Err(ServiceError::Busy);
-        }
-        if !self.shared.global.try_acquire() {
-            tenant.inflight.release();
-            return Err(ServiceError::Busy);
-        }
-        self.enqueue(
-            tenant,
-            Work::Container {
-                store,
-                requests: workload,
-            },
-        )
+        self.admit(tenant, Work::Archive { store, request }, true)
     }
 
     /// Stop accepting work, finish queued jobs, and join the workers.
@@ -872,32 +907,52 @@ fn worker_loop(shared: Arc<Shared>) {
 
 /// Run one workload to completion on the calling worker. Always releases
 /// the in-flight permits; always terminates the event stream (unless the
-/// client hung up, in which case remaining work is abandoned).
+/// client hung up, in which case remaining work is abandoned) — also when
+/// the job panics, which this function contains so the worker lives on.
 fn run_job(shared: &Shared, job: Job) {
     let Job {
         id,
         work,
-        tenant,
+        permits,
         events,
         enqueued_at,
     } = job;
+    let tenant = &permits.tenant;
 
     let started_at = now_nanos();
     let queue_wait = started_at.saturating_sub(enqueued_at);
     tenant.metrics.queue_wait_ns.record(queue_wait);
     crate::obs::metrics().queue_wait_ns.record(queue_wait);
 
-    match work {
+    // The request the job is on, for the terminal event of a panic.
+    let at = Cell::new(0usize);
+    // Unwind safety: everything a job owns (session, meter, reservation) is
+    // dropped by the unwind, and what it shares with other jobs is atomics,
+    // telemetry and lock-guarded caches whose locks poison visibly.
+    let body = AssertUnwindSafe(|| match work {
         Work::Container { store, requests } => run_container_job(
-            shared, id, store, &tenant, requests, &events, queue_wait, started_at,
+            shared, id, store, tenant, requests, &events, queue_wait, started_at, &at,
         ),
         Work::Archive { store, request } => run_archive_job(
-            shared, id, store, &tenant, request, &events, queue_wait, started_at,
+            shared, id, store, tenant, request, &events, queue_wait, started_at, &at,
         ),
+    });
+    if let Err(panic) = catch_unwind(body) {
+        let msg = panic
+            .downcast_ref::<&str>()
+            .map(|s| s.to_string())
+            .or_else(|| panic.downcast_ref::<String>().cloned())
+            .unwrap_or_else(|| "non-string panic payload".into());
+        tenant.metrics.failures.incr();
+        let _ = events.send(ServiceEvent::WorkloadFailed {
+            request: at.get(),
+            error: ServiceError::WorkerPanicked(msg),
+        });
     }
-
-    shared.global.release();
-    tenant.inflight.release();
+    // Slots first, stream second: a client that saw its channel close can
+    // submit again at once.
+    drop(permits);
+    drop(events);
 }
 
 /// Build the per-workload meter over a store's shared cache, when it has one.
@@ -926,6 +981,7 @@ fn run_container_job(
     events: &SyncSender<ServiceEvent>,
     queue_wait: u64,
     started_at: u64,
+    at: &Cell<usize>,
 ) {
     let mut wl_span = span("service", "workload")
         .arg("tenant", tenant.tag as u64)
@@ -943,9 +999,11 @@ fn run_container_job(
     let mut steps = Vec::with_capacity(workload.len());
     let mut last = None;
     for (i, &request) in workload.iter().enumerate() {
+        at.set(i);
         // Budget gate: the planner prices the exact delta this session
         // would fetch; refuse before any I/O happens.
-        let reserved = match plan_bytes(&session, request, tenant) {
+        let price = || Ok(session.plan_ranges(request)?.payload_bytes());
+        let reserved = match reserve(tenant, price) {
             Ok(reserved) => reserved,
             Err(error) => {
                 tenant.metrics.failures.incr();
@@ -960,6 +1018,7 @@ fn run_container_job(
         };
         match session.retrieve_streaming_events(request, forward) {
             Ok(out) => {
+                reserved.keep();
                 let step = ClientStep {
                     bytes_this_request: out.bytes_this_request,
                     bytes_total: out.bytes_total,
@@ -978,7 +1037,7 @@ fn run_container_job(
                 }
             }
             Err(e) => {
-                tenant.release_reservation(reserved);
+                drop(reserved);
                 tenant.metrics.failures.incr();
                 let _ = events.send(ServiceEvent::WorkloadFailed {
                     request: i,
@@ -1028,6 +1087,7 @@ fn run_archive_job(
     events: &SyncSender<ServiceEvent>,
     queue_wait: u64,
     started_at: u64,
+    emitted: &Cell<usize>,
 ) {
     let mut wl_span = span("service", "archive_workload")
         .arg("tenant", tenant.tag as u64)
@@ -1044,7 +1104,8 @@ fn run_archive_job(
 
     // Budget gate: price the whole step-spanning plan (chain prefix +
     // output window) before any I/O.
-    let reserved = match plan_archive_bytes(&session, &request, tenant) {
+    let price = || Ok(session.plan_ranges(&request)?.payload_bytes());
+    let reserved = match reserve(tenant, price) {
         Ok(reserved) => reserved,
         Err(error) => {
             tenant.metrics.failures.incr();
@@ -1055,9 +1116,8 @@ fn run_archive_job(
     };
 
     // Both callbacks index events by the output step's position in the
-    // window; a Cell lets the stream callback read it while the step
-    // callback owns the accumulators.
-    let emitted = std::cell::Cell::new(0usize);
+    // window; `emitted` being a Cell lets the stream callback read it while
+    // the step callback owns the accumulators.
     let mut steps = Vec::new();
     let mut checksum = 0u64;
     let outcome = session.retrieve_steps_streaming_events(
@@ -1091,6 +1151,7 @@ fn run_archive_job(
     );
     match outcome {
         Ok(out) => {
+            reserved.keep();
             let sim = sim_nanos(&meter);
             let latency = if shared.config.cost_model.is_some() && meter.is_some() {
                 sim
@@ -1115,7 +1176,7 @@ fn run_archive_job(
             });
         }
         Err(e) => {
-            tenant.release_reservation(reserved);
+            drop(reserved);
             tenant.metrics.failures.incr();
             let _ = events.send(ServiceEvent::WorkloadFailed {
                 request: steps.len(),
@@ -1126,39 +1187,18 @@ fn run_archive_job(
     drop(wl_span);
 }
 
-/// Price `request` and reserve the bytes against the tenant's budget.
-/// Returns the reserved byte count (0 when unmetered).
-fn plan_bytes(
-    session: &RetrievalSession,
-    request: RetrievalRequest,
+/// Reserve what `price` says the next request would fetch against the
+/// tenant's budget — the planner's exact byte count for the delta, so an
+/// over-budget tenant is refused before any I/O. Unmetered tenants reserve
+/// nothing and are never priced.
+fn reserve(
     tenant: &TenantState,
-) -> Result<u64, ServiceError> {
+    price: impl FnOnce() -> ipcomp::Result<usize>,
+) -> Result<Reservation<'_>, ServiceError> {
     if tenant.config.byte_budget.is_none() {
-        return Ok(0);
+        return tenant.try_reserve(0);
     }
-    let need = session
-        .plan_ranges(request)
-        .map_err(ServiceError::Retrieval)?
-        .payload_bytes() as u64;
-    tenant.try_reserve(need)?;
-    Ok(need)
-}
-
-/// Archive flavor of [`plan_bytes`]: price the full step-spanning plan.
-fn plan_archive_bytes(
-    session: &ArchiveSession,
-    request: &ArchiveRequest,
-    tenant: &TenantState,
-) -> Result<u64, ServiceError> {
-    if tenant.config.byte_budget.is_none() {
-        return Ok(0);
-    }
-    let need = session
-        .plan_ranges(request)
-        .map_err(ServiceError::Retrieval)?
-        .payload_bytes() as u64;
-    tenant.try_reserve(need)?;
-    Ok(need)
+    tenant.try_reserve(price().map_err(ServiceError::Retrieval)? as u64)
 }
 
 #[cfg(test)]
@@ -1170,12 +1210,24 @@ mod tests {
 
     use crate::session::StoreOptions;
 
-    fn toy_store(cache_bytes: usize) -> (Arc<ContainerStore>, u64) {
+    /// A small serialized container and the reference checksum of the
+    /// coarse→fine workload the service tests submit, from a plain resident
+    /// decoder (a one-shot 1e-4 decode may legally load a different plane set
+    /// than the refinement path) — so the store under test keeps a
+    /// stone-cold cache.
+    fn toy_container() -> (Vec<u8>, u64) {
         let field = ArrayD::from_fn(Shape::d3(16, 16, 12), |c| {
             (c[0] as f64 * 0.3).sin() + (c[1] as f64 * 0.2).cos() * 2.0 + c[2] as f64 * 0.01
         });
         let compressed = compress(&field, 1e-7, &Config::default()).unwrap();
-        let bytes = compressed.to_bytes();
+        let mut dec = ipcomp::ProgressiveDecoder::new(&compressed);
+        dec.retrieve(RetrievalRequest::ErrorBound(1e-2)).unwrap();
+        let out = dec.retrieve(RetrievalRequest::ErrorBound(1e-4)).unwrap();
+        (compressed.to_bytes(), field_checksum(out.data.as_slice()))
+    }
+
+    fn toy_store(cache_bytes: usize) -> (Arc<ContainerStore>, u64) {
+        let (bytes, reference) = toy_container();
         let store = ContainerStore::open(
             Arc::new(MemorySource::new(bytes)),
             StoreOptions {
@@ -1184,17 +1236,6 @@ mod tests {
             },
         )
         .unwrap();
-        // Reference checksum from a plain single-client session running the
-        // same coarse→fine workload the service tests submit (a one-shot
-        // 1e-4 decode may legally load a different plane set than the
-        // refinement path). Computed over a *separate* store instance so the
-        // store under test keeps a stone-cold cache.
-        let reference = {
-            let mut dec = ipcomp::ProgressiveDecoder::new(&compressed);
-            dec.retrieve(RetrievalRequest::ErrorBound(1e-2)).unwrap();
-            let out = dec.retrieve(RetrievalRequest::ErrorBound(1e-4)).unwrap();
-            field_checksum(out.data.as_slice())
-        };
         (store, reference)
     }
 
@@ -1465,6 +1506,84 @@ mod tests {
             assert_eq!(t.latency_ns.sum, client.sum);
         }
         let _ = done_nanos;
+    }
+
+    /// A job that panics (here: a backend that panics on reads once armed)
+    /// must not take the service down with it: the stream ends with one
+    /// terminal `WorkloadFailed`, the byte reservation and both permits come
+    /// back, and the same single worker serves the next workload.
+    #[test]
+    fn panicking_job_fails_its_stream_and_frees_the_service() {
+        struct Flaky {
+            inner: MemorySource,
+            armed: AtomicBool,
+        }
+        impl ChunkSource for Flaky {
+            fn len(&self) -> u64 {
+                self.inner.len()
+            }
+            fn read_ranges(&self, ranges: &[ByteRange]) -> ipcomp::Result<Vec<Bytes>> {
+                assert!(!self.armed.load(Ordering::SeqCst), "backend bug");
+                self.inner.read_ranges(ranges)
+            }
+        }
+
+        let (bytes, reference) = toy_container();
+        let source = Arc::new(Flaky {
+            inner: MemorySource::new(bytes),
+            armed: AtomicBool::new(false),
+        });
+        let store = ContainerStore::open(
+            Arc::clone(&source) as Arc<dyn ChunkSource>,
+            StoreOptions::default(),
+        )
+        .unwrap();
+        // One worker, one permit: a leaked permit or a dead worker would
+        // leave the second submission refused or hanging.
+        let service = StoreService::new(ServiceConfig {
+            workers: 1,
+            max_inflight: 1,
+            ..ServiceConfig::default()
+        });
+        let cid = service.register_container(store);
+        let tid = service.register_tenant(TenantConfig {
+            byte_budget: Some(u64::MAX / 2),
+            max_inflight: 1,
+            ..TenantConfig::default()
+        });
+        let workload = vec![
+            RetrievalRequest::ErrorBound(1e-2),
+            RetrievalRequest::ErrorBound(1e-4),
+        ];
+
+        let used_before = service.tenant_bytes_used(tid);
+        source.armed.store(true, Ordering::SeqCst);
+        let rx = service.try_submit(tid, cid, workload.clone()).unwrap();
+        let (events, outcome) = drain(rx);
+        assert!(outcome.is_none());
+        let terminal: Vec<_> = events
+            .iter()
+            .filter(|e| matches!(e, ServiceEvent::WorkloadFailed { .. }))
+            .collect();
+        assert_eq!(terminal.len(), 1);
+        assert!(matches!(
+            events.last(),
+            Some(ServiceEvent::WorkloadFailed {
+                request: 0,
+                error: ServiceError::WorkerPanicked(msg),
+            }) if msg.contains("backend bug")
+        ));
+        assert_eq!(service.tenant_bytes_used(tid), used_before);
+        assert_eq!(service.metrics_snapshot().tenants[0].failures, 1);
+
+        source.armed.store(false, Ordering::SeqCst);
+        let rx = service.try_submit(tid, cid, workload).unwrap();
+        let (_, outcome) = drain(rx);
+        assert_eq!(
+            outcome.expect("healthy workload completes").checksum,
+            reference
+        );
+        assert!(service.tenant_bytes_used(tid) > used_before);
     }
 
     #[test]
