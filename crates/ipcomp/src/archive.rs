@@ -430,12 +430,7 @@ impl ArchiveMap {
     pub fn open(source: &dyn ChunkSource) -> Result<Self> {
         let mut cur = MetaCursor::new(source);
         let total_len = cur.len();
-        let magic = cur.read_exact(4)?;
-        if magic != MAGIC[..] {
-            return Err(IpcompError::CorruptContainer("bad magic"));
-        }
-        let version = cur.read_u32()?;
-        if version != VERSION_ARCHIVE {
+        if cur.read_magic_version()? != VERSION_ARCHIVE {
             return Err(IpcompError::CorruptContainer(
                 "not a version-4 archive container",
             ));
@@ -488,7 +483,7 @@ impl ArchiveMap {
                 return Err(IpcompError::CorruptContainer("implausible variable name"));
             }
             let bytes = cur.read_exact(len)?;
-            let name = String::from_utf8(bytes)
+            let name = String::from_utf8(bytes.to_vec())
                 .map_err(|_| IpcompError::CorruptContainer("variable name not utf-8"))?;
             variables.push(name);
         }

@@ -8,45 +8,113 @@
 //!
 //! ## Versions
 //!
+//! The version says what a level's chunks are; the layout (next section)
+//! says where metadata and chunks sit in the file.
+//!
 //! * **v1** (PR 1) — each plane is a single monolithic LZR block, written as
 //!   `varint length + bytes` inline with the level metadata. Still read;
 //!   decodes byte-identically.
 //! * **v2** (current) — planes are split into fixed-size entropy chunks
 //!   ([`crate::bitplane::CHUNK_BYTES`] packed bytes each) and the level
-//!   metadata carries a **chunk index**: every chunk's compressed size, ahead
-//!   of any payload byte. A reader can therefore compute the absolute offset
-//!   of any `(level, plane, chunk)` triple from metadata alone and fetch
-//!   chunks independently — which is what lets decode fan out evenly over
-//!   rayon and stream planes region by region. Payload bytes follow the
-//!   metadata of each level, plane-major.
-//!
+//!   metadata carries a **chunk index**: every chunk's compressed size. A
+//!   reader can therefore compute the absolute offset of any
+//!   `(level, plane, chunk)` triple from metadata alone and fetch chunks
+//!   independently — which is what lets decode fan out evenly over rayon and
+//!   stream planes region by region.
 //! * **v3** — v2 with a precinct grid in the header: levels are stored
 //!   precinct-major with one chunk per `(plane, precinct)` pair.
 //!
+//! ## Layouts
+//!
+//! ```text
+//! packed (written; version word = version | LAYOUT_PACKED)
+//!   magic "IPCP" | version word u32 | packed_len u32 | unpacked_len u32      16-byte prelude
+//!   metadata block: lzr_compress of                                          packed_len bytes
+//!       magic | version u32 | header | anchors | per level: record + chunk index
+//!   every chunk, level-major (coarsest first), plane-major, in index order   to the last byte
+//!
+//! interleaved (read-only; version word = version, 1..=3)
+//!   magic | version u32 | header | anchors
+//!   per level: record + chunk index | that level's chunks, plane-major
+//!   (v1: per plane `varint length + bytes` in place of index and chunks)
+//! ```
+//!
+//! The version word's low byte is the version and its second byte the layout
+//! flags; any bit the reader does not know is an unsupported version. The
+//! unpacked metadata block *is* an interleaved stream with the chunks taken
+//! out — same bytes, same order — which is what lets one parser read both.
+//! Nothing selects the layout: [`Compressed::to_bytes`] writes packed, the
+//! interleaved layouts (v1, v2, v3, and v4 archives embedding them) are read
+//! for as long as files in them exist, and only the test-support
+//! [`Compressed::to_bytes_v1`] still writes one.
+//!
+//! ## Opening in at most two GETs
+//!
+//! Planning needs the header, the anchors and every level's loss table and
+//! chunk index before it can ask for a single payload byte, so the packed
+//! layout puts exactly those bytes first and packs them — a chunk index is
+//! thousands of near-equal one- or two-byte varints, which LZR takes to a few
+//! percent of their size (a 1024² field in 32² precincts: 259 KB to 3.7 KB).
+//! [`ContainerMap::open`] then costs:
+//!
+//! 1. one probe GET of `min(source length, META_FETCH = 4096)` bytes, which
+//!    holds the prelude and usually the whole block;
+//! 2. if `16 + packed_len` runs past the probe, one GET of exactly the rest.
+//!
+//! The block is unpacked once (the only buffer `open` owns; everything read
+//! through the cursor is a slice of what the source returned) and parsed in
+//! memory. Each level's payload is located by a running offset that starts
+//! at the end of the block. An interleaved container is instead walked
+//! record by record in `META_FETCH` steps, skipping payload: four GETs for a
+//! 16 KB index, 68 for that 1024² container.
+//!
+//! ### The unpacked-length bound
+//!
+//! `unpacked_len` is attacker-controlled and sizes an allocation, so before
+//! anything is allocated `open` requires
+//!
+//! ```text
+//! packed_len   ≤ source length − 16
+//! unpacked_len ≤ packed_len × 2^17            (META_MAX_EXPANSION)
+//! ```
+//!
+//! and afterwards that the block unpacks to exactly `unpacked_len` bytes
+//! (LZR itself refuses a stream that declares more than it is allowed and
+//! grows its output only as it decodes it). 2^17 is a ceiling this writer
+//! cannot reach: LZR's longest match is 2^16 bytes and costs five token bytes
+//! of at least three distinct values, which the rANS stage cannot take below
+//! 7.6 bits — under 69 000 output bytes per packed byte however degenerate
+//! the table; the all-equal tables in this module's tests reach 29 000. From
+//! there on the old rule holds against the resident block: every count must
+//! fit in what remains of the *unpacked* metadata (an index entry is at
+//! least one byte) before anything proportional to it is allocated, the
+//! chunk sizes' running sum must stay inside the source, and at the end both
+//! the block and the payload region must be used up exactly.
+//!
 //! ## One parser, one writer
 //!
-//! [`ContainerMap::open`] is the only reader of this grammar. It reads
-//! metadata through ranged fetches and records where every chunk lives;
-//! [`Compressed::from_bytes`] is that same walk over a byte slice plus a copy
-//! of each chunk at its recorded offset. Deserialization is hardened: every
-//! count and length field is validated against the remaining source and the
-//! header geometry before any proportional allocation, so corrupt or
+//! [`ContainerMap::open`] is the only reader of this grammar, for every
+//! layout: the packed layout is a branch where the interleaved one skips a
+//! level's payload (the running offset advances instead), not a second
+//! parser. It records where every chunk lives; [`Compressed::from_bytes`] is
+//! that same walk over a byte slice plus a copy of each chunk at its recorded
+//! offset. Deserialization is hardened as described above, so corrupt or
 //! adversarial containers fail with [`IpcompError`] instead of panicking or
 //! ballooning memory — whichever entry point they arrive through.
 //!
 //! `Compressed::walk` is the only writer: it emits the grammar as a sequence
 //! of `Piece`s, and everything that needs to know the layout is a view of
-//! that one walk — [`Compressed::to_bytes`] collects the bytes,
-//! [`Compressed::base_bytes`] counts the non-payload ones, and
-//! [`ContainerMap::from_compressed`] records where each chunk lands (the
-//! writer-side cross-check of the parser's offsets). A layout flag is one
-//! branch in the walk and one in `open`. How a level's plane bytes are cut
-//! into chunks is not this module's decision: both sides ask the level's
-//! [`RegionScheme`].
+//! that one walk — [`Compressed::to_bytes`] packs the metadata pieces and
+//! appends the chunk pieces, [`Compressed::base_bytes`] measures the packed
+//! front, and [`ContainerMap::from_compressed`] records where each chunk
+//! lands (the writer-side cross-check of the parser's offsets). How a level's
+//! plane bytes are cut into chunks is not this module's decision: both sides
+//! ask the level's [`RegionScheme`].
 
 use std::sync::Arc;
 
-use ipc_codecs::varint::{read_varint, varint_len, write_varint};
+use ipc_codecs::lzr::lzr_decompress_bounded;
+use ipc_codecs::varint::{read_varint, write_varint};
 use ipc_codecs::{lzr_compress, zigzag_decode, zigzag_encode};
 
 use ipc_tensor::Shape;
@@ -55,7 +123,7 @@ use crate::bitplane::{EncodedLevel, EncodedPlane, RegionScheme};
 use crate::config::Interpolation;
 use crate::error::{IpcompError, Result};
 use crate::precinct::PrecinctGrid;
-use crate::source::{read_ranges_exact, ByteRange, Bytes, ChunkSource};
+use crate::source::{read_ranges_exact, ByteRange, Bytes, ChunkSource, MemorySource};
 
 /// Magic bytes identifying an IPComp container.
 pub const MAGIC: &[u8; 4] = b"IPCP";
@@ -68,6 +136,16 @@ pub const VERSION: u32 = 2;
 pub const VERSION_ROI: u32 = 3;
 /// Oldest container format version still readable.
 pub const MIN_VERSION: u32 = 1;
+/// Layout flag of the version word (its second byte): set, the file is a
+/// 16-byte prelude, the LZR-packed metadata block, then all chunk payload.
+/// The writer always sets it; clear marks the read-only interleaved layouts.
+pub const LAYOUT_PACKED: u32 = 1 << 8;
+/// Prelude of the packed layout: magic, version word, packed and unpacked
+/// metadata-block lengths (`u32` each).
+const PRELUDE_BYTES: usize = 16;
+/// Most the metadata block may claim to unpack to, per packed byte — checked
+/// before the unpacked buffer is allocated (see the module docs).
+const META_MAX_EXPANSION: u64 = 1 << 17;
 
 /// Upper bound on the number of scalar elements a header may declare
 /// (2^48 ≈ 280 T elements); anything larger is treated as corrupt before any
@@ -157,11 +235,14 @@ impl Compressed {
         self.level_number(idx) <= self.header.progressive_levels
     }
 
-    /// The one walk of the write grammar: emit the container's serialization
-    /// in format `version`, piece by piece, in stream order. Versions 2 and 3
-    /// differ only in the header's precinct extents; version 1 (test support,
-    /// see [`Compressed::to_bytes_v1`]) shares everything up to a level's
-    /// loss table and then stores planes inline.
+    /// The one walk of the write grammar: emit the container's content in
+    /// format `version`, piece by piece. Versions 2 and 3 differ only in the
+    /// header's precinct extents; version 1 (test support, see
+    /// [`Compressed::to_bytes_v1`]) shares everything up to a level's loss
+    /// table and then stores planes inline. The order is that of the
+    /// interleaved layouts, whose stream it is verbatim; the packed layout
+    /// keeps the order within each kind — metadata pieces into the block,
+    /// chunks after it.
     fn walk(&self, version: u32, mut emit: impl FnMut(Piece<'_>)) {
         let h = &self.header;
         emit(Piece::Bytes(MAGIC));
@@ -214,24 +295,38 @@ impl Compressed {
         }
     }
 
-    /// Collect the walk's bytes.
-    fn collect(&self, version: u32, capacity: usize) -> Vec<u8> {
-        let mut out = Vec::with_capacity(capacity);
-        self.walk(version, |piece| piece.write(&mut out));
+    /// The front of the current serialization — prelude plus the packed
+    /// metadata block — with room reserved for `payload` more bytes. The
+    /// block is `lzr_compress` of the walk's non-chunk pieces (which refuses,
+    /// by panicking, the 4 GiB of metadata a `u32` length could not state).
+    fn packed_front(&self, payload: usize) -> Vec<u8> {
+        let version = self.header.version();
+        let mut meta = Vec::new();
+        self.walk(version, |piece| {
+            if !matches!(piece, Piece::Chunk(_)) {
+                piece.write(&mut meta);
+            }
+        });
+        let packed = lzr_compress(&meta);
+        let mut out = Vec::with_capacity(PRELUDE_BYTES + packed.len() + payload);
+        out.extend_from_slice(MAGIC);
+        out.extend_from_slice(&(version | LAYOUT_PACKED).to_le_bytes());
+        for len in [packed.len(), meta.len()] {
+            let len = u32::try_from(len).expect("lzr_compress takes under 4 GiB");
+            out.extend_from_slice(&len.to_le_bytes());
+        }
+        out.extend_from_slice(&packed);
         out
     }
 
-    /// Bytes that every retrieval must load regardless of fidelity: header, anchors,
-    /// and per-level metadata (chunk index + truncation-loss tables) — the
-    /// non-payload bytes of the walk [`Compressed::to_bytes`] collects, so
-    /// `base_bytes() + payload_bytes() == to_bytes().len()`.
+    /// Bytes that every retrieval must load regardless of fidelity: the
+    /// prelude and the packed metadata block (header, anchors, per-level
+    /// truncation-loss tables and chunk index) — everything of
+    /// [`Compressed::to_bytes`] ahead of the first chunk, so
+    /// `base_bytes() + payload_bytes() == to_bytes().len()`. Packs the
+    /// metadata to measure it: a pass over the index, not a field read.
     pub fn base_bytes(&self) -> usize {
-        let mut n = 0;
-        self.walk(self.header.version(), |piece| match piece {
-            Piece::Chunk(_) => {}
-            meta => n += meta.len(),
-        });
-        n
+        self.packed_front(0).len()
     }
 
     /// Total compressed payload bytes (all bitplane blocks of all levels).
@@ -244,9 +339,16 @@ impl Compressed {
         self.base_bytes() + self.payload_bytes()
     }
 
-    /// Serialize the container to a byte buffer (current format version).
+    /// Serialize the container to a byte buffer (current format version,
+    /// packed layout): prelude, packed metadata block, then every chunk.
     pub fn to_bytes(&self) -> Vec<u8> {
-        self.collect(self.header.version(), self.total_bytes())
+        let mut out = self.packed_front(self.payload_bytes());
+        self.walk(self.header.version(), |piece| {
+            if let Piece::Chunk(chunk) = piece {
+                out.extend_from_slice(chunk);
+            }
+        });
+        out
     }
 
     /// Test support: serialize in the legacy **version-1** layout (monolithic
@@ -272,7 +374,9 @@ impl Compressed {
                 "v1 layout cannot carry a precinct grid".into(),
             ));
         }
-        Ok(self.collect(1, 0))
+        let mut out = Vec::new();
+        self.walk(1, |piece| piece.write(&mut out));
+        Ok(out)
     }
 
     /// Deserialize a container produced by [`Compressed::to_bytes`] (or any
@@ -314,14 +418,6 @@ enum Piece<'a> {
 }
 
 impl Piece<'_> {
-    /// Serialized length of the piece.
-    fn len(&self) -> usize {
-        match self {
-            Piece::Varint(v) => varint_len(*v),
-            Piece::Bytes(b) | Piece::Chunk(b) => b.len(),
-        }
-    }
-
     /// Append the piece's wire encoding.
     fn write(&self, out: &mut Vec<u8>) {
         match self {
@@ -470,7 +566,7 @@ impl LevelMap {
     /// tile a plane's payload back to back, so a run is contiguous on disk;
     /// reading per run keeps a region's request list proportional to its
     /// precinct rows, not its precinct count times planes.
-    fn chunk_runs(&self, mask: Option<&[bool]>) -> Vec<(usize, usize)> {
+    pub fn chunk_runs(&self, mask: Option<&[bool]>) -> Vec<(usize, usize)> {
         let n_chunks = self.chunk_sizes.first().map_or(0, Vec::len);
         let Some(mask) = mask else {
             return (0..n_chunks).map(|k| (k, k + 1)).collect();
@@ -494,7 +590,12 @@ impl LevelMap {
     /// Byte range of every run of planes `[plane_lo, plane_hi)`, plane-major
     /// (the container's own payload order, so adjacent entries are adjacent
     /// on disk and coalesce well).
-    fn run_ranges(&self, plane_lo: u8, plane_hi: u8, runs: &[(usize, usize)]) -> Vec<ByteRange> {
+    pub fn run_ranges(
+        &self,
+        plane_lo: u8,
+        plane_hi: u8,
+        runs: &[(usize, usize)],
+    ) -> Vec<ByteRange> {
         (plane_lo..plane_hi)
             .flat_map(|p| {
                 runs.iter().map(move |&(k0, k1)| {
@@ -589,19 +690,22 @@ impl LevelMap {
 /// Buffered forward reader over a [`ChunkSource`], used to parse container
 /// and archive metadata with small batched fetches while *skipping* payload
 /// bytes entirely — the whole point of opening a container by ranges. The
-/// one metadata cursor of the format: versions 1–3 ([`ContainerMap::open`])
-/// and the version-4 archive framing ([`crate::ArchiveMap::open`]) both read
-/// through it, so they share one fetch granularity and one GET pattern.
+/// one metadata cursor of the format: every container layout
+/// ([`ContainerMap::open`], over the source or over the unpacked metadata
+/// block) and the version-4 archive framing ([`crate::ArchiveMap::open`])
+/// read through it, so they share one fetch granularity and one GET pattern.
+/// It holds each fetch as the [`Bytes`] the source returned and hands out
+/// slices of it: nothing read through the cursor is copied by the cursor.
 pub(crate) struct MetaCursor<'s> {
     source: &'s dyn ChunkSource,
     len: u64,
     pos: u64,
-    buf: Vec<u8>,
+    buf: Bytes,
     buf_start: u64,
 }
 
-/// Granularity of metadata fetches; metadata records are typically a few
-/// hundred bytes, so one fetch usually covers a whole level record.
+/// Granularity of metadata fetches, and the size of the probe that opens a
+/// container: the packed layout's whole metadata block usually fits one.
 const META_FETCH: usize = 4096;
 
 impl<'s> MetaCursor<'s> {
@@ -610,7 +714,7 @@ impl<'s> MetaCursor<'s> {
             source,
             len: source.len(),
             pos: 0,
-            buf: Vec::new(),
+            buf: Bytes::from_vec(Vec::new()),
             buf_start: 0,
         }
     }
@@ -629,27 +733,30 @@ impl<'s> MetaCursor<'s> {
         self.len - self.pos
     }
 
+    /// Offset of the cursor inside `buf` (`buf.len()` once it has moved past).
+    fn buf_off(&self) -> usize {
+        (self.pos - self.buf_start).min(self.buf.len() as u64) as usize
+    }
+
+    /// One GET of exactly `len` bytes at `offset`.
+    fn fetch(&self, offset: u64, len: usize) -> Result<Bytes> {
+        let bytes = self.source.read_range(ByteRange::new(offset, len))?;
+        if bytes.len() != len {
+            return Err(IpcompError::CorruptContainer("source returned short read"));
+        }
+        Ok(bytes)
+    }
+
     /// Buffer at least `want` bytes at the cursor (clamped to EOF) and return
     /// the buffered tail starting at the cursor.
     fn ensure(&mut self, want: usize) -> Result<&[u8]> {
-        let have_end = self.buf_start + self.buf.len() as u64;
-        let buffered = if self.pos >= self.buf_start && self.pos <= have_end {
-            (have_end - self.pos) as usize
-        } else {
-            0
-        };
         let want = want.min(self.remaining() as usize);
-        if buffered < want {
+        if self.buf.len() - self.buf_off() < want {
             let fetch = want.max(META_FETCH).min(self.remaining() as usize);
-            let bytes = self.source.read_range(ByteRange::new(self.pos, fetch))?;
-            if bytes.len() != fetch {
-                return Err(IpcompError::CorruptContainer("source returned short read"));
-            }
-            self.buf = bytes.to_vec();
+            self.buf = self.fetch(self.pos, fetch)?;
             self.buf_start = self.pos;
         }
-        let off = (self.pos - self.buf_start) as usize;
-        Ok(&self.buf[off.min(self.buf.len())..])
+        Ok(&self.buf[self.buf_off()..])
     }
 
     /// Read `N` raw bytes (the fixed-width little-endian scalars).
@@ -693,19 +800,31 @@ impl<'s> MetaCursor<'s> {
         Ok(v)
     }
 
-    /// Copy `n` bytes out (the always-loaded anchor block, archive names).
-    pub(crate) fn read_exact(&mut self, n: usize) -> Result<Vec<u8>> {
-        if (self.remaining() as usize) < n {
+    /// Magic plus version word — how every container and archive starts.
+    pub(crate) fn read_magic_version(&mut self) -> Result<u32> {
+        if self.read_array::<4>()? != *MAGIC {
+            return Err(IpcompError::CorruptContainer("bad magic"));
+        }
+        self.read_u32()
+    }
+
+    /// The next `n` bytes (anchor block, packed metadata block, archive
+    /// names): a slice of the buffer when it holds them or one fetch can,
+    /// otherwise what is buffered joined to one GET of exactly the rest.
+    pub(crate) fn read_exact(&mut self, n: usize) -> Result<Bytes> {
+        if self.remaining() < n as u64 {
             return Err(IpcompError::CorruptContainer("eof"));
         }
-        let out = if n <= META_FETCH {
-            self.ensure(n)?[..n].to_vec()
+        let have = self.buf.len() - self.buf_off();
+        let out = if n <= have.max(META_FETCH) {
+            self.ensure(n)?;
+            self.buf.slice(self.buf_off()..self.buf_off() + n)
         } else {
-            let bytes = self.source.read_range(ByteRange::new(self.pos, n))?;
-            if bytes.len() != n {
-                return Err(IpcompError::CorruptContainer("source returned short read"));
+            let rest = self.fetch(self.pos + have as u64, n - have)?;
+            match have {
+                0 => rest,
+                _ => Bytes::from_vec([&self.buf[self.buf_off()..], &rest].concat()),
             }
-            bytes.to_vec()
         };
         self.pos += n as u64;
         Ok(out)
@@ -728,9 +847,9 @@ impl<'s> MetaCursor<'s> {
 /// to plan a retrieval and fetch exactly the chunk ranges the plan selects,
 /// without ever materializing payload that wasn't asked for.
 ///
-/// Opened over any [`ChunkSource`]; parsing fetches metadata in small batched
-/// reads and skips payload byte ranges entirely, so opening a multi-gigabyte
-/// remote container costs a handful of small GETs.
+/// Opened over any [`ChunkSource`]; parsing never touches payload, and a
+/// container in the packed layout — whatever its size — costs one or two
+/// GETs to open (see the module docs).
 #[derive(Debug, Clone, PartialEq)]
 pub struct ContainerMap {
     /// Container header.
@@ -740,10 +859,10 @@ pub struct ContainerMap {
     pub anchors: Vec<u8>,
     /// Per-level chunk indexes, coarsest level first.
     pub levels: Vec<LevelMap>,
-    /// Bytes of the serialized stream that are not plane payload (header,
-    /// anchors, metadata records). For version-1 containers this reflects the
-    /// *actual* v1 layout, which differs slightly from the v2 re-serialization
-    /// accounting [`Compressed::base_bytes`] reports.
+    /// Bytes of the serialized stream that are not plane payload: prelude
+    /// plus packed metadata block, or — interleaved layouts — header, anchors
+    /// and level records as they sit in the file, which is not what
+    /// [`Compressed::base_bytes`] reports for the same container re-written.
     base_bytes: usize,
     /// Total serialized container size.
     total_len: u64,
@@ -766,21 +885,65 @@ impl ContainerMap {
     }
 
     /// Parse the metadata of a serialized container through ranged reads —
-    /// the one walk of the version 1–3 grammar.
+    /// the one walk of the container grammar, whatever the layout.
     ///
-    /// Every count is checked against the header geometry and the source
-    /// length before any proportional allocation, and every recorded chunk
-    /// range is verified to lie inside the source.
+    /// A packed container costs one probe GET of `min(len, META_FETCH)` bytes
+    /// and, when the prelude says the metadata block is longer, one more for
+    /// exactly the rest; the block is unpacked and parsed in memory. An
+    /// interleaved (legacy) one is walked record by record in `META_FETCH`
+    /// steps, skipping payload.
+    ///
+    /// Every count is checked against the header geometry and the bytes that
+    /// can hold it before any proportional allocation, and every recorded
+    /// chunk range is verified to lie inside the source.
     pub fn open(source: &dyn ChunkSource) -> Result<Self> {
         let mut cur = MetaCursor::new(source);
-        let magic = cur.read_exact(4)?;
-        if magic != MAGIC {
-            return Err(IpcompError::CorruptContainer("bad magic"));
-        }
-        let version = cur.read_u32()?;
-        if !(MIN_VERSION..=VERSION_ROI).contains(&version) {
+        let word = cur.read_magic_version()?;
+        let (version, packed) = (word & !LAYOUT_PACKED, word & LAYOUT_PACKED != 0);
+        // Version 1 predates the packed layout.
+        if !(MIN_VERSION + packed as u32..=VERSION_ROI).contains(&version) {
             return Err(IpcompError::CorruptContainer("unsupported version"));
         }
+        if !packed {
+            return Self::parse(&mut cur, version, None);
+        }
+        let packed_len = cur.read_u32()? as u64;
+        let unpacked_len = cur.read_u32()? as u64;
+        if packed_len > cur.remaining() {
+            return Err(IpcompError::CorruptContainer(
+                "metadata block outruns buffer",
+            ));
+        }
+        if unpacked_len > packed_len.saturating_mul(META_MAX_EXPANSION) {
+            return Err(IpcompError::CorruptContainer("implausible metadata length"));
+        }
+        let block = cur.read_exact(packed_len as usize)?;
+        let meta = lzr_decompress_bounded(&block, unpacked_len as usize)?;
+        if meta.len() as u64 != unpacked_len {
+            return Err(IpcompError::CorruptContainer(
+                "metadata block length disagrees with prelude",
+            ));
+        }
+        let resident = MemorySource::new(meta);
+        let mut inner = MetaCursor::new(&resident);
+        if inner.read_magic_version()? != version {
+            return Err(IpcompError::CorruptContainer(
+                "metadata block version disagrees with prelude",
+            ));
+        }
+        Self::parse(&mut inner, version, Some((cur.pos, cur.len)))
+    }
+
+    /// The grammar after the version word, read from `cur`. With `packed` —
+    /// `(offset of the next payload byte, source length)` — `cur` walks the
+    /// unpacked metadata block and each level's payload is located by that
+    /// running offset; without, `cur` walks the source itself and payload
+    /// follows each level's record.
+    fn parse(
+        cur: &mut MetaCursor<'_>,
+        version: u32,
+        mut packed: Option<(u64, u64)>,
+    ) -> Result<Self> {
         let ndim = cur.read_varint()? as usize;
         if ndim == 0 || ndim > ipc_tensor::MAX_DIMS {
             return Err(IpcompError::CorruptContainer("invalid dimension count"));
@@ -883,17 +1046,25 @@ impl ContainerMap {
                 }
             } else {
                 Self::open_v2_level(
-                    &mut cur,
+                    cur,
                     n_values,
                     num_planes,
                     trunc_loss,
                     precinct_spans.as_deref(),
                     &mut payload_total,
+                    packed.as_mut(),
                 )?
             };
             levels.push(level);
         }
 
+        // Packed: the block and the payload region are both used up exactly.
+        let (end, total_len) = packed.unwrap_or((cur.pos, cur.len));
+        if packed.is_some() && (cur.remaining() != 0 || end != total_len) {
+            return Err(IpcompError::CorruptContainer(
+                "container length disagrees with its metadata",
+            ));
+        }
         Ok(Self {
             header: Header {
                 dims,
@@ -906,10 +1077,10 @@ impl ContainerMap {
                 value_range,
                 precincts,
             },
-            anchors,
+            anchors: anchors.to_vec(),
             levels,
-            base_bytes: (cur.pos - payload_total) as usize,
-            total_len: cur.len,
+            base_bytes: (end - payload_total) as usize,
+            total_len,
         })
     }
 
@@ -925,6 +1096,7 @@ impl ContainerMap {
         trunc_loss: Vec<u64>,
         precinct_spans: Option<&[usize]>,
         payload_total: &mut u64,
+        packed: Option<&mut (u64, u64)>,
     ) -> Result<LevelMap> {
         let chunk_bytes = cur.read_varint()? as usize;
         let scheme = match precinct_spans {
@@ -961,8 +1133,9 @@ impl ContainerMap {
             }
             chunk_sizes.push(plane_sizes);
         }
-        // Payload follows plane-major; walk the sizes to assign offsets.
-        let mut offset = cur.pos;
+        // Payload is plane-major from here (interleaved) or from the running
+        // payload offset (packed); walk the sizes to assign offsets.
+        let mut offset = packed.as_ref().map_or(cur.pos, |(at, _)| *at);
         let chunk_offsets: Vec<Vec<u64>> = chunk_sizes
             .iter()
             .map(|plane| {
@@ -976,7 +1149,15 @@ impl ContainerMap {
                     .collect()
             })
             .collect();
-        cur.skip(level_payload)?;
+        match packed {
+            Some((at, len)) if level_payload <= *len - *at => *at += level_payload,
+            Some(_) => {
+                return Err(IpcompError::CorruptContainer(
+                    "chunk payload outruns buffer",
+                ))
+            }
+            None => cur.skip(level_payload)?,
+        }
         *payload_total += level_payload;
         Ok(LevelMap {
             n_values,
@@ -995,14 +1176,14 @@ impl ContainerMap {
     /// retrievals against a container that is also held in memory, and as
     /// the writer-side cross-check of [`ContainerMap::open`].
     pub fn from_compressed(c: &Compressed) -> Self {
-        let (mut pos, mut payload) = (0u64, 0u64);
+        let base_bytes = c.base_bytes();
+        let mut pos = base_bytes as u64;
         let mut offsets = Vec::new();
         c.walk(c.header.version(), |piece| {
             if let Piece::Chunk(chunk) = piece {
                 offsets.push(pos);
-                payload += chunk.len() as u64;
+                pos += chunk.len() as u64;
             }
-            pos += piece.len() as u64;
         });
         // The walk visits chunks level by level, plane-major: hand the
         // offsets back out in that order.
@@ -1032,7 +1213,7 @@ impl ContainerMap {
             header: c.header.clone(),
             anchors: c.anchors.clone(),
             levels,
-            base_bytes: (pos - payload) as usize,
+            base_bytes,
             total_len: pos,
         }
     }
@@ -1053,10 +1234,7 @@ pub fn encode_anchors(codes: &[i64]) -> Vec<u8> {
 /// streams cannot force huge allocations.
 pub fn decode_anchors_bounded(bytes: &[u8], max_codes: usize) -> Result<Vec<i64>> {
     // Each code costs at least one raw byte (varint), plus the count varint.
-    let raw = ipc_codecs::lzr::lzr_decompress_bounded(
-        bytes,
-        max_codes.saturating_mul(10).saturating_add(10),
-    )?;
+    let raw = lzr_decompress_bounded(bytes, max_codes.saturating_mul(10).saturating_add(10))?;
     let mut pos = 0usize;
     let n = read_varint(&raw, &mut pos)? as usize;
     if n > max_codes || n > raw.len() {
@@ -1078,6 +1256,7 @@ pub fn decode_anchors(bytes: &[u8]) -> Result<Vec<i64>> {
 mod tests {
     use super::*;
     use crate::bitplane::EncodeOptions;
+    use ipc_codecs::varint::varint_len;
 
     fn sample_compressed() -> Compressed {
         let codes_a: Vec<i64> = (0..40).map(|i| (i * 7) % 13 - 6).collect();
@@ -1163,6 +1342,44 @@ mod tests {
         for c in layout_samples() {
             assert_eq!(c.total_bytes(), c.to_bytes().len());
             assert_eq!(c.base_bytes() + c.payload_bytes(), c.to_bytes().len());
+        }
+    }
+
+    /// The writer's output is the packed layout and nothing else: prelude,
+    /// the block, then exactly the chunks in index order — and reading it
+    /// back and writing it again is the identity.
+    #[test]
+    fn to_bytes_is_prelude_block_then_every_chunk() {
+        for c in layout_samples() {
+            let bytes = c.to_bytes();
+            assert_eq!(&bytes[..4], MAGIC);
+            let word = c.header.version() | LAYOUT_PACKED;
+            assert_eq!(bytes[4..8], word.to_le_bytes());
+            let packed = u32::from_le_bytes(bytes[8..12].try_into().unwrap()) as usize;
+            assert_eq!(PRELUDE_BYTES + packed, c.base_bytes());
+            let chunks = c.levels.iter().flat_map(|l| &l.planes);
+            let payload: Vec<u8> = chunks.flat_map(|p| p.chunks.concat()).collect();
+            assert_eq!(&bytes[c.base_bytes()..], &payload[..]);
+            let back = Compressed::from_bytes(&bytes).unwrap();
+            assert_eq!(back, c);
+            assert_eq!(back.to_bytes(), bytes);
+        }
+    }
+
+    /// `META_MAX_EXPANSION` against the most compressible metadata there is:
+    /// tables of one repeated entry, which LZR takes to a maximal match per
+    /// five token bytes (the module docs' argument). The writer stays several
+    /// times under the ceiling it is read back through.
+    #[test]
+    fn unpack_bound_has_margin_over_the_most_compressible_tables() {
+        const N: usize = 8 << 20;
+        let tables = [
+            vec![0u8; N],
+            (0..N).map(|i| [1u8, 1, 1, 2][i % 4]).collect(),
+        ];
+        for table in tables {
+            let packed = lzr_compress(&table).len() as u64;
+            assert!(packed * META_MAX_EXPANSION >= 3 * N as u64, "{packed} B");
         }
     }
 

@@ -3,8 +3,10 @@
 //!
 //! The optimizer decides *how many planes* per level (over the metadata-only
 //! [`ContainerMap`], so no payload is touched); this module turns that into
-//! *which bytes*: one [`ChunkRead`] per `(level, plane, chunk)` triple the
-//! plan adds, in container payload order. [`RangePlan::coalesced`] then
+//! *which bytes*: one [`ChunkRead`] per chunk run the plan adds — a single
+//! chunk, or under a region mask a maximal run of consecutive masked
+//! precincts, exactly the reads [`ipcomp::LevelMap::fetch_planes`] issues —
+//! in container payload order. [`RangePlan::coalesced`] then
 //! merges adjacent runs under a gap threshold — because plans always load
 //! the top planes and the container stores planes low-to-high, the added
 //! planes of a level form one contiguous tail run, so coalescing typically
@@ -22,16 +24,16 @@ use ipcomp::{Result, RoiBox};
 
 use crate::coalesce::coalesce_ranges;
 
-/// One chunk fetch of a lowered plan.
+/// One fetch of a lowered plan: a run of consecutive chunks of one plane.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ChunkRead {
     /// Index into the container's level list (coarsest first).
     pub level: usize,
     /// Plane index within the level (0 = least significant).
     pub plane: u8,
-    /// Chunk index within the plane.
+    /// Index of the run's first chunk within the plane.
     pub chunk: usize,
-    /// Absolute byte range of the compressed chunk.
+    /// Absolute byte range of the run's compressed chunks.
     pub range: ByteRange,
 }
 
@@ -51,12 +53,12 @@ impl RangePlan {
         self.reads.iter().map(|r| r.range.len).sum()
     }
 
-    /// Number of per-chunk requests without coalescing.
+    /// Number of per-run requests without coalescing.
     pub fn request_count(&self) -> usize {
         self.reads.len()
     }
 
-    /// The raw per-chunk ranges, in payload order.
+    /// The raw per-run ranges, in payload order.
     pub fn ranges(&self) -> Vec<ByteRange> {
         self.reads.iter().map(|r| r.range).collect()
     }
@@ -73,9 +75,10 @@ impl RangePlan {
 /// `already_loaded[idx]` counts planes from the most significant, exactly
 /// like `LoadPlan::planes_loaded` (pass all zeros for a fresh session). Under
 /// region `masks` only the chunks of marked precincts are read (see
-/// [`ipcomp::roi_precinct_masks`]): in the version-3 layout a plane's chunk
-/// index *is* the precinct id, so the lowering stays a direct walk of the
-/// chunk table.
+/// [`ipcomp::roi_precinct_masks`]), one read per run of consecutive marked
+/// precincts: the lowering asks the level for the same `chunk_runs` /
+/// `run_ranges` the fetch path reads by, so a plan's request list is the
+/// fetch's request list.
 pub fn lower_plan(
     map: &ContainerMap,
     already_loaded: &[u8],
@@ -97,20 +100,16 @@ pub fn lower_plan(
         // Top `want` planes minus the top `have` already present.
         let hi = level.num_planes - have;
         let lo = level.num_planes - want;
-        let mask = masks.map(|m| &m[idx]);
-        for p in lo..hi {
-            debug_assert!(mask.is_none_or(|m| m.len() == level.plane_chunk_count(p)));
-            for k in 0..level.plane_chunk_count(p) {
-                if mask.is_none_or(|m| m[k]) {
-                    reads.push(ChunkRead {
-                        level: idx,
-                        plane: p,
-                        chunk: k,
-                        range: level.chunk_range(p, k),
-                    });
-                }
-            }
-        }
+        let runs = level.chunk_runs(masks.map(|m| &m[idx][..]));
+        // `run_ranges` is plane-major over the runs; label its entries so.
+        let labels = (lo..hi).flat_map(|p| runs.iter().map(move |&(k0, _)| (p, k0)));
+        let ranges = level.run_ranges(lo, hi, &runs);
+        reads.extend(labels.zip(ranges).map(|((plane, chunk), range)| ChunkRead {
+            level: idx,
+            plane,
+            chunk,
+            range,
+        }));
     }
     RangePlan {
         load: plan.clone(),
@@ -262,6 +261,41 @@ mod tests {
             roi.payload_bytes(),
             out.bytes_this_request - map.plan_base_bytes()
         );
+    }
+
+    #[test]
+    fn roi_lowering_emits_one_read_per_precinct_run_for_the_same_bytes() {
+        let field = ArrayD::from_fn(Shape::d2(96, 80), |c| {
+            (c[0] as f64 * 0.3).sin() + (c[1] as f64 * 0.2).cos() * 2.0
+        });
+        let c = compress(&field, 1e-7, &Config::with_precincts(&[8, 8])).unwrap();
+        let map = ContainerMap::from_compressed(&c);
+        let bounds = RoiBox::new(&[16, 8], &[56, 64]);
+        let request = RetrievalRequest::Roi {
+            bounds,
+            error_bound: 1e-4,
+        };
+        let plan = plan_request(&map, &[], request, None).unwrap();
+        // The expectation walks the chunk table chunk by chunk, the way the
+        // lowering used to.
+        let masks = ipcomp::roi_precinct_masks(&map.header, &bounds).unwrap();
+        let (mut runs, mut chunks, mut bytes) = (0, 0, 0);
+        for (idx, level) in map.levels.iter().enumerate() {
+            let lo = level.num_planes - plan.load.planes_loaded[idx];
+            for p in lo..level.num_planes {
+                runs += level.chunk_runs(Some(&masks[idx])).len();
+                for k in (0..level.plane_chunk_count(p)).filter(|&k| masks[idx][k]) {
+                    chunks += 1;
+                    bytes += level.chunk_size(p, k);
+                }
+            }
+        }
+        assert_eq!(plan.request_count(), runs);
+        assert_eq!(plan.payload_bytes(), bytes);
+        assert!(runs * 3 <= chunks, "{runs} runs for {chunks} chunks");
+        for w in plan.reads.windows(2) {
+            assert!(w[1].range.offset >= w[0].range.end());
+        }
     }
 
     #[test]

@@ -5,6 +5,8 @@
 
 use std::sync::Arc;
 
+use rand::{Rng, SeedableRng};
+
 use ipc_store::testutil::test_source;
 use ipc_store::{
     field_checksum, plan_request, ContainerStore, Fault, SimProfile, SimStats,
@@ -554,5 +556,106 @@ fn top_plane_protection_shields_the_coarse_prefix_from_a_full_sweep() {
     assert!(
         pin_hit_rate > lru_hit_rate && pin_hit_rate >= 0.5,
         "post-sweep coarse retrieval should mostly hit: {pin_hit_rate:.3} vs {lru_hit_rate:.3}"
+    );
+}
+
+/// Requests and bytes one `open` call costs over an accounting-only object
+/// store on the environment's backend (`IPC_STORE_FORCE_FILE=1` serves it by
+/// positioned reads), plus what it returned.
+fn open_traffic<T>(
+    bytes: Vec<u8>,
+    open: impl FnOnce(&dyn ChunkSource) -> ipcomp::Result<T>,
+) -> (T, SimStats) {
+    let sim = SimulatedObjectStore::new(test_source(bytes), SimProfile::free());
+    let opened = open(&sim).unwrap();
+    (opened, sim.stats())
+}
+
+fn fixture(name: &str) -> Vec<u8> {
+    let path = std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
+        .join("../../tests/fixtures")
+        .join(name);
+    std::fs::read(&path).unwrap_or_else(|e| panic!("read fixture {}: {e}", path.display()))
+}
+
+/// Opening a container is one probe GET, plus one for the rest of the
+/// metadata block when the prelude says it is longer than the probe —
+/// whatever the container's size, chunk count or backend. The interleaved
+/// layouts keep the record-by-record walk, at the request counts they always
+/// cost.
+#[test]
+fn open_costs_at_most_two_gets() {
+    const PROBE: u64 = 4096;
+    let open_map = |s: &dyn ChunkSource| ContainerMap::open(s);
+
+    // Block inside the probe: exactly one GET, of the probe's size.
+    let c = container();
+    let (map, stats) = open_traffic(c.to_bytes(), open_map);
+    assert!((map.base_bytes() as u64) <= PROBE);
+    assert_eq!((stats.requests, stats.bytes), (1, PROBE));
+    assert_eq!(map, ContainerMap::from_compressed(&c));
+    // A container smaller than the probe is fetched whole by it.
+    let small = ArrayD::from_fn(Shape::d3(12, 12, 10), |c| {
+        (c[0] + c[1] * c[2]) as f64 * 0.01
+    });
+    let small = compress(&small, 1e-7, &Config::default())
+        .unwrap()
+        .to_bytes();
+    let (_, stats) = open_traffic(small.clone(), open_map);
+    assert_eq!((stats.requests, stats.bytes), (1, small.len() as u64));
+
+    // A dense v2 chunk index and a v3 container of 1 024 precincts: tens of
+    // thousands of index entries, still never more than two GETs.
+    let noisy = ArrayD::from_fn(Shape::d2(256, 256), |c| {
+        let h = ((c[0] * 73856093) ^ (c[1] * 19349663)) as u64;
+        (c[0] as f64 * 0.11).sin() * 3.0 + (h.wrapping_mul(0x9e3779b97f4a7c15) >> 40) as f64 * 1e-9
+    });
+    let dense = Config {
+        chunk_bytes: 8,
+        ..Config::default()
+    };
+    for config in [dense, Config::with_precincts(&[8, 8])] {
+        let c = compress(&noisy, 1e-7, &config).unwrap();
+        let (map, stats) = open_traffic(c.to_bytes(), open_map);
+        assert!(map.levels.last().unwrap().plane_chunk_count(0) >= 256);
+        assert!(stats.requests <= 2 && stats.bytes <= PROBE.max(map.base_bytes() as u64));
+        assert_eq!(map, ContainerMap::from_compressed(&c));
+    }
+
+    // Block past the probe (here an anchor block that alone outgrows it, as
+    // a large 3-D field's does): the probe, then one GET of exactly the
+    // remainder — on the file backend too.
+    let mut c = container();
+    let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(21);
+    c.anchors = (0..3 * PROBE).map(|_| rng.gen()).collect();
+    let (map, stats) = open_traffic(c.to_bytes(), open_map);
+    assert!(map.base_bytes() as u64 > 3 * PROBE);
+    assert_eq!((stats.requests, stats.bytes), (2, map.base_bytes() as u64));
+    assert_eq!(map, ContainerMap::from_compressed(&c));
+
+    // Archives: the framing prefix, then each embedded container's open.
+    let (archive, stats) = open_traffic(fixture("container_v4_packed.bin"), |s| {
+        ipcomp::ArchiveMap::open(s)
+    });
+    let entries = (archive.num_steps() * archive.variables().len()) as u64;
+    // At most two per step; here every step's block fits its probe.
+    assert_eq!(stats.requests, 1 + entries, "{stats:?}");
+
+    // The read-only layouts open at the cost they had before the packed one
+    // existed (requests and bytes measured at the last commit that wrote them).
+    for (name, requests, bytes) in [
+        ("container_v1.bin", 2, 5681),
+        ("container_v2.bin", 1, 4096),
+        ("container_v2_chunked.bin", 1, 4096),
+        ("container_v3.bin", 2, 8192),
+    ] {
+        let (_, stats) = open_traffic(fixture(name), open_map);
+        assert_eq!((stats.requests, stats.bytes), (requests, bytes), "{name}");
+    }
+    let (_, stats) = open_traffic(fixture("container_v4.bin"), |s| ipcomp::ArchiveMap::open(s));
+    assert_eq!(
+        (stats.requests, stats.bytes),
+        (5, 19690),
+        "container_v4.bin"
     );
 }

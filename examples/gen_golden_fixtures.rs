@@ -6,9 +6,12 @@
 //!
 //! Run with `cargo run --example gen_golden_fixtures` after an *intentional*
 //! container format change, and commit the updated fixtures together with the
-//! format bump. `container_v1.bin` is frozen output of the version-1 writer
-//! (removed when the format moved to v2) and can no longer be regenerated;
-//! this tool refuses to overwrite it.
+//! format bump. It writes the `*_packed.bin` files — the current writer's
+//! layout — and `expected_values.bin`. The five unsuffixed containers are
+//! frozen output of writers that no longer exist (`container_v1.bin` of the
+//! version-1 writer, `container_v2.bin` … `container_v4.bin` of the
+//! interleaved-layout writer): read pins that cannot be regenerated, which
+//! this tool never touches.
 
 use ipcomp_suite::core::{compress, ArchiveBuilder, ArchiveConfig, Config};
 use ipcomp_suite::tensor::{ArrayD, Shape};
@@ -59,8 +62,8 @@ fn main() {
 
     let c = compress(&field, GOLDEN_EB, &Config::default()).unwrap();
     let bytes = c.to_bytes();
-    std::fs::write(dir.join("container_v2.bin"), &bytes).unwrap();
-    println!("container_v2.bin: {} bytes", bytes.len());
+    std::fs::write(dir.join("container_v2_packed.bin"), &bytes).unwrap();
+    println!("container_v2_packed.bin: {} bytes", bytes.len());
 
     // Same field with a tiny chunk size, so the fixture pins the multi-chunk
     // index layout that full-size planes (> 64 KiB packed) produce.
@@ -70,8 +73,11 @@ fn main() {
     };
     let chunked = compress(&field, GOLDEN_EB, &chunked_config).unwrap();
     let chunked_bytes = chunked.to_bytes();
-    std::fs::write(dir.join("container_v2_chunked.bin"), &chunked_bytes).unwrap();
-    println!("container_v2_chunked.bin: {} bytes", chunked_bytes.len());
+    std::fs::write(dir.join("container_v2_chunked_packed.bin"), &chunked_bytes).unwrap();
+    println!(
+        "container_v2_chunked_packed.bin: {} bytes",
+        chunked_bytes.len()
+    );
 
     // Version-3 precinct layout of the same field: ragged final precincts
     // along every axis (20 = 8+8+4, 16 = 6+6+4, 12 = 5+5+2). Pins the
@@ -79,8 +85,8 @@ fn main() {
     // index.
     let tiled = compress(&field, GOLDEN_EB, &Config::with_precincts(&[8, 6, 5])).unwrap();
     let tiled_bytes = tiled.to_bytes();
-    std::fs::write(dir.join("container_v3.bin"), &tiled_bytes).unwrap();
-    println!("container_v3.bin: {} bytes", tiled_bytes.len());
+    std::fs::write(dir.join("container_v3_packed.bin"), &tiled_bytes).unwrap();
+    println!("container_v3_packed.bin: {} bytes", tiled_bytes.len());
 
     let decoded = c.decompress().unwrap();
     let mut value_bytes = Vec::with_capacity(decoded.len() * 8);
@@ -102,6 +108,6 @@ fn main() {
         builder.push_step(std::slice::from_ref(f)).unwrap();
     }
     let archive = builder.finish().unwrap();
-    std::fs::write(dir.join("container_v4.bin"), &archive).unwrap();
-    println!("container_v4.bin: {} bytes", archive.len());
+    std::fs::write(dir.join("container_v4_packed.bin"), &archive).unwrap();
+    println!("container_v4_packed.bin: {} bytes", archive.len());
 }

@@ -17,16 +17,25 @@
 //!   allocation (the decode paths cap every allocation by what the header
 //!   geometry admits).
 //!
+//! * **Packed-layout forgeries** — the prelude's packed and unpacked lengths,
+//!   the layout flag, and a metadata block re-packed around a patched record
+//!   (short, long, chunk sizes overrunning the source): each must be refused
+//!   by name, the lengths before the unpacked buffer is allocated.
+//!
 //! Everything runs on a freshly written container and on every committed
-//! fixture version (v1, v2, v2 multi-chunk, v3 precincts), through both
-//! entry points of the one parser: the resident `Compressed::from_bytes` +
-//! `decompress`, and the ranged `ContainerMap::open` + `retrieve(Full)` a
-//! remote store runs. Truncations and forged lengths additionally go through
-//! `ArchiveMap::open` on the v4 archive fixture.
+//! fixture (v1, and v2, v2 multi-chunk and v3 precincts in both the
+//! interleaved and the packed layout), through both entry points of the one
+//! parser: the resident `Compressed::from_bytes` + `decompress`, and the
+//! ranged `ContainerMap::open` + `retrieve(Full)` a remote store runs.
+//! Truncations and forged lengths additionally go through `ArchiveMap::open`
+//! on both v4 archive fixtures.
 
+use ipcomp_suite::codecs::lzr::lzr_decompress;
+use ipcomp_suite::codecs::lzr_compress;
+use ipcomp_suite::codecs::varint::{varint_len, write_varint};
 use ipcomp_suite::core::{
-    compress, ArchiveMap, Compressed, Config, IpcompError, MemorySource, ProgressiveDecoder,
-    RetrievalRequest,
+    compress, ArchiveMap, Compressed, Config, ContainerMap, IpcompError, MemorySource,
+    ProgressiveDecoder, RetrievalRequest,
 };
 use ipcomp_suite::tensor::{ArrayD, Shape};
 
@@ -58,18 +67,22 @@ fn fixture(name: &str) -> Vec<u8> {
 /// v3, cost three times as much per decode), so they stride the payload to
 /// keep the suite's runtime bounded. Metadata bytes are never strided.
 fn containers() -> Vec<(&'static str, Vec<u8>, usize)> {
-    vec![
-        ("fresh v2", real_container_bytes(), 1),
-        ("container_v1.bin", fixture("container_v1.bin"), 1),
-        ("container_v2.bin", fixture("container_v2.bin"), 4),
-        (
-            "container_v2_chunked.bin",
-            fixture("container_v2_chunked.bin"),
-            4,
-        ),
-        ("container_v3.bin", fixture("container_v3.bin"), 8),
+    [
+        ("container_v1.bin", 1),
+        ("container_v2.bin", 4),
+        ("container_v2_chunked.bin", 4),
+        ("container_v3.bin", 8),
+        ("container_v2_packed.bin", 4),
+        ("container_v2_chunked_packed.bin", 4),
+        ("container_v3_packed.bin", 8),
     ]
+    .into_iter()
+    .map(|(name, stride)| (name, fixture(name), stride))
+    .chain([("fresh v2", real_container_bytes(), 1)])
+    .collect()
 }
+
+const ARCHIVES: [&str; 2] = ["container_v4.bin", "container_v4_packed.bin"];
 
 type Decode = fn(&[u8]) -> Result<Vec<f64>, IpcompError>;
 
@@ -141,13 +154,15 @@ fn every_truncation_is_rejected() {
     }
     // Any cut of an archive strands a directory entry past the end or
     // truncates an embedded container's metadata or payload.
-    let archive = fixture("container_v4.bin");
-    for cut in truncation_cuts(archive.len()) {
-        assert!(
-            try_open_archive(&archive[..cut]).is_err(),
-            "archive truncation at {cut}/{} opened successfully",
-            archive.len()
-        );
+    for name in ARCHIVES {
+        let archive = fixture(name);
+        for cut in truncation_cuts(archive.len()) {
+            assert!(
+                try_open_archive(&archive[..cut]).is_err(),
+                "{name}: truncation at {cut}/{} opened successfully",
+                archive.len()
+            );
+        }
     }
 }
 
@@ -231,13 +246,184 @@ fn forged_length_fields_are_rejected_without_oom() {
     // The archive framing is fixed-width, so a splice shifts every later
     // field: step/variable counts, directory offsets and lengths, and the
     // embedded containers' own metadata all get forged in turn.
-    let archive = fixture("container_v4.bin");
-    for offset in 8..400 {
-        assert!(
-            try_open_archive(&spliced(&archive, offset, &huge)).is_err(),
-            "archive: forged varint at {offset} opened successfully"
+    for name in ARCHIVES {
+        let archive = fixture(name);
+        for offset in 8..400 {
+            assert!(
+                try_open_archive(&spliced(&archive, offset, &huge)).is_err(),
+                "{name}: forged varint at {offset} opened successfully"
+            );
+        }
+    }
+}
+
+/// The packed containers of [`containers`].
+fn packed_containers() -> impl Iterator<Item = (&'static str, Vec<u8>)> {
+    let is_packed = |bytes: &[u8]| bytes[5] == 1;
+    containers()
+        .into_iter()
+        .filter(move |(_, bytes, _)| is_packed(bytes))
+        .map(|(name, bytes, _)| (name, bytes))
+}
+
+/// The prelude's `(packed, unpacked)` metadata-block lengths.
+fn prelude_lengths(bytes: &[u8]) -> (usize, usize) {
+    let word = |at: usize| u32::from_le_bytes(bytes[at..at + 4].try_into().unwrap()) as usize;
+    (word(8), word(12))
+}
+
+/// `bytes` with the prelude's lengths overwritten.
+fn with_prelude_lengths(bytes: &[u8], packed: u64, unpacked: u64) -> Vec<u8> {
+    let mut out = bytes.to_vec();
+    out[8..12].copy_from_slice(&(packed as u32).to_le_bytes());
+    out[12..16].copy_from_slice(&(unpacked as u32).to_le_bytes());
+    out
+}
+
+/// A packed container rebuilt around an edited metadata block: the block is
+/// unpacked, handed to `edit`, re-packed, and the prelude restated to match
+/// — so the only thing wrong with the result is what `edit` did.
+fn repacked(bytes: &[u8], edit: impl FnOnce(&mut Vec<u8>)) -> Vec<u8> {
+    let (packed, unpacked) = prelude_lengths(bytes);
+    let mut meta = lzr_decompress(&bytes[16..16 + packed]).unwrap();
+    assert_eq!(meta.len(), unpacked);
+    edit(&mut meta);
+    let block = lzr_compress(&meta);
+    let front = with_prelude_lengths(&bytes[..16], block.len() as u64, meta.len() as u64);
+    [&front[..], &block[..], &bytes[16 + packed..]].concat()
+}
+
+/// Both entry points must refuse `bytes`: with a `CorruptContainer` naming
+/// `reason`, with a codec error when `reason` is `"codec"`, or — where which
+/// check fires first depends on the entropy mode of the block — with any
+/// error when `reason` is empty.
+fn assert_refused(name: &str, case: &str, bytes: &[u8], reason: &str) {
+    for (entry, decode) in ENTRY_POINTS {
+        match decode(bytes).map(|values| values.len()) {
+            Err(_) if reason.is_empty() => {}
+            Err(IpcompError::Codec(_)) if reason == "codec" => {}
+            Err(IpcompError::CorruptContainer(why)) if why.contains(reason) => {}
+            other => panic!("{name} ({entry}): {case}: expected `{reason}`, got {other:?}"),
+        }
+    }
+}
+
+/// The prelude's two lengths, forged every way the format names: each is
+/// refused before the unpacked buffer is allocated (the huge claims below
+/// would otherwise be 4 GiB allocations).
+#[test]
+fn forged_prelude_lengths_are_rejected_before_allocation() {
+    for (name, bytes) in packed_containers() {
+        let (packed, unpacked) = prelude_lengths(&bytes);
+        let (p, u, len) = (packed as u64, unpacked as u64, bytes.len() as u64);
+        let cases: [(&str, u64, u64, &str); 9] = [
+            ("packed = 0", 0, u, "implausible metadata length"),
+            ("packed = 0, unpacked = 0", 0, 0, "codec"),
+            ("packed > source", len, u, "metadata block outruns buffer"),
+            ("packed = u32::MAX", u32::MAX as u64, u, "outruns buffer"),
+            // One byte into the payload region: the block no longer ends
+            // where the packer stopped, and the payload no longer fits.
+            ("packed overlaps payload", p + 1, u, ""),
+            ("packed short by one", p - 1, u, ""),
+            // 2^17 bytes per packed byte is the stated ceiling.
+            ("unpacked over the bound", p, (p << 17) + 1, "implausible"),
+            ("unpacked = u32::MAX", p, u32::MAX as u64, ""),
+            ("unpacked short by one", p, u - 1, "codec"),
+        ];
+        for (case, packed, unpacked, reason) in cases {
+            let forged = with_prelude_lengths(&bytes, packed, unpacked);
+            assert_refused(name, case, &forged, reason);
+        }
+        // An in-bound unpacked claim the block does not fill is refused by
+        // the block's own length, having allocated nothing for the claim.
+        let forged = with_prelude_lengths(&bytes, p, u + 1);
+        assert_refused(
+            name,
+            "unpacked long by one",
+            &forged,
+            "disagrees with prelude",
         );
     }
+}
+
+/// A metadata block that is itself well-formed LZR but does not hold what the
+/// prelude and the payload region say it must.
+#[test]
+fn repacked_metadata_blocks_are_rejected() {
+    for (name, bytes) in packed_containers() {
+        // Unpacks short: the last record is cut.
+        let short = repacked(&bytes, |meta| meta.truncate(meta.len() - 1));
+        assert_refused(name, "block one byte short", &short, "");
+        // Unpacks long: bytes after the last level's index.
+        let long = repacked(&bytes, |meta| meta.push(0));
+        assert_refused(
+            name,
+            "trailing metadata",
+            &long,
+            "disagrees with its metadata",
+        );
+        // The block says version 3 − x where the prelude says x.
+        let other = repacked(&bytes, |meta| meta[4] = 5 - meta[4]);
+        assert_refused(name, "inner version", &other, "version disagrees");
+        // Chunk sizes whose prefix sum overruns the source: the final index
+        // entry (the last byte of the block) grown past the payload region.
+        let map = ContainerMap::open(&MemorySource::new(bytes.clone())).unwrap();
+        let last = map.levels.last().unwrap();
+        let size = last.chunk_size(last.num_planes - 1, last.plane_chunk_count(0) - 1);
+        let overrun = repacked(&bytes, |meta| {
+            meta.truncate(meta.len() - varint_len(size as u64));
+            write_varint(meta, size as u64 + 1);
+        });
+        assert_refused(
+            name,
+            "prefix sum overruns",
+            &overrun,
+            "chunk payload outruns buffer",
+        );
+        // One byte of payload more than the index accounts for.
+        let trailing = [&bytes[..], &[0u8]].concat();
+        assert_refused(
+            name,
+            "trailing payload",
+            &trailing,
+            "disagrees with its metadata",
+        );
+    }
+}
+
+/// The layout flag on the wrong bytes: cleared on a packed container (the
+/// prelude's lengths are then read as header varints), set on every
+/// interleaved fixture (the header is then read as a prelude), and set on
+/// version 1, which predates it.
+#[test]
+fn layout_flag_on_the_wrong_bytes_is_rejected() {
+    for (name, bytes, _) in containers() {
+        let mut flipped = bytes.clone();
+        flipped[5] ^= 1;
+        for (entry, decode) in ENTRY_POINTS {
+            assert!(
+                decode(&flipped).is_err(),
+                "{name} ({entry}): decoded with the layout flag flipped"
+            );
+        }
+    }
+    let mut v1 = fixture("container_v1.bin");
+    v1[5] = 1;
+    assert_refused(
+        "container_v1.bin",
+        "packed flag",
+        &v1,
+        "unsupported version",
+    );
+    // Layout bits the reader does not know are not ignored.
+    let mut unknown = fixture("container_v2_packed.bin");
+    unknown[6] = 1;
+    assert_refused(
+        "container_v2_packed.bin",
+        "reserved bits",
+        &unknown,
+        "unsupported version",
+    );
 }
 
 /// Truncating, flipping, and forging the *anchor block* specifically — it is

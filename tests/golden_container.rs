@@ -6,34 +6,36 @@
 //! * `container_v1.bin` — frozen output of the version-1 writer (PR 1,
 //!   monolithic Huffman plane blocks). It can no longer be regenerated; the
 //!   current reader must keep decoding it to the exact same values forever.
-//! * `container_v2.bin` / `container_v2_chunked.bin` — output of the current
-//!   version-2 writer at the default and a tiny chunk size. Encoding the
-//!   deterministic golden field must reproduce them byte for byte, so any
-//!   accidental format change fails here instead of corrupting archives in
-//!   the wild.
-//! * `container_v3.bin` — output of the version-3 precinct-major writer
-//!   (`Config::with_precincts(&[8, 6, 5])`, ragged final precincts on every
-//!   axis). Re-encoding must reproduce it byte for byte, it must decode to
-//!   the same values, and region retrievals from it must equal crops of
-//!   those values.
+//! * `container_v2.bin` / `container_v2_chunked.bin` / `container_v3.bin` /
+//!   `container_v4.bin` — frozen output of the interleaved-layout writer
+//!   (level records alternating with payload; version 2 at the default and a
+//!   tiny chunk size, the version-3 precinct layout of
+//!   `Config::with_precincts(&[8, 6, 5])`, the version-4 archive embedding
+//!   such containers). Like v1 they are read pins: no writer produces them
+//!   any more and the reader must keep decoding them to the same values.
+//! * `container_v2_packed.bin` / `container_v2_chunked_packed.bin` /
+//!   `container_v3_packed.bin` / `container_v4_packed.bin` — the same four
+//!   encodes from the current writer (packed layout: prelude, LZR-packed
+//!   metadata block, then all payload). Encoding the deterministic golden
+//!   field must reproduce them byte for byte, so any accidental format change
+//!   fails here instead of corrupting archives in the wild; they decode to
+//!   the same values, and their chunk payload is byte-identical to their
+//!   interleaved twins' — only where the entropy streams sit changed.
 //! * `expected_values.bin` — the bit-exact `f64` reconstruction all of the
-//!   containers above must decode to.
-//! * `container_v4.bin` — output of the version-4 time-series archive writer
-//!   (4 drifting steps, keyframes every 2, residuals against the 2^-6
-//!   reference). Re-encoding the deterministic step fields must reproduce it
-//!   byte for byte, pinning the v4 framing alongside the v1–v3 layouts.
+//!   single-field containers above must decode to.
 //!
 //! The golden field uses only exact dyadic arithmetic (integer products
 //! scaled by powers of two), so every byte is reproducible across platforms.
-//! Regenerate the v2–v4 fixtures with `cargo run --example gen_golden_fixtures`
+//! Regenerate the packed fixtures with `cargo run --example gen_golden_fixtures`
 //! after an *intentional* format bump, and commit them with it.
 
 use std::sync::Arc;
 
+use ipcomp_suite::core::container::LAYOUT_PACKED;
 use ipcomp_suite::core::{
     composition_reference, compress, ArchiveBuilder, ArchiveConfig, ArchiveMap, ArchiveReader,
-    ArchiveRequest, Compressed, Config, MemorySource, ProgressiveDecoder, RetrievalRequest, RoiBox,
-    StepKind,
+    ArchiveRequest, Compressed, Config, ContainerMap, MemorySource, ProgressiveDecoder,
+    RetrievalRequest, RoiBox, StepKind,
 };
 use ipcomp_suite::tensor::{ArrayD, Shape};
 
@@ -65,12 +67,22 @@ fn expected_values() -> Vec<f64> {
         .collect()
 }
 
+/// The (interleaved, packed) fixture pairs of the single-field containers.
+const FIXTURE_PAIRS: [(&str, &str); 3] = [
+    ("container_v2.bin", "container_v2_packed.bin"),
+    (
+        "container_v2_chunked.bin",
+        "container_v2_chunked_packed.bin",
+    ),
+    ("container_v3.bin", "container_v3_packed.bin"),
+];
+
 /// The current writer must reproduce the committed v2 fixture byte for byte.
 #[test]
 fn v2_encode_is_byte_exact() {
     let c = compress(&golden_field(), GOLDEN_EB, &Config::default()).unwrap();
     let bytes = c.to_bytes();
-    let golden = fixture("container_v2.bin");
+    let golden = fixture("container_v2_packed.bin");
     assert_eq!(
         bytes.len(),
         golden.len(),
@@ -80,8 +92,8 @@ fn v2_encode_is_byte_exact() {
         bytes == golden,
         "serialized bytes changed — container format drifted"
     );
-    // And the fixture is a version-2 container.
-    assert_eq!(&golden[4..8], &2u32.to_le_bytes());
+    // And the fixture is a version-2 container in the packed layout.
+    assert_eq!(&golden[4..8], &(2 | LAYOUT_PACKED).to_le_bytes());
 }
 
 /// Same guarantee for the multi-chunk index layout.
@@ -92,7 +104,7 @@ fn v2_chunked_encode_is_byte_exact() {
         ..Config::default()
     };
     let c = compress(&golden_field(), GOLDEN_EB, &config).unwrap();
-    let golden = fixture("container_v2_chunked.bin");
+    let golden = fixture("container_v2_chunked_packed.bin");
     assert!(
         c.to_bytes() == golden,
         "chunk-index serialization changed — container format drifted"
@@ -118,24 +130,29 @@ const GOLDEN_PRECINCTS: [usize; 3] = [8, 6, 5];
 fn v3_encode_is_byte_exact() {
     let config = Config::with_precincts(&GOLDEN_PRECINCTS);
     let c = compress(&golden_field(), GOLDEN_EB, &config).unwrap();
-    let golden = fixture("container_v3.bin");
+    let golden = fixture("container_v3_packed.bin");
     assert!(
         c.to_bytes() == golden,
         "precinct-layout serialization changed — container format drifted"
     );
-    assert_eq!(&golden[4..8], &3u32.to_le_bytes());
+    assert_eq!(&golden[4..8], &(3 | LAYOUT_PACKED).to_le_bytes());
     assert_eq!(
         Compressed::from_bytes(&golden).unwrap().header.precincts,
         Some(GOLDEN_PRECINCTS.to_vec())
     );
 }
 
-/// Region retrievals from the v3 fixture — an interior box and one on the
+/// Region retrievals from the v3 fixtures — an interior box and one on the
 /// far domain edge, resident and ranged — equal crops of the committed
 /// reconstruction (the expectation never comes from `retrieve_roi` itself).
 #[test]
 fn v3_fixture_regions_equal_crops_of_expected_values() {
-    let golden = fixture("container_v3.bin");
+    for name in ["container_v3.bin", "container_v3_packed.bin"] {
+        v3_regions_equal_crops(fixture(name));
+    }
+}
+
+fn v3_regions_equal_crops(golden: Vec<u8>) {
     let expected = expected_values();
     let c = Compressed::from_bytes(&golden).unwrap();
     let source = MemorySource::new(golden);
@@ -165,19 +182,62 @@ fn v3_fixture_regions_equal_crops_of_expected_values() {
     }
 }
 
-/// The v2 and v3 fixtures re-decode losslessly to the committed
-/// reconstruction.
+/// The v2 and v3 fixtures, interleaved and packed, re-decode losslessly to
+/// the committed reconstruction.
 #[test]
 fn v2_fixtures_decode_to_expected_values() {
     let expected = expected_values();
-    for name in [
-        "container_v2.bin",
-        "container_v2_chunked.bin",
-        "container_v3.bin",
-    ] {
+    for name in FIXTURE_PAIRS.iter().flat_map(|&(old, new)| [old, new]) {
         let c = Compressed::from_bytes(&fixture(name)).unwrap();
         let decoded = c.decompress().unwrap();
         assert_eq!(decoded.as_slice(), &expected[..], "{name}");
+    }
+}
+
+/// Every chunk of a serialized container, concatenated in index order, read
+/// at the offsets its map records.
+fn chunk_payload(bytes: &[u8]) -> Vec<u8> {
+    let map = ContainerMap::open(&MemorySource::new(bytes.to_vec())).unwrap();
+    let mut payload = Vec::new();
+    for level in &map.levels {
+        for r in level.run_ranges(0, level.num_planes, &level.chunk_runs(None)) {
+            payload.extend_from_slice(&bytes[r.offset as usize..r.end() as usize]);
+        }
+    }
+    payload
+}
+
+/// The packed layout moved the entropy streams, it did not change them: the
+/// chunk payload of each packed fixture is its interleaved twin's byte for
+/// byte, and sits in one piece after the metadata block. The same holds for
+/// every container the two archive fixtures embed.
+#[test]
+fn packed_and_interleaved_fixtures_share_chunk_payload() {
+    let mut pairs: Vec<(String, Vec<u8>, Vec<u8>)> = FIXTURE_PAIRS
+        .iter()
+        .map(|&(old, new)| (new.to_string(), fixture(old), fixture(new)))
+        .collect();
+    let (old, new) = (
+        fixture("container_v4.bin"),
+        fixture("container_v4_packed.bin"),
+    );
+    let entries = |bytes: &[u8]| -> Vec<Vec<u8>> {
+        let map = ArchiveMap::open(&MemorySource::new(bytes.to_vec())).unwrap();
+        (0..map.num_steps())
+            .map(|s| map.entry(s, 0))
+            .map(|e| bytes[e.offset as usize..(e.offset + e.len) as usize].to_vec())
+            .collect()
+    };
+    for (step, (o, n)) in entries(&old).into_iter().zip(entries(&new)).enumerate() {
+        pairs.push((format!("container_v4_packed.bin step {step}"), o, n));
+    }
+    assert_eq!(pairs.len(), 3 + 4);
+    for (name, old, new) in pairs {
+        let payload = chunk_payload(&new);
+        assert!(!payload.is_empty(), "{name}");
+        assert!(payload == chunk_payload(&old), "{name}: payload drifted");
+        assert!(new.ends_with(&payload), "{name}: payload not contiguous");
+        assert!(new.len() < old.len(), "{name}: packing must not grow it");
     }
 }
 
@@ -259,7 +319,7 @@ fn v4_archive_encode_is_byte_exact() {
         builder.push_step(std::slice::from_ref(f)).unwrap();
     }
     let bytes = builder.finish().unwrap();
-    let golden = fixture("container_v4.bin");
+    let golden = fixture("container_v4_packed.bin");
     assert_eq!(
         bytes.len(),
         golden.len(),
@@ -274,13 +334,17 @@ fn v4_archive_encode_is_byte_exact() {
     assert_eq!(&golden[4..8], &4u32.to_le_bytes());
 }
 
-/// The committed v4 fixture parses, exposes the expected framing, embeds a
-/// keyframe container byte-identical to the standalone writer's output, and
-/// every step decodes bit-identically to the independent-encoding
-/// composition.
+/// The committed v4 fixtures parse, expose the expected framing, and every
+/// step decodes bit-identically to the independent-encoding composition; the
+/// packed one embeds a keyframe container byte-identical to the standalone
+/// writer's output.
 #[test]
 fn v4_fixture_decodes_to_independent_composition() {
-    let golden = fixture("container_v4.bin");
+    v4_decodes_to_independent_composition(fixture("container_v4.bin"), false);
+    v4_decodes_to_independent_composition(fixture("container_v4_packed.bin"), true);
+}
+
+fn v4_decodes_to_independent_composition(golden: Vec<u8>, current_writer: bool) {
     let fields = golden_archive_fields();
     let config = golden_archive_config();
 
@@ -306,8 +370,8 @@ fn v4_fixture_decodes_to_independent_composition() {
         .unwrap()
         .to_bytes();
     assert_eq!(
-        &golden[e.offset as usize..(e.offset + e.len) as usize],
-        &standalone[..],
+        golden[e.offset as usize..(e.offset + e.len) as usize] == standalone[..],
+        current_writer,
         "embedded keyframe container drifted from the standalone writer"
     );
 
