@@ -74,7 +74,10 @@ pub fn truncation_loss(bits: u64, d: u32) -> i64 {
         return 0;
     }
     let kept = truncate_negabinary(bits, d);
-    from_negabinary(bits) - from_negabinary(kept)
+    // Both terms wrap for words beyond the 64-bit negabinary range (a code
+    // near `i64::MAX` sets bit 63); their difference, the low planes' value,
+    // always fits.
+    from_negabinary(bits).wrapping_sub(from_negabinary(kept))
 }
 
 /// Worst-case absolute reconstruction error when the `d` lowest negabinary bitplanes
@@ -176,6 +179,20 @@ mod tests {
                 let kept = from_negabinary(truncate_negabinary(nb, d));
                 let loss = truncation_loss(nb, d);
                 assert_eq!(kept + loss, v, "v={v} d={d}");
+            }
+        }
+    }
+
+    #[test]
+    fn truncation_loss_of_words_past_the_i64_range_is_the_low_planes_value() {
+        for v in [i64::MAX, i64::MIN, i64::MAX - 12345, i64::MIN + 77] {
+            let nb = to_negabinary(v);
+            for d in 0..64u32 {
+                assert_eq!(
+                    truncation_loss(nb, d),
+                    from_negabinary(nb & ((1u64 << d) - 1)),
+                    "v={v} d={d}"
+                );
             }
         }
     }

@@ -84,10 +84,24 @@
 //! tests and the `reference-scalar` feature) shares the region scheme and the
 //! chunked entropy stage, so payloads remain byte-identical between the two.
 //!
-//! Truncation-loss metadata is unaffected by any of this: `trunc_loss` is computed
-//! from the *raw* negabinary words before prediction, and prediction permutes only
-//! how plane bits are stored, not which planes exist or what discarding them does
-//! to a reconstruction.
+//! # One pass in front of the slicer
+//!
+//! Everything the encoder does per coefficient *before* slicing happens in one
+//! trip over the level's codes: negabinary conversion, the OR that gives the
+//! plane count, the truncation-loss scan (`LevelScan`: a presence map of low
+//! 16-bit patterns plus a per-word sweep of the high bits) and the whole-word
+//! prediction, whose output — the predicted words — is the only level-sized
+//! array the encoder allocates. The staged public functions
+//! ([`ipc_codecs::negabinary::to_negabinary_slice`],
+//! [`ipc_codecs::negabinary::required_bitplanes_words`],
+//! [`truncation_loss_table`], [`ipc_codecs::bitslice::slice_planes`]) remain
+//! the definition the pass is tested against; [`truncation_loss_table`] is the
+//! same scan run on its own.
+//!
+//! Truncation-loss metadata is unaffected by prediction or chunking: `trunc_loss`
+//! is computed from the *raw* negabinary words before prediction, and prediction
+//! permutes only how plane bits are stored, not which planes exist or what
+//! discarding them does to a reconstruction.
 //!
 //! The per-level metadata records the exact worst-case truncation loss
 //! `‖δy_l(b)‖∞` for every possible number of discarded planes `b`, which is what the
@@ -96,7 +110,7 @@
 use std::sync::Arc;
 
 use ipc_codecs::bitslice::slice_planes;
-use ipc_codecs::negabinary::{required_bitplanes_words, to_negabinary_slice, truncation_loss};
+use ipc_codecs::negabinary::{from_negabinary, to_negabinary, truncation_loss};
 use ipc_codecs::{lzr_compress, CodecError};
 use rayon::prelude::*;
 
@@ -374,11 +388,14 @@ impl EncodedLevel {
 /// bit `p` of the result is `raw_p ⊕ raw_{p+1} ⊕ … ⊕ raw_{p+prefix_bits}`.
 #[inline(always)]
 fn predict_word(w: u64, prefix_bits: u8) -> u64 {
-    let mut enc = w;
-    for k in 1..=prefix_bits as u32 {
-        enc ^= w >> k;
+    // The widths in use (the default is 2) spelled out: a variable-trip loop
+    // per word cost the encoder's front end a quarter of its time.
+    match prefix_bits {
+        0 => w,
+        1 => w ^ (w >> 1),
+        2 => w ^ (w >> 1) ^ (w >> 2),
+        _ => (1..=prefix_bits as u32).fold(w, |enc, k| enc ^ (w >> k)),
     }
-    enc
 }
 
 /// Exact (not monotonized) maximum `|truncation_loss|` over `nb` for one
@@ -390,7 +407,7 @@ fn max_masked_loss(nb: &[u64], b: usize) -> u64 {
     let mask = (1u64 << b) - 1;
     let mut exact = 0u64;
     for &w in nb {
-        exact = exact.max(ipc_codecs::negabinary::from_negabinary(w & mask).unsigned_abs());
+        exact = exact.max(from_negabinary(w & mask).unsigned_abs());
     }
     debug_assert_eq!(
         exact,
@@ -402,9 +419,116 @@ fn max_masked_loss(nb: &[u64], b: usize) -> u64 {
     exact
 }
 
-/// Bitmask over low-16-bit patterns present in `nb`: word `i` of the result has
-/// bit `j` set iff pattern `64·i + j` occurs.
+/// Planes whose truncation loss is read off the low-bit presence map; the
+/// planes above it come from the per-word sweep (see [`LevelScan`]).
 const PATTERN_BITS: usize = 16;
+
+/// Everything the encoder needs from one look at each of a level's raw
+/// negabinary words, accumulated in a single pass: the OR of all words (the
+/// plane count), which low-16-bit patterns occur, and the largest masked
+/// value right after each set high bit. [`LevelScan::loss_table`] turns it
+/// into the truncation-loss table without going back to the words.
+///
+/// * **`b ≤ 16`** — the loss of discarding `b` planes depends only on the
+///   low 16 bits of each word, so the presence bitmap (8 KB) stands in for
+///   the level: the table entry is the largest `|value|` among the present
+///   `b`-bit patterns, and the `b − 1`-bit map is the `b`-bit map folded in
+///   half (dropping a pattern's top bit) — 2^17 pattern visits for all
+///   sixteen entries, however many coefficients there are.
+/// * **`b > 16`** — negabinary is positional, so a word's masked value grows
+///   by `±2^i` per set bit `i`, and between set bits `|value|` is constant —
+///   already covered by the running maximum. Each word therefore updates
+///   only the discard counts right after its set high bits; words whose high
+///   bits are all zero (most of a near-zero-centred residual distribution)
+///   cost one test.
+struct LevelScan {
+    all: u64,
+    /// Word `i`, bit `j` set iff a word's low bits are pattern `64·i + j`.
+    present: Vec<u64>,
+    /// `high[b]` for `b > PATTERN_BITS`: largest `|value of the low b
+    /// planes|` seen at a word whose bit `b − 1` is set.
+    high: [u64; 64],
+}
+
+impl LevelScan {
+    /// Bits the high sweep looks at. Bit 63 is beyond the format's plane cap
+    /// (and `2^63` beyond `i64`).
+    const HIGH: u64 = (u64::MAX >> 1) & !Self::LOW;
+    const LOW: u64 = (1 << PATTERN_BITS) - 1;
+
+    fn new() -> Self {
+        Self {
+            all: 0,
+            present: vec![0u64; 1 << (PATTERN_BITS - 6)],
+            high: [0; 64],
+        }
+    }
+
+    #[inline(always)]
+    fn add(&mut self, w: u64) {
+        self.all |= w;
+        let pat = (w & Self::LOW) as usize;
+        self.present[pat >> 6] |= 1u64 << (pat & 63);
+        let mut hi_bits = w & Self::HIGH;
+        if hi_bits != 0 {
+            let mut v = from_negabinary(w & Self::LOW);
+            while hi_bits != 0 {
+                let i = hi_bits.trailing_zeros() as usize;
+                hi_bits &= hi_bits - 1;
+                v += if i.is_multiple_of(2) {
+                    1i64 << i
+                } else {
+                    -(1i64 << i)
+                };
+                self.high[i + 1] = self.high[i + 1].max(v.unsigned_abs());
+            }
+        }
+    }
+
+    /// Significant planes of the scanned words, at the format's cap of 63.
+    fn num_planes(&self) -> u8 {
+        (64 - self.all.leading_zeros()).min(63) as u8
+    }
+
+    /// `table[b]`: worst-case loss of discarding the `b` lowest planes,
+    /// `b ≤ num_planes`, monotonized by a running maximum.
+    fn loss_table(mut self, num_planes: u8) -> Vec<u64> {
+        let n_planes = num_planes as usize;
+        let mut table = vec![0u64; n_planes + 1];
+        // Low planes, widest first, folding the map as the width shrinks.
+        for b in (1..=PATTERN_BITS).rev() {
+            let words = (1usize << b).div_ceil(64);
+            if b <= n_planes {
+                for (i, &bits) in self.present[..words].iter().enumerate() {
+                    let mut bits = bits;
+                    while bits != 0 {
+                        let pat = (i * 64) as u64 + bits.trailing_zeros() as u64;
+                        bits &= bits - 1;
+                        table[b] = table[b].max(from_negabinary(pat).unsigned_abs());
+                    }
+                }
+            }
+            if words > 1 {
+                let (lo, hi) = self.present.split_at_mut(words / 2);
+                for (l, &h) in lo.iter_mut().zip(&hi[..words / 2]) {
+                    *l |= h;
+                }
+            } else {
+                let half = 1u32 << (b - 1);
+                self.present[0] = (self.present[0] | (self.present[0] >> half)) & ((1 << half) - 1);
+            }
+        }
+        if n_planes > PATTERN_BITS {
+            table[PATTERN_BITS + 1..].copy_from_slice(&self.high[PATTERN_BITS + 1..=n_planes]);
+        }
+        let mut running = 0u64;
+        for slot in &mut table {
+            running = running.max(*slot);
+            *slot = running;
+        }
+        table
+    }
+}
 
 /// Worst-case truncation loss per discard count for a level's negabinary words,
 /// in code units; `table[b]` bounds the error of discarding the `b` lowest
@@ -412,24 +536,8 @@ const PATTERN_BITS: usize = 16;
 /// table is monotone: the optimizer then never sees "discarding more planes
 /// costs less error", even though individual negabinary words can momentarily
 /// cancel when a higher plane is dropped. Exposed for the benchmark harness;
-/// [`encode_level`] calls it internally.
-///
-/// Two fast paths keep the table exact without one full coefficient pass per
-/// plane:
-///
-/// * **`b ≤ 16`** — the loss depends only on the low 16 bits of each word, so
-///   one presence pass over the level replaces up to 16 full passes: per
-///   plane the (at most) 65536 distinct patterns are scanned instead of
-///   every coefficient. Small levels skip the table — a direct pass is
-///   cheaper than initializing 64 Ki pattern slots.
-/// * **`b > 16`** — a *single* sweep over the coefficients updates every
-///   high discard count at once: negabinary is positional, so the masked
-///   value grows incrementally by `±2^i` per set bit `i`, and between set
-///   bits `|value|` is constant — already covered by the running maximum.
-///   Words whose high bits are all zero contribute nothing beyond `b = 16`
-///   (their masked value stops changing) and are skipped outright, which on
-///   near-zero-centered residual distributions makes the sweep almost free.
-///   Levels with 30+ planes previously paid one full pass *per high plane*.
+/// the encoder accumulates the same scan (`LevelScan`) while it converts and
+/// predicts the words, so it never makes this pass on its own.
 ///
 /// # Panics
 ///
@@ -440,96 +548,29 @@ pub fn truncation_loss_table(nb: &[u64], num_planes: u8) -> Vec<u64> {
         num_planes <= 63,
         "the container format caps significant planes at 63"
     );
-    let n_planes = num_planes as usize;
-    let mut trunc_loss = vec![0u64; n_planes + 1];
-    if num_planes == 0 {
-        return trunc_loss;
+    let mut scan = LevelScan::new();
+    for &w in nb {
+        scan.add(w);
     }
-    let mut exact = vec![0u64; n_planes + 1];
-
-    // Low planes (b ≤ 16): presence-table scan when the level is large
-    // enough to amortize it, direct passes otherwise.
-    let low_top = n_planes.min(PATTERN_BITS);
-    let use_patterns = nb.len() >= (1 << PATTERN_BITS) && num_planes > 1;
-    if use_patterns {
-        let mut present = vec![0u64; 1 << (PATTERN_BITS - 6)];
-        for &w in nb {
-            let pat = (w as usize) & ((1 << PATTERN_BITS) - 1);
-            present[pat >> 6] |= 1u64 << (pat & 63);
-        }
-        for (b, slot) in exact.iter_mut().enumerate().take(low_top + 1).skip(1) {
-            let mask = (1u64 << b) - 1;
-            let mut best = 0u64;
-            for (i, &bits) in present.iter().enumerate() {
-                let mut bits = bits;
-                while bits != 0 {
-                    let j = bits.trailing_zeros() as usize;
-                    bits &= bits - 1;
-                    let pat = (i * 64 + j) as u64;
-                    best = best
-                        .max(ipc_codecs::negabinary::from_negabinary(pat & mask).unsigned_abs());
-                }
-            }
-            debug_assert_eq!(best, max_masked_loss(nb, b));
-            *slot = best;
-        }
-    } else {
-        for (b, slot) in exact.iter_mut().enumerate().take(low_top + 1).skip(1) {
-            *slot = max_masked_loss(nb, b);
-        }
-    }
-
-    // High planes (b > 16): one sweep, touching only words with live high
-    // bits and only the discard counts right after each set bit — every
-    // other candidate is constant since the previous one and the running
-    // maximum below subsumes it.
-    if n_planes > PATTERN_BITS {
-        let low_mask = (1u64 << PATTERN_BITS) - 1;
-        let live_mask = if n_planes == 64 {
-            !low_mask
-        } else {
-            ((1u64 << n_planes) - 1) & !low_mask
-        };
-        for &w in nb {
-            let mut hi_bits = w & live_mask;
-            if hi_bits == 0 {
-                continue;
-            }
-            let mut v = ipc_codecs::negabinary::from_negabinary(w & low_mask);
-            while hi_bits != 0 {
-                let i = hi_bits.trailing_zeros() as usize;
-                hi_bits &= hi_bits - 1;
-                v += if i.is_multiple_of(2) {
-                    1i64 << i
-                } else {
-                    -(1i64 << i)
-                };
-                exact[i + 1] = exact[i + 1].max(v.unsigned_abs());
-            }
-        }
-    }
-
-    let mut running = 0u64;
-    for (b, (slot, &e)) in trunc_loss.iter_mut().zip(exact.iter()).enumerate().skip(1) {
-        running = running.max(e);
-        *slot = running;
-        // The sweep records |masked value| only where a word's bits change;
-        // the running maximum must land on exactly the monotonized direct
-        // table (each skipped candidate equals an earlier recorded one).
-        debug_assert!(
-            b <= PATTERN_BITS || running >= max_masked_loss(nb, b),
-            "b={b}: sweep missed a candidate"
-        );
-    }
-    trunc_loss
+    let table = scan.loss_table(num_planes);
+    // The scan records |masked value| only where a word's bits change; the
+    // running maximum must land on exactly the monotonized direct table
+    // (each skipped candidate equals an earlier recorded one).
+    debug_assert!(
+        (1..table.len()).all(|b| table[b] == table[b - 1].max(max_masked_loss(nb, b))),
+        "scan missed a candidate"
+    );
+    table
 }
 
-/// The one level encoder: negabinary → plane count → truncation-loss table →
-/// whole-word prediction → per-region bit-slicing → one entropy call per
-/// `(plane, region)` → regroup plane-major. `scheme` says how the level is
-/// cut; the two public spellings below only build it. The returned level
-/// carries the neutral layout fields (`chunk_bytes: 0`, no spans), which each
-/// spelling overwrites with what its scheme was built from.
+/// The one level encoder: one pass over the codes (negabinary conversion,
+/// plane-count OR and truncation-loss scan, whole-word prediction — the
+/// predicted words are the only level-sized intermediate) → per-region
+/// bit-slicing → one entropy call per `(plane, region)` → regroup
+/// plane-major. `scheme` says how the level is cut; the two public spellings
+/// below only build it. The returned level carries the neutral layout fields
+/// (`chunk_bytes: 0`, no spans), which each spelling overwrites with what its
+/// scheme was built from.
 ///
 /// Every region is sliced on its own (padded to a byte boundary), so any
 /// region decodes from just its own chunks. For the uniform grid that is
@@ -542,14 +583,18 @@ fn encode_regions(
     parallel: bool,
     scheme: &RegionScheme,
 ) -> EncodedLevel {
-    let nb = to_negabinary_slice(codes);
-    let num_planes = required_bitplanes_words(&nb).min(63) as u8;
-    let trunc_loss = truncation_loss_table(&nb, num_planes);
-    let predicted: Vec<u64> = if predictive && prefix_bits > 0 {
-        nb.iter().map(|&w| predict_word(w, prefix_bits)).collect()
-    } else {
-        nb
-    };
+    let prefix_bits = if predictive { prefix_bits } else { 0 };
+    let mut scan = LevelScan::new();
+    let predicted: Vec<u64> = codes
+        .iter()
+        .map(|&c| {
+            let w = to_negabinary(c);
+            scan.add(w);
+            predict_word(w, prefix_bits)
+        })
+        .collect();
+    let num_planes = scan.num_planes();
+    let trunc_loss = scan.loss_table(num_planes);
 
     let n_regions = scheme.num_regions();
     let jobs: Vec<&[u64]> = (0..n_regions)
@@ -1519,6 +1564,127 @@ mod tests {
                     word, reference,
                     "precincts: prefix_bits={prefix_bits} predictive={predictive}"
                 );
+            }
+        }
+    }
+
+    /// The encoder's one-pass front end against the four stage functions the
+    /// benchmark replays, composed the way the encoder used to call them
+    /// (convert, count planes, loss table, predict, slice per region), and
+    /// the loss table additionally against direct per-plane passes.
+    #[test]
+    fn fused_front_end_matches_the_staged_public_functions() {
+        use ipc_codecs::negabinary::{required_bitplanes_words, to_negabinary_slice};
+        let staged = |codes: &[i64], prefix_bits: u8, predictive: bool, scheme: &RegionScheme| {
+            let nb = to_negabinary_slice(codes);
+            let num_planes = required_bitplanes_words(&nb).min(63) as u8;
+            let trunc_loss = truncation_loss_table(&nb, num_planes);
+            let mut running = 0u64;
+            for (b, &entry) in trunc_loss.iter().enumerate().skip(1) {
+                running = running.max(max_masked_loss(&nb, b));
+                assert_eq!(entry, running, "loss table entry {b}");
+            }
+            let shift = if predictive { prefix_bits as u32 } else { 0 };
+            let predicted: Vec<u64> = nb
+                .iter()
+                .map(|&w| (1..=shift).fold(w, |acc, s| acc ^ (w >> s)))
+                .collect();
+            let regions: Vec<Vec<Vec<u8>>> = (0..scheme.num_regions())
+                .map(|k| {
+                    slice_planes(
+                        &predicted[scheme.region_coeff_range(k)],
+                        num_planes as usize,
+                    )
+                })
+                .collect();
+            let planes: Vec<EncodedPlane> = (0..num_planes as usize)
+                .map(|p| EncodedPlane {
+                    chunks: regions
+                        .iter()
+                        .map(|r| {
+                            if r[p].is_empty() {
+                                Vec::new()
+                            } else {
+                                lzr_compress(&r[p])
+                            }
+                        })
+                        .collect(),
+                })
+                .collect();
+            (num_planes, trunc_loss, planes)
+        };
+        let with = |mut codes: Vec<i64>, extra: &[i64]| {
+            for (i, &c) in extra.iter().enumerate() {
+                let at = (i * 37 + 5) % codes.len();
+                codes[at] = c;
+            }
+            codes
+        };
+        let levels: Vec<(&str, Vec<i64>)> = vec![
+            ("low planes", sample_codes(3000, 1 << 12, 21)),
+            ("high planes", sample_codes(3000, 1 << 40, 22)),
+            ("all zero", vec![0; 700]),
+            ("single value", vec![-5]),
+            ("constant", vec![12345; 513]),
+            (
+                "i64 extremes, 63-plane cap",
+                with(sample_codes(900, 1 << 30, 23), &[i64::MIN, i64::MAX]),
+            ),
+            (
+                "63 planes",
+                with(sample_codes(900, 1 << 50, 24), &[1 << 62, -(1 << 61)]),
+            ),
+            (
+                "above 65 536, low planes",
+                sample_codes(70_000, 1 << 14, 25),
+            ),
+            (
+                "above 65 536, high planes",
+                with(sample_codes(70_000, 1 << 33, 26), &[i64::MIN]),
+            ),
+        ];
+        for (name, codes) in &levels {
+            let small = codes.len() < 10_000;
+            for prefix_bits in 0..=3u8 {
+                for predictive in [true, false] {
+                    if !small
+                        && (prefix_bits, predictive) != (2, true)
+                        && (prefix_bits, predictive) != (3, false)
+                    {
+                        continue;
+                    }
+                    let ctx = format!("{name}: prefix_bits={prefix_bits} predictive={predictive}");
+                    for opts in [EncodeOptions::default(), tiny_chunks()] {
+                        let scheme = RegionScheme::uniform(codes.len(), opts.chunk_bytes).unwrap();
+                        let (num_planes, trunc_loss, planes) =
+                            staged(codes, prefix_bits, predictive, &scheme);
+                        let got = encode_level_with(codes, prefix_bits, predictive, false, opts);
+                        assert_eq!(got.n_values, codes.len(), "{ctx}");
+                        assert_eq!(got.num_planes, num_planes, "{ctx}");
+                        assert_eq!(got.trunc_loss, trunc_loss, "{ctx}");
+                        assert_eq!(got.planes, planes, "{ctx} {opts:?}");
+                    }
+                    // Precinct cut, with an empty and a ragged precinct.
+                    let n = codes.len();
+                    let spans = [n / 3, 0, n - n / 3 - n / 5, n / 5];
+                    let scheme = RegionScheme::precincts(&spans);
+                    let (num_planes, trunc_loss, planes) =
+                        staged(codes, prefix_bits, predictive, &scheme);
+                    let got = encode_level_precincts(
+                        codes,
+                        prefix_bits,
+                        predictive,
+                        false,
+                        EncodeOptions::default(),
+                        &spans,
+                    );
+                    assert_eq!(
+                        (got.num_planes, &got.trunc_loss),
+                        (num_planes, &trunc_loss),
+                        "{ctx}"
+                    );
+                    assert_eq!(got.planes, planes, "{ctx} precincts");
+                }
             }
         }
     }

@@ -1,14 +1,32 @@
-//! Streaming SIMD reconstruction engine: the level-streamed interpolation
-//! cascade that turns decoded bitplane accumulators into a field.
+//! The lattice sweep's run kernels — one body, two directions — and the
+//! streaming SIMD reconstruction engine built on them: the level-streamed
+//! interpolation cascade that turns decoded bitplane accumulators into a
+//! field.
 //!
-//! Historically the decoder ran the reconstruction as a monolithic sweep
-//! *after* every plane had been fetched and scattered: dequantize each level's
-//! accumulators into a residual buffer, then replay [`process_level`] with a
-//! per-point closure pulling residuals off an iterator. After the PR 4 decode
-//! pipeline cut the read path to a few milliseconds, that batch sweep was the
-//! dominant cost of a full retrieval (ROADMAP's top hot spot).
+//! **Who shares what.** A level's sweep is the same on the write and the read
+//! path: [`crate::interp`] owns the geometry (`for_each_level_pass`,
+//! `sweep_runs`) and the boundary-fallback predictor (`predict_point_read`);
+//! this module owns the body that walks it — `RunCtx::do_run` classifies each
+//! innermost run once (prev-copy / linear / full-cubic interior, branchy head
+//! and tail) and the spans under it are generic over a `PointOp`, the one
+//! thing that happens at a point after it is predicted. Decoding adds a
+//! dequantized code (`AddCodes`, or nothing: `PredictOnly`); encoding
+//! quantizes the residual against the original, records the code and stores
+//! the decoder's value (`Quantize`); [`crate::interp::process_level`] passes
+//! its caller's closure (`Visit`). [`crate::compress`] and `process_level`
+//! sweep whole levels serially through `sweep_level`; [`CascadeEngine`] drives
+//! the same runs sub-pass by sub-pass, streamed, threaded and — for plain
+//! decodes — with AVX2 interiors. There is no encoder copy of any loop.
 //!
-//! [`CascadeEngine`] restructures the reconstruction around two ideas:
+//! **The referee** is `interp::process_level_pointwise`: the same
+//! contract evaluated one point at a time through `predict_point_read` with
+//! bounds-checked slice accesses — no run classification, no raw pointers, no
+//! kernel in common with this module. It is compiled for tests and under the
+//! `reference-scalar` feature; `CascadeImpl::Reference` decodes through it,
+//! and the equivalence suites hold both directions of the run kernels to it
+//! bit for bit.
+//!
+//! [`CascadeEngine`] structures the reconstruction around two ideas:
 //!
 //! 1. **Level streaming.** The interpolation cascade consumes levels coarsest
 //!    first — exactly the order the decode pipeline produces them — and each
@@ -28,7 +46,7 @@
 //!    no per-level residual `f64` buffer is materialized. The kernels operate
 //!    on whole innermost runs ([`crate::interp`]'s sweep geometry): each run
 //!    splits into a branchy head/tail (domain-boundary fallbacks, evaluated
-//!    point-wise exactly like `interp::predict_point`) and a
+//!    point-wise through `interp::predict_point_read`) and a
 //!    branchless interior. The interior has an AVX2 variant (runtime-detected
 //!    behind the `simd` feature, same conventions as
 //!    [`ipc_codecs::bitslice`]): stride-2 deinterleaved loads, the cubic or
@@ -37,10 +55,8 @@
 //!    portable kernels, which are always compiled and are the only path on
 //!    other architectures or under `--no-default-features`.
 //!
-//! The historical closure-driven [`process_level`] formulation survives as
-//! the correctness oracle (`reference_pass`); it and the portable-only
-//! kernels are reachable through the test hook [`force_cascade_impl`] and
-//! produce bit-identical fields.
+//! The referee and the portable-only kernels are reachable through the test
+//! hook [`force_cascade_impl`] and produce bit-identical fields.
 //!
 //! **Multi-core execution.** Within one dimension sub-pass every target point
 //! sits at an *odd* multiple of the stride along the active dimension, while
@@ -67,10 +83,11 @@ use ipc_tensor::Shape;
 
 use crate::config::Interpolation;
 use crate::interp::{
-    for_each_level_pass, level_stride, num_levels, predict_point_read, process_anchors,
-    process_level, sweep_runs, SweepRun,
+    for_each_level_pass, level_stride, num_levels, predict_point_read, process_anchors, sweep_runs,
+    SweepRun,
 };
 use crate::precinct::{clip_ranges, pass_window, RoiBox};
+use crate::quantize::round_exact;
 
 // ---- kernel dispatch and test hooks ------------------------------------------
 
@@ -83,9 +100,11 @@ pub enum CascadeImpl {
     /// the portable run kernels. What every engine uses unless a test forces
     /// an oracle.
     Auto = 0,
-    /// The pre-cascade formulation: [`process_level`] with a per-point
-    /// closure pulling dequantized residuals off an iterator — the
-    /// correctness oracle.
+    /// The point-by-point referee sweep
+    /// (`interp::process_level_pointwise`) with a closure pulling
+    /// dequantized residuals off an iterator — the correctness oracle,
+    /// compiled for tests and under the `reference-scalar` feature only.
+    #[cfg(any(test, feature = "reference-scalar"))]
     Reference = 1,
     /// The portable run kernels, never AVX2 (regardless of CPU).
     Portable = 2,
@@ -114,6 +133,7 @@ pub fn force_cascade_threads(n: Option<usize>) {
 
 fn forced_impl() -> CascadeImpl {
     match CASCADE_IMPL.load(Ordering::Relaxed) {
+        #[cfg(any(test, feature = "reference-scalar"))]
         1 => CascadeImpl::Reference,
         2 => CascadeImpl::Portable,
         _ => CascadeImpl::Auto,
@@ -219,7 +239,10 @@ pub struct CascadeEngine {
     /// exact, so the product rounds once either way).
     two_eb: f64,
     levels: u32,
-    /// Kernel implementation, captured at construction.
+    /// Kernel implementation, captured at construction (only the referee
+    /// is a choice the passes still have to look up; AVX2-or-portable is
+    /// `avx2`).
+    #[cfg(any(test, feature = "reference-scalar"))]
     which: CascadeImpl,
     avx2: bool,
     /// Pinned sub-pass thread count (0 = [`default_threads`] behind the size
@@ -284,6 +307,7 @@ impl CascadeEngine {
             method,
             two_eb: 2.0 * error_bound,
             levels,
+            #[cfg(any(test, feature = "reference-scalar"))]
             which,
             avx2,
             forced_threads: CASCADE_FORCE_THREADS.load(Ordering::Relaxed),
@@ -403,24 +427,15 @@ impl CascadeEngine {
     }
 
     /// Streaming arrival straight from a decoder's accumulator slice: the
-    /// bulk dequantize stage-1 (negabinary decode, minus the refinement
-    /// snapshot when given) is fused into the buffer append, so the codes
-    /// are written exactly once. Semantics otherwise match
+    /// bulk dequantize stage-1 (negabinary decode of the planes in
+    /// `plane_mask`) is fused into the buffer append, so the codes are
+    /// written exactly once. Negabinary is positional, so the planes a
+    /// refinement just loaded decode to exactly its delta codes and the full
+    /// mask to the values. Semantics otherwise match
     /// [`CascadeEngine::level_codes_arrived`].
-    pub fn level_span_arrived(
-        &mut self,
-        idx: usize,
-        acc_span: &[u64],
-        before_span: Option<&[i64]>,
-    ) {
-        self.arrive(idx, |buf| match before_span {
-            None => buf.extend(acc_span.iter().map(|&w| from_negabinary(w))),
-            Some(b) => buf.extend(
-                acc_span
-                    .iter()
-                    .zip(b)
-                    .map(|(&w, &x)| from_negabinary(w) - x),
-            ),
+    pub fn level_span_arrived(&mut self, idx: usize, acc_span: &[u64], plane_mask: u64) {
+        self.arrive(idx, |buf| {
+            buf.extend(acc_span.iter().map(|&w| from_negabinary(w & plane_mask)))
         })
     }
 
@@ -477,8 +492,9 @@ impl CascadeEngine {
         let idx = self.applied;
         let interp_level = self.levels - idx as u32;
         let zero = complete && self.buf.is_empty();
+        #[cfg(any(test, feature = "reference-scalar"))]
         if self.which == CascadeImpl::Reference {
-            // The closure formulation runs whole levels only; streamed
+            // The point-wise referee runs whole levels only; streamed
             // prefixes buffer until completion.
             if complete {
                 let codes = std::mem::take(&mut self.buf);
@@ -506,75 +522,26 @@ impl CascadeEngine {
         );
         span.add_arg("level", interp_level as u64);
         span.add_arg("dim", sub_idx as u64);
-        let stride = level_stride(interp_level);
+        let field = FieldPtr::of(&mut self.work);
         let sub = &self.geoms[idx][sub_idx];
-        let field = FieldPtr {
-            ptr: self.work.as_mut_ptr(),
-            len: self.work.len(),
-        };
-        let codes: &[i64] = if zero {
-            &[]
-        } else {
-            &self.buf[sub.start..sub.start + sub.count]
-        };
-        let dims = self.shape.dims();
-        let strides = self.shape.strides();
-        let ctx = RunCtx {
-            field,
-            codes,
-            ci: 0,
-            by_offset: false,
-            two_eb: self.two_eb,
-            method: self.method,
-            stride,
-            dim_stride: strides[sub.d],
-            dim_len: dims[sub.d],
-            inner_len: *dims.last().unwrap(),
-            avx2: self.avx2,
-        };
         let threads = match self.forced_threads {
             0 if sub.count < PAR_MIN_POINTS => 1,
             0 => default_threads(),
             n => n,
         };
-        if threads > 1 {
-            // Materialize the runs with their code offsets (the serial sweep
-            // order, so offsets are a deterministic prefix sum) and hand each
-            // worker a contiguous chunk to replay with the serial kernels.
-            let mut runs: Vec<(SweepRun, usize)> = Vec::new();
-            let mut off = 0usize;
-            sweep_runs(strides, &sub.ranges, sub.d, |run| {
-                runs.push((run, off));
-                off += run.count;
-            });
-            debug_assert_eq!(off, sub.count);
-            if runs.len() >= 2 {
-                let chunks = threads.min(runs.len());
-                span.add_arg("threads", chunks as u64);
-                let chunk_len = runs.len().div_ceil(chunks);
-                let mut parts = runs.chunks(chunk_len);
-                let first = parts.next().unwrap();
-                std::thread::scope(|scope| {
-                    for part in parts {
-                        let ctx = ctx.clone();
-                        scope.spawn(move || run_chunk(ctx, part));
-                    }
-                    // The caller thread takes the first chunk instead of
-                    // idling on the join.
-                    run_chunk(ctx, first);
-                });
-                return;
-            }
+        let stride = level_stride(interp_level);
+        let (shape, method, avx2) = (&self.shape, self.method, self.avx2);
+        if zero {
+            let ctx = RunCtx::new(field, shape, method, stride, sub.d, avx2, PredictOnly);
+            run_subpass(ctx, shape.strides(), sub, threads, &mut span);
+        } else {
+            let op = AddCodes {
+                codes: &self.buf[sub.start..sub.start + sub.count],
+                two_eb: self.two_eb,
+            };
+            let ctx = RunCtx::new(field, shape, method, stride, sub.d, avx2, op);
+            run_subpass(ctx, shape.strides(), sub, threads, &mut span);
         }
-        span.add_arg("threads", 1);
-        let mut ctx = ctx;
-        sweep_runs(strides, &sub.ranges, sub.d, |run| ctx.do_run(run));
-        debug_assert!(
-            codes.is_empty() || ctx.ci == codes.len(),
-            "sub-pass consumed {} of {} codes",
-            ctx.ci,
-            codes.len()
-        );
     }
 
     /// Windowed form of [`CascadeEngine::level_ready`], for reconstructing a
@@ -604,12 +571,10 @@ impl CascadeEngine {
     ) -> CascadeProgress {
         self.expect_next(idx);
         let interp_level = self.levels - idx as u32;
-        let field = FieldPtr {
-            ptr: self.work.as_mut_ptr(),
-            len: self.work.len(),
-        };
+        let field = FieldPtr::of(&mut self.work);
         let dims = self.shape.dims();
         let strides = self.shape.strides();
+        let stride = level_stride(interp_level);
         let mut points = 0usize;
         for (sub_idx, sub) in self.geoms[idx].iter().enumerate() {
             let mut span = ipc_telemetry::span_timed(
@@ -619,20 +584,12 @@ impl CascadeEngine {
             );
             span.add_arg("level", interp_level as u64);
             span.add_arg("dim", sub_idx as u64);
-            let mut ctx = RunCtx {
-                field,
-                codes: codes.unwrap_or(&[]),
-                ci: 0,
-                by_offset: true,
-                two_eb: self.two_eb,
-                method: self.method,
-                stride: level_stride(interp_level),
-                dim_stride: strides[sub.d],
-                dim_len: dims[sub.d],
-                inner_len: *dims.last().unwrap(),
-                avx2: false,
-            };
             let halo = pass_window(window, dims, self.method, interp_level, sub.d);
+            let op = AddByOffset {
+                codes: codes.unwrap_or(&[]),
+                two_eb: self.two_eb,
+            };
+            let mut ctx = RunCtx::new(field, &self.shape, self.method, stride, sub.d, false, op);
             sweep_runs(strides, &clip_ranges(&sub.ranges, &halo), sub.d, |run| {
                 ctx.scalar_span(&run, 0, run.count);
                 points += run.count;
@@ -648,10 +605,13 @@ impl CascadeEngine {
         }
     }
 
-    /// The historical formulation: [`process_level`] with a closure pulling
-    /// dequantized codes off an iterator (the PR 4 batch reconstruction's
-    /// inner loop). Oracle for the run kernels.
+    /// The referee: the point-by-point sweep
+    /// (`interp::process_level_pointwise`, which shares no kernel
+    /// with the run classification) with a closure pulling dequantized codes
+    /// off an iterator. Oracle for the run kernels.
+    #[cfg(any(test, feature = "reference-scalar"))]
     fn reference_pass(&mut self, interp_level: u32, codes: &[i64]) {
+        use crate::interp::process_level_pointwise as process_level;
         let mut span = ipc_telemetry::span_timed(
             "cascade",
             "cascade.pass",
@@ -736,6 +696,160 @@ fn slab_split_last(subs: &mut Vec<SubPass>) {
     debug_assert_eq!(start, last.start + last.count);
 }
 
+// ---- the per-point operation --------------------------------------------------
+
+/// What a sweep does at a point once its prediction is known — the only thing
+/// that differs between the two directions of the one sweep body
+/// ([`RunCtx::do_run`] and the spans under it): decoding adds a dequantized
+/// residual, encoding quantizes the residual against the original, records
+/// the code and stores what the decoder will reconstruct.
+pub(crate) trait PointOp {
+    /// Value to store at flat offset `o`, the `i`-th point of the sweep's
+    /// traversal, given its prediction.
+    fn point(&mut self, o: usize, i: usize, pred: f64) -> f64;
+
+    /// Traversal-order codes and `2·eb` the AVX2 decode spans may add in
+    /// place of calling [`PointOp::point`] (no codes = prediction only);
+    /// `None` keeps the operation on the portable loops.
+    #[cfg_attr(not(all(feature = "simd", target_arch = "x86_64")), allow(dead_code))]
+    fn simd_codes(&self) -> Option<(&[i64], f64)> {
+        None
+    }
+}
+
+/// Decode: add the dequantized code of traversal position `i`. Multiplying by
+/// `two_eb` has the exact rounding of [`crate::quantize::dequantize`]
+/// (scaling by 2.0 is exact, so the product rounds once either way).
+#[derive(Clone, Copy)]
+struct AddCodes<'a> {
+    codes: &'a [i64],
+    two_eb: f64,
+}
+
+impl PointOp for AddCodes<'_> {
+    #[inline(always)]
+    fn point(&mut self, _: usize, i: usize, pred: f64) -> f64 {
+        pred + self.codes[i] as f64 * self.two_eb
+    }
+
+    fn simd_codes(&self) -> Option<(&[i64], f64)> {
+        Some((self.codes, self.two_eb))
+    }
+}
+
+/// Windowed decode: codes indexed by domain offset (a region decode never
+/// holds a traversal-order prefix); no codes = prediction only.
+struct AddByOffset<'a> {
+    codes: &'a [i64],
+    two_eb: f64,
+}
+
+impl PointOp for AddByOffset<'_> {
+    #[inline(always)]
+    fn point(&mut self, o: usize, _: usize, pred: f64) -> f64 {
+        if self.codes.is_empty() {
+            pred
+        } else {
+            pred + self.codes[o] as f64 * self.two_eb
+        }
+    }
+}
+
+/// Decode a level that streams no codes: the prediction itself — no `+ 0.0`
+/// is applied, so even `-0.0` predictions round-trip.
+#[derive(Clone, Copy)]
+struct PredictOnly;
+
+impl PointOp for PredictOnly {
+    #[inline(always)]
+    fn point(&mut self, _: usize, _: usize, pred: f64) -> f64 {
+        pred
+    }
+
+    fn simd_codes(&self) -> Option<(&[i64], f64)> {
+        Some((&[], 0.0))
+    }
+}
+
+/// Encode: `q = round((orig − pred) / 2eb)` recorded at the point's traversal
+/// position, `pred + q·2eb` stored — the value the decoder will see, so later
+/// predictions are made from lossy data exactly as at decompression time
+/// (paper Sec. 4.2.2). Bit for bit [`crate::quantize::quantize`] followed by
+/// [`AddCodes`].
+pub(crate) struct Quantize<'a> {
+    orig: &'a [f64],
+    codes: &'a mut [i64],
+    two_eb: f64,
+    /// Set once a quotient reaches 2^52, where neither the rounding nor the
+    /// error bound is exact any more.
+    pub inexact: bool,
+}
+
+impl<'a> Quantize<'a> {
+    /// Quantize `orig` at bound `eb` into `codes` (one slot per point of the
+    /// sweep's traversal).
+    pub fn new(orig: &'a [f64], codes: &'a mut [i64], eb: f64) -> Self {
+        Self {
+            orig,
+            codes,
+            two_eb: 2.0 * eb,
+            inexact: false,
+        }
+    }
+}
+
+impl PointOp for Quantize<'_> {
+    #[inline(always)]
+    fn point(&mut self, o: usize, i: usize, pred: f64) -> f64 {
+        let x = (self.orig[o] - pred) / self.two_eb;
+        let q = round_exact(x).unwrap_or_else(|| {
+            self.inexact = true;
+            x.round() as i64
+        });
+        self.codes[i] = q;
+        pred + q as f64 * self.two_eb
+    }
+}
+
+/// [`crate::interp::process_level`]'s closure as the operation.
+pub(crate) struct Visit<F>(pub F);
+
+impl<F: FnMut(usize, f64) -> f64> PointOp for Visit<F> {
+    #[inline(always)]
+    fn point(&mut self, o: usize, _: usize, pred: f64) -> f64 {
+        (self.0)(o, pred)
+    }
+}
+
+/// One whole level of the sweep, serially on the portable run kernels: every
+/// dimension pass in order, `op` applied at each point with its position in
+/// the level's traversal. The write path's entry ([`crate::compress`] with
+/// [`Quantize`], [`crate::interp::process_level`] with [`Visit`]); the engine
+/// drives the same runs sub-pass by sub-pass. Returns the operation.
+///
+/// # Panics
+///
+/// Panics if `work` is shorter than the field.
+pub(crate) fn sweep_level<O: PointOp>(
+    shape: &Shape,
+    level: u32,
+    method: Interpolation,
+    work: &mut [f64],
+    op: O,
+) -> O {
+    // The run kernels index `work` through a raw pointer on the strength of
+    // the sweep geometry alone.
+    assert!(work.len() >= shape.len(), "work buffer shorter than field");
+    let stride = level_stride(level);
+    let mut ctx = RunCtx::new(FieldPtr::of(work), shape, method, stride, 0, false, op);
+    for_each_level_pass(shape, stride, |d, ranges| {
+        ctx.dim_stride = shape.strides()[d];
+        ctx.dim_len = shape.dims()[d];
+        sweep_runs(shape.strides(), &ranges, d, |run| ctx.do_run(run));
+    });
+    ctx.op
+}
+
 // ---- run kernels ------------------------------------------------------------
 
 /// Raw element view of the shared reconstruction buffer, the form the run
@@ -758,6 +872,15 @@ unsafe impl Send for FieldPtr {}
 unsafe impl Sync for FieldPtr {}
 
 impl FieldPtr {
+    /// View of `work`, which must cover the field the sweep geometry is
+    /// built for (the engine allocates it so; [`sweep_level`] asserts it).
+    fn of(work: &mut [f64]) -> Self {
+        Self {
+            ptr: work.as_mut_ptr(),
+            len: work.len(),
+        }
+    }
+
     #[inline(always)]
     fn get(&self, i: usize) -> f64 {
         debug_assert!(i < self.len);
@@ -774,11 +897,55 @@ impl FieldPtr {
     }
 }
 
+/// Run one dimension sub-pass through the run kernels, fanning independent
+/// runs out across `threads` workers (see the module docs for why runs never
+/// alias).
+fn run_subpass<O: PointOp + Clone + Send>(
+    mut ctx: RunCtx<O>,
+    strides: &[usize],
+    sub: &SubPass,
+    threads: usize,
+    span: &mut ipc_telemetry::Span,
+) {
+    if threads > 1 {
+        // Materialize the runs with their code offsets (the serial sweep
+        // order, so offsets are a deterministic prefix sum) and hand each
+        // worker a contiguous chunk to replay with the serial kernels.
+        let mut runs: Vec<(SweepRun, usize)> = Vec::new();
+        let mut off = 0usize;
+        sweep_runs(strides, &sub.ranges, sub.d, |run| {
+            runs.push((run, off));
+            off += run.count;
+        });
+        debug_assert_eq!(off, sub.count);
+        if runs.len() >= 2 {
+            let chunks = threads.min(runs.len());
+            span.add_arg("threads", chunks as u64);
+            let chunk_len = runs.len().div_ceil(chunks);
+            let mut parts = runs.chunks(chunk_len);
+            let first = parts.next().unwrap();
+            std::thread::scope(|scope| {
+                for part in parts {
+                    let ctx = ctx.clone();
+                    scope.spawn(move || run_chunk(ctx, part));
+                }
+                // The caller thread takes the first chunk instead of
+                // idling on the join.
+                run_chunk(ctx, first);
+            });
+            return;
+        }
+    }
+    span.add_arg("threads", 1);
+    sweep_runs(strides, &sub.ranges, sub.d, |run| ctx.do_run(run));
+    debug_assert_eq!(ctx.ci, sub.count, "sub-pass visited the wrong point count");
+}
+
 /// Replay a contiguous chunk of a sub-pass's runs on one worker thread, in
-/// the serial traversal order, with each run's code cursor pinned to its
+/// the serial traversal order, with each run's traversal cursor pinned to its
 /// serial offset — the parallel schedule is a permutation of whole runs, and
 /// within a run the scalar operation order is untouched.
-fn run_chunk(mut ctx: RunCtx<'_>, chunk: &[(SweepRun, usize)]) {
+fn run_chunk<O: PointOp>(mut ctx: RunCtx<O>, chunk: &[(SweepRun, usize)]) {
     for &(run, off) in chunk {
         ctx.ci = off;
         ctx.do_run(run);
@@ -787,16 +954,12 @@ fn run_chunk(mut ctx: RunCtx<'_>, chunk: &[(SweepRun, usize)]) {
 
 /// Shared context of every run kernel in one dimension pass.
 #[derive(Clone)]
-struct RunCtx<'a> {
+struct RunCtx<O> {
     field: FieldPtr,
-    /// Quantization codes in traversal order; empty = all-zero residuals.
-    codes: &'a [i64],
-    /// Next code to consume.
+    /// What happens at each point once it is predicted.
+    op: O,
+    /// Traversal position of the next run's first point.
     ci: usize,
-    /// Windowed passes index `codes` by the point's domain offset instead of
-    /// its traversal position (only [`RunCtx::scalar_span`] honours this).
-    by_offset: bool,
-    two_eb: f64,
     method: Interpolation,
     stride: usize,
     dim_stride: usize,
@@ -807,36 +970,48 @@ struct RunCtx<'a> {
     avx2: bool,
 }
 
-impl RunCtx<'_> {
-    /// Dequantized residual of traversal position `ci + t` (0 when the level
-    /// streams no codes).
-    #[inline(always)]
-    fn resid(&self, t: usize) -> f64 {
-        if self.codes.is_empty() {
-            0.0
-        } else {
-            self.codes[self.ci + t] as f64 * self.two_eb
+impl<O: PointOp> RunCtx<O> {
+    /// Context of the pass of lattice `stride` along dimension `d`.
+    fn new(
+        field: FieldPtr,
+        shape: &Shape,
+        method: Interpolation,
+        stride: usize,
+        d: usize,
+        avx2: bool,
+        op: O,
+    ) -> Self {
+        let dims = shape.dims();
+        Self {
+            field,
+            op,
+            ci: 0,
+            method,
+            stride,
+            dim_stride: shape.strides()[d],
+            dim_len: dims[d],
+            inner_len: *dims.last().unwrap(),
+            avx2,
         }
     }
 
-    /// Whether this run's points carry residuals (empty-code passes are
-    /// prediction-only, matching the reference's `|_, pred| pred` closure —
-    /// no `+ 0.0` is applied, so even `-0.0` predictions round-trip).
+    /// Predicted point `t` of its run: apply the operation and store.
     #[inline(always)]
-    fn with_resid(&self) -> bool {
-        !self.codes.is_empty()
+    fn finish(&mut self, o: usize, t: usize, pred: f64) {
+        let v = self.op.point(o, self.ci + t, pred);
+        self.field.set(o, v);
     }
 
     /// Evaluate points `[t0, t1)` of a run with the fully general (branchy)
     /// reference predictor — the head/tail points where domain-boundary
     /// fallbacks apply.
     fn scalar_span(&mut self, run: &SweepRun, t0: usize, t1: usize) {
-        let with_resid = self.with_resid();
+        let field = self.field;
         for t in t0..t1 {
             let offset = run.base + t * run.step;
             let coord = run.coord + t * run.coord_step;
             let pred = predict_point_read(
-                |i| self.field.get(i),
+                |i| field.get(i),
                 offset,
                 coord,
                 self.dim_len,
@@ -844,16 +1019,7 @@ impl RunCtx<'_> {
                 self.stride,
                 self.method,
             );
-            // `ci` stays 0 under `by_offset`, so the offset is the code index.
-            let code = if self.by_offset { offset } else { t };
-            self.field.set(
-                offset,
-                if with_resid {
-                    pred + self.resid(code)
-                } else {
-                    pred
-                },
-            );
+            self.finish(offset, t, pred);
         }
     }
 
@@ -911,7 +1077,7 @@ impl RunCtx<'_> {
                 self.interior_linear(run.base, run.count, run.step, nd);
             }
         }
-        self.ci += if self.with_resid() { run.count } else { 0 };
+        self.ci += run.count;
     }
 
     /// Exclusive bound for an AVX2 span's 8-element write window: the end of
@@ -928,97 +1094,73 @@ impl RunCtx<'_> {
         base + self.inner_len
     }
 
-    /// Uniform prev-copy span: `work[o] = work[o - nd] (+ resid)`.
+    /// Uniform prev-copy span: the prediction is `work[o - nd]`.
     fn interior_prev(&mut self, base: usize, count: usize, step: usize, nd: usize) {
-        let with_resid = self.with_resid();
         for t in 0..count {
             let o = base + t * step;
             let pred = self.field.get(o - nd);
-            self.field.set(
-                o,
-                if with_resid {
-                    pred + self.resid(t)
-                } else {
-                    pred
-                },
-            );
+            self.finish(o, t, pred);
         }
     }
 
-    /// Uniform linear span over `count` points starting at `base`: neighbours
-    /// at `±nd`. `t0` is this span's first traversal position *within the
-    /// run* — points before it were handled by the caller.
+    /// Codes for an AVX2 span, when the kernels are enabled, the span is one
+    /// they cover (a stride-2 run of at least one vector whose neighbours lie
+    /// in other rows) and the operation is a plain decode.
+    #[cfg(all(feature = "simd", target_arch = "x86_64"))]
+    #[inline(always)]
+    fn avx2_codes(&self, count: usize, step: usize, nd: usize) -> Option<(&[i64], f64)> {
+        if self.avx2 && step == 2 && nd > 1 && count >= 4 {
+            self.op.simd_codes()
+        } else {
+            None
+        }
+    }
+
+    /// Uniform linear span over `count` points starting at the run's first
+    /// point `base`: neighbours at `±nd`.
     fn interior_linear(&mut self, base: usize, count: usize, step: usize, nd: usize) {
         #[cfg(all(feature = "simd", target_arch = "x86_64"))]
-        if self.avx2 && step == 2 && nd > 1 && count >= 4 {
+        if let Some((codes, two_eb)) = self.avx2_codes(count, step, nd) {
+            let (field, cap, ci) = (self.field, self.row_cap(base), self.ci);
             // SAFETY: AVX2 support was verified by the dispatcher; the span
             // is a uniform full-linear interior, and the write window is
             // capped to this run's row.
-            let done = unsafe {
-                avx2::linear_span(
-                    self.field,
-                    base,
-                    count,
-                    nd,
-                    self.row_cap(base),
-                    self.codes,
-                    self.ci,
-                    self.two_eb,
-                )
-            };
+            let done = unsafe { avx2::linear_span(field, base, count, nd, cap, codes, ci, two_eb) };
             self.linear_tail(base + done * step, done, count - done, step, nd);
             return;
         }
         self.linear_tail(base, 0, count, step, nd);
     }
 
-    /// Portable (auto-vectorizable) linear body.
+    /// Portable linear body. `t0` is this span's first traversal position
+    /// *within the run* — points before it were handled by the caller.
     fn linear_tail(&mut self, base: usize, t0: usize, count: usize, step: usize, nd: usize) {
-        let with_resid = self.with_resid();
         for t in 0..count {
             let o = base + t * step;
             let pred = 0.5 * (self.field.get(o - nd) + self.field.get(o + nd));
-            self.field.set(
-                o,
-                if with_resid {
-                    pred + self.resid(t0 + t)
-                } else {
-                    pred
-                },
-            );
+            self.finish(o, t0 + t, pred);
         }
     }
 
     /// Uniform full-cubic span over `count` points starting at `base`:
-    /// neighbours at `±nd` and `±3·nd`; `t0` as in [`Self::interior_linear`].
+    /// neighbours at `±nd` and `±3·nd`; `t0` as in [`Self::linear_tail`].
     fn interior_cubic(&mut self, base: usize, t0: usize, count: usize, step: usize, nd: usize) {
         #[cfg(all(feature = "simd", target_arch = "x86_64"))]
-        if self.avx2 && step == 2 && nd > 1 && count >= 4 {
+        if let Some((codes, two_eb)) = self.avx2_codes(count, step, nd) {
+            let (field, cap, ci) = (self.field, self.row_cap(base), self.ci + t0);
             // SAFETY: AVX2 support was verified by the dispatcher; the span
             // is a uniform full-cubic interior, and the write window is
             // capped to this run's row.
-            let done = unsafe {
-                avx2::cubic_span(
-                    self.field,
-                    base,
-                    count,
-                    nd,
-                    self.row_cap(base),
-                    self.codes,
-                    self.ci + t0,
-                    self.two_eb,
-                )
-            };
+            let done = unsafe { avx2::cubic_span(field, base, count, nd, cap, codes, ci, two_eb) };
             self.cubic_tail(base + done * step, t0 + done, count - done, step, nd);
             return;
         }
         self.cubic_tail(base, t0, count, step, nd);
     }
 
-    /// Portable (auto-vectorizable) cubic body; operation order matches
-    /// [`crate::interp::predict_point`] exactly.
+    /// Portable cubic body; operation order matches
+    /// [`crate::interp::predict_point_read`] exactly.
     fn cubic_tail(&mut self, base: usize, t0: usize, count: usize, step: usize, nd: usize) {
-        let with_resid = self.with_resid();
         for t in 0..count {
             let o = base + t * step;
             let prev3 = self.field.get(o - 3 * nd);
@@ -1026,14 +1168,7 @@ impl RunCtx<'_> {
             let next = self.field.get(o + nd);
             let next3 = self.field.get(o + 3 * nd);
             let pred = -0.0625 * prev3 + 0.5625 * prev + 0.5625 * next - 0.0625 * next3;
-            self.field.set(
-                o,
-                if with_resid {
-                    pred + self.resid(t0 + t)
-                } else {
-                    pred
-                },
-            );
+            self.finish(o, t0 + t, pred);
         }
     }
 }
@@ -1212,7 +1347,9 @@ mod avx2 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::interp::level_count;
+    // The batch reference below must stay independent of the run kernels:
+    // it sweeps through the point-wise referee.
+    use crate::interp::{level_count, process_level_pointwise as process_level};
     use crate::quantize::dequantize;
 
     use ipc_codecs::negabinary::to_negabinary;
@@ -1460,6 +1597,43 @@ mod tests {
         let deltas = delta_codes(&acc, &before);
         for ((d, &c), &b) in deltas.iter().zip(&codes).zip(&before) {
             assert_eq!(*d, c - b);
+        }
+    }
+
+    /// What a refinement feeds the cascade — the negabinary value of just the
+    /// planes it loaded — is bit for bit the snapshot-and-subtract form
+    /// ([`delta_codes`], which the decoder no longer calls), for every plane
+    /// split of words with all 63 planes live, whole level or streamed spans.
+    #[test]
+    fn newly_loaded_planes_decode_to_the_snapshot_delta() {
+        let shape = Shape::d1(257);
+        let n = level_count(&shape, 1);
+        let acc: Vec<u64> = (1..=n as u64)
+            .map(|i| i.wrapping_mul(0x9e37_79b9_7f4a_7c15).rotate_left(29) & (u64::MAX >> 1))
+            .collect();
+        assert_eq!(acc.iter().fold(0, |a, &w| a | w), u64::MAX >> 1);
+        for (lo, hi) in [(0u32, 63u32), (0, 1), (5, 17), (16, 17), (40, 63), (62, 63)] {
+            let new_planes = (1u64 << hi) - (1u64 << lo);
+            // Before the load the accumulators hold the planes above `hi`.
+            let before: Vec<u64> = acc.iter().map(|&w| w & !((1u64 << hi) - 1)).collect();
+            let after: Vec<u64> = acc.iter().map(|&w| w & !((1u64 << lo) - 1)).collect();
+            let want = delta_codes(&after, &residual_codes(&before));
+            let masked: Vec<i64> = after
+                .iter()
+                .map(|&w| from_negabinary(w & new_planes))
+                .collect();
+            assert_eq!(masked, want, "planes [{lo}, {hi})");
+
+            let mut engine = CascadeEngine::new(shape.clone(), Interpolation::Linear, 1e-3);
+            engine.seed_zero();
+            for idx in 0..engine.num_levels() as usize - 1 {
+                engine.level_ready(idx, Vec::new());
+            }
+            let finest = engine.num_levels() as usize - 1;
+            let (head, tail) = after.split_at(n / 3);
+            engine.level_span_arrived(finest, head, new_planes);
+            engine.level_span_arrived(finest, tail, new_planes);
+            assert_eq!(engine.buf, want, "streamed planes [{lo}, {hi})");
         }
     }
 

@@ -6,13 +6,13 @@ use rayon::prelude::*;
 use crate::bitplane::{
     encode_level_precincts, encode_level_with, EncodeOptions, EncodedLevel, RegionScheme,
 };
+use crate::cascade::{sweep_level, PointOp, Quantize};
 use crate::config::Config;
 use crate::container::{encode_anchors, Compressed, Header, MAX_PRECINCTS};
 use crate::error::{IpcompError, Result};
-use crate::interp::{anchor_count, level_count, num_levels, process_anchors, process_level};
+use crate::interp::{anchor_count, level_count, num_levels, process_anchors};
 use crate::precinct::PrecinctGrid;
 use crate::progressive::{ProgressiveDecoder, RetrievalRequest};
-use crate::quantize::{dequantize, quantize};
 
 /// Compress a field with an **absolute** point-wise error bound.
 ///
@@ -30,7 +30,19 @@ pub fn compress(data: &ArrayD<f64>, error_bound: f64, config: &Config) -> Result
             "error bound must be positive and finite, got {error_bound}"
         )));
     }
-    if data.as_slice().iter().any(|v| !v.is_finite()) {
+    // One read of the field before encoding: finiteness and the header's
+    // value range (the comparisons of `ArrayD::min_max`, so the same bits).
+    let (mut lo, mut hi, mut finite) = (f64::INFINITY, f64::NEG_INFINITY, true);
+    for &v in data.as_slice() {
+        finite &= v.is_finite();
+        if v < lo {
+            lo = v;
+        }
+        if v > hi {
+            hi = v;
+        }
+    }
+    if !finite {
         return Err(IpcompError::InvalidInput(
             "input contains non-finite values".into(),
         ));
@@ -61,30 +73,31 @@ pub fn compress(data: &ArrayD<f64>, error_bound: f64, config: &Config) -> Result
 
     // Prediction + quantization pass. The work buffer always holds the values the
     // decompressor will see, so predictions are made from lossy data exactly as they
-    // will be at decompression time (paper Sec. 4.2.2).
+    // will be at decompression time (paper Sec. 4.2.2). The sweep is the
+    // decoder's, run in the encode direction: the cascade's run kernels with
+    // `Quantize` as the per-point operation.
     let mut work = vec![0.0f64; shape.len()];
-    let mut anchor_codes: Vec<i64> = Vec::with_capacity(anchor_count(&shape));
+    let mut anchor_codes = vec![0i64; anchor_count(&shape)];
+    let mut op = Quantize::new(orig, &mut anchor_codes, eb);
+    let mut i = 0usize;
     process_anchors(&shape, &mut work, |off, pred| {
-        let q = quantize(orig[off] - pred, eb);
-        anchor_codes.push(q);
-        pred + dequantize(q, eb)
+        let stored = op.point(off, i, pred);
+        i += 1;
+        stored
     });
-
+    let mut inexact = op.inexact;
     let mut level_codes: Vec<Vec<i64>> = Vec::with_capacity(levels as usize);
     for level in (1..=levels).rev() {
-        let mut codes = Vec::with_capacity(level_count(&shape, level));
-        process_level(
-            &shape,
-            level,
-            config.interpolation,
-            &mut work,
-            |off, pred| {
-                let q = quantize(orig[off] - pred, eb);
-                codes.push(q);
-                pred + dequantize(q, eb)
-            },
-        );
+        let mut codes = vec![0i64; level_count(&shape, level)];
+        let op = Quantize::new(orig, &mut codes, eb);
+        inexact |= sweep_level(&shape, level, config.interpolation, &mut work, op).inexact;
         level_codes.push(codes);
+    }
+    if inexact {
+        return Err(IpcompError::InvalidInput(format!(
+            "error bound {eb:e} is too small for values in [{lo:e}, {hi:e}]: a residual \
+             exceeds 2^52 quantization steps, beyond which the bound cannot be kept"
+        )));
     }
 
     // Entropy / bitplane stage — independent per level, so it can run in parallel.
@@ -139,7 +152,7 @@ pub fn compress(data: &ArrayD<f64>, error_bound: f64, config: &Config) -> Result
             progressive_levels,
             prefix_bits: config.prefix_bits,
             predictive_coding: config.predictive_coding,
-            value_range: data.value_range(),
+            value_range: hi - lo,
             precincts: config
                 .precincts
                 .as_ref()
@@ -246,6 +259,38 @@ mod tests {
         let mut bad = data.clone();
         bad.as_mut_slice()[5] = f64::INFINITY;
         assert!(compress(&bad, 1e-6, &Config::default()).is_err());
+    }
+
+    /// A bound the quantizer cannot keep is refused, not silently broken:
+    /// beyond 2^52 steps a quotient has no fraction bit left (and past 2^63
+    /// the code saturates), so `compress` used to return `Ok` with a
+    /// container 33× (1e-17) or 5.7 absolute (1e-19) over its own bound.
+    #[test]
+    fn unkeepable_bounds_are_refused() {
+        let data = ArrayD::from_fn(Shape::d2(33, 33), |c| {
+            (c[0] as f64 * 0.37).sin() * (c[1] as f64 * 0.21).cos()
+        });
+        for eb in [1e-17, 1e-19] {
+            match compress(&data, eb, &Config::default()) {
+                Err(IpcompError::InvalidInput(msg)) => {
+                    assert!(msg.contains(&format!("{eb:e}")), "bound not named: {msg}");
+                    assert!(msg.contains("values in ["), "range not named: {msg}");
+                }
+                other => panic!("eb {eb:e}: expected InvalidInput, got {other:?}"),
+            }
+        }
+        // Quotients up to 5e14 < 2^52: either side of the line is fine, a
+        // broken bound is not.
+        let eb = 1e-15;
+        if let Ok(c) = compress(&data, eb, &Config::default()) {
+            let out = c.decompress().unwrap();
+            let err = linf_error(data.as_slice(), out.as_slice());
+            assert!(err <= eb * (1.0 + 1e-9), "eb {eb:e}: err {err:e}");
+        }
+        // The anchors are quantized by the same operation.
+        let tall = ArrayD::full(Shape::d1(3), 1e10);
+        assert!(compress(&tall, 1e-9, &Config::default()).is_err());
+        assert!(compress(&tall, 1e-5, &Config::default()).is_ok());
     }
 
     #[test]

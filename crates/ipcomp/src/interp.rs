@@ -8,11 +8,25 @@
 //! Within a level the predictor sweeps the dimensions in order; along the active
 //! dimension each target (at an odd multiple of the stride) is interpolated from its
 //! already-known neighbours at `±stride` (linear) or `±stride, ±3·stride` (cubic),
-//! falling back to lower-order formulas at the domain boundary. Compression and
-//! decompression share the exact same traversal through [`process_level`] /
-//! [`process_anchors`]; only the per-point closure differs, which is what guarantees
-//! that the decompressor reproduces the compressor's predictions bit for bit.
+//! falling back to lower-order formulas at the domain boundary.
+//!
+//! This module owns the sweep's *geometry* and its *predictor*: which points a
+//! level's dimension passes visit and in what order (`for_each_level_pass`,
+//! `sweep_runs`), and what a target is predicted from, boundary fallbacks
+//! included (`predict_point_read`). The loop body that walks a run lives once,
+//! in [`crate::cascade`]'s run kernels, generic over what happens at a point
+//! after it is predicted; [`crate::compress`] (quantize and record), the
+//! decoder's [`crate::cascade::CascadeEngine`] (add the dequantized code) and
+//! [`process_level`] (the caller's closure) are that one body with three
+//! operations — which is what guarantees that the decompressor reproduces the
+//! compressor's predictions bit for bit.
+//!
+//! The referee for all of them is `process_level_pointwise` (tests and the
+//! `reference-scalar` feature): [`process_level`]'s contract evaluated one
+//! point at a time on a bounds-checked slice, sharing only the geometry and
+//! the predictor with the run kernels.
 
+use crate::cascade::{sweep_level, Visit};
 use crate::config::Interpolation;
 use ipc_tensor::{AxisRange, GridIter, Shape};
 
@@ -95,33 +109,11 @@ pub(crate) fn anchor_ranges(shape: &Shape) -> Vec<AxisRange> {
 ///
 /// `offset` is the flat index of the target, `coord` its coordinate along the active
 /// dimension `d`, `dim_len`/`dim_stride` the size and flat stride of that dimension,
-/// and `work` the buffer holding already-reconstructed values.
-#[inline]
-pub(crate) fn predict_point(
-    work: &[f64],
-    offset: usize,
-    coord: usize,
-    dim_len: usize,
-    dim_stride: usize,
-    stride: usize,
-    method: Interpolation,
-) -> f64 {
-    predict_point_read(
-        |i| work[i],
-        offset,
-        coord,
-        dim_len,
-        dim_stride,
-        stride,
-        method,
-    )
-}
-
-/// [`predict_point`] with the buffer access abstracted behind `read`: the
-/// single source of truth for the boundary-fallback semantics, shared with
-/// the cascade engine's raw-pointer run kernels ([`crate::cascade`], whose
-/// concurrent sub-pass rows cannot hold an aliased `&[f64]`). The operation
-/// order is identical, so both forms produce the same bits.
+/// and `read` the access to already-reconstructed values (the run kernels'
+/// concurrent sub-pass rows cannot hold an aliased `&[f64]`; the referee
+/// indexes its slice). This is the single source of truth for the
+/// boundary-fallback semantics: the run kernels evaluate their head and tail
+/// points through it and their uniform interiors in its operation order.
 #[inline]
 pub(crate) fn predict_point_read(
     read: impl Fn(usize) -> f64,
@@ -184,8 +176,8 @@ pub(crate) struct SweepRun {
 /// where the generic [`GridIter`] pays a coordinate-vector clone and an
 /// odometer carry chain per point, this sweep specializes the innermost
 /// dimension to a direct strided run and only advances the odometer across the
-/// outer dimensions once per run — and it exposes whole runs so the cascade
-/// engine ([`crate::cascade`]) can hand them to vectorized kernels.
+/// outer dimensions once per run — and it exposes whole runs so the run
+/// kernels ([`crate::cascade`]) can classify each one once.
 pub(crate) fn sweep_runs(
     strides: &[usize],
     ranges: &[AxisRange],
@@ -245,6 +237,7 @@ pub(crate) fn sweep_runs(
 }
 
 /// Per-point form of [`sweep_runs`]: `visit(offset, coord_d)` for every point.
+#[cfg(any(test, feature = "reference-scalar"))]
 fn sweep_ranges(
     strides: &[usize],
     ranges: &[AxisRange],
@@ -267,8 +260,10 @@ fn sweep_ranges(
 /// with a prediction of `0.0` and must return the value to store into `work[offset]`.
 pub fn process_anchors(shape: &Shape, work: &mut [f64], mut f: impl FnMut(usize, f64) -> f64) {
     let ranges = anchor_ranges(shape);
-    sweep_ranges(shape.strides(), &ranges, 0, |offset, _| {
-        work[offset] = f(offset, 0.0);
+    sweep_runs(shape.strides(), &ranges, 0, |run| {
+        for offset in (run.base..).step_by(run.step).take(run.count) {
+            work[offset] = f(offset, 0.0);
+        }
     });
 }
 
@@ -276,7 +271,30 @@ pub fn process_anchors(shape: &Shape, work: &mut [f64], mut f: impl FnMut(usize,
 /// the prediction is computed from `work` and `f(offset, prediction)` is called; its
 /// return value is stored into `work[offset]` before the traversal moves on (so later
 /// targets in the same level see reconstructed values, exactly as in decompression).
+///
+/// This is the run-kernel sweep ([`crate::cascade`]) with `f` as the per-point
+/// operation.
+///
+/// # Panics
+///
+/// Panics if `work` is shorter than the field.
 pub fn process_level(
+    shape: &Shape,
+    level: u32,
+    method: Interpolation,
+    work: &mut [f64],
+    f: impl FnMut(usize, f64) -> f64,
+) {
+    sweep_level(shape, level, method, work, Visit(f));
+}
+
+/// The referee for [`process_level`] and every sweep built on the run
+/// kernels: the same contract evaluated point by point — one
+/// [`predict_point_read`] and one bounds-checked store per target, no run
+/// classification, no raw pointers. Tests hold the run kernels (both
+/// directions) to it bit for bit; `CascadeImpl::Reference` decodes through it.
+#[cfg(any(test, feature = "reference-scalar"))]
+pub fn process_level_pointwise(
     shape: &Shape,
     level: u32,
     method: Interpolation,
@@ -284,13 +302,19 @@ pub fn process_level(
     mut f: impl FnMut(usize, f64) -> f64,
 ) {
     let stride = level_stride(level);
-    let dims = shape.dims().to_vec();
-    let strides = shape.strides().to_vec();
+    let (dims, strides) = (shape.dims(), shape.strides());
     for_each_level_pass(shape, stride, |d, ranges| {
-        sweep_ranges(&strides, &ranges, d, |offset, coord_d| {
-            let pred = predict_point(work, offset, coord_d, dims[d], strides[d], stride, method);
-            let new = f(offset, pred);
-            work[offset] = new;
+        sweep_ranges(strides, &ranges, d, |offset, coord_d| {
+            let pred = predict_point_read(
+                |i| work[i],
+                offset,
+                coord_d,
+                dims[d],
+                strides[d],
+                stride,
+                method,
+            );
+            work[offset] = f(offset, pred);
         });
     });
 }
@@ -496,6 +520,110 @@ mod tests {
         }
         for (a, b) in orig.iter().zip(&out) {
             assert!((a - b).abs() < 1e-9, "{a} vs {b}");
+        }
+    }
+
+    /// The encode direction on the point-wise referee: anchors, per-level
+    /// codes (coarsest first) and the reconstruction the decoder will see.
+    fn pointwise_encode(
+        data: &ArrayD<f64>,
+        method: Interpolation,
+        eb: f64,
+    ) -> (Vec<i64>, Vec<Vec<i64>>, Vec<f64>) {
+        use crate::quantize::dequantize;
+        let (shape, orig) = (data.shape(), data.as_slice());
+        let mut work = vec![0.0; shape.len()];
+        let mut anchors = Vec::new();
+        process_anchors(shape, &mut work, |off, pred| {
+            let q = ((orig[off] - pred) / (2.0 * eb)).round() as i64;
+            anchors.push(q);
+            pred + dequantize(q, eb)
+        });
+        let levels = (1..=num_levels(shape))
+            .rev()
+            .map(|level| {
+                let mut codes = Vec::new();
+                process_level_pointwise(shape, level, method, &mut work, |off, pred| {
+                    let q = ((orig[off] - pred) / (2.0 * eb)).round() as i64;
+                    codes.push(q);
+                    pred + dequantize(q, eb)
+                });
+                codes
+            })
+            .collect();
+        (anchors, levels, work)
+    }
+
+    fn bits(v: &[f64]) -> Vec<u64> {
+        v.iter().map(|x| x.to_bits()).collect()
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig::with_cases(48))]
+
+        /// Both users of the run-kernel sweep in the encode direction —
+        /// `compress` (the `Quantize` operation) and `process_level` (a
+        /// closure as the operation) — against the point-wise referee with
+        /// libm rounding: codes and reconstruction bit-equal on 1–4-D shapes
+        /// down to extents of 1, both predictors, bounds over 12 decades.
+        #[test]
+        fn prop_encode_sweeps_match_pointwise_referee(
+            dims in proptest::collection::vec(1usize..=9, 1..5),
+            stretch in 1usize..=8,
+            seed in proptest::prelude::any::<u64>(),
+            cubic in proptest::prelude::any::<bool>(),
+            eb_exp in 0i32..12,
+        ) {
+            use crate::quantize::{dequantize, quantize};
+            // One long axis for the interior kernels; the rest stay small
+            // (extents 1, 2, 3 and odd ones all occur).
+            let mut dims = dims;
+            let at = seed as usize % dims.len();
+            dims[at] = (dims[at] * stretch).min(4000 / dims.iter().product::<usize>()).max(1);
+            let shape = Shape::new(&dims);
+            let method = if cubic { Interpolation::Cubic } else { Interpolation::Linear };
+            let eb = 10f64.powi(-eb_exp);
+            let data = ArrayD::from_fn(shape.clone(), |c| {
+                let mut h = seed;
+                let mut smooth = 0.0;
+                for (i, &x) in c.iter().enumerate() {
+                    h = (h ^ x as u64).wrapping_mul(0x9e37_79b9_7f4a_7c15);
+                    smooth += (x as f64 * (0.3 + 0.1 * i as f64)).sin();
+                }
+                smooth + (h >> 40) as f64 / (1u64 << 24) as f64 * 0.05
+            });
+            let (anchors, levels, recon) = pointwise_encode(&data, method, eb);
+
+            // Through `process_level`.
+            let orig = data.as_slice();
+            let mut work = vec![0.0; shape.len()];
+            process_anchors(&shape, &mut work, |off, pred| {
+                pred + dequantize(quantize(orig[off] - pred, eb), eb)
+            });
+            for (idx, want) in levels.iter().enumerate() {
+                let mut codes = Vec::new();
+                process_level(&shape, num_levels(&shape) - idx as u32, method, &mut work, |off, pred| {
+                    let q = quantize(orig[off] - pred, eb);
+                    codes.push(q);
+                    pred + dequantize(q, eb)
+                });
+                proptest::prop_assert_eq!(&codes, want, "process_level codes, dims {:?} level idx {}", &dims, idx);
+            }
+            proptest::prop_assert_eq!(bits(&work), bits(&recon), "process_level field, dims {:?}", &dims);
+
+            // Through `compress` (and back through the decoder's direction
+            // of the same sweep).
+            let config = crate::Config { interpolation: method, ..crate::Config::default() };
+            let c = crate::compress(&data, eb, &config).unwrap();
+            proptest::prop_assert_eq!(crate::container::decode_anchors(&c.anchors).unwrap(), anchors);
+            for (level, want) in c.levels.iter().zip(&levels) {
+                let got = crate::bitplane::decode_level(
+                    level, level.num_planes, config.prefix_bits, config.predictive_coding,
+                ).unwrap();
+                proptest::prop_assert_eq!(&got, want, "compress codes, dims {:?}", &dims);
+            }
+            let out = c.decompress().unwrap();
+            proptest::prop_assert_eq!(bits(out.as_slice()), bits(&recon), "compress field, dims {:?}", &dims);
         }
     }
 

@@ -30,11 +30,11 @@
 
 use std::sync::Arc;
 
-use ipc_codecs::negabinary::{from_negabinary, from_negabinary_slice};
+use ipc_codecs::negabinary::from_negabinary;
 use ipc_tensor::{ArrayD, AxisRange, Shape};
 
 use crate::bitplane::{decode_planes_into, EncodedLevel};
-use crate::cascade::{self, CascadeEngine, CascadeProgress};
+use crate::cascade::{CascadeEngine, CascadeProgress};
 use crate::container::{decode_anchors_bounded, Compressed, ContainerMap, Header};
 use crate::error::{IpcompError, Result};
 use crate::interp::{for_each_level_pass, level_stride, num_levels, sweep_runs};
@@ -42,6 +42,9 @@ use crate::optimizer::{plan_for_scope, LoadPlan, PlanInput, RegionMasks};
 use crate::pipeline::{FetchStage, RegionPipeline};
 use crate::precinct::{clip_ranges, prefix_sums, LevelPrecincts, PrecinctGrid, RoiBox};
 use crate::source::ChunkSource;
+
+/// Plane mask selecting a coefficient's whole negabinary word.
+const ALL_PLANES: u64 = u64::MAX;
 
 /// How much fidelity a retrieval should target (paper Sec. 5).
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -298,19 +301,17 @@ impl<'a> ProgressiveDecoder<'a> {
     }
 
     /// Cascade codes of one level's accumulators, in the canonical traversal
-    /// order the cascade engine consumes: full values on an initial
-    /// reconstruction, deltas against the pre-load snapshot `before` on a
-    /// refinement. A version-3 level's precinct-major codes are reordered
-    /// through its `layout` (`None` for byte-granular containers).
-    fn level_codes(
-        acc: &[u64],
-        before: Option<&[i64]>,
-        layout: Option<&LevelPrecincts>,
-    ) -> Vec<i64> {
-        let codes = match before {
-            None => cascade::residual_codes(acc),
-            Some(b) => cascade::delta_codes(acc, b),
-        };
+    /// order the cascade engine consumes: the negabinary value of the planes
+    /// in `plane_mask` — every plane ([`ALL_PLANES`]) for the full values of
+    /// an initial reconstruction, the planes a refinement just loaded for its
+    /// deltas (negabinary is positional, so those planes alone decode to
+    /// exactly what they add). A version-3 level's precinct-major codes are
+    /// reordered through its `layout` (`None` for byte-granular containers).
+    fn level_codes(acc: &[u64], plane_mask: u64, layout: Option<&LevelPrecincts>) -> Vec<i64> {
+        let codes: Vec<i64> = acc
+            .iter()
+            .map(|&w| from_negabinary(w & plane_mask))
+            .collect();
         match layout {
             Some(lp) if !codes.is_empty() => lp.to_canonical_order(&codes),
             _ => codes,
@@ -660,21 +661,27 @@ impl<'a> ProgressiveDecoder<'a> {
                 // otherwise nothing (all residuals, or all deltas, zero).
                 let codes = if initial && self.planes_loaded[idx] > 0 {
                     let layout = self.layouts.as_ref().map(|l| &l[idx]);
-                    Self::level_codes(&self.acc[idx], None, layout)
+                    Self::level_codes(&self.acc[idx], ALL_PLANES, layout)
                 } else {
                     Vec::new()
                 };
                 Self::feed(&mut engine, idx, codes, events);
                 continue;
             };
-            let before = (!initial).then(|| self.snapshot_level(idx));
+            // What the cascade is fed: full values, or the delta the newly
+            // loaded planes `[lo, hi)` contribute.
+            let feed_planes = if initial {
+                ALL_PLANES
+            } else {
+                (1u64 << hi) - (1u64 << lo)
+            };
 
             if streaming {
                 // Version-3 levels stream in precinct-major order, which is
                 // not a canonical-order prefix — their cascade feed waits
                 // for the whole level instead of riding the region stream.
                 let span_feed = self.layouts.is_none();
-                let cascade = span_feed.then_some((&mut engine, before.as_deref()));
+                let cascade = span_feed.then_some((&mut engine, feed_planes));
                 let fetch = match &store {
                     Store::Slice(c) => FetchStage::Resident {
                         level: &c.levels[idx],
@@ -700,7 +707,7 @@ impl<'a> ProgressiveDecoder<'a> {
                     events(StreamEvent::LevelReconstructed(engine.level_complete(idx)));
                 } else {
                     let layout = self.layouts.as_ref().map(|l| &l[idx]);
-                    let codes = Self::level_codes(&self.acc[idx], before.as_deref(), layout);
+                    let codes = Self::level_codes(&self.acc[idx], feed_planes, layout);
                     Self::feed(&mut engine, idx, codes, events);
                 }
                 continue;
@@ -724,7 +731,7 @@ impl<'a> ProgressiveDecoder<'a> {
             let acc = &mut self.acc[idx];
             let mut decode = || -> Result<()> {
                 decode_planes_into(level, lo, hi, prefix_bits, predictive, acc)?;
-                let codes = Self::level_codes(acc, before.as_deref(), layout);
+                let codes = Self::level_codes(acc, feed_planes, layout);
                 Self::feed(&mut engine, idx, codes, events);
                 Ok(())
             };
@@ -757,16 +764,6 @@ impl<'a> ProgressiveDecoder<'a> {
     ) {
         for p in engine.level_ready(idx, codes) {
             cb(StreamEvent::LevelReconstructed(p));
-        }
-    }
-
-    /// Negabinary values of one level's accumulators before new planes land
-    /// (all zeros while nothing is loaded).
-    fn snapshot_level(&self, idx: usize) -> Vec<i64> {
-        if self.planes_loaded[idx] == 0 {
-            vec![0; self.acc[idx].len()]
-        } else {
-            from_negabinary_slice(&self.acc[idx])
         }
     }
 
@@ -833,8 +830,9 @@ impl<'a> ProgressiveDecoder<'a> {
     /// accumulators and byte accounting back exactly on mid-stream failure.
     ///
     /// With `cascade` set, each region's newly final coefficient prefix is
-    /// decoded to codes (values, or deltas against the refinement snapshot)
-    /// and fed to the engine, so the level's early interpolation sub-passes
+    /// decoded to codes (the planes in the given mask: all of them for
+    /// values, the newly loaded ones for a refinement's deltas) and fed to
+    /// the engine, so the level's early interpolation sub-passes
     /// run while its later regions are still fetching. A mid-stream failure
     /// needs no engine rollback: the whole retrieval fails and the engine is
     /// discarded with it.
@@ -844,7 +842,7 @@ impl<'a> ProgressiveDecoder<'a> {
         acc: &mut [u64],
         bytes_total: &mut usize,
         cb: &mut dyn FnMut(StreamEvent),
-        mut cascade: Option<(&mut CascadeEngine, Option<&[i64]>)>,
+        mut cascade: Option<(&mut CascadeEngine, u64)>,
         idx: usize,
         lo: u8,
         hi: u8,
@@ -872,12 +870,11 @@ impl<'a> ProgressiveDecoder<'a> {
                     coeffs_in_level,
                     bytes_total: *bytes_total,
                 }));
-                if let Some((engine, before)) = cascade.as_mut() {
+                if let Some((engine, planes)) = cascade.as_mut() {
                     // The prefix `[0, coeffs.end)` is final across every
                     // streamed plane: append the region's codes and let
                     // covered sub-passes run now.
-                    let before_span = before.map(|b| &b[coeffs]);
-                    engine.level_span_arrived(idx, acc_region, before_span);
+                    engine.level_span_arrived(idx, acc_region, *planes);
                 }
             });
             match result {
