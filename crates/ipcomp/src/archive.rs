@@ -47,6 +47,7 @@
 //! the reader exactly as it was after the last good step; retrying after the
 //! backend heals continues the chain and produces bit-identical output.
 
+use std::collections::HashSet;
 use std::sync::Arc;
 
 use ipc_tensor::{ArrayD, Shape};
@@ -54,9 +55,10 @@ use ipc_tensor::{ArrayD, Shape};
 use crate::config::Config;
 use crate::container::{ContainerMap, MetaCursor, MAGIC};
 use crate::error::{IpcompError, Result};
+use crate::planner::{fetch_groups, plan_request, ChunkRead};
 use crate::precinct::RoiBox;
 use crate::progressive::{ProgressiveDecoder, RetrievalRequest, StreamEvent};
-use crate::source::{ChunkSource, MemorySource, OffsetSource};
+use crate::source::{ByteRange, ChunkSource, MemorySource, OffsetSource, PlannedSource};
 
 /// Container format version of the time-series archive framing.
 pub const VERSION_ARCHIVE: u32 = 4;
@@ -726,7 +728,7 @@ pub struct ArchiveOutcome {
 struct ChainBase {
     step: usize,
     roi: Option<RoiBox>,
-    data: ArrayD<f64>,
+    data: Arc<ArrayD<f64>>,
 }
 
 /// Step-spanning progressive reader over a serialized archive.
@@ -736,6 +738,14 @@ struct ChainBase {
 /// unchanged; the reader adds the chain composition, per-variable chain
 /// caching (a sliding window of consecutive requests re-decodes only the
 /// steps it hasn't seen), and per-step commit/rollback of its own state.
+///
+/// A window is **one request** to the storage below: the reader plans its
+/// whole schedule up front ([`plan_archive_request`]'s reads), cuts them
+/// into fetch groups across level *and step* boundaries
+/// ([`fetch_groups`]) and hands every step decoder a window of the same
+/// [`PlannedSource`], so steps whose chunks sit a metadata block apart come
+/// in one read. Groups are fetched when a step first touches them, so steps
+/// still decode, commit and stream out one at a time.
 pub struct ArchiveReader {
     source: Arc<dyn ChunkSource>,
     map: Arc<ArchiveMap>,
@@ -850,13 +860,27 @@ impl ArchiveReader {
         let first = schedule.first().expect("validated range is non-empty");
         // Resuming mid-chain starts from the cached base; a fresh chain
         // starts at a keyframe and needs none.
-        let mut prev: Option<ArrayD<f64>> =
+        let mut prev: Option<Arc<ArrayD<f64>>> =
             if first.step > self.map.chain_anchor(var, request.start) {
                 metrics.chain_reuse.incr();
-                self.bases[var].as_ref().map(|b| b.data.clone())
+                self.bases[var].as_ref().map(|b| Arc::clone(&b.data))
             } else {
                 None
             };
+        // Every scheduled step's reads, per (step, level) in archive order,
+        // grouped across step boundaries and fetched as the steps reach them.
+        let mut units = Vec::new();
+        for plan in &schedule {
+            let mut levels = vec![Vec::new(); self.map.container(plan.step, var).levels.len()];
+            for read in step_reads(&self.map, plan, request)? {
+                levels[read.level].push(read.range);
+            }
+            units.extend(levels);
+        }
+        let source = Arc::new(PlannedSource::new(
+            Arc::clone(&self.source),
+            fetch_groups(units),
+        ));
         let steps_in_request = request.end - request.start;
         let mut steps_done = 0usize;
         let mut bytes_request = 0usize;
@@ -865,7 +889,7 @@ impl ArchiveReader {
             let entry = *self.map.entry(plan.step, var);
             let cmap = Arc::clone(self.map.container(plan.step, var));
             let window: Arc<dyn ChunkSource> = Arc::new(OffsetSource::new(
-                Arc::clone(&self.source),
+                Arc::clone(&source),
                 entry.offset,
                 entry.len,
             )?);
@@ -877,7 +901,7 @@ impl ArchiveReader {
             // Output decode at the requested fidelity, streaming inner events.
             let output = if plan.output {
                 let mut dec =
-                    ProgressiveDecoder::from_shared_source(Arc::clone(&window), Arc::clone(&cmap));
+                    ProgressiveDecoder::over_planned_source(Arc::clone(&window), Arc::clone(&cmap));
                 let r = dec.retrieve_scoped(request.fidelity, request.roi, Some(&mut *on_event))?;
                 bytes_step += r.bytes_total;
                 Some(r)
@@ -887,36 +911,34 @@ impl ArchiveReader {
             // Chain decode at the reference fidelity (fresh decoder, so the
             // loaded plane set matches the encoder's base derivation exactly
             // even when the output plan differs).
-            let chain_delta = if plan.chain {
-                if shared {
-                    output.as_ref().map(|r| r.data.clone())
-                } else {
-                    let mut dec = ProgressiveDecoder::from_shared_source(
-                        Arc::clone(&window),
-                        Arc::clone(&cmap),
-                    );
-                    let r = dec.retrieve_scoped(reference, request.roi, None)?;
-                    bytes_step += r.bytes_total;
-                    Some(r.data)
-                }
+            let chain_delta = if plan.chain && !shared {
+                let mut dec =
+                    ProgressiveDecoder::over_planned_source(Arc::clone(&window), Arc::clone(&cmap));
+                let r = dec.retrieve_scoped(reference, request.roi, None)?;
+                bytes_step += r.bytes_total;
+                Some(r.data)
             } else {
                 None
             };
 
-            // All loads for this step succeeded — compose, commit, emit.
+            // All loads for this step succeeded — compose, commit, emit. A
+            // shared step composes once: its output *is* the chain base.
             let output = match output {
-                Some(r) => {
-                    let data = compose(entry.kind, prev.as_ref(), &r.data)?;
-                    Some((data, r.error_bound))
-                }
+                Some(r) => Some((compose(entry.kind, prev.as_deref(), r.data)?, r.error_bound)),
                 None => None,
             };
-            if let Some(delta) = chain_delta {
-                let base = compose(entry.kind, prev.as_ref(), &delta)?;
+            if plan.chain {
+                let base = Arc::new(match chain_delta {
+                    Some(delta) => compose(entry.kind, prev.as_deref(), delta)?,
+                    None => {
+                        let (data, _) = output.as_ref().expect("a shared step has an output");
+                        data.clone()
+                    }
+                });
                 self.bases[var] = Some(ChainBase {
                     step: plan.step,
                     roi: request.roi,
-                    data: base.clone(),
+                    data: Arc::clone(&base),
                 });
                 prev = Some(base);
             }
@@ -962,29 +984,131 @@ impl ArchiveReader {
     }
 }
 
-/// Compose a decoded delta with the chain base according to the step kind.
-fn compose(kind: StepKind, prev: Option<&ArrayD<f64>>, delta: &ArrayD<f64>) -> Result<ArrayD<f64>> {
-    match kind {
-        StepKind::Keyframe => Ok(delta.clone()),
-        StepKind::Residual => {
-            let base = prev.ok_or(IpcompError::CorruptContainer(
-                "residual step without a chain base",
-            ))?;
-            if base.shape() != delta.shape() {
-                return Err(IpcompError::CorruptContainer(
-                    "chain base shape disagrees with step",
-                ));
-            }
-            Ok(add_fields(base, delta))
+/// Compose a decoded delta with the chain base according to the step kind:
+/// a keyframe's delta is the field, a residual's is added onto the base (in
+/// place; a floating-point sum does not depend on its operands' order, so
+/// this is [`add_fields`]' `base + delta` bit for bit).
+fn compose(
+    kind: StepKind,
+    prev: Option<&ArrayD<f64>>,
+    mut delta: ArrayD<f64>,
+) -> Result<ArrayD<f64>> {
+    if kind == StepKind::Residual {
+        let base = prev.ok_or(IpcompError::CorruptContainer(
+            "residual step without a chain base",
+        ))?;
+        if base.shape() != delta.shape() {
+            return Err(IpcompError::CorruptContainer(
+                "chain base shape disagrees with step",
+            ));
+        }
+        for (d, b) in delta.as_mut_slice().iter_mut().zip(base.as_slice()) {
+            *d += b;
         }
     }
+    Ok(delta)
+}
+
+/// The reads one scheduled step's decodes issue against its embedded
+/// container, in archive-absolute offsets: the output decode's at the
+/// requested fidelity, then — when the chain needs a decode of its own — the
+/// reference decode's. A chunk both decodes read is listed twice. Every
+/// decode is planned through the same [`plan_request`] dispatch its decoder
+/// plans with, fresh (nothing pre-loaded) and under the request's window.
+fn step_reads(
+    map: &ArchiveMap,
+    plan: &StepPlan,
+    request: &ArchiveRequest,
+) -> Result<Vec<ChunkRead>> {
+    let cmap = map.container(plan.step, request.variable);
+    let reference = RetrievalRequest::ErrorBound(map.reference_bound);
+    let mut reads = Vec::new();
+    if plan.output {
+        reads.extend(plan_request(cmap, &[], request.fidelity, request.roi)?.reads);
+    }
+    if plan.chain && (!plan.output || request.fidelity != reference) {
+        reads.extend(plan_request(cmap, &[], reference, request.roi)?.reads);
+    }
+    let base = map.entry(plan.step, request.variable).offset;
+    for read in &mut reads {
+        read.range.offset += base;
+    }
+    Ok(reads)
+}
+
+/// The byte ranges one scheduled step contributes to an archive plan.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct ArchiveStepRanges {
+    /// The archive step these ranges decode.
+    pub step: usize,
+    /// Chunk ranges in archive-absolute offsets, payload order.
+    pub ranges: Vec<ByteRange>,
+}
+
+/// An [`ArchiveRequest`] lowered to byte ranges: the union of each scheduled
+/// step's per-container plan (chain steps at the reference fidelity, output
+/// steps at the requested fidelity, one shared plan when they coincide),
+/// shifted to archive-absolute offsets.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct ArchiveRangePlan {
+    /// Per scheduled step, in chain order.
+    pub steps: Vec<ArchiveStepRanges>,
+}
+
+impl ArchiveRangePlan {
+    /// Total payload bytes the plan fetches.
+    pub fn payload_bytes(&self) -> usize {
+        self.steps
+            .iter()
+            .flat_map(|s| &s.ranges)
+            .map(|r| r.len)
+            .sum()
+    }
+
+    /// Number of per-chunk requests without coalescing.
+    pub fn request_count(&self) -> usize {
+        self.steps.iter().map(|s| s.ranges.len()).sum()
+    }
+
+    /// All ranges of the plan, step order.
+    pub fn ranges(&self) -> Vec<ByteRange> {
+        self.steps.iter().flat_map(|s| s.ranges.clone()).collect()
+    }
+}
+
+/// Lower `request` against `reader`'s schedule (which accounts for its
+/// cached chain state) to the minimal chunk set: the keyframe-anchored chain
+/// prefix priced at the reference fidelity, the output window at the
+/// requested fidelity, and — when a step serves both — the union of the two
+/// per-step plans, each composed with the existing per-container
+/// plane/precinct lowering. These are the reads
+/// [`ArchiveReader::retrieve_steps`] groups and fetches, so whatever it
+/// serves is priced byte for byte, and whatever it refuses is refused here.
+pub fn plan_archive_request(
+    reader: &ArchiveReader,
+    request: &ArchiveRequest,
+) -> Result<ArchiveRangePlan> {
+    let map = reader.map();
+    let mut steps = Vec::new();
+    for plan in reader.step_schedule(request)? {
+        let mut seen: HashSet<ByteRange> = HashSet::new();
+        let ranges = step_reads(map, &plan, request)?
+            .into_iter()
+            .map(|read| read.range)
+            .filter(|range| seen.insert(*range))
+            .collect();
+        steps.push(ArchiveStepRanges {
+            step: plan.step,
+            ranges,
+        });
+    }
+    Ok(ArchiveRangePlan { steps })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::compressor::compress;
-    use crate::source::ByteRange;
 
     fn wave(shape: &Shape, t: f64) -> ArrayD<f64> {
         ArrayD::from_fn(shape.clone(), |c| {
@@ -1192,8 +1316,9 @@ mod tests {
 
         let (_, bytes, _) = toy_archive(8, 8);
         let request = ArchiveRequest::steps(0, 0..8, RetrievalRequest::ErrorBound(1e-3));
-        // Count requests of a clean full run, then trip partway through the
-        // retrieval (always past map parsing, so open itself succeeds).
+        // Count requests of a clean full run — one per fetch group of the
+        // window — then trip partway through the retrieval (always past map
+        // parsing, so open itself succeeds).
         let clean_src = Arc::new(TripSource::new(bytes.clone(), u64::MAX));
         let mut clean =
             ArchiveReader::open(Arc::clone(&clean_src) as Arc<dyn ChunkSource>).unwrap();
@@ -1212,10 +1337,9 @@ mod tests {
             let mut reader = ArchiveReader::open(Arc::clone(&src) as Arc<dyn ChunkSource>).unwrap();
             let bytes_before_fail = reader.bytes_loaded();
             let cache_before_fail = reader.chain_cache_step(0);
-            let err = reader.retrieve_steps(&request);
-            if err.is_ok() {
-                continue; // map parse consumed enough requests to finish
-            }
+            // The trip lands on a later group's fetch: the steps whose
+            // groups came in before it are committed, the rest fail.
+            assert!(reader.retrieve_steps(&request).is_err(), "trip={trip}");
             // State either advanced whole steps or stayed put — never a
             // partial step.
             assert!(reader.bytes_loaded() >= bytes_before_fail);

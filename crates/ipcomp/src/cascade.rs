@@ -36,10 +36,8 @@
 //!    7/8 of the bytes in 3-D) are still fetching and entropy-decoding.
 //!    Cascade order is the contract: every caller loads levels coarsest
 //!    first, so the engine holds codes for one level at a time and a level
-//!    handed over early is a bug, not a case. Streaming raises the
-//!    fetch/compute overlap ceiling of the staged pipeline: against a slow
-//!    backend, reconstruction compute now hides under the next level's fetch
-//!    instead of running after the last byte lands.
+//!    handed over early is a bug, not a case. A streaming caller sees the
+//!    coarse lattices final while the finest level is still decoding.
 //! 2. **Fused SIMD passes.** A pass consumes quantization codes directly —
 //!    dequantization (`code · 2eb`) is fused into the interpolation kernel,
 //!    so the field is touched once per level instead of once per stage, and
@@ -227,10 +225,9 @@ pub struct CascadeProgress {
 /// its dimension sub-passes — so each sub-pass consumes a contiguous, known
 /// code range and can run as soon as the arrived prefix covers it (and all
 /// coarser levels are applied). That is what lets the finest level's early
-/// sub-passes overlap the fetch of its own remaining regions, on top of the
-/// coarse levels overlapping the finer levels' fetches entirely. Once every
-/// level is applied, [`into_field`](CascadeEngine::into_field) yields the
-/// reconstruction.
+/// sub-passes run — and report — before its remaining regions have decoded.
+/// Once every level is applied, [`into_field`](CascadeEngine::into_field)
+/// yields the reconstruction.
 pub struct CascadeEngine {
     shape: Shape,
     method: Interpolation,

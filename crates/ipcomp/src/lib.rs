@@ -25,9 +25,11 @@
 //! 5. **Progressive decoder** ([`progressive`]): Algorithm 1 reconstructs from
 //!    scratch in a single pass; Algorithm 2 refines an existing reconstruction from
 //!    newly loaded planes only. Every read path decodes through the staged
-//!    **fetch → entropy → scatter** pipeline ([`pipeline`]), which prefetches the
-//!    next chunk region (and, on bulk ranged retrievals, the next level) while the
-//!    current one decodes, and scatters through plane-count-specialized kernels.
+//!    **fetch → entropy → scatter** pipeline ([`pipeline`]) and scatters through
+//!    plane-count-specialized kernels. Over ranged storage a request lowers its
+//!    plan to byte ranges first ([`planner`]) and reads them in a few
+//!    byte-budgeted fetch groups ([`source::PlannedSource`]) — one fetch per
+//!    request where the bytes allow it, not one per level.
 //!
 //! ## Quick start
 //!
@@ -62,6 +64,7 @@ pub mod interp;
 pub mod obs;
 pub mod optimizer;
 pub mod pipeline;
+pub mod planner;
 pub mod precinct;
 pub mod progressive;
 pub mod quantize;
@@ -86,4 +89,6 @@ pub use precinct::{roi_precinct_masks, LevelPrecincts, PrecinctGrid, RoiBox};
 pub use progressive::{
     ProgressiveDecoder, Retrieval, RetrievalRequest, StreamEvent, StreamProgress,
 };
-pub use source::{read_ranges_exact, ByteRange, Bytes, ChunkSource, MemorySource, OffsetSource};
+pub use source::{
+    read_ranges_exact, ByteRange, Bytes, ChunkSource, MemorySource, OffsetSource, PlannedSource,
+};

@@ -24,17 +24,16 @@
 //! and the driver.
 //!
 //! [`RegionPipeline`] drives the stages pull-style over a level's regions —
-//! all of them, or the precincts a region mask selects — with a one-region
-//! prefetch: while region `k` is entropy-decoded and scattered on the
-//! calling thread, the next region's chunk ranges are fetched on a scoped
-//! worker thread. The double buffer bounds memory at two regions, and
-//! because the scatter stage runs only after the whole region
-//! entropy-decodes, the per-region rollback semantics of the serial decoder
-//! are preserved exactly. For resident levels (fetch is a borrow) the
-//! prefetch thread is skipped entirely.
+//! all of them, or the precincts a region mask selects — one region per
+//! call, on the calling thread: fetch, entropy-decode, scatter. Memory is
+//! bounded at one region, and because the scatter stage runs only after the
+//! whole region entropy-decodes, a failed region leaves its accumulator
+//! slice untouched.
 //!
-//! Fetch/compute overlap grows with backend latency: against a remote store
-//! the pipeline hides up to `min(fetch, decode)` of every interior region.
+//! There is no fetch lookahead here. A ranged level's source is the
+//! request's [`crate::source::PlannedSource`]: the region's chunk ranges are
+//! slices of a fetch group that arrived in one read when the request first
+//! touched it, so there is no per-region round trip left to hide.
 
 use std::ops::Range;
 use std::sync::Arc;
@@ -105,12 +104,6 @@ pub enum FetchStage<'a> {
 }
 
 impl<'a> FetchStage<'a> {
-    /// Whether running this stage on a worker thread can overlap real work
-    /// (resident fetches are borrows — there is nothing to hide).
-    pub fn supports_prefetch(&self) -> bool {
-        matches!(self, FetchStage::Ranged { .. })
-    }
-
     /// Compressed bytes region `k` reads across the streamed planes.
     pub fn region_compressed_bytes(&self, k: usize) -> usize {
         match self {
@@ -338,35 +331,14 @@ fn xor_words_into_bytes(dst: &mut [u8], src: &[u64]) {
     }
 }
 
-/// Run `work` on the calling thread while `fetch` runs on a scoped worker
-/// thread, returning both results. A panic on the worker is resumed on the
-/// caller. This is the one place the pipeline's fetch/compute overlap
-/// touches threads; both the region-lookahead driver below and the
-/// level-lookahead bulk path in `progressive` go through it.
-pub fn overlap_fetch<T, U>(fetch: impl FnOnce() -> T + Send, work: impl FnOnce() -> U) -> (U, T)
-where
-    T: Send,
-{
-    std::thread::scope(|s| {
-        let handle = s.spawn(fetch);
-        let out = work();
-        let fetched = match handle.join() {
-            Ok(res) => res,
-            Err(payload) => std::panic::resume_unwind(payload),
-        };
-        (out, fetched)
-    })
-}
-
 /// Pull-based pipeline driver over one level's chunk regions — all of them,
 /// or the precincts a region mask selects.
 ///
 /// Each [`RegionPipeline::decode_next`] call completes one region through
-/// entropy + scatter while the *next* region's chunks are fetched on a
-/// scoped worker thread (ranged backings only). Regions complete in
-/// coefficient order; a failed region leaves its accumulator slice untouched
-/// and the stream positioned to retry it. Peak memory is bounded by
-/// `(plane span) × region size`, double-buffered, instead of the whole level.
+/// fetch + entropy + scatter. Regions complete in coefficient order; a
+/// failed region leaves its accumulator slice untouched and the stream
+/// positioned to retry it. Peak memory is bounded by `(plane span) × region
+/// size` instead of the whole level.
 pub struct RegionPipeline<'a> {
     fetch: FetchStage<'a>,
     entropy: EntropyStage,
@@ -377,7 +349,6 @@ pub struct RegionPipeline<'a> {
     mask: Option<&'a [bool]>,
     /// The region the next call decodes (`None` once exhausted).
     next: Option<usize>,
-    prefetched: Option<(usize, Result<FetchedRegion<'a>>)>,
 }
 
 impl<'a> RegionPipeline<'a> {
@@ -421,7 +392,6 @@ impl<'a> RegionPipeline<'a> {
             scheme,
             mask,
             next: None,
-            prefetched: None,
         };
         if plane_lo < plane_hi && pipeline.scheme.n_values() > 0 {
             pipeline.next = pipeline.selected_from(0);
@@ -467,10 +437,8 @@ impl<'a> RegionPipeline<'a> {
 
     /// [`RegionPipeline::decode_next`] with a post-scatter hook: on success,
     /// `after_scatter(coeffs, acc_region)` runs with the region's completed
-    /// coefficient range and its final accumulator slice — *inside* the
-    /// fetch-overlap window, so consumer work (progress reporting, streaming
-    /// reconstruction) hides under the next region's in-flight fetch instead
-    /// of running after the join.
+    /// coefficient range and its final accumulator slice (progress
+    /// reporting, streaming reconstruction).
     pub fn decode_next_with(
         &mut self,
         acc: &mut [u64],
@@ -484,46 +452,12 @@ impl<'a> RegionPipeline<'a> {
         let Some(k) = self.next else {
             return Ok(None);
         };
-        let fetched = match self.prefetched.take() {
-            Some((idx, res)) if idx == k => res?,
-            other => {
-                self.prefetched = other;
-                self.fetch.fetch(k)?
-            }
-        };
+        let chunks = self.entropy.decode(k, self.fetch.fetch(k)?)?;
         let coeffs = self.scheme.region_coeff_range(k);
         let acc_region = &mut acc[coeffs.clone()];
-        let after = self.selected_from(k + 1);
-        match after {
-            Some(next) if self.prefetched.is_none() && self.fetch.supports_prefetch() => {
-                // Overlap: region k's entropy + scatter + consumer hook on
-                // this thread, the next region's fetch on a scoped worker.
-                // The worker only borrows the fetch stage, so a decode
-                // failure still stores the prefetch result for the (possible)
-                // retry of the *next* region.
-                let fetch = &self.fetch;
-                let entropy = &self.entropy;
-                let scatter = &self.scatter;
-                let region_coeffs = coeffs.clone();
-                let (work, pre) = overlap_fetch(
-                    move || fetch.fetch(next),
-                    || {
-                        entropy.decode(k, fetched).map(|chunks| {
-                            scatter.scatter(k, chunks, acc_region);
-                            after_scatter(region_coeffs, acc_region)
-                        })
-                    },
-                );
-                self.prefetched = Some((next, pre));
-                work?;
-            }
-            _ => {
-                let chunks = self.entropy.decode(k, fetched)?;
-                self.scatter.scatter(k, chunks, acc_region);
-                after_scatter(coeffs.clone(), acc_region);
-            }
-        }
-        self.next = after;
+        self.scatter.scatter(k, chunks, acc_region);
+        after_scatter(coeffs.clone(), acc_region);
+        self.next = self.selected_from(k + 1);
         Ok(Some(coeffs))
     }
 }

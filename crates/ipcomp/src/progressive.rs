@@ -15,11 +15,19 @@
 //!
 //! Both algorithms drive the streaming cascade engine ([`crate::cascade`]):
 //! each level's interpolation pass runs as soon as that level's planes are
-//! decoded and scattered — on ranged bulk retrievals the pass overlaps the
-//! *next* level's batched fetch on a scoped worker, and on streaming
-//! retrievals [`StreamEvent::LevelReconstructed`] reports each applied pass —
-//! instead of one monolithic dequantize + interpolate sweep after the last
-//! byte lands.
+//! decoded and scattered — on streaming retrievals
+//! [`StreamEvent::LevelReconstructed`] reports each applied pass — instead of
+//! one monolithic dequantize + interpolate sweep after the last byte lands.
+//!
+//! Over ranged storage the **request** is the unit of I/O, not the level:
+//! before any level decodes, the retrieval lowers its plan to the byte ranges
+//! its levels will ask for ([`crate::planner::lower_plan`] — the list the
+//! store layer prices a request by), cuts them into byte-budgeted fetch
+//! groups ([`crate::planner::fetch_groups`]) and reads through a
+//! [`PlannedSource`], which fetches a whole group on the first touch of any
+//! of its ranges. The level loop below is unchanged by this — it asks for a
+//! level's ranges when it reaches the level and gets slices of a group that
+//! is usually already resident.
 //!
 //! There is one read core. Every `retrieve*` spelling resolves its request
 //! through [`crate::optimizer::plan_for_scope`] and runs the same level loop;
@@ -40,8 +48,9 @@ use crate::error::{IpcompError, Result};
 use crate::interp::{for_each_level_pass, level_stride, num_levels, sweep_runs};
 use crate::optimizer::{plan_for_scope, LoadPlan, PlanInput, RegionMasks};
 use crate::pipeline::{FetchStage, RegionPipeline};
+use crate::planner::{fetch_groups, lower_plan};
 use crate::precinct::{clip_ranges, prefix_sums, LevelPrecincts, PrecinctGrid, RoiBox};
-use crate::source::ChunkSource;
+use crate::source::{ChunkSource, PlannedSource};
 
 /// Plane mask selecting a coefficient's whole negabinary word.
 const ALL_PLANES: u64 = u64::MAX;
@@ -229,6 +238,10 @@ pub struct ProgressiveDecoder<'a> {
     /// the first full-domain retrieval (ROI retrievals never need the whole
     /// permutation). `None` for byte-granular containers.
     layouts: Option<Vec<LevelPrecincts>>,
+    /// The source already serves this decoder's reads from a wider request's
+    /// fetch groups (an archive window's), so retrievals must not regroup
+    /// them per container.
+    source_is_planned: bool,
 }
 
 impl<'a> ProgressiveDecoder<'a> {
@@ -263,6 +276,18 @@ impl<'a> ProgressiveDecoder<'a> {
         })
     }
 
+    /// [`ProgressiveDecoder::from_shared_source`] over a source that is
+    /// (a window of) a [`PlannedSource`] already holding this decoder's reads.
+    pub(crate) fn over_planned_source(
+        source: Arc<dyn ChunkSource>,
+        map: Arc<ContainerMap>,
+    ) -> ProgressiveDecoder<'static> {
+        ProgressiveDecoder {
+            source_is_planned: true,
+            ..Self::from_shared_source(source, map)
+        }
+    }
+
     fn with_store(store: Store<'a>) -> Self {
         let shape = store.header().shape();
         let n_levels = store.num_level_entries();
@@ -279,6 +304,7 @@ impl<'a> ProgressiveDecoder<'a> {
             bytes_total: 0,
             base_bytes_counted: false,
             layouts: None,
+            source_is_planned: false,
         }
     }
 
@@ -508,8 +534,33 @@ impl<'a> ProgressiveDecoder<'a> {
         // With nothing new requested the retrieval is monotone: no load, the
         // current reconstruction is returned as is.
         if initial || !works.is_empty() {
-            let field = match self.drive_levels(&works, initial, region.as_mut(), events, streaming)
-            {
+            // Clone the store handle (a reference or a pair of `Arc`s) so
+            // level borrows come from a local, leaving `self` free for field
+            // updates.
+            let held = self.store.clone();
+            // A ranged store reads by request, not by level: lower the plan
+            // to the ranges the level loop will ask for — what it has yet to
+            // load, under the region's masks — and serve them from fetch
+            // groups.
+            let planned;
+            let store = match &held {
+                Store::Source { map, source } if !self.source_is_planned => {
+                    let (have, masks) = match &region {
+                        Some(scope) => (&[][..], Some(&scope.masks[..])),
+                        None => (&self.planes_loaded[..], None),
+                    };
+                    let units = lower_plan(map, have, plan, masks).level_units();
+                    planned = PlannedSource::new(source.get(), fetch_groups(units));
+                    Store::Source {
+                        map: Arc::clone(map),
+                        source: SourceRef::Borrowed(&planned),
+                    }
+                }
+                _ => held.clone(),
+            };
+            let loaded =
+                self.drive_levels(&store, &works, initial, region.as_mut(), events, streaming);
+            let field = match loaded {
                 Ok(field) => field,
                 Err(e) => {
                     if region.is_some() {
@@ -587,33 +638,34 @@ impl<'a> ProgressiveDecoder<'a> {
     ///
     /// Every path is built from the staged decode pipeline
     /// ([`crate::pipeline`]): with `streaming` set, planes stream region by
-    /// region through [`RegionPipeline`] (which for ranged sources overlaps
-    /// the next region's fetch with the current one's decode) and the
-    /// callback observes every chunk region and cascade pass as it lands.
-    /// Without it, a level is decoded in bulk — the entropy stage fans out
-    /// across the rayon pool — from the resident container's own level or,
-    /// for ranged sources, from one batched `read_ranges`; the *next* level's
-    /// batched fetch is issued on a scoped worker while the current level
-    /// decodes *and runs its interpolation pass*, so backend latency overlaps
-    /// both decode and reconstruction compute without changing the request
-    /// pattern (still one coalescible `read_ranges` per level). Both loaders
-    /// stay because each wins a benchmark workload and the choice is
-    /// observed, not configured: a sink was passed or it was not.
+    /// region through [`RegionPipeline`] and the callback observes every
+    /// chunk region and cascade pass as it lands. Without it, a level is
+    /// decoded in bulk — the entropy stage fans out across the rayon pool —
+    /// from the resident container's own level or, for ranged sources, from
+    /// one batched `read_ranges`. Both loaders stay because each wins a
+    /// benchmark workload and the choice is observed, not configured: a sink
+    /// was passed or it was not.
+    ///
+    /// The schedule is one loader and no lookahead: each level is fetched
+    /// when the loop reaches it, on the calling thread. What makes that cheap
+    /// on a ranged store is upstream — `store`'s source serves the request's
+    /// fetch groups ([`PlannedSource`]), so the first level's read brings in
+    /// every range grouped with it and the levels after it find their bytes
+    /// resident; a failed group fails only the level that touched it, and
+    /// per-level rollback is what it always was.
     ///
     /// Under a `region` the same loop loads each level through
     /// [`ProgressiveDecoder::load_region_level`] and applies the engine's
     /// windowed pass instead.
     fn drive_levels(
         &mut self,
+        store: &Store<'_>,
         works: &[(usize, u8, u8, u8)],
         initial: bool,
         mut region: Option<&mut RegionScope>,
         events: &mut dyn FnMut(StreamEvent),
         streaming: bool,
     ) -> Result<Vec<f64>> {
-        // Clone the store handle (a reference or a pair of `Arc`s) so level
-        // borrows come from a local, leaving `self` free for field updates.
-        let store = self.store.clone();
         let header = store.header();
         let prefix_bits = header.prefix_bits;
         let predictive = header.predictive_coding;
@@ -637,8 +689,6 @@ impl<'a> ProgressiveDecoder<'a> {
         } else {
             engine.seed_zero();
         }
-        // A ranged store's next level, fetched while the current one decoded.
-        let mut prefetched: Option<Result<EncodedLevel>> = None;
         let mut w = 0usize;
         for idx in 0..store.num_level_entries() {
             let work = works.get(w).filter(|x| x.0 == idx).copied();
@@ -646,7 +696,7 @@ impl<'a> ProgressiveDecoder<'a> {
             if let Some(scope) = region.as_deref_mut() {
                 let loaded = match work {
                     Some((_, lo, hi, _)) => {
-                        self.load_region_level(&store, scope, events, idx, lo, hi)?;
+                        self.load_region_level(store, scope, events, idx, lo, hi)?;
                         Some(&scope.codes[..])
                     }
                     None => None,
@@ -682,7 +732,7 @@ impl<'a> ProgressiveDecoder<'a> {
                 // for the whole level instead of riding the region stream.
                 let span_feed = self.layouts.is_none();
                 let cascade = span_feed.then_some((&mut engine, feed_planes));
-                let fetch = match &store {
+                let fetch = match store {
                     Store::Slice(c) => FetchStage::Resident {
                         level: &c.levels[idx],
                         plane_lo: lo,
@@ -714,38 +764,20 @@ impl<'a> ProgressiveDecoder<'a> {
             }
 
             // Bulk: borrow the resident level, or take the ranged level's
-            // one batched, coalescible read (prefetched during the previous
-            // level's decode when there was one).
+            // one batched read.
             let fetched;
-            let level: &EncodedLevel = match &store {
+            let level: &EncodedLevel = match store {
                 Store::Slice(c) => &c.levels[idx],
                 Store::Source { map, source } => {
-                    fetched = match prefetched.take() {
-                        Some(res) => res?,
-                        None => map.levels[idx].fetch_planes(source.get(), lo, hi, None)?,
-                    };
+                    fetched = map.levels[idx].fetch_planes(source.get(), lo, hi, None)?;
                     &fetched
                 }
             };
             let layout = self.layouts.as_ref().map(|l| &l[idx]);
             let acc = &mut self.acc[idx];
-            let mut decode = || -> Result<()> {
-                decode_planes_into(level, lo, hi, prefix_bits, predictive, acc)?;
-                let codes = Self::level_codes(acc, feed_planes, layout);
-                Self::feed(&mut engine, idx, codes, events);
-                Ok(())
-            };
-            match (&store, works.get(w)) {
-                (Store::Source { map, source }, Some(&(nidx, nlo, nhi, _))) => {
-                    let (decoded, next) = crate::pipeline::overlap_fetch(
-                        || map.levels[nidx].fetch_planes(source.get(), nlo, nhi, None),
-                        decode,
-                    );
-                    prefetched = Some(next);
-                    decoded?;
-                }
-                _ => decode()?,
-            }
+            decode_planes_into(level, lo, hi, prefix_bits, predictive, acc)?;
+            let codes = Self::level_codes(acc, feed_planes, layout);
+            Self::feed(&mut engine, idx, codes, events);
             self.bytes_total += (lo..hi)
                 .map(|p| level.planes[p as usize].len())
                 .sum::<usize>();
@@ -774,7 +806,7 @@ impl<'a> ProgressiveDecoder<'a> {
     /// windowed cascade pass reads.
     fn load_region_level(
         &mut self,
-        store: &Store<'a>,
+        store: &Store<'_>,
         scope: &mut RegionScope,
         events: &mut dyn FnMut(StreamEvent),
         idx: usize,
@@ -833,7 +865,7 @@ impl<'a> ProgressiveDecoder<'a> {
     /// decoded to codes (the planes in the given mask: all of them for
     /// values, the newly loaded ones for a refinement's deltas) and fed to
     /// the engine, so the level's early interpolation sub-passes
-    /// run while its later regions are still fetching. A mid-stream failure
+    /// run before its later regions have decoded. A mid-stream failure
     /// needs no engine rollback: the whole retrieval fails and the engine is
     /// discarded with it.
     #[allow(clippy::too_many_arguments)] // decode parameters travel together
@@ -857,9 +889,8 @@ impl<'a> ProgressiveDecoder<'a> {
         while let Some(k) = pipeline.next_region() {
             let region_bytes = pipeline.region_compressed_bytes(k);
             // Progress reporting and cascade feeding run in the pipeline's
-            // post-scatter hook — inside the fetch-overlap window, so the
-            // level's early interpolation sub-passes execute while the next
-            // region's chunks are still in flight.
+            // post-scatter hook, so the level's early interpolation
+            // sub-passes execute before its later regions decode.
             let result = pipeline.decode_next_with(acc, |coeffs, acc_region| {
                 *bytes_total += region_bytes;
                 cb(StreamEvent::Region(StreamProgress {

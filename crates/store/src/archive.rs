@@ -1,7 +1,8 @@
 //! Archive store layer: a shared source stack over a serialized time-series
-//! archive (container format v4) plus per-client [`ArchiveSession`]s, and a
+//! archive (container format v4) plus per-client [`ArchiveSession`]s. The
 //! planner that lowers a step-spanning [`ArchiveRequest`] to the exact chunk
-//! byte ranges it fetches.
+//! byte ranges it fetches ([`plan_archive_request`]) lives with the reader
+//! that fetches by it, in `ipcomp::archive`, and is re-exported here.
 //!
 //! The stack mirrors [`ContainerStore`](crate::ContainerStore) — backend,
 //! optional coalescing, optional shared LRU cache with per-tag quotas — but
@@ -12,16 +13,15 @@
 //! the shared cache exactly like two sessions sharing one container do
 //! (per-[`CacheTag`] stats prove which tenant the reuse belongs to).
 
-use std::collections::HashSet;
 use std::sync::Arc;
 
+pub use ipcomp::archive::{plan_archive_request, ArchiveRangePlan, ArchiveStepRanges};
 use ipcomp::archive::{ArchiveMap, ArchiveOutcome, ArchiveRequest, StepRetrieval};
-use ipcomp::progressive::{RetrievalRequest, StreamEvent};
-use ipcomp::source::{ByteRange, ChunkSource};
+use ipcomp::progressive::StreamEvent;
+use ipcomp::source::ChunkSource;
 use ipcomp::{ArchiveReader, Result};
 
 use crate::cache::{CacheStats, CacheTag, TaggedSource};
-use crate::planner::plan_request;
 use crate::session::{compose_stack, SharedCache, StoreOptions};
 
 /// A time-series archive opened for ranged multi-session retrieval: the
@@ -158,101 +158,14 @@ impl ArchiveSession {
     }
 }
 
-/// The byte ranges one scheduled step contributes to an archive plan.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct ArchiveStepRanges {
-    /// The archive step these ranges decode.
-    pub step: usize,
-    /// Chunk ranges in archive-absolute offsets, payload order.
-    pub ranges: Vec<ByteRange>,
-}
-
-/// An [`ArchiveRequest`] lowered to byte ranges: the union of each scheduled
-/// step's per-container plan (chain steps at the reference fidelity, output
-/// steps at the requested fidelity, one shared plan when they coincide),
-/// shifted to archive-absolute offsets.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct ArchiveRangePlan {
-    /// Per scheduled step, in chain order.
-    pub steps: Vec<ArchiveStepRanges>,
-}
-
-impl ArchiveRangePlan {
-    /// Total payload bytes the plan fetches.
-    pub fn payload_bytes(&self) -> usize {
-        self.steps
-            .iter()
-            .flat_map(|s| &s.ranges)
-            .map(|r| r.len)
-            .sum()
-    }
-
-    /// Number of per-chunk requests without coalescing.
-    pub fn request_count(&self) -> usize {
-        self.steps.iter().map(|s| s.ranges.len()).sum()
-    }
-
-    /// All ranges of the plan, step order.
-    pub fn ranges(&self) -> Vec<ByteRange> {
-        self.steps.iter().flat_map(|s| s.ranges.clone()).collect()
-    }
-}
-
-/// Lower `request` against `reader`'s schedule (which accounts for its
-/// cached chain state) to the minimal chunk set: the keyframe-anchored chain
-/// prefix priced at the reference fidelity, the output window at the
-/// requested fidelity, and — when a step serves both — the union of the two
-/// per-step plans, each composed with the existing per-container
-/// plane/precinct lowering. Every step is priced through the same
-/// [`plan_request`] dispatch its decoder plans with, under the request's
-/// window when it has one — so whatever [`ArchiveReader::retrieve_steps`]
-/// serves is priced byte for byte, and whatever it refuses is refused here.
-pub fn plan_archive_request(
-    reader: &ArchiveReader,
-    request: &ArchiveRequest,
-) -> Result<ArchiveRangePlan> {
-    let map = reader.map();
-    let schedule = reader.step_schedule(request)?;
-    let reference = RetrievalRequest::ErrorBound(map.reference_bound());
-    let mut steps = Vec::with_capacity(schedule.len());
-    for plan in schedule {
-        let cmap = map.container(plan.step, request.variable);
-        // Fresh decoders per step: nothing is pre-loaded.
-        let mut ranges: Vec<ByteRange> = Vec::new();
-        let mut seen: HashSet<ByteRange> = HashSet::new();
-        let mut price = |fidelity| -> Result<()> {
-            for r in plan_request(cmap, &[], fidelity, request.roi)?.ranges() {
-                if seen.insert(r) {
-                    ranges.push(r);
-                }
-            }
-            Ok(())
-        };
-        if plan.output {
-            price(request.fidelity)?;
-        }
-        if plan.chain && (!plan.output || request.fidelity != reference) {
-            price(reference)?;
-        }
-        let base = map.entry(plan.step, request.variable).offset;
-        for r in &mut ranges {
-            r.offset += base;
-        }
-        steps.push(ArchiveStepRanges {
-            step: plan.step,
-            ranges,
-        });
-    }
-    Ok(ArchiveRangePlan { steps })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::planner::plan_request;
     use ipc_tensor::{ArrayD, Shape};
     use ipcomp::archive::{ArchiveBuilder, ArchiveConfig};
     use ipcomp::source::MemorySource;
-    use ipcomp::Config;
+    use ipcomp::{Config, RetrievalRequest};
 
     fn toy_archive_bytes(steps: usize, interval: usize) -> Vec<u8> {
         toy_archive_with(steps, interval, Config::default())

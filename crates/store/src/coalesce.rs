@@ -9,6 +9,18 @@
 //! adjacent. [`coalesce_ranges`] merges runs whose gap is at most a
 //! configurable threshold (paying for the gap bytes to save a request), and
 //! [`CoalescingSource`] applies that transparently under any consumer.
+//!
+//! The gap rule is optimal only over the ranges of *one call* — "merge iff
+//! gap < latency × bandwidth" minimises `gets × latency + bytes ÷ bandwidth`
+//! for a sorted list, and says nothing about ranges it never sees together.
+//! What a call contains is decided above this layer: a retrieval hands the
+//! stack one `read_ranges` per **fetch group** of its lowered plan
+//! (`ipcomp::planner::fetch_groups`, served by `ipcomp::PlannedSource`), and
+//! groups span level and archive-step boundaries only within a byte budget
+//! of a sixteenth of the plan — because at an object store's break-even gap
+//! (1 MB) merging a whole request would read 1.3–2.2× its planned bytes.
+//! This layer's rule is unchanged by that; it simply gets to apply it to
+//! ranges that used to arrive in separate calls.
 
 use std::time::Duration;
 

@@ -13,9 +13,11 @@
 //!    traffic, and can inject short reads for hardening tests.
 //! 2. **Planner** — [`planner::plan_request`] resolves a
 //!    [`RetrievalRequest`] through the optimizer *over metadata alone* and
-//!    lowers the resulting plan to per-chunk byte ranges;
+//!    lowers the resulting plan to per-chunk byte ranges (the lowering lives
+//!    in `ipcomp::planner`: the decoder fetches by the list a session prices
+//!    with, one byte-budgeted fetch group at a time);
 //!    [`coalesce::coalesce_ranges`] merges adjacent runs under a gap
-//!    threshold so a level's plane fetch becomes a single ranged read.
+//!    threshold so a group's fetch becomes few ranged reads.
 //! 3. **Service** — [`ContainerStore`] composes a source stack (backend →
 //!    coalescing → shared LRU [`CachedSource`]) and hands out
 //!    [`RetrievalSession`]s that share the cache; [`StoreService`] is the
@@ -67,7 +69,7 @@ pub use service::{
     ServiceError, ServiceEvent, ServiceMetricsSnapshot, StoreService, TenantConfig, TenantId,
     TenantMetricsSnapshot,
 };
-pub use session::{ContainerStore, PrefetchOutcome, RetrievalSession, SharedCache, StoreOptions};
+pub use session::{ContainerStore, RetrievalSession, SharedCache, StoreOptions};
 pub use sim::{Fault, FaultSource, SimProfile, SimStats, SimulatedObjectStore};
 pub use whole::WholeReadSource;
 

@@ -10,12 +10,14 @@
 //! the first client to request a plane pays the backend cost, the rest hit
 //! shared memory.
 //!
-//! Sessions inherit the decoder's staged pipeline (`ipcomp::pipeline`):
-//! bulk retrievals issue each level's batched, coalescible range read one
-//! level *ahead* of the decode, and streaming retrievals prefetch the next
-//! chunk region while the current one decodes — so against a remote backend
-//! the store's read latency overlaps entropy/scatter compute without
-//! changing the request pattern the cache and coalescer see.
+//! A session's retrieval is **one request** to the stack: the decoder lowers
+//! its plan to chunk ranges, cuts them into byte-budgeted fetch groups and
+//! hands each group to the stack in a single `read_ranges`
+//! (`ipcomp::PlannedSource`, `ipcomp::planner::fetch_groups`). The cache
+//! therefore sees a request's per-chunk keys together — a group whose chunks
+//! all hit issues no backend read at all — and the coalescer sees every miss
+//! of a group at once, so ranges adjacent across a level boundary merge
+//! under its own gap rule instead of arriving in separate calls.
 
 use std::sync::Arc;
 
@@ -26,7 +28,7 @@ use ipcomp::Result;
 
 use crate::cache::{CacheStats, CacheTag, CachedSource, TaggedSource};
 use crate::coalesce::CoalescingSource;
-use crate::planner::{lower_plan, plan_request};
+use crate::planner::plan_request;
 use crate::whole::WholeReadSource;
 
 /// The shared chunk cache type a [`ContainerStore`]'s stack composes.
@@ -42,9 +44,6 @@ pub struct StoreOptions {
     /// batched reads; `None` disables the coalescing layer (every chunk is
     /// its own backend request).
     pub coalesce_gap: Option<u64>,
-    /// After every retrieval, prefetch up to this many not-yet-loaded planes
-    /// per level into the shared cache (refinement readahead). `0` disables.
-    pub readahead_planes: u8,
     /// Protect the chunks of this many top (most significant) planes per
     /// level from cache eviction, so one-shot low-plane sweeps stop flushing
     /// the coarse prefix every client re-reads. Protection is capped at half
@@ -67,7 +66,6 @@ impl Default for StoreOptions {
         Self {
             cache_bytes: 64 << 20,
             coalesce_gap: Some(4096),
-            readahead_planes: 0,
             protect_top_planes: 2,
             whole_read_below: None,
         }
@@ -118,7 +116,6 @@ pub struct ContainerStore {
     map: Arc<ContainerMap>,
     stack: Arc<dyn ChunkSource>,
     cache: Option<Arc<SharedCache>>,
-    options: StoreOptions,
 }
 
 impl ContainerStore {
@@ -177,12 +174,7 @@ impl ContainerStore {
                 ));
             }
         }
-        Arc::new(Self {
-            map,
-            stack,
-            cache,
-            options,
-        })
+        Arc::new(Self { map, stack, cache })
     }
 
     /// Chunk ranges of the top `depth` planes of every level, topmost tier
@@ -263,8 +255,7 @@ impl ContainerStore {
     /// Start a session reading through a caller-supplied top of stack
     /// (wrapping [`ContainerStore::source`] — e.g. a per-session
     /// [`crate::FaultSource`] for deterministic fault routing, or a meter).
-    /// The session still shares this store's metadata map and readahead
-    /// configuration.
+    /// The session still shares this store's metadata map.
     pub fn session_over(self: &Arc<Self>, source: Arc<dyn ChunkSource>) -> RetrievalSession {
         let decoder = ProgressiveDecoder::from_shared_source(source, Arc::clone(&self.map));
         RetrievalSession {
@@ -274,15 +265,6 @@ impl ContainerStore {
     }
 }
 
-/// What a prefetch warmed up.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct PrefetchOutcome {
-    /// Chunk ranges fetched into the cache.
-    pub ranges: usize,
-    /// Payload bytes fetched.
-    pub bytes: usize,
-}
-
 /// One client's progressive retrieval state over a shared [`ContainerStore`].
 pub struct RetrievalSession {
     store: Arc<ContainerStore>,
@@ -290,12 +272,9 @@ pub struct RetrievalSession {
 }
 
 impl RetrievalSession {
-    /// Retrieve (or refine to) the requested fidelity, then apply the
-    /// configured readahead.
+    /// Retrieve (or refine to) the requested fidelity.
     pub fn retrieve(&mut self, request: RetrievalRequest) -> Result<Retrieval> {
-        let out = self.decoder.retrieve(request)?;
-        self.readahead();
-        Ok(out)
+        self.decoder.retrieve(request)
     }
 
     /// Streaming variant of [`RetrievalSession::retrieve`]: the callback
@@ -310,72 +289,20 @@ impl RetrievalSession {
         request: RetrievalRequest,
         events: impl FnMut(StreamEvent),
     ) -> Result<Retrieval> {
-        let out = self.decoder.retrieve_streaming_events(request, events)?;
-        self.readahead();
-        Ok(out)
+        self.decoder.retrieve_streaming_events(request, events)
     }
 
     /// Retrieve a crop-exact region of the domain at the requested fidelity,
     /// fetching only the chunks of precincts intersecting `bounds` plus the
     /// cascade's cross-level ancestor halo. Requires a version-3 (precinct
     /// partitioned) container. ROI retrievals are stateless with respect to
-    /// the session's progressive refinement and skip the configured
-    /// readahead — a region client opted into region-scoped traffic, and
-    /// prefetching full-domain planes would defeat exactly that.
+    /// the session's progressive refinement.
     pub fn retrieve_roi(
         &mut self,
         bounds: ipcomp::RoiBox,
         request: RetrievalRequest,
     ) -> Result<Retrieval> {
         self.decoder.retrieve_roi(bounds, request)
-    }
-
-    /// Warm the shared cache with every chunk `request` would add beyond
-    /// what this session has loaded, without decoding anything. Returns what
-    /// was fetched; a no-op (zero outcome) when the store has no cache layer
-    /// to retain the bytes — fetching would pay backend cost for nothing.
-    pub fn prefetch(&self, request: RetrievalRequest) -> Result<PrefetchOutcome> {
-        if self.store.cache.is_none() {
-            return Ok(PrefetchOutcome::default());
-        }
-        let plan = self.plan_ranges(request)?;
-        let ranges = plan.ranges();
-        self.store.stack.read_ranges(&ranges)?;
-        Ok(PrefetchOutcome {
-            ranges: ranges.len(),
-            bytes: plan.payload_bytes(),
-        })
-    }
-
-    /// Best-effort readahead of the next `readahead_planes` planes per level
-    /// below what is loaded; failures are ignored (the retrieval that
-    /// actually needs the bytes will surface them). Skipped entirely when no
-    /// cache layer exists to hold the prefetched chunks.
-    fn readahead(&self) {
-        let n = self.store.options.readahead_planes;
-        if n == 0 || self.store.cache.is_none() {
-            return;
-        }
-        // Express the readahead as a LoadPlan (current planes + n per level)
-        // and reuse the planner's lowering, so the subtle planes-counted-
-        // from-most-significant arithmetic lives in exactly one place.
-        let loaded = self.decoder.planes_loaded();
-        let plan = ipcomp::LoadPlan {
-            planes_loaded: self
-                .store
-                .map
-                .levels
-                .iter()
-                .zip(loaded)
-                .map(|(level, &have)| (have + n).min(level.num_planes))
-                .collect(),
-            extra_error_bound: 0.0,
-            payload_bytes: 0,
-        };
-        let ranges = lower_plan(&self.store.map, loaded, &plan, None).ranges();
-        if !ranges.is_empty() {
-            let _ = self.store.stack.read_ranges(&ranges);
-        }
     }
 
     /// The plan lowering this session's next `request` would fetch (for

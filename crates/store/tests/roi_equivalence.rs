@@ -64,7 +64,6 @@ fn store_options() -> StoreOptions {
     StoreOptions {
         cache_bytes: 1 << 20,
         coalesce_gap: Some(4096),
-        readahead_planes: 0,
         protect_top_planes: 0,
         whole_read_below: None,
     }
@@ -223,7 +222,6 @@ fn short_read_faults_roll_back_exactly() {
     let options = StoreOptions {
         cache_bytes: 0,
         coalesce_gap: None,
-        readahead_planes: 0,
         protect_top_planes: 0,
         whole_read_below: None,
     };

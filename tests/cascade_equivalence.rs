@@ -275,26 +275,31 @@ fn failed_refinement_rolls_back_and_a_healed_retry_is_exact() {
     };
     let c = compress(&data, 1e-7, &config).unwrap();
 
-    // Reference: uninterrupted coarse → full refinement.
+    // Reference: uninterrupted coarse → full refinement. The coarse step
+    // loads enough that the refinement's levels sit too far apart to bridge
+    // within its byte budget, so it reads in several fetch groups.
+    let coarse_request = RetrievalRequest::ErrorBound(1e-3);
     let mut ref_dec = ProgressiveDecoder::new(&c);
-    ref_dec
-        .retrieve(RetrievalRequest::ErrorBound(1e-2))
-        .unwrap();
+    ref_dec.retrieve(coarse_request).unwrap();
     let reference = ref_dec.retrieve(RetrievalRequest::Full).unwrap();
 
-    // How many backend reads an uninterrupted full refinement issues,
-    // so the outage sweep below stays strictly inside the failing range.
-    let refinement_reads = {
+    // How many backend reads (one per fetch group) an uninterrupted
+    // retrieval issues, so the outage sweeps stay strictly inside the
+    // failing range.
+    let reads_of = |first: Option<RetrievalRequest>, then: RetrievalRequest| {
         let source = FlakySource {
             inner: MemorySource::new(c.to_bytes()),
             budget: AtomicIsize::new(isize::MAX),
         };
         let mut dec = ProgressiveDecoder::from_source(&source).unwrap();
-        dec.retrieve(RetrievalRequest::ErrorBound(1e-2)).unwrap();
+        if let Some(first) = first {
+            dec.retrieve(first).unwrap();
+        }
         let before = source.budget.load(Ordering::Relaxed);
-        dec.retrieve(RetrievalRequest::Full).unwrap();
+        dec.retrieve(then).unwrap();
         before - source.budget.load(Ordering::Relaxed)
     };
+    let refinement_reads = reads_of(Some(coarse_request), RetrievalRequest::Full);
     assert!(
         refinement_reads > 2,
         "need a multi-read refinement to sweep"
@@ -309,7 +314,7 @@ fn failed_refinement_rolls_back_and_a_healed_retry_is_exact() {
                 budget: AtomicIsize::new(isize::MAX),
             };
             let mut dec = ProgressiveDecoder::from_source(&source).unwrap();
-            let coarse = dec.retrieve(RetrievalRequest::ErrorBound(1e-2)).unwrap();
+            let coarse = dec.retrieve(coarse_request).unwrap();
 
             // Outage mid-refinement: the full retrieval must fail...
             source.arm(allow);
@@ -343,12 +348,17 @@ fn failed_refinement_rolls_back_and_a_healed_retry_is_exact() {
         // retry consumes them from the accumulators), but must not charge
         // the base read (header + anchors + metadata) twice. The retry is a
         // one-shot reconstruction, so it compares against a one-shot
-        // reference (refinement is only float-drift-equal to one-shot).
+        // reference (refinement is only float-drift-equal to one-shot). A
+        // mid-bound request reads in several groups (a `Full` one is a
+        // single contiguous read), so the outage can land between them.
+        let initial = RetrievalRequest::ErrorBound(1e-2);
         let one_shot = {
             let mut d = ProgressiveDecoder::new(&c);
-            d.retrieve(RetrievalRequest::Full).unwrap()
+            d.retrieve(initial).unwrap()
         };
-        for allow in [0isize, 1, 3] {
+        let initial_reads = reads_of(None, initial);
+        assert!(initial_reads > 2, "need a multi-read initial retrieval");
+        for allow in 0..initial_reads {
             let source = FlakySource {
                 inner: MemorySource::new(c.to_bytes()),
                 budget: AtomicIsize::new(isize::MAX),
@@ -356,13 +366,13 @@ fn failed_refinement_rolls_back_and_a_healed_retry_is_exact() {
             let mut dec = ProgressiveDecoder::from_source(&source).unwrap();
             source.arm(allow);
             let failed = if streaming {
-                dec.retrieve_streaming_events(RetrievalRequest::Full, |_| {})
+                dec.retrieve_streaming_events(initial, |_| {})
             } else {
-                dec.retrieve(RetrievalRequest::Full)
+                dec.retrieve(initial)
             };
             assert!(failed.is_err(), "outage must fail the initial retrieval");
             source.heal();
-            let retried = dec.retrieve(RetrievalRequest::Full).unwrap();
+            let retried = dec.retrieve(initial).unwrap();
             assert_eq!(
                 retried.data.as_slice(),
                 one_shot.data.as_slice(),
@@ -458,19 +468,21 @@ fn short_read_faults_roll_back_cascade_exactly() {
 fn failed_initial_retrieval_of_a_precinct_container_retries_exactly() {
     let data = field(&[18, 13, 11], 31);
     let c = compress(&data, 1e-7, &Config::with_precincts(&[6, 5, 4])).unwrap();
-    let one_shot = ProgressiveDecoder::new(&c)
-        .retrieve(RetrievalRequest::Full)
-        .unwrap();
+    // A mid-bound request: its levels are separated by the planes it leaves
+    // out, so it reads in several fetch groups and an outage can fall
+    // between them (a `Full` retrieve is one contiguous read).
+    let request = RetrievalRequest::ErrorBound(1e-2);
+    let one_shot = ProgressiveDecoder::new(&c).retrieve(request).unwrap();
     let flaky = || FlakySource {
         inner: MemorySource::new(c.to_bytes()),
         budget: AtomicIsize::new(isize::MAX),
     };
-    // Reads one clean full retrieval issues (one per level holding planes).
+    // Reads one clean retrieval issues (one per fetch group).
     let reads = {
         let source = flaky();
         let mut dec = ProgressiveDecoder::from_source(&source).unwrap();
         let before = source.budget.load(Ordering::Relaxed);
-        dec.retrieve(RetrievalRequest::Full).unwrap();
+        dec.retrieve(request).unwrap();
         before - source.budget.load(Ordering::Relaxed)
     };
     let mut resumed = 0usize;
@@ -478,10 +490,10 @@ fn failed_initial_retrieval_of_a_precinct_container_retries_exactly() {
         let source = flaky();
         let mut dec = ProgressiveDecoder::from_source(&source).unwrap();
         source.arm(allow);
-        assert!(dec.retrieve(RetrievalRequest::Full).is_err());
+        assert!(dec.retrieve(request).is_err());
         resumed += dec.planes_loaded().iter().filter(|&&p| p > 0).count();
         source.heal();
-        let retried = dec.retrieve(RetrievalRequest::Full).unwrap();
+        let retried = dec.retrieve(request).unwrap();
         assert_eq!(
             retried.data.as_slice(),
             one_shot.data.as_slice(),

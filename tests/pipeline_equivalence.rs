@@ -1,9 +1,9 @@
 //! Pipeline equivalence and fault-injection suite for the staged decode path.
 //!
 //! The decode read path is one pipeline (fetch → entropy → scatter) driven
-//! four ways: bulk over a resident slice, bulk over a ranged source (with
-//! level-lookahead fetch overlap), and streaming over either backing (with
-//! region-lookahead prefetch). Every way must produce bit-identical fields
+//! four ways: bulk over a resident slice, bulk over a ranged source, and
+//! streaming over either backing — the ranged ones reading their request's
+//! fetch groups. Every way must produce bit-identical fields
 //! and identical byte accounting, under arbitrary geometries — including
 //! 1-element containers and ragged final chunks — and a mid-stream fetch
 //! failure must roll back exactly (never panic, never leave stray bits).
