@@ -15,18 +15,34 @@
 //! ## Framing (version 4)
 //!
 //! ```text
-//! magic "IPCP" | version=4 | num_steps u32 | num_vars u32
-//! keyframe_interval u32 | reference_bound f64 | finest_bound f64
-//! ndim u8 | dims u64 × ndim
-//! per variable: name_len u16 | utf8 name
-//! directory, step-major: (kind u8 | offset u64 | len u64) × steps × vars
-//! payload: the embedded per-step containers, back to back
+//! hoisted (written; version word = 4 | LAYOUT_PACKED)
+//!   magic "IPCP" | version word u32 | prefix_len u64
+//!   num_steps u32 | num_vars u32
+//!   keyframe_interval u32 | reference_bound f64 | finest_bound f64
+//!   ndim u8 | dims u64 × ndim
+//!   per variable: name_len u16 | utf8 name
+//!   directory, step-major: (kind u8 | offset u64 | len u64) × steps × vars
+//!   per entry, directory order: its container's 16-byte prelude and
+//!       packed metadata block, verbatim                       up to prefix_len
+//!   payload: the embedded per-step containers, back to back   to the last byte
+//!
+//! plain (read-only; version word = 4)
+//!   the same without prefix_len and without the hoisted copies
 //! ```
 //!
-//! The directory lives entirely in the metadata prefix, so [`ArchiveMap`]
-//! parses over ranged reads without touching payload, and each embedded
-//! container is addressed through an [`OffsetSource`] window — versions 1–3
-//! grammar and readers are untouched.
+//! The directory's entries tile the payload: the first starts where the
+//! prefix ends, each next one where the one before it ends, the last ends
+//! with the file. Every embedded container is byte-identical to a standalone
+//! [`Compressed::to_bytes`](crate::Compressed::to_bytes) of the same field
+//! and is addressed through an [`OffsetSource`] window, so versions 1–3
+//! grammar and readers are untouched; the hoisted copies duplicate each
+//! one's metadata front (≈ 0.1 % of an archive of 64³ steps) so that
+//! [`ArchiveMap`] builds every step's map from the prefix alone. The
+//! prefix states its own length right after the version word, where the
+//! 4 KB probe that opens anything always finds it: opening is that probe
+//! plus at most one GET of exactly the rest of the prefix, as a container's
+//! is (see [`crate::container`]). A plain archive costs one probe per
+//! embedded container on top.
 //!
 //! ## Determinism and bit-identity
 //!
@@ -53,7 +69,7 @@ use std::sync::Arc;
 use ipc_tensor::{ArrayD, Shape};
 
 use crate::config::Config;
-use crate::container::{ContainerMap, MetaCursor, MAGIC};
+use crate::container::{metadata_front, ContainerMap, MetaCursor, LAYOUT_PACKED, MAGIC};
 use crate::error::{IpcompError, Result};
 use crate::planner::{fetch_groups, plan_request, ChunkRead};
 use crate::precinct::RoiBox;
@@ -285,7 +301,9 @@ impl ArchiveBuilder {
         Ok(step)
     }
 
-    /// Serialize the archive (metadata prefix + embedded containers).
+    /// Serialize the archive: the metadata prefix (framing header, directory,
+    /// every embedded container's prelude and metadata block), then the
+    /// embedded containers.
     pub fn finish(self) -> Result<Vec<u8>> {
         if self.steps.is_empty() {
             return Err(IpcompError::InvalidInput(
@@ -294,9 +312,11 @@ impl ArchiveBuilder {
         }
         let vars = self.variables.len();
         let steps = self.steps.len();
+        let containers = || self.steps.iter().flatten().map(|(_, bytes)| bytes);
         let mut out = Vec::new();
         out.extend_from_slice(MAGIC);
-        out.extend_from_slice(&VERSION_ARCHIVE.to_le_bytes());
+        out.extend_from_slice(&(VERSION_ARCHIVE | LAYOUT_PACKED).to_le_bytes());
+        out.extend_from_slice(&0u64.to_le_bytes()); // prefix_len, below
         out.extend_from_slice(&(steps as u32).to_le_bytes());
         out.extend_from_slice(&(vars as u32).to_le_bytes());
         out.extend_from_slice(&(self.config.keyframe_interval as u32).to_le_bytes());
@@ -311,23 +331,20 @@ impl ArchiveBuilder {
             out.extend_from_slice(name.as_bytes());
         }
         // Directory: 17 bytes per entry, step-major, offsets assigned in
-        // payload order.
-        let meta_len = out.len() + steps * vars * 17;
-        let mut offset = meta_len as u64;
-        for step in &self.steps {
-            for (kind, bytes) in step {
-                out.push(kind.id());
-                out.extend_from_slice(&offset.to_le_bytes());
-                out.extend_from_slice(&(bytes.len() as u64).to_le_bytes());
-                offset += bytes.len() as u64;
-            }
+        // payload order from the end of the prefix.
+        let hoisted: usize = containers().map(|c| metadata_front(c).len()).sum();
+        let prefix_len = (out.len() + steps * vars * 17 + hoisted) as u64;
+        out[8..16].copy_from_slice(&prefix_len.to_le_bytes());
+        let mut offset = prefix_len;
+        for (kind, bytes) in self.steps.iter().flatten() {
+            out.push(kind.id());
+            out.extend_from_slice(&offset.to_le_bytes());
+            out.extend_from_slice(&(bytes.len() as u64).to_le_bytes());
+            offset += bytes.len() as u64;
         }
-        debug_assert_eq!(out.len(), meta_len);
-        for step in &self.steps {
-            for (_, bytes) in step {
-                out.extend_from_slice(bytes);
-            }
-        }
+        containers().for_each(|c| out.extend_from_slice(metadata_front(c)));
+        debug_assert_eq!(out.len() as u64, prefix_len);
+        containers().for_each(|c| out.extend_from_slice(c));
         Ok(out)
     }
 }
@@ -408,9 +425,9 @@ fn sub_fields(a: &ArrayD<f64>, b: &ArrayD<f64>) -> ArrayD<f64> {
 
 /// Parsed archive metadata: framing header, directory, and one
 /// [`ContainerMap`] per embedded step container — everything retrieval
-/// planning needs, built from ranged reads over the metadata prefix plus
-/// each embedded container's own metadata (payload chunks are never
-/// touched).
+/// planning needs, built from ranged reads over the metadata prefix (and, for
+/// a plain archive, each embedded container's own metadata); payload chunks
+/// are never touched.
 #[derive(Debug)]
 pub struct ArchiveMap {
     num_steps: usize,
@@ -429,14 +446,67 @@ pub struct ArchiveMap {
 
 impl ArchiveMap {
     /// Parse an archive's metadata from ranged reads.
+    ///
+    /// An archive the writer emits (`LAYOUT_PACKED` on its version word)
+    /// costs one probe GET plus, when its prefix is longer than the probe,
+    /// one GET of exactly the rest: every embedded container's map is built
+    /// from its copy in the resident prefix. An unflagged (read-only) archive
+    /// costs the probe plus one open of each embedded container.
+    ///
+    /// Either way the directory must tile the payload — entries back to back
+    /// from the end of the prefix to the end of the source — before any
+    /// embedded container is read.
     pub fn open(source: &dyn ChunkSource) -> Result<Self> {
         let mut cur = MetaCursor::new(source);
         let total_len = cur.len();
-        if cur.read_magic_version()? != VERSION_ARCHIVE {
+        let word = cur.read_magic_version()?;
+        if word & !LAYOUT_PACKED != VERSION_ARCHIVE {
             return Err(IpcompError::CorruptContainer(
                 "not a version-4 archive container",
             ));
         }
+        let map = if word & LAYOUT_PACKED == 0 {
+            let mut map = Self::parse(&mut cur, None, total_len)?;
+            for e in &map.entries {
+                let window = OffsetSource::new(source, e.offset, e.len)?;
+                map.maps.push(Arc::new(ContainerMap::open(&window)?));
+            }
+            map
+        } else {
+            let prefix_len = cur.read_u64()?;
+            if prefix_len > total_len || prefix_len < cur.pos() {
+                return Err(IpcompError::CorruptContainer(
+                    "implausible archive prefix length",
+                ));
+            }
+            let rest = cur.read_exact((prefix_len - cur.pos()) as usize)?;
+            let resident = MemorySource::new(rest.to_vec());
+            let mut prefix = MetaCursor::new(&resident);
+            let mut map = Self::parse(&mut prefix, Some(prefix_len), total_len)?;
+            for e in &map.entries {
+                let hoisted = ContainerMap::read(&mut prefix, e.len, true)?;
+                map.maps.push(Arc::new(hoisted));
+            }
+            if prefix.pos() != prefix.len() {
+                return Err(IpcompError::CorruptContainer(
+                    "archive prefix disagrees with its hoisted metadata",
+                ));
+            }
+            map
+        };
+        if map.maps.iter().any(|m| m.header.dims != map.dims) {
+            return Err(IpcompError::CorruptContainer(
+                "embedded container dims disagree with archive header",
+            ));
+        }
+        Ok(map)
+    }
+
+    /// The framing header and directory from `cur`, with no embedded
+    /// container read yet. The payload starts at `payload_at` — or, unset,
+    /// where the directory ends — and the directory's entries must tile it
+    /// up to `total_len`.
+    fn parse(cur: &mut MetaCursor<'_>, payload_at: Option<u64>, total_len: u64) -> Result<Self> {
         let num_steps = cur.read_u32()? as u64;
         let num_vars = cur.read_u32()? as u64;
         if num_steps == 0 || num_steps > MAX_STEPS {
@@ -489,6 +559,11 @@ impl ArchiveMap {
                 .map_err(|_| IpcompError::CorruptContainer("variable name not utf-8"))?;
             variables.push(name);
         }
+        // 17 bytes an entry: the directory must fit what is left of the
+        // source before anything proportional to it is allocated.
+        if num_steps * num_vars * 17 > cur.len() - cur.pos() {
+            return Err(IpcompError::CorruptContainer("implausible directory size"));
+        }
         let mut entries = Vec::with_capacity((num_steps * num_vars) as usize);
         for _ in 0..num_steps * num_vars {
             let kind = StepKind::from_id(cur.read_u8()?)?;
@@ -496,18 +571,18 @@ impl ArchiveMap {
             let len = cur.read_u64()?;
             entries.push(ArchiveEntry { kind, offset, len });
         }
-        let meta_len = cur.pos();
+        // The entries tile the payload: one container after another, no gap,
+        // no overlap, none shared — so a directory can never make the open
+        // read (or parse) more containers than the file holds.
+        let meta_len = payload_at.unwrap_or(cur.pos());
+        let mut end = meta_len;
         for (i, e) in entries.iter().enumerate() {
-            if e.offset < meta_len
-                || e.len == 0
-                || e.offset
-                    .checked_add(e.len)
-                    .is_none_or(|end| end > total_len)
-            {
+            if e.offset != end || e.len == 0 || e.len > total_len - end {
                 return Err(IpcompError::CorruptContainer(
-                    "archive entry outside payload region",
+                    "archive entries do not tile the payload",
                 ));
             }
+            end += e.len;
             // Step 0 of every variable must be independent, or no chain has
             // an anchor.
             if i < num_vars as usize && e.kind != StepKind::Keyframe {
@@ -516,17 +591,12 @@ impl ArchiveMap {
                 ));
             }
         }
-        let mut maps = Vec::with_capacity(entries.len());
-        for e in &entries {
-            let window = OffsetSource::new(source, e.offset, e.len)?;
-            let map = ContainerMap::open(&window)?;
-            if map.header.dims != dims {
-                return Err(IpcompError::CorruptContainer(
-                    "embedded container dims disagree with archive header",
-                ));
-            }
-            maps.push(Arc::new(map));
+        if end != total_len {
+            return Err(IpcompError::CorruptContainer(
+                "archive entries do not tile the payload",
+            ));
         }
+        let maps = Vec::with_capacity(entries.len());
         Ok(Self {
             num_steps: num_steps as usize,
             variables,
@@ -571,7 +641,9 @@ impl ArchiveMap {
         &self.dims
     }
 
-    /// Bytes of the metadata prefix (header + directory).
+    /// Bytes of the metadata prefix — everything ahead of the first embedded
+    /// container: framing header and directory and, in the layout the writer
+    /// emits, every embedded container's hoisted prelude and metadata block.
     pub fn meta_len(&self) -> u64 {
         self.meta_len
     }
@@ -1375,13 +1447,85 @@ mod tests {
         // A directory entry pointing past the end fails validation.
         let map = ArchiveMap::open(&MemorySource::new(bytes.clone())).unwrap();
         let mut corrupt = bytes.clone();
-        let dir_at = map.meta_len() as usize - 3 * 17; // first entry of 3
+        let dir_at = directory_at(&bytes, &map);
         corrupt[dir_at + 1..dir_at + 9].copy_from_slice(&u64::MAX.to_le_bytes());
         assert!(ArchiveMap::open(&MemorySource::new(corrupt)).is_err());
         // Steps must alternate per the directory, step 0 keyframe enforced.
         let mut bad_kind = bytes;
         bad_kind[dir_at] = StepKind::Residual.id();
         assert!(ArchiveMap::open(&MemorySource::new(bad_kind)).is_err());
+    }
+
+    /// Offset of the first directory entry of `bytes`: its prefix less the
+    /// 17-byte entries and — in the hoisted layout — the copies (one packed
+    /// container front, its `base_bytes`, per entry).
+    fn directory_at(bytes: &[u8], map: &ArchiveMap) -> usize {
+        let maps =
+            (0..map.num_steps()).flat_map(|s| (0..map.variables().len()).map(move |v| (s, v)));
+        let hoisted: usize = match bytes[5] {
+            0 => 0,
+            _ => maps
+                .clone()
+                .map(|(s, v)| map.container(s, v).base_bytes())
+                .sum(),
+        };
+        map.meta_len() as usize - hoisted - maps.count() * 17
+    }
+
+    /// The same archive in the plain (read-only) layout: no prefix length,
+    /// no hoisted copies, directory offsets moved up to match.
+    fn plain_layout(bytes: &[u8]) -> Vec<u8> {
+        let map = ArchiveMap::open(&MemorySource::new(bytes.to_vec())).unwrap();
+        let dir_at = directory_at(bytes, &map);
+        let dir_end = dir_at + map.num_steps() * map.variables().len() * 17;
+        let shift = (map.meta_len() as usize - dir_end + 8) as u64;
+        let mut out = [
+            &MAGIC[..],
+            &VERSION_ARCHIVE.to_le_bytes(),
+            &bytes[16..dir_end],
+        ]
+        .concat();
+        for at in (dir_at - 8..dir_end - 8).step_by(17) {
+            let offset = u64::from_le_bytes(out[at + 1..at + 9].try_into().unwrap());
+            out[at + 1..at + 9].copy_from_slice(&(offset - shift).to_le_bytes());
+        }
+        [&out[..], &bytes[map.meta_len() as usize..]].concat()
+    }
+
+    /// The plain layout opens through one probe per embedded container to
+    /// the same maps the hoisted copies give.
+    #[test]
+    fn hoisted_and_plain_layouts_open_to_the_same_maps() {
+        let (_, bytes, _) = toy_archive(5, 2);
+        let hoisted = ArchiveMap::open(&MemorySource::new(bytes.clone())).unwrap();
+        let plain = ArchiveMap::open(&MemorySource::new(plain_layout(&bytes))).unwrap();
+        assert!(plain.meta_len() < hoisted.meta_len());
+        for s in 0..5 {
+            assert_eq!(plain.entry(s, 0).len, hoisted.entry(s, 0).len);
+            assert_eq!(plain.container(s, 0), hoisted.container(s, 0));
+        }
+    }
+
+    /// Two directory entries naming one embedded container are refused on
+    /// both layouts, before any embedded container is read: entries must
+    /// tile the payload, so a small file cannot stand for more containers
+    /// than it holds.
+    #[test]
+    fn aliased_directory_entries_are_refused() {
+        let (_, bytes, _) = toy_archive(2, 1);
+        for archive in [plain_layout(&bytes), bytes] {
+            let map = ArchiveMap::open(&MemorySource::new(archive.clone())).unwrap();
+            let dir_at = directory_at(&archive, &map);
+            // Step 1's (offset, len) := step 0's.
+            let mut aliased = archive;
+            aliased.copy_within(dir_at + 1..dir_at + 17, dir_at + 18);
+            assert!(matches!(
+                ArchiveMap::open(&MemorySource::new(aliased)),
+                Err(IpcompError::CorruptContainer(
+                    "archive entries do not tile the payload"
+                ))
+            ));
+        }
     }
 
     #[test]

@@ -43,10 +43,10 @@
 //! flags; any bit the reader does not know is an unsupported version. The
 //! unpacked metadata block *is* an interleaved stream with the chunks taken
 //! out — same bytes, same order — which is what lets one parser read both.
-//! Nothing selects the layout: [`Compressed::to_bytes`] writes packed, the
-//! interleaved layouts (v1, v2, v3, and v4 archives embedding them) are read
-//! for as long as files in them exist, and only the test-support
-//! [`Compressed::to_bytes_v1`] still writes one.
+//! Nothing selects the layout: [`Compressed::to_bytes`] writes packed, and
+//! the interleaved layouts (v1, v2, v3, and v4 archives embedding them) are
+//! read for as long as files in them exist; no writer produces them, so the
+//! committed fixtures are their only samples.
 //!
 //! ## Opening in at most two GETs
 //!
@@ -67,6 +67,16 @@
 //! at the end of the block. An interleaved container is instead walked
 //! record by record in `META_FETCH` steps, skipping payload: four GETs for a
 //! 16 KB index, 68 for that 1024² container.
+//!
+//! A version-4 archive the writer emits opens the same way, one level up
+//! (see [`crate::archive`]): its prefix — framing header, directory, and a
+//! verbatim copy of every embedded container's prelude and block — states
+//! its own length right after the version word, so
+//! [`ArchiveMap::open`](crate::ArchiveMap::open) is the probe plus at most
+//! one GET of exactly the rest of the prefix, however many steps it holds.
+//! Each copy goes through the function this module's packed branch is
+//! (`ContainerMap::read`), reading the prelude from the archive's resident
+//! prefix instead of from the container's own first bytes.
 //!
 //! ### The unpacked-length bound
 //!
@@ -236,17 +246,15 @@ impl Compressed {
     }
 
     /// The one walk of the write grammar: emit the container's content in
-    /// format `version`, piece by piece. Versions 2 and 3 differ only in the
-    /// header's precinct extents; version 1 (test support, see
-    /// [`Compressed::to_bytes_v1`]) shares everything up to a level's loss
-    /// table and then stores planes inline. The order is that of the
-    /// interleaved layouts, whose stream it is verbatim; the packed layout
-    /// keeps the order within each kind — metadata pieces into the block,
-    /// chunks after it.
-    fn walk(&self, version: u32, mut emit: impl FnMut(Piece<'_>)) {
+    /// its format version ([`Header::version`]), piece by piece. Versions 2
+    /// and 3 differ only in the header's precinct extents. The order is that
+    /// of the interleaved layouts, whose stream it is verbatim; the packed
+    /// layout keeps the order within each kind — metadata pieces into the
+    /// block, chunks after it.
+    fn walk(&self, mut emit: impl FnMut(Piece<'_>)) {
         let h = &self.header;
         emit(Piece::Bytes(MAGIC));
-        emit(Piece::Bytes(&version.to_le_bytes()));
+        emit(Piece::Bytes(&h.version().to_le_bytes()));
         emit(Piece::Varint(h.dims.len() as u64));
         for &d in &h.dims {
             emit(Piece::Varint(d as u64));
@@ -272,15 +280,6 @@ impl Compressed {
             for &loss in &level.trunc_loss {
                 emit(Piece::Varint(loss));
             }
-            let chunks = || level.planes.iter().flat_map(|plane| &plane.chunks);
-            if version == 1 {
-                // Monolithic planes inline: `varint length + bytes` each.
-                for chunk in chunks() {
-                    emit(Piece::Varint(chunk.len() as u64));
-                    emit(Piece::Chunk(chunk));
-                }
-                continue;
-            }
             // Chunk index first (all sizes, no payload), then the payload
             // bytes plane-major: a reader can address any chunk from the
             // metadata alone.
@@ -291,7 +290,8 @@ impl Compressed {
                     emit(Piece::Varint(chunk.len() as u64));
                 }
             }
-            chunks().for_each(|chunk| emit(Piece::Chunk(chunk)));
+            let chunks = level.planes.iter().flat_map(|plane| &plane.chunks);
+            chunks.for_each(|chunk| emit(Piece::Chunk(chunk)));
         }
     }
 
@@ -300,9 +300,8 @@ impl Compressed {
     /// block is `lzr_compress` of the walk's non-chunk pieces (which refuses,
     /// by panicking, the 4 GiB of metadata a `u32` length could not state).
     fn packed_front(&self, payload: usize) -> Vec<u8> {
-        let version = self.header.version();
         let mut meta = Vec::new();
-        self.walk(version, |piece| {
+        self.walk(|piece| {
             if !matches!(piece, Piece::Chunk(_)) {
                 piece.write(&mut meta);
             }
@@ -310,7 +309,7 @@ impl Compressed {
         let packed = lzr_compress(&meta);
         let mut out = Vec::with_capacity(PRELUDE_BYTES + packed.len() + payload);
         out.extend_from_slice(MAGIC);
-        out.extend_from_slice(&(version | LAYOUT_PACKED).to_le_bytes());
+        out.extend_from_slice(&(self.header.version() | LAYOUT_PACKED).to_le_bytes());
         for len in [packed.len(), meta.len()] {
             let len = u32::try_from(len).expect("lzr_compress takes under 4 GiB");
             out.extend_from_slice(&len.to_le_bytes());
@@ -343,40 +342,12 @@ impl Compressed {
     /// packed layout): prelude, packed metadata block, then every chunk.
     pub fn to_bytes(&self) -> Vec<u8> {
         let mut out = self.packed_front(self.payload_bytes());
-        self.walk(self.header.version(), |piece| {
+        self.walk(|piece| {
             if let Piece::Chunk(chunk) = piece {
                 out.extend_from_slice(chunk);
             }
         });
         out
-    }
-
-    /// Test support: serialize in the legacy **version-1** layout (monolithic
-    /// planes inline with the metadata, no chunk index), for tests that need
-    /// real legacy containers to pin the v1 read path — the normal writer
-    /// always emits the current version.
-    ///
-    /// Only containers whose planes hold a single chunk each (encoded with
-    /// `chunk_bytes: 0`) can be written this way.
-    #[doc(hidden)]
-    pub fn to_bytes_v1(&self) -> Result<Vec<u8>> {
-        if self
-            .levels
-            .iter()
-            .any(|l| l.planes.iter().any(|p| p.chunks.len() != 1))
-        {
-            return Err(IpcompError::InvalidInput(
-                "v1 layout requires monolithic (single-chunk) planes".into(),
-            ));
-        }
-        if self.header.precincts.is_some() {
-            return Err(IpcompError::InvalidInput(
-                "v1 layout cannot carry a precinct grid".into(),
-            ));
-        }
-        let mut out = Vec::new();
-        self.walk(1, |piece| piece.write(&mut out));
-        Ok(out)
     }
 
     /// Deserialize a container produced by [`Compressed::to_bytes`] (or any
@@ -449,6 +420,13 @@ impl ChunkSource for SliceSource<'_> {
             })
             .collect()
     }
+}
+
+/// Every byte of a packed container (as [`Compressed::to_bytes`] writes it)
+/// ahead of its payload: the prelude and the metadata block.
+pub(crate) fn metadata_front(container: &[u8]) -> &[u8] {
+    let packed_len = u32::from_le_bytes(container[8..12].try_into().expect("a 16-byte prelude"));
+    &container[..PRELUDE_BYTES + packed_len as usize]
 }
 
 /// One recorded chunk length: capped at `u32::MAX` (far beyond any
@@ -898,18 +876,39 @@ impl ContainerMap {
     /// chunk range is verified to lie inside the source.
     pub fn open(source: &dyn ChunkSource) -> Result<Self> {
         let mut cur = MetaCursor::new(source);
+        let len = cur.len();
+        Self::read(&mut cur, len, false)
+    }
+
+    /// One container's metadata from `cur`, which sits at its first byte;
+    /// the container is `len` bytes long and its offsets are relative to
+    /// that byte. With `packed_only` an interleaved container is refused:
+    /// that is how an archive reads each step's hoisted prelude and block
+    /// out of its resident prefix, through the same function as a
+    /// standalone container's packed branch.
+    pub(crate) fn read(cur: &mut MetaCursor<'_>, len: u64, packed_only: bool) -> Result<Self> {
         let word = cur.read_magic_version()?;
         let (version, packed) = (word & !LAYOUT_PACKED, word & LAYOUT_PACKED != 0);
         // Version 1 predates the packed layout.
         if !(MIN_VERSION + packed as u32..=VERSION_ROI).contains(&version) {
             return Err(IpcompError::CorruptContainer("unsupported version"));
         }
+        if !packed && packed_only {
+            return Err(IpcompError::CorruptContainer(
+                "hoisted metadata is not a packed container",
+            ));
+        }
         if !packed {
-            return Self::parse(&mut cur, version, None);
+            return Self::parse(cur, version, None);
         }
         let packed_len = cur.read_u32()? as u64;
         let unpacked_len = cur.read_u32()? as u64;
-        if packed_len > cur.remaining() {
+        // The block must fit both what the cursor still holds (the source,
+        // or an archive's prefix) and the container it describes.
+        let room = cur
+            .remaining()
+            .min(len.saturating_sub(PRELUDE_BYTES as u64));
+        if packed_len > room {
             return Err(IpcompError::CorruptContainer(
                 "metadata block outruns buffer",
             ));
@@ -931,11 +930,12 @@ impl ContainerMap {
                 "metadata block version disagrees with prelude",
             ));
         }
-        Self::parse(&mut inner, version, Some((cur.pos, cur.len)))
+        let payload_at = PRELUDE_BYTES as u64 + packed_len;
+        Self::parse(&mut inner, version, Some((payload_at, len)))
     }
 
     /// The grammar after the version word, read from `cur`. With `packed` —
-    /// `(offset of the next payload byte, source length)` — `cur` walks the
+    /// `(offset of the next payload byte, container length)` — `cur` walks the
     /// unpacked metadata block and each level's payload is located by that
     /// running offset; without, `cur` walks the source itself and payload
     /// follows each level's record.
@@ -1179,7 +1179,7 @@ impl ContainerMap {
         let base_bytes = c.base_bytes();
         let mut pos = base_bytes as u64;
         let mut offsets = Vec::new();
-        c.walk(c.header.version(), |piece| {
+        c.walk(|piece| {
             if let Piece::Chunk(chunk) = piece {
                 offsets.push(pos);
                 pos += chunk.len() as u64;
@@ -1452,27 +1452,25 @@ mod tests {
         }
     }
 
+    /// The committed version-1 container (the golden field, written by the
+    /// version-1 writer before it was retired): the only v1 bytes there are.
+    const V1_FIXTURE: &[u8] = include_bytes!("../../../tests/fixtures/container_v1.bin");
+
     #[test]
     fn container_map_v1_is_one_whole_payload_range_per_plane() {
-        let mut c = sample_compressed();
-        // v1 requires monolithic planes; re-encode with chunking disabled.
-        let codes_l1: Vec<i64> = (0..500).map(|i| ((i * i) % 97) as i64 - 48).collect();
-        let codes_l2: Vec<i64> = (0..100).map(|i| (i % 31) as i64 - 15).collect();
-        let opts = EncodeOptions { chunk_bytes: 0 };
-        c.levels = vec![
-            crate::bitplane::encode_level_with(&codes_l2, 2, true, false, opts),
-            crate::bitplane::encode_level_with(&codes_l1, 2, true, false, opts),
-        ];
-        let v1_bytes = c.to_bytes_v1().unwrap();
+        let v1_bytes = V1_FIXTURE;
         assert_eq!(&v1_bytes[4..8], &1u32.to_le_bytes());
         // The byte reader accepts the legacy stream…
-        let parsed = Compressed::from_bytes(&v1_bytes).unwrap();
-        assert_eq!(parsed.levels, c.levels);
+        let parsed = Compressed::from_bytes(v1_bytes).unwrap();
+        assert!(parsed.levels.iter().any(|l| l.num_planes > 0));
         // …and the ranged map exposes exactly one whole-payload range per
-        // plane, each addressing the plane's compressed bytes.
-        let source = crate::source::MemorySource::new(v1_bytes.clone());
+        // plane, each addressing the plane's compressed bytes: the bytes its
+        // inline `varint length` prefix announces, the planes back to back
+        // to the end of the file.
+        let source = crate::source::MemorySource::new(v1_bytes.to_vec());
         let map = ContainerMap::open(&source).unwrap();
-        for (level, lmap) in c.levels.iter().zip(&map.levels) {
+        let mut end = 0;
+        for (level, lmap) in parsed.levels.iter().zip(&map.levels) {
             assert_eq!(lmap.chunk_bytes, 0);
             for (p, plane) in level.planes.iter().enumerate() {
                 assert_eq!(lmap.plane_chunk_count(p as u8), 1);
@@ -1482,8 +1480,13 @@ mod tests {
                     &v1_bytes[r.offset as usize..r.end() as usize],
                     &plane.chunks[0][..]
                 );
+                let mut at = r.offset as usize - varint_len(r.len as u64);
+                assert_eq!(read_varint(v1_bytes, &mut at).unwrap(), r.len as u64);
+                assert!(at as u64 == r.offset && r.offset > end);
+                end = r.end();
             }
         }
+        assert_eq!(end, v1_bytes.len() as u64);
     }
 
     /// A v1 plane length beyond `u32::MAX` must be refused like a v2 index
@@ -1515,20 +1518,16 @@ mod tests {
             }
         }
 
-        let mut c = sample_compressed();
-        let codes_l1: Vec<i64> = (0..500).map(|i| ((i * i) % 97) as i64 - 48).collect();
-        let codes_l2: Vec<i64> = (0..100).map(|i| (i % 31) as i64 - 15).collect();
-        let opts = EncodeOptions { chunk_bytes: 0 };
-        c.levels = vec![
-            crate::bitplane::encode_level_with(&codes_l2, 2, true, false, opts),
-            crate::bitplane::encode_level_with(&codes_l1, 2, true, false, opts),
-        ];
-        let v1 = c.to_bytes_v1().unwrap();
-        // Replace the final plane's `varint length + bytes` with a forged
-        // 5 GiB length whose payload the source's length accounts for, so
-        // the only thing wrong with the stream is the oversized plane.
-        let last = c.levels[1].planes.last().unwrap().chunks[0].len();
-        let mut prefix = v1[..v1.len() - last - varint_len(last as u64)].to_vec();
+        let v1 = V1_FIXTURE;
+        let map = ContainerMap::open(&crate::source::MemorySource::new(v1.to_vec())).unwrap();
+        // Replace the final plane's `varint length + bytes` — the file's last
+        // bytes — with a forged 5 GiB length whose payload the source's
+        // length accounts for, so the only thing wrong with the stream is the
+        // oversized plane.
+        let level = map.levels.iter().rfind(|l| l.num_planes > 0).unwrap();
+        let last = level.chunk_range(level.num_planes - 1, 0);
+        assert_eq!(last.end(), v1.len() as u64);
+        let mut prefix = v1[..last.offset as usize - varint_len(last.len as u64)].to_vec();
         let forged: u64 = 5 << 30;
         write_varint(&mut prefix, forged);
         let source = Sparse {

@@ -183,17 +183,12 @@ fn coalescing_cuts_request_count_at_least_4x() {
 
 #[test]
 fn v1_container_plans_one_whole_payload_range_per_plane() {
-    // Encode with chunking disabled so the container can be written in the
-    // legacy v1 layout (no chunk index).
-    let config = Config {
-        chunk_bytes: 0,
-        ..Config::default()
-    };
-    let c = compress(&field(), 1e-6, &config).unwrap();
-    let v1_bytes = c.to_bytes_v1().unwrap();
+    // The committed legacy v1 container (monolithic planes, no chunk index).
+    let v1_bytes = fixture("container_v1.bin");
     assert_eq!(&v1_bytes[4..8], &1u32.to_le_bytes());
+    let c = Compressed::from_bytes(&v1_bytes).unwrap();
 
-    let source = test_source(v1_bytes);
+    let source = test_source(v1_bytes.clone());
     let map = ContainerMap::open(source.as_ref()).unwrap();
     let plan = plan_request(
         &map,
@@ -217,7 +212,7 @@ fn v1_container_plans_one_whole_payload_range_per_plane() {
     let store = ContainerStore::open(source, StoreOptions::default()).unwrap();
     let mut session = store.session();
     let ranged = session.retrieve(RetrievalRequest::Full).unwrap();
-    let slice = Compressed::from_bytes(&c.to_bytes_v1().unwrap())
+    let slice = Compressed::from_bytes(&v1_bytes)
         .unwrap()
         .decompress()
         .unwrap();
@@ -623,12 +618,15 @@ fn open_costs_at_most_two_gets() {
     assert_eq!((stats.requests, stats.bytes), (2, map.base_bytes() as u64));
     assert_eq!(map, ContainerMap::from_compressed(&c));
 
-    // Archives: the framing prefix, then each embedded container's open.
-    let (archive, stats) = open_traffic(fixture("container_v4_packed.bin"), |s| {
-        ipcomp::ArchiveMap::open(s)
-    });
+    // Archives the writer emits carry every step's metadata in their prefix:
+    // one probe. A plain archive (read-only) is the framing prefix, then each
+    // embedded container's open — at most two per step; here every step's
+    // block fits its probe.
+    let archive_open = |s: &dyn ChunkSource| ipcomp::ArchiveMap::open(s);
+    let (_, stats) = open_traffic(fixture("container_v4_hoisted.bin"), archive_open);
+    assert_eq!((stats.requests, stats.bytes), (1, PROBE));
+    let (archive, stats) = open_traffic(fixture("container_v4_packed.bin"), archive_open);
     let entries = (archive.num_steps() * archive.variables().len()) as u64;
-    // At most two per step; here every step's block fits its probe.
     assert_eq!(stats.requests, 1 + entries, "{stats:?}");
 
     // The read-only layouts open at the cost they had before the packed one
@@ -642,7 +640,7 @@ fn open_costs_at_most_two_gets() {
         let (_, stats) = open_traffic(fixture(name), open_map);
         assert_eq!((stats.requests, stats.bytes), (requests, bytes), "{name}");
     }
-    let (_, stats) = open_traffic(fixture("container_v4.bin"), |s| ipcomp::ArchiveMap::open(s));
+    let (_, stats) = open_traffic(fixture("container_v4.bin"), archive_open);
     assert_eq!(
         (stats.requests, stats.bytes),
         (5, 19690),

@@ -2,7 +2,7 @@
 //! request costs on the committed golden fixtures, under the three stacks a
 //! store is opened with. Deterministic counts over an accounting-only
 //! simulator (`IPC_STORE_FORCE_FILE=1` serves the same bytes by positioned
-//! reads), metadata open excluded.
+//! reads), metadata open excluded — `open_shapes` pins the open itself.
 //!
 //! The table pins the request-wide fetch: a retrieval lowers its plan to
 //! chunk ranges, cuts them into byte-budgeted fetch groups
@@ -30,6 +30,7 @@ use ipc_store::{
     ArchiveRequest, ArchiveStore, ByteRange, ChunkSource, ContainerStore, RetrievalRequest,
     RetrievalSession, RoiBox, SimProfile, SimulatedObjectStore, StoreOptions,
 };
+use ipcomp::{ArchiveBuilder, ArchiveConfig, ArchiveMap, ContainerMap, MemorySource};
 
 fn fixture(name: &str) -> Vec<u8> {
     let path = std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
@@ -234,12 +235,63 @@ fn request_shapes() {
     // Archive window across the keyframe at step 2 (steps 1..4 output, step
     // 0 decoded for the chain), at the archive's reference fidelity so each
     // step decodes once. Step boundaries are bridged like level boundaries.
-    let v4 = "container_v4_packed.bin";
+    // Both archive layouts embed the same containers back to back, so
+    // hoisting their metadata moves the open only, not one payload read.
     let window = ArchiveRequest::steps(0, 1..4, RetrievalRequest::ErrorBound(0.015625));
-    check(
-        "v4 window",
-        stacks().map(|options| window_shape(v4, options, &window)),
-        [(4, 18368), (4, 18368), (201, 17300)],
-        true,
-    );
+    for v4 in ["container_v4_packed.bin", "container_v4_hoisted.bin"] {
+        check(
+            &format!("{v4} window"),
+            stacks().map(|options| window_shape(v4, options, &window)),
+            [(4, 18368), (4, 18368), (201, 17300)],
+            true,
+        );
+    }
+}
+
+/// `(GETs, bytes)` of opening `bytes` — the metadata parse alone, as
+/// [`ContainerMap::open`] or [`ArchiveMap::open`] — over the simulator.
+fn open_shape(bytes: Vec<u8>, archive: bool) -> (u64, u64) {
+    let sim = SimulatedObjectStore::new(test_source(bytes), SimProfile::free());
+    if archive {
+        ArchiveMap::open(&sim).map(drop).unwrap();
+    } else {
+        ContainerMap::open(&sim).map(drop).unwrap();
+    }
+    let stats = sim.stats();
+    (stats.requests, stats.bytes)
+}
+
+/// The open the table above leaves out: anything the writer emits opens in
+/// one 4 KB probe GET, plus one GET of exactly the rest when its metadata is
+/// longer than the probe. The plain-framing archive (read-only) opens one
+/// probe per step on top of its own.
+#[test]
+fn open_shapes() {
+    for (name, archive, expected) in [
+        ("container_v2_packed.bin", false, (1, 4096)),
+        ("container_v2_chunked_packed.bin", false, (1, 4096)),
+        ("container_v3_packed.bin", false, (1, 4096)),
+        ("container_v4_packed.bin", true, (1 + 4, 19656)),
+        ("container_v4_hoisted.bin", true, (1, 4096)),
+    ] {
+        assert_eq!(open_shape(fixture(name), archive), expected, "{name}");
+    }
+
+    // 200 steps of a small field: a prefix several probes long is still the
+    // probe plus one GET of exactly the rest.
+    let shape = ipc_tensor::Shape::d3(6, 5, 4);
+    let config = ArchiveConfig::new(1e-3, 1e-2);
+    let mut builder = ArchiveBuilder::new(vec!["f".into()], shape.clone(), config).unwrap();
+    for t in 0..200 {
+        let field = ipc_tensor::ArrayD::from_fn(shape.clone(), |c| {
+            (c[0] as f64 * 0.4 + t as f64 * 0.05).sin() + c[1] as f64 * 0.1 - c[2] as f64 * 0.2
+        });
+        builder.push_step(std::slice::from_ref(&field)).unwrap();
+    }
+    let bytes = builder.finish().unwrap();
+    let prefix = ArchiveMap::open(&MemorySource::new(bytes.clone()))
+        .unwrap()
+        .meta_len();
+    assert!(prefix > 2 * 4096, "{prefix} B fits the probe");
+    assert_eq!(open_shape(bytes, true), (2, prefix));
 }

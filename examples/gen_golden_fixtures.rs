@@ -6,12 +6,17 @@
 //!
 //! Run with `cargo run --example gen_golden_fixtures` after an *intentional*
 //! container format change, and commit the updated fixtures together with the
-//! format bump. It writes the `*_packed.bin` files — the current writer's
-//! layout — and `expected_values.bin`. The five unsuffixed containers are
-//! frozen output of writers that no longer exist (`container_v1.bin` of the
+//! format bump. It writes the current writer's output — the three
+//! single-field `*_packed.bin` containers and the `container_v4_hoisted.bin`
+//! archive — and `expected_values.bin`, into `tests/fixtures/` or the
+//! directory given as the first argument (CI regenerates into a temporary
+//! directory and compares byte for byte, so this tool and the tests' copies
+//! of the golden fields cannot drift apart). The other containers are frozen
+//! output of writers that no longer exist (`container_v1.bin` of the
 //! version-1 writer, `container_v2.bin` … `container_v4.bin` of the
-//! interleaved-layout writer): read pins that cannot be regenerated, which
-//! this tool never touches.
+//! interleaved-layout writer, `container_v4_packed.bin` of the archive
+//! writer before it hoisted its steps' metadata): read pins that cannot be
+//! regenerated, which this tool never touches.
 
 use ipcomp_suite::core::{compress, ArchiveBuilder, ArchiveConfig, Config};
 use ipcomp_suite::tensor::{ArrayD, Shape};
@@ -57,7 +62,10 @@ fn golden_archive_config() -> ArchiveConfig {
 
 fn main() {
     let field = golden_field();
-    let dir = std::path::Path::new("tests/fixtures");
+    let dir = std::env::args()
+        .nth(1)
+        .unwrap_or_else(|| "tests/fixtures".into());
+    let dir = std::path::Path::new(&dir);
     std::fs::create_dir_all(dir).expect("create fixture dir");
 
     let c = compress(&field, GOLDEN_EB, &Config::default()).unwrap();
@@ -98,8 +106,8 @@ fn main() {
 
     // Version-4 time-series archive: 4 steps of the drifting golden field,
     // keyframes every 2 steps, residuals against the 2^-6 reference
-    // reconstruction. Pins the v4 framing (header, directory, embedded
-    // per-step containers) byte for byte.
+    // reconstruction. Pins the v4 framing (header, directory, hoisted
+    // metadata, embedded per-step containers) byte for byte.
     let fields = golden_archive_fields();
     let config = golden_archive_config();
     let mut builder =
@@ -108,6 +116,6 @@ fn main() {
         builder.push_step(std::slice::from_ref(f)).unwrap();
     }
     let archive = builder.finish().unwrap();
-    std::fs::write(dir.join("container_v4_packed.bin"), &archive).unwrap();
-    println!("container_v4_packed.bin: {} bytes", archive.len());
+    std::fs::write(dir.join("container_v4_hoisted.bin"), &archive).unwrap();
+    println!("container_v4_hoisted.bin: {} bytes", archive.len());
 }

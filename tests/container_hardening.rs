@@ -21,6 +21,11 @@
 //!   the layout flag, and a metadata block re-packed around a patched record
 //!   (short, long, chunk sizes overrunning the source): each must be refused
 //!   by name, the lengths before the unpacked buffer is allocated.
+//! * **Hoisted-archive forgeries** — the archive prefix length, the hoisted
+//!   copies of each step's prelude and metadata block, the directory under
+//!   them, the header dims and the version word's flags: each refused by
+//!   name (through `ArchiveMap::open`), the lengths before anything they size
+//!   is allocated.
 //!
 //! Everything runs on a freshly written container and on every committed
 //! fixture (v1, and v2, v2 multi-chunk and v3 precincts in both the
@@ -28,7 +33,7 @@
 //! parser: the resident `Compressed::from_bytes` + `decompress`, and the
 //! ranged `ContainerMap::open` + `retrieve(Full)` a remote store runs.
 //! Truncations and forged lengths additionally go through `ArchiveMap::open`
-//! on both v4 archive fixtures.
+//! on all three v4 archive fixtures.
 
 use ipcomp_suite::codecs::lzr::lzr_decompress;
 use ipcomp_suite::codecs::lzr_compress;
@@ -82,7 +87,10 @@ fn containers() -> Vec<(&'static str, Vec<u8>, usize)> {
     .collect()
 }
 
-const ARCHIVES: [&str; 2] = ["container_v4.bin", "container_v4_packed.bin"];
+const ARCHIVES: [&str; 3] = ["container_v4.bin", "container_v4_packed.bin", HOISTED];
+
+/// The archive fixture in the layout the writer emits.
+const HOISTED: &str = "container_v4_hoisted.bin";
 
 type Decode = fn(&[u8]) -> Result<Vec<f64>, IpcompError>;
 
@@ -475,5 +483,217 @@ fn inconsistent_chunk_grids_error_cleanly() {
     if let Some(level) = swapped.levels.iter_mut().find(|l| l.num_planes >= 2) {
         level.planes.swap(0, 1);
         let _ = swapped.decompress();
+    }
+}
+
+/// The little-endian `u64` at `at`.
+fn u64_at(bytes: &[u8], at: usize) -> u64 {
+    u64::from_le_bytes(bytes[at..at + 8].try_into().unwrap())
+}
+
+/// `bytes` with `value` written at `at`.
+fn patched(bytes: &[u8], at: usize, value: &[u8]) -> Vec<u8> {
+    let mut out = bytes.to_vec();
+    out[at..at + value.len()].copy_from_slice(value);
+    out
+}
+
+/// Where a hoisted archive's parts start: `(directory, hoisted copies,
+/// payload)`. The framing header's size follows from its dims and names:
+/// magic, version word, `prefix_len`, 28 bytes of counts and bounds, `ndim`,
+/// the dims, then each name behind its `u16` length.
+fn hoisted_layout(bytes: &[u8]) -> (usize, usize, usize) {
+    let map = ArchiveMap::open(&MemorySource::new(bytes.to_vec())).unwrap();
+    let names: usize = map.variables().iter().map(|n| 2 + n.len()).sum();
+    let dir_at = 16 + 28 + 1 + 8 * map.dims().len() + names;
+    let copies_at = dir_at + 17 * map.num_steps() * map.variables().len();
+    (dir_at, copies_at, map.meta_len() as usize)
+}
+
+/// Offset of each hoisted copy inside the run of copies, from the packed
+/// lengths their preludes state.
+fn copy_starts(copies: &[u8]) -> Vec<usize> {
+    let mut starts = Vec::new();
+    let mut at = 0;
+    while at < copies.len() {
+        starts.push(at);
+        at += 16 + prelude_lengths(&copies[at..]).0;
+    }
+    starts
+}
+
+/// The hoisted fixture rebuilt around an edited run of hoisted copies:
+/// `edit` gets the copies, and `prefix_len` and every directory offset are
+/// restated to match — so the only thing wrong with the result is what
+/// `edit` did.
+fn rehoisted(edit: impl FnOnce(&mut Vec<u8>)) -> Vec<u8> {
+    let bytes = fixture(HOISTED);
+    let (dir_at, copies_at, payload_at) = hoisted_layout(&bytes);
+    let mut copies = bytes[copies_at..payload_at].to_vec();
+    edit(&mut copies);
+    let prefix_len = (copies_at + copies.len()) as u64;
+    let mut out = patched(&bytes[..copies_at], 8, &prefix_len.to_le_bytes());
+    for at in (dir_at + 1..copies_at).step_by(17) {
+        let offset = u64_at(&out, at) - payload_at as u64 + prefix_len;
+        out[at..at + 8].copy_from_slice(&offset.to_le_bytes());
+    }
+    [&out[..], &copies, &bytes[payload_at..]].concat()
+}
+
+/// `ArchiveMap::open` must refuse `bytes` with a `CorruptContainer` naming
+/// `reason` (any error when `reason` is empty).
+fn assert_archive_refused(case: &str, bytes: &[u8], reason: &str) {
+    match try_open_archive(bytes) {
+        Err(_) if reason.is_empty() => {}
+        Err(IpcompError::CorruptContainer(why)) if why.contains(reason) => {}
+        other => panic!("{HOISTED}: {case}: expected `{reason}`, got {other:?}"),
+    }
+}
+
+/// The archive prefix length, forged every way it can be wrong: past the
+/// end of the source (refused before it sizes a read), inside its own field,
+/// short of the directory, or anywhere but where the first embedded
+/// container starts.
+#[test]
+fn forged_archive_prefix_lengths_are_rejected() {
+    let bytes = fixture(HOISTED);
+    let (_, copies_at, payload_at) = hoisted_layout(&bytes);
+    let len = bytes.len() as u64;
+    for (case, prefix_len, reason) in [
+        ("past EOF", len + 1, "implausible archive prefix length"),
+        ("u64::MAX", u64::MAX, "implausible archive prefix length"),
+        (
+            "inside its own field",
+            12,
+            "implausible archive prefix length",
+        ),
+        (
+            "short of the directory",
+            copies_at as u64 - 1,
+            "implausible directory size",
+        ),
+        ("header and directory only", copies_at as u64, "do not tile"),
+        ("one short", payload_at as u64 - 1, "do not tile"),
+        ("one long", payload_at as u64 + 1, "do not tile"),
+        ("the whole file", len, "do not tile"),
+    ] {
+        let forged = patched(&bytes, 8, &prefix_len.to_le_bytes());
+        assert_archive_refused(case, &forged, reason);
+    }
+}
+
+/// The hoisted copies, forged every way the layout names: a block running
+/// past the prefix or past its entry's window, an unpacked length over the
+/// expansion bound (refused before the buffer is allocated), copies that do
+/// not use up the prefix, a copy that is not a packed container, and a copy
+/// whose payload does not use up its entry's window.
+#[test]
+fn forged_hoisted_copies_are_rejected() {
+    let bytes = fixture(HOISTED);
+    assert!(rehoisted(|_| {}) == bytes, "the rebuild must be exact");
+    let (dir_at, copies_at, payload_at) = hoisted_layout(&bytes);
+    let copies = &bytes[copies_at..payload_at];
+    let starts = copy_starts(copies);
+    assert_eq!(starts.len(), 4);
+    let last = copies_at + starts[3];
+    let (last_packed, _) = prelude_lengths(&bytes[last..]);
+    let (packed, _) = prelude_lengths(copies);
+    let first_len = u64_at(&bytes, dir_at + 9);
+    let u32_le = |v: u64| (v as u32).to_le_bytes();
+
+    let past_prefix = patched(&bytes, last + 8, &u32_le(last_packed as u64 + 1));
+    // Padded past the first entry's length, so only its window can refuse
+    // the first copy's block.
+    let past_window = rehoisted(|c| {
+        c[8..12].copy_from_slice(&u32_le(first_len - 15));
+        c.resize(c.len() + first_len as usize, 0);
+    });
+    let over_bound = patched(&bytes, copies_at + 12, &u32_le(((packed as u64) << 17) + 1));
+    let huge = patched(&bytes, copies_at + 12, &u32_le(u32::MAX as u64));
+    let interleaved = patched(&bytes, copies_at + 5, &[0]);
+    let cases: [(&str, Vec<u8>, &str); 7] = [
+        (
+            "packed_len past the prefix",
+            past_prefix,
+            "metadata block outruns buffer",
+        ),
+        (
+            "packed_len past its window",
+            past_window,
+            "metadata block outruns buffer",
+        ),
+        (
+            "unpacked_len over the bound",
+            over_bound,
+            "implausible metadata length",
+        ),
+        (
+            "unpacked_len = u32::MAX",
+            huge,
+            "implausible metadata length",
+        ),
+        (
+            "a trailing byte",
+            rehoisted(|c| c.push(0)),
+            "disagrees with its hoisted metadata",
+        ),
+        (
+            "a missing byte",
+            rehoisted(|c| {
+                c.pop();
+            }),
+            "",
+        ),
+        ("an interleaved copy", interleaved, "not a packed container"),
+    ];
+    for (case, forged, reason) in cases {
+        assert_archive_refused(case, &forged, reason);
+    }
+    // The directory moves a byte between the first two windows, still
+    // tiling the payload: the first copy's payload no longer ends where its
+    // window does.
+    for (case, delta, reason) in [
+        ("window one byte long", 1i64, "disagrees with its metadata"),
+        ("window one byte short", -1, "chunk payload outruns buffer"),
+    ] {
+        // Entry 0's len, entry 1's offset, entry 1's len.
+        let mut forged = bytes.clone();
+        for (at, by) in [
+            (dir_at + 9, delta),
+            (dir_at + 18, delta),
+            (dir_at + 26, -delta),
+        ] {
+            let moved = (u64_at(&bytes, at) as i64 + by) as u64;
+            forged[at..at + 8].copy_from_slice(&moved.to_le_bytes());
+        }
+        assert_archive_refused(case, &forged, reason);
+    }
+}
+
+/// The archive header disagreeing with what it hoists, and the version
+/// word's flag bits: only the hoisting flag is known, and on the wrong
+/// bytes it is refused.
+#[test]
+fn archive_header_and_flags_are_checked() {
+    let bytes = fixture(HOISTED);
+    // dims[0] 20 → 21: every hoisted map disagrees.
+    let dims = patched(&bytes, 45, &21u64.to_le_bytes());
+    assert_archive_refused("dims", &dims, "dims disagree with archive header");
+    for (name, at, value, reason) in [
+        (HOISTED, 6, 1, "not a version-4 archive container"),
+        (HOISTED, 5, 3, "not a version-4 archive container"),
+        (HOISTED, 7, 0x80, "not a version-4 archive container"),
+        // Cleared: `prefix_len` read as the step and variable counts.
+        (HOISTED, 5, 0, ""),
+        // Set on the plain layout: the counts read as a prefix length.
+        (
+            "container_v4_packed.bin",
+            5,
+            1,
+            "implausible archive prefix length",
+        ),
+    ] {
+        let forged = patched(&fixture(name), at, &[value]);
+        assert_archive_refused(&format!("{name} byte {at} = {value}"), &forged, reason);
     }
 }

@@ -14,20 +14,28 @@
 //!   such containers). Like v1 they are read pins: no writer produces them
 //!   any more and the reader must keep decoding them to the same values.
 //! * `container_v2_packed.bin` / `container_v2_chunked_packed.bin` /
-//!   `container_v3_packed.bin` / `container_v4_packed.bin` — the same four
-//!   encodes from the current writer (packed layout: prelude, LZR-packed
-//!   metadata block, then all payload). Encoding the deterministic golden
-//!   field must reproduce them byte for byte, so any accidental format change
-//!   fails here instead of corrupting archives in the wild; they decode to
-//!   the same values, and their chunk payload is byte-identical to their
-//!   interleaved twins' — only where the entropy streams sit changed.
+//!   `container_v3_packed.bin` — the same three single-field encodes from the
+//!   current writer (packed layout: prelude, LZR-packed metadata block, then
+//!   all payload). Encoding the deterministic golden field must reproduce
+//!   them byte for byte, so any accidental format change fails here instead
+//!   of corrupting archives in the wild; they decode to the same values, and
+//!   their chunk payload is byte-identical to their interleaved twins' — only
+//!   where the entropy streams sit changed.
+//! * `container_v4_packed.bin` — frozen output of the archive writer that
+//!   embedded packed containers but kept their metadata in them (plain
+//!   version-4 framing): a read pin, opened one probe per step.
+//! * `container_v4_hoisted.bin` — the current archive writer's output: the
+//!   same embedded containers byte for byte, behind a prefix that also holds
+//!   a copy of each one's prelude and metadata block. The archive encode must
+//!   reproduce it byte for byte.
 //! * `expected_values.bin` — the bit-exact `f64` reconstruction all of the
 //!   single-field containers above must decode to.
 //!
 //! The golden field uses only exact dyadic arithmetic (integer products
 //! scaled by powers of two), so every byte is reproducible across platforms.
-//! Regenerate the packed fixtures with `cargo run --example gen_golden_fixtures`
-//! after an *intentional* format bump, and commit them with it.
+//! Regenerate the current writer's fixtures with `cargo run --example
+//! gen_golden_fixtures` after an *intentional* format bump, and commit them
+//! with it.
 
 use std::sync::Arc;
 
@@ -221,14 +229,7 @@ fn packed_and_interleaved_fixtures_share_chunk_payload() {
         fixture("container_v4.bin"),
         fixture("container_v4_packed.bin"),
     );
-    let entries = |bytes: &[u8]| -> Vec<Vec<u8>> {
-        let map = ArchiveMap::open(&MemorySource::new(bytes.to_vec())).unwrap();
-        (0..map.num_steps())
-            .map(|s| map.entry(s, 0))
-            .map(|e| bytes[e.offset as usize..(e.offset + e.len) as usize].to_vec())
-            .collect()
-    };
-    for (step, (o, n)) in entries(&old).into_iter().zip(entries(&new)).enumerate() {
+    for (step, (o, n)) in embedded(&old).into_iter().zip(embedded(&new)).enumerate() {
         pairs.push((format!("container_v4_packed.bin step {step}"), o, n));
     }
     assert_eq!(pairs.len(), 3 + 4);
@@ -304,8 +305,16 @@ fn golden_archive_config() -> ArchiveConfig {
     config
 }
 
+/// The three v4 fixtures, oldest layout first.
+const ARCHIVES: [&str; 3] = [
+    "container_v4.bin",
+    "container_v4_packed.bin",
+    "container_v4_hoisted.bin",
+];
+
 /// The current archive writer must reproduce the committed v4 fixture byte
-/// for byte — framing header, directory, and every embedded container.
+/// for byte — framing header, directory, hoisted metadata, and every
+/// embedded container.
 #[test]
 fn v4_archive_encode_is_byte_exact() {
     let fields = golden_archive_fields();
@@ -319,7 +328,7 @@ fn v4_archive_encode_is_byte_exact() {
         builder.push_step(std::slice::from_ref(f)).unwrap();
     }
     let bytes = builder.finish().unwrap();
-    let golden = fixture("container_v4_packed.bin");
+    let golden = fixture("container_v4_hoisted.bin");
     assert_eq!(
         bytes.len(),
         golden.len(),
@@ -329,19 +338,62 @@ fn v4_archive_encode_is_byte_exact() {
         bytes == golden,
         "serialized bytes changed — archive format drifted"
     );
-    // And the fixture is a version-4 archive.
+    // And the fixture is a version-4 archive in the hoisted layout.
     assert_eq!(&golden[..4], b"IPCP");
-    assert_eq!(&golden[4..8], &4u32.to_le_bytes());
+    assert_eq!(&golden[4..8], &(4 | LAYOUT_PACKED).to_le_bytes());
 }
 
 /// The committed v4 fixtures parse, expose the expected framing, and every
 /// step decodes bit-identically to the independent-encoding composition; the
-/// packed one embeds a keyframe container byte-identical to the standalone
-/// writer's output.
+/// two written since the packed layout embed a keyframe container
+/// byte-identical to the standalone writer's output.
 #[test]
 fn v4_fixture_decodes_to_independent_composition() {
-    v4_decodes_to_independent_composition(fixture("container_v4.bin"), false);
-    v4_decodes_to_independent_composition(fixture("container_v4_packed.bin"), true);
+    for (name, current_writer) in ARCHIVES.into_iter().zip([false, true, true]) {
+        v4_decodes_to_independent_composition(fixture(name), current_writer);
+    }
+}
+
+/// Each embedded container of `bytes` (one variable), in step order.
+fn embedded(bytes: &[u8]) -> Vec<Vec<u8>> {
+    let map = ArchiveMap::open(&MemorySource::new(bytes.to_vec())).unwrap();
+    (0..map.num_steps())
+        .map(|s| map.entry(s, 0))
+        .map(|e| bytes[e.offset as usize..(e.offset + e.len) as usize].to_vec())
+        .collect()
+}
+
+/// Hoisting changed the archive's prefix and nothing after it: the hoisted
+/// fixture's embedded containers are the packed one's byte for byte, and
+/// its payload is theirs back to back to the last byte.
+#[test]
+fn hoisted_archive_embeds_the_packed_archives_containers() {
+    let (packed, hoisted) = (
+        fixture("container_v4_packed.bin"),
+        fixture("container_v4_hoisted.bin"),
+    );
+    assert_eq!(embedded(&hoisted), embedded(&packed));
+    let map = ArchiveMap::open(&MemorySource::new(hoisted.clone())).unwrap();
+    let payload = &hoisted[map.meta_len() as usize..];
+    assert_eq!(payload, &embedded(&packed).concat()[..]);
+}
+
+/// For every entry, the map built from its hoisted copy is the map
+/// `ContainerMap::open` reads from the embedded container itself.
+#[test]
+fn hoisted_maps_equal_maps_of_the_embedded_containers() {
+    let hoisted = fixture("container_v4_hoisted.bin");
+    let map = ArchiveMap::open(&MemorySource::new(hoisted.clone())).unwrap();
+    for step in 0..map.num_steps() {
+        let e = map.entry(step, 0);
+        let window =
+            MemorySource::new(hoisted[e.offset as usize..(e.offset + e.len) as usize].to_vec());
+        assert_eq!(
+            **map.container(step, 0),
+            ContainerMap::open(&window).unwrap(),
+            "step {step}"
+        );
+    }
 }
 
 fn v4_decodes_to_independent_composition(golden: Vec<u8>, current_writer: bool) {
