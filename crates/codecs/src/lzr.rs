@@ -17,8 +17,8 @@
 //! ## Entropy-stage dispatch
 //!
 //! The container byte after the length varint selects how the body was coded:
-//! `0` = stored token stream, `1` = canonical Huffman over tokens (the PR 1
-//! stage, still read for version-1 containers), `2` = interleaved rANS over
+//! `0` = stored token stream, `1` = canonical Huffman over tokens (the
+//! original entropy stage), `2` = interleaved rANS over
 //! tokens ([`crate::rans`]), `3` = rANS over the *raw input bytes*, `4` = the
 //! raw input bytes verbatim. Modes 3 and 4 are chosen when the match finder
 //! comes up empty: decode then skips the detokenization pass entirely — the

@@ -2,7 +2,7 @@
 //! encoding with step-spanning progressive retrieval.
 //!
 //! A scientific archive holds N timesteps × V variables of one domain. The
-//! single-snapshot container (versions 1–3) treats each step as an island;
+//! single-snapshot container (versions 2 and 3) treats each step as an island;
 //! this module applies the paper's residual idea *across time*: step `t` is
 //! stored either **independent** (a keyframe) or as a **cross-timestep
 //! residual** against the reconstruction of its predecessor at a configurable
@@ -15,7 +15,7 @@
 //! ## Framing (version 4)
 //!
 //! ```text
-//! hoisted (written; version word = 4 | LAYOUT_PACKED)
+//! version word = 4 | LAYOUT_PACKED
 //!   magic "IPCP" | version word u32 | prefix_len u64
 //!   num_steps u32 | num_vars u32
 //!   keyframe_interval u32 | reference_bound f64 | finest_bound f64
@@ -25,24 +25,29 @@
 //!   per entry, directory order: its container's 16-byte prelude and
 //!       packed metadata block, verbatim                       up to prefix_len
 //!   payload: the embedded per-step containers, back to back   to the last byte
-//!
-//! plain (read-only; version word = 4)
-//!   the same without prefix_len and without the hoisted copies
 //! ```
 //!
 //! The directory's entries tile the payload: the first starts where the
 //! prefix ends, each next one where the one before it ends, the last ends
 //! with the file. Every embedded container is byte-identical to a standalone
 //! [`Compressed::to_bytes`](crate::Compressed::to_bytes) of the same field
-//! and is addressed through an [`OffsetSource`] window, so versions 1–3
-//! grammar and readers are untouched; the hoisted copies duplicate each
+//! and is addressed through an [`OffsetSource`] window, so the container
+//! grammar and reader are untouched; the hoisted copies duplicate each
 //! one's metadata front (≈ 0.1 % of an archive of 64³ steps) so that
 //! [`ArchiveMap`] builds every step's map from the prefix alone. The
 //! prefix states its own length right after the version word, where the
 //! 4 KB probe that opens anything always finds it: opening is that probe
 //! plus at most one GET of exactly the rest of the prefix, as a container's
-//! is (see [`crate::container`]). A plain archive costs one probe per
-//! embedded container on top.
+//! is (see [`crate::container`]). The unflagged version-4 word of the plain
+//! framing, which kept each step's metadata only in its embedded container,
+//! is retired and refused by name ([`RETIRED_LAYOUT`]).
+//!
+//! The hoisted copies are trusted: [`ArchiveMap`] builds each step's map
+//! from its copy and never cross-reads the embedded container's own prelude
+//! and block, because that would cost the GET per step the hoist removed.
+//! A copy that disagrees with the container behind it is read as the
+//! truth: the step's chunks are fetched where the copy says, and its decode
+//! either refuses what it finds there or reconstructs from it.
 //!
 //! ## Determinism and bit-identity
 //!
@@ -69,7 +74,9 @@ use std::sync::Arc;
 use ipc_tensor::{ArrayD, Shape};
 
 use crate::config::Config;
-use crate::container::{metadata_front, ContainerMap, MetaCursor, LAYOUT_PACKED, MAGIC};
+use crate::container::{
+    metadata_front, read_front, ContainerMap, MetaCursor, LAYOUT_PACKED, MAGIC, RETIRED_LAYOUT,
+};
 use crate::error::{IpcompError, Result};
 use crate::planner::{fetch_groups, plan_request, ChunkRead};
 use crate::precinct::RoiBox;
@@ -425,9 +432,8 @@ fn sub_fields(a: &ArrayD<f64>, b: &ArrayD<f64>) -> ArrayD<f64> {
 
 /// Parsed archive metadata: framing header, directory, and one
 /// [`ContainerMap`] per embedded step container — everything retrieval
-/// planning needs, built from ranged reads over the metadata prefix (and, for
-/// a plain archive, each embedded container's own metadata); payload chunks
-/// are never touched.
+/// planning needs, built from ranged reads over the metadata prefix; payload
+/// chunks are never touched.
 #[derive(Debug)]
 pub struct ArchiveMap {
     num_steps: usize,
@@ -445,55 +451,33 @@ pub struct ArchiveMap {
 }
 
 impl ArchiveMap {
-    /// Parse an archive's metadata from ranged reads.
+    /// Parse an archive's metadata from ranged reads: one probe GET plus,
+    /// when its prefix is longer than the probe, one GET of exactly the
+    /// rest. Every embedded container's map is built from its hoisted copy
+    /// in the resident prefix; the copies are trusted over the embedded
+    /// containers' own preludes and never cross-read against them, which
+    /// would cost a GET per step.
     ///
-    /// An archive the writer emits (`LAYOUT_PACKED` on its version word)
-    /// costs one probe GET plus, when its prefix is longer than the probe,
-    /// one GET of exactly the rest: every embedded container's map is built
-    /// from its copy in the resident prefix. An unflagged (read-only) archive
-    /// costs the probe plus one open of each embedded container.
-    ///
-    /// Either way the directory must tile the payload — entries back to back
-    /// from the end of the prefix to the end of the source — before any
-    /// embedded container is read.
+    /// The directory must tile the payload — entries back to back from the
+    /// end of the prefix to the end of the source — before any hoisted copy
+    /// is read.
     pub fn open(source: &dyn ChunkSource) -> Result<Self> {
-        let mut cur = MetaCursor::new(source);
-        let total_len = cur.len();
-        let word = cur.read_magic_version()?;
-        if word & !LAYOUT_PACKED != VERSION_ARCHIVE {
+        let total_len = source.len();
+        let prefix = read_front(source, |probe| {
+            Self::read_prelude(&mut MetaCursor::new(probe), total_len)
+        })?;
+        let mut cur = MetaCursor::new(&prefix);
+        Self::read_prelude(&mut cur, total_len)?;
+        let mut map = Self::parse(&mut cur, prefix.len() as u64, total_len)?;
+        for e in &map.entries {
+            map.maps
+                .push(Arc::new(ContainerMap::read(&mut cur, e.len)?));
+        }
+        if cur.remaining() != 0 {
             return Err(IpcompError::CorruptContainer(
-                "not a version-4 archive container",
+                "archive prefix disagrees with its hoisted metadata",
             ));
         }
-        let map = if word & LAYOUT_PACKED == 0 {
-            let mut map = Self::parse(&mut cur, None, total_len)?;
-            for e in &map.entries {
-                let window = OffsetSource::new(source, e.offset, e.len)?;
-                map.maps.push(Arc::new(ContainerMap::open(&window)?));
-            }
-            map
-        } else {
-            let prefix_len = cur.read_u64()?;
-            if prefix_len > total_len || prefix_len < cur.pos() {
-                return Err(IpcompError::CorruptContainer(
-                    "implausible archive prefix length",
-                ));
-            }
-            let rest = cur.read_exact((prefix_len - cur.pos()) as usize)?;
-            let resident = MemorySource::new(rest.to_vec());
-            let mut prefix = MetaCursor::new(&resident);
-            let mut map = Self::parse(&mut prefix, Some(prefix_len), total_len)?;
-            for e in &map.entries {
-                let hoisted = ContainerMap::read(&mut prefix, e.len, true)?;
-                map.maps.push(Arc::new(hoisted));
-            }
-            if prefix.pos() != prefix.len() {
-                return Err(IpcompError::CorruptContainer(
-                    "archive prefix disagrees with its hoisted metadata",
-                ));
-            }
-            map
-        };
         if map.maps.iter().any(|m| m.header.dims != map.dims) {
             return Err(IpcompError::CorruptContainer(
                 "embedded container dims disagree with archive header",
@@ -502,11 +486,30 @@ impl ArchiveMap {
         Ok(map)
     }
 
+    /// Magic, version word and `prefix_len`: a version word other than
+    /// `4 | LAYOUT_PACKED` is refused, and so is a prefix that could not
+    /// hold these 16 bytes or runs past the `total_len`-byte source.
+    fn read_prelude(cur: &mut MetaCursor<'_>, total_len: u64) -> Result<u64> {
+        let word = cur.read_magic_version()?;
+        if word != VERSION_ARCHIVE | LAYOUT_PACKED {
+            return Err(IpcompError::CorruptContainer(match word {
+                VERSION_ARCHIVE => RETIRED_LAYOUT,
+                _ => "not a version-4 archive container",
+            }));
+        }
+        let prefix_len = cur.read_u64()?;
+        if prefix_len > total_len || prefix_len < 16 {
+            return Err(IpcompError::CorruptContainer(
+                "implausible archive prefix length",
+            ));
+        }
+        Ok(prefix_len)
+    }
+
     /// The framing header and directory from `cur`, with no embedded
-    /// container read yet. The payload starts at `payload_at` — or, unset,
-    /// where the directory ends — and the directory's entries must tile it
-    /// up to `total_len`.
-    fn parse(cur: &mut MetaCursor<'_>, payload_at: Option<u64>, total_len: u64) -> Result<Self> {
+    /// container read yet. The payload starts at `payload_at`, and the
+    /// directory's entries must tile it up to `total_len`.
+    fn parse(cur: &mut MetaCursor<'_>, payload_at: u64, total_len: u64) -> Result<Self> {
         let num_steps = cur.read_u32()? as u64;
         let num_vars = cur.read_u32()? as u64;
         if num_steps == 0 || num_steps > MAX_STEPS {
@@ -554,14 +557,13 @@ impl ArchiveMap {
             if len > MAX_NAME {
                 return Err(IpcompError::CorruptContainer("implausible variable name"));
             }
-            let bytes = cur.read_exact(len)?;
-            let name = String::from_utf8(bytes.to_vec())
+            let name = String::from_utf8(cur.read_bytes(len)?.to_vec())
                 .map_err(|_| IpcompError::CorruptContainer("variable name not utf-8"))?;
             variables.push(name);
         }
         // 17 bytes an entry: the directory must fit what is left of the
-        // source before anything proportional to it is allocated.
-        if num_steps * num_vars * 17 > cur.len() - cur.pos() {
+        // prefix before anything proportional to it is allocated.
+        if num_steps * num_vars * 17 > cur.remaining() as u64 {
             return Err(IpcompError::CorruptContainer("implausible directory size"));
         }
         let mut entries = Vec::with_capacity((num_steps * num_vars) as usize);
@@ -574,8 +576,7 @@ impl ArchiveMap {
         // The entries tile the payload: one container after another, no gap,
         // no overlap, none shared — so a directory can never make the open
         // read (or parse) more containers than the file holds.
-        let meta_len = payload_at.unwrap_or(cur.pos());
-        let mut end = meta_len;
+        let mut end = payload_at;
         for (i, e) in entries.iter().enumerate() {
             if e.offset != end || e.len == 0 || e.len > total_len - end {
                 return Err(IpcompError::CorruptContainer(
@@ -606,7 +607,7 @@ impl ArchiveMap {
             dims,
             entries,
             maps,
-            meta_len,
+            meta_len: payload_at,
             total_len,
         })
     }
@@ -642,8 +643,8 @@ impl ArchiveMap {
     }
 
     /// Bytes of the metadata prefix — everything ahead of the first embedded
-    /// container: framing header and directory and, in the layout the writer
-    /// emits, every embedded container's hoisted prelude and metadata block.
+    /// container: framing header, directory and every embedded container's
+    /// hoisted prelude and metadata block.
     pub fn meta_len(&self) -> u64 {
         self.meta_len
     }
@@ -1447,7 +1448,7 @@ mod tests {
         // A directory entry pointing past the end fails validation.
         let map = ArchiveMap::open(&MemorySource::new(bytes.clone())).unwrap();
         let mut corrupt = bytes.clone();
-        let dir_at = directory_at(&bytes, &map);
+        let dir_at = directory_at(&map);
         corrupt[dir_at + 1..dir_at + 9].copy_from_slice(&u64::MAX.to_le_bytes());
         assert!(ArchiveMap::open(&MemorySource::new(corrupt)).is_err());
         // Steps must alternate per the directory, step 0 keyframe enforced.
@@ -1457,75 +1458,35 @@ mod tests {
     }
 
     /// Offset of the first directory entry of `bytes`: its prefix less the
-    /// 17-byte entries and — in the hoisted layout — the copies (one packed
-    /// container front, its `base_bytes`, per entry).
-    fn directory_at(bytes: &[u8], map: &ArchiveMap) -> usize {
+    /// 17-byte entries and the hoisted copies (one container front, its
+    /// `base_bytes`, per entry).
+    fn directory_at(map: &ArchiveMap) -> usize {
         let maps =
             (0..map.num_steps()).flat_map(|s| (0..map.variables().len()).map(move |v| (s, v)));
-        let hoisted: usize = match bytes[5] {
-            0 => 0,
-            _ => maps
-                .clone()
-                .map(|(s, v)| map.container(s, v).base_bytes())
-                .sum(),
-        };
+        let hoisted: usize = maps
+            .clone()
+            .map(|(s, v)| map.container(s, v).base_bytes())
+            .sum();
         map.meta_len() as usize - hoisted - maps.count() * 17
     }
 
-    /// The same archive in the plain (read-only) layout: no prefix length,
-    /// no hoisted copies, directory offsets moved up to match.
-    fn plain_layout(bytes: &[u8]) -> Vec<u8> {
-        let map = ArchiveMap::open(&MemorySource::new(bytes.to_vec())).unwrap();
-        let dir_at = directory_at(bytes, &map);
-        let dir_end = dir_at + map.num_steps() * map.variables().len() * 17;
-        let shift = (map.meta_len() as usize - dir_end + 8) as u64;
-        let mut out = [
-            &MAGIC[..],
-            &VERSION_ARCHIVE.to_le_bytes(),
-            &bytes[16..dir_end],
-        ]
-        .concat();
-        for at in (dir_at - 8..dir_end - 8).step_by(17) {
-            let offset = u64::from_le_bytes(out[at + 1..at + 9].try_into().unwrap());
-            out[at + 1..at + 9].copy_from_slice(&(offset - shift).to_le_bytes());
-        }
-        [&out[..], &bytes[map.meta_len() as usize..]].concat()
-    }
-
-    /// The plain layout opens through one probe per embedded container to
-    /// the same maps the hoisted copies give.
-    #[test]
-    fn hoisted_and_plain_layouts_open_to_the_same_maps() {
-        let (_, bytes, _) = toy_archive(5, 2);
-        let hoisted = ArchiveMap::open(&MemorySource::new(bytes.clone())).unwrap();
-        let plain = ArchiveMap::open(&MemorySource::new(plain_layout(&bytes))).unwrap();
-        assert!(plain.meta_len() < hoisted.meta_len());
-        for s in 0..5 {
-            assert_eq!(plain.entry(s, 0).len, hoisted.entry(s, 0).len);
-            assert_eq!(plain.container(s, 0), hoisted.container(s, 0));
-        }
-    }
-
-    /// Two directory entries naming one embedded container are refused on
-    /// both layouts, before any embedded container is read: entries must
-    /// tile the payload, so a small file cannot stand for more containers
-    /// than it holds.
+    /// Two directory entries naming one embedded container are refused
+    /// before any hoisted copy is read: entries must tile the payload, so a
+    /// small file cannot stand for more containers than it holds.
     #[test]
     fn aliased_directory_entries_are_refused() {
         let (_, bytes, _) = toy_archive(2, 1);
-        for archive in [plain_layout(&bytes), bytes] {
-            let map = ArchiveMap::open(&MemorySource::new(archive.clone())).unwrap();
-            let dir_at = directory_at(&archive, &map);
-            // Step 1's (offset, len) := step 0's.
-            let mut aliased = archive;
-            aliased.copy_within(dir_at + 1..dir_at + 17, dir_at + 18);
-            assert!(matches!(
-                ArchiveMap::open(&MemorySource::new(aliased)),
-                Err(IpcompError::CorruptContainer(
-                    "archive entries do not tile the payload"
-                ))
-            ));
-        }
+        let map = ArchiveMap::open(&MemorySource::new(bytes.clone())).unwrap();
+        let dir_at = directory_at(&map);
+        // Step 1's (offset, len) := step 0's.
+        let mut aliased = bytes;
+        aliased.copy_within(dir_at + 1..dir_at + 17, dir_at + 18);
+        assert!(matches!(
+            ArchiveMap::open(&MemorySource::new(aliased)),
+            Err(IpcompError::CorruptContainer(
+                "archive entries do not tile the payload"
+            ))
+        ));
     }
 
     #[test]

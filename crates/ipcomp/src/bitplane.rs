@@ -63,7 +63,7 @@
 //! # One layout, one encoder
 //!
 //! How a level's plane bytes are cut — [`CHUNK_BYTES`]-sized byte regions
-//! (version 2), one whole-plane region (version 1) or one region per spatial
+//! or one whole-plane region (version 2), or one region per spatial
 //! precinct (version 3) — is decided in exactly one place, [`RegionScheme`]:
 //! it owns the region arithmetic and the format's chunk-alignment rule, and
 //! [`EncodedLevel::scheme`] / [`crate::container::LevelMap::scheme`] are the
@@ -139,13 +139,13 @@ pub const CHUNK_BYTES: usize = 64 * 1024;
 /// `spans[k].div_ceil(8)` bytes so every region starts byte-aligned.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum RegionScheme {
-    /// Fixed-size byte regions (version-1/2 layout); build with
+    /// Fixed-size byte regions (version 2); build with
     /// [`RegionScheme::uniform`].
     Uniform {
         /// Number of coefficients in the level.
         n_values: usize,
         /// Packed bytes per region (≥ 1): the chunk size, or the whole plane
-        /// for monolithic (version-1) levels.
+        /// for whole-plane levels.
         region_bytes: usize,
     },
     /// Precinct-aligned regions (version-3 layout); build with
@@ -165,7 +165,7 @@ pub enum RegionScheme {
 impl RegionScheme {
     /// The uniform byte grid over `n_values` coefficients: regions of
     /// `chunk_bytes` packed bytes each, or one whole-plane region when
-    /// `chunk_bytes` is `0` (the version-1 layout). `None` unless
+    /// `chunk_bytes` is `0`. `None` unless
     /// `chunk_bytes` is a multiple of 8 — the format's rule that chunk
     /// boundaries sit on 64-coefficient transpose blocks, stated here once;
     /// the encoder, [`crate::compress`] and the container parser each turn a
@@ -279,9 +279,8 @@ impl RegionScheme {
 /// One bitplane compressed as independently decodable entropy chunks.
 ///
 /// Chunk `k` holds region `k` of the owning level's [`EncodedLevel::scheme`]:
-/// a fixed span of packed plane bytes in version-2 containers, the whole
-/// plane in version-1 containers, one spatial precinct in version-3
-/// containers.
+/// a fixed span of packed plane bytes (or the whole plane) in version-2
+/// containers, one spatial precinct in version-3 containers.
 #[derive(Debug, Clone, PartialEq)]
 pub struct EncodedPlane {
     /// Compressed chunk payloads, in coefficient order.
@@ -289,7 +288,7 @@ pub struct EncodedPlane {
 }
 
 impl EncodedPlane {
-    /// Wrap a whole-plane block as a single chunk (the version-1 layout).
+    /// Wrap a whole-plane block as a single chunk.
     pub fn monolithic(block: Vec<u8>) -> Self {
         Self {
             chunks: vec![block],
@@ -311,7 +310,7 @@ impl EncodedPlane {
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct EncodeOptions {
     /// Packed bytes per entropy chunk; `0` disables chunking and stores one
-    /// monolithic block per plane (the version-1 layout). Must be a multiple
+    /// monolithic block per plane. Must be a multiple
     /// of 8 so chunks align with 64-coefficient transpose blocks.
     pub chunk_bytes: usize,
 }
@@ -337,12 +336,12 @@ pub struct EncodedLevel {
     /// `trunc_loss[b]` = maximum absolute error, in quantization-code units, incurred
     /// by discarding the `b` least significant planes (`b` ranges `0..=num_planes`).
     pub trunc_loss: Vec<u64>,
-    /// Packed bytes per entropy chunk; `0` means whole-plane blocks (the
-    /// version-1 layout). All planes of a level share the same chunk grid.
+    /// Packed bytes per entropy chunk; `0` means whole-plane blocks. All
+    /// planes of a level share the same chunk grid.
     /// Ignored when `precinct_spans` is set.
     pub chunk_bytes: usize,
     /// Per-precinct coefficient spans of the version-3 precinct-major layout;
-    /// `None` for the uniform version-1/2 byte grid. When set, the level's
+    /// `None` for the uniform version-2 byte grid. When set, the level's
     /// coefficients are stored precinct-major and chunk `k` of every plane
     /// holds precinct `k`'s independently packed bits.
     pub precinct_spans: Option<Vec<usize>>,
@@ -644,7 +643,7 @@ fn encode_regions(
 }
 
 /// Encode one level's quantization codes into bitplane blocks on the uniform
-/// byte grid of `opts.chunk_bytes` (the version-1/2 layout).
+/// byte grid of `opts.chunk_bytes` (the version-2 layout).
 /// [`encode_level`] forwards the default.
 ///
 /// # Panics

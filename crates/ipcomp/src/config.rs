@@ -63,8 +63,7 @@ pub struct Config {
     pub parallel_encoding: bool,
     /// Packed plane bytes per entropy chunk (must be a multiple of 8).
     /// Smaller chunks stream and parallelize at finer granularity for a small
-    /// ratio cost; `0` stores one monolithic block per plane, the version-1
-    /// layout.
+    /// ratio cost; `0` stores one monolithic block per plane.
     pub chunk_bytes: usize,
     /// Spatial precinct extents (per dimension, in domain coordinates).
     /// `Some` switches the container to the version-3 layout: every level's

@@ -11,48 +11,38 @@
 //! The version says what a level's chunks are; the layout (next section)
 //! says where metadata and chunks sit in the file.
 //!
-//! * **v1** (PR 1) — each plane is a single monolithic LZR block, written as
-//!   `varint length + bytes` inline with the level metadata. Still read;
-//!   decodes byte-identically.
 //! * **v2** (current) — planes are split into fixed-size entropy chunks
-//!   ([`crate::bitplane::CHUNK_BYTES`] packed bytes each) and the level
-//!   metadata carries a **chunk index**: every chunk's compressed size. A
-//!   reader can therefore compute the absolute offset of any
-//!   `(level, plane, chunk)` triple from metadata alone and fetch chunks
-//!   independently — which is what lets decode fan out evenly over rayon and
-//!   stream planes region by region.
+//!   ([`crate::bitplane::CHUNK_BYTES`] packed bytes each, or one whole-plane
+//!   chunk when `chunk_bytes` is 0) and the level metadata carries a **chunk
+//!   index**: every chunk's compressed size. A reader can therefore compute
+//!   the absolute offset of any `(level, plane, chunk)` triple from metadata
+//!   alone and fetch chunks independently — which is what lets decode fan
+//!   out evenly over rayon and stream planes region by region.
 //! * **v3** — v2 with a precinct grid in the header: levels are stored
 //!   precinct-major with one chunk per `(plane, precinct)` pair.
 //!
-//! ## Layouts
+//! ## Layout
 //!
 //! ```text
-//! packed (written; version word = version | LAYOUT_PACKED)
+//! version word = version | LAYOUT_PACKED
 //!   magic "IPCP" | version word u32 | packed_len u32 | unpacked_len u32      16-byte prelude
 //!   metadata block: lzr_compress of                                          packed_len bytes
 //!       magic | version u32 | header | anchors | per level: record + chunk index
 //!   every chunk, level-major (coarsest first), plane-major, in index order   to the last byte
-//!
-//! interleaved (read-only; version word = version, 1..=3)
-//!   magic | version u32 | header | anchors
-//!   per level: record + chunk index | that level's chunks, plane-major
-//!   (v1: per plane `varint length + bytes` in place of index and chunks)
 //! ```
 //!
 //! The version word's low byte is the version and its second byte the layout
-//! flags; any bit the reader does not know is an unsupported version. The
-//! unpacked metadata block *is* an interleaved stream with the chunks taken
-//! out — same bytes, same order — which is what lets one parser read both.
-//! Nothing selects the layout: [`Compressed::to_bytes`] writes packed, and
-//! the interleaved layouts (v1, v2, v3, and v4 archives embedding them) are
-//! read for as long as files in them exist; no writer produces them, so the
-//! committed fixtures are their only samples.
+//! flags. The reader accepts `2 | LAYOUT_PACKED` and `3 | LAYOUT_PACKED` and
+//! refuses every other word right after reading it, by name
+//! ([`RETIRED_LAYOUT`]): version 1 and the interleaved layouts that wrote
+//! each level's record beside its payload (version word without the flag)
+//! are retired — nothing writes them, and git history keeps their reader.
 //!
 //! ## Opening in at most two GETs
 //!
 //! Planning needs the header, the anchors and every level's loss table and
-//! chunk index before it can ask for a single payload byte, so the packed
-//! layout puts exactly those bytes first and packs them — a chunk index is
+//! chunk index before it can ask for a single payload byte, so the layout
+//! puts exactly those bytes first and packs them — a chunk index is
 //! thousands of near-equal one- or two-byte varints, which LZR takes to a few
 //! percent of their size (a 1024² field in 32² precincts: 259 KB to 3.7 KB).
 //! [`ContainerMap::open`] then costs:
@@ -61,20 +51,16 @@
 //!    holds the prelude and usually the whole block;
 //! 2. if `16 + packed_len` runs past the probe, one GET of exactly the rest.
 //!
-//! The block is unpacked once (the only buffer `open` owns; everything read
-//! through the cursor is a slice of what the source returned) and parsed in
-//! memory. Each level's payload is located by a running offset that starts
-//! at the end of the block. An interleaved container is instead walked
-//! record by record in `META_FETCH` steps, skipping payload: four GETs for a
-//! 16 KB index, 68 for that 1024² container.
+//! The block is unpacked once and parsed as a slice; each level's payload is
+//! located by a running offset that starts at the end of the block.
 //!
-//! A version-4 archive the writer emits opens the same way, one level up
-//! (see [`crate::archive`]): its prefix — framing header, directory, and a
+//! A version-4 archive opens the same way, one level up (see
+//! [`crate::archive`]): its prefix — framing header, directory, and a
 //! verbatim copy of every embedded container's prelude and block — states
 //! its own length right after the version word, so
 //! [`ArchiveMap::open`](crate::ArchiveMap::open) is the probe plus at most
 //! one GET of exactly the rest of the prefix, however many steps it holds.
-//! Each copy goes through the function this module's packed branch is
+//! Each copy goes through the same function as a standalone container
 //! (`ContainerMap::read`), reading the prelude from the archive's resident
 //! prefix instead of from the container's own first bytes.
 //!
@@ -103,14 +89,14 @@
 //!
 //! ## One parser, one writer
 //!
-//! [`ContainerMap::open`] is the only reader of this grammar, for every
-//! layout: the packed layout is a branch where the interleaved one skips a
-//! level's payload (the running offset advances instead), not a second
-//! parser. It records where every chunk lives; [`Compressed::from_bytes`] is
-//! that same walk over a byte slice plus a copy of each chunk at its recorded
-//! offset. Deserialization is hardened as described above, so corrupt or
-//! adversarial containers fail with [`IpcompError`] instead of panicking or
-//! ballooning memory — whichever entry point they arrive through.
+//! One function reads this grammar: `ContainerMap::read`, from a resident
+//! slice that starts with the prelude. [`ContainerMap::open`] hands it the
+//! front its GETs fetched, [`Compressed::from_bytes`] the whole buffer (then
+//! copies each chunk out at the offset the map recorded), and
+//! [`ArchiveMap::open`](crate::ArchiveMap::open) each hoisted copy in turn.
+//! Deserialization is hardened as described above, so corrupt or adversarial
+//! containers fail with [`IpcompError`] instead of panicking or ballooning
+//! memory — whichever entry point they arrive through.
 //!
 //! `Compressed::walk` is the only writer: it emits the grammar as a sequence
 //! of `Piece`s, and everything that needs to know the layout is a view of
@@ -133,7 +119,7 @@ use crate::bitplane::{EncodedLevel, EncodedPlane, RegionScheme};
 use crate::config::Interpolation;
 use crate::error::{IpcompError, Result};
 use crate::precinct::PrecinctGrid;
-use crate::source::{read_ranges_exact, ByteRange, Bytes, ChunkSource, MemorySource};
+use crate::source::{read_ranges_exact, ByteRange, Bytes, ChunkSource};
 
 /// Magic bytes identifying an IPComp container.
 pub const MAGIC: &[u8; 4] = b"IPCP";
@@ -144,13 +130,15 @@ pub const VERSION: u32 = 2;
 /// levels are stored precinct-major with one entropy chunk per
 /// `(plane, precinct)` pair, enabling spatial ROI retrieval.
 pub const VERSION_ROI: u32 = 3;
-/// Oldest container format version still readable.
-pub const MIN_VERSION: u32 = 1;
-/// Layout flag of the version word (its second byte): set, the file is a
-/// 16-byte prelude, the LZR-packed metadata block, then all chunk payload.
-/// The writer always sets it; clear marks the read-only interleaved layouts.
+/// Layout flag of the version word (its second byte): the file is a 16-byte
+/// prelude, the LZR-packed metadata block, then all chunk payload. Every
+/// version word the reader accepts carries it.
 pub const LAYOUT_PACKED: u32 = 1 << 8;
-/// Prelude of the packed layout: magic, version word, packed and unpacked
+/// Why a version word is refused: anything but a packed v2/v3 container (or,
+/// through [`crate::ArchiveMap::open`], an unflagged v4 archive) is either
+/// unknown or one of the retired interleaved layouts.
+pub const RETIRED_LAYOUT: &str = "unsupported version word (interleaved layouts are retired)";
+/// Prelude of a container: magic, version word, packed and unpacked
 /// metadata-block lengths (`u32` each).
 const PRELUDE_BYTES: usize = 16;
 /// Most the metadata block may claim to unpack to, per packed byte — checked
@@ -190,7 +178,7 @@ pub struct Header {
     pub value_range: f64,
     /// Spatial precinct extents (one per dimension, in domain coordinates).
     /// `Some` marks the version-3 precinct-major layout; `None` the
-    /// byte-granular version-1/2 layouts.
+    /// byte-granular version-2 layout.
     pub precincts: Option<Vec<usize>>,
 }
 
@@ -247,10 +235,9 @@ impl Compressed {
 
     /// The one walk of the write grammar: emit the container's content in
     /// its format version ([`Header::version`]), piece by piece. Versions 2
-    /// and 3 differ only in the header's precinct extents. The order is that
-    /// of the interleaved layouts, whose stream it is verbatim; the packed
-    /// layout keeps the order within each kind — metadata pieces into the
-    /// block, chunks after it.
+    /// and 3 differ only in the header's precinct extents. Each level's
+    /// record is followed by its chunks; the layout keeps the order within
+    /// each kind — metadata pieces into the block, chunks after it.
     fn walk(&self, mut emit: impl FnMut(Piece<'_>)) {
         let h = &self.header;
         emit(Piece::Bytes(MAGIC));
@@ -338,8 +325,8 @@ impl Compressed {
         self.base_bytes() + self.payload_bytes()
     }
 
-    /// Serialize the container to a byte buffer (current format version,
-    /// packed layout): prelude, packed metadata block, then every chunk.
+    /// Serialize the container to a byte buffer: prelude, packed metadata
+    /// block, then every chunk.
     pub fn to_bytes(&self) -> Vec<u8> {
         let mut out = self.packed_front(self.payload_bytes());
         self.walk(|piece| {
@@ -350,12 +337,12 @@ impl Compressed {
         out
     }
 
-    /// Deserialize a container produced by [`Compressed::to_bytes`] (or any
-    /// older readable version): the metadata walk is [`ContainerMap::open`]
-    /// over the slice, and every chunk is copied out at the offset the map
-    /// recorded for it — there is no second parser to drift.
+    /// Deserialize a container produced by [`Compressed::to_bytes`]: the
+    /// metadata is the one parser's over the slice, and every chunk is copied
+    /// out at the offset the map recorded for it — there is no second parser
+    /// to drift.
     pub fn from_bytes(buf: &[u8]) -> Result<Self> {
-        let map = ContainerMap::open(&SliceSource(buf))?;
+        let map = ContainerMap::read(&mut MetaCursor::new(buf), buf.len() as u64)?;
         let levels = map
             .levels
             .iter()
@@ -398,42 +385,11 @@ impl Piece<'_> {
     }
 }
 
-/// A borrowed serialized container as a [`ChunkSource`], so
-/// [`Compressed::from_bytes`] parses through the ranged reader.
-struct SliceSource<'a>(&'a [u8]);
-
-impl ChunkSource for SliceSource<'_> {
-    fn len(&self) -> u64 {
-        self.0.len() as u64
-    }
-
-    fn read_ranges(&self, ranges: &[ByteRange]) -> Result<Vec<Bytes>> {
-        ranges
-            .iter()
-            .map(|r| {
-                self.0
-                    .get(r.offset as usize..r.end() as usize)
-                    .map(|bytes| Bytes::from_vec(bytes.to_vec()))
-                    .ok_or(IpcompError::CorruptContainer(
-                        "byte range beyond end of source",
-                    ))
-            })
-            .collect()
-    }
-}
-
-/// Every byte of a packed container (as [`Compressed::to_bytes`] writes it)
-/// ahead of its payload: the prelude and the metadata block.
+/// Every byte of a container (as [`Compressed::to_bytes`] writes it) ahead
+/// of its payload: the prelude and the metadata block.
 pub(crate) fn metadata_front(container: &[u8]) -> &[u8] {
     let packed_len = u32::from_le_bytes(container[8..12].try_into().expect("a 16-byte prelude"));
     &container[..PRELUDE_BYTES + packed_len as usize]
-}
-
-/// One recorded chunk length: capped at `u32::MAX` (far beyond any
-/// producible chunk — packed spans are 64 KiB-scale), which is what lets the
-/// index store sizes as `u32` whatever the source length claims.
-fn chunk_len(len: u64) -> Result<u32> {
-    u32::try_from(len).map_err(|_| IpcompError::CorruptContainer("chunk payload outruns buffer"))
 }
 
 /// Validate v3 precinct extents against the header geometry and build the
@@ -471,9 +427,8 @@ fn level_spans_checked(
 /// planning paths need (`trunc_loss`, plane count, grid geometry) — but no
 /// payload bytes.
 ///
-/// Version-1 levels (no chunk index) appear as one whole-payload "chunk" per
-/// plane, so a range planner naturally degrades to per-plane reads on legacy
-/// containers instead of erroring.
+/// Whole-plane levels (`chunk_bytes` 0) appear as one whole-payload chunk
+/// per plane, so a range planner reads them per plane.
 #[derive(Debug, Clone, PartialEq)]
 pub struct LevelMap {
     /// Number of coefficients in the level.
@@ -483,15 +438,17 @@ pub struct LevelMap {
     /// Worst-case truncation loss per discard count (see
     /// [`EncodedLevel::trunc_loss`]).
     pub trunc_loss: Vec<u64>,
-    /// Packed bytes per entropy chunk; `0` for monolithic (v1) planes.
+    /// Packed bytes per entropy chunk; `0` for whole-plane chunks.
     pub chunk_bytes: usize,
     /// How the level's plane bytes are cut into chunks, built once when the
     /// map is and shared by every decode of the level.
     scheme: Arc<RegionScheme>,
-    /// `chunk_sizes[p][k]`: compressed size of chunk `k` of plane `p`.
-    chunk_sizes: Vec<Vec<u32>>,
-    /// `chunk_offsets[p][k]`: absolute container offset of that chunk.
-    chunk_offsets: Vec<Vec<u64>>,
+    /// Running payload offsets, plane-major: with `n` the scheme's region
+    /// count and `i = p·n + k`, chunk `k` of plane `p` spans
+    /// `offsets[i]..offsets[i + 1]`. That is `planes × n + 1` entries, the
+    /// last one the level's payload end; every plane has exactly `n` chunks,
+    /// as the parser refuses any other count.
+    offsets: Vec<u64>,
 }
 
 impl LevelMap {
@@ -509,33 +466,36 @@ impl LevelMap {
 
     /// Number of chunks the index records for plane `p`.
     pub fn plane_chunk_count(&self, p: u8) -> usize {
-        self.chunk_sizes[p as usize].len()
+        debug_assert!(p < self.num_planes);
+        self.scheme.num_regions()
+    }
+
+    /// Byte range of chunks `[k0, k1)` of plane `p`, contiguous on disk.
+    fn span(&self, p: u8, k0: usize, k1: usize) -> ByteRange {
+        debug_assert!(k0 <= k1 && k1 <= self.plane_chunk_count(p));
+        let base = p as usize * self.plane_chunk_count(p);
+        let (start, end) = (self.offsets[base + k0], self.offsets[base + k1]);
+        ByteRange::new(start, (end - start) as usize)
     }
 
     /// Compressed size of chunk `k` of plane `p`.
     pub fn chunk_size(&self, p: u8, k: usize) -> usize {
-        self.chunk_sizes[p as usize][k] as usize
+        self.chunk_range(p, k).len
     }
 
     /// Absolute byte range of chunk `k` of plane `p` in the container.
     pub fn chunk_range(&self, p: u8, k: usize) -> ByteRange {
-        ByteRange::new(
-            self.chunk_offsets[p as usize][k],
-            self.chunk_sizes[p as usize][k] as usize,
-        )
+        self.span(p, k, k + 1)
     }
 
     /// Total compressed size of plane `p`.
     pub fn plane_bytes(&self, p: u8) -> usize {
-        self.chunk_sizes[p as usize]
-            .iter()
-            .map(|&s| s as usize)
-            .sum()
+        self.span(p, 0, self.plane_chunk_count(p)).len
     }
 
     /// Total compressed payload bytes of the level.
     pub fn payload_bytes(&self) -> usize {
-        (0..self.num_planes).map(|p| self.plane_bytes(p)).sum()
+        (self.offsets[self.offsets.len() - 1] - self.offsets[0]) as usize
     }
 
     /// The chunk runs a fetch reads as one byte range each, as `[k0, k1)`
@@ -545,7 +505,10 @@ impl LevelMap {
     /// reading per run keeps a region's request list proportional to its
     /// precinct rows, not its precinct count times planes.
     pub fn chunk_runs(&self, mask: Option<&[bool]>) -> Vec<(usize, usize)> {
-        let n_chunks = self.chunk_sizes.first().map_or(0, Vec::len);
+        let n_chunks = match self.num_planes {
+            0 => 0,
+            _ => self.plane_chunk_count(0),
+        };
         let Some(mask) = mask else {
             return (0..n_chunks).map(|k| (k, k + 1)).collect();
         };
@@ -575,13 +538,7 @@ impl LevelMap {
         runs: &[(usize, usize)],
     ) -> Vec<ByteRange> {
         (plane_lo..plane_hi)
-            .flat_map(|p| {
-                runs.iter().map(move |&(k0, k1)| {
-                    let first = self.chunk_range(p, k0);
-                    let end = self.chunk_range(p, k1 - 1).end();
-                    ByteRange::new(first.offset, (end - first.offset) as usize)
-                })
-            })
+            .flat_map(|p| runs.iter().map(move |&(k0, k1)| self.span(p, k0, k1)))
             .collect()
     }
 
@@ -606,7 +563,7 @@ impl LevelMap {
                 let mut chunks = vec![Vec::new(); self.plane_chunk_count(p)];
                 for &(k0, k1) in runs {
                     let buf = bufs.next().expect("one buffer per run");
-                    let base = self.chunk_offsets[p as usize][k0];
+                    let base = self.span(p, k0, k0).offset;
                     for (k, chunk) in chunks.iter_mut().enumerate().take(k1).skip(k0) {
                         let r = self.chunk_range(p, k);
                         let at = (r.offset - base) as usize;
@@ -665,87 +622,61 @@ impl LevelMap {
     }
 }
 
-/// Buffered forward reader over a [`ChunkSource`], used to parse container
-/// and archive metadata with small batched fetches while *skipping* payload
-/// bytes entirely — the whole point of opening a container by ranges. The
-/// one metadata cursor of the format: every container layout
-/// ([`ContainerMap::open`], over the source or over the unpacked metadata
-/// block) and the version-4 archive framing ([`crate::ArchiveMap::open`])
-/// read through it, so they share one fetch granularity and one GET pattern.
-/// It holds each fetch as the [`Bytes`] the source returned and hands out
-/// slices of it: nothing read through the cursor is copied by the cursor.
-pub(crate) struct MetaCursor<'s> {
-    source: &'s dyn ChunkSource,
-    len: u64,
-    pos: u64,
-    buf: Bytes,
-    buf_start: u64,
-}
-
-/// Granularity of metadata fetches, and the size of the probe that opens a
-/// container: the packed layout's whole metadata block usually fits one.
+/// Size of the probe GET that opens a container or an archive: its prelude
+/// and, usually, its whole metadata front.
 const META_FETCH: usize = 4096;
 
-impl<'s> MetaCursor<'s> {
-    pub(crate) fn new(source: &'s dyn ChunkSource) -> Self {
-        Self {
-            source,
-            len: source.len(),
-            pos: 0,
-            buf: Bytes::from_vec(Vec::new()),
-            buf_start: 0,
-        }
+/// The metadata front of `source` in at most two GETs: a probe of
+/// `min(len, META_FETCH)` bytes, from which `front_len` reads how long the
+/// front is — refusing, on the probe alone, anything it cannot accept — then,
+/// when the front is longer than the probe, one GET of exactly the rest.
+/// `front_len` must not claim more than the source holds.
+pub(crate) fn read_front(
+    source: &dyn ChunkSource,
+    front_len: impl FnOnce(&[u8]) -> Result<u64>,
+) -> Result<Bytes> {
+    let fetch = |offset: u64, len: u64| -> Result<Bytes> {
+        let mut bufs = read_ranges_exact(source, &[ByteRange::new(offset, len as usize)])?;
+        Ok(bufs.pop().expect("one buffer per range"))
+    };
+    let probe = fetch(0, source.len().min(META_FETCH as u64))?;
+    let want = front_len(&probe)?;
+    let have = probe.len() as u64;
+    if want <= have {
+        return Ok(probe.slice(0..want as usize));
+    }
+    let rest = fetch(have, want - have)?;
+    Ok(Bytes::from_vec([&probe[..], &rest[..]].concat()))
+}
+
+/// Forward reader over resident metadata — a container's front or unpacked
+/// metadata block, an archive's prefix — handing out slices of it.
+pub(crate) struct MetaCursor<'a> {
+    buf: &'a [u8],
+    pos: usize,
+}
+
+impl<'a> MetaCursor<'a> {
+    pub(crate) fn new(buf: &'a [u8]) -> Self {
+        Self { buf, pos: 0 }
     }
 
-    /// Absolute offset of the next unread byte.
-    pub(crate) fn pos(&self) -> u64 {
-        self.pos
+    /// Bytes not read yet.
+    pub(crate) fn remaining(&self) -> usize {
+        self.buf.len() - self.pos
     }
 
-    /// Total length of the source.
-    pub(crate) fn len(&self) -> u64 {
-        self.len
-    }
-
-    fn remaining(&self) -> u64 {
-        self.len - self.pos
-    }
-
-    /// Offset of the cursor inside `buf` (`buf.len()` once it has moved past).
-    fn buf_off(&self) -> usize {
-        (self.pos - self.buf_start).min(self.buf.len() as u64) as usize
-    }
-
-    /// One GET of exactly `len` bytes at `offset`.
-    fn fetch(&self, offset: u64, len: usize) -> Result<Bytes> {
-        let bytes = self.source.read_range(ByteRange::new(offset, len))?;
-        if bytes.len() != len {
-            return Err(IpcompError::CorruptContainer("source returned short read"));
-        }
-        Ok(bytes)
-    }
-
-    /// Buffer at least `want` bytes at the cursor (clamped to EOF) and return
-    /// the buffered tail starting at the cursor.
-    fn ensure(&mut self, want: usize) -> Result<&[u8]> {
-        let want = want.min(self.remaining() as usize);
-        if self.buf.len() - self.buf_off() < want {
-            let fetch = want.max(META_FETCH).min(self.remaining() as usize);
-            self.buf = self.fetch(self.pos, fetch)?;
-            self.buf_start = self.pos;
-        }
-        Ok(&self.buf[self.buf_off()..])
-    }
-
-    /// Read `N` raw bytes (the fixed-width little-endian scalars).
-    fn read_array<const N: usize>(&mut self) -> Result<[u8; N]> {
-        let bytes = self
-            .ensure(N)?
-            .first_chunk::<N>()
-            .copied()
+    /// The next `n` bytes.
+    pub(crate) fn read_bytes(&mut self, n: usize) -> Result<&'a [u8]> {
+        let bytes = self.buf[self.pos..]
+            .get(..n)
             .ok_or(IpcompError::CorruptContainer("eof"))?;
-        self.pos += N as u64;
+        self.pos += n;
         Ok(bytes)
+    }
+
+    fn read_array<const N: usize>(&mut self) -> Result<[u8; N]> {
+        Ok(self.read_bytes(N)?.try_into().expect("N bytes"))
     }
 
     pub(crate) fn read_u8(&mut self) -> Result<u8> {
@@ -769,13 +700,7 @@ impl<'s> MetaCursor<'s> {
     }
 
     fn read_varint(&mut self) -> Result<u64> {
-        // A varint spans at most 10 bytes; near EOF the parser sees exactly
-        // the remaining bytes and errors cleanly on truncation.
-        let buf = self.ensure(10)?;
-        let mut p = 0usize;
-        let v = read_varint(buf, &mut p)?;
-        self.pos += p as u64;
-        Ok(v)
+        Ok(read_varint(self.buf, &mut self.pos)?)
     }
 
     /// Magic plus version word — how every container and archive starts.
@@ -785,39 +710,6 @@ impl<'s> MetaCursor<'s> {
         }
         self.read_u32()
     }
-
-    /// The next `n` bytes (anchor block, packed metadata block, archive
-    /// names): a slice of the buffer when it holds them or one fetch can,
-    /// otherwise what is buffered joined to one GET of exactly the rest.
-    pub(crate) fn read_exact(&mut self, n: usize) -> Result<Bytes> {
-        if self.remaining() < n as u64 {
-            return Err(IpcompError::CorruptContainer("eof"));
-        }
-        let have = self.buf.len() - self.buf_off();
-        let out = if n <= have.max(META_FETCH) {
-            self.ensure(n)?;
-            self.buf.slice(self.buf_off()..self.buf_off() + n)
-        } else {
-            let rest = self.fetch(self.pos + have as u64, n - have)?;
-            match have {
-                0 => rest,
-                _ => Bytes::from_vec([&self.buf[self.buf_off()..], &rest].concat()),
-            }
-        };
-        self.pos += n as u64;
-        Ok(out)
-    }
-
-    /// Advance past `n` payload bytes without fetching them.
-    fn skip(&mut self, n: u64) -> Result<()> {
-        if n > self.remaining() {
-            return Err(IpcompError::CorruptContainer(
-                "chunk payload outruns buffer",
-            ));
-        }
-        self.pos += n;
-        Ok(())
-    }
 }
 
 /// Metadata-only view of one serialized container: header, anchors, and the
@@ -826,8 +718,8 @@ impl<'s> MetaCursor<'s> {
 /// without ever materializing payload that wasn't asked for.
 ///
 /// Opened over any [`ChunkSource`]; parsing never touches payload, and a
-/// container in the packed layout — whatever its size — costs one or two
-/// GETs to open (see the module docs).
+/// container — whatever its size — costs one or two GETs to open (see the
+/// module docs).
 #[derive(Debug, Clone, PartialEq)]
 pub struct ContainerMap {
     /// Container header.
@@ -838,9 +730,7 @@ pub struct ContainerMap {
     /// Per-level chunk indexes, coarsest level first.
     pub levels: Vec<LevelMap>,
     /// Bytes of the serialized stream that are not plane payload: prelude
-    /// plus packed metadata block, or — interleaved layouts — header, anchors
-    /// and level records as they sit in the file, which is not what
-    /// [`Compressed::base_bytes`] reports for the same container re-written.
+    /// plus packed metadata block, as [`Compressed::base_bytes`] counts them.
     base_bytes: usize,
     /// Total serialized container size.
     total_len: u64,
@@ -862,53 +752,37 @@ impl ContainerMap {
         self.total_len
     }
 
-    /// Parse the metadata of a serialized container through ranged reads —
-    /// the one walk of the container grammar, whatever the layout.
-    ///
-    /// A packed container costs one probe GET of `min(len, META_FETCH)` bytes
-    /// and, when the prelude says the metadata block is longer, one more for
-    /// exactly the rest; the block is unpacked and parsed in memory. An
-    /// interleaved (legacy) one is walked record by record in `META_FETCH`
-    /// steps, skipping payload.
+    /// Parse the metadata of a serialized container through ranged reads:
+    /// one probe GET of `min(len, META_FETCH)` bytes and, when the prelude
+    /// says the metadata block is longer, one more for exactly the rest. A
+    /// version word other than a packed v2/v3 one is refused on the probe.
     ///
     /// Every count is checked against the header geometry and the bytes that
     /// can hold it before any proportional allocation, and every recorded
     /// chunk range is verified to lie inside the source.
     pub fn open(source: &dyn ChunkSource) -> Result<Self> {
-        let mut cur = MetaCursor::new(source);
-        let len = cur.len();
-        Self::read(&mut cur, len, false)
+        let len = source.len();
+        let front = read_front(source, |probe| {
+            let (_, packed_len, _) = Self::read_prelude(&mut MetaCursor::new(probe), len)?;
+            Ok(PRELUDE_BYTES as u64 + packed_len)
+        })?;
+        Self::read(&mut MetaCursor::new(&front), len)
     }
 
-    /// One container's metadata from `cur`, which sits at its first byte;
-    /// the container is `len` bytes long and its offsets are relative to
-    /// that byte. With `packed_only` an interleaved container is refused:
-    /// that is how an archive reads each step's hoisted prelude and block
-    /// out of its resident prefix, through the same function as a
-    /// standalone container's packed branch.
-    pub(crate) fn read(cur: &mut MetaCursor<'_>, len: u64, packed_only: bool) -> Result<Self> {
+    /// Magic, version word and the metadata block's packed and unpacked
+    /// lengths, refused before anything they size is fetched or allocated:
+    /// a version word other than `2 | LAYOUT_PACKED` or `3 | LAYOUT_PACKED`,
+    /// a block that could not fit the `len`-byte container, an unpacked
+    /// length over `META_MAX_EXPANSION` per packed byte.
+    fn read_prelude(cur: &mut MetaCursor<'_>, len: u64) -> Result<(u32, u64, u64)> {
         let word = cur.read_magic_version()?;
-        let (version, packed) = (word & !LAYOUT_PACKED, word & LAYOUT_PACKED != 0);
-        // Version 1 predates the packed layout.
-        if !(MIN_VERSION + packed as u32..=VERSION_ROI).contains(&version) {
-            return Err(IpcompError::CorruptContainer("unsupported version"));
-        }
-        if !packed && packed_only {
-            return Err(IpcompError::CorruptContainer(
-                "hoisted metadata is not a packed container",
-            ));
-        }
-        if !packed {
-            return Self::parse(cur, version, None);
+        let version = word & !LAYOUT_PACKED;
+        if word & LAYOUT_PACKED == 0 || !(VERSION..=VERSION_ROI).contains(&version) {
+            return Err(IpcompError::CorruptContainer(RETIRED_LAYOUT));
         }
         let packed_len = cur.read_u32()? as u64;
         let unpacked_len = cur.read_u32()? as u64;
-        // The block must fit both what the cursor still holds (the source,
-        // or an archive's prefix) and the container it describes.
-        let room = cur
-            .remaining()
-            .min(len.saturating_sub(PRELUDE_BYTES as u64));
-        if packed_len > room {
+        if packed_len > len.saturating_sub(PRELUDE_BYTES as u64) {
             return Err(IpcompError::CorruptContainer(
                 "metadata block outruns buffer",
             ));
@@ -916,33 +790,47 @@ impl ContainerMap {
         if unpacked_len > packed_len.saturating_mul(META_MAX_EXPANSION) {
             return Err(IpcompError::CorruptContainer("implausible metadata length"));
         }
-        let block = cur.read_exact(packed_len as usize)?;
-        let meta = lzr_decompress_bounded(&block, unpacked_len as usize)?;
+        Ok((version, packed_len, unpacked_len))
+    }
+
+    /// One container's metadata from `cur`, which sits at its prelude; the
+    /// container is `len` bytes long and its offsets are relative to the
+    /// prelude's first byte. The one reader of the grammar: `cur` walks a
+    /// standalone container's fetched front, a whole serialized buffer, or
+    /// an archive's resident prefix at one step's hoisted copy.
+    pub(crate) fn read(cur: &mut MetaCursor<'_>, len: u64) -> Result<Self> {
+        let (version, packed_len, unpacked_len) = Self::read_prelude(cur, len)?;
+        // An archive's hoisted copy must also fit the prefix it sits in.
+        if packed_len > cur.remaining() as u64 {
+            return Err(IpcompError::CorruptContainer(
+                "metadata block outruns buffer",
+            ));
+        }
+        let block = cur.read_bytes(packed_len as usize)?;
+        let meta = lzr_decompress_bounded(block, unpacked_len as usize)?;
         if meta.len() as u64 != unpacked_len {
             return Err(IpcompError::CorruptContainer(
                 "metadata block length disagrees with prelude",
             ));
         }
-        let resident = MemorySource::new(meta);
-        let mut inner = MetaCursor::new(&resident);
+        let mut inner = MetaCursor::new(&meta);
         if inner.read_magic_version()? != version {
             return Err(IpcompError::CorruptContainer(
                 "metadata block version disagrees with prelude",
             ));
         }
-        let payload_at = PRELUDE_BYTES as u64 + packed_len;
-        Self::parse(&mut inner, version, Some((payload_at, len)))
+        Self::parse(&mut inner, version, PRELUDE_BYTES as u64 + packed_len, len)
     }
 
-    /// The grammar after the version word, read from `cur`. With `packed` —
-    /// `(offset of the next payload byte, container length)` — `cur` walks the
-    /// unpacked metadata block and each level's payload is located by that
-    /// running offset; without, `cur` walks the source itself and payload
-    /// follows each level's record.
+    /// The grammar after the version word, read from the unpacked metadata
+    /// block. Payload starts at `payload_at`, and each level's is located by
+    /// that running offset; the block and the `total_len`-byte container
+    /// must both be used up exactly.
     fn parse(
         cur: &mut MetaCursor<'_>,
         version: u32,
-        mut packed: Option<(u64, u64)>,
+        payload_at: u64,
+        total_len: u64,
     ) -> Result<Self> {
         let ndim = cur.read_varint()? as usize;
         if ndim == 0 || ndim > ipc_tensor::MAX_DIMS {
@@ -979,24 +867,21 @@ impl ContainerMap {
         };
 
         let anchors_len = cur.read_varint()? as usize;
-        if anchors_len as u64 > cur.remaining() {
-            return Err(IpcompError::CorruptContainer("eof"));
-        }
-        let anchors = cur.read_exact(anchors_len)?;
+        let anchors = cur.read_bytes(anchors_len)?;
 
-        let n_levels = cur.read_varint()? as usize;
-        if n_levels as u64 > cur.len {
+        let n_levels = cur.read_varint()?;
+        if n_levels > cur.remaining() as u64 {
             return Err(IpcompError::CorruptContainer("implausible level count"));
         }
-        if n_levels != num_levels as usize {
+        if n_levels != num_levels as u64 {
             return Err(IpcompError::CorruptContainer(
                 "level list does not match declared level count",
             ));
         }
         let shape = Shape::new(&dims);
-        let mut levels = Vec::with_capacity(n_levels);
-        let mut payload_total: u64 = 0;
-        for idx in 0..n_levels {
+        let mut levels = Vec::with_capacity(n_levels as usize);
+        let mut offset = payload_at;
+        for idx in 0..num_levels {
             let n_values = cur.read_varint()?;
             if n_values > elements {
                 return Err(IpcompError::CorruptContainer(
@@ -1013,54 +898,21 @@ impl ContainerMap {
                 trunc_loss.push(cur.read_varint()?);
             }
             let precinct_spans = match &grid {
-                Some(g) => Some(level_spans_checked(
-                    g,
-                    &shape,
-                    num_levels - idx as u32,
-                    n_values,
-                )?),
+                Some(g) => Some(level_spans_checked(g, &shape, num_levels - idx, n_values)?),
                 None => None,
             };
-            let level = if version == 1 {
-                // v1: planes are inline `varint length + bytes` blocks; each
-                // becomes one whole-payload chunk so ranged readers degrade
-                // to per-plane reads instead of erroring.
-                let mut chunk_sizes = Vec::with_capacity(num_planes as usize);
-                let mut chunk_offsets = Vec::with_capacity(num_planes as usize);
-                for _ in 0..num_planes {
-                    let len = chunk_len(cur.read_varint()?)?;
-                    chunk_sizes.push(vec![len]);
-                    chunk_offsets.push(vec![cur.pos]);
-                    payload_total += len as u64;
-                    cur.skip(len as u64)?;
-                }
-                let scheme = RegionScheme::uniform(n_values, 0).expect("0 is aligned");
-                LevelMap {
-                    n_values,
-                    num_planes,
-                    trunc_loss,
-                    chunk_bytes: 0,
-                    scheme: Arc::new(scheme),
-                    chunk_sizes,
-                    chunk_offsets,
-                }
-            } else {
-                Self::open_v2_level(
-                    cur,
-                    n_values,
-                    num_planes,
-                    trunc_loss,
-                    precinct_spans.as_deref(),
-                    &mut payload_total,
-                    packed.as_mut(),
-                )?
-            };
-            levels.push(level);
+            levels.push(Self::read_level(
+                cur,
+                n_values,
+                num_planes,
+                trunc_loss,
+                precinct_spans.as_deref(),
+                &mut offset,
+                total_len,
+            )?);
         }
 
-        // Packed: the block and the payload region are both used up exactly.
-        let (end, total_len) = packed.unwrap_or((cur.pos, cur.len));
-        if packed.is_some() && (cur.remaining() != 0 || end != total_len) {
+        if cur.remaining() != 0 || offset != total_len {
             return Err(IpcompError::CorruptContainer(
                 "container length disagrees with its metadata",
             ));
@@ -1079,24 +931,25 @@ impl ContainerMap {
             },
             anchors: anchors.to_vec(),
             levels,
-            base_bytes: (end - payload_total) as usize,
+            base_bytes: payload_at as usize,
             total_len,
         })
     }
 
-    /// Parse and validate one v2/v3 level's chunk index — the chunk span
-    /// (which, with `precinct_spans`, fixes the level's [`RegionScheme`]),
-    /// per-plane chunk counts against that scheme, every compressed size —
-    /// and record absolute payload offsets. Every count is bounded against
-    /// what remains of the stream before any proportional allocation.
-    fn open_v2_level(
+    /// Parse and validate one level's chunk index — the chunk span (which,
+    /// with `precinct_spans`, fixes the level's [`RegionScheme`]), per-plane
+    /// chunk counts against that scheme, every compressed size — and record
+    /// each chunk's absolute offset from the running payload `offset`, which
+    /// never passes `total_len`. Every count is bounded against what remains
+    /// of the block before any proportional allocation.
+    fn read_level(
         cur: &mut MetaCursor<'_>,
         n_values: usize,
         num_planes: u8,
         trunc_loss: Vec<u64>,
         precinct_spans: Option<&[usize]>,
-        payload_total: &mut u64,
-        packed: Option<&mut (u64, u64)>,
+        offset: &mut u64,
+        total_len: u64,
     ) -> Result<LevelMap> {
         let chunk_bytes = cur.read_varint()? as usize;
         let scheme = match precinct_spans {
@@ -1110,63 +963,42 @@ impl ContainerMap {
             }
             Some(spans) => RegionScheme::precincts(spans),
         };
-        let expected_chunks = scheme.num_regions();
-        // The whole index must fit in what's left of the stream (each entry
+        let n_chunks = scheme.num_regions();
+        // The whole index must fit in what's left of the block (each entry
         // is ≥ 1 byte), before any allocation proportional to it.
-        if (num_planes as u64).saturating_mul(expected_chunks as u64) > cur.remaining() {
+        let entries = (num_planes as usize).saturating_mul(n_chunks);
+        if entries > cur.remaining() {
             return Err(IpcompError::CorruptContainer("chunk index outruns buffer"));
         }
-        let mut chunk_sizes: Vec<Vec<u32>> = Vec::with_capacity(num_planes as usize);
-        let mut level_payload: u64 = 0;
+        let mut offsets = Vec::with_capacity(entries + 1);
+        offsets.push(*offset);
         for _ in 0..num_planes {
-            let n_chunks = cur.read_varint()? as usize;
-            if n_chunks != expected_chunks {
+            if cur.read_varint()? != n_chunks as u64 {
                 return Err(IpcompError::CorruptContainer(
                     "plane chunk count does not match the level's chunk grid",
                 ));
             }
-            let mut plane_sizes = Vec::with_capacity(n_chunks);
             for _ in 0..n_chunks {
-                let len = chunk_len(cur.read_varint()?)?;
-                level_payload = level_payload.saturating_add(len as u64);
-                plane_sizes.push(len);
+                // A chunk is one codec output, and the codecs take inputs
+                // under 4 GiB: an entry past `u32::MAX` is corrupt however
+                // long the source claims to be.
+                let len = cur.read_varint()?;
+                if len > u32::MAX as u64 || len > total_len - *offset {
+                    return Err(IpcompError::CorruptContainer(
+                        "chunk payload outruns buffer",
+                    ));
+                }
+                *offset += len;
+                offsets.push(*offset);
             }
-            chunk_sizes.push(plane_sizes);
         }
-        // Payload is plane-major from here (interleaved) or from the running
-        // payload offset (packed); walk the sizes to assign offsets.
-        let mut offset = packed.as_ref().map_or(cur.pos, |(at, _)| *at);
-        let chunk_offsets: Vec<Vec<u64>> = chunk_sizes
-            .iter()
-            .map(|plane| {
-                plane
-                    .iter()
-                    .map(|&len| {
-                        let at = offset;
-                        offset += len as u64;
-                        at
-                    })
-                    .collect()
-            })
-            .collect();
-        match packed {
-            Some((at, len)) if level_payload <= *len - *at => *at += level_payload,
-            Some(_) => {
-                return Err(IpcompError::CorruptContainer(
-                    "chunk payload outruns buffer",
-                ))
-            }
-            None => cur.skip(level_payload)?,
-        }
-        *payload_total += level_payload;
         Ok(LevelMap {
             n_values,
             num_planes,
             trunc_loss,
             chunk_bytes,
             scheme: Arc::new(scheme),
-            chunk_sizes,
-            chunk_offsets,
+            offsets,
         })
     }
 
@@ -1178,35 +1010,38 @@ impl ContainerMap {
     pub fn from_compressed(c: &Compressed) -> Self {
         let base_bytes = c.base_bytes();
         let mut pos = base_bytes as u64;
-        let mut offsets = Vec::new();
+        let mut ends = Vec::new();
         c.walk(|piece| {
             if let Piece::Chunk(chunk) = piece {
-                offsets.push(pos);
                 pos += chunk.len() as u64;
+                ends.push(pos);
             }
         });
-        // The walk visits chunks level by level, plane-major: hand the
-        // offsets back out in that order.
-        let mut offsets = offsets.into_iter();
+        // The walk visits chunks level by level, plane-major: each level's
+        // table is where its payload starts, then its run of chunk ends.
+        let mut ends = ends.into_iter();
+        let mut start = base_bytes as u64;
         let levels = c
             .levels
             .iter()
-            .map(|level| LevelMap {
-                n_values: level.n_values,
-                num_planes: level.num_planes,
-                trunc_loss: level.trunc_loss.clone(),
-                chunk_bytes: level.chunk_bytes,
-                scheme: Arc::new(level.scheme()),
-                chunk_sizes: level
-                    .planes
-                    .iter()
-                    .map(|p| p.chunks.iter().map(|ch| ch.len() as u32).collect())
-                    .collect(),
-                chunk_offsets: level
-                    .planes
-                    .iter()
-                    .map(|p| (&mut offsets).take(p.chunks.len()).collect())
-                    .collect(),
+            .map(|level| {
+                let scheme = level.scheme();
+                let n_chunks = scheme.num_regions();
+                debug_assert!(
+                    level.planes.iter().all(|p| p.chunks.len() == n_chunks),
+                    "every plane holds one chunk per region of its level"
+                );
+                let chunks = (&mut ends).take(level.planes.len() * n_chunks);
+                let offsets: Vec<u64> = std::iter::once(start).chain(chunks).collect();
+                start = offsets[offsets.len() - 1];
+                LevelMap {
+                    n_values: level.n_values,
+                    num_planes: level.num_planes,
+                    trunc_loss: level.trunc_loss.clone(),
+                    chunk_bytes: level.chunk_bytes,
+                    scheme: Arc::new(scheme),
+                    offsets,
+                }
             })
             .collect();
         Self {
@@ -1256,7 +1091,8 @@ pub fn decode_anchors(bytes: &[u8]) -> Result<Vec<i64>> {
 mod tests {
     use super::*;
     use crate::bitplane::EncodeOptions;
-    use ipc_codecs::varint::varint_len;
+    use crate::config::Config;
+    use ipc_tensor::ArrayD;
 
     fn sample_compressed() -> Compressed {
         let codes_a: Vec<i64> = (0..40).map(|i| (i * 7) % 13 - 6).collect();
@@ -1301,15 +1137,7 @@ mod tests {
     /// levels are mostly empty precincts, whole-plane (`chunk_bytes: 0`)
     /// levels, and a 1-element field.
     fn layout_samples() -> Vec<Compressed> {
-        use crate::config::Config;
-        use ipc_tensor::{ArrayD, Shape};
-        let field = ArrayD::from_fn(Shape::d2(37, 29), |c| {
-            (c[0] as f64 * 0.31).sin() + (c[1] as f64 * 0.17).cos()
-        });
-        let whole_planes = Config {
-            chunk_bytes: 0,
-            ..Config::default()
-        };
+        let field = sample_field();
         let point = ArrayD::from_vec(Shape::d1(1), vec![2.5]);
         let tiled = crate::compress(&field, 1e-5, &Config::with_precincts(&[8, 8])).unwrap();
         assert!(
@@ -1323,9 +1151,24 @@ mod tests {
             sample_compressed(),
             sample_compressed_chunked(),
             tiled,
-            crate::compress(&field, 1e-5, &whole_planes).unwrap(),
+            whole_plane_sample(),
             crate::compress(&point, 1e-3, &Config::default()).unwrap(),
         ]
+    }
+
+    fn sample_field() -> ArrayD<f64> {
+        ArrayD::from_fn(Shape::d2(37, 29), |c| {
+            (c[0] as f64 * 0.31).sin() + (c[1] as f64 * 0.17).cos()
+        })
+    }
+
+    /// [`sample_field`] in whole-plane levels (`chunk_bytes: 0`).
+    fn whole_plane_sample() -> Compressed {
+        let whole_planes = Config {
+            chunk_bytes: 0,
+            ..Config::default()
+        };
+        crate::compress(&sample_field(), 1e-5, &whole_planes).unwrap()
     }
 
     #[test]
@@ -1410,7 +1253,7 @@ mod tests {
         bytes[4] = 99;
         assert!(matches!(
             Compressed::from_bytes(&bytes),
-            Err(IpcompError::CorruptContainer("unsupported version"))
+            Err(IpcompError::CorruptContainer(RETIRED_LAYOUT))
         ));
     }
 
@@ -1452,47 +1295,39 @@ mod tests {
         }
     }
 
-    /// The committed version-1 container (the golden field, written by the
-    /// version-1 writer before it was retired): the only v1 bytes there are.
-    const V1_FIXTURE: &[u8] = include_bytes!("../../../tests/fixtures/container_v1.bin");
-
+    /// A whole-plane level maps one chunk per plane spanning the plane's
+    /// whole payload: each range addresses exactly that plane's compressed
+    /// bytes, the planes back to back from the end of the block to the end
+    /// of the file.
     #[test]
-    fn container_map_v1_is_one_whole_payload_range_per_plane() {
-        let v1_bytes = V1_FIXTURE;
-        assert_eq!(&v1_bytes[4..8], &1u32.to_le_bytes());
-        // The byte reader accepts the legacy stream…
-        let parsed = Compressed::from_bytes(v1_bytes).unwrap();
-        assert!(parsed.levels.iter().any(|l| l.num_planes > 0));
-        // …and the ranged map exposes exactly one whole-payload range per
-        // plane, each addressing the plane's compressed bytes: the bytes its
-        // inline `varint length` prefix announces, the planes back to back
-        // to the end of the file.
-        let source = crate::source::MemorySource::new(v1_bytes.to_vec());
-        let map = ContainerMap::open(&source).unwrap();
-        let mut end = 0;
-        for (level, lmap) in parsed.levels.iter().zip(&map.levels) {
+    fn container_map_whole_plane_level_is_one_range_per_plane() {
+        let c = whole_plane_sample();
+        assert!(c.levels.iter().any(|l| l.num_planes > 1));
+        let bytes = c.to_bytes();
+        let map = ContainerMap::open(&crate::source::MemorySource::new(bytes.clone())).unwrap();
+        let mut end = c.base_bytes() as u64;
+        for (level, lmap) in c.levels.iter().zip(&map.levels) {
             assert_eq!(lmap.chunk_bytes, 0);
             for (p, plane) in level.planes.iter().enumerate() {
-                assert_eq!(lmap.plane_chunk_count(p as u8), 1);
-                let r = lmap.chunk_range(p as u8, 0);
-                assert_eq!(r.len, plane.chunks[0].len());
+                let p = p as u8;
+                assert_eq!(lmap.plane_chunk_count(p), 1);
+                let r = lmap.chunk_range(p, 0);
+                assert_eq!((r.offset, r.len), (end, lmap.plane_bytes(p)));
                 assert_eq!(
-                    &v1_bytes[r.offset as usize..r.end() as usize],
+                    &bytes[r.offset as usize..r.end() as usize],
                     &plane.chunks[0][..]
                 );
-                let mut at = r.offset as usize - varint_len(r.len as u64);
-                assert_eq!(read_varint(v1_bytes, &mut at).unwrap(), r.len as u64);
-                assert!(at as u64 == r.offset && r.offset > end);
                 end = r.end();
             }
         }
-        assert_eq!(end, v1_bytes.len() as u64);
+        assert_eq!(end, bytes.len() as u64);
     }
 
-    /// A v1 plane length beyond `u32::MAX` must be refused like a v2 index
-    /// entry is, not truncated into the `u32` size table. Only a source
-    /// claiming more than 4 GiB gets that far, so the source here is sparse:
-    /// it serves the real metadata prefix and nothing of the forged payload.
+    /// A whole-plane length beyond `u32::MAX` — what a v1 plane length was,
+    /// and the form its planes take today — is refused like any index entry
+    /// past the cap. Only a source claiming more than 4 GiB gets that far,
+    /// so the source here is sparse: it serves the real front and payload and
+    /// nothing of the forged plane.
     #[test]
     fn container_map_rejects_v1_plane_longer_than_u32() {
         struct Sparse {
@@ -1518,18 +1353,33 @@ mod tests {
             }
         }
 
-        let v1 = V1_FIXTURE;
-        let map = ContainerMap::open(&crate::source::MemorySource::new(v1.to_vec())).unwrap();
-        // Replace the final plane's `varint length + bytes` — the file's last
-        // bytes — with a forged 5 GiB length whose payload the source's
-        // length accounts for, so the only thing wrong with the stream is the
-        // oversized plane.
+        let c = whole_plane_sample();
+        let bytes = c.to_bytes();
+        let map = ContainerMap::open(&crate::source::MemorySource::new(bytes.clone())).unwrap();
+        // The final plane's size is the block's last index entry and its
+        // payload the file's last bytes. Re-pack the block with that entry
+        // forged to 5 GiB, and let the source's length account for the
+        // forged payload, so the only thing wrong is the oversized plane.
         let level = map.levels.iter().rfind(|l| l.num_planes > 0).unwrap();
+        assert_eq!(level.chunk_bytes, 0);
         let last = level.chunk_range(level.num_planes - 1, 0);
-        assert_eq!(last.end(), v1.len() as u64);
-        let mut prefix = v1[..last.offset as usize - varint_len(last.len as u64)].to_vec();
+        assert_eq!(last.end(), bytes.len() as u64);
+        let (packed, unpacked) = (
+            u32::from_le_bytes(bytes[8..12].try_into().unwrap()) as usize,
+            u32::from_le_bytes(bytes[12..16].try_into().unwrap()) as usize,
+        );
+        let block = &bytes[PRELUDE_BYTES..PRELUDE_BYTES + packed];
+        let mut meta = lzr_decompress_bounded(block, unpacked).unwrap();
+        meta.truncate(meta.len() - ipc_codecs::varint::varint_len(last.len as u64));
         let forged: u64 = 5 << 30;
-        write_varint(&mut prefix, forged);
+        write_varint(&mut meta, forged);
+        let block = lzr_compress(&meta);
+        let mut prefix = bytes[..8].to_vec();
+        for len in [block.len(), meta.len()] {
+            prefix.extend_from_slice(&(len as u32).to_le_bytes());
+        }
+        prefix.extend_from_slice(&block);
+        prefix.extend_from_slice(&bytes[packed + PRELUDE_BYTES..last.offset as usize]);
         let source = Sparse {
             len: prefix.len() as u64 + forged,
             prefix,

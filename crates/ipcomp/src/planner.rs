@@ -21,9 +21,8 @@
 //! budget, so a request reads in a few large `read_ranges` calls instead of
 //! one per level.
 //!
-//! On version-1 containers (no chunk index) every plane is one
-//! whole-payload chunk, so the same lowering degrades to a single range per
-//! plane instead of erroring.
+//! On whole-plane levels (`chunk_bytes` 0) every plane is one chunk, so the
+//! same lowering reads a single range per plane.
 
 use crate::container::ContainerMap;
 use crate::error::Result;

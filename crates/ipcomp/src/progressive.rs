@@ -385,7 +385,7 @@ impl<'a> ProgressiveDecoder<'a> {
     ///
     /// Chunked (version-2) containers stream at entropy-chunk granularity —
     /// 512 Ki coefficients per report — so a caller can surface progress,
-    /// meter I/O, or overlap consumption with decoding; version-1 containers
+    /// meter I/O, or overlap consumption with decoding; whole-plane levels
     /// report once per plane. A [`RetrievalRequest::Roi`] request reports one
     /// region per fetched precinct and one windowed cascade pass per level.
     /// The final reconstruction is identical to

@@ -181,14 +181,17 @@ fn coalescing_cuts_request_count_at_least_4x() {
     );
 }
 
+/// A whole-plane (`chunk_bytes: 0`) container plans one range per plane,
+/// each spanning the plane's whole payload, and a session over it decodes
+/// what the slice path does.
 #[test]
-fn v1_container_plans_one_whole_payload_range_per_plane() {
-    // The committed legacy v1 container (monolithic planes, no chunk index).
-    let v1_bytes = fixture("container_v1.bin");
-    assert_eq!(&v1_bytes[4..8], &1u32.to_le_bytes());
-    let c = Compressed::from_bytes(&v1_bytes).unwrap();
-
-    let source = test_source(v1_bytes.clone());
+fn whole_plane_container_plans_one_range_per_plane() {
+    let config = Config {
+        chunk_bytes: 0,
+        ..Config::default()
+    };
+    let c = compress(&field(), 1e-7, &config).unwrap();
+    let source = test_source(c.to_bytes());
     let map = ContainerMap::open(source.as_ref()).unwrap();
     let plan = plan_request(
         &map,
@@ -199,6 +202,7 @@ fn v1_container_plans_one_whole_payload_range_per_plane() {
     .unwrap();
     // One read per (level, plane), each spanning the plane's whole payload.
     let expected: usize = c.levels.iter().map(|l| l.planes.len()).sum();
+    assert!(expected > map.levels.len());
     assert_eq!(plan.request_count(), expected);
     for read in &plan.reads {
         assert_eq!(read.chunk, 0);
@@ -208,15 +212,10 @@ fn v1_container_plans_one_whole_payload_range_per_plane() {
         );
     }
 
-    // And a session over the v1 source decodes identically to the slice path.
     let store = ContainerStore::open(source, StoreOptions::default()).unwrap();
     let mut session = store.session();
     let ranged = session.retrieve(RetrievalRequest::Full).unwrap();
-    let slice = Compressed::from_bytes(&v1_bytes)
-        .unwrap()
-        .decompress()
-        .unwrap();
-    assert_eq!(ranged.data.as_slice(), slice.as_slice());
+    assert_eq!(ranged.data.as_slice(), c.decompress().unwrap().as_slice());
 }
 
 #[test]
@@ -565,9 +564,7 @@ fn fixture(name: &str) -> Vec<u8> {
 
 /// Opening a container is one probe GET, plus one for the rest of the
 /// metadata block when the prelude says it is longer than the probe —
-/// whatever the container's size, chunk count or backend. The interleaved
-/// layouts keep the record-by-record walk, at the request counts they always
-/// cost.
+/// whatever the container's size, chunk count or backend.
 #[test]
 fn open_costs_at_most_two_gets() {
     const PROBE: u64 = 4096;
@@ -618,32 +615,8 @@ fn open_costs_at_most_two_gets() {
     assert_eq!((stats.requests, stats.bytes), (2, map.base_bytes() as u64));
     assert_eq!(map, ContainerMap::from_compressed(&c));
 
-    // Archives the writer emits carry every step's metadata in their prefix:
-    // one probe. A plain archive (read-only) is the framing prefix, then each
-    // embedded container's open — at most two per step; here every step's
-    // block fits its probe.
+    // An archive carries every step's metadata in its prefix: one probe.
     let archive_open = |s: &dyn ChunkSource| ipcomp::ArchiveMap::open(s);
     let (_, stats) = open_traffic(fixture("container_v4_hoisted.bin"), archive_open);
     assert_eq!((stats.requests, stats.bytes), (1, PROBE));
-    let (archive, stats) = open_traffic(fixture("container_v4_packed.bin"), archive_open);
-    let entries = (archive.num_steps() * archive.variables().len()) as u64;
-    assert_eq!(stats.requests, 1 + entries, "{stats:?}");
-
-    // The read-only layouts open at the cost they had before the packed one
-    // existed (requests and bytes measured at the last commit that wrote them).
-    for (name, requests, bytes) in [
-        ("container_v1.bin", 2, 5681),
-        ("container_v2.bin", 1, 4096),
-        ("container_v2_chunked.bin", 1, 4096),
-        ("container_v3.bin", 2, 8192),
-    ] {
-        let (_, stats) = open_traffic(fixture(name), open_map);
-        assert_eq!((stats.requests, stats.bytes), (requests, bytes), "{name}");
-    }
-    let (_, stats) = open_traffic(fixture("container_v4.bin"), archive_open);
-    assert_eq!(
-        (stats.requests, stats.bytes),
-        (5, 19690),
-        "container_v4.bin"
-    );
 }

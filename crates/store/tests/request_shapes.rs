@@ -235,17 +235,14 @@ fn request_shapes() {
     // Archive window across the keyframe at step 2 (steps 1..4 output, step
     // 0 decoded for the chain), at the archive's reference fidelity so each
     // step decodes once. Step boundaries are bridged like level boundaries.
-    // Both archive layouts embed the same containers back to back, so
-    // hoisting their metadata moves the open only, not one payload read.
     let window = ArchiveRequest::steps(0, 1..4, RetrievalRequest::ErrorBound(0.015625));
-    for v4 in ["container_v4_packed.bin", "container_v4_hoisted.bin"] {
-        check(
-            &format!("{v4} window"),
-            stacks().map(|options| window_shape(v4, options, &window)),
-            [(4, 18368), (4, 18368), (201, 17300)],
-            true,
-        );
-    }
+    let v4 = "container_v4_hoisted.bin";
+    check(
+        "v4 window",
+        stacks().map(|options| window_shape(v4, options, &window)),
+        [(4, 18368), (4, 18368), (201, 17300)],
+        true,
+    );
 }
 
 /// `(GETs, bytes)` of opening `bytes` — the metadata parse alone, as
@@ -261,17 +258,15 @@ fn open_shape(bytes: Vec<u8>, archive: bool) -> (u64, u64) {
     (stats.requests, stats.bytes)
 }
 
-/// The open the table above leaves out: anything the writer emits opens in
+/// The open the table above leaves out: a container or an archive opens in
 /// one 4 KB probe GET, plus one GET of exactly the rest when its metadata is
-/// longer than the probe. The plain-framing archive (read-only) opens one
-/// probe per step on top of its own.
+/// longer than the probe.
 #[test]
 fn open_shapes() {
     for (name, archive, expected) in [
         ("container_v2_packed.bin", false, (1, 4096)),
         ("container_v2_chunked_packed.bin", false, (1, 4096)),
         ("container_v3_packed.bin", false, (1, 4096)),
-        ("container_v4_packed.bin", true, (1 + 4, 19656)),
         ("container_v4_hoisted.bin", true, (1, 4096)),
     ] {
         assert_eq!(open_shape(fixture(name), archive), expected, "{name}");

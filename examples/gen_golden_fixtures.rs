@@ -9,14 +9,12 @@
 //! format bump. It writes the current writer's output — the three
 //! single-field `*_packed.bin` containers and the `container_v4_hoisted.bin`
 //! archive — and `expected_values.bin`, into `tests/fixtures/` or the
-//! directory given as the first argument (CI regenerates into a temporary
-//! directory and compares byte for byte, so this tool and the tests' copies
-//! of the golden fields cannot drift apart). The other containers are frozen
-//! output of writers that no longer exist (`container_v1.bin` of the
-//! version-1 writer, `container_v2.bin` … `container_v4.bin` of the
-//! interleaved-layout writer, `container_v4_packed.bin` of the archive
-//! writer before it hoisted its steps' metadata): read pins that cannot be
-//! regenerated, which this tool never touches.
+//! directory given as the first argument. Those five files are the whole
+//! fixture set: CI regenerates into a temporary directory and requires
+//! `diff -r` against `tests/fixtures/` to be empty, so this tool and the
+//! tests' copies of the golden fields cannot drift apart and no fixture this
+//! tool cannot write can sit beside them. Retired layouts (version 1, the
+//! interleaved v2/v3/v4 framings) are refused by the reader, not read.
 
 use ipcomp_suite::core::{compress, ArchiveBuilder, ArchiveConfig, Config};
 use ipcomp_suite::tensor::{ArrayD, Shape};

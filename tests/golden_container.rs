@@ -1,41 +1,32 @@
 //! Golden-bytes regression tests for the on-disk container format.
 //!
-//! The fixtures under `tests/fixtures/` pin the byte-exact output of the
-//! container writer and the decode of historical containers:
+//! The fixtures under `tests/fixtures/` are exactly what the current writer
+//! produces for a deterministic golden field (`cargo run --example
+//! gen_golden_fixtures` regenerates them, and CI checks the directory equals
+//! its output):
 //!
-//! * `container_v1.bin` — frozen output of the version-1 writer (PR 1,
-//!   monolithic Huffman plane blocks). It can no longer be regenerated; the
-//!   current reader must keep decoding it to the exact same values forever.
-//! * `container_v2.bin` / `container_v2_chunked.bin` / `container_v3.bin` /
-//!   `container_v4.bin` — frozen output of the interleaved-layout writer
-//!   (level records alternating with payload; version 2 at the default and a
-//!   tiny chunk size, the version-3 precinct layout of
-//!   `Config::with_precincts(&[8, 6, 5])`, the version-4 archive embedding
-//!   such containers). Like v1 they are read pins: no writer produces them
-//!   any more and the reader must keep decoding them to the same values.
 //! * `container_v2_packed.bin` / `container_v2_chunked_packed.bin` /
-//!   `container_v3_packed.bin` — the same three single-field encodes from the
-//!   current writer (packed layout: prelude, LZR-packed metadata block, then
-//!   all payload). Encoding the deterministic golden field must reproduce
-//!   them byte for byte, so any accidental format change fails here instead
-//!   of corrupting archives in the wild; they decode to the same values, and
-//!   their chunk payload is byte-identical to their interleaved twins' — only
-//!   where the entropy streams sit changed.
-//! * `container_v4_packed.bin` — frozen output of the archive writer that
-//!   embedded packed containers but kept their metadata in them (plain
-//!   version-4 framing): a read pin, opened one probe per step.
-//! * `container_v4_hoisted.bin` — the current archive writer's output: the
-//!   same embedded containers byte for byte, behind a prefix that also holds
-//!   a copy of each one's prelude and metadata block. The archive encode must
-//!   reproduce it byte for byte.
+//!   `container_v3_packed.bin` — version 2 at the default and a tiny chunk
+//!   size, and the version-3 precinct layout of
+//!   `Config::with_precincts(&[8, 6, 5])`: prelude, LZR-packed metadata
+//!   block, then all payload. Encoding the golden field must reproduce them
+//!   byte for byte, so any accidental format change fails here instead of
+//!   corrupting archives in the wild.
+//! * `container_v4_hoisted.bin` — the archive writer's output: a prefix
+//!   holding the framing header, the directory and a copy of each embedded
+//!   container's prelude and metadata block, then the containers. The
+//!   archive encode must reproduce it byte for byte.
 //! * `expected_values.bin` — the bit-exact `f64` reconstruction all of the
 //!   single-field containers above must decode to.
 //!
+//! Retired layouts — version 1 and the interleaved v2/v3/v4 framings — are
+//! refused, not read (`tests/container_hardening.rs` pins the refusals); git
+//! history keeps their fixtures and their reader.
+//!
 //! The golden field uses only exact dyadic arithmetic (integer products
 //! scaled by powers of two), so every byte is reproducible across platforms.
-//! Regenerate the current writer's fixtures with `cargo run --example
-//! gen_golden_fixtures` after an *intentional* format bump, and commit them
-//! with it.
+//! Regenerate the fixtures after an *intentional* format bump, and commit
+//! them with it.
 
 use std::sync::Arc;
 
@@ -75,15 +66,15 @@ fn expected_values() -> Vec<f64> {
         .collect()
 }
 
-/// The (interleaved, packed) fixture pairs of the single-field containers.
-const FIXTURE_PAIRS: [(&str, &str); 3] = [
-    ("container_v2.bin", "container_v2_packed.bin"),
-    (
-        "container_v2_chunked.bin",
-        "container_v2_chunked_packed.bin",
-    ),
-    ("container_v3.bin", "container_v3_packed.bin"),
+/// The single-field container fixtures.
+const CONTAINERS: [&str; 3] = [
+    "container_v2_packed.bin",
+    "container_v2_chunked_packed.bin",
+    "container_v3_packed.bin",
 ];
+
+/// The archive fixture.
+const ARCHIVE: &str = "container_v4_hoisted.bin";
 
 /// The current writer must reproduce the committed v2 fixture byte for byte.
 #[test]
@@ -150,17 +141,12 @@ fn v3_encode_is_byte_exact() {
     );
 }
 
-/// Region retrievals from the v3 fixtures — an interior box and one on the
+/// Region retrievals from the v3 fixture — an interior box and one on the
 /// far domain edge, resident and ranged — equal crops of the committed
 /// reconstruction (the expectation never comes from `retrieve_roi` itself).
 #[test]
 fn v3_fixture_regions_equal_crops_of_expected_values() {
-    for name in ["container_v3.bin", "container_v3_packed.bin"] {
-        v3_regions_equal_crops(fixture(name));
-    }
-}
-
-fn v3_regions_equal_crops(golden: Vec<u8>) {
+    let golden = fixture("container_v3_packed.bin");
     let expected = expected_values();
     let c = Compressed::from_bytes(&golden).unwrap();
     let source = MemorySource::new(golden);
@@ -190,95 +176,15 @@ fn v3_regions_equal_crops(golden: Vec<u8>) {
     }
 }
 
-/// The v2 and v3 fixtures, interleaved and packed, re-decode losslessly to
-/// the committed reconstruction.
+/// The v2 and v3 fixtures re-decode losslessly to the committed
+/// reconstruction.
 #[test]
 fn v2_fixtures_decode_to_expected_values() {
     let expected = expected_values();
-    for name in FIXTURE_PAIRS.iter().flat_map(|&(old, new)| [old, new]) {
+    for name in CONTAINERS {
         let c = Compressed::from_bytes(&fixture(name)).unwrap();
         let decoded = c.decompress().unwrap();
         assert_eq!(decoded.as_slice(), &expected[..], "{name}");
-    }
-}
-
-/// Every chunk of a serialized container, concatenated in index order, read
-/// at the offsets its map records.
-fn chunk_payload(bytes: &[u8]) -> Vec<u8> {
-    let map = ContainerMap::open(&MemorySource::new(bytes.to_vec())).unwrap();
-    let mut payload = Vec::new();
-    for level in &map.levels {
-        for r in level.run_ranges(0, level.num_planes, &level.chunk_runs(None)) {
-            payload.extend_from_slice(&bytes[r.offset as usize..r.end() as usize]);
-        }
-    }
-    payload
-}
-
-/// The packed layout moved the entropy streams, it did not change them: the
-/// chunk payload of each packed fixture is its interleaved twin's byte for
-/// byte, and sits in one piece after the metadata block. The same holds for
-/// every container the two archive fixtures embed.
-#[test]
-fn packed_and_interleaved_fixtures_share_chunk_payload() {
-    let mut pairs: Vec<(String, Vec<u8>, Vec<u8>)> = FIXTURE_PAIRS
-        .iter()
-        .map(|&(old, new)| (new.to_string(), fixture(old), fixture(new)))
-        .collect();
-    let (old, new) = (
-        fixture("container_v4.bin"),
-        fixture("container_v4_packed.bin"),
-    );
-    for (step, (o, n)) in embedded(&old).into_iter().zip(embedded(&new)).enumerate() {
-        pairs.push((format!("container_v4_packed.bin step {step}"), o, n));
-    }
-    assert_eq!(pairs.len(), 3 + 4);
-    for (name, old, new) in pairs {
-        let payload = chunk_payload(&new);
-        assert!(!payload.is_empty(), "{name}");
-        assert!(payload == chunk_payload(&old), "{name}: payload drifted");
-        assert!(new.ends_with(&payload), "{name}: payload not contiguous");
-        assert!(new.len() < old.len(), "{name}: packing must not grow it");
-    }
-}
-
-/// The frozen version-1 container still parses and decodes byte-identically
-/// to the current pipeline's reconstruction.
-#[test]
-fn v1_container_decodes_byte_identically() {
-    let golden = fixture("container_v1.bin");
-    assert_eq!(&golden[4..8], &1u32.to_le_bytes(), "fixture must be v1");
-    let c = Compressed::from_bytes(&golden).unwrap();
-    // v1 levels carry monolithic plane blocks.
-    assert!(c
-        .levels
-        .iter()
-        .all(|l| l.planes.iter().all(|p| p.chunks.len() == 1)));
-    let decoded = c.decompress().unwrap();
-    assert_eq!(decoded.as_slice(), &expected_values()[..]);
-}
-
-/// The v1 and v2 containers of the same field agree at every retrieval
-/// fidelity, not just full decode — partial-plane loading must be
-/// version-transparent.
-#[test]
-fn v1_and_v2_agree_under_progressive_retrieval() {
-    let v1 = Compressed::from_bytes(&fixture("container_v1.bin")).unwrap();
-    let v2 = Compressed::from_bytes(&fixture("container_v2.bin")).unwrap();
-    let mut d1 = ProgressiveDecoder::new(&v1);
-    let mut d2 = ProgressiveDecoder::new(&v2);
-    for request in [
-        RetrievalRequest::ErrorBound(0.25),
-        RetrievalRequest::ErrorBound(0.015625),
-        RetrievalRequest::Full,
-    ] {
-        let r1 = d1.retrieve(request).unwrap();
-        let r2 = d2.retrieve(request).unwrap();
-        assert_eq!(
-            r1.data.as_slice(),
-            r2.data.as_slice(),
-            "divergence at {request:?}"
-        );
     }
 }
 
@@ -305,13 +211,6 @@ fn golden_archive_config() -> ArchiveConfig {
     config
 }
 
-/// The three v4 fixtures, oldest layout first.
-const ARCHIVES: [&str; 3] = [
-    "container_v4.bin",
-    "container_v4_packed.bin",
-    "container_v4_hoisted.bin",
-];
-
 /// The current archive writer must reproduce the committed v4 fixture byte
 /// for byte — framing header, directory, hoisted metadata, and every
 /// embedded container.
@@ -328,7 +227,7 @@ fn v4_archive_encode_is_byte_exact() {
         builder.push_step(std::slice::from_ref(f)).unwrap();
     }
     let bytes = builder.finish().unwrap();
-    let golden = fixture("container_v4_hoisted.bin");
+    let golden = fixture(ARCHIVE);
     assert_eq!(
         bytes.len(),
         golden.len(),
@@ -343,46 +242,11 @@ fn v4_archive_encode_is_byte_exact() {
     assert_eq!(&golden[4..8], &(4 | LAYOUT_PACKED).to_le_bytes());
 }
 
-/// The committed v4 fixtures parse, expose the expected framing, and every
-/// step decodes bit-identically to the independent-encoding composition; the
-/// two written since the packed layout embed a keyframe container
-/// byte-identical to the standalone writer's output.
-#[test]
-fn v4_fixture_decodes_to_independent_composition() {
-    for (name, current_writer) in ARCHIVES.into_iter().zip([false, true, true]) {
-        v4_decodes_to_independent_composition(fixture(name), current_writer);
-    }
-}
-
-/// Each embedded container of `bytes` (one variable), in step order.
-fn embedded(bytes: &[u8]) -> Vec<Vec<u8>> {
-    let map = ArchiveMap::open(&MemorySource::new(bytes.to_vec())).unwrap();
-    (0..map.num_steps())
-        .map(|s| map.entry(s, 0))
-        .map(|e| bytes[e.offset as usize..(e.offset + e.len) as usize].to_vec())
-        .collect()
-}
-
-/// Hoisting changed the archive's prefix and nothing after it: the hoisted
-/// fixture's embedded containers are the packed one's byte for byte, and
-/// its payload is theirs back to back to the last byte.
-#[test]
-fn hoisted_archive_embeds_the_packed_archives_containers() {
-    let (packed, hoisted) = (
-        fixture("container_v4_packed.bin"),
-        fixture("container_v4_hoisted.bin"),
-    );
-    assert_eq!(embedded(&hoisted), embedded(&packed));
-    let map = ArchiveMap::open(&MemorySource::new(hoisted.clone())).unwrap();
-    let payload = &hoisted[map.meta_len() as usize..];
-    assert_eq!(payload, &embedded(&packed).concat()[..]);
-}
-
 /// For every entry, the map built from its hoisted copy is the map
 /// `ContainerMap::open` reads from the embedded container itself.
 #[test]
 fn hoisted_maps_equal_maps_of_the_embedded_containers() {
-    let hoisted = fixture("container_v4_hoisted.bin");
+    let hoisted = fixture(ARCHIVE);
     let map = ArchiveMap::open(&MemorySource::new(hoisted.clone())).unwrap();
     for step in 0..map.num_steps() {
         let e = map.entry(step, 0);
@@ -396,7 +260,13 @@ fn hoisted_maps_equal_maps_of_the_embedded_containers() {
     }
 }
 
-fn v4_decodes_to_independent_composition(golden: Vec<u8>, current_writer: bool) {
+/// The committed v4 fixture parses, exposes the expected framing, embeds a
+/// keyframe container byte-identical to the standalone writer's output, and
+/// every step decodes bit-identically to the independent-encoding
+/// composition.
+#[test]
+fn v4_fixture_decodes_to_independent_composition() {
+    let golden = fixture(ARCHIVE);
     let fields = golden_archive_fields();
     let config = golden_archive_config();
 
@@ -421,9 +291,8 @@ fn v4_decodes_to_independent_composition(golden: Vec<u8>, current_writer: bool) 
     let standalone = compress(&fields[2], GOLDEN_EB, &Config::default())
         .unwrap()
         .to_bytes();
-    assert_eq!(
+    assert!(
         golden[e.offset as usize..(e.offset + e.len) as usize] == standalone[..],
-        current_writer,
         "embedded keyframe container drifted from the standalone writer"
     );
 
