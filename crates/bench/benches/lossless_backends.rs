@@ -1,8 +1,8 @@
-//! Criterion micro-benchmark: the lossless backends (Huffman, LZR, RLE) that close
+//! Criterion micro-benchmark: the lossless backends (Huffman, LZR) that close
 //! every compression pipeline in the workspace.
 
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
-use ipc_codecs::{huffman_encode, lzr_compress, lzr_decompress, rle_encode};
+use ipc_codecs::{huffman_encode, lzr_compress, lzr_decompress};
 
 fn quantization_like_bytes(n: usize) -> Vec<u8> {
     (0..n)
@@ -29,7 +29,6 @@ fn bench_lossless(c: &mut Criterion) {
         b.iter(|| lzr_decompress(&compressed).unwrap())
     });
     group.bench_function("huffman_encode", |b| b.iter(|| huffman_encode(&symbols)));
-    group.bench_function("rle_encode", |b| b.iter(|| rle_encode(&bytes)));
 
     // The per-call floor: precinct-sized chunks, where a call's fixed cost
     // (not its throughput) is what the tiled encoder pays 58 k times a field.

@@ -18,7 +18,6 @@
 //! * [`varint`] — LEB128 variable-length integers for headers.
 //! * [`huffman`] — canonical Huffman coder over `u32` symbols.
 //! * [`rans`] — 4-way interleaved byte rANS with 12-bit normalized tables.
-//! * [`rle`] — zero-run-length coding for sparse bitplanes.
 //! * [`lzr`] — LZ77-style match finder + rANS/Huffman entropy stage (zstd
 //!   stand-in).
 //! * [`byteio`] — little-endian scalar/slice serialization helpers.
@@ -30,7 +29,6 @@ pub mod huffman;
 pub mod lzr;
 pub mod negabinary;
 pub mod rans;
-pub mod rle;
 pub mod varint;
 pub mod zigzag;
 
@@ -39,7 +37,6 @@ pub use huffman::{huffman_decode, huffman_encode};
 pub use lzr::{lzr_compress, lzr_decompress};
 pub use negabinary::{from_negabinary, to_negabinary};
 pub use rans::{rans_decode_bytes, rans_encode_bytes};
-pub use rle::{rle_decode, rle_encode};
 pub use zigzag::{zigzag_decode, zigzag_encode};
 
 /// Exclusive upper bound on the slice one entropy-coder call accepts. The byte

@@ -47,7 +47,7 @@
 //! (LZ77 + rANS/Huffman/store, see [`ipc_codecs::lzr`]). Chunking buys three
 //! things at a fraction of a percent of ratio:
 //!
-//! * **Even parallelism** — decode fans out over every `(plane, chunk)` pair,
+//! * **Even parallelism** — encode fans out over every `(plane, chunk)` pair,
 //!   so the rayon pool sees uniform ~64 KiB work items instead of one lumpy
 //!   task per plane (dense low planes cost 10× what sparse high planes do).
 //! * **Streaming** — a chunk covers a contiguous coefficient range, and every
@@ -107,15 +107,13 @@
 //! `‖δy_l(b)‖∞` for every possible number of discarded planes `b`, which is what the
 //! optimizer (Sec. 5) consumes.
 
-use std::sync::Arc;
-
 use ipc_codecs::bitslice::slice_planes;
 use ipc_codecs::negabinary::{from_negabinary, to_negabinary, truncation_loss};
 use ipc_codecs::{lzr_compress, CodecError};
 use rayon::prelude::*;
 
 use crate::error::{IpcompError, Result};
-use crate::pipeline::{EntropyStage, ScatterStage};
+use crate::pipeline::{FetchStage, RegionPipeline};
 
 /// Minimum number of coefficients before the coder fans work out to rayon.
 const PARALLEL_THRESHOLD: usize = 4096;
@@ -779,12 +777,10 @@ pub(crate) fn decode_chunk_bytes(compressed: &[u8], expected: usize) -> Result<V
 /// predictive coding is undone using those more significant bits. The newly decoded
 /// bits are OR-ed into `acc`.
 ///
-/// Built from the same [`crate::pipeline`] stages as the streaming decoder:
-/// the entropy stage fans out across the rayon pool at chunk granularity
-/// (every `(plane, chunk)` pair is one task), then the scatter stage runs per
-/// chunk region, each region owning its slice of the accumulators. All
-/// requested chunks are entropy-decoded before any accumulator is touched, so
-/// a corrupt block leaves `acc` unmodified.
+/// This is the decoder's one level loader ([`crate::pipeline::RegionPipeline`])
+/// without a region mask or a progress sink: regions stream in coefficient
+/// order, and a corrupt block rolls back the regions scattered before it, so
+/// a failed call leaves `acc` unmodified.
 pub fn decode_planes_into(
     level: &EncodedLevel,
     plane_lo: u8,
@@ -793,83 +789,12 @@ pub fn decode_planes_into(
     predictive: bool,
     acc: &mut [u64],
 ) -> Result<()> {
-    // Built once per load; the entropy and scatter stages share it.
-    let scheme = Arc::new(level.scheme());
-    check_plane_range(
-        &scheme,
-        level.num_planes,
-        |p| level.planes[p as usize].chunks.len(),
+    let fetch = FetchStage {
+        level,
         plane_lo,
         plane_hi,
-        acc.len(),
-    )?;
-    if plane_lo == plane_hi || level.n_values == 0 {
-        return Ok(());
-    }
-    let n_regions = scheme.num_regions();
-    let n_planes = (plane_hi - plane_lo) as usize;
-    let parallel = level.n_values > PARALLEL_THRESHOLD && rayon::current_num_threads() > 1;
-    let entropy = EntropyStage::new(Arc::clone(&scheme));
-    let scatter_stage = ScatterStage::new(
-        Arc::clone(&scheme),
-        level.num_planes,
-        plane_lo,
-        plane_hi,
-        prefix_bits,
-        predictive,
-    );
-
-    // Entropy stage: decode every requested chunk. Tasks are uniform-sized
-    // regardless of how compressible each plane is, so the pool stays busy.
-    let tasks: Vec<(u8, usize)> = (plane_lo..plane_hi)
-        .flat_map(|p| (0..n_regions).map(move |k| (p, k)))
-        .collect();
-    let decode = |(p, k): (u8, usize)| entropy.decode_chunk(k, &level.planes[p as usize].chunks[k]);
-    // One level-scope entropy span: the bulk path fans chunks across the
-    // rayon pool, so per-chunk spans would time queueing, not decoding.
-    let obs = crate::obs::metrics();
-    let mut entropy_span = ipc_telemetry::span_timed("pipeline", "entropy", obs.entropy_ns);
-    let decoded: Vec<Result<Vec<u8>>> = if parallel && tasks.len() > 1 {
-        tasks.into_par_iter().map(decode).collect()
-    } else {
-        tasks.into_iter().map(decode).collect()
     };
-    // Regroup task results (plane-major) into per-region chunk sets.
-    let mut regions: Vec<Vec<Vec<u8>>> = (0..n_regions)
-        .map(|_| Vec::with_capacity(n_planes))
-        .collect();
-    let mut decoded_bytes = 0u64;
-    for (t, chunk) in decoded.into_iter().enumerate() {
-        let chunk = chunk?;
-        decoded_bytes += chunk.len() as u64;
-        regions[t % n_regions].push(chunk);
-    }
-    obs.entropy_bytes.add(decoded_bytes);
-    entropy_span.add_arg("bytes", decoded_bytes);
-    drop(entropy_span);
-
-    // Scatter stage: per-region prediction undo + kernel-specialized
-    // scatter, each region owning its slice of the accumulators.
-    type RegionTask<'a> = (usize, Vec<Vec<u8>>, &'a mut [u64]);
-    let mut work: Vec<RegionTask<'_>> = Vec::with_capacity(n_regions);
-    let mut rest = acc;
-    let mut consumed = 0usize;
-    for (k, chunks) in regions.into_iter().enumerate() {
-        let coeffs = scheme.region_coeff_range(k);
-        let (region, tail) = rest.split_at_mut(coeffs.end - consumed);
-        work.push((k, chunks, &mut region[coeffs.start - consumed..]));
-        consumed = coeffs.end;
-        rest = tail;
-    }
-    let scatter = |(k, chunks, acc_region): RegionTask<'_>| {
-        scatter_stage.scatter(k, chunks, acc_region);
-    };
-    if parallel && n_regions > 1 {
-        work.into_par_iter().for_each(scatter);
-    } else {
-        work.into_iter().for_each(scatter);
-    }
-    Ok(())
+    RegionPipeline::new(fetch, prefix_bits, predictive, acc.len(), None)?.stream(acc, |_, _| {})
 }
 
 /// Decode the top `planes_loaded` planes of a level into quantization codes
@@ -1127,7 +1052,7 @@ mod tests {
     /// Region-at-a-time stream over planes `[lo, hi)` of a resident level
     /// (prefix width 2, predictive — what every streaming test encodes with).
     fn resident_stream(level: &EncodedLevel, lo: u8, hi: u8, acc_len: usize) -> RegionPipeline<'_> {
-        let fetch = FetchStage::Resident {
+        let fetch = FetchStage {
             level,
             plane_lo: lo,
             plane_hi: hi,
@@ -1214,8 +1139,8 @@ mod tests {
         assert_eq!(streamed, bulk);
     }
 
-    /// Stream through a ranged source and compare against the in-memory
-    /// stream at every region.
+    /// Stream a level fetched through a ranged source and compare against
+    /// the in-memory stream at every region.
     fn assert_source_stream_matches(codes: &[i64], opts: EncodeOptions) {
         let enc = encode_level_with(codes, 2, true, false, opts);
         let compressed = crate::container::Compressed {
@@ -1241,19 +1166,8 @@ mod tests {
         let mut mem_acc = vec![0u64; enc.n_values];
         let mut mem_stream = resident_stream(&enc, 0, hi, mem_acc.len());
         let mut src_acc = vec![0u64; enc.n_values];
-        let mut src_stream = RegionPipeline::new(
-            FetchStage::Ranged {
-                level: &map.levels[0],
-                source: &source,
-                plane_lo: 0,
-                plane_hi: hi,
-            },
-            2,
-            true,
-            src_acc.len(),
-            None,
-        )
-        .unwrap();
+        let fetched = map.levels[0].fetch_planes(&source, 0, hi, None).unwrap();
+        let mut src_stream = resident_stream(&fetched, 0, hi, src_acc.len());
         assert_eq!(mem_stream.num_regions(), src_stream.num_regions());
         loop {
             let a = mem_stream.decode_next(&mut mem_acc).unwrap();
@@ -1513,6 +1427,22 @@ mod tests {
             acc.iter().all(|&w| w == 0),
             "acc must be untouched on error"
         );
+
+        // Multi-region: planes above `hi` already loaded, then a middle chunk
+        // of the lowest requested plane is corrupt — regions before it decode
+        // first, and the failure must still leave no trace.
+        let codes = sample_codes(4000, 1 << 12, 9);
+        let mut enc = encode_level_with(&codes, 2, true, false, tiny_chunks());
+        let (lo, hi) = (1u8, enc.num_planes - 2);
+        let mid = enc.planes[lo as usize].chunks.len() / 2;
+        assert!(mid > 2, "need a multi-region level");
+        let mut acc = vec![0u64; codes.len()];
+        decode_planes_into(&enc, hi, enc.num_planes, 2, true, &mut acc).unwrap();
+        let before = acc.clone();
+        assert!(before.iter().any(|&w| w != 0));
+        enc.planes[lo as usize].chunks[mid] = vec![0xFF; 3];
+        assert!(decode_planes_into(&enc, lo, hi, 2, true, &mut acc).is_err());
+        assert_eq!(acc, before, "acc must be untouched on error");
     }
 
     #[test]

@@ -32,12 +32,12 @@
 //!    first — exactly the order the decode pipeline produces them — and each
 //!    level's pass only reads lattice points finalized by earlier passes. So
 //!    the engine runs level `k`'s interpolation as soon as level `k`'s
-//!    coefficients are scattered, while the finer levels (the finest holds
-//!    7/8 of the bytes in 3-D) are still fetching and entropy-decoding.
-//!    Cascade order is the contract: every caller loads levels coarsest
-//!    first, so the engine holds codes for one level at a time and a level
-//!    handed over early is a bug, not a case. A streaming caller sees the
-//!    coarse lattices final while the finest level is still decoding.
+//!    coefficients are scattered, before the finer levels (the finest holds
+//!    7/8 of the bytes in 3-D) are entropy-decoded. There is one hand-over,
+//!    [`CascadeEngine::level_ready`], with the level's whole codes: cascade
+//!    order is the contract, so a level handed over early is a bug, not a
+//!    case. A streaming caller sees the coarse lattices final while the
+//!    finest level is still decoding.
 //! 2. **Fused SIMD passes.** A pass consumes quantization codes directly —
 //!    dequantization (`code · 2eb`) is fused into the interpolation kernel,
 //!    so the field is touched once per level instead of once per stage, and
@@ -68,11 +68,7 @@
 //! The thread count follows [`rayon::current_num_threads`] (so
 //! `RAYON_NUM_THREADS` bounds it, and passes already running inside a rayon
 //! worker stay serial instead of oversubscribing), clamped to
-//! `available_parallelism()`. To shorten the critical tail,
-//! the finest level's last sub-pass is additionally slab-split along its
-//! outermost non-singleton dimension at construction time, so its early slabs
-//! stream behind in-flight fetches instead of waiting for the level's final
-//! region.
+//! `available_parallelism()`.
 
 use std::sync::atomic::{AtomicU8, AtomicUsize, Ordering};
 
@@ -164,10 +160,6 @@ fn default_threads() -> usize {
 /// more than the sweep itself (coarse levels are a few hundred points).
 const PAR_MIN_POINTS: usize = 1 << 12;
 
-/// Slabs the finest level's last sub-pass is split into (bounded by the
-/// split dimension's extent).
-const TAIL_SLABS: usize = 8;
-
 // ---- bulk residual extraction ----------------------------------------------
 
 /// Negabinary-decode a level's accumulators into quantization codes (the
@@ -211,23 +203,17 @@ pub struct CascadeProgress {
 /// Lifecycle: [`CascadeEngine::new`], then exactly one of
 /// [`seed_anchors`](CascadeEngine::seed_anchors) (initial reconstruction) or
 /// [`seed_zero`](CascadeEngine::seed_zero) (refinement delta cascade), then
-/// per container level, **coarsest first**, either
+/// per container level, **coarsest first**,
+/// [`level_ready`](CascadeEngine::level_ready) with the level's complete
+/// quantization codes (values for an initial reconstruction, deltas for a
+/// refinement; an empty vector means "all zero" and runs prediction-only
+/// passes) — or, for a region, its windowed form
+/// [`level_windowed`](CascadeEngine::level_windowed).
 ///
-/// * [`level_ready`](CascadeEngine::level_ready) with the level's complete
-///   quantization codes (values for an initial reconstruction, deltas for a
-///   refinement; an empty vector means "all zero" and runs prediction-only
-///   passes), or
-/// * [`level_codes_arrived`](CascadeEngine::level_codes_arrived) with
-///   traversal-order code prefixes as chunk regions land, then
-///   [`level_complete`](CascadeEngine::level_complete) — the streaming form.
-///
-/// Codes arrive in the level's traversal order, which is the concatenation of
+/// Codes come in the level's traversal order, which is the concatenation of
 /// its dimension sub-passes — so each sub-pass consumes a contiguous, known
-/// code range and can run as soon as the arrived prefix covers it (and all
-/// coarser levels are applied). That is what lets the finest level's early
-/// sub-passes run — and report — before its remaining regions have decoded.
-/// Once every level is applied, [`into_field`](CascadeEngine::into_field)
-/// yields the reconstruction.
+/// code range. Once every level is applied,
+/// [`into_field`](CascadeEngine::into_field) yields the reconstruction.
 pub struct CascadeEngine {
     shape: Shape,
     method: Interpolation,
@@ -246,12 +232,8 @@ pub struct CascadeEngine {
     /// gate), captured at construction.
     forced_threads: usize,
     work: Vec<f64>,
-    /// Levels whose pass has run — and so the one level codes may arrive for.
+    /// Levels whose pass has run — and so the index of the next one.
     applied: usize,
-    /// Codes of level `applied` arrived so far, from traversal position 0.
-    buf: Vec<i64>,
-    /// Sub-passes of level `applied` already run.
-    subs_applied: usize,
     /// Per level, its dimension sub-passes in traversal order.
     geoms: Vec<Vec<SubPass>>,
 }
@@ -289,13 +271,6 @@ impl CascadeEngine {
                     });
                     start += count;
                 });
-                if idx + 1 == levels {
-                    // The finest level holds most of the field's points, and
-                    // its last sub-pass is the whole cascade's tail: it used
-                    // to wait for the level's final streamed region. Slabbing
-                    // it lets earlier slabs run behind in-flight fetches.
-                    slab_split_last(&mut subs);
-                }
                 subs
             })
             .collect();
@@ -310,8 +285,6 @@ impl CascadeEngine {
             forced_threads: CASCADE_FORCE_THREADS.load(Ordering::Relaxed),
             work,
             applied: 0,
-            buf: Vec::new(),
-            subs_applied: 0,
             geoms,
         }
     }
@@ -336,14 +309,6 @@ impl CascadeEngine {
     /// Whether every level's pass has run.
     fn is_complete(&self) -> bool {
         self.applied == self.levels as usize
-    }
-
-    /// Sub-passes applied and total for the level codes are arriving for (a
-    /// level's early sub-passes run while its remaining codes still arrive).
-    #[cfg(test)]
-    fn subpasses_applied(&self, idx: usize) -> (usize, usize) {
-        assert_eq!(idx, self.applied);
-        (self.subs_applied, self.geoms[idx].len())
     }
 
     /// The field under reconstruction (final once every level is applied).
@@ -374,8 +339,8 @@ impl CascadeEngine {
         process_anchors(&self.shape, &mut self.work, |_, _| 0.0);
     }
 
-    /// The cascade-order contract every arrival call checks: `idx` is the
-    /// next unapplied level.
+    /// The cascade-order contract every hand-over checks: `idx` is the next
+    /// unapplied level.
     fn expect_next(&self, idx: usize) {
         assert!(idx < self.levels as usize, "level index out of range");
         assert!(
@@ -396,84 +361,30 @@ impl CascadeEngine {
     ///
     /// # Panics
     ///
-    /// Panics unless `idx` is the next level in cascade order, or if the
-    /// level already received streamed prefixes (use
-    /// [`CascadeEngine::level_complete`] then) or `codes` is neither empty
-    /// nor the level's point count.
+    /// Panics unless `idx` is the next level in cascade order, or if `codes`
+    /// is neither empty nor the level's point count.
     pub fn level_ready(&mut self, idx: usize, codes: Vec<i64>) -> Vec<CascadeProgress> {
         self.expect_next(idx);
-        assert!(
-            self.buf.is_empty(),
-            "level {idx} handed to the cascade twice"
-        );
-        self.buf = codes;
-        vec![self.level_complete(idx)]
-    }
-
-    /// Append newly decoded codes for level `idx`, in traversal order — the
-    /// streaming form, fed as chunk regions land. Any dimension sub-passes
-    /// the arrived prefix now covers run immediately; the rest wait for
-    /// more codes.
-    ///
-    /// # Panics
-    ///
-    /// Panics unless `idx` is the next level in cascade order, or if more
-    /// codes arrive than the level has points.
-    pub fn level_codes_arrived(&mut self, idx: usize, new_codes: &[i64]) {
-        self.arrive(idx, |buf| buf.extend_from_slice(new_codes))
-    }
-
-    /// Streaming arrival straight from a decoder's accumulator slice: the
-    /// bulk dequantize stage-1 (negabinary decode of the planes in
-    /// `plane_mask`) is fused into the buffer append, so the codes are
-    /// written exactly once. Negabinary is positional, so the planes a
-    /// refinement just loaded decode to exactly its delta codes and the full
-    /// mask to the values. Semantics otherwise match
-    /// [`CascadeEngine::level_codes_arrived`].
-    pub fn level_span_arrived(&mut self, idx: usize, acc_span: &[u64], plane_mask: u64) {
-        self.arrive(idx, |buf| {
-            buf.extend(acc_span.iter().map(|&w| from_negabinary(w & plane_mask)))
-        })
-    }
-
-    fn arrive(&mut self, idx: usize, append: impl FnOnce(&mut Vec<i64>)) {
-        self.expect_next(idx);
-        append(&mut self.buf);
         let total = self.level_points(idx);
         assert!(
-            self.buf.len() <= total,
+            codes.len() <= total,
             "level {idx} received more codes than its {total} points"
         );
-        self.run_covered(false);
-    }
-
-    /// Mark a streamed level's codes complete and run whatever sub-passes
-    /// are left. Returns the level's progress entry.
-    ///
-    /// # Panics
-    ///
-    /// Panics unless `idx` is the next level in cascade order, or if the
-    /// arrived codes do not cover the level (an empty arrival is the
-    /// all-zero level, as in [`CascadeEngine::level_ready`]).
-    pub fn level_complete(&mut self, idx: usize) -> CascadeProgress {
-        self.expect_next(idx);
-        let total = self.level_points(idx);
         assert!(
-            self.buf.is_empty() || self.buf.len() == total,
-            "level {idx} completed with {} of {total} codes",
-            self.buf.len()
+            codes.is_empty() || codes.len() == total,
+            "level {idx} received {} of its {total} codes",
+            codes.len()
         );
-        self.run_covered(true);
-        self.buf = Vec::new();
-        self.subs_applied = 0;
+        let interp_level = self.levels - idx as u32;
+        self.run_level(interp_level, idx, &codes);
         self.applied += 1;
-        CascadeProgress {
+        vec![CascadeProgress {
             level_idx: idx,
-            interp_level: self.levels - idx as u32,
+            interp_level,
             points: total,
             levels_applied: self.applied,
             levels_total: self.levels as usize,
-        }
+        }]
     }
 
     /// Total points (= codes) of a level.
@@ -481,37 +392,24 @@ impl CascadeEngine {
         self.geoms[idx].iter().map(|s| s.count).sum()
     }
 
-    /// Run every sub-pass of the next level that the arrived codes cover.
-    /// With `complete` the arrived codes are all there are (none at all is
-    /// the all-zero level, which runs prediction-only passes), so every
-    /// remaining sub-pass runs.
-    fn run_covered(&mut self, complete: bool) {
-        let idx = self.applied;
-        let interp_level = self.levels - idx as u32;
-        let zero = complete && self.buf.is_empty();
+    /// Run every sub-pass of level `idx` over its `codes` (none at all is
+    /// the all-zero level, which runs prediction-only passes).
+    fn run_level(&mut self, interp_level: u32, idx: usize, codes: &[i64]) {
         #[cfg(any(test, feature = "reference-scalar"))]
         if self.which == CascadeImpl::Reference {
-            // The point-wise referee runs whole levels only; streamed
-            // prefixes buffer until completion.
-            if complete {
-                let codes = std::mem::take(&mut self.buf);
-                self.reference_pass(interp_level, &codes);
-            }
-            return;
+            // The point-wise referee sweeps whole levels.
+            return self.reference_pass(interp_level, codes);
         }
-        while let Some(sub) = self.geoms[idx].get(self.subs_applied) {
-            if !zero && self.buf.len() < sub.start + sub.count {
-                break;
-            }
-            self.apply_subpass(interp_level, idx, self.subs_applied, zero);
-            self.subs_applied += 1;
+        for sub_idx in 0..self.geoms[idx].len() {
+            self.apply_subpass(interp_level, idx, sub_idx, codes);
         }
     }
 
     /// Run one dimension sub-pass of a level through the run kernels,
     /// fanning independent runs out across worker threads when the pass is
     /// large enough (see the module docs for why runs never alias).
-    fn apply_subpass(&mut self, interp_level: u32, idx: usize, sub_idx: usize, zero: bool) {
+    /// `codes` are the level's (empty: prediction only).
+    fn apply_subpass(&mut self, interp_level: u32, idx: usize, sub_idx: usize, codes: &[i64]) {
         let mut span = ipc_telemetry::span_timed(
             "cascade",
             "cascade.pass",
@@ -528,12 +426,12 @@ impl CascadeEngine {
         };
         let stride = level_stride(interp_level);
         let (shape, method, avx2) = (&self.shape, self.method, self.avx2);
-        if zero {
+        if codes.is_empty() {
             let ctx = RunCtx::new(field, shape, method, stride, sub.d, avx2, PredictOnly);
             run_subpass(ctx, shape.strides(), sub, threads, &mut span);
         } else {
             let op = AddCodes {
-                codes: &self.buf[sub.start..sub.start + sub.count],
+                codes: &codes[sub.start..sub.start + sub.count],
                 two_eb: self.two_eb,
             };
             let ctx = RunCtx::new(field, shape, method, stride, sub.d, avx2, op);
@@ -635,62 +533,6 @@ impl CascadeEngine {
             );
         }
     }
-}
-
-/// Split a level's last sub-pass into up to [`TAIL_SLABS`] contiguous slabs
-/// along the outermost dimension with more than one coordinate (all
-/// dimensions before it being singleton guarantees each slab's points form a
-/// contiguous range of the traversal, so the slabs' code ranges partition the
-/// original sub-pass's exactly). Slabs keep the original traversal order, so
-/// reconstruction bits are unchanged; 1-D and degenerate geometries are left
-/// alone.
-fn slab_split_last(subs: &mut Vec<SubPass>) {
-    let Some(last) = subs.pop() else { return };
-    let inner = last.ranges.len() - 1;
-    // First non-singleton dimension before the innermost run dimension; every
-    // dimension before it has exactly one coordinate (sub-passes never have
-    // empty ranges), so traversal order is "for each coordinate of j: the
-    // full inner block".
-    let Some(j) = (0..inner).find(|&j| last.ranges[j].count() > 1) else {
-        subs.push(last);
-        return;
-    };
-    let r = last.ranges[j];
-    let n = r.count();
-    let slabs = TAIL_SLABS.min(n);
-    debug_assert!(slabs >= 2);
-    // Points per coordinate of dimension j.
-    let per: usize = last
-        .ranges
-        .iter()
-        .enumerate()
-        .filter(|&(e, _)| e != j)
-        .map(|(_, r)| r.count())
-        .product();
-    let mut start = last.start;
-    for s in 0..slabs {
-        let k0 = s * n / slabs;
-        let k1 = (s + 1) * n / slabs;
-        if k0 == k1 {
-            continue;
-        }
-        let mut ranges = last.ranges.clone();
-        ranges[j] = ipc_tensor::AxisRange::strided(
-            r.start + k0 * r.step,
-            r.step,
-            (r.start + k1 * r.step).min(r.end),
-        );
-        debug_assert_eq!(ranges[j].count(), k1 - k0);
-        let count = (k1 - k0) * per;
-        subs.push(SubPass {
-            d: last.d,
-            ranges,
-            start,
-            count,
-        });
-        start += count;
-    }
-    debug_assert_eq!(start, last.start + last.count);
 }
 
 // ---- the per-point operation --------------------------------------------------
@@ -1506,73 +1348,13 @@ mod tests {
     }
 
     #[test]
-    fn prefix_streaming_matches_full_handover_and_applies_subpasses_early() {
-        let shape = Shape::d3(20, 15, 11);
-        let (anchors, per_level) = codes_for_shape(&shape, 17);
-        for which in [
-            CascadeImpl::Portable,
-            CascadeImpl::Auto,
-            CascadeImpl::Reference,
-        ] {
-            let want = run_engine(
-                &shape,
-                Interpolation::Cubic,
-                1e-4,
-                &anchors,
-                &per_level,
-                which,
-                0,
-            );
-
-            let mut engine =
-                CascadeEngine::new(shape.clone(), Interpolation::Cubic, 1e-4).with_kernel(which, 0);
-            engine.seed_anchors(&anchors);
-            let mut done = Vec::new();
-            for (idx, codes) in per_level.iter().enumerate() {
-                // Drip the codes in uneven increments, then complete.
-                let mut fed = 0usize;
-                let mut step = 7usize;
-                let mut early_subs = 0usize;
-                while fed < codes.len() {
-                    let end = (fed + step).min(codes.len());
-                    engine.level_codes_arrived(idx, &codes[fed..end]);
-                    fed = end;
-                    step = step * 3 + 1;
-                    if fed < codes.len() {
-                        // Sub-passes applied strictly before all codes arrive.
-                        early_subs = early_subs.max(engine.subpasses_applied(idx).0);
-                    }
-                }
-                if which != CascadeImpl::Reference && idx + 1 == per_level.len() {
-                    // The finest level is large enough that its early
-                    // sub-passes must run mid-stream (streamed
-                    // reconstruction, not just buffering).
-                    assert!(
-                        early_subs > 0,
-                        "level {idx} ({which:?}): no sub-pass ran early"
-                    );
-                }
-                done.push(engine.level_complete(idx));
-            }
-            assert!(engine.is_complete());
-            assert_eq!(done.len(), per_level.len());
-            let got = engine.into_field();
-            assert_eq!(
-                got.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
-                want.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
-                "{which:?}"
-            );
-        }
-    }
-
-    #[test]
     #[should_panic(expected = "more codes than")]
     fn overfeeding_codes_panics() {
         let shape = Shape::d1(9);
         let mut engine = CascadeEngine::new(shape.clone(), Interpolation::Linear, 1e-3);
         engine.seed_zero();
         let n = level_count(&shape, num_levels(&shape));
-        engine.level_codes_arrived(0, &vec![1i64; n + 1]);
+        engine.level_ready(0, vec![1i64; n + 1]);
     }
 
     #[test]
@@ -1600,7 +1382,8 @@ mod tests {
     /// What a refinement feeds the cascade — the negabinary value of just the
     /// planes it loaded — is bit for bit the snapshot-and-subtract form
     /// ([`delta_codes`], which the decoder no longer calls), for every plane
-    /// split of words with all 63 planes live, whole level or streamed spans.
+    /// split of words with all 63 planes live; handed over whole, it
+    /// cascades to the batch reference's delta field.
     #[test]
     fn newly_loaded_planes_decode_to_the_snapshot_delta() {
         let shape = Shape::d1(257);
@@ -1623,40 +1406,24 @@ mod tests {
 
             let mut engine = CascadeEngine::new(shape.clone(), Interpolation::Linear, 1e-3);
             engine.seed_zero();
-            for idx in 0..engine.num_levels() as usize - 1 {
+            let finest = engine.num_levels() as usize - 1;
+            for idx in 0..finest {
                 engine.level_ready(idx, Vec::new());
             }
-            let finest = engine.num_levels() as usize - 1;
-            let (head, tail) = after.split_at(n / 3);
-            engine.level_span_arrived(finest, head, new_planes);
-            engine.level_span_arrived(finest, tail, new_planes);
-            assert_eq!(engine.buf, want, "streamed planes [{lo}, {hi})");
+            engine.level_ready(finest, masked);
+            let mut per_level = vec![Vec::new(); finest];
+            per_level.push(want);
+            let reference = batch_reference(&shape, Interpolation::Linear, 1e-3, &[], &per_level);
+            assert_eq!(
+                engine
+                    .into_field()
+                    .iter()
+                    .map(|v| v.to_bits())
+                    .collect::<Vec<_>>(),
+                reference.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
+                "cascaded planes [{lo}, {hi})"
+            );
         }
-    }
-
-    #[test]
-    fn finest_level_last_subpass_is_slab_split() {
-        let shape = Shape::d3(24, 18, 20);
-        let engine = CascadeEngine::new(shape.clone(), Interpolation::Cubic, 1e-4);
-        let finest = engine.geoms.last().unwrap();
-        assert!(
-            finest.len() > shape.ndim(),
-            "finest level's last sub-pass must be slabbed ({} sub-passes)",
-            finest.len()
-        );
-        // The slabs' code ranges partition the level exactly, in order.
-        let mut start = 0usize;
-        for sub in finest {
-            assert_eq!(sub.start, start);
-            assert!(sub.count > 0);
-            start += sub.count;
-        }
-        assert_eq!(start, level_count(&shape, 1));
-        // Coarser levels keep one sub-pass per swept dimension.
-        assert!(engine.geoms[0].len() <= shape.ndim());
-        // 1-D geometry has no outer dimension to slab.
-        let e1 = CascadeEngine::new(Shape::d1(33), Interpolation::Linear, 1e-3);
-        assert_eq!(e1.geoms.last().unwrap().len(), 1);
     }
 
     #[test]

@@ -16,8 +16,8 @@
 //!   chunk when `chunk_bytes` is 0) and the level metadata carries a **chunk
 //!   index**: every chunk's compressed size. A reader can therefore compute
 //!   the absolute offset of any `(level, plane, chunk)` triple from metadata
-//!   alone and fetch chunks independently — which is what lets decode fan
-//!   out evenly over rayon and stream planes region by region.
+//!   alone and fetch chunks independently — which is what lets a ranged
+//!   read fetch only what it plans and stream planes region by region.
 //! * **v3** — v2 with a precinct grid in the header: levels are stored
 //!   precinct-major with one chunk per `(plane, precinct)` pair.
 //!

@@ -11,9 +11,9 @@ use ipc_telemetry::{Counter, Histogram};
 
 /// Handles for every metric the ipcomp layer records.
 pub struct DecodeMetrics {
-    /// Per-region fetch-stage duration (ns).
+    /// Duration of a ranged level's read (ns); resident levels are borrowed.
     pub fetch_ns: &'static Histogram,
-    /// Compressed bytes resolved by the fetch stage.
+    /// Compressed bytes read for ranged levels.
     pub fetch_bytes: &'static Counter,
     /// Per-region entropy-stage duration (ns).
     pub entropy_ns: &'static Histogram,
@@ -23,7 +23,7 @@ pub struct DecodeMetrics {
     pub scatter_ns: &'static Histogram,
     /// Per-dimension cascade sub-pass duration (ns).
     pub cascade_pass_ns: &'static Histogram,
-    /// End-to-end retrieve duration (ns), bulk and streaming alike.
+    /// End-to-end retrieve duration (ns), with or without an event sink.
     pub retrieve_ns: &'static Histogram,
     /// Retrieval requests completed.
     pub retrieves: &'static Counter,

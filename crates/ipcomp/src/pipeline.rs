@@ -1,15 +1,18 @@
-//! Staged decode pipeline: **fetch → entropy-decode → scatter**.
+//! Staged decode pipeline: **fetch → entropy-decode → scatter** — the one
+//! level loader.
 //!
-//! Every read path of the decoder — fully resident slices, ranged sources,
-//! bulk retrievals, region streaming, and spatial region (ROI) retrievals —
-//! is built from the same three stages, each a plain struct with one
+//! Every level the decoder loads — full-domain or under a region mask, with
+//! or without an event sink, resident or ranged, and every
+//! [`crate::bitplane::decode_planes_into`] call — streams through one
+//! [`RegionPipeline`] built from three stages, each a plain struct with one
 //! per-region method (they share no input type, so there is no trait over
 //! them):
 //!
 //! 1. [`FetchStage`] resolves one chunk region to its compressed chunk
-//!    payloads: a borrow for resident levels, one batched
-//!    [`ChunkSource::read_ranges`] call (which the source stack is free to
-//!    coalesce, cache, or simulate) for ranged levels.
+//!    payloads by borrowing them from an [`EncodedLevel`]: the resident
+//!    container's own level, or the level a ranged store assembled with
+//!    [`crate::LevelMap::fetch_planes`] — slices of the request's fetch
+//!    groups, read once per group by [`crate::source::PlannedSource`].
 //! 2. [`EntropyStage`] entropy-decodes each compressed chunk into packed
 //!    plane bytes, validating every decoded size against the region
 //!    geometry so corrupt input surfaces as a bounded error before any
@@ -19,21 +22,15 @@
 //!    specialized kernels of [`ipc_codecs::bitslice`].
 //!
 //! Region geometry is never restated here: a level's [`RegionScheme`] is
-//! built once per load (a [`LevelMap`] keeps the one `ContainerMap::open`
-//! built) and shared by `Arc` between the entropy stage, the scatter stage
-//! and the driver.
+//! built once per load and shared by `Arc` between the entropy stage, the
+//! scatter stage and the driver.
 //!
-//! [`RegionPipeline`] drives the stages pull-style over a level's regions —
-//! all of them, or the precincts a region mask selects — one region per
-//! call, on the calling thread: fetch, entropy-decode, scatter. Memory is
-//! bounded at one region, and because the scatter stage runs only after the
-//! whole region entropy-decodes, a failed region leaves its accumulator
-//! slice untouched.
-//!
-//! There is no fetch lookahead here. A ranged level's source is the
-//! request's [`crate::source::PlannedSource`]: the region's chunk ranges are
-//! slices of a fetch group that arrived in one read when the request first
-//! touched it, so there is no per-region round trip left to hide.
+//! [`RegionPipeline`] drives the stages over a level's regions — all of
+//! them, or the precincts a region mask selects — one region at a time, on
+//! the calling thread. Memory is bounded at one region, and because the
+//! scatter stage runs only after the whole region entropy-decodes, a failed
+//! region leaves its accumulator slice untouched; the regions scattered
+//! before it are rolled back bit-exactly, so a failed load leaves no trace.
 
 use std::ops::Range;
 use std::sync::Arc;
@@ -41,147 +38,34 @@ use std::sync::Arc;
 use ipc_codecs::bitslice;
 
 use crate::bitplane::{check_plane_range, decode_chunk_bytes, EncodedLevel, RegionScheme};
-use crate::container::LevelMap;
 use crate::error::{IpcompError, Result};
-use crate::source::{read_ranges_exact, ByteRange, Bytes, ChunkSource};
 
-/// Compressed chunks of one region, one per streamed plane (ascending plane
-/// index). Resident levels lend their buffers; ranged levels hand over the
-/// fetched [`Bytes`].
-pub enum FetchedRegion<'a> {
-    /// Chunk payloads borrowed from an in-memory [`EncodedLevel`].
-    Borrowed(Vec<&'a [u8]>),
-    /// Chunk payloads fetched through a [`ChunkSource`].
-    Fetched(Vec<Bytes>),
-}
-
-impl FetchedRegion<'_> {
-    /// Number of chunks (= planes being streamed).
-    pub fn len(&self) -> usize {
-        match self {
-            FetchedRegion::Borrowed(v) => v.len(),
-            FetchedRegion::Fetched(v) => v.len(),
-        }
-    }
-
-    /// Whether the region holds no chunks.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// Compressed bytes of chunk `i`.
-    pub fn chunk(&self, i: usize) -> &[u8] {
-        match self {
-            FetchedRegion::Borrowed(v) => v[i],
-            FetchedRegion::Fetched(v) => &v[i],
-        }
-    }
-}
-
-/// Stage 1: resolve a region to its compressed chunk payloads.
-pub enum FetchStage<'a> {
-    /// All chunks resident in memory; fetching is a borrow.
-    Resident {
-        /// The in-memory level.
-        level: &'a EncodedLevel,
-        /// First plane being streamed.
-        plane_lo: u8,
-        /// One past the last plane being streamed.
-        plane_hi: u8,
-    },
-    /// Chunks addressed via the container's metadata index and fetched
-    /// through a [`ChunkSource`] — one batched `read_ranges` per region.
-    Ranged {
-        /// The metadata-only chunk index.
-        level: &'a LevelMap,
-        /// Where the container's bytes live.
-        source: &'a dyn ChunkSource,
-        /// First plane being streamed.
-        plane_lo: u8,
-        /// One past the last plane being streamed.
-        plane_hi: u8,
-    },
+/// Stage 1: resolve a region to its compressed chunk payloads — a borrow of
+/// planes `[plane_lo, plane_hi)` of an in-memory level.
+pub struct FetchStage<'a> {
+    /// The level holding the chunks: resident, or fetched for this load.
+    pub level: &'a EncodedLevel,
+    /// First plane being streamed.
+    pub plane_lo: u8,
+    /// One past the last plane being streamed.
+    pub plane_hi: u8,
 }
 
 impl<'a> FetchStage<'a> {
     /// Compressed bytes region `k` reads across the streamed planes.
     pub fn region_compressed_bytes(&self, k: usize) -> usize {
-        match self {
-            FetchStage::Resident {
-                level,
-                plane_lo,
-                plane_hi,
-            } => (*plane_lo..*plane_hi)
-                .map(|p| level.planes[p as usize].chunks[k].len())
-                .sum(),
-            FetchStage::Ranged {
-                level,
-                plane_lo,
-                plane_hi,
-                ..
-            } => (*plane_lo..*plane_hi).map(|p| level.chunk_size(p, k)).sum(),
-        }
+        self.planes().map(|p| p[k].len()).sum()
     }
 
-    /// The streamed plane range `[plane_lo, plane_hi)`.
-    fn planes(&self) -> (u8, u8) {
-        match self {
-            FetchStage::Resident {
-                plane_lo, plane_hi, ..
-            }
-            | FetchStage::Ranged {
-                plane_lo, plane_hi, ..
-            } => (*plane_lo, *plane_hi),
-        }
-    }
-
-    /// Region scheme and significant plane count of the backing level.
-    fn geometry(&self) -> (Arc<RegionScheme>, u8) {
-        match self {
-            FetchStage::Resident { level, .. } => (Arc::new(level.scheme()), level.num_planes),
-            FetchStage::Ranged { level, .. } => (Arc::clone(level.scheme()), level.num_planes),
-        }
-    }
-
-    /// Chunks the backing level actually holds for plane `p`.
-    fn plane_chunk_count(&self, p: u8) -> usize {
-        match self {
-            FetchStage::Resident { level, .. } => level.planes[p as usize].chunks.len(),
-            FetchStage::Ranged { level, .. } => level.plane_chunk_count(p),
-        }
+    /// The streamed planes' chunk lists, ascending plane index.
+    fn planes(&self) -> impl Iterator<Item = &'a [Vec<u8>]> {
+        let level = self.level;
+        (self.plane_lo..self.plane_hi).map(move |p| level.planes[p as usize].chunks.as_slice())
     }
 
     /// Resolve `region` to its compressed chunks, one per streamed plane.
-    pub fn fetch(&self, region: usize) -> Result<FetchedRegion<'a>> {
-        let m = crate::obs::metrics();
-        let mut span = ipc_telemetry::span_timed("pipeline", "fetch", m.fetch_ns);
-        span.add_arg("region", region as u64);
-        let out = match self {
-            FetchStage::Resident {
-                level,
-                plane_lo,
-                plane_hi,
-            } => FetchedRegion::Borrowed(
-                (*plane_lo..*plane_hi)
-                    .map(|p| level.planes[p as usize].chunks[region].as_slice())
-                    .collect(),
-            ),
-            FetchStage::Ranged {
-                level,
-                source,
-                plane_lo,
-                plane_hi,
-            } => {
-                let ranges: Vec<ByteRange> = (*plane_lo..*plane_hi)
-                    .map(|p| level.chunk_range(p, region))
-                    .collect();
-                FetchedRegion::Fetched(read_ranges_exact(*source, &ranges)?)
-            }
-        };
-        let bytes: u64 = (0..out.len()).map(|i| out.chunk(i).len() as u64).sum();
-        m.fetch_bytes.add(bytes);
-        span.add_arg("bytes", bytes);
-        Ok(out)
+    pub fn fetch(&self, region: usize) -> Vec<&'a [u8]> {
+        self.planes().map(|p| p[region].as_slice()).collect()
     }
 }
 
@@ -198,19 +82,15 @@ impl EntropyStage {
         Self { scheme }
     }
 
-    /// Decode a single compressed chunk of region `k` (the unit the bulk
-    /// decoder fans out across the rayon pool).
-    pub fn decode_chunk(&self, region: usize, compressed: &[u8]) -> Result<Vec<u8>> {
-        decode_chunk_bytes(compressed, self.scheme.region_byte_range(region).len())
-    }
-
     /// Decode every chunk of one fetched region, in plane order.
-    pub fn decode(&self, region: usize, input: FetchedRegion<'_>) -> Result<Vec<Vec<u8>>> {
+    pub fn decode(&self, region: usize, input: &[&[u8]]) -> Result<Vec<Vec<u8>>> {
         let m = crate::obs::metrics();
         let mut span = ipc_telemetry::span_timed("pipeline", "entropy", m.entropy_ns);
         span.add_arg("region", region as u64);
-        let out: Vec<Vec<u8>> = (0..input.len())
-            .map(|i| self.decode_chunk(region, input.chunk(i)))
+        let expected = self.scheme.region_byte_range(region).len();
+        let out: Vec<Vec<u8>> = input
+            .iter()
+            .map(|chunk| decode_chunk_bytes(chunk, expected))
             .collect::<Result<_>>()?;
         let bytes: u64 = out.iter().map(|c| c.len() as u64).sum();
         m.entropy_bytes.add(bytes);
@@ -331,11 +211,12 @@ fn xor_words_into_bytes(dst: &mut [u8], src: &[u64]) {
     }
 }
 
-/// Pull-based pipeline driver over one level's chunk regions — all of them,
-/// or the precincts a region mask selects.
+/// The one level loader: a pipeline driver over one level's chunk regions —
+/// all of them, or the precincts a region mask selects.
 ///
 /// Each [`RegionPipeline::decode_next`] call completes one region through
-/// fetch + entropy + scatter. Regions complete in coefficient order; a
+/// fetch + entropy + scatter; `stream` runs them all and rolls the level
+/// back on failure. Regions complete in coefficient order; a
 /// failed region leaves its accumulator slice untouched and the stream
 /// positioned to retry it. Peak memory is bounded by `(plane span) × region
 /// size` instead of the whole level.
@@ -363,12 +244,13 @@ impl<'a> RegionPipeline<'a> {
         acc_len: usize,
         mask: Option<&'a [bool]>,
     ) -> Result<Self> {
-        let (scheme, num_planes) = fetch.geometry();
-        let (plane_lo, plane_hi) = fetch.planes();
+        let level = fetch.level;
+        let scheme = Arc::new(level.scheme());
+        let (plane_lo, plane_hi) = (fetch.plane_lo, fetch.plane_hi);
         check_plane_range(
             &scheme,
-            num_planes,
-            |p| fetch.plane_chunk_count(p),
+            level.num_planes,
+            |p| level.planes[p as usize].chunks.len(),
             plane_lo,
             plane_hi,
             acc_len,
@@ -383,7 +265,7 @@ impl<'a> RegionPipeline<'a> {
             entropy: EntropyStage::new(Arc::clone(&scheme)),
             scatter: ScatterStage::new(
                 Arc::clone(&scheme),
-                num_planes,
+                level.num_planes,
                 plane_lo,
                 plane_hi,
                 prefix_bits,
@@ -406,8 +288,7 @@ impl<'a> RegionPipeline<'a> {
 
     /// Total number of chunk regions this pipeline will produce.
     pub fn num_regions(&self) -> usize {
-        let (plane_lo, plane_hi) = self.fetch.planes();
-        if plane_lo == plane_hi || self.scheme.n_values() == 0 {
+        if self.fetch.plane_lo == self.fetch.plane_hi || self.scheme.n_values() == 0 {
             0
         } else {
             match self.mask {
@@ -415,12 +296,6 @@ impl<'a> RegionPipeline<'a> {
                 None => self.scheme.num_regions(),
             }
         }
-    }
-
-    /// The region the next [`RegionPipeline::decode_next`] call decodes, or
-    /// `None` when the stream is exhausted.
-    pub fn next_region(&self) -> Option<usize> {
-        self.next
     }
 
     /// Compressed bytes region `k` reads across the streamed planes.
@@ -432,18 +307,6 @@ impl<'a> RegionPipeline<'a> {
     /// level accumulator). Returns the coefficient range completed, or
     /// `None` when the stream is exhausted.
     pub fn decode_next(&mut self, acc: &mut [u64]) -> Result<Option<Range<usize>>> {
-        self.decode_next_with(acc, |_, _| {})
-    }
-
-    /// [`RegionPipeline::decode_next`] with a post-scatter hook: on success,
-    /// `after_scatter(coeffs, acc_region)` runs with the region's completed
-    /// coefficient range and its final accumulator slice (progress
-    /// reporting, streaming reconstruction).
-    pub fn decode_next_with(
-        &mut self,
-        acc: &mut [u64],
-        after_scatter: impl FnOnce(Range<usize>, &[u64]),
-    ) -> Result<Option<Range<usize>>> {
         if acc.len() != self.scheme.n_values() {
             return Err(IpcompError::InvalidInput(
                 "accumulator length changed mid-stream".into(),
@@ -452,13 +315,43 @@ impl<'a> RegionPipeline<'a> {
         let Some(k) = self.next else {
             return Ok(None);
         };
-        let chunks = self.entropy.decode(k, self.fetch.fetch(k)?)?;
+        let chunks = self.entropy.decode(k, &self.fetch.fetch(k))?;
         let coeffs = self.scheme.region_coeff_range(k);
-        let acc_region = &mut acc[coeffs.clone()];
-        self.scatter.scatter(k, chunks, acc_region);
-        after_scatter(coeffs.clone(), acc_region);
+        self.scatter.scatter(k, chunks, &mut acc[coeffs.clone()]);
         self.next = self.selected_from(k + 1);
         Ok(Some(coeffs))
+    }
+
+    /// Stream every remaining region into `acc`, calling
+    /// `on_region(coeffs, compressed_bytes)` as each one lands. On failure
+    /// the planes being streamed are cleared again from every region
+    /// scattered so far — they were zero in `acc` before the load (planes
+    /// load from the most significant down), so the level is left exactly
+    /// as it was.
+    pub(crate) fn stream(
+        mut self,
+        acc: &mut [u64],
+        mut on_region: impl FnMut(Range<usize>, usize),
+    ) -> Result<()> {
+        let mut scattered_end = 0usize;
+        loop {
+            let bytes = self.next.map_or(0, |k| self.region_compressed_bytes(k));
+            match self.decode_next(acc) {
+                Ok(Some(coeffs)) => {
+                    scattered_end = coeffs.end;
+                    on_region(coeffs, bytes);
+                }
+                Ok(None) => return Ok(()),
+                Err(e) => {
+                    let (lo, hi) = (self.fetch.plane_lo, self.fetch.plane_hi);
+                    let mask = (1u64 << hi) - (1u64 << lo);
+                    for w in &mut acc[..scattered_end] {
+                        *w &= !mask;
+                    }
+                    return Err(e);
+                }
+            }
+        }
     }
 }
 
@@ -490,7 +383,7 @@ mod tests {
         let mut bulk = vec![0u64; enc.n_values];
         crate::bitplane::decode_planes_into(&enc, 0, hi, 2, true, &mut bulk).unwrap();
 
-        let fetch = FetchStage::Resident {
+        let fetch = FetchStage {
             level: &enc,
             plane_lo: 0,
             plane_hi: hi,
@@ -500,8 +393,7 @@ mod tests {
         let scatter = ScatterStage::new(Arc::clone(&scheme), enc.num_planes, 0, hi, 2, true);
         let mut acc = vec![0u64; enc.n_values];
         for k in 0..scheme.num_regions() {
-            let region = fetch.fetch(k).unwrap();
-            let chunks = entropy.decode(k, region).unwrap();
+            let chunks = entropy.decode(k, &fetch.fetch(k)).unwrap();
             scatter.scatter(k, chunks, &mut acc[scheme.region_coeff_range(k)]);
         }
         assert_eq!(acc, bulk);

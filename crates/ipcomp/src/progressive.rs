@@ -13,11 +13,14 @@
 //!   resulting delta field is added onto the existing reconstruction. No previously
 //!   loaded block is ever re-read and no previous work is redone.
 //!
-//! Both algorithms drive the streaming cascade engine ([`crate::cascade`]):
-//! each level's interpolation pass runs as soon as that level's planes are
-//! decoded and scattered — on streaming retrievals
-//! [`StreamEvent::LevelReconstructed`] reports each applied pass — instead of
-//! one monolithic dequantize + interpolate sweep after the last byte lands.
+//! Both algorithms run through one level loader and one cascade hand-over:
+//! every level streams region by region through the staged decode pipeline
+//! ([`RegionPipeline`]), then goes to the streaming cascade engine
+//! ([`crate::cascade`]) whole, so each level's interpolation pass runs as
+//! soon as that level's planes are decoded and scattered — on streaming
+//! retrievals [`StreamEvent::LevelReconstructed`] reports each applied pass
+//! — instead of one monolithic dequantize + interpolate sweep after the last
+//! byte lands.
 //!
 //! Over ranged storage the **request** is the unit of I/O, not the level:
 //! before any level decodes, the retrieval lowers its plan to the byte ranges
@@ -41,7 +44,7 @@ use std::sync::Arc;
 use ipc_codecs::negabinary::from_negabinary;
 use ipc_tensor::{ArrayD, AxisRange, Shape};
 
-use crate::bitplane::{decode_planes_into, EncodedLevel};
+use crate::bitplane::EncodedLevel;
 use crate::cascade::{CascadeEngine, CascadeProgress};
 use crate::container::{decode_anchors_bounded, Compressed, ContainerMap, Header};
 use crate::error::{IpcompError, Result};
@@ -472,12 +475,9 @@ impl<'a> ProgressiveDecoder<'a> {
             "retrieve"
         };
         let mut span = ipc_telemetry::span_timed("retrieve", name, m.retrieve_ns);
-        // Collapse the optional callback to a plain sink: `streaming` keeps
-        // the region-streaming path selection the callback's presence implies.
-        let mut noop = |_: StreamEvent| {};
-        let (events, streaming): (&mut dyn FnMut(StreamEvent), bool) = match events {
-            Some(cb) => (cb, true),
-            None => (&mut noop, false),
+        let events = match events {
+            Some(cb) => cb,
+            None => &mut |_| {},
         };
         let n_levels = self.store.num_level_entries();
         if plan.planes_loaded.len() != n_levels {
@@ -558,8 +558,7 @@ impl<'a> ProgressiveDecoder<'a> {
                 }
                 _ => held.clone(),
             };
-            let loaded =
-                self.drive_levels(&store, &works, initial, region.as_mut(), events, streaming);
+            let loaded = self.drive_levels(&store, &works, initial, region.as_mut(), events);
             let field = match loaded {
                 Ok(field) => field,
                 Err(e) => {
@@ -631,32 +630,21 @@ impl<'a> ProgressiveDecoder<'a> {
     }
 
     /// Seed a cascade engine, load every level in `works` and drive the
-    /// engine with it, coarsest level first, feeding each level's codes as
-    /// soon as its planes are scattered. Returns the cascaded field: the
+    /// engine with it, coarsest level first, handing each level over as soon
+    /// as its planes are scattered. Returns the cascaded field: the
     /// reconstruction on an initial or region retrieval, the delta field on
     /// a refinement.
     ///
-    /// Every path is built from the staged decode pipeline
-    /// ([`crate::pipeline`]): with `streaming` set, planes stream region by
-    /// region through [`RegionPipeline`] and the callback observes every
-    /// chunk region and cascade pass as it lands. Without it, a level is
-    /// decoded in bulk — the entropy stage fans out across the rayon pool —
-    /// from the resident container's own level or, for ranged sources, from
-    /// one batched `read_ranges`. Both loaders stay because each wins a
-    /// benchmark workload and the choice is observed, not configured: a sink
-    /// was passed or it was not.
-    ///
-    /// The schedule is one loader and no lookahead: each level is fetched
-    /// when the loop reaches it, on the calling thread. What makes that cheap
-    /// on a ranged store is upstream — `store`'s source serves the request's
+    /// There is one level loader. A resident level is borrowed; a ranged
+    /// level is one [`crate::LevelMap::fetch_planes`] read — of the masked
+    /// precincts, under a region — whose ranges are slices of the request's
     /// fetch groups ([`PlannedSource`]), so the first level's read brings in
     /// every range grouped with it and the levels after it find their bytes
-    /// resident; a failed group fails only the level that touched it, and
-    /// per-level rollback is what it always was.
-    ///
-    /// Under a `region` the same loop loads each level through
-    /// [`ProgressiveDecoder::load_region_level`] and applies the engine's
-    /// windowed pass instead.
+    /// resident. Either way the level then streams region by region through
+    /// one [`RegionPipeline`], reporting every chunk region to `events` and
+    /// rolling back exactly on failure, and goes to the engine whole:
+    /// [`CascadeEngine::level_ready`], or the windowed pass under a
+    /// `region`, whose codes are placed at their domain offsets first.
     fn drive_levels(
         &mut self,
         store: &Store<'_>,
@@ -664,11 +652,8 @@ impl<'a> ProgressiveDecoder<'a> {
         initial: bool,
         mut region: Option<&mut RegionScope>,
         events: &mut dyn FnMut(StreamEvent),
-        streaming: bool,
     ) -> Result<Vec<f64>> {
         let header = store.header();
-        let prefix_bits = header.prefix_bits;
-        let predictive = header.predictive_coding;
         // Algorithm 1 seeds the cascade with the anchor codes; Algorithm 2
         // propagates deltas from zero anchors (the cascade is linear in the
         // residuals) and adds the delta field onto the reconstruction.
@@ -693,248 +678,103 @@ impl<'a> ProgressiveDecoder<'a> {
         for idx in 0..store.num_level_entries() {
             let work = works.get(w).filter(|x| x.0 == idx).copied();
             w += usize::from(work.is_some());
-            if let Some(scope) = region.as_deref_mut() {
-                let loaded = match work {
-                    Some((_, lo, hi, _)) => {
-                        self.load_region_level(store, scope, events, idx, lo, hi)?;
-                        Some(&scope.codes[..])
+            if let Some((_, lo, hi, want)) = work {
+                let mask = region.as_deref().map(|scope| &scope.masks[idx][..]);
+                let fetched;
+                let level: &EncodedLevel = match store {
+                    Store::Slice(c) => &c.levels[idx],
+                    Store::Source { map, source } => {
+                        fetched = map.levels[idx].fetch_planes(source.get(), lo, hi, mask)?;
+                        &fetched
                     }
-                    None => None,
                 };
-                let pass = engine.level_windowed(idx, &scope.bounds, loaded);
+                // A region decodes into scratch accumulators, and only the
+                // masked precincts that hold lattice points.
+                let mut scratch = Vec::new();
+                let (acc, streamed) = match region.as_deref() {
+                    Some(scope) => {
+                        let streamed = scope.streamed(&self.shape, idx, level)?;
+                        scratch = vec![0u64; level.n_values];
+                        (&mut scratch[..], Some(streamed))
+                    }
+                    None => (&mut self.acc[idx][..], None),
+                };
+                let fetch = FetchStage {
+                    level,
+                    plane_lo: lo,
+                    plane_hi: hi,
+                };
+                let pipeline = RegionPipeline::new(
+                    fetch,
+                    header.prefix_bits,
+                    header.predictive_coding,
+                    acc.len(),
+                    streamed.as_deref(),
+                )?;
+                Self::stream_level(pipeline, acc, &mut self.bytes_total, events, idx)?;
+                match region.as_deref_mut() {
+                    Some(scope) => scope.place_codes(&self.shape, idx, level, &scratch),
+                    None => self.planes_loaded[idx] = want,
+                }
+            }
+            if let Some(scope) = region.as_deref() {
+                let codes = work.map(|_| &scope.codes[..]);
+                let pass = engine.level_windowed(idx, &scope.bounds, codes);
                 events(StreamEvent::LevelReconstructed(pass));
                 continue;
             }
-            let Some((_, lo, hi, want)) = work else {
-                // A level this retrieval does not load: its full values on
-                // an initial reconstruction that resumes after a failed one,
-                // otherwise nothing (all residuals, or all deltas, zero).
-                let codes = if initial && self.planes_loaded[idx] > 0 {
-                    let layout = self.layouts.as_ref().map(|l| &l[idx]);
-                    Self::level_codes(&self.acc[idx], ALL_PLANES, layout)
-                } else {
-                    Vec::new()
-                };
-                Self::feed(&mut engine, idx, codes, events);
-                continue;
-            };
-            // What the cascade is fed: full values, or the delta the newly
-            // loaded planes `[lo, hi)` contribute.
-            let feed_planes = if initial {
-                ALL_PLANES
-            } else {
-                (1u64 << hi) - (1u64 << lo)
-            };
-
-            if streaming {
-                // Version-3 levels stream in precinct-major order, which is
-                // not a canonical-order prefix — their cascade feed waits
-                // for the whole level instead of riding the region stream.
-                let span_feed = self.layouts.is_none();
-                let cascade = span_feed.then_some((&mut engine, feed_planes));
-                let fetch = match store {
-                    Store::Slice(c) => FetchStage::Resident {
-                        level: &c.levels[idx],
-                        plane_lo: lo,
-                        plane_hi: hi,
-                    },
-                    Store::Source { map, source } => FetchStage::Ranged {
-                        level: &map.levels[idx],
-                        source: source.get(),
-                        plane_lo: lo,
-                        plane_hi: hi,
-                    },
-                };
-                let acc = &mut self.acc[idx];
-                let pipeline =
-                    RegionPipeline::new(fetch, prefix_bits, predictive, acc.len(), None)?;
-                let bytes_total = &mut self.bytes_total;
-                Self::stream_level(pipeline, acc, bytes_total, events, cascade, idx, lo, hi)?;
-                self.planes_loaded[idx] = want;
-                if span_feed {
-                    // Prefix feeding happened region by region inside the
-                    // stream; close the level out.
-                    events(StreamEvent::LevelReconstructed(engine.level_complete(idx)));
-                } else {
-                    let layout = self.layouts.as_ref().map(|l| &l[idx]);
-                    let codes = Self::level_codes(&self.acc[idx], feed_planes, layout);
-                    Self::feed(&mut engine, idx, codes, events);
-                }
-                continue;
-            }
-
-            // Bulk: borrow the resident level, or take the ranged level's
-            // one batched read.
-            let fetched;
-            let level: &EncodedLevel = match store {
-                Store::Slice(c) => &c.levels[idx],
-                Store::Source { map, source } => {
-                    fetched = map.levels[idx].fetch_planes(source.get(), lo, hi, None)?;
-                    &fetched
-                }
-            };
+            // Full values on an initial reconstruction — including a level
+            // loaded by an earlier, failed one — or the delta the newly
+            // loaded planes `[lo, hi)` contribute; nothing (all residuals,
+            // or all deltas, zero) for a level with nothing to add.
             let layout = self.layouts.as_ref().map(|l| &l[idx]);
-            let acc = &mut self.acc[idx];
-            decode_planes_into(level, lo, hi, prefix_bits, predictive, acc)?;
-            let codes = Self::level_codes(acc, feed_planes, layout);
-            Self::feed(&mut engine, idx, codes, events);
-            self.bytes_total += (lo..hi)
-                .map(|p| level.planes[p as usize].len())
-                .sum::<usize>();
-            self.planes_loaded[idx] = want;
+            let codes = match work {
+                Some((_, lo, hi, _)) if !initial => {
+                    Self::level_codes(&self.acc[idx], (1u64 << hi) - (1u64 << lo), layout)
+                }
+                _ if initial && self.planes_loaded[idx] > 0 => {
+                    Self::level_codes(&self.acc[idx], ALL_PLANES, layout)
+                }
+                _ => Vec::new(),
+            };
+            for pass in engine.level_ready(idx, codes) {
+                events(StreamEvent::LevelReconstructed(pass));
+            }
         }
         Ok(engine.into_field())
     }
 
-    /// Hand one level's complete codes to the engine, reporting applied
-    /// passes to `cb`.
-    fn feed(
-        engine: &mut CascadeEngine,
-        idx: usize,
-        codes: Vec<i64>,
-        cb: &mut dyn FnMut(StreamEvent),
-    ) {
-        for p in engine.level_ready(idx, codes) {
-            cb(StreamEvent::LevelReconstructed(p));
-        }
-    }
-
-    /// A region's load of one level: decode planes `[lo, hi)` of only the
-    /// masked precincts into scratch accumulators — resident levels lend
-    /// their chunks, ranged stores fetch the masked precincts in one batched
-    /// (coalescible) read — and place their codes at the domain offsets the
-    /// windowed cascade pass reads.
-    fn load_region_level(
-        &mut self,
-        store: &Store<'_>,
-        scope: &mut RegionScope,
-        events: &mut dyn FnMut(StreamEvent),
-        idx: usize,
-        lo: u8,
-        hi: u8,
-    ) -> Result<()> {
-        let mask = &scope.masks[idx];
-        let fetched;
-        let level: &EncodedLevel = match store {
-            Store::Slice(c) => &c.levels[idx],
-            Store::Source { map, source } => {
-                fetched = map.levels[idx].fetch_planes(source.get(), lo, hi, Some(mask))?;
-                &fetched
-            }
-        };
-        let level_no = num_levels(&self.shape) - idx as u32;
-        let spans = level
-            .precinct_spans
-            .as_deref()
-            .ok_or(IpcompError::CorruptContainer(
-                "precinct container level lacks precinct spans",
-            ))?;
-        if spans != scope.grid.level_spans(&self.shape, level_no).as_slice() {
-            return Err(IpcompError::CorruptContainer(
-                "precinct spans inconsistent with grid geometry",
-            ));
-        }
-        // Most of a coarse level's precincts hold no lattice point: nothing
-        // to decode, so they stay out of the stream.
-        let occupied: Vec<bool> = mask.iter().zip(spans).map(|(&m, &s)| m && s > 0).collect();
-        let mut acc = vec![0u64; level.n_values];
-        let header = store.header();
-        let fetch = FetchStage::Resident {
-            level,
-            plane_lo: lo,
-            plane_hi: hi,
-        };
-        let pipeline = RegionPipeline::new(
-            fetch,
-            header.prefix_bits,
-            header.predictive_coding,
-            acc.len(),
-            Some(&occupied),
-        )?;
-        let bytes_total = &mut self.bytes_total;
-        Self::stream_level(pipeline, &mut acc, bytes_total, events, None, idx, lo, hi)?;
-        scope.place_codes(&self.shape, level_no, idx, spans, &acc);
-        Ok(())
-    }
-
-    /// Stream one level's planes `[lo, hi)` region by region through
-    /// `pipeline` into `acc`, reporting progress per region and rolling the
-    /// accumulators and byte accounting back exactly on mid-stream failure.
-    ///
-    /// With `cascade` set, each region's newly final coefficient prefix is
-    /// decoded to codes (the planes in the given mask: all of them for
-    /// values, the newly loaded ones for a refinement's deltas) and fed to
-    /// the engine, so the level's early interpolation sub-passes
-    /// run before its later regions have decoded. A mid-stream failure
-    /// needs no engine rollback: the whole retrieval fails and the engine is
-    /// discarded with it.
-    #[allow(clippy::too_many_arguments)] // decode parameters travel together
+    /// Stream one level's planes through `pipeline` into `acc`, reporting
+    /// progress per region; on failure the pipeline rolls `acc` back and the
+    /// byte accounting is restored, so a failed load leaves no trace.
     fn stream_level(
-        mut pipeline: RegionPipeline<'_>,
+        pipeline: RegionPipeline<'_>,
         acc: &mut [u64],
         bytes_total: &mut usize,
-        cb: &mut dyn FnMut(StreamEvent),
-        mut cascade: Option<(&mut CascadeEngine, u64)>,
+        events: &mut dyn FnMut(StreamEvent),
         idx: usize,
-        lo: u8,
-        hi: u8,
     ) -> Result<()> {
         let coeffs_in_level = acc.len();
         let regions_in_level = pipeline.num_regions();
         let bytes_before = *bytes_total;
-        let mut region = 0usize;
-        let mut coeffs_decoded = 0usize;
-        let mut scattered_end = 0usize;
-        let mut failure = None;
-        while let Some(k) = pipeline.next_region() {
-            let region_bytes = pipeline.region_compressed_bytes(k);
-            // Progress reporting and cascade feeding run in the pipeline's
-            // post-scatter hook, so the level's early interpolation
-            // sub-passes execute before its later regions decode.
-            let result = pipeline.decode_next_with(acc, |coeffs, acc_region| {
-                *bytes_total += region_bytes;
-                cb(StreamEvent::Region(StreamProgress {
-                    level_idx: idx,
-                    region,
-                    regions_in_level,
-                    coeffs_decoded: coeffs_decoded + coeffs.len(),
-                    coeffs_in_level,
-                    bytes_total: *bytes_total,
-                }));
-                if let Some((engine, planes)) = cascade.as_mut() {
-                    // The prefix `[0, coeffs.end)` is final across every
-                    // streamed plane: append the region's codes and let
-                    // covered sub-passes run now.
-                    engine.level_span_arrived(idx, acc_region, *planes);
-                }
-            });
-            match result {
-                Ok(Some(coeffs)) => {
-                    region += 1;
-                    coeffs_decoded += coeffs.len();
-                    scattered_end = coeffs.end;
-                }
-                Ok(None) => break,
-                Err(e) => {
-                    failure = Some(e);
-                    break;
-                }
-            }
-        }
-        if let Some(e) = failure {
-            // Restore the decoder's bulk-path guarantee that a failed load
-            // leaves no trace: the planes being added were all zero in the
-            // accumulators before this call, so clearing their bit range up
-            // to the last region scattered (and rolling back the byte
-            // accounting) undoes the partial stream exactly.
-            let mask = (1u64 << hi) - (1u64 << lo);
-            for w in &mut acc[..scattered_end] {
-                *w &= !mask;
-            }
+        let (mut region, mut coeffs_decoded) = (0usize, 0usize);
+        let result = pipeline.stream(acc, |coeffs, bytes| {
+            *bytes_total += bytes;
+            coeffs_decoded += coeffs.len();
+            events(StreamEvent::Region(StreamProgress {
+                level_idx: idx,
+                region,
+                regions_in_level,
+                coeffs_decoded,
+                coeffs_in_level,
+                bytes_total: *bytes_total,
+            }));
+            region += 1;
+        });
+        if result.is_err() {
             *bytes_total = bytes_before;
-            return Err(e);
         }
-        Ok(())
+        result
     }
 
     /// Upper bound on the reconstruction error given the currently loaded planes.
@@ -966,18 +806,40 @@ struct RegionScope {
 }
 
 impl RegionScope {
+    /// The precincts level `idx` streams: the masked ones that hold lattice
+    /// points (most of a coarse level's hold none), after checking the
+    /// level's precinct spans against the grid.
+    fn streamed(&self, shape: &Shape, idx: usize, level: &EncodedLevel) -> Result<Vec<bool>> {
+        let level_no = num_levels(shape) - idx as u32;
+        let spans = level
+            .precinct_spans
+            .as_deref()
+            .ok_or(IpcompError::CorruptContainer(
+                "precinct container level lacks precinct spans",
+            ))?;
+        if spans != self.grid.level_spans(shape, level_no).as_slice() {
+            return Err(IpcompError::CorruptContainer(
+                "precinct spans inconsistent with grid geometry",
+            ));
+        }
+        Ok(self.masks[idx]
+            .iter()
+            .zip(spans)
+            .map(|(&m, &s)| m && s > 0)
+            .collect())
+    }
+
     /// Convert level `idx`'s masked precinct accumulators to codes at their
     /// domain offsets: a precinct's slice of the precinct-major layout holds
     /// its points in canonical order, which is the canonical sweep clipped to
-    /// the precinct box.
-    fn place_codes(
-        &mut self,
-        shape: &Shape,
-        level_no: u32,
-        idx: usize,
-        spans: &[usize],
-        acc: &[u64],
-    ) {
+    /// the precinct box. `level`'s spans were checked by
+    /// [`RegionScope::streamed`].
+    fn place_codes(&mut self, shape: &Shape, idx: usize, level: &EncodedLevel, acc: &[u64]) {
+        let level_no = num_levels(shape) - idx as u32;
+        let spans = level
+            .precinct_spans
+            .as_deref()
+            .expect("spans checked by `streamed`");
         let starts = prefix_sums(spans);
         for (k, &span) in spans.iter().enumerate() {
             if !self.masks[idx][k] || span == 0 {
@@ -1226,8 +1088,8 @@ mod tests {
     fn failed_streaming_retrieval_leaves_no_partial_state() {
         let data = field();
         // Small chunks so every plane spans many regions, then corrupt a
-        // *middle* chunk of the finest level's lowest plane: the streaming
-        // path scatters several regions before hitting the corruption.
+        // *middle* chunk of the finest level's lowest plane: the level
+        // loader scatters several regions before hitting the corruption.
         let config = Config {
             chunk_bytes: 64,
             ..Config::default()
@@ -1246,9 +1108,8 @@ mod tests {
         let mut fresh = ProgressiveDecoder::new(&c);
         let reference = fresh.retrieve_with_plan(&partial_plan).unwrap();
 
-        // The bulk path guarantees a failed load leaves no trace in the
-        // accumulators; a failed streaming load must behave identically —
-        // same values AND same byte accounting on the retry.
+        // A failed load leaves no trace in the accumulators, with or without
+        // an event sink — same values AND same byte accounting on the retry.
         let mut bulk_dec = ProgressiveDecoder::new(&c);
         assert!(bulk_dec.retrieve(RetrievalRequest::Full).is_err());
         let bulk_after = bulk_dec.retrieve_with_plan(&partial_plan).unwrap();

@@ -58,56 +58,101 @@ fn session_matches_slice_decoder_bit_for_bit() {
     }
 }
 
-#[test]
-fn session_streams_reconstruction_events_in_cascade_order() {
+/// Check one retrieval's event stream against the contract, level by level:
+/// a level that loads planes streams its regions `0, 1, …` with
+/// `coeffs_decoded` rising to `coeffs_in_level`, then exactly one
+/// `LevelReconstructed` for it, before any event of the next level; a level
+/// that loads nothing emits only its `LevelReconstructed`. Every cascade
+/// level reports once, coarsest first. Returns `(levels that streamed
+/// regions, levels that loaded nothing, region events)`.
+fn assert_cascade_order(events: &[ipc_store::StreamEvent]) -> (usize, usize, usize) {
     use ipc_store::StreamEvent;
 
-    let c = chunked_container();
-    let store = ContainerStore::open(test_source(c.to_bytes()), StoreOptions::default()).unwrap();
-
-    let mut bulk = store.session();
-    let reference = bulk.retrieve(RetrievalRequest::Full).unwrap();
-
-    let mut session = store.session();
-    let mut regions = 0usize;
-    let mut passes: Vec<ipc_store::CascadeProgress> = Vec::new();
-    let out = session
-        .retrieve_streaming_events(RetrievalRequest::Full, |event| match event {
-            StreamEvent::Region(_) => regions += 1,
-            StreamEvent::LevelReconstructed(p) => passes.push(p),
+    let (mut level, mut regions, mut decoded, mut last) = (0usize, 0usize, 0usize, None);
+    let (mut streamed, mut idle, mut total_regions, mut levels) = (0usize, 0usize, 0usize, 0);
+    for event in events {
+        match *event {
+            StreamEvent::Region(p) => {
+                assert_eq!(p.level_idx, level, "region of a level out of turn");
+                assert_eq!(p.region, regions, "regions stream in order");
+                assert!(p.region < p.regions_in_level);
+                assert!(decoded <= p.coeffs_decoded && p.coeffs_decoded <= p.coeffs_in_level);
+                regions += 1;
+                decoded = p.coeffs_decoded;
+                last = Some(p);
+            }
+            StreamEvent::LevelReconstructed(p) => {
+                assert_eq!(p.level_idx, level, "levels reconstruct coarsest first");
+                assert_eq!(p.levels_applied, level + 1);
+                assert_eq!(p.interp_level as usize, p.levels_total - level);
+                match last.take() {
+                    Some(r) => {
+                        assert_eq!(regions, r.regions_in_level, "level {level} streamed short");
+                        assert_eq!(decoded, r.coeffs_in_level, "level {level} decoded short");
+                        streamed += 1;
+                    }
+                    None => idle += 1,
+                }
+                total_regions += regions;
+                (level, regions, decoded, levels) = (level + 1, 0, 0, p.levels_total);
+            }
             StreamEvent::StepReconstructed(_) => unreachable!("not an archive retrieval"),
-        })
-        .unwrap();
-
-    assert_eq!(out.data.as_slice(), reference.data.as_slice());
-    assert!(regions > 1, "chunked container must stream many regions");
-    // Every cascade level reports exactly once, coarsest first, and the
-    // level indices/strides are consistent.
-    let levels = passes.last().expect("cascade must report").levels_total;
-    assert_eq!(passes.len(), levels);
-    for (i, p) in passes.iter().enumerate() {
-        assert_eq!(p.level_idx, i);
-        assert_eq!(p.levels_applied, i + 1);
-        assert_eq!(p.interp_level as usize, levels - i);
+        }
     }
-    // Streamed reconstruction: the coarse passes complete before the final
-    // region of the finest level lands (the whole point of the cascade
-    // engine). Verify interleaving by replay: at least one pass event must
-    // arrive before the last region event.
-    let mut order: Vec<u8> = Vec::new();
-    let mut replay = store.session();
-    replay
-        .retrieve_streaming_events(RetrievalRequest::Full, |event| match event {
-            StreamEvent::Region(_) => order.push(0),
-            StreamEvent::LevelReconstructed(_) => order.push(1),
-            StreamEvent::StepReconstructed(_) => unreachable!("not an archive retrieval"),
-        })
-        .unwrap();
-    let last_region = order.iter().rposition(|&e| e == 0).unwrap();
-    let first_pass = order.iter().position(|&e| e == 1).unwrap();
+    assert!(last.is_none(), "regions after the last reconstructed level");
     assert!(
-        first_pass < last_region,
-        "cascade passes must interleave with region decoding"
+        level > 0 && level == levels,
+        "every cascade level must report"
+    );
+    (streamed, idle, total_regions)
+}
+
+#[test]
+fn session_streams_reconstruction_events_in_cascade_order() {
+    let chunked = chunked_container();
+    let precincts = compress(&field(), 1e-7, &Config::with_precincts(&[8, 8, 8])).unwrap();
+    let mut idle_levels = 0usize;
+    for (c, ladder) in [
+        (&chunked, &[RetrievalRequest::Full][..]),
+        (&precincts, &[RetrievalRequest::Full][..]),
+        // Refinement rungs stream only new planes; the last one leaves
+        // levels with nothing left to load.
+        (
+            &chunked,
+            &[
+                RetrievalRequest::ErrorBound(1e-2),
+                RetrievalRequest::ErrorBound(1e-5),
+                RetrievalRequest::Full,
+            ][..],
+        ),
+    ] {
+        let store =
+            ContainerStore::open(test_source(c.to_bytes()), StoreOptions::default()).unwrap();
+        let mut plain = store.session();
+        let mut session = store.session();
+        for &request in ladder {
+            let reference = plain.retrieve(request).unwrap();
+            let mut events = Vec::new();
+            let out = session
+                .retrieve_streaming_events(request, |event| events.push(event))
+                .unwrap();
+            assert_eq!(
+                out.data.as_slice(),
+                reference.data.as_slice(),
+                "{request:?}"
+            );
+            let (streamed, idle, regions) = assert_cascade_order(&events);
+            assert!(streamed > 0, "{request:?}: some level must stream");
+            assert!(
+                regions > streamed,
+                "{request:?}: levels must stream many regions"
+            );
+            idle_levels += idle;
+        }
+    }
+    assert!(
+        idle_levels > 0,
+        "some retrieval must leave a level unloaded"
     );
 }
 

@@ -7,8 +7,7 @@ use ipcomp_suite::codecs::negabinary::{
     from_negabinary, negabinary_uncertainty, to_negabinary, truncate_negabinary,
 };
 use ipcomp_suite::codecs::{
-    huffman_decode, huffman_encode, lzr_compress, lzr_decompress, rle_decode, rle_encode,
-    zigzag_decode, zigzag_encode,
+    huffman_decode, huffman_encode, lzr_compress, lzr_decompress, zigzag_decode, zigzag_encode,
 };
 use ipcomp_suite::core::{
     compress, plan_for_bytes, plan_for_error_bound, Config, Interpolation, ProgressiveDecoder,
@@ -135,11 +134,10 @@ proptest! {
         prop_assert_eq!(zigzag_decode(zigzag_encode(v)), v);
     }
 
-    /// The lossless backends are actually lossless for arbitrary byte strings.
+    /// The lossless backend is actually lossless for arbitrary byte strings.
     #[test]
     fn lossless_backends_roundtrip(data in proptest::collection::vec(any::<u8>(), 0..4096)) {
-        prop_assert_eq!(lzr_decompress(&lzr_compress(&data)).unwrap(), data.clone());
-        prop_assert_eq!(rle_decode(&rle_encode(&data)).unwrap(), data);
+        prop_assert_eq!(lzr_decompress(&lzr_compress(&data)).unwrap(), data);
     }
 
     /// Huffman coding over arbitrary symbol streams is lossless.
