@@ -1,9 +1,7 @@
 //! Compressor configuration.
 
-use serde::{Deserialize, Serialize};
-
 /// Interpolation formula used by the multilevel predictor (paper Sec. 4.1).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize, Default)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum Interpolation {
     /// Two-point average: `y_i = (x_{i-s} + x_{i+s}) / 2`. `L∞(P) = 1`.
     Linear,
@@ -43,7 +41,7 @@ impl Interpolation {
 }
 
 /// Configuration of the IPComp compressor.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Config {
     /// Interpolation formula for the multilevel predictor.
     pub interpolation: Interpolation,

@@ -103,7 +103,6 @@ impl ArchiveStore {
     /// (wrapping [`ArchiveStore::source`] — e.g. a fault injector or meter).
     pub fn session_over(self: &Arc<Self>, source: Arc<dyn ChunkSource>) -> ArchiveSession {
         ArchiveSession {
-            store: Arc::clone(self),
             reader: ArchiveReader::new(source, Arc::clone(&self.map)),
         }
     }
@@ -113,7 +112,6 @@ impl ArchiveStore {
 /// an [`ArchiveReader`] whose chain cache makes consecutive window requests
 /// resume instead of re-decoding the keyframe prefix.
 pub struct ArchiveSession {
-    store: Arc<ArchiveStore>,
     reader: ArchiveReader,
 }
 
@@ -150,11 +148,6 @@ impl ArchiveSession {
     /// Direct access to the underlying reader (chain-cache inspection).
     pub fn reader(&self) -> &ArchiveReader {
         &self.reader
-    }
-
-    /// The archive store this session draws from.
-    pub fn store(&self) -> &Arc<ArchiveStore> {
-        &self.store
     }
 }
 

@@ -57,7 +57,7 @@ use ipcomp::progressive::{RetrievalRequest, StreamEvent};
 use ipcomp::source::{ByteRange, Bytes, ChunkSource};
 use ipcomp::IpcompError;
 
-use ipcomp::archive::ArchiveRequest;
+use ipcomp::archive::{ArchiveRequest, StepRetrieval};
 
 use crate::archive::{ArchiveSession, ArchiveStore};
 use crate::cache::CacheTag;
@@ -637,28 +637,37 @@ impl StoreService {
     /// Register a container; returns the id tenants address it by. Already
     /// registered tenants' cache quotas apply to it immediately.
     pub fn register_container(&self, store: Arc<ContainerStore>) -> ContainerId {
-        for t in self.shared.tenants.lock().expect("tenants lock").iter() {
-            if let Some(q) = t.config.cache_quota {
-                store.set_tag_quota(t.tag, Some(q));
-            }
-        }
-        let mut containers = self.shared.containers.lock().expect("containers lock");
-        containers.push(store);
-        ContainerId(containers.len() - 1)
+        let containers = &self.shared.containers;
+        ContainerId(self.register(containers, store, ContainerStore::set_tag_quota))
     }
 
     /// Register a time-series archive; returns the id tenants address it by
     /// via [`StoreService::submit_archive`]. Already registered tenants'
     /// cache quotas apply to it immediately.
     pub fn register_archive(&self, store: Arc<ArchiveStore>) -> ArchiveId {
-        for t in self.shared.tenants.lock().expect("tenants lock").iter() {
+        ArchiveId(self.register(&self.shared.archives, store, ArchiveStore::set_tag_quota))
+    }
+
+    /// The one registration body: install every registered tenant's cache
+    /// quota on `store`, then push it onto `stores`. The tenants lock is held
+    /// across both, so a tenant registered concurrently either is seen here
+    /// or sees the store (`register_tenant` takes the same locks in the same
+    /// order).
+    fn register<T>(
+        &self,
+        stores: &Mutex<Vec<Arc<T>>>,
+        store: Arc<T>,
+        set_quota: fn(&T, CacheTag, Option<usize>),
+    ) -> usize {
+        let tenants = self.shared.tenants.lock().expect("tenants lock");
+        for t in tenants.iter() {
             if let Some(q) = t.config.cache_quota {
-                store.set_tag_quota(t.tag, Some(q));
+                set_quota(&store, t.tag, Some(q));
             }
         }
-        let mut archives = self.shared.archives.lock().expect("archives lock");
-        archives.push(store);
-        ArchiveId(archives.len() - 1)
+        let mut stores = stores.lock().expect("stores lock");
+        stores.push(store);
+        stores.len() - 1
     }
 
     /// Register a tenant; its cache quota is installed on every registered
@@ -739,48 +748,24 @@ impl StoreService {
         self.metrics_snapshot().to_json()
     }
 
-    fn lookup_tenant(&self, tenant: TenantId) -> Result<Arc<TenantState>, ServiceError> {
-        self.shared
+    /// Resolve a submission's tenant and its store at index `id` of
+    /// `stores` (the registered containers or archives).
+    fn lookup<T>(
+        &self,
+        tenant: TenantId,
+        stores: &Mutex<Vec<Arc<T>>>,
+        id: usize,
+    ) -> Result<(Arc<TenantState>, Arc<T>), ServiceError> {
+        let tenant = self
+            .shared
             .tenants
             .lock()
             .expect("tenants lock")
             .get(tenant.0 as usize)
             .cloned()
-            .ok_or(ServiceError::UnknownTenant)
-    }
-
-    fn lookup(
-        &self,
-        tenant: TenantId,
-        container: ContainerId,
-    ) -> Result<(Arc<TenantState>, Arc<ContainerStore>), ServiceError> {
-        let tenant = self.lookup_tenant(tenant)?;
-        let store = self
-            .shared
-            .containers
-            .lock()
-            .expect("containers lock")
-            .get(container.0)
-            .cloned()
-            .ok_or(ServiceError::UnknownContainer)?;
-        Ok((tenant, store))
-    }
-
-    fn lookup_archive(
-        &self,
-        tenant: TenantId,
-        archive: ArchiveId,
-    ) -> Result<(Arc<TenantState>, Arc<ArchiveStore>), ServiceError> {
-        let tenant = self.lookup_tenant(tenant)?;
-        let store = self
-            .shared
-            .archives
-            .lock()
-            .expect("archives lock")
-            .get(archive.0)
-            .cloned()
-            .ok_or(ServiceError::UnknownContainer)?;
-        Ok((tenant, store))
+            .ok_or(ServiceError::UnknownTenant)?;
+        let store = stores.lock().expect("stores lock").get(id).cloned();
+        Ok((tenant, store.ok_or(ServiceError::UnknownContainer)?))
     }
 
     /// The one admission body: take a tenant slot and a global slot for
@@ -836,7 +821,7 @@ impl StoreService {
         container: ContainerId,
         workload: Vec<RetrievalRequest>,
     ) -> Result<Receiver<ServiceEvent>, ServiceError> {
-        let (tenant, store) = self.lookup(tenant, container)?;
+        let (tenant, store) = self.lookup(tenant, &self.shared.containers, container.0)?;
         let requests = workload;
         self.admit(tenant, Work::Container { store, requests }, true)
     }
@@ -849,7 +834,7 @@ impl StoreService {
         container: ContainerId,
         workload: Vec<RetrievalRequest>,
     ) -> Result<Receiver<ServiceEvent>, ServiceError> {
-        let (tenant, store) = self.lookup(tenant, container)?;
+        let (tenant, store) = self.lookup(tenant, &self.shared.containers, container.0)?;
         let requests = workload;
         self.admit(tenant, Work::Container { store, requests }, false)
     }
@@ -867,7 +852,7 @@ impl StoreService {
         archive: ArchiveId,
         request: ArchiveRequest,
     ) -> Result<Receiver<ServiceEvent>, ServiceError> {
-        let (tenant, store) = self.lookup_archive(tenant, archive)?;
+        let (tenant, store) = self.lookup(tenant, &self.shared.archives, archive.0)?;
         self.admit(tenant, Work::Archive { store, request }, true)
     }
 
@@ -919,24 +904,15 @@ fn run_job(shared: &Shared, job: Job) {
     } = job;
     let tenant = &permits.tenant;
 
-    let started_at = now_nanos();
-    let queue_wait = started_at.saturating_sub(enqueued_at);
-    tenant.metrics.queue_wait_ns.record(queue_wait);
-    crate::obs::metrics().queue_wait_ns.record(queue_wait);
-
-    // The request the job is on, for the terminal event of a panic.
+    // The steps the job has completed, which is the index of the request it
+    // is on: stream events, the next `RequestDone` and a terminal failure
+    // (a panic's included) are indexed by it.
     let at = Cell::new(0usize);
     // Unwind safety: everything a job owns (session, meter, reservation) is
     // dropped by the unwind, and what it shares with other jobs is atomics,
     // telemetry and lock-guarded caches whose locks poison visibly.
-    let body = AssertUnwindSafe(|| match work {
-        Work::Container { store, requests } => run_container_job(
-            shared, id, store, tenant, requests, &events, queue_wait, started_at, &at,
-        ),
-        Work::Archive { store, request } => run_archive_job(
-            shared, id, store, tenant, request, &events, queue_wait, started_at, &at,
-        ),
-    });
+    let body =
+        AssertUnwindSafe(|| run_workload(shared, id, work, tenant, &events, enqueued_at, &at));
     if let Err(panic) = catch_unwind(body) {
         let msg = panic
             .downcast_ref::<&str>()
@@ -955,212 +931,101 @@ fn run_job(shared: &Shared, job: Job) {
     drop(events);
 }
 
-/// Build the per-workload meter over a store's shared cache, when it has one.
-fn make_meter(
+/// The one job body both kinds of work run through: queue-wait telemetry,
+/// the `workload` span, the meter and the session over it, the per-step
+/// `RequestDone` report, latency and metrics, and the terminal
+/// `WorkloadDone` / `WorkloadFailed`. The per-kind drivers
+/// ([`drive_requests`], [`drive_window`]) only gate each fetch on the
+/// budget, drive the session, and report each completed step.
+fn run_workload(
     shared: &Shared,
+    id: u64,
+    work: Work,
     tenant: &Arc<TenantState>,
-    cache: Option<&Arc<SharedCache>>,
-) -> Option<Arc<MeterSource>> {
-    cache.map(|cache| {
+    events: &SyncSender<ServiceEvent>,
+    enqueued_at: u64,
+    at: &Cell<usize>,
+) {
+    let started_at = now_nanos();
+    let queue_wait = started_at.saturating_sub(enqueued_at);
+    tenant.metrics.queue_wait_ns.record(queue_wait);
+    crate::obs::metrics().queue_wait_ns.record(queue_wait);
+
+    let (stack, cache, requests) = match &work {
+        Work::Container { store, requests } => (store.source(), store.cache(), requests.len()),
+        Work::Archive { store, request } => (
+            store.source(),
+            store.cache(),
+            request.end.saturating_sub(request.start),
+        ),
+    };
+    let mut wl_span = span("service", "workload")
+        .arg("tenant", tenant.tag as u64)
+        .arg("workload", id)
+        .arg("requests", requests as u64)
+        .arg("queue_ns", queue_wait);
+    let meter = cache.map(|cache| {
         Arc::new(MeterSource {
             cache: Arc::clone(cache),
             tenant: Arc::clone(tenant),
             cost: shared.config.cost_model,
             nanos: AtomicU64::new(0),
         })
-    })
-}
-
-#[allow(clippy::too_many_arguments)]
-fn run_container_job(
-    shared: &Shared,
-    id: u64,
-    store: Arc<ContainerStore>,
-    tenant: &Arc<TenantState>,
-    workload: Vec<RetrievalRequest>,
-    events: &SyncSender<ServiceEvent>,
-    queue_wait: u64,
-    started_at: u64,
-    at: &Cell<usize>,
-) {
-    let mut wl_span = span("service", "workload")
-        .arg("tenant", tenant.tag as u64)
-        .arg("workload", id)
-        .arg("requests", workload.len() as u64)
-        .arg("queue_ns", queue_wait);
-
-    let meter = make_meter(shared, tenant, store.cache());
-    let mut session: RetrievalSession = match &meter {
-        Some(m) => store.session_over(Arc::clone(m) as Arc<dyn ChunkSource>),
-        None => store.session(),
+    });
+    // The session reads through the meter when the store has a cache to
+    // meter, and through the store's own stack (a plain session) otherwise.
+    let source = match &meter {
+        Some(m) => Arc::clone(m) as Arc<dyn ChunkSource>,
+        None => Arc::clone(stack),
     };
-    let sim_nanos = |m: &Option<Arc<MeterSource>>| m.as_ref().map_or(0, |m| m.nanos());
+    let sim_nanos = || meter.as_ref().map_or(0, |m| m.nanos());
 
-    let mut steps = Vec::with_capacity(workload.len());
-    let mut last = None;
-    for (i, &request) in workload.iter().enumerate() {
-        at.set(i);
-        // Budget gate: the planner prices the exact delta this session
-        // would fetch; refuse before any I/O happens.
-        let price = || Ok(session.plan_ranges(request)?.payload_bytes());
-        let reserved = match reserve(tenant, price) {
-            Ok(reserved) => reserved,
-            Err(error) => {
-                tenant.metrics.failures.incr();
-                let _ = events.send(ServiceEvent::WorkloadFailed { request: i, error });
-                break;
-            }
-        };
-        let forward = |event: StreamEvent| {
-            // A gone client is detected between requests; mid-request we
-            // just stop forwarding.
-            let _ = events.send(ServiceEvent::Stream { request: i, event });
-        };
-        match session.retrieve_streaming_events(request, forward) {
-            Ok(out) => {
-                reserved.keep();
-                let step = ClientStep {
-                    bytes_this_request: out.bytes_this_request,
-                    bytes_total: out.bytes_total,
-                    error_bound: out.error_bound,
-                };
-                steps.push(step);
-                tenant.metrics.requests.incr();
-                let done = ServiceEvent::RequestDone {
-                    request: i,
-                    step,
-                    sim_nanos: sim_nanos(&meter),
-                };
-                last = Some(out);
-                if events.send(done).is_err() {
-                    break; // client hung up; stop wasting the worker
-                }
-            }
-            Err(e) => {
-                drop(reserved);
-                tenant.metrics.failures.incr();
-                let _ = events.send(ServiceEvent::WorkloadFailed {
-                    request: i,
-                    error: ServiceError::Retrieval(e),
-                });
-                break;
-            }
-        }
-    }
-    if steps.len() == workload.len() {
-        let sim = sim_nanos(&meter);
-        // End-to-end latency on the timeline the deployment runs on: the
-        // simulated backend clock when a cost model attributes one, the
-        // telemetry wall clock otherwise. Recorded from the *same* value the
-        // terminal event carries, so a client histogramming its
-        // `WorkloadDone` nanos reproduces this histogram exactly.
-        let latency = if shared.config.cost_model.is_some() && meter.is_some() {
-            sim
-        } else {
-            now_nanos().saturating_sub(started_at)
-        };
-        tenant.metrics.workloads.incr();
-        tenant.metrics.latency_ns.record(latency);
-        crate::obs::metrics().workload_ns.record(latency);
-        wl_span.add_arg("latency_ns", latency);
-        let checksum = last.map_or(0, |out| field_checksum(out.data.as_slice()));
-        let _ = events.send(ServiceEvent::WorkloadDone {
-            outcome: ClientOutcome { steps, checksum },
-            sim_nanos: sim,
+    // A gone client is detected through `report`; stream events to it are
+    // simply dropped.
+    let forward = |event| {
+        let _ = events.send(ServiceEvent::Stream {
+            request: at.get(),
+            event,
         });
-    }
-    drop(wl_span);
-}
-
-/// Run one archive workload: a single step-spanning request whose whole
-/// chunk plan is priced against the budget up front, streamed back as one
-/// `RequestDone` per output step (request index = position in the output
-/// window), with a terminal `WorkloadDone` whose checksum folds every
-/// emitted step's field checksum in step order.
-#[allow(clippy::too_many_arguments)]
-fn run_archive_job(
-    shared: &Shared,
-    id: u64,
-    store: Arc<ArchiveStore>,
-    tenant: &Arc<TenantState>,
-    request: ArchiveRequest,
-    events: &SyncSender<ServiceEvent>,
-    queue_wait: u64,
-    started_at: u64,
-    emitted: &Cell<usize>,
-) {
-    let mut wl_span = span("service", "archive_workload")
-        .arg("tenant", tenant.tag as u64)
-        .arg("workload", id)
-        .arg("steps", request.end.saturating_sub(request.start) as u64)
-        .arg("queue_ns", queue_wait);
-
-    let meter = make_meter(shared, tenant, store.cache());
-    let mut session: ArchiveSession = match &meter {
-        Some(m) => store.session_over(Arc::clone(m) as Arc<dyn ChunkSource>),
-        None => store.session(),
     };
-    let sim_nanos = |m: &Option<Arc<MeterSource>>| m.as_ref().map_or(0, |m| m.nanos());
-
-    // Budget gate: price the whole step-spanning plan (chain prefix +
-    // output window) before any I/O.
-    let price = || Ok(session.plan_ranges(&request)?.payload_bytes());
-    let reserved = match reserve(tenant, price) {
-        Ok(reserved) => reserved,
-        Err(error) => {
-            tenant.metrics.failures.incr();
-            let _ = events.send(ServiceEvent::WorkloadFailed { request: 0, error });
-            drop(wl_span);
-            return;
+    let mut steps = Vec::new();
+    let mut report = |step: ClientStep| {
+        tenant.metrics.requests.incr();
+        steps.push(step);
+        let done = ServiceEvent::RequestDone {
+            request: at.get(),
+            step,
+            sim_nanos: sim_nanos(),
+        };
+        at.set(steps.len());
+        events.send(done).is_ok()
+    };
+    let outcome = match work {
+        Work::Container { store, requests } => {
+            let mut session = store.session_over(source);
+            drive_requests(&mut session, &requests, tenant, forward, &mut report)
+        }
+        Work::Archive { store, request } => {
+            let mut session = store.session_over(source);
+            drive_window(&mut session, &request, tenant, forward, &mut report)
         }
     };
-
-    // Both callbacks index events by the output step's position in the
-    // window; `emitted` being a Cell lets the stream callback read it while
-    // the step callback owns the accumulators.
-    let mut steps = Vec::new();
-    let mut checksum = 0u64;
-    let outcome = session.retrieve_steps_streaming_events(
-        &request,
-        |event| {
-            let _ = events.send(ServiceEvent::Stream {
-                request: emitted.get(),
-                event,
-            });
-        },
-        |s| {
-            let step = ClientStep {
-                bytes_this_request: s.bytes_step,
-                bytes_total: s.bytes_step,
-                error_bound: s.error_bound,
-            };
-            tenant.metrics.requests.incr();
-            // Order-sensitive fold: swapping or dropping a step changes the
-            // digest, so a client can verify the whole sweep end to end.
-            checksum = checksum
-                .rotate_left(17)
-                .wrapping_add(field_checksum(s.data.as_slice()));
-            let _ = events.send(ServiceEvent::RequestDone {
-                request: emitted.get(),
-                step,
-                sim_nanos: sim_nanos(&meter),
-            });
-            emitted.set(emitted.get() + 1);
-            steps.push(step);
-        },
-    );
     match outcome {
-        Ok(out) => {
-            reserved.keep();
-            let sim = sim_nanos(&meter);
+        Ok(Some(checksum)) => {
+            let sim = sim_nanos();
+            // End-to-end latency on the timeline the deployment runs on: the
+            // simulated backend clock when a cost model attributes one, the
+            // telemetry wall clock otherwise. Recorded from the *same* value
+            // the terminal event carries, so a client histogramming its
+            // `WorkloadDone` nanos reproduces this histogram exactly.
             let latency = if shared.config.cost_model.is_some() && meter.is_some() {
                 sim
             } else {
                 now_nanos().saturating_sub(started_at)
             };
-            // Running totals: make bytes_total cumulative across the sweep,
-            // mirroring the per-request container semantics.
-            let mut total = 0usize;
+            // The outcome carries running byte totals. A container session's
+            // steps already do; an archive step reports only its own bytes.
+            let mut total = 0;
             for s in &mut steps {
                 total += s.bytes_this_request;
                 s.bytes_total = total;
@@ -1169,28 +1034,92 @@ fn run_archive_job(
             tenant.metrics.latency_ns.record(latency);
             crate::obs::metrics().workload_ns.record(latency);
             wl_span.add_arg("latency_ns", latency);
-            wl_span.add_arg("bytes", out.bytes_this_request as u64);
             let _ = events.send(ServiceEvent::WorkloadDone {
                 outcome: ClientOutcome { steps, checksum },
                 sim_nanos: sim,
             });
         }
-        Err(e) => {
-            drop(reserved);
+        Ok(None) => {} // the client hung up; the rest of the work was dropped
+        Err(error) => {
             tenant.metrics.failures.incr();
             let _ = events.send(ServiceEvent::WorkloadFailed {
-                request: steps.len(),
-                error: ServiceError::Retrieval(e),
+                request: at.get(),
+                error,
             });
         }
     }
     drop(wl_span);
 }
 
-/// Reserve what `price` says the next request would fetch against the
-/// tenant's budget — the planner's exact byte count for the delta, so an
-/// over-budget tenant is refused before any I/O. Unmetered tenants reserve
-/// nothing and are never priced.
+/// Drive a container session through its requests. Each is priced against
+/// the budget before any I/O — the planner's exact delta given what the
+/// session already holds — and the checksum is the last reconstruction's.
+/// `Ok(None)` means the client hung up with requests left.
+fn drive_requests(
+    session: &mut RetrievalSession,
+    requests: &[RetrievalRequest],
+    tenant: &TenantState,
+    forward: impl Fn(StreamEvent),
+    mut report: impl FnMut(ClientStep) -> bool,
+) -> Result<Option<u64>, ServiceError> {
+    let mut last = None;
+    for (i, &request) in requests.iter().enumerate() {
+        let reserved = reserve(tenant, || Ok(session.plan_ranges(request)?.payload_bytes()))?;
+        let out = session
+            .retrieve_streaming_events(request, &forward)
+            .map_err(ServiceError::Retrieval)?;
+        reserved.keep();
+        let step = ClientStep {
+            bytes_this_request: out.bytes_this_request,
+            bytes_total: out.bytes_total,
+            error_bound: out.error_bound,
+        };
+        if !report(step) && i + 1 < requests.len() {
+            return Ok(None);
+        }
+        last = Some(out);
+    }
+    Ok(Some(
+        last.map_or(0, |out| field_checksum(out.data.as_slice())),
+    ))
+}
+
+/// Drive an archive session through one step-spanning window. The whole
+/// plan (chain prefix + output window) is priced up front; each output step
+/// is reported as it completes, and the checksum folds every step's field
+/// checksum in step order.
+fn drive_window(
+    session: &mut ArchiveSession,
+    request: &ArchiveRequest,
+    tenant: &TenantState,
+    forward: impl Fn(StreamEvent),
+    mut report: impl FnMut(ClientStep) -> bool,
+) -> Result<Option<u64>, ServiceError> {
+    let reserved = reserve(tenant, || Ok(session.plan_ranges(request)?.payload_bytes()))?;
+    let mut checksum = 0u64;
+    let on_step = |s: StepRetrieval| {
+        // Order-sensitive fold: swapping or dropping a step changes the
+        // digest, so a client can verify the whole sweep end to end.
+        checksum = checksum
+            .rotate_left(17)
+            .wrapping_add(field_checksum(s.data.as_slice()));
+        report(ClientStep {
+            bytes_this_request: s.bytes_step,
+            bytes_total: s.bytes_step,
+            error_bound: s.error_bound,
+        });
+    };
+    session
+        .retrieve_steps_streaming_events(request, &forward, on_step)
+        .map_err(ServiceError::Retrieval)?;
+    reserved.keep();
+    Ok(Some(checksum))
+}
+
+/// Reserve what `price` says the next fetch would cost against the tenant's
+/// budget — the planner's exact byte count, so an over-budget tenant is
+/// refused before any I/O. Unmetered tenants reserve nothing and are never
+/// priced.
 fn reserve(
     tenant: &TenantState,
     price: impl FnOnce() -> ipcomp::Result<usize>,

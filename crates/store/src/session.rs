@@ -323,9 +323,4 @@ impl RetrievalSession {
     pub fn bytes_loaded(&self) -> usize {
         self.decoder.bytes_loaded()
     }
-
-    /// Direct access to the underlying decoder.
-    pub fn decoder_mut(&mut self) -> &mut ProgressiveDecoder<'static> {
-        &mut self.decoder
-    }
 }

@@ -537,3 +537,179 @@ fn archive_sweeps_and_roi_steps_through_the_service_match_the_composition() {
         "ROI tenants must ride the sweep's cached chunks: {hits} hits / {misses} misses"
     );
 }
+
+/// The failure half of the archive job's service contract, on an archive
+/// behind a [`FaultSource`]: a budget too small for the window is refused
+/// before any I/O, a short read ends the stream at the step it hit with the
+/// reservation handed back, and after healing the same window completes with
+/// in-order request indices, running byte totals, a monotone simulated clock
+/// and the composition's checksum fold.
+#[test]
+fn archive_job_failures_end_in_one_terminal_event_and_return_the_budget() {
+    let shape = Shape::d3(16, 16, 16);
+    let steps = 6usize;
+    let fields: Vec<ArrayD<f64>> = (0..steps)
+        .map(|t| {
+            ArrayD::from_fn(shape.clone(), |c| {
+                (c[0] as f64 * 0.35 + t as f64 * 0.2).sin() * 2.0
+                    + (c[1] as f64 * 0.25 - t as f64 * 0.1).cos()
+                    + c[2] as f64 * 0.03
+            })
+        })
+        .collect();
+    let mut config = ArchiveConfig::new(1e-5, 1e-3);
+    config.keyframe_interval = 3;
+    let mut builder =
+        ArchiveBuilder::new(vec!["wave".into()], shape.clone(), config.clone()).unwrap();
+    for f in &fields {
+        builder.push_step(std::slice::from_ref(f)).unwrap();
+    }
+    let archive = builder.finish().unwrap();
+    let fidelity = RetrievalRequest::ErrorBound(1e-4);
+    let reference = composition_reference(&fields, &config, fidelity).unwrap();
+    let window = ArchiveRequest::steps(0, 0..steps, fidelity);
+    let open = |backend: &Arc<FaultSource<MemorySource>>| {
+        ArchiveStore::open(
+            Arc::clone(backend) as Arc<dyn ChunkSource>,
+            StoreOptions::default(),
+        )
+        .unwrap()
+    };
+
+    // Backend GETs a cold window costs, counted on a probe store of its own.
+    let window_gets = {
+        let probe = Arc::new(FaultSource::new(
+            MemorySource::new(archive.clone()),
+            Fault::None,
+        ));
+        let store = open(&probe);
+        let opened = probe.requests();
+        store.session().retrieve_steps(&window).unwrap();
+        probe.requests() - opened
+    };
+    assert!(window_gets > 0);
+
+    let backend = Arc::new(FaultSource::new(MemorySource::new(archive), Fault::None));
+    let store = open(&backend);
+    let service = StoreService::new(ServiceConfig {
+        cost_model: Some(CostModel {
+            latency_per_request: std::time::Duration::from_millis(5),
+            throughput_bytes_per_sec: 200e6,
+            coalesce_gap: 4096,
+        }),
+        ..ServiceConfig::default()
+    });
+    let aid = service.register_archive(Arc::clone(&store));
+    let broke = service.register_tenant(TenantConfig {
+        byte_budget: Some(16),
+        ..TenantConfig::default()
+    });
+    let funded = service.register_tenant(TenantConfig {
+        byte_budget: Some(u64::MAX / 2),
+        ..TenantConfig::default()
+    });
+    let collect = |tenant| -> Vec<ServiceEvent> {
+        let rx = service.submit_archive(tenant, aid, window).unwrap();
+        rx.iter().collect()
+    };
+    let terminals = |events: &[ServiceEvent]| {
+        events
+            .iter()
+            .filter(|e| {
+                matches!(
+                    e,
+                    ServiceEvent::WorkloadDone { .. } | ServiceEvent::WorkloadFailed { .. }
+                )
+            })
+            .count()
+    };
+
+    // Over budget: refused on the price alone, nothing fetched or charged.
+    let misses_before = store.cache_stats().unwrap().misses;
+    let events = collect(broke);
+    assert_eq!(events.len(), 1, "a refused window streams nothing else");
+    assert!(matches!(
+        events[0],
+        ServiceEvent::WorkloadFailed {
+            request: 0,
+            error: ServiceError::BudgetExhausted { .. },
+        }
+    ));
+    assert_eq!(store.cache_stats().unwrap().misses, misses_before);
+    assert_eq!(service.tenant_bytes_used(broke), 0);
+
+    // Short read on the window's last GET: the steps fetched before it are
+    // reported, the failure names the step it hit, the budget comes back.
+    backend.set_fault(Fault::ShortReadAfter(backend.requests() + window_gets - 1));
+    let events = collect(funded);
+    assert_eq!(terminals(&events), 1);
+    let done_before = events
+        .iter()
+        .filter(|e| matches!(e, ServiceEvent::RequestDone { .. }))
+        .count();
+    assert!(
+        (1..steps).contains(&done_before),
+        "{done_before} steps done"
+    );
+    match events.last() {
+        Some(ServiceEvent::WorkloadFailed {
+            request,
+            error: ServiceError::Retrieval(_),
+        }) => assert_eq!(*request, done_before),
+        other => panic!("expected a retrieval failure, got {other:?}"),
+    }
+    assert_eq!(service.tenant_bytes_used(funded), 0, "reservation leaked");
+
+    // Healed: the same window completes and its stream is well formed.
+    backend.set_fault(Fault::None);
+    let events = collect(funded);
+    assert_eq!(terminals(&events), 1);
+    let mut done = Vec::new();
+    let mut clock = 0u64;
+    for e in &events {
+        if let ServiceEvent::RequestDone {
+            request,
+            step,
+            sim_nanos,
+        } = e
+        {
+            assert_eq!(*request, done.len(), "request indices run in order");
+            assert!(*sim_nanos >= clock, "simulated clock fell");
+            clock = *sim_nanos;
+            done.push(step.bytes_this_request);
+        }
+    }
+    assert_eq!(done.len(), steps);
+    let fold = reference.iter().fold(0u64, |c, f| {
+        c.rotate_left(17).wrapping_add(field_checksum(f.as_slice()))
+    });
+    match events.last() {
+        Some(ServiceEvent::WorkloadDone { outcome, sim_nanos }) => {
+            assert_eq!(
+                outcome.checksum, fold,
+                "window diverged from the composition"
+            );
+            assert!(*sim_nanos >= clock);
+            assert_eq!(outcome.steps.len(), steps);
+            let mut total = 0;
+            for (s, &bytes) in outcome.steps.iter().zip(&done) {
+                total += bytes;
+                assert_eq!(s.bytes_this_request, bytes);
+                assert_eq!(s.bytes_total, total, "bytes_total is the running sum");
+            }
+        }
+        other => panic!("expected WorkloadDone, got {other:?}"),
+    }
+    assert!(service.tenant_bytes_used(funded) > 0);
+
+    let snap = service.metrics_snapshot();
+    let (b, f) = (
+        &snap.tenants[broke.0 as usize],
+        &snap.tenants[funded.0 as usize],
+    );
+    assert_eq!((b.failures, b.workloads, b.requests), (1, 0, 0));
+    assert_eq!(
+        (f.failures, f.workloads, f.requests),
+        (1, 1, (done_before + steps) as u64)
+    );
+}

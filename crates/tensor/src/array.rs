@@ -1,7 +1,6 @@
 //! Owned dense N-dimensional arrays.
 
 use crate::Shape;
-use serde::{Deserialize, Serialize};
 
 /// A dense, row-major N-dimensional array of `T`.
 ///
@@ -18,7 +17,7 @@ use serde::{Deserialize, Serialize};
 /// assert_eq!(a[[1, 2]], 5.0);
 /// assert_eq!(a.as_slice()[5], 5.0);
 /// ```
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct ArrayD<T> {
     shape: Shape,
     data: Vec<T>,

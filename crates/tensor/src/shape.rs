@@ -1,7 +1,6 @@
 //! Dimension bookkeeping: sizes, row-major strides, and index conversions.
 
 use crate::MAX_DIMS;
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// The shape of a dense, row-major N-dimensional array.
@@ -19,7 +18,7 @@ use std::fmt;
 /// assert_eq!(s.offset_of(&[1, 2, 3]), 48 + 16 + 3);
 /// assert_eq!(s.coords_of(67), vec![1, 2, 3]);
 /// ```
-#[derive(Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Clone, PartialEq, Eq, Hash)]
 pub struct Shape {
     dims: Vec<usize>,
     strides: Vec<usize>,
