@@ -746,6 +746,7 @@ mod tests {
         unsafe { avx2::transpose_64x64_avx2(&mut a) };
         assert_eq!(a, scalar);
         // Involution through the AVX2 path too.
+        // SAFETY: AVX2 presence verified above.
         unsafe { avx2::transpose_64x64_avx2(&mut a) };
         transpose_64x64(&mut scalar);
         assert_eq!(a, scalar);

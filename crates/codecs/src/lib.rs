@@ -22,6 +22,8 @@
 //!   stand-in).
 //! * [`byteio`] — little-endian scalar/slice serialization helpers.
 
+#![warn(clippy::undocumented_unsafe_blocks)]
+
 pub mod bitslice;
 pub mod bitstream;
 pub mod byteio;

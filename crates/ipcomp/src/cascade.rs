@@ -1,5 +1,5 @@
 //! The lattice sweep's run kernels — one body, two directions — and the
-//! streaming SIMD reconstruction engine built on them: the level-streamed
+//! streaming reconstruction engine built on them: the level-streamed
 //! interpolation cascade that turns decoded bitplane accumulators into a
 //! field.
 //!
@@ -15,16 +15,17 @@
 //! the decoder's value (`Quantize`); [`crate::interp::process_level`] passes
 //! its caller's closure (`Visit`). [`crate::compress`] and `process_level`
 //! sweep whole levels serially through `sweep_level`; [`CascadeEngine`] drives
-//! the same runs sub-pass by sub-pass, streamed, threaded and — for plain
-//! decodes — with AVX2 interiors. There is no encoder copy of any loop.
+//! the same runs sub-pass by sub-pass, streamed and threaded. There is one
+//! span family for both directions and no encoder copy of any loop.
 //!
 //! **The referee** is `interp::process_level_pointwise`: the same
 //! contract evaluated one point at a time through `predict_point_read` with
 //! bounds-checked slice accesses — no run classification, no raw pointers, no
 //! kernel in common with this module. It is compiled for tests and under the
-//! `reference-scalar` feature; `CascadeImpl::Reference` decodes through it,
-//! and the equivalence suites hold both directions of the run kernels to it
-//! bit for bit.
+//! `reference-scalar` feature, where `CascadeEngine::with_kernel` (and
+//! `ProgressiveDecoder::with_kernel` above it) binds one engine to it; the
+//! equivalence suites hold both directions of the run kernels to it bit for
+//! bit.
 //!
 //! [`CascadeEngine`] structures the reconstruction around two ideas:
 //!
@@ -38,23 +39,14 @@
 //!    order is the contract, so a level handed over early is a bug, not a
 //!    case. A streaming caller sees the coarse lattices final while the
 //!    finest level is still decoding.
-//! 2. **Fused SIMD passes.** A pass consumes quantization codes directly —
+//! 2. **Fused passes.** A pass consumes quantization codes directly —
 //!    dequantization (`code · 2eb`) is fused into the interpolation kernel,
 //!    so the field is touched once per level instead of once per stage, and
 //!    no per-level residual `f64` buffer is materialized. The kernels operate
 //!    on whole innermost runs ([`crate::interp`]'s sweep geometry): each run
 //!    splits into a branchy head/tail (domain-boundary fallbacks, evaluated
-//!    point-wise through `interp::predict_point_read`) and a
-//!    branchless interior. The interior has an AVX2 variant (runtime-detected
-//!    behind the `simd` feature, same conventions as
-//!    [`ipc_codecs::bitslice`]): stride-2 deinterleaved loads, the cubic or
-//!    linear stencil evaluated with scalar operation order (mul/add/sub, no
-//!    FMA), and interleaved stores — so SIMD output is bit-identical to the
-//!    portable kernels, which are always compiled and are the only path on
-//!    other architectures or under `--no-default-features`.
-//!
-//! The referee and the portable-only kernels are reachable through the test
-//! hook [`force_cascade_impl`] and produce bit-identical fields.
+//!    point-wise through `interp::predict_point_read`) and a branchless
+//!    interior loop, which the compiler vectorizes on its own.
 //!
 //! **Multi-core execution.** Within one dimension sub-pass every target point
 //! sits at an *odd* multiple of the stride along the active dimension, while
@@ -70,8 +62,6 @@
 //! worker stay serial instead of oversubscribing), clamped to
 //! `available_parallelism()`.
 
-use std::sync::atomic::{AtomicU8, AtomicUsize, Ordering};
-
 use ipc_codecs::negabinary::from_negabinary;
 use ipc_tensor::Shape;
 
@@ -83,58 +73,8 @@ use crate::interp::{
 use crate::precinct::{clip_ranges, pass_window, RoiBox};
 use crate::quantize::round_exact;
 
-// ---- kernel dispatch and test hooks ------------------------------------------
-
-/// Which implementation the cascade kernels dispatch to.
-#[doc(hidden)]
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-#[repr(u8)]
-pub enum CascadeImpl {
-    /// Pick per pass: AVX2 interior kernels when the CPU has them, otherwise
-    /// the portable run kernels. What every engine uses unless a test forces
-    /// an oracle.
-    Auto = 0,
-    /// The point-by-point referee sweep
-    /// (`interp::process_level_pointwise`) with a closure pulling
-    /// dequantized residuals off an iterator — the correctness oracle,
-    /// compiled for tests and under the `reference-scalar` feature only.
-    #[cfg(any(test, feature = "reference-scalar"))]
-    Reference = 1,
-    /// The portable run kernels, never AVX2 (regardless of CPU).
-    Portable = 2,
-}
-
-static CASCADE_IMPL: AtomicU8 = AtomicU8::new(CascadeImpl::Auto as u8);
-static CASCADE_FORCE_THREADS: AtomicUsize = AtomicUsize::new(0);
-
-/// Test hook: bind engines constructed from now on to one kernel
-/// implementation, so bit-identity suites can sweep the oracles through the
-/// public decode paths. Reconstructed fields are bit-identical either way.
-#[doc(hidden)]
-pub fn force_cascade_impl(which: CascadeImpl) {
-    CASCADE_IMPL.store(which as u8, Ordering::Relaxed);
-}
-
-/// Test hook: pin the worker-thread count engines constructed from now on
-/// split a sub-pass into, bypassing both the hardware clamp and the size
-/// gate — so bit-identity suites can drive the concurrent schedule through
-/// arbitrarily small geometries even on a 1-CPU host. `None` restores the
-/// default.
-#[doc(hidden)]
-pub fn force_cascade_threads(n: Option<usize>) {
-    CASCADE_FORCE_THREADS.store(n.unwrap_or(0), Ordering::Relaxed);
-}
-
-fn forced_impl() -> CascadeImpl {
-    match CASCADE_IMPL.load(Ordering::Relaxed) {
-        #[cfg(any(test, feature = "reference-scalar"))]
-        1 => CascadeImpl::Reference,
-        2 => CascadeImpl::Portable,
-        _ => CascadeImpl::Auto,
-    }
-}
-
-/// Whether the AVX2 cascade kernels are compiled in and supported by this CPU.
+/// Whether the decode pipeline's AVX2 kernels — the bitplane scatter of
+/// [`ipc_codecs::bitslice`] — are compiled in and supported by this CPU.
 pub fn cascade_avx2_available() -> bool {
     #[cfg(all(feature = "simd", target_arch = "x86_64"))]
     {
@@ -222,14 +162,12 @@ pub struct CascadeEngine {
     /// exact, so the product rounds once either way).
     two_eb: f64,
     levels: u32,
-    /// Kernel implementation, captured at construction (only the referee
-    /// is a choice the passes still have to look up; AVX2-or-portable is
-    /// `avx2`).
+    /// Whether levels sweep through the point-wise referee instead of the
+    /// run kernels.
     #[cfg(any(test, feature = "reference-scalar"))]
-    which: CascadeImpl,
-    avx2: bool,
+    referee: bool,
     /// Pinned sub-pass thread count (0 = [`default_threads`] behind the size
-    /// gate), captured at construction.
+    /// gate); only `CascadeEngine::with_kernel` pins one.
     forced_threads: usize,
     work: Vec<f64>,
     /// Levels whose pass has run — and so the index of the next one.
@@ -254,8 +192,6 @@ impl CascadeEngine {
     pub fn new(shape: Shape, method: Interpolation, error_bound: f64) -> Self {
         let levels = num_levels(&shape);
         let work = vec![0.0f64; shape.len()];
-        let which = forced_impl();
-        let avx2 = which == CascadeImpl::Auto && cascade_avx2_available();
         let geoms = (0..levels)
             .map(|idx| {
                 let stride = level_stride(levels - idx);
@@ -280,22 +216,22 @@ impl CascadeEngine {
             two_eb: 2.0 * error_bound,
             levels,
             #[cfg(any(test, feature = "reference-scalar"))]
-            which,
-            avx2,
-            forced_threads: CASCADE_FORCE_THREADS.load(Ordering::Relaxed),
+            referee: false,
+            forced_threads: 0,
             work,
             applied: 0,
             geoms,
         }
     }
 
-    /// Rebind a fresh engine to an explicit kernel and pinned thread count
-    /// (0 = default) without touching the process-wide hooks, so unit tests
-    /// running on parallel threads never observe each other's choices.
-    #[cfg(test)]
-    fn with_kernel(mut self, which: CascadeImpl, threads: usize) -> Self {
-        self.which = which;
-        self.avx2 = which == CascadeImpl::Auto && cascade_avx2_available();
+    /// Bind a fresh engine to the point-wise referee (`referee`) or the run
+    /// kernels, with `threads` pinned sub-pass workers (0 = the default
+    /// schedule). A pinned count bypasses both the hardware clamp and the
+    /// size gate, so bit-identity suites can drive the concurrent schedule
+    /// through arbitrarily small geometries even on a 1-CPU host.
+    #[cfg(any(test, feature = "reference-scalar"))]
+    pub fn with_kernel(mut self, referee: bool, threads: usize) -> Self {
+        self.referee = referee;
         self.forced_threads = threads;
         self
     }
@@ -396,7 +332,7 @@ impl CascadeEngine {
     /// the all-zero level, which runs prediction-only passes).
     fn run_level(&mut self, interp_level: u32, idx: usize, codes: &[i64]) {
         #[cfg(any(test, feature = "reference-scalar"))]
-        if self.which == CascadeImpl::Reference {
+        if self.referee {
             // The point-wise referee sweeps whole levels.
             return self.reference_pass(interp_level, codes);
         }
@@ -425,16 +361,16 @@ impl CascadeEngine {
             n => n,
         };
         let stride = level_stride(interp_level);
-        let (shape, method, avx2) = (&self.shape, self.method, self.avx2);
+        let (shape, method) = (&self.shape, self.method);
         if codes.is_empty() {
-            let ctx = RunCtx::new(field, shape, method, stride, sub.d, avx2, PredictOnly);
+            let ctx = RunCtx::new(field, shape, method, stride, sub.d, PredictOnly);
             run_subpass(ctx, shape.strides(), sub, threads, &mut span);
         } else {
             let op = AddCodes {
                 codes: &codes[sub.start..sub.start + sub.count],
                 two_eb: self.two_eb,
             };
-            let ctx = RunCtx::new(field, shape, method, stride, sub.d, avx2, op);
+            let ctx = RunCtx::new(field, shape, method, stride, sub.d, op);
             run_subpass(ctx, shape.strides(), sub, threads, &mut span);
         }
     }
@@ -449,9 +385,9 @@ impl CascadeEngine {
     /// (a region decode never holds a traversal-order prefix); `None` is the
     /// all-zero level.
     ///
-    /// Clipped runs start mid-row and mid-lattice, which the interior and
-    /// AVX2 kernels' `run.coord == stride` and row-cap invariants exclude, so
-    /// every point goes through the position-independent evaluator the
+    /// Clipped runs start mid-row and mid-lattice, which the interior
+    /// kernels' `run.coord == stride` invariant excludes, so every point goes
+    /// through the position-independent evaluator the
     /// unclipped kernels use for their head and tail points — same bits,
     /// window-sized work.
     ///
@@ -484,7 +420,7 @@ impl CascadeEngine {
                 codes: codes.unwrap_or(&[]),
                 two_eb: self.two_eb,
             };
-            let mut ctx = RunCtx::new(field, &self.shape, self.method, stride, sub.d, false, op);
+            let mut ctx = RunCtx::new(field, &self.shape, self.method, stride, sub.d, op);
             sweep_runs(strides, &clip_ranges(&sub.ranges, &halo), sub.d, |run| {
                 ctx.scalar_span(&run, 0, run.count);
                 points += run.count;
@@ -546,14 +482,6 @@ pub(crate) trait PointOp {
     /// Value to store at flat offset `o`, the `i`-th point of the sweep's
     /// traversal, given its prediction.
     fn point(&mut self, o: usize, i: usize, pred: f64) -> f64;
-
-    /// Traversal-order codes and `2·eb` the AVX2 decode spans may add in
-    /// place of calling [`PointOp::point`] (no codes = prediction only);
-    /// `None` keeps the operation on the portable loops.
-    #[cfg_attr(not(all(feature = "simd", target_arch = "x86_64")), allow(dead_code))]
-    fn simd_codes(&self) -> Option<(&[i64], f64)> {
-        None
-    }
 }
 
 /// Decode: add the dequantized code of traversal position `i`. Multiplying by
@@ -569,10 +497,6 @@ impl PointOp for AddCodes<'_> {
     #[inline(always)]
     fn point(&mut self, _: usize, i: usize, pred: f64) -> f64 {
         pred + self.codes[i] as f64 * self.two_eb
-    }
-
-    fn simd_codes(&self) -> Option<(&[i64], f64)> {
-        Some((self.codes, self.two_eb))
     }
 }
 
@@ -603,10 +527,6 @@ impl PointOp for PredictOnly {
     #[inline(always)]
     fn point(&mut self, _: usize, _: usize, pred: f64) -> f64 {
         pred
-    }
-
-    fn simd_codes(&self) -> Option<(&[i64], f64)> {
-        Some((&[], 0.0))
     }
 }
 
@@ -680,7 +600,7 @@ pub(crate) fn sweep_level<O: PointOp>(
     // the sweep geometry alone.
     assert!(work.len() >= shape.len(), "work buffer shorter than field");
     let stride = level_stride(level);
-    let mut ctx = RunCtx::new(FieldPtr::of(work), shape, method, stride, 0, false, op);
+    let mut ctx = RunCtx::new(FieldPtr::of(work), shape, method, stride, 0, op);
     for_each_level_pass(shape, stride, |d, ranges| {
         ctx.dim_stride = shape.strides()[d];
         ctx.dim_len = shape.dims()[d];
@@ -693,10 +613,12 @@ pub(crate) fn sweep_level<O: PointOp>(
 
 /// Raw element view of the shared reconstruction buffer, the form the run
 /// kernels use so independent runs of one sub-pass can execute on different
-/// threads. Within a sub-pass, every written element is a target point (odd
-/// multiple of the stride along the active dimension) visited by exactly one
-/// run, and every read element is an even multiple finalized by an earlier
-/// pass — so concurrent kernels never touch the same element and a shared
+/// threads. Every access goes through `get` / `set`, whose indices the sweep
+/// geometry keeps inside the field, and every `SAFETY` argument below rests
+/// on one invariant: **within a sub-pass, every write is a target point — an
+/// odd multiple of the stride along the active dimension — owned by exactly
+/// one run, and every read is an even multiple finalized by an earlier
+/// pass.** So concurrent kernels never touch the same element, and a shared
 /// `&mut [f64]` would over-claim. Bounds are still debug-asserted per access.
 #[derive(Clone, Copy)]
 struct FieldPtr {
@@ -704,10 +626,13 @@ struct FieldPtr {
     len: usize,
 }
 
-// SAFETY: every access goes through `get`/`set` (or the AVX2 spans, whose
-// disjointness is argued at the call sites); the engine only constructs one
-// `FieldPtr` per sub-pass, over runs proven non-aliasing.
+// SAFETY: `ptr` is dereferenced only in `get` / `set`, and by the invariant
+// above a worker thread holding a copy writes only the target points of its
+// own runs; `len` is a plain count.
 unsafe impl Send for FieldPtr {}
+// SAFETY: `ptr` is dereferenced only in `get` / `set`, and by the invariant
+// above no element is written by one thread while another reads or writes
+// it; `len` is a plain count.
 unsafe impl Sync for FieldPtr {}
 
 impl FieldPtr {
@@ -724,14 +649,16 @@ impl FieldPtr {
     fn get(&self, i: usize) -> f64 {
         debug_assert!(i < self.len);
         // SAFETY: `i` is in bounds (asserted above in debug; the sweep
-        // geometry guarantees it structurally).
+        // geometry guarantees it structurally) and, by the invariant above,
+        // no concurrent run writes it.
         unsafe { *self.ptr.add(i) }
     }
 
     #[inline(always)]
     fn set(&self, i: usize, v: f64) {
         debug_assert!(i < self.len);
-        // SAFETY: as in `get`; `i` is a target point owned by this run.
+        // SAFETY: `i` is in bounds as in `get` and, by the invariant above,
+        // a target point owned by this run alone.
         unsafe { *self.ptr.add(i) = v }
     }
 }
@@ -803,10 +730,6 @@ struct RunCtx<O> {
     stride: usize,
     dim_stride: usize,
     dim_len: usize,
-    /// Extent of the innermost dimension (the run direction of every
-    /// AVX2-eligible span); bounds the vector write window to the run's row.
-    inner_len: usize,
-    avx2: bool,
 }
 
 impl<O: PointOp> RunCtx<O> {
@@ -817,10 +740,8 @@ impl<O: PointOp> RunCtx<O> {
         method: Interpolation,
         stride: usize,
         d: usize,
-        avx2: bool,
         op: O,
     ) -> Self {
-        let dims = shape.dims();
         Self {
             field,
             op,
@@ -828,9 +749,7 @@ impl<O: PointOp> RunCtx<O> {
             method,
             stride,
             dim_stride: shape.strides()[d],
-            dim_len: dims[d],
-            inner_len: *dims.last().unwrap(),
-            avx2,
+            dim_len: shape.dims()[d],
         }
     }
 
@@ -919,20 +838,6 @@ impl<O: PointOp> RunCtx<O> {
         self.ci += run.count;
     }
 
-    /// Exclusive bound for an AVX2 span's 8-element write window: the end of
-    /// the run's own innermost row. AVX2-eligible spans start at inner
-    /// coordinate 0, so the row occupies `[base, base + inner_len)`; capping
-    /// the vector window there keeps a concurrent sub-pass's threads from
-    /// re-writing (with unchanged values) the first element of the next row —
-    /// harmless single-threaded, a data race under fan-out. The last ≤3
-    /// points of odd-length rows fall to the scalar tail, which is
-    /// bit-identical.
-    #[cfg(all(feature = "simd", target_arch = "x86_64"))]
-    #[inline(always)]
-    fn row_cap(&self, base: usize) -> usize {
-        base + self.inner_len
-    }
-
     /// Uniform prev-copy span: the prediction is `work[o - nd]`.
     fn interior_prev(&mut self, base: usize, count: usize, step: usize, nd: usize) {
         for t in 0..count {
@@ -942,64 +847,22 @@ impl<O: PointOp> RunCtx<O> {
         }
     }
 
-    /// Codes for an AVX2 span, when the kernels are enabled, the span is one
-    /// they cover (a stride-2 run of at least one vector whose neighbours lie
-    /// in other rows) and the operation is a plain decode.
-    #[cfg(all(feature = "simd", target_arch = "x86_64"))]
-    #[inline(always)]
-    fn avx2_codes(&self, count: usize, step: usize, nd: usize) -> Option<(&[i64], f64)> {
-        if self.avx2 && step == 2 && nd > 1 && count >= 4 {
-            self.op.simd_codes()
-        } else {
-            None
-        }
-    }
-
     /// Uniform linear span over `count` points starting at the run's first
     /// point `base`: neighbours at `±nd`.
     fn interior_linear(&mut self, base: usize, count: usize, step: usize, nd: usize) {
-        #[cfg(all(feature = "simd", target_arch = "x86_64"))]
-        if let Some((codes, two_eb)) = self.avx2_codes(count, step, nd) {
-            let (field, cap, ci) = (self.field, self.row_cap(base), self.ci);
-            // SAFETY: AVX2 support was verified by the dispatcher; the span
-            // is a uniform full-linear interior, and the write window is
-            // capped to this run's row.
-            let done = unsafe { avx2::linear_span(field, base, count, nd, cap, codes, ci, two_eb) };
-            self.linear_tail(base + done * step, done, count - done, step, nd);
-            return;
-        }
-        self.linear_tail(base, 0, count, step, nd);
-    }
-
-    /// Portable linear body. `t0` is this span's first traversal position
-    /// *within the run* — points before it were handled by the caller.
-    fn linear_tail(&mut self, base: usize, t0: usize, count: usize, step: usize, nd: usize) {
         for t in 0..count {
             let o = base + t * step;
             let pred = 0.5 * (self.field.get(o - nd) + self.field.get(o + nd));
-            self.finish(o, t0 + t, pred);
+            self.finish(o, t, pred);
         }
     }
 
     /// Uniform full-cubic span over `count` points starting at `base`:
-    /// neighbours at `±nd` and `±3·nd`; `t0` as in [`Self::linear_tail`].
+    /// neighbours at `±nd` and `±3·nd`. `t0` is the span's first traversal
+    /// position *within the run* — points before it were handled by the
+    /// caller. Operation order matches [`crate::interp::predict_point_read`]
+    /// exactly.
     fn interior_cubic(&mut self, base: usize, t0: usize, count: usize, step: usize, nd: usize) {
-        #[cfg(all(feature = "simd", target_arch = "x86_64"))]
-        if let Some((codes, two_eb)) = self.avx2_codes(count, step, nd) {
-            let (field, cap, ci) = (self.field, self.row_cap(base), self.ci + t0);
-            // SAFETY: AVX2 support was verified by the dispatcher; the span
-            // is a uniform full-cubic interior, and the write window is
-            // capped to this run's row.
-            let done = unsafe { avx2::cubic_span(field, base, count, nd, cap, codes, ci, two_eb) };
-            self.cubic_tail(base + done * step, t0 + done, count - done, step, nd);
-            return;
-        }
-        self.cubic_tail(base, t0, count, step, nd);
-    }
-
-    /// Portable cubic body; operation order matches
-    /// [`crate::interp::predict_point_read`] exactly.
-    fn cubic_tail(&mut self, base: usize, t0: usize, count: usize, step: usize, nd: usize) {
         for t in 0..count {
             let o = base + t * step;
             let prev3 = self.field.get(o - 3 * nd);
@@ -1009,177 +872,6 @@ impl<O: PointOp> RunCtx<O> {
             let pred = -0.0625 * prev3 + 0.5625 * prev + 0.5625 * next - 0.0625 * next3;
             self.finish(o, t0 + t, pred);
         }
-    }
-}
-
-#[cfg(all(feature = "simd", target_arch = "x86_64"))]
-mod avx2 {
-    //! AVX2 interiors for stride-2 runs (the finest level — 7/8 of a 3-D
-    //! field — sweeps every pass with a 2-element step). Targets and each
-    //! neighbour lattice are deinterleaved with `shuffle_pd`/`permute4x64_pd`
-    //! from two contiguous loads, the stencil is evaluated with the exact
-    //! scalar operation order (multiplies and adds/subtracts in sequence — no
-    //! FMA, so results are bit-identical to the portable kernels), and the
-    //! four results are re-interleaved with the untouched odd lane values for
-    //! a pair of contiguous stores.
-    #[cfg(target_arch = "x86_64")]
-    use std::arch::x86_64::*;
-
-    /// Deinterleaved load: `[p[0], p[2], p[4], p[6]]`.
-    ///
-    /// # Safety
-    ///
-    /// `p .. p+8` must be in bounds.
-    #[inline(always)]
-    unsafe fn deint2(p: *const f64) -> __m256d {
-        let v0 = _mm256_loadu_pd(p);
-        let v1 = _mm256_loadu_pd(p.add(4));
-        // [p0, p4, p2, p6] -> lanes (0, 2, 1, 3) -> [p0, p2, p4, p6].
-        _mm256_permute4x64_pd(_mm256_shuffle_pd(v0, v1, 0b0000), 0b1101_1000)
-    }
-
-    /// Interleaved store of results `r` with the untouched odd-lane values
-    /// `odd`: memory becomes `[r0, odd0, r1, odd1, r2, odd2, r3, odd3]`.
-    /// The odd values are written back unchanged; they belong to a *later*
-    /// sub-pass of the same level and are neither read nor written by any
-    /// concurrent run of this one (the callers additionally cap the window to
-    /// the run's own row, so the store never crosses into a neighbouring
-    /// thread's row).
-    ///
-    /// # Safety
-    ///
-    /// `q .. q+8` must be in bounds.
-    #[inline(always)]
-    unsafe fn store_interleaved(q: *mut f64, r: __m256d, odd: __m256d) {
-        let lo = _mm256_unpacklo_pd(r, odd); // [r0, o0, r2, o2]
-        let hi = _mm256_unpackhi_pd(r, odd); // [r1, o1, r3, o3]
-        _mm256_storeu_pd(q, _mm256_permute2f128_pd(lo, hi, 0x20));
-        _mm256_storeu_pd(q.add(4), _mm256_permute2f128_pd(lo, hi, 0x31));
-    }
-
-    /// Dequantized residuals for traversal positions `ci .. ci+4` (lane 0
-    /// first). `cvtsi2sd`-style scalar conversions keep the exact `as f64`
-    /// rounding for any i64 magnitude.
-    ///
-    /// # Safety
-    ///
-    /// `codes[ci .. ci+4]` must be in bounds when `codes` is non-empty.
-    #[inline(always)]
-    unsafe fn resid4(codes: &[i64], ci: usize, two_eb: __m256d) -> __m256d {
-        let c = codes.as_ptr().add(ci);
-        let f = _mm256_set_pd(
-            *c.add(3) as f64,
-            *c.add(2) as f64,
-            *c.add(1) as f64,
-            *c as f64,
-        );
-        _mm256_mul_pd(f, two_eb)
-    }
-
-    /// Linear interior: `work[base + 2t] = 0.5 · (work[o-nd] + work[o+nd])
-    /// (+ resid)` for `t` in `0..count`, four points per iteration. Returns
-    /// how many points were completed (a scalar tail may remain near the end
-    /// of `work`, where the 8-element loads would run out of bounds, or near
-    /// the end of an odd-length row, where the 8-wide store would spill one
-    /// element into the next row — a race under concurrent runs).
-    ///
-    /// # Safety
-    ///
-    /// Caller must ensure AVX2 is available, that every point's neighbours
-    /// are in bounds (uniform full-linear span), and that `cap` is the
-    /// exclusive end of the run's own row.
-    #[allow(clippy::too_many_arguments)] // span geometry travels together
-    #[target_feature(enable = "avx2")]
-    pub(super) unsafe fn linear_span(
-        field: super::FieldPtr,
-        base: usize,
-        count: usize,
-        nd: usize,
-        cap: usize,
-        codes: &[i64],
-        ci: usize,
-        two_eb: f64,
-    ) -> usize {
-        let len = field.len;
-        let half = _mm256_set1_pd(0.5);
-        let eb = _mm256_set1_pd(two_eb);
-        let with_resid = !codes.is_empty();
-        let ptr = field.ptr;
-        let mut t = 0usize;
-        while t + 4 <= count {
-            let o = base + 2 * t;
-            // Furthest element any 8-wide load touches: o + nd + 7 (next
-            // lattice) or o + 8 (odd lane reload); the store window must
-            // also stay within this run's row.
-            if o + nd + 8 > len || o + 9 > len || o + 8 > cap {
-                break;
-            }
-            let q = ptr.add(o);
-            let prev = deint2(q.sub(nd));
-            let next = deint2(q.add(nd));
-            let odd = deint2(q.add(1));
-            let mut r = _mm256_mul_pd(half, _mm256_add_pd(prev, next));
-            if with_resid {
-                r = _mm256_add_pd(r, resid4(codes, ci + t, eb));
-            }
-            store_interleaved(q, r, odd);
-            t += 4;
-        }
-        t
-    }
-
-    /// Cubic interior: the four-point stencil with scalar operation order,
-    /// four points per iteration. Returns how many points were completed.
-    ///
-    /// # Safety
-    ///
-    /// Caller must ensure AVX2 is available, that every point's neighbours
-    /// (`±nd`, `±3nd`) are in bounds (uniform full-cubic span), and that
-    /// `cap` is the exclusive end of the run's own row.
-    #[allow(clippy::too_many_arguments)] // span geometry travels together
-    #[target_feature(enable = "avx2")]
-    pub(super) unsafe fn cubic_span(
-        field: super::FieldPtr,
-        base: usize,
-        count: usize,
-        nd: usize,
-        cap: usize,
-        codes: &[i64],
-        ci: usize,
-        two_eb: f64,
-    ) -> usize {
-        let len = field.len;
-        let c3 = _mm256_set1_pd(-0.0625);
-        let c1 = _mm256_set1_pd(0.5625);
-        let c3p = _mm256_set1_pd(0.0625);
-        let eb = _mm256_set1_pd(two_eb);
-        let with_resid = !codes.is_empty();
-        let ptr = field.ptr;
-        let mut t = 0usize;
-        while t + 4 <= count {
-            let o = base + 2 * t;
-            if o + 3 * nd + 8 > len || o + 9 > len || o + 8 > cap {
-                break;
-            }
-            let q = ptr.add(o);
-            let prev3 = deint2(q.sub(3 * nd));
-            let prev = deint2(q.sub(nd));
-            let next = deint2(q.add(nd));
-            let next3 = deint2(q.add(3 * nd));
-            let odd = deint2(q.add(1));
-            // -0.0625·prev3 + 0.5625·prev + 0.5625·next - 0.0625·next3, in
-            // exactly the scalar association order.
-            let mut r = _mm256_mul_pd(c3, prev3);
-            r = _mm256_add_pd(r, _mm256_mul_pd(c1, prev));
-            r = _mm256_add_pd(r, _mm256_mul_pd(c1, next));
-            r = _mm256_sub_pd(r, _mm256_mul_pd(c3p, next3));
-            if with_resid {
-                r = _mm256_add_pd(r, resid4(codes, ci + t, eb));
-            }
-            store_interleaved(q, r, odd);
-            t += 4;
-        }
-        t
     }
 }
 
@@ -1257,18 +949,20 @@ mod tests {
         (anchors, per_level)
     }
 
-    /// Full handover through an engine bound to `which` with `threads`
-    /// pinned sub-pass workers (0 = the default schedule).
+    /// Full handover through an engine on the point-wise referee (`referee`)
+    /// or the run kernels, with `threads` pinned sub-pass workers (0 = the
+    /// default schedule).
     fn run_engine(
         shape: &Shape,
         method: Interpolation,
         eb: f64,
         anchors: &[i64],
         level_codes: &[Vec<i64>],
-        which: CascadeImpl,
+        referee: bool,
         threads: usize,
     ) -> Vec<f64> {
-        let mut engine = CascadeEngine::new(shape.clone(), method, eb).with_kernel(which, threads);
+        let mut engine =
+            CascadeEngine::new(shape.clone(), method, eb).with_kernel(referee, threads);
         engine.seed_anchors(anchors);
         for (idx, codes) in level_codes.iter().enumerate() {
             engine.level_ready(idx, codes.clone());
@@ -1295,16 +989,12 @@ mod tests {
             for method in [Interpolation::Linear, Interpolation::Cubic] {
                 let eb = 1e-4;
                 let want = batch_reference(&shape, method, eb, &anchors, &per_level);
-                for which in [
-                    CascadeImpl::Reference,
-                    CascadeImpl::Portable,
-                    CascadeImpl::Auto,
-                ] {
-                    let got = run_engine(&shape, method, eb, &anchors, &per_level, which, 0);
+                for referee in [true, false] {
+                    let got = run_engine(&shape, method, eb, &anchors, &per_level, referee, 0);
                     assert_eq!(
                         got.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
                         want.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
-                        "dims {dims:?} method {method:?} impl {which:?}"
+                        "dims {dims:?} method {method:?} referee {referee}"
                     );
                 }
             }
@@ -1314,8 +1004,7 @@ mod tests {
     #[test]
     fn empty_code_levels_match_prediction_only_reference() {
         // Zero-residual levels (coarse retrievals, refinement passes) take the
-        // prediction-only path; it must agree with the closure formulation on
-        // every kernel.
+        // prediction-only path; it must agree with the closure formulation.
         let shape = Shape::d3(19, 14, 10);
         let (anchors, mut per_level) = codes_for_shape(&shape, 3);
         per_level[1] = Vec::new();
@@ -1323,14 +1012,12 @@ mod tests {
         per_level[last] = Vec::new();
         for method in [Interpolation::Linear, Interpolation::Cubic] {
             let want = batch_reference(&shape, method, 1e-3, &anchors, &per_level);
-            for which in [CascadeImpl::Portable, CascadeImpl::Auto] {
-                let got = run_engine(&shape, method, 1e-3, &anchors, &per_level, which, 0);
-                assert_eq!(
-                    got.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
-                    want.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
-                    "method {method:?} impl {which:?}"
-                );
-            }
+            let got = run_engine(&shape, method, 1e-3, &anchors, &per_level, false, 0);
+            assert_eq!(
+                got.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
+                want.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
+                "method {method:?}"
+            );
         }
     }
 
@@ -1440,27 +1127,16 @@ mod tests {
             let shape = Shape::new(&dims);
             let (anchors, per_level) = codes_for_shape(&shape, 23);
             for method in [Interpolation::Linear, Interpolation::Cubic] {
-                let want = run_engine(
-                    &shape,
-                    method,
-                    1e-4,
-                    &anchors,
-                    &per_level,
-                    CascadeImpl::Auto,
-                    1,
-                );
+                let want = run_engine(&shape, method, 1e-4, &anchors, &per_level, false, 1);
                 for threads in [2usize, 3, 8] {
-                    for which in [
-                        CascadeImpl::Portable,
-                        CascadeImpl::Auto,
-                        CascadeImpl::Reference,
-                    ] {
-                        let got =
-                            run_engine(&shape, method, 1e-4, &anchors, &per_level, which, threads);
+                    for referee in [false, true] {
+                        let got = run_engine(
+                            &shape, method, 1e-4, &anchors, &per_level, referee, threads,
+                        );
                         assert_eq!(
                             got.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
                             want.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
-                            "dims {dims:?} method {method:?} impl {which:?} threads {threads}"
+                            "dims {dims:?} method {method:?} referee {referee} threads {threads}"
                         );
                     }
                 }
@@ -1472,7 +1148,7 @@ mod tests {
         #![proptest_config(proptest::ProptestConfig::with_cases(24))]
 
         /// Random geometry, method, error bound, and worker-thread count
-        /// (1 = the serial schedule): every implementation's cascade is
+        /// (1 = the serial schedule): the run kernels' cascade is
         /// bit-identical to the batch closure reference.
         #[test]
         fn prop_kernels_bit_identical(
@@ -1489,14 +1165,12 @@ mod tests {
             let eb = 10f64.powi(-eb_exp);
             let (anchors, per_level) = codes_for_shape(&shape, seed);
             let want = batch_reference(&shape, method, eb, &anchors, &per_level);
-            for which in [CascadeImpl::Portable, CascadeImpl::Auto] {
-                let got = run_engine(&shape, method, eb, &anchors, &per_level, which, threads);
-                proptest::prop_assert_eq!(
-                    got.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
-                    want.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
-                    "impl {:?} threads {}", which, threads
-                );
-            }
+            let got = run_engine(&shape, method, eb, &anchors, &per_level, false, threads);
+            proptest::prop_assert_eq!(
+                got.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
+                want.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
+                "threads {}", threads
+            );
         }
     }
 

@@ -292,7 +292,8 @@ pub fn process_level(
 /// kernels: the same contract evaluated point by point — one
 /// [`predict_point_read`] and one bounds-checked store per target, no run
 /// classification, no raw pointers. Tests hold the run kernels (both
-/// directions) to it bit for bit; `CascadeImpl::Reference` decodes through it.
+/// directions) to it bit for bit; an engine bound to it with
+/// `CascadeEngine::with_kernel` decodes through it.
 #[cfg(any(test, feature = "reference-scalar"))]
 pub fn process_level_pointwise(
     shape: &Shape,

@@ -53,6 +53,8 @@
 //! assert!(fine.error_bound <= 1e-5);
 //! ```
 
+#![warn(clippy::undocumented_unsafe_blocks)]
+
 pub mod archive;
 pub mod bitplane;
 pub mod cascade;
@@ -76,8 +78,6 @@ pub use archive::{
     VERSION_ARCHIVE,
 };
 pub use cascade::{cascade_avx2_available, CascadeEngine, CascadeProgress};
-#[doc(hidden)]
-pub use cascade::{force_cascade_impl, force_cascade_threads, CascadeImpl};
 pub use compressor::{compress, compress_rel};
 pub use config::{Config, Interpolation};
 pub use container::{Compressed, ContainerMap, Header, LevelMap};

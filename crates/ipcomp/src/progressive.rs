@@ -245,6 +245,10 @@ pub struct ProgressiveDecoder<'a> {
     /// fetch groups (an archive window's), so retrievals must not regroup
     /// them per container.
     source_is_planned: bool,
+    /// `(referee, threads)` for every engine this decoder builds; see
+    /// [`ProgressiveDecoder::with_kernel`].
+    #[cfg(any(test, feature = "reference-scalar"))]
+    kernel: (bool, usize),
 }
 
 impl<'a> ProgressiveDecoder<'a> {
@@ -308,7 +312,20 @@ impl<'a> ProgressiveDecoder<'a> {
             base_bytes_counted: false,
             layouts: None,
             source_is_planned: false,
+            #[cfg(any(test, feature = "reference-scalar"))]
+            kernel: (false, 0),
         }
+    }
+
+    /// Bind every cascade this decoder runs to the point-wise referee
+    /// (`referee`) or the run kernels, with `threads` pinned sub-pass workers
+    /// (0 = the default schedule): [`CascadeEngine::with_kernel`], per
+    /// decoder, so bit-identity suites can sweep the public decode paths
+    /// concurrently. Fields are bit-identical either way.
+    #[cfg(any(test, feature = "reference-scalar"))]
+    pub fn with_kernel(mut self, referee: bool, threads: usize) -> Self {
+        self.kernel = (referee, threads);
+        self
     }
 
     /// Build the per-level precinct permutations of a version-3 container on
@@ -659,6 +676,11 @@ impl<'a> ProgressiveDecoder<'a> {
         // residuals) and adds the delta field onto the reconstruction.
         let mut engine =
             CascadeEngine::new(self.shape.clone(), header.interpolation, header.error_bound);
+        #[cfg(any(test, feature = "reference-scalar"))]
+        {
+            let (referee, threads) = self.kernel;
+            engine = engine.with_kernel(referee, threads);
+        }
         if initial {
             // Base data: header + anchors + metadata are always read — but
             // only once per decoder, even across retries of a failed initial

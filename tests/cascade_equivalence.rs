@@ -2,34 +2,27 @@
 //!
 //! The cascade engine must be invisible to every consumer: streamed
 //! reconstruction (interpolation passes interleaved with level loading) must
-//! be bit-identical on every kernel implementation (`reference` oracle /
-//! `portable` / AVX2 auto), every decode path (slice or source backed, bulk
+//! be bit-identical on both kernels (the point-wise `reference` oracle and
+//! the run kernels), every decode path (slice or source backed, bulk
 //! or region-streamed), serial and concurrent sub-pass schedules, across
 //! error bounds, 1-element and ragged-final-chunk geometries, and refinement
 //! sequences — and a mid-stream short read must roll back exactly, leaving a
 //! retryable decoder with no stray bits in the field.
 
 use std::sync::atomic::{AtomicIsize, Ordering};
-use std::sync::Mutex;
 
 use ipc_store::{Fault, SimProfile, SimulatedObjectStore};
 use ipc_tensor::{ArrayD, Shape};
 use ipcomp::source::{ByteRange, Bytes, ChunkSource};
 use ipcomp::{
-    compress, CascadeImpl, Config, IpcompError, MemorySource, ProgressiveDecoder, RetrievalRequest,
-    RoiBox, StreamEvent,
+    compress, Config, IpcompError, MemorySource, ProgressiveDecoder, RetrievalRequest, RoiBox,
+    StreamEvent,
 };
 use proptest::prelude::*;
 
-/// Serializes tests that set the process-wide kernel/thread test hooks, so
-/// one test's forced oracle never leaks into another's sweep.
-static TOGGLE_LOCK: Mutex<()> = Mutex::new(());
-
-const KERNELS: [CascadeImpl; 3] = [
-    CascadeImpl::Reference,
-    CascadeImpl::Portable,
-    CascadeImpl::Auto,
-];
+/// `ProgressiveDecoder::with_kernel`'s `referee` flag: the point-wise
+/// referee, then the run kernels.
+const KERNELS: [bool; 2] = [true, false];
 
 fn field(dims: &[usize], seed: u64) -> ArrayD<f64> {
     let shape = Shape::new(dims);
@@ -102,20 +95,21 @@ fn crop(bits: &[u64], dims: &[usize], bounds: &RoiBox) -> Vec<u64> {
     }
 }
 
-/// One retrieval under the current test hooks, slice and source backed,
-/// bulk and streaming — returns the four outputs' bits. On a precinct
+/// One retrieval on the `(referee, threads)` kernel, slice and source
+/// backed, bulk and streaming — returns the four outputs' bits. On a precinct
 /// container, region retrievals (an interior box and one touching the far
-/// domain edge) must additionally equal the crop of the same hooks' full
+/// domain edge) must additionally equal the crop of the same kernel's full
 /// decode: the windowed cascade pass agrees with every kernel and schedule.
 fn decode_all_ways(
     c: &ipcomp::Compressed,
     request: RetrievalRequest,
+    (referee, threads): (bool, usize),
 ) -> Vec<(String, Vec<u64>, usize)> {
     let source = MemorySource::new(c.to_bytes());
     let mut out = Vec::new();
     let bits = |r: &ipcomp::Retrieval| r.data.as_slice().iter().map(|v| v.to_bits()).collect();
 
-    let mut d = ProgressiveDecoder::new(c);
+    let mut d = ProgressiveDecoder::new(c).with_kernel(referee, threads);
     let r = d.retrieve(request).unwrap();
     out.push(("slice bulk".to_string(), bits(&r), r.bytes_total));
 
@@ -129,21 +123,27 @@ fn decode_all_ways(
             let want = crop(&full, dims, &bounds);
             let roi = d.retrieve_roi(bounds, request).unwrap();
             assert_eq!(bits(&roi), want, "slice roi {bounds:?} {request:?}");
-            let mut ranged = ProgressiveDecoder::from_source(&source).unwrap();
+            let mut ranged = ProgressiveDecoder::from_source(&source)
+                .unwrap()
+                .with_kernel(referee, threads);
             let roi = ranged.retrieve_roi(bounds, request).unwrap();
             assert_eq!(bits(&roi), want, "source roi {bounds:?} {request:?}");
         }
     }
 
-    let mut d = ProgressiveDecoder::new(c);
+    let mut d = ProgressiveDecoder::new(c).with_kernel(referee, threads);
     let r = d.retrieve_streaming_events(request, |_| {}).unwrap();
     out.push(("slice stream".to_string(), bits(&r), r.bytes_total));
 
-    let mut d = ProgressiveDecoder::from_source(&source).unwrap();
+    let mut d = ProgressiveDecoder::from_source(&source)
+        .unwrap()
+        .with_kernel(referee, threads);
     let r = d.retrieve(request).unwrap();
     out.push(("source bulk".to_string(), bits(&r), r.bytes_total));
 
-    let mut d = ProgressiveDecoder::from_source(&source).unwrap();
+    let mut d = ProgressiveDecoder::from_source(&source)
+        .unwrap()
+        .with_kernel(referee, threads);
     let r = d.retrieve_streaming_events(request, |_| {}).unwrap();
     out.push(("source events".to_string(), bits(&r), r.bytes_total));
     out
@@ -153,21 +153,18 @@ fn decode_all_ways(
 /// serial and a forced 3-thread concurrent sub-pass schedule produce
 /// identical bits and byte accounting for each request.
 fn assert_all_paths_bit_identical(data: &ArrayD<f64>, config: &Config, eb: f64) {
-    let _guard = TOGGLE_LOCK.lock().unwrap();
     let c = compress(data, eb, config).unwrap();
     for request in [RetrievalRequest::ErrorBound(1e-2), RetrievalRequest::Full] {
         let mut want: Option<(Vec<u64>, usize)> = None;
-        for threads in [None, Some(3)] {
-            ipcomp::force_cascade_threads(threads);
-            for which in KERNELS {
-                ipcomp::force_cascade_impl(which);
-                for (name, bits, bytes) in decode_all_ways(&c, request) {
+        for threads in [0, 3] {
+            for referee in KERNELS {
+                for (name, bits, bytes) in decode_all_ways(&c, request, (referee, threads)) {
                     match &want {
                         None => want = Some((bits, bytes)),
                         Some((wb, wn)) => {
                             assert_eq!(
                                 &bits, wb,
-                                "{name} diverged ({which:?} threads={threads:?} {request:?})"
+                                "{name} diverged (referee={referee} threads={threads} {request:?})"
                             );
                             assert_eq!(&bytes, wn, "{name} byte accounting");
                         }
@@ -176,8 +173,6 @@ fn assert_all_paths_bit_identical(data: &ArrayD<f64>, config: &Config, eb: f64) 
             }
         }
     }
-    ipcomp::force_cascade_threads(None);
-    ipcomp::force_cascade_impl(CascadeImpl::Auto);
 }
 
 #[test]
@@ -210,12 +205,10 @@ fn one_element_and_ragged_geometries_bit_identical() {
 
 #[test]
 fn refinement_sequences_bit_identical_across_kernels() {
-    let _guard = TOGGLE_LOCK.lock().unwrap();
     let data = field(&[18, 13, 9], 5);
     let c = compress(&data, 1e-7, &Config::default()).unwrap();
-    let run = |which: CascadeImpl| -> Vec<Vec<u64>> {
-        ipcomp::force_cascade_impl(which);
-        let mut d = ProgressiveDecoder::new(&c);
+    let run = |referee: bool| -> Vec<Vec<u64>> {
+        let mut d = ProgressiveDecoder::new(&c).with_kernel(referee, 0);
         [
             RetrievalRequest::ErrorBound(1e-2),
             RetrievalRequest::ErrorBound(1e-4),
@@ -233,10 +226,8 @@ fn refinement_sequences_bit_identical_across_kernels() {
         })
         .collect()
     };
-    let [reference, portable, auto] = KERNELS.map(run);
-    ipcomp::force_cascade_impl(CascadeImpl::Auto);
-    assert_eq!(auto, reference);
-    assert_eq!(auto, portable);
+    let [reference, run_kernels] = KERNELS.map(run);
+    assert_eq!(run_kernels, reference);
 }
 
 #[test]
