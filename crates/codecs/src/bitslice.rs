@@ -24,10 +24,10 @@
 //! * **33–64 planes** — the full 64×64 transpose, which is already
 //!   near-optimal when most rows are live.
 //! * An **AVX2 variant** of the grouped kernel (bit-expand via
-//!   `shuffle`/`cmpeq`, byte-widen via `cvtepu8_epi64`) is selected at
-//!   runtime behind the `simd` cargo feature; the portable kernels remain
-//!   compiled and tested unconditionally and are the only path on other
-//!   architectures or under `--no-default-features`.
+//!   `shuffle`/`cmpeq`, byte-widen via `cvtepu8_epi64`) is compiled on every
+//!   x86_64 build and selected at runtime when the CPU reports AVX2; the
+//!   portable kernels remain compiled and tested unconditionally and are the
+//!   only path on other architectures.
 //!
 //! Conventions used throughout:
 //!
@@ -77,9 +77,9 @@ pub fn transpose_64x64(a: &mut [u64; 64]) {
 /// bits one at a time through [`crate::bitstream::BitWriter`] (including the
 /// zero padding of the final byte).
 ///
-/// The per-block 64×64 transpose dispatches to an AVX2 variant behind the
-/// same runtime-detection/`simd` conventions as the scatter kernels; output
-/// bytes are identical on every path.
+/// The per-block 64×64 transpose dispatches to an AVX2 variant under the
+/// same runtime detection as the scatter kernels; output bytes are identical
+/// on every path.
 pub fn slice_planes(words: &[u64], num_planes: usize) -> Vec<Vec<u8>> {
     assert!(num_planes <= 64, "a u64 word has at most 64 planes");
     let n = words.len();
@@ -89,14 +89,14 @@ pub fn slice_planes(words: &[u64], num_planes: usize) -> Vec<Vec<u8>> {
     for (b, block) in words.chunks(64).enumerate() {
         let mut m = [0u64; 64];
         m[..block.len()].copy_from_slice(block);
-        #[cfg(all(feature = "simd", target_arch = "x86_64"))]
+        #[cfg(target_arch = "x86_64")]
         if use_avx2 {
             // SAFETY: AVX2 support verified by `avx2_available`.
             unsafe { avx2::transpose_64x64_avx2(&mut m) };
         } else {
             transpose_64x64(&mut m);
         }
-        #[cfg(not(all(feature = "simd", target_arch = "x86_64")))]
+        #[cfg(not(target_arch = "x86_64"))]
         {
             let _ = use_avx2;
             transpose_64x64(&mut m);
@@ -121,8 +121,8 @@ pub fn slice_planes(words: &[u64], num_planes: usize) -> Vec<Vec<u8>> {
 /// This is the few-planes gather the decode pipeline's refinement prefix
 /// extraction needs: where a full [`PlaneBlock::gather`] transpose pays for
 /// all 64 planes, this touches only the requested ones — a direct bit loop
-/// portably, a shift + `movemask` sweep under AVX2 (runtime-detected behind
-/// the `simd` feature; bit-identical by the shared tests).
+/// portably, a shift + `movemask` sweep under AVX2 (runtime-detected;
+/// bit-identical by the shared tests).
 pub fn gather_plane_words(words: &[u64], plane_lo: usize, count: usize) -> Vec<Vec<u64>> {
     assert!(plane_lo + count <= 64, "plane range exceeds a 64-bit word");
     let n_blocks = words.len().div_ceil(64);
@@ -130,7 +130,7 @@ pub fn gather_plane_words(words: &[u64], plane_lo: usize, count: usize) -> Vec<V
     if count == 0 || words.is_empty() {
         return out;
     }
-    #[cfg(all(feature = "simd", target_arch = "x86_64"))]
+    #[cfg(target_arch = "x86_64")]
     if avx2_available() {
         // SAFETY: AVX2 support verified by `avx2_available`.
         unsafe { avx2::gather_plane_words_avx2(words, plane_lo, &mut out) };
@@ -190,13 +190,13 @@ impl PlaneBlock {
 
 // ---- plane-count-specialized scatter kernels --------------------------------
 
-/// Whether the AVX2 kernels are compiled in and supported by this CPU.
+/// Whether this CPU supports the AVX2 kernels (x86_64 only).
 fn avx2_available() -> bool {
-    #[cfg(all(feature = "simd", target_arch = "x86_64"))]
+    #[cfg(target_arch = "x86_64")]
     {
         std::arch::is_x86_feature_detected!("avx2")
     }
-    #[cfg(not(all(feature = "simd", target_arch = "x86_64")))]
+    #[cfg(not(target_arch = "x86_64"))]
     {
         false
     }
@@ -231,7 +231,7 @@ pub fn scatter_planes(planes: &[&[u8]], plane_lo: usize, out: &mut [u64]) {
             "plane stream shorter than coefficient span"
         );
     }
-    #[cfg(all(feature = "simd", target_arch = "x86_64"))]
+    #[cfg(target_arch = "x86_64")]
     if avx2_available() {
         // SAFETY: AVX2 support verified by `avx2_available`.
         unsafe { avx2::scatter_planes_avx2(planes, plane_lo, out) };
@@ -324,7 +324,7 @@ fn scatter_planes_grouped(planes: &[&[u8]], plane_lo: usize, out: &mut [u64]) {
     }
 }
 
-#[cfg(all(feature = "simd", target_arch = "x86_64"))]
+#[cfg(target_arch = "x86_64")]
 mod avx2 {
     //! AVX2 grouped scatter: expand each live plane's bits into a lane-per-
     //! coefficient byte mask (`shuffle_epi8` + `cmpeq_epi8`), OR the group's
@@ -613,7 +613,7 @@ mod tests {
                     scatter_planes_grouped(&planes, lo, &mut grouped);
                     assert_eq!(grouped, want, "grouped n={n} count={count} lo={lo}");
 
-                    #[cfg(all(feature = "simd", target_arch = "x86_64"))]
+                    #[cfg(target_arch = "x86_64")]
                     if std::arch::is_x86_feature_detected!("avx2") {
                         let mut simd = vec![0u64; n];
                         // SAFETY: AVX2 presence verified above.
@@ -694,7 +694,7 @@ mod tests {
                 gather_plane_words_portable(&words, lo, &mut portable);
                 assert_eq!(portable, want, "portable n={n} lo={lo} count={count}");
 
-                #[cfg(all(feature = "simd", target_arch = "x86_64"))]
+                #[cfg(target_arch = "x86_64")]
                 if std::arch::is_x86_feature_detected!("avx2") {
                     let mut simd = vec![vec![0u64; n.div_ceil(64)]; count];
                     // SAFETY: AVX2 presence verified above.
@@ -726,7 +726,7 @@ mod tests {
         }
     }
 
-    #[cfg(all(feature = "simd", target_arch = "x86_64"))]
+    #[cfg(target_arch = "x86_64")]
     #[test]
     fn avx2_transpose_matches_scalar() {
         if !std::arch::is_x86_feature_detected!("avx2") {

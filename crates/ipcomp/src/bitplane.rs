@@ -81,7 +81,7 @@
 //! Because the slicing/prediction identities reproduce the scalar definition bit
 //! for bit, the *packed plane bytes* are unchanged from the historical coder; the
 //! scalar reference (retained under `scalar` as a test oracle, compiled for
-//! tests and the `reference-scalar` feature) shares the region scheme and the
+//! tests only) shares the region scheme and the
 //! chunked entropy stage, so payloads remain byte-identical between the two.
 //!
 //! # One pass in front of the slicer
@@ -824,11 +824,10 @@ pub fn decode_level(
 
 /// Historical bit-at-a-time implementation, kept as the reference oracle for the
 /// word-parallel coder: property tests assert byte-identical payloads and decode
-/// results, and the benchmark harness measures the speedup against it. The
-/// region geometry ([`RegionScheme`]) and the entropy stage (rANS dispatch)
-/// are shared with the word-parallel path, so the comparison isolates the
-/// bit-manipulation layer — for uniform and precinct levels alike.
-#[cfg(any(test, feature = "reference-scalar"))]
+/// results. The region geometry ([`RegionScheme`]) and the entropy stage (rANS
+/// dispatch) are shared with the word-parallel path, so the comparison isolates
+/// the bit-manipulation layer — for uniform and precinct levels alike.
+#[cfg(test)]
 pub mod scalar {
     use super::{
         check_plane_range, decode_chunk_bytes, EncodeOptions, EncodedLevel, EncodedPlane,

@@ -73,14 +73,14 @@ use crate::interp::{
 use crate::precinct::{clip_ranges, pass_window, RoiBox};
 use crate::quantize::round_exact;
 
-/// Whether the decode pipeline's AVX2 kernels — the bitplane scatter of
-/// [`ipc_codecs::bitslice`] — are compiled in and supported by this CPU.
+/// Whether this CPU supports the decode pipeline's AVX2 kernels — the
+/// bitplane scatter of [`ipc_codecs::bitslice`] (x86_64 only).
 pub fn cascade_avx2_available() -> bool {
-    #[cfg(all(feature = "simd", target_arch = "x86_64"))]
+    #[cfg(target_arch = "x86_64")]
     {
         std::arch::is_x86_feature_detected!("avx2")
     }
-    #[cfg(not(all(feature = "simd", target_arch = "x86_64")))]
+    #[cfg(not(target_arch = "x86_64"))]
     {
         false
     }

@@ -3,7 +3,7 @@
 //! One lazily-resolved bundle of `'static` telemetry handles, so the hot
 //! paths (per-region stage calls, per-level cascade passes) never touch the
 //! registry lock — they pay one `OnceLock` load plus whatever the instrument
-//! itself costs (nothing when telemetry is disabled or compiled out).
+//! itself costs.
 
 use std::sync::OnceLock;
 

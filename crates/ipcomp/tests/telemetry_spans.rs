@@ -2,8 +2,6 @@
 //! the chrome://tracing workflow relies on: fetch/entropy/scatter stage spans
 //! and cascade passes, all nested inside the root retrieve span.
 
-#![cfg(feature = "telemetry")]
-
 use ipc_tensor::{ArrayD, Shape};
 use ipcomp::compressor::compress;
 use ipcomp::config::Config;
@@ -34,7 +32,6 @@ fn traced_retrieve(data: &ArrayD<f64>, config: &Config, region: Option<RoiBox>, 
 
     let source = ipcomp::source::MemorySource::new(c.to_bytes());
 
-    ipc_telemetry::set_enabled(true);
     ipc_telemetry::trace::set_tracing(true);
     let _ = ipc_telemetry::trace::take_events();
     let mut dec = ProgressiveDecoder::from_source(&source).unwrap();

@@ -1,32 +1,8 @@
-//! Shannon entropy estimators.
+//! Shannon entropy of bitplanes.
 //!
 //! Table 2 of the paper reports the per-bit entropy of bitplanes before and after
 //! predictive coding; lower entropy means the downstream lossless stage can shrink the
-//! plane further. [`bit_entropy`] reproduces that measurement and
-//! [`shannon_entropy`] is the general symbol-level estimator used by the coding
-//! ablation.
-
-use std::collections::HashMap;
-use std::hash::Hash;
-
-/// Shannon entropy (bits per symbol) of a symbol sequence.
-pub fn shannon_entropy<T: Eq + Hash>(symbols: &[T]) -> f64 {
-    if symbols.is_empty() {
-        return 0.0;
-    }
-    let mut counts: HashMap<&T, u64> = HashMap::new();
-    for s in symbols {
-        *counts.entry(s).or_insert(0) += 1;
-    }
-    let n = symbols.len() as f64;
-    counts
-        .values()
-        .map(|&c| {
-            let p = c as f64 / n;
-            -p * p.log2()
-        })
-        .sum()
-}
+//! plane further. [`bit_entropy`] reproduces that measurement.
 
 /// Entropy (bits per bit) of a binary sequence given the count of ones and the total
 /// length. This is the quantity reported in the paper's Table 2.
@@ -44,22 +20,6 @@ pub fn bit_entropy(ones: usize, total: usize) -> f64 {
         h -= p0 * p0.log2();
     }
     h
-}
-
-/// Entropy (bits per bit) of a packed bit buffer containing `total_bits` valid bits.
-pub fn packed_bit_entropy(bytes: &[u8], total_bits: usize) -> f64 {
-    let mut ones = 0usize;
-    let mut counted = 0usize;
-    'outer: for &b in bytes {
-        for i in (0..8).rev() {
-            if counted >= total_bits {
-                break 'outer;
-            }
-            ones += ((b >> i) & 1) as usize;
-            counted += 1;
-        }
-    }
-    bit_entropy(ones, total_bits)
 }
 
 #[cfg(test)]
@@ -82,33 +42,5 @@ mod tests {
     fn skew_reduces_entropy() {
         assert!(bit_entropy(100, 1000) < bit_entropy(300, 1000));
         assert!(bit_entropy(300, 1000) < bit_entropy(500, 1000));
-    }
-
-    #[test]
-    fn shannon_uniform_alphabet() {
-        let symbols: Vec<u32> = (0..4096u32).map(|i| i % 16).collect();
-        assert!((shannon_entropy(&symbols) - 4.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn shannon_single_symbol_zero() {
-        let symbols = vec![7u8; 100];
-        assert_eq!(shannon_entropy(&symbols), 0.0);
-        assert_eq!(shannon_entropy::<u8>(&[]), 0.0);
-    }
-
-    #[test]
-    fn packed_bits_match_unpacked_count() {
-        // 0b1010_1010 repeated: exactly half ones.
-        let bytes = vec![0b1010_1010u8; 64];
-        assert!((packed_bit_entropy(&bytes, 512) - 1.0).abs() < 1e-12);
-        // Only count the first 4 bits of the first byte: 1,0,1,0 -> entropy 1.
-        assert!((packed_bit_entropy(&bytes, 4) - 1.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn packed_bits_all_zero() {
-        let bytes = vec![0u8; 16];
-        assert_eq!(packed_bit_entropy(&bytes, 128), 0.0);
     }
 }

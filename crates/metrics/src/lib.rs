@@ -2,12 +2,12 @@
 //!
 //! These are the five metrics the paper defines in Sec. 3.1.1 — compression ratio,
 //! bitrate, decompression error (L∞), error bound compliance, and PSNR — plus the
-//! Shannon entropy estimator used by Table 2 and the bit-level entropy of bitplanes.
+//! bit-level entropy of bitplanes that Table 2 reports.
 
 pub mod entropy;
 pub mod error;
 
-pub use entropy::{bit_entropy, shannon_entropy};
+pub use entropy::bit_entropy;
 pub use error::{linf_error, max_rel_error, mse, psnr, ErrorStats};
 
 /// Compression ratio: original size divided by compressed size.
@@ -30,20 +30,6 @@ pub fn bitrate(compressed_bytes: usize, num_elements: usize) -> f64 {
     }
 }
 
-/// Convert a bitrate budget back to a byte budget for `num_elements` scalars.
-pub fn bytes_for_bitrate(bitrate: f64, num_elements: usize) -> usize {
-    ((bitrate * num_elements as f64) / 8.0).floor() as usize
-}
-
-/// Throughput in MB/s given a payload size in bytes and elapsed seconds.
-pub fn throughput_mbps(bytes: usize, seconds: f64) -> f64 {
-    if seconds <= 0.0 {
-        f64::INFINITY
-    } else {
-        bytes as f64 / 1e6 / seconds
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -60,19 +46,5 @@ mod tests {
         let n = 1024usize;
         let compressed = n * 8 / 16;
         assert!((bitrate(compressed, n) - 4.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn bytes_for_bitrate_roundtrip() {
-        let n = 100_000usize;
-        let budget = bytes_for_bitrate(2.0, n);
-        assert_eq!(budget, 25_000);
-        assert!((bitrate(budget, n) - 2.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn throughput_simple() {
-        assert_eq!(throughput_mbps(10_000_000, 2.0), 5.0);
-        assert_eq!(throughput_mbps(1, 0.0), f64::INFINITY);
     }
 }

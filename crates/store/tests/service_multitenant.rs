@@ -407,12 +407,9 @@ fn run_fleet(sessions: usize) -> u64 {
         assert_eq!(s.workloads as usize, lat.len(), "tenant {t} workload count");
         assert_eq!(s.failures, 0);
         // The service histogrammed the same sim-nanos this client read off
-        // its WorkloadDone events (histograms exist only with telemetry on).
-        #[cfg(feature = "telemetry")]
-        {
-            assert_eq!(s.latency_ns.count, lat.len() as u64, "tenant {t}");
-            assert_eq!(s.latency_ns.sum, lat.iter().sum::<u64>(), "tenant {t}");
-        }
+        // its WorkloadDone events.
+        assert_eq!(s.latency_ns.count, lat.len() as u64, "tenant {t}");
+        assert_eq!(s.latency_ns.sum, lat.iter().sum::<u64>(), "tenant {t}");
         // Per-tenant hit/miss counts match the shared caches' own per-tag
         // ledgers summed across containers.
         let (hits, misses) = stores

@@ -7,17 +7,12 @@
 //! JSON snapshot ([`snapshot_json`]) and a chrome://tracing span dump
 //! ([`trace::write_chrome_trace`], auto-enabled by `IPC_TRACE_OUT`).
 //!
-//! # Switches
+//! # Tracing
 //!
-//! - **Compile time** — building with `--no-default-features` removes the
-//!   `enabled` feature: histograms hold no buckets, spans never read the
-//!   clock, and every timed instrument folds to a no-op. Counters stay live
-//!   (one relaxed add — the same cost as the ad-hoc atomics they replaced).
-//! - **Runtime** — `IPC_TELEMETRY=0` in the environment, or
-//!   [`set_enabled`]`(false)`, mutes histograms and spans without a rebuild.
-//! - **Tracing** — span *events* are additionally gated on [`trace::tracing`],
-//!   switched on by setting `IPC_TRACE_OUT` or [`trace::set_tracing`];
-//!   histogram recording does not require tracing.
+//! Counters, gauges and histograms always record. Span *events* are
+//! additionally gated on [`trace::tracing`], switched on by setting
+//! `IPC_TRACE_OUT` or [`trace::set_tracing`]; histogram recording does not
+//! require tracing.
 //!
 //! # Clocks
 //!
@@ -34,51 +29,12 @@ pub use metrics::{Counter, Gauge, Histogram, HistogramSnapshot};
 pub use trace::{span, span_timed, Span};
 
 use std::collections::BTreeMap;
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicU8, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
 use std::time::Instant;
 
 /// Version tag of the JSON snapshot schema (see [`snapshot_json`]).
 pub const SNAPSHOT_SCHEMA: &str = "ipc-telemetry-v1";
-
-// ---------------------------------------------------------------------------
-// Runtime enable switch
-// ---------------------------------------------------------------------------
-
-/// 0 = uninitialised, 1 = on, 2 = off.
-static ENABLED: AtomicU8 = AtomicU8::new(0);
-
-/// Whether timed instrumentation (histograms, spans) is live. Always `false`
-/// when the crate is built without the `enabled` feature; otherwise defaults
-/// to `true` unless `IPC_TELEMETRY=0` is set, and can be flipped at runtime
-/// with [`set_enabled`].
-#[inline]
-pub fn enabled() -> bool {
-    if !cfg!(feature = "enabled") {
-        return false;
-    }
-    match ENABLED.load(Ordering::Relaxed) {
-        1 => true,
-        2 => false,
-        _ => init_enabled(),
-    }
-}
-
-#[cold]
-fn init_enabled() -> bool {
-    let on = !matches!(
-        std::env::var("IPC_TELEMETRY").as_deref(),
-        Ok("0") | Ok("false") | Ok("off")
-    );
-    ENABLED.store(if on { 1 } else { 2 }, Ordering::Relaxed);
-    on
-}
-
-/// Override the runtime enable switch (wins over `IPC_TELEMETRY`). A no-op
-/// in builds without the `enabled` feature.
-pub fn set_enabled(on: bool) {
-    ENABLED.store(if on { 1 } else { 2 }, Ordering::Relaxed);
-}
 
 // ---------------------------------------------------------------------------
 // Clock injection
@@ -145,13 +101,9 @@ pub fn set_clock(clock: Option<Arc<dyn Clock>>) {
 }
 
 /// Current reading of the process clock (custom if installed, else
-/// monotonic wall time). Returns 0 when telemetry is disabled so callers
-/// never pay for a clock read they won't use.
+/// monotonic wall time).
 #[inline]
 pub fn now_nanos() -> u64 {
-    if !enabled() {
-        return 0;
-    }
     if HAS_CUSTOM_CLOCK.load(Ordering::Acquire) {
         if let Some(clock) = CUSTOM_CLOCK.lock().expect("clock lock").as_ref() {
             return clock.now_nanos();
@@ -255,7 +207,7 @@ pub fn snapshot_json() -> String {
     let mut out = String::new();
     out.push_str("{\n");
     out.push_str(&format!("  \"schema\": \"{SNAPSHOT_SCHEMA}\",\n"));
-    out.push_str(&format!("  \"enabled\": {},\n", enabled()));
+    out.push_str("  \"enabled\": true,\n");
     out.push_str("  \"counters\": {");
     let mut first = true;
     for (name, c) in &reg.counters {

@@ -3,11 +3,7 @@
 //!
 //! Everything here is plain atomics — recording a sample is a handful of
 //! relaxed adds with no locking, allocation, or branching on contended
-//! state, so the primitives are safe to put on decode hot paths. With the
-//! crate's `enabled` feature off, [`Histogram::record`] compiles to a no-op
-//! (and the bucket array is never allocated); [`Counter`] stays live in both
-//! modes because one relaxed add is exactly what the ad-hoc statistics
-//! counters it replaces already cost.
+//! state, so the primitives are safe to put on decode hot paths.
 
 use std::sync::atomic::{AtomicI64, AtomicU64, Ordering};
 
@@ -136,29 +132,20 @@ impl Default for Histogram {
 }
 
 impl Histogram {
-    /// An empty histogram. Without the `enabled` feature the bucket array is
-    /// empty and [`Histogram::record`] is a no-op.
+    /// An empty histogram.
     pub fn new() -> Self {
-        let n = if cfg!(feature = "enabled") {
-            NBUCKETS
-        } else {
-            0
-        };
         Self {
             count: AtomicU64::new(0),
             sum: AtomicU64::new(0),
             min: AtomicU64::new(u64::MAX),
             max: AtomicU64::new(0),
-            buckets: (0..n).map(|_| AtomicU64::new(0)).collect(),
+            buckets: (0..NBUCKETS).map(|_| AtomicU64::new(0)).collect(),
         }
     }
 
     /// Record one sample.
     #[inline]
     pub fn record(&self, v: u64) {
-        if !cfg!(feature = "enabled") || !crate::enabled() {
-            return;
-        }
         self.buckets[bucket_index(v)].fetch_add(1, Ordering::Relaxed);
         self.count.fetch_add(1, Ordering::Relaxed);
         self.sum.fetch_add(v, Ordering::Relaxed);
@@ -217,8 +204,7 @@ pub struct HistogramSnapshot {
     pub min: u64,
     /// Largest sample.
     pub max: u64,
-    /// Per-bucket sample counts (empty when the crate is built without
-    /// `enabled`).
+    /// Per-bucket sample counts (empty for [`HistogramSnapshot::empty`]).
     pub buckets: Vec<u64>,
 }
 
@@ -329,7 +315,6 @@ mod tests {
         }
     }
 
-    #[cfg(feature = "enabled")]
     #[test]
     fn percentiles_track_exact_order_statistics() {
         let h = Histogram::new();

@@ -16,7 +16,7 @@ use std::path::Path;
 use std::sync::atomic::{AtomicU64, AtomicU8, Ordering};
 use std::sync::{Mutex, OnceLock};
 
-use crate::{enabled, now_nanos, Histogram};
+use crate::{now_nanos, Histogram};
 
 /// Hard cap on buffered trace events; further spans are counted but dropped
 /// so an accidentally long traced run cannot exhaust memory.
@@ -54,13 +54,9 @@ thread_local! {
 }
 
 /// Whether span events are being collected. Defaults to on only when
-/// `IPC_TRACE_OUT` is set; flip at runtime with [`set_tracing`]. Always
-/// `false` when telemetry is disabled.
+/// `IPC_TRACE_OUT` is set; flip at runtime with [`set_tracing`].
 #[inline]
 pub fn tracing() -> bool {
-    if !enabled() {
-        return false;
-    }
     match TRACING.load(Ordering::Relaxed) {
         1 => true,
         2 => false,
@@ -96,12 +92,12 @@ pub struct Span {
 impl Span {
     fn new(name: &'static str, cat: &'static str, hist: Option<&'static Histogram>) -> Self {
         let traced = tracing();
-        let active = traced || (hist.is_some() && enabled());
+        let active = traced || hist.is_some();
         Self {
             name,
             cat,
             start: if active { now_nanos() } else { 0 },
-            hist: if enabled() { hist } else { None },
+            hist,
             traced,
             args: Vec::new(),
         }
@@ -162,8 +158,8 @@ pub fn span(cat: &'static str, name: &'static str) -> Span {
     Span::new(name, cat, None)
 }
 
-/// Start a span that records its duration into `hist` whenever telemetry is
-/// enabled, and additionally emits a trace event when tracing is on.
+/// Start a span that records its duration into `hist`, and additionally
+/// emits a trace event when tracing is on.
 #[inline]
 pub fn span_timed(cat: &'static str, name: &'static str, hist: &'static Histogram) -> Span {
     Span::new(name, cat, Some(hist))

@@ -2,11 +2,8 @@
 //! histogram merge/percentile properties, span nesting with a simulated
 //! clock, and snapshot-schema stability.
 //!
-//! Tests that flip process-global state (the enable switch, the clock, the
-//! tracer) serialize on [`GLOBAL`] so the default parallel test runner can't
-//! interleave them.
-
-#![cfg(feature = "enabled")]
+//! Tests that flip process-global state (the clock, the tracer) serialize on
+//! [`GLOBAL`] so the default parallel test runner can't interleave them.
 
 use std::sync::{Arc, Mutex, MutexGuard};
 
@@ -16,11 +13,10 @@ use telemetry::{Histogram, HistogramSnapshot, ManualClock};
 
 static GLOBAL: Mutex<()> = Mutex::new(());
 
-/// Take the global-state lock and force telemetry on (the default unless the
-/// environment says otherwise, but tests must not depend on the environment).
-fn global_on() -> MutexGuard<'static, ()> {
+/// Take the global-state lock and reset the tracer and the clock (tests must
+/// not depend on `IPC_TRACE_OUT` in the environment).
+fn lock_global() -> MutexGuard<'static, ()> {
     let guard = GLOBAL.lock().unwrap_or_else(|p| p.into_inner());
-    telemetry::set_enabled(true);
     telemetry::trace::set_tracing(false);
     telemetry::set_clock(None);
     let _ = telemetry::trace::take_events();
@@ -29,7 +25,7 @@ fn global_on() -> MutexGuard<'static, ()> {
 
 #[test]
 fn concurrent_counters_and_histograms_lose_nothing() {
-    let _g = global_on();
+    let _g = lock_global();
     const THREADS: u64 = 8;
     const PER_THREAD: u64 = 10_000;
     let c = telemetry::counter("test.fanout.counter");
@@ -58,7 +54,7 @@ fn concurrent_counters_and_histograms_lose_nothing() {
 
 #[test]
 fn gauge_tracks_signed_deltas() {
-    let _g = global_on();
+    let _g = lock_global();
     let g = telemetry::gauge("test.gauge");
     g.set(0);
     g.add(5);
@@ -68,7 +64,7 @@ fn gauge_tracks_signed_deltas() {
 
 #[test]
 fn registry_returns_the_same_handle_for_the_same_name() {
-    let _g = global_on();
+    let _g = lock_global();
     let a = telemetry::counter("test.same.name") as *const _;
     let b = telemetry::counter("test.same.name") as *const _;
     assert_eq!(a, b);
@@ -85,7 +81,7 @@ proptest! {
         values in proptest::collection::vec(0u64..1_000_000_000, 1..400),
         qx in 0.0f64..1.0,
     ) {
-        let _g = global_on();
+        let _g = lock_global();
         let h = Histogram::new();
         for &v in &values {
             h.record(v);
@@ -112,7 +108,7 @@ proptest! {
         a in proptest::collection::vec(0u64..1_000_000, 0..200),
         b in proptest::collection::vec(0u64..1_000_000, 0..200),
     ) {
-        let _g = global_on();
+        let _g = lock_global();
         let ha = Histogram::new();
         let hb = Histogram::new();
         let hall = Histogram::new();
@@ -133,7 +129,7 @@ proptest! {
 
 #[test]
 fn span_nesting_with_manual_clock_is_deterministic() {
-    let _g = global_on();
+    let _g = lock_global();
     let clock = ManualClock::new();
     telemetry::set_clock(Some(Arc::new(clock.clone())));
     telemetry::trace::set_tracing(true);
@@ -174,7 +170,7 @@ fn span_nesting_with_manual_clock_is_deterministic() {
 
 #[test]
 fn spans_without_tracing_still_feed_histograms() {
-    let _g = global_on();
+    let _g = lock_global();
     let clock = ManualClock::new();
     telemetry::set_clock(Some(Arc::new(clock.clone())));
     let h: &'static Histogram = Box::leak(Box::new(Histogram::new()));
@@ -191,27 +187,8 @@ fn spans_without_tracing_still_feed_histograms() {
 }
 
 #[test]
-fn disabled_telemetry_records_nothing_but_counters() {
-    let _g = global_on();
-    telemetry::set_enabled(false);
-    let h = Histogram::new();
-    h.record(123);
-    let c = telemetry::counter("test.disabled.counter");
-    c.reset();
-    c.add(3);
-    {
-        let s = telemetry::span("test", "dead");
-        assert!(!s.is_active());
-    }
-    telemetry::set_enabled(true);
-    assert_eq!(h.count(), 0, "histograms mute when disabled");
-    assert_eq!(c.get(), 3, "counters stay live when disabled");
-    assert!(telemetry::trace::take_events().is_empty());
-}
-
-#[test]
 fn snapshot_schema_is_stable() {
-    let _g = global_on();
+    let _g = lock_global();
     telemetry::counter("test.schema.counter").reset();
     telemetry::counter("test.schema.counter").add(42);
     telemetry::gauge("test.schema.gauge").set(-1);
@@ -253,7 +230,7 @@ fn snapshot_schema_is_stable() {
 
 #[test]
 fn chrome_trace_export_round_trips() {
-    let _g = global_on();
+    let _g = lock_global();
     let clock = ManualClock::new();
     telemetry::set_clock(Some(Arc::new(clock.clone())));
     telemetry::trace::set_tracing(true);

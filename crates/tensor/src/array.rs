@@ -96,11 +96,6 @@ impl<T> ArrayD<T> {
         &mut self.data
     }
 
-    /// Consume the array and return its flat buffer.
-    pub fn into_vec(self) -> Vec<T> {
-        self.data
-    }
-
     /// Element at multi-dimensional coordinates.
     #[inline]
     pub fn get(&self, coords: &[usize]) -> &T {
