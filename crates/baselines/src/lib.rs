@@ -5,8 +5,7 @@
 //! **ZFP-R** (residual-progressive ZFP) and **PMGARD** (progressive MGARD), plus
 //! **SPERR-R** in the speed study. None of those C/C++ codebases is linked here —
 //! each algorithm's decorrelation + coding pipeline is re-implemented from scratch in
-//! Rust (see DESIGN.md §2 for what is simplified and why the relative comparisons are
-//! preserved).
+//! Rust, and each module's docs say what it keeps and what it simplifies.
 //!
 //! Two small traits give the benchmark harness a uniform view of every compressor:
 //!

@@ -1,7 +1,7 @@
 //! PMGARD: progressive retrieval on top of the MGARD decomposition (paper
 //! Sec. 6.1.3, after Liang et al. SC'21 and Wu et al. SC'24).
 //!
-//! The multilevel coefficients produced by [`crate::mgard::decompose`] are encoded
+//! The multilevel coefficients of the [`crate::mgard`] decomposition are encoded
 //! per level with the same negabinary bitplane machinery IPComp uses, so a retrieval
 //! can load only a subset of planes per level. Because the decomposition is a
 //! transform of the original data, the error introduced by skipped planes adds

@@ -7,8 +7,7 @@
 //! price of lower compression ratios than prediction-based compressors on smooth
 //! data. This implementation keeps that structure — 4^d blocks, a separable
 //! orthonormal 4-point DCT-II transform, per-block coefficient coding — while using
-//! the workspace's shared [`ipc_codecs::lzr`] backend for the final byte stream (see
-//! DESIGN.md §2).
+//! the workspace's shared [`ipc_codecs::lzr`] backend for the final byte stream.
 
 use ipc_codecs::byteio::{read_f64, write_f64};
 use ipc_codecs::varint::{read_varint, write_varint};

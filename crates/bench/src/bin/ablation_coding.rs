@@ -1,4 +1,4 @@
-//! Ablation: the design choices called out in DESIGN.md for the coding stage.
+//! Ablation: the coding stage's design choices.
 //!
 //! * negabinary vs sign-magnitude truncation uncertainty (paper Sec. 4.4.2),
 //! * predictive coding on/off and prefix length (paper Table 2 / Sec. 4.4.1),

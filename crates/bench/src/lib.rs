@@ -1,7 +1,7 @@
 //! Shared infrastructure for the benchmark harness.
 //!
 //! Every table and figure of the paper's evaluation section has a dedicated binary in
-//! `src/bin/` (see DESIGN.md §3 for the experiment index); this library holds what
+//! `src/bin/`, named after the figure or table it reproduces; this library holds what
 //! they share: dataset preparation at a chosen scale, the compressor roster, timing,
 //! and plain-text table output that mirrors the rows/series of the paper.
 

@@ -4,8 +4,9 @@
 //! stages: quantized integers are mapped to **negabinary**, sliced into bitplanes,
 //! predictively XOR-coded, and the resulting bit/byte streams are compressed with a
 //! lossless backend (the paper uses zstd; this workspace substitutes the [`lzr`]
-//! LZ77+Huffman backend, see DESIGN.md). The SZ3 baseline additionally needs a
-//! classical **Huffman** entropy stage over quantization codes.
+//! LZ77 + entropy-coding backend, whose module docs say what it keeps of zstd).
+//! The SZ3 baseline additionally needs a classical **Huffman** entropy stage
+//! over quantization codes.
 //!
 //! Everything here is self-contained and allocation-conscious:
 //!

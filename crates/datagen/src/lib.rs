@@ -5,8 +5,7 @@
 //! weather (SpeedX) and combustion (CH4). Those archives are not redistributable
 //! here, so this crate generates synthetic stand-ins that reproduce the properties
 //! the compressors are sensitive to: spatial smoothness / spectral decay, value
-//! range and sign structure, oscillatory vs. front-like morphology (see DESIGN.md
-//! §2 for the substitution rationale).
+//! range and sign structure, oscillatory vs. front-like morphology.
 //!
 //! * [`Dataset`] — the six evaluation fields, with paper shapes and scaled default
 //!   shapes.

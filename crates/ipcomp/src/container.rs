@@ -118,6 +118,7 @@ use ipc_tensor::Shape;
 use crate::bitplane::{EncodedLevel, EncodedPlane, RegionScheme};
 use crate::config::Interpolation;
 use crate::error::{IpcompError, Result};
+use crate::optimizer::CostTable;
 use crate::precinct::PrecinctGrid;
 use crate::source::{read_ranges_exact, ByteRange, Bytes, ChunkSource};
 
@@ -223,16 +224,6 @@ pub struct Compressed {
 }
 
 impl Compressed {
-    /// The interpolation level number corresponding to `levels[idx]`.
-    pub fn level_number(&self, idx: usize) -> u32 {
-        self.header.num_levels - idx as u32
-    }
-
-    /// Whether `levels[idx]` participates in progressive (partial-plane) loading.
-    pub fn is_progressive(&self, idx: usize) -> bool {
-        self.level_number(idx) <= self.header.progressive_levels
-    }
-
     /// The one walk of the write grammar: emit the container's content in
     /// its format version ([`Header::version`]), piece by piece. Versions 2
     /// and 3 differ only in the header's precinct extents. Each level's
@@ -734,6 +725,8 @@ pub struct ContainerMap {
     base_bytes: usize,
     /// Total serialized container size.
     total_len: u64,
+    /// The optimizer's view of this container, built once with the map.
+    pub(crate) cost: CostTable,
 }
 
 impl ContainerMap {
@@ -897,6 +890,13 @@ impl ContainerMap {
             for _ in 0..=num_planes {
                 trunc_loss.push(cur.read_varint()?);
             }
+            // The writer's table is a running maximum from a lossless 0; the
+            // optimizer relies on both (keeping every plane costs nothing).
+            if trunc_loss[0] != 0 || trunc_loss.windows(2).any(|w| w[1] < w[0]) {
+                return Err(IpcompError::CorruptContainer(
+                    "truncation-loss table is not a running maximum from 0",
+                ));
+            }
             let precinct_spans = match &grid {
                 Some(g) => Some(level_spans_checked(g, &shape, num_levels - idx, n_values)?),
                 None => None,
@@ -917,21 +917,24 @@ impl ContainerMap {
                 "container length disagrees with its metadata",
             ));
         }
+        let header = Header {
+            dims,
+            error_bound,
+            interpolation,
+            num_levels,
+            progressive_levels,
+            prefix_bits,
+            predictive_coding,
+            value_range,
+            precincts,
+        };
+        let base_bytes = payload_at as usize;
         Ok(Self {
-            header: Header {
-                dims,
-                error_bound,
-                interpolation,
-                num_levels,
-                progressive_levels,
-                prefix_bits,
-                predictive_coding,
-                value_range,
-                precincts,
-            },
+            cost: CostTable::new(&header, base_bytes, &levels),
+            header,
             anchors: anchors.to_vec(),
             levels,
-            base_bytes: payload_at as usize,
+            base_bytes,
             total_len,
         })
     }
@@ -1021,7 +1024,7 @@ impl ContainerMap {
         // table is where its payload starts, then its run of chunk ends.
         let mut ends = ends.into_iter();
         let mut start = base_bytes as u64;
-        let levels = c
+        let levels: Vec<LevelMap> = c
             .levels
             .iter()
             .map(|level| {
@@ -1045,6 +1048,7 @@ impl ContainerMap {
             })
             .collect();
         Self {
+            cost: CostTable::new(&c.header, base_bytes, &levels),
             header: c.header.clone(),
             anchors: c.anchors.clone(),
             levels,
@@ -1425,18 +1429,5 @@ mod tests {
                 assert!(fetched.planes[p as usize].chunks.is_empty());
             }
         }
-    }
-
-    #[test]
-    fn level_numbering_and_progressive_flags() {
-        let c = sample_compressed();
-        assert_eq!(c.level_number(0), 2);
-        assert_eq!(c.level_number(1), 1);
-        assert!(c.is_progressive(0));
-        assert!(c.is_progressive(1));
-        let mut limited = c.clone();
-        limited.header.progressive_levels = 1;
-        assert!(!limited.is_progressive(0));
-        assert!(limited.is_progressive(1));
     }
 }

@@ -82,9 +82,7 @@ pub use compressor::{compress, compress_rel};
 pub use config::{Config, Interpolation};
 pub use container::{Compressed, ContainerMap, Header, LevelMap};
 pub use error::{IpcompError, Result};
-pub use optimizer::{
-    plan_for_bitrate, plan_for_bytes, plan_for_error_bound, plan_full, LoadPlan, PlanInput,
-};
+pub use optimizer::{plan_for_bitrate, plan_for_bytes, plan_for_error_bound, plan_full, LoadPlan};
 pub use precinct::{roi_precinct_masks, LevelPrecincts, PrecinctGrid, RoiBox};
 pub use progressive::{
     ProgressiveDecoder, Retrieval, RetrievalRequest, StreamEvent, StreamProgress,

@@ -26,7 +26,7 @@
 
 use crate::container::ContainerMap;
 use crate::error::Result;
-use crate::optimizer::{plan_for_scope, LoadPlan};
+use crate::optimizer::LoadPlan;
 use crate::precinct::RoiBox;
 use crate::progressive::RetrievalRequest;
 use crate::source::ByteRange;
@@ -128,7 +128,7 @@ pub fn lower_plan(
 }
 
 /// Resolve `request` — scoped to `region` when one is given — through the
-/// optimizer (the same [`plan_for_scope`] dispatch the decoder uses, so a
+/// optimizer (the same scope rule and cost table the decoder uses, so a
 /// request is priced exactly as it is served) and lower it in one step. A
 /// region, whether passed here or carried by [`RetrievalRequest::Roi`],
 /// lowers to only the chunk ranges of precincts intersecting the box plus
@@ -140,7 +140,11 @@ pub fn plan_request(
     request: RetrievalRequest,
     region: Option<RoiBox>,
 ) -> Result<RangePlan> {
-    Ok(match plan_for_scope(map, request, region)? {
+    let chunk_size = |idx: usize, p, k| map.levels[idx].chunk_size(p, k);
+    let scoped = map
+        .cost
+        .plan_for_scope(&map.header, request, region, chunk_size)?;
+    Ok(match scoped {
         (plan, None) => lower_plan(map, already_loaded, &plan, None),
         (plan, Some((_, masks))) => lower_plan(map, &[], &plan, Some(&masks)),
     })
@@ -303,7 +307,7 @@ mod tests {
 
     #[test]
     fn roi_lowering_selects_masked_subset_and_matches_decoder_bytes() {
-        use crate::{PlanInput, ProgressiveDecoder};
+        use crate::ProgressiveDecoder;
         let field = ArrayD::from_fn(Shape::d3(24, 20, 16), |c| {
             (c[0] as f64 * 0.3).sin() + (c[1] as f64 * 0.2).cos() * 2.0 + c[2] as f64 * 0.01
         });
@@ -338,7 +342,7 @@ mod tests {
             .unwrap();
         assert_eq!(
             roi.payload_bytes(),
-            out.bytes_this_request - map.plan_base_bytes()
+            out.bytes_this_request - map.base_bytes()
         );
     }
 

@@ -33,8 +33,9 @@
 //! is usually already resident.
 //!
 //! There is one read core. Every `retrieve*` spelling resolves its request
-//! through [`crate::optimizer::plan_for_scope`] and runs the same level loop;
-//! a spatial region ([`ProgressiveDecoder::retrieve_roi`]) is Algorithm 1
+//! through the optimizer's one scope rule (`CostTable::plan_for_scope`, over
+//! the cost table the decoder builds once) and runs the same level loop; a
+//! spatial region ([`ProgressiveDecoder::retrieve_roi`]) is Algorithm 1
 //! under a mask — the same plan, the same staged decode restricted to the
 //! precincts the region's halo touches, the engine's windowed pass, and a
 //! crop — into scratch state, so it never disturbs the progressive state.
@@ -49,7 +50,7 @@ use crate::cascade::{CascadeEngine, CascadeProgress};
 use crate::container::{decode_anchors_bounded, Compressed, ContainerMap, Header};
 use crate::error::{IpcompError, Result};
 use crate::interp::{for_each_level_pass, level_stride, num_levels, sweep_runs};
-use crate::optimizer::{plan_for_scope, LoadPlan, PlanInput, RegionMasks};
+use crate::optimizer::{CostTable, LoadPlan, RegionMasks};
 use crate::pipeline::{FetchStage, RegionPipeline};
 use crate::planner::{fetch_groups, lower_plan};
 use crate::precinct::{clip_ranges, prefix_sums, LevelPrecincts, PrecinctGrid, RoiBox};
@@ -186,13 +187,6 @@ impl Store<'_> {
         }
     }
 
-    fn base_bytes(&self) -> usize {
-        match self {
-            Store::Slice(c) => c.base_bytes(),
-            Store::Source { map, .. } => map.base_bytes(),
-        }
-    }
-
     fn num_level_entries(&self) -> usize {
         match self {
             Store::Slice(c) => c.levels.len(),
@@ -214,10 +208,17 @@ impl Store<'_> {
         }
     }
 
-    fn plan_input(&self) -> &dyn PlanInput {
+    fn cost_table(&self) -> CostTable {
         match self {
-            Store::Slice(c) => *c,
-            Store::Source { map, .. } => map.as_ref(),
+            Store::Slice(c) => CostTable::resident(c),
+            Store::Source { map, .. } => map.cost.clone(),
+        }
+    }
+
+    fn chunk_size(&self, idx: usize, p: u8, k: usize) -> usize {
+        match self {
+            Store::Slice(c) => c.levels[idx].planes[p as usize].chunks[k].len(),
+            Store::Source { map, .. } => map.levels[idx].chunk_size(p, k),
         }
     }
 }
@@ -225,6 +226,8 @@ impl Store<'_> {
 /// Stateful progressive decoder for one compressed field.
 pub struct ProgressiveDecoder<'a> {
     store: Store<'a>,
+    /// The optimizer's view of the container, built once.
+    cost: CostTable,
     shape: Shape,
     /// Negabinary accumulators per level (same ordering as the container's levels).
     acc: Vec<Vec<u64>>,
@@ -303,6 +306,7 @@ impl<'a> ProgressiveDecoder<'a> {
             .collect();
         let planes_loaded = vec![0u8; n_levels];
         Self {
+            cost: store.cost_table(),
             store,
             shape,
             acc,
@@ -383,7 +387,7 @@ impl<'a> ProgressiveDecoder<'a> {
 
     /// Resolve a request into a loading plan via the optimizer.
     pub fn plan(&self, request: RetrievalRequest) -> Result<LoadPlan> {
-        crate::optimizer::plan_for_request(self.store.plan_input(), request)
+        self.cost.plan(request)
     }
 
     /// Retrieve (or refine to) the fidelity described by `request`.
@@ -430,7 +434,8 @@ impl<'a> ProgressiveDecoder<'a> {
     /// Requires a precinct-partitioned (version-3) container. The returned
     /// [`Retrieval::data`] has the region's shape and is bit-identical to
     /// cropping a full-domain retrieval of the same request; how each request
-    /// type plans under a region is [`plan_for_scope`]'s rule.
+    /// type plans under a region is the optimizer's scope rule
+    /// (`CostTable::plan_for_scope`).
     ///
     /// ROI retrievals are stateless with respect to the decoder's
     /// progressive accumulators: they never consume or advance previously
@@ -442,7 +447,7 @@ impl<'a> ProgressiveDecoder<'a> {
     }
 
     /// The one read core behind every `retrieve*` spelling: resolve the
-    /// request and optional region through [`plan_for_scope`], then run the
+    /// request and optional region through the optimizer, then run the
     /// shared loop — with an event sink when the caller passed one.
     pub(crate) fn retrieve_scoped(
         &mut self,
@@ -450,7 +455,9 @@ impl<'a> ProgressiveDecoder<'a> {
         region: Option<RoiBox>,
         events: Option<&mut dyn FnMut(StreamEvent)>,
     ) -> Result<Retrieval> {
-        let (plan, region) = plan_for_scope(self.store.plan_input(), request, region)?;
+        let (cost, store) = (&self.cost, &self.store);
+        let chunk_size = |idx, p, k| store.chunk_size(idx, p, k);
+        let (plan, region) = cost.plan_for_scope(store.header(), request, region, chunk_size)?;
         self.retrieve_inner(&plan, region, events)
     }
 
@@ -630,7 +637,7 @@ impl<'a> ProgressiveDecoder<'a> {
             Some(data) => (data, header.error_bound + plan.extra_error_bound),
             None => (
                 self.current().expect("reconstruction present"),
-                self.error_bound_for_loaded(),
+                self.cost.error_bound(&self.planes_loaded),
             ),
         };
         let bytes_this = self.bytes_total - bytes_before;
@@ -686,7 +693,7 @@ impl<'a> ProgressiveDecoder<'a> {
             // only once per decoder, even across retries of a failed initial
             // reconstruction.
             if !self.base_bytes_counted {
-                self.bytes_total += store.base_bytes();
+                self.bytes_total += self.cost.base_bytes;
                 self.base_bytes_counted = true;
             }
             engine.seed_anchors(&decode_anchors_bounded(
@@ -797,17 +804,6 @@ impl<'a> ProgressiveDecoder<'a> {
             *bytes_total = bytes_before;
         }
         result
-    }
-
-    /// Upper bound on the reconstruction error given the currently loaded planes.
-    fn error_bound_for_loaded(&self) -> f64 {
-        let c = self.store.plan_input();
-        let mut extra = 0.0;
-        for idx in 0..self.store.num_level_entries() {
-            let discard = self.store.level_num_planes(idx) - self.planes_loaded[idx];
-            extra += crate::optimizer::level_error(c, idx, discard);
-        }
-        self.store.header().error_bound + extra
     }
 }
 
@@ -1125,7 +1121,9 @@ mod tests {
         c.levels[finest].planes[0].chunks[5] = vec![0xFF; 3];
 
         // A plan that stops above the corrupt plane decodes fine.
-        let mut partial_plan = crate::optimizer::plan_full(&c);
+        let mut partial_plan = ProgressiveDecoder::new(&c)
+            .plan(RetrievalRequest::Full)
+            .unwrap();
         partial_plan.planes_loaded[finest] -= 1;
         let mut fresh = ProgressiveDecoder::new(&c);
         let reference = fresh.retrieve_with_plan(&partial_plan).unwrap();

@@ -207,7 +207,7 @@ mod tests {
 
     #[test]
     fn plan_prices_exactly_what_retrieval_fetches() {
-        use ipcomp::{PlanInput, RoiBox};
+        use ipcomp::RoiBox;
         let open = |bytes: Vec<u8>| {
             let options = StoreOptions {
                 cache_bytes: 0,
@@ -248,7 +248,7 @@ mod tests {
                     plan_request(cmap, &[], fidelity, roi)
                         .unwrap()
                         .payload_bytes()
-                        + cmap.plan_base_bytes()
+                        + cmap.base_bytes()
                 };
                 let shared = p.chain && p.output && fidelity == reference;
                 if p.output {
@@ -257,7 +257,7 @@ mod tests {
                 if p.chain && !shared {
                     expected += price(reference);
                 }
-                union += cmap.plan_base_bytes();
+                union += cmap.base_bytes();
             }
             let before = session.bytes_loaded();
             session.retrieve_steps(&request).unwrap();

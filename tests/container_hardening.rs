@@ -19,11 +19,13 @@
 //!
 //! * **Packed-layout forgeries** — the prelude's packed and unpacked lengths,
 //!   the layout flag, and a metadata block re-packed around a patched record
-//!   (short, long, chunk sizes overrunning the source): each must be refused
-//!   by name, the lengths before the unpacked buffer is allocated.
+//!   (short, long, chunk sizes overrunning the source, a loss table that is
+//!   not a running maximum from 0): each must be refused by name, the
+//!   lengths before the unpacked buffer is allocated.
 //! * **Hoisted-archive forgeries** — the archive prefix length, the hoisted
-//!   copies of each step's prelude and metadata block, the directory under
-//!   them, the header dims and the version word's flags: each refused by
+//!   copies of each step's prelude and metadata block (one with a forged
+//!   loss table), the directory under them, the header dims and the version
+//!   word's flags: each refused by
 //!   name (through `ArchiveMap::open`), the lengths before anything they size
 //!   is allocated.
 //!
@@ -384,6 +386,18 @@ fn repacked(bytes: &[u8], edit: impl FnOnce(&mut Vec<u8>)) -> Vec<u8> {
     [&front[..], &block[..], &bytes[16 + packed..]].concat()
 }
 
+/// `bytes` re-serialized with the first multi-plane level's truncation-loss
+/// table edited: a table the writer's running maximum cannot produce.
+fn with_loss_table(bytes: &[u8], edit: impl Fn(&mut [u64])) -> Vec<u8> {
+    let mut c = Compressed::from_bytes(bytes).unwrap();
+    let level = c.levels.iter_mut().find(|l| l.num_planes >= 2).unwrap();
+    edit(&mut level.trunc_loss);
+    c.to_bytes()
+}
+
+/// How the parser refuses a loss table the writer cannot produce.
+const NOT_RUNNING_MAX: &str = "truncation-loss table is not a running maximum from 0";
+
 /// Both entry points must refuse `bytes`: with a `CorruptContainer` naming
 /// `reason`, with a codec error when `reason` is `"codec"`, or — where which
 /// check fires first depends on the entropy mode of the block — with any
@@ -474,6 +488,19 @@ fn repacked_metadata_blocks_are_rejected() {
                 &overrun,
                 "chunk payload outruns buffer",
             );
+        }
+        // Loss tables the writer's running maximum cannot produce.
+        for (case, forged) in [
+            (
+                "loss table not starting at 0",
+                with_loss_table(&bytes, |t| t[0] = 1),
+            ),
+            (
+                "loss table decreasing",
+                with_loss_table(&bytes, |t| t[1] = t[2] + 1),
+            ),
+        ] {
+            assert_refused(name, case, &forged, NOT_RUNNING_MAX);
         }
         // One byte of payload more than the index accounts for.
         let trailing = [&bytes[..], &[0u8]].concat();
@@ -719,7 +746,19 @@ fn forged_hoisted_copies_are_rejected() {
     let over_bound = patched(&bytes, copies_at + 12, &u32_le(((packed as u64) << 17) + 1));
     let huge = patched(&bytes, copies_at + 12, &u32_le(u32::MAX as u64));
     let unflagged = patched(&bytes, copies_at + 5, &[0]);
-    let cases: [(&str, Vec<u8>, &str); 7] = [
+    // The first copy restated around a loss table that does not start at 0,
+    // at the first value that keeps its packed block the same length (so the
+    // copy still describes its container's payload exactly).
+    let first_at = u64_at(&bytes, dir_at + 1) as usize;
+    let first = &bytes[first_at..first_at + first_len as usize];
+    let forged = (1..)
+        .map(|v| with_loss_table(first, |t| t[0] = v))
+        .find(|forged| prelude_lengths(forged).0 == packed)
+        .unwrap();
+    let forged_loss = rehoisted(|c| {
+        c.splice(..starts[1], forged[..16 + packed].iter().copied());
+    });
+    let cases: [(&str, Vec<u8>, &str); 8] = [
         (
             "packed_len past the prefix",
             past_prefix,
@@ -753,6 +792,7 @@ fn forged_hoisted_copies_are_rejected() {
             "",
         ),
         ("an unflagged copy", unflagged, RETIRED_LAYOUT),
+        ("a forged loss table", forged_loss, NOT_RUNNING_MAX),
     ];
     for (case, forged, reason) in cases {
         assert_archive_refused(case, &forged, reason);

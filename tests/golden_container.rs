@@ -324,3 +324,223 @@ fn expected_values_respect_error_bound() {
         );
     }
 }
+
+/// Every container the pinned-plans ladder plans: the three single-field
+/// fixtures and each step container of the archive fixture, as a map plus
+/// its resident parse.
+fn planned_containers() -> Vec<(String, ContainerMap, Compressed)> {
+    let mut out: Vec<_> = CONTAINERS
+        .iter()
+        .map(|name| {
+            let bytes = fixture(name);
+            let map = ContainerMap::open(&MemorySource::new(bytes.clone())).unwrap();
+            (
+                name.to_string(),
+                map,
+                Compressed::from_bytes(&bytes).unwrap(),
+            )
+        })
+        .collect();
+    let archive = fixture(ARCHIVE);
+    let map = ArchiveMap::open(&MemorySource::new(archive.clone())).unwrap();
+    for step in 0..map.num_steps() {
+        let e = map.entry(step, 0);
+        let bytes = &archive[e.offset as usize..(e.offset + e.len) as usize];
+        let c = Compressed::from_bytes(bytes).unwrap();
+        out.push((
+            format!("{ARCHIVE} step {step}"),
+            (**map.container(step, 0)).clone(),
+            c,
+        ));
+    }
+    out
+}
+
+/// The request ladder of one container: error-bound decades from the value
+/// range down past `eb`, relative bounds, byte budgets from below the
+/// always-loaded base up to the whole container, bitrates and `Full`.
+fn plan_ladder(map: &ContainerMap) -> Vec<RetrievalRequest> {
+    let h = &map.header;
+    let mut ladder = Vec::new();
+    let mut k = 0;
+    loop {
+        let target = h.value_range / 10f64.powi(k);
+        ladder.push(RetrievalRequest::ErrorBound(target));
+        if target < h.error_bound {
+            break;
+        }
+        k += 1;
+    }
+    ladder.extend([1e-2, 1e-4].map(RetrievalRequest::RelErrorBound));
+    let total = map.total_len() as usize;
+    ladder.push(RetrievalRequest::SizeBudget(map.base_bytes() / 2));
+    ladder.extend([4, 2, 1].map(|d| RetrievalRequest::SizeBudget(total * 3 / 4 / d)));
+    ladder.push(RetrievalRequest::SizeBudget(total));
+    ladder.extend([0.5, 2.0, 8.0].map(RetrievalRequest::Bitrate));
+    ladder.push(RetrievalRequest::Full);
+    ladder
+}
+
+/// `(planes_loaded, payload_bytes, extra_error_bound bits)` of one plan.
+type Pinned = (&'static [u8], usize, u64);
+
+/// The optimizer's plans for every fixture container under
+/// [`plan_ladder`], then region byte budgets on the v3 fixture, in order.
+/// Planning is pure arithmetic on the fixtures' metadata, so a change to
+/// the optimizer that moves any plan — a plane, a byte or an error bit —
+/// fails here.
+const PINNED_PLANS: &[Pinned] = &[
+    // container_v2_packed.bin
+    (&[8, 9, 8, 6, 4], 1168, 0x40218df539500000),
+    (&[8, 12, 11, 10, 7], 2628, 0x3fec4e3140000000),
+    (&[8, 12, 13, 14, 10], 3981, 0x3fb3100000000000),
+    (&[8, 12, 13, 14, 13], 5184, 0x3f7e800000000000),
+    (&[13, 14, 14, 14, 14], 5631, 0x0),
+    (&[8, 12, 13, 14, 10], 3981, 0x3fb3100000000000),
+    (&[13, 14, 14, 14, 14], 5631, 0x0),
+    (&[0, 0, 0, 0, 0], 0, 0x408fca2b58d66800),
+    (&[8, 13, 10, 5, 3], 845, 0x402d4a5172000000),
+    (&[8, 14, 14, 12, 5], 1946, 0x4004029200000000),
+    (&[13, 14, 14, 14, 10], 4012, 0x3fb3100000000000),
+    (&[9, 13, 14, 14, 14], 5615, 0x0),
+    (&[0, 0, 0, 0, 0], 0, 0x408fca2b58d66800),
+    (&[8, 11, 10, 6, 2], 702, 0x40343834c1880000),
+    (&[13, 14, 14, 12, 9], 3563, 0x3fc7bd2000000000),
+    (&[13, 14, 14, 14, 14], 5631, 0x0),
+    // container_v2_chunked_packed.bin
+    (&[8, 9, 8, 6, 4], 1383, 0x40218df539500000),
+    (&[8, 12, 11, 10, 7], 2880, 0x3fec4e3140000000),
+    (&[8, 12, 13, 14, 10], 4320, 0x3fb3100000000000),
+    (&[8, 12, 13, 14, 13], 5591, 0x3f7e800000000000),
+    (&[13, 14, 14, 14, 14], 6051, 0x0),
+    (&[8, 12, 13, 14, 10], 4320, 0x3fb3100000000000),
+    (&[13, 14, 14, 14, 14], 6051, 0x0),
+    (&[0, 0, 0, 0, 0], 0, 0x408fca2b58d66800),
+    (&[8, 12, 11, 7, 2], 878, 0x4032d6974a000000),
+    (&[10, 14, 14, 10, 5], 2069, 0x4004f0da00000000),
+    (&[13, 14, 14, 14, 10], 4351, 0x3fb3100000000000),
+    (&[9, 14, 14, 14, 14], 6039, 0x0),
+    (&[0, 0, 0, 0, 0], 0, 0x408fca2b58d66800),
+    (&[5, 7, 6, 4, 2], 644, 0x40419aea11ce8000),
+    (&[13, 14, 14, 13, 8], 3517, 0x3fd4f24800000000),
+    (&[13, 14, 14, 14, 14], 6051, 0x0),
+    // container_v3_packed.bin
+    (&[8, 9, 8, 6, 4], 2878, 0x40218df539500000),
+    (&[8, 12, 11, 10, 7], 5030, 0x3fec4e3140000000),
+    (&[8, 12, 13, 14, 10], 7035, 0x3fb3100000000000),
+    (&[8, 12, 13, 14, 13], 8481, 0x3f7e800000000000),
+    (&[13, 14, 14, 14, 14], 9089, 0x0),
+    (&[8, 12, 13, 14, 10], 7035, 0x3fb3100000000000),
+    (&[13, 14, 14, 14, 14], 9089, 0x0),
+    (&[0, 0, 0, 0, 0], 0, 0x408fca2b58d66800),
+    (&[13, 7, 8, 6, 0], 1353, 0x404665c423a80000),
+    (&[8, 12, 9, 7, 4], 3135, 0x401ab701c8000000),
+    (&[10, 12, 13, 11, 10], 6693, 0x3fc2d6d000000000),
+    (&[13, 13, 14, 14, 14], 9059, 0x0),
+    (&[0, 0, 0, 0, 0], 0, 0x408fca2b58d66800),
+    (&[6, 7, 6, 0, 0], 534, 0x405fe97780e74000),
+    (&[13, 10, 8, 6, 5], 3405, 0x401614b00c400000),
+    (&[13, 14, 14, 14, 14], 9089, 0x0),
+    // container_v4_hoisted.bin step 0
+    (&[8, 9, 8, 6, 4], 1168, 0x40218df539500000),
+    (&[8, 12, 11, 10, 7], 2628, 0x3fec4e3140000000),
+    (&[8, 12, 13, 14, 10], 3981, 0x3fb3100000000000),
+    (&[8, 12, 13, 14, 13], 5184, 0x3f7e800000000000),
+    (&[13, 14, 14, 14, 14], 5631, 0x0),
+    (&[8, 12, 13, 14, 10], 3981, 0x3fb3100000000000),
+    (&[13, 14, 14, 14, 14], 5631, 0x0),
+    (&[0, 0, 0, 0, 0], 0, 0x408fca2b58d66800),
+    (&[8, 13, 10, 5, 3], 845, 0x402d4a5172000000),
+    (&[8, 14, 14, 12, 5], 1946, 0x4004029200000000),
+    (&[13, 14, 14, 14, 10], 4012, 0x3fb3100000000000),
+    (&[9, 13, 14, 14, 14], 5615, 0x0),
+    (&[0, 0, 0, 0, 0], 0, 0x408fca2b58d66800),
+    (&[8, 11, 10, 6, 2], 702, 0x40343834c1880000),
+    (&[13, 14, 14, 12, 9], 3563, 0x3fc7bd2000000000),
+    (&[13, 14, 14, 14, 14], 5631, 0x0),
+    // container_v4_hoisted.bin step 1
+    (&[1, 7, 8, 4, 2], 823, 0x3fce248000000000),
+    (&[1, 7, 8, 8, 6], 2272, 0x3f8e800000000000),
+    (&[1, 7, 8, 8, 8], 3082, 0x0),
+    (&[7, 8, 8, 8, 8], 3104, 0x0),
+    (&[1, 7, 8, 8, 8], 3082, 0x0),
+    (&[7, 8, 8, 8, 8], 3104, 0x0),
+    (&[0, 0, 0, 0, 0], 0, 0x4030a2a9ea3a0000),
+    (&[6, 8, 8, 6, 0], 444, 0x3fed0c4800000000),
+    (&[7, 8, 8, 8, 2], 1044, 0x3fbe800000000000),
+    (&[2, 8, 8, 8, 6], 2279, 0x3f8e800000000000),
+    (&[4, 8, 8, 8, 8], 3095, 0x0),
+    (&[1, 7, 5, 0, 0], 71, 0x4004f6bce4000000),
+    (&[6, 8, 8, 3, 2], 787, 0x3fda3da000000000),
+    (&[7, 8, 8, 8, 8], 3104, 0x0),
+    (&[7, 8, 8, 8, 8], 3104, 0x0),
+    // container_v4_hoisted.bin step 2
+    (&[9, 11, 8, 6, 4], 1210, 0x4021ea3bca634000),
+    (&[11, 13, 11, 10, 7], 2732, 0x3fec4e3140000000),
+    (&[11, 13, 13, 13, 10], 4181, 0x3fb6c92000000000),
+    (&[11, 13, 13, 14, 13], 5505, 0x3f7e800000000000),
+    (&[13, 14, 14, 14, 14], 5946, 0x0),
+    (&[11, 13, 13, 13, 10], 4181, 0x3fb6c92000000000),
+    (&[13, 14, 14, 14, 14], 5946, 0x0),
+    (&[0, 0, 0, 0, 0], 0, 0x408fb802c8b6af00),
+    (&[12, 13, 11, 6, 3], 921, 0x4028c5a694000000),
+    (&[11, 14, 13, 13, 5], 2075, 0x40045ec900000000),
+    (&[13, 14, 14, 14, 10], 4254, 0x3fb3100000000000),
+    (&[11, 13, 14, 14, 14], 5936, 0x0),
+    (&[1, 0, 0, 0, 0], 3, 0x4081d957f382af00),
+    (&[12, 13, 10, 6, 2], 722, 0x40359c74b9000000),
+    (&[11, 14, 13, 10, 9], 3597, 0x3fd350d000000000),
+    (&[13, 14, 14, 14, 14], 5946, 0x0),
+    // container_v4_hoisted.bin step 3
+    (&[7, 10, 10, 6, 3], 1337, 0x3fe6866800000000),
+    (&[7, 10, 10, 8, 7], 2997, 0x3fb0fa4000000000),
+    (&[7, 10, 10, 10, 10], 4375, 0x0),
+    (&[8, 10, 10, 10, 10], 4378, 0x0),
+    (&[7, 10, 10, 10, 10], 4375, 0x0),
+    (&[8, 10, 10, 10, 10], 4378, 0x0),
+    (&[0, 0, 0, 0, 0], 0, 0x404596aa0b503800),
+    (&[8, 10, 10, 9, 0], 639, 0x4005ae4900000000),
+    (&[8, 10, 10, 9, 3], 1505, 0x3fe2562400000000),
+    (&[8, 10, 10, 10, 7], 3110, 0x3fa3100000000000),
+    (&[8, 10, 10, 10, 9], 3955, 0x3f7e800000000000),
+    (&[2, 5, 3, 0, 0], 50, 0x40283c1ce0902000),
+    (&[8, 10, 9, 6, 1], 769, 0x40051bc694000000),
+    (&[8, 10, 10, 10, 8], 3533, 0x3f8e800000000000),
+    (&[8, 10, 10, 10, 10], 4378, 0x0),
+    // container_v3_packed.bin, region [5, 4, 3]..[13, 11, 8]
+    (&[0, 0, 0, 0, 0], 0, 0x408fca2b58d66800),
+    (&[6, 5, 0, 0, 0], 168, 0x40706884e4405000),
+    (&[9, 10, 7, 6, 3], 1951, 0x402c3b5b8a200000),
+];
+
+#[test]
+fn fixture_plans_are_pinned() {
+    use ipcomp_suite::core::planner::plan_request;
+    let containers = planned_containers();
+    let mut got = Vec::new();
+    for (name, map, resident) in &containers {
+        for request in plan_ladder(map) {
+            let plan = plan_request(map, &[], request, None).unwrap().load;
+            let direct = ProgressiveDecoder::new(resident).plan(request).unwrap();
+            assert_eq!(
+                plan, direct,
+                "{name} {request:?}: map and resident plans differ"
+            );
+            got.push((format!("{name} {request:?}"), plan));
+        }
+    }
+    let v3 = &containers[2].1;
+    let roi = RoiBox::new(&[5, 4, 3], &[13, 11, 8]);
+    let total = v3.total_len() as usize;
+    for budget in [v3.base_bytes() / 2, total / 16, total / 4] {
+        let request = RetrievalRequest::SizeBudget(budget);
+        let plan = plan_request(v3, &[], request, Some(roi)).unwrap().load;
+        got.push((format!("v3 roi {request:?}"), plan));
+    }
+    assert_eq!(got.len(), PINNED_PLANS.len(), "ladder length");
+    for ((label, plan), &(planes, payload, bits)) in got.iter().zip(PINNED_PLANS) {
+        assert_eq!(plan.planes_loaded, planes, "{label}");
+        assert_eq!(plan.payload_bytes, payload, "{label}");
+        assert_eq!(plan.extra_error_bound.to_bits(), bits, "{label}");
+    }
+}

@@ -10,8 +10,8 @@ use ipcomp_suite::codecs::{
     huffman_decode, huffman_encode, lzr_compress, lzr_decompress, zigzag_decode, zigzag_encode,
 };
 use ipcomp_suite::core::{
-    compress, plan_for_bytes, plan_for_error_bound, Config, Interpolation, ProgressiveDecoder,
-    RetrievalRequest,
+    compress, plan_for_bytes, plan_for_error_bound, Config, ContainerMap, Interpolation,
+    ProgressiveDecoder, RetrievalRequest,
 };
 use ipcomp_suite::metrics::linf_error;
 use ipcomp_suite::tensor::{ArrayD, Shape};
@@ -71,7 +71,7 @@ proptest! {
         let eb = 1e-8 * range;
         let target = 10f64.powi(-target_exp) * range;
         let compressed = compress(&field, eb, &Config::default()).unwrap();
-        let plan = plan_for_error_bound(&compressed, target).unwrap();
+        let plan = plan_for_error_bound(&ContainerMap::from_compressed(&compressed), target).unwrap();
         let mut dec = ProgressiveDecoder::new(&compressed);
         let out = dec.retrieve_with_plan(&plan).unwrap();
         let err = linf_error(field.as_slice(), out.data.as_slice());
@@ -89,11 +89,9 @@ proptest! {
         let eb = 1e-7 * field.value_range().max(1e-12);
         let compressed = compress(&field, eb, &Config::default()).unwrap();
         let budget = (compressed.total_bytes() as f64 * fraction) as usize;
-        let plan = plan_for_bytes(&compressed, budget).unwrap();
-        prop_assert!(
-            plan.total_bytes(&compressed) <= budget.max(compressed.base_bytes()),
-            "{} > {}", plan.total_bytes(&compressed), budget
-        );
+        let plan = plan_for_bytes(&ContainerMap::from_compressed(&compressed), budget).unwrap();
+        let total = compressed.base_bytes() + plan.payload_bytes;
+        prop_assert!(total <= budget.max(compressed.base_bytes()), "{} > {}", total, budget);
     }
 
     /// Incremental refinement (Algorithm 2) reaches the same result as a
