@@ -1,8 +1,10 @@
-//! MSB-first bit-granular writer and reader.
+//! MSB-first bit-at-a-time writer and reader.
 //!
-//! Bitplane slicing, Huffman codes, and the LZR entropy stage all need to emit and
-//! consume individual bits. Both types operate over plain `Vec<u8>` / `&[u8]` so that
-//! the produced buffers can be stored directly inside container blocks.
+//! Nothing on the coding path uses these: the bitplane coder slices and
+//! scatters whole words ([`crate::bitslice`]) and the entropy coders keep
+//! their own bit accumulators. They are the obviously-correct referee those
+//! word paths are tested against — `bitslice`'s slicing tests and `ipcomp`'s
+//! bit-at-a-time bitplane coder compare their bytes with what these pack.
 
 use crate::{CodecError, Result};
 
@@ -16,11 +18,6 @@ pub struct BitWriter {
 }
 
 impl BitWriter {
-    /// Create an empty writer.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
     /// Create an empty writer with capacity for roughly `bits` bits.
     pub fn with_capacity_bits(bits: usize) -> Self {
         Self {
@@ -29,118 +26,22 @@ impl BitWriter {
         }
     }
 
-    /// Total number of bits written so far.
-    pub fn bit_len(&self) -> usize {
-        if self.partial_bits == 0 {
-            self.buf.len() * 8
-        } else {
-            (self.buf.len() - 1) * 8 + self.partial_bits as usize
-        }
-    }
-
     /// Write a single bit (`true` = 1).
     #[inline]
     pub fn write_bit(&mut self, bit: bool) {
         if self.partial_bits == 0 {
             self.buf.push(0);
-            self.partial_bits = 0;
         }
         let last = self.buf.last_mut().expect("buffer non-empty");
         if bit {
             *last |= 1 << (7 - self.partial_bits);
         }
-        self.partial_bits += 1;
-        if self.partial_bits == 8 {
-            self.partial_bits = 0;
-        }
-    }
-
-    /// Write the `n` least-significant bits of `value`, most-significant first.
-    ///
-    /// Runs byte-at-a-time: at most `⌈n/8⌉ + 1` buffer operations instead of one
-    /// per bit, which is what makes the Huffman entropy stage word-speed.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `n > 64`.
-    #[inline]
-    pub fn write_bits(&mut self, value: u64, n: u32) {
-        assert!(n <= 64, "cannot write more than 64 bits at once");
-        if n == 0 {
-            return;
-        }
-        let value = if n == 64 {
-            value
-        } else {
-            value & ((1u64 << n) - 1)
-        };
-        let mut rem = n;
-        // Top up the current partial byte first.
-        if self.partial_bits != 0 {
-            let free = 8 - self.partial_bits as u32;
-            let take = free.min(rem);
-            let chunk = ((value >> (rem - take)) as u8) & ((1u16 << take) - 1) as u8;
-            let last = self.buf.last_mut().expect("partial byte exists");
-            *last |= chunk << (free - take);
-            self.partial_bits += take as u8;
-            if self.partial_bits == 8 {
-                self.partial_bits = 0;
-            }
-            rem -= take;
-        }
-        // Whole bytes.
-        while rem >= 8 {
-            rem -= 8;
-            self.buf.push((value >> rem) as u8);
-        }
-        // Leftover high bits of a fresh byte.
-        if rem > 0 {
-            let chunk = ((value as u8) & ((1u16 << rem) - 1) as u8) << (8 - rem);
-            self.buf.push(chunk);
-            self.partial_bits = rem as u8;
-        }
-    }
-
-    /// Write all 64 bits of `value`, most-significant first.
-    ///
-    /// Equivalent to `write_bits(value, 64)` but runs word-at-a-time when the
-    /// writer is byte-aligned (the common case for the bitplane coder, which
-    /// always writes whole plane words).
-    #[inline]
-    pub fn write_word64(&mut self, value: u64) {
-        if self.partial_bits == 0 {
-            self.buf.extend_from_slice(&value.to_be_bytes());
-        } else {
-            self.write_bits(value, 64);
-        }
-    }
-
-    /// Append `n_bits` stream bits from packed MSB-first plane words
-    /// (bit `63 - k` of `words[w]` is stream bit `64·w + k`).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `words` holds fewer than `n_bits` bits.
-    pub fn write_words(&mut self, words: &[u64], n_bits: usize) {
-        assert!(words.len() * 64 >= n_bits, "not enough word bits");
-        let full = n_bits / 64;
-        for &w in &words[..full] {
-            self.write_word64(w);
-        }
-        let rem = (n_bits % 64) as u32;
-        if rem > 0 {
-            self.write_bits(words[full] >> (64 - rem), rem);
-        }
+        self.partial_bits = (self.partial_bits + 1) % 8;
     }
 
     /// Finish writing and return the backing buffer (final byte zero-padded).
     pub fn into_bytes(self) -> Vec<u8> {
         self.buf
-    }
-
-    /// Borrow the bytes written so far (final byte zero-padded).
-    pub fn as_bytes(&self) -> &[u8] {
-        &self.buf
     }
 }
 
@@ -157,16 +58,6 @@ impl<'a> BitReader<'a> {
         Self { buf, pos_bits: 0 }
     }
 
-    /// Number of bits consumed so far.
-    pub fn position(&self) -> usize {
-        self.pos_bits
-    }
-
-    /// Number of bits remaining (including any zero padding in the final byte).
-    pub fn remaining(&self) -> usize {
-        self.buf.len() * 8 - self.pos_bits
-    }
-
     /// Read one bit.
     #[inline]
     pub fn read_bit(&mut self) -> Result<bool> {
@@ -178,104 +69,24 @@ impl<'a> BitReader<'a> {
         self.pos_bits += 1;
         Ok((self.buf[byte_idx] >> bit_idx) & 1 == 1)
     }
-
-    /// Read `n` bits into the low bits of a `u64`, most-significant first.
-    #[inline]
-    pub fn read_bits(&mut self, n: u32) -> Result<u64> {
-        assert!(n <= 64, "cannot read more than 64 bits at once");
-        let mut v = 0u64;
-        for _ in 0..n {
-            v = (v << 1) | self.read_bit()? as u64;
-        }
-        Ok(v)
-    }
-
-    /// Peek at the next `n ≤ 56` bits without consuming them, MSB-first in the
-    /// low bits of the result. Bits past the end of the buffer read as zero, so
-    /// callers that resolve variable-length codes near the end of a stream can
-    /// peek a full window and validate the consumed length afterwards.
-    #[inline]
-    pub fn peek_bits(&self, n: u32) -> u64 {
-        debug_assert!(n <= 56, "peek window limited to 56 bits");
-        if n == 0 {
-            return 0;
-        }
-        let byte_idx = self.pos_bits / 8;
-        let bit_idx = (self.pos_bits % 8) as u32;
-        let mut window = [0u8; 8];
-        if byte_idx < self.buf.len() {
-            let avail = (self.buf.len() - byte_idx).min(8);
-            window[..avail].copy_from_slice(&self.buf[byte_idx..byte_idx + avail]);
-        }
-        (u64::from_be_bytes(window) << bit_idx) >> (64 - n)
-    }
-
-    /// Consume `n` bits (previously inspected with [`BitReader::peek_bits`]).
-    #[inline]
-    pub fn skip_bits(&mut self, n: u32) -> Result<()> {
-        if self.remaining() < n as usize {
-            return Err(CodecError::UnexpectedEof);
-        }
-        self.pos_bits += n as usize;
-        Ok(())
-    }
-
-    /// Read 64 bits as one MSB-first word, byte-at-a-time when aligned.
-    #[inline]
-    pub fn read_word64(&mut self) -> Result<u64> {
-        if self.pos_bits.is_multiple_of(8) {
-            let byte_idx = self.pos_bits / 8;
-            let bytes = self
-                .buf
-                .get(byte_idx..byte_idx + 8)
-                .ok_or(CodecError::UnexpectedEof)?;
-            self.pos_bits += 64;
-            let mut buf = [0u8; 8];
-            buf.copy_from_slice(bytes);
-            Ok(u64::from_be_bytes(buf))
-        } else {
-            self.read_bits(64)
-        }
-    }
-
-    /// View the remaining stream as packed MSB-first plane words: bit `63 - k`
-    /// of word `w` is stream bit `64·w + k` past the current position. Bits
-    /// beyond the buffer read as zero; `n_bits` bits must be available.
-    pub fn as_words(&self, n_bits: usize) -> Result<Vec<u64>> {
-        if self.remaining() < n_bits {
-            return Err(CodecError::UnexpectedEof);
-        }
-        let mut reader = self.clone();
-        let n_words = n_bits.div_ceil(64);
-        let mut words = Vec::with_capacity(n_words);
-        let mut left = n_bits;
-        for _ in 0..n_words {
-            if left >= 64 {
-                words.push(reader.read_word64()?);
-                left -= 64;
-            } else {
-                let v = reader.read_bits(left as u32)?;
-                words.push(v << (64 - left));
-                left = 0;
-            }
-        }
-        Ok(words)
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
+    fn pack(bits: &[bool]) -> Vec<u8> {
+        let mut w = BitWriter::default();
+        for &b in bits {
+            w.write_bit(b);
+        }
+        w.into_bytes()
+    }
+
     #[test]
     fn single_bits_roundtrip() {
         let bits = [true, false, true, true, false, false, true, false, true];
-        let mut w = BitWriter::new();
-        for &b in &bits {
-            w.write_bit(b);
-        }
-        assert_eq!(w.bit_len(), 9);
-        let bytes = w.into_bytes();
+        let bytes = pack(&bits);
         assert_eq!(bytes.len(), 2);
         let mut r = BitReader::new(&bytes);
         for &b in &bits {
@@ -284,33 +95,8 @@ mod tests {
     }
 
     #[test]
-    fn multi_bit_values_roundtrip() {
-        let mut w = BitWriter::new();
-        w.write_bits(0b1011, 4);
-        w.write_bits(0xDEADBEEF, 32);
-        w.write_bits(1, 1);
-        w.write_bits(u64::MAX, 64);
-        let bytes = w.into_bytes();
-        let mut r = BitReader::new(&bytes);
-        assert_eq!(r.read_bits(4).unwrap(), 0b1011);
-        assert_eq!(r.read_bits(32).unwrap(), 0xDEADBEEF);
-        assert_eq!(r.read_bits(1).unwrap(), 1);
-        assert_eq!(r.read_bits(64).unwrap(), u64::MAX);
-    }
-
-    #[test]
-    fn zero_width_write_is_noop() {
-        let mut w = BitWriter::new();
-        w.write_bits(123, 0);
-        assert_eq!(w.bit_len(), 0);
-        assert!(w.into_bytes().is_empty());
-    }
-
-    #[test]
     fn reading_past_end_errors() {
-        let mut w = BitWriter::new();
-        w.write_bits(0b101, 3);
-        let bytes = w.into_bytes();
+        let bytes = pack(&[true, false, true]);
         let mut r = BitReader::new(&bytes);
         // The final byte is padded, so 8 bits are readable, the 9th is not.
         for _ in 0..8 {
@@ -320,163 +106,8 @@ mod tests {
     }
 
     #[test]
-    fn position_and_remaining_track_progress() {
-        let mut w = BitWriter::new();
-        w.write_bits(0xAB, 8);
-        w.write_bits(0xCD, 8);
-        let bytes = w.into_bytes();
-        let mut r = BitReader::new(&bytes);
-        assert_eq!(r.remaining(), 16);
-        r.read_bits(5).unwrap();
-        assert_eq!(r.position(), 5);
-        assert_eq!(r.remaining(), 11);
-    }
-
-    #[test]
-    fn chunked_write_bits_matches_per_bit_reference() {
-        // Exhaustive-ish cross-check of the byte-chunked write_bits against a
-        // strictly per-bit writer at every alignment.
-        let values = [
-            0u64,
-            1,
-            0b1011,
-            0xFF,
-            0xDEAD_BEEF,
-            u64::MAX,
-            0x8000_0000_0000_0001,
-        ];
-        for lead in 0..8u32 {
-            for &v in &values {
-                for n in [1u32, 3, 7, 8, 9, 15, 16, 17, 31, 33, 63, 64] {
-                    let mut fast = BitWriter::new();
-                    fast.write_bits(0x5A, lead.min(8));
-                    fast.write_bits(v, n);
-                    let mut slow = BitWriter::new();
-                    slow.write_bits(0x5A, lead.min(8));
-                    for i in (0..n).rev() {
-                        slow.write_bit((v >> i) & 1 == 1);
-                    }
-                    assert_eq!(fast.bit_len(), slow.bit_len(), "lead={lead} v={v:#x} n={n}");
-                    assert_eq!(
-                        fast.into_bytes(),
-                        slow.into_bytes(),
-                        "lead={lead} v={v:#x} n={n}"
-                    );
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn peek_and_skip_track_reads() {
-        let mut w = BitWriter::new();
-        w.write_bits(0b101_1011_0101, 11);
-        w.write_bits(0xABCD, 16);
-        let bytes = w.into_bytes();
-        let mut r = BitReader::new(&bytes);
-        assert_eq!(r.peek_bits(11), 0b101_1011_0101);
-        assert_eq!(r.peek_bits(4), 0b1011, "peek must not consume");
-        r.skip_bits(11).unwrap();
-        assert_eq!(r.peek_bits(16), 0xABCD);
-        assert_eq!(r.read_bits(16).unwrap(), 0xABCD);
-        // Only padding is left: peeking past the end pads with zeros, and
-        // skipping past the end errors.
-        assert_eq!(r.peek_bits(40), 0);
-        assert!(r.skip_bits(r.remaining() as u32 + 1).is_err());
-    }
-
-    #[test]
-    fn word_writes_match_bit_writes() {
-        let words = [0xDEAD_BEEF_0123_4567u64, 0x8000_0000_0000_0001];
-        // Aligned path.
-        let mut a = BitWriter::new();
-        for &w in &words {
-            a.write_word64(w);
-        }
-        let mut b = BitWriter::new();
-        for &w in &words {
-            b.write_bits(w, 64);
-        }
-        assert_eq!(a.into_bytes(), b.into_bytes());
-        // Unaligned path.
-        let mut a = BitWriter::new();
-        a.write_bits(0b101, 3);
-        a.write_word64(words[0]);
-        let mut b = BitWriter::new();
-        b.write_bits(0b101, 3);
-        b.write_bits(words[0], 64);
-        assert_eq!(a.into_bytes(), b.into_bytes());
-    }
-
-    #[test]
-    fn write_words_handles_partial_tail() {
-        let words = [0xFFFF_0000_FFFF_0000u64, 0xABCD_EF01_2345_6789];
-        for n_bits in [1usize, 64, 65, 100, 128] {
-            let mut a = BitWriter::new();
-            a.write_words(&words, n_bits);
-            let mut b = BitWriter::new();
-            for k in 0..n_bits {
-                let w = words[k / 64];
-                b.write_bit((w >> (63 - (k % 64))) & 1 == 1);
-            }
-            assert_eq!(a.bit_len(), n_bits);
-            assert_eq!(a.into_bytes(), b.into_bytes(), "n_bits={n_bits}");
-        }
-    }
-
-    #[test]
-    fn read_word64_aligned_and_unaligned() {
-        let mut w = BitWriter::new();
-        w.write_bits(0b11, 2);
-        w.write_word64(0x0123_4567_89AB_CDEF);
-        w.write_bits(0, 6);
-        let bytes = w.into_bytes();
-        let mut r = BitReader::new(&bytes);
-        assert_eq!(r.read_bits(2).unwrap(), 0b11);
-        assert_eq!(r.read_word64().unwrap(), 0x0123_4567_89AB_CDEF);
-        // Aligned fast path.
-        let mut w = BitWriter::new();
-        w.write_word64(42);
-        let bytes = w.into_bytes();
-        let mut r = BitReader::new(&bytes);
-        assert_eq!(r.read_word64().unwrap(), 42);
-        assert!(r.read_word64().is_err());
-    }
-
-    #[test]
-    fn as_words_roundtrips_write_words() {
-        let words = [0x1357_9BDF_0246_8ACEu64, 0xFEDC_BA98_7654_3210, 0xF0F0];
-        for n_bits in [3usize, 64, 120, 128, 192] {
-            let mut w = BitWriter::new();
-            w.write_words(&words, n_bits);
-            let bytes = w.into_bytes();
-            let r = BitReader::new(&bytes);
-            let got = r.as_words(n_bits).unwrap();
-            let want: Vec<u64> = (0..n_bits.div_ceil(64))
-                .map(|i| {
-                    let w = words[i];
-                    let used = (n_bits - i * 64).min(64);
-                    if used == 64 {
-                        w
-                    } else {
-                        w & !(u64::MAX >> used)
-                    }
-                })
-                .collect();
-            assert_eq!(got, want, "n_bits={n_bits}");
-        }
-        let r = BitReader::new(&[0u8; 2]);
-        assert!(r.as_words(17).is_err());
-    }
-
-    #[test]
     fn msb_first_packing_layout() {
-        let mut w = BitWriter::new();
-        w.write_bit(true);
-        w.write_bit(false);
-        w.write_bit(true);
-        let bytes = w.into_bytes();
         // 1,0,1 packed MSB-first => 1010_0000.
-        assert_eq!(bytes, vec![0b1010_0000]);
+        assert_eq!(pack(&[true, false, true]), vec![0b1010_0000]);
     }
 }

@@ -1,85 +1,21 @@
-//! Little-endian scalar and slice serialization helpers for container formats.
+//! Little-endian `f64` serialization for the baselines' container headers.
 
 use crate::{CodecError, Result};
-
-/// Append a `u32` in little-endian order.
-pub fn write_u32(out: &mut Vec<u8>, v: u32) {
-    out.extend_from_slice(&v.to_le_bytes());
-}
-
-/// Append a `u64` in little-endian order.
-pub fn write_u64(out: &mut Vec<u8>, v: u64) {
-    out.extend_from_slice(&v.to_le_bytes());
-}
 
 /// Append an `f64` in little-endian IEEE-754 order.
 pub fn write_f64(out: &mut Vec<u8>, v: f64) {
     out.extend_from_slice(&v.to_le_bytes());
 }
 
-/// Read a `u32` at `*pos`, advancing it.
-pub fn read_u32(buf: &[u8], pos: &mut usize) -> Result<u32> {
-    let bytes: [u8; 4] = buf
-        .get(*pos..*pos + 4)
-        .ok_or(CodecError::UnexpectedEof)?
-        .try_into()
-        .expect("slice length checked");
-    *pos += 4;
-    Ok(u32::from_le_bytes(bytes))
-}
-
-/// Read a `u64` at `*pos`, advancing it.
-pub fn read_u64(buf: &[u8], pos: &mut usize) -> Result<u64> {
+/// Read an `f64` at `*pos`, advancing it.
+pub fn read_f64(buf: &[u8], pos: &mut usize) -> Result<f64> {
     let bytes: [u8; 8] = buf
-        .get(*pos..*pos + 8)
+        .get(*pos..pos.saturating_add(8))
         .ok_or(CodecError::UnexpectedEof)?
         .try_into()
         .expect("slice length checked");
     *pos += 8;
-    Ok(u64::from_le_bytes(bytes))
-}
-
-/// Read an `f64` at `*pos`, advancing it.
-pub fn read_f64(buf: &[u8], pos: &mut usize) -> Result<f64> {
-    Ok(f64::from_bits(read_u64(buf, pos)?))
-}
-
-/// Append a length-prefixed byte slice.
-pub fn write_bytes(out: &mut Vec<u8>, bytes: &[u8]) {
-    crate::varint::write_varint(out, bytes.len() as u64);
-    out.extend_from_slice(bytes);
-}
-
-/// Read a length-prefixed byte slice.
-pub fn read_bytes<'a>(buf: &'a [u8], pos: &mut usize) -> Result<&'a [u8]> {
-    let len = crate::varint::read_varint(buf, pos)? as usize;
-    // Saturating: an adversarial length must fail the range check, not
-    // overflow the addition.
-    let slice = buf
-        .get(*pos..pos.saturating_add(len))
-        .ok_or(CodecError::UnexpectedEof)?;
-    *pos += len;
-    Ok(slice)
-}
-
-/// Serialize an `f64` slice to little-endian bytes.
-pub fn f64_slice_to_bytes(values: &[f64]) -> Vec<u8> {
-    let mut out = Vec::with_capacity(values.len() * 8);
-    for &v in values {
-        out.extend_from_slice(&v.to_le_bytes());
-    }
-    out
-}
-
-/// Deserialize little-endian bytes into an `f64` vector.
-pub fn bytes_to_f64_vec(bytes: &[u8]) -> Result<Vec<f64>> {
-    if !bytes.len().is_multiple_of(8) {
-        return Err(CodecError::Corrupt("f64 buffer length not a multiple of 8"));
-    }
-    Ok(bytes
-        .chunks_exact(8)
-        .map(|c| f64::from_le_bytes(c.try_into().expect("chunk of 8")))
-        .collect())
+    Ok(f64::from_le_bytes(bytes))
 }
 
 #[cfg(test)]
@@ -89,44 +25,19 @@ mod tests {
     #[test]
     fn scalar_roundtrip() {
         let mut buf = Vec::new();
-        write_u32(&mut buf, 0xDEAD_BEEF);
-        write_u64(&mut buf, u64::MAX - 7);
         write_f64(&mut buf, -1234.5678e-9);
+        write_f64(&mut buf, f64::MAX);
         let mut pos = 0;
-        assert_eq!(read_u32(&buf, &mut pos).unwrap(), 0xDEAD_BEEF);
-        assert_eq!(read_u64(&buf, &mut pos).unwrap(), u64::MAX - 7);
         assert_eq!(read_f64(&buf, &mut pos).unwrap(), -1234.5678e-9);
+        assert_eq!(read_f64(&buf, &mut pos).unwrap(), f64::MAX);
         assert_eq!(pos, buf.len());
     }
 
     #[test]
     fn truncated_scalar_errors() {
-        let buf = vec![1u8, 2, 3];
+        let buf = vec![1u8; 7];
         let mut pos = 0;
-        assert_eq!(read_u32(&buf, &mut pos), Err(CodecError::UnexpectedEof));
-    }
-
-    #[test]
-    fn length_prefixed_bytes_roundtrip() {
-        let mut buf = Vec::new();
-        write_bytes(&mut buf, b"hello");
-        write_bytes(&mut buf, b"");
-        write_bytes(&mut buf, &[7u8; 300]);
-        let mut pos = 0;
-        assert_eq!(read_bytes(&buf, &mut pos).unwrap(), b"hello");
-        assert_eq!(read_bytes(&buf, &mut pos).unwrap(), b"");
-        assert_eq!(read_bytes(&buf, &mut pos).unwrap(), &[7u8; 300][..]);
-    }
-
-    #[test]
-    fn f64_slice_roundtrip() {
-        let values = vec![0.0, -1.5, f64::MAX, f64::MIN_POSITIVE, std::f64::consts::PI];
-        let bytes = f64_slice_to_bytes(&values);
-        assert_eq!(bytes_to_f64_vec(&bytes).unwrap(), values);
-    }
-
-    #[test]
-    fn f64_slice_bad_length_rejected() {
-        assert!(bytes_to_f64_vec(&[0u8; 9]).is_err());
+        assert_eq!(read_f64(&buf, &mut pos), Err(CodecError::UnexpectedEof));
+        assert_eq!(pos, 0);
     }
 }

@@ -1,63 +1,44 @@
-//! Canonical Huffman coding over `u32` symbols.
+//! Canonical Huffman coding over bytes.
 //!
-//! The SZ3 baseline (paper Sec. 6.1.3) entropy-codes its linear-scale quantization
-//! codes with Huffman before the final lossless pass; the LZR backend reuses the same
-//! coder for its byte-oriented token stream. The implementation builds a classical
+//! The SZ3 and MGARD stand-ins (paper Sec. 6.1.3) entropy-code their
+//! quantization codes with this byte coder before the final lossless pass,
+//! and the LZR backend codes a token stream with it (mode 1) where it beats
+//! rANS and the store threshold. The encoder builds a classical
 //! frequency-sorted tree, converts it to canonical form (codes assigned by
-//! non-decreasing length, then symbol order) and serializes only the `(symbol, length)`
-//! table, so the decoder can rebuild the exact same codebook.
+//! non-decreasing length, then symbol order) and serializes only the
+//! `(symbol, length)` table, so the decoder can rebuild the exact same
+//! codebook.
 
-use crate::bitstream::{BitReader, BitWriter};
 use crate::rans::histogram;
 use crate::varint::{read_varint, varint_len, write_varint};
 use crate::{CodecError, Result};
 use std::cmp::Reverse;
-use std::collections::{BinaryHeap, HashMap};
+use std::collections::BinaryHeap;
 
-/// A single symbol's canonical code.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-struct Code {
-    bits: u64,
-    len: u8,
-}
+/// Longest code a stream may declare. The decoder's 64-bit window resolves a
+/// code of up to 56 bits after any refill. No writer comes close: a depth-`d`
+/// Huffman tree needs a total weight of at least `F(d + 2)` (Fibonacci), the
+/// histogram refuses inputs of 4 GiB or more, and `F(48) > 2³²`, so no stream
+/// ever written holds a code longer than 45 bits.
+const MAX_CODE_LEN: u8 = 56;
 
-/// Build canonical code lengths for a frequency table.
+/// Canonical code lengths of a byte histogram, as `(symbol, length)` pairs
+/// sorted by symbol. Zero or one present symbol are the degenerate cases (the
+/// single symbol gets a 1-bit code).
 ///
-/// Returns `(symbol, code_length)` pairs sorted by symbol. Handles the degenerate
-/// cases of zero or one distinct symbol (the single symbol gets a 1-bit code).
-fn code_lengths(freqs: &HashMap<u32, u64>) -> Vec<(u32, u8)> {
-    // Deterministic order: sort by symbol so equal-frequency ties break identically
-    // across runs.
-    let mut symbols: Vec<(u32, u64)> = freqs.iter().map(|(&s, &f)| (s, f)).collect();
-    symbols.sort_unstable();
-    code_lengths_sorted(&symbols)
-}
-
-/// [`code_lengths`] of a byte histogram, read straight off the counts: the
-/// present symbols of a `[u64; 256]` are already in ascending order, so the
-/// per-buffer hash map and sort of the generic path are skipped and the tree
-/// (hence every length, hence every encoded byte) is the same one.
-fn byte_code_lengths(hist: &[u64; 256]) -> Vec<(u32, u8)> {
-    let mut symbols: Vec<(u32, u64)> = Vec::with_capacity(hist.len());
-    symbols.extend(
-        hist.iter()
-            .enumerate()
-            .filter(|&(_, &f)| f > 0)
-            .map(|(s, &f)| (s as u32, f)),
-    );
-    code_lengths_sorted(&symbols)
-}
-
-/// The tree build behind both length functions. `symbols` holds the present
-/// `(symbol, frequency)` pairs in ascending symbol order: leaves enter the
-/// arena in that order and the heap is keyed on `(frequency, node index)`,
-/// which is what makes equal-frequency ties break identically everywhere.
-fn code_lengths_sorted(symbols: &[(u32, u64)]) -> Vec<(u32, u8)> {
+/// Leaves enter the arena in ascending symbol order and the heap is keyed on
+/// `(frequency, node index)`, which is what makes equal-frequency ties break
+/// identically on every run.
+fn byte_code_lengths(hist: &[u64; 256]) -> Vec<(u8, u8)> {
+    let symbols: Vec<(u8, u64)> = (0..=u8::MAX)
+        .zip(hist.iter().copied())
+        .filter(|&(_, f)| f > 0)
+        .collect();
     if symbols.is_empty() {
         return Vec::new();
     }
-    if let [(sym, _)] = symbols {
-        return vec![(*sym, 1)];
+    if let [(sym, _)] = symbols[..] {
+        return vec![(sym, 1)];
     }
 
     // Node arena: leaves first, then internal nodes.
@@ -66,12 +47,12 @@ fn code_lengths_sorted(symbols: &[(u32, u64)]) -> Vec<(u32, u8)> {
         freq: u64,
         left: usize,
         right: usize,
-        symbol: u32,
+        symbol: u8,
     }
     const NONE: usize = usize::MAX;
 
     let mut nodes: Vec<Node> = Vec::with_capacity(symbols.len() * 2);
-    for &(sym, freq) in symbols {
+    for &(sym, freq) in &symbols {
         nodes.push(Node {
             freq,
             left: NONE,
@@ -101,7 +82,7 @@ fn code_lengths_sorted(symbols: &[(u32, u64)]) -> Vec<(u32, u8)> {
     let root = heap.pop().expect("single root").0 .1;
 
     // Depth-first traversal to assign lengths.
-    let mut lengths: Vec<(u32, u8)> = Vec::with_capacity(symbols.len());
+    let mut lengths: Vec<(u8, u8)> = Vec::with_capacity(symbols.len());
     let mut stack = vec![(root, 0u8)];
     while let Some((idx, depth)) = stack.pop() {
         let n = nodes[idx];
@@ -116,51 +97,20 @@ fn code_lengths_sorted(symbols: &[(u32, u64)]) -> Vec<(u32, u8)> {
     lengths
 }
 
-/// Assign canonical codes given `(symbol, length)` pairs.
-fn canonical_codes(lengths: &[(u32, u8)]) -> HashMap<u32, Code> {
-    let mut entries: Vec<(u8, u32)> = lengths.iter().map(|&(s, l)| (l, s)).collect();
+/// Canonical `(code, length)` of every symbol in `lengths`, indexed by symbol.
+fn canonical_codes(lengths: &[(u8, u8)]) -> [(u64, u32); 256] {
+    let mut entries: Vec<(u8, u8)> = lengths.iter().map(|&(s, l)| (l, s)).collect();
     entries.sort_unstable();
-    let mut codes = HashMap::with_capacity(entries.len());
+    let mut codes = [(0u64, 0u32); 256];
     let mut code = 0u64;
     let mut prev_len = 0u8;
-    for &(len, sym) in &entries {
+    for (len, sym) in entries {
         code <<= len - prev_len;
-        codes.insert(sym, Code { bits: code, len });
+        codes[sym as usize] = (code, len as u32);
         code += 1;
         prev_len = len;
     }
     codes
-}
-
-/// Encode a slice of `u32` symbols into a self-describing byte buffer.
-///
-/// The buffer starts with the symbol count, the canonical `(symbol, length)` table,
-/// and then the bit-packed payload.
-pub fn huffman_encode(symbols: &[u32]) -> Vec<u8> {
-    let mut freqs: HashMap<u32, u64> = HashMap::new();
-    for &s in symbols {
-        *freqs.entry(s).or_insert(0) += 1;
-    }
-    let lengths = code_lengths(&freqs);
-    let codes = canonical_codes(&lengths);
-
-    let mut out = Vec::new();
-    write_varint(&mut out, symbols.len() as u64);
-    write_varint(&mut out, lengths.len() as u64);
-    for &(sym, len) in &lengths {
-        write_varint(&mut out, sym as u64);
-        out.push(len);
-    }
-
-    let mut writer = BitWriter::with_capacity_bits(symbols.len() * 8);
-    for &s in symbols {
-        let c = codes[&s];
-        writer.write_bits(c.bits, c.len as u32);
-    }
-    let payload = writer.into_bytes();
-    write_varint(&mut out, payload.len() as u64);
-    out.extend_from_slice(&payload);
-    out
 }
 
 /// Canonical decoding tables: a direct-lookup table resolving all codes up to
@@ -170,15 +120,15 @@ pub fn huffman_encode(symbols: &[u32]) -> Vec<u8> {
 struct CanonicalDecoder {
     /// `lut[peeked] = (symbol, code_len)`; `code_len == 0` marks "longer than
     /// TABLE_BITS, take the slow path".
-    lut: Vec<(u32, u8)>,
+    lut: Vec<(u8, u8)>,
     /// Symbols sorted by (code length, symbol) — canonical code order.
-    symbols: Vec<u32>,
+    symbols: Vec<u8>,
     /// Per code length `l`: the first canonical code of that length.
-    first_code: [u64; 65],
+    first_code: [u64; MAX_CODE_LEN as usize + 1],
     /// Per code length `l`: index into `symbols` of that first code.
-    first_index: [usize; 65],
+    first_index: [usize; MAX_CODE_LEN as usize + 1],
     /// Per code length `l`: number of codes of that length.
-    count: [usize; 65],
+    count: [usize; MAX_CODE_LEN as usize + 1],
     max_len: u8,
 }
 
@@ -188,29 +138,23 @@ impl CanonicalDecoder {
     /// Build the decoding tables, rejecting tables that violate the canonical
     /// (Kraft) constraint — headers are untrusted bytes, and an oversubscribed
     /// length table would otherwise push the code counter past `2^len` and out
-    /// of the lookup table.
-    fn new(lengths: &[(u32, u8)]) -> Result<Self> {
+    /// of the lookup table. Lengths are `1..=MAX_CODE_LEN` (the parser checks),
+    /// so no shift below overflows.
+    fn new(lengths: &[(u8, u8)]) -> Result<Self> {
         // Canonical order: by (length, symbol), matching `canonical_codes`.
-        let mut entries: Vec<(u8, u32)> = lengths.iter().map(|&(s, l)| (l, s)).collect();
+        let mut entries: Vec<(u8, u8)> = lengths.iter().map(|&(s, l)| (l, s)).collect();
         entries.sort_unstable();
         let mut symbols = Vec::with_capacity(entries.len());
-        let mut first_code = [0u64; 65];
-        let mut first_index = [0usize; 65];
-        let mut count = [0usize; 65];
+        let mut first_code = [0u64; MAX_CODE_LEN as usize + 1];
+        let mut first_index = [0usize; MAX_CODE_LEN as usize + 1];
+        let mut count = [0usize; MAX_CODE_LEN as usize + 1];
         let mut max_len = 0u8;
-        let mut lut = vec![(0u32, 0u8); 1usize << Self::TABLE_BITS];
+        let mut lut = vec![(0u8, 0u8); 1usize << Self::TABLE_BITS];
         let mut code = 0u64;
         let mut prev_len = 0u8;
         for (i, &(len, sym)) in entries.iter().enumerate() {
-            let shift = (len - prev_len) as u32;
-            code = match code.checked_shl(shift) {
-                // checked_shl rejects shift ≥ 64; a shifted-out high bit is the
-                // same oversubscription expressed earlier.
-                Some(shifted) if shift == 0 || shifted >> shift == code => shifted,
-                _ if code == 0 => 0,
-                _ => return Err(CodecError::Corrupt("oversubscribed Huffman code table")),
-            };
-            if len < 64 && code >> len != 0 {
+            code <<= len - prev_len;
+            if code >> len != 0 {
                 return Err(CodecError::Corrupt("oversubscribed Huffman code table"));
             }
             if count[len as usize] == 0 {
@@ -246,15 +190,10 @@ impl CanonicalDecoder {
     ///
     /// Runs on a local MSB-aligned 64-bit buffer: the top `have` bits of `acc`
     /// are the next stream bits, refilled a byte at a time and consumed with one
-    /// shift per symbol — no per-bit reads and no hashing. Tables declaring
-    /// codes longer than 56 bits (possible only in hand-crafted headers — a real
-    /// histogram would need hundreds of gigabytes of input to produce one) are
-    /// routed to the bitwise fallback, which keeps the fast loop's refill
-    /// invariant `len ≤ have` unconditional.
-    fn decode_all(&self, payload: &[u8], n: usize, mut emit: impl FnMut(u32)) -> Result<()> {
-        if self.max_len > 56 {
-            return self.decode_all_bitwise(payload, n, emit);
-        }
+    /// shift per symbol — no per-bit reads and no hashing. A refill leaves more
+    /// than 56 bits whenever unread bytes remain, so every code (at most
+    /// [`MAX_CODE_LEN`] bits) resolves in the window.
+    fn decode_all(&self, payload: &[u8], n: usize, mut emit: impl FnMut(u8)) -> Result<()> {
         // Register-resident MSB-aligned bit buffer: the top `have` bits of
         // `acc` are the next stream bits. The refill ORs a whole 8-byte load
         // below the valid region but only *accounts* for whole bytes; the
@@ -321,41 +260,12 @@ impl CanonicalDecoder {
         }
         Ok(())
     }
-
-    /// Bit-at-a-time fallback for adversarial tables with > 56-bit codes.
-    fn decode_all_bitwise(
-        &self,
-        payload: &[u8],
-        n: usize,
-        mut emit: impl FnMut(u32),
-    ) -> Result<()> {
-        let mut reader = BitReader::new(payload);
-        for _ in 0..n {
-            let mut code = 0u64;
-            let mut l = 0usize;
-            loop {
-                code = (code << 1) | reader.read_bit()? as u64;
-                l += 1;
-                if l > self.max_len as usize {
-                    return Err(CodecError::Corrupt("code not found in table"));
-                }
-                if self.count[l] > 0 {
-                    let offset = code.wrapping_sub(self.first_code[l]);
-                    if offset < self.count[l] as u64 {
-                        emit(self.symbols[self.first_index[l] + offset as usize]);
-                        break;
-                    }
-                }
-            }
-        }
-        Ok(())
-    }
 }
 
 /// Parsed self-describing header: `(n_symbols, (symbol, length) table, payload)`.
-type ParsedHeader<'a> = (usize, Vec<(u32, u8)>, &'a [u8]);
+type ParsedHeader<'a> = (usize, Vec<(u8, u8)>, &'a [u8]);
 
-/// Parse the header shared by [`huffman_decode`] and [`huffman_decode_bytes`].
+/// Parse the header [`huffman_encode_bytes`] writes.
 fn parse_header(buf: &[u8]) -> Result<ParsedHeader<'_>> {
     let mut pos = 0usize;
     let n_symbols = read_varint(buf, &mut pos)? as usize;
@@ -376,12 +286,13 @@ fn parse_header(buf: &[u8]) -> Result<ParsedHeader<'_>> {
     if table_len > buf.len() {
         return Err(CodecError::UnexpectedEof);
     }
-    let mut lengths: Vec<(u32, u8)> = Vec::with_capacity(table_len);
+    let mut lengths: Vec<(u8, u8)> = Vec::with_capacity(table_len);
     for _ in 0..table_len {
-        let sym = read_varint(buf, &mut pos)? as u32;
+        let sym = u8::try_from(read_varint(buf, &mut pos)?)
+            .map_err(|_| CodecError::Corrupt("byte symbol out of range"))?;
         let len = *buf.get(pos).ok_or(CodecError::UnexpectedEof)?;
         pos += 1;
-        if len == 0 || len > 64 {
+        if len == 0 || len > MAX_CODE_LEN {
             return Err(CodecError::Corrupt("invalid code length"));
         }
         lengths.push((sym, len));
@@ -391,15 +302,6 @@ fn parse_header(buf: &[u8]) -> Result<ParsedHeader<'_>> {
         .get(pos..pos.saturating_add(payload_len))
         .ok_or(CodecError::UnexpectedEof)?;
     Ok((n_symbols, lengths, payload))
-}
-
-/// Decode a buffer produced by [`huffman_encode`].
-pub fn huffman_decode(buf: &[u8]) -> Result<Vec<u32>> {
-    let (n_symbols, lengths, payload) = parse_header(buf)?;
-    let decoder = CanonicalDecoder::new(&lengths)?;
-    let mut out = Vec::with_capacity(n_symbols);
-    decoder.decode_all(payload, n_symbols, |sym| out.push(sym))?;
-    Ok(out)
 }
 
 /// Smallest stream [`huffman_encode_bytes`] can emit for `n ≥ 1` bytes with
@@ -417,7 +319,7 @@ pub(crate) const fn min_byte_stream_len(n: usize, present: usize) -> usize {
 /// so a caller can compare the exact size against other coders and then
 /// [`encode`](Self::encode) with the same lengths instead of rebuilding them.
 pub(crate) struct SizedByteCode {
-    lengths: Vec<(u32, u8)>,
+    lengths: Vec<(u8, u8)>,
     header_len: usize,
     payload_len: usize,
 }
@@ -426,6 +328,7 @@ impl SizedByteCode {
     /// Code for the `n` bytes counted in `hist`.
     pub(crate) fn new(n: usize, hist: &[u64; 256]) -> Self {
         let lengths = byte_code_lengths(hist);
+        debug_assert!(lengths.iter().all(|&(_, len)| len <= MAX_CODE_LEN));
         let payload_bits: u64 = lengths
             .iter()
             .map(|&(sym, len)| hist[sym as usize] * len as u64)
@@ -450,7 +353,9 @@ impl SizedByteCode {
         self.header_len + self.payload_len
     }
 
-    /// Pack `bytes` — the buffer the histogram was counted over.
+    /// Pack `bytes` — the buffer the histogram was counted over — through a
+    /// dense per-byte code table into a local 64-bit accumulator: roughly one
+    /// shift/or and an amortized byte push per symbol.
     pub(crate) fn encode(&self, bytes: &[u8]) -> Vec<u8> {
         let mut out = Vec::with_capacity(self.encoded_len());
         write_varint(&mut out, bytes.len() as u64);
@@ -461,33 +366,15 @@ impl SizedByteCode {
         }
         write_varint(&mut out, self.payload_len as u64);
 
-        // Dense code table + a local 64-bit accumulator: roughly one shift/or and an
-        // amortized byte push per symbol, instead of a BitWriter call per code.
         let codes = canonical_codes(&self.lengths);
-        let mut table = [(0u64, 0u32); 256];
-        for (&sym, code) in &codes {
-            table[sym as usize] = (code.bits, code.len as u32);
-        }
         let payload_start = out.len();
         let mut acc: u64 = 0;
         let mut fill: u32 = 0;
         for &b in bytes {
-            let (bits, len) = table[b as usize];
-            if len <= 56 {
-                acc = (acc << len) | bits;
-                fill += len;
-            } else {
-                // Degenerate >56-bit codes: split the append in two halves.
-                let hi = len - 32;
-                acc = (acc << hi) | (bits >> 32);
-                fill += hi;
-                while fill >= 8 {
-                    fill -= 8;
-                    out.push((acc >> fill) as u8);
-                }
-                acc = (acc << 32) | (bits & 0xFFFF_FFFF);
-                fill += 32;
-            }
+            // `fill < 8` and `len ≤ 56`: the append never shifts bits out.
+            let (bits, len) = codes[b as usize];
+            acc = (acc << len) | bits;
+            fill += len;
             while fill >= 8 {
                 fill -= 8;
                 out.push((acc >> fill) as u8);
@@ -501,32 +388,10 @@ impl SizedByteCode {
     }
 }
 
-/// Encode a byte slice with Huffman (bytes promoted to `u32` symbols).
-///
-/// Produces output byte-identical to `huffman_encode(&bytes as u32s)` but runs
-/// on the LZR hot path: frequencies are counted in a flat 256-slot array and
-/// codes are emitted through a dense per-byte table into a local bit
-/// accumulator instead of hash lookups and per-code writer calls.
+/// Encode a byte slice into a self-describing buffer: the symbol count, the
+/// canonical `(symbol, length)` table, then the bit-packed payload.
 pub fn huffman_encode_bytes(bytes: &[u8]) -> Vec<u8> {
     SizedByteCode::new(bytes.len(), &histogram(bytes)).encode(bytes)
-}
-
-/// Encode `bytes` only if the exact encoded size is strictly smaller than
-/// `limit`; otherwise return `None` without paying for the bit packing.
-///
-/// The size test is computed from the histogram, so callers that fall back to
-/// storing raw data (like the LZR container) skip the entire entropy pass on
-/// incompressible input.
-pub fn huffman_encode_bytes_under(bytes: &[u8], limit: usize) -> Option<Vec<u8>> {
-    let code = SizedByteCode::new(bytes.len(), &histogram(bytes));
-    (code.encoded_len() < limit).then(|| code.encode(bytes))
-}
-
-/// Exact size in bytes that [`huffman_encode_bytes`] would produce, computed
-/// from the histogram alone — no code table materialization and no bit
-/// packing.
-pub fn huffman_encoded_bytes_size(bytes: &[u8]) -> usize {
-    SizedByteCode::new(bytes.len(), &histogram(bytes)).encoded_len()
 }
 
 /// Decode a buffer produced by [`huffman_encode_bytes`].
@@ -541,12 +406,9 @@ pub fn huffman_decode_bytes_capped(buf: &[u8], max_symbols: usize) -> Result<Vec
     if n_symbols > max_symbols {
         return Err(CodecError::Corrupt("symbol count exceeds cap"));
     }
-    if lengths.iter().any(|&(sym, _)| sym > u8::MAX as u32) {
-        return Err(CodecError::Corrupt("byte symbol out of range"));
-    }
     let decoder = CanonicalDecoder::new(&lengths)?;
     let mut out = Vec::with_capacity(n_symbols);
-    decoder.decode_all(payload, n_symbols, |sym| out.push(sym as u8))?;
+    decoder.decode_all(payload, n_symbols, |sym| out.push(sym))?;
     Ok(out)
 }
 
@@ -554,37 +416,36 @@ pub fn huffman_decode_bytes_capped(buf: &[u8], max_symbols: usize) -> Result<Vec
 mod tests {
     use super::*;
 
+    fn roundtrip(data: &[u8]) -> Vec<u8> {
+        let enc = huffman_encode_bytes(data);
+        assert_eq!(huffman_decode_bytes(&enc).unwrap(), data);
+        enc
+    }
+
     #[test]
     fn roundtrip_simple() {
-        let data = vec![1u32, 2, 2, 3, 3, 3, 3, 7, 7, 1, 0];
-        let enc = huffman_encode(&data);
-        assert_eq!(huffman_decode(&enc).unwrap(), data);
+        roundtrip(&[1, 2, 2, 3, 3, 3, 3, 7, 7, 1, 0]);
     }
 
     #[test]
     fn roundtrip_empty() {
-        let enc = huffman_encode(&[]);
-        assert_eq!(huffman_decode(&enc).unwrap(), Vec::<u32>::new());
+        roundtrip(&[]);
     }
 
     #[test]
     fn roundtrip_single_distinct_symbol() {
-        let data = vec![42u32; 1000];
-        let enc = huffman_encode(&data);
-        assert_eq!(huffman_decode(&enc).unwrap(), data);
         // 1000 symbols at 1 bit each + table should be far smaller than raw.
-        assert!(enc.len() < 200);
+        assert!(roundtrip(&[42u8; 1000]).len() < 200);
     }
 
     #[test]
     fn skewed_distribution_compresses() {
         // 90% zeros: entropy ~0.47 bits/symbol, so the encoded size must be well
         // below one byte per symbol.
-        let mut data = vec![0u32; 9000];
-        data.extend(std::iter::repeat_n(5u32, 1000));
-        let enc = huffman_encode(&data);
+        let mut data = vec![0u8; 9000];
+        data.extend(std::iter::repeat_n(5u8, 1000));
+        let enc = roundtrip(&data);
         assert!(enc.len() < 10_000 / 4, "encoded {} bytes", enc.len());
-        assert_eq!(huffman_decode(&enc).unwrap(), data);
     }
 
     #[test]
@@ -592,10 +453,6 @@ mod tests {
         // Hand-crafted header: 1 symbol to decode, table declaring THREE codes
         // of length 1 (only two can exist). Must return Corrupt, not panic.
         let crafted = [1u8, 3, 0, 1, 1, 1, 2, 1, 1, 0];
-        assert!(matches!(
-            huffman_decode(&crafted),
-            Err(CodecError::Corrupt(_))
-        ));
         assert!(matches!(
             huffman_decode_bytes(&crafted),
             Err(CodecError::Corrupt(_))
@@ -607,37 +464,47 @@ mod tests {
         }
         crafted.extend_from_slice(&[1, 0]);
         assert!(matches!(
-            huffman_decode(&crafted),
+            huffman_decode_bytes(&crafted),
             Err(CodecError::Corrupt(_))
         ));
     }
 
     #[test]
     fn roundtrip_large_alphabet() {
-        let data: Vec<u32> = (0..5000u32).map(|i| (i * i) % 1031).collect();
-        let enc = huffman_encode(&data);
-        assert_eq!(huffman_decode(&enc).unwrap(), data);
+        // Every byte value, at frequencies spread over three orders of
+        // magnitude: codes from 2 up to well past the 12-bit lookup window.
+        let data: Vec<u8> = (0..5000u32).map(|i| ((i * i) % 1031 % 256) as u8).collect();
+        roundtrip(&data);
+        let mut data: Vec<u8> = (0..=255u8).collect();
+        for (k, b) in (0..16u8).enumerate() {
+            data.extend(std::iter::repeat_n(b, 1 << k.min(14)));
+        }
+        roundtrip(&data);
     }
 
     #[test]
     fn byte_helpers_roundtrip() {
         let data: Vec<u8> = (0..=255u8).cycle().take(4096).collect();
-        let enc = huffman_encode_bytes(&data);
-        assert_eq!(huffman_decode_bytes(&enc).unwrap(), data);
+        roundtrip(&data);
     }
 
     #[test]
     fn truncated_stream_errors() {
-        let data = vec![1u32, 2, 3, 4, 5, 6, 7, 8, 9, 10];
-        let enc = huffman_encode(&data);
+        let data = [1u8, 2, 3, 4, 5, 6, 7, 8, 9, 10];
+        let enc = huffman_encode_bytes(&data);
         let truncated = &enc[..enc.len() - 2];
-        assert!(huffman_decode(truncated).is_err());
+        assert!(huffman_decode_bytes(truncated).is_err());
     }
 
     #[test]
     fn deterministic_output() {
-        let data: Vec<u32> = (0..1000u32).map(|i| i % 17).collect();
-        assert_eq!(huffman_encode(&data), huffman_encode(&data));
+        let data: Vec<u8> = (0..1000u32).map(|i| (i % 17) as u8).collect();
+        assert_eq!(huffman_encode_bytes(&data), huffman_encode_bytes(&data));
+    }
+
+    /// What [`SizedByteCode`] predicts for `data`, before any bit is packed.
+    fn sized_len(data: &[u8]) -> usize {
+        SizedByteCode::new(data.len(), &histogram(data)).encoded_len()
     }
 
     #[test]
@@ -648,39 +515,8 @@ mod tests {
             (0..=255u8).cycle().take(3000).collect::<Vec<u8>>(),
             (0..4000u32).map(|i| (i % 5) as u8).collect(),
         ] {
-            assert_eq!(
-                huffman_encoded_bytes_size(&data),
-                huffman_encode_bytes(&data).len()
-            );
+            assert_eq!(sized_len(&data), huffman_encode_bytes(&data).len());
         }
-    }
-
-    #[test]
-    fn byte_code_lengths_match_the_hash_map_path() {
-        // Count vectors drawn from a handful of values, so the heap sees long
-        // runs of equal frequencies and every tie has to break the same way.
-        use rand::{Rng, SeedableRng};
-        let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(29);
-        for case in 0..400 {
-            let present = [1usize, 2, 3, 7, 40, 256][case % 6];
-            let distinct_counts = 1 + case % 5;
-            let mut hist = [0u64; 256];
-            for _ in 0..present {
-                hist[rng.gen_range(0..256usize)] = 1 + rng.gen_range(0..distinct_counts) as u64;
-            }
-            let freqs: HashMap<u32, u64> = hist
-                .iter()
-                .enumerate()
-                .filter(|&(_, &f)| f > 0)
-                .map(|(s, &f)| (s as u32, f))
-                .collect();
-            assert_eq!(
-                byte_code_lengths(&hist),
-                code_lengths(&freqs),
-                "case {case}"
-            );
-        }
-        assert!(byte_code_lengths(&[0u64; 256]).is_empty());
     }
 
     #[test]
@@ -705,8 +541,25 @@ mod tests {
                 .map(|_| rng.gen_range(0..alphabet) as u8 * 6)
                 .collect();
             let present = histogram(&data).iter().filter(|&&c| c > 0).count();
-            assert!(huffman_encoded_bytes_size(&data) >= min_byte_stream_len(data.len(), present));
+            assert!(sized_len(&data) >= min_byte_stream_len(data.len(), present));
         }
+    }
+
+    #[test]
+    fn longest_code_of_a_fibonacci_histogram_under_4_gib() {
+        // F(1..=45) totals 2 971 215 072 bytes, under the histogram's 4 GiB
+        // limit, and is the deepest tree such a total allows.
+        let mut hist = [0u64; 256];
+        let (mut a, mut b) = (1u64, 1u64);
+        for slot in &mut hist[..45] {
+            *slot = a;
+            (a, b) = (b, a + b);
+        }
+        assert_eq!(hist.iter().sum::<u64>(), 2_971_215_072);
+        let longest = byte_code_lengths(&hist).iter().map(|&(_, len)| len).max();
+        assert_eq!(longest, Some(44));
+        assert!(longest.unwrap() <= MAX_CODE_LEN);
+        assert!(byte_code_lengths(&[0u64; 256]).is_empty());
     }
 
     #[test]
@@ -728,5 +581,19 @@ mod tests {
             huffman_decode_bytes(&bomb),
             Err(CodecError::Corrupt(_))
         ));
+    }
+
+    #[test]
+    fn code_lengths_over_56_bits_are_refused_at_parse_time() {
+        // Kraft-valid tables (one 1-bit code, one longer): 56 bits still
+        // parses, 57 is refused before any payload bit is read.
+        for (len, ok) in [(56u8, true), (57, false), (64, false)] {
+            let crafted = [1u8, 2, 0, 1, 1, len, 1, 0];
+            let got = huffman_decode_bytes(&crafted);
+            assert_eq!(got.is_ok(), ok, "len={len}: {got:?}");
+            if !ok {
+                assert_eq!(got, Err(CodecError::Corrupt("invalid code length")));
+            }
+        }
     }
 }

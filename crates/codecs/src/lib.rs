@@ -5,23 +5,23 @@
 //! predictively XOR-coded, and the resulting bit/byte streams are compressed with a
 //! lossless backend (the paper uses zstd; this workspace substitutes the [`lzr`]
 //! LZ77 + entropy-coding backend, whose module docs say what it keeps of zstd).
-//! The SZ3 baseline additionally needs a classical **Huffman** entropy stage
-//! over quantization codes.
+//! The SZ3 and MGARD stand-ins additionally need a classical **Huffman**
+//! entropy stage over quantization codes.
 //!
 //! Everything here is self-contained and allocation-conscious:
 //!
-//! * [`bitstream`] — MSB-first bit writer/reader over byte buffers, with
-//!   word-level (`u64`) fast paths for the bitplane coder.
 //! * [`bitslice`] — 64×64 bit-matrix transposition for word-parallel bitplane
 //!   slicing and scattering.
 //! * [`negabinary`] — base(−2) integer representation (paper Sec. 4.4.2).
 //! * [`zigzag`] — sign folding used by the baseline coders.
 //! * [`varint`] — LEB128 variable-length integers for headers.
-//! * [`huffman`] — canonical Huffman coder over `u32` symbols.
-//! * [`rans`] — 4-way interleaved byte rANS with 12-bit normalized tables.
 //! * [`lzr`] — LZ77-style match finder + rANS/Huffman entropy stage (zstd
-//!   stand-in).
-//! * [`byteio`] — little-endian scalar/slice serialization helpers.
+//!   stand-in); the rANS coder is private to it.
+//! * [`huffman`] — canonical Huffman byte coder of the stand-ins and of
+//!   LZR's Huffman mode.
+//! * [`byteio`] — little-endian `f64` serialization helpers.
+//! * [`bitstream`] — MSB-first bit-at-a-time writer/reader, the referee the
+//!   word-parallel bitplane paths are tested against.
 
 #![warn(clippy::undocumented_unsafe_blocks)]
 
@@ -31,15 +31,12 @@ pub mod byteio;
 pub mod huffman;
 pub mod lzr;
 pub mod negabinary;
-pub mod rans;
+mod rans;
 pub mod varint;
 pub mod zigzag;
 
-pub use bitstream::{BitReader, BitWriter};
-pub use huffman::{huffman_decode, huffman_encode};
 pub use lzr::{lzr_compress, lzr_decompress};
 pub use negabinary::{from_negabinary, to_negabinary};
-pub use rans::{rans_decode_bytes, rans_encode_bytes};
 pub use zigzag::{zigzag_decode, zigzag_encode};
 
 /// Exclusive upper bound on the slice one entropy-coder call accepts. The byte

@@ -19,7 +19,7 @@
 //! The container byte after the length varint selects how the body was coded:
 //! `0` = stored token stream, `1` = canonical Huffman over tokens (the
 //! original entropy stage), `2` = interleaved rANS over
-//! tokens ([`crate::rans`]), `3` = rANS over the *raw input bytes*, `4` = the
+//! tokens (`crate::rans`), `3` = rANS over the *raw input bytes*, `4` = the
 //! raw input bytes verbatim. Modes 3 and 4 are chosen when the match finder
 //! comes up empty: decode then skips the detokenization pass entirely — the
 //! entropy decoder's output (or a straight copy) is the final data. The
@@ -40,7 +40,7 @@
 //! chosen, whatever the data:
 //!
 //! * a rANS stream is at least 35 bytes of varints and state flush plus two
-//!   bytes per present symbol — 38 with one ([`crate::rans`], `min_stream_len`);
+//!   bytes per present symbol — 38 with one (`crate::rans`, `min_stream_len`);
 //! * a byte-Huffman stream is at least 3 bytes of varints plus two bytes per
 //!   present symbol plus `⌈n/8⌉` payload bytes — 6 at its smallest
 //!   ([`crate::huffman`], `min_byte_stream_len`).
@@ -401,8 +401,7 @@ pub fn lzr_decompress_bounded(input: &[u8], max_len: usize) -> Result<Vec<u8>> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::huffman::{huffman_encode_bytes_under, huffman_encoded_bytes_size};
-    use crate::rans::rans_encode_bytes_under;
+    use crate::huffman::huffman_encode_bytes;
     use proptest::Strategy;
     use rand::{Rng, SeedableRng};
 
@@ -454,23 +453,19 @@ mod tests {
     /// its own histogram — and never reasons about floors.
     fn lzr_compress_all_three(input: &[u8]) -> Vec<u8> {
         let tokens = lz_tokenize_fresh_table(input);
-        let (mode, body) = if tokens.len() > input.len() {
-            let threshold = input.len() - input.len() / 8;
-            let limit = threshold.min(huffman_encoded_bytes_size(input));
-            match rans_encode_bytes_under(input, limit) {
-                Some(encoded) => (3u8, encoded),
-                None => (4u8, input.to_vec()),
-            }
-        } else {
-            let threshold = tokens.len() - tokens.len() / 8;
-            let limit = threshold.min(huffman_encoded_bytes_size(&tokens));
-            if let Some(encoded) = rans_encode_bytes_under(&tokens, limit) {
-                (2, encoded)
-            } else if let Some(encoded) = huffman_encode_bytes_under(&tokens, threshold) {
-                (1, encoded)
-            } else {
-                (0, tokens)
-            }
+        let raw = tokens.len() > input.len();
+        let data = if raw { input } else { &tokens[..] };
+        let threshold = data.len() - data.len() / 8;
+        let huffman = huffman_encode_bytes(data);
+        let limit = threshold.min(huffman.len());
+        let rans = (!data.is_empty())
+            .then(|| rans_encode_counted_under(data, &histogram(data), limit))
+            .flatten();
+        let (mode, body) = match rans {
+            Some(encoded) => (if raw { 3 } else { 2 }, encoded),
+            None if raw => (4, input.to_vec()),
+            None if huffman.len() < threshold => (1, huffman),
+            None => (0, tokens),
         };
         let mut out = Vec::new();
         write_varint(&mut out, input.len() as u64);
@@ -638,6 +633,26 @@ mod tests {
             }
         }
         assert_eq!(modes, [true; 5], "corpus reaches every container mode");
+    }
+
+    #[test]
+    fn forged_huffman_table_with_a_57_bit_code_is_refused() {
+        // A mode-1 stream whose table declares a code longer than any writer
+        // can produce: refused at parse time, not decoded bit by bit.
+        let mut huffman = Vec::new();
+        write_varint(&mut huffman, 1); // one symbol
+        write_varint(&mut huffman, 2); // two table entries
+        huffman.extend_from_slice(&[0, 1, 1, 57]);
+        write_varint(&mut huffman, 8);
+        huffman.extend_from_slice(&[0; 8]);
+        let mut stream = Vec::new();
+        write_varint(&mut stream, 1);
+        stream.push(1);
+        stream.extend_from_slice(&huffman);
+        assert_eq!(
+            lzr_decompress_bounded(&stream, 1 << 10),
+            Err(CodecError::Corrupt("invalid code length"))
+        );
     }
 
     #[test]
@@ -827,7 +842,7 @@ mod tests {
     fn roundtrip_structured_floats() {
         // Bit patterns of a smooth field: typical compressor intermediate data.
         let values: Vec<f64> = (0..20_000).map(|i| (i as f64 * 0.001).sin()).collect();
-        let data = crate::byteio::f64_slice_to_bytes(&values);
+        let data: Vec<u8> = values.iter().flat_map(|v| v.to_le_bytes()).collect();
         let enc = lzr_compress(&data);
         assert_eq!(lzr_decompress(&enc).unwrap(), data);
     }

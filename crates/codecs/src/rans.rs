@@ -1,18 +1,13 @@
 //! Interleaved range asymmetric numeral system (rANS) coding over bytes.
 //!
-//! This is the workspace's table-driven entropy stage in the FSE/zstd lineage:
-//! symbol probabilities are normalized to a 12-bit table
-//! ([`SCALE_BITS`]), and four word-renormalized 64-bit rANS states are
-//! interleaved so the per-symbol dependency chains of consecutive symbols
-//! overlap in the pipeline. Against canonical Huffman (the PR 1 entropy stage)
-//! rANS wins on both axes the chunked bitplane pipeline cares about:
-//!
-//! * **Ratio** — symbols cost fractional bits (`log2(4096/freq)`), not the
-//!   integer code lengths Huffman rounds to, which matters for the heavily
-//!   skewed token histograms predictive bitplane coding produces.
-//! * **Speed** — decode is one table lookup, one multiply, and a branch-free
-//!   slot arithmetic step per symbol; there is no bit-buffer shifting by
-//!   variable code lengths.
+//! This is LZR's main entropy coder, in the FSE/zstd lineage: symbol
+//! probabilities are normalized to a 12-bit table ([`SCALE_BITS`]), and four
+//! word-renormalized 64-bit rANS states are interleaved so the per-symbol
+//! dependency chains of consecutive symbols overlap in the pipeline. Symbols
+//! cost fractional bits (`log2(4096/freq)`), which matters for the heavily
+//! skewed token histograms predictive bitplane coding produces, and decode
+//! is one table lookup, one multiply and a branch-free slot arithmetic step
+//! per symbol.
 //!
 //! The encoder walks the input backwards (rANS is last-in-first-out),
 //! collecting renorm words into a `u32` list that is assembled in reverse
@@ -215,12 +210,7 @@ fn estimated_size(hist: &[u64; 256], freqs: &[u32; 256], n: usize) -> usize {
     header + varint_len(payload as u64) + payload
 }
 
-/// Encode `bytes` with 4-way interleaved rANS into a self-describing buffer.
-pub fn rans_encode_bytes(bytes: &[u8]) -> Vec<u8> {
-    rans_encode_bytes_under(bytes, usize::MAX).expect("unbounded encode always succeeds")
-}
-
-/// Smallest stream [`rans_encode_bytes`] can emit for a non-empty input with
+/// Smallest stream [`rans_encode_counted_under`] can emit for an input with
 /// `present` distinct symbols, which lets a caller holding a size limit at or
 /// under it skip the encode (and, with `present = 1`, the histogram):
 /// symbol-count varint (≥ 1) + table-size varint (≥ 1) + payload-length
@@ -231,27 +221,11 @@ pub(crate) const fn min_stream_len(present: usize) -> usize {
     35 + if present < 2 { 3 } else { 2 * present }
 }
 
-/// Encode `bytes` only if the encoded size ends up strictly smaller than
-/// `limit`; returns `None` otherwise. A histogram-only size estimate rejects
-/// clearly incompressible input before any encoding work, mirroring
-/// [`crate::huffman::huffman_encode_bytes_under`]; the final decision is made
-/// on the exact encoded size.
-///
-/// # Panics
-///
-/// If `bytes` is 4 GiB (`u32::MAX` bytes) or longer: the histogram counts in
-/// `u32` lanes and refuses to wrap silently.
-pub fn rans_encode_bytes_under(bytes: &[u8], limit: usize) -> Option<Vec<u8>> {
-    if bytes.is_empty() {
-        let mut out = Vec::with_capacity(1);
-        write_varint(&mut out, 0);
-        return (out.len() < limit).then_some(out);
-    }
-    rans_encode_counted_under(bytes, &histogram(bytes), limit)
-}
-
-/// [`rans_encode_bytes_under`] for a non-empty buffer whose [`histogram`] the
-/// caller already holds (the LZR dispatch sizes Huffman from the same counts).
+/// Encode the non-empty `bytes`, whose [`histogram`] the caller holds, with
+/// 4-way interleaved rANS into a self-describing buffer, but only if the
+/// encoded size ends up strictly smaller than `limit`; `None` otherwise. A
+/// histogram-only size estimate rejects clearly incompressible input before
+/// any encoding work; the final decision is made on the exact encoded size.
 pub(crate) fn rans_encode_counted_under(
     bytes: &[u8],
     hist: &[u64; 256],
@@ -332,19 +306,12 @@ pub(crate) fn rans_encode_counted_under(
     (out.len() < limit).then_some(out)
 }
 
-/// Decode a buffer produced by [`rans_encode_bytes`].
-///
-/// The declared symbol count is not bounded here — callers decoding untrusted
-/// bytes should use [`rans_decode_bytes_capped`], since a low-entropy table
-/// legitimately lets a tiny payload expand to an arbitrarily large output.
-pub fn rans_decode_bytes(buf: &[u8]) -> Result<Vec<u8>> {
-    rans_decode_bytes_capped(buf, usize::MAX)
-}
-
-/// [`rans_decode_bytes`] that rejects streams declaring more than
-/// `max_symbols` symbols before allocating anything, so corrupt headers
-/// cannot force an out-of-memory condition.
-pub fn rans_decode_bytes_capped(buf: &[u8], max_symbols: usize) -> Result<Vec<u8>> {
+/// Decode a buffer produced by [`rans_encode_counted_under`], rejecting
+/// streams that declare more than `max_symbols` symbols before allocating
+/// anything: a low-entropy table legitimately lets a tiny payload expand to
+/// an arbitrarily large output, so a corrupt count must not force an
+/// out-of-memory condition.
+pub(crate) fn rans_decode_bytes_capped(buf: &[u8], max_symbols: usize) -> Result<Vec<u8>> {
     let mut pos = 0usize;
     let n = read_varint(buf, &mut pos)? as usize;
     if n > max_symbols {
@@ -492,9 +459,22 @@ mod tests {
     use crate::huffman::{huffman_decode_bytes, huffman_encode_bytes};
     use rand::{Rng, SeedableRng};
 
+    /// Unbounded encode; an empty input is the one-byte stream `[0]`.
+    fn encode(bytes: &[u8]) -> Vec<u8> {
+        if bytes.is_empty() {
+            return vec![0];
+        }
+        rans_encode_counted_under(bytes, &histogram(bytes), usize::MAX)
+            .expect("unbounded encode always succeeds")
+    }
+
+    fn decode(buf: &[u8]) -> Result<Vec<u8>> {
+        rans_decode_bytes_capped(buf, usize::MAX)
+    }
+
     fn roundtrip(data: &[u8]) {
-        let enc = rans_encode_bytes(data);
-        assert_eq!(rans_decode_bytes(&enc).unwrap(), data);
+        let enc = encode(data);
+        assert_eq!(decode(&enc).unwrap(), data);
     }
 
     #[test]
@@ -511,7 +491,7 @@ mod tests {
     fn smallest_stream_is_the_documented_floor() {
         // Tight for a lone symbol (while the count fits one varint byte).
         for data in [vec![0u8], vec![255u8; 3], vec![42u8; 127]] {
-            assert_eq!(rans_encode_bytes(&data).len(), min_stream_len(1));
+            assert_eq!(encode(&data).len(), min_stream_len(1));
         }
         // And a floor everywhere else.
         let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(13);
@@ -521,7 +501,7 @@ mod tests {
                 .map(|_| rng.gen_range(0..alphabet) as u8 * 5)
                 .collect();
             let present = histogram(&data).iter().filter(|&&c| c > 0).count();
-            assert!(rans_encode_bytes(&data).len() >= min_stream_len(present));
+            assert!(encode(&data).len() >= min_stream_len(present));
         }
     }
 
@@ -530,13 +510,13 @@ mod tests {
         // freq = 4096 for one symbol: zero bits per symbol, payload is just
         // the four flushed states.
         let data = vec![42u8; 100_000];
-        let enc = rans_encode_bytes(&data);
+        let enc = encode(&data);
         assert!(
             enc.len() < 48,
             "degenerate run must be ~header-only: {}",
             enc.len()
         );
-        assert_eq!(rans_decode_bytes(&enc).unwrap(), data);
+        assert_eq!(decode(&enc).unwrap(), data);
     }
 
     #[test]
@@ -566,7 +546,7 @@ mod tests {
                 }
             })
             .collect();
-        let rans = rans_encode_bytes(&data);
+        let rans = encode(&data);
         let huff = huffman_encode_bytes(&data);
         assert!(
             rans.len() < huff.len() * 2 / 3,
@@ -574,39 +554,41 @@ mod tests {
             rans.len(),
             huff.len()
         );
-        assert_eq!(rans_decode_bytes(&rans).unwrap(), data);
+        assert_eq!(decode(&rans).unwrap(), data);
     }
 
     #[test]
     fn encode_under_rejects_incompressible_and_accepts_skewed() {
         let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(5);
         let random: Vec<u8> = (0..10_000).map(|_| rng.gen()).collect();
-        assert!(rans_encode_bytes_under(&random, random.len() - random.len() / 8).is_none());
+        let limit = random.len() - random.len() / 8;
+        assert!(rans_encode_counted_under(&random, &histogram(&random), limit).is_none());
 
         let skewed = vec![1u8; 10_000];
-        let enc = rans_encode_bytes_under(&skewed, 5_000).expect("compressible");
+        let enc =
+            rans_encode_counted_under(&skewed, &histogram(&skewed), 5_000).expect("compressible");
         assert!(enc.len() < 5_000);
-        assert_eq!(rans_decode_bytes(&enc).unwrap(), skewed);
+        assert_eq!(decode(&enc).unwrap(), skewed);
     }
 
     #[test]
     fn truncated_stream_errors() {
         let data: Vec<u8> = (0..2000u32).map(|i| (i % 17) as u8).collect();
-        let enc = rans_encode_bytes(&data);
+        let enc = encode(&data);
         for cut in [1, 5, enc.len() / 2, enc.len() - 1] {
-            assert!(rans_decode_bytes(&enc[..cut]).is_err(), "cut={cut}");
+            assert!(decode(&enc[..cut]).is_err(), "cut={cut}");
         }
     }
 
     #[test]
     fn payload_bit_flips_are_detected() {
         let data: Vec<u8> = (0..4000u32).map(|i| (i % 7) as u8).collect();
-        let enc = rans_encode_bytes(&data);
+        let enc = encode(&data);
         let mut flipped_undetected = 0usize;
         for pos in 0..enc.len() {
             let mut bad = enc.clone();
             bad[pos] ^= 0x10;
-            match rans_decode_bytes(&bad) {
+            match decode(&bad) {
                 Err(_) => {}
                 Ok(out) => {
                     // A flip in the symbol-count varint can legally describe a
@@ -641,7 +623,7 @@ mod tests {
         // Under the cap the same degenerate stream is legal.
         let n = 1 << 10;
         let data = vec![0u8; n];
-        let enc = rans_encode_bytes(&data);
+        let enc = encode(&data);
         assert_eq!(rans_decode_bytes_capped(&enc, n).unwrap(), data);
         assert!(rans_decode_bytes_capped(&enc, n - 1).is_err());
     }
@@ -658,10 +640,7 @@ mod tests {
         write_varint(&mut bad, 100);
         write_varint(&mut bad, 8);
         bad.extend_from_slice(&[0u8; 8]);
-        assert!(matches!(
-            rans_decode_bytes(&bad),
-            Err(CodecError::Corrupt(_))
-        ));
+        assert!(matches!(decode(&bad), Err(CodecError::Corrupt(_))));
 
         // Non-ascending symbols.
         let mut bad = Vec::new();
@@ -673,10 +652,7 @@ mod tests {
         write_varint(&mut bad, 2048);
         write_varint(&mut bad, 8);
         bad.extend_from_slice(&[0u8; 8]);
-        assert!(matches!(
-            rans_decode_bytes(&bad),
-            Err(CodecError::Corrupt(_))
-        ));
+        assert!(matches!(decode(&bad), Err(CodecError::Corrupt(_))));
     }
 
     #[test]
@@ -723,7 +699,7 @@ mod tests {
             (1619, 0x5969_fe34_e25a_3e62),
         ];
         for (data, want) in cases.iter().zip(golden) {
-            let enc = rans_encode_bytes(data);
+            let enc = encode(data);
             assert_eq!((enc.len(), fnv1a(&enc)), want, "len={}", data.len());
         }
     }
@@ -731,7 +707,7 @@ mod tests {
     #[test]
     fn deterministic_output() {
         let data: Vec<u8> = (0..5000u32).map(|i| (i * 31 % 200) as u8).collect();
-        assert_eq!(rans_encode_bytes(&data), rans_encode_bytes(&data));
+        assert_eq!(encode(&data), encode(&data));
     }
 
     proptest::proptest! {
@@ -740,8 +716,8 @@ mod tests {
         /// Roundtrip over arbitrary byte vectors, including empty input.
         #[test]
         fn prop_roundtrip(data in proptest::collection::vec(proptest::any::<u8>(), 0..2000)) {
-            let enc = rans_encode_bytes(&data);
-            proptest::prop_assert_eq!(rans_decode_bytes(&enc).unwrap(), data);
+            let enc = encode(&data);
+            proptest::prop_assert_eq!(decode(&enc).unwrap(), data);
         }
 
         /// Roundtrip equality against the Huffman path on skewed distributions:
@@ -753,7 +729,7 @@ mod tests {
         ) {
             let mut data = data;
             data.extend_from_slice(&spice);
-            let via_rans = rans_decode_bytes(&rans_encode_bytes(&data)).unwrap();
+            let via_rans = decode(&encode(&data)).unwrap();
             let via_huffman = huffman_decode_bytes(&huffman_encode_bytes(&data)).unwrap();
             proptest::prop_assert_eq!(&via_rans, &via_huffman);
             proptest::prop_assert_eq!(via_rans, data);
@@ -763,8 +739,8 @@ mod tests {
         #[test]
         fn prop_degenerate_runs(sym in proptest::any::<u8>(), len in 0usize..5000) {
             let data = vec![sym; len];
-            let enc = rans_encode_bytes(&data);
-            proptest::prop_assert_eq!(rans_decode_bytes(&enc).unwrap(), data);
+            let enc = encode(&data);
+            proptest::prop_assert_eq!(decode(&enc).unwrap(), data);
         }
     }
 }

@@ -616,7 +616,7 @@ mod tests {
             // of the same sweep).
             let config = crate::Config { interpolation: method, ..crate::Config::default() };
             let c = crate::compress(&data, eb, &config).unwrap();
-            proptest::prop_assert_eq!(crate::container::decode_anchors(&c.anchors).unwrap(), anchors);
+            proptest::prop_assert_eq!(crate::container::decode_anchors_bounded(&c.anchors, anchors.len()).unwrap(), anchors);
             for (level, want) in c.levels.iter().zip(&levels) {
                 let got = crate::bitplane::decode_level(
                     level, level.num_planes, config.prefix_bits, config.predictive_coding,

@@ -1,8 +1,8 @@
 //! Object-store simulator: wraps any [`ChunkSource`] with a configurable
 //! per-request cost model and request accounting, so benchmarks can model
 //! S3-like access — every range is one GET with fixed latency plus a
-//! throughput term — on a single box, and hardening tests can inject
-//! short reads.
+//! throughput term — on a single box; [`FaultSource`] injects short reads
+//! for hardening tests.
 //!
 //! The simulated clock is accounted unconditionally (and readable via
 //! [`SimulatedObjectStore::stats`]); actually sleeping for it is opt-in so CI
@@ -48,14 +48,14 @@ impl SimProfile {
     }
 }
 
-/// Fault injection applied to returned buffers.
+/// Fault injection applied to returned buffers by a [`FaultSource`].
 ///
-/// The request index the fault triggers on is whatever counter the wrapper
-/// applying it maintains: store-lifetime-global on a
-/// [`SimulatedObjectStore`] (so under concurrent sessions *which* session
-/// observes the fault depends on scheduling), per-wrapper on a
-/// [`FaultSource`] (deterministic — wrap one session's stack to fault
-/// exactly that session's nth request).
+/// The request index the fault triggers on counts the requests issued
+/// through that one wrapper, so it is deterministic: wrap one session's
+/// stack to fault exactly that session's nth request. Under a
+/// [`SimulatedObjectStore`] (`SimulatedObjectStore::new(FaultSource::new(inner,
+/// fault), profile)`) it sees the simulator's request indices, because the
+/// simulator forwards each batch whole.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Fault {
     /// Honest backend.
@@ -104,11 +104,10 @@ pub struct SimStats {
 }
 
 /// A [`ChunkSource`] wrapper that charges a latency/throughput cost per
-/// range, counts traffic, and optionally injects short reads.
+/// range and counts traffic.
 pub struct SimulatedObjectStore<S> {
     inner: S,
     profile: SimProfile,
-    fault: Fault,
     requests: Counter,
     batches: Counter,
     bytes: Counter,
@@ -124,7 +123,6 @@ impl<S: ChunkSource> SimulatedObjectStore<S> {
         Self {
             inner,
             profile,
-            fault: Fault::None,
             requests: Counter::new(),
             batches: Counter::new(),
             bytes: Counter::new(),
@@ -137,14 +135,6 @@ impl<S: ChunkSource> SimulatedObjectStore<S> {
         self.clock.clone()
     }
 
-    /// Wrap `inner` with a cost model and fault injection.
-    pub fn with_fault(inner: S, profile: SimProfile, fault: Fault) -> Self {
-        Self {
-            fault,
-            ..Self::new(inner, profile)
-        }
-    }
-
     /// Snapshot of the traffic counters.
     pub fn stats(&self) -> SimStats {
         SimStats {
@@ -155,7 +145,7 @@ impl<S: ChunkSource> SimulatedObjectStore<S> {
         }
     }
 
-    /// Reset the traffic counters (fault state is lifetime-global).
+    /// Reset the traffic counters.
     pub fn reset_stats(&self) {
         self.requests.reset();
         self.batches.reset();
@@ -170,7 +160,7 @@ impl<S: ChunkSource> ChunkSource for SimulatedObjectStore<S> {
     }
 
     fn read_ranges(&self, ranges: &[ByteRange]) -> Result<Vec<Bytes>> {
-        let first_index = self.requests.fetch_add(ranges.len() as u64);
+        self.requests.add(ranges.len() as u64);
         self.batches.incr();
         let total: u64 = ranges.iter().map(|r| r.len as u64).sum();
         self.bytes.add(total);
@@ -187,8 +177,7 @@ impl<S: ChunkSource> ChunkSource for SimulatedObjectStore<S> {
             std::thread::sleep(cost);
         }
 
-        let bufs = self.inner.read_ranges(ranges)?;
-        Ok(self.fault.apply(first_index, bufs))
+        self.inner.read_ranges(ranges)
     }
 }
 
@@ -197,9 +186,7 @@ impl<S: ChunkSource> ChunkSource for SimulatedObjectStore<S> {
 /// only the requests issued through this wrapper. Wrap exactly one
 /// session's view of a shared stack and that session — and no concurrent
 /// peer — observes the fault on its nth request, reproducibly, however the
-/// scheduler interleaves the fleet. (The [`SimulatedObjectStore`]'s own
-/// fault counter is store-lifetime-global and therefore racy under
-/// concurrency; use it only for single-session tests.)
+/// scheduler interleaves the fleet.
 ///
 /// The fault is swappable at runtime ([`FaultSource::set_fault`]), which
 /// models a transient backend: inject, observe the bounded error and
@@ -280,10 +267,9 @@ mod tests {
 
     #[test]
     fn short_read_fault_truncates_after_threshold() {
-        let sim = SimulatedObjectStore::with_fault(
-            MemorySource::new(vec![1u8; 64]),
+        let sim = SimulatedObjectStore::new(
+            FaultSource::new(MemorySource::new(vec![1u8; 64]), Fault::ShortReadAfter(1)),
             SimProfile::free(),
-            Fault::ShortReadAfter(1),
         );
         let bufs = sim
             .read_ranges(&[ByteRange::new(0, 16), ByteRange::new(16, 16)])

@@ -124,11 +124,10 @@ mod tests {
 
     #[test]
     fn short_backend_read_surfaces_as_error_not_panic() {
-        use crate::sim::Fault;
-        let sim = SimulatedObjectStore::with_fault(
-            MemorySource::new(vec![1u8; 64]),
+        use crate::sim::{Fault, FaultSource};
+        let sim = SimulatedObjectStore::new(
+            FaultSource::new(MemorySource::new(vec![1u8; 64]), Fault::ShortReadAfter(0)),
             SimProfile::free(),
-            Fault::ShortReadAfter(0),
         );
         let whole = WholeReadSource::new(&sim);
         assert!(whole.read_ranges(&[ByteRange::new(0, 16)]).is_err());

@@ -9,7 +9,7 @@ use rand::{Rng, SeedableRng};
 
 use ipc_store::testutil::test_source;
 use ipc_store::{
-    field_checksum, plan_request, ContainerStore, Fault, SimProfile, SimStats,
+    field_checksum, plan_request, ContainerStore, Fault, FaultSource, SimProfile, SimStats,
     SimulatedObjectStore, StoreOptions,
 };
 use ipc_tensor::{ArrayD, Shape};
@@ -290,10 +290,12 @@ fn short_reads_surface_bounded_errors_never_panic() {
         "{honest_gets} GET leaves nothing to sweep"
     );
     for fault_after in 0..honest_gets {
-        let sim: Arc<dyn ChunkSource> = Arc::new(SimulatedObjectStore::with_fault(
-            test_source(bytes.clone()),
+        let sim: Arc<dyn ChunkSource> = Arc::new(SimulatedObjectStore::new(
+            FaultSource::new(
+                test_source(bytes.clone()),
+                Fault::ShortReadAfter(fault_after),
+            ),
             SimProfile::free(),
-            Fault::ShortReadAfter(fault_after),
         ));
         let store = ContainerStore::with_map(sim, map.clone(), StoreOptions::default());
         let mut session = store.session();
@@ -336,10 +338,12 @@ fn streaming_short_read_rolls_back_and_session_can_retry() {
     let plan = plan_request(&map, &vec![0; map.levels.len()], request, None).unwrap();
     let groups = ipcomp::planner::fetch_groups(plan.level_units());
     assert!(groups.len() >= 2, "request reads in {} group", groups.len());
-    let sim = Arc::new(SimulatedObjectStore::with_fault(
-        test_source(bytes.clone()),
+    let sim = Arc::new(SimulatedObjectStore::new(
+        FaultSource::new(
+            test_source(bytes.clone()),
+            Fault::ShortReadAfter(groups[0].len() as u64 + 1),
+        ),
         SimProfile::free(),
-        Fault::ShortReadAfter(groups[0].len() as u64 + 1),
     ));
     let store = ContainerStore::with_map(
         sim as Arc<dyn ChunkSource>,

@@ -10,7 +10,7 @@ use std::sync::Arc;
 
 use ipc_store::testutil::test_source;
 use ipc_store::{
-    ContainerStore, Fault, SimProfile, SimulatedObjectStore, StoreOptions, StreamEvent,
+    ContainerStore, Fault, FaultSource, SimProfile, SimulatedObjectStore, StoreOptions, StreamEvent,
 };
 use ipc_tensor::{ArrayD, Shape};
 use ipcomp::{compress, Config, ProgressiveDecoder, RetrievalRequest, RoiBox};
@@ -236,10 +236,12 @@ fn short_read_faults_roll_back_exactly() {
 
     let mut failures = 0usize;
     for k in 0..=total_requests {
-        let sim = Arc::new(SimulatedObjectStore::with_fault(
-            ipcomp::MemorySource::new(bytes.clone()),
+        let sim = Arc::new(SimulatedObjectStore::new(
+            FaultSource::new(
+                ipcomp::MemorySource::new(bytes.clone()),
+                Fault::ShortReadAfter(k),
+            ),
             SimProfile::free(),
-            Fault::ShortReadAfter(k),
         ));
         let Ok(store) = ContainerStore::open(sim, options) else {
             // Truncation hit the metadata open: surfaced as a bounded error.

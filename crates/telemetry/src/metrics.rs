@@ -23,13 +23,6 @@ impl Counter {
         self.0.fetch_add(n, Ordering::Relaxed);
     }
 
-    /// Add `n`, returning the previous value (for callers that also use the
-    /// counter as an atomic sequence, e.g. request indexing).
-    #[inline]
-    pub fn fetch_add(&self, n: u64) -> u64 {
-        self.0.fetch_add(n, Ordering::Relaxed)
-    }
-
     /// Increment by one.
     #[inline]
     pub fn incr(&self) {

@@ -9,7 +9,7 @@
 //! * [`ipc_store`] — chunk-addressable storage backends and the retrieval service.
 //! * [`ipc_baselines`] — SZ3, SZ3-M, SZ3-R, ZFP, ZFP-R, MGARD, PMGARD, SPERR-R.
 //! * [`ipc_tensor`] — N-dimensional strided array substrate.
-//! * [`ipc_codecs`] — bitstream, negabinary, Huffman, and LZR lossless backends.
+//! * [`ipc_codecs`] — negabinary, bit slicing, and the LZR and Huffman lossless backends.
 //! * [`ipc_datagen`] — synthetic scientific datasets and post-analysis operators.
 //! * [`ipc_metrics`] — L∞ / MSE / PSNR / entropy / compression-ratio metrics.
 //! * [`ipc_telemetry`] — process-wide metric registry, trace spans, runtime profiles.

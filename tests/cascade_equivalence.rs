@@ -11,7 +11,7 @@
 
 use std::sync::atomic::{AtomicIsize, Ordering};
 
-use ipc_store::{Fault, SimProfile, SimulatedObjectStore};
+use ipc_store::{Fault, FaultSource, SimProfile, SimulatedObjectStore};
 use ipc_tensor::{ArrayD, Shape};
 use ipcomp::source::{ByteRange, Bytes, ChunkSource};
 use ipcomp::{
@@ -400,10 +400,12 @@ fn short_read_faults_roll_back_cascade_exactly() {
     let mut failures = 0usize;
     for after in (0..200).step_by(9) {
         for streaming in [false, true] {
-            let sim = SimulatedObjectStore::with_fault(
-                MemorySource::new(bytes.clone()),
+            let sim = SimulatedObjectStore::new(
+                FaultSource::new(
+                    MemorySource::new(bytes.clone()),
+                    Fault::ShortReadAfter(after),
+                ),
                 SimProfile::free(),
-                Fault::ShortReadAfter(after),
             );
             let Ok(mut dec) = ProgressiveDecoder::from_source(&sim) else {
                 failures += 1;

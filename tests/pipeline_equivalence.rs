@@ -10,7 +10,7 @@
 
 use std::sync::Arc;
 
-use ipc_store::{Fault, SimProfile, SimulatedObjectStore};
+use ipc_store::{Fault, FaultSource, SimProfile, SimulatedObjectStore};
 use ipc_tensor::{ArrayD, Shape};
 use ipcomp::{compress, Config, IpcompError, MemorySource, ProgressiveDecoder, RetrievalRequest};
 use proptest::prelude::*;
@@ -115,10 +115,12 @@ fn short_read_faults_surface_as_bounded_errors_with_exact_rollback() {
     let mut failures = 0usize;
     for after in (0..160).step_by(7) {
         for streaming in [false, true] {
-            let sim = SimulatedObjectStore::with_fault(
-                MemorySource::new(bytes.clone()),
+            let sim = SimulatedObjectStore::new(
+                FaultSource::new(
+                    MemorySource::new(bytes.clone()),
+                    Fault::ShortReadAfter(after),
+                ),
                 SimProfile::free(),
-                Fault::ShortReadAfter(after),
             );
             let Ok(mut dec) = ProgressiveDecoder::from_source(&sim) else {
                 // Metadata read already hit the fault: bounded error, fine.
@@ -268,10 +270,9 @@ fn sessions_over_faulty_and_cached_stacks_stay_equivalent() {
 
     // Faulty backend below the same stack: bounded error, then an honest
     // session still serves correct bits from the shared cache.
-    let sim = Arc::new(SimulatedObjectStore::with_fault(
-        MemorySource::new(bytes),
+    let sim = Arc::new(SimulatedObjectStore::new(
+        FaultSource::new(MemorySource::new(bytes), Fault::ShortReadAfter(40)),
         SimProfile::free(),
-        Fault::ShortReadAfter(40),
     ));
     if let Ok(store) = ContainerStore::open(sim as Arc<dyn ChunkSource>, StoreOptions::default()) {
         let mut session = store.session();
