@@ -334,11 +334,10 @@ mod avx2 {
     #[cfg(target_arch = "x86_64")]
     use std::arch::x86_64::*;
 
-    /// # Safety
-    ///
-    /// Caller must have verified AVX2 support at runtime.
+    /// Callers outside this module verify AVX2 at runtime: calling a
+    /// `#[target_feature]` fn from code without the feature is `unsafe`.
     #[target_feature(enable = "avx2")]
-    pub(super) unsafe fn scatter_planes_avx2(planes: &[&[u8]], plane_lo: usize, out: &mut [u64]) {
+    pub(super) fn scatter_planes_avx2(planes: &[&[u8]], plane_lo: usize, out: &mut [u64]) {
         // Byte lane l of a 256-bit vector wants byte l/8 of the group's
         // 4-byte coefficient window; shuffle_epi8 indexes within 128-bit
         // halves, so the second half selects bytes 2 and 3.
@@ -353,7 +352,8 @@ mod avx2 {
             for (l, b) in pattern.iter_mut().enumerate() {
                 *b = one_byte[l % 8];
             }
-            _mm256_loadu_si256(pattern.as_ptr() as *const __m256i)
+            // SAFETY: `pattern` is 32 bytes, and `loadu` takes any alignment.
+            unsafe { _mm256_loadu_si256(pattern.as_ptr() as *const __m256i) }
         };
         let n = out.len();
         let full_spans = n / 32;
@@ -386,7 +386,8 @@ mod avx2 {
                 // so the shift count travels through an xmm register).
                 let shift = _mm_cvtsi32_si128((plane_lo + g * 8) as i32);
                 let mut lanes = [0u8; 32];
-                _mm256_storeu_si256(lanes.as_mut_ptr() as *mut __m256i, acc);
+                // SAFETY: `lanes` is 32 bytes, and `storeu` takes any alignment.
+                unsafe { _mm256_storeu_si256(lanes.as_mut_ptr() as *mut __m256i, acc) };
                 let base = s * 32;
                 for q in 0..8 {
                     let four =
@@ -394,7 +395,11 @@ mod avx2 {
                     let quad = _mm_cvtsi32_si128(four);
                     let wide = _mm256_sll_epi64(_mm256_cvtepu8_epi64(quad), shift);
                     let dst = out[base + q * 4..].as_mut_ptr() as *mut __m256i;
-                    _mm256_storeu_si256(dst, _mm256_or_si256(_mm256_loadu_si256(dst), wide));
+                    // SAFETY: words `base + q·4 .. base + q·4 + 4` lie inside
+                    // the span's 32, which `full_spans` keeps inside `out`.
+                    unsafe {
+                        _mm256_storeu_si256(dst, _mm256_or_si256(_mm256_loadu_si256(dst), wide));
+                    }
                 }
             }
         }
@@ -419,19 +424,16 @@ mod avx2 {
     /// coefficient loop is outside the plane loop so each 4-word vector is
     /// loaded once and swept across all requested planes.
     ///
-    /// # Safety
-    ///
-    /// Caller must have verified AVX2 support at runtime.
+    /// Callers outside this module verify AVX2 at runtime, as for
+    /// [`scatter_planes_avx2`].
     #[target_feature(enable = "avx2")]
-    pub(super) unsafe fn gather_plane_words_avx2(
-        words: &[u64],
-        plane_lo: usize,
-        out: &mut [Vec<u64>],
-    ) {
+    pub(super) fn gather_plane_words_avx2(words: &[u64], plane_lo: usize, out: &mut [Vec<u64>]) {
         for (b, block) in words.chunks(64).enumerate() {
             let full = block.len() / 4;
             for g in 0..full {
-                let v = _mm256_loadu_si256(block.as_ptr().add(g * 4) as *const __m256i);
+                // SAFETY: words `4g .. 4g + 4` lie inside `block`, as
+                // `g < full = block.len() / 4`.
+                let v = unsafe { _mm256_loadu_si256(block.as_ptr().add(g * 4) as *const __m256i) };
                 let hi = 63 - 4 * g; // coefficient 4g sits at bit 63 - 4g
                 for (j, plane) in out.iter_mut().enumerate() {
                     let shift = _mm_cvtsi32_si128((63 - (plane_lo + j)) as i32);
@@ -453,11 +455,10 @@ mod avx2 {
     /// narrow rounds (`j` = 2, 1) run the scalar recurrence. Bit-identical to
     /// [`super::transpose_64x64`] (pure bit movement).
     ///
-    /// # Safety
-    ///
-    /// Caller must have verified AVX2 support at runtime.
+    /// Callers outside this module verify AVX2 at runtime, as for
+    /// [`scatter_planes_avx2`].
     #[target_feature(enable = "avx2")]
-    pub(super) unsafe fn transpose_64x64_avx2(a: &mut [u64; 64]) {
+    pub(super) fn transpose_64x64_avx2(a: &mut [u64; 64]) {
         const ROUNDS: [(u32, u64); 4] = [
             (32, 0x0000_0000_FFFF_FFFF),
             (16, 0x0000_FFFF_0000_FFFF),
@@ -470,13 +471,19 @@ mod avx2 {
             let mut k = 0usize;
             while k < 64 {
                 if k & (j as usize) == 0 {
-                    let pa = a.as_mut_ptr().add(k) as *mut __m256i;
-                    let pb = a.as_mut_ptr().add(k + j as usize) as *mut __m256i;
-                    let va = _mm256_loadu_si256(pa);
-                    let vb = _mm256_loadu_si256(pb);
-                    let t = _mm256_and_si256(_mm256_xor_si256(va, _mm256_srl_epi64(vb, jc)), mask);
-                    _mm256_storeu_si256(pa, _mm256_xor_si256(va, t));
-                    _mm256_storeu_si256(pb, _mm256_xor_si256(vb, _mm256_sll_epi64(t, jc)));
+                    // SAFETY: `k` is a multiple of 4 with bit `j` clear and
+                    // `j ≥ 4` a power of two, so rows `k .. k + 4` and
+                    // `k + j .. k + j + 4` both lie inside the 64 rows.
+                    unsafe {
+                        let pa = a.as_mut_ptr().add(k) as *mut __m256i;
+                        let pb = a.as_mut_ptr().add(k + j as usize) as *mut __m256i;
+                        let va = _mm256_loadu_si256(pa);
+                        let vb = _mm256_loadu_si256(pb);
+                        let t =
+                            _mm256_and_si256(_mm256_xor_si256(va, _mm256_srl_epi64(vb, jc)), mask);
+                        _mm256_storeu_si256(pa, _mm256_xor_si256(va, t));
+                        _mm256_storeu_si256(pb, _mm256_xor_si256(vb, _mm256_sll_epi64(t, jc)));
+                    }
                 }
                 k += 4;
             }

@@ -53,9 +53,8 @@
 //! * **Streaming** — a chunk covers a contiguous coefficient range, and every
 //!   plane of a level shares the same [`RegionScheme`], so a decoder can fully
 //!   reconstruct coefficients `[k·8·CHUNK_BYTES, (k+1)·8·CHUNK_BYTES)` from
-//!   just the `k`-th chunk of each loaded plane
-//!   ([`crate::pipeline::RegionPipeline`]). Memory
-//!   stays bounded by the region size, not the level size.
+//!   just the `k`-th chunk of each loaded plane (the decoder's region
+//!   pipeline). Memory stays bounded by the region size, not the level size.
 //! * **Addressability** — the version-2 container records every chunk's size
 //!   in its metadata, so a remote reader can fetch any chunk without parsing
 //!   payload bytes.
@@ -113,7 +112,7 @@ use ipc_codecs::{lzr_compress, CodecError};
 use rayon::prelude::*;
 
 use crate::error::{IpcompError, Result};
-use crate::pipeline::{FetchStage, RegionPipeline};
+use crate::pipeline::{LevelChunks, RegionPipeline};
 
 /// Minimum number of coefficients before the coder fans work out to rayon.
 const PARALLEL_THRESHOLD: usize = 4096;
@@ -378,6 +377,34 @@ impl EncodedLevel {
     /// discarded.
     pub fn loaded_bytes(&self, b: u8) -> usize {
         self.payload_bytes() - self.saved_bytes(b)
+    }
+
+    /// Chunks of planes `[plane_lo, plane_hi)`, plane-major — the table the
+    /// decode pipeline reads. Refuses, as [`IpcompError::CorruptContainer`],
+    /// a plane list whose length is not `num_planes` and a streamed plane
+    /// whose chunk count is not `scheme`'s region count, and a plane range
+    /// outside the level as [`IpcompError::InvalidInput`].
+    pub(crate) fn chunk_table(
+        &self,
+        scheme: &RegionScheme,
+        plane_lo: u8,
+        plane_hi: u8,
+    ) -> Result<Vec<&[u8]>> {
+        if self.planes.len() != self.num_planes as usize {
+            return Err(IpcompError::CorruptContainer(
+                "plane list does not match the level's plane count",
+            ));
+        }
+        check_plane_range(self.num_planes, plane_lo, plane_hi)?;
+        let planes = &self.planes[plane_lo as usize..plane_hi as usize];
+        let n = scheme.num_regions();
+        if planes.iter().any(|p| p.chunks.len() != n) {
+            return Err(IpcompError::CorruptContainer(
+                "plane chunk count does not match the level's chunk grid",
+            ));
+        }
+        let chunks = planes.iter().flat_map(|p| &p.chunks);
+        Ok(chunks.map(Vec::as_slice).collect())
     }
 }
 
@@ -714,35 +741,12 @@ pub fn encode_level_precincts(
     }
 }
 
-/// Validate a plane range request against a level's geometry and chunk
-/// structure; `plane_chunks` reports how many chunks plane `p` actually holds
-/// (from payload vecs or the metadata index, depending on the backing).
-pub(crate) fn check_plane_range(
-    scheme: &RegionScheme,
-    num_planes: u8,
-    plane_chunks: impl Fn(u8) -> usize,
-    plane_lo: u8,
-    plane_hi: u8,
-    acc_len: usize,
-) -> Result<()> {
-    if acc_len != scheme.n_values() {
-        return Err(IpcompError::InvalidInput(format!(
-            "accumulator length {acc_len} does not match level size {}",
-            scheme.n_values()
-        )));
-    }
+/// Refuse a plane range outside a level with `num_planes` significant planes.
+pub(crate) fn check_plane_range(num_planes: u8, plane_lo: u8, plane_hi: u8) -> Result<()> {
     if plane_hi > num_planes || plane_lo > plane_hi {
         return Err(IpcompError::InvalidInput(format!(
             "invalid plane range {plane_lo}..{plane_hi} for level with {num_planes} planes"
         )));
-    }
-    let n_regions = scheme.num_regions();
-    for p in plane_lo..plane_hi {
-        if plane_chunks(p) != n_regions {
-            return Err(IpcompError::CorruptContainer(
-                "plane chunk count does not match the level's chunk grid",
-            ));
-        }
     }
     Ok(())
 }
@@ -777,10 +781,12 @@ pub(crate) fn decode_chunk_bytes(compressed: &[u8], expected: usize) -> Result<V
 /// predictive coding is undone using those more significant bits. The newly decoded
 /// bits are OR-ed into `acc`.
 ///
-/// This is the decoder's one level loader ([`crate::pipeline::RegionPipeline`])
-/// without a region mask or a progress sink: regions stream in coefficient
-/// order, and a corrupt block rolls back the regions scattered before it, so
-/// a failed call leaves `acc` unmodified.
+/// This is the decoder's one level loader, its region pipeline, without a
+/// region mask or a progress sink: regions stream in coefficient order, and a
+/// corrupt block rolls back the regions scattered before it, so a failed call
+/// leaves `acc` unmodified. A level whose plane list is not `num_planes`
+/// long, or whose planes do not each hold one chunk per region of its
+/// [`EncodedLevel::scheme`], is refused as [`IpcompError::CorruptContainer`].
 pub fn decode_planes_into(
     level: &EncodedLevel,
     plane_lo: u8,
@@ -789,12 +795,8 @@ pub fn decode_planes_into(
     predictive: bool,
     acc: &mut [u64],
 ) -> Result<()> {
-    let fetch = FetchStage {
-        level,
-        plane_lo,
-        plane_hi,
-    };
-    RegionPipeline::new(fetch, prefix_bits, predictive, acc.len(), None)?.stream(acc, |_, _| {})
+    let chunks = LevelChunks::resident(level, plane_lo, plane_hi)?;
+    RegionPipeline::new(chunks, prefix_bits, predictive, acc.len(), None)?.stream(acc, |_, _| {})
 }
 
 /// Decode the top `planes_loaded` planes of a level into quantization codes
@@ -829,11 +831,8 @@ pub fn decode_level(
 /// the bit-manipulation layer — for uniform and precinct levels alike.
 #[cfg(test)]
 pub mod scalar {
-    use super::{
-        check_plane_range, decode_chunk_bytes, EncodeOptions, EncodedLevel, EncodedPlane,
-        RegionScheme,
-    };
-    use crate::error::Result;
+    use super::{decode_chunk_bytes, EncodeOptions, EncodedLevel, EncodedPlane, RegionScheme};
+    use crate::error::{IpcompError, Result};
     use ipc_codecs::bitstream::{BitReader, BitWriter};
     use ipc_codecs::negabinary::{required_bitplanes, to_negabinary, truncation_loss};
 
@@ -959,16 +958,16 @@ pub mod scalar {
         acc: &mut [u64],
     ) -> Result<()> {
         let scheme = level.scheme();
-        check_plane_range(
-            &scheme,
-            level.num_planes,
-            |p| level.planes[p as usize].chunks.len(),
-            plane_lo,
-            plane_hi,
-            acc.len(),
-        )?;
+        let chunks = level.chunk_table(&scheme, plane_lo, plane_hi)?;
+        if acc.len() != scheme.n_values() {
+            return Err(IpcompError::InvalidInput(
+                "accumulator does not match level size".into(),
+            ));
+        }
+        let n = scheme.num_regions();
         for p in (plane_lo..plane_hi).rev() {
-            for (k, chunk) in level.planes[p as usize].chunks.iter().enumerate() {
+            let plane = &chunks[(p - plane_lo) as usize * n..][..n];
+            for (k, chunk) in plane.iter().enumerate() {
                 let packed = decode_chunk_bytes(chunk, scheme.region_byte_range(k).len())?;
                 let mut reader = BitReader::new(&packed);
                 for word in &mut acc[scheme.region_coeff_range(k)] {
@@ -1012,7 +1011,6 @@ pub mod scalar {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::pipeline::{FetchStage, RegionPipeline};
     use ipc_codecs::negabinary::from_negabinary;
     use rand::{Rng, SeedableRng};
 
@@ -1051,12 +1049,8 @@ mod tests {
     /// Region-at-a-time stream over planes `[lo, hi)` of a resident level
     /// (prefix width 2, predictive — what every streaming test encodes with).
     fn resident_stream(level: &EncodedLevel, lo: u8, hi: u8, acc_len: usize) -> RegionPipeline<'_> {
-        let fetch = FetchStage {
-            level,
-            plane_lo: lo,
-            plane_hi: hi,
-        };
-        RegionPipeline::new(fetch, 2, true, acc_len, None).unwrap()
+        let chunks = LevelChunks::resident(level, lo, hi).unwrap();
+        RegionPipeline::new(chunks, 2, true, acc_len, None).unwrap()
     }
 
     #[test]
@@ -1165,8 +1159,11 @@ mod tests {
         let mut mem_acc = vec![0u64; enc.n_values];
         let mut mem_stream = resident_stream(&enc, 0, hi, mem_acc.len());
         let mut src_acc = vec![0u64; enc.n_values];
-        let fetched = map.levels[0].fetch_planes(&source, 0, hi, None).unwrap();
-        let mut src_stream = resident_stream(&fetched, 0, hi, src_acc.len());
+        let lmap = &map.levels[0];
+        let mut bufs = Vec::new();
+        let table = lmap.fetch_planes(&source, 0, hi, None, &mut bufs).unwrap();
+        let chunks = LevelChunks::fetched(lmap, 0, hi, table);
+        let mut src_stream = RegionPipeline::new(chunks, 2, true, src_acc.len(), None).unwrap();
         assert_eq!(mem_stream.num_regions(), src_stream.num_regions());
         loop {
             let a = mem_stream.decode_next(&mut mem_acc).unwrap();

@@ -92,8 +92,12 @@
 //! One function reads this grammar: `ContainerMap::read`, from a resident
 //! slice that starts with the prelude. [`ContainerMap::open`] hands it the
 //! front its GETs fetched, [`Compressed::from_bytes`] the whole buffer (then
-//! copies each chunk out at the offset the map recorded), and
+//! copies each chunk out at the offset the map recorded — the one place an
+//! [`EncodedLevel`] is built from container bytes), and
 //! [`ArchiveMap::open`](crate::ArchiveMap::open) each hoisted copy in turn.
+//! A ranged read never builds one: `LevelMap::fetch_planes` returns each
+//! fetched chunk as a zero-copy slice of the buffer its run was read into,
+//! and the decoder's pipeline reads the chunks from there.
 //! Deserialization is hardened as described above, so corrupt or adversarial
 //! containers fail with [`IpcompError`] instead of panicking or ballooning
 //! memory — whichever entry point they arrive through.
@@ -115,7 +119,7 @@ use ipc_codecs::{lzr_compress, zigzag_decode, zigzag_encode};
 
 use ipc_tensor::Shape;
 
-use crate::bitplane::{EncodedLevel, EncodedPlane, RegionScheme};
+use crate::bitplane::{check_plane_range, EncodedLevel, EncodedPlane, RegionScheme};
 use crate::config::Interpolation;
 use crate::error::{IpcompError, Result};
 use crate::optimizer::CostTable;
@@ -334,19 +338,26 @@ impl Compressed {
     /// to drift.
     pub fn from_bytes(buf: &[u8]) -> Result<Self> {
         let map = ContainerMap::read(&mut MetaCursor::new(buf), buf.len() as u64)?;
-        let levels = map
-            .levels
-            .iter()
-            .map(|level| {
-                let runs = level.chunk_runs(None);
-                let ranges = level.run_ranges(0, level.num_planes, &runs);
-                // `open` verified every recorded range lies inside the source.
-                let bufs = ranges
-                    .iter()
-                    .map(|r| &buf[r.offset as usize..r.end() as usize]);
-                level.assemble(0, level.num_planes, &runs, bufs)
-            })
-            .collect();
+        let levels = map.levels.iter().map(|level| {
+            // The index's running offsets, plane-major; `read` verified they
+            // stay inside the buffer.
+            let ends = level.offsets.windows(2);
+            let mut chunks = ends.map(|w| buf[w[0] as usize..w[1] as usize].to_vec());
+            let n = level.scheme.num_regions();
+            EncodedLevel {
+                n_values: level.n_values,
+                num_planes: level.num_planes,
+                planes: (0..level.num_planes)
+                    .map(|_| EncodedPlane {
+                        chunks: chunks.by_ref().take(n).collect(),
+                    })
+                    .collect(),
+                trunc_loss: level.trunc_loss.clone(),
+                chunk_bytes: level.chunk_bytes,
+                precinct_spans: level.precinct_spans().map(<[usize]>::to_vec),
+            }
+        });
+        let levels = levels.collect();
         Ok(Self {
             header: map.header,
             anchors: map.anchors,
@@ -533,62 +544,24 @@ impl LevelMap {
             .collect()
     }
 
-    /// Cut `bufs` — one buffer per [`LevelMap::run_ranges`] entry, in that
-    /// order — into an in-memory [`EncodedLevel`] holding planes
-    /// `[plane_lo, plane_hi)`. Planes outside the range keep empty chunk
-    /// lists and chunks outside `runs` stay empty; the plane-range decoders
-    /// never touch either.
-    fn assemble<B: AsRef<[u8]>>(
-        &self,
-        plane_lo: u8,
-        plane_hi: u8,
-        runs: &[(usize, usize)],
-        bufs: impl IntoIterator<Item = B>,
-    ) -> EncodedLevel {
-        let mut bufs = bufs.into_iter();
-        let planes = (0..self.num_planes)
-            .map(|p| {
-                if !(plane_lo..plane_hi).contains(&p) {
-                    return EncodedPlane { chunks: Vec::new() };
-                }
-                let mut chunks = vec![Vec::new(); self.plane_chunk_count(p)];
-                for &(k0, k1) in runs {
-                    let buf = bufs.next().expect("one buffer per run");
-                    let base = self.span(p, k0, k0).offset;
-                    for (k, chunk) in chunks.iter_mut().enumerate().take(k1).skip(k0) {
-                        let r = self.chunk_range(p, k);
-                        let at = (r.offset - base) as usize;
-                        *chunk = buf.as_ref()[at..at + r.len].to_vec();
-                    }
-                }
-                EncodedPlane { chunks }
-            })
-            .collect();
-        EncodedLevel {
-            n_values: self.n_values,
-            num_planes: self.num_planes,
-            planes,
-            trunc_loss: self.trunc_loss.clone(),
-            chunk_bytes: self.chunk_bytes,
-            precinct_spans: self.precinct_spans().map(<[usize]>::to_vec),
-        }
-    }
-
     /// Fetch the compressed chunks of planes `[plane_lo, plane_hi)` from
-    /// `source` and assemble an in-memory [`EncodedLevel`] holding exactly
-    /// those planes. With a precinct `mask` (version-3 levels only) just the
-    /// marked precincts' chunks are fetched and the rest stay empty — the
-    /// caller must then only decode regions it asked for.
+    /// `source` into `bufs` — one buffer per chunk run, as the source returned
+    /// it — and return the chunks as a table, plane-major, of zero-copy
+    /// slices of those buffers. With a precinct `mask` (version-3 levels
+    /// only) just the marked precincts' chunks are fetched and the other
+    /// entries are empty — the caller must then only decode regions it asked
+    /// for.
     ///
     /// The fetch is one batched `read_ranges` call in payload order, so a
     /// coalescing source turns it into few contiguous reads.
-    pub fn fetch_planes(
+    pub(crate) fn fetch_planes<'b>(
         &self,
         source: &dyn ChunkSource,
         plane_lo: u8,
         plane_hi: u8,
         mask: Option<&[bool]>,
-    ) -> Result<EncodedLevel> {
+        bufs: &'b mut Vec<Bytes>,
+    ) -> Result<Vec<&'b [u8]>> {
         if let Some(mask) = mask {
             let spans = self.precinct_spans().ok_or_else(|| {
                 IpcompError::InvalidInput("precinct fetch on a byte-granular level".into())
@@ -599,17 +572,35 @@ impl LevelMap {
                 ));
             }
         }
-        let hi = plane_hi.min(self.num_planes);
+        check_plane_range(self.num_planes, plane_lo, plane_hi)?;
         let runs = self.chunk_runs(mask);
-        let ranges = self.run_ranges(plane_lo, hi, &runs);
+        let ranges = self.run_ranges(plane_lo, plane_hi, &runs);
         let obs = crate::obs::metrics();
         let mut span = ipc_telemetry::span_timed("pipeline", "fetch", obs.fetch_ns);
         let bytes: u64 = ranges.iter().map(|r| r.len as u64).sum();
         obs.fetch_bytes.add(bytes);
         span.add_arg("bytes", bytes);
-        let bufs = read_ranges_exact(source, &ranges)?;
+        *bufs = read_ranges_exact(source, &ranges)?;
         drop(span);
-        Ok(self.assemble(plane_lo, hi, &runs, bufs))
+        // Every buffer is its run's exact length (checked above), and the
+        // parser checked that a run's chunks tile it, so the slices are in
+        // bounds whatever the source returned.
+        let n = self.scheme.num_regions();
+        let mut chunks = vec![&[][..]; (plane_hi - plane_lo) as usize * n];
+        let mut bufs = bufs.iter();
+        for p in plane_lo..plane_hi {
+            let row = (p - plane_lo) as usize * n;
+            for &(k0, k1) in &runs {
+                let buf: &'b [u8] = bufs.next().expect("one buffer per run");
+                let base = self.span(p, k0, k0).offset;
+                for k in k0..k1 {
+                    let r = self.chunk_range(p, k);
+                    let at = (r.offset - base) as usize;
+                    chunks[row + k] = &buf[at..at + r.len];
+                }
+            }
+        }
+        Ok(chunks)
     }
 }
 
@@ -1404,24 +1395,46 @@ mod tests {
         assert!(ContainerMap::open(&source).is_err());
     }
 
+    /// `fetch_planes` hands back the requested chunks — of the planes asked
+    /// for and, under a precinct mask, of the masked precincts only — as
+    /// slices of the source's own buffer, not copies of it.
     #[test]
     fn fetch_planes_returns_requested_payload_only() {
-        let c = sample_compressed_chunked();
-        let bytes = c.to_bytes();
-        let source = crate::source::MemorySource::new(bytes);
-        let map = ContainerMap::open(&source).unwrap();
-        let lmap = &map.levels[1];
-        let hi = lmap.num_planes;
-        let lo = hi / 2;
-        let fetched = lmap.fetch_planes(&source, lo, hi, None).unwrap();
-        assert_eq!(fetched.n_values, lmap.n_values);
-        assert_eq!(fetched.num_planes, lmap.num_planes);
-        for p in 0..hi {
-            if p >= lo {
-                assert_eq!(fetched.planes[p as usize], c.levels[1].planes[p as usize]);
-            } else {
-                assert!(fetched.planes[p as usize].chunks.is_empty());
+        let check = |c: &Compressed, i: usize, lo: u8, mask: Option<&[bool]>| {
+            let data: Arc<[u8]> = Arc::from(c.to_bytes());
+            let source = crate::source::MemorySource::from_arc(Arc::clone(&data));
+            let map = ContainerMap::open(&source).unwrap();
+            let lmap = &map.levels[i];
+            let hi = lmap.num_planes;
+            let n = lmap.plane_chunk_count(0);
+            let mut bufs = Vec::new();
+            let fetched = lmap.fetch_planes(&source, lo, hi, mask, &mut bufs).unwrap();
+            assert_eq!(fetched.len(), (hi - lo) as usize * n);
+            let within = data.as_ptr_range();
+            for (j, chunk) in fetched.iter().enumerate() {
+                let (p, k) = (lo as usize + j / n, j % n);
+                if mask.is_none_or(|m| m[k]) {
+                    assert_eq!(*chunk, &c.levels[i].planes[p].chunks[k][..]);
+                } else {
+                    assert!(chunk.is_empty(), "plane {p} precinct {k} is not masked");
+                }
+                let ends = chunk.as_ptr_range();
+                assert!(
+                    chunk.is_empty() || within.start <= ends.start && ends.end <= within.end,
+                    "plane {p} chunk {k} is a copy"
+                );
             }
-        }
+        };
+        let c = sample_compressed_chunked();
+        let hi = c.levels[1].num_planes;
+        check(&c, 1, hi / 2, None);
+
+        let tiled =
+            crate::compress(&sample_field(), 1e-5, &Config::with_precincts(&[8, 8])).unwrap();
+        let i = tiled.levels.len() - 1;
+        let n = tiled.levels[i].planes[0].chunks.len();
+        let mask: Vec<bool> = (0..n).map(|k| k % 3 == 0).collect();
+        assert!(mask.contains(&false) && n > 3);
+        check(&tiled, i, 0, Some(&mask));
     }
 }

@@ -24,9 +24,11 @@
 //!    minimum-error set for a byte/bitrate budget (paper Sec. 5).
 //! 5. **Progressive decoder** ([`progressive`]): Algorithm 1 reconstructs from
 //!    scratch in a single pass; Algorithm 2 refines an existing reconstruction from
-//!    newly loaded planes only. Every read path decodes through the staged
-//!    **fetch → entropy → scatter** pipeline ([`pipeline`]) and scatters through
-//!    plane-count-specialized kernels. Over ranged storage a request lowers its
+//!    newly loaded planes only. Every read path decodes a level through one
+//!    region pipeline, **entropy → scatter** per chunk region, from a table of
+//!    the level's chunks: a resident level's own, or zero-copy slices of what a
+//!    ranged read fetched. It scatters through plane-count-specialized kernels.
+//!    Over ranged storage a request lowers its
 //!    plan to byte ranges first ([`planner`]) and reads them in a few
 //!    byte-budgeted fetch groups ([`source::PlannedSource`]) — one fetch per
 //!    request where the bytes allow it, not one per level.
@@ -65,7 +67,7 @@ pub mod error;
 pub mod interp;
 pub mod obs;
 pub mod optimizer;
-pub mod pipeline;
+mod pipeline;
 pub mod planner;
 pub mod precinct;
 pub mod progressive;

@@ -6,7 +6,7 @@
 //! [`ContainerMap`], so no payload is touched); [`lower_plan`] turns that
 //! into *which bytes*: one [`ChunkRead`] per chunk run the plan adds — a
 //! single chunk, or under a region mask a maximal run of consecutive masked
-//! precincts, exactly the reads [`crate::LevelMap::fetch_planes`] issues — in
+//! precincts, exactly the reads `LevelMap::fetch_planes` issues — in
 //! container payload order. The lowering is both what a request is **priced**
 //! by (`ipc_store` re-exports it for sessions and the service's budget gate)
 //! and what the decoder **fetches** by: `ProgressiveDecoder` lowers its plan

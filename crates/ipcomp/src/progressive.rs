@@ -14,13 +14,13 @@
 //!   loaded block is ever re-read and no previous work is redone.
 //!
 //! Both algorithms run through one level loader and one cascade hand-over:
-//! every level streams region by region through the staged decode pipeline
-//! ([`RegionPipeline`]), then goes to the streaming cascade engine
-//! ([`crate::cascade`]) whole, so each level's interpolation pass runs as
-//! soon as that level's planes are decoded and scattered — on streaming
-//! retrievals [`StreamEvent::LevelReconstructed`] reports each applied pass
-//! — instead of one monolithic dequantize + interpolate sweep after the last
-//! byte lands.
+//! every level streams region by region, entropy-decoded then scattered,
+//! through the crate's one region pipeline, then goes to the streaming
+//! cascade engine ([`crate::cascade`]) whole, so each level's interpolation
+//! pass runs as soon as that level's planes are decoded and scattered — on
+//! streaming retrievals [`StreamEvent::LevelReconstructed`] reports each
+//! applied pass — instead of one monolithic dequantize + interpolate sweep
+//! after the last byte lands.
 //!
 //! Over ranged storage the **request** is the unit of I/O, not the level:
 //! before any level decodes, the retrieval lowers its plan to the byte ranges
@@ -30,7 +30,8 @@
 //! [`PlannedSource`], which fetches a whole group on the first touch of any
 //! of its ranges. The level loop below is unchanged by this — it asks for a
 //! level's ranges when it reaches the level and gets slices of a group that
-//! is usually already resident.
+//! is usually already resident, which the pipeline decodes in place: the
+//! fetched bytes are never copied into an in-memory level.
 //!
 //! There is one read core. Every `retrieve*` spelling resolves its request
 //! through the optimizer's one scope rule (`CostTable::plan_for_scope`, over
@@ -45,13 +46,12 @@ use std::sync::Arc;
 use ipc_codecs::negabinary::from_negabinary;
 use ipc_tensor::{ArrayD, AxisRange, Shape};
 
-use crate::bitplane::EncodedLevel;
 use crate::cascade::{CascadeEngine, CascadeProgress};
 use crate::container::{decode_anchors_bounded, Compressed, ContainerMap, Header};
 use crate::error::{IpcompError, Result};
 use crate::interp::{for_each_level_pass, level_stride, num_levels, sweep_runs};
 use crate::optimizer::{CostTable, LoadPlan, RegionMasks};
-use crate::pipeline::{FetchStage, RegionPipeline};
+use crate::pipeline::{LevelChunks, RegionPipeline};
 use crate::planner::{fetch_groups, lower_plan};
 use crate::precinct::{clip_ranges, prefix_sums, LevelPrecincts, PrecinctGrid, RoiBox};
 use crate::source::{ChunkSource, PlannedSource};
@@ -148,28 +148,13 @@ pub struct Retrieval {
 enum Store<'a> {
     /// Fully resident container (the historical in-memory path).
     Slice(&'a Compressed),
-    /// Metadata map plus ranged access to the serialized bytes.
+    /// Metadata map plus ranged access to the serialized bytes: a borrowed
+    /// source (wrapped through `impl ChunkSource for &S`) or a shared one
+    /// that lets sessions own a `'static` decoder.
     Source {
         map: Arc<ContainerMap>,
-        source: SourceRef<'a>,
+        source: Arc<dyn ChunkSource + 'a>,
     },
-}
-
-/// How the decoder holds its chunk source: borrowed for stack-local use, or
-/// shared so sessions can own a `'static` decoder.
-#[derive(Clone)]
-enum SourceRef<'a> {
-    Borrowed(&'a dyn ChunkSource),
-    Shared(Arc<dyn ChunkSource>),
-}
-
-impl SourceRef<'_> {
-    fn get(&self) -> &dyn ChunkSource {
-        match self {
-            SourceRef::Borrowed(s) => *s,
-            SourceRef::Shared(s) => s.as_ref(),
-        }
-    }
 }
 
 impl Store<'_> {
@@ -268,7 +253,7 @@ impl<'a> ProgressiveDecoder<'a> {
         let map = Arc::new(ContainerMap::open(source)?);
         Ok(Self::with_store(Store::Source {
             map,
-            source: SourceRef::Borrowed(source),
+            source: Arc::new(source),
         }))
     }
 
@@ -280,10 +265,7 @@ impl<'a> ProgressiveDecoder<'a> {
         source: Arc<dyn ChunkSource>,
         map: Arc<ContainerMap>,
     ) -> ProgressiveDecoder<'static> {
-        ProgressiveDecoder::with_store(Store::Source {
-            map,
-            source: SourceRef::Shared(source),
-        })
+        ProgressiveDecoder::with_store(Store::Source { map, source })
     }
 
     /// [`ProgressiveDecoder::from_shared_source`] over a source that is
@@ -574,10 +556,10 @@ impl<'a> ProgressiveDecoder<'a> {
                         None => (&self.planes_loaded[..], None),
                     };
                     let units = lower_plan(map, have, plan, masks).level_units();
-                    planned = PlannedSource::new(source.get(), fetch_groups(units));
+                    planned = PlannedSource::new(source.as_ref(), fetch_groups(units));
                     Store::Source {
                         map: Arc::clone(map),
-                        source: SourceRef::Borrowed(&planned),
+                        source: Arc::new(&planned),
                     }
                 }
                 _ => held.clone(),
@@ -659,9 +641,10 @@ impl<'a> ProgressiveDecoder<'a> {
     /// reconstruction on an initial or region retrieval, the delta field on
     /// a refinement.
     ///
-    /// There is one level loader. A resident level is borrowed; a ranged
-    /// level is one [`crate::LevelMap::fetch_planes`] read — of the masked
-    /// precincts, under a region — whose ranges are slices of the request's
+    /// There is one level loader and one input to it, a [`LevelChunks`]
+    /// table. A resident level's borrows its chunks; a ranged level's is cut
+    /// from the `Bytes` of one [`crate::LevelMap::fetch_planes`] read — of the
+    /// masked precincts, under a region — which are slices of the request's
     /// fetch groups ([`PlannedSource`]), so the first level's read brings in
     /// every range grouped with it and the levels after it find their bytes
     /// resident. Either way the level then streams region by region through
@@ -709,32 +692,31 @@ impl<'a> ProgressiveDecoder<'a> {
             w += usize::from(work.is_some());
             if let Some((_, lo, hi, want)) = work {
                 let mask = region.as_deref().map(|scope| &scope.masks[idx][..]);
-                let fetched;
-                let level: &EncodedLevel = match store {
-                    Store::Slice(c) => &c.levels[idx],
+                let mut fetched = Vec::new();
+                let chunks = match store {
+                    Store::Slice(c) => LevelChunks::resident(&c.levels[idx], lo, hi)?,
                     Store::Source { map, source } => {
-                        fetched = map.levels[idx].fetch_planes(source.get(), lo, hi, mask)?;
-                        &fetched
+                        let level = &map.levels[idx];
+                        let table =
+                            level.fetch_planes(source.as_ref(), lo, hi, mask, &mut fetched)?;
+                        LevelChunks::fetched(level, lo, hi, table)
                     }
                 };
+                let scheme = Arc::clone(&chunks.scheme);
+                let spans = scheme.precinct_spans();
                 // A region decodes into scratch accumulators, and only the
                 // masked precincts that hold lattice points.
                 let mut scratch = Vec::new();
                 let (acc, streamed) = match region.as_deref() {
                     Some(scope) => {
-                        let streamed = scope.streamed(&self.shape, idx, level)?;
-                        scratch = vec![0u64; level.n_values];
+                        let streamed = scope.streamed(&self.shape, idx, spans)?;
+                        scratch = vec![0u64; store.level_n_values(idx)];
                         (&mut scratch[..], Some(streamed))
                     }
                     None => (&mut self.acc[idx][..], None),
                 };
-                let fetch = FetchStage {
-                    level,
-                    plane_lo: lo,
-                    plane_hi: hi,
-                };
                 let pipeline = RegionPipeline::new(
-                    fetch,
+                    chunks,
                     header.prefix_bits,
                     header.predictive_coding,
                     acc.len(),
@@ -742,7 +724,7 @@ impl<'a> ProgressiveDecoder<'a> {
                 )?;
                 Self::stream_level(pipeline, acc, &mut self.bytes_total, events, idx)?;
                 match region.as_deref_mut() {
-                    Some(scope) => scope.place_codes(&self.shape, idx, level, &scratch),
+                    Some(scope) => scope.place_codes(&self.shape, idx, spans, &scratch),
                     None => self.planes_loaded[idx] = want,
                 }
             }
@@ -827,14 +809,11 @@ impl RegionScope {
     /// The precincts level `idx` streams: the masked ones that hold lattice
     /// points (most of a coarse level's hold none), after checking the
     /// level's precinct spans against the grid.
-    fn streamed(&self, shape: &Shape, idx: usize, level: &EncodedLevel) -> Result<Vec<bool>> {
+    fn streamed(&self, shape: &Shape, idx: usize, spans: Option<&[usize]>) -> Result<Vec<bool>> {
         let level_no = num_levels(shape) - idx as u32;
-        let spans = level
-            .precinct_spans
-            .as_deref()
-            .ok_or(IpcompError::CorruptContainer(
-                "precinct container level lacks precinct spans",
-            ))?;
+        let spans = spans.ok_or(IpcompError::CorruptContainer(
+            "precinct container level lacks precinct spans",
+        ))?;
         if spans != self.grid.level_spans(shape, level_no).as_slice() {
             return Err(IpcompError::CorruptContainer(
                 "precinct spans inconsistent with grid geometry",
@@ -850,14 +829,11 @@ impl RegionScope {
     /// Convert level `idx`'s masked precinct accumulators to codes at their
     /// domain offsets: a precinct's slice of the precinct-major layout holds
     /// its points in canonical order, which is the canonical sweep clipped to
-    /// the precinct box. `level`'s spans were checked by
+    /// the precinct box. The level's `spans` were checked by
     /// [`RegionScope::streamed`].
-    fn place_codes(&mut self, shape: &Shape, idx: usize, level: &EncodedLevel, acc: &[u64]) {
+    fn place_codes(&mut self, shape: &Shape, idx: usize, spans: Option<&[usize]>, acc: &[u64]) {
         let level_no = num_levels(shape) - idx as u32;
-        let spans = level
-            .precinct_spans
-            .as_deref()
-            .expect("spans checked by `streamed`");
+        let spans = spans.expect("spans checked by `streamed`");
         let starts = prefix_sums(spans);
         for (k, &span) in spans.iter().enumerate() {
             if !self.masks[idx][k] || span == 0 {

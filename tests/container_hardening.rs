@@ -619,6 +619,23 @@ fn inconsistent_chunk_grids_error_cleanly() {
         level.planes.swap(0, 1);
         let _ = swapped.decompress();
     }
+
+    // A plane list two short of the plane count, and a plane count one short
+    // of the plane list: refused, neither indexed past nor decoded from the
+    // wrong planes.
+    let i = c.levels.iter().position(|l| l.num_planes >= 2).unwrap();
+    let mut short = c.clone();
+    short.levels[i]
+        .planes
+        .truncate(c.levels[i].planes.len() - 2);
+    let mut lowered = c.clone();
+    lowered.levels[i].num_planes -= 1;
+    for forged in [short, lowered] {
+        assert!(matches!(
+            forged.decompress(),
+            Err(IpcompError::CorruptContainer(_))
+        ));
+    }
 }
 
 /// The little-endian `u64` at `at`.
