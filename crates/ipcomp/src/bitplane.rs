@@ -106,6 +106,8 @@
 //! `‖δy_l(b)‖∞` for every possible number of discarded planes `b`, which is what the
 //! optimizer (Sec. 5) consumes.
 
+use std::sync::Arc;
+
 use ipc_codecs::bitslice::slice_planes;
 use ipc_codecs::negabinary::{from_negabinary, to_negabinary, truncation_loss};
 use ipc_codecs::{lzr_compress, CodecError};
@@ -381,9 +383,9 @@ impl EncodedLevel {
 
     /// Chunks of planes `[plane_lo, plane_hi)`, plane-major — the table the
     /// decode pipeline reads. Refuses, as [`IpcompError::CorruptContainer`],
-    /// a plane list whose length is not `num_planes` and a streamed plane
-    /// whose chunk count is not `scheme`'s region count, and a plane range
-    /// outside the level as [`IpcompError::InvalidInput`].
+    /// a plane list whose length is not `num_planes` and a plane — streamed
+    /// or not — whose chunk count is not `scheme`'s region count, and a plane
+    /// range outside the level as [`IpcompError::InvalidInput`].
     pub(crate) fn chunk_table(
         &self,
         scheme: &RegionScheme,
@@ -396,13 +398,13 @@ impl EncodedLevel {
             ));
         }
         check_plane_range(self.num_planes, plane_lo, plane_hi)?;
-        let planes = &self.planes[plane_lo as usize..plane_hi as usize];
         let n = scheme.num_regions();
-        if planes.iter().any(|p| p.chunks.len() != n) {
+        if self.planes.iter().any(|p| p.chunks.len() != n) {
             return Err(IpcompError::CorruptContainer(
                 "plane chunk count does not match the level's chunk grid",
             ));
         }
+        let planes = &self.planes[plane_lo as usize..plane_hi as usize];
         let chunks = planes.iter().flat_map(|p| &p.chunks);
         Ok(chunks.map(Vec::as_slice).collect())
     }
@@ -795,7 +797,7 @@ pub fn decode_planes_into(
     predictive: bool,
     acc: &mut [u64],
 ) -> Result<()> {
-    let chunks = LevelChunks::resident(level, plane_lo, plane_hi)?;
+    let chunks = LevelChunks::resident(level, Arc::new(level.scheme()), plane_lo, plane_hi)?;
     RegionPipeline::new(chunks, prefix_bits, predictive, acc.len(), None)?.stream(acc, |_, _| {})
 }
 
@@ -1049,7 +1051,7 @@ mod tests {
     /// Region-at-a-time stream over planes `[lo, hi)` of a resident level
     /// (prefix width 2, predictive — what every streaming test encodes with).
     fn resident_stream(level: &EncodedLevel, lo: u8, hi: u8, acc_len: usize) -> RegionPipeline<'_> {
-        let chunks = LevelChunks::resident(level, lo, hi).unwrap();
+        let chunks = LevelChunks::resident(level, Arc::new(level.scheme()), lo, hi).unwrap();
         RegionPipeline::new(chunks, 2, true, acc_len, None).unwrap()
     }
 

@@ -105,11 +105,12 @@
 //! `Compressed::walk` is the only writer: it emits the grammar as a sequence
 //! of `Piece`s, and everything that needs to know the layout is a view of
 //! that one walk — [`Compressed::to_bytes`] packs the metadata pieces and
-//! appends the chunk pieces, [`Compressed::base_bytes`] measures the packed
-//! front, and [`ContainerMap::from_compressed`] records where each chunk
-//! lands (the writer-side cross-check of the parser's offsets). How a level's
-//! plane bytes are cut into chunks is not this module's decision: both sides
-//! ask the level's [`RegionScheme`].
+//! appends the chunk pieces, and [`Compressed::base_bytes`] measures the
+//! packed front. [`ContainerMap::from_compressed`] lays the chunks out in
+//! the walk's order from there (the writer-side cross-check of the parser's
+//! offsets, and the map a decoder over a resident container reads). How a
+//! level's plane bytes are cut into chunks is not this module's decision:
+//! both sides ask the level's [`RegionScheme`].
 
 use std::sync::Arc;
 
@@ -449,7 +450,8 @@ pub struct LevelMap {
     /// count and `i = p·n + k`, chunk `k` of plane `p` spans
     /// `offsets[i]..offsets[i + 1]`. That is `planes × n + 1` entries, the
     /// last one the level's payload end; every plane has exactly `n` chunks,
-    /// as the parser refuses any other count.
+    /// as the parser refuses any other count and `from_compressed` maps no
+    /// other.
     offsets: Vec<u64>,
 }
 
@@ -997,37 +999,41 @@ impl ContainerMap {
     }
 
     /// Build the map of an in-memory container's **current serialization**
-    /// (the byte layout [`Compressed::to_bytes`] produces): the writer's walk
-    /// with every chunk's landing offset recorded. Useful to plan ranged
-    /// retrievals against a container that is also held in memory, and as
-    /// the writer-side cross-check of [`ContainerMap::open`].
+    /// (the byte layout [`Compressed::to_bytes`] produces): every chunk's
+    /// landing offset, level-major then plane-major, from the end of the
+    /// packed metadata front. This is the map a decoder over a resident
+    /// container plans and reads metadata from
+    /// ([`crate::ProgressiveDecoder::new`]), the map to plan ranged
+    /// retrievals by when the container is also held in memory, and the
+    /// writer-side cross-check of [`ContainerMap::open`].
+    ///
+    /// Total on malformed input: each level gets exactly `num_planes ×
+    /// regions + 1` offsets, regions counted by the level's
+    /// [`EncodedLevel::scheme`], and a chunk the level lacks counts 0 bytes
+    /// (chunks past a plane's region count, or planes past `num_planes`, are
+    /// not mapped). Such a container then fails where its chunks are read:
+    /// the decoder refuses it as [`IpcompError::CorruptContainer`].
     pub fn from_compressed(c: &Compressed) -> Self {
         let base_bytes = c.base_bytes();
-        let mut pos = base_bytes as u64;
-        let mut ends = Vec::new();
-        c.walk(|piece| {
-            if let Piece::Chunk(chunk) = piece {
-                pos += chunk.len() as u64;
-                ends.push(pos);
-            }
-        });
-        // The walk visits chunks level by level, plane-major: each level's
-        // table is where its payload starts, then its run of chunk ends.
-        let mut ends = ends.into_iter();
-        let mut start = base_bytes as u64;
+        let mut end = base_bytes as u64;
         let levels: Vec<LevelMap> = c
             .levels
             .iter()
             .map(|level| {
                 let scheme = level.scheme();
-                let n_chunks = scheme.num_regions();
-                debug_assert!(
-                    level.planes.iter().all(|p| p.chunks.len() == n_chunks),
-                    "every plane holds one chunk per region of its level"
-                );
-                let chunks = (&mut ends).take(level.planes.len() * n_chunks);
-                let offsets: Vec<u64> = std::iter::once(start).chain(chunks).collect();
-                start = offsets[offsets.len() - 1];
+                let n = scheme.num_regions();
+                let mut offsets = Vec::with_capacity(level.num_planes as usize * n + 1);
+                offsets.push(end);
+                for p in 0..level.num_planes as usize {
+                    let chunks = level
+                        .planes
+                        .get(p)
+                        .map_or(&[][..], |plane| &plane.chunks[..]);
+                    for k in 0..n {
+                        end += chunks.get(k).map_or(0, Vec::len) as u64;
+                        offsets.push(end);
+                    }
+                }
                 LevelMap {
                     n_values: level.n_values,
                     num_planes: level.num_planes,
@@ -1044,7 +1050,7 @@ impl ContainerMap {
             anchors: c.anchors.clone(),
             levels,
             base_bytes,
-            total_len: pos,
+            total_len: end,
         }
     }
 }

@@ -24,7 +24,9 @@
 //!    minimum-error set for a byte/bitrate budget (paper Sec. 5).
 //! 5. **Progressive decoder** ([`progressive`]): Algorithm 1 reconstructs from
 //!    scratch in a single pass; Algorithm 2 refines an existing reconstruction from
-//!    newly loaded planes only. Every read path decodes a level through one
+//!    newly loaded planes only. Every decoder reads metadata, costs and chunk
+//!    sizes from one [`ContainerMap`]; its backing — a resident container or a
+//!    ranged source — only supplies chunk bytes. Every read path decodes a level through one
 //!    region pipeline, **entropy → scatter** per chunk region, from a table of
 //!    the level's chunks: a resident level's own, or zero-copy slices of what a
 //!    ranged read fetched. It scatters through plane-count-specialized kernels.

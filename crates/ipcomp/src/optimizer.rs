@@ -20,7 +20,7 @@
 //! `[128, 1023]` normalized-error grid, and a weight always rounds *up*, so the
 //! produced plan never violates the user's constraint.
 
-use crate::container::{Compressed, ContainerMap, Header, LevelMap};
+use crate::container::{ContainerMap, Header, LevelMap};
 use crate::error::{IpcompError, Result};
 use crate::precinct::{roi_precinct_masks, RoiBox};
 use crate::progressive::RetrievalRequest;
@@ -80,15 +80,16 @@ impl LevelCost {
 /// Everything the optimizer reads of a container: per level its plane count,
 /// loss table, plane sizes, progressive flag and amplification factor; for the
 /// whole container the always-loaded base bytes and the header fields
-/// planning reads. Built once: with each [`ContainerMap`] (its `cost`), and
-/// by a decoder over a resident [`Compressed`]. Plans need no payload byte in
-/// memory.
+/// planning reads. Built once with each [`ContainerMap`] (its `cost`) —
+/// opened from a source, or built by [`ContainerMap::from_compressed`] for a
+/// decoder over a resident [`Compressed`](crate::Compressed), so both
+/// decoders plan from one table. Plans need no payload byte in memory.
 #[derive(Debug, Clone, PartialEq)]
 pub(crate) struct CostTable {
     levels: Vec<LevelCost>,
     /// Bytes every retrieval loads regardless of fidelity (prelude and
     /// metadata block).
-    pub(crate) base_bytes: usize,
+    base_bytes: usize,
     /// The quantization error bound `eb`.
     eb: f64,
     value_range: f64,
@@ -97,41 +98,23 @@ pub(crate) struct CostTable {
 
 impl CostTable {
     /// The table of a metadata map's header, base bytes and level indexes.
-    pub(crate) fn new(header: &Header, base_bytes: usize, levels: &[LevelMap]) -> Self {
-        let levels = levels.iter().map(|level| {
-            let bytes = (0..level.num_planes).map(|p| level.plane_bytes(p));
-            (&level.trunc_loss[..], bytes.collect())
-        });
-        Self::build(header, base_bytes, levels)
-    }
-
-    /// The table of a fully resident container.
-    pub(crate) fn resident(c: &Compressed) -> Self {
-        let levels = c.levels.iter().map(|level| {
-            let bytes = level.planes.iter().map(|plane| plane.len());
-            (&level.trunc_loss[..], bytes.collect())
-        });
-        Self::build(&c.header, c.base_bytes(), levels)
-    }
-
     /// Level entry `idx` is interpolation level `num_levels - idx` (a level
     /// list longer than the header declares is refused when decoded, not
     /// here).
-    fn build<'a>(
-        header: &Header,
-        base_bytes: usize,
-        levels: impl Iterator<Item = (&'a [u64], Vec<usize>)>,
-    ) -> Self {
+    pub(crate) fn new(header: &Header, base_bytes: usize, levels: &[LevelMap]) -> Self {
         let levels = levels
+            .iter()
             .enumerate()
-            .map(|(idx, (trunc_loss, plane_bytes))| {
-                let level = header.num_levels.saturating_sub(idx as u32);
+            .map(|(idx, level)| {
+                let level_no = header.num_levels.saturating_sub(idx as u32);
                 LevelCost {
-                    num_planes: plane_bytes.len() as u8,
-                    trunc_loss: trunc_loss.to_vec(),
-                    plane_bytes,
-                    progressive: level <= header.progressive_levels,
-                    amplification: amplification(header, level),
+                    num_planes: level.num_planes,
+                    trunc_loss: level.trunc_loss.clone(),
+                    plane_bytes: (0..level.num_planes)
+                        .map(|p| level.plane_bytes(p))
+                        .collect(),
+                    progressive: level_no <= header.progressive_levels,
+                    amplification: amplification(header, level_no),
                 }
             })
             .collect();
@@ -144,17 +127,18 @@ impl CostTable {
         }
     }
 
-    /// The same table over a region: each plane costs only the chunks of the
-    /// precincts `masks` selects (`masks[idx][k]`, see [`roi_precinct_masks`];
-    /// `chunk_size(idx, p, k)` sizes chunk `k` of plane `p`), so a byte budget
-    /// buys what the region's retrieval fetches. Truncation loss is a
-    /// per-level property of the codes, so the error side is unchanged.
-    fn scoped(&self, masks: &[Vec<bool>], chunk_size: impl Fn(usize, u8, usize) -> usize) -> Self {
+    /// The same table over a region: each plane of `levels[idx]` costs only
+    /// the chunks of the precincts `masks` selects (`masks[idx][k]`, see
+    /// [`roi_precinct_masks`]), so a byte budget buys what the region's
+    /// retrieval fetches. Truncation loss is a per-level property of the
+    /// codes, so the error side is unchanged.
+    fn scoped(&self, levels: &[LevelMap], masks: &[Vec<bool>]) -> Self {
         let mut table = self.clone();
-        for (idx, (level, mask)) in table.levels.iter_mut().zip(masks).enumerate() {
-            for (p, bytes) in level.plane_bytes.iter_mut().enumerate() {
-                let selected = (0..mask.len()).filter(|&k| mask[k]);
-                *bytes = selected.map(|k| chunk_size(idx, p as u8, k)).sum();
+        for ((cost, level), mask) in table.levels.iter_mut().zip(levels).zip(masks) {
+            let chunks = level.scheme().num_regions();
+            for (p, bytes) in cost.plane_bytes.iter_mut().enumerate() {
+                let selected = mask.iter().zip(0..chunks).filter(|&(&m, _)| m);
+                *bytes = selected.map(|(_, k)| level.chunk_size(p as u8, k)).sum();
             }
         }
         table
@@ -262,54 +246,6 @@ impl CostTable {
             RetrievalRequest::SizeBudget(bytes) => Ok(self.for_bytes(bytes)),
         }
     }
-
-    /// Resolve a request plus an optional spatial scope into a loading plan
-    /// and — for a region — its [`RegionMasks`] over `header`'s precinct
-    /// grid. The single place the region rules live, shared by the decoder
-    /// and the range planner so the two can never serve and price a region
-    /// differently:
-    ///
-    /// * [`RetrievalRequest::Roi`] is `region` + an error bound in one value;
-    ///   it cannot be combined with a second box.
-    /// * Fidelity-typed requests (`ErrorBound`, `RelErrorBound`, `Full`) plan
-    ///   against the whole container, so the plane selection — and therefore
-    ///   the output — is bit-identical to a full-domain retrieval cropped to
-    ///   the box.
-    /// * Budget-typed requests (`SizeBudget`, and `Bitrate` re-read as bits
-    ///   per *region* scalar) plan over the table [`CostTable::scoped`] to the
-    ///   region, with `chunk_size` sizing its chunks.
-    pub(crate) fn plan_for_scope(
-        &self,
-        header: &Header,
-        request: RetrievalRequest,
-        region: Option<RoiBox>,
-        chunk_size: impl Fn(usize, u8, usize) -> usize,
-    ) -> Result<(LoadPlan, Option<RegionMasks>)> {
-        let (fidelity, bounds) = match (request, region) {
-            (RetrievalRequest::Roi { .. }, Some(_)) => {
-                return Err(IpcompError::InvalidInput(
-                    "ROI retrieval cannot nest a second bounding box".into(),
-                ))
-            }
-            (
-                RetrievalRequest::Roi {
-                    bounds,
-                    error_bound,
-                },
-                None,
-            ) => (RetrievalRequest::ErrorBound(error_bound), bounds),
-            (fidelity, Some(bounds)) => (fidelity, bounds),
-            (fidelity, None) => return Ok((self.plan(fidelity)?, None)),
-        };
-        let masks = roi_precinct_masks(header, &bounds)?;
-        let budget = match fidelity {
-            RetrievalRequest::SizeBudget(bytes) => bytes,
-            RetrievalRequest::Bitrate(b) => bitrate_bytes(b, bounds.len())?,
-            fidelity => return Ok((self.plan(fidelity)?, Some((bounds, masks)))),
-        };
-        let plan = self.scoped(&masks, chunk_size).for_bytes(budget);
-        Ok((plan, Some((bounds, masks))))
-    }
 }
 
 /// Bins a weight of `x` occupies at `bin` per bin, rounded up; a zero weight
@@ -395,6 +331,52 @@ fn amplification(header: &Header, level: u32) -> f64 {
 /// A region resolved against one container: the box and its per-level
 /// precinct fetch masks (`masks[idx][k]`, see [`roi_precinct_masks`]).
 pub type RegionMasks = (RoiBox, Vec<Vec<bool>>);
+
+/// Resolve a request plus an optional spatial scope into a loading plan
+/// over `map`'s cost table and — for a region — its [`RegionMasks`] over the
+/// header's precinct grid. The single place the region rules live, shared by
+/// the decoder and the range planner so the two can never serve and price a
+/// region differently:
+///
+/// * [`RetrievalRequest::Roi`] is `region` + an error bound in one value;
+///   it cannot be combined with a second box.
+/// * Fidelity-typed requests (`ErrorBound`, `RelErrorBound`, `Full`) plan
+///   against the whole container, so the plane selection — and therefore
+///   the output — is bit-identical to a full-domain retrieval cropped to
+///   the box.
+/// * Budget-typed requests (`SizeBudget`, and `Bitrate` re-read as bits
+///   per *region* scalar) plan over the table `CostTable::scoped` to the
+///   region, sized from the map's chunk index.
+pub(crate) fn plan_for_scope(
+    map: &ContainerMap,
+    request: RetrievalRequest,
+    region: Option<RoiBox>,
+) -> Result<(LoadPlan, Option<RegionMasks>)> {
+    let (fidelity, bounds) = match (request, region) {
+        (RetrievalRequest::Roi { .. }, Some(_)) => {
+            return Err(IpcompError::InvalidInput(
+                "ROI retrieval cannot nest a second bounding box".into(),
+            ))
+        }
+        (
+            RetrievalRequest::Roi {
+                bounds,
+                error_bound,
+            },
+            None,
+        ) => (RetrievalRequest::ErrorBound(error_bound), bounds),
+        (fidelity, Some(bounds)) => (fidelity, bounds),
+        (fidelity, None) => return Ok((map.cost.plan(fidelity)?, None)),
+    };
+    let masks = roi_precinct_masks(&map.header, &bounds)?;
+    let budget = match fidelity {
+        RetrievalRequest::SizeBudget(bytes) => bytes,
+        RetrievalRequest::Bitrate(b) => bitrate_bytes(b, bounds.len())?,
+        fidelity => return Ok((map.cost.plan(fidelity)?, Some((bounds, masks)))),
+    };
+    let plan = map.cost.scoped(&map.levels, &masks).for_bytes(budget);
+    Ok((plan, Some((bounds, masks))))
+}
 
 /// Plan that loads every bitplane of every level (classic full-fidelity
 /// decompression).

@@ -6,15 +6,17 @@
 //! [`crate::bitplane::decode_planes_into`] call — streams through one
 //! [`RegionPipeline`] over one input, a [`LevelChunks`]: the level's
 //! [`RegionScheme`] (shared by `Arc`), its plane count, and a borrowed table
-//! from `(plane, chunk)` to compressed bytes. A resident level's table
-//! borrows the level's own chunks ([`LevelChunks::resident`]); a ranged
-//! level's is the one [`crate::LevelMap::fetch_planes`] cuts from the `Bytes`
-//! of the level's one read — slices of the request's fetch groups, read once
-//! per group by [`crate::source::PlannedSource`] — under the scheme its map
-//! built at parse time. Nothing is copied between the store and the entropy
-//! decoder. An entry is one `&[u8]`, empty where a mask left a precinct out:
-//! a region read fills one per `(plane, precinct)` of every level it loads,
-//! so an entry must cost no more than a pointer and a length.
+//! from `(plane, chunk)` to compressed bytes. One map per decoder; the
+//! backing only supplies chunk bytes: the decoder's scheme is always the one
+//! its [`crate::ContainerMap`] holds for the level, and only the table
+//! differs. A resident level's borrows the level's own chunks
+//! ([`LevelChunks::resident`]); a ranged level's is the one
+//! [`crate::LevelMap::fetch_planes`] cuts from the `Bytes` of the level's one
+//! read — slices of the request's fetch groups, read once per group by
+//! [`crate::source::PlannedSource`]. Nothing is copied between the store and
+//! the entropy decoder. An entry is one `&[u8]`, empty where a mask left a
+//! precinct out: a region read fills one per `(plane, precinct)` of every
+//! level it loads, so an entry must cost no more than a pointer and a length.
 //!
 //! Per region the pipeline runs two private steps:
 //!
@@ -46,7 +48,7 @@ use crate::error::{IpcompError, Result};
 /// `[plane_lo, plane_hi)` of a level with `num_planes` significant planes,
 /// cut into chunks by `scheme`.
 pub(crate) struct LevelChunks<'a> {
-    pub(crate) scheme: Arc<RegionScheme>,
+    scheme: Arc<RegionScheme>,
     num_planes: u8,
     plane_lo: u8,
     plane_hi: u8,
@@ -56,10 +58,15 @@ pub(crate) struct LevelChunks<'a> {
 }
 
 impl<'a> LevelChunks<'a> {
-    /// Planes `[plane_lo, plane_hi)` of a resident level, refusing what
-    /// [`EncodedLevel::chunk_table`] refuses.
-    pub(crate) fn resident(level: &'a EncodedLevel, plane_lo: u8, plane_hi: u8) -> Result<Self> {
-        let scheme = Arc::new(level.scheme());
+    /// Planes `[plane_lo, plane_hi)` of a resident level cut by `scheme`
+    /// (the level's own [`EncodedLevel::scheme`], or the one its map built),
+    /// refusing what [`EncodedLevel::chunk_table`] refuses.
+    pub(crate) fn resident(
+        level: &'a EncodedLevel,
+        scheme: Arc<RegionScheme>,
+        plane_lo: u8,
+        plane_hi: u8,
+    ) -> Result<Self> {
         Ok(Self {
             chunks: level.chunk_table(&scheme, plane_lo, plane_hi)?,
             scheme,

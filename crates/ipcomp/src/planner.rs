@@ -26,7 +26,7 @@
 
 use crate::container::ContainerMap;
 use crate::error::Result;
-use crate::optimizer::LoadPlan;
+use crate::optimizer::{plan_for_scope, LoadPlan};
 use crate::precinct::RoiBox;
 use crate::progressive::RetrievalRequest;
 use crate::source::ByteRange;
@@ -140,11 +140,7 @@ pub fn plan_request(
     request: RetrievalRequest,
     region: Option<RoiBox>,
 ) -> Result<RangePlan> {
-    let chunk_size = |idx: usize, p, k| map.levels[idx].chunk_size(p, k);
-    let scoped = map
-        .cost
-        .plan_for_scope(&map.header, request, region, chunk_size)?;
-    Ok(match scoped {
+    Ok(match plan_for_scope(map, request, region)? {
         (plan, None) => lower_plan(map, already_loaded, &plan, None),
         (plan, Some((_, masks))) => lower_plan(map, &[], &plan, Some(&masks)),
     })

@@ -33,24 +33,33 @@
 //! is usually already resident, which the pipeline decodes in place: the
 //! fetched bytes are never copied into an in-memory level.
 //!
+//! One map per decoder; the backing only supplies chunk bytes. Every
+//! decoder holds one [`ContainerMap`] — opened from its source, or built by
+//! [`ContainerMap::from_compressed`] over a resident [`Compressed`] — and
+//! reads the header, anchors, level geometry, cost table and chunk sizes
+//! from it alone. What differs is where a level's chunks come from: the
+//! resident container's own chunk `Vec`s, or ranged reads of a
+//! [`ChunkSource`].
+//!
 //! There is one read core. Every `retrieve*` spelling resolves its request
-//! through the optimizer's one scope rule (`CostTable::plan_for_scope`, over
-//! the cost table the decoder builds once) and runs the same level loop; a
-//! spatial region ([`ProgressiveDecoder::retrieve_roi`]) is Algorithm 1
-//! under a mask — the same plan, the same staged decode restricted to the
-//! precincts the region's halo touches, the engine's windowed pass, and a
-//! crop — into scratch state, so it never disturbs the progressive state.
+//! through the optimizer's one scope rule (`optimizer::plan_for_scope`, over
+//! the map's cost table) and runs the same level loop; a spatial region
+//! ([`ProgressiveDecoder::retrieve_roi`]) is Algorithm 1 under a mask — the
+//! same plan, the same staged decode restricted to the precincts the
+//! region's halo touches, the engine's windowed pass, and a crop — into
+//! scratch state, so it never disturbs the progressive state.
 
 use std::sync::Arc;
 
 use ipc_codecs::negabinary::from_negabinary;
 use ipc_tensor::{ArrayD, AxisRange, Shape};
 
+use crate::bitplane::EncodedLevel;
 use crate::cascade::{CascadeEngine, CascadeProgress};
-use crate::container::{decode_anchors_bounded, Compressed, ContainerMap, Header};
+use crate::container::{decode_anchors_bounded, Compressed, ContainerMap};
 use crate::error::{IpcompError, Result};
 use crate::interp::{for_each_level_pass, level_stride, num_levels, sweep_runs};
-use crate::optimizer::{CostTable, LoadPlan, RegionMasks};
+use crate::optimizer::{plan_for_scope, LoadPlan, RegionMasks};
 use crate::pipeline::{LevelChunks, RegionPipeline};
 use crate::planner::{fetch_groups, lower_plan};
 use crate::precinct::{clip_ranges, prefix_sums, LevelPrecincts, PrecinctGrid, RoiBox};
@@ -139,80 +148,26 @@ pub struct Retrieval {
     pub error_bound: f64,
 }
 
-/// Where a [`ProgressiveDecoder`] reads container bytes from.
-///
-/// The slice variant preserves the historical fully resident API; the source
-/// variant addresses payload through the container's chunk index and fetches
-/// exactly the chunk ranges each retrieval step needs via a [`ChunkSource`].
+/// Where a [`ProgressiveDecoder`] reads chunk bytes from — the one thing its
+/// two kinds differ in. Everything else (header, anchors, level geometry,
+/// costs, chunk sizes) is read from the decoder's [`ContainerMap`].
 #[derive(Clone)]
-enum Store<'a> {
-    /// Fully resident container (the historical in-memory path).
-    Slice(&'a Compressed),
-    /// Metadata map plus ranged access to the serialized bytes: a borrowed
-    /// source (wrapped through `impl ChunkSource for &S`) or a shared one
-    /// that lets sessions own a `'static` decoder.
-    Source {
-        map: Arc<ContainerMap>,
-        source: Arc<dyn ChunkSource + 'a>,
-    },
-}
-
-impl Store<'_> {
-    fn header(&self) -> &Header {
-        match self {
-            Store::Slice(c) => &c.header,
-            Store::Source { map, .. } => &map.header,
-        }
-    }
-
-    fn anchors(&self) -> &[u8] {
-        match self {
-            Store::Slice(c) => &c.anchors,
-            Store::Source { map, .. } => &map.anchors,
-        }
-    }
-
-    fn num_level_entries(&self) -> usize {
-        match self {
-            Store::Slice(c) => c.levels.len(),
-            Store::Source { map, .. } => map.levels.len(),
-        }
-    }
-
-    fn level_n_values(&self, idx: usize) -> usize {
-        match self {
-            Store::Slice(c) => c.levels[idx].n_values,
-            Store::Source { map, .. } => map.levels[idx].n_values,
-        }
-    }
-
-    fn level_num_planes(&self, idx: usize) -> u8 {
-        match self {
-            Store::Slice(c) => c.levels[idx].num_planes,
-            Store::Source { map, .. } => map.levels[idx].num_planes,
-        }
-    }
-
-    fn cost_table(&self) -> CostTable {
-        match self {
-            Store::Slice(c) => CostTable::resident(c),
-            Store::Source { map, .. } => map.cost.clone(),
-        }
-    }
-
-    fn chunk_size(&self, idx: usize, p: u8, k: usize) -> usize {
-        match self {
-            Store::Slice(c) => c.levels[idx].planes[p as usize].chunks[k].len(),
-            Store::Source { map, .. } => map.levels[idx].chunk_size(p, k),
-        }
-    }
+enum Backing<'a> {
+    /// The levels of a fully resident [`Compressed`]: each level decodes from
+    /// its own chunk `Vec`s, the reference the ranged path is checked against.
+    Resident(&'a [EncodedLevel]),
+    /// Ranged access to the serialized bytes: a borrowed source (wrapped
+    /// through `impl ChunkSource for &S`) or a shared one that lets sessions
+    /// own a `'static` decoder.
+    Ranged(Arc<dyn ChunkSource + 'a>),
 }
 
 /// Stateful progressive decoder for one compressed field.
 pub struct ProgressiveDecoder<'a> {
-    store: Store<'a>,
-    /// The optimizer's view of the container, built once.
-    cost: CostTable,
+    /// The container's metadata, cost table and chunk index, whatever backs
+    /// its chunks.
+    map: Arc<ContainerMap>,
+    chunks: Backing<'a>,
     shape: Shape,
     /// Negabinary accumulators per level (same ordering as the container's levels).
     acc: Vec<Vec<u64>>,
@@ -241,9 +196,13 @@ pub struct ProgressiveDecoder<'a> {
 
 impl<'a> ProgressiveDecoder<'a> {
     /// Create a decoder with nothing loaded yet over a fully resident
-    /// container.
+    /// container. One map per decoder: like a ranged decoder's, this one
+    /// reads metadata, costs and chunk sizes from a [`ContainerMap`] — here
+    /// [`ContainerMap::from_compressed`] — and the backing only supplies
+    /// chunk bytes, the container's own chunk `Vec`s.
     pub fn new(compressed: &'a Compressed) -> Self {
-        Self::with_store(Store::Slice(compressed))
+        let map = Arc::new(ContainerMap::from_compressed(compressed));
+        Self::with_backing(map, Backing::Resident(&compressed.levels))
     }
 
     /// Create a decoder over ranged container storage, reading the metadata
@@ -251,10 +210,7 @@ impl<'a> ProgressiveDecoder<'a> {
     /// retrievals request them).
     pub fn from_source(source: &'a dyn ChunkSource) -> Result<Self> {
         let map = Arc::new(ContainerMap::open(source)?);
-        Ok(Self::with_store(Store::Source {
-            map,
-            source: Arc::new(source),
-        }))
+        Ok(Self::with_backing(map, Backing::Ranged(Arc::new(source))))
     }
 
     /// Like [`ProgressiveDecoder::from_source`] with an already-parsed
@@ -265,7 +221,7 @@ impl<'a> ProgressiveDecoder<'a> {
         source: Arc<dyn ChunkSource>,
         map: Arc<ContainerMap>,
     ) -> ProgressiveDecoder<'static> {
-        ProgressiveDecoder::with_store(Store::Source { map, source })
+        ProgressiveDecoder::with_backing(map, Backing::Ranged(source))
     }
 
     /// [`ProgressiveDecoder::from_shared_source`] over a source that is
@@ -280,16 +236,13 @@ impl<'a> ProgressiveDecoder<'a> {
         }
     }
 
-    fn with_store(store: Store<'a>) -> Self {
-        let shape = store.header().shape();
-        let n_levels = store.num_level_entries();
-        let acc = (0..n_levels)
-            .map(|i| vec![0u64; store.level_n_values(i)])
-            .collect();
-        let planes_loaded = vec![0u8; n_levels];
+    fn with_backing(map: Arc<ContainerMap>, chunks: Backing<'a>) -> Self {
+        let shape = map.header.shape();
+        let acc = map.levels.iter().map(|l| vec![0u64; l.n_values]).collect();
+        let planes_loaded = vec![0u8; map.levels.len()];
         Self {
-            cost: store.cost_table(),
-            store,
+            map,
+            chunks,
             shape,
             acc,
             planes_loaded,
@@ -322,11 +275,11 @@ impl<'a> ProgressiveDecoder<'a> {
         if self.layouts.is_some() {
             return;
         }
-        let Some(grid) = self.store.header().precinct_grid() else {
+        let Some(grid) = self.map.header.precinct_grid() else {
             return;
         };
         let levels = num_levels(&self.shape);
-        let layouts = (0..self.store.num_level_entries())
+        let layouts = (0..self.map.levels.len())
             .map(|idx| grid.level_permutation(&self.shape, levels - idx as u32))
             .collect();
         self.layouts = Some(layouts);
@@ -369,7 +322,7 @@ impl<'a> ProgressiveDecoder<'a> {
 
     /// Resolve a request into a loading plan via the optimizer.
     pub fn plan(&self, request: RetrievalRequest) -> Result<LoadPlan> {
-        self.cost.plan(request)
+        self.map.cost.plan(request)
     }
 
     /// Retrieve (or refine to) the fidelity described by `request`.
@@ -417,7 +370,7 @@ impl<'a> ProgressiveDecoder<'a> {
     /// [`Retrieval::data`] has the region's shape and is bit-identical to
     /// cropping a full-domain retrieval of the same request; how each request
     /// type plans under a region is the optimizer's scope rule
-    /// (`CostTable::plan_for_scope`).
+    /// (`optimizer::plan_for_scope`).
     ///
     /// ROI retrievals are stateless with respect to the decoder's
     /// progressive accumulators: they never consume or advance previously
@@ -437,9 +390,7 @@ impl<'a> ProgressiveDecoder<'a> {
         region: Option<RoiBox>,
         events: Option<&mut dyn FnMut(StreamEvent)>,
     ) -> Result<Retrieval> {
-        let (cost, store) = (&self.cost, &self.store);
-        let chunk_size = |idx, p, k| store.chunk_size(idx, p, k);
-        let (plan, region) = cost.plan_for_scope(store.header(), request, region, chunk_size)?;
+        let (plan, region) = plan_for_scope(&self.map, request, region)?;
         self.retrieve_inner(&plan, region, events)
     }
 
@@ -450,16 +401,16 @@ impl<'a> ProgressiveDecoder<'a> {
     /// derives all of them from the shape; a mismatch is container
     /// corruption that would underflow that mapping).
     fn check_level_geometry(&self) -> Result<()> {
-        let n_levels = self.store.num_level_entries();
+        let n_levels = self.map.levels.len();
         let levels = num_levels(&self.shape);
-        if levels != self.store.header().num_levels || n_levels != levels as usize {
+        if levels != self.map.header.num_levels || n_levels != levels as usize {
             return Err(IpcompError::CorruptContainer(
                 "declared level count inconsistent with grid dimensions",
             ));
         }
         for idx in 0..n_levels {
             let expect = crate::interp::level_count(&self.shape, levels - idx as u32);
-            if self.store.level_n_values(idx) != expect {
+            if self.map.levels[idx].n_values != expect {
                 return Err(IpcompError::CorruptContainer(
                     "level size inconsistent with grid dimensions",
                 ));
@@ -485,7 +436,8 @@ impl<'a> ProgressiveDecoder<'a> {
             Some(cb) => cb,
             None => &mut |_| {},
         };
-        let n_levels = self.store.num_level_entries();
+        let map = Arc::clone(&self.map);
+        let n_levels = map.levels.len();
         if plan.planes_loaded.len() != n_levels {
             return Err(IpcompError::InvalidInput(
                 "plan does not match the container's level count".into(),
@@ -502,11 +454,7 @@ impl<'a> ProgressiveDecoder<'a> {
         let mut region = region.map(|(bounds, masks)| RegionScope {
             bounds,
             masks,
-            grid: self
-                .store
-                .header()
-                .precinct_grid()
-                .expect("precinct masks imply a grid"),
+            grid: (map.header.precinct_grid()).expect("precinct masks imply a grid"),
             codes: vec![0i64; self.shape.len()],
         });
         if region.is_none() {
@@ -520,8 +468,8 @@ impl<'a> ProgressiveDecoder<'a> {
         // Planes are counted from the most significant: having `have` planes
         // means [num_planes-have, num_planes) present.
         let mut works: Vec<(usize, u8, u8, u8)> = Vec::new();
-        for idx in 0..n_levels {
-            let num_planes = self.store.level_num_planes(idx);
+        for (idx, level) in map.levels.iter().enumerate() {
+            let num_planes = level.num_planes;
             let want = plan.planes_loaded[idx].min(num_planes);
             let have = if region.is_some() {
                 0
@@ -540,31 +488,27 @@ impl<'a> ProgressiveDecoder<'a> {
         // With nothing new requested the retrieval is monotone: no load, the
         // current reconstruction is returned as is.
         if initial || !works.is_empty() {
-            // Clone the store handle (a reference or a pair of `Arc`s) so
-            // level borrows come from a local, leaving `self` free for field
-            // updates.
-            let held = self.store.clone();
-            // A ranged store reads by request, not by level: lower the plan
-            // to the ranges the level loop will ask for — what it has yet to
-            // load, under the region's masks — and serve them from fetch
-            // groups.
+            // Clone the backing (a reference or an `Arc`) so level borrows
+            // come from a local, leaving `self` free for field updates.
+            let held = self.chunks.clone();
+            // A ranged backing reads by request, not by level: lower the
+            // plan to the ranges the level loop will ask for — what it has
+            // yet to load, under the region's masks — and serve them from
+            // fetch groups.
             let planned;
-            let store = match &held {
-                Store::Source { map, source } if !self.source_is_planned => {
+            let chunks = match &held {
+                Backing::Ranged(source) if !self.source_is_planned => {
                     let (have, masks) = match &region {
                         Some(scope) => (&[][..], Some(&scope.masks[..])),
                         None => (&self.planes_loaded[..], None),
                     };
-                    let units = lower_plan(map, have, plan, masks).level_units();
+                    let units = lower_plan(&map, have, plan, masks).level_units();
                     planned = PlannedSource::new(source.as_ref(), fetch_groups(units));
-                    Store::Source {
-                        map: Arc::clone(map),
-                        source: Arc::new(&planned),
-                    }
+                    Backing::Ranged(Arc::new(&planned))
                 }
                 _ => held.clone(),
             };
-            let loaded = self.drive_levels(&store, &works, initial, region.as_mut(), events);
+            let loaded = self.drive_levels(&map, &chunks, &works, initial, region.as_mut(), events);
             let field = match loaded {
                 Ok(field) => field,
                 Err(e) => {
@@ -614,12 +558,12 @@ impl<'a> ProgressiveDecoder<'a> {
             }
         }
 
-        let header = self.store.header();
+        let header = &map.header;
         let (data, error_bound) = match cropped {
             Some(data) => (data, header.error_bound + plan.extra_error_bound),
             None => (
                 self.current().expect("reconstruction present"),
-                self.cost.error_bound(&self.planes_loaded),
+                map.cost.error_bound(&self.planes_loaded),
             ),
         };
         let bytes_this = self.bytes_total - bytes_before;
@@ -642,7 +586,8 @@ impl<'a> ProgressiveDecoder<'a> {
     /// a refinement.
     ///
     /// There is one level loader and one input to it, a [`LevelChunks`]
-    /// table. A resident level's borrows its chunks; a ranged level's is cut
+    /// table under the scheme `map` holds for the level. A resident level's
+    /// borrows its chunks; a ranged level's is cut
     /// from the `Bytes` of one [`crate::LevelMap::fetch_planes`] read — of the
     /// masked precincts, under a region — which are slices of the request's
     /// fetch groups ([`PlannedSource`]), so the first level's read brings in
@@ -654,13 +599,14 @@ impl<'a> ProgressiveDecoder<'a> {
     /// `region`, whose codes are placed at their domain offsets first.
     fn drive_levels(
         &mut self,
-        store: &Store<'_>,
+        map: &ContainerMap,
+        chunks: &Backing<'_>,
         works: &[(usize, u8, u8, u8)],
         initial: bool,
         mut region: Option<&mut RegionScope>,
         events: &mut dyn FnMut(StreamEvent),
     ) -> Result<Vec<f64>> {
-        let header = store.header();
+        let header = &map.header;
         // Algorithm 1 seeds the cascade with the anchor codes; Algorithm 2
         // propagates deltas from zero anchors (the cascade is linear in the
         // residuals) and adds the delta field onto the reconstruction.
@@ -676,33 +622,34 @@ impl<'a> ProgressiveDecoder<'a> {
             // only once per decoder, even across retries of a failed initial
             // reconstruction.
             if !self.base_bytes_counted {
-                self.bytes_total += self.cost.base_bytes;
+                self.bytes_total += map.base_bytes();
                 self.base_bytes_counted = true;
             }
             engine.seed_anchors(&decode_anchors_bounded(
-                store.anchors(),
+                &map.anchors,
                 header.num_elements(),
             )?);
         } else {
             engine.seed_zero();
         }
         let mut w = 0usize;
-        for idx in 0..store.num_level_entries() {
+        for (idx, level) in map.levels.iter().enumerate() {
             let work = works.get(w).filter(|x| x.0 == idx).copied();
             w += usize::from(work.is_some());
             if let Some((_, lo, hi, want)) = work {
                 let mask = region.as_deref().map(|scope| &scope.masks[idx][..]);
                 let mut fetched = Vec::new();
-                let chunks = match store {
-                    Store::Slice(c) => LevelChunks::resident(&c.levels[idx], lo, hi)?,
-                    Store::Source { map, source } => {
-                        let level = &map.levels[idx];
+                let scheme = level.scheme();
+                let chunks = match chunks {
+                    Backing::Resident(levels) => {
+                        LevelChunks::resident(&levels[idx], Arc::clone(scheme), lo, hi)?
+                    }
+                    Backing::Ranged(source) => {
                         let table =
                             level.fetch_planes(source.as_ref(), lo, hi, mask, &mut fetched)?;
                         LevelChunks::fetched(level, lo, hi, table)
                     }
                 };
-                let scheme = Arc::clone(&chunks.scheme);
                 let spans = scheme.precinct_spans();
                 // A region decodes into scratch accumulators, and only the
                 // masked precincts that hold lattice points.
@@ -710,7 +657,7 @@ impl<'a> ProgressiveDecoder<'a> {
                 let (acc, streamed) = match region.as_deref() {
                     Some(scope) => {
                         let streamed = scope.streamed(&self.shape, idx, spans)?;
-                        scratch = vec![0u64; store.level_n_values(idx)];
+                        scratch = vec![0u64; level.n_values];
                         (&mut scratch[..], Some(streamed))
                     }
                     None => (&mut self.acc[idx][..], None),

@@ -5,13 +5,13 @@
 //! lightweight [`trace`] spans with explicit clock injection so simulated
 //! benchmarks and wall-clock runs share one schema. Exports are a stable
 //! JSON snapshot ([`snapshot_json`]) and a chrome://tracing span dump
-//! ([`trace::write_chrome_trace`], auto-enabled by `IPC_TRACE_OUT`).
+//! ([`trace::write_chrome_trace`]).
 //!
 //! # Tracing
 //!
 //! Counters, gauges and histograms always record. Span *events* are
-//! additionally gated on [`trace::tracing`], switched on by setting
-//! `IPC_TRACE_OUT` or [`trace::set_tracing`]; histogram recording does not
+//! additionally gated on [`trace::tracing`], off until
+//! [`trace::set_tracing`] switches it on; histogram recording does not
 //! require tracing.
 //!
 //! # Clocks
@@ -153,20 +153,6 @@ pub fn histogram(name: &str) -> &'static Histogram {
     reg.histograms
         .entry(name.to_string())
         .or_insert_with(|| Box::leak(Box::new(Histogram::new())))
-}
-
-/// Zero every registered metric (benchmark harness epochs).
-pub fn reset_all() {
-    let reg = registry().lock().expect("registry lock");
-    for c in reg.counters.values() {
-        c.reset();
-    }
-    for g in reg.gauges.values() {
-        g.set(0);
-    }
-    for h in reg.histograms.values() {
-        h.reset();
-    }
 }
 
 /// Escape `s` for embedding in a JSON string literal.

@@ -6,14 +6,13 @@
 //! in-memory buffer. [`write_chrome_trace`] drains that buffer into a JSON
 //! file that loads directly in chrome://tracing or Perfetto.
 //!
-//! Tracing is off by default; setting the `IPC_TRACE_OUT` environment
-//! variable (to the output path) or calling [`set_tracing`]`(true)` turns it
-//! on. When both tracing is off and no histogram is attached, a span never
-//! reads the clock.
+//! Tracing is off until [`set_tracing`]`(true)` turns it on. When both
+//! tracing is off and no histogram is attached, a span never reads the
+//! clock.
 
 use std::io::Write;
 use std::path::Path;
-use std::sync::atomic::{AtomicU64, AtomicU8, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Mutex, OnceLock};
 
 use crate::{now_nanos, Histogram};
@@ -39,8 +38,7 @@ pub struct TraceEvent {
     pub args: Vec<(&'static str, u64)>,
 }
 
-/// 0 = uninitialised, 1 = on, 2 = off.
-static TRACING: AtomicU8 = AtomicU8::new(0);
+static TRACING: AtomicBool = AtomicBool::new(false);
 static DROPPED: AtomicU64 = AtomicU64::new(0);
 static EVENTS: OnceLock<Mutex<Vec<TraceEvent>>> = OnceLock::new();
 
@@ -53,27 +51,16 @@ thread_local! {
     static TID: u64 = NEXT_TID.fetch_add(1, Ordering::Relaxed);
 }
 
-/// Whether span events are being collected. Defaults to on only when
-/// `IPC_TRACE_OUT` is set; flip at runtime with [`set_tracing`].
+/// Whether span events are being collected: off until switched on with
+/// [`set_tracing`].
 #[inline]
 pub fn tracing() -> bool {
-    match TRACING.load(Ordering::Relaxed) {
-        1 => true,
-        2 => false,
-        _ => init_tracing(),
-    }
+    TRACING.load(Ordering::Relaxed)
 }
 
-#[cold]
-fn init_tracing() -> bool {
-    let on = std::env::var_os("IPC_TRACE_OUT").is_some_and(|v| !v.is_empty());
-    TRACING.store(if on { 1 } else { 2 }, Ordering::Relaxed);
-    on
-}
-
-/// Switch span-event collection on or off (wins over `IPC_TRACE_OUT`).
+/// Switch span-event collection on or off.
 pub fn set_tracing(on: bool) {
-    TRACING.store(if on { 1 } else { 2 }, Ordering::Relaxed);
+    TRACING.store(on, Ordering::Relaxed);
 }
 
 /// A scope guard timing one region of code. Create with [`span`] (trace
@@ -211,25 +198,4 @@ pub fn write_chrome_trace(path: &Path) -> std::io::Result<usize> {
     let mut f = std::fs::File::create(path)?;
     f.write_all(chrome_trace_json(&drained).as_bytes())?;
     Ok(drained.len())
-}
-
-/// If `IPC_TRACE_OUT` names a path, write the buffered trace there and
-/// return `(path, events_written)`. Benchmarks and services call this at
-/// shutdown so `IPC_TRACE_OUT=trace.json bench ...` "just works".
-pub fn flush_env_trace() -> Option<(std::path::PathBuf, usize)> {
-    let path = std::env::var_os("IPC_TRACE_OUT")?;
-    if path.is_empty() {
-        return None;
-    }
-    let path = std::path::PathBuf::from(path);
-    match write_chrome_trace(&path) {
-        Ok(n) => Some((path, n)),
-        Err(e) => {
-            eprintln!(
-                "telemetry: failed to write IPC_TRACE_OUT={}: {e}",
-                path.display()
-            );
-            None
-        }
-    }
 }

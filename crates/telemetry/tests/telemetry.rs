@@ -14,7 +14,7 @@ use telemetry::{Histogram, HistogramSnapshot, ManualClock};
 static GLOBAL: Mutex<()> = Mutex::new(());
 
 /// Take the global-state lock and reset the tracer and the clock (tests must
-/// not depend on `IPC_TRACE_OUT` in the environment).
+/// not depend on what an earlier test left switched on).
 fn lock_global() -> MutexGuard<'static, ()> {
     let guard = GLOBAL.lock().unwrap_or_else(|p| p.into_inner());
     telemetry::trace::set_tracing(false);

@@ -52,7 +52,7 @@ use ipcomp_suite::codecs::varint::{varint_len, write_varint};
 use ipcomp_suite::core::container::{LAYOUT_PACKED, RETIRED_LAYOUT};
 use ipcomp_suite::core::{
     compress, ArchiveMap, ChunkSource, Compressed, Config, ContainerMap, IpcompError, MemorySource,
-    ProgressiveDecoder, RetrievalRequest,
+    ProgressiveDecoder, RetrievalRequest, RoiBox,
 };
 use ipcomp_suite::store::{SimProfile, SimulatedObjectStore};
 use ipcomp_suite::tensor::{ArrayD, Shape};
@@ -635,6 +635,28 @@ fn inconsistent_chunk_grids_error_cleanly() {
             forged.decompress(),
             Err(IpcompError::CorruptContainer(_))
         ));
+    }
+
+    // A resident v3 container with one plane's chunk list emptied: budget
+    // requests size chunks while planning, over a region and over the whole
+    // domain, and must refuse it like the error-bound path does.
+    let field = ArrayD::from_fn(Shape::d2(64, 64), |c| {
+        (c[0] as f64 * 0.19).sin() * 3.0 + (c[1] as f64 * 0.11).cos()
+    });
+    let mut v3 = compress(&field, 1e-6, &Config::with_precincts(&[16, 16])).unwrap();
+    let level = v3.levels.iter_mut().find(|l| l.num_planes > 0).unwrap();
+    level.planes[0].chunks.clear();
+    let roi = RoiBox::new(&[0, 0], &[16, 16]);
+    let mut dec = ProgressiveDecoder::new(&v3);
+    for outcome in [
+        dec.retrieve_roi(roi, RetrievalRequest::SizeBudget(1 << 20)),
+        dec.retrieve_roi(roi, RetrievalRequest::Bitrate(64.0)),
+        dec.retrieve(RetrievalRequest::SizeBudget(1 << 20)),
+    ] {
+        assert!(
+            matches!(outcome, Err(IpcompError::CorruptContainer(_))),
+            "{outcome:?}"
+        );
     }
 }
 

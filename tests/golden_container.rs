@@ -529,12 +529,33 @@ fn fixture_plans_are_pinned() {
             got.push((format!("{name} {request:?}"), plan));
         }
     }
-    let v3 = &containers[2].1;
+    let (v3_name, v3, v3_resident) = &containers[2];
+    let v3_source = MemorySource::new(fixture(v3_name));
     let roi = RoiBox::new(&[5, 4, 3], &[13, 11, 8]);
     let total = v3.total_len() as usize;
     for budget in [v3.base_bytes() / 2, total / 16, total / 4] {
         let request = RetrievalRequest::SizeBudget(budget);
         let plan = plan_request(v3, &[], request, Some(roi)).unwrap().load;
+        // Resident and ranged decoders plan a region's byte budget alike.
+        let resident = ProgressiveDecoder::new(v3_resident)
+            .retrieve_roi(roi, request)
+            .unwrap();
+        let ranged = ProgressiveDecoder::from_source(&v3_source)
+            .unwrap()
+            .retrieve_roi(roi, request)
+            .unwrap();
+        assert_eq!(
+            resident.bytes_this_request, ranged.bytes_this_request,
+            "v3 roi {request:?}: resident and ranged loads differ"
+        );
+        assert!(
+            (resident.data.as_slice().iter().map(|v| v.to_bits())).eq(ranged
+                .data
+                .as_slice()
+                .iter()
+                .map(|v| v.to_bits())),
+            "v3 roi {request:?}: resident and ranged outputs differ"
+        );
         got.push((format!("v3 roi {request:?}"), plan));
     }
     assert_eq!(got.len(), PINNED_PLANS.len(), "ladder length");
