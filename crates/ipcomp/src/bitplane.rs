@@ -113,8 +113,9 @@ use ipc_codecs::negabinary::{from_negabinary, to_negabinary, truncation_loss};
 use ipc_codecs::{lzr_compress, CodecError};
 use rayon::prelude::*;
 
+use crate::container::EMPTY_REGION_PAYLOAD;
 use crate::error::{IpcompError, Result};
-use crate::pipeline::{LevelChunks, RegionPipeline};
+use crate::pipeline::{region_list, LevelChunks, RegionPipeline};
 
 /// Minimum number of coefficients before the coder fans work out to rayon.
 const PARALLEL_THRESHOLD: usize = 4096;
@@ -381,17 +382,24 @@ impl EncodedLevel {
         self.payload_bytes() - self.saved_bytes(b)
     }
 
-    /// Chunks of planes `[plane_lo, plane_hi)`, plane-major — the table the
-    /// decode pipeline reads. Refuses, as [`IpcompError::CorruptContainer`],
-    /// a plane list whose length is not `num_planes` and a plane — streamed
-    /// or not — whose chunk count is not `scheme`'s region count, and a plane
-    /// range outside the level as [`IpcompError::InvalidInput`].
+    /// Planes `[plane_lo, plane_hi)` of the level as one load of the decode
+    /// pipeline, cut by `scheme` (the level's own [`EncodedLevel::scheme`],
+    /// or the one its map built), over the [`region_list`] of `region`'s
+    /// ascending ids or of every region: its chunks borrowed into a table of
+    /// `(plane_hi − plane_lo) × list length` entries, plane-major and
+    /// list-ordered. Refuses, as [`IpcompError::CorruptContainer`], a plane
+    /// list whose length is not `num_planes`, and a plane — streamed or not —
+    /// whose chunk count is not `scheme`'s region count or which gives a
+    /// region without coefficients a nonempty chunk (what the container
+    /// parser refuses of an index); and a plane range outside the level as
+    /// [`IpcompError::InvalidInput`].
     pub(crate) fn chunk_table(
         &self,
-        scheme: &RegionScheme,
+        scheme: Arc<RegionScheme>,
         plane_lo: u8,
         plane_hi: u8,
-    ) -> Result<Vec<&[u8]>> {
+        region: Option<&[usize]>,
+    ) -> Result<LevelChunks<'_>> {
         if self.planes.len() != self.num_planes as usize {
             return Err(IpcompError::CorruptContainer(
                 "plane list does not match the level's plane count",
@@ -404,9 +412,24 @@ impl EncodedLevel {
                 "plane chunk count does not match the level's chunk grid",
             ));
         }
+        for k in (0..n).filter(|&k| scheme.region_coeff_range(k).is_empty()) {
+            if self.planes.iter().any(|p| !p.chunks[k].is_empty()) {
+                return Err(IpcompError::CorruptContainer(EMPTY_REGION_PAYLOAD));
+            }
+        }
+        let regions = region_list(&scheme, region);
         let planes = &self.planes[plane_lo as usize..plane_hi as usize];
-        let chunks = planes.iter().flat_map(|p| &p.chunks);
-        Ok(chunks.map(Vec::as_slice).collect())
+        let chunks = planes
+            .iter()
+            .flat_map(|p| regions.iter().map(|&k| &p.chunks[k][..]));
+        Ok(LevelChunks {
+            chunks: chunks.collect(),
+            scheme,
+            num_planes: self.num_planes,
+            plane_lo,
+            plane_hi,
+            regions,
+        })
     }
 }
 
@@ -756,16 +779,12 @@ pub(crate) fn check_plane_range(num_planes: u8, plane_lo: u8, plane_hi: u8) -> R
 /// Entropy-decode one compressed chunk, validating the decoded size against
 /// the expected packed region length. Every allocation is bounded by the
 /// expected size, so corrupt chunk headers cannot force runaway memory use.
+/// A region without coefficients stores a zero-byte chunk with no entropy
+/// framing, which decodes to nothing; that no such chunk carries bytes is
+/// checked where the index is read, and the pipeline never decodes one.
 pub(crate) fn decode_chunk_bytes(compressed: &[u8], expected: usize) -> Result<Vec<u8>> {
-    if expected == 0 {
-        // Empty precincts store zero-byte chunks with no entropy framing.
-        return if compressed.is_empty() {
-            Ok(Vec::new())
-        } else {
-            Err(IpcompError::CorruptContainer(
-                "empty chunk region carries payload bytes",
-            ))
-        };
+    if expected == 0 && compressed.is_empty() {
+        return Ok(Vec::new());
     }
     let packed = ipc_codecs::lzr::lzr_decompress_bounded(compressed, expected)?;
     if packed.len() != expected {
@@ -783,8 +802,9 @@ pub(crate) fn decode_chunk_bytes(compressed: &[u8], expected: usize) -> Result<V
 /// predictive coding is undone using those more significant bits. The newly decoded
 /// bits are OR-ed into `acc`.
 ///
-/// This is the decoder's one level loader, its region pipeline, without a
-/// region mask or a progress sink: regions stream in coefficient order, and a
+/// This is the decoder's one level loader, its region pipeline, over every
+/// region of the level and without a progress sink: regions stream in
+/// coefficient order, and a
 /// corrupt block rolls back the regions scattered before it, so a failed call
 /// leaves `acc` unmodified. A level whose plane list is not `num_planes`
 /// long, or whose planes do not each hold one chunk per region of its
@@ -797,8 +817,8 @@ pub fn decode_planes_into(
     predictive: bool,
     acc: &mut [u64],
 ) -> Result<()> {
-    let chunks = LevelChunks::resident(level, Arc::new(level.scheme()), plane_lo, plane_hi)?;
-    RegionPipeline::new(chunks, prefix_bits, predictive, acc.len(), None)?.stream(acc, |_, _| {})
+    let chunks = level.chunk_table(Arc::new(level.scheme()), plane_lo, plane_hi, None)?;
+    RegionPipeline::new(chunks, prefix_bits, predictive, acc.len())?.stream(acc, |_, _| {})
 }
 
 /// Decode the top `planes_loaded` planes of a level into quantization codes
@@ -837,6 +857,7 @@ pub mod scalar {
     use crate::error::{IpcompError, Result};
     use ipc_codecs::bitstream::{BitReader, BitWriter};
     use ipc_codecs::negabinary::{required_bitplanes, to_negabinary, truncation_loss};
+    use std::sync::Arc;
 
     /// XOR of the `prefix_bits` bits immediately above plane `p` in word `nb`.
     #[inline]
@@ -959,17 +980,17 @@ pub mod scalar {
         predictive: bool,
         acc: &mut [u64],
     ) -> Result<()> {
-        let scheme = level.scheme();
-        let chunks = level.chunk_table(&scheme, plane_lo, plane_hi)?;
+        let load = level.chunk_table(Arc::new(level.scheme()), plane_lo, plane_hi, None)?;
+        let scheme = &load.scheme;
         if acc.len() != scheme.n_values() {
             return Err(IpcompError::InvalidInput(
                 "accumulator does not match level size".into(),
             ));
         }
-        let n = scheme.num_regions();
+        let n = load.regions.len();
         for p in (plane_lo..plane_hi).rev() {
-            let plane = &chunks[(p - plane_lo) as usize * n..][..n];
-            for (k, chunk) in plane.iter().enumerate() {
+            let plane = &load.chunks[(p - plane_lo) as usize * n..][..n];
+            for (&k, chunk) in load.regions.iter().zip(plane) {
                 let packed = decode_chunk_bytes(chunk, scheme.region_byte_range(k).len())?;
                 let mut reader = BitReader::new(&packed);
                 for word in &mut acc[scheme.region_coeff_range(k)] {
@@ -1051,8 +1072,10 @@ mod tests {
     /// Region-at-a-time stream over planes `[lo, hi)` of a resident level
     /// (prefix width 2, predictive — what every streaming test encodes with).
     fn resident_stream(level: &EncodedLevel, lo: u8, hi: u8, acc_len: usize) -> RegionPipeline<'_> {
-        let chunks = LevelChunks::resident(level, Arc::new(level.scheme()), lo, hi).unwrap();
-        RegionPipeline::new(chunks, 2, true, acc_len, None).unwrap()
+        let chunks = level
+            .chunk_table(Arc::new(level.scheme()), lo, hi, None)
+            .unwrap();
+        RegionPipeline::new(chunks, 2, true, acc_len).unwrap()
     }
 
     #[test]
@@ -1163,9 +1186,8 @@ mod tests {
         let mut src_acc = vec![0u64; enc.n_values];
         let lmap = &map.levels[0];
         let mut bufs = Vec::new();
-        let table = lmap.fetch_planes(&source, 0, hi, None, &mut bufs).unwrap();
-        let chunks = LevelChunks::fetched(lmap, 0, hi, table);
-        let mut src_stream = RegionPipeline::new(chunks, 2, true, src_acc.len(), None).unwrap();
+        let chunks = lmap.fetch_planes(&source, 0, hi, None, &mut bufs).unwrap();
+        let mut src_stream = RegionPipeline::new(chunks, 2, true, src_acc.len()).unwrap();
         assert_eq!(mem_stream.num_regions(), src_stream.num_regions());
         loop {
             let a = mem_stream.decode_next(&mut mem_acc).unwrap();

@@ -124,6 +124,7 @@ use crate::bitplane::{check_plane_range, EncodedLevel, EncodedPlane, RegionSchem
 use crate::config::Interpolation;
 use crate::error::{IpcompError, Result};
 use crate::optimizer::CostTable;
+use crate::pipeline::{region_list, LevelChunks};
 use crate::precinct::PrecinctGrid;
 use crate::source::{read_ranges_exact, ByteRange, Bytes, ChunkSource};
 
@@ -155,6 +156,10 @@ const META_MAX_EXPANSION: u64 = 1 << 17;
 /// (2^48 ≈ 280 T elements); anything larger is treated as corrupt before any
 /// allocation is attempted.
 const MAX_ELEMENTS: u64 = 1 << 48;
+
+/// Why an index is refused that gives a region without coefficients a
+/// nonzero chunk: such a region is never decoded, so its chunk must be empty.
+pub(crate) const EMPTY_REGION_PAYLOAD: &str = "empty chunk region carries payload bytes";
 
 /// Upper bound on the number of precincts a version-3 header may declare;
 /// caps the per-level span tables a parser allocates before any payload
@@ -425,6 +430,22 @@ fn level_spans_checked(
     Ok(spans)
 }
 
+/// The rule every level's truncation-loss table keeps: `num_planes + 1`
+/// entries, the first 0, none smaller than the one before. The writer's table
+/// is a running maximum from a lossless 0, and the optimizer relies on both
+/// (keeping every plane costs nothing, dropping more never costs less).
+fn check_trunc_loss(num_planes: u8, trunc_loss: &[u64]) -> Result<()> {
+    if trunc_loss.len() != num_planes as usize + 1
+        || trunc_loss[0] != 0
+        || trunc_loss.windows(2).any(|w| w[1] < w[0])
+    {
+        return Err(IpcompError::CorruptContainer(
+            "truncation-loss table is not a running maximum from 0",
+        ));
+    }
+    Ok(())
+}
+
 /// Chunk index of one level inside a serialized container: every chunk's
 /// compressed size and absolute byte offset, plus the metadata the decode and
 /// planning paths need (`trunc_loss`, plane count, grid geometry) — but no
@@ -503,30 +524,24 @@ impl LevelMap {
     }
 
     /// The chunk runs a fetch reads as one byte range each, as `[k0, k1)`
-    /// chunk-id intervals: every chunk on its own, or — under a precinct
-    /// `mask` — the maximal runs of consecutive masked precincts. Chunk ids
-    /// tile a plane's payload back to back, so a run is contiguous on disk;
-    /// reading per run keeps a region's request list proportional to its
-    /// precinct rows, not its precinct count times planes.
-    pub fn chunk_runs(&self, mask: Option<&[bool]>) -> Vec<(usize, usize)> {
-        let n_chunks = match self.num_planes {
-            0 => 0,
-            _ => self.plane_chunk_count(0),
+    /// chunk-id intervals: every chunk on its own, or — over a `region`, the
+    /// ascending ids of the precincts it reads — the maximal runs of
+    /// consecutive ids. Chunk ids tile a plane's payload back to back, so a
+    /// run is contiguous on disk; reading per run keeps a region's request
+    /// list proportional to its precinct rows, not its precinct count times
+    /// planes.
+    pub fn chunk_runs(&self, region: Option<&[usize]>) -> Vec<(usize, usize)> {
+        if self.num_planes == 0 {
+            return Vec::new();
+        }
+        let Some(ids) = region else {
+            return (0..self.scheme.num_regions()).map(|k| (k, k + 1)).collect();
         };
-        let Some(mask) = mask else {
-            return (0..n_chunks).map(|k| (k, k + 1)).collect();
-        };
-        let mut runs = Vec::new();
-        let mut k = 0;
-        while k < n_chunks {
-            if mask[k] {
-                let k0 = k;
-                while k < n_chunks && mask[k] {
-                    k += 1;
-                }
-                runs.push((k0, k));
-            } else {
-                k += 1;
+        let mut runs: Vec<(usize, usize)> = Vec::new();
+        for &k in ids {
+            match runs.last_mut() {
+                Some(run) if run.1 == k => run.1 = k + 1,
+                _ => runs.push((k, k + 1)),
             }
         }
         runs
@@ -546,13 +561,14 @@ impl LevelMap {
             .collect()
     }
 
-    /// Fetch the compressed chunks of planes `[plane_lo, plane_hi)` from
-    /// `source` into `bufs` — one buffer per chunk run, as the source returned
-    /// it — and return the chunks as a table, plane-major, of zero-copy
-    /// slices of those buffers. With a precinct `mask` (version-3 levels
-    /// only) just the marked precincts' chunks are fetched and the other
-    /// entries are empty — the caller must then only decode regions it asked
-    /// for.
+    /// Fetch the compressed chunks of planes `[plane_lo, plane_hi)` of the
+    /// ascending precinct ids `region` lists, or of every chunk of the level,
+    /// from `source` into `bufs` — one buffer per [`LevelMap::chunk_runs`]
+    /// run, as the source returned it — and return the level load: its
+    /// region list (those ids, less regions without coefficients) and a
+    /// table, plane-major and list-ordered, of zero-copy slices of those
+    /// buffers. The table holds `(plane_hi − plane_lo) × list length`
+    /// entries, however many chunks the level has.
     ///
     /// The fetch is one batched `read_ranges` call in payload order, so a
     /// coalescing source turns it into few contiguous reads.
@@ -561,21 +577,12 @@ impl LevelMap {
         source: &dyn ChunkSource,
         plane_lo: u8,
         plane_hi: u8,
-        mask: Option<&[bool]>,
+        region: Option<&[usize]>,
         bufs: &'b mut Vec<Bytes>,
-    ) -> Result<Vec<&'b [u8]>> {
-        if let Some(mask) = mask {
-            let spans = self.precinct_spans().ok_or_else(|| {
-                IpcompError::InvalidInput("precinct fetch on a byte-granular level".into())
-            })?;
-            if mask.len() != spans.len() {
-                return Err(IpcompError::InvalidInput(
-                    "precinct mask does not match the level's precinct count".into(),
-                ));
-            }
-        }
+    ) -> Result<LevelChunks<'b>> {
         check_plane_range(self.num_planes, plane_lo, plane_hi)?;
-        let runs = self.chunk_runs(mask);
+        let regions = region_list(&self.scheme, region);
+        let runs = self.chunk_runs(region);
         let ranges = self.run_ranges(plane_lo, plane_hi, &runs);
         let obs = crate::obs::metrics();
         let mut span = ipc_telemetry::span_timed("pipeline", "fetch", obs.fetch_ns);
@@ -586,23 +593,30 @@ impl LevelMap {
         drop(span);
         // Every buffer is its run's exact length (checked above), and the
         // parser checked that a run's chunks tile it, so the slices are in
-        // bounds whatever the source returned.
-        let n = self.scheme.num_regions();
-        let mut chunks = vec![&[][..]; (plane_hi - plane_lo) as usize * n];
+        // bounds whatever the source returned. The runs cover the list's
+        // ids in order, so the table is list-ordered within each plane.
+        let mut chunks = Vec::with_capacity((plane_hi - plane_lo) as usize * regions.len());
         let mut bufs = bufs.iter();
         for p in plane_lo..plane_hi {
-            let row = (p - plane_lo) as usize * n;
+            let mut ids = regions.iter().copied().peekable();
             for &(k0, k1) in &runs {
                 let buf: &'b [u8] = bufs.next().expect("one buffer per run");
                 let base = self.span(p, k0, k0).offset;
-                for k in k0..k1 {
+                while let Some(k) = ids.next_if(|&k| k < k1) {
                     let r = self.chunk_range(p, k);
                     let at = (r.offset - base) as usize;
-                    chunks[row + k] = &buf[at..at + r.len];
+                    chunks.push(&buf[at..at + r.len]);
                 }
             }
         }
-        Ok(chunks)
+        Ok(LevelChunks {
+            scheme: Arc::clone(&self.scheme),
+            num_planes: self.num_planes,
+            plane_lo,
+            plane_hi,
+            regions,
+            chunks,
+        })
     }
 }
 
@@ -718,11 +732,20 @@ pub struct ContainerMap {
     base_bytes: usize,
     /// Total serialized container size.
     total_len: u64,
-    /// The optimizer's view of this container, built once with the map.
-    pub(crate) cost: CostTable,
+    /// The optimizer's view of this container, built once with the map —
+    /// or, for a resident container whose level list the parser would
+    /// refuse, why not (see [`ContainerMap::from_compressed`]).
+    cost: Result<CostTable>,
 }
 
 impl ContainerMap {
+    /// The optimizer's view of this container: refused as
+    /// [`IpcompError::CorruptContainer`] before anything is planned from a
+    /// metadata list the parser would not accept.
+    pub(crate) fn cost(&self) -> Result<&CostTable> {
+        self.cost.as_ref().map_err(Clone::clone)
+    }
+
     /// Bytes every retrieval must load regardless of fidelity.
     pub fn base_bytes(&self) -> usize {
         self.base_bytes
@@ -883,13 +906,7 @@ impl ContainerMap {
             for _ in 0..=num_planes {
                 trunc_loss.push(cur.read_varint()?);
             }
-            // The writer's table is a running maximum from a lossless 0; the
-            // optimizer relies on both (keeping every plane costs nothing).
-            if trunc_loss[0] != 0 || trunc_loss.windows(2).any(|w| w[1] < w[0]) {
-                return Err(IpcompError::CorruptContainer(
-                    "truncation-loss table is not a running maximum from 0",
-                ));
-            }
+            check_trunc_loss(num_planes, &trunc_loss)?;
             let precinct_spans = match &grid {
                 Some(g) => Some(level_spans_checked(g, &shape, num_levels - idx, n_values)?),
                 None => None,
@@ -923,7 +940,7 @@ impl ContainerMap {
         };
         let base_bytes = payload_at as usize;
         Ok(Self {
-            cost: CostTable::new(&header, base_bytes, &levels),
+            cost: Ok(CostTable::new(&header, base_bytes, &levels)),
             header,
             anchors: anchors.to_vec(),
             levels,
@@ -934,7 +951,8 @@ impl ContainerMap {
 
     /// Parse and validate one level's chunk index — the chunk span (which,
     /// with `precinct_spans`, fixes the level's [`RegionScheme`]), per-plane
-    /// chunk counts against that scheme, every compressed size — and record
+    /// chunk counts against that scheme, every compressed size, none of them
+    /// nonzero for a region without coefficients — and record
     /// each chunk's absolute offset from the running payload `offset`, which
     /// never passes `total_len`. Every count is bounded against what remains
     /// of the block before any proportional allocation.
@@ -974,7 +992,7 @@ impl ContainerMap {
                     "plane chunk count does not match the level's chunk grid",
                 ));
             }
-            for _ in 0..n_chunks {
+            for k in 0..n_chunks {
                 // A chunk is one codec output, and the codecs take inputs
                 // under 4 GiB: an entry past `u32::MAX` is corrupt however
                 // long the source claims to be.
@@ -983,6 +1001,9 @@ impl ContainerMap {
                     return Err(IpcompError::CorruptContainer(
                         "chunk payload outruns buffer",
                     ));
+                }
+                if len != 0 && scheme.region_coeff_range(k).is_empty() {
+                    return Err(IpcompError::CorruptContainer(EMPTY_REGION_PAYLOAD));
                 }
                 *offset += len;
                 offsets.push(*offset);
@@ -1012,7 +1033,11 @@ impl ContainerMap {
     /// [`EncodedLevel::scheme`], and a chunk the level lacks counts 0 bytes
     /// (chunks past a plane's region count, or planes past `num_planes`, are
     /// not mapped). Such a container then fails where its chunks are read:
-    /// the decoder refuses it as [`IpcompError::CorruptContainer`].
+    /// the decoder refuses it as [`IpcompError::CorruptContainer`]. What the
+    /// parser refuses in the metadata itself — a loss table breaking its
+    /// rule, v3 precinct extents or spans that are not the header grid's —
+    /// leaves the map without a cost table, so nothing is planned from it:
+    /// every plan and retrieval over it is refused the same way.
     pub fn from_compressed(c: &Compressed) -> Self {
         let base_bytes = c.base_bytes();
         let mut end = base_bytes as u64;
@@ -1045,7 +1070,8 @@ impl ContainerMap {
             })
             .collect();
         Self {
-            cost: CostTable::new(&c.header, base_bytes, &levels),
+            cost: check_resident_metadata(c)
+                .map(|()| CostTable::new(&c.header, base_bytes, &levels)),
             header: c.header.clone(),
             anchors: c.anchors.clone(),
             levels,
@@ -1053,6 +1079,31 @@ impl ContainerMap {
             total_len: end,
         }
     }
+}
+
+/// What the parser checks of a level list, applied to a resident container's:
+/// every loss table keeps its rule and, on a v3 header, the precinct grid is
+/// valid and every level's spans are the grid's for that level.
+fn check_resident_metadata(c: &Compressed) -> Result<()> {
+    let grid = c.header.precincts.as_ref();
+    let grid = grid
+        .map(|e| validate_precincts(&c.header.dims, e))
+        .transpose()?;
+    for (idx, level) in c.levels.iter().enumerate() {
+        check_trunc_loss(level.num_planes, &level.trunc_loss)?;
+        if let Some(grid) = &grid {
+            // A level list longer than the header declares is refused when
+            // decoded (the decoder's geometry check).
+            let level_no = c.header.num_levels.saturating_sub(idx as u32).max(1);
+            let spans = grid.level_spans(&c.header.shape(), level_no);
+            if level.precinct_spans.as_ref() != Some(&spans) {
+                return Err(IpcompError::CorruptContainer(
+                    "precinct spans inconsistent with grid geometry",
+                ));
+            }
+        }
+    }
+    Ok(())
 }
 
 /// Compress anchor codes (zigzag varints + LZR).
@@ -1088,6 +1139,7 @@ mod tests {
     use super::*;
     use crate::bitplane::EncodeOptions;
     use crate::config::Config;
+    use crate::pipeline::RegionPipeline;
     use ipc_tensor::ArrayD;
 
     fn sample_compressed() -> Compressed {
@@ -1402,28 +1454,35 @@ mod tests {
     }
 
     /// `fetch_planes` hands back the requested chunks — of the planes asked
-    /// for and, under a precinct mask, of the masked precincts only — as
-    /// slices of the source's own buffer, not copies of it.
+    /// for and, over a region, of the listed precincts only — as slices of
+    /// the source's own buffer, not copies of it, in a table over the load's
+    /// region list: the requested regions that hold coefficients.
     #[test]
     fn fetch_planes_returns_requested_payload_only() {
-        let check = |c: &Compressed, i: usize, lo: u8, mask: Option<&[bool]>| {
+        let check = |c: &Compressed, i: usize, lo: u8, region: Option<&[usize]>| {
             let data: Arc<[u8]> = Arc::from(c.to_bytes());
             let source = crate::source::MemorySource::from_arc(Arc::clone(&data));
             let map = ContainerMap::open(&source).unwrap();
             let lmap = &map.levels[i];
             let hi = lmap.num_planes;
-            let n = lmap.plane_chunk_count(0);
+            let all: Vec<usize> = (0..lmap.plane_chunk_count(0)).collect();
+            let coded = |&&k: &&usize| !lmap.scheme().region_coeff_range(k).is_empty();
+            let ids: Vec<usize> = region
+                .unwrap_or(&all)
+                .iter()
+                .filter(coded)
+                .copied()
+                .collect();
             let mut bufs = Vec::new();
-            let fetched = lmap.fetch_planes(&source, lo, hi, mask, &mut bufs).unwrap();
-            assert_eq!(fetched.len(), (hi - lo) as usize * n);
+            let fetched = lmap
+                .fetch_planes(&source, lo, hi, region, &mut bufs)
+                .unwrap();
+            assert_eq!(fetched.regions, ids);
+            assert_eq!(fetched.chunks.len(), (hi - lo) as usize * ids.len());
             let within = data.as_ptr_range();
-            for (j, chunk) in fetched.iter().enumerate() {
-                let (p, k) = (lo as usize + j / n, j % n);
-                if mask.is_none_or(|m| m[k]) {
-                    assert_eq!(*chunk, &c.levels[i].planes[p].chunks[k][..]);
-                } else {
-                    assert!(chunk.is_empty(), "plane {p} precinct {k} is not masked");
-                }
+            for (j, chunk) in fetched.chunks.iter().enumerate() {
+                let (p, k) = (lo as usize + j / ids.len(), ids[j % ids.len()]);
+                assert_eq!(*chunk, &c.levels[i].planes[p].chunks[k][..]);
                 let ends = chunk.as_ptr_range();
                 assert!(
                     chunk.is_empty() || within.start <= ends.start && ends.end <= within.end,
@@ -1439,8 +1498,104 @@ mod tests {
             crate::compress(&sample_field(), 1e-5, &Config::with_precincts(&[8, 8])).unwrap();
         let i = tiled.levels.len() - 1;
         let n = tiled.levels[i].planes[0].chunks.len();
-        let mask: Vec<bool> = (0..n).map(|k| k % 3 == 0).collect();
-        assert!(mask.contains(&false) && n > 3);
-        check(&tiled, i, 0, Some(&mask));
+        let spans = tiled.levels[i].precinct_spans.as_ref().unwrap();
+        let ids: Vec<usize> = (0..n).filter(|k| k % 3 == 0).collect();
+        assert!(ids.len() < n && n > 3);
+        check(&tiled, i, 0, Some(&ids));
+        // An empty precinct is listed by no load: its chunk is never read.
+        let with_empty = (1..tiled.levels.len()).find_map(|i| {
+            let spans = tiled.levels[i].precinct_spans.as_ref().unwrap();
+            let k = spans.iter().position(|&s| s == 0)?;
+            (tiled.levels[i].num_planes > 0).then_some((i, k))
+        });
+        let (j, k) = with_empty.expect("sample needs an empty precinct in a level with planes");
+        check(&tiled, j, 0, Some(&[k, spans.len() - 1]));
+    }
+
+    /// A v3 index that gives a precinct without coefficients a nonzero chunk
+    /// is refused where the index is read — by the parser behind
+    /// `ContainerMap::open` and `Compressed::from_bytes`, and by the resident
+    /// decoder's chunk table — whether or not a read would decode it.
+    #[test]
+    fn nonempty_chunk_of_an_empty_precinct_is_refused() {
+        let mut forged =
+            crate::compress(&sample_field(), 1e-5, &Config::with_precincts(&[8, 8])).unwrap();
+        let level = (forged.levels.iter_mut())
+            .find(|l| l.num_planes > 0 && l.precinct_spans.as_ref().unwrap().contains(&0))
+            .expect("sample needs an empty precinct in a level with planes");
+        let k = level
+            .precinct_spans
+            .as_ref()
+            .unwrap()
+            .iter()
+            .position(|&s| s == 0);
+        level.planes[0].chunks[k.unwrap()] = vec![1, 2, 3];
+        let refused = |outcome: Result<()>| {
+            assert_eq!(
+                outcome,
+                Err(IpcompError::CorruptContainer(EMPTY_REGION_PAYLOAD))
+            );
+        };
+        let bytes = forged.to_bytes();
+        refused(Compressed::from_bytes(&bytes).map(drop));
+        let source = crate::source::MemorySource::new(bytes);
+        refused(ContainerMap::open(&source).map(drop));
+        let mut dec = crate::ProgressiveDecoder::new(&forged);
+        refused(dec.retrieve(crate::RetrievalRequest::Full).map(drop));
+        let roi = crate::RoiBox::new(&[0, 0], &[4, 4]);
+        refused(
+            dec.retrieve_roi(roi, crate::RetrievalRequest::Full)
+                .map(drop),
+        );
+    }
+
+    /// A region load is sized by its selection, not by the level: over a
+    /// 128×128 field in 8² precincts (256 per level), one to four selected
+    /// precincts fetch a table of `planes × ids` entries, and the pipeline
+    /// takes a scratch accumulator of exactly the selected spans.
+    #[test]
+    fn region_load_is_sized_by_its_ids() {
+        let field = ArrayD::from_fn(Shape::d2(128, 128), |c| {
+            (c[0] as f64 * 0.13).sin() * 2.0 + (c[1] as f64 * 0.07).cos()
+        });
+        let c = crate::compress(&field, 1e-6, &Config::with_precincts(&[8, 8])).unwrap();
+        let source = crate::source::MemorySource::new(c.to_bytes());
+        let map = ContainerMap::open(&source).unwrap();
+        let (i, lmap) = (map.levels.iter().enumerate())
+            .rfind(|(_, l)| l.num_planes > 1)
+            .unwrap();
+        assert_eq!(lmap.plane_chunk_count(0), 256);
+        let spans = lmap.precinct_spans().unwrap();
+        let (prefix_bits, predictive) = (c.header.prefix_bits, c.header.predictive_coding);
+        let (lo, hi) = (1, lmap.num_planes);
+        let mut whole = vec![0u64; lmap.n_values];
+        let resident = c.levels[i].chunk_table(Arc::clone(lmap.scheme()), lo, hi, None);
+        let pipeline = RegionPipeline::new(resident.unwrap(), prefix_bits, predictive, whole.len());
+        pipeline.unwrap().stream(&mut whole, |_, _| {}).unwrap();
+        let starts = crate::precinct::prefix_sums(spans);
+        for ids in [&[7usize][..], &[3, 4], &[0, 17, 255], &[16, 17, 32, 33]] {
+            let fetch = |bufs| lmap.fetch_planes(&source, lo, hi, Some(ids), bufs).unwrap();
+            let (mut bufs, mut level_sized) = (Vec::new(), Vec::new());
+            let load = fetch(&mut bufs);
+            assert_eq!(load.chunks.len(), (hi - lo) as usize * ids.len());
+            assert!(ids.iter().all(|&k| spans[k] > 0));
+            let selected: usize = ids.iter().map(|&k| spans[k]).sum();
+            assert!(selected < lmap.n_values);
+            let refused = RegionPipeline::new(
+                fetch(&mut level_sized),
+                prefix_bits,
+                predictive,
+                lmap.n_values,
+            );
+            assert!(refused.is_err(), "a level-sized scratch is not the load's");
+            let mut scratch = vec![0u64; selected];
+            let pipeline = RegionPipeline::new(load, prefix_bits, predictive, selected);
+            pipeline.unwrap().stream(&mut scratch, |_, _| {}).unwrap();
+            // The scratch holds the selected precincts' codes back to back.
+            let want: Vec<u64> = (ids.iter())
+                .flat_map(|&k| whole[starts[k]..][..spans[k]].to_vec())
+                .collect();
+            assert_eq!(scratch, want);
+        }
     }
 }

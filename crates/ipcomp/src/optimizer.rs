@@ -22,7 +22,7 @@
 
 use crate::container::{ContainerMap, Header, LevelMap};
 use crate::error::{IpcompError, Result};
-use crate::precinct::{roi_precinct_masks, RoiBox};
+use crate::precinct::{roi_precinct_ids, RoiBox};
 use crate::progressive::RetrievalRequest;
 
 /// Number of discretization buckets used by the knapsack DP.
@@ -128,17 +128,14 @@ impl CostTable {
     }
 
     /// The same table over a region: each plane of `levels[idx]` costs only
-    /// the chunks of the precincts `masks` selects (`masks[idx][k]`, see
-    /// [`roi_precinct_masks`]), so a byte budget buys what the region's
-    /// retrieval fetches. Truncation loss is a per-level property of the
-    /// codes, so the error side is unchanged.
-    fn scoped(&self, levels: &[LevelMap], masks: &[Vec<bool>]) -> Self {
+    /// the chunks of the precincts `ids[idx]` lists, so a byte budget buys
+    /// what the region's retrieval fetches. Truncation loss is a per-level
+    /// property of the codes, so the error side is unchanged.
+    fn scoped(&self, levels: &[LevelMap], ids: &[Vec<usize>]) -> Self {
         let mut table = self.clone();
-        for ((cost, level), mask) in table.levels.iter_mut().zip(levels).zip(masks) {
-            let chunks = level.scheme().num_regions();
+        for ((cost, level), ids) in table.levels.iter_mut().zip(levels).zip(ids) {
             for (p, bytes) in cost.plane_bytes.iter_mut().enumerate() {
-                let selected = mask.iter().zip(0..chunks).filter(|&(&m, _)| m);
-                *bytes = selected.map(|(_, k)| level.chunk_size(p as u8, k)).sum();
+                *bytes = ids.iter().map(|&k| level.chunk_size(p as u8, k)).sum();
             }
         }
         table
@@ -328,9 +325,11 @@ fn amplification(header: &Header, level: u32) -> f64 {
     s * q.powi(level as i32 - 1)
 }
 
-/// A region resolved against one container: the box and its per-level
-/// precinct fetch masks (`masks[idx][k]`, see [`roi_precinct_masks`]).
-pub type RegionMasks = (RoiBox, Vec<Vec<bool>>);
+/// A region resolved against one container: the box and, per level entry,
+/// the ascending ids of the precincts it reads (the box plus the cascade's
+/// cross-level halo; [`crate::roi_precinct_masks`] is the same selection as
+/// masks).
+pub type RegionMasks = (RoiBox, Vec<Vec<usize>>);
 
 /// Resolve a request plus an optional spatial scope into a loading plan
 /// over `map`'s cost table and — for a region — its [`RegionMasks`] over the
@@ -352,6 +351,7 @@ pub(crate) fn plan_for_scope(
     request: RetrievalRequest,
     region: Option<RoiBox>,
 ) -> Result<(LoadPlan, Option<RegionMasks>)> {
+    let cost = map.cost()?;
     let (fidelity, bounds) = match (request, region) {
         (RetrievalRequest::Roi { .. }, Some(_)) => {
             return Err(IpcompError::InvalidInput(
@@ -366,29 +366,34 @@ pub(crate) fn plan_for_scope(
             None,
         ) => (RetrievalRequest::ErrorBound(error_bound), bounds),
         (fidelity, Some(bounds)) => (fidelity, bounds),
-        (fidelity, None) => return Ok((map.cost.plan(fidelity)?, None)),
+        (fidelity, None) => return Ok((cost.plan(fidelity)?, None)),
     };
-    let masks = roi_precinct_masks(&map.header, &bounds)?;
+    let ids = roi_precinct_ids(&map.header, &bounds)?;
     let budget = match fidelity {
         RetrievalRequest::SizeBudget(bytes) => bytes,
         RetrievalRequest::Bitrate(b) => bitrate_bytes(b, bounds.len())?,
-        fidelity => return Ok((map.cost.plan(fidelity)?, Some((bounds, masks)))),
+        fidelity => return Ok((cost.plan(fidelity)?, Some((bounds, ids)))),
     };
-    let plan = map.cost.scoped(&map.levels, &masks).for_bytes(budget);
-    Ok((plan, Some((bounds, masks))))
+    let plan = cost.scoped(&map.levels, &ids).for_bytes(budget);
+    Ok((plan, Some((bounds, ids))))
 }
 
 /// Plan that loads every bitplane of every level (classic full-fidelity
-/// decompression).
+/// decompression). Keeping every plane adds no error, so the plan reads no
+/// loss table.
 pub fn plan_full(map: &ContainerMap) -> LoadPlan {
-    map.cost.full()
+    LoadPlan {
+        planes_loaded: map.levels.iter().map(|level| level.num_planes).collect(),
+        extra_error_bound: 0.0,
+        payload_bytes: map.payload_bytes(),
+    }
 }
 
 /// Error-bound mode: minimize loaded bytes subject to
 /// `eb + Σ level error ≤ target_error`. A target below `eb` cannot be met by
 /// any plan; the full plan is returned (its error is the tightest achievable).
 pub fn plan_for_error_bound(map: &ContainerMap, target_error: f64) -> Result<LoadPlan> {
-    map.cost.for_error_bound(target_error)
+    map.cost()?.for_error_bound(target_error)
 }
 
 /// Size / bitrate mode: minimize worst-case error subject to
@@ -397,13 +402,13 @@ pub fn plan_for_error_bound(map: &ContainerMap, target_error: f64) -> Result<Loa
 /// Non-progressive levels, the header, anchors, and metadata are always loaded even
 /// if they exceed the budget (nothing can be reconstructed without them).
 pub fn plan_for_bytes(map: &ContainerMap, max_total_bytes: usize) -> Result<LoadPlan> {
-    Ok(map.cost.for_bytes(max_total_bytes))
+    Ok(map.cost()?.for_bytes(max_total_bytes))
 }
 
 /// Bitrate mode: like [`plan_for_bytes`] with the budget expressed in bits per
 /// scalar value of the original field.
 pub fn plan_for_bitrate(map: &ContainerMap, bitrate: f64) -> Result<LoadPlan> {
-    map.cost.plan(RetrievalRequest::Bitrate(bitrate))
+    map.cost()?.plan(RetrievalRequest::Bitrate(bitrate))
 }
 
 #[cfg(test)]

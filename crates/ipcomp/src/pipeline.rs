@@ -1,22 +1,26 @@
-//! The one level loader: a level's chunk regions, each **entropy-decoded**
-//! then **scattered**, one region at a time.
+//! The one level loader: a level load's chunk regions, each
+//! **entropy-decoded** then **scattered**, one region at a time.
 //!
-//! Every level the decoder loads — full-domain or under a region mask, with
+//! Every level the decoder loads — full-domain or a region's precincts, with
 //! or without an event sink, resident or ranged, and every
 //! [`crate::bitplane::decode_planes_into`] call — streams through one
 //! [`RegionPipeline`] over one input, a [`LevelChunks`]: the level's
-//! [`RegionScheme`] (shared by `Arc`), its plane count, and a borrowed table
-//! from `(plane, chunk)` to compressed bytes. One map per decoder; the
-//! backing only supplies chunk bytes: the decoder's scheme is always the one
-//! its [`crate::ContainerMap`] holds for the level, and only the table
-//! differs. A resident level's borrows the level's own chunks
-//! ([`LevelChunks::resident`]); a ranged level's is the one
+//! [`RegionScheme`] (shared by `Arc`), its plane count, the load's **region
+//! list** — the ascending ids of the regions it reads that hold
+//! coefficients: every such region of the level on a full read, a region
+//! read's precincts otherwise — and a borrowed table from
+//! `(plane, list position)` to compressed bytes. One map per decoder; the backing only supplies chunk
+//! bytes: the decoder's scheme is always the one its
+//! [`crate::ContainerMap`] holds for the level, and only the table differs.
+//! A resident level's borrows the level's own chunks
+//! ([`crate::bitplane::EncodedLevel::chunk_table`]); a ranged level's is the one
 //! [`crate::LevelMap::fetch_planes`] cuts from the `Bytes` of the level's one
 //! read — slices of the request's fetch groups, read once per group by
 //! [`crate::source::PlannedSource`]. Nothing is copied between the store and
-//! the entropy decoder. An entry is one `&[u8]`, empty where a mask left a
-//! precinct out: a region read fills one per `(plane, precinct)` of every
-//! level it loads, so an entry must cost no more than a pointer and a length.
+//! the entropy decoder, and nothing of a load is sized by the level when the
+//! list is a region's: the table has one entry per (plane, listed region),
+//! and the accumulator holds the listed regions' coefficients back to back
+//! — the level's own layout on a full read.
 //!
 //! Per region the pipeline runs two private steps:
 //!
@@ -28,72 +32,57 @@
 //!    into the negabinary accumulators through the plane-count specialized
 //!    kernels of [`ipc_codecs::bitslice`].
 //!
-//! Regions run in coefficient order on the calling thread — all of them, or
-//! the precincts a region mask selects. Memory is bounded at one region, and
-//! because the scatter step runs only after the whole region entropy-decodes,
-//! a failed region leaves its accumulator slice untouched; the regions
-//! scattered before it are rolled back bit-exactly, so a failed load leaves
-//! no trace.
+//! Regions run in list order on the calling thread; a region without
+//! coefficients is on no list, so it is never decoded or reported (its
+//! chunks are empty: the container index refuses anything else). Memory is bounded at one region,
+//! and because the scatter step runs only after the whole region
+//! entropy-decodes, a failed region leaves its accumulator slice untouched;
+//! the regions scattered before it are rolled back bit-exactly, so a failed
+//! load leaves no trace.
 
 use std::ops::Range;
 use std::sync::Arc;
 
 use ipc_codecs::bitslice;
 
-use crate::bitplane::{decode_chunk_bytes, EncodedLevel, RegionScheme};
-use crate::container::LevelMap;
+use crate::bitplane::{decode_chunk_bytes, RegionScheme};
 use crate::error::{IpcompError, Result};
 
-/// One level's compressed chunks as the pipeline reads them: planes
+/// One level load's compressed chunks as the pipeline reads them: planes
 /// `[plane_lo, plane_hi)` of a level with `num_planes` significant planes,
-/// cut into chunks by `scheme`.
+/// cut into chunks by `scheme`, over the load's region list. Built by
+/// [`crate::bitplane::EncodedLevel::chunk_table`] (resident) or
+/// [`crate::LevelMap::fetch_planes`] (ranged).
 pub(crate) struct LevelChunks<'a> {
-    scheme: Arc<RegionScheme>,
-    num_planes: u8,
-    plane_lo: u8,
-    plane_hi: u8,
-    /// Chunk `k` of plane `p` at `(p - plane_lo) · n + k`, with `n` the
-    /// scheme's region count.
-    chunks: Vec<&'a [u8]>,
+    pub(crate) scheme: Arc<RegionScheme>,
+    pub(crate) num_planes: u8,
+    pub(crate) plane_lo: u8,
+    pub(crate) plane_hi: u8,
+    /// The region list ([`region_list`]).
+    pub(crate) regions: Vec<usize>,
+    /// The chunk of region `regions[i]` of plane `p` at
+    /// `(p - plane_lo) · regions.len() + i`.
+    pub(crate) chunks: Vec<&'a [u8]>,
 }
 
-impl<'a> LevelChunks<'a> {
-    /// Planes `[plane_lo, plane_hi)` of a resident level cut by `scheme`
-    /// (the level's own [`EncodedLevel::scheme`], or the one its map built),
-    /// refusing what [`EncodedLevel::chunk_table`] refuses.
-    pub(crate) fn resident(
-        level: &'a EncodedLevel,
-        scheme: Arc<RegionScheme>,
-        plane_lo: u8,
-        plane_hi: u8,
-    ) -> Result<Self> {
-        Ok(Self {
-            chunks: level.chunk_table(&scheme, plane_lo, plane_hi)?,
-            scheme,
-            num_planes: level.num_planes,
-            plane_lo,
-            plane_hi,
-        })
+/// The region list of a load over `scheme`: the ascending ids it reads — a
+/// region's precincts, or every region of the level — less those without
+/// coefficients, which are never decoded (their chunks are empty: the index
+/// is refused otherwise).
+pub(crate) fn region_list(scheme: &RegionScheme, region: Option<&[usize]>) -> Vec<usize> {
+    let coded = |k: &usize| !scheme.region_coeff_range(*k).is_empty();
+    match region {
+        Some(ids) => ids.iter().copied().filter(coded).collect(),
+        None => (0..scheme.num_regions()).filter(coded).collect(),
     }
+}
 
-    /// Planes `[plane_lo, plane_hi)` of a ranged level: the table
-    /// [`LevelMap::fetch_planes`] cut from the buffers it fetched, under the
-    /// scheme `map` built at parse time.
-    pub(crate) fn fetched(
-        map: &LevelMap,
-        plane_lo: u8,
-        plane_hi: u8,
-        chunks: Vec<&'a [u8]>,
-    ) -> Self {
-        let n = map.scheme().num_regions();
-        debug_assert_eq!(chunks.len(), (plane_hi - plane_lo) as usize * n);
-        Self {
-            scheme: Arc::clone(map.scheme()),
-            num_planes: map.num_planes,
-            plane_lo,
-            plane_hi,
-            chunks,
-        }
+impl LevelChunks<'_> {
+    /// Coefficients of the listed regions: the length of the load's
+    /// accumulator.
+    pub(crate) fn acc_len(&self) -> usize {
+        let coeffs = |&k: &usize| self.scheme.region_coeff_range(k).len();
+        self.regions.iter().map(coeffs).sum()
     }
 }
 
@@ -114,120 +103,105 @@ fn xor_words_into_bytes(dst: &mut [u8], src: &[u64]) {
     }
 }
 
-/// The one level loader: a driver over one level's chunk regions — all of
-/// them, or the precincts a region mask selects.
+/// The one level loader: a driver over one level load's region list.
 ///
 /// Each [`RegionPipeline::decode_next`] call completes one region through
 /// entropy + scatter; `stream` runs them all and rolls the level back on
-/// failure. Regions complete in coefficient order; a failed region leaves
-/// its accumulator slice untouched and the stream positioned to retry it.
-/// Peak memory is bounded by `(plane span) × region size` instead of the
-/// whole level.
+/// failure. Regions complete in list order, into consecutive slices of the
+/// accumulator; a failed region leaves its slice untouched and the stream
+/// positioned to retry it. Peak memory is bounded by
+/// `(plane span) × region size` instead of the whole level.
 pub(crate) struct RegionPipeline<'a> {
     level: LevelChunks<'a>,
     prefix_bits: u8,
     predictive: bool,
-    /// Regions to decode (`None` = every region); unselected regions are
-    /// never read and their accumulator slices never touched.
-    mask: Option<&'a [bool]>,
-    /// The region the next call decodes (`None` once exhausted).
-    next: Option<usize>,
+    /// Coefficients of the listed regions: the accumulator's length.
+    acc_len: usize,
+    /// List position of the region the next call decodes, or the list's
+    /// length once exhausted.
+    next: usize,
+    /// Where that region's coefficients start in the accumulator.
+    at: usize,
 }
 
 impl<'a> RegionPipeline<'a> {
     /// A pipeline over `level`, validating `acc_len` (the caller's
-    /// accumulator length) against the level's size and `mask` (one flag per
-    /// region) against its region count.
+    /// accumulator length) against the listed regions' coefficients.
     pub(crate) fn new(
         level: LevelChunks<'a>,
         prefix_bits: u8,
         predictive: bool,
         acc_len: usize,
-        mask: Option<&'a [bool]>,
     ) -> Result<Self> {
-        let scheme = &level.scheme;
-        if acc_len != scheme.n_values() {
+        let want = level.acc_len();
+        if acc_len != want {
             return Err(IpcompError::InvalidInput(format!(
-                "accumulator length {acc_len} does not match level size {}",
-                scheme.n_values()
+                "accumulator length {acc_len} does not match the load's {want} coefficients"
             )));
-        }
-        if mask.is_some_and(|m| m.len() != scheme.num_regions()) {
-            return Err(IpcompError::InvalidInput(
-                "region mask does not match the level's region count".into(),
-            ));
         }
         let mut pipeline = Self {
             level,
             prefix_bits,
             predictive,
-            mask,
-            next: None,
+            acc_len,
+            next: 0,
+            at: 0,
         };
-        if pipeline.level.plane_lo < pipeline.level.plane_hi && acc_len > 0 {
-            pipeline.next = pipeline.selected_from(0);
-        }
+        // Streaming no plane decodes no region.
+        pipeline.next = pipeline.level.regions.len() - pipeline.num_regions();
         Ok(pipeline)
     }
 
-    /// First selected region at or after `k`.
-    fn selected_from(&self, k: usize) -> Option<usize> {
-        (k..self.level.scheme.num_regions()).find(|&k| self.mask.is_none_or(|m| m[k]))
-    }
-
-    /// Total number of chunk regions this pipeline will produce.
+    /// Total number of chunk regions this pipeline will produce: the listed
+    /// regions, none when no plane is streamed.
     pub(crate) fn num_regions(&self) -> usize {
-        let level = &self.level;
-        if level.plane_lo == level.plane_hi || level.scheme.n_values() == 0 {
-            0
-        } else {
-            match self.mask {
-                Some(m) => m.iter().filter(|&&m| m).count(),
-                None => level.scheme.num_regions(),
-            }
-        }
+        let streams = self.level.plane_lo < self.level.plane_hi;
+        usize::from(streams) * self.level.regions.len()
     }
 
-    /// Region `k`'s chunk of every streamed plane, ascending plane index.
-    fn region_chunks(&self, k: usize) -> impl Iterator<Item = &'a [u8]> + '_ {
-        let n = self.level.scheme.num_regions();
-        self.level.chunks.iter().skip(k).step_by(n).copied()
+    /// List position `i`'s chunk of every streamed plane, ascending plane
+    /// index.
+    fn region_chunks(&self, i: usize) -> impl Iterator<Item = &'a [u8]> + '_ {
+        let n = self.level.regions.len();
+        self.level.chunks.iter().skip(i).step_by(n).copied()
     }
 
-    /// Compressed bytes region `k` reads across the streamed planes.
-    pub(crate) fn region_compressed_bytes(&self, k: usize) -> usize {
-        self.region_chunks(k).map(<[u8]>::len).sum()
+    /// Compressed bytes list position `i` reads across the streamed planes.
+    pub(crate) fn region_compressed_bytes(&self, i: usize) -> usize {
+        self.region_chunks(i).map(<[u8]>::len).sum()
     }
 
-    /// Decode the next region into the matching slice of `acc` (the full
-    /// level accumulator). Returns the coefficient range completed, or
-    /// `None` when the stream is exhausted.
+    /// Decode the next region into its slice of `acc` (the load's
+    /// accumulator). Returns the accumulator range completed, or `None` when
+    /// the stream is exhausted.
     pub(crate) fn decode_next(&mut self, acc: &mut [u64]) -> Result<Option<Range<usize>>> {
-        if acc.len() != self.level.scheme.n_values() {
+        if acc.len() != self.acc_len {
             return Err(IpcompError::InvalidInput(
                 "accumulator length changed mid-stream".into(),
             ));
         }
-        let Some(k) = self.next else {
+        let Some(&k) = self.level.regions.get(self.next) else {
             return Ok(None);
         };
-        let planes = self.entropy(k)?;
-        let coeffs = self.level.scheme.region_coeff_range(k);
+        let planes = self.entropy(self.next)?;
+        let coeffs = self.at..self.at + self.level.scheme.region_coeff_range(k).len();
         self.scatter(k, planes, &mut acc[coeffs.clone()]);
-        self.next = self.selected_from(k + 1);
+        self.next += 1;
+        self.at = coeffs.end;
         Ok(Some(coeffs))
     }
 
-    /// The entropy step: decode region `k`'s chunk of every streamed plane
-    /// into packed plane bytes, in plane order, validating each decoded
-    /// length against the region geometry.
-    fn entropy(&self, k: usize) -> Result<Vec<Vec<u8>>> {
+    /// The entropy step: decode list position `i`'s chunk of every streamed
+    /// plane into packed plane bytes, in plane order, validating each
+    /// decoded length against the region geometry.
+    fn entropy(&self, i: usize) -> Result<Vec<Vec<u8>>> {
         let m = crate::obs::metrics();
+        let k = self.level.regions[i];
         let mut span = ipc_telemetry::span_timed("pipeline", "entropy", m.entropy_ns);
         span.add_arg("region", k as u64);
         let expected = self.level.scheme.region_byte_range(k).len();
         let out: Vec<Vec<u8>> = self
-            .region_chunks(k)
+            .region_chunks(i)
             .map(|chunk| decode_chunk_bytes(chunk, expected))
             .collect::<Result<_>>()?;
         let bytes: u64 = out.iter().map(|c| c.len() as u64).sum();
@@ -307,19 +281,19 @@ impl<'a> RegionPipeline<'a> {
         acc: &mut [u64],
         mut on_region: impl FnMut(Range<usize>, usize),
     ) -> Result<()> {
-        let mut scattered_end = 0usize;
         loop {
-            let bytes = self.next.map_or(0, |k| self.region_compressed_bytes(k));
+            let bytes = if self.next < self.level.regions.len() {
+                self.region_compressed_bytes(self.next)
+            } else {
+                0
+            };
             match self.decode_next(acc) {
-                Ok(Some(coeffs)) => {
-                    scattered_end = coeffs.end;
-                    on_region(coeffs, bytes);
-                }
+                Ok(Some(coeffs)) => on_region(coeffs, bytes),
                 Ok(None) => return Ok(()),
                 Err(e) => {
                     let (lo, hi) = (self.level.plane_lo, self.level.plane_hi);
                     let mask = (1u64 << hi) - (1u64 << lo);
-                    for w in &mut acc[..scattered_end] {
+                    for w in &mut acc[..self.at] {
                         *w &= !mask;
                     }
                     return Err(e);

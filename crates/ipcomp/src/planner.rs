@@ -5,8 +5,8 @@
 //! The optimizer decides *how many planes* per level (over the metadata-only
 //! [`ContainerMap`], so no payload is touched); [`lower_plan`] turns that
 //! into *which bytes*: one [`ChunkRead`] per chunk run the plan adds — a
-//! single chunk, or under a region mask a maximal run of consecutive masked
-//! precincts, exactly the reads `LevelMap::fetch_planes` issues — in
+//! single chunk, or over a region a maximal run of consecutive precinct ids
+//! it reads, exactly the reads `LevelMap::fetch_planes` issues — in
 //! container payload order. The lowering is both what a request is **priced**
 //! by (`ipc_store` re-exports it for sessions and the service's budget gate)
 //! and what the decoder **fetches** by: `ProgressiveDecoder` lowers its plan
@@ -83,17 +83,18 @@ impl RangePlan {
 /// Lower `plan` against `map`, skipping planes already loaded.
 ///
 /// `already_loaded[idx]` counts planes from the most significant, exactly
-/// like `LoadPlan::planes_loaded` (pass all zeros for a fresh session). Under
-/// region `masks` only the chunks of marked precincts are read (see
-/// [`crate::roi_precinct_masks`]), one read per run of consecutive marked
-/// precincts: the lowering asks the level for the same `chunk_runs` /
-/// `run_ranges` the fetch path reads by, so a plan's request list is the
-/// fetch's request list.
+/// like `LoadPlan::planes_loaded` (pass all zeros for a fresh session).
+/// Over a `region` — per level entry, the ascending ids of the precincts it
+/// reads (the `true` entries of [`crate::roi_precinct_masks`]) — only those
+/// precincts' chunks are read, one read per run of consecutive ids: the
+/// lowering asks the level for the same `chunk_runs` / `run_ranges` the
+/// fetch path reads by, so a plan's request list is the fetch's request
+/// list.
 pub fn lower_plan(
     map: &ContainerMap,
     already_loaded: &[u8],
     plan: &LoadPlan,
-    masks: Option<&[Vec<bool>]>,
+    region: Option<&[Vec<usize>]>,
 ) -> RangePlan {
     let mut reads = Vec::new();
     for (idx, level) in map.levels.iter().enumerate() {
@@ -110,7 +111,7 @@ pub fn lower_plan(
         // Top `want` planes minus the top `have` already present.
         let hi = level.num_planes - have;
         let lo = level.num_planes - want;
-        let runs = level.chunk_runs(masks.map(|m| &m[idx][..]));
+        let runs = level.chunk_runs(region.map(|ids| &ids[idx][..]));
         // `run_ranges` is plane-major over the runs; label its entries so.
         let labels = (lo..hi).flat_map(|p| runs.iter().map(move |&(k0, _)| (p, k0)));
         let ranges = level.run_ranges(lo, hi, &runs);
@@ -142,7 +143,7 @@ pub fn plan_request(
 ) -> Result<RangePlan> {
     Ok(match plan_for_scope(map, request, region)? {
         (plan, None) => lower_plan(map, already_loaded, &plan, None),
-        (plan, Some((_, masks))) => lower_plan(map, &[], &plan, Some(&masks)),
+        (plan, Some((_, ids))) => lower_plan(map, &[], &plan, Some(&ids)),
     })
 }
 
@@ -362,7 +363,8 @@ mod tests {
         for (idx, level) in map.levels.iter().enumerate() {
             let lo = level.num_planes - plan.load.planes_loaded[idx];
             for p in lo..level.num_planes {
-                runs += level.chunk_runs(Some(&masks[idx])).len();
+                let ids: Vec<usize> = (0..masks[idx].len()).filter(|&k| masks[idx][k]).collect();
+                runs += level.chunk_runs(Some(&ids)).len();
                 for k in (0..level.plane_chunk_count(p)).filter(|&k| masks[idx][k]) {
                     chunks += 1;
                     bytes += level.chunk_size(p, k);

@@ -143,16 +143,26 @@ pub(crate) fn pass_window(
 
 /// Per-level precinct fetch masks of an ROI retrieval: `masks[idx][k]` is
 /// true iff precinct `k` intersects container level entry `idx`'s fetch
-/// window (the box plus the cascade's cross-level ancestor halo). This is the
-/// single source of truth for *which chunks an ROI touches* — the decoder
-/// fetches by it and the store planner lowers byte ranges from it, so the two
-/// can never disagree.
+/// window (the box plus the cascade's cross-level ancestor halo). A view of
+/// the per-level precinct id lists the decoder fetches by and the store
+/// planner lowers byte ranges from, so the three can never disagree.
 ///
 /// # Errors
 ///
 /// [`IpcompError::InvalidInput`] if the box is invalid for the container's
 /// domain or the container has no precinct grid (pre-v3 layout).
 pub fn roi_precinct_masks(header: &Header, bounds: &RoiBox) -> Result<Vec<Vec<bool>>> {
+    let ids = roi_precinct_ids(header, bounds)?;
+    let n = header.precinct_grid().map_or(0, |g| g.num_precincts());
+    let mask = |ids: Vec<usize>| (0..n).map(|k| ids.binary_search(&k).is_ok()).collect();
+    Ok(ids.into_iter().map(mask).collect())
+}
+
+/// The precincts an ROI retrieval reads, per container level entry: `ids[idx]`
+/// lists, ascending, the precincts intersecting entry `idx`'s fetch window
+/// (the box plus the cascade's cross-level ancestor halo). This is the single
+/// source of truth for *which chunks an ROI touches*.
+pub(crate) fn roi_precinct_ids(header: &Header, bounds: &RoiBox) -> Result<Vec<Vec<usize>>> {
     bounds.validate(&header.dims)?;
     let grid = header.precinct_grid().ok_or_else(|| {
         IpcompError::InvalidInput(
@@ -263,9 +273,9 @@ impl PrecinctGrid {
         (lo, hi)
     }
 
-    /// Mask over precinct ids: true where the precinct's box intersects the
-    /// half-open window.
-    pub(crate) fn intersecting(&self, window: &[(usize, usize)]) -> Vec<bool> {
+    /// The precinct ids, ascending, whose boxes intersect the half-open
+    /// window.
+    pub(crate) fn intersecting(&self, window: &[(usize, usize)]) -> Vec<usize> {
         let ndim = self.dims.len();
         // Per-dimension range of intersecting precinct cells.
         let cell_ranges: Vec<(usize, usize)> = (0..ndim)
@@ -277,21 +287,23 @@ impl PrecinctGrid {
                 (lo / self.extents[i], ((hi - 1) / self.extents[i]) + 1)
             })
             .collect();
-        let mut mask = vec![false; self.num_precincts()];
+        let mut ids = Vec::new();
         let mut cell: Vec<usize> = cell_ranges.iter().map(|&(l, _)| l).collect();
         if cell_ranges.iter().any(|&(l, h)| l >= h) {
-            return mask;
+            return ids;
         }
+        // Row-major ids, last dimension fastest: the odometer visits them in
+        // ascending order.
         loop {
             let mut id = 0usize;
             for (&count, &c) in self.counts.iter().zip(&cell) {
                 id = id * count + c;
             }
-            mask[id] = true;
+            ids.push(id);
             let mut dim = ndim;
             loop {
                 if dim == 0 {
-                    return mask;
+                    return ids;
                 }
                 dim -= 1;
                 cell[dim] += 1;
@@ -554,14 +566,15 @@ mod tests {
     #[test]
     fn intersection_mask_matches_boxes() {
         let g = PrecinctGrid::new(&[32, 24], &[8, 8]).unwrap();
-        let mask = g.intersecting(&[(5, 9), (0, 24)]);
-        for (id, &m) in mask.iter().enumerate() {
+        let ids = g.intersecting(&[(5, 9), (0, 24)]);
+        assert!(ids.windows(2).all(|w| w[0] < w[1]), "ascending");
+        for id in 0..g.num_precincts() {
             let (lo, hi) = g.precinct_box(id);
             let hit = lo[0] < 9 && hi[0] > 5;
-            assert_eq!(m, hit, "precinct {id}");
+            assert_eq!(ids.contains(&id), hit, "precinct {id}");
         }
         // Empty window hits nothing.
-        assert!(g.intersecting(&[(4, 4), (0, 24)]).iter().all(|&m| !m));
+        assert!(g.intersecting(&[(4, 4), (0, 24)]).is_empty());
     }
 
     #[test]

@@ -44,25 +44,26 @@
 //! There is one read core. Every `retrieve*` spelling resolves its request
 //! through the optimizer's one scope rule (`optimizer::plan_for_scope`, over
 //! the map's cost table) and runs the same level loop; a spatial region
-//! ([`ProgressiveDecoder::retrieve_roi`]) is Algorithm 1 under a mask — the
-//! same plan, the same staged decode restricted to the precincts the
-//! region's halo touches, the engine's windowed pass, and a crop — into
-//! scratch state, so it never disturbs the progressive state.
+//! ([`ProgressiveDecoder::retrieve_roi`]) is Algorithm 1 over the precincts
+//! the region's halo touches — the same plan, the same staged decode with
+//! each level's region list cut to those precincts' ids, the engine's
+//! windowed pass, and a crop — into scratch state sized by the selection, so
+//! it never disturbs the progressive state.
 
 use std::sync::Arc;
 
 use ipc_codecs::negabinary::from_negabinary;
 use ipc_tensor::{ArrayD, AxisRange, Shape};
 
-use crate::bitplane::EncodedLevel;
+use crate::bitplane::{EncodedLevel, RegionScheme};
 use crate::cascade::{CascadeEngine, CascadeProgress};
 use crate::container::{decode_anchors_bounded, Compressed, ContainerMap};
 use crate::error::{IpcompError, Result};
 use crate::interp::{for_each_level_pass, level_stride, num_levels, sweep_runs};
 use crate::optimizer::{plan_for_scope, LoadPlan, RegionMasks};
-use crate::pipeline::{LevelChunks, RegionPipeline};
+use crate::pipeline::RegionPipeline;
 use crate::planner::{fetch_groups, lower_plan};
-use crate::precinct::{clip_ranges, prefix_sums, LevelPrecincts, PrecinctGrid, RoiBox};
+use crate::precinct::{clip_ranges, LevelPrecincts, PrecinctGrid, RoiBox};
 use crate::source::{ChunkSource, PlannedSource};
 
 /// Plane mask selecting a coefficient's whole negabinary word.
@@ -97,15 +98,18 @@ pub enum RetrievalRequest {
 }
 
 /// Progress report emitted once per decoded chunk region during a streaming
-/// retrieval ([`ProgressiveDecoder::retrieve_streaming_events`]). Under a
-/// spatial region, `region` and `regions_in_level` count fetched precincts.
+/// retrieval ([`ProgressiveDecoder::retrieve_streaming_events`]). A region
+/// without coefficients (an empty precinct) is never decoded or reported.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct StreamProgress {
     /// Index into the container's level list (coarsest level first).
     pub level_idx: usize,
-    /// Chunk region just completed within that level.
+    /// Chunk region just completed, counted among the non-empty regions of
+    /// the level load's region list (every region of the level, or the
+    /// precincts a spatial region reads).
     pub region: usize,
-    /// Total chunk regions the level will stream for this request.
+    /// The non-empty regions of the level load's region list: how many
+    /// `region` reports the level streams for this request.
     pub regions_in_level: usize,
     /// Coefficients of the level fully decoded so far (prefix property:
     /// everything below this index is final for the requested fidelity).
@@ -322,7 +326,7 @@ impl<'a> ProgressiveDecoder<'a> {
 
     /// Resolve a request into a loading plan via the optimizer.
     pub fn plan(&self, request: RetrievalRequest) -> Result<LoadPlan> {
-        self.map.cost.plan(request)
+        self.map.cost()?.plan(request)
     }
 
     /// Retrieve (or refine to) the fidelity described by `request`.
@@ -345,8 +349,10 @@ impl<'a> ProgressiveDecoder<'a> {
     /// Chunked (version-2) containers stream at entropy-chunk granularity —
     /// 512 Ki coefficients per report — so a caller can surface progress,
     /// meter I/O, or overlap consumption with decoding; whole-plane levels
-    /// report once per plane. A [`RetrievalRequest::Roi`] request reports one
-    /// region per fetched precinct and one windowed cascade pass per level.
+    /// report once per plane. Precinct (version-3) containers report one
+    /// region per precinct that holds coefficients at the level — every one
+    /// on a full read, the fetched ones under a [`RetrievalRequest::Roi`]
+    /// request, which also reports one windowed cascade pass per level.
     /// The final reconstruction is identical to
     /// [`ProgressiveDecoder::retrieve`] with the same request.
     pub fn retrieve_streaming_events(
@@ -437,6 +443,7 @@ impl<'a> ProgressiveDecoder<'a> {
             None => &mut |_| {},
         };
         let map = Arc::clone(&self.map);
+        let cost = map.cost()?;
         let n_levels = map.levels.len();
         if plan.planes_loaded.len() != n_levels {
             return Err(IpcompError::InvalidInput(
@@ -451,10 +458,10 @@ impl<'a> ProgressiveDecoder<'a> {
             // validated the geometry.)
             self.check_level_geometry()?;
         }
-        let mut region = region.map(|(bounds, masks)| RegionScope {
+        let mut region = region.map(|(bounds, ids)| RegionScope {
             bounds,
-            masks,
-            grid: (map.header.precinct_grid()).expect("precinct masks imply a grid"),
+            ids,
+            grid: (map.header.precinct_grid()).expect("precinct ids imply a grid"),
             codes: vec![0i64; self.shape.len()],
         });
         if region.is_none() {
@@ -493,16 +500,16 @@ impl<'a> ProgressiveDecoder<'a> {
             let held = self.chunks.clone();
             // A ranged backing reads by request, not by level: lower the
             // plan to the ranges the level loop will ask for — what it has
-            // yet to load, under the region's masks — and serve them from
+            // yet to load, of the region's precincts — and serve them from
             // fetch groups.
             let planned;
             let chunks = match &held {
                 Backing::Ranged(source) if !self.source_is_planned => {
-                    let (have, masks) = match &region {
-                        Some(scope) => (&[][..], Some(&scope.masks[..])),
+                    let (have, ids) = match &region {
+                        Some(scope) => (&[][..], Some(&scope.ids[..])),
                         None => (&self.planes_loaded[..], None),
                     };
-                    let units = lower_plan(&map, have, plan, masks).level_units();
+                    let units = lower_plan(&map, have, plan, ids).level_units();
                     planned = PlannedSource::new(source.as_ref(), fetch_groups(units));
                     Backing::Ranged(Arc::new(&planned))
                 }
@@ -563,7 +570,7 @@ impl<'a> ProgressiveDecoder<'a> {
             Some(data) => (data, header.error_bound + plan.extra_error_bound),
             None => (
                 self.current().expect("reconstruction present"),
-                map.cost.error_bound(&self.planes_loaded),
+                cost.error_bound(&self.planes_loaded),
             ),
         };
         let bytes_this = self.bytes_total - bytes_before;
@@ -585,18 +592,20 @@ impl<'a> ProgressiveDecoder<'a> {
     /// reconstruction on an initial or region retrieval, the delta field on
     /// a refinement.
     ///
-    /// There is one level loader and one input to it, a [`LevelChunks`]
-    /// table under the scheme `map` holds for the level. A resident level's
-    /// borrows its chunks; a ranged level's is cut
-    /// from the `Bytes` of one [`crate::LevelMap::fetch_planes`] read — of the
-    /// masked precincts, under a region — which are slices of the request's
-    /// fetch groups ([`PlannedSource`]), so the first level's read brings in
-    /// every range grouped with it and the levels after it find their bytes
-    /// resident. Either way the level then streams region by region through
-    /// one [`RegionPipeline`], reporting every chunk region to `events` and
-    /// rolling back exactly on failure, and goes to the engine whole:
-    /// [`CascadeEngine::level_ready`], or the windowed pass under a
-    /// `region`, whose codes are placed at their domain offsets first.
+    /// There is one level loader and one input to it, a `LevelChunks`
+    /// table under the scheme `map` holds for the level, over the load's
+    /// region list: every region of the level, or under a `region` the ids of
+    /// the precincts it reads. A resident level's table borrows its chunks; a
+    /// ranged level's is cut from the `Bytes` of one
+    /// [`crate::LevelMap::fetch_planes`] read, which are slices of the
+    /// request's fetch groups ([`PlannedSource`]), so the first level's read
+    /// brings in every range grouped with it and the levels after it find
+    /// their bytes resident. Either way the level then streams region by
+    /// region through one [`RegionPipeline`], reporting every non-empty
+    /// region to `events` and rolling back exactly on failure, and goes to
+    /// the engine whole: [`CascadeEngine::level_ready`], or the windowed pass
+    /// under a `region`, whose codes go from a scratch accumulator of the
+    /// selected precincts to their domain offsets first.
     fn drive_levels(
         &mut self,
         map: &ContainerMap,
@@ -637,41 +646,43 @@ impl<'a> ProgressiveDecoder<'a> {
             let work = works.get(w).filter(|x| x.0 == idx).copied();
             w += usize::from(work.is_some());
             if let Some((_, lo, hi, want)) = work {
-                let mask = region.as_deref().map(|scope| &scope.masks[idx][..]);
+                let ids = region.as_deref().map(|scope| &scope.ids[idx][..]);
                 let mut fetched = Vec::new();
                 let scheme = level.scheme();
                 let chunks = match chunks {
                     Backing::Resident(levels) => {
-                        LevelChunks::resident(&levels[idx], Arc::clone(scheme), lo, hi)?
+                        levels[idx].chunk_table(Arc::clone(scheme), lo, hi, ids)?
                     }
                     Backing::Ranged(source) => {
-                        let table =
-                            level.fetch_planes(source.as_ref(), lo, hi, mask, &mut fetched)?;
-                        LevelChunks::fetched(level, lo, hi, table)
+                        level.fetch_planes(source.as_ref(), lo, hi, ids, &mut fetched)?
                     }
                 };
-                let spans = scheme.precinct_spans();
-                // A region decodes into scratch accumulators, and only the
-                // masked precincts that hold lattice points.
+                // A region decodes into a scratch accumulator holding its
+                // precincts' coefficients back to back.
                 let mut scratch = Vec::new();
-                let (acc, streamed) = match region.as_deref() {
-                    Some(scope) => {
-                        let streamed = scope.streamed(&self.shape, idx, spans)?;
-                        scratch = vec![0u64; level.n_values];
-                        (&mut scratch[..], Some(streamed))
+                let acc = match region {
+                    Some(_) => {
+                        scratch = vec![0u64; chunks.acc_len()];
+                        &mut scratch[..]
                     }
-                    None => (&mut self.acc[idx][..], None),
+                    None => &mut self.acc[idx][..],
                 };
                 let pipeline = RegionPipeline::new(
                     chunks,
                     header.prefix_bits,
                     header.predictive_coding,
                     acc.len(),
-                    streamed.as_deref(),
                 )?;
-                Self::stream_level(pipeline, acc, &mut self.bytes_total, events, idx)?;
+                Self::stream_level(
+                    pipeline,
+                    acc,
+                    level.n_values,
+                    &mut self.bytes_total,
+                    events,
+                    idx,
+                )?;
                 match region.as_deref_mut() {
-                    Some(scope) => scope.place_codes(&self.shape, idx, spans, &scratch),
+                    Some(scope) => scope.place_codes(&self.shape, idx, scheme, &scratch),
                     None => self.planes_loaded[idx] = want,
                 }
             }
@@ -708,11 +719,11 @@ impl<'a> ProgressiveDecoder<'a> {
     fn stream_level(
         pipeline: RegionPipeline<'_>,
         acc: &mut [u64],
+        coeffs_in_level: usize,
         bytes_total: &mut usize,
         events: &mut dyn FnMut(StreamEvent),
         idx: usize,
     ) -> Result<()> {
-        let coeffs_in_level = acc.len();
         let regions_in_level = pipeline.num_regions();
         let bytes_before = *bytes_total;
         let (mut region, mut coeffs_decoded) = (0usize, 0usize);
@@ -741,10 +752,10 @@ impl<'a> ProgressiveDecoder<'a> {
 /// where the windowed cascade pass reads them.
 struct RegionScope {
     bounds: RoiBox,
-    /// `masks[idx][k]`: level entry `idx` loads precinct `k` (the box plus
-    /// the cascade's cross-level halo; see
+    /// `ids[idx]`: the ascending ids of the precincts level entry `idx` loads
+    /// (the box plus the cascade's cross-level halo; see
     /// [`crate::precinct::roi_precinct_masks`]).
-    masks: Vec<Vec<bool>>,
+    ids: Vec<Vec<usize>>,
     grid: PrecinctGrid,
     /// Quantization codes of the loaded precincts, indexed by domain offset:
     /// one field-sized buffer serves every level, since levels own disjoint
@@ -753,42 +764,21 @@ struct RegionScope {
 }
 
 impl RegionScope {
-    /// The precincts level `idx` streams: the masked ones that hold lattice
-    /// points (most of a coarse level's hold none), after checking the
-    /// level's precinct spans against the grid.
-    fn streamed(&self, shape: &Shape, idx: usize, spans: Option<&[usize]>) -> Result<Vec<bool>> {
+    /// Convert level `idx`'s scratch accumulator — its listed precincts'
+    /// coefficients back to back, in list order — to codes at their domain
+    /// offsets: a precinct's slice of the precinct-major layout holds its
+    /// points in canonical order, which is the canonical sweep clipped to the
+    /// precinct box. The map checked the level's `scheme` against the grid
+    /// (the parser, or [`ContainerMap::from_compressed`]'s check).
+    fn place_codes(&mut self, shape: &Shape, idx: usize, scheme: &RegionScheme, acc: &[u64]) {
         let level_no = num_levels(shape) - idx as u32;
-        let spans = spans.ok_or(IpcompError::CorruptContainer(
-            "precinct container level lacks precinct spans",
-        ))?;
-        if spans != self.grid.level_spans(shape, level_no).as_slice() {
-            return Err(IpcompError::CorruptContainer(
-                "precinct spans inconsistent with grid geometry",
-            ));
-        }
-        Ok(self.masks[idx]
-            .iter()
-            .zip(spans)
-            .map(|(&m, &s)| m && s > 0)
-            .collect())
-    }
-
-    /// Convert level `idx`'s masked precinct accumulators to codes at their
-    /// domain offsets: a precinct's slice of the precinct-major layout holds
-    /// its points in canonical order, which is the canonical sweep clipped to
-    /// the precinct box. The level's `spans` were checked by
-    /// [`RegionScope::streamed`].
-    fn place_codes(&mut self, shape: &Shape, idx: usize, spans: Option<&[usize]>, acc: &[u64]) {
-        let level_no = num_levels(shape) - idx as u32;
-        let spans = spans.expect("spans checked by `streamed`");
-        let starts = prefix_sums(spans);
-        for (k, &span) in spans.iter().enumerate() {
-            if !self.masks[idx][k] || span == 0 {
+        let mut i = 0;
+        for &k in &self.ids[idx] {
+            if scheme.region_coeff_range(k).is_empty() {
                 continue;
             }
             let (plo, phi) = self.grid.precinct_box(k);
             let window: Vec<(usize, usize)> = plo.into_iter().zip(phi).collect();
-            let mut i = starts[k];
             for_each_level_pass(shape, level_stride(level_no), |d, ranges| {
                 let clipped = clip_ranges(&ranges, &window);
                 sweep_runs(shape.strides(), &clipped, d, |run| {
@@ -800,8 +790,8 @@ impl RegionScope {
                     }
                 });
             });
-            debug_assert_eq!(i, starts[k] + span);
         }
+        debug_assert_eq!(i, acc.len());
     }
 
     /// Crop the reconstructed field to the requested box.
@@ -1183,6 +1173,49 @@ mod tests {
             retrieve_regions(&mut sdec, RetrievalRequest::Full, |_| regions += 1).unwrap();
         assert!(regions > 0);
         assert_eq!(streamed.data.as_slice(), a.as_slice());
+    }
+
+    /// A full v3 read reports one region per non-empty precinct of every
+    /// level it loads — an empty precinct is never decoded or reported —
+    /// resident and ranged alike, and decodes bit-identically to
+    /// `decompress`.
+    #[test]
+    fn full_precinct_read_reports_only_non_empty_precincts() {
+        let v3 = compress(&field(), 1e-6, &Config::with_precincts(&[8, 8, 8])).unwrap();
+        let want: Vec<usize> = (v3.levels.iter())
+            .map(|l| match l.num_planes {
+                0 => 0,
+                _ => l
+                    .precinct_spans
+                    .as_ref()
+                    .unwrap()
+                    .iter()
+                    .filter(|&&s| s > 0)
+                    .count(),
+            })
+            .collect();
+        assert!(v3
+            .levels
+            .iter()
+            .zip(&want)
+            .any(|(l, &n)| n > 0 && n < l.planes[0].chunks.len()));
+        let reference = v3.decompress().unwrap();
+        let source = crate::source::MemorySource::new(v3.to_bytes());
+        let decoders = [
+            ProgressiveDecoder::new(&v3),
+            ProgressiveDecoder::from_source(&source).unwrap(),
+        ];
+        for mut dec in decoders {
+            let mut seen = vec![0usize; v3.levels.len()];
+            let out = retrieve_regions(&mut dec, RetrievalRequest::Full, |p| {
+                assert_eq!(p.region, seen[p.level_idx]);
+                assert_eq!(p.regions_in_level, want[p.level_idx]);
+                seen[p.level_idx] += 1;
+            })
+            .unwrap();
+            assert_eq!(seen, want);
+            assert_eq!(out.data.as_slice(), reference.as_slice());
+        }
     }
 
     #[test]

@@ -660,6 +660,43 @@ fn inconsistent_chunk_grids_error_cleanly() {
     }
 }
 
+/// A resident container's loss tables are checked before anything is planned
+/// from them: the finest level's table cut to one entry, and one that
+/// decreases, are refused by the decoder's `plan`, `retrieve` and
+/// `retrieve_roi` as corrupt, as the parser refuses them in a serialized
+/// container.
+#[test]
+fn resident_loss_tables_are_checked_before_planning() {
+    let field = ArrayD::from_fn(Shape::d2(64, 64), |c| {
+        (c[0] as f64 * 0.19).sin() * 3.0 + (c[1] as f64 * 0.11).cos()
+    });
+    let c = compress(&field, 1e-6, &Config::default()).unwrap();
+    let finest = c.levels.len() - 1;
+    assert!(c.levels[finest].num_planes >= 2);
+    let mut cut = c.clone();
+    cut.levels[finest].trunc_loss.truncate(1);
+    let mut decreasing = c.clone();
+    let table = &mut decreasing.levels[finest].trunc_loss;
+    let last = table.len() - 1;
+    assert!(table[last - 1] > 0);
+    table[last] = 0;
+    let request = RetrievalRequest::ErrorBound(1e-2);
+    for forged in [cut, decreasing] {
+        let refused = |outcome: Result<(), IpcompError>| {
+            assert!(
+                matches!(outcome, Err(IpcompError::CorruptContainer(_))),
+                "{outcome:?}"
+            );
+        };
+        refused(ProgressiveDecoder::new(&forged).plan(request).map(drop));
+        refused(ProgressiveDecoder::new(&forged).retrieve(request).map(drop));
+        let roi = RoiBox::new(&[0, 0], &[16, 16]);
+        let outcome = ProgressiveDecoder::new(&forged).retrieve_roi(roi, request);
+        refused(outcome.map(drop));
+        refused(Compressed::from_bytes(&forged.to_bytes()).map(drop));
+    }
+}
+
 /// The little-endian `u64` at `at`.
 fn u64_at(bytes: &[u8], at: usize) -> u64 {
     u64::from_le_bytes(bytes[at..at + 8].try_into().unwrap())
