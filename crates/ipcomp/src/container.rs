@@ -205,10 +205,16 @@ impl Header {
     }
 
     /// The precinct grid of a version-3 container, `None` otherwise.
-    pub fn precinct_grid(&self) -> Option<PrecinctGrid> {
-        self.precincts
-            .as_ref()
-            .map(|e| PrecinctGrid::new(&self.dims, e).expect("validated extents"))
+    ///
+    /// # Errors
+    ///
+    /// [`IpcompError::InvalidInput`] if the extents are invalid for the
+    /// domain (a zero extent, or fewer extents than dimensions) — possible
+    /// only on a hand-built header: the parser refuses such a container.
+    pub fn precinct_grid(&self) -> Result<Option<PrecinctGrid>> {
+        (self.precincts.as_ref())
+            .map(|e| PrecinctGrid::new(&self.dims, e))
+            .transpose()
     }
 
     /// Container format version [`Compressed::to_bytes`] writes for this header.

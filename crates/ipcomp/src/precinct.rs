@@ -9,6 +9,15 @@
 //! precinct boundaries, so the chunks covering a bounding box can be fetched
 //! and decoded without touching the rest of the domain.
 //!
+//! One *precinct walk* maps that order onto the lattice: for a list of
+//! precinct ids, it yields the rows of each precinct's level points, each
+//! with its canonical traversal position and its domain offset. It works
+//! from per-dimension cell tables ([`PrecinctGrid::level_permutation`]), with
+//! no per-coefficient table. The compressor reorders codes through it
+//! ([`LevelPrecincts::to_precinct_order`]). A full read sends a level's codes
+//! to their canonical positions through it, and a region read sends its
+//! precincts' codes to their domain offsets.
+//!
 //! The module also owns the *halo* arithmetic: reconstructing a region of
 //! interest bit-identically requires the interpolation cascade's neighbour
 //! reads to land on correct values, which grows the window by the predictor's
@@ -150,10 +159,11 @@ pub(crate) fn pass_window(
 /// # Errors
 ///
 /// [`IpcompError::InvalidInput`] if the box is invalid for the container's
-/// domain or the container has no precinct grid (pre-v3 layout).
+/// domain, or the container has no precinct grid (pre-v3 layout) or an
+/// invalid one ([`Header::precinct_grid`]).
 pub fn roi_precinct_masks(header: &Header, bounds: &RoiBox) -> Result<Vec<Vec<bool>>> {
     let ids = roi_precinct_ids(header, bounds)?;
-    let n = header.precinct_grid().map_or(0, |g| g.num_precincts());
+    let n = header.precinct_grid()?.map_or(0, |g| g.num_precincts());
     let mask = |ids: Vec<usize>| (0..n).map(|k| ids.binary_search(&k).is_ok()).collect();
     Ok(ids.into_iter().map(mask).collect())
 }
@@ -164,7 +174,7 @@ pub fn roi_precinct_masks(header: &Header, bounds: &RoiBox) -> Result<Vec<Vec<bo
 /// source of truth for *which chunks an ROI touches*.
 pub(crate) fn roi_precinct_ids(header: &Header, bounds: &RoiBox) -> Result<Vec<Vec<usize>>> {
     bounds.validate(&header.dims)?;
-    let grid = header.precinct_grid().ok_or_else(|| {
+    let grid = header.precinct_grid()?.ok_or_else(|| {
         IpcompError::InvalidInput(
             "ROI retrieval requires the precinct-partitioned (version-3) container layout".into(),
         )
@@ -247,30 +257,19 @@ impl PrecinctGrid {
         self.counts.iter().product()
     }
 
-    /// Row-major precinct id of a domain coordinate.
-    #[inline]
-    pub fn precinct_of(&self, coords: &[usize]) -> usize {
-        let mut id = 0usize;
-        for ((&c, &count), &extent) in coords.iter().zip(&self.counts).zip(&self.extents) {
-            id = id * count + c / extent;
-        }
-        id
-    }
-
     /// Domain bounding box `[lo, hi)` of a precinct (clamped to the domain).
     pub fn precinct_box(&self, id: usize) -> (Vec<usize>, Vec<usize>) {
-        let ndim = self.dims.len();
-        let mut rem = id;
-        let mut cell = vec![0usize; ndim];
-        for i in (0..ndim).rev() {
-            cell[i] = rem % self.counts[i];
-            rem /= self.counts[i];
-        }
-        let lo: Vec<usize> = (0..ndim).map(|i| cell[i] * self.extents[i]).collect();
-        let hi: Vec<usize> = (0..ndim)
-            .map(|i| ((cell[i] + 1) * self.extents[i]).min(self.dims[i]))
-            .collect();
-        (lo, hi)
+        let cell = cell_of(&self.counts, id);
+        (0..self.dims.len())
+            .map(|i| self.cell_span(i, cell[i]))
+            .unzip()
+    }
+
+    /// Domain interval `[lo, hi)` of precinct cell `c` along dimension `i`
+    /// (clamped to the domain).
+    fn cell_span(&self, i: usize, c: usize) -> (usize, usize) {
+        let lo = c * self.extents[i];
+        (lo, (lo + self.extents[i]).min(self.dims[i]))
     }
 
     /// The precinct ids, ascending, whose boxes intersect the half-open
@@ -320,85 +319,226 @@ impl PrecinctGrid {
     /// precinct-major layout; empty precincts (common at coarse levels) get a
     /// zero span and a zero-byte chunk per plane.
     pub fn level_spans(&self, shape: &Shape, level: u32) -> Vec<usize> {
-        let ndim = self.dims.len();
-        let mut spans = vec![0usize; self.num_precincts()];
-        let stride = level_stride(level);
-        for_each_level_pass(shape, stride, |_, ranges| {
-            // A precinct's span factorizes into per-dimension lattice-point
-            // counts, so one count vector per dimension covers every
-            // precinct — the id odometer below just multiplies them out.
-            let counts: Vec<Vec<usize>> = (0..ndim)
-                .map(|i| {
-                    (0..self.counts[i])
-                        .map(|c| {
-                            let lo = c * self.extents[i];
-                            let hi = ((c + 1) * self.extents[i]).min(self.dims[i]);
-                            clip_count(&ranges[i], lo, hi)
-                        })
-                        .collect()
-                })
-                .collect();
-            let mut cell = vec![0usize; ndim];
-            for span in spans.iter_mut() {
-                let mut n = 1usize;
-                for i in 0..ndim {
-                    n *= counts[i][cell[i]];
-                }
-                *span += n;
-                let mut d = ndim;
-                while d > 0 {
-                    d -= 1;
-                    cell[d] += 1;
-                    if cell[d] < self.counts[d] {
-                        break;
-                    }
-                    cell[d] = 0;
-                }
-            }
-        });
-        spans
+        self.level_walk(shape, level).spans()
     }
 
-    /// The permutation from precinct-major order to canonical traversal order
-    /// of a level: `to_canonical[i]` is the canonical position of the `i`-th
-    /// coefficient of the precinct-major layout. Within a precinct,
-    /// coefficients keep their canonical relative order, so the map is the
-    /// stable bucket sort of the canonical sweep by precinct id.
+    /// The precinct-major layout of a level: its spans and the precinct walk
+    /// that [`LevelPrecincts::to_precinct_order`] reorders through. Within a
+    /// precinct, coefficients keep their canonical relative order, so the
+    /// layout is the stable bucket sort of the canonical sweep by precinct
+    /// id — worked out per dimension and precinct cell, never per
+    /// coefficient: nothing in it is sized by the level.
     pub fn level_permutation(&self, shape: &Shape, level: u32) -> LevelPrecincts {
-        let spans = self.level_spans(shape, level);
-        let total: usize = spans.iter().sum();
-        let mut cursor = prefix_sums(&spans);
-        let mut to_canonical = vec![0u32; total];
-        let mut pos = 0u32;
-        for_each_canonical_point(shape, level, |coords, _| {
-            let p = self.precinct_of(coords);
-            to_canonical[cursor[p]] = pos;
-            cursor[p] += 1;
-            pos += 1;
-        });
+        let walk = self.level_walk(shape, level);
         LevelPrecincts {
-            spans,
-            to_canonical,
+            spans: walk.spans(),
+            walk,
+        }
+    }
+
+    /// The precinct walk of a level: per dimension sub-pass, the lattice-index
+    /// interval of every precinct cell along every dimension.
+    pub(crate) fn level_walk(&self, shape: &Shape, level: u32) -> LevelWalk {
+        let strides = shape.strides();
+        let mut passes = Vec::new();
+        let mut base = 0usize;
+        for_each_level_pass(shape, level_stride(level), |_, ranges| {
+            // A precinct's points in one sub-pass are the sub-pass lattice
+            // clipped to its box, which factorizes into one lattice-index
+            // interval per dimension and precinct cell.
+            let counts: Vec<usize> = ranges.iter().map(AxisRange::count).collect();
+            let axes = (ranges.iter().enumerate())
+                .map(|(i, r)| {
+                    // Lattice indices below domain coordinate `x`.
+                    let below =
+                        |x: usize| AxisRange::strided(r.start, r.step, x.min(r.end)).count();
+                    let cells = (0..self.counts[i])
+                        .map(|c| self.cell_span(i, c))
+                        .map(|(lo, hi)| (below(lo), below(hi)))
+                        .collect();
+                    PassAxis {
+                        weight: counts[i + 1..].iter().product(),
+                        pitch: r.step * strides[i],
+                        cells,
+                    }
+                })
+                .collect();
+            let origin = ranges.iter().zip(strides).map(|(r, s)| r.start * s).sum();
+            passes.push(PassCells { base, origin, axes });
+            base += counts.iter().product::<usize>();
+        });
+        LevelWalk {
+            counts: self.counts.clone(),
+            passes,
         }
     }
 }
 
-/// Number of coordinates of a strided range inside `[lo, hi)`.
-fn clip_count(r: &AxisRange, lo: usize, hi: usize) -> usize {
-    let start = if lo > r.start {
-        r.start + (lo - r.start).div_ceil(r.step) * r.step
-    } else {
-        r.start
-    };
-    let end = r.end.min(hi);
-    if start >= end {
-        0
-    } else {
-        (end - start).div_ceil(r.step)
+/// Precinct layout of one level: its coefficient spans per precinct and the
+/// precinct walk over its per-dimension cell tables. It holds no
+/// per-coefficient table.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct LevelPrecincts {
+    /// Level coefficients per precinct (precinct-id order).
+    pub spans: Vec<usize>,
+    /// The walk [`LevelPrecincts::to_precinct_order`] reorders through.
+    walk: LevelWalk,
+}
+
+impl LevelPrecincts {
+    /// Reorder canonical-order per-coefficient values into precinct-major
+    /// container order, one precinct walk row at a time.
+    pub fn to_precinct_order<T: Copy>(&self, canonical: &[T]) -> Vec<T> {
+        let mut out = Vec::with_capacity(canonical.len());
+        self.walk.for_each_row(0..self.spans.len(), |row| {
+            out.extend_from_slice(&canonical[row.canon..row.canon + row.len]);
+        });
+        out
     }
 }
 
+/// The crate's one precinct walk over a level
+/// ([`PrecinctGrid::level_walk`]).
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub(crate) struct LevelWalk {
+    /// Precinct cells along each dimension (the grid's counts).
+    counts: Vec<usize>,
+    /// The level's dimension sub-passes, in canonical traversal order.
+    passes: Vec<PassCells>,
+}
+
+/// One dimension sub-pass of a level as the precinct walk reads it.
+#[derive(Debug, Clone, PartialEq, Eq)]
+struct PassCells {
+    /// Canonical traversal position of the sub-pass's first point.
+    base: usize,
+    /// Domain offset of the sub-pass's first point.
+    origin: usize,
+    /// Per dimension, outermost first.
+    axes: Vec<PassAxis>,
+}
+
+/// One dimension of a sub-pass lattice.
+#[derive(Debug, Clone, PartialEq, Eq)]
+struct PassAxis {
+    /// Canonical positions between consecutive lattice indices (the product
+    /// of the later dimensions' point counts).
+    weight: usize,
+    /// Domain offset between consecutive lattice indices.
+    pitch: usize,
+    /// Per precinct cell along this dimension, the half-open lattice-index
+    /// interval inside it.
+    cells: Vec<(usize, usize)>,
+}
+
+/// One row of the precinct walk: a run of a precinct's lattice points along
+/// the innermost dimension, holding consecutive canonical positions.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) struct PrecinctRow {
+    /// Canonical traversal position of the first point.
+    pub canon: usize,
+    /// Flat domain offset of the first point.
+    pub offset: usize,
+    /// Domain offset between consecutive points.
+    pub step: usize,
+    /// Number of points.
+    pub len: usize,
+}
+
+impl LevelWalk {
+    /// Level points per precinct, in id order: per sub-pass, the product of
+    /// the precinct's cell intervals (an odometer over the cells, last
+    /// dimension fastest, visits the ids in order).
+    fn spans(&self) -> Vec<usize> {
+        let n: usize = self.counts.iter().product();
+        let mut cell = [0usize; MAX_DIMS];
+        let mut spans = Vec::with_capacity(n);
+        for _ in 0..n {
+            let points = |p: &PassCells| -> usize {
+                let sizes = p.axes.iter().zip(&cell);
+                sizes.map(|(a, &c)| a.cells[c].1 - a.cells[c].0).product()
+            };
+            spans.push(self.passes.iter().map(points).sum());
+            for d in (0..self.counts.len()).rev() {
+                cell[d] += 1;
+                if cell[d] < self.counts[d] {
+                    break;
+                }
+                cell[d] = 0;
+            }
+        }
+        spans
+    }
+
+    /// For each precinct of `ids`, in list order, the rows of its lattice
+    /// points in precinct-major order (sub-pass by sub-pass, row-major within
+    /// one). The rows of all precincts, in id order, are the level's
+    /// container layout; a row's points sit at `canon..canon + len` in
+    /// canonical order and at `offset + k·step` in the domain.
+    pub(crate) fn for_each_row(
+        &self,
+        ids: impl IntoIterator<Item = usize>,
+        mut f: impl FnMut(PrecinctRow),
+    ) {
+        let mut index = [0usize; MAX_DIMS];
+        for id in ids {
+            let cell = cell_of(&self.counts, id);
+            for pass in &self.passes {
+                let interval = |i: usize| pass.axes[i].cells[cell[i]];
+                if (0..pass.axes.len()).any(|i| interval(i).0 >= interval(i).1) {
+                    continue;
+                }
+                let last = pass.axes.len() - 1;
+                let (lo, hi) = interval(last);
+                let pitch = pass.axes[last].pitch;
+                for (i, x) in index[..last].iter_mut().enumerate() {
+                    *x = interval(i).0;
+                }
+                // Odometer over the outer dimensions' intervals.
+                'rows: loop {
+                    let (mut canon, mut offset) = (pass.base + lo, pass.origin + lo * pitch);
+                    for (a, &x) in pass.axes[..last].iter().zip(&index) {
+                        canon += x * a.weight;
+                        offset += x * a.pitch;
+                    }
+                    f(PrecinctRow {
+                        canon,
+                        offset,
+                        step: pitch,
+                        len: hi - lo,
+                    });
+                    let mut dim = last;
+                    loop {
+                        if dim == 0 {
+                            break 'rows;
+                        }
+                        dim -= 1;
+                        index[dim] += 1;
+                        if index[dim] < interval(dim).1 {
+                            break;
+                        }
+                        index[dim] = interval(dim).0;
+                    }
+                }
+            }
+        }
+    }
+}
+
+/// Per-dimension cell coordinates of a row-major precinct id on a grid of
+/// `counts` cells per dimension.
+fn cell_of(counts: &[usize], id: usize) -> [usize; MAX_DIMS] {
+    let mut cell = [0usize; MAX_DIMS];
+    let mut rem = id;
+    for (c, &n) in cell[..counts.len()].iter_mut().zip(counts).rev() {
+        *c = rem % n;
+        rem /= n;
+    }
+    cell
+}
+
 /// Exclusive prefix sums of `spans` (the start offset of every precinct).
+#[cfg(test)]
 pub(crate) fn prefix_sums(spans: &[usize]) -> Vec<usize> {
     let mut out = Vec::with_capacity(spans.len());
     let mut acc = 0usize;
@@ -409,41 +549,25 @@ pub(crate) fn prefix_sums(spans: &[usize]) -> Vec<usize> {
     out
 }
 
-/// Precinct layout of one level: coefficient spans per precinct and the
-/// precinct-major → canonical-order permutation.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct LevelPrecincts {
-    /// Level coefficients per precinct (precinct-id order).
-    pub spans: Vec<usize>,
-    /// `to_canonical[i]` = canonical traversal position of precinct-major
-    /// coefficient `i`.
-    pub to_canonical: Vec<u32>,
-}
-
-impl LevelPrecincts {
-    /// Reorder canonical-order per-coefficient values into precinct-major
-    /// container order.
-    pub fn to_precinct_order<T: Copy>(&self, canonical: &[T]) -> Vec<T> {
-        self.to_canonical
-            .iter()
-            .map(|&c| canonical[c as usize])
-            .collect()
-    }
-
-    /// Reorder precinct-major container-order values back into canonical
-    /// traversal order.
-    pub fn to_canonical_order<T: Copy + Default>(&self, precinct: &[T]) -> Vec<T> {
-        let mut out = vec![T::default(); precinct.len()];
-        for (i, &c) in self.to_canonical.iter().enumerate() {
-            out[c as usize] = precinct[i];
+#[cfg(test)]
+impl PrecinctGrid {
+    /// Row-major precinct id of a domain coordinate: the bucket key of the
+    /// referee the precinct walk is checked against.
+    pub(crate) fn precinct_of(&self, coords: &[usize]) -> usize {
+        let mut id = 0usize;
+        for ((&c, &count), &extent) in coords.iter().zip(&self.counts).zip(&self.extents) {
+            id = id * count + c / extent;
         }
-        out
+        id
     }
 }
 
 /// Visit every level-`level` lattice point in canonical traversal order
 /// (sub-pass-major, row-major within a sub-pass) with its coordinates and
-/// flat offset — the order the compressor records codes in.
+/// flat offset — the order the compressor records codes in. With
+/// [`PrecinctGrid::precinct_of`], the bucket-sort referee the precinct walk
+/// is checked against.
+#[cfg(test)]
 pub(crate) fn for_each_canonical_point(
     shape: &Shape,
     level: u32,
@@ -515,23 +639,44 @@ mod tests {
         }
     }
 
+    /// The referee's precinct-major order of a level: `(precinct, canonical
+    /// position, domain offset)` of every lattice point, stably bucket-sorted
+    /// by precinct.
+    fn bucket_sort(g: &PrecinctGrid, shape: &Shape, level: u32) -> Vec<(usize, usize, usize)> {
+        let mut points = Vec::new();
+        for_each_canonical_point(shape, level, |coords, offset| {
+            points.push((g.precinct_of(coords), points.len(), offset));
+        });
+        points.sort_by_key(|&(p, ..)| p);
+        points
+    }
+
+    /// The walk's rows over `ids`, one `(canonical position, domain offset)`
+    /// per point.
+    fn walk_points(walk: &LevelWalk, ids: impl IntoIterator<Item = usize>) -> Vec<(usize, usize)> {
+        let mut points = Vec::new();
+        walk.for_each_row(ids, |row| {
+            points.extend((0..row.len).map(|k| (row.canon + k, row.offset + k * row.step)));
+        });
+        points
+    }
+
     #[test]
     fn permutation_is_a_bijection_grouped_by_precinct() {
         let shape = Shape::d2(13, 11);
         let g = PrecinctGrid::new(&[13, 11], &[4, 4]).unwrap();
         for level in 1..=num_levels(&shape) {
             let lp = g.level_permutation(&shape, level);
-            let n = lp.to_canonical.len();
+            let order: Vec<usize> = (walk_points(&lp.walk, 0..g.num_precincts()).iter())
+                .map(|p| p.0)
+                .collect();
+            let n = order.len();
             assert_eq!(n, level_count(&shape, level));
             let mut seen = vec![false; n];
-            for &c in &lp.to_canonical {
-                assert!(!seen[c as usize]);
-                seen[c as usize] = true;
+            for &c in &order {
+                assert!(!seen[c]);
+                seen[c] = true;
             }
-            // Round trip through both reorderings is the identity.
-            let vals: Vec<u32> = (0..n as u32).collect();
-            let pre = lp.to_precinct_order(&vals);
-            assert_eq!(lp.to_canonical_order(&pre), vals);
             // Every precinct's slice holds exactly the canonical points whose
             // coordinates fall in that precinct, in canonical order.
             let starts = prefix_sums(&lp.spans);
@@ -540,10 +685,82 @@ mod tests {
                 by_point.push(g.precinct_of(coords));
             });
             for (p, (&start, &span)) in starts.iter().zip(&lp.spans).enumerate() {
-                let slice = &lp.to_canonical[start..start + span];
+                let slice = &order[start..start + span];
                 assert!(slice.windows(2).all(|w| w[0] < w[1]), "stable order");
                 for &c in slice {
-                    assert_eq!(by_point[c as usize], p);
+                    assert_eq!(by_point[c], p);
+                }
+            }
+        }
+    }
+
+    /// The precinct walk against the bucket-sort referee on 1- to 4-D
+    /// ragged domains — extent 1, and extents at or above the dimension (a
+    /// single precinct along it) — at every level: spans, both reorder
+    /// directions, and the rows of any id list.
+    #[test]
+    fn precinct_walk_matches_bucket_sort() {
+        let cases: [(&[usize], &[usize]); 13] = [
+            (&[17], &[5]),
+            (&[17], &[1]),
+            (&[17], &[17]),
+            (&[2], &[3]),
+            (&[13, 11], &[4, 4]),
+            (&[13, 11], &[1, 3]),
+            (&[9, 12], &[20, 5]),
+            (&[1, 9], &[1, 4]),
+            (&[9, 12, 7], &[3, 5, 7]),
+            (&[6, 5, 7], &[1, 2, 1]),
+            (&[10, 1, 6], &[4, 4, 9]),
+            (&[5, 6, 4, 7], &[2, 3, 4, 100]),
+            (&[3, 5, 2, 6], &[1, 2, 2, 4]),
+        ];
+        for (dims, extents) in cases {
+            let shape = Shape::new(dims);
+            let g = PrecinctGrid::new(dims, extents).unwrap();
+            let n = g.num_precincts();
+            for level in 1..=num_levels(&shape) {
+                let at = format!("dims {dims:?} extents {extents:?} level {level}");
+                let lp = g.level_permutation(&shape, level);
+                let sorted = bucket_sort(&g, &shape, level);
+                let bucket = |id: usize| sorted.iter().filter(move |p| p.0 == id);
+                for (id, &span) in lp.spans.iter().enumerate() {
+                    assert_eq!(span, bucket(id).count(), "{at}");
+                }
+                // Every precinct's rows, in id order, are the referee's
+                // precinct-major order: positions and domain offsets.
+                let want: Vec<(usize, usize)> = sorted.iter().map(|&(_, c, o)| (c, o)).collect();
+                assert_eq!(walk_points(&lp.walk, 0..n), want, "{at}");
+                // Write direction: canonical values gathered into it.
+                let canonical: Vec<usize> = (0..sorted.len()).collect();
+                let gathered = lp.to_precinct_order(&canonical);
+                assert!(gathered.iter().eq(want.iter().map(|p| &p.0)), "{at}");
+                // Read direction: precinct-major values scattered back
+                // through the rows land on their canonical positions.
+                let mut scattered = vec![usize::MAX; canonical.len()];
+                let mut i = 0;
+                lp.walk.for_each_row(0..n, |row| {
+                    scattered[row.canon..row.canon + row.len]
+                        .copy_from_slice(&gathered[i..i + row.len]);
+                    i += row.len;
+                });
+                assert_eq!(scattered, canonical, "{at}");
+                // Any id list, in list order: exactly those ids' entries.
+                let lists: [Vec<usize>; 4] = [
+                    (0..n).rev().step_by(2).collect(),
+                    (1..n).step_by(3).collect(),
+                    vec![n - 1],
+                    Vec::new(),
+                ];
+                for ids in lists {
+                    let want: Vec<(usize, usize)> = (ids.iter())
+                        .flat_map(|&id| bucket(id).map(|&(_, c, o)| (c, o)))
+                        .collect();
+                    assert_eq!(
+                        walk_points(&lp.walk, ids.iter().copied()),
+                        want,
+                        "{at} ids {ids:?}"
+                    );
                 }
             }
         }

@@ -49,21 +49,28 @@
 //! each level's region list cut to those precincts' ids, the engine's
 //! windowed pass, and a crop — into scratch state sized by the selection, so
 //! it never disturbs the progressive state.
+//!
+//! A version-3 container stores every level precinct-major; the cascade reads
+//! canonical traversal order. Both reads cross between the two through the
+//! one precinct walk of [`crate::precinct`], which works from per-dimension
+//! cell tables: a full read writes each level's codes to their canonical
+//! positions, and a region read writes its precincts' codes to their domain
+//! offsets. The decoder caches no per-level layout.
 
 use std::sync::Arc;
 
 use ipc_codecs::negabinary::from_negabinary;
 use ipc_tensor::{ArrayD, AxisRange, Shape};
 
-use crate::bitplane::{EncodedLevel, RegionScheme};
+use crate::bitplane::EncodedLevel;
 use crate::cascade::{CascadeEngine, CascadeProgress};
 use crate::container::{decode_anchors_bounded, Compressed, ContainerMap};
 use crate::error::{IpcompError, Result};
-use crate::interp::{for_each_level_pass, level_stride, num_levels, sweep_runs};
+use crate::interp::{num_levels, sweep_runs};
 use crate::optimizer::{plan_for_scope, LoadPlan, RegionMasks};
 use crate::pipeline::RegionPipeline;
 use crate::planner::{fetch_groups, lower_plan};
-use crate::precinct::{clip_ranges, LevelPrecincts, PrecinctGrid, RoiBox};
+use crate::precinct::{PrecinctGrid, RoiBox};
 use crate::source::{ChunkSource, PlannedSource};
 
 /// Plane mask selecting a coefficient's whole negabinary word.
@@ -184,10 +191,6 @@ pub struct ProgressiveDecoder<'a> {
     /// It is read once per decoder, so a retry after a failed initial
     /// reconstruction must not charge it again.
     base_bytes_counted: bool,
-    /// Per-level precinct layouts of a version-3 container, built lazily on
-    /// the first full-domain retrieval (ROI retrievals never need the whole
-    /// permutation). `None` for byte-granular containers.
-    layouts: Option<Vec<LevelPrecincts>>,
     /// The source already serves this decoder's reads from a wider request's
     /// fetch groups (an archive window's), so retrievals must not regroup
     /// them per container.
@@ -253,7 +256,6 @@ impl<'a> ProgressiveDecoder<'a> {
             recon: None,
             bytes_total: 0,
             base_bytes_counted: false,
-            layouts: None,
             source_is_planned: false,
             #[cfg(any(test, feature = "reference-scalar"))]
             kernel: (false, 0),
@@ -271,40 +273,33 @@ impl<'a> ProgressiveDecoder<'a> {
         self
     }
 
-    /// Build the per-level precinct permutations of a version-3 container on
-    /// first use. A no-op for byte-granular containers and once built. Must
-    /// run after the level-geometry validation: the interpolation level of
-    /// entry `idx` is `num_levels - idx`.
-    fn ensure_layouts(&mut self) {
-        if self.layouts.is_some() {
-            return;
-        }
-        let Some(grid) = self.map.header.precinct_grid() else {
-            return;
+    /// Cascade codes of level entry `idx`'s accumulators, in the canonical
+    /// traversal order the cascade engine consumes: the negabinary value of
+    /// the planes in `plane_mask` — every plane ([`ALL_PLANES`]) for the full
+    /// values of an initial reconstruction, the planes a refinement just
+    /// loaded for its deltas (negabinary is positional, so those planes alone
+    /// decode to exactly what they add). A version-3 level's precinct-major
+    /// words go straight to their canonical positions in one precinct walk
+    /// over the `grid` (`None` for byte-granular containers). Runs after the
+    /// level-geometry validation: entry `idx` is interpolation level
+    /// `num_levels - idx`.
+    fn level_codes(&self, idx: usize, plane_mask: u64, grid: Option<&PrecinctGrid>) -> Vec<i64> {
+        let acc = &self.acc[idx];
+        let code = |w: u64| from_negabinary(w & plane_mask);
+        let Some(grid) = grid else {
+            return acc.iter().map(|&w| code(w)).collect();
         };
-        let levels = num_levels(&self.shape);
-        let layouts = (0..self.map.levels.len())
-            .map(|idx| grid.level_permutation(&self.shape, levels - idx as u32))
-            .collect();
-        self.layouts = Some(layouts);
-    }
-
-    /// Cascade codes of one level's accumulators, in the canonical traversal
-    /// order the cascade engine consumes: the negabinary value of the planes
-    /// in `plane_mask` — every plane ([`ALL_PLANES`]) for the full values of
-    /// an initial reconstruction, the planes a refinement just loaded for its
-    /// deltas (negabinary is positional, so those planes alone decode to
-    /// exactly what they add). A version-3 level's precinct-major codes are
-    /// reordered through its `layout` (`None` for byte-granular containers).
-    fn level_codes(acc: &[u64], plane_mask: u64, layout: Option<&LevelPrecincts>) -> Vec<i64> {
-        let codes: Vec<i64> = acc
-            .iter()
-            .map(|&w| from_negabinary(w & plane_mask))
-            .collect();
-        match layout {
-            Some(lp) if !codes.is_empty() => lp.to_canonical_order(&codes),
-            _ => codes,
-        }
+        let walk = grid.level_walk(&self.shape, num_levels(&self.shape) - idx as u32);
+        let mut codes = vec![0i64; acc.len()];
+        let mut i = 0;
+        walk.for_each_row(0..grid.num_precincts(), |row| {
+            let out = &mut codes[row.canon..row.canon + row.len];
+            for (c, &w) in out.iter_mut().zip(&acc[i..i + row.len]) {
+                *c = code(w);
+            }
+            i += row.len;
+        });
+        codes
     }
 
     /// Cumulative bytes read so far.
@@ -461,15 +456,8 @@ impl<'a> ProgressiveDecoder<'a> {
         let mut region = region.map(|(bounds, ids)| RegionScope {
             bounds,
             ids,
-            grid: (map.header.precinct_grid()).expect("precinct ids imply a grid"),
             codes: vec![0i64; self.shape.len()],
         });
-        if region.is_none() {
-            // Version-3 containers store each level precinct-major; the
-            // cascade consumes canonical traversal order, so the permutations
-            // must be ready before any codes are fed.
-            self.ensure_layouts();
-        }
 
         // Per-level work items: (idx, lo, hi, want), coarsest level first.
         // Planes are counted from the most significant: having `have` planes
@@ -605,7 +593,10 @@ impl<'a> ProgressiveDecoder<'a> {
     /// region to `events` and rolling back exactly on failure, and goes to
     /// the engine whole: [`CascadeEngine::level_ready`], or the windowed pass
     /// under a `region`, whose codes go from a scratch accumulator of the
-    /// selected precincts to their domain offsets first.
+    /// selected precincts to their domain offsets first. A version-3 level's
+    /// precinct-major words reach the engine through the one precinct walk
+    /// (`PrecinctGrid::level_walk`), built per level from the header's grid:
+    /// the decoder keeps no layout.
     fn drive_levels(
         &mut self,
         map: &ContainerMap,
@@ -616,6 +607,7 @@ impl<'a> ProgressiveDecoder<'a> {
         events: &mut dyn FnMut(StreamEvent),
     ) -> Result<Vec<f64>> {
         let header = &map.header;
+        let grid = header.precinct_grid()?;
         // Algorithm 1 seeds the cascade with the anchor codes; Algorithm 2
         // propagates deltas from zero anchors (the cascade is linear in the
         // residuals) and adds the delta field onto the reconstruction.
@@ -682,7 +674,10 @@ impl<'a> ProgressiveDecoder<'a> {
                     idx,
                 )?;
                 match region.as_deref_mut() {
-                    Some(scope) => scope.place_codes(&self.shape, idx, scheme, &scratch),
+                    Some(scope) => {
+                        let grid = grid.as_ref().expect("precinct ids imply a grid");
+                        scope.place_codes(&self.shape, idx, grid, &scratch);
+                    }
                     None => self.planes_loaded[idx] = want,
                 }
             }
@@ -696,13 +691,12 @@ impl<'a> ProgressiveDecoder<'a> {
             // loaded by an earlier, failed one — or the delta the newly
             // loaded planes `[lo, hi)` contribute; nothing (all residuals,
             // or all deltas, zero) for a level with nothing to add.
-            let layout = self.layouts.as_ref().map(|l| &l[idx]);
             let codes = match work {
                 Some((_, lo, hi, _)) if !initial => {
-                    Self::level_codes(&self.acc[idx], (1u64 << hi) - (1u64 << lo), layout)
+                    self.level_codes(idx, (1u64 << hi) - (1u64 << lo), grid.as_ref())
                 }
                 _ if initial && self.planes_loaded[idx] > 0 => {
-                    Self::level_codes(&self.acc[idx], ALL_PLANES, layout)
+                    self.level_codes(idx, ALL_PLANES, grid.as_ref())
                 }
                 _ => Vec::new(),
             };
@@ -756,7 +750,6 @@ struct RegionScope {
     /// (the box plus the cascade's cross-level halo; see
     /// [`crate::precinct::roi_precinct_masks`]).
     ids: Vec<Vec<usize>>,
-    grid: PrecinctGrid,
     /// Quantization codes of the loaded precincts, indexed by domain offset:
     /// one field-sized buffer serves every level, since levels own disjoint
     /// lattice points.
@@ -764,33 +757,22 @@ struct RegionScope {
 }
 
 impl RegionScope {
-    /// Convert level `idx`'s scratch accumulator — its listed precincts'
-    /// coefficients back to back, in list order — to codes at their domain
-    /// offsets: a precinct's slice of the precinct-major layout holds its
-    /// points in canonical order, which is the canonical sweep clipped to the
-    /// precinct box. The map checked the level's `scheme` against the grid
-    /// (the parser, or [`ContainerMap::from_compressed`]'s check).
-    fn place_codes(&mut self, shape: &Shape, idx: usize, scheme: &RegionScheme, acc: &[u64]) {
-        let level_no = num_levels(shape) - idx as u32;
+    /// Convert level entry `idx`'s scratch accumulator — its listed
+    /// precincts' coefficients back to back, in list order — to codes at
+    /// their domain offsets, in one precinct walk over those ids. The map
+    /// checked the level's spans against the `grid` (the parser, or
+    /// [`ContainerMap::from_compressed`]'s check).
+    fn place_codes(&mut self, shape: &Shape, idx: usize, grid: &PrecinctGrid, acc: &[u64]) {
+        let walk = grid.level_walk(shape, num_levels(shape) - idx as u32);
         let mut i = 0;
-        for &k in &self.ids[idx] {
-            if scheme.region_coeff_range(k).is_empty() {
-                continue;
+        walk.for_each_row(self.ids[idx].iter().copied(), |row| {
+            let mut offset = row.offset;
+            for &w in &acc[i..i + row.len] {
+                self.codes[offset] = from_negabinary(w);
+                offset += row.step;
             }
-            let (plo, phi) = self.grid.precinct_box(k);
-            let window: Vec<(usize, usize)> = plo.into_iter().zip(phi).collect();
-            for_each_level_pass(shape, level_stride(level_no), |d, ranges| {
-                let clipped = clip_ranges(&ranges, &window);
-                sweep_runs(shape.strides(), &clipped, d, |run| {
-                    let mut offset = run.base;
-                    for _ in 0..run.count {
-                        self.codes[offset] = from_negabinary(acc[i]);
-                        i += 1;
-                        offset += run.step;
-                    }
-                });
-            });
-        }
+            i += row.len;
+        });
         debug_assert_eq!(i, acc.len());
     }
 
@@ -1173,6 +1155,43 @@ mod tests {
             retrieve_regions(&mut sdec, RetrievalRequest::Full, |_| regions += 1).unwrap();
         assert!(regions > 0);
         assert_eq!(streamed.data.as_slice(), a.as_slice());
+    }
+
+    /// The same plan ladder — the v2 decoder's plans for `ErrorBound(1e-2)`,
+    /// `ErrorBound(1e-4)` and `Full` — refines a v2 resident, a v3 resident
+    /// and a v3 ranged decoder bit-identically at every rung: a v3 level's
+    /// refinement deltas reach the cascade in canonical order, exactly as
+    /// v2's.
+    #[test]
+    fn precinct_refinement_matches_byte_layout_plan_for_plan() {
+        let data = field();
+        let v2 = compress(&data, 1e-7, &Config::default()).unwrap();
+        let v3 = compress(&data, 1e-7, &Config::with_precincts(&[8, 8, 8])).unwrap();
+        let source = crate::source::MemorySource::new(v3.to_bytes());
+        let mut decoders = [
+            ProgressiveDecoder::new(&v2),
+            ProgressiveDecoder::new(&v3),
+            ProgressiveDecoder::from_source(&source).unwrap(),
+        ];
+        for request in [
+            RetrievalRequest::ErrorBound(1e-2),
+            RetrievalRequest::ErrorBound(1e-4),
+            RetrievalRequest::Full,
+        ] {
+            let plan = decoders[0].plan(request).unwrap();
+            let rungs: Vec<Retrieval> = (decoders.iter_mut())
+                .map(|dec| dec.retrieve_with_plan(&plan).unwrap())
+                .collect();
+            assert!(rungs[0].bytes_this_request > 0, "{request:?}");
+            for rung in &rungs[1..] {
+                assert_eq!(
+                    rung.data.as_slice(),
+                    rungs[0].data.as_slice(),
+                    "{request:?}"
+                );
+                assert_eq!(rung.error_bound, rungs[0].error_bound, "{request:?}");
+            }
+        }
     }
 
     /// A full v3 read reports one region per non-empty precinct of every

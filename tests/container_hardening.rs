@@ -51,8 +51,8 @@ use ipcomp_suite::codecs::lzr_compress;
 use ipcomp_suite::codecs::varint::{varint_len, write_varint};
 use ipcomp_suite::core::container::{LAYOUT_PACKED, RETIRED_LAYOUT};
 use ipcomp_suite::core::{
-    compress, ArchiveMap, ChunkSource, Compressed, Config, ContainerMap, IpcompError, MemorySource,
-    ProgressiveDecoder, RetrievalRequest, RoiBox,
+    compress, roi_precinct_masks, ArchiveMap, ChunkSource, Compressed, Config, ContainerMap,
+    IpcompError, MemorySource, ProgressiveDecoder, RetrievalRequest, RoiBox,
 };
 use ipcomp_suite::store::{SimProfile, SimulatedObjectStore};
 use ipcomp_suite::tensor::{ArrayD, Shape};
@@ -694,6 +694,40 @@ fn resident_loss_tables_are_checked_before_planning() {
         let outcome = ProgressiveDecoder::new(&forged).retrieve_roi(roi, request);
         refused(outcome.map(drop));
         refused(Compressed::from_bytes(&forged.to_bytes()).map(drop));
+    }
+}
+
+/// A hand-built v3 header with a zero precinct extent: the public grid and
+/// region-selection calls return `InvalidInput` instead of panicking, and the
+/// decoder refuses the container as corrupt, as the parser does.
+#[test]
+fn zero_precinct_extent_is_refused_not_panicking() {
+    let field = ArrayD::from_fn(Shape::d2(64, 64), |c| {
+        (c[0] as f64 * 0.19).sin() * 3.0 + (c[1] as f64 * 0.11).cos()
+    });
+    let mut v3 = compress(&field, 1e-6, &Config::with_precincts(&[16, 16])).unwrap();
+    v3.header.precincts = Some(vec![0, 16]);
+    let roi = RoiBox::new(&[0, 0], &[16, 16]);
+    assert!(matches!(
+        v3.header.precinct_grid(),
+        Err(IpcompError::InvalidInput(_))
+    ));
+    assert!(matches!(
+        roi_precinct_masks(&v3.header, &roi),
+        Err(IpcompError::InvalidInput(_))
+    ));
+    let request = RetrievalRequest::ErrorBound(1e-2);
+    for outcome in [
+        ProgressiveDecoder::new(&v3).retrieve(request).map(drop),
+        ProgressiveDecoder::new(&v3)
+            .retrieve_roi(roi, request)
+            .map(drop),
+        Compressed::from_bytes(&v3.to_bytes()).map(drop),
+    ] {
+        assert!(
+            matches!(outcome, Err(IpcompError::CorruptContainer(_))),
+            "{outcome:?}"
+        );
     }
 }
 
