@@ -352,8 +352,9 @@ impl EncodedLevel {
     /// coefficients each chunk covers — the only way to the level's packed
     /// geometry. It describes the level as it claims to be cut; a hand-built
     /// level whose `chunk_bytes` breaks the alignment rule of
-    /// [`RegionScheme::uniform`] still gets a grid, which decode then checks
-    /// every chunk count and decoded size against.
+    /// [`RegionScheme::uniform`] still gets a grid, which
+    /// `EncodedLevel::check_chunks` checks the chunk counts against and
+    /// decode every decoded size.
     pub fn scheme(&self) -> RegionScheme {
         match &self.precinct_spans {
             Some(spans) => RegionScheme::precincts(spans),
@@ -382,30 +383,21 @@ impl EncodedLevel {
         self.payload_bytes() - self.saved_bytes(b)
     }
 
-    /// Planes `[plane_lo, plane_hi)` of the level as one load of the decode
-    /// pipeline, cut by `scheme` (the level's own [`EncodedLevel::scheme`],
-    /// or the one its map built), over the [`region_list`] of `region`'s
-    /// ascending ids or of every region: its chunks borrowed into a table of
-    /// `(plane_hi − plane_lo) × list length` entries, plane-major and
-    /// list-ordered. Refuses, as [`IpcompError::CorruptContainer`], a plane
-    /// list whose length is not `num_planes`, and a plane — streamed or not —
-    /// whose chunk count is not `scheme`'s region count or which gives a
-    /// region without coefficients a nonempty chunk (what the container
-    /// parser refuses of an index); and a plane range outside the level as
-    /// [`IpcompError::InvalidInput`].
-    pub(crate) fn chunk_table(
-        &self,
-        scheme: Arc<RegionScheme>,
-        plane_lo: u8,
-        plane_hi: u8,
-        region: Option<&[usize]>,
-    ) -> Result<LevelChunks<'_>> {
+    /// The level's chunk structure under `scheme` (its own
+    /// [`EncodedLevel::scheme`], or the one its map built): a plane list
+    /// `num_planes` long, one chunk per region in every plane, and an empty
+    /// chunk for every region without coefficients — what the container
+    /// parser refuses of an index, refused here as
+    /// [`IpcompError::CorruptContainer`] with the same reasons. A resident
+    /// container's map records it in its verdict
+    /// ([`crate::ContainerMap::from_compressed`]); [`decode_planes_into`]
+    /// runs it on every call.
+    pub(crate) fn check_chunks(&self, scheme: &RegionScheme) -> Result<()> {
         if self.planes.len() != self.num_planes as usize {
             return Err(IpcompError::CorruptContainer(
                 "plane list does not match the level's plane count",
             ));
         }
-        check_plane_range(self.num_planes, plane_lo, plane_hi)?;
         let n = scheme.num_regions();
         if self.planes.iter().any(|p| p.chunks.len() != n) {
             return Err(IpcompError::CorruptContainer(
@@ -417,6 +409,24 @@ impl EncodedLevel {
                 return Err(IpcompError::CorruptContainer(EMPTY_REGION_PAYLOAD));
             }
         }
+        Ok(())
+    }
+
+    /// Planes `[plane_lo, plane_hi)` of the level as one load of the decode
+    /// pipeline, cut by `scheme`, over the [`region_list`] of `region`'s
+    /// ascending ids or of every region: its chunks borrowed into a table of
+    /// `(plane_hi − plane_lo) × list length` entries, plane-major and
+    /// list-ordered. The level must have passed
+    /// `EncodedLevel::check_chunks` under `scheme`; only a plane range
+    /// outside the level is refused, as [`IpcompError::InvalidInput`].
+    pub(crate) fn chunk_table(
+        &self,
+        scheme: Arc<RegionScheme>,
+        plane_lo: u8,
+        plane_hi: u8,
+        region: Option<&[usize]>,
+    ) -> Result<LevelChunks<'_>> {
+        check_plane_range(self.num_planes, plane_lo, plane_hi)?;
         let regions = region_list(&scheme, region);
         let planes = &self.planes[plane_lo as usize..plane_hi as usize];
         let chunks = planes
@@ -806,9 +816,10 @@ pub(crate) fn decode_chunk_bytes(compressed: &[u8], expected: usize) -> Result<V
 /// region of the level and without a progress sink: regions stream in
 /// coefficient order, and a
 /// corrupt block rolls back the regions scattered before it, so a failed call
-/// leaves `acc` unmodified. A level whose plane list is not `num_planes`
-/// long, or whose planes do not each hold one chunk per region of its
-/// [`EncodedLevel::scheme`], is refused as [`IpcompError::CorruptContainer`].
+/// leaves `acc` unmodified. A bare level has no map to carry a verdict, so
+/// every call first runs `EncodedLevel::check_chunks` under the level's
+/// own [`EncodedLevel::scheme`]: a level that fails it is refused as
+/// [`IpcompError::CorruptContainer`].
 pub fn decode_planes_into(
     level: &EncodedLevel,
     plane_lo: u8,
@@ -817,7 +828,9 @@ pub fn decode_planes_into(
     predictive: bool,
     acc: &mut [u64],
 ) -> Result<()> {
-    let chunks = level.chunk_table(Arc::new(level.scheme()), plane_lo, plane_hi, None)?;
+    let scheme = level.scheme();
+    level.check_chunks(&scheme)?;
+    let chunks = level.chunk_table(Arc::new(scheme), plane_lo, plane_hi, None)?;
     RegionPipeline::new(chunks, prefix_bits, predictive, acc.len())?.stream(acc, |_, _| {})
 }
 
@@ -1158,23 +1171,31 @@ mod tests {
     }
 
     /// Stream a level fetched through a ranged source and compare against
-    /// the in-memory stream at every region.
+    /// the in-memory stream at every region. The level is the finest of a
+    /// 1-D field of `2 · codes.len()` points (its odd positions), under
+    /// all-zero coarser levels.
     fn assert_source_stream_matches(codes: &[i64], opts: EncodeOptions) {
         let enc = encode_level_with(codes, 2, true, false, opts);
+        let shape = ipc_tensor::Shape::d1(2 * codes.len());
+        let levels = crate::interp::num_levels(&shape);
+        let coarser = (2..=levels).rev().map(|level| {
+            let zeros = vec![0i64; crate::interp::level_count(&shape, level)];
+            encode_level_with(&zeros, 2, true, false, opts)
+        });
         let compressed = crate::container::Compressed {
             header: crate::container::Header {
-                dims: vec![codes.len().max(1)],
+                dims: shape.dims().to_vec(),
                 error_bound: 1e-6,
                 interpolation: crate::config::Interpolation::Cubic,
-                num_levels: 1,
-                progressive_levels: 1,
+                num_levels: levels,
+                progressive_levels: levels,
                 prefix_bits: 2,
                 predictive_coding: true,
                 value_range: 1.0,
                 precincts: None,
             },
             anchors: Vec::new(),
-            levels: vec![enc.clone()],
+            levels: coarser.chain([enc.clone()]).collect(),
         };
         let bytes = compressed.to_bytes();
         let source = crate::source::MemorySource::new(bytes);
@@ -1184,7 +1205,8 @@ mod tests {
         let mut mem_acc = vec![0u64; enc.n_values];
         let mut mem_stream = resident_stream(&enc, 0, hi, mem_acc.len());
         let mut src_acc = vec![0u64; enc.n_values];
-        let lmap = &map.levels[0];
+        let lmap = map.levels.last().unwrap();
+        assert_eq!(lmap.n_values, codes.len());
         let mut bufs = Vec::new();
         let chunks = lmap.fetch_planes(&source, 0, hi, None, &mut bufs).unwrap();
         let mut src_stream = RegionPipeline::new(chunks, 2, true, src_acc.len()).unwrap();

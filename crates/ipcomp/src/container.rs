@@ -102,6 +102,15 @@
 //! containers fail with [`IpcompError`] instead of panicking or ballooning
 //! memory — whichever entry point they arrive through.
 //!
+//! The parser's own checks are the bounded reading of the bytes: lengths,
+//! counts against what remains, offsets. Whether the metadata agrees with
+//! itself — the level list against the dims, loss tables, precinct spans
+//! against the header's grid — is one crate-private rule set,
+//! `level_geometry` then `check_levels`, run by both builders of a
+//! [`ContainerMap`]: the parser refuses on it, and
+//! [`ContainerMap::from_compressed`] keeps its outcome as the map's one
+//! verdict, which is all the read path checks.
+//!
 //! `Compressed::walk` is the only writer: it emits the grammar as a sequence
 //! of `Piece`s, and everything that needs to know the layout is a view of
 //! that one walk — [`Compressed::to_bytes`] packs the metadata pieces and
@@ -123,6 +132,7 @@ use ipc_tensor::Shape;
 use crate::bitplane::{check_plane_range, EncodedLevel, EncodedPlane, RegionScheme};
 use crate::config::Interpolation;
 use crate::error::{IpcompError, Result};
+use crate::interp::{level_count, num_levels};
 use crate::optimizer::CostTable;
 use crate::pipeline::{region_list, LevelChunks};
 use crate::precinct::PrecinctGrid;
@@ -406,48 +416,87 @@ pub(crate) fn metadata_front(container: &[u8]) -> &[u8] {
     &container[..PRELUDE_BYTES + packed_len as usize]
 }
 
-/// Validate v3 precinct extents against the header geometry and build the
-/// grid. Extents are bounded below (≥ 1) by the grid constructor and the
-/// precinct count is capped before any span table is allocated.
-fn validate_precincts(dims: &[usize], extents: &[usize]) -> Result<PrecinctGrid> {
-    let grid = PrecinctGrid::new(dims, extents)
+/// The header's precinct grid, validated (`None` for version 2): extents
+/// are bounded below (≥ 1) by the grid constructor, and the precinct count is
+/// capped before any span table is allocated. Both builders of a
+/// [`ContainerMap`] build the grid it keeps through here.
+fn validated_grid(header: &Header) -> Result<Option<PrecinctGrid>> {
+    let Some(extents) = &header.precincts else {
+        return Ok(None);
+    };
+    let grid = PrecinctGrid::new(&header.dims, extents)
         .map_err(|_| IpcompError::CorruptContainer("invalid precinct extents"))?;
     if grid.num_precincts() as u64 > MAX_PRECINCTS {
         return Err(IpcompError::CorruptContainer("implausible precinct count"));
     }
-    Ok(grid)
+    Ok(Some(grid))
 }
 
-/// Compute one level's precinct spans and check they partition exactly the
-/// declared coefficient count — the cross-check tying the header geometry to
-/// each level record.
-fn level_spans_checked(
-    grid: &PrecinctGrid,
-    shape: &Shape,
-    level: u32,
-    n_values: usize,
-) -> Result<Vec<usize>> {
-    let spans = grid.level_spans(shape, level);
-    if spans.iter().sum::<usize>() != n_values {
+/// What the header fixes of each level entry, coarsest first: its
+/// coefficient count and, under a grid, its precinct spans (entry `idx` is
+/// interpolation level `num_levels - idx`).
+type Geometry = Vec<(usize, Option<Vec<usize>>)>;
+
+/// The first half of the container's one rule set ([`check_levels`] is the
+/// second): the level list holds `listed` entries, as many as the header
+/// declares and as many as its shape has, and their [`Geometry`] under the
+/// validated `grid`. Both builders of a [`ContainerMap`] derive it once; the
+/// parser reads each version-3 level's chunk index by its spans.
+fn level_geometry(header: &Header, grid: Option<&PrecinctGrid>, listed: usize) -> Result<Geometry> {
+    if listed != header.num_levels as usize {
         return Err(IpcompError::CorruptContainer(
-            "precinct spans do not partition the level",
+            "level list does not match declared level count",
         ));
     }
-    Ok(spans)
+    let shape = header.shape();
+    if header.num_levels != num_levels(&shape) {
+        return Err(IpcompError::CorruptContainer(
+            "declared level count inconsistent with grid dimensions",
+        ));
+    }
+    let spans = |l| grid.map(|g| g.level_spans(&shape, l));
+    let level = |l| (level_count(&shape, l), spans(l));
+    Ok((1..=header.num_levels).rev().map(level).collect())
 }
 
-/// The rule every level's truncation-loss table keeps: `num_planes + 1`
-/// entries, the first 0, none smaller than the one before. The writer's table
-/// is a running maximum from a lossless 0, and the optimizer relies on both
-/// (keeping every plane costs nothing, dropping more never costs less).
-fn check_trunc_loss(num_planes: u8, trunc_loss: &[u64]) -> Result<()> {
-    if trunc_loss.len() != num_planes as usize + 1
-        || trunc_loss[0] != 0
-        || trunc_loss.windows(2).any(|w| w[1] < w[0])
-    {
-        return Err(IpcompError::CorruptContainer(
-            "truncation-loss table is not a running maximum from 0",
-        ));
+/// The one rule set over a container's level metadata, run wherever a
+/// [`ContainerMap`] is built: the parser refuses a container that breaks it,
+/// and [`ContainerMap::from_compressed`] records the outcome as the map's
+/// verdict. Against the header's [`level_geometry`], the cascade (which
+/// indexes each level's codes by traversal position) and the optimizer:
+///
+/// * every level holds exactly the coefficients the shape gives its level,
+///   in at most 63 planes (a decode mask is a `u64`);
+/// * every truncation-loss table has `num_planes + 1` entries, the first 0,
+///   none smaller than the one before: the writer's table is a running
+///   maximum from a lossless 0, and the optimizer relies on both (keeping
+///   every plane costs nothing, dropping more never costs less);
+/// * a level has precinct spans if and only if the header has a grid
+///   ([`validated_grid`]'s), and they are the grid's spans for that level.
+fn check_levels(geometry: &Geometry, levels: &[LevelMap]) -> Result<()> {
+    for ((n_values, spans), level) in geometry.iter().zip(levels) {
+        if level.n_values != *n_values {
+            return Err(IpcompError::CorruptContainer(
+                "level size inconsistent with grid dimensions",
+            ));
+        }
+        if level.num_planes > 63 {
+            return Err(IpcompError::CorruptContainer("plane count out of range"));
+        }
+        let loss = &level.trunc_loss;
+        if loss.len() != level.num_planes as usize + 1
+            || loss[0] != 0
+            || loss.windows(2).any(|w| w[1] < w[0])
+        {
+            return Err(IpcompError::CorruptContainer(
+                "truncation-loss table is not a running maximum from 0",
+            ));
+        }
+        if level.precinct_spans() != spans.as_deref() {
+            return Err(IpcompError::CorruptContainer(
+                "precinct spans inconsistent with grid geometry",
+            ));
+        }
     }
     Ok(())
 }
@@ -738,18 +787,27 @@ pub struct ContainerMap {
     base_bytes: usize,
     /// Total serialized container size.
     total_len: u64,
-    /// The optimizer's view of this container, built once with the map —
-    /// or, for a resident container whose level list the parser would
-    /// refuse, why not (see [`ContainerMap::from_compressed`]).
+    /// The header's precinct grid, validated and built once with the map
+    /// (`None` for version 2) — what every read of a version-3 level walks.
+    grid: Option<PrecinctGrid>,
+    /// The map's one verdict: the optimizer's view of this container, built
+    /// once with the map — or, for a resident container that breaks a rule
+    /// the parser refuses on, why not (see [`ContainerMap::from_compressed`]).
     cost: Result<CostTable>,
 }
 
 impl ContainerMap {
-    /// The optimizer's view of this container: refused as
-    /// [`IpcompError::CorruptContainer`] before anything is planned from a
-    /// metadata list the parser would not accept.
+    /// The optimizer's view of this container, and the one check the read
+    /// path makes: refused as [`IpcompError::CorruptContainer`] before
+    /// anything is planned or read from metadata the parser would not accept.
     pub(crate) fn cost(&self) -> Result<&CostTable> {
         self.cost.as_ref().map_err(Clone::clone)
+    }
+
+    /// The header's precinct grid, `None` for a byte-granular container (or
+    /// one whose verdict refused its extents).
+    pub(crate) fn grid(&self) -> Option<&PrecinctGrid> {
+        self.grid.as_ref()
     }
 
     /// Bytes every retrieval must load regardless of fidelity.
@@ -870,16 +928,25 @@ impl ContainerMap {
         let predictive_coding = cur.read_u8()? != 0;
         let value_range = cur.read_f64()?;
 
-        let (precincts, grid) = if version == VERSION_ROI {
-            let mut extents = Vec::with_capacity(ndim);
-            for _ in 0..ndim {
-                extents.push(cur.read_varint()? as usize);
-            }
-            let grid = validate_precincts(&dims, &extents)?;
-            (Some(extents), Some(grid))
-        } else {
-            (None, None)
+        let mut precincts = None;
+        if version == VERSION_ROI {
+            // One extent per dimension.
+            let extents = (0..ndim).map(|_| Ok(cur.read_varint()? as usize));
+            precincts = Some(extents.collect::<Result<_>>()?);
+        }
+
+        let header = Header {
+            dims,
+            error_bound,
+            interpolation,
+            num_levels,
+            progressive_levels,
+            prefix_bits,
+            predictive_coding,
+            value_range,
+            precincts,
         };
+        let grid = validated_grid(&header)?;
 
         let anchors_len = cur.read_varint()? as usize;
         let anchors = cur.read_bytes(anchors_len)?;
@@ -888,38 +955,19 @@ impl ContainerMap {
         if n_levels > cur.remaining() as u64 {
             return Err(IpcompError::CorruptContainer("implausible level count"));
         }
-        if n_levels != num_levels as u64 {
-            return Err(IpcompError::CorruptContainer(
-                "level list does not match declared level count",
-            ));
-        }
-        let shape = Shape::new(&dims);
+        let geometry = level_geometry(&header, grid.as_ref(), n_levels as usize)?;
         let mut levels = Vec::with_capacity(n_levels as usize);
         let mut offset = payload_at;
-        for idx in 0..num_levels {
+        for (_, precinct_spans) in &geometry {
             let n_values = cur.read_varint()?;
-            if n_values > elements {
-                return Err(IpcompError::CorruptContainer(
-                    "level larger than the whole field",
-                ));
-            }
-            let n_values = n_values as usize;
             let num_planes = cur.read_u8()?;
-            if num_planes > 63 {
-                return Err(IpcompError::CorruptContainer("plane count out of range"));
-            }
             let mut trunc_loss = Vec::with_capacity(num_planes as usize + 1);
             for _ in 0..=num_planes {
                 trunc_loss.push(cur.read_varint()?);
             }
-            check_trunc_loss(num_planes, &trunc_loss)?;
-            let precinct_spans = match &grid {
-                Some(g) => Some(level_spans_checked(g, &shape, num_levels - idx, n_values)?),
-                None => None,
-            };
             levels.push(Self::read_level(
                 cur,
-                n_values,
+                n_values as usize,
                 num_planes,
                 trunc_loss,
                 precinct_spans.as_deref(),
@@ -933,23 +981,14 @@ impl ContainerMap {
                 "container length disagrees with its metadata",
             ));
         }
-        let header = Header {
-            dims,
-            error_bound,
-            interpolation,
-            num_levels,
-            progressive_levels,
-            prefix_bits,
-            predictive_coding,
-            value_range,
-            precincts,
-        };
+        check_levels(&geometry, &levels)?;
         let base_bytes = payload_at as usize;
         Ok(Self {
             cost: Ok(CostTable::new(&header, base_bytes, &levels)),
             header,
             anchors: anchors.to_vec(),
             levels,
+            grid,
             base_bytes,
             total_len,
         })
@@ -1034,16 +1073,16 @@ impl ContainerMap {
     /// retrievals by when the container is also held in memory, and the
     /// writer-side cross-check of [`ContainerMap::open`].
     ///
-    /// Total on malformed input: each level gets exactly `num_planes ×
-    /// regions + 1` offsets, regions counted by the level's
-    /// [`EncodedLevel::scheme`], and a chunk the level lacks counts 0 bytes
-    /// (chunks past a plane's region count, or planes past `num_planes`, are
-    /// not mapped). Such a container then fails where its chunks are read:
-    /// the decoder refuses it as [`IpcompError::CorruptContainer`]. What the
-    /// parser refuses in the metadata itself — a loss table breaking its
-    /// rule, v3 precinct extents or spans that are not the header grid's —
-    /// leaves the map without a cost table, so nothing is planned from it:
-    /// every plan and retrieval over it is refused the same way.
+    /// Total on any input: each level gets exactly `num_planes × regions + 1`
+    /// offsets, regions counted by the level's [`EncodedLevel::scheme`], and
+    /// a chunk the level lacks counts 0 bytes. The map's verdict is what the
+    /// parser would decide: the container's rule set over the header and
+    /// this level list (level count and sizes against the shape, loss
+    /// tables, precinct extents and spans against the header's grid), then
+    /// each level's chunk structure (`EncodedLevel::check_chunks`). A map
+    /// that fails it has no cost table, so every plan and retrieval over it
+    /// is refused as [`IpcompError::CorruptContainer`] before anything is
+    /// planned or read.
     pub fn from_compressed(c: &Compressed) -> Self {
         let base_bytes = c.base_bytes();
         let mut end = base_bytes as u64;
@@ -1075,41 +1114,23 @@ impl ContainerMap {
                 }
             })
             .collect();
+        let grid = validated_grid(&c.header);
+        let verdict = grid.as_ref().map_err(Clone::clone).and_then(|grid| {
+            let geometry = level_geometry(&c.header, grid.as_ref(), levels.len())?;
+            check_levels(&geometry, &levels)?;
+            let mut pairs = c.levels.iter().zip(&levels);
+            pairs.try_for_each(|(level, map)| level.check_chunks(map.scheme()))
+        });
         Self {
-            cost: check_resident_metadata(c)
-                .map(|()| CostTable::new(&c.header, base_bytes, &levels)),
+            cost: verdict.map(|()| CostTable::new(&c.header, base_bytes, &levels)),
             header: c.header.clone(),
             anchors: c.anchors.clone(),
             levels,
+            grid: grid.ok().flatten(),
             base_bytes,
             total_len: end,
         }
     }
-}
-
-/// What the parser checks of a level list, applied to a resident container's:
-/// every loss table keeps its rule and, on a v3 header, the precinct grid is
-/// valid and every level's spans are the grid's for that level.
-fn check_resident_metadata(c: &Compressed) -> Result<()> {
-    let grid = c.header.precincts.as_ref();
-    let grid = grid
-        .map(|e| validate_precincts(&c.header.dims, e))
-        .transpose()?;
-    for (idx, level) in c.levels.iter().enumerate() {
-        check_trunc_loss(level.num_planes, &level.trunc_loss)?;
-        if let Some(grid) = &grid {
-            // A level list longer than the header declares is refused when
-            // decoded (the decoder's geometry check).
-            let level_no = c.header.num_levels.saturating_sub(idx as u32).max(1);
-            let spans = grid.level_spans(&c.header.shape(), level_no);
-            if level.precinct_spans.as_ref() != Some(&spans) {
-                return Err(IpcompError::CorruptContainer(
-                    "precinct spans inconsistent with grid geometry",
-                ));
-            }
-        }
-    }
-    Ok(())
 }
 
 /// Compress anchor codes (zigzag varints + LZR).
@@ -1148,16 +1169,34 @@ mod tests {
     use crate::pipeline::RegionPipeline;
     use ipc_tensor::ArrayD;
 
+    /// A hand-built container over a 10³ field: every level holds as many
+    /// codes as the shape gives it, the finest 875 of them.
     fn sample_compressed() -> Compressed {
-        let codes_a: Vec<i64> = (0..40).map(|i| (i * 7) % 13 - 6).collect();
-        let codes_l1: Vec<i64> = (0..500).map(|i| ((i * i) % 97) as i64 - 48).collect();
-        let codes_l2: Vec<i64> = (0..100).map(|i| (i % 31) as i64 - 15).collect();
+        sample_with(EncodeOptions::default())
+    }
+
+    /// Same field, but with a tiny chunk size so every plane splits into many
+    /// chunks and the index actually has entries to serialize.
+    fn sample_compressed_chunked() -> Compressed {
+        sample_with(EncodeOptions { chunk_bytes: 16 })
+    }
+
+    fn sample_with(opts: EncodeOptions) -> Compressed {
+        let shape = Shape::d3(10, 10, 10);
+        let codes_a: Vec<i64> = (0..crate::interp::anchor_count(&shape) as i64)
+            .map(|i| (i * 7) % 13 - 6)
+            .collect();
+        let levels = (1..=num_levels(&shape)).rev().map(|level| {
+            let n = level_count(&shape, level);
+            let codes: Vec<i64> = (0..n).map(|i| ((i * i) % 97) as i64 - 48).collect();
+            crate::bitplane::encode_level_with(&codes, 2, true, false, opts)
+        });
         Compressed {
             header: Header {
-                dims: vec![10, 10, 10],
+                dims: shape.dims().to_vec(),
                 error_bound: 1e-6,
                 interpolation: Interpolation::Cubic,
-                num_levels: 2,
+                num_levels: num_levels(&shape),
                 progressive_levels: 2,
                 prefix_bits: 2,
                 predictive_coding: true,
@@ -1165,25 +1204,8 @@ mod tests {
                 precincts: None,
             },
             anchors: encode_anchors(&codes_a),
-            levels: vec![
-                crate::bitplane::encode_level(&codes_l2, 2, true, false),
-                crate::bitplane::encode_level(&codes_l1, 2, true, false),
-            ],
+            levels: levels.collect(),
         }
-    }
-
-    /// Same field, but with a tiny chunk size so every plane splits into many
-    /// chunks and the index actually has entries to serialize.
-    fn sample_compressed_chunked() -> Compressed {
-        let mut c = sample_compressed();
-        let codes_l1: Vec<i64> = (0..500).map(|i| ((i * i) % 97) as i64 - 48).collect();
-        let codes_l2: Vec<i64> = (0..100).map(|i| (i % 31) as i64 - 15).collect();
-        let opts = EncodeOptions { chunk_bytes: 16 };
-        c.levels = vec![
-            crate::bitplane::encode_level_with(&codes_l2, 2, true, false, opts),
-            crate::bitplane::encode_level_with(&codes_l1, 2, true, false, opts),
-        ];
-        c
     }
 
     /// One container per layout the writer has a branch or an edge for: the
@@ -1497,8 +1519,10 @@ mod tests {
             }
         };
         let c = sample_compressed_chunked();
-        let hi = c.levels[1].num_planes;
-        check(&c, 1, hi / 2, None);
+        let finest = c.levels.len() - 1;
+        assert!(c.levels[finest].planes[0].chunks.len() > 1);
+        let hi = c.levels[finest].num_planes;
+        check(&c, finest, hi / 2, None);
 
         let tiled =
             crate::compress(&sample_field(), 1e-5, &Config::with_precincts(&[8, 8])).unwrap();
@@ -1521,7 +1545,7 @@ mod tests {
     /// A v3 index that gives a precinct without coefficients a nonzero chunk
     /// is refused where the index is read — by the parser behind
     /// `ContainerMap::open` and `Compressed::from_bytes`, and by the resident
-    /// decoder's chunk table — whether or not a read would decode it.
+    /// decoder's map verdict — whether or not a read would decode it.
     #[test]
     fn nonempty_chunk_of_an_empty_precinct_is_refused() {
         let mut forged =

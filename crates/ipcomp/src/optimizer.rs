@@ -97,25 +97,21 @@ pub(crate) struct CostTable {
 }
 
 impl CostTable {
-    /// The table of a metadata map's header, base bytes and level indexes.
-    /// Level entry `idx` is interpolation level `num_levels - idx` (a level
-    /// list longer than the header declares is refused when decoded, not
-    /// here).
+    /// The table of a metadata map's header, base bytes and level indexes,
+    /// built only over a level list that passed the container's rule set:
+    /// level entry `idx` is interpolation level `num_levels - idx`.
     pub(crate) fn new(header: &Header, base_bytes: usize, levels: &[LevelMap]) -> Self {
-        let levels = levels
-            .iter()
-            .enumerate()
-            .map(|(idx, level)| {
-                let level_no = header.num_levels.saturating_sub(idx as u32);
-                LevelCost {
-                    num_planes: level.num_planes,
-                    trunc_loss: level.trunc_loss.clone(),
-                    plane_bytes: (0..level.num_planes)
-                        .map(|p| level.plane_bytes(p))
-                        .collect(),
-                    progressive: level_no <= header.progressive_levels,
-                    amplification: amplification(header, level_no),
-                }
+        let levels = (1..=header.num_levels)
+            .rev()
+            .zip(levels)
+            .map(|(level_no, level)| LevelCost {
+                num_planes: level.num_planes,
+                trunc_loss: level.trunc_loss.clone(),
+                plane_bytes: (0..level.num_planes)
+                    .map(|p| level.plane_bytes(p))
+                    .collect(),
+                progressive: level_no <= header.progressive_levels,
+                amplification: amplification(header, level_no),
             })
             .collect();
         Self {
@@ -333,7 +329,7 @@ pub type RegionMasks = (RoiBox, Vec<Vec<usize>>);
 
 /// Resolve a request plus an optional spatial scope into a loading plan
 /// over `map`'s cost table and — for a region — its [`RegionMasks`] over the
-/// header's precinct grid. The single place the region rules live, shared by
+/// map's precinct grid. The single place the region rules live, shared by
 /// the decoder and the range planner so the two can never serve and price a
 /// region differently:
 ///
@@ -368,7 +364,7 @@ pub(crate) fn plan_for_scope(
         (fidelity, Some(bounds)) => (fidelity, bounds),
         (fidelity, None) => return Ok((cost.plan(fidelity)?, None)),
     };
-    let ids = roi_precinct_ids(&map.header, &bounds)?;
+    let ids = roi_precinct_ids(&map.header, map.grid(), &bounds)?;
     let budget = match fidelity {
         RetrievalRequest::SizeBudget(bytes) => bytes,
         RetrievalRequest::Bitrate(b) => bitrate_bytes(b, bounds.len())?,

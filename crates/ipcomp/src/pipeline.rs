@@ -34,11 +34,13 @@
 //!
 //! Regions run in list order on the calling thread; a region without
 //! coefficients is on no list, so it is never decoded or reported (its
-//! chunks are empty: the container index refuses anything else). Memory is bounded at one region,
-//! and because the scatter step runs only after the whole region
-//! entropy-decodes, a failed region leaves its accumulator slice untouched;
-//! the regions scattered before it are rolled back bit-exactly, so a failed
-//! load leaves no trace.
+//! chunks are empty: the map's verdict refuses anything else, and
+//! `decode_planes_into` checks its bare level the same way). The pipeline
+//! checks payload, not metadata: the load it is handed is consistent.
+//! Memory is bounded at one region, and because the scatter step runs only
+//! after the whole region entropy-decodes, a failed region leaves its
+//! accumulator slice untouched; the regions scattered before it are rolled
+//! back bit-exactly, so a failed load leaves no trace.
 
 use std::ops::Range;
 use std::sync::Arc;
@@ -67,8 +69,8 @@ pub(crate) struct LevelChunks<'a> {
 
 /// The region list of a load over `scheme`: the ascending ids it reads — a
 /// region's precincts, or every region of the level — less those without
-/// coefficients, which are never decoded (their chunks are empty: the index
-/// is refused otherwise).
+/// coefficients, which are never decoded (their chunks are empty: the
+/// container is refused otherwise).
 pub(crate) fn region_list(scheme: &RegionScheme, region: Option<&[usize]>) -> Vec<usize> {
     let coded = |k: &usize| !scheme.region_coeff_range(*k).is_empty();
     match region {

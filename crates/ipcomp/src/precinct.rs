@@ -162,19 +162,25 @@ pub(crate) fn pass_window(
 /// domain, or the container has no precinct grid (pre-v3 layout) or an
 /// invalid one ([`Header::precinct_grid`]).
 pub fn roi_precinct_masks(header: &Header, bounds: &RoiBox) -> Result<Vec<Vec<bool>>> {
-    let ids = roi_precinct_ids(header, bounds)?;
-    let n = header.precinct_grid()?.map_or(0, |g| g.num_precincts());
+    let grid = header.precinct_grid()?;
+    let ids = roi_precinct_ids(header, grid.as_ref(), bounds)?;
+    let n = grid.map_or(0, |g| g.num_precincts());
     let mask = |ids: Vec<usize>| (0..n).map(|k| ids.binary_search(&k).is_ok()).collect();
     Ok(ids.into_iter().map(mask).collect())
 }
 
 /// The precincts an ROI retrieval reads, per container level entry: `ids[idx]`
 /// lists, ascending, the precincts intersecting entry `idx`'s fetch window
-/// (the box plus the cascade's cross-level ancestor halo). This is the single
-/// source of truth for *which chunks an ROI touches*.
-pub(crate) fn roi_precinct_ids(header: &Header, bounds: &RoiBox) -> Result<Vec<Vec<usize>>> {
+/// (the box plus the cascade's cross-level ancestor halo), over the header's
+/// `grid` — a map's validated one, or [`roi_precinct_masks`]'s. This is the
+/// single source of truth for *which chunks an ROI touches*.
+pub(crate) fn roi_precinct_ids(
+    header: &Header,
+    grid: Option<&PrecinctGrid>,
+    bounds: &RoiBox,
+) -> Result<Vec<Vec<usize>>> {
     bounds.validate(&header.dims)?;
-    let grid = header.precinct_grid()?.ok_or_else(|| {
+    let grid = grid.ok_or_else(|| {
         IpcompError::InvalidInput(
             "ROI retrieval requires the precinct-partitioned (version-3) container layout".into(),
         )

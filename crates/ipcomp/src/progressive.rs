@@ -41,6 +41,14 @@
 //! resident container's own chunk `Vec`s, or ranged reads of a
 //! [`ChunkSource`].
 //!
+//! The read path trusts the map. Whether a container's metadata is
+//! consistent — level count and sizes against the dims, loss tables,
+//! precinct spans against the header's grid, a resident level's plane and
+//! chunk lists — is decided once, where the map is built, and kept as its
+//! one verdict (the parser refuses; `from_compressed` records). Every plan
+//! and retrieval checks that verdict first and nothing else, and reads the
+//! validated precinct grid from the map.
+//!
 //! There is one read core. Every `retrieve*` spelling resolves its request
 //! through the optimizer's one scope rule (`optimizer::plan_for_scope`, over
 //! the map's cost table) and runs the same level loop; a spatial region
@@ -280,13 +288,12 @@ impl<'a> ProgressiveDecoder<'a> {
     /// loaded for its deltas (negabinary is positional, so those planes alone
     /// decode to exactly what they add). A version-3 level's precinct-major
     /// words go straight to their canonical positions in one precinct walk
-    /// over the `grid` (`None` for byte-granular containers). Runs after the
-    /// level-geometry validation: entry `idx` is interpolation level
-    /// `num_levels - idx`.
-    fn level_codes(&self, idx: usize, plane_mask: u64, grid: Option<&PrecinctGrid>) -> Vec<i64> {
+    /// over the map's grid. Runs past the map's verdict, so entry `idx` is
+    /// interpolation level `num_levels - idx`.
+    fn level_codes(&self, idx: usize, plane_mask: u64) -> Vec<i64> {
         let acc = &self.acc[idx];
         let code = |w: u64| from_negabinary(w & plane_mask);
-        let Some(grid) = grid else {
+        let Some(grid) = self.map.grid() else {
             return acc.iter().map(|&w| code(w)).collect();
         };
         let walk = grid.level_walk(&self.shape, num_levels(&self.shape) - idx as u32);
@@ -395,31 +402,6 @@ impl<'a> ProgressiveDecoder<'a> {
         self.retrieve_inner(&plan, region, events)
     }
 
-    /// The cascade maps container level `idx` to interpolation level
-    /// `num_levels - idx` and indexes each level's codes by traversal
-    /// position, so the declared level count and every level's coefficient
-    /// count must match the grid's level partition exactly (the compressor
-    /// derives all of them from the shape; a mismatch is container
-    /// corruption that would underflow that mapping).
-    fn check_level_geometry(&self) -> Result<()> {
-        let n_levels = self.map.levels.len();
-        let levels = num_levels(&self.shape);
-        if levels != self.map.header.num_levels || n_levels != levels as usize {
-            return Err(IpcompError::CorruptContainer(
-                "declared level count inconsistent with grid dimensions",
-            ));
-        }
-        for idx in 0..n_levels {
-            let expect = crate::interp::level_count(&self.shape, levels - idx as u32);
-            if self.map.levels[idx].n_values != expect {
-                return Err(IpcompError::CorruptContainer(
-                    "level size inconsistent with grid dimensions",
-                ));
-            }
-        }
-        Ok(())
-    }
-
     fn retrieve_inner(
         &mut self,
         plan: &LoadPlan,
@@ -437,6 +419,9 @@ impl<'a> ProgressiveDecoder<'a> {
             Some(cb) => cb,
             None => &mut |_| {},
         };
+        // The map's verdict is the read path's one check: past it, level
+        // geometry, loss tables, precinct spans and chunk structure are
+        // consistent.
         let map = Arc::clone(&self.map);
         let cost = map.cost()?;
         let n_levels = map.levels.len();
@@ -448,11 +433,6 @@ impl<'a> ProgressiveDecoder<'a> {
         // A region retrieval reconstructs from scratch into scratch state,
         // whatever the decoder already holds.
         let initial = region.is_some() || self.recon.is_none();
-        if initial {
-            // (A refinement implies a successful initial retrieval already
-            // validated the geometry.)
-            self.check_level_geometry()?;
-        }
         let mut region = region.map(|(bounds, ids)| RegionScope {
             bounds,
             ids,
@@ -595,8 +575,8 @@ impl<'a> ProgressiveDecoder<'a> {
     /// under a `region`, whose codes go from a scratch accumulator of the
     /// selected precincts to their domain offsets first. A version-3 level's
     /// precinct-major words reach the engine through the one precinct walk
-    /// (`PrecinctGrid::level_walk`), built per level from the header's grid:
-    /// the decoder keeps no layout.
+    /// (`PrecinctGrid::level_walk`), built per level from the grid `map`
+    /// validated when it was built: the decoder keeps no layout.
     fn drive_levels(
         &mut self,
         map: &ContainerMap,
@@ -607,7 +587,6 @@ impl<'a> ProgressiveDecoder<'a> {
         events: &mut dyn FnMut(StreamEvent),
     ) -> Result<Vec<f64>> {
         let header = &map.header;
-        let grid = header.precinct_grid()?;
         // Algorithm 1 seeds the cascade with the anchor codes; Algorithm 2
         // propagates deltas from zero anchors (the cascade is linear in the
         // residuals) and adds the delta field onto the reconstruction.
@@ -675,7 +654,7 @@ impl<'a> ProgressiveDecoder<'a> {
                 )?;
                 match region.as_deref_mut() {
                     Some(scope) => {
-                        let grid = grid.as_ref().expect("precinct ids imply a grid");
+                        let grid = map.grid().expect("precinct ids imply a grid");
                         scope.place_codes(&self.shape, idx, grid, &scratch);
                     }
                     None => self.planes_loaded[idx] = want,
@@ -693,11 +672,9 @@ impl<'a> ProgressiveDecoder<'a> {
             // or all deltas, zero) for a level with nothing to add.
             let codes = match work {
                 Some((_, lo, hi, _)) if !initial => {
-                    self.level_codes(idx, (1u64 << hi) - (1u64 << lo), grid.as_ref())
+                    self.level_codes(idx, (1u64 << hi) - (1u64 << lo))
                 }
-                _ if initial && self.planes_loaded[idx] > 0 => {
-                    self.level_codes(idx, ALL_PLANES, grid.as_ref())
-                }
+                _ if initial && self.planes_loaded[idx] > 0 => self.level_codes(idx, ALL_PLANES),
                 _ => Vec::new(),
             };
             for pass in engine.level_ready(idx, codes) {
@@ -759,9 +736,8 @@ struct RegionScope {
 impl RegionScope {
     /// Convert level entry `idx`'s scratch accumulator — its listed
     /// precincts' coefficients back to back, in list order — to codes at
-    /// their domain offsets, in one precinct walk over those ids. The map
-    /// checked the level's spans against the `grid` (the parser, or
-    /// [`ContainerMap::from_compressed`]'s check).
+    /// their domain offsets, in one precinct walk over those ids. The map's
+    /// verdict holds the level's spans to be the `grid`'s.
     fn place_codes(&mut self, shape: &Shape, idx: usize, grid: &PrecinctGrid, acc: &[u64]) {
         let walk = grid.level_walk(shape, num_levels(shape) - idx as u32);
         let mut i = 0;

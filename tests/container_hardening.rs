@@ -36,6 +36,10 @@
 //!   through the LZR stream.
 //! * **Retired layouts** — version 1 and the unflagged (interleaved) version
 //!   words, refused by name on the probe GET alone.
+//! * **Metadata that disagrees with itself** — hand-built resident containers
+//!   (chunk grids, loss tables, precinct extents and spans, dims that do not
+//!   give the level list) and their serialized bytes: one rule set refuses
+//!   them wherever a container map is built, before anything is planned.
 //!
 //! Everything runs on a freshly written container and on every committed
 //! single-field fixture (v2, v2 multi-chunk and v3 precincts), through both
@@ -54,7 +58,7 @@ use ipcomp_suite::core::{
     compress, roi_precinct_masks, ArchiveMap, ChunkSource, Compressed, Config, ContainerMap,
     IpcompError, MemorySource, ProgressiveDecoder, RetrievalRequest, RoiBox,
 };
-use ipcomp_suite::store::{SimProfile, SimulatedObjectStore};
+use ipcomp_suite::store::{plan_request, SimProfile, SimulatedObjectStore};
 use ipcomp_suite::tensor::{ArrayD, Shape};
 
 /// Small but real container: multiple levels, mixed entropy modes.
@@ -591,8 +595,10 @@ fn corrupt_anchor_blocks_error_cleanly() {
 }
 
 /// In-memory corruption of the chunk grid (the invariants `from_bytes`
-/// enforces) must be caught by the decode layer as well, since `Compressed`
-/// values can also arrive from in-process construction.
+/// enforces) must be refused for a resident container as well, since
+/// `Compressed` values can also arrive from in-process construction: the
+/// decoder's map checks each level's plane and chunk lists once, when it is
+/// built, and every plan and retrieval refuses on that verdict.
 #[test]
 fn inconsistent_chunk_grids_error_cleanly() {
     let bytes = real_container_bytes();
@@ -942,4 +948,79 @@ fn archive_header_and_flags_are_checked() {
         let case = format!("byte {at} = {value}");
         assert_archive_refused(&case, &forged, "not a version-4 archive container");
     }
+}
+
+/// The 64² field the resident forgeries below start from.
+fn forgery_field() -> ArrayD<f64> {
+    ArrayD::from_fn(Shape::d2(64, 64), |c| {
+        (c[0] as f64 * 0.19).sin() * 3.0 + (c[1] as f64 * 0.11).cos()
+    })
+}
+
+/// A v3 container whose header loses its precinct extents while its levels
+/// stay precinct-major: the spans have no grid to match, so the resident
+/// decoder refuses it as corrupt — it does not decode the precinct-major
+/// codes as if they were in canonical order — as the parser refuses its
+/// bytes.
+#[test]
+fn v2_header_over_precinct_levels_is_refused() {
+    let mut forged = compress(&forgery_field(), 1e-6, &Config::with_precincts(&[16, 16])).unwrap();
+    forged.header.precincts = None;
+    let spans = IpcompError::CorruptContainer("precinct spans inconsistent with grid geometry");
+    let request = RetrievalRequest::ErrorBound(1e-2);
+    assert_eq!(forged.decompress().map(drop), Err(spans.clone()));
+    let plan = ProgressiveDecoder::new(&forged).plan(request);
+    assert_eq!(plan.map(drop), Err(spans.clone()));
+    let retrieved = ProgressiveDecoder::new(&forged).retrieve(request);
+    assert_eq!(retrieved.map(drop), Err(spans));
+    let parsed = Compressed::from_bytes(&forged.to_bytes());
+    assert!(
+        matches!(parsed, Err(IpcompError::CorruptContainer(_))),
+        "{parsed:?}"
+    );
+}
+
+/// Why a container whose level count is not its dims' is refused.
+const LEVELS_VS_DIMS: &str = "declared level count inconsistent with grid dimensions";
+
+/// A container whose dims no longer give its level list — 64 × 64 declared
+/// as 64 × 65, which has one level more — is refused before anything is
+/// planned: by the resident decoder's `plan`, `retrieve` and
+/// `retrieve_roi`, by the range planner a store prices requests with, and
+/// at the open of its bytes (`ContainerMap::open`, `Compressed::from_bytes`),
+/// not at the first retrieve. The same forgery in a hoisted archive copy is
+/// refused by `ArchiveMap::open`.
+#[test]
+fn geometry_inconsistent_containers_are_refused_before_planning() {
+    let mut forged = compress(&forgery_field(), 1e-6, &Config::default()).unwrap();
+    forged.header.dims = vec![64, 65];
+    let refused = |outcome: Result<(), IpcompError>| {
+        assert_eq!(outcome, Err(IpcompError::CorruptContainer(LEVELS_VS_DIMS)));
+    };
+    let request = RetrievalRequest::ErrorBound(1e-2);
+    let roi = RoiBox::new(&[0, 0], &[16, 16]);
+    refused(ProgressiveDecoder::new(&forged).plan(request).map(drop));
+    refused(ProgressiveDecoder::new(&forged).retrieve(request).map(drop));
+    let outcome = ProgressiveDecoder::new(&forged).retrieve_roi(roi, request);
+    refused(outcome.map(drop));
+    let map = ContainerMap::from_compressed(&forged);
+    refused(plan_request(&map, &[], request, None).map(drop));
+    let bytes = forged.to_bytes();
+    refused(ContainerMap::open(&MemorySource::new(bytes.clone())).map(drop));
+    refused(Compressed::from_bytes(&bytes).map(drop));
+
+    // The first hoisted copy's first dim doubled to past the largest: one
+    // level more than the copy lists.
+    let archive = rehoisted(|copies| {
+        let front = 16 + prelude_lengths(copies).0;
+        let copy = repacked(&copies[..front], |meta| {
+            // Magic, version word, `ndim`, then the dims as varints.
+            let ndim = meta[8] as usize;
+            let largest = *meta[9..9 + ndim].iter().max().unwrap();
+            assert!(largest < 64, "dims must stay one-byte varints");
+            meta[9] = 2 * largest;
+        });
+        copies.splice(..front, copy);
+    });
+    assert_archive_refused("doubled dim", &archive, LEVELS_VS_DIMS);
 }
