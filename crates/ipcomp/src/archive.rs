@@ -31,8 +31,10 @@
 //! prefix ends, each next one where the one before it ends, the last ends
 //! with the file. Every embedded container is byte-identical to a standalone
 //! [`Compressed::to_bytes`](crate::Compressed::to_bytes) of the same field
-//! and is addressed through an [`OffsetSource`] window, so the container
-//! grammar and reader are untouched; the hoisted copies duplicate each
+//! and is addressed by its directory entry: its map is built with the
+//! entry's own length, so every chunk range it lists lies inside the entry,
+//! and the reader shifts a step's lowered reads by the entry's offset. The
+//! container grammar and reader are untouched; the hoisted copies duplicate each
 //! one's metadata front (≈ 0.1 % of an archive of 64³ steps) so that
 //! [`ArchiveMap`] builds every step's map from the prefix alone. The
 //! prefix states its own length right after the version word, where the
@@ -78,10 +80,10 @@ use crate::container::{
     metadata_front, read_front, ContainerMap, MetaCursor, LAYOUT_PACKED, MAGIC, RETIRED_LAYOUT,
 };
 use crate::error::{IpcompError, Result};
-use crate::planner::{fetch_groups, plan_request, ChunkRead};
+use crate::planner::{plan_request, ChunkRead, RequestFetch};
 use crate::precinct::RoiBox;
 use crate::progressive::{ProgressiveDecoder, RetrievalRequest, StreamEvent};
-use crate::source::{ByteRange, ChunkSource, MemorySource, OffsetSource, PlannedSource};
+use crate::source::{ByteRange, ChunkSource, MemorySource};
 
 /// Container format version of the time-series archive framing.
 pub const VERSION_ARCHIVE: u32 = 4;
@@ -807,18 +809,19 @@ struct ChainBase {
 /// Step-spanning progressive reader over a serialized archive.
 ///
 /// Each step decode runs on a fresh [`ProgressiveDecoder`] over the step's
-/// [`OffsetSource`] window, so per-step rollback semantics are inherited
-/// unchanged; the reader adds the chain composition, per-variable chain
+/// map, so per-step rollback semantics are inherited unchanged; the reader
+/// adds the chain composition, per-variable chain
 /// caching (a sliding window of consecutive requests re-decodes only the
 /// steps it hasn't seen), and per-step commit/rollback of its own state.
 ///
-/// A window is **one request** to the storage below: the reader plans its
-/// whole schedule up front ([`plan_archive_request`]'s reads), cuts them
-/// into fetch groups across level *and step* boundaries
-/// ([`fetch_groups`]) and hands every step decoder a window of the same
-/// [`PlannedSource`], so steps whose chunks sit a metadata block apart come
-/// in one read. Groups are fetched when a step first touches them, so steps
-/// still decode, commit and stream out one at a time.
+/// A window is **one request** to the storage below: the reader lowers its
+/// whole schedule up front ([`plan_archive_request`]'s reads, per decode)
+/// into one fetch, cut into groups across level *and step* boundaries
+/// ([`crate::planner::fetch_groups`]), and lends it to every step decode,
+/// so steps whose chunks sit a metadata block apart come in one read, and a
+/// chunk a step's output and chain decodes both read comes once. A group is
+/// read when a step's level load first needs it, so steps still decode,
+/// commit and stream out one at a time.
 pub struct ArchiveReader {
     source: Arc<dyn ChunkSource>,
     map: Arc<ArchiveMap>,
@@ -940,20 +943,19 @@ impl ArchiveReader {
             } else {
                 None
             };
-        // Every scheduled step's reads, per (step, level) in archive order,
-        // grouped across step boundaries and fetched as the steps reach them.
-        let mut units = Vec::new();
+        // Every scheduled step's decodes' reads, in archive order, a step's
+        // decodes on one unit per level: one fetch for the window, grouped
+        // across level and step boundaries and read as the steps reach
+        // them. Decode `d` is the `d`-th listed here, the order the loop
+        // below runs them in.
+        let (mut decodes, mut first) = (Vec::new(), 0);
         for plan in &schedule {
-            let mut levels = vec![Vec::new(); self.map.container(plan.step, var).levels.len()];
-            for read in step_reads(&self.map, plan, request)? {
-                levels[read.level].push(read.range);
-            }
-            units.extend(levels);
+            let reads = step_reads(&self.map, plan, request)?;
+            decodes.extend(reads.into_iter().map(|reads| (first, reads)));
+            first += self.map.container(plan.step, var).levels.len();
         }
-        let source = Arc::new(PlannedSource::new(
-            Arc::clone(&self.source),
-            fetch_groups(units),
-        ));
+        let mut fetch = RequestFetch::new(Arc::clone(&self.source), &decodes);
+        let mut decode = 0usize;
         let steps_in_request = request.end - request.start;
         let mut steps_done = 0usize;
         let mut bytes_request = 0usize;
@@ -961,21 +963,15 @@ impl ArchiveReader {
             let step_started = ipc_telemetry::now_nanos();
             let entry = *self.map.entry(plan.step, var);
             let cmap = Arc::clone(self.map.container(plan.step, var));
-            let window: Arc<dyn ChunkSource> = Arc::new(OffsetSource::new(
-                Arc::clone(&source),
-                entry.offset,
-                entry.len,
-            )?);
             let mut bytes_step = 0usize;
-            // When the requested fidelity *is* the reference fidelity, one
-            // decode serves both the output and the chain.
-            let shared = plan.chain && plan.output && request.fidelity == reference;
+            let [output_decode, chain_decode] = step_decodes(&plan, request, reference);
 
             // Output decode at the requested fidelity, streaming inner events.
-            let output = if plan.output {
-                let mut dec =
-                    ProgressiveDecoder::over_planned_source(Arc::clone(&window), Arc::clone(&cmap));
-                let r = dec.retrieve_scoped(request.fidelity, request.roi, Some(&mut *on_event))?;
+            let output = if let Some(fidelity) = output_decode {
+                let mut dec = ProgressiveDecoder::lent(Arc::clone(&cmap));
+                let lent = Some((&mut fetch, decode));
+                decode += 1;
+                let r = dec.retrieve_scoped(fidelity, request.roi, Some(&mut *on_event), lent)?;
                 bytes_step += r.bytes_total;
                 Some(r)
             } else {
@@ -984,10 +980,11 @@ impl ArchiveReader {
             // Chain decode at the reference fidelity (fresh decoder, so the
             // loaded plane set matches the encoder's base derivation exactly
             // even when the output plan differs).
-            let chain_delta = if plan.chain && !shared {
-                let mut dec =
-                    ProgressiveDecoder::over_planned_source(Arc::clone(&window), Arc::clone(&cmap));
-                let r = dec.retrieve_scoped(reference, request.roi, None)?;
+            let chain_delta = if let Some(fidelity) = chain_decode {
+                let mut dec = ProgressiveDecoder::lent(Arc::clone(&cmap));
+                let lent = Some((&mut fetch, decode));
+                decode += 1;
+                let r = dec.retrieve_scoped(fidelity, request.roi, None, lent)?;
                 bytes_step += r.bytes_total;
                 Some(r.data)
             } else {
@@ -1082,31 +1079,45 @@ fn compose(
     Ok(delta)
 }
 
-/// The reads one scheduled step's decodes issue against its embedded
-/// container, in archive-absolute offsets: the output decode's at the
-/// requested fidelity, then — when the chain needs a decode of its own — the
-/// reference decode's. A chunk both decodes read is listed twice. Every
-/// decode is planned through the same [`plan_request`] dispatch its decoder
-/// plans with, fresh (nothing pre-loaded) and under the request's window.
+/// The fidelities of the decodes a scheduled step runs, `[output, chain]`:
+/// the output decode at the requested fidelity, and a chain decode at the
+/// reference fidelity unless the output decode already is one (when the
+/// requested fidelity *is* the reference fidelity, one decode serves both).
+fn step_decodes(
+    plan: &StepPlan,
+    request: &ArchiveRequest,
+    reference: RetrievalRequest,
+) -> [Option<RetrievalRequest>; 2] {
+    let shared = plan.chain && plan.output && request.fidelity == reference;
+    let chain = plan.chain && !shared;
+    [
+        plan.output.then_some(request.fidelity),
+        chain.then_some(reference),
+    ]
+}
+
+/// The reads of each decode one scheduled step runs against its embedded
+/// container ([`step_decodes`], in that order), in archive-absolute offsets.
+/// Every decode is planned through the same [`plan_request`] dispatch its
+/// decoder plans with, fresh (nothing pre-loaded) and under the request's
+/// window.
 fn step_reads(
     map: &ArchiveMap,
     plan: &StepPlan,
     request: &ArchiveRequest,
-) -> Result<Vec<ChunkRead>> {
+) -> Result<Vec<Vec<ChunkRead>>> {
     let cmap = map.container(plan.step, request.variable);
     let reference = RetrievalRequest::ErrorBound(map.reference_bound);
-    let mut reads = Vec::new();
-    if plan.output {
-        reads.extend(plan_request(cmap, &[], request.fidelity, request.roi)?.reads);
-    }
-    if plan.chain && (!plan.output || request.fidelity != reference) {
-        reads.extend(plan_request(cmap, &[], reference, request.roi)?.reads);
-    }
     let base = map.entry(plan.step, request.variable).offset;
-    for read in &mut reads {
-        read.range.offset += base;
+    let mut decodes = Vec::new();
+    for fidelity in step_decodes(plan, request, reference).into_iter().flatten() {
+        let mut reads = plan_request(cmap, &[], fidelity, request.roi)?.reads;
+        for read in &mut reads {
+            read.range.offset += base;
+        }
+        decodes.push(reads);
     }
-    Ok(reads)
+    Ok(decodes)
 }
 
 /// The byte ranges one scheduled step contributes to an archive plan.
@@ -1167,6 +1178,7 @@ pub fn plan_archive_request(
         let mut seen: HashSet<ByteRange> = HashSet::new();
         let ranges = step_reads(map, &plan, request)?
             .into_iter()
+            .flatten()
             .map(|read| read.range)
             .filter(|range| seen.insert(*range))
             .collect();

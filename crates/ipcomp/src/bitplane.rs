@@ -1207,8 +1207,9 @@ mod tests {
         let mut src_acc = vec![0u64; enc.n_values];
         let lmap = map.levels.last().unwrap();
         assert_eq!(lmap.n_values, codes.len());
-        let mut bufs = Vec::new();
-        let chunks = lmap.fetch_planes(&source, 0, hi, None, &mut bufs).unwrap();
+        let runs = lmap.run_ranges(0, hi, &lmap.chunk_runs(None));
+        let bufs = crate::source::read_ranges_exact(&source, &runs).unwrap();
+        let chunks = lmap.fetch_planes(0, hi, None, &bufs).unwrap();
         let mut src_stream = RegionPipeline::new(chunks, 2, true, src_acc.len()).unwrap();
         assert_eq!(mem_stream.num_regions(), src_stream.num_regions());
         loop {

@@ -616,39 +616,29 @@ impl LevelMap {
             .collect()
     }
 
-    /// Fetch the compressed chunks of planes `[plane_lo, plane_hi)` of the
-    /// ascending precinct ids `region` lists, or of every chunk of the level,
-    /// from `source` into `bufs` — one buffer per [`LevelMap::chunk_runs`]
-    /// run, as the source returned it — and return the level load: its
-    /// region list (those ids, less regions without coefficients) and a
-    /// table, plane-major and list-ordered, of zero-copy slices of those
-    /// buffers. The table holds `(plane_hi − plane_lo) × list length`
-    /// entries, however many chunks the level has.
-    ///
-    /// The fetch is one batched `read_ranges` call in payload order, so a
-    /// coalescing source turns it into few contiguous reads.
+    /// Cut the load of planes `[plane_lo, plane_hi)` of the ascending
+    /// precinct ids `region` lists, or of every chunk of the level, from
+    /// `bufs` — the buffers of the load's runs, one per
+    /// [`LevelMap::chunk_runs`] run in [`LevelMap::run_ranges`] order, as a
+    /// request's fetch hands them over — and return it: its region list
+    /// (those ids, less regions without coefficients) and a table,
+    /// plane-major and list-ordered, of zero-copy slices of those buffers.
+    /// The table holds `(plane_hi − plane_lo) × list length` entries,
+    /// however many chunks the level has.
     pub(crate) fn fetch_planes<'b>(
         &self,
-        source: &dyn ChunkSource,
         plane_lo: u8,
         plane_hi: u8,
         region: Option<&[usize]>,
-        bufs: &'b mut Vec<Bytes>,
+        bufs: &'b [Bytes],
     ) -> Result<LevelChunks<'b>> {
         check_plane_range(self.num_planes, plane_lo, plane_hi)?;
         let regions = region_list(&self.scheme, region);
         let runs = self.chunk_runs(region);
-        let ranges = self.run_ranges(plane_lo, plane_hi, &runs);
-        let obs = crate::obs::metrics();
-        let mut span = ipc_telemetry::span_timed("pipeline", "fetch", obs.fetch_ns);
-        let bytes: u64 = ranges.iter().map(|r| r.len as u64).sum();
-        obs.fetch_bytes.add(bytes);
-        span.add_arg("bytes", bytes);
-        *bufs = read_ranges_exact(source, &ranges)?;
-        drop(span);
-        // Every buffer is its run's exact length (checked above), and the
-        // parser checked that a run's chunks tile it, so the slices are in
-        // bounds whatever the source returned. The runs cover the list's
+        debug_assert_eq!(bufs.len(), (plane_hi - plane_lo) as usize * runs.len());
+        // Every buffer is its run's exact length (the fetch read it with
+        // `read_ranges_exact`), and the parser checked that a run's chunks
+        // tile it, so the slices are in bounds. The runs cover the list's
         // ids in order, so the table is list-ordered within each plane.
         let mut chunks = Vec::with_capacity((plane_hi - plane_lo) as usize * regions.len());
         let mut bufs = bufs.iter();
@@ -656,10 +646,15 @@ impl LevelMap {
             let mut ids = regions.iter().copied().peekable();
             for &(k0, k1) in &runs {
                 let buf: &'b [u8] = bufs.next().expect("one buffer per run");
-                let base = self.span(p, k0, k0).offset;
+                let run = self.span(p, k0, k1);
+                debug_assert_eq!(
+                    buf.len(),
+                    run.len,
+                    "run buffer of plane {p}, chunks {k0}..{k1}"
+                );
                 while let Some(k) = ids.next_if(|&k| k < k1) {
                     let r = self.chunk_range(p, k);
-                    let at = (r.offset - base) as usize;
+                    let at = (r.offset - run.offset) as usize;
                     chunks.push(&buf[at..at + r.len]);
                 }
             }
@@ -1501,10 +1496,9 @@ mod tests {
                 .filter(coded)
                 .copied()
                 .collect();
-            let mut bufs = Vec::new();
-            let fetched = lmap
-                .fetch_planes(&source, lo, hi, region, &mut bufs)
-                .unwrap();
+            let runs = lmap.run_ranges(lo, hi, &lmap.chunk_runs(region));
+            let bufs = read_ranges_exact(&source, &runs).unwrap();
+            let fetched = lmap.fetch_planes(lo, hi, region, &bufs).unwrap();
             assert_eq!(fetched.regions, ids);
             assert_eq!(fetched.chunks.len(), (hi - lo) as usize * ids.len());
             let within = data.as_ptr_range();
@@ -1604,19 +1598,15 @@ mod tests {
         pipeline.unwrap().stream(&mut whole, |_, _| {}).unwrap();
         let starts = crate::precinct::prefix_sums(spans);
         for ids in [&[7usize][..], &[3, 4], &[0, 17, 255], &[16, 17, 32, 33]] {
-            let fetch = |bufs| lmap.fetch_planes(&source, lo, hi, Some(ids), bufs).unwrap();
-            let (mut bufs, mut level_sized) = (Vec::new(), Vec::new());
-            let load = fetch(&mut bufs);
+            let runs = lmap.run_ranges(lo, hi, &lmap.chunk_runs(Some(ids)));
+            let bufs = read_ranges_exact(&source, &runs).unwrap();
+            let fetch = || lmap.fetch_planes(lo, hi, Some(ids), &bufs).unwrap();
+            let load = fetch();
             assert_eq!(load.chunks.len(), (hi - lo) as usize * ids.len());
             assert!(ids.iter().all(|&k| spans[k] > 0));
             let selected: usize = ids.iter().map(|&k| spans[k]).sum();
             assert!(selected < lmap.n_values);
-            let refused = RegionPipeline::new(
-                fetch(&mut level_sized),
-                prefix_bits,
-                predictive,
-                lmap.n_values,
-            );
+            let refused = RegionPipeline::new(fetch(), prefix_bits, predictive, lmap.n_values);
             assert!(refused.is_err(), "a level-sized scratch is not the load's");
             let mut scratch = vec![0u64; selected];
             let pipeline = RegionPipeline::new(load, prefix_bits, predictive, selected);

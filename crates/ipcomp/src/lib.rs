@@ -31,8 +31,8 @@
 //!    the level's chunks: a resident level's own, or zero-copy slices of what a
 //!    ranged read fetched. It scatters through plane-count-specialized kernels.
 //!    Over ranged storage a request lowers its
-//!    plan to byte ranges first ([`planner`]) and reads them in a few
-//!    byte-budgeted fetch groups ([`source::PlannedSource`]) — one fetch per
+//!    plan to byte ranges first ([`planner`]); those reads are its fetch, read
+//!    in a few byte-budgeted groups ([`planner::fetch_groups`]) — one read per
 //!    request where the bytes allow it, not one per level.
 //!
 //! ## Quick start
@@ -91,6 +91,4 @@ pub use precinct::{roi_precinct_masks, LevelPrecincts, PrecinctGrid, RoiBox};
 pub use progressive::{
     ProgressiveDecoder, Retrieval, RetrievalRequest, StreamEvent, StreamProgress,
 };
-pub use source::{
-    read_ranges_exact, ByteRange, Bytes, ChunkSource, MemorySource, OffsetSource, PlannedSource,
-};
+pub use source::{read_ranges_exact, ByteRange, Bytes, ChunkSource, MemorySource};

@@ -11,9 +11,10 @@ use ipc_telemetry::{Counter, Histogram};
 
 /// Handles for every metric the ipcomp layer records.
 pub struct DecodeMetrics {
-    /// Duration of a ranged level's read (ns); resident levels are borrowed.
+    /// Duration of one fetch group's read (ns); resident levels are
+    /// borrowed.
     pub fetch_ns: &'static Histogram,
-    /// Compressed bytes read for ranged levels.
+    /// Compressed bytes of the fetch groups read.
     pub fetch_bytes: &'static Counter,
     /// Per-region entropy-stage duration (ns).
     pub entropy_ns: &'static Histogram,

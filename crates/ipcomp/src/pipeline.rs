@@ -14,10 +14,10 @@
 //! [`crate::ContainerMap`] holds for the level, and only the table differs.
 //! A resident level's borrows the level's own chunks
 //! ([`crate::bitplane::EncodedLevel::chunk_table`]); a ranged level's is the one
-//! [`crate::LevelMap::fetch_planes`] cuts from the `Bytes` of the level's one
-//! read — slices of the request's fetch groups, read once per group by
-//! [`crate::source::PlannedSource`]. Nothing is copied between the store and
-//! the entropy decoder, and nothing of a load is sized by the level when the
+//! [`crate::LevelMap::fetch_planes`] cuts from the run buffers the level
+//! takes from its request's fetch (`planner::RequestFetch`): slices of a
+//! fetch group's one read. Nothing is copied between the store and the
+//! entropy decoder, and nothing of a load is sized by the level when the
 //! list is a region's: the table has one entry per (plane, listed region),
 //! and the accumulator holds the listed regions' coefficients back to back
 //! — the level's own layout on a full read.

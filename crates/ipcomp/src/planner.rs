@@ -1,17 +1,17 @@
 //! Retrieval planner: lower a [`LoadPlan`] into the exact chunk byte ranges
-//! it needs, given what a decoder has already loaded, and cut those ranges
-//! into the fetch groups a request reads them by.
+//! it needs, given what a decoder has already loaded, cut those ranges into
+//! the fetch groups a request reads them by, and fetch them.
 //!
 //! The optimizer decides *how many planes* per level (over the metadata-only
 //! [`ContainerMap`], so no payload is touched); [`lower_plan`] turns that
 //! into *which bytes*: one [`ChunkRead`] per chunk run the plan adds — a
 //! single chunk, or over a region a maximal run of consecutive precinct ids
-//! it reads, exactly the reads `LevelMap::fetch_planes` issues — in
-//! container payload order. The lowering is both what a request is **priced**
-//! by (`ipc_store` re-exports it for sessions and the service's budget gate)
-//! and what the decoder **fetches** by: `ProgressiveDecoder` lowers its plan
-//! through the same function before it decodes anything, so the two lists
-//! are one list by construction.
+//! it reads, the runs `LevelMap::fetch_planes` cuts a level's table from —
+//! in container payload order. The lowering is both what a request is
+//! **priced** by (`ipc_store` re-exports it for sessions and the service's
+//! budget gate) and what the decoder **fetches**: `ProgressiveDecoder`
+//! lowers its plan through the same function before it decodes anything and
+//! builds its `RequestFetch` from those reads, so there is one list.
 //!
 //! [`fetch_groups`] is the request's I/O schedule. Because plans always load
 //! the top planes and the container stores planes low-to-high, the added
@@ -19,17 +19,21 @@
 //! (or archive steps) are separated only by the planes the plan leaves out:
 //! grouping bridges those boundaries smallest gap first, within a byte
 //! budget, so a request reads in a few large `read_ranges` calls instead of
-//! one per level.
+//! one per level. A `RequestFetch` holds a request's groups and hands each
+//! level load its run buffers by position, reading a group on the first load
+//! that needs it.
 //!
 //! On whole-plane levels (`chunk_bytes` 0) every plane is one chunk, so the
 //! same lowering reads a single range per plane.
+
+use std::sync::Arc;
 
 use crate::container::ContainerMap;
 use crate::error::Result;
 use crate::optimizer::{plan_for_scope, LoadPlan};
 use crate::precinct::RoiBox;
 use crate::progressive::RetrievalRequest;
-use crate::source::ByteRange;
+use crate::source::{read_ranges_exact, ByteRange, Bytes, ChunkSource};
 
 /// One fetch of a lowered plan: a run of consecutive chunks of one plane.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -160,7 +164,7 @@ pub fn plan_request(
 const BRIDGE_BUDGET_DIVISOR: u64 = 16;
 
 /// Cut a request's planned reads into **fetch groups**: the sets of ranges
-/// each read by one `read_ranges` call (see [`crate::source::PlannedSource`]).
+/// each read by one `read_ranges` call (see `RequestFetch`).
 ///
 /// `units` holds the plan's ranges per level — per `(step, level)` for an
 /// archive request — in payload order. Groups are cut only *between* units,
@@ -179,7 +183,12 @@ const BRIDGE_BUDGET_DIVISOR: u64 = 16;
 /// level); grouping only decides which ranges it gets to see together, and
 /// never adds a request.
 pub fn fetch_groups(units: Vec<Vec<ByteRange>>) -> Vec<Vec<ByteRange>> {
-    let mut units: Vec<Vec<ByteRange>> = units.into_iter().filter(|u| !u.is_empty()).collect();
+    cut_groups(units).0
+}
+
+/// [`fetch_groups`], with the group of every unit (`None` for a unit
+/// without ranges).
+fn cut_groups(mut units: Vec<Vec<ByteRange>>) -> (Vec<Vec<ByteRange>>, Vec<Option<usize>>) {
     let mut planned = 0u64;
     for unit in &mut units {
         unit.sort_unstable();
@@ -190,11 +199,15 @@ pub fn fetch_groups(units: Vec<Vec<ByteRange>>) -> Vec<Vec<ByteRange>> {
             .map(|same| same[0].len as u64)
             .sum::<u64>();
     }
+    let mut unit_group = vec![None; units.len()];
+    let listed: Vec<(usize, Vec<ByteRange>)> = (units.into_iter().enumerate())
+        .filter(|(_, u)| !u.is_empty())
+        .collect();
     let end = |u: &[ByteRange]| u.iter().map(ByteRange::end).max().unwrap_or(0);
-    let mut gaps: Vec<(u64, usize)> = units
+    let mut gaps: Vec<(u64, usize)> = listed
         .windows(2)
         .enumerate()
-        .map(|(i, w)| (w[1][0].offset.saturating_sub(end(&w[0])), i))
+        .map(|(i, w)| (w[1].1[0].offset.saturating_sub(end(&w[0].1)), i))
         .collect();
     gaps.sort_unstable();
     let mut bridged = vec![false; gaps.len()];
@@ -207,20 +220,152 @@ pub fn fetch_groups(units: Vec<Vec<ByteRange>>) -> Vec<Vec<ByteRange>> {
         bridged[i] = true;
     }
     let mut groups: Vec<Vec<ByteRange>> = Vec::new();
-    for (i, unit) in units.into_iter().enumerate() {
+    for (n, (u, unit)) in listed.into_iter().enumerate() {
         match groups.last_mut() {
-            Some(group) if bridged[i - 1] => group.extend(unit),
+            Some(group) if bridged[n - 1] => group.extend(unit),
             _ => groups.push(unit),
         }
+        unit_group[u] = Some(groups.len() - 1);
     }
-    groups
+    (groups, unit_group)
+}
+
+/// A request's lowered reads as its fetch: each level load takes its run
+/// buffers from here, and nothing else reads payload.
+///
+/// Built once per request from its decodes' lowered reads ([`lower_plan`]'s
+/// `reads`, in archive-absolute offsets for an archive window): one decode
+/// for a container, the output and the chain decode of every step of an
+/// archive window. The units are one per `(step, level)` — every decode of a
+/// step that reads a level reads it from one unit, so a chunk both decodes
+/// read is fetched once — and the groups are [`fetch_groups`]' cut of them.
+/// Where each `(decode, level)` load's buffers sit in its group is fixed
+/// here, so a level load takes them by position, in the order its reads
+/// were lowered: one buffer per run, plane-major.
+///
+/// Groups are lazy and short-lived. The first load that takes from a group
+/// reads all of it with one [`read_ranges_exact`] of its sorted, distinct
+/// ranges — where the cache sees the per-chunk keys and the coalescer
+/// applies its own gap rule to all of them at once — and every later take
+/// is a zero-copy [`Bytes`] clone. A failed or short read leaves the group
+/// unread (the load fails; a retry reads again), and its buffers are
+/// dropped after its last load takes them.
+pub(crate) struct RequestFetch<'s> {
+    source: Arc<dyn ChunkSource + 's>,
+    groups: Vec<FetchGroup>,
+    /// `loads[decode][level]`: where that load's buffers sit, `None` for a
+    /// level the decode reads nothing of.
+    loads: Vec<Vec<Option<Load>>>,
+}
+
+struct FetchGroup {
+    /// The group's distinct ranges, sorted: what its one read asks for.
+    ranges: Vec<ByteRange>,
+    /// Loads still to take from the group; its buffers go when this is 0.
+    takes: usize,
+    /// One buffer per range while the group is resident.
+    bufs: Option<Vec<Bytes>>,
+}
+
+/// One `(decode, level)` load: its group and, per lowered read in order,
+/// the slot of that read's range among the group's ranges.
+struct Load {
+    group: usize,
+    slots: Vec<usize>,
+}
+
+impl<'s> RequestFetch<'s> {
+    /// The fetch of `decodes` from `source`: per decode, its lowered reads
+    /// and its first unit — level `l`'s reads are unit `first + l`, so the
+    /// decodes of one archive step share a `first`, and a container
+    /// request's one decode has `first` 0.
+    pub(crate) fn new(
+        source: Arc<dyn ChunkSource + 's>,
+        decodes: &[(usize, Vec<ChunkRead>)],
+    ) -> Self {
+        let mut units: Vec<Vec<ByteRange>> = Vec::new();
+        for (first, reads) in decodes {
+            for read in reads {
+                let unit = first + read.level;
+                units.resize(units.len().max(unit + 1), Vec::new());
+                units[unit].push(read.range);
+            }
+        }
+        let (groups, cut) = cut_groups(units);
+        let mut groups: Vec<FetchGroup> = (groups.into_iter())
+            .map(|mut ranges| {
+                ranges.sort_unstable();
+                ranges.dedup();
+                FetchGroup {
+                    ranges,
+                    takes: 0,
+                    bufs: None,
+                }
+            })
+            .collect();
+        let loads = (decodes.iter())
+            .map(|(first, reads)| {
+                let mut levels: Vec<Option<Load>> = Vec::new();
+                for level in reads.chunk_by(|a, b| a.level == b.level) {
+                    let idx = level[0].level;
+                    let group = cut[first + idx].expect("a unit with reads is grouped");
+                    let ranges = &groups[group].ranges;
+                    let slots = (level.iter())
+                        .map(|read| {
+                            ranges
+                                .binary_search(&read.range)
+                                .expect("range in its group")
+                        })
+                        .collect();
+                    groups[group].takes += 1;
+                    levels.resize_with(levels.len().max(idx + 1), || None);
+                    levels[idx] = Some(Load { group, slots });
+                }
+                levels
+            })
+            .collect();
+        Self {
+            source,
+            groups,
+            loads,
+        }
+    }
+
+    /// The run buffers of `decode`'s load of `level`, one per lowered read
+    /// in order, reading the load's group first if no load has yet. A level
+    /// the decode reads nothing of takes nothing.
+    pub(crate) fn take(&mut self, decode: usize, level: usize) -> Result<Vec<Bytes>> {
+        let load = self.loads.get(decode).and_then(|levels| levels.get(level));
+        let Some(Load { group, slots }) = load.and_then(Option::as_ref) else {
+            return Ok(Vec::new());
+        };
+        let group = &mut self.groups[*group];
+        debug_assert!(group.takes > 0, "load ({decode}, {level}) taken twice");
+        if group.bufs.is_none() {
+            let obs = crate::obs::metrics();
+            let mut span = ipc_telemetry::span_timed("pipeline", "fetch", obs.fetch_ns);
+            let bytes: u64 = group.ranges.iter().map(|r| r.len as u64).sum();
+            obs.fetch_bytes.add(bytes);
+            span.add_arg("bytes", bytes);
+            group.bufs = Some(read_ranges_exact(&*self.source, &group.ranges)?);
+        }
+        let bufs = group.bufs.as_ref().expect("read above");
+        let taken = slots.iter().map(|&s| bufs[s].clone()).collect();
+        group.takes -= 1;
+        if group.takes == 0 {
+            group.bufs = None;
+        }
+        Ok(taken)
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::source::MemorySource;
     use crate::{compress, Compressed, Config};
     use ipc_tensor::{ArrayD, Shape};
+    use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering::SeqCst};
 
     fn toy_map(chunk_bytes: usize) -> (Compressed, ContainerMap) {
         let field = ArrayD::from_fn(Shape::d3(20, 18, 16), |c| {
@@ -421,6 +566,147 @@ mod tests {
         let groups = fetch_groups(units);
         assert_eq!(groups.len(), 2);
         assert_eq!(groups[0], vec![r, r, ByteRange::new(90, 40)]);
+    }
+
+    /// Counts `read_ranges` calls and can be told to fail them.
+    struct Counting {
+        inner: MemorySource,
+        calls: AtomicUsize,
+        failing: AtomicBool,
+    }
+
+    impl Counting {
+        fn new(len: usize) -> Self {
+            Self {
+                inner: MemorySource::new((0..len).map(|i| i as u8).collect()),
+                calls: Default::default(),
+                failing: Default::default(),
+            }
+        }
+        fn calls(&self) -> usize {
+            self.calls.load(SeqCst)
+        }
+    }
+
+    impl ChunkSource for Counting {
+        fn len(&self) -> u64 {
+            self.inner.len()
+        }
+        fn read_ranges(&self, ranges: &[ByteRange]) -> Result<Vec<Bytes>> {
+            self.calls.fetch_add(1, SeqCst);
+            if self.failing.load(SeqCst) {
+                return Err(crate::IpcompError::Io("injected outage".into()));
+            }
+            self.inner.read_ranges(ranges)
+        }
+    }
+
+    fn r(offset: u64, len: usize) -> ByteRange {
+        ByteRange::new(offset, len)
+    }
+
+    /// A lowered read of `level` (plane and chunk labels do not matter to
+    /// the fetch).
+    fn read(level: usize, offset: u64, len: usize) -> ChunkRead {
+        let range = r(offset, len);
+        ChunkRead {
+            level,
+            plane: 0,
+            chunk: 0,
+            range,
+        }
+    }
+
+    fn check(bufs: &[Bytes], ranges: &[ByteRange]) {
+        assert_eq!(bufs.len(), ranges.len());
+        for (b, range) in bufs.iter().zip(ranges) {
+            let want: Vec<u8> = (range.offset..range.end()).map(|i| i as u8).collect();
+            assert_eq!(&b[..], &want[..], "{range:?}");
+        }
+    }
+
+    #[test]
+    fn fetch_reads_each_group_once_whatever_the_take_order() {
+        let inner = Counting::new(256);
+        // Levels 0 and 1 are byte-adjacent (one group); level 2 lies past a
+        // gap over the bridge budget (its own group).
+        let reads = vec![
+            read(0, 0, 8),
+            read(0, 8, 8),
+            read(1, 16, 4),
+            read(2, 100, 16),
+            read(2, 130, 2),
+        ];
+        let mut fetch = RequestFetch::new(Arc::new(&inner), &[(0, reads)]);
+        assert_eq!(fetch.groups.len(), 2);
+        // The far group first, then the near one's second load before its
+        // first: one read per group.
+        check(&fetch.take(0, 2).unwrap(), &[r(100, 16), r(130, 2)]);
+        assert_eq!(inner.calls(), 1);
+        check(&fetch.take(0, 1).unwrap(), &[r(16, 4)]);
+        let first = fetch.take(0, 0).unwrap();
+        check(&first, &[r(0, 8), r(8, 8)]);
+        assert_eq!(inner.calls(), 2);
+        // Takes are slices of the group's buffers, not copies of them.
+        assert!(first.iter().all(|b| b.backing_len() == 256));
+        // A level (or a decode) the plan reads nothing of takes nothing.
+        assert!(fetch.take(0, 3).unwrap().is_empty());
+        assert!(fetch.take(1, 0).unwrap().is_empty());
+        assert_eq!(inner.calls(), 2);
+    }
+
+    #[test]
+    fn a_group_is_read_once_for_a_steps_decodes_and_dropped_after_its_last_take() {
+        let inner = Counting::new(256);
+        // Two decodes of step 0 both read `r(0, 8)` of level 0; step 1's
+        // level 0 is a unit of its own, far enough away to be a group.
+        let decodes = [
+            (0, vec![read(0, 0, 8)]),
+            (0, vec![read(0, 0, 8), read(0, 8, 8)]),
+            (1, vec![read(0, 200, 8)]),
+        ];
+        let mut fetch = RequestFetch::new(Arc::new(&inner), &decodes);
+        assert_eq!(fetch.groups.len(), 2);
+        assert_eq!(fetch.groups[0].ranges, [r(0, 8), r(8, 8)]);
+        check(&fetch.take(1, 0).unwrap(), &[r(0, 8), r(8, 8)]);
+        assert!(fetch.groups[0].bufs.is_some(), "decode 0 has yet to take");
+        check(&fetch.take(0, 0).unwrap(), &[r(0, 8)]);
+        assert!(fetch.groups[0].bufs.is_none(), "taken out: the buffers go");
+        assert_eq!(inner.calls(), 1);
+        check(&fetch.take(2, 0).unwrap(), &[r(200, 8)]);
+        assert_eq!(inner.calls(), 2);
+    }
+
+    #[test]
+    fn a_failed_group_read_leaves_nothing_resident_and_the_next_take_reads_again() {
+        let inner = Counting::new(256);
+        let reads = vec![read(0, 0, 8), read(1, 64, 8), read(1, 80, 8)];
+        let mut fetch = RequestFetch::new(Arc::new(&inner), &[(0, reads)]);
+        fetch.take(0, 0).unwrap();
+        inner.failing.store(true, SeqCst);
+        assert!(fetch.take(0, 1).is_err());
+        assert!(fetch.groups[1].bufs.is_none());
+        inner.failing.store(false, SeqCst);
+        let calls = inner.calls();
+        // The failed group is read again, whole, by the retry.
+        check(&fetch.take(0, 1).unwrap(), &[r(64, 8), r(80, 8)]);
+        assert_eq!(inner.calls(), calls + 1);
+
+        // A short read is a failed read too: nothing undersized stays.
+        struct Short(MemorySource);
+        impl ChunkSource for Short {
+            fn len(&self) -> u64 {
+                self.0.len()
+            }
+            fn read_ranges(&self, ranges: &[ByteRange]) -> Result<Vec<Bytes>> {
+                let bufs = self.0.read_ranges(ranges)?;
+                Ok(bufs.into_iter().map(|b| b.slice(0..b.len() / 2)).collect())
+            }
+        }
+        let short = Arc::new(Short(MemorySource::new(vec![0; 64])));
+        let mut fetch = RequestFetch::new(short, &[(0, vec![read(0, 0, 8)])]);
+        assert!(fetch.take(0, 0).is_err());
+        assert!(fetch.groups[0].bufs.is_none());
     }
 
     proptest::proptest! {

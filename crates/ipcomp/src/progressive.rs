@@ -22,16 +22,17 @@
 //! applied pass — instead of one monolithic dequantize + interpolate sweep
 //! after the last byte lands.
 //!
-//! Over ranged storage the **request** is the unit of I/O, not the level:
-//! before any level decodes, the retrieval lowers its plan to the byte ranges
-//! its levels will ask for ([`crate::planner::lower_plan`] — the list the
-//! store layer prices a request by), cuts them into byte-budgeted fetch
-//! groups ([`crate::planner::fetch_groups`]) and reads through a
-//! [`PlannedSource`], which fetches a whole group on the first touch of any
-//! of its ranges. The level loop below is unchanged by this — it asks for a
-//! level's ranges when it reaches the level and gets slices of a group that
-//! is usually already resident, which the pipeline decodes in place: the
-//! fetched bytes are never copied into an in-memory level.
+//! Over ranged storage the **request** is the unit of I/O, not the level,
+//! and the plan is the fetch: before any level decodes, the retrieval lowers
+//! its plan to byte ranges ([`crate::planner::lower_plan`] — the list the
+//! store layer prices a request by) and builds one `RequestFetch` from
+//! them, cut into the byte-budgeted groups of
+//! [`crate::planner::fetch_groups`]. Each level load takes its run buffers
+//! from that fetch when the loop reaches the level — the first load of a
+//! group reads the whole group, so the levels after it usually find their
+//! bytes resident — and the pipeline decodes them in place: the fetched
+//! bytes are never copied into an in-memory level. An archive window
+//! builds one fetch for all its steps and lends it to each step's decodes.
 //!
 //! One map per decoder; the backing only supplies chunk bytes. Every
 //! decoder holds one [`ContainerMap`] — opened from its source, or built by
@@ -77,9 +78,9 @@ use crate::error::{IpcompError, Result};
 use crate::interp::{num_levels, sweep_runs};
 use crate::optimizer::{plan_for_scope, LoadPlan, RegionMasks};
 use crate::pipeline::RegionPipeline;
-use crate::planner::{fetch_groups, lower_plan};
+use crate::planner::{lower_plan, RequestFetch};
 use crate::precinct::{PrecinctGrid, RoiBox};
-use crate::source::{ChunkSource, PlannedSource};
+use crate::source::ChunkSource;
 
 /// Plane mask selecting a coefficient's whole negabinary word.
 const ALL_PLANES: u64 = u64::MAX;
@@ -170,15 +171,26 @@ pub struct Retrieval {
 /// Where a [`ProgressiveDecoder`] reads chunk bytes from — the one thing its
 /// two kinds differ in. Everything else (header, anchors, level geometry,
 /// costs, chunk sizes) is read from the decoder's [`ContainerMap`].
-#[derive(Clone)]
 enum Backing<'a> {
     /// The levels of a fully resident [`Compressed`]: each level decodes from
     /// its own chunk `Vec`s, the reference the ranged path is checked against.
     Resident(&'a [EncodedLevel]),
     /// Ranged access to the serialized bytes: a borrowed source (wrapped
     /// through `impl ChunkSource for &S`) or a shared one that lets sessions
-    /// own a `'static` decoder.
+    /// own a `'static` decoder. Each retrieval fetches through its own
+    /// [`RequestFetch`].
     Ranged(Arc<dyn ChunkSource + 'a>),
+    /// No chunk source of its own: every retrieval takes its chunk bytes
+    /// from a fetch it is lent (an archive window's).
+    Lent,
+}
+
+/// Where one retrieval's level loads get their chunk bytes.
+enum LevelBytes<'r, 's> {
+    /// A resident container's own chunks.
+    Resident(&'r [EncodedLevel]),
+    /// Level `idx`'s runs are load `(decode, idx)` of a request's fetch.
+    Fetched(&'r mut RequestFetch<'s>, usize),
 }
 
 /// Stateful progressive decoder for one compressed field.
@@ -188,7 +200,8 @@ pub struct ProgressiveDecoder<'a> {
     map: Arc<ContainerMap>,
     chunks: Backing<'a>,
     shape: Shape,
-    /// Negabinary accumulators per level (same ordering as the container's levels).
+    /// Negabinary accumulators per level (same ordering as the container's
+    /// levels), each allocated by the level's first full-domain load.
     acc: Vec<Vec<u64>>,
     /// Planes currently loaded per level (counted from the most significant).
     planes_loaded: Vec<u8>,
@@ -199,10 +212,6 @@ pub struct ProgressiveDecoder<'a> {
     /// It is read once per decoder, so a retry after a failed initial
     /// reconstruction must not charge it again.
     base_bytes_counted: bool,
-    /// The source already serves this decoder's reads from a wider request's
-    /// fetch groups (an archive window's), so retrievals must not regroup
-    /// them per container.
-    source_is_planned: bool,
     /// `(referee, threads)` for every engine this decoder builds; see
     /// [`ProgressiveDecoder::with_kernel`].
     #[cfg(any(test, feature = "reference-scalar"))]
@@ -239,21 +248,15 @@ impl<'a> ProgressiveDecoder<'a> {
         ProgressiveDecoder::with_backing(map, Backing::Ranged(source))
     }
 
-    /// [`ProgressiveDecoder::from_shared_source`] over a source that is
-    /// (a window of) a [`PlannedSource`] already holding this decoder's reads.
-    pub(crate) fn over_planned_source(
-        source: Arc<dyn ChunkSource>,
-        map: Arc<ContainerMap>,
-    ) -> ProgressiveDecoder<'static> {
-        ProgressiveDecoder {
-            source_is_planned: true,
-            ..Self::from_shared_source(source, map)
-        }
+    /// A decoder over `map` whose retrievals take their chunk bytes from a
+    /// lent [`RequestFetch`] (see [`ProgressiveDecoder::retrieve_scoped`]).
+    pub(crate) fn lent(map: Arc<ContainerMap>) -> ProgressiveDecoder<'static> {
+        ProgressiveDecoder::with_backing(map, Backing::Lent)
     }
 
     fn with_backing(map: Arc<ContainerMap>, chunks: Backing<'a>) -> Self {
         let shape = map.header.shape();
-        let acc = map.levels.iter().map(|l| vec![0u64; l.n_values]).collect();
+        let acc = vec![Vec::new(); map.levels.len()];
         let planes_loaded = vec![0u8; map.levels.len()];
         Self {
             map,
@@ -264,7 +267,6 @@ impl<'a> ProgressiveDecoder<'a> {
             recon: None,
             bytes_total: 0,
             base_bytes_counted: false,
-            source_is_planned: false,
             #[cfg(any(test, feature = "reference-scalar"))]
             kernel: (false, 0),
         }
@@ -338,7 +340,7 @@ impl<'a> ProgressiveDecoder<'a> {
     /// is read. A [`RetrievalRequest::Roi`] request is
     /// [`ProgressiveDecoder::retrieve_roi`] at an error bound.
     pub fn retrieve(&mut self, request: RetrievalRequest) -> Result<Retrieval> {
-        self.retrieve_scoped(request, None, None)
+        self.retrieve_scoped(request, None, None, None)
     }
 
     /// Retrieve (or refine to) the fidelity described by `request`,
@@ -362,12 +364,12 @@ impl<'a> ProgressiveDecoder<'a> {
         request: RetrievalRequest,
         mut events: impl FnMut(StreamEvent),
     ) -> Result<Retrieval> {
-        self.retrieve_scoped(request, None, Some(&mut events))
+        self.retrieve_scoped(request, None, Some(&mut events), None)
     }
 
     /// Retrieve (or refine to) a specific loading plan.
     pub fn retrieve_with_plan(&mut self, plan: &LoadPlan) -> Result<Retrieval> {
-        self.retrieve_inner(plan, None, None)
+        self.retrieve_inner(plan, None, None, None)
     }
 
     /// Reconstruct only the axis-aligned region `bounds` at the fidelity of
@@ -386,20 +388,23 @@ impl<'a> ProgressiveDecoder<'a> {
     /// retrievals. Only the cumulative byte accounting is shared, and a
     /// failed ROI retrieval commits nothing.
     pub fn retrieve_roi(&mut self, bounds: RoiBox, request: RetrievalRequest) -> Result<Retrieval> {
-        self.retrieve_scoped(request, Some(bounds), None)
+        self.retrieve_scoped(request, Some(bounds), None, None)
     }
 
     /// The one read core behind every `retrieve*` spelling: resolve the
     /// request and optional region through the optimizer, then run the
-    /// shared loop — with an event sink when the caller passed one.
+    /// shared loop — with an event sink when the caller passed one, and
+    /// taking chunk bytes from `lent`, load `(decode, level)` of a wider
+    /// request's fetch, when the caller lends one.
     pub(crate) fn retrieve_scoped(
         &mut self,
         request: RetrievalRequest,
         region: Option<RoiBox>,
         events: Option<&mut dyn FnMut(StreamEvent)>,
+        lent: Option<(&mut RequestFetch<'a>, usize)>,
     ) -> Result<Retrieval> {
         let (plan, region) = plan_for_scope(&self.map, request, region)?;
-        self.retrieve_inner(&plan, region, events)
+        self.retrieve_inner(&plan, region, events, lent)
     }
 
     fn retrieve_inner(
@@ -407,6 +412,7 @@ impl<'a> ProgressiveDecoder<'a> {
         plan: &LoadPlan,
         region: Option<RegionMasks>,
         events: Option<&mut dyn FnMut(StreamEvent)>,
+        lent: Option<(&mut RequestFetch<'a>, usize)>,
     ) -> Result<Retrieval> {
         let m = crate::obs::metrics();
         let name = if region.is_some() {
@@ -463,27 +469,30 @@ impl<'a> ProgressiveDecoder<'a> {
         // With nothing new requested the retrieval is monotone: no load, the
         // current reconstruction is returned as is.
         if initial || !works.is_empty() {
-            // Clone the backing (a reference or an `Arc`) so level borrows
-            // come from a local, leaving `self` free for field updates.
-            let held = self.chunks.clone();
-            // A ranged backing reads by request, not by level: lower the
-            // plan to the ranges the level loop will ask for — what it has
-            // yet to load, of the region's precincts — and serve them from
-            // fetch groups.
-            let planned;
-            let chunks = match &held {
-                Backing::Ranged(source) if !self.source_is_planned => {
+            // A ranged backing reads by request, not by level: the plan's
+            // lowered reads — what it has yet to load, of the region's
+            // precincts — are the fetch every level load takes its bytes
+            // from.
+            let mut own;
+            let chunks = match (lent, &self.chunks) {
+                (Some((fetch, decode)), _) => LevelBytes::Fetched(fetch, decode),
+                (None, Backing::Resident(levels)) => LevelBytes::Resident(levels),
+                (None, Backing::Ranged(source)) => {
                     let (have, ids) = match &region {
                         Some(scope) => (&[][..], Some(&scope.ids[..])),
                         None => (&self.planes_loaded[..], None),
                     };
-                    let units = lower_plan(&map, have, plan, ids).level_units();
-                    planned = PlannedSource::new(source.as_ref(), fetch_groups(units));
-                    Backing::Ranged(Arc::new(&planned))
+                    let reads = lower_plan(&map, have, plan, ids).reads;
+                    own = RequestFetch::new(Arc::clone(source), &[(0, reads)]);
+                    LevelBytes::Fetched(&mut own, 0)
                 }
-                _ => held.clone(),
+                (None, Backing::Lent) => {
+                    return Err(IpcompError::InvalidInput(
+                        "a lent decoder reads only from a lent fetch".into(),
+                    ))
+                }
             };
-            let loaded = self.drive_levels(&map, &chunks, &works, initial, region.as_mut(), events);
+            let loaded = self.drive_levels(&map, chunks, &works, initial, region.as_mut(), events);
             let field = match loaded {
                 Ok(field) => field,
                 Err(e) => {
@@ -564,11 +573,11 @@ impl<'a> ProgressiveDecoder<'a> {
     /// table under the scheme `map` holds for the level, over the load's
     /// region list: every region of the level, or under a `region` the ids of
     /// the precincts it reads. A resident level's table borrows its chunks; a
-    /// ranged level's is cut from the `Bytes` of one
-    /// [`crate::LevelMap::fetch_planes`] read, which are slices of the
-    /// request's fetch groups ([`PlannedSource`]), so the first level's read
-    /// brings in every range grouped with it and the levels after it find
-    /// their bytes resident. Either way the level then streams region by
+    /// fetched level's is cut by [`crate::LevelMap::fetch_planes`] from the
+    /// run buffers the level takes from the request's [`RequestFetch`] —
+    /// slices of its group's one read, so the first level of a group brings
+    /// in every range grouped with it and the levels after it find their
+    /// bytes resident. Either way the level then streams region by
     /// region through one [`RegionPipeline`], reporting every non-empty
     /// region to `events` and rolling back exactly on failure, and goes to
     /// the engine whole: [`CascadeEngine::level_ready`], or the windowed pass
@@ -580,7 +589,7 @@ impl<'a> ProgressiveDecoder<'a> {
     fn drive_levels(
         &mut self,
         map: &ContainerMap,
-        chunks: &Backing<'_>,
+        mut chunks: LevelBytes<'_, '_>,
         works: &[(usize, u8, u8, u8)],
         initial: bool,
         mut region: Option<&mut RegionScope>,
@@ -618,25 +627,32 @@ impl<'a> ProgressiveDecoder<'a> {
             w += usize::from(work.is_some());
             if let Some((_, lo, hi, want)) = work {
                 let ids = region.as_deref().map(|scope| &scope.ids[idx][..]);
-                let mut fetched = Vec::new();
-                let scheme = level.scheme();
-                let chunks = match chunks {
-                    Backing::Resident(levels) => {
-                        levels[idx].chunk_table(Arc::clone(scheme), lo, hi, ids)?
+                let fetched;
+                let chunks = match &mut chunks {
+                    LevelBytes::Resident(levels) => {
+                        levels[idx].chunk_table(Arc::clone(level.scheme()), lo, hi, ids)?
                     }
-                    Backing::Ranged(source) => {
-                        level.fetch_planes(source.as_ref(), lo, hi, ids, &mut fetched)?
+                    LevelBytes::Fetched(fetch, decode) => {
+                        fetched = fetch.take(*decode, idx)?;
+                        level.fetch_planes(lo, hi, ids, &fetched)?
                     }
                 };
                 // A region decodes into a scratch accumulator holding its
-                // precincts' coefficients back to back.
+                // precincts' coefficients back to back; a full-domain load
+                // into the level's own, allocated by its first load.
                 let mut scratch = Vec::new();
                 let acc = match region {
                     Some(_) => {
                         scratch = vec![0u64; chunks.acc_len()];
                         &mut scratch[..]
                     }
-                    None => &mut self.acc[idx][..],
+                    None => {
+                        let acc = &mut self.acc[idx];
+                        if acc.is_empty() {
+                            *acc = vec![0u64; level.n_values];
+                        }
+                        &mut acc[..]
+                    }
                 };
                 let pipeline = RegionPipeline::new(
                     chunks,

@@ -6,9 +6,9 @@
 //!
 //! The stack mirrors [`ContainerStore`](crate::ContainerStore) — backend,
 //! optional coalescing, optional shared LRU cache with per-tag quotas — but
-//! addresses the whole archive as **one key space**: every embedded per-step
-//! container reads through an [`ipcomp::OffsetSource`] window whose ranges translate
-//! to archive-absolute offsets *above* the cache, so the keyframe and
+//! addresses the whole archive as **one key space**: the reader shifts every
+//! embedded per-step container's lowered reads to archive-absolute offsets
+//! *above* the cache, so the keyframe and
 //! coarse-prefix chunks that consecutive-step requests share deduplicate in
 //! the shared cache exactly like two sessions sharing one container do
 //! (per-[`CacheTag`] stats prove which tenant the reuse belongs to).

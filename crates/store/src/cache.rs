@@ -7,7 +7,7 @@
 //! session (or a refinement pass) is a guaranteed key match. The one
 //! exception is a region retrieval, which reads each maximal run of
 //! consecutive precinct ids it selects as a single range
-//! (`LevelMap::fetch_planes` over a region): its keys are per run, so two
+//! (`planner::lower_plan` over a region): its keys are per run, so two
 //! regions share an entry only where their precinct runs coincide, and a
 //! region never hits the per-chunk entries a full-domain read admitted. The
 //! cache sits

@@ -15,7 +15,7 @@
 //! for a sorted list, and says nothing about ranges it never sees together.
 //! What a call contains is decided above this layer: a retrieval hands the
 //! stack one `read_ranges` per **fetch group** of its lowered plan
-//! (`ipcomp::planner::fetch_groups`, served by `ipcomp::PlannedSource`), and
+//! (`ipcomp::planner::fetch_groups`, read by the request's fetch), and
 //! groups span level and archive-step boundaries only within a byte budget
 //! of a sixteenth of the plan — because at an object store's break-even gap
 //! (1 MB) merging a whole request would read 1.3–2.2× its planned bytes.

@@ -11,9 +11,9 @@
 //! shared memory.
 //!
 //! A session's retrieval is **one request** to the stack: the decoder lowers
-//! its plan to chunk ranges, cuts them into byte-budgeted fetch groups and
-//! hands each group to the stack in a single `read_ranges`
-//! (`ipcomp::PlannedSource`, `ipcomp::planner::fetch_groups`). The cache
+//! its plan to chunk ranges — those reads are its fetch — cuts them into
+//! byte-budgeted fetch groups (`ipcomp::planner::fetch_groups`) and hands
+//! each group to the stack in a single `read_ranges`. The cache
 //! therefore sees a request's per-chunk keys together — a group whose chunks
 //! all hit issues no backend read at all — and the coalescer sees every miss
 //! of a group at once, so ranges adjacent across a level boundary merge

@@ -1024,3 +1024,28 @@ fn geometry_inconsistent_containers_are_refused_before_planning() {
     });
     assert_archive_refused("doubled dim", &archive, LEVELS_VS_DIMS);
 }
+
+/// A hand-built finest level claiming `usize::MAX` values (no planes, loss
+/// table `[0]`): the decoder allocates a level's accumulator on its first
+/// full-domain load, past the map's verdict, so `new` returns and planning
+/// and retrieval refuse the level instead of sizing a buffer by it.
+#[test]
+fn a_level_claiming_usize_max_values_is_refused_not_allocated() {
+    let mut forged = compress(&forgery_field(), 1e-6, &Config::default()).unwrap();
+    let finest = forged.levels.last_mut().unwrap();
+    finest.n_values = usize::MAX;
+    finest.planes.clear();
+    finest.num_planes = 0;
+    finest.trunc_loss = vec![0];
+    let refused = |outcome: Result<(), IpcompError>| {
+        assert_eq!(
+            outcome,
+            Err(IpcompError::CorruptContainer(
+                "level size inconsistent with grid dimensions"
+            ))
+        );
+    };
+    let mut dec = ProgressiveDecoder::new(&forged);
+    refused(dec.plan(RetrievalRequest::Full).map(drop));
+    refused(dec.retrieve(RetrievalRequest::Full).map(drop));
+}
