@@ -53,8 +53,8 @@
 //! * **Streaming** — a chunk covers a contiguous coefficient range, and every
 //!   plane of a level shares the same [`RegionScheme`], so a decoder can fully
 //!   reconstruct coefficients `[k·8·CHUNK_BYTES, (k+1)·8·CHUNK_BYTES)` from
-//!   just the `k`-th chunk of each loaded plane (the decoder's region
-//!   pipeline). Memory stays bounded by the region size, not the level size.
+//!   just the `k`-th chunk of each loaded plane (the decoder's level
+//!   loader). Memory stays bounded by the region size, not the level size.
 //! * **Addressability** — the version-2 container records every chunk's size
 //!   in its metadata, so a remote reader can fetch any chunk without parsing
 //!   payload bytes.
@@ -69,7 +69,9 @@
 //! only way from a level to its packed geometry. There is likewise one
 //! encoder body, `encode_regions`, parameterised by the scheme;
 //! [`encode_level_with`] and [`encode_level_precincts`] only build the scheme
-//! and record what it was built from. A new layout is one scheme case, not a
+//! and record what it was built from. The decode side has one body too, the
+//! crate's level loader (`pipeline::load_level`): [`decode_planes_into`] and
+//! every retrieval load through it. A new layout is one scheme case, not a
 //! second coder.
 //!
 //! Prediction stays correct under chunking because it operates per
@@ -115,7 +117,7 @@ use rayon::prelude::*;
 
 use crate::container::EMPTY_REGION_PAYLOAD;
 use crate::error::{IpcompError, Result};
-use crate::pipeline::{region_list, LevelChunks, RegionPipeline};
+use crate::pipeline::{clear_planes, load_level, region_list, LevelChunks};
 
 /// Minimum number of coefficients before the coder fans work out to rayon.
 const PARALLEL_THRESHOLD: usize = 4096;
@@ -791,7 +793,7 @@ pub(crate) fn check_plane_range(num_planes: u8, plane_lo: u8, plane_hi: u8) -> R
 /// expected size, so corrupt chunk headers cannot force runaway memory use.
 /// A region without coefficients stores a zero-byte chunk with no entropy
 /// framing, which decodes to nothing; that no such chunk carries bytes is
-/// checked where the index is read, and the pipeline never decodes one.
+/// checked where the index is read, and the level loader never decodes one.
 pub(crate) fn decode_chunk_bytes(compressed: &[u8], expected: usize) -> Result<Vec<u8>> {
     if expected == 0 && compressed.is_empty() {
         return Ok(Vec::new());
@@ -812,13 +814,14 @@ pub(crate) fn decode_chunk_bytes(compressed: &[u8], expected: usize) -> Result<V
 /// predictive coding is undone using those more significant bits. The newly decoded
 /// bits are OR-ed into `acc`.
 ///
-/// This is the decoder's one level loader, its region pipeline, over every
-/// region of the level and without a progress sink: regions stream in
-/// coefficient order, and a
-/// corrupt block rolls back the regions scattered before it, so a failed call
-/// leaves `acc` unmodified. A bare level has no map to carry a verdict, so
-/// every call first runs `EncodedLevel::check_chunks` under the level's
-/// own [`EncodedLevel::scheme`]: a level that fails it is refused as
+/// This is the decoder's one level loader over every region of the level,
+/// without a progress sink: regions decode in coefficient order. The loader
+/// does no rollback, so this function owns it: a corrupt block fails the
+/// call after the regions before it were scattered, and clearing planes
+/// `[plane_lo, plane_hi)` again — zero before the call — leaves `acc`
+/// unmodified. A bare level has no map to carry a verdict, so every call
+/// first runs `EncodedLevel::check_chunks` under the level's own
+/// [`EncodedLevel::scheme`]: a level that fails it is refused as
 /// [`IpcompError::CorruptContainer`].
 pub fn decode_planes_into(
     level: &EncodedLevel,
@@ -831,7 +834,12 @@ pub fn decode_planes_into(
     let scheme = level.scheme();
     level.check_chunks(&scheme)?;
     let chunks = level.chunk_table(Arc::new(scheme), plane_lo, plane_hi, None)?;
-    RegionPipeline::new(chunks, prefix_bits, predictive, acc.len())?.stream(acc, |_, _| {})
+    let loaded = load_level(&chunks, prefix_bits, predictive, acc, |_, _| {});
+    // An accumulator of the wrong length is refused before it is written.
+    if loaded.is_err() && acc.len() == chunks.acc_len() {
+        clear_planes(acc, plane_lo, plane_hi);
+    }
+    loaded
 }
 
 /// Decode the top `planes_loaded` planes of a level into quantization codes
@@ -1082,13 +1090,42 @@ mod tests {
         sample_codes(ODD_SPANS.iter().sum(), 1 << 15, 12)
     }
 
-    /// Region-at-a-time stream over planes `[lo, hi)` of a resident level
-    /// (prefix width 2, predictive — what every streaming test encodes with).
-    fn resident_stream(level: &EncodedLevel, lo: u8, hi: u8, acc_len: usize) -> RegionPipeline<'_> {
+    /// Every region's `on_region(coeffs, compressed_bytes)` report, in order.
+    type Reports = Vec<(std::ops::Range<usize>, usize)>;
+
+    /// Load `load` into `acc` through the level loader (prefix width 2,
+    /// predictive — what every streaming test encodes with), recording what
+    /// it reports per region.
+    fn load_reporting(load: &LevelChunks<'_>, acc: &mut [u64]) -> (Result<()>, Reports) {
+        let mut reports = Vec::new();
+        let outcome = load_level(load, 2, true, acc, |coeffs, bytes| {
+            reports.push((coeffs, bytes))
+        });
+        (outcome, reports)
+    }
+
+    /// Planes `[lo, hi)` of a resident level, loaded into `acc` by
+    /// [`load_reporting`].
+    fn resident_load(
+        level: &EncodedLevel,
+        lo: u8,
+        hi: u8,
+        acc: &mut [u64],
+    ) -> (Result<()>, Reports) {
         let chunks = level
             .chunk_table(Arc::new(level.scheme()), lo, hi, None)
             .unwrap();
-        RegionPipeline::new(chunks, 2, true, acc_len).unwrap()
+        load_reporting(&chunks, acc)
+    }
+
+    /// Regions land in coefficient order, without gaps, and cover `n`.
+    fn assert_contiguous(reports: &Reports, n: usize) {
+        let mut last_end = 0usize;
+        for (coeffs, _) in reports {
+            assert_eq!(coeffs.start, last_end);
+            last_end = coeffs.end;
+        }
+        assert_eq!(last_end, n);
     }
 
     #[test]
@@ -1151,22 +1188,13 @@ mod tests {
         let lo = hi / 3;
 
         let mut bulk = vec![0u64; enc.n_values];
-        decode_planes_into(&enc, lo, hi, 2, true, &mut bulk).unwrap();
+        scalar::decode_planes_into(&enc, lo, hi, 2, true, &mut bulk).unwrap();
 
         let mut streamed = vec![0u64; enc.n_values];
-        let mut stream = resident_stream(&enc, lo, hi, streamed.len());
-        let mut regions = 0usize;
-        let mut last_end = 0usize;
-        while let Some(range) = stream.decode_next(&mut streamed).unwrap() {
-            // Regions arrive in coefficient order, without gaps.
-            assert_eq!(range.start, last_end);
-            last_end = range.end;
-            regions += 1;
-            // Everything up to `range.end` is already final.
-            assert_eq!(streamed[..range.end], bulk[..range.end]);
-        }
-        assert_eq!(last_end, enc.n_values);
-        assert_eq!(regions, stream.num_regions());
+        let (outcome, reports) = resident_load(&enc, lo, hi, &mut streamed);
+        outcome.unwrap();
+        assert_contiguous(&reports, enc.n_values);
+        assert_eq!(reports.len(), enc.scheme().num_regions());
         assert_eq!(streamed, bulk);
     }
 
@@ -1203,24 +1231,19 @@ mod tests {
 
         let hi = enc.num_planes;
         let mut mem_acc = vec![0u64; enc.n_values];
-        let mut mem_stream = resident_stream(&enc, 0, hi, mem_acc.len());
+        let (outcome, mem_reports) = resident_load(&enc, 0, hi, &mut mem_acc);
+        outcome.unwrap();
         let mut src_acc = vec![0u64; enc.n_values];
         let lmap = map.levels.last().unwrap();
         assert_eq!(lmap.n_values, codes.len());
         let runs = lmap.run_ranges(0, hi, &lmap.chunk_runs(None));
         let bufs = crate::source::read_ranges_exact(&source, &runs).unwrap();
         let chunks = lmap.fetch_planes(0, hi, None, &bufs).unwrap();
-        let mut src_stream = RegionPipeline::new(chunks, 2, true, src_acc.len()).unwrap();
-        assert_eq!(mem_stream.num_regions(), src_stream.num_regions());
-        loop {
-            let a = mem_stream.decode_next(&mut mem_acc).unwrap();
-            let b = src_stream.decode_next(&mut src_acc).unwrap();
-            assert_eq!(a, b);
-            assert_eq!(mem_acc, src_acc);
-            if a.is_none() {
-                break;
-            }
-        }
+        let (outcome, src_reports) = load_reporting(&chunks, &mut src_acc);
+        outcome.unwrap();
+        // The same regions, covering the same coefficients and bytes.
+        assert_eq!(mem_reports, src_reports);
+        assert_eq!(mem_acc, src_acc);
         let decoded: Vec<i64> = src_acc.into_iter().map(from_negabinary).collect();
         assert_eq!(decoded, codes);
     }
@@ -1269,37 +1292,31 @@ mod tests {
         let chunk = &mut enc.planes[0].chunks[last];
         chunk.truncate(chunk.len().saturating_sub(2).max(1));
         let mut acc = vec![0u64; enc.n_values];
-        let mut stream = resident_stream(&enc, 0, enc.num_planes, acc.len());
-        let mut failed = false;
-        let mut completed = 0usize;
-        loop {
-            match stream.decode_next(&mut acc) {
-                Ok(Some(r)) => completed = r.end,
-                Ok(None) => break,
-                Err(e) => {
-                    // Must surface a bounded error, never panic; regions
-                    // before the corruption stay decoded.
-                    assert!(matches!(
-                        e,
-                        IpcompError::Codec(_) | IpcompError::CorruptContainer(_)
-                    ));
-                    failed = true;
-                    break;
-                }
-            }
-        }
-        assert!(failed, "truncated chunk must fail the stream");
-        assert!(completed < enc.n_values);
+        let (outcome, reports) = resident_load(&enc, 0, enc.num_planes, &mut acc);
+        // Must surface a bounded error, never panic.
+        assert!(matches!(
+            outcome,
+            Err(IpcompError::Codec(_) | IpcompError::CorruptContainer(_))
+        ));
+        let completed = reports.last().map_or(0, |(coeffs, _)| coeffs.end);
+        assert!(completed > 0 && completed < enc.n_values);
+        // The loader does no rollback: the regions before the corruption
+        // stay decoded, and the failed region's slice is untouched.
+        let clean = encode_level_with(&codes, 2, true, false, tiny_chunks());
+        let mut whole = vec![0u64; enc.n_values];
+        decode_planes_into(&clean, 0, clean.num_planes, 2, true, &mut whole).unwrap();
+        assert_eq!(acc[..completed], whole[..completed]);
+        assert!(acc[completed..].iter().all(|&w| w == 0));
     }
 
     #[test]
     fn plane_stream_region_byte_accounting_covers_payload() {
         let codes = sample_codes(3000, 1 << 14, 24);
         let enc = encode_level_with(&codes, 2, true, false, tiny_chunks());
-        let stream = resident_stream(&enc, 0, enc.num_planes, codes.len());
-        let total: usize = (0..stream.num_regions())
-            .map(|k| stream.region_compressed_bytes(k))
-            .sum();
+        let mut acc = vec![0u64; codes.len()];
+        let (outcome, reports) = resident_load(&enc, 0, enc.num_planes, &mut acc);
+        outcome.unwrap();
+        let total: usize = reports.iter().map(|&(_, bytes)| bytes).sum();
         assert_eq!(total, enc.payload_bytes());
     }
 
@@ -1822,10 +1839,15 @@ mod tests {
             let hi = enc.num_planes;
             let lo = if hi == 0 { 0 } else { (range_seed % (hi as u64 + 1)) as u8 };
             let mut bulk = vec![0u64; enc.n_values];
-            decode_planes_into(&enc, lo, hi, 2, true, &mut bulk).unwrap();
+            scalar::decode_planes_into(&enc, lo, hi, 2, true, &mut bulk).unwrap();
             let mut streamed = vec![0u64; enc.n_values];
-            let mut stream = resident_stream(&enc, lo, hi, streamed.len());
-            while stream.decode_next(&mut streamed).unwrap().is_some() {}
+            let (outcome, reports) = resident_load(&enc, lo, hi, &mut streamed);
+            outcome.unwrap();
+            if lo < hi {
+                assert_contiguous(&reports, enc.n_values);
+            } else {
+                proptest::prop_assert!(reports.is_empty());
+            }
             proptest::prop_assert_eq!(streamed, bulk);
         }
     }

@@ -1161,7 +1161,7 @@ mod tests {
     use super::*;
     use crate::bitplane::EncodeOptions;
     use crate::config::Config;
-    use crate::pipeline::RegionPipeline;
+    use crate::pipeline::load_level;
     use ipc_tensor::ArrayD;
 
     /// A hand-built container over a 10³ field: every level holds as many
@@ -1575,8 +1575,8 @@ mod tests {
 
     /// A region load is sized by its selection, not by the level: over a
     /// 128×128 field in 8² precincts (256 per level), one to four selected
-    /// precincts fetch a table of `planes × ids` entries, and the pipeline
-    /// takes a scratch accumulator of exactly the selected spans.
+    /// precincts fetch a table of `planes × ids` entries, and the level
+    /// loader takes a scratch accumulator of exactly the selected spans.
     #[test]
     fn region_load_is_sized_by_its_ids() {
         let field = ArrayD::from_fn(Shape::d2(128, 128), |c| {
@@ -1594,23 +1594,35 @@ mod tests {
         let (lo, hi) = (1, lmap.num_planes);
         let mut whole = vec![0u64; lmap.n_values];
         let resident = c.levels[i].chunk_table(Arc::clone(lmap.scheme()), lo, hi, None);
-        let pipeline = RegionPipeline::new(resident.unwrap(), prefix_bits, predictive, whole.len());
-        pipeline.unwrap().stream(&mut whole, |_, _| {}).unwrap();
+        load_level(
+            &resident.unwrap(),
+            prefix_bits,
+            predictive,
+            &mut whole,
+            |_, _| {},
+        )
+        .unwrap();
         let starts = crate::precinct::prefix_sums(spans);
         for ids in [&[7usize][..], &[3, 4], &[0, 17, 255], &[16, 17, 32, 33]] {
             let runs = lmap.run_ranges(lo, hi, &lmap.chunk_runs(Some(ids)));
             let bufs = read_ranges_exact(&source, &runs).unwrap();
-            let fetch = || lmap.fetch_planes(lo, hi, Some(ids), &bufs).unwrap();
-            let load = fetch();
+            let load = lmap.fetch_planes(lo, hi, Some(ids), &bufs).unwrap();
             assert_eq!(load.chunks.len(), (hi - lo) as usize * ids.len());
             assert!(ids.iter().all(|&k| spans[k] > 0));
             let selected: usize = ids.iter().map(|&k| spans[k]).sum();
             assert!(selected < lmap.n_values);
-            let refused = RegionPipeline::new(fetch(), prefix_bits, predictive, lmap.n_values);
+            let mut level_sized = vec![0u64; lmap.n_values];
+            let refused = load_level(&load, prefix_bits, predictive, &mut level_sized, |_, _| {});
             assert!(refused.is_err(), "a level-sized scratch is not the load's");
+            assert!(level_sized.iter().all(|&w| w == 0));
             let mut scratch = vec![0u64; selected];
-            let pipeline = RegionPipeline::new(load, prefix_bits, predictive, selected);
-            pipeline.unwrap().stream(&mut scratch, |_, _| {}).unwrap();
+            let mut reported = 0;
+            let loaded = load_level(&load, prefix_bits, predictive, &mut scratch, |coeffs, _| {
+                assert_eq!(coeffs.start, reported);
+                reported = coeffs.end;
+            });
+            loaded.unwrap();
+            assert_eq!(reported, selected);
             // The scratch holds the selected precincts' codes back to back.
             let want: Vec<u64> = (ids.iter())
                 .flat_map(|&k| whole[starts[k]..][..spans[k]].to_vec())

@@ -290,7 +290,7 @@ pub fn process_level(
 
 /// The referee for [`process_level`] and every sweep built on the run
 /// kernels: the same contract evaluated point by point — one
-/// [`predict_point_read`] and one bounds-checked store per target, no run
+/// `predict_point_read` and one bounds-checked store per target, no run
 /// classification, no raw pointers. Tests hold the run kernels (both
 /// directions) to it bit for bit; an engine bound to it with
 /// `CascadeEngine::with_kernel` decodes through it.

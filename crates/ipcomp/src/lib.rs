@@ -27,7 +27,7 @@
 //!    newly loaded planes only. Every decoder reads metadata, costs and chunk
 //!    sizes from one [`ContainerMap`]; its backing — a resident container or a
 //!    ranged source — only supplies chunk bytes. Every read path decodes a level through one
-//!    region pipeline, **entropy → scatter** per chunk region, from a table of
+//!    level loader, **entropy → scatter** per chunk region, from a table of
 //!    the level's chunks: a resident level's own, or zero-copy slices of what a
 //!    ranged read fetched. It scatters through plane-count-specialized kernels.
 //!    Over ranged storage a request lowers its

@@ -14,13 +14,16 @@
 //!   loaded block is ever re-read and no previous work is redone.
 //!
 //! Both algorithms run through one level loader and one cascade hand-over:
-//! every level streams region by region, entropy-decoded then scattered,
-//! through the crate's one region pipeline, then goes to the streaming
-//! cascade engine ([`crate::cascade`]) whole, so each level's interpolation
-//! pass runs as soon as that level's planes are decoded and scattered — on
-//! streaming retrievals [`StreamEvent::LevelReconstructed`] reports each
-//! applied pass — instead of one monolithic dequantize + interpolate sweep
-//! after the last byte lands.
+//! every level loads region by region, entropy-decoded then scattered,
+//! through the crate's one level loader (`pipeline::load_level`), then goes
+//! to the streaming cascade engine ([`crate::cascade`]) whole, so each
+//! level's interpolation pass runs as soon as that level's planes are
+//! decoded and scattered — on streaming retrievals
+//! [`StreamEvent::LevelReconstructed`] reports each applied pass — instead
+//! of one monolithic dequantize + interpolate sweep after the last byte
+//! lands. The loader does no rollback: the decoder owns the accumulators,
+//! and a failed retrieval's error branch is the one place that undoes its
+//! loads, so a failure leaves no trace.
 //!
 //! Over ranged storage the **request** is the unit of I/O, not the level,
 //! and the plan is the fetch: before any level decodes, the retrieval lowers
@@ -30,7 +33,7 @@
 //! [`crate::planner::fetch_groups`]. Each level load takes its run buffers
 //! from that fetch when the loop reaches the level — the first load of a
 //! group reads the whole group, so the levels after it usually find their
-//! bytes resident — and the pipeline decodes them in place: the fetched
+//! bytes resident — and the loader decodes them in place: the fetched
 //! bytes are never copied into an in-memory level. An archive window
 //! builds one fetch for all its steps and lends it to each step's decodes.
 //!
@@ -54,10 +57,11 @@
 //! through the optimizer's one scope rule (`optimizer::plan_for_scope`, over
 //! the map's cost table) and runs the same level loop; a spatial region
 //! ([`ProgressiveDecoder::retrieve_roi`]) is Algorithm 1 over the precincts
-//! the region's halo touches — the same plan, the same staged decode with
+//! the region's halo touches — the same plan, the same level loads with
 //! each level's region list cut to those precincts' ids, the engine's
 //! windowed pass, and a crop — into scratch state sized by the selection, so
-//! it never disturbs the progressive state.
+//! it never disturbs the progressive state and a failed region read has
+//! only the byte accounting to restore.
 //!
 //! A version-3 container stores every level precinct-major; the cascade reads
 //! canonical traversal order. Both reads cross between the two through the
@@ -77,7 +81,7 @@ use crate::container::{decode_anchors_bounded, Compressed, ContainerMap};
 use crate::error::{IpcompError, Result};
 use crate::interp::{num_levels, sweep_runs};
 use crate::optimizer::{plan_for_scope, LoadPlan, RegionMasks};
-use crate::pipeline::RegionPipeline;
+use crate::pipeline::{clear_planes, load_level};
 use crate::planner::{lower_plan, RequestFetch};
 use crate::precinct::{PrecinctGrid, RoiBox};
 use crate::source::ChunkSource;
@@ -127,10 +131,12 @@ pub struct StreamProgress {
     /// The non-empty regions of the level load's region list: how many
     /// `region` reports the level streams for this request.
     pub regions_in_level: usize,
-    /// Coefficients of the level fully decoded so far (prefix property:
-    /// everything below this index is final for the requested fidelity).
+    /// Coefficients of the level load decoded so far (prefix property:
+    /// everything below this index of the load's coefficients — the listed
+    /// regions' back to back — is final for the requested fidelity).
     pub coeffs_decoded: usize,
-    /// Total coefficients in the level.
+    /// Total coefficients of the level load: the level's own on a full
+    /// read, the listed precincts' on a spatial region's.
     pub coeffs_in_level: usize,
     /// Cumulative container bytes read by the decoder so far.
     pub bytes_total: usize,
@@ -496,37 +502,39 @@ impl<'a> ProgressiveDecoder<'a> {
             let field = match loaded {
                 Ok(field) => field,
                 Err(e) => {
-                    if region.is_some() {
+                    match &region {
                         // A region retrieval touched only scratch state and
                         // the byte accounting: restoring the latter leaves
                         // the decoder exactly as it was.
-                        self.bytes_total = bytes_before;
-                        self.base_bytes_counted = base_counted_before;
-                    } else if !initial {
-                        // Refinement must be atomic: the engine holding the
-                        // applied levels' delta field dies with this error,
-                        // and `recon` is only updated on success — leaving
-                        // those levels marked loaded would strand their
-                        // contribution forever (a retry would skip them).
-                        // Undo every level this retrieval completed: the
-                        // planes it added occupy bits `[lo, hi)` that were
-                        // zero before the call, so clearing them (and
-                        // restoring the plane counts and byte accounting)
-                        // restores the pre-call state exactly. The failed
-                        // level itself was already rolled back by its own
-                        // decode path, and an initial reconstruction needs
-                        // none of this — its partial loads are consumed
-                        // from the accumulators by the retry.
-                        for &(idx, lo, hi, want) in &works {
-                            if self.planes_loaded[idx] == want {
-                                let mask = (1u64 << hi) - (1u64 << lo);
-                                for w in &mut self.acc[idx] {
-                                    *w &= !mask;
+                        Some(_) => {
+                            self.bytes_total = bytes_before;
+                            self.base_bytes_counted = base_counted_before;
+                        }
+                        // The decoder owns the accumulators, so it undoes
+                        // every load it does not keep: the planes a work
+                        // level adds occupy bits `[lo, hi)` that were zero
+                        // before the call, so clearing them restores the
+                        // level exactly. A refinement keeps nothing — the
+                        // engine holding the applied levels' delta field
+                        // dies with this error and `recon` is only updated
+                        // on success, so a level left marked loaded would
+                        // strand its contribution (a retry would skip it) —
+                        // and restores the plane counts and byte accounting.
+                        // An initial read keeps the levels it completed,
+                        // which the retry consumes from the accumulators,
+                        // and their bytes; the failed level's bytes were
+                        // never committed.
+                        None => {
+                            for &(idx, lo, hi, want) in &works {
+                                if !initial || self.planes_loaded[idx] != want {
+                                    clear_planes(&mut self.acc[idx], lo, hi);
                                 }
-                                self.planes_loaded[idx] = had_planes[idx];
+                            }
+                            if !initial {
+                                self.planes_loaded = had_planes;
+                                self.bytes_total = bytes_before;
                             }
                         }
-                        self.bytes_total = bytes_before;
                     }
                     return Err(e);
                 }
@@ -577,15 +585,18 @@ impl<'a> ProgressiveDecoder<'a> {
     /// run buffers the level takes from the request's [`RequestFetch`] —
     /// slices of its group's one read, so the first level of a group brings
     /// in every range grouped with it and the levels after it find their
-    /// bytes resident. Either way the level then streams region by
-    /// region through one [`RegionPipeline`], reporting every non-empty
-    /// region to `events` and rolling back exactly on failure, and goes to
-    /// the engine whole: [`CascadeEngine::level_ready`], or the windowed pass
+    /// bytes resident. Either way the level then loads region by region
+    /// through the one level loader (`pipeline::load_level`), reporting
+    /// every non-empty region to `events` — with the decoder's byte total
+    /// so far, to which the level's bytes are committed only once it
+    /// loads — and goes to the engine whole: [`CascadeEngine::level_ready`], or the windowed pass
     /// under a `region`, whose codes go from a scratch accumulator of the
     /// selected precincts to their domain offsets first. A version-3 level's
     /// precinct-major words reach the engine through the one precinct walk
     /// (`PrecinctGrid::level_walk`), built per level from the grid `map`
-    /// validated when it was built: the decoder keeps no layout.
+    /// validated when it was built: the decoder keeps no layout. A failed
+    /// load is returned as is, planes half-scattered: its caller,
+    /// `retrieve_inner`, undoes it.
     fn drive_levels(
         &mut self,
         map: &ContainerMap,
@@ -654,20 +665,26 @@ impl<'a> ProgressiveDecoder<'a> {
                         &mut acc[..]
                     }
                 };
-                let pipeline = RegionPipeline::new(
-                    chunks,
-                    header.prefix_bits,
-                    header.predictive_coding,
-                    acc.len(),
-                )?;
-                Self::stream_level(
-                    pipeline,
-                    acc,
-                    level.n_values,
-                    &mut self.bytes_total,
-                    events,
-                    idx,
-                )?;
+                // The level's bytes are committed once it loads; each
+                // region reports the committed total plus the level's so far.
+                let (regions_in_level, coeffs_in_level) = (chunks.regions.len(), acc.len());
+                let (mut region_at, mut coeffs_decoded, mut level_bytes) = (0, 0, 0);
+                let committed = self.bytes_total;
+                let (prefix_bits, predictive) = (header.prefix_bits, header.predictive_coding);
+                load_level(&chunks, prefix_bits, predictive, acc, |coeffs, bytes| {
+                    level_bytes += bytes;
+                    coeffs_decoded += coeffs.len();
+                    events(StreamEvent::Region(StreamProgress {
+                        level_idx: idx,
+                        region: region_at,
+                        regions_in_level,
+                        coeffs_decoded,
+                        coeffs_in_level,
+                        bytes_total: committed + level_bytes,
+                    }));
+                    region_at += 1;
+                })?;
+                self.bytes_total += level_bytes;
                 match region.as_deref_mut() {
                     Some(scope) => {
                         let grid = map.grid().expect("precinct ids imply a grid");
@@ -698,39 +715,6 @@ impl<'a> ProgressiveDecoder<'a> {
             }
         }
         Ok(engine.into_field())
-    }
-
-    /// Stream one level's planes through `pipeline` into `acc`, reporting
-    /// progress per region; on failure the pipeline rolls `acc` back and the
-    /// byte accounting is restored, so a failed load leaves no trace.
-    fn stream_level(
-        pipeline: RegionPipeline<'_>,
-        acc: &mut [u64],
-        coeffs_in_level: usize,
-        bytes_total: &mut usize,
-        events: &mut dyn FnMut(StreamEvent),
-        idx: usize,
-    ) -> Result<()> {
-        let regions_in_level = pipeline.num_regions();
-        let bytes_before = *bytes_total;
-        let (mut region, mut coeffs_decoded) = (0usize, 0usize);
-        let result = pipeline.stream(acc, |coeffs, bytes| {
-            *bytes_total += bytes;
-            coeffs_decoded += coeffs.len();
-            events(StreamEvent::Region(StreamProgress {
-                level_idx: idx,
-                region,
-                regions_in_level,
-                coeffs_decoded,
-                coeffs_in_level,
-                bytes_total: *bytes_total,
-            }));
-            region += 1;
-        });
-        if result.is_err() {
-            *bytes_total = bytes_before;
-        }
-        result
     }
 }
 
@@ -963,6 +947,27 @@ mod tests {
             assert_eq!(last.coeffs_decoded, last.coeffs_in_level);
             assert_eq!(last.coeffs_in_level, level.n_values);
         }
+
+        // A region read's progress completes too: each level load's last
+        // event covers the load's coefficients, fewer than the level's.
+        let v3 = compress(&data, 1e-7, &Config::with_precincts(&[6, 6, 5])).unwrap();
+        let roi = RetrievalRequest::Roi {
+            bounds: RoiBox::new(&[3, 0, 10], &[11, 7, 20]),
+            error_bound: 1e-7,
+        };
+        let mut roi_reports: Vec<StreamProgress> = Vec::new();
+        let mut roi_dec = ProgressiveDecoder::new(&v3);
+        retrieve_regions(&mut roi_dec, roi, |p| roi_reports.push(p)).unwrap();
+        let mut partial_levels = 0;
+        for (idx, level) in v3.levels.iter().enumerate() {
+            let Some(last) = roi_reports.iter().rev().find(|r| r.level_idx == idx) else {
+                continue;
+            };
+            assert_eq!(last.region + 1, last.regions_in_level);
+            assert_eq!(last.coeffs_decoded, last.coeffs_in_level);
+            partial_levels += usize::from(last.coeffs_in_level < level.n_values);
+        }
+        assert!(partial_levels > 0, "the region reads part of a level");
     }
 
     #[test]
@@ -1036,6 +1041,67 @@ mod tests {
         assert_eq!(stream_after.bytes_total, bulk_after.bytes_total);
         // And the retry output carries no stray bits from the failed pass.
         assert_eq!(stream_after.data.as_slice(), reference.data.as_slice());
+    }
+
+    /// A refinement that fails in the middle of a level — after earlier
+    /// levels of the same call completed and after regions of the failing
+    /// level were scattered — leaves the decoder exactly as the coarse step
+    /// left it, with or without an event sink.
+    #[test]
+    fn failed_refinement_mid_level_rolls_back_exactly() {
+        let config = Config {
+            chunk_bytes: 64,
+            ..Config::default()
+        };
+        let mut c = compress(&field(), 1e-7, &config).unwrap();
+        let finest = c.levels.len() - 1;
+        let regions = c.levels[finest].scheme().num_regions();
+        assert!(regions > 6, "need multi-region planes");
+        c.levels[finest].planes[0].chunks[regions / 2] = vec![0xFF; 3];
+        let coarse = RetrievalRequest::ErrorBound(1e-3);
+
+        let mut plan = ProgressiveDecoder::new(&c)
+            .plan(RetrievalRequest::Full)
+            .unwrap();
+        plan.planes_loaded[finest] -= 1;
+        let mut fresh = ProgressiveDecoder::new(&c);
+        fresh.retrieve(coarse).unwrap();
+        let reference = fresh.retrieve_with_plan(&plan).unwrap();
+
+        for sink in [false, true] {
+            let mut dec = ProgressiveDecoder::new(&c);
+            dec.retrieve(coarse).unwrap();
+            let planes = dec.planes_loaded().to_vec();
+            assert!(
+                planes[finest] < c.levels[finest].num_planes,
+                "plane 0 unloaded"
+            );
+            let (bytes, current) = (dec.bytes_loaded(), dec.current().unwrap());
+            let acc = dec.acc.clone();
+            let mut seen = vec![0usize; c.levels.len()];
+            let failed = if sink {
+                retrieve_regions(&mut dec, RetrievalRequest::Full, |p| seen[p.level_idx] += 1)
+            } else {
+                dec.retrieve(RetrievalRequest::Full)
+            };
+            assert!(failed.is_err());
+            if sink {
+                assert!(
+                    seen[..finest].iter().any(|&n| n > 0),
+                    "an earlier level completed"
+                );
+                assert!(seen[finest] > 0, "the failing level reported regions");
+            }
+            // The accumulators hold no bit of the failed call's planes.
+            assert!(dec.acc == acc, "sink={sink}: stray accumulator bits");
+            assert_eq!(dec.planes_loaded(), &planes[..], "sink={sink}");
+            assert_eq!(dec.bytes_loaded(), bytes, "sink={sink}");
+            assert_eq!(dec.current().unwrap().as_slice(), current.as_slice());
+            let retry = dec.retrieve_with_plan(&plan).unwrap();
+            assert_eq!(retry.data.as_slice(), reference.data.as_slice());
+            assert_eq!(retry.bytes_total, reference.bytes_total, "sink={sink}");
+            assert_eq!(retry.error_bound, reference.error_bound, "sink={sink}");
+        }
     }
 
     #[test]

@@ -7,10 +7,14 @@
 //! session (or a refinement pass) is a guaranteed key match. The one
 //! exception is a region retrieval, which reads each maximal run of
 //! consecutive precinct ids it selects as a single range
-//! (`planner::lower_plan` over a region): its keys are per run, so two
-//! regions share an entry only where their precinct runs coincide, and a
-//! region never hits the per-chunk entries a full-domain read admitted. The
-//! cache sits
+//! (`planner::lower_plan` over a region): its keys are per run, the byte
+//! range of the run's chunks, so two regions share an entry where their runs
+//! cover the same bytes. A run's key is also the per-chunk key a full-domain
+//! read admits for chunk `k` exactly when `k` is the only chunk of the run
+//! that stores bytes: always for a run of one id, and for a longer run only
+//! when its other precincts are empty (an empty precinct stores zero bytes).
+//! Any other run misses the per-chunk entries a full-domain read admitted.
+//! The cache sits
 //! *above* coalescing in a source stack: hits are served per chunk without
 //! touching the backend, and the misses of one batch flow down in a single
 //! `read_ranges` call that the coalescer can still merge.
