@@ -63,7 +63,8 @@ pub struct Config {
     /// Smaller chunks stream and parallelize at finer granularity for a small
     /// ratio cost; `0` stores one monolithic block per plane.
     pub chunk_bytes: usize,
-    /// Spatial precinct extents (per dimension, in domain coordinates).
+    /// Spatial precinct extents (per dimension, in domain coordinates, of
+    /// the finest level; a coarser level's are scaled by its lattice stride).
     /// `Some` switches the container to the version-3 layout: every level's
     /// coefficients are stored precinct-major and entropy chunks are cut on
     /// precinct boundaries, enabling region-of-interest retrieval that only

@@ -18,8 +18,12 @@
 //!   the absolute offset of any `(level, plane, chunk)` triple from metadata
 //!   alone and fetch chunks independently — which is what lets a ranged
 //!   read fetch only what it plans and stream planes region by region.
-//! * **v3** — v2 with a precinct grid in the header: levels are stored
-//!   precinct-major with one chunk per `(plane, precinct)` pair.
+//! * **v3** (version number 5) — v2 with a precinct grid in the header:
+//!   levels are stored precinct-major with one chunk per `(plane, precinct)`
+//!   pair, and each level's precincts are the grid's extents times the
+//!   level's lattice stride ([`PrecinctGrid`]), so a coarse level is one or
+//!   a few precincts. Version number 3 was the first v3, whose every level
+//!   shared the finest level's precincts; it is retired.
 //!
 //! ## Layout
 //!
@@ -32,11 +36,13 @@
 //! ```
 //!
 //! The version word's low byte is the version and its second byte the layout
-//! flags. The reader accepts `2 | LAYOUT_PACKED` and `3 | LAYOUT_PACKED` and
-//! refuses every other word right after reading it, by name
-//! ([`RETIRED_LAYOUT`]): version 1 and the interleaved layouts that wrote
-//! each level's record beside its payload (version word without the flag)
-//! are retired — nothing writes them, and git history keeps their reader.
+//! flags. The reader accepts exactly `2 | LAYOUT_PACKED` and
+//! `5 | LAYOUT_PACKED` and refuses every other word right after reading it,
+//! by name ([`RETIRED_LAYOUT`]): version 1, the interleaved layouts that
+//! wrote each level's record beside its payload (version word without the
+//! flag) and the shared-grid v3 (`3 | LAYOUT_PACKED`) are retired — nothing
+//! writes them, and git history keeps their reader. `4 | LAYOUT_PACKED` is
+//! an archive's word, refused on a bare container.
 //!
 //! ## Opening in at most two GETs
 //!
@@ -143,18 +149,23 @@ pub const MAGIC: &[u8; 4] = b"IPCP";
 /// Container format version written for the byte-granular chunk layout
 /// (no precinct grid — the default).
 pub const VERSION: u32 = 2;
-/// Container format version written when the header carries a precinct grid:
-/// levels are stored precinct-major with one entropy chunk per
-/// `(plane, precinct)` pair, enabling spatial ROI retrieval.
-pub const VERSION_ROI: u32 = 3;
+/// Container format version written when the header carries a precinct grid
+/// (the v3 layout): levels are stored precinct-major with one entropy chunk
+/// per `(plane, precinct)` pair, precincts sized per level
+/// ([`PrecinctGrid`]), enabling spatial ROI retrieval. Number 3 was the
+/// first v3, whose every level shared the finest level's precincts; 4 is the
+/// archive ([`crate::VERSION_ARCHIVE`]).
+pub const VERSION_ROI: u32 = 5;
 /// Layout flag of the version word (its second byte): the file is a 16-byte
 /// prelude, the LZR-packed metadata block, then all chunk payload. Every
 /// version word the reader accepts carries it.
 pub const LAYOUT_PACKED: u32 = 1 << 8;
 /// Why a version word is refused: anything but a packed v2/v3 container (or,
 /// through [`crate::ArchiveMap::open`], an unflagged v4 archive) is either
-/// unknown or one of the retired interleaved layouts.
-pub const RETIRED_LAYOUT: &str = "unsupported version word (interleaved layouts are retired)";
+/// unknown or one of the retired layouts — the interleaved ones and the
+/// shared-grid v3 (`3 | LAYOUT_PACKED`).
+pub const RETIRED_LAYOUT: &str =
+    "unsupported version word (interleaved and shared-grid layouts are retired)";
 /// Prelude of a container: magic, version word, packed and unpacked
 /// metadata-block lengths (`u32` each).
 const PRELUDE_BYTES: usize = 16;
@@ -197,8 +208,9 @@ pub struct Header {
     /// Value range (max − min) of the original data, stored for relative-bound
     /// retrievals and PSNR reporting.
     pub value_range: f64,
-    /// Spatial precinct extents (one per dimension, in domain coordinates).
-    /// `Some` marks the version-3 precinct-major layout; `None` the
+    /// Spatial precinct extents of the finest level (one per dimension, in
+    /// domain coordinates; a coarser level's are scaled by its lattice
+    /// stride). `Some` marks the version-3 precinct-major layout; `None` the
     /// byte-granular version-2 layout.
     pub precincts: Option<Vec<usize>>,
 }
@@ -823,7 +835,8 @@ impl ContainerMap {
     /// Parse the metadata of a serialized container through ranged reads:
     /// one probe GET of `min(len, META_FETCH)` bytes and, when the prelude
     /// says the metadata block is longer, one more for exactly the rest. A
-    /// version word other than a packed v2/v3 one is refused on the probe.
+    /// version word other than a packed v2/v3 one (`2 | LAYOUT_PACKED`,
+    /// `5 | LAYOUT_PACKED`) is refused on the probe.
     ///
     /// Every count is checked against the header geometry and the bytes that
     /// can hold it before any proportional allocation, and every recorded
@@ -839,15 +852,18 @@ impl ContainerMap {
 
     /// Magic, version word and the metadata block's packed and unpacked
     /// lengths, refused before anything they size is fetched or allocated:
-    /// a version word other than `2 | LAYOUT_PACKED` or `3 | LAYOUT_PACKED`,
-    /// a block that could not fit the `len`-byte container, an unpacked
-    /// length over `META_MAX_EXPANSION` per packed byte.
+    /// a version word other than `2 | LAYOUT_PACKED` or
+    /// `VERSION_ROI | LAYOUT_PACKED`, a block that could not fit the
+    /// `len`-byte container, an unpacked length over `META_MAX_EXPANSION` per
+    /// packed byte.
     fn read_prelude(cur: &mut MetaCursor<'_>, len: u64) -> Result<(u32, u64, u64)> {
-        let word = cur.read_magic_version()?;
-        let version = word & !LAYOUT_PACKED;
-        if word & LAYOUT_PACKED == 0 || !(VERSION..=VERSION_ROI).contains(&version) {
-            return Err(IpcompError::CorruptContainer(RETIRED_LAYOUT));
-        }
+        const PACKED_V2: u32 = VERSION | LAYOUT_PACKED;
+        const PACKED_V3: u32 = VERSION_ROI | LAYOUT_PACKED;
+        let version = match cur.read_magic_version()? {
+            PACKED_V2 => VERSION,
+            PACKED_V3 => VERSION_ROI,
+            _ => return Err(IpcompError::CorruptContainer(RETIRED_LAYOUT)),
+        };
         let packed_len = cur.read_u32()? as u64;
         let unpacked_len = cur.read_u32()? as u64;
         if packed_len > len.saturating_sub(PRELUDE_BYTES as u64) {
@@ -1204,13 +1220,12 @@ mod tests {
     }
 
     /// One container per layout the writer has a branch or an edge for: the
-    /// default v2 grid, a many-chunk v2 index, a v3 container whose coarse
-    /// levels are mostly empty precincts, whole-plane (`chunk_bytes: 0`)
-    /// levels, and a 1-element field.
+    /// default v2 grid, a many-chunk v2 index, a v3 container with an empty
+    /// precinct, whole-plane (`chunk_bytes: 0`) levels, and a 1-element
+    /// field.
     fn layout_samples() -> Vec<Compressed> {
-        let field = sample_field();
         let point = ArrayD::from_vec(Shape::d1(1), vec![2.5]);
-        let tiled = crate::compress(&field, 1e-5, &Config::with_precincts(&[8, 8])).unwrap();
+        let tiled = tiled_sample();
         assert!(
             tiled
                 .levels
@@ -1225,6 +1240,13 @@ mod tests {
             whole_plane_sample(),
             crate::compress(&point, 1e-3, &Config::default()).unwrap(),
         ]
+    }
+
+    /// [`sample_field`] in 4² precincts (v3). The finest level's last
+    /// precinct, `[36, 37) × [28, 29)`, holds only the point (36, 28),
+    /// which is a coarser level's, so it is empty.
+    fn tiled_sample() -> Compressed {
+        crate::compress(&sample_field(), 1e-5, &Config::with_precincts(&[4, 4])).unwrap()
     }
 
     fn sample_field() -> ArrayD<f64> {
@@ -1518,11 +1540,9 @@ mod tests {
         let hi = c.levels[finest].num_planes;
         check(&c, finest, hi / 2, None);
 
-        let tiled =
-            crate::compress(&sample_field(), 1e-5, &Config::with_precincts(&[8, 8])).unwrap();
+        let tiled = tiled_sample();
         let i = tiled.levels.len() - 1;
         let n = tiled.levels[i].planes[0].chunks.len();
-        let spans = tiled.levels[i].precinct_spans.as_ref().unwrap();
         let ids: Vec<usize> = (0..n).filter(|k| k % 3 == 0).collect();
         assert!(ids.len() < n && n > 3);
         check(&tiled, i, 0, Some(&ids));
@@ -1533,7 +1553,8 @@ mod tests {
             (tiled.levels[i].num_planes > 0).then_some((i, k))
         });
         let (j, k) = with_empty.expect("sample needs an empty precinct in a level with planes");
-        check(&tiled, j, 0, Some(&[k, spans.len() - 1]));
+        assert!(k > 0 && tiled.levels[j].precinct_spans.as_ref().unwrap()[0] > 0);
+        check(&tiled, j, 0, Some(&[0, k]));
     }
 
     /// A v3 index that gives a precinct without coefficients a nonzero chunk
@@ -1542,8 +1563,7 @@ mod tests {
     /// decoder's map verdict — whether or not a read would decode it.
     #[test]
     fn nonempty_chunk_of_an_empty_precinct_is_refused() {
-        let mut forged =
-            crate::compress(&sample_field(), 1e-5, &Config::with_precincts(&[8, 8])).unwrap();
+        let mut forged = tiled_sample();
         let level = (forged.levels.iter_mut())
             .find(|l| l.num_planes > 0 && l.precinct_spans.as_ref().unwrap().contains(&0))
             .expect("sample needs an empty precinct in a level with planes");

@@ -1,13 +1,18 @@
 //! Spatial precinct geometry for the version-3 container layout and the ROI
 //! read path.
 //!
-//! A *precinct grid* partitions the domain into axis-aligned sub-bricks of a
-//! configurable extent per dimension (the JPEG2000 precinct idea applied to
-//! the interpolation lattice). A version-3 container orders every level's
-//! coefficients precinct-major — all coefficients of precinct 0 (in canonical
-//! traversal order), then precinct 1, … — and cuts entropy chunks exactly on
-//! precinct boundaries, so the chunks covering a bounding box can be fetched
-//! and decoded without touching the rest of the domain.
+//! A *precinct grid* partitions each interpolation level into axis-aligned
+//! sub-bricks of the domain (the JPEG2000 precinct idea applied to the
+//! interpolation lattice). The grid's extents, one per dimension, are the
+//! finest level's; level `l`'s are `extent · 2^(l−1)` in domain units,
+//! clamped to the domain (`PrecinctGrid::at_level`), as JPEG2000 sizes
+//! precincts per resolution level. So a precinct holds about `∏ extent`
+//! lattice points at every level, and the coarsest levels are one precinct.
+//! A version-3 container orders every level's coefficients precinct-major —
+//! all coefficients of the level's precinct 0 (in canonical traversal
+//! order), then precinct 1, … — and cuts entropy chunks exactly on precinct
+//! boundaries, so the chunks covering a bounding box can be fetched and
+//! decoded without touching the rest of the domain.
 //!
 //! One *precinct walk* maps that order onto the lattice: for a list of
 //! precinct ids, it yields the rows of each precinct's level points, each
@@ -151,8 +156,10 @@ pub(crate) fn pass_window(
 }
 
 /// Per-level precinct fetch masks of an ROI retrieval: `masks[idx][k]` is
-/// true iff precinct `k` intersects container level entry `idx`'s fetch
-/// window (the box plus the cascade's cross-level ancestor halo). A view of
+/// true iff precinct `k` of container level entry `idx` intersects that
+/// entry's fetch window (the box plus the cascade's cross-level ancestor
+/// halo). Each level's vector has that level's precinct count as its length
+/// (entry `idx` is interpolation level `num_levels - idx`). A view of
 /// the per-level precinct id lists the decoder fetches by and the store
 /// planner lowers byte ranges from, so the three can never disagree.
 ///
@@ -164,15 +171,20 @@ pub(crate) fn pass_window(
 pub fn roi_precinct_masks(header: &Header, bounds: &RoiBox) -> Result<Vec<Vec<bool>>> {
     let grid = header.precinct_grid()?;
     let ids = roi_precinct_ids(header, grid.as_ref(), bounds)?;
-    let n = grid.map_or(0, |g| g.num_precincts());
-    let mask = |ids: Vec<usize>| (0..n).map(|k| ids.binary_search(&k).is_ok()).collect();
-    Ok(ids.into_iter().map(mask).collect())
+    let mask = |(level, ids): (u32, Vec<usize>)| {
+        let n = grid
+            .as_ref()
+            .map_or(0, |g| g.at_level(level).num_precincts());
+        (0..n).map(|k| ids.binary_search(&k).is_ok()).collect()
+    };
+    Ok((1..=header.num_levels).rev().zip(ids).map(mask).collect())
 }
 
 /// The precincts an ROI retrieval reads, per container level entry: `ids[idx]`
-/// lists, ascending, the precincts intersecting entry `idx`'s fetch window
-/// (the box plus the cascade's cross-level ancestor halo), over the header's
-/// `grid` — a map's validated one, or [`roi_precinct_masks`]'s. This is the
+/// lists, ascending, the precincts of the entry's level intersecting its
+/// fetch window (the box plus the cascade's cross-level ancestor halo), over
+/// the header's `grid` — a map's validated one, or [`roi_precinct_masks`]'s —
+/// at that level's scale ([`PrecinctGrid::at_level`]). This is the
 /// single source of truth for *which chunks an ROI touches*.
 pub(crate) fn roi_precinct_ids(
     header: &Header,
@@ -187,13 +199,9 @@ pub(crate) fn roi_precinct_ids(
     })?;
     Ok((0..header.num_levels)
         .map(|idx| {
-            let w = fetch_window(
-                bounds,
-                &header.dims,
-                header.interpolation,
-                header.num_levels - idx,
-            );
-            grid.intersecting(&w)
+            let level = header.num_levels - idx;
+            let w = fetch_window(bounds, &header.dims, header.interpolation, level);
+            grid.at_level(level).intersecting(&w)
         })
         .collect())
 }
@@ -216,9 +224,10 @@ pub(crate) fn clip_ranges(ranges: &[AxisRange], window: &[(usize, usize)]) -> Ve
         .collect()
 }
 
-/// The spatial precinct grid of a version-3 container: one partition of the
-/// *domain* shared by every level, so a precinct id means the same brick of
-/// space at every resolution.
+/// The spatial precinct grid of a version-3 container: the finest level's
+/// partition of the *domain*, from which every level's is scaled by its
+/// lattice stride (`PrecinctGrid::at_level`). A precinct id names a brick
+/// of space at one level; the same id at a coarser level is a larger brick.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct PrecinctGrid {
     dims: Vec<usize>,
@@ -227,43 +236,49 @@ pub struct PrecinctGrid {
 }
 
 impl PrecinctGrid {
-    /// Build the grid over a domain. Every extent must be at least 1; extents
-    /// larger than the dimension collapse to a single precinct along it.
+    /// Build the grid over a domain from the finest level's extents. Every
+    /// extent must be at least 1; extents larger than the dimension collapse
+    /// to a single precinct along it.
     pub fn new(dims: &[usize], extents: &[usize]) -> Result<Self> {
         if extents.len() < dims.len() || extents[..dims.len()].contains(&0) {
             return Err(IpcompError::InvalidInput(format!(
                 "precinct extents {extents:?} invalid for domain {dims:?}"
             )));
         }
-        let extents: Vec<usize> = extents[..dims.len()].to_vec();
+        Ok(Self::with_extents(dims, extents[..dims.len()].to_vec()))
+    }
+
+    /// The grid of `extents` (each at least 1) over `dims`.
+    fn with_extents(dims: &[usize], extents: Vec<usize>) -> Self {
         let counts = dims
             .iter()
             .zip(&extents)
             .map(|(&d, &e)| d.div_ceil(e))
             .collect();
-        Ok(Self {
+        Self {
             dims: dims.to_vec(),
             extents,
             counts,
-        })
+        }
     }
 
-    /// Per-dimension precinct extents.
+    /// Per-dimension precinct extents of the finest level.
     pub fn extents(&self) -> &[usize] {
         &self.extents
     }
 
-    /// Number of precincts along each dimension.
+    /// Number of the finest level's precincts along each dimension.
     pub fn counts(&self) -> &[usize] {
         &self.counts
     }
 
-    /// Total number of precincts (identical for every level).
+    /// Number of the finest level's precincts, the most of any level.
     pub fn num_precincts(&self) -> usize {
         self.counts.iter().product()
     }
 
-    /// Domain bounding box `[lo, hi)` of a precinct (clamped to the domain).
+    /// Domain bounding box `[lo, hi)` of a precinct of the finest level
+    /// (clamped to the domain).
     pub fn precinct_box(&self, id: usize) -> (Vec<usize>, Vec<usize>) {
         let cell = cell_of(&self.counts, id);
         (0..self.dims.len())
@@ -320,10 +335,11 @@ impl PrecinctGrid {
         }
     }
 
-    /// Number of level-`level` lattice points inside each precinct, in
-    /// precinct-id order. These are the coefficient spans of the level's
-    /// precinct-major layout; empty precincts (common at coarse levels) get a
-    /// zero span and a zero-byte chunk per plane.
+    /// Number of level-`level` lattice points inside each of the level's
+    /// precincts, in precinct-id order. These are the coefficient spans of
+    /// the level's precinct-major layout; an empty precinct (one whose
+    /// lattice points are all a coarser level's, as at a ragged domain edge)
+    /// gets a zero span and a zero-byte chunk per plane.
     pub fn level_spans(&self, shape: &Shape, level: u32) -> Vec<usize> {
         self.level_walk(shape, level).spans()
     }
@@ -342,9 +358,25 @@ impl PrecinctGrid {
         }
     }
 
+    /// The partition of level `level`: every extent scaled by the level's
+    /// lattice stride and clamped to the domain, so a precinct holds about
+    /// `∏ extent` lattice points at every level, the finest level's
+    /// partition is the grid itself, and the coarsest levels are one
+    /// precinct. The crate's one rule for which precinct of a level a point
+    /// falls in.
+    pub(crate) fn at_level(&self, level: u32) -> PrecinctGrid {
+        let stride = level_stride(level);
+        let extents = (self.dims.iter().zip(&self.extents))
+            .map(|(&d, &e)| e.saturating_mul(stride).min(d).max(1))
+            .collect();
+        Self::with_extents(&self.dims, extents)
+    }
+
     /// The precinct walk of a level: per dimension sub-pass, the lattice-index
-    /// interval of every precinct cell along every dimension.
+    /// interval of every precinct cell of the level's partition
+    /// ([`PrecinctGrid::at_level`]) along every dimension.
     pub(crate) fn level_walk(&self, shape: &Shape, level: u32) -> LevelWalk {
+        let grid = self.at_level(level);
         let strides = shape.strides();
         let mut passes = Vec::new();
         let mut base = 0usize;
@@ -358,8 +390,8 @@ impl PrecinctGrid {
                     // Lattice indices below domain coordinate `x`.
                     let below =
                         |x: usize| AxisRange::strided(r.start, r.step, x.min(r.end)).count();
-                    let cells = (0..self.counts[i])
-                        .map(|c| self.cell_span(i, c))
+                    let cells = (0..grid.counts[i])
+                        .map(|c| grid.cell_span(i, c))
                         .map(|(lo, hi)| (below(lo), below(hi)))
                         .collect();
                     PassAxis {
@@ -374,7 +406,7 @@ impl PrecinctGrid {
             base += counts.iter().product::<usize>();
         });
         LevelWalk {
-            counts: self.counts.clone(),
+            counts: grid.counts,
             passes,
         }
     }
@@ -452,11 +484,16 @@ pub(crate) struct PrecinctRow {
 }
 
 impl LevelWalk {
+    /// Number of precincts of the level's partition.
+    pub(crate) fn num_precincts(&self) -> usize {
+        self.counts.iter().product()
+    }
+
     /// Level points per precinct, in id order: per sub-pass, the product of
     /// the precinct's cell intervals (an odometer over the cells, last
     /// dimension fastest, visits the ids in order).
     fn spans(&self) -> Vec<usize> {
-        let n: usize = self.counts.iter().product();
+        let n = self.num_precincts();
         let mut cell = [0usize; MAX_DIMS];
         let mut spans = Vec::with_capacity(n);
         for _ in 0..n {
@@ -557,12 +594,17 @@ pub(crate) fn prefix_sums(spans: &[usize]) -> Vec<usize> {
 
 #[cfg(test)]
 impl PrecinctGrid {
-    /// Row-major precinct id of a domain coordinate: the bucket key of the
-    /// referee the precinct walk is checked against.
-    pub(crate) fn precinct_of(&self, coords: &[usize]) -> usize {
+    /// Row-major id of the level-`level` precinct holding a domain
+    /// coordinate: the bucket key of the referee the precinct walk is
+    /// checked against. It scales the extents itself, by the level's lattice
+    /// stride and clamped to the domain, rather than through
+    /// [`PrecinctGrid::at_level`].
+    pub(crate) fn precinct_of(&self, level: u32, coords: &[usize]) -> usize {
+        let stride = level_stride(level);
         let mut id = 0usize;
-        for ((&c, &count), &extent) in coords.iter().zip(&self.counts).zip(&self.extents) {
-            id = id * count + c / extent;
+        for ((&c, &d), &e) in coords.iter().zip(&self.dims).zip(&self.extents) {
+            let extent = (e * stride).min(d);
+            id = id * d.div_ceil(extent) + c / extent;
         }
         id
     }
@@ -623,9 +665,55 @@ mod tests {
         let (lo, hi) = g.precinct_box(4); // cell (2, 0)
         assert_eq!(lo, vec![16, 0]);
         assert_eq!(hi, vec![20, 8]); // clamped to dim 20
-        assert_eq!(g.precinct_of(&[17, 3]), 4);
-        assert_eq!(g.precinct_of(&[0, 0]), 0);
-        assert_eq!(g.precinct_of(&[19, 15]), 5);
+        assert_eq!(g.precinct_of(1, &[17, 3]), 4);
+        assert_eq!(g.precinct_of(1, &[0, 0]), 0);
+        assert_eq!(g.precinct_of(1, &[19, 15]), 5);
+        // Level 2's precincts are 16 × 16, clamped to the domain: 2 × 1.
+        let l2 = g.at_level(2);
+        assert_eq!(l2.extents(), &[16, 16]);
+        assert_eq!(l2.counts(), &[2, 1]);
+        assert_eq!(g.precinct_of(2, &[17, 3]), 1);
+        // From level 3 on, one precinct as large as the domain.
+        assert_eq!(g.at_level(3).extents(), &[20, 16]);
+        assert_eq!(g.at_level(3).num_precincts(), 1);
+    }
+
+    /// Every level's partition at its own scale, on 1- to 4-D ragged
+    /// domains: no precinct holds more than `∏ extent` level points, and
+    /// level `l` has `∏ ceil(d / min(e·2^(l−1), d))` precincts. A 1024²
+    /// domain in 32² precincts is one precinct from level 6 on.
+    #[test]
+    fn level_partitions_scale_with_the_stride() {
+        let cases: [(&[usize], &[usize]); 6] = [
+            (&[100], &[24]),
+            (&[17], &[5]),
+            (&[40, 33], &[3, 2]),
+            (&[50, 30], &[24, 7]),
+            (&[9, 12, 7], &[3, 5, 7]),
+            (&[5, 6, 4, 7], &[2, 3, 1, 100]),
+        ];
+        for (dims, extents) in cases {
+            let shape = Shape::new(dims);
+            let g = PrecinctGrid::new(dims, extents).unwrap();
+            let cap: usize = (dims.iter().zip(extents))
+                .map(|(&d, &e)| e.min(d))
+                .product();
+            for level in 1..=num_levels(&shape) {
+                let at = format!("dims {dims:?} extents {extents:?} level {level}");
+                let spans = g.level_spans(&shape, level);
+                assert!(spans.iter().all(|&s| s <= cap), "{at}: {spans:?}");
+                let want: usize = (dims.iter().zip(extents))
+                    .map(|(&d, &e)| d.div_ceil((e << (level - 1)).min(d)))
+                    .product();
+                assert_eq!(spans.len(), want, "{at}");
+                assert_eq!(g.at_level(level).num_precincts(), want, "{at}");
+            }
+        }
+        let shape = Shape::d2(1024, 1024);
+        let g = PrecinctGrid::new(&[1024, 1024], &[32, 32]).unwrap();
+        assert_eq!(num_levels(&shape), 10);
+        let counts: Vec<usize> = (1..=10).map(|l| g.level_spans(&shape, l).len()).collect();
+        assert_eq!(counts, [1024, 256, 64, 16, 4, 1, 1, 1, 1, 1]);
     }
 
     #[test]
@@ -647,11 +735,11 @@ mod tests {
 
     /// The referee's precinct-major order of a level: `(precinct, canonical
     /// position, domain offset)` of every lattice point, stably bucket-sorted
-    /// by precinct.
+    /// by the level's precinct.
     fn bucket_sort(g: &PrecinctGrid, shape: &Shape, level: u32) -> Vec<(usize, usize, usize)> {
         let mut points = Vec::new();
         for_each_canonical_point(shape, level, |coords, offset| {
-            points.push((g.precinct_of(coords), points.len(), offset));
+            points.push((g.precinct_of(level, coords), points.len(), offset));
         });
         points.sort_by_key(|&(p, ..)| p);
         points
@@ -673,7 +761,7 @@ mod tests {
         let g = PrecinctGrid::new(&[13, 11], &[4, 4]).unwrap();
         for level in 1..=num_levels(&shape) {
             let lp = g.level_permutation(&shape, level);
-            let order: Vec<usize> = (walk_points(&lp.walk, 0..g.num_precincts()).iter())
+            let order: Vec<usize> = (walk_points(&lp.walk, 0..lp.spans.len()).iter())
                 .map(|p| p.0)
                 .collect();
             let n = order.len();
@@ -688,7 +776,7 @@ mod tests {
             let starts = prefix_sums(&lp.spans);
             let mut by_point: Vec<usize> = Vec::new();
             for_each_canonical_point(&shape, level, |coords, _| {
-                by_point.push(g.precinct_of(coords));
+                by_point.push(g.precinct_of(level, coords));
             });
             for (p, (&start, &span)) in starts.iter().zip(&lp.spans).enumerate() {
                 let slice = &order[start..start + span];
@@ -701,12 +789,18 @@ mod tests {
     }
 
     /// The precinct walk against the bucket-sort referee on 1- to 4-D
-    /// ragged domains — extent 1, and extents at or above the dimension (a
-    /// single precinct along it) — at every level: spans, both reorder
-    /// directions, and the rows of any id list.
+    /// ragged domains — extent 1, extents at or above the dimension (a
+    /// single precinct along it), non-power-of-two extents, and grids whose
+    /// scaled extents overshoot the dimension so that the coarse levels are
+    /// one precinct — at every level: the level's precinct count, spans,
+    /// both reorder directions, and the rows of any id list.
     #[test]
     fn precinct_walk_matches_bucket_sort() {
-        let cases: [(&[usize], &[usize]); 13] = [
+        let cases: [(&[usize], &[usize]); 17] = [
+            (&[100], &[24]),
+            (&[50, 30], &[24, 24]),
+            (&[40, 33], &[3, 2]),
+            (&[20, 12], &[6, 5]),
             (&[17], &[5]),
             (&[17], &[1]),
             (&[17], &[17]),
@@ -724,11 +818,14 @@ mod tests {
         for (dims, extents) in cases {
             let shape = Shape::new(dims);
             let g = PrecinctGrid::new(dims, extents).unwrap();
-            let n = g.num_precincts();
+            let corner: Vec<usize> = dims.iter().map(|&d| d - 1).collect();
             for level in 1..=num_levels(&shape) {
                 let at = format!("dims {dims:?} extents {extents:?} level {level}");
                 let lp = g.level_permutation(&shape, level);
                 let sorted = bucket_sort(&g, &shape, level);
+                // The domain's last corner is in the level's last precinct.
+                let n = g.precinct_of(level, &corner) + 1;
+                assert_eq!(lp.spans.len(), n, "{at}");
                 let bucket = |id: usize| sorted.iter().filter(move |p| p.0 == id);
                 for (id, &span) in lp.spans.iter().enumerate() {
                     assert_eq!(span, bucket(id).count(), "{at}");

@@ -307,7 +307,7 @@ impl<'a> ProgressiveDecoder<'a> {
         let walk = grid.level_walk(&self.shape, num_levels(&self.shape) - idx as u32);
         let mut codes = vec![0i64; acc.len()];
         let mut i = 0;
-        walk.for_each_row(0..grid.num_precincts(), |row| {
+        walk.for_each_row(0..walk.num_precincts(), |row| {
             let out = &mut codes[row.canon..row.canon + row.len];
             for (c, &w) in out.iter_mut().zip(&acc[i..i + row.len]) {
                 *c = code(w);
@@ -1255,10 +1255,16 @@ mod tests {
     /// A full v3 read reports one region per non-empty precinct of every
     /// level it loads — an empty precinct is never decoded or reported —
     /// resident and ranged alike, and decodes bit-identically to
-    /// `decompress`.
+    /// `decompress`. Over 25 × 17 × 21 in 8 × 8 × 4 precincts, the finest
+    /// level's last precinct holds only the point (24, 16, 20), which is a
+    /// coarser level's, so it is empty.
     #[test]
     fn full_precinct_read_reports_only_non_empty_precincts() {
-        let v3 = compress(&field(), 1e-6, &Config::with_precincts(&[8, 8, 8])).unwrap();
+        let field = ArrayD::from_fn(Shape::d3(25, 17, 21), |c| {
+            (c[0] as f64 * 0.21).sin() * 3.0 + (c[1] as f64 * 0.13).cos() * 2.0
+                - (c[2] as f64 * 0.05)
+        });
+        let v3 = compress(&field, 1e-6, &Config::with_precincts(&[8, 8, 4])).unwrap();
         let want: Vec<usize> = (v3.levels.iter())
             .map(|l| match l.num_planes {
                 0 => 0,

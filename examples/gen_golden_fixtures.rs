@@ -14,7 +14,7 @@
 //! `diff -r` against `tests/fixtures/` to be empty, so this tool and the
 //! tests' copies of the golden fields cannot drift apart and no fixture this
 //! tool cannot write can sit beside them. Retired layouts (version 1, the
-//! interleaved v2/v3/v4 framings) are refused by the reader, not read.
+//! interleaved v2/v3/v4 framings, the shared-grid v3) are refused by the reader, not read.
 
 use ipcomp_suite::core::{compress, ArchiveBuilder, ArchiveConfig, Config};
 use ipcomp_suite::tensor::{ArrayD, Shape};

@@ -34,8 +34,9 @@
 //!   reaches the parser: dims, anchor length, level count, `n_values`, loss
 //!   tables and chunk-index entries, which whole-file sweeps only reach
 //!   through the LZR stream.
-//! * **Retired layouts** — version 1 and the unflagged (interleaved) version
-//!   words, refused by name on the probe GET alone.
+//! * **Retired layouts** — version 1, the unflagged (interleaved) version
+//!   words and the shared-grid v3 (`tests/retired/`), refused by name on the
+//!   probe GET alone.
 //! * **Metadata that disagrees with itself** — hand-built resident containers
 //!   (chunk grids, loss tables, precinct extents and spans, dims that do not
 //!   give the level list) and their serialized bytes: one rule set refuses
@@ -541,12 +542,23 @@ fn refusal_traffic(bytes: &[u8], open: fn(&dyn ChunkSource) -> bool) -> (u64, u6
     (stats.requests, stats.bytes)
 }
 
+/// The shared-grid v3 container, kept as the bytes the last writer of
+/// version word `3 | LAYOUT_PACKED` wrote for the golden field (every level
+/// in the finest level's precincts). It lives outside `tests/fixtures`,
+/// which holds only what today's writer produces.
+fn shared_grid_v3() -> Vec<u8> {
+    let path = std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
+        .join("tests/retired/container_v3_shared_grid.bin");
+    std::fs::read(&path).unwrap_or_else(|e| panic!("{}: {e}", path.display()))
+}
+
 /// The retired layouts, each refused by name on the probe alone — through
 /// both container entry points (`ArchiveMap::open` for the archive), and
 /// over the object-store simulator at exactly the one probe GET: the flag
 /// cleared on every packed container and on the archive, the unflagged
-/// version words 1, 2 and 3, and `1 | LAYOUT_PACKED` on a forged 16-byte
-/// header.
+/// version words 1, 2 and 3, `1 | LAYOUT_PACKED`, the shared-grid v3 word
+/// `3 | LAYOUT_PACKED` and the archive's word `4 | LAYOUT_PACKED` on a
+/// forged 16-byte header, and a whole shared-grid v3 container.
 #[test]
 fn retired_layouts_are_refused_by_name() {
     let probe = |bytes: &[u8]| (1, bytes.len().min(4096) as u64);
@@ -561,9 +573,18 @@ fn retired_layouts_are_refused_by_name() {
         .into_iter()
         .map(|(name, bytes, _)| (format!("{name} unflagged"), unflagged(bytes)))
         .collect();
-    for word in [1, 2, 3, 1 | LAYOUT_PACKED] {
+    let words = [
+        1,
+        2,
+        3,
+        1 | LAYOUT_PACKED,
+        3 | LAYOUT_PACKED,
+        4 | LAYOUT_PACKED,
+    ];
+    for word in words {
         cases.push((format!("version word {word:#x}"), header(word)));
     }
+    cases.push(("shared-grid v3".into(), shared_grid_v3()));
     for (case, bytes) in cases {
         assert_refused(&case, "retired layout", &bytes, RETIRED_LAYOUT);
         assert_eq!(refusal_traffic(&bytes, open_map), probe(&bytes), "{case}");
@@ -571,6 +592,15 @@ fn retired_layouts_are_refused_by_name() {
     let archive = unflagged(fixture(HOISTED));
     assert_archive_refused("unflagged", &archive, RETIRED_LAYOUT);
     assert_eq!(refusal_traffic(&archive, open_archive), probe(&archive));
+
+    // The shared-grid container is refused for its word, not for a chunk
+    // grid that disagrees with today's precincts: both parsers name it.
+    let old = shared_grid_v3();
+    assert_eq!(old[4..8], (3 | LAYOUT_PACKED).to_le_bytes());
+    let retired = IpcompError::CorruptContainer(RETIRED_LAYOUT);
+    assert_eq!(Compressed::from_bytes(&old).err(), Some(retired.clone()));
+    let source = MemorySource::new(old);
+    assert_eq!(ContainerMap::open(&source).err(), Some(retired));
 }
 
 /// Truncating, flipping, and forging the *anchor block* specifically — it is

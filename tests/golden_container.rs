@@ -19,9 +19,10 @@
 //! * `expected_values.bin` — the bit-exact `f64` reconstruction all of the
 //!   single-field containers above must decode to.
 //!
-//! Retired layouts — version 1 and the interleaved v2/v3/v4 framings — are
-//! refused, not read (`tests/container_hardening.rs` pins the refusals); git
-//! history keeps their fixtures and their reader.
+//! Retired layouts — version 1, the interleaved v2/v3/v4 framings and the
+//! shared-grid v3 (every level in the finest level's precincts, version
+//! word 3) — are refused, not read (`tests/container_hardening.rs` pins the
+//! refusals); git history keeps their fixtures and their reader.
 //!
 //! The golden field uses only exact dyadic arithmetic (integer products
 //! scaled by powers of two), so every byte is reproducible across platforms.
@@ -134,7 +135,7 @@ fn v3_encode_is_byte_exact() {
         c.to_bytes() == golden,
         "precinct-layout serialization changed — container format drifted"
     );
-    assert_eq!(&golden[4..8], &(3 | LAYOUT_PACKED).to_le_bytes());
+    assert_eq!(&golden[4..8], &(5 | LAYOUT_PACKED).to_le_bytes());
     assert_eq!(
         Compressed::from_bytes(&golden).unwrap().header.precincts,
         Some(GOLDEN_PRECINCTS.to_vec())
@@ -425,22 +426,22 @@ const PINNED_PLANS: &[Pinned] = &[
     (&[13, 14, 14, 13, 8], 3517, 0x3fd4f24800000000),
     (&[13, 14, 14, 14, 14], 6051, 0x0),
     // container_v3_packed.bin
-    (&[8, 9, 8, 6, 4], 2878, 0x40218df539500000),
-    (&[8, 12, 11, 10, 7], 5030, 0x3fec4e3140000000),
-    (&[8, 12, 13, 14, 10], 7035, 0x3fb3100000000000),
-    (&[8, 12, 13, 14, 13], 8481, 0x3f7e800000000000),
-    (&[13, 14, 14, 14, 14], 9089, 0x0),
-    (&[8, 12, 13, 14, 10], 7035, 0x3fb3100000000000),
-    (&[13, 14, 14, 14, 14], 9089, 0x0),
+    (&[8, 9, 8, 6, 4], 2018, 0x40218df539500000),
+    (&[8, 12, 11, 10, 7], 3779, 0x3fec4e3140000000),
+    (&[8, 12, 13, 14, 10], 5522, 0x3fb3100000000000),
+    (&[8, 12, 13, 14, 13], 6968, 0x3f7e800000000000),
+    (&[13, 14, 14, 14, 14], 7481, 0x0),
+    (&[8, 12, 13, 14, 10], 5522, 0x3fb3100000000000),
+    (&[13, 14, 14, 14, 14], 7481, 0x0),
     (&[0, 0, 0, 0, 0], 0, 0x408fca2b58d66800),
-    (&[13, 7, 8, 6, 0], 1353, 0x404665c423a80000),
-    (&[8, 12, 9, 7, 4], 3135, 0x401ab701c8000000),
-    (&[10, 12, 13, 11, 10], 6693, 0x3fc2d6d000000000),
-    (&[13, 13, 14, 14, 14], 9059, 0x0),
+    (&[8, 13, 11, 4, 2], 1079, 0x4039b7a36a000000),
+    (&[8, 12, 13, 6, 5], 2552, 0x4012087600000000),
+    (&[13, 14, 14, 13, 10], 5481, 0x3fb6c92000000000),
+    (&[9, 12, 14, 14, 14], 7461, 0x0),
     (&[0, 0, 0, 0, 0], 0, 0x408fca2b58d66800),
-    (&[6, 7, 6, 0, 0], 534, 0x405fe97780e74000),
-    (&[13, 10, 8, 6, 5], 3405, 0x401614b00c400000),
-    (&[13, 14, 14, 14, 14], 9089, 0x0),
+    (&[9, 11, 10, 6, 0], 565, 0x404541c260c40000),
+    (&[13, 14, 14, 11, 6], 3416, 0x3ff52dda00000000),
+    (&[13, 14, 14, 14, 14], 7481, 0x0),
     // container_v4_hoisted.bin step 0
     (&[8, 9, 8, 6, 4], 1168, 0x40218df539500000),
     (&[8, 12, 11, 10, 7], 2628, 0x3fec4e3140000000),
@@ -509,8 +510,8 @@ const PINNED_PLANS: &[Pinned] = &[
     (&[8, 10, 10, 10, 10], 4378, 0x0),
     // container_v3_packed.bin, region [5, 4, 3]..[13, 11, 8]
     (&[0, 0, 0, 0, 0], 0, 0x408fca2b58d66800),
-    (&[6, 5, 0, 0, 0], 168, 0x40706884e4405000),
-    (&[9, 10, 7, 6, 3], 1951, 0x402c3b5b8a200000),
+    (&[5, 8, 6, 0, 0], 95, 0x405fe97780e74000),
+    (&[8, 12, 13, 6, 4], 1571, 0x401c65f600000000),
 ];
 
 #[test]
