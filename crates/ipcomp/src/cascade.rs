@@ -15,8 +15,10 @@
 //! the decoder's value (`Quantize`); [`crate::interp::process_level`] passes
 //! its caller's closure (`Visit`). [`crate::compress`] and `process_level`
 //! sweep whole levels serially through `sweep_level`; [`CascadeEngine`] drives
-//! the same runs sub-pass by sub-pass, streamed and threaded. There is one
-//! span family for both directions and no encoder copy of any loop.
+//! the same runs sub-pass by sub-pass, streamed and threaded; a region read's
+//! `RegionCascade` sweeps them clipped to the region's halo, over one box per
+//! level sized by the region. There is one span family for both directions
+//! and no encoder copy of any loop.
 //!
 //! **The referee** is `interp::process_level_pointwise`: the same
 //! contract evaluated one point at a time through `predict_point_read` with
@@ -70,7 +72,7 @@ use crate::interp::{
     for_each_level_pass, level_stride, num_levels, predict_point_read, process_anchors, sweep_runs,
     SweepRun,
 };
-use crate::precinct::{clip_ranges, pass_window, RoiBox};
+use crate::precinct::{clip_ranges, level_window, on_lattice, pass_window, RoiBox};
 use crate::quantize::round_exact;
 
 /// Whether this CPU supports the decode pipeline's AVX2 kernels — the
@@ -147,8 +149,8 @@ pub struct CascadeProgress {
 /// [`level_ready`](CascadeEngine::level_ready) with the level's complete
 /// quantization codes (values for an initial reconstruction, deltas for a
 /// refinement; an empty vector means "all zero" and runs prediction-only
-/// passes) — or, for a region, its windowed form
-/// [`level_windowed`](CascadeEngine::level_windowed).
+/// passes). A region read does not use this engine: its cascade is held in
+/// per-level boxes sized by the region (the crate's `RegionCascade`).
 ///
 /// Codes come in the level's traversal order, which is the concatenation of
 /// its dimension sub-passes — so each sub-pass consumes a contiguous, known
@@ -375,67 +377,6 @@ impl CascadeEngine {
         }
     }
 
-    /// Windowed form of [`CascadeEngine::level_ready`], for reconstructing a
-    /// region: apply container level `idx`'s sub-passes only over the points
-    /// that later passes — and finally the crop to `window` — read. Each
-    /// sub-pass is clipped to the window's halo from the full level geometry,
-    /// so the lattice phase (and therefore the arithmetic) matches the
-    /// full-domain sweep point for point. `codes` holds the level's
-    /// quantization codes **indexed by domain offset** over the whole field
-    /// (a region decode never holds a traversal-order prefix); `None` is the
-    /// all-zero level.
-    ///
-    /// Clipped runs start mid-row and mid-lattice, which the interior
-    /// kernels' `run.coord == stride` invariant excludes, so every point goes
-    /// through the position-independent evaluator the
-    /// unclipped kernels use for their head and tail points — same bits,
-    /// window-sized work.
-    ///
-    /// # Panics
-    ///
-    /// Panics unless `idx` is the next level in cascade order.
-    pub fn level_windowed(
-        &mut self,
-        idx: usize,
-        window: &RoiBox,
-        codes: Option<&[i64]>,
-    ) -> CascadeProgress {
-        self.expect_next(idx);
-        let interp_level = self.levels - idx as u32;
-        let field = FieldPtr::of(&mut self.work);
-        let dims = self.shape.dims();
-        let strides = self.shape.strides();
-        let stride = level_stride(interp_level);
-        let mut points = 0usize;
-        for (sub_idx, sub) in self.geoms[idx].iter().enumerate() {
-            let mut span = ipc_telemetry::span_timed(
-                "cascade",
-                "cascade.pass",
-                crate::obs::metrics().cascade_pass_ns,
-            );
-            span.add_arg("level", interp_level as u64);
-            span.add_arg("dim", sub_idx as u64);
-            let halo = pass_window(window, dims, self.method, interp_level, sub.d);
-            let op = AddByOffset {
-                codes: codes.unwrap_or(&[]),
-                two_eb: self.two_eb,
-            };
-            let mut ctx = RunCtx::new(field, &self.shape, self.method, stride, sub.d, op);
-            sweep_runs(strides, &clip_ranges(&sub.ranges, &halo), sub.d, |run| {
-                ctx.scalar_span(&run, 0, run.count);
-                points += run.count;
-            });
-        }
-        self.applied += 1;
-        CascadeProgress {
-            level_idx: idx,
-            interp_level,
-            points,
-            levels_applied: self.applied,
-            levels_total: self.levels as usize,
-        }
-    }
-
     /// The referee: the point-by-point sweep
     /// (`interp::process_level_pointwise`, which shares no kernel
     /// with the run classification) with a closure pulling dequantized codes
@@ -471,6 +412,308 @@ impl CascadeEngine {
     }
 }
 
+// ---- the region cascade -------------------------------------------------------
+
+/// A region read's interpolation cascade, held per level in a box sized by
+/// the region rather than in an array of the whole field — as a JPEG 2000
+/// decoder sizes a code-block's state by the block.
+///
+/// **Why a box per level.** A level of stride `s` reads and writes only
+/// points of the `s`-lattice; in lattice-index units it is interpolation
+/// level 1 on a grid of `ceil(D_i / s)` points per dimension. For a point
+/// `c = k·s`, `predict_point_read`'s three boundary tests hold under the same
+/// conditions in those units (`c ≥ 3s` ⇔ `k ≥ 3`, `c + s < D` ⇔
+/// `k + 1 < ceil(D/s)`, `c + 3s < D` ⇔ `k + 3 < ceil(D/s)`), so a sub-pass
+/// swept at stride 1 over a box of the lattice reads the same operands with
+/// the same weights in the same order as the whole-field sweep: the same
+/// bits. A level's box is its `level_window` on the level's lattice —
+/// every point its sub-passes compute or read — and the windows shrink level
+/// by level, so each box is seeded from the next coarser one (the coarsest
+/// from the anchors), and the region is a copy out of the finest.
+///
+/// **What is computed.** Each sub-pass sweeps only its `pass_window` — the
+/// points that later passes, and finally the crop, read — and every computed
+/// point reads only computed points, so a box point no pass computes is
+/// never read, whatever it holds.
+/// Clipped runs start mid-row and mid-lattice, which the interior kernels'
+/// `run.coord == stride` invariant excludes, so every point goes through the
+/// position-independent evaluator the unclipped kernels use for their head
+/// and tail points.
+///
+/// Lifecycle: [`RegionCascade::new`] with the anchor codes, then per
+/// container level, coarsest first, [`open_level`](Self::open_level),
+/// [`place_row`](Self::place_row) for each row of the level's loaded
+/// residuals, and [`close_level`](Self::close_level); then
+/// [`crop`](Self::crop).
+pub(crate) struct RegionCascade {
+    dims: Vec<usize>,
+    method: Interpolation,
+    /// `2 · error_bound`, as [`CascadeEngine`]'s.
+    two_eb: f64,
+    levels: u32,
+    region: RoiBox,
+    /// The open level's box, or the last closed one's (the anchors' before
+    /// the first level opens).
+    held: LatticeBox,
+    /// Levels whose pass has run — and so the index of the next one.
+    applied: usize,
+}
+
+/// A dense row-major array over a box of the `stride` lattice: the points
+/// `k·stride` with lattice indices `lo[i] .. lo[i] + shape.dims()[i]`.
+struct LatticeBox {
+    stride: usize,
+    lo: Vec<usize>,
+    shape: Shape,
+    values: Vec<f64>,
+}
+
+impl LatticeBox {
+    /// Offset of the point at lattice `index` (inside the box).
+    fn offset(&self, index: &[usize]) -> usize {
+        (index.iter().zip(&self.lo).zip(self.shape.strides()))
+            .map(|((&k, &lo), &step)| (k - lo) * step)
+            .sum()
+    }
+}
+
+impl RegionCascade {
+    /// The cascade of `region` over a field of `shape`, seeded with
+    /// Algorithm 1's zero-predicted anchors from their codes (in the anchor
+    /// sweep's row-major order; missing codes read as zero).
+    pub(crate) fn new(
+        shape: &Shape,
+        method: Interpolation,
+        error_bound: f64,
+        region: RoiBox,
+        anchors: &[i64],
+    ) -> Self {
+        let levels = num_levels(shape);
+        let stride = level_stride(levels + 1);
+        let lattice: Vec<usize> = shape.dims().iter().map(|&d| d.div_ceil(stride)).collect();
+        let two_eb = 2.0 * error_bound;
+        let shape_on = Shape::new(&lattice);
+        // `0.0 +`: the anchor's zero prediction, as `seed_anchors` adds it.
+        let values = (0..shape_on.len())
+            .map(|i| 0.0 + anchors.get(i).map_or(0.0, |&c| c as f64 * two_eb))
+            .collect();
+        Self {
+            dims: shape.dims().to_vec(),
+            method,
+            two_eb,
+            levels,
+            region,
+            held: LatticeBox {
+                stride,
+                lo: vec![0; lattice.len()],
+                shape: shape_on,
+                values,
+            },
+            applied: 0,
+        }
+    }
+
+    /// Open container level `idx`'s box: zero at the level's own points,
+    /// the coarser lattice's values copied from the box before it.
+    ///
+    /// # Panics
+    ///
+    /// Panics unless `idx` is the next level in cascade order.
+    pub(crate) fn open_level(&mut self, idx: usize) {
+        assert_eq!(
+            idx, self.applied,
+            "levels are handed to the cascade coarsest first"
+        );
+        let level = self.levels - idx as u32;
+        let stride = level_stride(level);
+        let coarse = &self.held;
+        assert_eq!(coarse.stride, 2 * stride, "level {idx} opened twice");
+        let window = on_lattice(
+            level_window(&self.region, &self.dims, self.method, level),
+            stride,
+        );
+        let lo: Vec<usize> = window.iter().map(|w| w.0).collect();
+        let shape = Shape::new(&window.iter().map(|&(lo, hi)| hi - lo).collect::<Vec<_>>());
+        let mut values = vec![0.0f64; shape.len()];
+        // The coarser lattice is this one's even indices; `level_window`
+        // nests, so every one of them inside this box is inside the coarser.
+        let half = |k: usize| k.div_ceil(2);
+        let from: Vec<usize> = lo.iter().map(|&k| half(k)).collect();
+        let to: Vec<usize> = window.iter().map(|w| half(w.1)).collect();
+        let last = lo.len() - 1;
+        let row = to[last] - from[last];
+        for_each_box_row(&from, &to, |index| {
+            let src = coarse.offset(index);
+            let dst: usize = (index.iter().zip(&lo).zip(shape.strides()))
+                .map(|((&j, &lo), &step)| (2 * j - lo) * step)
+                .sum();
+            for (t, &v) in coarse.values[src..src + row].iter().enumerate() {
+                values[dst + 2 * t] = v;
+            }
+        });
+        self.held = LatticeBox {
+            stride,
+            lo,
+            shape,
+            values,
+        };
+    }
+
+    /// Place one row of the open level's loaded residuals: the negabinary
+    /// `words[t]` of the point at domain offset `offset + t·step`, along the
+    /// last dimension (a precinct walk row). Each is stored dequantized in
+    /// the box, where the level's pass adds it to the point's prediction;
+    /// points outside the box are dropped, as no pass reads them.
+    pub(crate) fn place_row(&mut self, offset: usize, step: usize, words: &[u64]) {
+        let b = &mut self.held;
+        let last = self.dims.len() - 1;
+        let mut rem = offset;
+        let (mut base, mut first) = (0, 0);
+        for i in (0..=last).rev() {
+            let k = rem % self.dims[i] / b.stride;
+            rem /= self.dims[i];
+            if i == last {
+                first = k;
+            } else if k < b.lo[i] || k >= b.lo[i] + b.shape.dims()[i] {
+                return;
+            } else {
+                base += (k - b.lo[i]) * b.shape.strides()[i];
+            }
+        }
+        // The row's points `first + t·step` (in lattice units) inside the box.
+        let (lo, hi) = (b.lo[last], b.lo[last] + b.shape.dims()[last]);
+        let step = step / b.stride;
+        let t_lo = lo.saturating_sub(first).div_ceil(step);
+        let t_hi = hi.saturating_sub(first).div_ceil(step);
+        for (t, &w) in words.iter().enumerate().take(t_hi).skip(t_lo) {
+            b.values[base + first + t * step - lo] = from_negabinary(w) as f64 * self.two_eb;
+        }
+    }
+
+    /// Run the open level's sub-passes, each over its `pass_window`:
+    /// adding the residuals placed in the box (`with_codes`), or the
+    /// prediction alone for a level that loaded nothing. Returns the level's
+    /// progress entry; its `points` are the computed points.
+    pub(crate) fn close_level(&mut self, with_codes: bool) -> CascadeProgress {
+        let idx = self.applied;
+        let level = self.levels - idx as u32;
+        let stride = level_stride(level);
+        let b = &mut self.held;
+        assert_eq!(b.stride, stride, "level {idx} closed before it was opened");
+        let lattice = Shape::new(
+            &(self.dims.iter())
+                .map(|&d| d.div_ceil(stride))
+                .collect::<Vec<_>>(),
+        );
+        let strides = b.shape.strides().to_vec();
+        let origin = (b.lo.iter().zip(&strides))
+            .map(|(&lo, &step)| lo * step)
+            .sum();
+        let field = FieldPtr::of(&mut b.values);
+        let mut points = 0usize;
+        let mut sub_idx = 0u64;
+        for_each_level_pass(&lattice, 1, |d, ranges| {
+            let mut span = ipc_telemetry::span_timed(
+                "cascade",
+                "cascade.pass",
+                crate::obs::metrics().cascade_pass_ns,
+            );
+            span.add_arg("level", level as u64);
+            span.add_arg("dim", sub_idx);
+            sub_idx += 1;
+            let halo = on_lattice(
+                pass_window(&self.region, &self.dims, self.method, level, d),
+                stride,
+            );
+            let ranges = clip_ranges(&ranges, &halo);
+            let (method, dim_stride, dim_len) = (self.method, strides[d], lattice.dims()[d]);
+            points += if with_codes {
+                let ctx = RunCtx::on_lattice(field, method, dim_stride, dim_len, AddPlaced(field));
+                windowed_pass(ctx, &strides, &ranges, d, origin)
+            } else {
+                let ctx = RunCtx::on_lattice(field, method, dim_stride, dim_len, PredictOnly);
+                windowed_pass(ctx, &strides, &ranges, d, origin)
+            };
+        });
+        self.applied += 1;
+        CascadeProgress {
+            level_idx: idx,
+            interp_level: level,
+            points,
+            levels_applied: self.applied,
+            levels_total: self.levels as usize,
+        }
+    }
+
+    /// The region, row-major, copied out of the finest level's box.
+    ///
+    /// # Panics
+    ///
+    /// Panics unless every level's pass has run.
+    pub(crate) fn crop(&self) -> Vec<f64> {
+        assert_eq!(self.applied, self.levels as usize, "cascade incomplete");
+        let (r, b) = (&self.region, &self.held);
+        let (lo, hi) = (&r.lo[..r.ndim], &r.hi[..r.ndim]);
+        let row = hi[r.ndim - 1] - lo[r.ndim - 1];
+        let mut out = Vec::with_capacity(r.len());
+        for_each_box_row(lo, hi, |index| {
+            let at = b.offset(index);
+            out.extend_from_slice(&b.values[at..at + row]);
+        });
+        out
+    }
+}
+
+/// Sweep the clipped sub-pass `ranges` (lattice indices along dimension
+/// `d`) over a box whose first point is at lattice offset `origin` under its
+/// `strides`, every point through the position-independent evaluator.
+/// Returns the points computed.
+fn windowed_pass<O: PointOp>(
+    mut ctx: RunCtx<O>,
+    strides: &[usize],
+    ranges: &[ipc_tensor::AxisRange],
+    d: usize,
+    origin: usize,
+) -> usize {
+    let mut points = 0;
+    sweep_runs(strides, ranges, d, |run| {
+        let run = SweepRun {
+            base: run.base - origin,
+            ..run
+        };
+        ctx.scalar_span(&run, 0, run.count);
+        points += run.count;
+    });
+    points
+}
+
+/// Visit the rows of the index box `[lo, hi)` in row-major order:
+/// `f(index)` with the index of each row's first point; a row runs along the
+/// last dimension. An empty box has no rows.
+fn for_each_box_row(lo: &[usize], hi: &[usize], mut f: impl FnMut(&[usize])) {
+    let n = lo.len();
+    if lo.iter().zip(hi).any(|(l, h)| l >= h) {
+        return;
+    }
+    let mut index = [0usize; ipc_tensor::MAX_DIMS];
+    index[..n].copy_from_slice(lo);
+    loop {
+        f(&index[..n]);
+        let mut dim = n - 1;
+        loop {
+            if dim == 0 {
+                return;
+            }
+            dim -= 1;
+            index[dim] += 1;
+            if index[dim] < hi[dim] {
+                break;
+            }
+            index[dim] = lo[dim];
+        }
+    }
+}
+
 // ---- the per-point operation --------------------------------------------------
 
 /// What a sweep does at a point once its prediction is known — the only thing
@@ -500,21 +743,17 @@ impl PointOp for AddCodes<'_> {
     }
 }
 
-/// Windowed decode: codes indexed by domain offset (a region decode never
-/// holds a traversal-order prefix); no codes = prediction only.
-struct AddByOffset<'a> {
-    codes: &'a [i64],
-    two_eb: f64,
-}
+/// Region decode: the dequantized residual [`RegionCascade::place_row`]
+/// stored at the target itself (zero where none was placed) — the value
+/// `AddCodes` would add, so the sum rounds identically. It reads the target
+/// just before the run that owns it overwrites it.
+#[derive(Clone, Copy)]
+struct AddPlaced(FieldPtr);
 
-impl PointOp for AddByOffset<'_> {
+impl PointOp for AddPlaced {
     #[inline(always)]
     fn point(&mut self, o: usize, _: usize, pred: f64) -> f64 {
-        if self.codes.is_empty() {
-            pred
-        } else {
-            pred + self.codes[o] as f64 * self.two_eb
-        }
+        pred + self.0.get(o)
     }
 }
 
@@ -750,6 +989,27 @@ impl<O: PointOp> RunCtx<O> {
             stride,
             dim_stride: shape.strides()[d],
             dim_len: shape.dims()[d],
+        }
+    }
+
+    /// Context of a stride-1 pass along a dimension of `dim_len` lattice
+    /// points, `dim_stride` apart in `field`: a level swept in its own
+    /// lattice's units ([`RegionCascade`]).
+    fn on_lattice(
+        field: FieldPtr,
+        method: Interpolation,
+        dim_stride: usize,
+        dim_len: usize,
+        op: O,
+    ) -> Self {
+        Self {
+            field,
+            op,
+            ci: 0,
+            method,
+            stride: 1,
+            dim_stride,
+            dim_len,
         }
     }
 

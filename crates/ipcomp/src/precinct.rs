@@ -21,13 +21,13 @@
 //! no per-coefficient table. The compressor reorders codes through it
 //! ([`LevelPrecincts::to_precinct_order`]). A full read sends a level's codes
 //! to their canonical positions through it, and a region read sends its
-//! precincts' codes to their domain offsets.
+//! precincts' codes, by domain offset, into the level's box.
 //!
 //! The module also owns the *halo* arithmetic: reconstructing a region of
 //! interest bit-identically requires the interpolation cascade's neighbour
 //! reads to land on correct values, which grows the window by the predictor's
 //! reach at every level. See `fetch_window` / `pass_window` for the exact
-//! recurrence.
+//! recurrence, and `level_window` for the box a region read holds per level.
 
 use crate::config::Interpolation;
 use crate::container::Header;
@@ -153,6 +153,31 @@ pub(crate) fn pass_window(
     let r = reach(method);
     let s = level_stride(level);
     expand(roi, dims, |i| r * (s - 1) + if i > d { r * s } else { 0 })
+}
+
+/// The window of level-`level` points a region read holds: every point the
+/// level's sub-passes compute or read, which is each sub-pass's
+/// [`pass_window`] widened by `reach·stride` along its active dimension —
+/// `reach·(2·stride − 1)` around the box in every dimension. The windows
+/// shrink level by level, so a level's window holds every coarser-lattice
+/// point of the next finer level's.
+pub(crate) fn level_window(
+    roi: &RoiBox,
+    dims: &[usize],
+    method: Interpolation,
+    level: u32,
+) -> Window {
+    let r = reach(method);
+    let s = level_stride(level);
+    expand(roi, dims, |_| r * (2 * s - 1))
+}
+
+/// A domain window in lattice-index units of the `stride` lattice: the
+/// indices `k` whose points `k·stride` lie inside it.
+pub(crate) fn on_lattice(window: Window, stride: usize) -> Window {
+    (window.into_iter())
+        .map(|(lo, hi)| (lo.div_ceil(stride), hi.div_ceil(stride)))
+        .collect()
 }
 
 /// Per-level precinct fetch masks of an ROI retrieval: `masks[idx][k]` is
@@ -933,5 +958,55 @@ mod tests {
         assert_eq!(w[1], (97, 119));
         let w = pass_window(&roi, &dims, Interpolation::Cubic, 1, 1);
         assert_eq!(w, vec![(0, 16), (100, 116)]);
+        // stride 2, reach 3: 3·(2·2 − 1) = 9 in every dimension; on the
+        // stride-2 lattice, the indices whose points lie inside.
+        let w = level_window(&roi, &dims, Interpolation::Cubic, 2);
+        assert_eq!(w, vec![(0, 25), (91, 125)]);
+        assert_eq!(on_lattice(w, 2), vec![(0, 13), (46, 63)]);
+    }
+
+    /// A level's window holds what its sub-passes compute and read — each
+    /// clipped sub-pass, widened by the reach along its active dimension
+    /// and kept inside the lattice — and the coarser-lattice points of the
+    /// next finer level's window, on 1- to 3-D domains, both kernels.
+    #[test]
+    fn level_windows_hold_their_passes_and_nest() {
+        let cases: [(&[usize], &[usize], &[usize]); 4] = [
+            (&[100], &[37], &[41]),
+            (&[300, 257], &[118, 97], &[170, 151]),
+            (&[300, 257], &[262, 221], &[300, 257]),
+            (&[40, 33, 47], &[11, 0, 14], &[27, 21, 47]),
+        ];
+        for (dims, lo, hi) in cases {
+            let roi = RoiBox::new(lo, hi);
+            let shape = Shape::new(dims);
+            for method in [Interpolation::Linear, Interpolation::Cubic] {
+                for level in 1..=num_levels(&shape) {
+                    let s = level_stride(level);
+                    let held = on_lattice(level_window(&roi, dims, method, level), s);
+                    let at = format!("dims {dims:?} {method:?} level {level}");
+                    for_each_level_pass(&shape, s, |d, ranges| {
+                        let halo = pass_window(&roi, dims, method, level, d);
+                        for (i, r) in clip_ranges(&ranges, &halo).iter().enumerate() {
+                            if r.count() == 0 {
+                                continue;
+                            }
+                            let reach = if i == d { reach(method) } else { 0 };
+                            let first = r.start / s;
+                            let last = (r.start + (r.count() - 1) * r.step) / s;
+                            let last = (last + reach).min(dims[i].div_ceil(s) - 1);
+                            assert!(held[i].0 <= first.saturating_sub(reach), "{at} d {d}");
+                            assert!(last < held[i].1, "{at} d {d}");
+                        }
+                    });
+                    if level > 1 {
+                        let finer = on_lattice(level_window(&roi, dims, method, level - 1), s / 2);
+                        for (&(lo, hi), &(flo, fhi)) in held.iter().zip(&finer) {
+                            assert!(lo <= flo.div_ceil(2) && fhi.div_ceil(2) <= hi, "{at}");
+                        }
+                    }
+                }
+            }
+        }
     }
 }

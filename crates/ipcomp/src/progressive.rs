@@ -58,28 +58,35 @@
 //! the map's cost table) and runs the same level loop; a spatial region
 //! ([`ProgressiveDecoder::retrieve_roi`]) is Algorithm 1 over the precincts
 //! the region's halo touches — the same plan, the same level loads with
-//! each level's region list cut to those precincts' ids, the engine's
-//! windowed pass, and a crop — into scratch state sized by the selection, so
-//! it never disturbs the progressive state and a failed region read has
-//! only the byte accounting to restore.
+//! each level's region list cut to those precincts' ids — into scratch
+//! state sized by the region, so it never disturbs the progressive state
+//! and a failed region read has only the byte accounting to restore. Its
+//! cascade (`cascade::RegionCascade`) holds one dense box per level, on
+//! that level's own lattice: the points of the level's stride around the
+//! region, widened by the predictor's reach — everything the level's
+//! windowed sub-passes compute or read. Each box is seeded from the next
+//! coarser one, takes the level's residuals from a scratch accumulator of
+//! the selected precincts, and is swept in lattice units with the same bits
+//! as the whole-field sweep; the region is a copy out of the finest box. No
+//! buffer of a region read is sized by the field.
 //!
 //! A version-3 container stores every level precinct-major; the cascade reads
 //! canonical traversal order. Both reads cross between the two through the
 //! one precinct walk of [`crate::precinct`], which works from per-dimension
 //! cell tables: a full read writes each level's codes to their canonical
-//! positions, and a region read writes its precincts' codes to their domain
-//! offsets. The decoder caches no per-level layout.
+//! positions, and a region read places its precincts' codes, by domain
+//! offset, into the level's box. The decoder caches no per-level layout.
 
 use std::sync::Arc;
 
 use ipc_codecs::negabinary::from_negabinary;
-use ipc_tensor::{ArrayD, AxisRange, Shape};
+use ipc_tensor::{ArrayD, Shape};
 
 use crate::bitplane::EncodedLevel;
-use crate::cascade::{CascadeEngine, CascadeProgress};
+use crate::cascade::{CascadeEngine, CascadeProgress, RegionCascade};
 use crate::container::{decode_anchors_bounded, Compressed, ContainerMap};
 use crate::error::{IpcompError, Result};
-use crate::interp::{num_levels, sweep_runs};
+use crate::interp::num_levels;
 use crate::optimizer::{plan_for_scope, LoadPlan, RegionMasks};
 use crate::pipeline::{clear_planes, load_level};
 use crate::planner::{lower_plan, RequestFetch};
@@ -445,11 +452,7 @@ impl<'a> ProgressiveDecoder<'a> {
         // A region retrieval reconstructs from scratch into scratch state,
         // whatever the decoder already holds.
         let initial = region.is_some() || self.recon.is_none();
-        let mut region = region.map(|(bounds, ids)| RegionScope {
-            bounds,
-            ids,
-            codes: vec![0i64; self.shape.len()],
-        });
+        let region = region.map(|(bounds, ids)| RegionScope { bounds, ids });
 
         // Per-level work items: (idx, lo, hi, want), coarsest level first.
         // Planes are counted from the most significant: having `have` planes
@@ -498,7 +501,7 @@ impl<'a> ProgressiveDecoder<'a> {
                     ))
                 }
             };
-            let loaded = self.drive_levels(&map, chunks, &works, initial, region.as_mut(), events);
+            let loaded = self.drive_levels(&map, chunks, &works, initial, region.as_ref(), events);
             let field = match loaded {
                 Ok(field) => field,
                 Err(e) => {
@@ -540,7 +543,10 @@ impl<'a> ProgressiveDecoder<'a> {
                 }
             };
             match (&region, &mut self.recon) {
-                (Some(scope), _) => cropped = Some(scope.crop(&self.shape, &field)),
+                (Some(scope), _) => {
+                    let dims = Shape::new(&scope.bounds.dims());
+                    cropped = Some(ArrayD::from_vec(dims, field));
+                }
                 (None, Some(recon)) if !initial => {
                     for (r, d) in recon.iter_mut().zip(&field) {
                         *r += d;
@@ -571,11 +577,11 @@ impl<'a> ProgressiveDecoder<'a> {
         })
     }
 
-    /// Seed a cascade engine, load every level in `works` and drive the
-    /// engine with it, coarsest level first, handing each level over as soon
-    /// as its planes are scattered. Returns the cascaded field: the
-    /// reconstruction on an initial or region retrieval, the delta field on
-    /// a refinement.
+    /// Seed a cascade, load every level in `works` and drive the cascade
+    /// with it, coarsest level first, handing each level over as soon as its
+    /// planes are scattered. Returns the cascaded values: the reconstruction
+    /// on an initial retrieval, the delta field on a refinement, the
+    /// region's crop under a `region`.
     ///
     /// There is one level loader and one input to it, a `LevelChunks`
     /// table under the scheme `map` holds for the level, over the load's
@@ -589,11 +595,12 @@ impl<'a> ProgressiveDecoder<'a> {
     /// through the one level loader (`pipeline::load_level`), reporting
     /// every non-empty region to `events` — with the decoder's byte total
     /// so far, to which the level's bytes are committed only once it
-    /// loads — and goes to the engine whole: [`CascadeEngine::level_ready`], or the windowed pass
-    /// under a `region`, whose codes go from a scratch accumulator of the
-    /// selected precincts to their domain offsets first. A version-3 level's
-    /// precinct-major words reach the engine through the one precinct walk
-    /// (`PrecinctGrid::level_walk`), built per level from the grid `map`
+    /// loads — and goes to the cascade whole: [`CascadeEngine::level_ready`]
+    /// over the field, or under a `region` the level's box of the region
+    /// cascade (`cascade::RegionCascade`), into which the codes of a scratch
+    /// accumulator of the selected precincts are placed first. A version-3
+    /// level's precinct-major words reach either through the one precinct
+    /// walk (`PrecinctGrid::level_walk`), built per level from the grid `map`
     /// validated when it was built: the decoder keeps no layout. A failed
     /// load is returned as is, planes half-scattered: its caller,
     /// `retrieve_inner`, undoes it.
@@ -603,20 +610,14 @@ impl<'a> ProgressiveDecoder<'a> {
         mut chunks: LevelBytes<'_, '_>,
         works: &[(usize, u8, u8, u8)],
         initial: bool,
-        mut region: Option<&mut RegionScope>,
+        region: Option<&RegionScope>,
         events: &mut dyn FnMut(StreamEvent),
     ) -> Result<Vec<f64>> {
         let header = &map.header;
         // Algorithm 1 seeds the cascade with the anchor codes; Algorithm 2
         // propagates deltas from zero anchors (the cascade is linear in the
         // residuals) and adds the delta field onto the reconstruction.
-        let mut engine =
-            CascadeEngine::new(self.shape.clone(), header.interpolation, header.error_bound);
-        #[cfg(any(test, feature = "reference-scalar"))]
-        {
-            let (referee, threads) = self.kernel;
-            engine = engine.with_kernel(referee, threads);
-        }
+        let mut anchors = Vec::new();
         if initial {
             // Base data: header + anchors + metadata are always read — but
             // only once per decoder, even across retries of a failed initial
@@ -625,19 +626,38 @@ impl<'a> ProgressiveDecoder<'a> {
                 self.bytes_total += map.base_bytes();
                 self.base_bytes_counted = true;
             }
-            engine.seed_anchors(&decode_anchors_bounded(
-                &map.anchors,
-                header.num_elements(),
-            )?);
-        } else {
-            engine.seed_zero();
+            anchors = decode_anchors_bounded(&map.anchors, header.num_elements())?;
         }
+        let (method, eb) = (header.interpolation, header.error_bound);
+        let mut cascade = match region {
+            Some(scope) => Cascade::Region(
+                scope,
+                RegionCascade::new(&self.shape, method, eb, scope.bounds, &anchors),
+            ),
+            None => {
+                let mut engine = CascadeEngine::new(self.shape.clone(), method, eb);
+                #[cfg(any(test, feature = "reference-scalar"))]
+                {
+                    let (referee, threads) = self.kernel;
+                    engine = engine.with_kernel(referee, threads);
+                }
+                match initial {
+                    true => engine.seed_anchors(&anchors),
+                    false => engine.seed_zero(),
+                }
+                Cascade::Field(engine)
+            }
+        };
         let mut w = 0usize;
         for (idx, level) in map.levels.iter().enumerate() {
             let work = works.get(w).filter(|x| x.0 == idx).copied();
             w += usize::from(work.is_some());
+            // A region decodes into a scratch accumulator holding its
+            // precincts' coefficients back to back; a full-domain load
+            // into the level's own, allocated by its first load.
+            let mut scratch = Vec::new();
             if let Some((_, lo, hi, want)) = work {
-                let ids = region.as_deref().map(|scope| &scope.ids[idx][..]);
+                let ids = region.map(|scope| &scope.ids[idx][..]);
                 let fetched;
                 let chunks = match &mut chunks {
                     LevelBytes::Resident(levels) => {
@@ -648,10 +668,6 @@ impl<'a> ProgressiveDecoder<'a> {
                         level.fetch_planes(lo, hi, ids, &fetched)?
                     }
                 };
-                // A region decodes into a scratch accumulator holding its
-                // precincts' coefficients back to back; a full-domain load
-                // into the level's own, allocated by its first load.
-                let mut scratch = Vec::new();
                 let acc = match region {
                     Some(_) => {
                         scratch = vec![0u64; chunks.acc_len()];
@@ -685,20 +701,23 @@ impl<'a> ProgressiveDecoder<'a> {
                     region_at += 1;
                 })?;
                 self.bytes_total += level_bytes;
-                match region.as_deref_mut() {
-                    Some(scope) => {
-                        let grid = map.grid().expect("precinct ids imply a grid");
-                        scope.place_codes(&self.shape, idx, grid, &scratch);
-                    }
-                    None => self.planes_loaded[idx] = want,
+                if region.is_none() {
+                    self.planes_loaded[idx] = want;
                 }
             }
-            if let Some(scope) = region.as_deref() {
-                let codes = work.map(|_| &scope.codes[..]);
-                let pass = engine.level_windowed(idx, &scope.bounds, codes);
-                events(StreamEvent::LevelReconstructed(pass));
-                continue;
-            }
+            let engine = match &mut cascade {
+                Cascade::Region(scope, boxes) => {
+                    boxes.open_level(idx);
+                    if work.is_some() {
+                        let grid = map.grid().expect("precinct ids imply a grid");
+                        scope.place_codes(&self.shape, idx, grid, &scratch, boxes);
+                    }
+                    let pass = boxes.close_level(work.is_some());
+                    events(StreamEvent::LevelReconstructed(pass));
+                    continue;
+                }
+                Cascade::Field(engine) => engine,
+            };
             // Full values on an initial reconstruction — including a level
             // loaded by an earlier, failed one — or the delta the newly
             // loaded planes `[lo, hi)` contribute; nothing (all residuals,
@@ -714,59 +733,50 @@ impl<'a> ProgressiveDecoder<'a> {
                 events(StreamEvent::LevelReconstructed(pass));
             }
         }
-        Ok(engine.into_field())
+        Ok(match cascade {
+            Cascade::Region(_, boxes) => boxes.crop(),
+            Cascade::Field(engine) => engine.into_field(),
+        })
     }
 }
 
+/// The cascade one retrieval drives: the whole field's, or a region's
+/// per-level boxes.
+enum Cascade<'s> {
+    Field(CascadeEngine),
+    Region(&'s RegionScope, RegionCascade),
+}
+
 /// Spatial scope of a region retrieval — the only state a region adds to the
-/// shared read loop: which precincts each level loads, and their codes placed
-/// where the windowed cascade pass reads them.
+/// shared read loop: which precincts each level loads.
 struct RegionScope {
     bounds: RoiBox,
     /// `ids[idx]`: the ascending ids of the precincts level entry `idx` loads
     /// (the box plus the cascade's cross-level halo; see
     /// [`crate::precinct::roi_precinct_masks`]).
     ids: Vec<Vec<usize>>,
-    /// Quantization codes of the loaded precincts, indexed by domain offset:
-    /// one field-sized buffer serves every level, since levels own disjoint
-    /// lattice points.
-    codes: Vec<i64>,
 }
 
 impl RegionScope {
-    /// Convert level entry `idx`'s scratch accumulator — its listed
-    /// precincts' coefficients back to back, in list order — to codes at
-    /// their domain offsets, in one precinct walk over those ids. The map's
-    /// verdict holds the level's spans to be the `grid`'s.
-    fn place_codes(&mut self, shape: &Shape, idx: usize, grid: &PrecinctGrid, acc: &[u64]) {
+    /// Place level entry `idx`'s scratch accumulator — its listed
+    /// precincts' coefficients back to back, in list order — into the
+    /// level's box of the region cascade, in one precinct walk over those
+    /// ids. The map's verdict holds the level's spans to be the `grid`'s.
+    fn place_codes(
+        &self,
+        shape: &Shape,
+        idx: usize,
+        grid: &PrecinctGrid,
+        acc: &[u64],
+        cascade: &mut RegionCascade,
+    ) {
         let walk = grid.level_walk(shape, num_levels(shape) - idx as u32);
         let mut i = 0;
         walk.for_each_row(self.ids[idx].iter().copied(), |row| {
-            let mut offset = row.offset;
-            for &w in &acc[i..i + row.len] {
-                self.codes[offset] = from_negabinary(w);
-                offset += row.step;
-            }
+            cascade.place_row(row.offset, row.step, &acc[i..i + row.len]);
             i += row.len;
         });
         debug_assert_eq!(i, acc.len());
-    }
-
-    /// Crop the reconstructed field to the requested box.
-    fn crop(&self, shape: &Shape, field: &[f64]) -> ArrayD<f64> {
-        let b = &self.bounds;
-        let mut out = Vec::with_capacity(b.len());
-        let unit: Vec<AxisRange> = (0..b.ndim)
-            .map(|i| AxisRange::strided(b.lo[i], 1, b.hi[i]))
-            .collect();
-        sweep_runs(shape.strides(), &unit, 0, |run| {
-            let mut offset = run.base;
-            for _ in 0..run.count {
-                out.push(field[offset]);
-                offset += run.step;
-            }
-        });
-        ArrayD::from_vec(Shape::new(&b.dims()), out)
     }
 }
 
@@ -774,7 +784,7 @@ impl RegionScope {
 mod tests {
     use super::*;
     use crate::compressor::compress;
-    use crate::config::Config;
+    use crate::config::{Config, Interpolation};
     use ipc_metrics::linf_error;
     use ipc_tensor::{ArrayD, Shape};
 
@@ -1356,6 +1366,59 @@ mod tests {
             assert_eq!(roi2.data.as_slice(), expect.as_slice(), "{request:?}");
             assert_eq!(roi2.bytes_total, roi.bytes_total, "{request:?}");
         }
+    }
+
+    /// A region read computes exactly the windowed points of every level,
+    /// coarsest first — not the boxes it holds them in. The counts are
+    /// pinned from the windowed pass over whole-field buffers that the
+    /// per-level boxes replaced.
+    #[test]
+    fn roi_passes_compute_exactly_the_windowed_points() {
+        let points = |dims: &[usize], extents: &[usize], interpolation, bounds| {
+            let data = ArrayD::from_fn(Shape::new(dims), |c| {
+                c.iter()
+                    .enumerate()
+                    .map(|(i, &x)| (x as f64 * (0.1 + 0.03 * i as f64)).sin())
+                    .sum()
+            });
+            let config = Config {
+                interpolation,
+                ..Config::with_precincts(extents)
+            };
+            let c = compress(&data, 1e-5, &config).unwrap();
+            let mut points = Vec::new();
+            let request = RetrievalRequest::Roi {
+                bounds,
+                error_bound: 1e-3,
+            };
+            ProgressiveDecoder::new(&c)
+                .retrieve_streaming_events(request, |e| {
+                    if let StreamEvent::LevelReconstructed(p) = e {
+                        assert_eq!(p.level_idx, points.len());
+                        points.push(p.points);
+                    }
+                })
+                .unwrap();
+            points
+        };
+        assert_eq!(
+            points(
+                &[300, 257],
+                &[16, 16],
+                Interpolation::Cubic,
+                RoiBox::new(&[100, 90], &[164, 150])
+            ),
+            [3, 5, 16, 52, 90, 168, 353, 902, 2976]
+        );
+        assert_eq!(
+            points(
+                &[40, 33, 47],
+                &[8, 8, 8],
+                Interpolation::Linear,
+                RoiBox::new(&[10, 5, 12], &[25, 20, 30])
+            ),
+            [7, 19, 60, 167, 672, 3855]
+        );
     }
 
     #[test]

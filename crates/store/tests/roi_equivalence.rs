@@ -10,10 +10,13 @@ use std::sync::Arc;
 
 use ipc_store::testutil::test_source;
 use ipc_store::{
-    ContainerStore, Fault, FaultSource, SimProfile, SimulatedObjectStore, StoreOptions, StreamEvent,
+    plan_request, ContainerStore, Fault, FaultSource, SimProfile, SimulatedObjectStore,
+    StoreOptions, StreamEvent,
 };
 use ipc_tensor::{ArrayD, Shape};
-use ipcomp::{compress, Config, ProgressiveDecoder, RetrievalRequest, RoiBox};
+use ipcomp::{
+    compress, Config, ContainerMap, Interpolation, ProgressiveDecoder, RetrievalRequest, RoiBox,
+};
 use proptest::prelude::*;
 
 /// Deterministic test field with enough structure that bitplanes are
@@ -206,6 +209,71 @@ fn edge_boxes_and_ragged_precincts() {
         RetrievalRequest::ErrorBound(1e-2),
         2,
     );
+}
+
+/// Region reads under both interpolation kernels, over domains wide enough
+/// that a level's lattice box is clipped by the domain on one side and free
+/// on the other: an interior tile and a far-edge tile of a 300 × 257 field
+/// in 16² precincts, and two boxes of a 40 × 33 × 47 one. Every request
+/// kind equals the crop of a full decode under the region's own plan (a
+/// budget is scoped to the region, so its plan is not the full domain's),
+/// through a store session and a resident decoder alike.
+#[test]
+fn wide_domains_match_crop_under_both_kernels() {
+    let cases: [(&[usize], &[usize], [RoiBox; 2]); 2] = [
+        (
+            &[300, 257],
+            &[16, 16],
+            [
+                RoiBox::new(&[118, 97], &[170, 151]),
+                RoiBox::new(&[262, 221], &[300, 257]),
+            ],
+        ),
+        (
+            &[40, 33, 47],
+            &[8, 8, 8],
+            [
+                RoiBox::new(&[11, 9, 14], &[27, 21, 33]),
+                RoiBox::new(&[30, 0, 36], &[40, 12, 47]),
+            ],
+        ),
+    ];
+    for (dims, extents, boxes) in cases {
+        let data = field(dims);
+        for interpolation in [Interpolation::Linear, Interpolation::Cubic] {
+            let config = Config {
+                interpolation,
+                ..Config::with_precincts(extents)
+            };
+            let c = compress(&data, 1e-6, &config).unwrap();
+            let map = ContainerMap::from_compressed(&c);
+            let store = ContainerStore::open(test_source(c.to_bytes()), store_options()).unwrap();
+            for bounds in boxes {
+                for request in [
+                    RetrievalRequest::Full,
+                    RetrievalRequest::ErrorBound(1e-3),
+                    RetrievalRequest::SizeBudget(c.base_bytes() + 6000),
+                ] {
+                    let at = format!("{dims:?} {interpolation:?} {bounds:?} {request:?}");
+                    let plan = plan_request(&map, &[], request, Some(bounds)).unwrap().load;
+                    let full = ProgressiveDecoder::new(&c)
+                        .retrieve_with_plan(&plan)
+                        .unwrap();
+                    let expected = crop(full.data.as_slice(), dims, &bounds);
+                    let out = store.session().retrieve_roi(bounds, request).unwrap();
+                    assert_eq!(out.data.as_slice(), expected.as_slice(), "session {at}");
+                    let resident = ProgressiveDecoder::new(&c)
+                        .retrieve_roi(bounds, request)
+                        .unwrap();
+                    assert_eq!(
+                        resident.data.as_slice(),
+                        expected.as_slice(),
+                        "resident {at}"
+                    );
+                }
+            }
+        }
+    }
 }
 
 #[test]
