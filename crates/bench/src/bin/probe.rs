@@ -1,5 +1,5 @@
-//! Probe: in-process numbers of the region read, from the repository rather
-//! than from throwaway code.
+//! Probe: in-process numbers of the region read and the full read, from the
+//! repository rather than from throwaway code.
 //!
 //! It reads the 64 tiles of the `roi_remote` benchmark workload — the 1/64
 //! tiles of its 2-D field in a version-3 container, at `ErrorBound(1e-3)` —
@@ -9,16 +9,22 @@
 //!   fresh `SimulatedObjectStore` (5 ms per GET, 200 MB/s), as the benchmark
 //!   reads it: GETs, simulated ms, fetched bytes (the open included) and
 //!   planned payload bytes per op, in-process p50, and allocations and live
-//!   peak per op;
+//!   peak per op, with `ContainerStore::open`'s share of both apart;
 //! * `roi_resident`: `ProgressiveDecoder::retrieve_roi` alone over the
-//!   resident container: in-process p50, allocations and live peak per op.
+//!   resident container: in-process p50, allocations and live peak per op;
+//! * `full_resident`, one row per container: `ProgressiveDecoder::retrieve`
+//!   of `Full` on a fresh decoder over the resident container — the
+//!   `compress_v2` workload's field (Density, 96×104×104 at
+//!   `1e-7 · range`) and the region reads' — with its in-process p50 and the
+//!   share of the decoder's retrieve time (`ipcomp.retrieve.ns`) spent in
+//!   cascade sub-passes (`ipcomp.cascade.pass_ns`).
 //!
 //! Every tile is hashed against the crop of a full-domain decode at the same
 //! bound; the probe exits non-zero on a mismatch or a failed read.
 //!
-//! `IPC_SCALE=tiny` reads the benchmark's smoke size (256² in 16² precincts);
-//! any other scale its full size (1024² in 32²). The field's seed is the
-//! first argument (default 2025). Thread count and allocator settings are the
+//! `IPC_SCALE=tiny` reads the benchmark's smoke sizes (256² in 16² precincts,
+//! Density 24×26×26); any other scale its full sizes (1024² in 32²,
+//! 96×104×104). The fields' seed is the first argument (default 2025). Thread count and allocator settings are the
 //! caller's: run with `RAYON_NUM_THREADS=1` (and the benchmark's
 //! `MALLOC_MMAP_THRESHOLD_` pin) to compare with single-thread numbers.
 //!
@@ -32,6 +38,7 @@ use std::sync::Arc;
 use std::time::Instant;
 
 use ipc_bench::Scale;
+use ipc_datagen::Dataset;
 use ipc_store::{
     plan_request, ContainerStore, MemorySource, SimProfile, SimulatedObjectStore, StoreOptions,
 };
@@ -176,21 +183,26 @@ fn main() {
 
     // Through the store over the simulator, one cold op per tile.
     let (mut ms, mut gets, mut sim_ms, mut fetched, mut planned) = (vec![], 0, 0.0, 0, 0);
-    let (mut allocs, mut peaks) = (vec![], vec![]);
+    let (mut allocs, mut peaks, mut open_allocs, mut open_peaks) = (vec![], vec![], vec![], vec![]);
     for round in 0..rounds {
         for (k, &tile) in tiles.iter().enumerate() {
             let sim = Arc::new(SimulatedObjectStore::new(
                 MemorySource::from_arc(Arc::clone(&bytes)),
                 profile,
             ));
+            let (before, base) = (ALLOCS.load(Ordering::Relaxed), LIVE.load(Ordering::Relaxed));
             let start = Instant::now();
             let (out, count, peak) = counted(|| {
                 let store = ContainerStore::open(Arc::clone(&sim) as _, options)?;
+                let open = (
+                    ALLOCS.load(Ordering::Relaxed) - before,
+                    PEAK.load(Ordering::Relaxed) - base,
+                );
                 let out = store.session().retrieve_roi(tile, request)?;
-                Ok::<_, ipcomp::IpcompError>((out, store))
+                Ok::<_, ipcomp::IpcompError>((out, store, open))
             });
             ms.push(start.elapsed().as_secs_f64() * 1e3);
-            let (out, store) = out.unwrap_or_else(|e| fail(&format!("tile {k}: {e}")));
+            let (out, store, open) = out.unwrap_or_else(|e| fail(&format!("tile {k}: {e}")));
             check(k, out.data.as_slice());
             if round == 0 {
                 let stats = sim.stats();
@@ -202,6 +214,8 @@ fn main() {
                 planned += plan.payload_bytes();
                 allocs.push(count as f64);
                 peaks.push(peak as f64);
+                open_allocs.push(open.0 as f64);
+                open_peaks.push(open.1 as f64);
             }
         }
     }
@@ -211,7 +225,9 @@ fn main() {
         "{{\"row\": \"roi_store\", \"n\": {n}, \"precinct\": {extent}, \"seed\": {seed}, \
          \"ops\": {}, \"gets_per_op\": {:.3}, \"sim_ms_per_op\": {:.3}, \
          \"fetched_bytes_per_op\": {:.0}, \"planned_bytes_per_op\": {:.0}, \"p50_ms\": {:.4}, \
-         \"allocs_per_op\": {:.0}, \"live_peak_bytes_per_op\": {:.0}, \"field_f64_bytes\": {field_bytes}}}",
+         \"allocs_per_op\": {:.0}, \"live_peak_bytes_per_op\": {:.0}, \
+         \"open_allocs_per_op\": {:.0}, \"open_live_peak_bytes_per_op\": {:.0}, \
+         \"field_f64_bytes\": {field_bytes}}}",
         ms.len(),
         gets as f64 / ops,
         sim_ms / ops,
@@ -220,6 +236,8 @@ fn main() {
         median(ms),
         median(allocs),
         median(peaks),
+        median(open_allocs),
+        median(open_peaks),
     );
 
     // The resident region read alone.
@@ -247,4 +265,44 @@ fn main() {
         median(allocs),
         median(peaks),
     );
+
+    // The full read on a fresh decoder: the region reads' container, and the
+    // `compress_v2` workload's.
+    let shape = match scale {
+        Scale::Tiny => Shape::d3(24, 26, 26),
+        _ => Shape::d3(96, 104, 104),
+    };
+    let density = Dataset::Density.generate(&shape, seed);
+    let eb = 1e-7 * density.value_range();
+    let v2 = compress(&density, eb, &Config::default())
+        .unwrap_or_else(|e| fail(&format!("compress failed: {e}")));
+    let dims = |c: &Compressed| {
+        let dims: Vec<String> = c.header.dims.iter().map(|d| d.to_string()).collect();
+        dims.join("x")
+    };
+    let m = (
+        ipc_telemetry::histogram("ipcomp.cascade.pass_ns"),
+        ipc_telemetry::histogram("ipcomp.retrieve.ns"),
+    );
+    for (name, c) in [("density", &v2), ("roi_field", &c)] {
+        let (pass_ns, retrieve_ns) = (m.0.snapshot().sum, m.1.snapshot().sum);
+        let ms: Vec<f64> = (0..rounds.max(3))
+            .map(|_| {
+                let start = Instant::now();
+                ProgressiveDecoder::new(c)
+                    .retrieve(RetrievalRequest::Full)
+                    .unwrap_or_else(|e| fail(&format!("{name} full read: {e}")));
+                start.elapsed().as_secs_f64() * 1e3
+            })
+            .collect();
+        let share =
+            (m.0.snapshot().sum - pass_ns) as f64 / (m.1.snapshot().sum - retrieve_ns) as f64;
+        println!(
+            "{{\"row\": \"full_resident\", \"field\": \"{name}\", \"dims\": \"{}\", \
+             \"seed\": {seed}, \"ops\": {}, \"p50_ms\": {:.4}, \"cascade_share\": {share:.4}}}",
+            dims(c),
+            ms.len(),
+            median(ms),
+        );
+    }
 }

@@ -1,7 +1,7 @@
 //! The lattice sweep's run kernels — one body, two directions — and the
-//! streaming reconstruction engine built on them: the level-streamed
-//! interpolation cascade that turns decoded bitplane accumulators into a
-//! field.
+//! crate's one interpolation engine built on them: the level-streamed
+//! cascade that turns decoded bitplane accumulators into a field, or into a
+//! region of one.
 //!
 //! **Who shares what.** A level's sweep is the same on the write and the read
 //! path: [`crate::interp`] owns the geometry (`for_each_level_pass`,
@@ -14,20 +14,24 @@
 //! quantizes the residual against the original, records the code and stores
 //! the decoder's value (`Quantize`); [`crate::interp::process_level`] passes
 //! its caller's closure (`Visit`). [`crate::compress`] and `process_level`
-//! sweep whole levels serially through `sweep_level`; [`CascadeEngine`] drives
-//! the same runs sub-pass by sub-pass, streamed and threaded; a region read's
-//! `RegionCascade` sweeps them clipped to the region's halo, over one box per
-//! level sized by the region. There is one span family for both directions
-//! and no encoder copy of any loop.
+//! sweep whole levels of the field serially through `sweep_level`, in domain
+//! units; [`CascadeEngine`] drives the same runs sub-pass by sub-pass,
+//! streamed and threaded, over one box per level in that level's lattice
+//! units — the whole lattice on a full read, the region plus the predictor's
+//! reach on a region read, whose runs are clipped and so start anywhere on
+//! the lattice's phase. There is one span family for both directions, one
+//! run classification for clipped and whole runs, and no encoder copy of any
+//! loop.
 //!
 //! **The referee** is `interp::process_level_pointwise`: the same
 //! contract evaluated one point at a time through `predict_point_read` with
 //! bounds-checked slice accesses — no run classification, no raw pointers, no
 //! kernel in common with this module. It is compiled for tests and under the
 //! `reference-scalar` feature, where `CascadeEngine::with_kernel` (and
-//! `ProgressiveDecoder::with_kernel` above it) binds one engine to it; the
-//! equivalence suites hold both directions of the run kernels to it bit for
-//! bit.
+//! `ProgressiveDecoder::with_kernel` above it) binds one engine to it — a
+//! field-sized array swept in domain units, so the boxes' lattice-unit
+//! argument is checked by code that does not use it; the equivalence suites
+//! hold both directions of the run kernels to it bit for bit.
 //!
 //! [`CascadeEngine`] structures the reconstruction around two ideas:
 //!
@@ -36,11 +40,13 @@
 //!    level's pass only reads lattice points finalized by earlier passes. So
 //!    the engine runs level `k`'s interpolation as soon as level `k`'s
 //!    coefficients are scattered, before the finer levels (the finest holds
-//!    7/8 of the bytes in 3-D) are entropy-decoded. There is one hand-over,
-//!    [`CascadeEngine::level_ready`], with the level's whole codes: cascade
-//!    order is the contract, so a level handed over early is a bug, not a
-//!    case. A streaming caller sees the coarse lattices final while the
-//!    finest level is still decoding.
+//!    7/8 of the bytes in 3-D) are entropy-decoded. A full read hands a level
+//!    over with its whole codes in canonical order
+//!    ([`CascadeEngine::level_ready`]); a region read places its precincts'
+//!    residuals in the level's box row by row. Either way cascade order is
+//!    the contract, so a level handed over early is a bug, not a case. A
+//!    streaming caller sees the coarse lattices final while the finest level
+//!    is still decoding.
 //! 2. **Fused passes.** A pass consumes quantization codes directly —
 //!    dequantization (`code · 2eb`) is fused into the interpolation kernel,
 //!    so the field is touched once per level instead of once per stage, and
@@ -56,9 +62,10 @@
 //! dimension) sits at an *even* multiple — finalized by an earlier pass and
 //! never written by this one. The sub-pass's innermost runs are therefore
 //! mutually independent, and [`CascadeEngine`] fans them out across scoped
-//! worker threads in contiguous chunks, each thread replaying its runs in the
-//! serial traversal order with the serial kernels — so the parallel schedule
-//! is bit-identical to the serial one by construction, not by tolerance.
+//! worker threads in contiguous chunks of the level's box — on a full read
+//! and a region read alike — each thread replaying its runs in the serial
+//! traversal order with the serial kernels, so the parallel schedule is
+//! bit-identical to the serial one by construction, not by tolerance.
 //! The thread count follows [`rayon::current_num_threads`] (so
 //! `RAYON_NUM_THREADS` bounds it, and passes already running inside a rayon
 //! worker stay serial instead of oversubscribing), clamped to
@@ -68,9 +75,10 @@ use ipc_codecs::negabinary::from_negabinary;
 use ipc_tensor::Shape;
 
 use crate::config::Interpolation;
+#[cfg(any(test, feature = "reference-scalar"))]
+use crate::interp::process_anchors;
 use crate::interp::{
-    for_each_level_pass, level_stride, num_levels, predict_point_read, process_anchors, sweep_runs,
-    SweepRun,
+    for_each_level_pass, level_stride, num_levels, predict_point_read, sweep_runs, SweepRun,
 };
 use crate::precinct::{clip_ranges, level_window, on_lattice, pass_window, RoiBox};
 use crate::quantize::round_exact;
@@ -140,7 +148,9 @@ pub struct CascadeProgress {
 
 // ---- the engine -------------------------------------------------------------
 
-/// Streaming interpolation-cascade engine over one field reconstruction.
+/// Streaming interpolation-cascade engine over one reconstruction: of the
+/// whole field ([`CascadeEngine::new`]), or of a region (the crate's region
+/// reads).
 ///
 /// Lifecycle: [`CascadeEngine::new`], then exactly one of
 /// [`seed_anchors`](CascadeEngine::seed_anchors) (initial reconstruction) or
@@ -149,13 +159,33 @@ pub struct CascadeProgress {
 /// [`level_ready`](CascadeEngine::level_ready) with the level's complete
 /// quantization codes (values for an initial reconstruction, deltas for a
 /// refinement; an empty vector means "all zero" and runs prediction-only
-/// passes). A region read does not use this engine: its cascade is held in
-/// per-level boxes sized by the region (the crate's `RegionCascade`).
-///
-/// Codes come in the level's traversal order, which is the concatenation of
-/// its dimension sub-passes — so each sub-pass consumes a contiguous, known
-/// code range. Once every level is applied,
+/// passes). Codes come in the level's traversal order, which is the
+/// concatenation of its dimension sub-passes — so each sub-pass consumes a
+/// contiguous, known code range. Once every level is applied,
 /// [`into_field`](CascadeEngine::into_field) yields the reconstruction.
+///
+/// **A box per level.** A level of stride `s` reads and writes only points
+/// of the `s`-lattice; in lattice-index units it is interpolation level 1 on
+/// a grid of `ceil(D_i / s)` points per dimension. For a point `c = k·s`,
+/// `predict_point_read`'s three boundary tests hold under the same
+/// conditions in those units (`c ≥ 3s` ⇔ `k ≥ 3`, `c + s < D` ⇔
+/// `k + 1 < ceil(D/s)`, `c + 3s < D` ⇔ `k + 3 < ceil(D/s)`), so a sub-pass
+/// swept at stride 1 over a box of the lattice reads the same operands with
+/// the same weights in the same order as a sweep of the field at stride `s`:
+/// the same bits. The engine holds one such box at a time, the level's
+/// `level_window` on its lattice — every point its sub-passes compute or
+/// read — seeded from the next coarser box (the coarsest from the anchors).
+/// Over the whole domain every box is its level's whole lattice, and the
+/// finest is the field itself, which [`into_field`](CascadeEngine::into_field)
+/// moves out. Over a region, the boxes shrink to the region plus the
+/// predictor's reach, each sub-pass sweeps only its `pass_window` — the
+/// points later passes, and finally the crop, read — and the region is a
+/// copy out of the finest box; every computed point reads only computed
+/// points, so a box point no pass computes is never read.
+///
+/// A region read (crate-internal) hands each level over in place instead of
+/// in canonical order: `open_level`, `place_row` per row of the level's
+/// loaded residuals, and `close_level`. Both hand-overs run the same sweep.
 pub struct CascadeEngine {
     shape: Shape,
     method: Interpolation,
@@ -164,22 +194,50 @@ pub struct CascadeEngine {
     /// exact, so the product rounds once either way).
     two_eb: f64,
     levels: u32,
-    /// Whether levels sweep through the point-wise referee instead of the
-    /// run kernels.
-    #[cfg(any(test, feature = "reference-scalar"))]
-    referee: bool,
+    /// The region reconstructed: the whole domain for [`CascadeEngine::new`].
+    region: RoiBox,
+    /// The open level's box, or the last swept one's (the anchors' before
+    /// the first level opens).
+    held: LatticeBox,
+    /// The buffer the next level's box is built in. Boxes alternate between
+    /// it and `held`'s, each allocated once, zeroed, with the engine, at the
+    /// largest box it will hold: no level allocates, and a full read's heap
+    /// is laid out as a field-sized work array's was.
+    spare: Vec<f64>,
+    /// Levels whose pass has run — and so the index of the next one.
+    applied: usize,
     /// Pinned sub-pass thread count (0 = [`default_threads`] behind the size
     /// gate); only `CascadeEngine::with_kernel` pins one.
     forced_threads: usize,
-    work: Vec<f64>,
-    /// Levels whose pass has run — and so the index of the next one.
-    applied: usize,
-    /// Per level, its dimension sub-passes in traversal order.
-    geoms: Vec<Vec<SubPass>>,
+    /// The point-wise referee's field, in domain units, when
+    /// `CascadeEngine::with_kernel` binds the engine to it: `level_ready`
+    /// then sweeps it instead of the boxes.
+    #[cfg(any(test, feature = "reference-scalar"))]
+    referee: Option<Vec<f64>>,
 }
 
-/// One dimension pass of one level: the sweep geometry plus the contiguous
-/// code range it consumes.
+/// A dense row-major array over a box of the `stride` lattice: the points
+/// `k·stride` with lattice indices `lo[i] .. lo[i] + shape.dims()[i]`, at the
+/// front of `values`.
+struct LatticeBox {
+    stride: usize,
+    lo: Vec<usize>,
+    shape: Shape,
+    values: Vec<f64>,
+}
+
+impl LatticeBox {
+    /// Offset of the point at lattice `index` (inside the box).
+    fn offset(&self, index: &[usize]) -> usize {
+        (index.iter().zip(&self.lo).zip(self.shape.strides()))
+            .map(|((&k, &lo), &step)| (k - lo) * step)
+            .sum()
+    }
+}
+
+/// One dimension pass of one level, in its lattice's units: the sweep
+/// geometry, clipped to the pass's window, plus the contiguous code range it
+/// consumes.
 struct SubPass {
     d: usize,
     ranges: Vec<ipc_tensor::AxisRange>,
@@ -189,40 +247,65 @@ struct SubPass {
     count: usize,
 }
 
+/// Where a level's sweep takes its residuals from.
+enum Residuals<'a> {
+    /// None: the prediction alone.
+    None,
+    /// The level's codes in canonical traversal order.
+    Codes(&'a [i64]),
+    /// Dequantized in the box at their points ([`CascadeEngine::place_row`]).
+    Placed,
+}
+
 impl CascadeEngine {
     /// Engine over `shape` with `num_levels(shape)` cascade levels.
     pub fn new(shape: Shape, method: Interpolation, error_bound: f64) -> Self {
+        let region = RoiBox::new(&vec![0; shape.ndim()], shape.dims());
+        Self::over(shape, method, error_bound, region)
+    }
+
+    /// Engine over the `region` of a field of `shape` (validated by the
+    /// caller).
+    pub(crate) fn over(
+        shape: Shape,
+        method: Interpolation,
+        error_bound: f64,
+        region: RoiBox,
+    ) -> Self {
         let levels = num_levels(&shape);
-        let work = vec![0.0f64; shape.len()];
-        let geoms = (0..levels)
-            .map(|idx| {
-                let stride = level_stride(levels - idx);
-                let mut subs = Vec::new();
-                let mut start = 0usize;
-                for_each_level_pass(&shape, stride, |d, ranges| {
-                    let count = ipc_tensor::GridIter::new(&shape, ranges.clone()).total();
-                    subs.push(SubPass {
-                        d,
-                        ranges,
-                        start,
-                        count,
-                    });
-                    start += count;
-                });
-                subs
-            })
-            .collect();
+        let stride = level_stride(levels + 1);
+        let lattice: Vec<usize> = shape.dims().iter().map(|&d| d.div_ceil(stride)).collect();
+        let anchors = Shape::new(&lattice);
+        // The anchors (level `levels + 1`) share a buffer with every other
+        // level below them, the next level with the rest.
+        let box_len = |level: u32| {
+            let window = level_window(&region, shape.dims(), method, level);
+            let window = on_lattice(window, level_stride(level));
+            window.iter().map(|&(lo, hi)| hi - lo).product::<usize>()
+        };
+        let buffer = |first: u32, least: usize| {
+            let most = (1..=first).rev().step_by(2).map(box_len).max();
+            vec![0.0; most.unwrap_or(0).max(least)]
+        };
+        let held = LatticeBox {
+            stride,
+            lo: vec![0; lattice.len()],
+            values: buffer(levels - 1, anchors.len()),
+            shape: anchors,
+        };
+        let spare = buffer(levels, 0);
         Self {
             shape,
             method,
             two_eb: 2.0 * error_bound,
             levels,
-            #[cfg(any(test, feature = "reference-scalar"))]
-            referee: false,
-            forced_threads: 0,
-            work,
+            region,
+            held,
+            spare,
             applied: 0,
-            geoms,
+            forced_threads: 0,
+            #[cfg(any(test, feature = "reference-scalar"))]
+            referee: None,
         }
     }
 
@@ -230,10 +313,13 @@ impl CascadeEngine {
     /// kernels, with `threads` pinned sub-pass workers (0 = the default
     /// schedule). A pinned count bypasses both the hardware clamp and the
     /// size gate, so bit-identity suites can drive the concurrent schedule
-    /// through arbitrarily small geometries even on a 1-CPU host.
+    /// through arbitrarily small geometries even on a 1-CPU host. The
+    /// referee sweeps a field-sized array in domain units and takes only
+    /// [`level_ready`](Self::level_ready)'s hand-over, so it binds whole-domain
+    /// engines.
     #[cfg(any(test, feature = "reference-scalar"))]
     pub fn with_kernel(mut self, referee: bool, threads: usize) -> Self {
-        self.referee = referee;
+        self.referee = referee.then(|| vec![0.0; self.shape.len()]);
         self.forced_threads = threads;
         self
     }
@@ -249,32 +335,63 @@ impl CascadeEngine {
         self.applied == self.levels as usize
     }
 
-    /// The field under reconstruction (final once every level is applied).
-    pub fn field(&self) -> &[f64] {
-        &self.work
-    }
-
-    /// Consume the engine, yielding the reconstructed field.
+    /// Consume the engine, yielding the reconstruction: the field, or the
+    /// region row-major.
+    ///
+    /// # Panics
+    ///
+    /// Panics unless every level's pass has run.
     pub fn into_field(self) -> Vec<f64> {
-        debug_assert!(self.is_complete(), "cascade incomplete");
-        self.work
+        assert!(self.is_complete(), "cascade incomplete");
+        #[cfg(any(test, feature = "reference-scalar"))]
+        if let Some(field) = self.referee {
+            return field;
+        }
+        let (r, mut b) = (&self.region, self.held);
+        let (lo, hi) = (&r.lo[..r.ndim], &r.hi[..r.ndim]);
+        if b.lo == lo && b.shape.dims() == r.dims() {
+            b.values.truncate(b.shape.len());
+            return b.values;
+        }
+        let row = hi[r.ndim - 1] - lo[r.ndim - 1];
+        let mut out = Vec::with_capacity(r.len());
+        for_each_box_row(lo, hi, |index| {
+            let at = b.offset(index);
+            out.extend_from_slice(&b.values[at..at + row]);
+        });
+        out
     }
 
     /// Seed the anchor lattice from quantization codes (Algorithm 1's
-    /// zero-predicted anchors); missing codes read as zero.
+    /// zero-predicted anchors), in the anchor sweep's row-major order;
+    /// missing codes read as zero.
     pub fn seed_anchors(&mut self, codes: &[i64]) {
         let two_eb = self.two_eb;
-        let mut it = codes.iter();
-        process_anchors(&self.shape, &mut self.work, |_, pred| {
-            pred + it.next().map_or(0.0, |&c| c as f64 * two_eb)
-        });
+        // `0.0 +`: the anchor's zero prediction.
+        self.seed(|i| 0.0 + codes.get(i).map_or(0.0, |&c| c as f64 * two_eb));
     }
 
     /// Seed an all-zero anchor lattice (Algorithm 2's delta cascade: the
     /// cascade is linear in the residuals, so a delta field propagates
     /// through the same passes from zero anchors).
     pub fn seed_zero(&mut self) {
-        process_anchors(&self.shape, &mut self.work, |_, _| 0.0);
+        self.seed(|_| 0.0);
+    }
+
+    /// Store `anchor(i)` at the `i`-th anchor in row-major order.
+    fn seed(&mut self, anchor: impl Fn(usize) -> f64) {
+        #[cfg(any(test, feature = "reference-scalar"))]
+        if let Some(field) = &mut self.referee {
+            let mut i = 0;
+            return process_anchors(&self.shape, field, |_, _| {
+                i += 1;
+                anchor(i - 1)
+            });
+        }
+        let b = &mut self.held;
+        for (i, v) in b.values[..b.shape.len()].iter_mut().enumerate() {
+            *v = anchor(i);
+        }
     }
 
     /// The cascade-order contract every hand-over checks: `idx` is the next
@@ -303,7 +420,9 @@ impl CascadeEngine {
     /// is neither empty nor the level's point count.
     pub fn level_ready(&mut self, idx: usize, codes: Vec<i64>) -> Vec<CascadeProgress> {
         self.expect_next(idx);
-        let total = self.level_points(idx);
+        let level = self.levels - idx as u32;
+        let subs = self.subpasses(level);
+        let total: usize = subs.iter().map(|s| s.count).sum();
         assert!(
             codes.len() <= total,
             "level {idx} received more codes than its {total} points"
@@ -313,213 +432,36 @@ impl CascadeEngine {
             "level {idx} received {} of its {total} codes",
             codes.len()
         );
-        let interp_level = self.levels - idx as u32;
-        self.run_level(interp_level, idx, &codes);
-        self.applied += 1;
-        vec![CascadeProgress {
-            level_idx: idx,
-            interp_level,
-            points: total,
-            levels_applied: self.applied,
-            levels_total: self.levels as usize,
-        }]
-    }
-
-    /// Total points (= codes) of a level.
-    fn level_points(&self, idx: usize) -> usize {
-        self.geoms[idx].iter().map(|s| s.count).sum()
-    }
-
-    /// Run every sub-pass of level `idx` over its `codes` (none at all is
-    /// the all-zero level, which runs prediction-only passes).
-    fn run_level(&mut self, interp_level: u32, idx: usize, codes: &[i64]) {
         #[cfg(any(test, feature = "reference-scalar"))]
-        if self.referee {
-            // The point-wise referee sweeps whole levels.
-            return self.reference_pass(interp_level, codes);
+        if self.referee.is_some() {
+            self.reference_pass(level, &codes);
+            self.applied += 1;
+            return vec![self.progress(level, total)];
         }
-        for sub_idx in 0..self.geoms[idx].len() {
-            self.apply_subpass(interp_level, idx, sub_idx, codes);
-        }
-    }
-
-    /// Run one dimension sub-pass of a level through the run kernels,
-    /// fanning independent runs out across worker threads when the pass is
-    /// large enough (see the module docs for why runs never alias).
-    /// `codes` are the level's (empty: prediction only).
-    fn apply_subpass(&mut self, interp_level: u32, idx: usize, sub_idx: usize, codes: &[i64]) {
-        let mut span = ipc_telemetry::span_timed(
-            "cascade",
-            "cascade.pass",
-            crate::obs::metrics().cascade_pass_ns,
-        );
-        span.add_arg("level", interp_level as u64);
-        span.add_arg("dim", sub_idx as u64);
-        let field = FieldPtr::of(&mut self.work);
-        let sub = &self.geoms[idx][sub_idx];
-        let threads = match self.forced_threads {
-            0 if sub.count < PAR_MIN_POINTS => 1,
-            0 => default_threads(),
-            n => n,
+        self.open(idx, false);
+        let residuals = match codes.is_empty() {
+            true => Residuals::None,
+            false => Residuals::Codes(&codes),
         };
-        let stride = level_stride(interp_level);
-        let (shape, method) = (&self.shape, self.method);
-        if codes.is_empty() {
-            let ctx = RunCtx::new(field, shape, method, stride, sub.d, PredictOnly);
-            run_subpass(ctx, shape.strides(), sub, threads, &mut span);
-        } else {
-            let op = AddCodes {
-                codes: &codes[sub.start..sub.start + sub.count],
-                two_eb: self.two_eb,
-            };
-            let ctx = RunCtx::new(field, shape, method, stride, sub.d, op);
-            run_subpass(ctx, shape.strides(), sub, threads, &mut span);
-        }
+        vec![self.sweep(level, &subs, residuals)]
     }
 
-    /// The referee: the point-by-point sweep
-    /// (`interp::process_level_pointwise`, which shares no kernel
-    /// with the run classification) with a closure pulling dequantized codes
-    /// off an iterator. Oracle for the run kernels.
-    #[cfg(any(test, feature = "reference-scalar"))]
-    fn reference_pass(&mut self, interp_level: u32, codes: &[i64]) {
-        use crate::interp::process_level_pointwise as process_level;
-        let mut span = ipc_telemetry::span_timed(
-            "cascade",
-            "cascade.pass",
-            crate::obs::metrics().cascade_pass_ns,
-        );
-        span.add_arg("level", interp_level as u64);
-        if codes.is_empty() {
-            process_level(
-                &self.shape,
-                interp_level,
-                self.method,
-                &mut self.work,
-                |_, pred| pred,
-            );
-        } else {
-            let two_eb = self.two_eb;
-            let mut it = codes.iter();
-            process_level(
-                &self.shape,
-                interp_level,
-                self.method,
-                &mut self.work,
-                |_, pred| pred + it.next().map_or(0.0, |&c| c as f64 * two_eb),
-            );
-        }
-    }
-}
-
-// ---- the region cascade -------------------------------------------------------
-
-/// A region read's interpolation cascade, held per level in a box sized by
-/// the region rather than in an array of the whole field — as a JPEG 2000
-/// decoder sizes a code-block's state by the block.
-///
-/// **Why a box per level.** A level of stride `s` reads and writes only
-/// points of the `s`-lattice; in lattice-index units it is interpolation
-/// level 1 on a grid of `ceil(D_i / s)` points per dimension. For a point
-/// `c = k·s`, `predict_point_read`'s three boundary tests hold under the same
-/// conditions in those units (`c ≥ 3s` ⇔ `k ≥ 3`, `c + s < D` ⇔
-/// `k + 1 < ceil(D/s)`, `c + 3s < D` ⇔ `k + 3 < ceil(D/s)`), so a sub-pass
-/// swept at stride 1 over a box of the lattice reads the same operands with
-/// the same weights in the same order as the whole-field sweep: the same
-/// bits. A level's box is its `level_window` on the level's lattice —
-/// every point its sub-passes compute or read — and the windows shrink level
-/// by level, so each box is seeded from the next coarser one (the coarsest
-/// from the anchors), and the region is a copy out of the finest.
-///
-/// **What is computed.** Each sub-pass sweeps only its `pass_window` — the
-/// points that later passes, and finally the crop, read — and every computed
-/// point reads only computed points, so a box point no pass computes is
-/// never read, whatever it holds.
-/// Clipped runs start mid-row and mid-lattice, which the interior kernels'
-/// `run.coord == stride` invariant excludes, so every point goes through the
-/// position-independent evaluator the unclipped kernels use for their head
-/// and tail points.
-///
-/// Lifecycle: [`RegionCascade::new`] with the anchor codes, then per
-/// container level, coarsest first, [`open_level`](Self::open_level),
-/// [`place_row`](Self::place_row) for each row of the level's loaded
-/// residuals, and [`close_level`](Self::close_level); then
-/// [`crop`](Self::crop).
-pub(crate) struct RegionCascade {
-    dims: Vec<usize>,
-    method: Interpolation,
-    /// `2 · error_bound`, as [`CascadeEngine`]'s.
-    two_eb: f64,
-    levels: u32,
-    region: RoiBox,
-    /// The open level's box, or the last closed one's (the anchors' before
-    /// the first level opens).
-    held: LatticeBox,
-    /// Levels whose pass has run — and so the index of the next one.
-    applied: usize,
-}
-
-/// A dense row-major array over a box of the `stride` lattice: the points
-/// `k·stride` with lattice indices `lo[i] .. lo[i] + shape.dims()[i]`.
-struct LatticeBox {
-    stride: usize,
-    lo: Vec<usize>,
-    shape: Shape,
-    values: Vec<f64>,
-}
-
-impl LatticeBox {
-    /// Offset of the point at lattice `index` (inside the box).
-    fn offset(&self, index: &[usize]) -> usize {
-        (index.iter().zip(&self.lo).zip(self.shape.strides()))
-            .map(|((&k, &lo), &step)| (k - lo) * step)
-            .sum()
-    }
-}
-
-impl RegionCascade {
-    /// The cascade of `region` over a field of `shape`, seeded with
-    /// Algorithm 1's zero-predicted anchors from their codes (in the anchor
-    /// sweep's row-major order; missing codes read as zero).
-    pub(crate) fn new(
-        shape: &Shape,
-        method: Interpolation,
-        error_bound: f64,
-        region: RoiBox,
-        anchors: &[i64],
-    ) -> Self {
-        let levels = num_levels(shape);
-        let stride = level_stride(levels + 1);
-        let lattice: Vec<usize> = shape.dims().iter().map(|&d| d.div_ceil(stride)).collect();
-        let two_eb = 2.0 * error_bound;
-        let shape_on = Shape::new(&lattice);
-        // `0.0 +`: the anchor's zero prediction, as `seed_anchors` adds it.
-        let values = (0..shape_on.len())
-            .map(|i| 0.0 + anchors.get(i).map_or(0.0, |&c| c as f64 * two_eb))
-            .collect();
-        Self {
-            dims: shape.dims().to_vec(),
-            method,
-            two_eb,
-            levels,
-            region,
-            held: LatticeBox {
-                stride,
-                lo: vec![0; lattice.len()],
-                shape: shape_on,
-                values,
-            },
-            applied: 0,
-        }
-    }
-
-    /// Open container level `idx`'s box: zero at the level's own points,
-    /// the coarser lattice's values copied from the box before it.
+    /// Open container level `idx`'s box for placed residuals: zero at the
+    /// level's own points, the coarser lattice's values copied from the box
+    /// before it.
     ///
     /// # Panics
     ///
     /// Panics unless `idx` is the next level in cascade order.
     pub(crate) fn open_level(&mut self, idx: usize) {
+        self.open(idx, true);
+    }
+
+    /// Open container level `idx`'s box: the coarser lattice's values copied
+    /// from the box before it, and the level's own points zero if `zeroed` —
+    /// only an `AddPlaced` sweep reads them; every other sweep writes a
+    /// target before anything reads it.
+    fn open(&mut self, idx: usize, zeroed: bool) {
         assert_eq!(
             idx, self.applied,
             "levels are handed to the cascade coarsest first"
@@ -529,12 +471,15 @@ impl RegionCascade {
         let coarse = &self.held;
         assert_eq!(coarse.stride, 2 * stride, "level {idx} opened twice");
         let window = on_lattice(
-            level_window(&self.region, &self.dims, self.method, level),
+            level_window(&self.region, self.shape.dims(), self.method, level),
             stride,
         );
         let lo: Vec<usize> = window.iter().map(|w| w.0).collect();
         let shape = Shape::new(&window.iter().map(|&(lo, hi)| hi - lo).collect::<Vec<_>>());
-        let mut values = vec![0.0f64; shape.len()];
+        let mut values = std::mem::take(&mut self.spare);
+        if zeroed {
+            values[..shape.len()].fill(0.0);
+        }
         // The coarser lattice is this one's even indices; `level_window`
         // nests, so every one of them inside this box is inside the coarser.
         let half = |k: usize| k.div_ceil(2);
@@ -551,12 +496,16 @@ impl RegionCascade {
                 values[dst + 2 * t] = v;
             }
         });
-        self.held = LatticeBox {
-            stride,
-            lo,
-            shape,
-            values,
-        };
+        let coarse = std::mem::replace(
+            &mut self.held,
+            LatticeBox {
+                stride,
+                lo,
+                shape,
+                values,
+            },
+        );
+        self.spare = coarse.values;
     }
 
     /// Place one row of the open level's loaded residuals: the negabinary
@@ -566,12 +515,13 @@ impl RegionCascade {
     /// points outside the box are dropped, as no pass reads them.
     pub(crate) fn place_row(&mut self, offset: usize, step: usize, words: &[u64]) {
         let b = &mut self.held;
-        let last = self.dims.len() - 1;
+        let dims = self.shape.dims();
+        let last = dims.len() - 1;
         let mut rem = offset;
         let (mut base, mut first) = (0, 0);
         for i in (0..=last).rev() {
-            let k = rem % self.dims[i] / b.stride;
-            rem /= self.dims[i];
+            let k = rem % dims[i] / b.stride;
+            rem /= dims[i];
             if i == last {
                 first = k;
             } else if k < b.lo[i] || k >= b.lo[i] + b.shape.dims()[i] {
@@ -590,54 +540,107 @@ impl RegionCascade {
         }
     }
 
-    /// Run the open level's sub-passes, each over its `pass_window`:
-    /// adding the residuals placed in the box (`with_codes`), or the
-    /// prediction alone for a level that loaded nothing. Returns the level's
-    /// progress entry; its `points` are the computed points.
+    /// Run the open level's sub-passes: adding the residuals placed in the
+    /// box (`with_codes`), or the prediction alone for a level that loaded
+    /// nothing. Returns the level's progress entry; its `points` are the
+    /// computed points.
+    ///
+    /// # Panics
+    ///
+    /// Panics unless the next level is open.
     pub(crate) fn close_level(&mut self, with_codes: bool) -> CascadeProgress {
         let idx = self.applied;
         let level = self.levels - idx as u32;
-        let stride = level_stride(level);
-        let b = &mut self.held;
-        assert_eq!(b.stride, stride, "level {idx} closed before it was opened");
-        let lattice = Shape::new(
-            &(self.dims.iter())
-                .map(|&d| d.div_ceil(stride))
-                .collect::<Vec<_>>(),
+        assert_eq!(
+            self.held.stride,
+            level_stride(level),
+            "level {idx} closed before it was opened"
         );
+        let subs = self.subpasses(level);
+        let residuals = match with_codes {
+            true => Residuals::Placed,
+            false => Residuals::None,
+        };
+        self.sweep(level, &subs, residuals)
+    }
+
+    /// Interpolation level `level`'s sub-passes on its lattice, each clipped
+    /// to its `pass_window` (the whole lattice over the whole domain).
+    fn subpasses(&self, level: u32) -> Vec<SubPass> {
+        let (dims, stride) = (self.shape.dims(), level_stride(level));
+        let lattice = Shape::new(&dims.iter().map(|&d| d.div_ceil(stride)).collect::<Vec<_>>());
+        let mut subs = Vec::new();
+        let mut start = 0;
+        for_each_level_pass(&lattice, 1, |d, ranges| {
+            let halo = on_lattice(
+                pass_window(&self.region, dims, self.method, level, d),
+                stride,
+            );
+            let ranges = clip_ranges(&ranges, &halo);
+            let count = ranges.iter().map(|r| r.count()).product();
+            subs.push(SubPass {
+                d,
+                ranges,
+                start,
+                count,
+            });
+            start += count;
+        });
+        subs
+    }
+
+    /// Sweep the open level's box through `subs`, fanning independent runs
+    /// out across worker threads when a sub-pass is large enough (see the
+    /// module docs for why runs never alias), and count the level applied.
+    fn sweep(&mut self, level: u32, subs: &[SubPass], residuals: Residuals) -> CascadeProgress {
+        let b = &mut self.held;
         let strides = b.shape.strides().to_vec();
         let origin = (b.lo.iter().zip(&strides))
             .map(|(&lo, &step)| lo * step)
             .sum();
         let field = FieldPtr::of(&mut b.values);
-        let mut points = 0usize;
-        let mut sub_idx = 0u64;
-        for_each_level_pass(&lattice, 1, |d, ranges| {
+        let (dims, stride, method) = (self.shape.dims(), b.stride, self.method);
+        for (sub_idx, sub) in subs.iter().enumerate() {
             let mut span = ipc_telemetry::span_timed(
                 "cascade",
                 "cascade.pass",
                 crate::obs::metrics().cascade_pass_ns,
             );
             span.add_arg("level", level as u64);
-            span.add_arg("dim", sub_idx);
-            sub_idx += 1;
-            let halo = on_lattice(
-                pass_window(&self.region, &self.dims, self.method, level, d),
-                stride,
-            );
-            let ranges = clip_ranges(&ranges, &halo);
-            let (method, dim_stride, dim_len) = (self.method, strides[d], lattice.dims()[d]);
-            points += if with_codes {
-                let ctx = RunCtx::on_lattice(field, method, dim_stride, dim_len, AddPlaced(field));
-                windowed_pass(ctx, &strides, &ranges, d, origin)
-            } else {
-                let ctx = RunCtx::on_lattice(field, method, dim_stride, dim_len, PredictOnly);
-                windowed_pass(ctx, &strides, &ranges, d, origin)
+            span.add_arg("dim", sub_idx as u64);
+            let threads = match self.forced_threads {
+                0 if sub.count < PAR_MIN_POINTS => 1,
+                0 => default_threads(),
+                n => n,
             };
-        });
+            let (dim_stride, dim_len) = (strides[sub.d], dims[sub.d].div_ceil(stride));
+            match residuals {
+                Residuals::None => {
+                    let ctx = RunCtx::new(field, method, 1, dim_stride, dim_len, PredictOnly);
+                    run_subpass(ctx, &strides, sub, origin, threads, &mut span);
+                }
+                Residuals::Codes(codes) => {
+                    let op = AddCodes {
+                        codes: &codes[sub.start..sub.start + sub.count],
+                        two_eb: self.two_eb,
+                    };
+                    let ctx = RunCtx::new(field, method, 1, dim_stride, dim_len, op);
+                    run_subpass(ctx, &strides, sub, origin, threads, &mut span);
+                }
+                Residuals::Placed => {
+                    let ctx = RunCtx::new(field, method, 1, dim_stride, dim_len, AddPlaced(field));
+                    run_subpass(ctx, &strides, sub, origin, threads, &mut span);
+                }
+            }
+        }
         self.applied += 1;
+        self.progress(level, subs.iter().map(|s| s.count).sum())
+    }
+
+    /// The progress entry of the level just applied, which computed `points`.
+    fn progress(&self, level: u32, points: usize) -> CascadeProgress {
         CascadeProgress {
-            level_idx: idx,
+            level_idx: self.applied - 1,
             interp_level: level,
             points,
             levels_applied: self.applied,
@@ -645,46 +648,30 @@ impl RegionCascade {
         }
     }
 
-    /// The region, row-major, copied out of the finest level's box.
-    ///
-    /// # Panics
-    ///
-    /// Panics unless every level's pass has run.
-    pub(crate) fn crop(&self) -> Vec<f64> {
-        assert_eq!(self.applied, self.levels as usize, "cascade incomplete");
-        let (r, b) = (&self.region, &self.held);
-        let (lo, hi) = (&r.lo[..r.ndim], &r.hi[..r.ndim]);
-        let row = hi[r.ndim - 1] - lo[r.ndim - 1];
-        let mut out = Vec::with_capacity(r.len());
-        for_each_box_row(lo, hi, |index| {
-            let at = b.offset(index);
-            out.extend_from_slice(&b.values[at..at + row]);
-        });
-        out
+    /// The referee: the point-by-point sweep
+    /// (`interp::process_level_pointwise`, which shares no kernel
+    /// with the run classification) of the field-sized array, with a closure
+    /// pulling dequantized codes off an iterator. Oracle for the run kernels.
+    #[cfg(any(test, feature = "reference-scalar"))]
+    fn reference_pass(&mut self, level: u32, codes: &[i64]) {
+        use crate::interp::process_level_pointwise as process_level;
+        let mut span = ipc_telemetry::span_timed(
+            "cascade",
+            "cascade.pass",
+            crate::obs::metrics().cascade_pass_ns,
+        );
+        span.add_arg("level", level as u64);
+        let (shape, method, two_eb) = (&self.shape, self.method, self.two_eb);
+        let field = self.referee.as_mut().expect("bound to the referee");
+        if codes.is_empty() {
+            process_level(shape, level, method, field, |_, pred| pred);
+        } else {
+            let mut it = codes.iter();
+            process_level(shape, level, method, field, |_, pred| {
+                pred + it.next().map_or(0.0, |&c| c as f64 * two_eb)
+            });
+        }
     }
-}
-
-/// Sweep the clipped sub-pass `ranges` (lattice indices along dimension
-/// `d`) over a box whose first point is at lattice offset `origin` under its
-/// `strides`, every point through the position-independent evaluator.
-/// Returns the points computed.
-fn windowed_pass<O: PointOp>(
-    mut ctx: RunCtx<O>,
-    strides: &[usize],
-    ranges: &[ipc_tensor::AxisRange],
-    d: usize,
-    origin: usize,
-) -> usize {
-    let mut points = 0;
-    sweep_runs(strides, ranges, d, |run| {
-        let run = SweepRun {
-            base: run.base - origin,
-            ..run
-        };
-        ctx.scalar_span(&run, 0, run.count);
-        points += run.count;
-    });
-    points
 }
 
 /// Visit the rows of the index box `[lo, hi)` in row-major order:
@@ -743,7 +730,7 @@ impl PointOp for AddCodes<'_> {
     }
 }
 
-/// Region decode: the dequantized residual [`RegionCascade::place_row`]
+/// Region decode: the dequantized residual [`CascadeEngine::place_row`]
 /// stored at the target itself (zero where none was placed) — the value
 /// `AddCodes` would add, so the sum rounds identically. It reads the target
 /// just before the run that owns it overwrites it.
@@ -839,7 +826,7 @@ pub(crate) fn sweep_level<O: PointOp>(
     // the sweep geometry alone.
     assert!(work.len() >= shape.len(), "work buffer shorter than field");
     let stride = level_stride(level);
-    let mut ctx = RunCtx::new(FieldPtr::of(work), shape, method, stride, 0, op);
+    let mut ctx = RunCtx::new(FieldPtr::of(work), method, stride, 0, 0, op);
     for_each_level_pass(shape, stride, |d, ranges| {
         ctx.dim_stride = shape.strides()[d];
         ctx.dim_len = shape.dims()[d];
@@ -902,13 +889,15 @@ impl FieldPtr {
     }
 }
 
-/// Run one dimension sub-pass through the run kernels, fanning independent
-/// runs out across `threads` workers (see the module docs for why runs never
-/// alias).
+/// Run one dimension sub-pass through the run kernels over a box whose
+/// first point sits at lattice offset `origin` under its `strides`, fanning
+/// independent runs out across `threads` workers (see the module docs for
+/// why runs never alias).
 fn run_subpass<O: PointOp + Clone + Send>(
     mut ctx: RunCtx<O>,
     strides: &[usize],
     sub: &SubPass,
+    origin: usize,
     threads: usize,
     span: &mut ipc_telemetry::Span,
 ) {
@@ -918,7 +907,7 @@ fn run_subpass<O: PointOp + Clone + Send>(
         // worker a contiguous chunk to replay with the serial kernels.
         let mut runs: Vec<(SweepRun, usize)> = Vec::new();
         let mut off = 0usize;
-        sweep_runs(strides, &sub.ranges, sub.d, |run| {
+        box_runs(strides, sub, origin, |run| {
             runs.push((run, off));
             off += run.count;
         });
@@ -942,8 +931,19 @@ fn run_subpass<O: PointOp + Clone + Send>(
         }
     }
     span.add_arg("threads", 1);
-    sweep_runs(strides, &sub.ranges, sub.d, |run| ctx.do_run(run));
+    box_runs(strides, sub, origin, |run| ctx.do_run(run));
     debug_assert_eq!(ctx.ci, sub.count, "sub-pass visited the wrong point count");
+}
+
+/// The runs of `sub` over a box whose first point sits at lattice offset
+/// `origin` under its `strides`, with offsets into the box.
+fn box_runs(strides: &[usize], sub: &SubPass, origin: usize, mut f: impl FnMut(SweepRun)) {
+    sweep_runs(strides, &sub.ranges, sub.d, |run| {
+        f(SweepRun {
+            base: run.base - origin,
+            ..run
+        })
+    });
 }
 
 /// Replay a contiguous chunk of a sub-pass's runs on one worker thread, in
@@ -972,32 +972,12 @@ struct RunCtx<O> {
 }
 
 impl<O: PointOp> RunCtx<O> {
-    /// Context of the pass of lattice `stride` along dimension `d`.
+    /// Context of the pass of lattice `stride` along a dimension of
+    /// `dim_len` points, `dim_stride` apart in `field`.
     fn new(
         field: FieldPtr,
-        shape: &Shape,
         method: Interpolation,
         stride: usize,
-        d: usize,
-        op: O,
-    ) -> Self {
-        Self {
-            field,
-            op,
-            ci: 0,
-            method,
-            stride,
-            dim_stride: shape.strides()[d],
-            dim_len: shape.dims()[d],
-        }
-    }
-
-    /// Context of a stride-1 pass along a dimension of `dim_len` lattice
-    /// points, `dim_stride` apart in `field`: a level swept in its own
-    /// lattice's units ([`RegionCascade`]).
-    fn on_lattice(
-        field: FieldPtr,
-        method: Interpolation,
         dim_stride: usize,
         dim_len: usize,
         op: O,
@@ -1007,7 +987,7 @@ impl<O: PointOp> RunCtx<O> {
             op,
             ci: 0,
             method,
-            stride: 1,
+            stride,
             dim_stride,
             dim_len,
         }
@@ -1049,33 +1029,34 @@ impl<O: PointOp> RunCtx<O> {
         let s = self.stride;
         if run.coord_step != 0 {
             // The active dimension is the innermost: boundary cases vary
-            // along the run. Head/tail fall back to the branchy reference;
-            // the interior is uniform (full cubic, or full linear).
+            // along the run, whose point `t` sits at `c0 + 2s·t` — an odd
+            // multiple of `s`, from the lattice's first (`c0 = s`) on, or
+            // anywhere on a clipped run. Head/tail fall back to the branchy
+            // reference; the interior is uniform (full cubic, or full linear).
             debug_assert_eq!(self.dim_stride, 1);
-            debug_assert_eq!(run.coord, s);
+            debug_assert_eq!(run.coord % (2 * s), s);
             debug_assert_eq!(run.coord_step, 2 * s);
-            // Points with an existing +stride neighbour: coord s(2t+1)+s < len.
-            let t_next = self
-                .dim_len
-                .div_ceil(2 * s)
-                .saturating_sub(1)
-                .min(run.count);
+            let c0 = run.coord;
+            // The leading points with a neighbour `reach` ahead:
+            // `c0 + 2s·t + reach < len`.
+            let ahead = |reach: usize| {
+                (self.dim_len.saturating_sub(c0 + reach))
+                    .div_ceil(2 * s)
+                    .min(run.count)
+            };
             match self.method {
                 Interpolation::Linear => {
+                    let t_next = ahead(s);
                     self.interior_linear(run.base, t_next, run.step, s);
                     self.scalar_span(&run, t_next, run.count);
                 }
                 Interpolation::Cubic => {
-                    // Full-cubic interior: coord ≥ 3s (t ≥ 1) and coord+3s < len.
-                    let t_hi = self
-                        .dim_len
-                        .div_ceil(2 * s)
-                        .saturating_sub(2)
-                        .min(run.count);
-                    let t_lo = 1.min(t_hi);
+                    // Full-cubic interior: coord ≥ 3s and coord + 3s < len.
+                    let t_lo = (3 * s).saturating_sub(c0).div_ceil(2 * s).min(run.count);
+                    let t_hi = ahead(3 * s).max(t_lo);
                     self.scalar_span(&run, 0, t_lo);
                     self.interior_cubic(run.base + t_lo * run.step, t_lo, t_hi - t_lo, run.step, s);
-                    self.scalar_span(&run, t_hi.max(t_lo), run.count);
+                    self.scalar_span(&run, t_hi, run.count);
                 }
             }
         } else {
@@ -1431,6 +1412,112 @@ mod tests {
                 want.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
                 "threads {}", threads
             );
+        }
+    }
+
+    /// Sweep dimension `d`'s sub-pass of the `s`-lattice level of a field of
+    /// `dims`, clipped to `window`, over random values and codes twice — by
+    /// `do_run`'s run classification and point by point through
+    /// `scalar_span` — and return both fields' bits.
+    fn clipped_sweeps(
+        dims: &[usize],
+        s: usize,
+        d: usize,
+        window: &[(usize, usize)],
+        method: Interpolation,
+        seed: u64,
+    ) -> (Vec<u64>, Vec<u64>) {
+        let shape = Shape::new(dims);
+        let mut ranges = None;
+        for_each_level_pass(&shape, s, |dd, r| {
+            if dd == d {
+                ranges = Some(clip_ranges(&r, window));
+            }
+        });
+        let Some(ranges) = ranges else {
+            return (Vec::new(), Vec::new());
+        };
+        let codes = sample_codes(ranges.iter().map(|r| r.count()).product(), 1 << 10, seed);
+        let start: Vec<f64> = (sample_codes(shape.len(), 1 << 20, !seed).iter())
+            .map(|&c| c as f64 / 1024.0)
+            .collect();
+        let op = AddCodes {
+            codes: &codes,
+            two_eb: 2e-3,
+        };
+        let (mut kernels, mut pointwise) = (start.clone(), start);
+        let (dim_stride, dim_len) = (shape.strides()[d], dims[d]);
+        let mut ctx = RunCtx::new(
+            FieldPtr::of(&mut kernels),
+            method,
+            s,
+            dim_stride,
+            dim_len,
+            op,
+        );
+        sweep_runs(shape.strides(), &ranges, d, |run| ctx.do_run(run));
+        let mut ctx = RunCtx::new(
+            FieldPtr::of(&mut pointwise),
+            method,
+            s,
+            dim_stride,
+            dim_len,
+            op,
+        );
+        sweep_runs(shape.strides(), &ranges, d, |run| {
+            ctx.scalar_span(&run, 0, run.count);
+            ctx.ci += run.count;
+        });
+        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect();
+        (bits(&kernels), bits(&pointwise))
+    }
+
+    /// Runs clipped to every window of short lattices — so starting at the
+    /// lattice's first target (`c0 = s`) and mid-lattice, and ending
+    /// anywhere — through the run classification equal the point-wise
+    /// evaluator bit for bit, at lattice units (`s = 1`, as a region read's
+    /// boxes sweep) and domain units, both methods.
+    #[test]
+    fn clipped_runs_match_the_pointwise_evaluator() {
+        for method in [Interpolation::Linear, Interpolation::Cubic] {
+            for s in [1usize, 2, 4] {
+                for len in 1..=48 {
+                    for lo in 0..len {
+                        for hi in lo + 1..=len {
+                            let (kernels, pointwise) =
+                                clipped_sweeps(&[len], s, 0, &[(lo, hi)], method, len as u64);
+                            let at = format!("{method:?} s {s} len {len} window [{lo}, {hi})");
+                            assert_eq!(kernels, pointwise, "{at}");
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig::with_cases(256))]
+
+        /// Random 2-D lattices, clip windows, methods and active dimensions:
+        /// the clipped sub-pass swept by the run classification equals the
+        /// point-wise evaluator bit for bit.
+        #[test]
+        fn prop_clipped_runs_match_the_pointwise_evaluator(
+            dims in proptest::collection::vec(1usize..48, 2..3),
+            lo in proptest::collection::vec(0usize..48, 2..3),
+            width in proptest::collection::vec(1usize..48, 2..3),
+            log_s in 0u32..3,
+            inner in proptest::prelude::any::<bool>(),
+            cubic in proptest::prelude::any::<bool>(),
+            seed in proptest::prelude::any::<u64>(),
+        ) {
+            let window: Vec<(usize, usize)> = (0..2)
+                .map(|i| (lo[i].min(dims[i] - 1), (lo[i] + width[i]).min(dims[i])))
+                .collect();
+            let method = if cubic { Interpolation::Cubic } else { Interpolation::Linear };
+            let d = usize::from(inner);
+            let (kernels, pointwise) = clipped_sweeps(&dims, 1 << log_s, d, &window, method, seed);
+            proptest::prop_assert_eq!(kernels, pointwise, "window {:?}", window);
         }
     }
 

@@ -168,8 +168,11 @@ impl CostTable {
         self.eb + extra
     }
 
-    /// [`plan_for_error_bound`]: each option weighs its error and is worth
-    /// the bytes it saves.
+    /// Error-bound mode: minimize loaded bytes subject to
+    /// `eb + Σ level error ≤ target_error`, each option weighing its error
+    /// and worth the bytes it saves. A target below `eb` cannot be met by any
+    /// plan; the full plan is returned (its error is the tightest
+    /// achievable).
     fn for_error_bound(&self, target_error: f64) -> Result<LoadPlan> {
         if !(target_error.is_finite() && target_error > 0.0) {
             return Err(IpcompError::InvalidInput(format!(
@@ -193,9 +196,13 @@ impl CostTable {
         Ok(self.plan_of(&knapsack(options.collect())))
     }
 
-    /// [`plan_for_bytes`]: each option weighs the progressive bytes it loads
-    /// and is worth its negated error. A budget the mandatory loads use up
-    /// leaves every progressive level only its zero-byte options.
+    /// Size / bitrate mode: minimize worst-case error subject to
+    /// `base_bytes + Σ loaded_bytes ≤ max_total_bytes`, each option weighing
+    /// the progressive bytes it loads and worth its negated error.
+    /// Non-progressive levels, the header, anchors and metadata are always
+    /// loaded even if they exceed the budget (nothing can be reconstructed
+    /// without them), so a budget the mandatory loads use up leaves every
+    /// progressive level only its zero-byte options.
     fn for_bytes(&self, max_total_bytes: usize) -> LoadPlan {
         let mandatory: usize = (self.levels.iter().filter(|level| !level.progressive))
             .map(|level| level.loaded_bytes(0))
@@ -374,39 +381,6 @@ pub(crate) fn plan_for_scope(
     Ok((plan, Some((bounds, ids))))
 }
 
-/// Plan that loads every bitplane of every level (classic full-fidelity
-/// decompression). Keeping every plane adds no error, so the plan reads no
-/// loss table.
-pub fn plan_full(map: &ContainerMap) -> LoadPlan {
-    LoadPlan {
-        planes_loaded: map.levels.iter().map(|level| level.num_planes).collect(),
-        extra_error_bound: 0.0,
-        payload_bytes: map.payload_bytes(),
-    }
-}
-
-/// Error-bound mode: minimize loaded bytes subject to
-/// `eb + Σ level error ≤ target_error`. A target below `eb` cannot be met by
-/// any plan; the full plan is returned (its error is the tightest achievable).
-pub fn plan_for_error_bound(map: &ContainerMap, target_error: f64) -> Result<LoadPlan> {
-    map.cost()?.for_error_bound(target_error)
-}
-
-/// Size / bitrate mode: minimize worst-case error subject to
-/// `base_bytes + Σ loaded_bytes ≤ max_total_bytes`.
-///
-/// Non-progressive levels, the header, anchors, and metadata are always loaded even
-/// if they exceed the budget (nothing can be reconstructed without them).
-pub fn plan_for_bytes(map: &ContainerMap, max_total_bytes: usize) -> Result<LoadPlan> {
-    Ok(map.cost()?.for_bytes(max_total_bytes))
-}
-
-/// Bitrate mode: like [`plan_for_bytes`] with the budget expressed in bits per
-/// scalar value of the original field.
-pub fn plan_for_bitrate(map: &ContainerMap, bitrate: f64) -> Result<LoadPlan> {
-    map.cost()?.plan(RetrievalRequest::Bitrate(bitrate))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -427,10 +401,15 @@ mod tests {
         map.base_bytes() + plan.payload_bytes
     }
 
+    /// `request`'s plan through the one dispatch, [`CostTable::plan`].
+    fn planned(map: &ContainerMap, request: RetrievalRequest) -> Result<LoadPlan> {
+        map.cost()?.plan(request)
+    }
+
     #[test]
     fn full_plan_loads_everything() {
         let map = toy_map(&Config::default());
-        let plan = plan_full(&map);
+        let plan = planned(&map, RetrievalRequest::Full).unwrap();
         assert_eq!(plan.payload_bytes, map.payload_bytes());
         assert_eq!(plan.extra_error_bound, 0.0);
         for (level, &p) in map.levels.iter().zip(&plan.planes_loaded) {
@@ -441,19 +420,19 @@ mod tests {
     #[test]
     fn error_bound_mode_loads_less_for_looser_bounds() {
         let map = toy_map(&Config::default());
-        let tight = plan_for_error_bound(&map, 2e-6).unwrap();
-        let medium = plan_for_error_bound(&map, 1e-4).unwrap();
-        let loose = plan_for_error_bound(&map, 1e-2).unwrap();
+        let tight = planned(&map, RetrievalRequest::ErrorBound(2e-6)).unwrap();
+        let medium = planned(&map, RetrievalRequest::ErrorBound(1e-4)).unwrap();
+        let loose = planned(&map, RetrievalRequest::ErrorBound(1e-2)).unwrap();
         assert!(tight.payload_bytes >= medium.payload_bytes);
         assert!(medium.payload_bytes >= loose.payload_bytes);
-        assert!(loose.payload_bytes < plan_full(&map).payload_bytes);
+        assert!(loose.payload_bytes < planned(&map, RetrievalRequest::Full).unwrap().payload_bytes);
     }
 
     #[test]
     fn error_bound_mode_respects_constraint() {
         let map = toy_map(&Config::default());
         for target in [5e-6, 1e-4, 1e-3, 1e-2] {
-            let plan = plan_for_error_bound(&map, target).unwrap();
+            let plan = planned(&map, RetrievalRequest::ErrorBound(target)).unwrap();
             let bound = map.header.error_bound + plan.extra_error_bound;
             assert!(
                 bound <= target * (1.0 + 1e-9),
@@ -465,25 +444,28 @@ mod tests {
     #[test]
     fn error_bound_tighter_than_eb_returns_full_plan() {
         let map = toy_map(&Config::default());
-        let plan = plan_for_error_bound(&map, 1e-9).unwrap();
-        assert_eq!(plan, plan_full(&map));
+        let plan = planned(&map, RetrievalRequest::ErrorBound(1e-9)).unwrap();
+        assert_eq!(plan, planned(&map, RetrievalRequest::Full).unwrap());
     }
 
     #[test]
     fn invalid_targets_rejected() {
         let map = toy_map(&Config::default());
-        assert!(plan_for_error_bound(&map, -1.0).is_err());
-        assert!(plan_for_error_bound(&map, f64::NAN).is_err());
-        assert!(plan_for_bitrate(&map, 0.0).is_err());
+        assert!(planned(&map, RetrievalRequest::ErrorBound(-1.0)).is_err());
+        assert!(planned(&map, RetrievalRequest::ErrorBound(f64::NAN)).is_err());
+        assert!(planned(&map, RetrievalRequest::Bitrate(0.0)).is_err());
     }
 
     #[test]
     fn size_mode_respects_budget() {
         let map = toy_map(&Config::default());
-        let full = total_bytes(&map, &plan_full(&map));
+        let full = total_bytes(&map, &planned(&map, RetrievalRequest::Full).unwrap());
         for frac in [0.3, 0.5, 0.8] {
             let budget = (full as f64 * frac) as usize;
-            let total = total_bytes(&map, &plan_for_bytes(&map, budget).unwrap());
+            let total = total_bytes(
+                &map,
+                &planned(&map, RetrievalRequest::SizeBudget(budget)).unwrap(),
+            );
             assert!(
                 total <= budget.max(map.base_bytes()),
                 "frac {frac}: {total} > {budget}"
@@ -494,9 +476,9 @@ mod tests {
     #[test]
     fn size_mode_error_decreases_with_budget() {
         let map = toy_map(&Config::default());
-        let full = total_bytes(&map, &plan_full(&map));
-        let small = plan_for_bytes(&map, full / 4).unwrap();
-        let large = plan_for_bytes(&map, full).unwrap();
+        let full = total_bytes(&map, &planned(&map, RetrievalRequest::Full).unwrap());
+        let small = planned(&map, RetrievalRequest::SizeBudget(full / 4)).unwrap();
+        let large = planned(&map, RetrievalRequest::SizeBudget(full)).unwrap();
         assert!(large.extra_error_bound <= small.extra_error_bound);
         assert!(large.payload_bytes >= small.payload_bytes);
     }
@@ -505,8 +487,8 @@ mod tests {
     fn bitrate_mode_matches_equivalent_byte_budget() {
         let map = toy_map(&Config::default());
         let n = map.header.num_elements();
-        let plan_a = plan_for_bitrate(&map, 2.0).unwrap();
-        let plan_b = plan_for_bytes(&map, 2 * n / 8).unwrap();
+        let plan_a = planned(&map, RetrievalRequest::Bitrate(2.0)).unwrap();
+        let plan_b = planned(&map, RetrievalRequest::SizeBudget(2 * n / 8)).unwrap();
         assert_eq!(plan_a.planes_loaded, plan_b.planes_loaded);
     }
 
@@ -522,10 +504,14 @@ mod tests {
         let map = toy_map(&config);
         let finest = map.levels.len() - 1;
         let plans = [
-            plan_for_error_bound(&map, 1e-2).unwrap(),
-            plan_for_bytes(&map, 0).unwrap(),
-            plan_for_bytes(&map, map.total_len() as usize / 2).unwrap(),
-            plan_for_bitrate(&map, 0.5).unwrap(),
+            planned(&map, RetrievalRequest::ErrorBound(1e-2)).unwrap(),
+            planned(&map, RetrievalRequest::SizeBudget(0)).unwrap(),
+            planned(
+                &map,
+                RetrievalRequest::SizeBudget(map.total_len() as usize / 2),
+            )
+            .unwrap(),
+            planned(&map, RetrievalRequest::Bitrate(0.5)).unwrap(),
         ];
         for plan in &plans {
             for (level, &loaded) in map.levels[..finest].iter().zip(&plan.planes_loaded) {

@@ -26,8 +26,9 @@
 //! The module also owns the *halo* arithmetic: reconstructing a region of
 //! interest bit-identically requires the interpolation cascade's neighbour
 //! reads to land on correct values, which grows the window by the predictor's
-//! reach at every level. See `fetch_window` / `pass_window` for the exact
-//! recurrence, and `level_window` for the box a region read holds per level.
+//! reach at every level. See `pass_window` for the exact recurrence (a
+//! level's first sub-pass's window is what the region fetches), and
+//! `level_window` for the box a region read holds per level.
 
 use crate::config::Interpolation;
 use crate::container::Header;
@@ -123,22 +124,6 @@ fn expand(roi: &RoiBox, dims: &[usize], halo: impl Fn(usize) -> usize) -> Window
         .collect()
 }
 
-/// The window of level-`level` lattice points whose codes an ROI decode must
-/// fetch: the ROI expanded by `reach·(stride−1)` in every dimension plus a
-/// further `reach·stride` in every dimension *after the first swept one* —
-/// the first sub-pass of a level reads its not-yet-swept dimensions on the
-/// coarser `2·stride` lattice, so their halo is one level wider.
-pub(crate) fn fetch_window(
-    roi: &RoiBox,
-    dims: &[usize],
-    method: Interpolation,
-    level: u32,
-) -> Window {
-    let r = reach(method);
-    let s = level_stride(level);
-    expand(roi, dims, |i| r * (s - 1) + if i > 0 { r * s } else { 0 })
-}
-
 /// The window a dimension sub-pass `d` of level `level` must *compute* so
 /// that every later pass (same level, later dimension, or any finer level)
 /// reads only correct values: `reach·(stride−1)` everywhere plus
@@ -225,7 +210,8 @@ pub(crate) fn roi_precinct_ids(
     Ok((0..header.num_levels)
         .map(|idx| {
             let level = header.num_levels - idx;
-            let w = fetch_window(bounds, &header.dims, header.interpolation, level);
+            // Sub-pass 0's window holds every later one's: all the level computes.
+            let w = pass_window(bounds, &header.dims, header.interpolation, level, 0);
             grid.at_level(level).intersecting(&w)
         })
         .collect())
@@ -948,7 +934,7 @@ mod tests {
     fn windows_clamp_to_domain() {
         let roi = RoiBox::new(&[0, 100], &[16, 116]);
         let dims = [128usize, 128];
-        let w = fetch_window(&roi, &dims, Interpolation::Cubic, 2);
+        let w = pass_window(&roi, &dims, Interpolation::Cubic, 2, 0);
         // stride 2, reach 3: halo = 3*(2-1) = 3 along dim 0, +3*2 along dim 1.
         assert_eq!(w[0], (0, 19));
         assert_eq!(w[1], (91, 125));

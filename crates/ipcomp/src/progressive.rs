@@ -13,7 +13,7 @@
 //!   resulting delta field is added onto the existing reconstruction. No previously
 //!   loaded block is ever re-read and no previous work is redone.
 //!
-//! Both algorithms run through one level loader and one cascade hand-over:
+//! Both algorithms run through one level loader and one cascade engine:
 //! every level loads region by region, entropy-decoded then scattered,
 //! through the crate's one level loader (`pipeline::load_level`), then goes
 //! to the streaming cascade engine ([`crate::cascade`]) whole, so each
@@ -61,14 +61,15 @@
 //! each level's region list cut to those precincts' ids — into scratch
 //! state sized by the region, so it never disturbs the progressive state
 //! and a failed region read has only the byte accounting to restore. Its
-//! cascade (`cascade::RegionCascade`) holds one dense box per level, on
-//! that level's own lattice: the points of the level's stride around the
-//! region, widened by the predictor's reach — everything the level's
-//! windowed sub-passes compute or read. Each box is seeded from the next
-//! coarser one, takes the level's residuals from a scratch accumulator of
-//! the selected precincts, and is swept in lattice units with the same bits
-//! as the whole-field sweep; the region is a copy out of the finest box. No
-//! buffer of a region read is sized by the field.
+//! cascade is the full read's engine ([`CascadeEngine`]) built over the
+//! region: one dense box per level, on that level's own lattice, holding
+//! the points of the level's stride around the region, widened by the
+//! predictor's reach — everything the level's clipped sub-passes compute or
+//! read — where a full read's box is the level's whole lattice. Each box is
+//! seeded from the next coarser one, takes the level's residuals from a
+//! scratch accumulator of the selected precincts, and is swept in lattice
+//! units with the same kernels and bits as a full read; the region is a copy
+//! out of the finest box. No buffer of a region read is sized by the field.
 //!
 //! A version-3 container stores every level precinct-major; the cascade reads
 //! canonical traversal order. Both reads cross between the two through the
@@ -83,7 +84,7 @@ use ipc_codecs::negabinary::from_negabinary;
 use ipc_tensor::{ArrayD, Shape};
 
 use crate::bitplane::EncodedLevel;
-use crate::cascade::{CascadeEngine, CascadeProgress, RegionCascade};
+use crate::cascade::{CascadeEngine, CascadeProgress};
 use crate::container::{decode_anchors_bounded, Compressed, ContainerMap};
 use crate::error::{IpcompError, Result};
 use crate::interp::num_levels;
@@ -285,11 +286,13 @@ impl<'a> ProgressiveDecoder<'a> {
         }
     }
 
-    /// Bind every cascade this decoder runs to the point-wise referee
-    /// (`referee`) or the run kernels, with `threads` pinned sub-pass workers
-    /// (0 = the default schedule): [`CascadeEngine::with_kernel`], per
-    /// decoder, so bit-identity suites can sweep the public decode paths
-    /// concurrently. Fields are bit-identical either way.
+    /// Bind every full-domain cascade this decoder runs to the point-wise
+    /// referee (`referee`) or the run kernels, and every cascade it runs to
+    /// `threads` pinned sub-pass workers (0 = the default schedule):
+    /// [`CascadeEngine::with_kernel`], per decoder, so bit-identity suites
+    /// can sweep the public decode paths concurrently. A region read always
+    /// runs the run kernels, which its crop is checked against. Fields are
+    /// bit-identical either way.
     #[cfg(any(test, feature = "reference-scalar"))]
     pub fn with_kernel(mut self, referee: bool, threads: usize) -> Self {
         self.kernel = (referee, threads);
@@ -595,10 +598,11 @@ impl<'a> ProgressiveDecoder<'a> {
     /// through the one level loader (`pipeline::load_level`), reporting
     /// every non-empty region to `events` — with the decoder's byte total
     /// so far, to which the level's bytes are committed only once it
-    /// loads — and goes to the cascade whole: [`CascadeEngine::level_ready`]
-    /// over the field, or under a `region` the level's box of the region
-    /// cascade (`cascade::RegionCascade`), into which the codes of a scratch
-    /// accumulator of the selected precincts are placed first. A version-3
+    /// loads — and goes to the one cascade engine whole: in canonical order
+    /// through [`CascadeEngine::level_ready`] on a full read, or under a
+    /// `region` placed into the level's box (`open_level`, `place_row` per
+    /// row of a scratch accumulator of the selected precincts, then
+    /// `close_level`) of the engine built over the region. A version-3
     /// level's precinct-major words reach either through the one precinct
     /// walk (`PrecinctGrid::level_walk`), built per level from the grid `map`
     /// validated when it was built: the decoder keeps no layout. A failed
@@ -628,26 +632,21 @@ impl<'a> ProgressiveDecoder<'a> {
             }
             anchors = decode_anchors_bounded(&map.anchors, header.num_elements())?;
         }
-        let (method, eb) = (header.interpolation, header.error_bound);
+        let (shape, method, eb) = (self.shape.clone(), header.interpolation, header.error_bound);
         let mut cascade = match region {
-            Some(scope) => Cascade::Region(
-                scope,
-                RegionCascade::new(&self.shape, method, eb, scope.bounds, &anchors),
-            ),
-            None => {
-                let mut engine = CascadeEngine::new(self.shape.clone(), method, eb);
-                #[cfg(any(test, feature = "reference-scalar"))]
-                {
-                    let (referee, threads) = self.kernel;
-                    engine = engine.with_kernel(referee, threads);
-                }
-                match initial {
-                    true => engine.seed_anchors(&anchors),
-                    false => engine.seed_zero(),
-                }
-                Cascade::Field(engine)
-            }
+            Some(scope) => CascadeEngine::over(shape, method, eb, scope.bounds),
+            None => CascadeEngine::new(shape, method, eb),
         };
+        #[cfg(any(test, feature = "reference-scalar"))]
+        {
+            // The referee takes only the canonical-order hand-over.
+            let (referee, threads) = self.kernel;
+            cascade = cascade.with_kernel(referee && region.is_none(), threads);
+        }
+        match initial {
+            true => cascade.seed_anchors(&anchors),
+            false => cascade.seed_zero(),
+        }
         let mut w = 0usize;
         for (idx, level) in map.levels.iter().enumerate() {
             let work = works.get(w).filter(|x| x.0 == idx).copied();
@@ -705,19 +704,16 @@ impl<'a> ProgressiveDecoder<'a> {
                     self.planes_loaded[idx] = want;
                 }
             }
-            let engine = match &mut cascade {
-                Cascade::Region(scope, boxes) => {
-                    boxes.open_level(idx);
-                    if work.is_some() {
-                        let grid = map.grid().expect("precinct ids imply a grid");
-                        scope.place_codes(&self.shape, idx, grid, &scratch, boxes);
-                    }
-                    let pass = boxes.close_level(work.is_some());
-                    events(StreamEvent::LevelReconstructed(pass));
-                    continue;
+            if let Some(scope) = region {
+                cascade.open_level(idx);
+                if work.is_some() {
+                    let grid = map.grid().expect("precinct ids imply a grid");
+                    scope.place_codes(&self.shape, idx, grid, &scratch, &mut cascade);
                 }
-                Cascade::Field(engine) => engine,
-            };
+                let pass = cascade.close_level(work.is_some());
+                events(StreamEvent::LevelReconstructed(pass));
+                continue;
+            }
             // Full values on an initial reconstruction — including a level
             // loaded by an earlier, failed one — or the delta the newly
             // loaded planes `[lo, hi)` contribute; nothing (all residuals,
@@ -729,22 +725,12 @@ impl<'a> ProgressiveDecoder<'a> {
                 _ if initial && self.planes_loaded[idx] > 0 => self.level_codes(idx, ALL_PLANES),
                 _ => Vec::new(),
             };
-            for pass in engine.level_ready(idx, codes) {
+            for pass in cascade.level_ready(idx, codes) {
                 events(StreamEvent::LevelReconstructed(pass));
             }
         }
-        Ok(match cascade {
-            Cascade::Region(_, boxes) => boxes.crop(),
-            Cascade::Field(engine) => engine.into_field(),
-        })
+        Ok(cascade.into_field())
     }
-}
-
-/// The cascade one retrieval drives: the whole field's, or a region's
-/// per-level boxes.
-enum Cascade<'s> {
-    Field(CascadeEngine),
-    Region(&'s RegionScope, RegionCascade),
 }
 
 /// Spatial scope of a region retrieval — the only state a region adds to the
@@ -760,7 +746,7 @@ struct RegionScope {
 impl RegionScope {
     /// Place level entry `idx`'s scratch accumulator — its listed
     /// precincts' coefficients back to back, in list order — into the
-    /// level's box of the region cascade, in one precinct walk over those
+    /// level's box of the region's cascade, in one precinct walk over those
     /// ids. The map's verdict holds the level's spans to be the `grid`'s.
     fn place_codes(
         &self,
@@ -768,7 +754,7 @@ impl RegionScope {
         idx: usize,
         grid: &PrecinctGrid,
         acc: &[u64],
-        cascade: &mut RegionCascade,
+        cascade: &mut CascadeEngine,
     ) {
         let walk = grid.level_walk(shape, num_levels(shape) - idx as u32);
         let mut i = 0;

@@ -8,10 +8,7 @@ use ipcomp_suite::codecs::negabinary::{
     from_negabinary, negabinary_uncertainty, to_negabinary, truncate_negabinary,
 };
 use ipcomp_suite::codecs::{lzr_compress, lzr_decompress, zigzag_decode, zigzag_encode};
-use ipcomp_suite::core::{
-    compress, plan_for_bytes, plan_for_error_bound, Config, ContainerMap, Interpolation,
-    ProgressiveDecoder, RetrievalRequest,
-};
+use ipcomp_suite::core::{compress, Config, Interpolation, ProgressiveDecoder, RetrievalRequest};
 use ipcomp_suite::metrics::linf_error;
 use ipcomp_suite::tensor::{ArrayD, Shape};
 use proptest::prelude::*;
@@ -70,8 +67,8 @@ proptest! {
         let eb = 1e-8 * range;
         let target = 10f64.powi(-target_exp) * range;
         let compressed = compress(&field, eb, &Config::default()).unwrap();
-        let plan = plan_for_error_bound(&ContainerMap::from_compressed(&compressed), target).unwrap();
         let mut dec = ProgressiveDecoder::new(&compressed);
+        let plan = dec.plan(RetrievalRequest::ErrorBound(target)).unwrap();
         let out = dec.retrieve_with_plan(&plan).unwrap();
         let err = linf_error(field.as_slice(), out.data.as_slice());
         prop_assert!(err <= target * (1.0 + 1e-9), "err {} > target {}", err, target);
@@ -88,7 +85,9 @@ proptest! {
         let eb = 1e-7 * field.value_range().max(1e-12);
         let compressed = compress(&field, eb, &Config::default()).unwrap();
         let budget = (compressed.total_bytes() as f64 * fraction) as usize;
-        let plan = plan_for_bytes(&ContainerMap::from_compressed(&compressed), budget).unwrap();
+        let plan = ProgressiveDecoder::new(&compressed)
+            .plan(RetrievalRequest::SizeBudget(budget))
+            .unwrap();
         let total = compressed.base_bytes() + plan.payload_bytes;
         prop_assert!(total <= budget.max(compressed.base_bytes()), "{} > {}", total, budget);
     }
